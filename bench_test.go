@@ -1,144 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper (one
-// testing.B target per artifact; see DESIGN.md's experiment index) plus
-// ablation benches for the design choices the implementation calls out.
-//
-// Each bench reports domain metrics (energy, latency percentiles, power
-// savings) via b.ReportMetric alongside the usual ns/op, so
-// `go test -bench=. -benchmem` doubles as a results table.
+// Ablation benches for the design choices the implementation calls out
+// (DESIGN.md Sec. 6). Each reports a domain metric (energy, latency
+// percentiles) via b.ReportMetric alongside the usual ns/op, so
+// `go test -bench=Ablation -benchmem` doubles as a results table.
+// Performance is measured by the repo benchmark, not here: bench/README.md.
 package holdcsim_test
 
 import (
 	"testing"
 
 	"holdcsim"
-	"holdcsim/internal/experiments"
-	"holdcsim/internal/runner"
 )
-
-// serialExec pins experiment benchmarks to one worker so their ns/op
-// stays comparable with the serial trajectory recorded in
-// BENCH_engine.json (cmd/benchrunner measures parallel campaign
-// speedup explicitly; these targets guard the hot path).
-var serialExec = runner.Options{Workers: 1}
-
-// ---------------------------------------------------------------------
-// Table & figure regeneration (paper Secs. IV, V and Table I).
-// ---------------------------------------------------------------------
-
-func BenchmarkTableIScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickTableI()
-		p.Exec = serialExec
-		r, err := experiments.TableI(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.EventsPerSec, "events/s")
-	}
-}
-
-func BenchmarkFig4Provisioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig4()
-		p.Exec = serialExec
-		r, err := experiments.Fig4(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.MeanActive, "active-servers")
-	}
-}
-
-func BenchmarkFig5DelayTimerSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig5()
-		p.Exec = serialExec
-		r, err := experiments.Fig5(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(r.Points)), "sweep-points")
-	}
-}
-
-func BenchmarkFig6DualTimer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig6()
-		p.Exec = serialExec
-		r, err := experiments.Fig6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := 0.0
-		for _, pt := range r.Points {
-			if pt.ReductionPct > best {
-				best = pt.ReductionPct
-			}
-		}
-		b.ReportMetric(best, "best-saving-%")
-	}
-}
-
-func BenchmarkFig8Residency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig8()
-		p.Exec = serialExec
-		r, err := experiments.Fig8(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Rows[0].SysSleep*100, "low-rho-syssleep-%")
-	}
-}
-
-func BenchmarkFig9EnergyBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig9()
-		p.Exec = serialExec
-		r, err := experiments.Fig9(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.SavingPct, "adaptive-saving-%")
-	}
-}
-
-func BenchmarkFig11JointOptimization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig11()
-		p.Exec = serialExec
-		r, err := experiments.Fig11(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.ServerSavingPct[0.3], "server-saving-%")
-		b.ReportMetric(r.NetworkSavingPct[0.3], "network-saving-%")
-	}
-}
-
-func BenchmarkFig12ServerValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig12()
-		p.Exec = serialExec
-		r, err := experiments.Fig12(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.MeanAbsDiffW, "mean-abs-diff-W")
-	}
-}
-
-func BenchmarkFig13SwitchValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := experiments.QuickFig13()
-		p.Exec = serialExec
-		r, err := experiments.Fig13(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.MeanAbsDiffW, "mean-abs-diff-W")
-	}
-}
 
 // ---------------------------------------------------------------------
 // Ablations (design choices listed in DESIGN.md Sec. 6).
@@ -412,21 +283,4 @@ func BenchmarkAblationHeterogeneous(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEngineThroughput measures raw event dispatch rate — the
-// figure behind Table I's scalability row.
-func BenchmarkEngineThroughput(b *testing.B) {
-	eng := holdcsim.NewEngine()
-	count := 0
-	var reschedule func()
-	reschedule = func() {
-		count++
-		if count < b.N {
-			eng.After(holdcsim.Microsecond, reschedule)
-		}
-	}
-	b.ResetTimer()
-	eng.After(holdcsim.Microsecond, reschedule)
-	eng.Run()
 }

@@ -15,6 +15,7 @@
 //	experiments -exp fig5 -workers 1  # serial execution (same bytes)
 //	experiments -exp fig5 -reps 5     # 5 replications with error bars
 //	experiments -exp all -quick -check # verify conservation laws per run
+//	experiments -exp hyperscale       # the 1M-server row (by name only: minutes, several GB)
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: all|table1|fig4|fig5|fig6|fig8|fig9|fig11|fig12|fig13")
+	exp := fs.String("exp", "all", "experiment: all|table1|fig4|fig5|fig6|fig8|fig9|fig11|fig12|fig13|hyperscale")
 	quick := fs.Bool("quick", false, "use reduced-scale presets")
 	out := fs.String("out", "", "directory to write TSV series (optional)")
 	workers := fs.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
@@ -72,11 +73,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	// Hyperscale is not a paper artifact and costs minutes and several
+	// GB at full size, so "all" leaves it out: it runs by name only.
+	runners["hyperscale"] = runHyperscale
 
 	targets := names
 	if *exp != "all" {
 		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(stderr, "unknown experiment %q (have: %s, all)\n",
+			fmt.Fprintf(stderr, "unknown experiment %q (have: %s, hyperscale, all)\n",
 				*exp, strings.Join(names, ", "))
 			return 2
 		}
@@ -131,6 +135,20 @@ func runTableI(o cliOpts) error {
 		return err
 	}
 	if err := emit(o.w, o.out, "table1", r.Features); err != nil {
+		return err
+	}
+	fmt.Fprintln(o.w, r.Summary())
+	return nil
+}
+
+func runHyperscale(o cliOpts) error {
+	p := experiments.DefaultHyperscale()
+	if o.quick {
+		p = experiments.QuickHyperscale()
+	}
+	p.Check = o.check
+	r, err := experiments.Hyperscale(p)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(o.w, r.Summary())

@@ -41,6 +41,25 @@ func TestRunSingleExperimentQuick(t *testing.T) {
 	}
 }
 
+// The tenth experiment runs by name only: "all" is the nine paper
+// artifacts, so a default invocation never pays for the big farm.
+func TestRunHyperscaleByNameOnly(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-exp", "hyperscale", "-quick", "-check"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if got := stdout.String(); !strings.Contains(got, "hyperscale: 1024 servers in 128 racks, 5000 jobs") {
+		t.Fatalf("hyperscale summary missing:\n%s", got)
+	}
+	stdout.Reset()
+	if code := run([]string{"-exp", "all", "-quick"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("all: exit %d, stderr: %s", code, stderr.String())
+	}
+	if strings.Contains(stdout.String(), "hyperscale") {
+		t.Fatalf("-exp all ran the hyperscale experiment:\n%s", stdout.String())
+	}
+}
+
 func TestRunWritesTSV(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr strings.Builder

@@ -1,276 +1,155 @@
-// Command holdcsim runs a single data center simulation described by a
-// JSON config file (or flags) and prints the collected statistics —
-// the simulator's general-purpose front end (paper Fig. 1: workload
-// model + server profile + switch profile in, runtime statistics out).
+// Command holdcsim runs a single data center simulation and prints the
+// collected statistics — the simulator's general-purpose front end
+// (paper Fig. 1: workload model + server profile + switch profile in,
+// runtime statistics out).
 //
 // Usage:
 //
 //	holdcsim -config sim.json
-//	holdcsim -servers 50 -cores 4 -rho 0.3 -service 5ms -policy packfirst -tau 1s -duration 60s
+//	holdcsim -servers 50 -cores 4 -rho 0.3 -service websearch -policy packfirst -tau 1s -duration 60s
 //
-// Example config:
+// -config takes a scenario file: the same JSON-with-comments format,
+// strict decoding, validation and limits as cmd/scenario (field
+// reference: DESIGN.md Sec. 10; `scenario export -preset fig5-delaytimer`
+// prints a commented example). A campaign-matrix file is refused — run those with
+// `scenario run`. The flag form builds the same Scenario value from the
+// flags, so both forms run invariant-checked through one path.
 //
-//	{
-//	  "seed": 7,
-//	  "servers": 50,
-//	  "profile": "4core",
-//	  "queueMode": "unified",
-//	  "placer": "packfirst",
-//	  "delayTimerSec": 1.0,
-//	  "topology": {"kind": "fattree", "k": 4},
-//	  "commMode": "flow",
-//	  "workload": {"arrivals": "poisson", "rho": 0.3, "serviceSec": 0.005},
-//	  "durationSec": 60
-//	}
+// The flags speak the scenario vocabulary: -policy is any placer name
+// the codec knows, and -service names a service profile (websearch,
+// exp 5 ms; webserving, exp 120 ms; wikipedia, uniform 3-10 ms). The
+// command's earlier private config schema is gone, and with it the
+// fields the scenario vocabulary has no word for: ratePerSec (set rho),
+// burstFraction, warmupSec and arbitrary service means.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/dist"
-	"holdcsim/internal/network"
-	"holdcsim/internal/power"
-	"holdcsim/internal/sched"
-	"holdcsim/internal/server"
-	"holdcsim/internal/simtime"
-	"holdcsim/internal/topology"
-	"holdcsim/internal/workload"
+	"holdcsim/internal/runner"
+	"holdcsim/internal/scenario"
 )
 
-// fileConfig is the JSON schema of -config.
-type fileConfig struct {
-	Seed          uint64      `json:"seed"`
-	Servers       int         `json:"servers"`
-	Profile       string      `json:"profile"`   // "xeon" | "4core"
-	QueueMode     string      `json:"queueMode"` // "unified" | "percore"
-	Placer        string      `json:"placer"`    // "leastloaded" | "roundrobin" | "packfirst"
-	GlobalQueue   bool        `json:"globalQueue"`
-	DelayTimerSec float64     `json:"delayTimerSec"` // <0 disables
-	Topology      *topoConfig `json:"topology"`
-	CommMode      string      `json:"commMode"` // "", "flow", "packet"
-	Workload      workConfig  `json:"workload"`
-	DurationSec   float64     `json:"durationSec"`
-	MaxJobs       int64       `json:"maxJobs"`
-	WarmupSec     float64     `json:"warmupSec"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-type topoConfig struct {
-	Kind  string `json:"kind"` // fattree|star|bcube|camcube|flatbutterfly
-	K     int    `json:"k"`
-	N     int    `json:"n"`
-	Hosts int    `json:"hosts"`
-	X     int    `json:"x"`
-	Y     int    `json:"y"`
-	Z     int    `json:"z"`
-	Rows  int    `json:"rows"`
-	Cols  int    `json:"cols"`
-	Conc  int    `json:"c"`
-}
-
-type workConfig struct {
-	Arrivals   string  `json:"arrivals"` // poisson|mmpp
-	Rho        float64 `json:"rho"`
-	RatePerSec float64 `json:"ratePerSec"` // overrides rho if > 0
-	ServiceSec float64 `json:"serviceSec"`
-	// MMPP knobs.
-	BurstRatio    float64 `json:"burstRatio"`    // λh/λl
-	BurstFraction float64 `json:"burstFraction"` // time share in burst
-}
-
-func main() {
-	configPath := flag.String("config", "", "JSON config file")
-	servers := flag.Int("servers", 16, "server count")
-	cores := flag.Int("cores", 4, "cores per server (selects profile: 4=4core, 10=xeon)")
-	rho := flag.Float64("rho", 0.3, "target utilization")
-	service := flag.Duration("service", 5*time.Millisecond, "mean service time")
-	policy := flag.String("policy", "leastloaded", "leastloaded|roundrobin|packfirst")
-	tau := flag.Duration("tau", -1, "delay timer (negative disables)")
-	duration := flag.Duration("duration", 30*time.Second, "simulated duration")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
-
-	var fc fileConfig
-	if *configPath != "" {
-		raw, err := os.ReadFile(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := json.Unmarshal(raw, &fc); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *configPath, err))
-		}
-	} else {
-		fc = fileConfig{
-			Seed:          *seed,
-			Servers:       *servers,
-			Profile:       map[bool]string{true: "xeon", false: "4core"}[*cores == 10],
-			Placer:        *policy,
-			DelayTimerSec: tau.Seconds(),
-			Workload: workConfig{
-				Arrivals:   "poisson",
-				Rho:        *rho,
-				ServiceSec: service.Seconds(),
-			},
-			DurationSec: duration.Seconds(),
-		}
+// run executes one CLI invocation; factored from main so tests drive
+// the binary in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "holdcsim:", err)
+		return code
 	}
-	cfg, err := assemble(fc)
+	s, err := load(args, stderr)
+	if err == flag.ErrHelp {
+		return 0
+	}
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
-	dc, err := core.Build(cfg)
+	dc, err := s.Build()
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	start := time.Now() //simlint:allow determinism wall-clock run timing for the CLI banner, not model state
+	sw := runner.StartStopwatch()
 	res, err := dc.Run()
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	report(res, time.Since(start)) //simlint:allow determinism wall-clock run timing for the CLI banner, not model state
+	report(stdout, res, sw.Elapsed())
+	return 0
 }
 
-func assemble(fc fileConfig) (core.Config, error) {
-	var prof *power.ServerProfile
-	switch fc.Profile {
-	case "", "4core":
-		prof = power.FourCoreServer()
-	case "xeon":
-		prof = power.XeonE5_2680()
-	default:
-		return core.Config{}, fmt.Errorf("unknown profile %q", fc.Profile)
+// load turns the command line into the one scenario to run: the decoded
+// -config file, or the scenario the other flags describe.
+func load(args []string, stderr io.Writer) (scenario.Scenario, error) {
+	fs := flag.NewFlagSet("holdcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	configPath := fs.String("config", "", "scenario file (JSON with comments; DESIGN.md Sec. 10)")
+	servers := fs.Int("servers", 16, "server count")
+	cores := fs.Int("cores", 4, "cores per server (selects profile: 4=4core, 10=xeon10)")
+	rho := fs.Float64("rho", 0.3, "target utilization")
+	service := fs.String("service", "websearch", "service profile: websearch|webserving|wikipedia")
+	policy := fs.String("policy", "leastloaded",
+		"scenario placer name: leastloaded|roundrobin|packfirst|... (an unknown name lists them all)")
+	tau := fs.Duration("tau", -1, "delay timer (negative disables)")
+	duration := fs.Duration("duration", 30*time.Second, "simulated duration")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return scenario.Scenario{}, err
 	}
-	sc := server.DefaultConfig(prof)
-	if fc.QueueMode == "percore" {
-		sc.QueueMode = server.QueuePerCore
+	if fs.NArg() != 0 {
+		return scenario.Scenario{}, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	if fc.DelayTimerSec >= 0 {
-		sc.DelayTimerEnabled = true
-		sc.DelayTimer = simtime.FromSeconds(fc.DelayTimerSec)
-	}
-
-	var placer sched.Placer
-	switch fc.Placer {
-	case "", "leastloaded":
-		placer = sched.LeastLoaded{}
-	case "roundrobin":
-		placer = sched.RoundRobin{}
-	case "packfirst":
-		placer = sched.PackFirst{}
-	default:
-		return core.Config{}, fmt.Errorf("unknown placer %q", fc.Placer)
+	if *configPath != "" {
+		return loadFile(*configPath)
 	}
 
-	if fc.Workload.ServiceSec <= 0 {
-		return core.Config{}, fmt.Errorf("workload.serviceSec must be positive")
+	s := scenario.Scenario{
+		Seed:          *seed,
+		Servers:       *servers,
+		DelayTimerSec: tau.Seconds(),
+		Arrival:       scenario.ArrivalSpec{Kind: scenario.ArrPoisson, Rho: *rho},
+		DurationSec:   duration.Seconds(),
 	}
-	rate := fc.Workload.RatePerSec
-	if rate <= 0 {
-		rate = workload.UtilizationRate(fc.Workload.Rho, fc.Servers, prof.Cores, fc.Workload.ServiceSec)
-	}
-	var arrivals workload.ArrivalProcess
-	switch fc.Workload.Arrivals {
-	case "", "poisson":
-		arrivals = workload.Poisson{Rate: rate}
-	case "mmpp":
-		ratio := fc.Workload.BurstRatio
-		if ratio <= 1 {
-			ratio = 10
-		}
-		frac := fc.Workload.BurstFraction
-		if frac <= 0 || frac >= 1 {
-			frac = 0.1
-		}
-		// Solve λh, λl for the requested mean rate.
-		lambdaL := rate / (frac*ratio + (1 - frac))
-		m, err := dist.NewMMPP2(lambdaL*ratio, lambdaL, frac*10, (1-frac)*10)
-		if err != nil {
-			return core.Config{}, err
-		}
-		arrivals = workload.MMPP{Proc: m}
+	switch *cores {
+	case 4:
+		s.Profile = scenario.ProfFourCore
+	case 10:
+		s.Profile = scenario.ProfXeon10
 	default:
-		return core.Config{}, fmt.Errorf("unknown arrivals %q", fc.Workload.Arrivals)
+		return scenario.Scenario{}, fmt.Errorf("-cores %d: no such profile (want 4 or 10)", *cores)
 	}
-
-	cfg := core.Config{
-		Seed:           fc.Seed,
-		Servers:        fc.Servers,
-		ServerConfig:   sc,
-		Placer:         placer,
-		UseGlobalQueue: fc.GlobalQueue,
-		Arrivals:       arrivals,
-		Factory:        workload.SingleTask{Service: dist.Exponential{MeanValue: fc.Workload.ServiceSec}},
-		Duration:       simtime.FromSeconds(fc.DurationSec),
-		MaxJobs:        fc.MaxJobs,
-		Warmup:         simtime.FromSeconds(fc.WarmupSec),
+	if err := s.Placer.Kind.UnmarshalText([]byte(*policy)); err != nil {
+		return scenario.Scenario{}, fmt.Errorf("-policy: %w", err)
 	}
-	if fc.Topology != nil {
-		t, ports, err := buildTopo(*fc.Topology)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Topology = t
-		cfg.NetworkConfig = network.DefaultConfig(power.DataCenter10G(ports))
-		switch fc.CommMode {
-		case "flow":
-			cfg.CommMode = core.CommFlow
-		case "packet":
-			cfg.CommMode = core.CommPacket
-		case "":
-			cfg.CommMode = core.CommNone
-		default:
-			return core.Config{}, fmt.Errorf("unknown commMode %q", fc.CommMode)
-		}
+	if err := s.Factory.Service.UnmarshalText([]byte(*service)); err != nil {
+		return scenario.Scenario{}, fmt.Errorf("-service: %w", err)
 	}
-	return cfg, nil
+	return s, nil
 }
 
-func buildTopo(tc topoConfig) (topology.Topology, int, error) {
-	switch tc.Kind {
-	case "fattree":
-		k := tc.K
-		if k == 0 {
-			k = 4
-		}
-		return topology.FatTree{K: k}, k + 2, nil
-	case "star":
-		h := tc.Hosts
-		if h == 0 {
-			h = 24
-		}
-		return topology.Star{Hosts: h}, h + 1, nil
-	case "bcube":
-		return topology.BCube{N: tc.N, K: tc.K}, tc.N + 1, nil
-	case "camcube":
-		return topology.CamCube{X: tc.X, Y: tc.Y, Z: tc.Z}, 8, nil
-	case "flatbutterfly":
-		f := topology.FlattenedButterfly{Rows: tc.Rows, Cols: tc.Cols, Concentration: tc.Conc}
-		return f, tc.Conc + tc.Rows + tc.Cols, nil
+// loadFile decodes a single-scenario file, resolving its relative trace
+// paths against the file's directory.
+func loadFile(path string) (scenario.Scenario, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return scenario.Scenario{}, err
 	}
-	return nil, 0, fmt.Errorf("unknown topology %q", tc.Kind)
+	ss, isMatrix, err := scenario.DecodeAny(data)
+	if err != nil {
+		return scenario.Scenario{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if isMatrix {
+		return scenario.Scenario{}, fmt.Errorf(
+			"%s is a campaign matrix (%d scenarios); run it with `go run ./cmd/scenario run %s`",
+			path, len(ss), path)
+	}
+	return ss[0].ResolveTraceFiles(filepath.Dir(path)), nil
 }
 
-func report(res *core.Results, wall time.Duration) {
-	fmt.Printf("simulated %.3f s in %v wall\n", res.End.Seconds(), wall.Round(time.Millisecond))
-	fmt.Printf("jobs: generated %d, completed %d\n", res.JobsGenerated, res.JobsCompleted)
+func report(w io.Writer, res *core.Results, wall time.Duration) {
+	fmt.Fprintf(w, "simulated %.3f s in %v wall\n", res.End.Seconds(), wall.Round(time.Millisecond))
+	fmt.Fprintf(w, "jobs: generated %d, completed %d\n", res.JobsGenerated, res.JobsCompleted)
 	if res.Latency.Count() > 0 {
-		fmt.Printf("latency: mean %.3f ms  p50 %.3f ms  p90 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
+		fmt.Fprintf(w, "latency: mean %.3f ms  p50 %.3f ms  p90 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
 			res.Latency.Mean()*1e3, res.Latency.Percentile(50)*1e3,
 			res.Latency.Percentile(90)*1e3, res.Latency.Percentile(95)*1e3,
 			res.Latency.Percentile(99)*1e3, res.Latency.Max()*1e3)
 	}
-	fmt.Printf("server energy: %.1f kJ (cpu %.1f + dram %.1f + platform %.1f), mean power %.1f W\n",
+	fmt.Fprintf(w, "server energy: %.1f kJ (cpu %.1f + dram %.1f + platform %.1f), mean power %.1f W\n",
 		res.ServerEnergyJ/1e3, res.CPUEnergyJ/1e3, res.DRAMEnergyJ/1e3,
 		res.PlatformEnergyJ/1e3, res.MeanServerPowerW)
 	if res.NetworkEnergyJ > 0 {
-		fmt.Printf("network energy: %.1f kJ, mean power %.1f W\n",
+		fmt.Fprintf(w, "network energy: %.1f kJ, mean power %.1f W\n",
 			res.NetworkEnergyJ/1e3, res.MeanNetworkPowerW)
-		fmt.Printf("network: %d flows, %d packets delivered, %d dropped\n",
+		fmt.Fprintf(w, "network: %d flows, %d packets delivered, %d dropped\n",
 			res.NetStats.FlowsCompleted, res.NetStats.PacketsDelivered, res.NetStats.PacketsDropped)
 	}
 	states := make([]string, 0, len(res.Residency))
@@ -278,15 +157,10 @@ func report(res *core.Results, wall time.Duration) {
 		states = append(states, s)
 	}
 	sort.Strings(states)
-	fmt.Printf("residency:")
+	fmt.Fprintf(w, "residency:")
 	for _, s := range states {
-		fmt.Printf(" %s=%.1f%%", s, res.Residency[s]*100)
+		fmt.Fprintf(w, " %s=%.1f%%", s, res.Residency[s]*100)
 	}
-	fmt.Println()
-	fmt.Printf("wakeups: %d server, %d switch\n", res.ServerWakeups, res.SwitchWakeups)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "holdcsim:", err)
-	os.Exit(1)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "wakeups: %d server, %d switch\n", res.ServerWakeups, res.SwitchWakeups)
 }

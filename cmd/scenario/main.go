@@ -119,12 +119,7 @@ func loadFile(path string) ([]loaded, bool, error) {
 	out := asLoaded(ss)
 	dir := filepath.Dir(path)
 	for i := range out {
-		if tf := out[i].s.Arrival.TraceFile; tf != "" && !filepath.IsAbs(tf) {
-			out[i].s.Arrival.TraceFile = filepath.Join(dir, tf)
-		}
-		if tf := out[i].s.Faults.TraceFile; tf != "" && !filepath.IsAbs(tf) {
-			out[i].s.Faults.TraceFile = filepath.Join(dir, tf)
-		}
+		out[i].s = out[i].s.ResolveTraceFiles(dir)
 	}
 	return out, isMatrix, nil
 }

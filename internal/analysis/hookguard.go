@@ -8,11 +8,11 @@ import (
 )
 
 // HookguardAnalyzer enforces the nil-guarded-hook contract. Observation
-// hooks are optional by design — core.Config.Cover, Config.OnDispatch,
-// invariant/sched subscriber fields — and a run without them must not
+// hooks are optional by design — core.Config.Cover, the server's
+// onBusyChange, invariant/sched subscriber fields — and a run without them must not
 // panic. Two rules:
 //
-//   - Rule A: a call through a func-typed struct field (cfg.OnDispatch(…),
+//   - Rule A: a call through a func-typed struct field (s.onBusyChange(…),
 //     s.hooks.f(…)) must be dominated by a nil check of that same
 //     field — an enclosing `if x.F != nil` (or a guarding early return
 //     `if x.F == nil { return }`). Calls through func-typed locals are

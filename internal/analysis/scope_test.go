@@ -12,8 +12,7 @@ func TestIsModelPackage(t *testing.T) {
 		{"holdcsim/internal/scenario", true},
 		{"holdcsim/internal/scenario/sub", true}, // scoped by top-level name
 		{"holdcsim/internal/analysis", false},    // the suite itself is not a model
-		{"holdcsim/cmd/benchrunner", true},       // every cmd/ is in scope
-		{"holdcsim/cmd/simlint", true},
+		{"holdcsim/cmd/simlint", true},           // every cmd/ is in scope
 		{"holdcsim", false},
 		{"holdcsim/examples/basic", false},
 		{"fmt", false},

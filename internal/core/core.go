@@ -101,9 +101,6 @@ type Config struct {
 	// exists — policies such as Server-Network-Aware (Sec. IV-D) need
 	// the live Network to read switch sleep states. It overrides Placer.
 	PlacerFor func(net *network.Network, hostOf sched.HostMapper) sched.Placer
-	// OnDispatch, when set, observes every task handed to a server
-	// (e.g. to inject request traffic toward the assigned host).
-	OnDispatch func(srv *server.Server, t *job.Task)
 
 	// Workload.
 	Arrivals workload.ArrivalProcess
@@ -299,7 +296,6 @@ func Build(cfg Config) (*DataCenter, error) {
 		Controller:     cfg.Controller,
 		UseGlobalQueue: cfg.UseGlobalQueue,
 		Transfer:       transfer,
-		OnDispatch:     cfg.OnDispatch,
 	}
 	if cfg.Faults != nil {
 		scfg.Orphans = cfg.Faults.Orphans

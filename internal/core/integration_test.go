@@ -115,16 +115,16 @@ func TestOnDispatchThroughBuild(t *testing.T) {
 	count := 0
 	cfg := baseConfig()
 	cfg.MaxJobs = 50
-	cfg.OnDispatch = func(srv *server.Server, tk *job.Task) {
-		if srv == nil || tk == nil {
-			t.Error("nil dispatch arguments")
-		}
-		count++
-	}
 	dc, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dc.Sched.OnDispatch(func(srv *server.Server, tk *job.Task) {
+		if srv == nil || tk == nil {
+			t.Error("nil dispatch arguments")
+		}
+		count++
+	})
 	if _, err := dc.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@ func TestFaultedPresetHoldsLaws(t *testing.T) {
 	}
 }
 
-// BenchmarkFig5EmptyFaults is the no-fault overhead probe for the
-// BENCH_engine trajectory: an attached-but-empty fault timeline must
-// cost nothing next to BenchmarkFig5Checked.
+// BenchmarkFig5EmptyFaults is the no-fault overhead probe: an
+// attached-but-empty fault timeline must cost nothing next to
+// BenchmarkFig5Checked.
 func BenchmarkFig5EmptyFaults(b *testing.B) {
 	p := QuickFig5()
 	p.Exec = runner.Options{Workers: 1}

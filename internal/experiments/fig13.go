@@ -116,14 +116,6 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 	ncfg := network.DefaultConfig(prof)
 	ncfg.LPIIdle = simtime.FromSeconds(p.LPIIdleSec)
 
-	// Request/response traffic rides on dispatch and completion hooks:
-	// each dispatched request pushes RequestBytes from the front end
-	// (the star's extra host) to the assigned server; each completion
-	// pushes ResponseBytes back. The hooks close over the DataCenter,
-	// which exists by the time any of them fires.
-	var dc *core.DataCenter
-	var frontend topology.NodeID
-
 	sc := server.DefaultConfig(power.XeonE5_2680())
 	cfg := core.Config{
 		Seed:          seed,
@@ -138,16 +130,19 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 		Arrivals:      workload.NewTraceReplay(tr),
 		Factory:       workload.SingleTask{Service: workload.WikipediaService()},
 		Duration:      simtime.FromSeconds(p.DurationSec),
-		OnDispatch: func(srv *server.Server, _ *job.Task) {
-			_ = dc.Net.TransferPackets(frontend, dc.HostOf(srv.ID()), p.RequestBytes, nil)
-		},
 	}
-	built, err := core.Build(cfg)
+	dc, err := core.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	dc = built
-	frontend = dc.Graph.Hosts()[p.Servers]
+	// Request/response traffic rides on dispatch and completion hooks:
+	// each dispatched request pushes RequestBytes from the front end
+	// (the star's extra host) to the assigned server; each completion
+	// pushes ResponseBytes back.
+	frontend := dc.Graph.Hosts()[p.Servers]
+	dc.Sched.OnDispatch(func(srv *server.Server, _ *job.Task) {
+		_ = dc.Net.TransferPackets(frontend, dc.HostOf(srv.ID()), p.RequestBytes, nil)
+	})
 	for _, srv := range dc.Servers {
 		host := dc.HostOf(srv.ID())
 		srv.OnTaskDone(func(*server.Server, *job.Task) {

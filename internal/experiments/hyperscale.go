@@ -6,10 +6,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/power"
+	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
@@ -73,7 +73,7 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 	if p.K < 2 || p.K%2 != 0 {
 		return nil, fmt.Errorf("experiments: fat-tree arity %d must be even and >= 2", p.K)
 	}
-	buildStart := time.Now() //simlint:allow determinism wall-clock timing of the build phase for the report, not model state
+	sw := runner.StartStopwatch()
 
 	nServers := topology.FatTree{K: p.K}.NumHosts()
 	shardOf, nRacks, err := rackShards(p.K)
@@ -103,14 +103,14 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 	if err := dc.Sched.SetShards(shardOf, nRacks); err != nil {
 		return nil, err
 	}
-	buildSecs := time.Since(buildStart).Seconds() //simlint:allow determinism wall-clock timing of the build phase for the report, not model state
+	buildSecs := sw.Elapsed().Seconds()
 
-	runStart := time.Now() //simlint:allow determinism wall-clock timing of the run phase for the report, not model state
+	sw = runner.StartStopwatch()
 	res, err := dc.Run()
 	if err != nil {
 		return nil, err
 	}
-	runSecs := time.Since(runStart).Seconds() //simlint:allow determinism wall-clock timing of the run phase for the report, not model state
+	runSecs := sw.Elapsed().Seconds()
 
 	out := &HyperscaleResult{
 		Servers:       nServers,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/fault"
@@ -116,7 +115,7 @@ func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
 		Factory: workload.SingleTask{Service: workload.WebSearchService()},
 		MaxJobs: p.ScaleJobs,
 	}
-	start := time.Now() //simlint:allow determinism wall-clock timing of the Table I row, not model state
+	sw := runner.StartStopwatch()
 	dc, err := core.Build(cfg)
 	if err != nil {
 		return nil, err
@@ -125,7 +124,7 @@ func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start).Seconds() //simlint:allow determinism wall-clock timing of the Table I row, not model state
+	wall := sw.Elapsed().Seconds()
 	out := &TableIResult{
 		Servers:       p.ScaleServers,
 		JobsCompleted: res.JobsCompleted,

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
 )
 
@@ -269,6 +270,22 @@ func Decode(data []byte) (Scenario, error) {
 		return Scenario{}, err
 	}
 	return s, nil
+}
+
+// ResolveTraceFiles returns s with its relative arrival and outage
+// trace paths joined onto dir — the directory of the file s was decoded
+// from — so a scenario file and its recorded traces travel as a pair.
+// Take the scenario's label before resolving: labels (and the
+// replication seeds derived from them) must not depend on where the
+// file sits.
+func (s Scenario) ResolveTraceFiles(dir string) Scenario {
+	if tf := s.Arrival.TraceFile; tf != "" && !filepath.IsAbs(tf) {
+		s.Arrival.TraceFile = filepath.Join(dir, tf)
+	}
+	if tf := s.Faults.TraceFile; tf != "" && !filepath.IsAbs(tf) {
+		s.Faults.TraceFile = filepath.Join(dir, tf)
+	}
+	return s
 }
 
 // ---------------------------------------------------------------------

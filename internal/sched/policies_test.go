@@ -88,13 +88,11 @@ func TestCommittedLoadCoversUnsubmittedDAGTasks(t *testing.T) {
 func TestOnDispatchHook(t *testing.T) {
 	eng, servers := testFarm(t, 2, nil)
 	var dispatched []int
-	s, err := New(eng, servers, Config{
-		Placer:     RoundRobin{},
-		OnDispatch: func(srv *server.Server, tk *job.Task) { dispatched = append(dispatched, srv.ID()) },
-	})
+	s, err := New(eng, servers, Config{Placer: RoundRobin{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.OnDispatch(func(srv *server.Server, tk *job.Task) { dispatched = append(dispatched, srv.ID()) })
 	for i := 0; i < 4; i++ {
 		j := singleJob(job.ID(i), 0, simtime.Millisecond)
 		eng.Schedule(0, func() { s.JobArrived(j) })

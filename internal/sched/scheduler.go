@@ -48,9 +48,6 @@ type Config struct {
 	Transfer TransferFn
 	// Controller optionally receives arrival/completion callbacks.
 	Controller Controller
-	// OnDispatch, when set, observes every task handed to a server
-	// (request-traffic hooks, tracing).
-	OnDispatch func(srv *server.Server, t *job.Task)
 	// Orphans selects the fault policy for tasks stranded by server
 	// crashes (fault model). The zero value requeues.
 	Orphans OrphanPolicy
@@ -147,9 +144,6 @@ func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, 
 	for _, srv := range servers {
 		srv.OnTaskDone(s.taskDone)
 	}
-	if cfg.OnDispatch != nil {
-		s.onDispatch = append(s.onDispatch, cfg.OnDispatch)
-	}
 	return s, nil
 }
 
@@ -170,7 +164,10 @@ func (s *Scheduler) OnJobArrived(fn func(*job.Job)) {
 }
 
 // OnDispatch subscribes a task-dispatch callback, invoked for every task
-// handed to a server (after any Config.OnDispatch hook).
+// handed to a server (request-traffic hooks, invariant probes, tracing).
+// Subscribers run in registration order: core.Build attaches the
+// invariant checker, so a callback subscribed on a built data center
+// runs after the checker's per-dispatch scan.
 func (s *Scheduler) OnDispatch(fn func(*server.Server, *job.Task)) {
 	s.onDispatch = append(s.onDispatch, fn)
 }

@@ -36,19 +36,6 @@ func NewFarm(eng *engine.Engine) *Farm {
 	return f
 }
 
-// Add constructs a server attached to this farm. Farm-attached servers
-// route their sleep-state delay timers through the shared planner and
-// mirror their pending-task counts into the farm's dense arrays.
-func (f *Farm) Add(id int, cfg Config) (*Server, error) {
-	s, err := newServer(id, f.eng, cfg, f, int32(len(f.servers)))
-	if err != nil {
-		return nil, err
-	}
-	f.servers = append(f.servers, s)
-	f.pending = append(f.pending, int32(s.PendingTasks()))
-	return s, nil
-}
-
 // Len reports the number of servers in the farm.
 func (f *Farm) Len() int { return len(f.servers) }
 

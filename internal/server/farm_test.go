@@ -219,9 +219,9 @@ func TestFarmAggregatesMatchRecount(t *testing.T) {
 	check("final")
 }
 
-// Satellite bugfix: with DelayTimerEnabled=false the server must never
-// allocate a delay timer nor touch one on the submit path — a full
-// idle→busy→idle cycle in steady state allocates nothing server-side.
+// With DelayTimerEnabled=false the server must never arm a suspend nor
+// touch the planner on the submit path — a full idle→busy→idle cycle in
+// steady state allocates nothing server-side.
 func TestNoDelayTimerWhenDisabled(t *testing.T) {
 	eng, s := newTestServer(t, func(c *Config) { c.DelayTimerEnabled = false })
 	jb := job.Single(1, 0, simtime.Millisecond)
@@ -236,9 +236,6 @@ func TestNoDelayTimerWhenDisabled(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
-	if s.delayTimer != nil {
-		t.Fatalf("delay timer allocated despite DelayTimerEnabled=false")
-	}
 	if _, armed := s.SleepDeadline(); armed {
 		t.Fatalf("sleep armed despite DelayTimerEnabled=false")
 	}
@@ -249,35 +246,27 @@ func TestNoDelayTimerWhenDisabled(t *testing.T) {
 }
 
 // SetDelayTimer at runtime (the dual-timer re-partition path) must work
-// through the lazy/planner machinery in both directions.
+// through the planner in both directions.
 func TestSetDelayTimerLazyArm(t *testing.T) {
-	for _, useFarm := range []bool{false, true} {
-		eng := engine.New()
-		var s *Server
-		var err error
-		if useFarm {
-			s, err = NewFarm(eng).Add(0, farmConfig(nil))
-		} else {
-			s, err = New(0, eng, farmConfig(nil))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, armed := s.SleepDeadline(); armed {
-			t.Fatalf("farm=%v: armed with delay timer disabled", useFarm)
-		}
-		s.SetDelayTimer(true, 5*simtime.Millisecond)
-		if at, armed := s.SleepDeadline(); !armed || at != eng.Now()+5*simtime.Millisecond {
-			t.Fatalf("farm=%v: deadline = (%v,%v), want (+5ms,true)", useFarm, at, armed)
-		}
-		s.SetDelayTimer(false, 0)
-		if _, armed := s.SleepDeadline(); armed {
-			t.Fatalf("farm=%v: still armed after disable", useFarm)
-		}
-		s.SetDelayTimer(true, simtime.Millisecond)
-		eng.Run()
-		if !s.Asleep() {
-			t.Fatalf("farm=%v: server did not suspend", useFarm)
-		}
+	eng := engine.New()
+	s, err := New(0, eng, farmConfig(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, armed := s.SleepDeadline(); armed {
+		t.Fatalf("armed with delay timer disabled")
+	}
+	s.SetDelayTimer(true, 5*simtime.Millisecond)
+	if at, armed := s.SleepDeadline(); !armed || at != eng.Now()+5*simtime.Millisecond {
+		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, armed)
+	}
+	s.SetDelayTimer(false, 0)
+	if _, armed := s.SleepDeadline(); armed {
+		t.Fatalf("still armed after disable")
+	}
+	s.SetDelayTimer(true, simtime.Millisecond)
+	eng.Run()
+	if !s.Asleep() {
+		t.Fatalf("server did not suspend")
 	}
 }

@@ -52,11 +52,9 @@ type Server struct {
 	failed bool
 	epoch  uint32
 
-	// Sleep-state delay bookkeeping. A standalone server lazily creates a
-	// private delayTimer on first arm; a farm-attached server instead
+	// Sleep-state delay bookkeeping. Every server belongs to a farm and
 	// registers a (deadline, seq) pair with the farm's shared sleep
 	// planner, so an idle server holds no queued engine event of its own.
-	delayTimer *engine.Timer
 	farm       *Farm
 	fidx       int32
 	sleepArmed bool
@@ -99,15 +97,18 @@ type Server struct {
 	onBusyChange func(now simtime.Time, busy int)
 }
 
-// New constructs a standalone server bound to the engine. The server
-// starts in S0 with all cores idle (governor engaged). Servers built in
-// bulk should go through Farm.Add instead, which shares one sleep-planner
-// timer across the population.
+// New constructs a standalone server bound to the engine: a farm of
+// one. Servers built in bulk should share a Farm, and with it one
+// sleep-planner timer across the population.
 func New(id int, eng *engine.Engine, cfg Config) (*Server, error) {
-	return newServer(id, eng, cfg, nil, 0)
+	return NewFarm(eng).Add(id, cfg)
 }
 
-func newServer(id int, eng *engine.Engine, cfg Config, farm *Farm, fidx int32) (*Server, error) {
+// Add constructs a server attached to this farm: its sleep-state delay
+// timer runs through the shared planner and its pending-task count is
+// mirrored into the farm's dense arrays. The server starts in S0 with
+// all cores idle (governor engaged).
+func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -116,11 +117,11 @@ func newServer(id int, eng *engine.Engine, cfg Config, farm *Farm, fidx int32) (
 	}
 	s := &Server{
 		id:        id,
-		eng:       eng,
+		eng:       f.eng,
 		cfg:       cfg,
 		prof:      cfg.Profile,
-		farm:      farm,
-		fidx:      fidx,
+		farm:      f,
+		fidx:      int32(len(f.servers)),
 		sstate:    power.S0,
 		sockets:   make([]power.PkgCState, cfg.Profile.SocketCount()),
 		cpuMeter:  stats.NewEnergyMeter(fmt.Sprintf("server%d.cpu", id)),
@@ -141,55 +142,37 @@ func newServer(id int, eng *engine.Engine, cfg Config, farm *Farm, fidx int32) (
 		c.becomeIdle()
 	}
 	s.checkServerIdle()
+	f.servers = append(f.servers, s)
+	f.pending = append(f.pending, int32(s.PendingTasks()))
 	return s, nil
 }
 
-// armSleep schedules enterSleep d from now, replacing any pending
-// deadline (Timer.Reset semantics). Farm servers go through the shared
-// planner; standalone servers lazily create their private timer — so a
-// server whose profile never enables the delay timer allocates no timer
-// at all.
+// armSleep schedules enterSleep d from now through the farm's shared
+// planner, replacing any pending deadline (Timer.Reset semantics).
 func (s *Server) armSleep(d simtime.Time) {
-	if s.farm != nil {
-		s.farm.planner.arm(s, s.eng.Now()+d)
-		return
-	}
-	if s.delayTimer == nil {
-		s.delayTimer = engine.NewTimer(s.eng, func() { s.enterSleep() })
-	}
-	s.delayTimer.Reset(d)
+	s.farm.planner.arm(s, s.eng.Now()+d)
 }
 
 // disarmSleep cancels any pending suspend. Cheap no-op when nothing is
 // armed.
 func (s *Server) disarmSleep() {
-	if s.farm != nil {
-		s.farm.planner.disarm(s)
-		return
-	}
-	if s.delayTimer != nil {
-		s.delayTimer.Stop()
-	}
+	s.farm.planner.disarm(s)
 }
 
 // queueDelta adjusts the maintained queued+reserved count and the farm's
 // pending aggregates.
 func (s *Server) queueDelta(d int) {
 	s.queueLen += d
-	if s.farm != nil {
-		s.farm.pending[s.fidx] += int32(d)
-		s.farm.totalPending += int64(d)
-	}
+	s.farm.pending[s.fidx] += int32(d)
+	s.farm.totalPending += int64(d)
 }
 
 // busyDelta adjusts the busy-core count and the farm's pending aggregates
 // (pending = queued + reserved + running).
 func (s *Server) busyDelta(d int) {
 	s.busyCores += d
-	if s.farm != nil {
-		s.farm.pending[s.fidx] += int32(d)
-		s.farm.totalPending += int64(d)
-	}
+	s.farm.pending[s.fidx] += int32(d)
+	s.farm.totalPending += int64(d)
 }
 
 // ID reports the server's identifier.
@@ -501,9 +484,7 @@ func (s *Server) enqueue(t *job.Task) {
 // coreFinished is called by a core when its task completes.
 func (s *Server) coreFinished(c *Core, t *job.Task) {
 	s.completedTasks++
-	if s.farm != nil {
-		s.farm.totalCompleted++
-	}
+	s.farm.totalCompleted++
 	// Pull next work for this core before recomputing power so the
 	// busy->busy path does not bounce through an idle sample.
 	if next := s.nextFor(c); next != nil {
@@ -724,17 +705,10 @@ func (s *Server) SetDelayTimer(enabled bool, d simtime.Time) {
 }
 
 // SleepDeadline reports the instant the server will begin suspending and
-// whether a suspend is pending — the lazily derived sleep instant: farm
-// servers read their planner deadline field, standalone servers their
-// private timer.
+// whether a suspend is pending (the planner deadline field; no queued
+// event is consulted).
 func (s *Server) SleepDeadline() (simtime.Time, bool) {
-	if s.farm != nil {
-		return s.sleepAt, s.sleepArmed
-	}
-	if s.delayTimer != nil && s.delayTimer.Armed() {
-		return s.delayTimer.Deadline(), true
-	}
-	return 0, false
+	return s.sleepAt, s.sleepArmed
 }
 
 // DelayTimerConfig reports the current delay-timer setting.
