@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 
-	"holdcsim/internal/modelcov"
 	"holdcsim/internal/scenario"
 )
 
@@ -97,19 +96,7 @@ func campaign(w io.Writer, execs int, seed uint64, workers int, maxJobs int64,
 			res.Cover.Covered()-b.Cover.Covered(), res.Cover.Score()-b.Cover.Score())
 	}
 
-	never := res.Cover.NeverHit()
-	limit := len(never)
-	if top > 0 && limit > top {
-		limit = top
-	}
-	fmt.Fprintf(w, "never hit (%d", len(never))
-	if limit < len(never) {
-		fmt.Fprintf(w, ", first %d", limit)
-	}
-	fmt.Fprintln(w, "):")
-	for _, f := range never[:limit] {
-		fmt.Fprintf(w, "  %s\n", modelcov.Name(f))
-	}
+	fmt.Fprint(w, res.Cover.Report(top))
 
 	if out != "" {
 		min := scenario.MinimizeCorpus(res.Corpus, maxJobs)

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"holdcsim/internal/experiments"
 )
 
 // TestRunEveryExperimentQuick sweeps all paper experiments in -quick
@@ -12,9 +14,11 @@ import (
 // for the experiment runners themselves — the numeric results are
 // pinned by the golden tests in internal/experiments.
 func TestRunEveryExperimentQuick(t *testing.T) {
-	for _, exp := range []string{"table1", "fig4", "fig5", "fig6", "fig8",
-		"fig9", "fig11", "fig12", "fig13"} {
-		exp := exp
+	for _, e := range experiments.Registry {
+		if !e.Paper {
+			continue // hyperscale: TestRunHyperscaleByNameOnly
+		}
+		exp := e.Name
 		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
 			var stdout, stderr strings.Builder
@@ -76,6 +80,35 @@ func TestRunWritesTSV(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "optimal tau") {
 		t.Fatalf("fig5 summary missing:\n%s", stdout.String())
+	}
+}
+
+// The golden file is what the CLI writes: fig5.tsv from -out is, byte
+// for byte, the table section of the golden the suites in
+// internal/experiments pin (the rest of the golden is its pinned lines).
+func TestOutFileIsGoldenTableSection(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-exp", "fig5", "-quick", "-out", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fig5.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments",
+		"testdata", "golden", "fig5.golden.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, ok := strings.CutPrefix(string(golden), string(got))
+	if !ok || len(got) == 0 {
+		t.Fatalf("fig5.tsv is not a prefix of fig5.golden.tsv:\n%s", got)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(rest, "\n"), "\n") {
+		if !strings.HasPrefix(line, "optimal_tau\t") {
+			t.Errorf("golden line after the table is not a pinned optimum: %q", line)
+		}
 	}
 }
 

@@ -28,24 +28,21 @@
 //	res, _ := dc.Run()
 //	fmt.Println(res) // latency percentiles, energy, residency, ...
 //
-// The type surface is exported through aliases onto the internal
-// packages, so every method documented there is available on the types
-// below.
+// The facade is the part of the internal packages that examples/ and
+// the doc tests use, exported through aliases, so every method
+// documented there is available on the types below.
 package holdcsim
 
 import (
 	"holdcsim/internal/core"
 	"holdcsim/internal/dist"
 	"holdcsim/internal/engine"
-	"holdcsim/internal/fault"
-	"holdcsim/internal/job"
 	"holdcsim/internal/network"
 	"holdcsim/internal/power"
 	"holdcsim/internal/rng"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
-	"holdcsim/internal/stats"
 	"holdcsim/internal/topology"
 	"holdcsim/internal/trace"
 	"holdcsim/internal/workload"
@@ -60,15 +57,12 @@ type (
 	DataCenter = core.DataCenter
 	// Results aggregates latency, energy, residency and network stats.
 	Results = core.Results
-	// ServerEnergy is one server's CPU/DRAM/platform energy split.
-	ServerEnergy = core.ServerEnergy
 	// CommMode selects flow- or packet-level communication for DAG edges.
 	CommMode = core.CommMode
 )
 
-// Communication modes.
+// Communication modes (the zero CommMode is server-only: no network).
 const (
-	CommNone   = core.CommNone
 	CommFlow   = core.CommFlow
 	CommPacket = core.CommPacket
 )
@@ -76,20 +70,14 @@ const (
 // Build validates a Config and constructs the data center.
 func Build(cfg Config) (*DataCenter, error) { return core.Build(cfg) }
 
-// Virtual time (internal/simtime).
-type (
-	// Time is virtual time in nanoseconds since simulation start.
-	Time = simtime.Time
-)
+// Time is virtual time in nanoseconds since simulation start
+// (internal/simtime).
+type Time = simtime.Time
 
 // Common durations.
 const (
-	Nanosecond  = simtime.Nanosecond
-	Microsecond = simtime.Microsecond
 	Millisecond = simtime.Millisecond
 	Second      = simtime.Second
-	Minute      = simtime.Minute
-	Hour        = simtime.Hour
 )
 
 // Seconds converts float64 seconds to Time.
@@ -100,10 +88,6 @@ type (
 	// Engine is the discrete-event core: virtual clock + pooled ladder
 	// queue of events.
 	Engine = engine.Engine
-	// EventHandle identifies a scheduled, cancellable closure. It is a
-	// small value type that stays safely inert after its event fires,
-	// is canceled, or is recycled by the engine's event pool.
-	EventHandle = engine.Handle
 	// Timer is a restartable one-shot timer on the virtual clock.
 	Timer = engine.Timer
 )
@@ -114,11 +98,9 @@ func NewEngine() *Engine { return engine.New() }
 // NewTimer returns an unarmed timer invoking fn on expiry.
 func NewTimer(eng *Engine, fn func()) *Timer { return engine.NewTimer(eng, fn) }
 
-// Deterministic randomness (internal/rng).
-type (
-	// RNG is a deterministic random stream, splittable by label.
-	RNG = rng.Source
-)
+// RNG is a deterministic random stream, splittable by label
+// (internal/rng).
+type RNG = rng.Source
 
 // NewRNG returns a stream seeded from seed.
 func NewRNG(seed uint64) *RNG { return rng.New(seed) }
@@ -127,8 +109,6 @@ func NewRNG(seed uint64) *RNG { return rng.New(seed) }
 type (
 	// Server is one machine: cores, local queues, power controller.
 	Server = server.Server
-	// Core is one processing unit of a server.
-	Core = server.Core
 	// ServerConfig parameterizes one server instance.
 	ServerConfig = server.Config
 	// QueueMode selects unified vs per-core local queues.
@@ -139,16 +119,6 @@ type (
 	ServerProfile = power.ServerProfile
 	// SwitchProfile carries per-state power figures for a switch model.
 	SwitchProfile = power.SwitchProfile
-	// Transition is a power-state transition (latency + in-flight watts).
-	Transition = power.Transition
-	// PState is a DVFS operating point.
-	PState = power.PState
-	// CState is a core low-power state.
-	CState = power.CState
-	// PkgCState is a package low-power state.
-	PkgCState = power.PkgCState
-	// SState is an ACPI system state.
-	SState = power.SState
 )
 
 // Local queue modes.
@@ -160,7 +130,6 @@ const (
 // Residency labels used by Results.Residency (the paper's Fig. 8 legend).
 const (
 	StateActive   = server.StateActive
-	StateWakeUp   = server.StateWakeUp
 	StateIdle     = server.StateIdle
 	StatePkgC6    = server.StatePkgC6
 	StateSysSleep = server.StateSysSleep
@@ -185,10 +154,6 @@ func DefaultServerConfig(profile *ServerProfile) ServerConfig {
 // XeonE5_2680 is the 10-core Xeon profile of the paper's validation.
 func XeonE5_2680() *ServerProfile { return power.XeonE5_2680() }
 
-// DualSocketXeon is a two-socket, 20-core Xeon variant whose packages
-// sleep independently.
-func DualSocketXeon() *ServerProfile { return power.DualSocketXeon() }
-
 // FourCoreServer is the generic 4-core farm profile of Secs. IV-A/B.
 func FourCoreServer() *ServerProfile { return power.FourCoreServer() }
 
@@ -200,22 +165,10 @@ func DataCenter10G(ports int) *SwitchProfile { return power.DataCenter10G(ports)
 
 // Topologies (internal/topology).
 type (
-	// Topology builds a node/link graph.
-	Topology = topology.Topology
-	// Graph is the built topology with shortest-path/ECMP routing.
-	Graph = topology.Graph
-	// NodeID identifies a node in a graph.
-	NodeID = topology.NodeID
 	// FatTree is the k-ary fat-tree of Fig. 10.
 	FatTree = topology.FatTree
 	// Star is N hosts on one switch (the Sec. V-B validation shape).
 	Star = topology.Star
-	// BCube is the hybrid server-centric BCube(n,k).
-	BCube = topology.BCube
-	// CamCube is the server-only 3D torus.
-	CamCube = topology.CamCube
-	// FlattenedButterfly is the 2D flattened butterfly.
-	FlattenedButterfly = topology.FlattenedButterfly
 )
 
 // Network (internal/network).
@@ -224,12 +177,6 @@ type (
 	Network = network.Network
 	// NetworkConfig parameterizes the network layer.
 	NetworkConfig = network.Config
-	// Switch is one switching element with line cards and ports.
-	Switch = network.Switch
-	// NetStats aggregates network counters.
-	NetStats = network.Stats
-	// RateAdaptationConfig tunes the adaptive link rate controller.
-	RateAdaptationConfig = network.RateAdaptationConfig
 )
 
 // DefaultNetworkConfig returns sensible network defaults for a profile.
@@ -243,10 +190,6 @@ type (
 	Placer = sched.Placer
 	// HostMapper translates a server ID to its topology node.
 	HostMapper = sched.HostMapper
-	// Controller observes arrivals/completions to drive policies.
-	Controller = sched.Controller
-	// Scheduler is the global scheduler.
-	Scheduler = sched.Scheduler
 	// RoundRobin cycles placements.
 	RoundRobin = sched.RoundRobin
 	// LeastLoaded balances by pending tasks.
@@ -257,8 +200,6 @@ type (
 	NetworkAware = sched.NetworkAware
 	// Provisioner is the threshold provisioning controller of Sec. IV-A.
 	Provisioner = sched.Provisioner
-	// DualTimer is the dual delay-timer policy of Sec. IV-B.
-	DualTimer = sched.DualTimer
 	// AdaptivePool is the WASP-style dual-pool framework of Sec. IV-C.
 	AdaptivePool = sched.AdaptivePool
 )
@@ -268,48 +209,15 @@ func NewProvisioner(minLoad, maxLoad float64) *Provisioner {
 	return sched.NewProvisioner(minLoad, maxLoad)
 }
 
-// NewDualTimer returns the Sec. IV-B dual delay-timer policy.
-func NewDualTimer(highCount int, tauHigh, tauLow Time) *DualTimer {
-	return sched.NewDualTimer(highCount, tauHigh, tauLow)
-}
-
 // NewAdaptivePool returns the Sec. IV-C workload-adaptive framework.
 func NewAdaptivePool(tWakeup, tSleep float64, tau Time) *AdaptivePool {
 	return sched.NewAdaptivePool(tWakeup, tSleep, tau)
 }
 
-// Fault injection (internal/fault, internal/sched).
-type (
-	// FaultSpec declares a seed-derived failure workload: server
-	// crash/recover, link flap, switch death. Set Config.Faults to
-	// attach it.
-	FaultSpec = fault.Spec
-	// FaultTimeline is a concrete time-ordered fault schedule.
-	FaultTimeline = fault.Timeline
-	// FaultLedger is the injector's independent account of applied
-	// faults and lost work (Results.Faults).
-	FaultLedger = fault.Ledger
-	// OrphanPolicy selects what happens to tasks stranded by a crash.
-	OrphanPolicy = sched.OrphanPolicy
-	// AllDownError is the typed placement error when every eligible
-	// server is down.
-	AllDownError = sched.AllDownError
-)
-
-// Orphan policies for FaultSpec.Orphans.
-const (
-	// OrphanRequeue restarts stranded tasks on alive servers.
-	OrphanRequeue = sched.OrphanRequeue
-	// OrphanDrop retracts the whole job of any stranded task.
-	OrphanDrop = sched.OrphanDrop
-)
-
-// Workloads (internal/workload, internal/dist, internal/trace, internal/job).
+// Workloads (internal/workload, internal/dist, internal/trace).
 type (
 	// ArrivalProcess produces inter-arrival gaps.
 	ArrivalProcess = workload.ArrivalProcess
-	// JobFactory expands arrivals into task DAGs.
-	JobFactory = workload.JobFactory
 	// Poisson is a homogeneous Poisson arrival process.
 	Poisson = workload.Poisson
 	// MMPP is the 2-state Markov-Modulated Poisson Process.
@@ -320,34 +228,16 @@ type (
 	SingleTask = workload.SingleTask
 	// TwoTier builds app->db request DAGs.
 	TwoTier = workload.TwoTier
-	// ScatterGather builds root->workers->aggregate DAGs.
-	ScatterGather = workload.ScatterGather
 	// RandomDAG builds layered random DAGs (the Sec. IV-D traffic).
 	RandomDAG = workload.RandomDAG
 	// Sampler draws service times or sizes.
 	Sampler = dist.Sampler
+	// Deterministic is the Sampler that always returns Value.
+	Deterministic = dist.Deterministic
 	// MMPP2 is the underlying modulated process.
 	MMPP2 = dist.MMPP2
 	// Trace is a sequence of arrival timestamps.
 	Trace = trace.Trace
-	// Job is a user request expanded into a task DAG.
-	Job = job.Job
-	// Task is one executable unit of a Job.
-	Task = job.Task
-)
-
-// Service-time distributions.
-type (
-	// Exponential has the given mean.
-	Exponential = dist.Exponential
-	// Uniform draws from [Lo, Hi).
-	Uniform = dist.Uniform
-	// Deterministic always returns Value.
-	Deterministic = dist.Deterministic
-	// LogNormal is parameterized by the underlying normal.
-	LogNormal = dist.LogNormal
-	// Pareto is heavy-tailed with minimum Xm and shape Alpha.
-	Pareto = dist.Pareto
 )
 
 // NewMMPP2 validates and returns a 2-state MMPP.
@@ -383,17 +273,3 @@ func SyntheticWikipedia(durationSec, meanRate float64, r *RNG) *Trace {
 func SyntheticNLANR(durationSec float64, r *RNG) *Trace {
 	return trace.SyntheticNLANR(trace.DefaultNLANRConfig(durationSec), r)
 }
-
-// Statistics (internal/stats).
-type (
-	// Tally accumulates samples with percentiles and CDFs.
-	Tally = stats.Tally
-	// CDFPoint is one point of an empirical CDF.
-	CDFPoint = stats.CDFPoint
-	// Residency tracks per-state durations.
-	Residency = stats.Residency
-	// EnergyMeter integrates power into energy.
-	EnergyMeter = stats.EnergyMeter
-	// PowerSampler records fixed-interval power series.
-	PowerSampler = stats.PowerSampler
-)

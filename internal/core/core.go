@@ -358,7 +358,7 @@ func Build(cfg Config) (*DataCenter, error) {
 		if spec.CascadeP > 0 && spec.CascadeDepth > 0 {
 			cascade = master.Split("faults-cascade")
 		}
-		dc.injector = fault.AttachWith(eng, tl, s, dc.Servers, dc.Net,
+		dc.injector = fault.Attach(eng, tl, s, dc.Servers, dc.Net,
 			fault.AttachOpts{Topo: topo, Cascade: cascade, Spec: spec, Cover: cfg.Cover})
 	}
 
@@ -486,8 +486,7 @@ func (dc *DataCenter) Collect() *Results {
 		r.CPUEnergyJ += cpu
 		r.DRAMEnergyJ += dram
 		r.PlatformEnergyJ += plat
-		// AddFractionsTo performs the identical divisions FractionsTo
-		// would, accumulating into resTotals without a per-server map.
+		// Accumulate into resTotals without a per-server map.
 		s.Residency().AddFractionsTo(end, resTotals)
 		r.ServerWakeups += s.WakeCount()
 	}

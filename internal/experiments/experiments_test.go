@@ -2,17 +2,47 @@ package experiments
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
 
 func TestFormatRho(t *testing.T) {
-	cases := map[float64]string{0.3: "30%", 0.6: "60%", 0.995: "100%"}
+	cases := map[float64]string{0.3: "30%", 0.6: "60%", 0.35: "35%", 0.05: "5%", 0.995: "99.5%", 1: "100%"}
 	for rho, want := range cases {
 		if got := formatRho(rho); got != want {
 			t.Errorf("formatRho(%v) = %q, want %q", rho, got, want)
 		}
 	}
+}
+
+// Sweep points one decimal apart used to share a CDF key ("30%" for
+// both 0.3 and 0.35), the later silently overwriting the earlier.
+func TestFig11CDFKeysDistinct(t *testing.T) {
+	p := QuickFig11()
+	p.Utilizations = []float64{0.3, 0.35}
+	p.Jobs = 50
+	r, err := Fig11(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.CDFs) != 4 { // 2 policies x 2 utilizations
+		t.Fatalf("CDF series = %d, want 4: %v", len(r.CDFs), keysOf(r.CDFs))
+	}
+	for _, k := range []string{"server-balanced/30%", "server-balanced/35%"} {
+		if len(r.CDFs[k]) == 0 {
+			t.Errorf("no CDF under key %q: %v", k, keysOf(r.CDFs))
+		}
+	}
+}
+
+func keysOf[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestTableFormatting(t *testing.T) {

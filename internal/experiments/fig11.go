@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/network"
 	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
@@ -24,7 +23,7 @@ import (
 // reports ~20% server and ~18% network power savings with a negligible
 // latency CDF shift (Fig. 11b).
 type Fig11Params struct {
-	Seed         uint64
+	Common
 	FatTreeK     int
 	Utilizations []float64
 	Jobs         int64
@@ -37,16 +36,6 @@ type Fig11Params struct {
 	TauSec             float64
 	SwitchSleepIdleSec float64
 	CDFPoints          int
-	// Exec controls campaign parallelism and replications.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultFig11 mirrors the paper: fat-tree k=4 (16 hosts), 2000 jobs,
@@ -56,7 +45,7 @@ type Fig11Params struct {
 // regime of Fig. 11b for both policies.
 func DefaultFig11() Fig11Params {
 	return Fig11Params{
-		Seed:               23,
+		Common:             Common{Seed: 23},
 		FatTreeK:           4,
 		Utilizations:       []float64{0.3, 0.6},
 		Jobs:               2000,
@@ -213,12 +202,10 @@ func (r *Fig11Result) CDFTable() *Table {
 	return cdf
 }
 
-func formatRho(rho float64) string {
-	if rho >= 0.995 {
-		return "100%"
-	}
-	return string([]byte{byte('0' + int(rho*10)), '0', '%'})
-}
+// formatRho renders a utilization as its percentage at the precision
+// the series tables print rho, so distinct sweep points get distinct
+// CDF keys.
+func formatRho(rho float64) string { return fmt.Sprintf("%.6g%%", rho*100) }
 
 func fig11Run(p Fig11Params, rho float64, networkAware bool, seed uint64) (Fig11Point, []stats.CDFPoint, error) {
 	topo := topology.FatTree{K: p.FatTreeK, RateBps: 10e9}
@@ -247,9 +234,6 @@ func fig11Run(p Fig11Params, rho float64, networkAware bool, seed uint64) (Fig11
 	ncfg.ECMP = true // full-bisection fat-tree needs multipath to avoid core hotspots
 
 	cfg := core.Config{
-		Seed:          seed,
-		Check:         p.Check,
-		Faults:        p.Faults,
 		Servers:       nHosts,
 		ServerConfig:  sc,
 		Topology:      topo,
@@ -271,11 +255,7 @@ func fig11Run(p Fig11Params, rho float64, networkAware bool, seed uint64) (Fig11
 	} else {
 		cfg.Placer = sched.LeastLoaded{} // strict load balancing (Server-Balanced)
 	}
-	dc, err := core.Build(cfg)
-	if err != nil {
-		return Fig11Point{}, nil, err
-	}
-	res, err := dc.Run()
+	res, err := p.run(seed, cfg)
 	if err != nil {
 		return Fig11Point{}, nil, err
 	}
@@ -290,4 +270,24 @@ func fig11Run(p Fig11Params, rho float64, networkAware bool, seed uint64) (Fig11
 		ServerWakes:  res.ServerWakeups,
 	}
 	return pt, res.Latency.CDF(p.CDFPoints), nil
+}
+
+// report shows the per-utilization savings after the power table they
+// summarize and before the CDF table.
+func (r *Fig11Result) report() *Report {
+	power := Part{Name: "fig11a", Table: r.Series}
+	cdf := Part{Name: "fig11b", Table: r.CDFTable()}
+	rep := &Report{Pinned: []Part{power, cdf}, Shown: []Part{power}}
+	rhos := make([]float64, 0, len(r.ServerSavingPct))
+	for rho := range r.ServerSavingPct {
+		rhos = append(rhos, rho)
+	}
+	sort.Float64s(rhos)
+	for _, rho := range rhos {
+		rep.Shown = append(rep.Shown, linef(
+			"rho=%.0f%%: server power saving %.1f%%, network power saving %.1f%%",
+			rho*100, r.ServerSavingPct[rho], r.NetworkSavingPct[rho]))
+	}
+	rep.Shown = append(rep.Shown, cdf)
+	return rep
 }

@@ -5,7 +5,6 @@ import (
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/dist"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/rng"
 	"holdcsim/internal/runner"
@@ -26,26 +25,15 @@ import (
 // differences) are compared; the paper reports a 0.22 W mean difference
 // (~1.3%) with ~1.5 W standard deviation.
 type Fig12Params struct {
-	Seed        uint64
+	Common
 	DurationSec float64
 	ServiceSec  float64
-	// Exec controls replications; Fig. 12 is a single simulation, so
-	// workers only fan out when Reps > 1.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultFig12 mirrors the paper's 1000-second window (Fig. 12 shows
 // 0–1000 s).
 func DefaultFig12() Fig12Params {
-	return Fig12Params{Seed: 29, DurationSec: 1000, ServiceSec: 0.008}
+	return Fig12Params{Common: Common{Seed: 29}, DurationSec: 1000, ServiceSec: 0.008}
 }
 
 // QuickFig12 shrinks the run for tests and benches.
@@ -109,9 +97,6 @@ func fig12Run(p Fig12Params, seed uint64) (*Fig12Result, error) {
 	// package floor); only core C0/C6 toggle, as in the paper's setup.
 	sc.PkgC6Enabled = false
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      1,
 		ServerConfig: sc,
 		Placer:       sched.LeastLoaded{},
@@ -119,7 +104,7 @@ func fig12Run(p Fig12Params, seed uint64) (*Fig12Result, error) {
 		Factory:      workload.SingleTask{Service: dist.Deterministic{Value: p.ServiceSec}},
 		Duration:     simtime.FromSeconds(p.DurationSec),
 	}
-	dc, err := core.Build(cfg)
+	dc, err := p.build(seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -185,4 +170,9 @@ func fig12Run(p Fig12Params, seed uint64) (*Fig12Result, error) {
 func (r *Fig12Result) Summary() string {
 	return fmt.Sprintf("server validation: mean |diff| = %.3f W (%.2f%% of %.2f W), stddev = %.3f W",
 		r.MeanAbsDiffW, r.ErrorPct, r.MeanRefW, r.StdDiffW)
+}
+
+func (r *Fig12Result) report() *Report {
+	parts := []Part{{Name: "fig12", Table: r.Series, FileOnly: true}, {Line: r.Summary()}}
+	return &Report{Pinned: parts, Shown: parts}
 }

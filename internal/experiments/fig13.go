@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/job"
 	"holdcsim/internal/network"
 	"holdcsim/internal/power"
@@ -30,7 +29,7 @@ import (
 // Cisco WS-C2960-24-S. The paper reports <0.12 W mean difference with
 // 0.04 W standard deviation over 2 hours.
 type Fig13Params struct {
-	Seed          uint64
+	Common
 	Servers       int
 	DurationSec   float64
 	MeanRate      float64 // requests/second across the cluster
@@ -40,23 +39,12 @@ type Fig13Params struct {
 	// with 1 s logging this is what makes port states track request
 	// activity, as in the paper's replay.
 	LPIIdleSec float64
-	// Exec controls replications; Fig. 13 is a single simulation, so
-	// workers only fan out when Reps > 1.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultFig13 mirrors the paper's 2-hour validation.
 func DefaultFig13() Fig13Params {
 	return Fig13Params{
-		Seed:          31,
+		Common:        Common{Seed: 31},
 		Servers:       24,
 		DurationSec:   7200,
 		MeanRate:      40,
@@ -118,9 +106,6 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 
 	sc := server.DefaultConfig(power.XeonE5_2680())
 	cfg := core.Config{
-		Seed:          seed,
-		Check:         p.Check,
-		Faults:        p.Faults,
 		Servers:       p.Servers,
 		ServerConfig:  sc,
 		Topology:      topology.Star{Hosts: p.Servers + 1, RateBps: 1e9},
@@ -131,7 +116,7 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 		Factory:       workload.SingleTask{Service: workload.WikipediaService()},
 		Duration:      simtime.FromSeconds(p.DurationSec),
 	}
-	dc, err := core.Build(cfg)
+	dc, err := p.build(seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -219,4 +204,20 @@ func (r *Fig13Result) Segment(title string, fromSec, toSec int) *Table {
 		t.Addf(i+1, r.ReferenceW[i], r.SimulatedW[i])
 	}
 	return t
+}
+
+// report adds Fig. 14's two representative 20-minute segments of the
+// series: views of pinned data, so shown but not pinned again.
+func (r *Fig13Result) report() *Report {
+	series := Part{Name: "fig13", Table: r.Series, FileOnly: true}
+	summary := Part{Line: r.Summary()}
+	return &Report{
+		Pinned: []Part{series, summary},
+		Shown: []Part{series,
+			{Name: "fig14a", FileOnly: true, Table: r.Segment(
+				"Fig. 14a: switch power trace, segment 1 (80-100 min)", 80*60, 100*60)},
+			{Name: "fig14b", FileOnly: true, Table: r.Segment(
+				"Fig. 14b: switch power trace, segment 2 (40-60 min)", 40*60, 60*60)},
+			summary},
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/rng"
 	"holdcsim/internal/runner"
@@ -19,30 +18,19 @@ import (
 // four-core farm fed by a Wikipedia-like trace of simple 3–10 ms tasks,
 // managed by min/max load-per-server thresholds.
 type Fig4Params struct {
-	Seed        uint64
+	Common
 	Servers     int
 	DurationSec float64
 	MeanRate    float64 // arrivals/second over the trace
 	MinLoad     float64 // jobs per active server
 	MaxLoad     float64
 	SampleEvery simtime.Time
-	// Exec controls replications; Fig. 4 is a single simulation, so
-	// workers only fan out when Reps > 1.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultFig4 mirrors the paper: 50 four-core servers, Wikipedia trace.
 func DefaultFig4() Fig4Params {
 	return Fig4Params{
-		Seed:        7,
+		Common:      Common{Seed: 7},
 		Servers:     50,
 		DurationSec: 1200,
 		MeanRate:    6000, // ~30% farm utilization at 6.5ms mean service
@@ -97,9 +85,6 @@ func fig4Run(p Fig4Params, seed uint64) (*Fig4Result, error) {
 	prov := sched.NewProvisioner(p.MinLoad, p.MaxLoad)
 
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      p.Servers,
 		ServerConfig: server.DefaultConfig(power.FourCoreServer()),
 		Placer:       prov,
@@ -108,7 +93,7 @@ func fig4Run(p Fig4Params, seed uint64) (*Fig4Result, error) {
 		Factory:      workload.SingleTask{Service: workload.WikipediaService()},
 		Duration:     simtime.FromSeconds(p.DurationSec),
 	}
-	dc, err := core.Build(cfg)
+	dc, err := p.build(seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -148,4 +133,9 @@ func fig4Run(p Fig4Params, seed uint64) (*Fig4Result, error) {
 func (r *Fig4Result) Summary() string {
 	return fmt.Sprintf("active servers min=%.0f mean=%.1f max=%.0f; jobs completed=%d",
 		r.MinActive, r.MeanActive, r.MaxActive, r.JobsCompleted)
+}
+
+func (r *Fig4Result) report() *Report {
+	parts := []Part{{Name: "fig4", Table: r.Series}, {Line: r.Summary()}}
+	return &Report{Pinned: parts, Shown: parts}
 }

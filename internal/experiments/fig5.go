@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/dist"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
@@ -20,7 +20,7 @@ import (
 // utilizations for a given workload (0.4 s web search, 4.8 s web
 // serving on their testbed).
 type Fig5Params struct {
-	Seed         uint64
+	Common
 	Servers      int
 	Cores        int
 	Utilizations []float64
@@ -28,17 +28,6 @@ type Fig5Params struct {
 	// workload's TauScale.
 	Workloads   []Fig5Workload
 	DurationSec float64
-	// Exec controls campaign parallelism and replications; the zero
-	// value runs every sweep point on GOMAXPROCS workers once.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // Fig5Workload names one service-time profile and its τ grid.
@@ -53,7 +42,7 @@ type Fig5Workload struct {
 // utilizations 10/30/60%.
 func DefaultFig5() Fig5Params {
 	return Fig5Params{
-		Seed:         11,
+		Common:       Common{Seed: 11},
 		Servers:      50,
 		Cores:        4,
 		Utilizations: []float64{0.1, 0.3, 0.6},
@@ -187,9 +176,6 @@ func fig5Point(p Fig5Params, wl Fig5Workload, rho, tau float64, seed uint64) (Fi
 	sc.DelayTimer = simtime.FromSeconds(tau)
 	rate := workload.UtilizationRate(rho, p.Servers, p.Cores, wl.Service.Mean())
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      p.Servers,
 		ServerConfig: sc,
 		Placer:       sched.PackFirst{},
@@ -197,11 +183,7 @@ func fig5Point(p Fig5Params, wl Fig5Workload, rho, tau float64, seed uint64) (Fi
 		Factory:      workload.SingleTask{Service: wl.Service},
 		Duration:     simtime.FromSeconds(p.DurationSec),
 	}
-	dc, err := core.Build(cfg)
-	if err != nil {
-		return Fig5Point{}, err
-	}
-	res, err := dc.Run()
+	res, err := p.run(seed, cfg)
 	if err != nil {
 		return Fig5Point{}, err
 	}
@@ -214,4 +196,21 @@ func fig5Point(p Fig5Params, wl Fig5Workload, rho, tau float64, seed uint64) (Fi
 		EnergyJ: res.ServerEnergyJ, MeanLatS: res.Latency.Mean(),
 		P95LatS: res.Latency.Percentile(95), Completion: completion,
 	}, nil
+}
+
+// report lists the optima in key order, tab-separated for the golden
+// file and aligned for the terminal.
+func (r *Fig5Result) report() *Report {
+	series := Part{Name: "fig5", Table: r.Series}
+	rep := &Report{Pinned: []Part{series}, Shown: []Part{series}}
+	keys := make([]string, 0, len(r.OptimalTau))
+	for k := range r.OptimalTau {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		rep.Pinned = append(rep.Pinned, linef("optimal_tau\t%s\t%.2g", k, r.OptimalTau[k]))
+		rep.Shown = append(rep.Shown, linef("optimal tau %-18s = %.2g s", k, r.OptimalTau[k]))
+	}
+	return rep
 }

@@ -5,7 +5,6 @@ import (
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/dist"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
@@ -20,7 +19,7 @@ import (
 // and utilizations 10/30/60%. The dual policy keeps a small high-τ pool
 // warm and lets the low-τ majority sleep quickly.
 type Fig6Params struct {
-	Seed         uint64
+	Common
 	FarmSizes    []int
 	Cores        int
 	Utilizations []float64
@@ -34,16 +33,6 @@ type Fig6Params struct {
 	// tunes); the paper reports up to 21% additional saving over it.
 	SingleTauSec float64
 	DurationSec  float64
-	// Exec controls campaign parallelism and replications.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // Fig6Workload names one service profile.
@@ -55,7 +44,7 @@ type Fig6Workload struct {
 // DefaultFig6 mirrors the paper's setup.
 func DefaultFig6() Fig6Params {
 	return Fig6Params{
-		Seed:         13,
+		Common:       Common{Seed: 13},
 		FarmSizes:    []int{20, 100},
 		Cores:        4,
 		Utilizations: []float64{0.1, 0.3, 0.6},
@@ -192,9 +181,6 @@ const (
 func fig6Run(p Fig6Params, wl Fig6Workload, n int, rho float64, pol fig6Policy, seed uint64) (energyJ, p95 float64, err error) {
 	sc := server.DefaultConfig(power.FourCoreServer())
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      n,
 		ServerConfig: sc,
 		Arrivals: workload.Poisson{
@@ -239,11 +225,7 @@ func fig6Run(p Fig6Params, wl Fig6Workload, n int, rho float64, pol fig6Policy, 
 				simtime.FromSeconds(p.TauHighSec), simtime.FromSeconds(p.TauLowSec))
 			sweep.Placer = d
 			sweep.Controller = d
-			dc, err := core.Build(sweep)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := dc.Run()
+			res, err := p.run(seed, sweep)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -254,13 +236,20 @@ func fig6Run(p Fig6Params, wl Fig6Workload, n int, rho float64, pol fig6Policy, 
 		}
 		return bestE, bestP95, nil
 	}
-	dc, err := core.Build(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := dc.Run()
+	res, err := p.run(seed, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	return res.ServerEnergyJ, res.Latency.Percentile(95), nil
+}
+
+func (r *Fig6Result) report() *Report {
+	series := Part{Name: "fig6", Table: r.Series}
+	rep := &Report{Pinned: []Part{series}, Shown: []Part{series}}
+	for _, pt := range r.Points {
+		rep.Shown = append(rep.Shown, linef(
+			"%-7s servers=%-3d rho=%.1f: dual saves %5.1f%% vs Active-Idle, %5.1f%% vs single timer",
+			pt.Workload, pt.Servers, pt.Rho, pt.ReductionPct, pt.VsSinglePct))
+	}
+	return rep
 }

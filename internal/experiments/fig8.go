@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
@@ -20,7 +19,7 @@ import (
 // package C6 into suspend-to-RAM after τ. The figure reports each
 // utilization's mean state residency across the five states.
 type Fig8Params struct {
-	Seed         uint64
+	Common
 	Servers      int
 	Utilizations []float64
 	Workloads    []Fig6Workload // reuse the named-service shape
@@ -28,22 +27,12 @@ type Fig8Params struct {
 	TSleep       float64
 	TauSec       float64
 	DurationSec  float64
-	// Exec controls campaign parallelism and replications.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultFig8 mirrors the paper's setup.
 func DefaultFig8() Fig8Params {
 	return Fig8Params{
-		Seed:         17,
+		Common:       Common{Seed: 17},
 		Servers:      10,
 		Utilizations: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
 		Workloads: []Fig6Workload{
@@ -149,9 +138,6 @@ func fig8Point(p Fig8Params, wl Fig6Workload, rho float64, seed uint64) (Fig8Row
 	sc := server.DefaultConfig(prof)
 	pool := sched.NewAdaptivePool(p.TWakeup, p.TSleep, simtime.FromSeconds(p.TauSec))
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      p.Servers,
 		ServerConfig: sc,
 		Placer:       pool,
@@ -161,11 +147,7 @@ func fig8Point(p Fig8Params, wl Fig6Workload, rho float64, seed uint64) (Fig8Row
 		Factory:  workload.SingleTask{Service: wl.Service},
 		Duration: simtime.FromSeconds(p.DurationSec),
 	}
-	dc, err := core.Build(cfg)
-	if err != nil {
-		return Fig8Row{}, err
-	}
-	res, err := dc.Run()
+	res, err := p.run(seed, cfg)
 	if err != nil {
 		return Fig8Row{}, err
 	}
@@ -180,4 +162,9 @@ func fig8Point(p Fig8Params, wl Fig6Workload, rho float64, seed uint64) (Fig8Row
 		P90LatS:   res.Latency.Percentile(90),
 		QoSTarget: 2 * wl.Service.Mean(),
 	}, nil
+}
+
+func (r *Fig8Result) report() *Report {
+	parts := []Part{{Name: "fig8", Table: r.Series}}
+	return &Report{Pinned: parts, Shown: parts}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"holdcsim/internal/core"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/rng"
 	"holdcsim/internal/runner"
@@ -20,29 +19,19 @@ import (
 // subset of servers and saves ~39% total energy versus the delay-timer
 // approach, whose consumption is nearly uniform across servers.
 type Fig9Params struct {
-	Seed        uint64
+	Common
 	Servers     int
 	MeanRate    float64 // arrivals/second (Wikipedia-like trace mean)
 	DurationSec float64
 	TauSec      float64 // delay timer for policy (a)
 	TWakeup     float64 // adaptive thresholds for policy (b)
 	TSleep      float64
-	// Exec controls campaign parallelism and replications.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultFig9 mirrors the paper's setup.
 func DefaultFig9() Fig9Params {
 	return Fig9Params{
-		Seed:        19,
+		Common:      Common{Seed: 19},
 		Servers:     10,
 		MeanRate:    2500, // ~30% of a 10x10-core farm at 12.5ms services
 		DurationSec: 300,
@@ -149,9 +138,6 @@ func fig9Run(p Fig9Params, adaptive bool, seed uint64) (fig9Sample, error) {
 	prof := power.XeonE5_2680()
 	sc := server.DefaultConfig(prof)
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      p.Servers,
 		ServerConfig: sc,
 		Arrivals:     workload.NewTraceReplay(tr),
@@ -171,13 +157,20 @@ func fig9Run(p Fig9Params, adaptive bool, seed uint64) (fig9Sample, error) {
 		cfg.ServerConfig.DelayTimerEnabled = true
 		cfg.ServerConfig.DelayTimer = simtime.FromSeconds(p.TauSec)
 	}
-	dc, err := core.Build(cfg)
-	if err != nil {
-		return fig9Sample{}, err
-	}
-	res, err := dc.Run()
+	res, err := p.run(seed, cfg)
 	if err != nil {
 		return fig9Sample{}, err
 	}
 	return fig9Sample{PerServer: res.PerServer, TotalJ: res.ServerEnergyJ}, nil
+}
+
+func (r *Fig9Result) report() *Report {
+	series := Part{Name: "fig9", Table: r.Series}
+	return &Report{
+		Pinned: []Part{series, linef("totals_kJ\t%.6g\t%.6g\t%.6g",
+			r.TimerTotalJ/1e3, r.AdaptiveTotalJ/1e3, r.SavingPct)},
+		Shown: []Part{series, linef(
+			"delay-timer total %.1f kJ, workload-adaptive total %.1f kJ: %.1f%% saving",
+			r.TimerTotalJ/1e3, r.AdaptiveTotalJ/1e3, r.SavingPct)},
+	}
 }

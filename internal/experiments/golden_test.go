@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -23,130 +23,55 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
 // goldenCase renders one Quick preset to its deterministic text output:
-// the TSV series plus any summary lines that carry no wall-clock
-// figures. The same renderings back the worker-count equivalence test.
+// the report's pinned parts (Report.Golden). The same renderings back
+// the check, worker-count equivalence and fault-free suites.
 type goldenCase struct {
 	name string
 	run  func(exec runner.Options, check bool, faults *fault.Spec) (string, error)
 }
 
+// goldenCases is the registry's paper experiments.
 func goldenCases() []goldenCase {
-	return []goldenCase{
-		{"table1", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickTableI()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := TableI(p)
+	var cases []goldenCase
+	for _, e := range Registry {
+		if !e.Paper {
+			continue
+		}
+		e := e
+		cases = append(cases, goldenCase{e.Name, func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
+			rep, err := e.Run(true, exec, check, faults)
 			if err != nil {
 				return "", err
 			}
-			// Wall-clock and events/s are machine-dependent; jobs and
-			// virtual end time are part of the determinism contract.
-			return r.Features.String() +
-				fmt.Sprintf("jobs_completed\t%d\nsim_seconds\t%.6g\n",
-					r.JobsCompleted, r.SimSeconds), nil
-		}},
-		{"fig4", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig4()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig4(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String() + r.Summary() + "\n", nil
-		}},
-		{"fig5", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig5()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig5(p)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Series.String())
-			keys := make([]string, 0, len(r.OptimalTau))
-			for k := range r.OptimalTau {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, "optimal_tau\t%s\t%.2g\n", k, r.OptimalTau[k])
-			}
-			return b.String(), nil
-		}},
-		{"fig6", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig6()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig6(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String(), nil
-		}},
-		{"fig8", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig8()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig8(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String(), nil
-		}},
-		{"fig9", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig9()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig9(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String() +
-				fmt.Sprintf("totals_kJ\t%.6g\t%.6g\t%.6g\n",
-					r.TimerTotalJ/1e3, r.AdaptiveTotalJ/1e3, r.SavingPct), nil
-		}},
-		{"fig11", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig11()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig11(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String() + r.CDFTable().String(), nil
-		}},
-		{"fig12", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig12()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig12(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String() + r.Summary() + "\n", nil
-		}},
-		{"fig13", func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
-			p := QuickFig13()
-			p.Exec = exec
-			p.Check = check
-			p.Faults = faults
-			r, err := Fig13(p)
-			if err != nil {
-				return "", err
-			}
-			return r.Series.String() + r.Summary() + "\n", nil
-		}},
+			return rep.Golden(), nil
+		}})
+	}
+	return cases
+}
+
+// TestRegistryMatchesGoldens: every paper experiment has a golden file
+// and every golden file has a paper experiment, so neither an
+// unpinned experiment nor an orphaned file can sit in the tree.
+func TestRegistryMatchesGoldens(t *testing.T) {
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range goldenCases() {
+		want = append(want, goldenPath(c.name))
+	}
+	sort.Strings(want) // Glob returns sorted paths
+	if len(want) == 0 || !reflect.DeepEqual(files, want) {
+		t.Errorf("golden files and paper experiments differ:\n files: %v\n registry: %v", files, want)
+	}
+}
+
+// An entry declared without a runner is an error at run time, not a
+// nil-call panic in the CLI loop.
+func TestExperimentWithoutRunner(t *testing.T) {
+	if _, err := (Experiment{Name: "empty"}).Run(true, runner.Options{}, false, nil); err == nil {
+		t.Fatal("zero Experiment ran")
 	}
 }
 

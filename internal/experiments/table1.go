@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/fault"
 	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
-
 	"holdcsim/internal/workload"
 )
 
@@ -18,34 +16,24 @@ import (
 // row ("more than 20K servers") is verified empirically by building and
 // running a >20K-server farm and reporting throughput.
 type TableIParams struct {
-	Seed uint64
+	// Common's Exec.Workers is forced to 1: the run measures
+	// wall-clock, and concurrent replications would contend for cores
+	// and deflate the reported events/s.
+	Common
 	// ScaleServers is the farm size for the scalability check.
 	ScaleServers int
 	// ScaleJobs bounds the scalability run.
 	ScaleJobs int64
-	// Exec controls replications of the scalability run. The run
-	// measures wall-clock, so replications always execute serially
-	// (Workers is forced to 1): concurrent copies would contend for
-	// cores and deflate the reported events/s.
-	Exec runner.Options
-	// Check enables runtime invariant checking on every simulation
-	// (internal/invariant): a violated conservation law fails the run.
-	Check bool
-	// Faults optionally attaches the fault injector (internal/fault)
-	// to every simulation in the experiment. Nil leaves the fault
-	// machinery unwired; a non-nil empty spec attaches an empty
-	// timeline (the differential fault suite's probe).
-	Faults *fault.Spec
 }
 
 // DefaultTableI checks the paper's ">20K servers" claim directly.
 func DefaultTableI() TableIParams {
-	return TableIParams{Seed: 37, ScaleServers: 20480, ScaleJobs: 100000}
+	return TableIParams{Common: Common{Seed: 37}, ScaleServers: 20480, ScaleJobs: 100000}
 }
 
 // QuickTableI shrinks the scalability run for tests and benches.
 func QuickTableI() TableIParams {
-	return TableIParams{Seed: 37, ScaleServers: 2048, ScaleJobs: 10000}
+	return TableIParams{Common: Common{Seed: 37}, ScaleServers: 2048, ScaleJobs: 10000}
 }
 
 // TableIResult carries the feature matrix plus the measured scalability
@@ -104,9 +92,6 @@ func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
 	prof := power.FourCoreServer()
 	sc := server.DefaultConfig(prof)
 	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
 		Servers:      p.ScaleServers,
 		ServerConfig: sc,
 		Placer:       sched.RoundRobin{},
@@ -116,7 +101,7 @@ func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
 		MaxJobs: p.ScaleJobs,
 	}
 	sw := runner.StartStopwatch()
-	dc, err := core.Build(cfg)
+	dc, err := p.build(seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -141,4 +126,16 @@ func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
 func (r *TableIResult) Summary() string {
 	return fmt.Sprintf("scalability: %d servers, %d jobs, %.0f events/s, %.2fs wall for %.2fs simulated",
 		r.Servers, r.JobsCompleted, r.EventsPerSec, r.WallSeconds, r.SimSeconds)
+}
+
+// report pins the deterministic half of the scalability row (jobs and
+// virtual end time); wall-clock and events/s are machine-dependent and
+// only shown.
+func (r *TableIResult) report() *Report {
+	features := Part{Name: "table1", Table: r.Features}
+	return &Report{
+		Pinned: []Part{features,
+			linef("jobs_completed\t%d", r.JobsCompleted), linef("sim_seconds\t%.6g", r.SimSeconds)},
+		Shown: []Part{features, {Line: r.Summary()}},
+	}
 }

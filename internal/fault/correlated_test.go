@@ -72,7 +72,7 @@ func TestDifferentialScopeServer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net)
+				inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
 				res, err := dc.Run()
 				if err != nil {
 					t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRackBlast(t *testing.T) {
 		{At: 210 * ms, Kind: fault.ScopeUp, Scope: fault.ScopeRack, Target: 9, Pair: 1},   // skip
 	}}
 	topo := scopeTopo(t, s)
-	inj := fault.AttachWith(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: topo})
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: topo})
 	allDown, allUp := false, false
 	dc.Eng.Schedule(100*ms, func() {
 		allDown = true

@@ -395,8 +395,8 @@ type Injector struct {
 	cover *modelcov.Map
 }
 
-// AttachOpts carries the correlated-model wiring for AttachWith. The
-// zero value reproduces plain point-fault attachment.
+// AttachOpts carries the correlated-model wiring for Attach. The zero
+// value is plain point-fault attachment.
 type AttachOpts struct {
 	// Topo resolves rack/pod/subtree scopes; nil restricts scoped
 	// events to ScopeServer.
@@ -418,13 +418,6 @@ type AttachOpts struct {
 // network events are then skipped. Call before the run starts so event
 // ordering is deterministic.
 func Attach(eng *engine.Engine, tl Timeline, sch *sched.Scheduler,
-	servers []*server.Server, net *network.Network) *Injector {
-	return AttachWith(eng, tl, sch, servers, net, AttachOpts{})
-}
-
-// AttachWith is Attach plus the correlated-failure wiring: topology
-// scope resolution and the cascade stream.
-func AttachWith(eng *engine.Engine, tl Timeline, sch *sched.Scheduler,
 	servers []*server.Server, net *network.Network, o AttachOpts) *Injector {
 	inj := &Injector{
 		eng: eng, sch: sch, servers: servers, net: net, tl: tl,

@@ -263,7 +263,7 @@ func TestInjectorSkipsAndAccessors(t *testing.T) {
 		{At: 8 * ms, Kind: fault.SwitchFail, Target: 0},    // no network -> skip
 		{At: 9 * ms, Kind: fault.SwitchRestore, Target: 0}, // no network -> skip
 	}}
-	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net)
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
 	if len(inj.Timeline().Events) != len(tl.Events) {
 		t.Fatalf("Timeline() lost events")
 	}
@@ -311,7 +311,7 @@ func TestInjectorNetworkSkips(t *testing.T) {
 		{At: 8 * ms, Kind: fault.SwitchRestore, Target: 0},
 		{At: 9 * ms, Kind: fault.SwitchRestore, Target: 99}, // out of range -> skip
 	}}
-	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net)
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
 	if _, err := dc.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestOverlappingOutagesKeepFullDuration(t *testing.T) {
 		{At: 6 * ms, Kind: fault.ServerRecover, Target: 0, Pair: 1}, // its crash was skipped -> skip
 		{At: 11 * ms, Kind: fault.ServerRecover, Target: 0, Pair: 0},
 	}}
-	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net)
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
 	stillDown := false
 	dc.Eng.Schedule(8*ms, func() { stillDown = dc.Servers[0].Failed() })
 	recovered := false

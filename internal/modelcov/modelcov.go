@@ -15,7 +15,6 @@ package modelcov
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -393,25 +392,6 @@ func (m *Map) NeverHit() []Feature {
 		}
 	}
 	return out
-}
-
-// Hottest lists the top-n features by hit count (descending, table
-// order on ties), skipping never-hit features.
-func (m *Map) Hottest(n int) []Feature {
-	if m == nil || n <= 0 {
-		return nil
-	}
-	var hit []Feature
-	for i := 0; i < NumFeatures; i++ {
-		if m.counts[i] != 0 {
-			hit = append(hit, Feature(i))
-		}
-	}
-	sort.SliceStable(hit, func(a, b int) bool { return m.counts[hit[a]] > m.counts[hit[b]] })
-	if len(hit) > n {
-		hit = hit[:n]
-	}
-	return hit
 }
 
 // Report renders a human-readable coverage summary: the hit/total

@@ -14,9 +14,6 @@ func TestNilMapIsInert(t *testing.T) {
 	if got := m.Merge(&Map{}); got != 0 {
 		t.Fatalf("nil merge gain = %d, want 0", got)
 	}
-	if m.Hottest(3) != nil {
-		t.Fatalf("nil map has hottest features")
-	}
 	if !strings.Contains(m.Report(0), "0/") {
 		t.Fatalf("nil report: %q", m.Report(0))
 	}
@@ -183,16 +180,3 @@ func TestNeverHitAndReport(t *testing.T) {
 	}
 }
 
-func TestHottest(t *testing.T) {
-	var m Map
-	for i := 0; i < 3; i++ {
-		m.Hit(SwitchSleep)
-	}
-	m.Hit(SwitchWake)
-	m.Hit(SwitchWake)
-	m.Hit(PortLPIEnter)
-	top := m.Hottest(2)
-	if len(top) != 2 || top[0] != SwitchSleep || top[1] != SwitchWake {
-		t.Fatalf("hottest = %v", top)
-	}
-}

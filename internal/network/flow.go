@@ -36,9 +36,6 @@ type Flow struct {
 // ID reports the flow's identifier.
 func (f *Flow) ID() int64 { return f.id }
 
-// Remaining reports unsent bytes as of the last rate change.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Rate reports the current max-min fair rate in bytes/sec.
 func (f *Flow) Rate() float64 { return f.rate }
 

@@ -14,7 +14,6 @@ import (
 	"holdcsim/internal/job"
 	"holdcsim/internal/modelcov"
 	"holdcsim/internal/server"
-	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
 )
 
@@ -483,24 +482,6 @@ func (s *Scheduler) drainGlobalQueue() {
 		}
 	}
 	s.globalQ = remaining
-}
-
-// MeanPendingTasks reports the average per-server pending-task count.
-func (s *Scheduler) MeanPendingTasks() float64 {
-	total := 0
-	for _, srv := range s.servers {
-		total += srv.PendingTasks()
-	}
-	return float64(total) / float64(len(s.servers))
-}
-
-// TotalEnergyTo sums server energy in joules up to t.
-func (s *Scheduler) TotalEnergyTo(t simtime.Time) float64 {
-	sum := 0.0
-	for _, srv := range s.servers {
-		sum += srv.EnergyTo(t)
-	}
-	return sum
 }
 
 // HostMapper translates a server ID to its topology node (used by

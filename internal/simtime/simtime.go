@@ -80,14 +80,3 @@ func Max(a, b Time) Time {
 	}
 	return b
 }
-
-// Clamp limits t to the inclusive range [lo, hi].
-func Clamp(t, lo, hi Time) Time {
-	if t < lo {
-		return lo
-	}
-	if t > hi {
-		return hi
-	}
-	return t
-}

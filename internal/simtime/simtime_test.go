@@ -60,9 +60,6 @@ func TestMinMaxClamp(t *testing.T) {
 	if Max(3, 5) != 5 || Max(5, 3) != 5 {
 		t.Error("Max broken")
 	}
-	if Clamp(10, 0, 5) != 5 || Clamp(-1, 0, 5) != 0 || Clamp(3, 0, 5) != 3 {
-		t.Error("Clamp broken")
-	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
@@ -73,20 +70,6 @@ func TestRoundTripProperty(t *testing.T) {
 			tt = -tt
 		}
 		return FromSeconds(tt.Seconds()) == tt
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClampProperty(t *testing.T) {
-	f := func(a, b, c int64) bool {
-		lo, hi := Time(b), Time(c)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		got := Clamp(Time(a), lo, hi)
-		return got >= lo && got <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -73,29 +73,13 @@ func (r *Residency) DurationTo(state string, t simtime.Time) simtime.Time {
 // tracked time spent in it, up to t.
 func (r *Residency) FractionsTo(t simtime.Time) map[string]float64 {
 	out := make(map[string]float64)
-	if !r.started {
-		return out
-	}
-	total := (t - r.t0).Seconds()
-	if total <= 0 {
-		return out
-	}
-	//simlint:allow determinism DurationTo is a pure read and each write is keyed by the loop key
-	for s := range r.dur {
-		out[s] = r.DurationTo(s, t).Seconds() / total
-	}
-	if _, seen := out[r.state]; !seen {
-		out[r.state] = r.DurationTo(r.state, t).Seconds() / total
-	}
+	r.AddFractionsTo(t, out) // 0 + x is exact
 	return out
 }
 
-// AddFractionsTo accumulates the same per-state fractions FractionsTo
-// reports into `into`, without allocating a result map per call. Each
-// fraction is computed with the identical division FractionsTo performs
-// (same DurationTo numerator, same total-seconds divisor), so aggregates
-// built from either path are bit-for-bit equal; only the per-call map
-// allocation is gone. Keys this tracker never observed are left untouched.
+// AddFractionsTo accumulates the per-state fractions FractionsTo
+// reports into `into`, without allocating a result map per call. Keys
+// this tracker never observed are left untouched.
 func (r *Residency) AddFractionsTo(t simtime.Time, into map[string]float64) {
 	if !r.started {
 		return

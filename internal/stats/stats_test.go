@@ -319,62 +319,6 @@ func TestCompareSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram("lat", 0, 10, 5)
-	for _, v := range []float64{-1, 0, 1, 2.5, 5, 9.99, 10, 15} {
-		h.Add(v)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("under/over = %d/%d", under, over)
-	}
-	// bins: [0,2): {0,1} = 2; [2,4): {2.5} = 1; [4,6): {5} = 1; [8,10): {9.99} = 1
-	if h.Bin(0) != 2 || h.Bin(1) != 1 || h.Bin(2) != 1 || h.Bin(4) != 1 {
-		t.Errorf("bins = %v %v %v %v %v", h.Bin(0), h.Bin(1), h.Bin(2), h.Bin(3), h.Bin(4))
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BinBounds(1) = %v, %v", lo, hi)
-	}
-	if h.String() == "" {
-		t.Error("empty String")
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram("bad", 5, 5, 10)
-}
-
-// Property: histogram total equals in-range + out-of-range counts.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		h := NewHistogram("p", -100, 100, 10)
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-		}
-		var inRange int64
-		for i := 0; i < h.NumBins(); i++ {
-			inRange += h.Bin(i)
-		}
-		u, o := h.OutOfRange()
-		return inRange+u+o == h.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: EnergyMeter integral of constant power p over t seconds is p*t.
 func TestEnergyMeterLinearityProperty(t *testing.T) {
 	f := func(p uint16, secs uint8) bool {

@@ -23,9 +23,6 @@ func NewTimeWeighted(name string) *TimeWeighted {
 	return &TimeWeighted{name: name}
 }
 
-// Started reports whether tracking has begun.
-func (w *TimeWeighted) Started() bool { return w.started }
-
 // Start begins tracking at time t with the given initial value.
 func (w *TimeWeighted) Start(t simtime.Time, initial float64) {
 	w.started = true

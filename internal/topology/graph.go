@@ -46,14 +46,6 @@ type Link struct {
 	RateBps float64
 }
 
-// Other returns the far end of the link from n.
-func (l *Link) Other(n NodeID) NodeID {
-	if n == l.A {
-		return l.B
-	}
-	return l.A
-}
-
 type adjacency struct {
 	link int
 	peer NodeID
