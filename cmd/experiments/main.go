@@ -16,6 +16,7 @@
 //	experiments -exp fig5 -reps 5     # 5 replications with error bars
 //	experiments -exp all -quick -check # verify conservation laws per run
 //	experiments -exp hyperscale       # the 1M-server row (by name only: minutes, several GB)
+//	experiments -exp fig5 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -48,6 +49,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
 	reps := fs.Int("reps", 1, "replications per simulation (adds mean/stddev/CI columns)")
 	check := fs.Bool("check", false, "verify runtime invariants (conservation laws) in every simulation")
+	var prof runner.Profiles
+	prof.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -69,7 +72,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	stopProf, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
 	exec := runner.Options{Workers: *workers, Reps: *reps}
+	code := 0
 	for _, e := range targets {
 		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
 		rep, err := e.Run(*quick, exec, *check, nil)
@@ -78,11 +87,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "experiments: %s: %v\n", e.Name, err)
-			return 1
+			code = 1
+			break
 		}
 		fmt.Fprintln(stdout)
 	}
-	return 0
+	if err := stopProf(); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		code = 1
+	}
+	return code
 }
 
 // show prints a report's shown parts in order; with an -out directory

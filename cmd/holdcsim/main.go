@@ -14,6 +14,7 @@
 // prints a commented example). A campaign-matrix file is refused — run those with
 // `scenario run`. The flag form builds the same Scenario value from the
 // flags, so both forms run invariant-checked through one path.
+// -cpuprofile FILE and -memprofile FILE profile the build and run.
 //
 // The flags speak the scenario vocabulary: -policy is any placer name
 // the codec knows, and -service names a service profile (websearch,
@@ -46,29 +47,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "holdcsim:", err)
 		return code
 	}
-	s, err := load(args, stderr)
+	var prof runner.Profiles
+	s, err := load(args, stderr, &prof)
 	if err == flag.ErrHelp {
 		return 0
 	}
 	if err != nil {
 		return fail(2, err)
 	}
-	dc, err := s.Build()
+	stopProf, err := prof.Start()
 	if err != nil {
 		return fail(1, err)
 	}
-	sw := runner.StartStopwatch()
-	res, err := dc.Run()
+	res, elapsed, err := simulate(s)
+	if perr := stopProf(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		return fail(1, err)
 	}
-	report(stdout, res, sw.Elapsed())
+	report(stdout, res, elapsed)
 	return 0
 }
 
+// simulate builds and runs the scenario, timing the run.
+func simulate(s scenario.Scenario) (*core.Results, time.Duration, error) {
+	dc, err := s.Build()
+	if err != nil {
+		return nil, 0, err
+	}
+	sw := runner.StartStopwatch()
+	res, err := dc.Run()
+	return res, sw.Elapsed(), err
+}
+
 // load turns the command line into the one scenario to run: the decoded
-// -config file, or the scenario the other flags describe.
-func load(args []string, stderr io.Writer) (scenario.Scenario, error) {
+// -config file, or the scenario the other flags describe. The profile
+// flags land in prof.
+func load(args []string, stderr io.Writer, prof *runner.Profiles) (scenario.Scenario, error) {
 	fs := flag.NewFlagSet("holdcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	configPath := fs.String("config", "", "scenario file (JSON with comments; DESIGN.md Sec. 10)")
@@ -81,6 +97,7 @@ func load(args []string, stderr io.Writer) (scenario.Scenario, error) {
 	tau := fs.Duration("tau", -1, "delay timer (negative disables)")
 	duration := fs.Duration("duration", 30*time.Second, "simulated duration")
 	seed := fs.Uint64("seed", 1, "random seed")
+	prof.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return scenario.Scenario{}, err
 	}

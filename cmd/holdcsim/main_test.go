@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"holdcsim/internal/runner"
 	"holdcsim/internal/scenario"
 )
 
@@ -95,7 +96,7 @@ func TestFlagSynthesisRoundTrips(t *testing.T) {
 			"-policy", "dualtimer", "-tau", "250ms", "-duration", "5s", "-seed", "18446744073709551615"},
 		{"-policy", "provisioner", "-service", "webserving", "-tau", "0s"},
 	} {
-		s, err := load(args, io.Discard)
+		s, err := load(args, io.Discard, new(runner.Profiles))
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
@@ -118,10 +119,15 @@ func TestFlagSynthesisRoundTrips(t *testing.T) {
 
 // Each flag lands in the scenario field it names.
 func TestFlagsCarryIntoScenario(t *testing.T) {
+	var prof runner.Profiles
 	s, err := load([]string{"-cores", "10", "-tau", "1s", "-policy", "packfirst",
-		"-service", "webserving", "-servers", "3", "-rho", "0.5", "-duration", "4s", "-seed", "9"}, io.Discard)
+		"-service", "webserving", "-servers", "3", "-rho", "0.5", "-duration", "4s", "-seed", "9",
+		"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}, io.Discard, &prof)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prof != (runner.Profiles{CPU: "cpu.out", Mem: "mem.out"}) {
+		t.Errorf("profile flags = %+v", prof)
 	}
 	want := scenario.Scenario{
 		Seed: 9, Servers: 3, Profile: scenario.ProfXeon10, DelayTimerSec: 1,

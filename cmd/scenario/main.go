@@ -12,6 +12,7 @@
 //	  -workers N   worker pool size (default GOMAXPROCS)
 //	  -reps N      replications per scenario (default 1)
 //	  -check       fail on any invariant violation (default true)
+//	  -cpuprofile FILE, -memprofile FILE   profile the run (go tool pprof)
 //	scenario export [flags]                dump built-ins as files
 //	  -list            list preset names
 //	  -preset NAME     export one preset
@@ -77,7 +78,7 @@ commands:
   validate <file>...   parse + Validate scenario/matrix files, print canonical labels
   expand <file>...     print every scenario label a matrix file generates
   run      <file>...   execute files through the campaign runner, TSV to stdout
-                       (-workers N, -reps N, -check)
+                       (-workers N, -reps N, -check, -cpuprofile FILE, -memprofile FILE)
   export               dump built-ins (-list | -preset NAME | -random SEED | -matrix) [-o FILE]
 
 files are JSON with // and /* */ comments; unknown fields are rejected
@@ -163,6 +164,8 @@ func cmdRun(args []string, w io.Writer) error {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	reps := fs.Int("reps", 1, "replications per scenario")
 	check := fs.Bool("check", true, "fail on any invariant violation")
+	var prof runner.Profiles
+	prof.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -177,7 +180,14 @@ func cmdRun(args []string, w io.Writer) error {
 		}
 		scenarios = append(scenarios, ss...)
 	}
+	stopProf, err := prof.Start()
+	if err != nil {
+		return err
+	}
 	tsv, violations, err := runScenarios(scenarios, runner.Options{Workers: *workers, Reps: *reps})
+	if perr := stopProf(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		return err
 	}

@@ -156,6 +156,7 @@ func (e *Engine) Len() int { return e.live }
 
 // alloc takes an event from the pool, growing it block-wise so steady
 // state never allocates.
+//
 //simlint:hotpath
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
@@ -173,6 +174,7 @@ func (e *Engine) alloc() *event {
 
 // release recycles an event into the pool. Bumping the generation makes
 // every outstanding Handle to it inert.
+//
 //simlint:hotpath
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
@@ -183,6 +185,7 @@ func (e *Engine) release(ev *event) {
 
 // Schedule queues fn to run at absolute virtual time at.
 // Scheduling in the past panics: it always indicates a model bug.
+//
 //simlint:hotpath
 func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	if at < e.now {
@@ -204,6 +207,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 
 // place routes an event to the tier covering its timestamp. Branches are
 // ordered hottest-first: near-term events dominate every workload.
+//
 //simlint:hotpath
 func (e *Engine) place(ev *event) {
 	if ev.at < e.base {
@@ -225,6 +229,7 @@ func (e *Engine) place(ev *event) {
 }
 
 // After queues fn to run d from now. Negative d panics.
+//
 //simlint:hotpath
 func (e *Engine) After(d simtime.Time, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
@@ -233,6 +238,7 @@ func (e *Engine) After(d simtime.Time, fn func()) Handle {
 // Cancel tombstones the event named by h if it has not fired. It is O(1);
 // the entry is reclaimed when popped or at the next compaction sweep.
 // Safe to call with the zero Handle or a stale one.
+//
 //simlint:hotpath
 func (e *Engine) Cancel(h Handle) {
 	if !h.Pending() {
@@ -429,6 +435,7 @@ func (e *Engine) rebucket() {
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports false when the queue is empty or the engine
 // has been stopped.
+//
 //simlint:hotpath
 func (e *Engine) Step() bool {
 	if e.stopped {

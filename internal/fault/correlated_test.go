@@ -494,8 +494,8 @@ func TestCorrelatedSpecValidate(t *testing.T) {
 		{CascadeP: 1.5},
 		{CascadeP: -0.1},
 		{CascadeP: nan()},
-		{ServerMTTFSec: 1},            // renewal without MTTR
-		{SwitchMTTFSec: 1},            // renewal without MTTR
+		{ServerMTTFSec: 1}, // renewal without MTTR
+		{SwitchMTTFSec: 1}, // renewal without MTTR
 		{WeibullShape: inf()},
 	}
 	for i, sp := range bad {

@@ -53,13 +53,35 @@ func ScatterGather(id ID, arrive simtime.Time, width int, rootSize, workerSize, 
 	if width < 1 {
 		panic("job: ScatterGather needs width >= 1")
 	}
+	// The shape is known up front, so the DAG is allocated in one block
+	// per element type instead of task by task and edge by edge: width+2
+	// tasks, 2*width edges, and the 4*width edge pointers of every In/Out
+	// list. Task, edge and list order are those AddTask/Link would give.
+	tasks := make([]Task, width+2)
+	edges := make([]Edge, 2*width)
+	lists := make([]*Edge, 4*width)
+	take := func(n int) []*Edge {
+		l := lists[:n:n]
+		lists = lists[n:]
+		return l
+	}
 	j := New(id, arrive)
-	root := j.AddTask(rootSize, "frontend")
-	gather := j.AddTask(gatherSize, "frontend")
+	j.Tasks = make([]*Task, len(tasks))
+	for i := range tasks {
+		tasks[i] = Task{Job: j, Index: i, Size: workerSize, Kind: "worker", Intensity: 1}
+		j.Tasks[i] = &tasks[i]
+	}
+	root, gather := &tasks[0], &tasks[1]
+	root.Size, root.Kind, root.Out = rootSize, "frontend", take(width)
+	gather.Size, gather.Kind, gather.In = gatherSize, "frontend", take(width)
 	for i := 0; i < width; i++ {
-		w := j.AddTask(workerSize, "worker")
-		j.Link(root, w, bytes)
-		j.Link(w, gather, bytes)
+		w := &tasks[2+i]
+		scatter, collect := &edges[2*i], &edges[2*i+1]
+		*scatter = Edge{From: root, To: w, Bytes: bytes}
+		*collect = Edge{From: w, To: gather, Bytes: bytes}
+		w.In, w.Out = take(1), take(1)
+		root.Out[i], w.In[0] = scatter, scatter
+		w.Out[0], gather.In[i] = collect, collect
 	}
 	mustSeal(j)
 	return j

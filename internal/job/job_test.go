@@ -1,6 +1,7 @@
 package job
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +97,59 @@ func TestScatterGather(t *testing.T) {
 	}
 	if order[0] != root || order[len(order)-1] != gather {
 		t.Error("topo order should start at root and end at gather")
+	}
+}
+
+// TestScatterGatherMatchesLinkBuild pins the block-allocated builder to
+// the DAG that AddTask/Link produce for the same shape: task order and
+// attributes, every In/Out list in order, sealed state and TopoOrder.
+func TestScatterGatherMatchesLinkBuild(t *testing.T) {
+	for _, width := range []int{1, 2, 4, 9} {
+		got := ScatterGather(7, 3*simtime.Second, width, simtime.Millisecond, 2*simtime.Millisecond, 3*simtime.Millisecond, 4096)
+		want := New(7, 3*simtime.Second)
+		root := want.AddTask(simtime.Millisecond, "frontend")
+		gather := want.AddTask(3*simtime.Millisecond, "frontend")
+		for i := 0; i < width; i++ {
+			w := want.AddTask(2*simtime.Millisecond, "worker")
+			want.Link(root, w, 4096)
+			want.Link(w, gather, 4096)
+		}
+		if err := want.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		describe := func(j *Job) string {
+			s := fmt.Sprintf("job %d at %v:", j.ID, j.ArriveAt)
+			edges := func(es []*Edge) string {
+				out := ""
+				for _, e := range es {
+					out += fmt.Sprintf(" %d>%d/%d", e.From.Index, e.To.Index, e.Bytes)
+				}
+				return out
+			}
+			for _, tk := range j.Tasks {
+				s += fmt.Sprintf("\n%s own=%v size=%v kind=%s int=%v state=%v deps=%d ready=%v in[%s] out[%s]",
+					tk.Name(), tk.Job == j, tk.Size, tk.Kind, tk.Intensity, tk.State, tk.PendingDeps(), tk.ReadyAt,
+					edges(tk.In), edges(tk.Out))
+			}
+			order, err := j.TopoOrder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s += "\ntopo:"
+			for _, tk := range order {
+				s += fmt.Sprintf(" %d", tk.Index)
+			}
+			return s
+		}
+		if g, w := describe(got), describe(want); g != w {
+			t.Errorf("width %d: block-built job differs from AddTask/Link build\ngot:\n%s\nwant:\n%s", width, g, w)
+		}
+		// The shared pointer block must not let one list grow into the next.
+		for _, tk := range got.Tasks {
+			if cap(tk.In) != len(tk.In) || cap(tk.Out) != len(tk.Out) {
+				t.Errorf("width %d: %s In/Out have spare capacity %d/%d", width, tk.Name(), cap(tk.In)-len(tk.In), cap(tk.Out)-len(tk.Out))
+			}
+		}
 	}
 }
 

@@ -179,4 +179,3 @@ func TestNeverHitAndReport(t *testing.T) {
 		t.Fatalf("report listed %d features, want <= 5-ish", got)
 	}
 }
-

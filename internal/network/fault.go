@@ -134,6 +134,13 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 	return nil
 }
 
+// doomedFlow is one entry of failLinkTraffic's snapshot: a flow and the
+// generation it had when it was seen crossing the failed link.
+type doomedFlow struct {
+	f   *Flow
+	gen uint64
+}
+
 // failLinkTraffic retracts everything the link is carrying: queued
 // packets in both directions drop at their egress queues, and every
 // flow crossing the link fails (its completion fires immediately).
@@ -141,19 +148,27 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 // fires and observes the down link.
 func (n *Network) failLinkTraffic(l *linkState) {
 	// Snapshot: failFlow mutates n.flows, and completion callbacks can
-	// start new flows on other links.
-	var doomed []*Flow
+	// start new flows on other links. A callback can also fail another
+	// link and so kill a flow this snapshot still names (its object may
+	// even be back in use by then): the generation check skips it, and
+	// the buffer is detached while in use so that nested call gets its
+	// own.
+	doomed := n.doomed[:0]
+	n.doomed = nil
 	for _, f := range n.flows {
 		for _, fl := range f.links {
 			if fl == l {
-				doomed = append(doomed, f)
+				doomed = append(doomed, doomedFlow{f, f.gen})
 				break
 			}
 		}
 	}
-	for _, f := range doomed {
-		n.failFlow(f)
+	for _, d := range doomed {
+		if d.f.gen == d.gen {
+			n.failFlow(d.f)
+		}
 	}
+	n.doomed = doomed[:0]
 	l.egressAB.dropAll(n)
 	l.egressBA.dropAll(n)
 }

@@ -135,6 +135,50 @@ func TestLinkFlapKillsFlows(t *testing.T) {
 	}
 }
 
+// TestLinkKillFromCompletionCallback: a flow's failure callback cuts a
+// second link, killing a flow that the first cut's snapshot still names.
+// That flow must fail exactly once (its generation moved, so the outer
+// sweep skips it), and a flow the callback starts in a recycled object
+// must survive the sweep.
+func TestLinkKillFromCompletionCallback(t *testing.T) {
+	eng, n, hosts := starNet(t, 4, nil)
+	hub := n.g.Switches()[0]
+	shared := linkBetween(t, n, hosts[0], hub)
+	second := linkBetween(t, n, hosts[2], hub)
+	calls := [3]int{}
+	if err := n.TransferFlow(hosts[0], hosts[1], 125_000_000, func() {
+		calls[0]++
+		if err := n.SetLinkAdmin(second, false); err != nil {
+			t.Error(err)
+		}
+		// Reuses the object this very callback's flow just vacated.
+		if err := n.TransferFlow(hosts[1], hosts[3], 1000, func() { calls[2]++ }); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.TransferFlow(hosts[0], hosts[2], 125_000_000, func() { calls[1]++ }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Schedule(100*simtime.Millisecond, func() {
+		if err := n.SetLinkAdmin(shared, false); err != nil {
+			t.Error(err)
+		}
+		if n.ActiveFlows() != 1 {
+			t.Errorf("%d flows active after the sweep, want the one the callback started", n.ActiveFlows())
+		}
+	})
+	eng.Run()
+	if calls != [3]int{1, 1, 1} {
+		t.Errorf("completion callbacks fired %v times, want once each", calls)
+	}
+	st := n.Stats()
+	if st.FlowsStarted != 3 || st.FlowsCompleted != 3 || st.FlowsFailed != 2 || n.ActiveFlows() != 0 {
+		t.Errorf("flow counters %+v, %d active", st, n.ActiveFlows())
+	}
+}
+
 // TestSwitchDeath: killing the hub of a star drops all traffic through
 // it, zeroes its power, takes its links down, and revival restores
 // both the draw and the data path.

@@ -13,10 +13,16 @@ import (
 // ... can either send a single flow of data or break the flow into
 // packets"). Flows on a shared link split capacity max-min fairly;
 // rates are recomputed on every flow arrival and departure.
+//
+// Flows are pooled on Network.flowFree: the start and complete closures
+// are created once per pooled object and survive reuse, so a recycled
+// flow schedules its events with zero allocation. gen is bumped on
+// release; a holder that may outlive the flow (failLinkTraffic's
+// snapshot) compares it before acting.
 type Flow struct {
 	id    int64
-	links []*linkState
-	dirAB []bool // direction of traversal per link
+	links []*linkState // the route's links, shared and never mutated
+	dirAB []bool       // the route's direction of traversal per link, likewise
 
 	total     float64 // bytes requested
 	remaining float64 // bytes
@@ -24,13 +30,16 @@ type Flow struct {
 	last      simtime.Time
 	done      func()
 	ev        engine.Handle
-	complete  func() // cached completion callback, rescheduled on every re-rate
 
 	// pktN > 0 marks a fluid-model packet transfer riding this flow: the
 	// transfer's packet-count equivalent, billed to the packet counters
 	// at start and teardown so both network models satisfy the same
 	// conservation laws.
 	pktN int64
+
+	gen      uint64
+	start    func() // cached (possibly wake-deferred) launch callback
+	complete func() // cached completion callback, rescheduled on every re-rate
 }
 
 // ID reports the flow's identifier.
@@ -72,6 +81,31 @@ func (n *Network) TransferFlow(src, dst topology.NodeID, bytes int64, done func(
 	return n.startFlow(src, dst, bytes, id, done, 0)
 }
 
+// allocFlow pops a pooled flow (or mints one with its cached closures).
+//
+//simlint:hotpath
+func (n *Network) allocFlow() *Flow {
+	if k := len(n.flowFree); k > 0 {
+		f := n.flowFree[k-1]
+		n.flowFree = n.flowFree[:k-1]
+		return f
+	}
+	f := &Flow{}
+	f.start = func() { n.launchFlow(f) }
+	f.complete = func() { n.flowComplete(f) }
+	return f
+}
+
+// freeFlow bumps the generation (so a stale reference can tell this
+// incarnation is over), clears references, and pools the flow.
+//
+//simlint:hotpath
+func (n *Network) freeFlow(f *Flow) {
+	f.gen++
+	f.links, f.dirAB, f.done = nil, nil, nil
+	n.flowFree = append(n.flowFree, f) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+}
+
 // startFlow resolves the route and launches one flow (waking sleeping
 // switches first). pktN > 0 marks a fluid-model packet transfer, which
 // additionally bills the packet counters (see startFluidTransfer).
@@ -80,70 +114,61 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 	if err != nil {
 		return err
 	}
-	links := r.links
 	if pktN > 0 {
 		n.openPktTransfers++
 	}
-	wait := n.wakeRoute(r)
-	start := func() {
-		// The started counter moves here, inside the (possibly deferred)
-		// start event: a duration horizon can end the run while a flow
-		// still waits on a switch wake, and a flow that never started
-		// must not count against flow conservation.
-		n.stats.FlowsStarted++
-		if pktN > 0 {
-			n.stats.PacketsSent += pktN
-		}
-		for _, l := range links {
-			if l.isDown() {
-				// The route failed before the flow could start: it fails
-				// immediately (completion still fires, like a packet
-				// drop, so dependents make progress).
-				n.stats.FlowsCompleted++
-				n.stats.FlowsFailed++
-				n.cover.Hit(modelcov.NetFlowDeadStart)
-				if pktN > 0 {
-					n.stats.PacketsDropped += pktN
-					n.fluidDrops += pktN
-					n.openPktTransfers--
-				}
-				if done != nil {
-					done()
-				}
-				return
-			}
-		}
-		f := &Flow{
-			id:        id,
-			links:     links,
-			dirAB:     make([]bool, len(links)),
-			total:     float64(bytes),
-			remaining: float64(bytes),
-			last:      n.eng.Now(),
-			done:      done,
-			pktN:      pktN,
-		}
-		f.complete = func() { n.flowComplete(f) }
-		cur := src
-		for i, l := range links {
-			f.dirAB[i] = l.a == cur
-			cur = topology.NodeID(int(l.a) + int(l.b) - int(cur))
-			if f.dirAB[i] {
-				l.nFlowsAB++
-			} else {
-				l.nFlowsBA++
-			}
-			l.markActive()
-		}
-		n.flows = append(n.flows, f)
-		n.recomputeFlowRates()
-	}
-	if wait > 0 {
-		n.eng.After(wait, start)
+	f := n.allocFlow()
+	f.id = id
+	f.links, f.dirAB = r.links, r.dirAB
+	f.total, f.remaining = float64(bytes), float64(bytes)
+	f.done = done
+	f.pktN = pktN
+	if wait := n.wakeRoute(r); wait > 0 {
+		n.eng.After(wait, f.start)
 	} else {
-		start()
+		n.launchFlow(f)
 	}
 	return nil
+}
+
+// launchFlow puts a flow on its links once every switch on the route is
+// awake — the body of the cached start closure.
+func (n *Network) launchFlow(f *Flow) {
+	// The started counter moves here, inside the (possibly deferred)
+	// start event: a duration horizon can end the run while a flow
+	// still waits on a switch wake, and a flow that never started
+	// must not count against flow conservation.
+	n.stats.FlowsStarted++
+	if f.pktN > 0 {
+		n.stats.PacketsSent += f.pktN
+	}
+	for _, l := range f.links {
+		if l.isDown() {
+			// The route failed before the flow could start: it fails
+			// immediately (completion still fires, like a packet
+			// drop, so dependents make progress).
+			n.stats.FlowsCompleted++
+			n.stats.FlowsFailed++
+			n.cover.Hit(modelcov.NetFlowDeadStart)
+			if f.pktN > 0 {
+				n.stats.PacketsDropped += f.pktN
+				n.fluidDrops += f.pktN
+				n.openPktTransfers--
+			}
+			done := f.done
+			n.freeFlow(f)
+			if done != nil {
+				done()
+			}
+			return
+		}
+	}
+	f.last = n.eng.Now()
+	for _, l := range f.links {
+		l.markActive()
+	}
+	n.flows = append(n.flows, f)
+	n.recomputeFlowRates()
 }
 
 // startFluidTransfer runs a packet-granularity transfer under the fluid
@@ -188,69 +213,79 @@ func (n *Network) recomputeFlowRates() {
 	}
 }
 
-// directedKey identifies one direction of one link for water-filling.
-type directedKey struct {
-	link int
-	ab   bool
+// wfResource is one direction of one link as water-filling sees it. The
+// records live on the link (linkState.wf) and are claimed per pass by
+// stamping the pass's epoch, so a pass builds no map and, once the flow
+// slices have grown to their working size, allocates nothing.
+type wfResource struct {
+	epoch   uint64  // Network.wfEpoch of the pass that last claimed this slot
+	cap     float64 // bytes/sec remaining
+	flows   []*Flow
+	unfixed int
+}
+
+// wfSlot returns the link's water-filling record for one direction.
+func (l *linkState) wfSlot(ab bool) *wfResource {
+	if ab {
+		return &l.wf[0]
+	}
+	return &l.wf[1]
 }
 
 // waterFill assigns max-min fair rates: iteratively find the bottleneck
 // resource (smallest fair share), freeze its flows at that rate, remove
-// their demand, and repeat.
+// their demand, and repeat. Resources are visited in first-appearance
+// order over flows in list order and the first strict minimum wins, so
+// rates are a deterministic function of the flow list.
 func (n *Network) waterFill() {
 	if len(n.flows) == 0 {
 		return
 	}
-	type resource struct {
-		cap     float64 // bytes/sec remaining
-		flows   []*Flow
-		unfixed int
-	}
-	resources := make(map[directedKey]*resource)
-	var order []directedKey // deterministic iteration
+	n.wfEpoch++
+	order := n.wfOrder[:0]
 	for _, f := range n.flows {
 		f.rate = -1 // unfixed marker
 		for i, l := range f.links {
-			k := directedKey{link: l.id, ab: f.dirAB[i]}
-			r, ok := resources[k]
-			if !ok {
-				r = &resource{cap: l.bytesPerSec()}
-				resources[k] = r
-				order = append(order, k)
+			r := l.wfSlot(f.dirAB[i])
+			if r.epoch != n.wfEpoch {
+				r.epoch = n.wfEpoch
+				r.cap = l.bytesPerSec()
+				r.flows = r.flows[:0]
+				r.unfixed = 0
+				order = append(order, r)
 			}
 			r.flows = append(r.flows, f)
 			r.unfixed++
 		}
 	}
+	n.wfOrder = order
 	unfixed := len(n.flows)
 	for unfixed > 0 {
 		// Find the bottleneck resource.
 		bestShare := -1.0
-		var bestKey directedKey
-		for _, k := range order {
-			r := resources[k]
+		var best *wfResource
+		for _, r := range order {
 			if r.unfixed == 0 {
 				continue
 			}
 			share := r.cap / float64(r.unfixed)
 			if bestShare < 0 || share < bestShare {
 				bestShare = share
-				bestKey = k
+				best = r
 			}
 		}
-		if bestShare < 0 {
+		if best == nil {
 			break // no constrained resources left (cannot happen with links on every flow)
 		}
 		// Freeze every unfixed flow on the bottleneck.
-		for _, f := range resources[bestKey].flows {
+		for _, f := range best.flows {
 			if f.rate >= 0 {
 				continue
 			}
 			f.rate = bestShare
 			unfixed--
 			for i, l := range f.links {
-				k := directedKey{link: l.id, ab: f.dirAB[i]}
-				r := resources[k]
+				r := l.wfSlot(f.dirAB[i])
 				r.cap -= bestShare
 				if r.cap < 0 {
 					r.cap = 0
@@ -280,12 +315,7 @@ func (n *Network) releaseFlow(f *Flow, failed bool) {
 	// flow's pending completion must not land later.
 	n.eng.Cancel(f.ev)
 	f.ev = engine.Handle{}
-	for i, l := range f.links {
-		if f.dirAB[i] {
-			l.nFlowsAB--
-		} else {
-			l.nFlowsBA--
-		}
+	for _, l := range f.links {
 		l.markIdle()
 	}
 	n.stats.FlowsCompleted++
@@ -326,9 +356,13 @@ func (n *Network) releaseFlow(f *Flow, failed bool) {
 			n.cover.Hit(modelcov.NetFlowComplete)
 		}
 	}
+	// Pooled before the owner's callback runs (cf. finishTransfer), so a
+	// callback that starts a new flow may reuse this very object.
+	done := f.done
+	n.freeFlow(f)
 	n.recomputeFlowRates()
-	if f.done != nil {
-		f.done()
+	if done != nil {
+		done()
 	}
 }
 

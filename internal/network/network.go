@@ -83,6 +83,15 @@ type Network struct {
 	flows      []*Flow // active flows in id order
 	nextFlowID int64
 
+	// Fluid-model scratch, reused across re-rates so the steady state
+	// allocates nothing: the flow free list, the water-filling pass
+	// counter and pass-order list (the per-direction records are on the
+	// links, linkState.wf), and failLinkTraffic's snapshot buffer.
+	flowFree []*Flow
+	wfEpoch  uint64
+	wfOrder  []*wfResource
+	doomed   []doomedFlow
+
 	// openPktTransfers counts packet-mode transfers whose completion
 	// callback has not fired yet (packet conservation checking).
 	openPktTransfers int
@@ -120,10 +129,12 @@ type routeKey struct{ src, dst topology.NodeID }
 // route is one cached path resolution. The slices are shared by every
 // transfer between the pair and are never mutated after insertion; sws
 // holds the switches along the path so the wake check on every transfer
-// skips the node-map lookups.
+// skips the node-map lookups, and dirAB the direction each link is
+// traversed in (true: from its a end), which water-filling keys on.
 type route struct {
 	nodes []topology.NodeID
 	links []*linkState
+	dirAB []bool
 	sws   []*Switch
 }
 
@@ -266,9 +277,15 @@ func (n *Network) path(src, dst topology.NodeID, key int64) (*route, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &route{nodes: nodes, links: make([]*linkState, len(linkIDs))}
+	r := &route{
+		nodes: nodes,
+		links: make([]*linkState, len(linkIDs)),
+		dirAB: make([]bool, len(linkIDs)),
+		sws:   make([]*Switch, 0, len(nodes)),
+	}
 	for i, id := range linkIDs {
 		r.links[i] = n.links[id]
+		r.dirAB[i] = r.links[i].a == nodes[i]
 	}
 	for _, nd := range nodes {
 		if sw := n.switches[nd]; sw != nil {
@@ -294,8 +311,8 @@ func (n *Network) wakeRoute(r *route) simtime.Time {
 }
 
 // linkState is one bidirectional link plus its simulation state: the
-// switch ports at its ends (nil at host ends), per-direction flow sets
-// and per-direction packet egress queues.
+// switch ports at its ends (nil at host ends), per-direction
+// water-filling records and per-direction packet egress queues.
 type linkState struct {
 	id      int
 	a, b    topology.NodeID
@@ -311,8 +328,6 @@ type linkState struct {
 	// while preserving the portA-then-portB transition order.
 	lpiTimer *engine.Timer
 
-	nFlowsAB, nFlowsBA int
-
 	// effBytesPerSec caches effectiveRateBps()/8; refreshRate keeps it
 	// current across ALR steps (the only runtime rate changes).
 	effBytesPerSec float64
@@ -323,6 +338,11 @@ type linkState struct {
 	// counts failed endpoint switches. Either takes the link down.
 	adminDown bool
 	deadEnds  int
+
+	// wf holds the link's two water-filling records (0: A->B, 1: B->A),
+	// grown lazily by the passes that use them (flow.go). Last, so the
+	// fields the packet path reads stay on the same cache lines.
+	wf [2]wfResource
 }
 
 // bytesPerSec reports the link's current per-direction capacity in

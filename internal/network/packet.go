@@ -63,6 +63,7 @@ type pktTransfer struct {
 
 // allocPacket pops a pooled packet (or mints one with its dispatch
 // closures) ready for reuse.
+//
 //simlint:hotpath
 func (n *Network) allocPacket() *packet {
 	if k := len(n.pktFree); k > 0 {
@@ -78,6 +79,7 @@ func (n *Network) allocPacket() *packet {
 
 // releasePacket clears the packet's references and returns it to the
 // pool. The dispatch closures are kept — they are the point of pooling.
+//
 //simlint:hotpath
 func (n *Network) releasePacket(p *packet) {
 	p.bytes, p.hop = 0, 0
@@ -88,6 +90,7 @@ func (n *Network) releasePacket(p *packet) {
 
 // allocTransfer pops a pooled transfer (or mints one with its cached
 // start closure). Counters are zeroed at release.
+//
 //simlint:hotpath
 func (n *Network) allocTransfer() *pktTransfer {
 	if k := len(n.xferFree); k > 0 {
@@ -103,6 +106,7 @@ func (n *Network) allocTransfer() *pktTransfer {
 // releaseTransfer bumps the generation (invalidating any packet that
 // still references this incarnation), clears references, and pools the
 // transfer.
+//
 //simlint:hotpath
 func (n *Network) releaseTransfer(x *pktTransfer) {
 	x.gen++
@@ -119,6 +123,7 @@ func (n *Network) releaseTransfer(x *pktTransfer) {
 // packets are not retransmitted (drops are a congestion signal counted in
 // Stats); completion fires regardless so DAG progress cannot deadlock on
 // a full buffer.
+//
 //simlint:hotpath
 func (x *pktTransfer) finishOne(n *Network, p *packet, delivered bool) {
 	if p.xferGen != x.gen {
@@ -142,6 +147,7 @@ func (x *pktTransfer) finishOne(n *Network, p *packet, delivered bool) {
 // and the transfer returns to the pool *before* the owner's callback
 // runs, so a callback that starts new transfers observes consistent
 // conservation state and may even reuse this very object.
+//
 //simlint:hotpath
 func (n *Network) finishTransfer(x *pktTransfer) {
 	n.openPktTransfers--
@@ -208,6 +214,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 // (or completes a loopback transfer). Locals are copied out first: if
 // every packet finishes synchronously (the route is already down), the
 // last finishOne releases x back to the pool mid-loop.
+//
 //simlint:hotpath
 func (n *Network) startPktTransfer(x *pktTransfer) {
 	if x.loop {
@@ -271,6 +278,7 @@ func newEgressQueue(l *linkState, ab bool) *egressQueue {
 func (q *egressQueue) busy() bool { return q.sending || q.count > 0 }
 
 // push appends a packet to the ring, doubling capacity when full.
+//
 //simlint:hotpath
 func (q *egressQueue) push(p *packet) {
 	if q.count == len(q.buf) {
@@ -290,6 +298,7 @@ func (q *egressQueue) push(p *packet) {
 
 // pop removes and returns the head packet; when the queue drains, any
 // burst-grown backing array is released.
+//
 //simlint:hotpath
 func (q *egressQueue) pop() *packet {
 	p := q.buf[q.head]
@@ -307,6 +316,7 @@ func (q *egressQueue) pop() *packet {
 
 // enqueue adds a packet, dropping it if the link is down or the buffer
 // would overflow.
+//
 //simlint:hotpath
 func (q *egressQueue) enqueue(n *Network, p *packet) {
 	if q.link.isDown() {
@@ -328,6 +338,7 @@ func (q *egressQueue) enqueue(n *Network, p *packet) {
 }
 
 // maybeSend starts serializing the head packet if the line is free.
+//
 //simlint:hotpath
 func (q *egressQueue) maybeSend(n *Network) {
 	if q.sending || q.count == 0 {
@@ -363,6 +374,7 @@ func (q *egressQueue) maybeSend(n *Network) {
 // serialized fires when the head packet's last bit is on the wire: the
 // line frees up for the next queued packet while the current one
 // propagates to the far end.
+//
 //simlint:hotpath
 func (q *egressQueue) serialized(n *Network) {
 	p := q.cur
@@ -399,6 +411,7 @@ func (q *egressQueue) dropAll(n *Network) {
 
 // packetForward queues the packet at its current hop's egress — the
 // body of the cached forward closure.
+//
 //simlint:hotpath
 func (n *Network) packetForward(p *packet) {
 	l := p.links[p.hop]
@@ -406,6 +419,7 @@ func (n *Network) packetForward(p *packet) {
 }
 
 // packetArrived lands a packet at the far end of its current link.
+//
 //simlint:hotpath
 func (n *Network) packetArrived(p *packet) {
 	l := p.links[p.hop]

@@ -1,13 +1,197 @@
 package network
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"holdcsim/internal/engine"
 	"holdcsim/internal/power"
+	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
 )
+
+// directedKey identifies one direction of one link in refWaterFill.
+type directedKey struct {
+	link int
+	ab   bool
+}
+
+// refWaterFill is the map-based water-filling this package ran before
+// the per-direction records moved onto the links, kept verbatim as the
+// oracle for TestWaterFillMatchesReference: same algorithm, same
+// iteration order, same floating-point operation order.
+func (n *Network) refWaterFill() {
+	if len(n.flows) == 0 {
+		return
+	}
+	type resource struct {
+		cap     float64 // bytes/sec remaining
+		flows   []*Flow
+		unfixed int
+	}
+	resources := make(map[directedKey]*resource)
+	var order []directedKey // deterministic iteration
+	for _, f := range n.flows {
+		f.rate = -1 // unfixed marker
+		for i, l := range f.links {
+			k := directedKey{link: l.id, ab: f.dirAB[i]}
+			r, ok := resources[k]
+			if !ok {
+				r = &resource{cap: l.bytesPerSec()}
+				resources[k] = r
+				order = append(order, k)
+			}
+			r.flows = append(r.flows, f)
+			r.unfixed++
+		}
+	}
+	unfixed := len(n.flows)
+	for unfixed > 0 {
+		// Find the bottleneck resource.
+		bestShare := -1.0
+		var bestKey directedKey
+		for _, k := range order {
+			r := resources[k]
+			if r.unfixed == 0 {
+				continue
+			}
+			share := r.cap / float64(r.unfixed)
+			if bestShare < 0 || share < bestShare {
+				bestShare = share
+				bestKey = k
+			}
+		}
+		if bestShare < 0 {
+			break // no constrained resources left (cannot happen with links on every flow)
+		}
+		// Freeze every unfixed flow on the bottleneck.
+		for _, f := range resources[bestKey].flows {
+			if f.rate >= 0 {
+				continue
+			}
+			f.rate = bestShare
+			unfixed--
+			for i, l := range f.links {
+				k := directedKey{link: l.id, ab: f.dirAB[i]}
+				r := resources[k]
+				r.cap -= bestShare
+				if r.cap < 0 {
+					r.cap = 0
+				}
+				r.unfixed--
+			}
+		}
+	}
+}
+
+// TestWaterFillMatchesReference drives random flow sets on a fat-tree
+// through arrivals, completions, an adaptive-link-rate step and a link
+// kill, and after every event (so after every re-rate) demands that each
+// active flow's rate is bit-identical to what the map-based reference
+// assigns on the same state.
+func TestWaterFillMatchesReference(t *testing.T) {
+	g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	for _, ecmp := range []bool{false, true} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			eng := engine.New()
+			cfg := DefaultConfig(power.DataCenter10G(8))
+			cfg.ECMP = ecmp
+			n, err := New(eng, g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := seed
+			next := func(mod int) int {
+				x = x*6364136223846793005 + 1442695040888963407
+				return int((x >> 33) % uint64(mod))
+			}
+			checks, peak := 0, 0
+			check := func() {
+				if len(n.flows) > peak {
+					peak = len(n.flows)
+				}
+				got := make([]float64, len(n.flows))
+				for i, f := range n.flows {
+					got[i] = f.rate
+				}
+				n.refWaterFill()
+				for i, f := range n.flows {
+					if math.Float64bits(got[i]) != math.Float64bits(f.rate) {
+						t.Fatalf("ecmp=%v seed=%d t=%v: flow %d rate %v, reference %v (%d flows active)",
+							ecmp, seed, eng.Now(), f.id, got[i], f.rate, len(n.flows))
+					}
+					f.rate = got[i]
+					checks++
+				}
+			}
+			// 60 arrivals spread over 2 ms, 0.1 - 4 MB each: at 10 Gb/s
+			// they overlap heavily and complete throughout the window.
+			for i := 0; i < 60; i++ {
+				at := simtime.Time(next(2000)) * simtime.Microsecond
+				src, dst := hosts[next(len(hosts))], hosts[next(len(hosts))]
+				bytes := int64(100_000 + next(3_900_000))
+				eng.Schedule(at, func() {
+					if err := n.TransferFlow(src, dst, bytes, nil); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			// An ALR decision at 0.7 ms: every other port of every switch
+			// steps down to 1 Gb/s, and the flows are re-rated.
+			stepped := false
+			eng.Schedule(700*simtime.Microsecond, func() {
+				for _, sw := range n.swList {
+					for i, p := range sw.ports {
+						if p.link != nil && i%2 == 0 {
+							p.setRateIdx(0)
+						}
+					}
+					sw.recompute()
+				}
+				before := make([]float64, len(n.flows))
+				for i, f := range n.flows {
+					before[i] = f.rate
+				}
+				n.recomputeFlowRates()
+				for i, f := range n.flows {
+					stepped = stepped || f.rate != before[i]
+				}
+			})
+			// A link flap at 1.2 ms kills the flows crossing it. The
+			// busiest link is chosen so the kill is never vacuous.
+			eng.Schedule(1200*simtime.Microsecond, func() {
+				use := make([]int, len(n.links))
+				victim := 0
+				for _, f := range n.flows {
+					for _, l := range f.links {
+						if use[l.id]++; use[l.id] > use[victim] {
+							victim = l.id
+						}
+					}
+				}
+				if err := n.SetLinkAdmin(victim, false); err != nil {
+					t.Error(err)
+				}
+			})
+			for eng.Step() {
+				check()
+			}
+			st := n.Stats()
+			if st.FlowsStarted == 0 || st.FlowsCompleted != st.FlowsStarted || len(n.flows) != 0 {
+				t.Fatalf("ecmp=%v seed=%d: flows did not drain: %+v, %d active", ecmp, seed, st, len(n.flows))
+			}
+			if st.FlowsFailed == 0 || !stepped || peak < 4 || checks < 100 {
+				t.Fatalf("ecmp=%v seed=%d: scenario too thin: %d failed, rate step moved a flow: %v, peak %d concurrent, %d rate checks",
+					ecmp, seed, st.FlowsFailed, stepped, peak, checks)
+			}
+		}
+	}
+}
 
 // TestWaterFillInvariants checks max-min fairness invariants on random
 // flow sets over a fat-tree:

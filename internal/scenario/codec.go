@@ -69,7 +69,9 @@ var topoKindNames = map[TopoKind]string{
 }
 
 // MarshalText implements encoding.TextMarshaler.
-func (k TopoKind) MarshalText() ([]byte, error) { return marshalEnum(k, topoKindNames, "topology kind") }
+func (k TopoKind) MarshalText() ([]byte, error) {
+	return marshalEnum(k, topoKindNames, "topology kind")
+}
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (k *TopoKind) UnmarshalText(b []byte) error {

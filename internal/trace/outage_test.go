@@ -38,17 +38,17 @@ func TestReadOutages(t *testing.T) {
 
 func TestReadOutagesRejects(t *testing.T) {
 	bad := []string{
-		"0 1 server",             // 3 fields
-		"0 1 server 1 extra",     // 5 fields
-		"x 1 server 0",           // unparsable start
-		"0 y server 0",           // unparsable dur
-		"NaN 1 server 0",         // non-finite
-		"0 Inf server 0",         // non-finite
-		"-1 1 server 0",          // negative start
-		"0 -1 server 0",          // negative dur
-		"0 1 datacenter 0",       // unknown scope
-		"0 1 server -2",          // negative target
-		"0 1 server 1.5",         // non-integer target
+		"0 1 server",                 // 3 fields
+		"0 1 server 1 extra",         // 5 fields
+		"x 1 server 0",               // unparsable start
+		"0 y server 0",               // unparsable dur
+		"NaN 1 server 0",             // non-finite
+		"0 Inf server 0",             // non-finite
+		"-1 1 server 0",              // negative start
+		"0 -1 server 0",              // negative dur
+		"0 1 datacenter 0",           // unknown scope
+		"0 1 server -2",              // negative target
+		"0 1 server 1.5",             // non-integer target
 		"5 1 server 0\n1 1 server 0", // decreasing starts
 	}
 	for _, in := range bad {
