@@ -221,6 +221,10 @@ func Build(cfg Config) (*DataCenter, error) {
 		dc.latency = stats.NewTally("job-latency-seconds")
 	}
 
+	// A run of known length records its latencies without growing the
+	// buffer (bounded, so a MaxJobs used as "no limit" reserves little).
+	dc.latency.Reserve(int(min(cfg.MaxJobs, 1<<20)))
+
 	// Server farm. The farm's shared sleep planner replaces one pending
 	// timer event per idle server with a single heap entry, so a fully
 	// asleep farm holds zero queued events regardless of size.
@@ -316,6 +320,11 @@ func Build(cfg Config) (*DataCenter, error) {
 	dc.Gen = workload.NewGenerator(eng, master.Split("workload"), cfg.Arrivals,
 		cfg.Factory, func(j *job.Job) { s.JobArrived(j) })
 	dc.Gen.MaxJobs = cfg.MaxJobs
+	// The simulation's job free list: a finished job goes back to the
+	// generator, which builds a later arrival in its storage. Subscribers
+	// run in order and this one only records the pointer, so every
+	// OnJobDone subscriber, before or after it, reads the job intact.
+	s.OnJobDone(dc.Gen.Recycle)
 	if cfg.Duration > 0 {
 		dc.Gen.Until = cfg.Duration
 	}

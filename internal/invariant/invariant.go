@@ -33,7 +33,7 @@ import (
 type Violation struct {
 	// Law names the violated law ("monotonic-time", "task-conservation",
 	// "energy-closure", "non-negative-queues", "queue-counter",
-	// "packet-conservation", "little-exact", "little-ci",
+	// "power-cache", "packet-conservation", "little-exact", "little-ci",
 	// "reported-totals", "placement", "lost-ledger",
 	// "scope-consistency").
 	Law    string
@@ -336,7 +336,8 @@ func (c *Checker) clearDirty() {
 
 // scanServer runs the per-server laws: counter non-negativity, core
 // range, and agreement between the incremental queue counter and a
-// from-scratch recount of the queue structures.
+// from-scratch recount of the queue structures, and between the cached
+// core draws and the core states.
 func (c *Checker) scanServer(srv *server.Server) {
 	q := srv.QueueLen()
 	if q < 0 {
@@ -344,6 +345,9 @@ func (c *Checker) scanServer(srv *server.Server) {
 	}
 	if r := srv.RecountQueueLen(); q != r {
 		c.report("queue-counter", "server %d incremental queue counter %d != recount %d", srv.ID(), q, r)
+	}
+	if srv.PowerCacheStale() {
+		c.report("power-cache", "server %d cached core draws disagree with its core states", srv.ID())
 	}
 	if b := srv.BusyCores(); b < 0 || b > srv.Cores() {
 		c.report("non-negative-queues", "server %d busy cores %d of %d", srv.ID(), b, srv.Cores())

@@ -8,20 +8,39 @@ import (
 // The builders below create the DAG shapes used across the paper's case
 // studies: single-task jobs (Secs. IV-A/B/C), two-tier app+db requests
 // (Sec. III-C's web example), fan-out/fan-in scatter-gather, chains, and
-// random DAGs for the network case study (Sec. IV-D).
+// random DAGs for the network case study (Sec. IV-D). Each is a method
+// of *Pool that builds into a recycled job when the pool holds one; the
+// functions of the same names build on the nil pool, which allocates.
 
-// Single builds a one-task job.
 func Single(id ID, arrive simtime.Time, size simtime.Time) *Job {
-	j := New(id, arrive)
-	j.AddTask(size, "")
+	return (*Pool)(nil).Single(id, arrive, size, "")
+}
+func TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time, bytes int64) *Job {
+	return (*Pool)(nil).TwoTier(id, arrive, appSize, dbSize, bytes)
+}
+func Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes int64) *Job {
+	return (*Pool)(nil).Chain(id, arrive, n, size, bytes)
+}
+func ScatterGather(id ID, arrive simtime.Time, width int, rootSize, workerSize, gatherSize simtime.Time, bytes int64) *Job {
+	return (*Pool)(nil).ScatterGather(id, arrive, width, rootSize, workerSize, gatherSize, bytes)
+}
+func RandomDAG(id ID, arrive simtime.Time, r *rng.Source, layers, maxWidth, maxDeps int,
+	minSize, maxSize simtime.Time, bytes int64) *Job {
+	return (*Pool)(nil).RandomDAG(id, arrive, r, layers, maxWidth, maxDeps, minSize, maxSize, bytes)
+}
+
+// Single builds a one-task job of the given kind.
+func (p *Pool) Single(id ID, arrive simtime.Time, size simtime.Time, kind string) *Job {
+	j := p.Get(id, arrive)
+	j.AddTask(size, kind)
 	mustSeal(j)
 	return j
 }
 
 // TwoTier builds the paper's web-request example: an application-server
 // task followed by a database task, linked by bytes of intermediate data.
-func TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time, bytes int64) *Job {
-	j := New(id, arrive)
+func (p *Pool) TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time, bytes int64) *Job {
+	j := p.Get(id, arrive)
 	app := j.AddTask(appSize, "app")
 	db := j.AddTask(dbSize, "db")
 	j.Link(app, db, bytes)
@@ -31,11 +50,11 @@ func TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time, bytes int
 
 // Chain builds a linear pipeline of n tasks of the given size, each edge
 // carrying bytes.
-func Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes int64) *Job {
+func (p *Pool) Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes int64) *Job {
 	if n < 1 {
 		panic("job: Chain needs n >= 1")
 	}
-	j := New(id, arrive)
+	j := p.Get(id, arrive)
 	prev := j.AddTask(size, "")
 	for i := 1; i < n; i++ {
 		t := j.AddTask(size, "")
@@ -49,42 +68,51 @@ func Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes int64) *J
 // ScatterGather builds a root task that fans out to width workers whose
 // results feed a final aggregation task — the structure of a web-search
 // query over index shards.
-func ScatterGather(id ID, arrive simtime.Time, width int, rootSize, workerSize, gatherSize simtime.Time, bytes int64) *Job {
+func (p *Pool) ScatterGather(id ID, arrive simtime.Time, width int, rootSize, workerSize, gatherSize simtime.Time, bytes int64) *Job {
 	if width < 1 {
 		panic("job: ScatterGather needs width >= 1")
 	}
-	// The shape is known up front, so the DAG is allocated in one block
-	// per element type instead of task by task and edge by edge: width+2
-	// tasks, 2*width edges, and the 4*width edge pointers of every In/Out
-	// list. Task, edge and list order are those AddTask/Link would give.
-	tasks := make([]Task, width+2)
-	edges := make([]Edge, 2*width)
-	lists := make([]*Edge, 4*width)
-	take := func(n int) []*Edge {
-		l := lists[:n:n]
-		lists = lists[n:]
-		return l
+	j := p.Get(id, arrive)
+	if cap(j.Tasks) == 0 {
+		j.reserveScatterGather(width)
 	}
-	j := New(id, arrive)
-	j.Tasks = make([]*Task, len(tasks))
-	for i := range tasks {
-		tasks[i] = Task{Job: j, Index: i, Size: workerSize, Kind: "worker", Intensity: 1}
-		j.Tasks[i] = &tasks[i]
-	}
-	root, gather := &tasks[0], &tasks[1]
-	root.Size, root.Kind, root.Out = rootSize, "frontend", take(width)
-	gather.Size, gather.Kind, gather.In = gatherSize, "frontend", take(width)
+	root := j.AddTask(rootSize, "frontend")
+	gather := j.AddTask(gatherSize, "frontend")
 	for i := 0; i < width; i++ {
-		w := &tasks[2+i]
-		scatter, collect := &edges[2*i], &edges[2*i+1]
-		*scatter = Edge{From: root, To: w, Bytes: bytes}
-		*collect = Edge{From: w, To: gather, Bytes: bytes}
-		w.In, w.Out = take(1), take(1)
-		root.Out[i], w.In[0] = scatter, scatter
-		w.Out[0], gather.In[i] = collect, collect
+		w := j.AddTask(workerSize, "worker")
+		j.Link(root, w, bytes)
+		j.Link(w, gather, bytes)
 	}
 	mustSeal(j)
 	return j
+}
+
+// reserveScatterGather gives a new job the storage a recycled
+// scatter-gather job of this width would bring: the shape is known up
+// front, so it is one block per element type instead of an allocation
+// per task, edge and list growth — width+2 tasks, 2*width edges (each
+// parked in the Out slot that owns it) and the 4*width edge pointers of
+// every In/Out list.
+func (j *Job) reserveScatterGather(width int) {
+	tasks := make([]Task, width+2)
+	edges := make([]Edge, 2*width)
+	lists := make([]*Edge, 4*width)
+	take := func(n int) []*Edge { // an empty list over the next n slots
+		l := lists[:0:n]
+		lists = lists[n:]
+		return l
+	}
+	j.Tasks = make([]*Task, 0, width+2)
+	for i := range tasks {
+		j.Tasks[:i+1][i] = &tasks[i]
+	}
+	root, gather := &tasks[0], &tasks[1]
+	root.Out, gather.In = take(width), take(width)
+	for i := 0; i < width; i++ {
+		w := &tasks[2+i]
+		w.In, w.Out = take(1), take(1)
+		root.Out[:width][i], w.Out[:1][0] = &edges[2*i], &edges[2*i+1]
+	}
 }
 
 // RandomDAG builds a layered random DAG: layers of random width, each
@@ -93,12 +121,12 @@ func ScatterGather(id ID, arrive simtime.Time, width int, rootSize, workerSize, 
 // carries bytes. This drives the Sec. IV-D joint server-network study,
 // where "dependence among tasks is modeled as a DAG where traffic pattern
 // among these tasks is known".
-func RandomDAG(id ID, arrive simtime.Time, r *rng.Source, layers, maxWidth, maxDeps int,
+func (p *Pool) RandomDAG(id ID, arrive simtime.Time, r *rng.Source, layers, maxWidth, maxDeps int,
 	minSize, maxSize simtime.Time, bytes int64) *Job {
 	if layers < 1 || maxWidth < 1 || maxDeps < 1 {
 		panic("job: RandomDAG needs positive shape parameters")
 	}
-	j := New(id, arrive)
+	j := p.Get(id, arrive)
 	size := func() simtime.Time {
 		return minSize + simtime.Time(r.IntN(int(maxSize-minSize)+1))
 	}

@@ -124,8 +124,10 @@ type Job struct {
 	Tasks    []*Task
 	ArriveAt simtime.Time
 	FinishAt simtime.Time
-	finished int  // count of finished tasks
-	lost     bool // retracted by a failure; will never complete
+	finished int     // count of finished tasks
+	lost     bool    // retracted by a failure; will never complete
+	pooled   bool    // on a Pool's free list
+	order    []*Task // topological order, kept by Seal
 }
 
 // New returns an empty job arriving at the given time.
@@ -133,10 +135,57 @@ func New(id ID, arriveAt simtime.Time) *Job {
 	return &Job{ID: id, ArriveAt: arriveAt}
 }
 
+// Pool is one simulation's free list of finished jobs (never shared
+// between runs). Get hands a job out again empty but with its storage —
+// task and edge objects, every list's capacity — which AddTask and Link
+// reuse, so a stream of same-shaped jobs allocates nothing. A nil *Pool
+// allocates every job and keeps none.
+type Pool struct{ free []*Job }
+
+// Get returns an empty job arriving at the given time: a recycled one
+// if the pool holds any, else a new one.
+//
+//simlint:hotpath
+func (p *Pool) Get(id ID, arriveAt simtime.Time) *Job {
+	if p == nil || len(p.free) == 0 {
+		return New(id, arriveAt)
+	}
+	n := len(p.free) - 1
+	j := p.free[n]
+	p.free[n] = nil
+	p.free = p.free[:n]
+	j.ID, j.ArriveAt, j.FinishAt, j.finished, j.pooled = id, arriveAt, 0, 0, false
+	j.Tasks, j.order = j.Tasks[:0], j.order[:0]
+	return j
+}
+
+// Put offers a job for reuse. It only records the pointer: j stays
+// readable until Get hands it out, so the event that finished a job can
+// go on reading it. Only finished jobs are kept — a lost or unfinished
+// one may still be named by a transfer in flight or a parked task.
+//
+//simlint:hotpath
+func (p *Pool) Put(j *Job) {
+	if p == nil || j.lost || j.pooled || !j.Done() {
+		return
+	}
+	j.pooled = true
+	p.free = append(p.free, j) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+}
+
 // AddTask appends a task with the given nominal size and kind, returning
 // it. Intensity defaults to 1 (fully compute-bound).
 func (j *Job) AddTask(size simtime.Time, kind string) *Task {
-	t := &Task{Job: j, Index: len(j.Tasks), Size: size, Kind: kind, Intensity: 1}
+	n := len(j.Tasks)
+	if n < cap(j.Tasks) && j.Tasks[:n+1][n] != nil {
+		// A recycled job's storage: the task keeps its edge lists'
+		// capacity, whose spare slots hold the edges Link reuses.
+		j.Tasks = j.Tasks[:n+1]
+		t := j.Tasks[n]
+		*t = Task{Job: j, Index: n, Size: size, Kind: kind, Intensity: 1, In: t.In[:0], Out: t.Out[:0]}
+		return t
+	}
+	t := &Task{Job: j, Index: n, Size: size, Kind: kind, Intensity: 1}
 	j.Tasks = append(j.Tasks, t)
 	return t
 }
@@ -150,20 +199,27 @@ func (j *Job) Link(parent, child *Task, bytes int64) *Edge {
 	if parent == child {
 		panic("job: self-dependency on " + parent.Name())
 	}
-	e := &Edge{From: parent, To: child, Bytes: bytes}
+	var e *Edge
+	if n := len(parent.Out); n < cap(parent.Out) {
+		e = parent.Out[:n+1][n] // each edge object belongs to one Out slot
+	}
+	if e == nil {
+		e = new(Edge)
+	}
+	*e = Edge{From: parent, To: child, Bytes: bytes}
 	parent.Out = append(parent.Out, e)
 	child.In = append(child.In, e)
 	return e
 }
 
 // Seal finalizes the DAG: computes pending-dependency counts, marks root
-// tasks ready, and validates acyclicity. Call exactly once, after all
-// AddTask/Link calls.
+// tasks ready, validates acyclicity and keeps the topological order.
+// Call exactly once, after all AddTask/Link calls.
 func (j *Job) Seal() error {
 	if len(j.Tasks) == 0 {
 		return fmt.Errorf("job %d has no tasks", j.ID)
 	}
-	if _, err := j.TopoOrder(); err != nil {
+	if err := j.sort(); err != nil {
 		return err
 	}
 	for _, t := range j.Tasks {
@@ -178,37 +234,45 @@ func (j *Job) Seal() error {
 	return nil
 }
 
-// TopoOrder returns the tasks in a topological order, or an error if the
-// graph has a cycle.
-func (j *Job) TopoOrder() ([]*Task, error) {
-	indeg := make([]int, len(j.Tasks))
+// sort computes j.order by Kahn's algorithm, FIFO from the roots in
+// task order. It needs no scratch of its own: order doubles as the work
+// queue and pendingDeps, which Seal sets afterwards, as the in-degrees.
+func (j *Job) sort() error {
+	order := j.order[:0]
+	if cap(order) < len(j.Tasks) {
+		order = make([]*Task, 0, len(j.Tasks))
+	}
 	for _, t := range j.Tasks {
-		for _, e := range t.Out {
-			indeg[e.To.Index]++
+		t.pendingDeps = len(t.In)
+		if t.pendingDeps == 0 {
+			order = append(order, t)
 		}
 	}
-	queue := make([]*Task, 0, len(j.Tasks))
-	for _, t := range j.Tasks {
-		if indeg[t.Index] == 0 {
-			queue = append(queue, t)
-		}
-	}
-	order := make([]*Task, 0, len(j.Tasks))
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		order = append(order, t)
-		for _, e := range t.Out {
-			indeg[e.To.Index]--
-			if indeg[e.To.Index] == 0 {
-				queue = append(queue, e.To)
+	for head := 0; head < len(order); head++ {
+		for _, e := range order[head].Out {
+			e.To.pendingDeps--
+			if e.To.pendingDeps == 0 {
+				order = append(order, e.To)
 			}
 		}
 	}
+	j.order = order
 	if len(order) != len(j.Tasks) {
-		return nil, fmt.Errorf("job %d task graph has a cycle", j.ID)
+		return fmt.Errorf("job %d task graph has a cycle", j.ID)
 	}
-	return order, nil
+	return nil
+}
+
+// TopoOrder returns the tasks in a topological order, or an error if the
+// graph has a cycle. For a sealed job it is the order Seal kept; the
+// slice belongs to the job and must not be modified.
+func (j *Job) TopoOrder() ([]*Task, error) {
+	if len(j.order) != len(j.Tasks) {
+		if err := j.sort(); err != nil {
+			return nil, err
+		}
+	}
+	return j.order, nil
 }
 
 // ReadyTasks returns the tasks currently in the Ready state.

@@ -153,7 +153,11 @@ func (s *Scheduler) Engine() *engine.Engine { return s.eng }
 func (s *Scheduler) Servers() []*server.Server { return s.servers }
 
 // OnJobDone subscribes a job-completion callback (metrics collection,
-// invariant probes). Subscribers run in registration order.
+// invariant probes). Subscribers run in registration order. The
+// *job.Job and its tasks are valid until the event that finished the
+// job returns: after that the simulation may recycle them into a later
+// arrival (workload.Generator.Recycle), so a subscriber copies what it
+// wants to keep — an ID, a sojourn — rather than the pointer.
 func (s *Scheduler) OnJobDone(fn func(*job.Job)) { s.onJobDone = append(s.onJobDone, fn) }
 
 // OnJobArrived subscribes a job-admission callback, invoked after the
@@ -305,7 +309,7 @@ func (s *Scheduler) JobArrived(j *job.Job) {
 	if s.cfg.Controller != nil {
 		s.cfg.Controller.OnJobArrival(s, j)
 	}
-	order, err := j.TopoOrder()
+	order, err := j.TopoOrder() // the order Seal kept: nothing is sorted here
 	if err != nil {
 		panic(err) // factories always produce DAGs
 	}

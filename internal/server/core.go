@@ -10,6 +10,8 @@ import (
 // Core is one processing unit: it serves one task at a time (Sec. III).
 // Its performance is set by its speed ratio (heterogeneous parts) and the
 // active P-state (DVFS); its idle draw follows the C-state governor.
+// Cores are values in blocks their farm allocates; a *Core points into
+// one and stays valid for the farm's life.
 type Core struct {
 	id  int
 	srv *Server
@@ -21,18 +23,25 @@ type Core struct {
 	busy      bool
 	waking    bool
 	wakeTrans power.Transition
-	reserved  *job.Task // task waiting for this core's wake to finish
+	reserved  *job.Task   // task waiting for this core's wake to finish
+	queue     []*job.Task // per-core queue (QueuePerCore mode only)
 
+	// draw caches watts() for the server's recompute to sum; refresh
+	// follows every write to cstate, busy, waking, wakeTrans or pstateIdx.
+	draw float64
+
+	// The event callbacks are bound once, when the farm builds the core:
+	// at most one completion, one wake and one idle promotion are in
+	// flight per core, so no event allocates.
 	task      *job.Task
 	finishEv  engine.Handle
-	finishCB  func() // cached completion closure, one per core
-	wakeCB    func() // cached wake-completion closure, one per core
+	finishCB  func()
+	wakeCB    func()
 	wakeEpoch uint32 // server epoch the in-flight wake was armed under
-	idleTimer *engine.Timer
+	idleEv    engine.Handle
+	idleCB    func()
 	target    power.CState // next C-state the idle timer promotes into
 	idleStart simtime.Time // when the current idle period began
-
-	queue []*job.Task // per-core queue (QueuePerCore mode only)
 
 	completed int64
 }
@@ -54,6 +63,17 @@ func (c *Core) Completed() int64 { return c.completed }
 
 // PState reports the core's active P-state.
 func (c *Core) PState() power.PState { return c.srv.prof.PStates[c.pstateIdx] }
+
+// watts derives the core's present draw from its state.
+func (c *Core) watts() float64 {
+	if c.waking {
+		return c.wakeTrans.Watts
+	}
+	return c.srv.prof.CoreWatts(c.cstate, c.busy, c.PState())
+}
+
+// refresh re-caches the draw after a change to what watts reads.
+func (c *Core) refresh() { c.draw = c.watts() }
 
 // effectiveSpeed is the product of the heterogeneous ratio and DVFS.
 func (c *Core) effectiveSpeed() float64 { return c.speed * c.PState().Speed }
@@ -79,6 +99,8 @@ func (c *Core) assign(t *job.Task) {
 	trans := c.wakeTransition()
 	c.waking = true
 	c.wakeTrans = trans
+	c.refresh()
+	c.srv.wakingCores++
 	c.reserved = t
 	c.srv.queueDelta(1)
 	if sk := c.srv.socketOf(c.id); c.srv.sockets[sk] != power.PC0 {
@@ -87,12 +109,8 @@ func (c *Core) assign(t *job.Task) {
 	}
 	c.srv.recompute()
 	// One wake is in flight per core at a time (c.waking), so the armed
-	// epoch lives in a field and the completion closure is cached — the
-	// idle→C6→wake cycle allocates nothing.
+	// epoch lives in a field — the idle→C6→wake cycle allocates nothing.
 	c.wakeEpoch = c.srv.epoch
-	if c.wakeCB == nil {
-		c.wakeCB = c.wakeDone
-	}
 	c.srv.eng.After(trans.Latency, c.wakeCB)
 }
 
@@ -106,7 +124,9 @@ func (c *Core) wakeDone() {
 		return // the server crashed mid-wake; the transition is void
 	}
 	c.waking = false
+	c.srv.wakingCores--
 	c.cstate = power.C0
+	c.refresh()
 	task := c.reserved
 	c.reserved = nil
 	if task == nil {
@@ -148,15 +168,13 @@ func (c *Core) wakeTransition() power.Transition {
 func (c *Core) run(t *job.Task) {
 	now := c.srv.eng.Now()
 	c.busy = true
+	c.refresh()
 	c.task = t
 	t.State = job.TaskRunning
 	t.StartAt = now
 	c.srv.busyDelta(1)
 	c.srv.recompute()
 	dur := t.ServiceTime(c.effectiveSpeed())
-	if c.finishCB == nil {
-		c.finishCB = c.finish
-	}
 	c.finishEv = c.srv.eng.After(dur, c.finishCB)
 }
 
@@ -166,6 +184,7 @@ func (c *Core) run(t *job.Task) {
 func (c *Core) finish() {
 	t := c.task
 	c.busy = false
+	c.refresh()
 	c.task = nil
 	c.finishEv = engine.Handle{}
 	c.completed++
@@ -182,6 +201,7 @@ func (c *Core) abortRun() {
 	c.srv.eng.Cancel(c.finishEv)
 	c.finishEv = engine.Handle{}
 	c.busy = false
+	c.refresh()
 	c.task = nil
 	c.srv.busyDelta(-1)
 	if next := c.srv.nextFor(c); next != nil {
@@ -198,6 +218,7 @@ func (c *Core) abortRun() {
 //simlint:hotpath
 func (c *Core) becomeIdle() {
 	c.cstate = power.C0
+	c.refresh()
 	c.idleStart = c.srv.eng.Now()
 	c.srv.recompute()
 	c.armIdleStep()
@@ -226,11 +247,9 @@ func (c *Core) armIdleStep() {
 		if wait < 0 {
 			wait = 0
 		}
-		if c.idleTimer == nil {
-			c.idleTimer = engine.NewTimer(c.srv.eng, func() { c.idleStep() })
-		}
 		c.target = s.state
-		c.idleTimer.Reset(wait)
+		c.stopIdleTimer()
+		c.idleEv = c.srv.eng.After(wait, c.idleCB)
 		return
 	}
 }
@@ -241,6 +260,7 @@ func (c *Core) idleStep() {
 		return // stale timer; a task grabbed the core first
 	}
 	c.cstate = c.target
+	c.refresh()
 	c.srv.recompute()
 	if c.cstate == power.C6 {
 		c.srv.maybePkgC6()
@@ -248,15 +268,14 @@ func (c *Core) idleStep() {
 	c.armIdleStep()
 }
 
-func (c *Core) stopIdleTimer() {
-	if c.idleTimer != nil {
-		c.idleTimer.Stop()
-	}
-}
+// stopIdleTimer cancels the pending C-state promotion, if any (a fired
+// or canceled handle is inert).
+func (c *Core) stopIdleTimer() { c.srv.eng.Cancel(c.idleEv) }
 
 // park forces the core into C6 without timers (used when the whole
 // server enters a system sleep state).
 func (c *Core) park() {
 	c.stopIdleTimer()
 	c.cstate = power.C6
+	c.refresh()
 }

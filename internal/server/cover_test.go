@@ -11,21 +11,23 @@ import (
 // tables together: a new or renamed residency label must be mirrored in
 // modelcov or its transitions silently vanish from the coverage map.
 func TestModelcovKnowsEveryResidencyLabel(t *testing.T) {
-	labels := []string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
+	want := []string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
 		StateSysSleep, StateOff, StateDown}
-	if len(labels) != modelcov.NumSrvStates {
+	if len(stateLabels) != modelcov.NumSrvStates || len(want) != modelcov.NumSrvStates {
 		t.Fatalf("server has %d residency labels, modelcov expects %d",
-			len(labels), modelcov.NumSrvStates)
+			len(stateLabels), modelcov.NumSrvStates)
 	}
-	seen := make(map[int]string, len(labels))
-	for _, l := range labels {
-		i := modelcov.SrvStateIndex(l)
-		if i < 0 {
-			t.Fatalf("modelcov does not know residency label %q", l)
+	// The server records transitions by state index, so its table must be
+	// modelcov's, position by position, and hold every exported label.
+	for i, l := range stateLabels {
+		if got := modelcov.SrvStateIndex(l); got != i {
+			t.Errorf("state %d is %q here, index %d in modelcov", i, l, got)
 		}
-		if prev, dup := seen[i]; dup {
-			t.Fatalf("labels %q and %q map to the same index %d", prev, l, i)
+		if l != want[i] {
+			t.Errorf("stateLabels[%d] = %q, want %q", i, l, want[i])
 		}
-		seen[i] = l
+	}
+	if stateLabels[stDown] != StateDown || stateLabels[stActive] != StateActive {
+		t.Error("state ids and labels are out of step")
 	}
 }

@@ -6,3 +6,8 @@ package server
 // Test-only: the production code has no path that moves the counter
 // independently of the queues.
 func (s *Server) CorruptQueueCounterForTest(d int) { s.queueLen += d }
+
+// CorruptCoreDrawForTest skews core 0's cached power draw without
+// touching its state — the stale cache the checker's power-cache law
+// exists to catch.
+func (s *Server) CorruptCoreDrawForTest(w float64) { s.cores[0].draw += w }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"holdcsim/internal/engine"
+	"holdcsim/internal/power"
 	"holdcsim/internal/simtime"
 )
 
@@ -25,6 +26,30 @@ type Farm struct {
 	totalCompleted int64
 
 	planner sleepPlanner
+
+	// What is left of the blocks Add carves server records and their
+	// parts from (see carve).
+	srvBlock    []Server
+	coreBlock   []Core
+	socketBlock []power.PkgCState
+	durBlock    []simtime.Time
+}
+
+// maxBatch caps how many servers' worth of records one block holds. A
+// new block holds as many as the farm already has, up to this, so a farm
+// of one stays small and a large one allocates a few blocks per hundred.
+const maxBatch = 256
+
+// carve returns the next n zeroed elements of *block, first replacing a
+// block too short for them with room for batch such requests. Addresses
+// are stable: a block is never grown, only left to the records in it.
+func carve[T any](block *[]T, n, batch int) []T {
+	if len(*block) < n {
+		*block = make([]T, n*batch)
+	}
+	out := (*block)[:n:n]
+	*block = (*block)[n:]
+	return out
 }
 
 // NewFarm returns an empty farm bound to the engine. Servers are added

@@ -9,6 +9,7 @@ import (
 	"holdcsim/internal/rng"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
+	"holdcsim/internal/simtime"
 	"holdcsim/internal/workload"
 )
 
@@ -60,6 +61,24 @@ func TestSampledScanCatchesCorruptedCounter(t *testing.T) {
 	if !found {
 		t.Fatalf("corrupted queue counter on server 37 escaped the sampled deep scan: %v", c.Violations())
 	}
+}
+
+// The same gate for the per-core cached draws recompute sums: a cache
+// that no longer matches its core's state is reported, here on a server
+// the round-robin cursor has to reach on its own.
+func TestSampledScanCatchesStalePowerCache(t *testing.T) {
+	eng, farm, gen, c := buildScanRig(t)
+	gen.Start()
+	eng.RunUntil(eng.Now() + 20*simtime.Millisecond)
+	farm[41].CorruptCoreDrawForTest(0.5)
+	eng.Run()
+	c.Finalize(eng.Now())
+	for _, v := range c.Violations() {
+		if v.Law == "power-cache" {
+			return
+		}
+	}
+	t.Fatalf("stale core draw on server 41 escaped the sampled deep scan: %v", c.Violations())
 }
 
 // The same bounded rig without tampering must stay clean — sampling

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"holdcsim/internal/engine"
 	"holdcsim/internal/job"
@@ -24,19 +25,42 @@ const (
 	StateDown     = "Down"
 )
 
+// The server knows its residency state as an index into stateLabels —
+// modelcov's SrvStateIndex order, so a coverage transition needs no
+// lookup — and labels exist only where results are reported.
+const (
+	stActive = iota
+	stWakeUp
+	stIdle
+	stPkgC6
+	stSysSleep
+	stOff
+	stDown
+)
+
+var stateLabels = []string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
+	StateSysSleep, StateOff, StateDown}
+
 // Server models one machine: a multi-core processor package, DRAM and
 // platform components, a local task queue, a local scheduler, and a
 // hierarchical power controller. All state changes run on the simulation
 // engine's virtual clock.
+//
+// A server is one flat record: its energy meters and residency tracker
+// are embedded, and its cores, socket states and residency durations
+// are runs of blocks its farm allocates for many servers at once, so a
+// state change touches a few adjacent cache lines and building a farm
+// allocates per block, not per part.
 type Server struct {
 	id   int
 	eng  *engine.Engine
 	cfg  Config
 	prof *power.ServerProfile
 
-	cores     []*Core
-	queue     []*job.Task // unified local queue
-	busyCores int
+	cores       []Core
+	queue       []*job.Task // unified local queue
+	busyCores   int
+	wakingCores int // cores with a wake transition in flight
 
 	sstate         power.SState
 	sockets        []power.PkgCState // per-socket package C-state
@@ -78,16 +102,16 @@ type Server struct {
 
 	onTaskDone []func(*Server, *job.Task)
 
-	cpuMeter  *stats.EnergyMeter
-	dramMeter *stats.EnergyMeter
-	platMeter *stats.EnergyMeter
-	residency *stats.Residency
+	cpuMeter  stats.EnergyMeter
+	dramMeter stats.EnergyMeter
+	platMeter stats.EnergyMeter
+	residency stats.Residency
 
-	// cover, when non-nil, receives residency-transition features;
-	// lastLabel is the previously recorded residency label so only
-	// actual state changes are counted.
-	cover     *modelcov.Map
-	lastLabel string
+	// cover, when non-nil, receives residency-transition features; state
+	// is the residency state recompute last recorded (-1 before the
+	// first), so only actual changes are counted.
+	cover *modelcov.Map
+	state int
 
 	completedTasks int64
 	wakeCount      int64 // system-level wakes, for diagnostics
@@ -115,31 +139,30 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	if cfg.SleepState == power.S0 {
 		cfg.SleepState = power.S3
 	}
-	s := &Server{
-		id:        id,
-		eng:       f.eng,
-		cfg:       cfg,
-		prof:      cfg.Profile,
-		farm:      f,
-		fidx:      int32(len(f.servers)),
-		sstate:    power.S0,
-		sockets:   make([]power.PkgCState, cfg.Profile.SocketCount()),
-		cpuMeter:  stats.NewEnergyMeter(fmt.Sprintf("server%d.cpu", id)),
-		dramMeter: stats.NewEnergyMeter(fmt.Sprintf("server%d.dram", id)),
-		platMeter: stats.NewEnergyMeter(fmt.Sprintf("server%d.platform", id)),
-		residency: stats.NewResidency(fmt.Sprintf("server%d", id)),
-	}
-	s.cores = make([]*Core, s.prof.Cores)
+	// The record and its parts come zeroed out of the farm's blocks and
+	// are filled in place, field by field: no composite literal is copied
+	// over them and nothing is formatted — a server's meters and tracker
+	// are anonymous, the engine clock they read never runs backwards.
+	batch := min(max(len(f.servers), 1), maxBatch)
+	s := &carve(&f.srvBlock, 1, batch)[0]
+	s.id, s.eng, s.cfg, s.prof = id, f.eng, cfg, cfg.Profile
+	s.farm, s.fidx = f, int32(len(f.servers))
+	s.sstate, s.state = power.S0, -1
+	s.sockets = carve(&f.socketBlock, s.prof.SocketCount(), batch)
+	s.residency.Init(stateLabels, carve(&f.durBlock, len(stateLabels), batch))
+	s.cores = carve(&f.coreBlock, s.prof.Cores, batch)
 	for i := range s.cores {
-		speed := 1.0
+		c := &s.cores[i]
+		c.id, c.srv, c.speed = i, s, 1
 		if cfg.CoreSpeeds != nil {
-			speed = cfg.CoreSpeeds[i]
+			c.speed = cfg.CoreSpeeds[i]
 		}
-		s.cores[i] = &Core{id: i, srv: s, speed: speed}
+		c.finishCB, c.wakeCB, c.idleCB = c.finish, c.wakeDone, c.idleStep
+		c.refresh()
 	}
 	s.recompute()
-	for _, c := range s.cores {
-		c.becomeIdle()
+	for i := range s.cores {
+		s.cores[i].becomeIdle()
 	}
 	s.checkServerIdle()
 	f.servers = append(f.servers, s)
@@ -182,7 +205,7 @@ func (s *Server) ID() int { return s.id }
 func (s *Server) Cores() int { return len(s.cores) }
 
 // Core returns core i (read-only inspection).
-func (s *Server) Core(i int) *Core { return s.cores[i] }
+func (s *Server) Core(i int) *Core { return &s.cores[i] }
 
 // Kinds reports the task kinds this server is configured to perform
 // (empty = any).
@@ -195,7 +218,9 @@ func (s *Server) Profile() *power.ServerProfile { return s.prof }
 // OnTaskDone subscribes a completion callback invoked when any task
 // finishes on this server. The scheduler registers first (DAG and job
 // bookkeeping); additional subscribers (traffic hooks, probes) run after
-// it in registration order.
+// it in registration order. The *job.Task is valid until the event that
+// finished it returns; once its whole job is done the simulation may
+// recycle both (see sched.Scheduler.OnJobDone).
 func (s *Server) OnTaskDone(fn func(*Server, *job.Task)) {
 	s.onTaskDone = append(s.onTaskDone, fn)
 }
@@ -253,13 +278,31 @@ func (s *Server) QueueLen() int { return s.queueLen }
 // the maintained QueueLen counter.
 func (s *Server) RecountQueueLen() int {
 	n := len(s.queue)
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		n += len(c.queue)
 		if c.reserved != nil {
 			n++
 		}
 	}
 	return n
+}
+
+// PowerCacheStale is the invariant checker's walking oracle for what
+// recompute sums instead of re-deriving: it reports whether any core's
+// cached draw, or the waking-core count, disagrees with the core states.
+func (s *Server) PowerCacheStale() bool {
+	waking := 0
+	for i := range s.cores {
+		c := &s.cores[i]
+		if c.draw != c.watts() {
+			return true
+		}
+		if c.waking {
+			waking++
+		}
+	}
+	return waking != s.wakingCores
 }
 
 // PendingTasks reports the server's total in-flight load: queued,
@@ -291,8 +334,8 @@ func (s *Server) Crash() []*job.Task {
 	s.epoch++
 	s.disarmSleep()
 	var orphans []*job.Task
-	for _, c := range s.cores {
-		if c.task != nil {
+	for i := range s.cores {
+		if c := &s.cores[i]; c.task != nil {
 			s.eng.Cancel(c.finishEv)
 			c.finishEv = engine.Handle{}
 			orphans = append(orphans, c.task)
@@ -300,19 +343,22 @@ func (s *Server) Crash() []*job.Task {
 			c.busy = false
 		}
 	}
-	for _, c := range s.cores {
-		if c.reserved != nil {
+	for i := range s.cores {
+		if c := &s.cores[i]; c.reserved != nil {
 			orphans = append(orphans, c.reserved)
 			c.reserved = nil
 		}
 	}
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		orphans = append(orphans, c.queue...)
 		c.queue = nil
 		c.waking = false
 		c.stopIdleTimer()
 		c.cstate = power.C6
+		c.refresh()
 	}
+	s.wakingCores = 0
 	orphans = append(orphans, s.queue...)
 	s.queue = nil
 	s.queueDelta(-s.queueLen)
@@ -339,8 +385,8 @@ func (s *Server) Recover() {
 	for sk := range s.sockets {
 		s.sockets[sk] = power.PC0
 	}
-	for _, c := range s.cores {
-		c.becomeIdle()
+	for i := range s.cores {
+		s.cores[i].becomeIdle()
 	}
 	s.checkServerIdle()
 }
@@ -351,20 +397,17 @@ func (s *Server) Recover() {
 // was found. Used by the fault model to kill sibling tasks of lost jobs
 // on healthy servers.
 func (s *Server) Abort(t *job.Task) bool {
-	for i, q := range s.queue {
-		if q == t {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+	if i := slices.Index(s.queue, t); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
+		s.queueDelta(-1)
+		return true
+	}
+	for ci := range s.cores {
+		c := &s.cores[ci]
+		if i := slices.Index(c.queue, t); i >= 0 {
+			c.queue = slices.Delete(c.queue, i, i+1)
 			s.queueDelta(-1)
 			return true
-		}
-	}
-	for _, c := range s.cores {
-		for i, q := range c.queue {
-			if q == t {
-				c.queue = append(c.queue[:i], c.queue[i+1:]...)
-				s.queueDelta(-1)
-				return true
-			}
 		}
 		if c.reserved == t {
 			// The core's wake is committed; it finds no reservation when
@@ -418,7 +461,8 @@ func (s *Server) dispatch(t *job.Task) {
 		// tie-break prefers faster cores.
 		best := -1
 		bestLoad := 0
-		for _, c := range s.cores {
+		for i := range s.cores {
+			c := &s.cores[i]
 			load := len(c.queue)
 			if c.busy || c.waking || c.reserved != nil {
 				load++
@@ -429,7 +473,7 @@ func (s *Server) dispatch(t *job.Task) {
 				bestLoad = load
 			}
 		}
-		c := s.cores[best]
+		c := &s.cores[best]
 		if c.available() {
 			c.assign(t)
 		} else {
@@ -451,7 +495,8 @@ func (s *Server) dispatch(t *job.Task) {
 // then shallowest C-state to minimize wake cost, then lowest id.
 func (s *Server) pickIdleCore() *Core {
 	var best *Core
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		if !c.available() {
 			continue
 		}
@@ -500,20 +545,19 @@ func (s *Server) coreFinished(c *Core, t *job.Task) {
 
 // nextFor pops the next task for core c per the queue mode.
 func (s *Server) nextFor(c *Core) *job.Task {
+	q := &s.queue
 	if s.cfg.QueueMode == QueuePerCore {
-		if len(c.queue) == 0 {
-			return nil
-		}
-		t := c.queue[0]
-		c.queue = c.queue[1:]
-		s.queueDelta(-1)
-		return t
+		q = &c.queue
 	}
-	if len(s.queue) == 0 {
+	if len(*q) == 0 {
 		return nil
 	}
-	t := s.queue[0]
-	s.queue = s.queue[1:]
+	// Shift down rather than re-slice: the queue keeps its capacity, so
+	// steady-state queueing allocates nothing, and the vacated slot is
+	// cleared, so the backing array never names a task that has left —
+	// one that may since have finished and been recycled into another job.
+	t := (*q)[0]
+	*q = slices.Delete(*q, 0, 1)
 	s.queueDelta(-1)
 	return t
 }
@@ -544,8 +588,8 @@ func (s *Server) maybePkgC6() {
 			continue
 		}
 		parked := true
-		for _, c := range s.cores[sk*perSocket : (sk+1)*perSocket] {
-			if c.cstate != power.C6 || c.busy || c.waking {
+		for i := sk * perSocket; i < (sk+1)*perSocket; i++ {
+			if c := &s.cores[i]; c.cstate != power.C6 || c.busy || c.waking {
 				parked = false
 				break
 			}
@@ -575,8 +619,8 @@ func (s *Server) enterSleep() {
 		return
 	}
 	s.entering = true
-	for _, c := range s.cores {
-		c.park()
+	for i := range s.cores {
+		s.cores[i].park()
 	}
 	for sk := range s.sockets {
 		s.sockets[sk] = power.PC6
@@ -673,15 +717,18 @@ func (s *Server) finishWake() {
 	}
 	s.recompute()
 	// Drain the backlog onto available cores. Each dispatch re-counts the
-	// task if it lands back in a queue or reservation.
+	// task if it lands back in a queue or reservation — in place: task i
+	// is read before a dispatch can write slot i or below, and the slots
+	// past the new tail are cleared.
 	pending := s.queue
-	s.queue = nil
+	s.queue = pending[:0]
 	s.queueDelta(-len(pending))
 	for _, t := range pending {
 		s.dispatch(t)
 	}
-	for _, c := range s.cores {
-		if c.available() && c.cstate != power.C0 {
+	clear(pending[len(s.queue):])
+	for i := range s.cores {
+		if c := &s.cores[i]; c.available() && c.cstate != power.C0 {
 			// No work for this core: restart its idle accounting from
 			// the parked state so it can re-enter PkgC6 later.
 			c.armIdleStep()
@@ -723,8 +770,9 @@ func (s *Server) SetPState(i int) error {
 	if i < 0 || i >= len(s.prof.PStates) {
 		return fmt.Errorf("server %d: P-state %d out of range", s.id, i)
 	}
-	for _, c := range s.cores {
-		c.pstateIdx = i
+	for ci := range s.cores {
+		s.cores[ci].pstateIdx = i
+		s.cores[ci].refresh()
 	}
 	s.recompute()
 	return nil
@@ -739,6 +787,7 @@ func (s *Server) SetCorePState(core, i int) error {
 		return fmt.Errorf("server %d: P-state %d out of range", s.id, i)
 	}
 	s.cores[core].pstateIdx = i
+	s.cores[core].refresh()
 	s.recompute()
 	return nil
 }
@@ -747,17 +796,22 @@ func (s *Server) SetCorePState(core, i int) error {
 // sleeping, G2 soft-off).
 func (s *Server) GlobalState() power.GState { return power.GlobalState(s.sstate) }
 
-// recompute re-derives component power draws and the residency label
-// after any state change.
+// recompute re-derives component power draws and the residency state
+// after any state change. The S0 processor draw is the sum of the
+// per-core cached draws in core-index order, then the sockets in order:
+// the additions a walk over the core states would make, so every total
+// keeps its bits.
+//
+//simlint:hotpath
 func (s *Server) recompute() {
 	now := s.eng.Now()
 	var cpu, dram, plat float64
-	var label string
+	var state int
 	switch {
 	case s.failed:
 		// A crashed server draws nothing; its down time is billed to the
 		// Down residency state and excluded from the energy envelope.
-		label = StateDown
+		state = stDown
 	case s.waking, s.entering:
 		plat = s.prof.PlatformS0
 		dram = s.prof.DRAMActive
@@ -771,60 +825,47 @@ func (s *Server) recompute() {
 		if min := s.prof.PkgPC0; cpu < min {
 			cpu = min
 		}
-		label = StateWakeUp
+		state = stWakeUp
 	case s.sstate == power.S3:
 		dram = s.prof.DRAMSelfRefresh
 		plat = s.prof.PlatformS3
-		label = StateSysSleep
+		state = stSysSleep
 	case s.sstate == power.S5:
 		plat = s.prof.PlatformS5
-		label = StateOff
+		state = stOff
 	default: // S0
-		anyCoreWaking := false
-		for _, c := range s.cores {
-			if c.waking {
-				cpu += c.wakeTrans.Watts
-				anyCoreWaking = true
-				continue
-			}
-			cpu += s.prof.CoreWatts(c.cstate, c.busy, c.PState())
+		for i := range s.cores {
+			cpu += s.cores[i].draw
 		}
-		for _, st := range s.sockets {
-			cpu += s.prof.PkgWatts(st)
-		}
-		if s.busyCores > 0 {
-			dram = s.prof.DRAMActive
-		} else {
-			dram = s.prof.DRAMIdle
-		}
-		plat = s.prof.PlatformS0
 		allParked := true
 		for _, st := range s.sockets {
+			cpu += s.prof.PkgWatts(st)
 			if st != power.PC6 {
 				allParked = false
-				break
 			}
 		}
+		dram = s.prof.DRAMIdle
+		plat = s.prof.PlatformS0
 		switch {
 		case s.busyCores > 0:
-			label = StateActive
-		case anyCoreWaking:
-			label = StateWakeUp
+			dram = s.prof.DRAMActive
+			state = stActive
+		case s.wakingCores > 0:
+			state = stWakeUp
 		case allParked:
-			label = StatePkgC6
+			state = stPkgC6
 		default:
-			label = StateIdle
+			state = stIdle
 		}
 	}
 	s.cpuMeter.SetPower(now, cpu)
 	s.dramMeter.SetPower(now, dram)
 	s.platMeter.SetPower(now, plat)
-	if s.cover != nil && label != s.lastLabel {
-		s.cover.Hit(modelcov.SrvTransition(
-			modelcov.SrvStateIndex(s.lastLabel), modelcov.SrvStateIndex(label)))
+	if s.cover != nil && state != s.state {
+		s.cover.Hit(modelcov.SrvTransition(s.state, state))
 	}
-	s.lastLabel = label
-	s.residency.SetState(now, label)
+	s.state = state
+	s.residency.SetStateID(now, state)
 	if s.onBusyChange != nil {
 		s.onBusyChange(now, s.busyCores)
 	}
@@ -853,7 +894,7 @@ func (s *Server) EnergyTo(t simtime.Time) float64 {
 }
 
 // Residency exposes the state-residency tracker (Fig. 8).
-func (s *Server) Residency() *stats.Residency { return s.residency }
+func (s *Server) Residency() *stats.Residency { return &s.residency }
 
 // SetCover attaches a model-state coverage map: every residency label
 // change from here on records a transition feature. Pass nil to

@@ -9,7 +9,8 @@ import (
 // EnergyMeter integrates a piecewise-constant power draw (watts) into
 // energy (joules). Each modeled component — core, package/uncore, DRAM,
 // platform, switch chassis, line card, port — owns one meter; the paper's
-// Figs. 5, 6, 9 and 11a aggregate them.
+// Figs. 5, 6, 9 and 11a aggregate them. The zero value is an anonymous
+// meter ready to use, so an owner with several meters embeds them.
 type EnergyMeter struct {
 	tw TimeWeighted
 }
@@ -24,6 +25,8 @@ func NewEnergyMeter(name string) *EnergyMeter {
 // maintains only what the meter exposes (current value and integral),
 // skipping TimeWeighted's min/max bookkeeping so the accumulate
 // inlines. The integral arithmetic is identical to TimeWeighted.Set.
+//
+//simlint:hotpath
 func (m *EnergyMeter) SetPower(t simtime.Time, w float64) {
 	tw := &m.tw
 	if !tw.started || t < tw.lastT {

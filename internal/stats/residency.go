@@ -9,37 +9,80 @@ import (
 // Residency tracks how long an entity spends in each named state — the
 // basis of the paper's Fig. 8 (Active / Wake-up / Idle / PkgC6 / SysSleep
 // stacked residency bars) and of switch port/line-card state accounting.
+//
+// States are small integer ids into a label table: SetState interns its
+// label on first use, and an owner with a fixed state set shares one
+// table across many trackers (Init) and drives them by index
+// (SetStateID) — no map, no string compare. The zero value is an idle,
+// anonymous tracker, ready to embed.
 type Residency struct {
 	name    string
-	state   string
+	labels  []string       // id -> label, in interning (or Init table) order
+	dur     []simtime.Time // id -> closed time; unobserved until first left
+	state   int            // current id, once started
 	lastT   simtime.Time
 	t0      simtime.Time
 	cur     simtime.Time // accumulated time in state not yet flushed to dur
-	dur     map[string]simtime.Time
 	started bool
 }
+
+// unobserved marks a state never left. Results report a state once it
+// has been current: one entered and left within an instant is a key
+// with fraction 0, a table entry never entered is no key at all.
+const unobserved = simtime.Time(-1)
 
 // NewResidency returns an idle tracker; tracking starts at the first
 // SetState call.
 func NewResidency(name string) *Residency {
-	return &Residency{name: name, dur: make(map[string]simtime.Time)}
+	return &Residency{name: name}
+}
+
+// Init binds an idle tracker to a fixed label table, never written, and
+// to dur, the caller's storage for one duration per label.
+func (r *Residency) Init(labels []string, dur []simtime.Time) {
+	n := len(labels)
+	r.labels, r.dur = labels[:n:n], dur[:n:n]
+	for i := range r.dur {
+		r.dur[i] = unobserved
+	}
 }
 
 // SetState records a transition to state at time t. Re-entering the
 // current state is a no-op for accounting but allowed.
+//
+//simlint:hotpath
 func (r *Residency) SetState(t simtime.Time, state string) {
+	id := r.lookup(state)
+	if id < 0 {
+		id = r.intern(state)
+	}
+	r.SetStateID(t, id)
+}
+
+// intern gives a new label the next id. Init clips its slices, so these
+// appends copy rather than grow a shared table or block in place.
+func (r *Residency) intern(label string) int {
+	r.labels = append(r.labels, label)
+	r.dur = append(r.dur, unobserved)
+	return len(r.labels) - 1
+}
+
+// SetStateID is SetState by label-table index.
+//
+//simlint:hotpath
+func (r *Residency) SetStateID(t simtime.Time, id int) {
 	if !r.started {
 		r.started = true
 		r.t0 = t
 		r.lastT = t
-		r.state = state
+		r.state = id
 		return
 	}
 	if t < r.lastT {
 		panic("stats: Residency time went backwards in " + r.name)
 	}
-	if state == r.state {
-		// Re-entering the current state needs no map write: the open
+	if id == r.state {
+		// Re-entering the current state needs no table write: the open
 		// interval accumulates in cur and flushes on the next change.
 		// (Simulated time is integer nanoseconds, so splitting the sum
 		// is exact.)
@@ -47,20 +90,45 @@ func (r *Residency) SetState(t simtime.Time, state string) {
 		r.lastT = t
 		return
 	}
-	r.dur[r.state] += r.cur + (t - r.lastT)
+	r.dur[r.state] = max(r.dur[r.state], 0) + r.cur + (t - r.lastT)
 	r.cur = 0
 	r.lastT = t
-	r.state = state
+	r.state = id
+}
+
+// lookup reports the id of label, or -1 if it was never interned.
+func (r *Residency) lookup(label string) int {
+	for i, l := range r.labels {
+		if l == label {
+			return i
+		}
+	}
+	return -1
+}
+
+// observed reports whether id is a key of the results: left at least
+// once, or current.
+func (r *Residency) observed(id int) bool {
+	return r.dur[id] >= 0 || (r.started && id == r.state)
 }
 
 // State reports the current state ("" before the first SetState).
-func (r *Residency) State() string { return r.state }
+func (r *Residency) State() string {
+	if !r.started {
+		return ""
+	}
+	return r.labels[r.state]
+}
 
 // DurationTo reports total time spent in state up to t (including the
 // currently open interval).
 func (r *Residency) DurationTo(state string, t simtime.Time) simtime.Time {
-	d := r.dur[state]
-	if r.started && r.state == state {
+	id := r.lookup(state)
+	if id < 0 {
+		return 0
+	}
+	d := max(r.dur[id], 0)
+	if r.started && r.state == id {
 		d += r.cur
 		if t > r.lastT {
 			d += t - r.lastT
@@ -88,27 +156,20 @@ func (r *Residency) AddFractionsTo(t simtime.Time, into map[string]float64) {
 	if total <= 0 {
 		return
 	}
-	//simlint:allow determinism DurationTo is a pure read and each accumulation is keyed by the loop key
-	for s := range r.dur {
-		into[s] += r.DurationTo(s, t).Seconds() / total
-	}
-	if _, tracked := r.dur[r.state]; !tracked {
-		into[r.state] += r.DurationTo(r.state, t).Seconds() / total
+	for id, label := range r.labels {
+		if r.observed(id) {
+			into[label] += r.DurationTo(label, t).Seconds() / total
+		}
 	}
 }
 
 // States reports all observed state names, sorted.
 func (r *Residency) States() []string {
-	set := make(map[string]bool, len(r.dur)+1)
-	for s := range r.dur {
-		set[s] = true
-	}
-	if r.started {
-		set[r.state] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
+	out := make([]string, 0, len(r.labels))
+	for id, label := range r.labels {
+		if r.observed(id) {
+			out = append(out, label)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -125,6 +125,17 @@ func (t *Tally) Add(x float64) {
 	}
 }
 
+// Reserve sizes the sample buffer for n samples in all (at most the
+// reservoir capacity), so a run of known length never grows it.
+func (t *Tally) Reserve(n int) {
+	if t.resCap > 0 {
+		n = min(n, t.resCap)
+	}
+	if t.keep && n > cap(t.samples) {
+		t.samples = append(make([]float64, 0, n), t.samples...)
+	}
+}
+
 // Count reports the number of samples recorded.
 func (t *Tally) Count() int64 { return t.n }
 

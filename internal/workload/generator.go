@@ -15,7 +15,7 @@ type Generator struct {
 	arrival *rng.Source
 	service *rng.Source
 	proc    ArrivalProcess
-	factory JobFactory
+	factory pooledFactory
 	sink    func(*job.Job)
 
 	// MaxJobs stops generation after this many jobs (0 = unlimited).
@@ -25,6 +25,15 @@ type Generator struct {
 
 	generated int64
 	nextID    job.ID
+
+	// One arrival is pending at a time, so its instant lives in a field
+	// and the scheduled callback is created once.
+	nextAt   simtime.Time
+	arriveCB func()
+
+	// pool recycles finished jobs into new arrivals (Recycle); nil, so
+	// that nothing is kept, for a factory that could not draw from it.
+	pool *job.Pool
 }
 
 // NewGenerator builds a generator. The rng source is split into
@@ -32,15 +41,29 @@ type Generator struct {
 // never perturbs the other's draws.
 func NewGenerator(eng *engine.Engine, r *rng.Source, proc ArrivalProcess,
 	factory JobFactory, sink func(*job.Job)) *Generator {
-	return &Generator{
+	g := &Generator{
 		eng:     eng,
 		arrival: r.Split("arrivals"),
 		service: r.Split("service"),
 		proc:    proc,
-		factory: factory,
 		sink:    sink,
 	}
+	g.arriveCB = g.arrive
+	if pf, ok := factory.(pooledFactory); ok {
+		g.factory, g.pool = pf, new(job.Pool)
+	} else {
+		g.factory = unpooled{factory}
+	}
+	return g
 }
+
+// Recycle takes back a finished job to build a later arrival in its
+// storage: the simulation's job free list. The job stays readable until
+// the event that finished it returns — it is handed out again only from
+// an arrival, an event of its own. Lost and unfinished jobs are dropped.
+//
+//simlint:hotpath
+func (g *Generator) Recycle(j *job.Job) { g.pool.Put(j) }
 
 // Start schedules the first arrival.
 func (g *Generator) Start() { g.scheduleNext() }
@@ -60,11 +83,18 @@ func (g *Generator) scheduleNext() {
 	if g.Until > 0 && at > g.Until {
 		return
 	}
-	g.eng.Schedule(at, func() {
-		j := g.factory.NewJob(g.nextID, at, g.service)
-		g.nextID++
-		g.generated++
-		g.sink(j) //simlint:allow hookguard sink is a mandatory constructor argument
-		g.scheduleNext()
-	})
+	g.nextAt = at
+	g.eng.Schedule(at, g.arriveCB)
+}
+
+// arrive is the arrival event: it expands one job and hands it to the
+// sink, then schedules the next arrival.
+//
+//simlint:hotpath
+func (g *Generator) arrive() {
+	j := g.factory.newJob(g.pool, g.nextID, g.nextAt, g.service)
+	g.nextID++
+	g.generated++
+	g.sink(j) //simlint:allow hookguard sink is a mandatory constructor argument
+	g.scheduleNext()
 }

@@ -104,6 +104,20 @@ type JobFactory interface {
 	String() string
 }
 
+// pooledFactory is what this package's factories are to a Generator:
+// NewJob building into a job from the generator's free list. NewJob is
+// newJob with the nil pool, which allocates.
+type pooledFactory interface {
+	newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job
+}
+
+// unpooled adapts a factory from outside this package.
+type unpooled struct{ JobFactory }
+
+func (f unpooled) newJob(_ *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job {
+	return f.NewJob(id, now, r)
+}
+
 // SingleTask builds one-task jobs with sampled service times — the shape
 // used by case studies IV-A/B/C.
 type SingleTask struct {
@@ -113,16 +127,15 @@ type SingleTask struct {
 
 // NewJob implements JobFactory.
 func (f SingleTask) NewJob(id job.ID, now simtime.Time, r *rng.Source) *job.Job {
+	return f.newJob(nil, id, now, r)
+}
+
+func (f SingleTask) newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job {
 	size := simtime.FromSeconds(f.Service.Sample(r))
 	if size <= 0 {
 		size = simtime.Microsecond
 	}
-	j := job.New(id, now)
-	j.AddTask(size, f.Kind)
-	if err := j.Seal(); err != nil {
-		panic(err)
-	}
-	return j
+	return p.Single(id, now, size, f.Kind)
 }
 
 func (f SingleTask) String() string { return fmt.Sprintf("single(%v)", f.Service) }
@@ -136,9 +149,13 @@ type TwoTier struct {
 
 // NewJob implements JobFactory.
 func (f TwoTier) NewJob(id job.ID, now simtime.Time, r *rng.Source) *job.Job {
+	return f.newJob(nil, id, now, r)
+}
+
+func (f TwoTier) newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job {
 	app := simtime.FromSeconds(f.AppService.Sample(r))
 	db := simtime.FromSeconds(f.DBService.Sample(r))
-	return job.TwoTier(id, now, simtime.Max(app, simtime.Microsecond),
+	return p.TwoTier(id, now, simtime.Max(app, simtime.Microsecond),
 		simtime.Max(db, simtime.Microsecond), f.Bytes)
 }
 
@@ -157,7 +174,11 @@ type RandomDAG struct {
 
 // NewJob implements JobFactory.
 func (f RandomDAG) NewJob(id job.ID, now simtime.Time, r *rng.Source) *job.Job {
-	return job.RandomDAG(id, now, r, f.Layers, f.MaxWidth, f.MaxDeps,
+	return f.newJob(nil, id, now, r)
+}
+
+func (f RandomDAG) newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job {
+	return p.RandomDAG(id, now, r, f.Layers, f.MaxWidth, f.MaxDeps,
 		f.MinSize, f.MaxSize, f.EdgeBytes)
 }
 
@@ -175,10 +196,14 @@ type ScatterGather struct {
 
 // NewJob implements JobFactory.
 func (f ScatterGather) NewJob(id job.ID, now simtime.Time, r *rng.Source) *job.Job {
+	return f.newJob(nil, id, now, r)
+}
+
+func (f ScatterGather) newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job {
 	sz := func(s dist.Sampler) simtime.Time {
 		return simtime.Max(simtime.FromSeconds(s.Sample(r)), simtime.Microsecond)
 	}
-	return job.ScatterGather(id, now, f.Width, sz(f.RootSize), sz(f.WorkerSize), sz(f.AggSize), f.Bytes)
+	return p.ScatterGather(id, now, f.Width, sz(f.RootSize), sz(f.WorkerSize), sz(f.AggSize), f.Bytes)
 }
 
 func (f ScatterGather) String() string {
