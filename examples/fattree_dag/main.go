@@ -48,9 +48,7 @@ func run(w io.Writer) error {
 			MaxJobs: jobs,
 		}
 		if networkAware {
-			cfg.PlacerFor = func(net *holdcsim.Network, hostOf holdcsim.HostMapper) holdcsim.Placer {
-				return holdcsim.NetworkAware{Net: net, HostOf: hostOf}
-			}
+			cfg.Placer = &holdcsim.NetworkAware{}
 		} else {
 			cfg.Placer = holdcsim.LeastLoaded{}
 		}

@@ -40,7 +40,6 @@ func run(w io.Writer, durationSec float64) error {
 		Servers:      servers,
 		ServerConfig: holdcsim.DefaultServerConfig(holdcsim.FourCoreServer()),
 		Placer:       prov,
-		Controller:   prov,
 		Arrivals:     holdcsim.NewTraceReplay(tr),
 		Factory:      holdcsim.SingleTask{Service: holdcsim.WikipediaService()},
 		Duration:     holdcsim.Time(durationSec) * holdcsim.Second,
@@ -57,15 +56,10 @@ func run(w io.Writer, durationSec float64) error {
 		jobs   int
 	}
 	var samples []sample
-	var tick func()
-	tick = func() {
-		samples = append(samples, sample{dc.Eng.Now(), prov.ActiveServers(), dc.Sched.JobsInSystem()})
-		if dc.Eng.Now()+10*holdcsim.Second <= cfg.Duration {
-			dc.Eng.After(10*holdcsim.Second, tick)
-		}
-	}
 	// First sample after the provisioner has seen its first arrival.
-	dc.Eng.Schedule(10*holdcsim.Second, tick)
+	dc.Eng.Every(10*holdcsim.Second, 10*holdcsim.Second, cfg.Duration, func() {
+		samples = append(samples, sample{dc.Eng.Now(), prov.ActiveServers(), dc.Sched.JobsInSystem()})
+	})
 
 	res, err := dc.Run()
 	if err != nil {

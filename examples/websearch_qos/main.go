@@ -61,9 +61,7 @@ func run(w io.Writer) error {
 			cfg.ServerConfig.DelayTimerEnabled = true
 			cfg.ServerConfig.DelayTimer = holdcsim.Seconds(0.8)
 		case "adaptive":
-			pool := holdcsim.NewAdaptivePool(8, 4, holdcsim.Second)
-			cfg.Placer = pool
-			cfg.Controller = pool
+			cfg.Placer = holdcsim.NewAdaptivePool(8, 4, holdcsim.Second)
 		}
 		dc, err := holdcsim.Build(cfg)
 		if err != nil {

@@ -173,8 +173,6 @@ type (
 
 // Network (internal/network).
 type (
-	// Network simulates switches, ports, flows and packets over a graph.
-	Network = network.Network
 	// NetworkConfig parameterizes the network layer.
 	NetworkConfig = network.Config
 )
@@ -186,10 +184,8 @@ func DefaultNetworkConfig(profile *SwitchProfile) NetworkConfig {
 
 // Scheduling (internal/sched).
 type (
-	// Placer chooses a server for each ready task.
+	// Placer chooses a server for each ready task: the whole policy.
 	Placer = sched.Placer
-	// HostMapper translates a server ID to its topology node.
-	HostMapper = sched.HostMapper
 	// RoundRobin cycles placements.
 	RoundRobin = sched.RoundRobin
 	// LeastLoaded balances by pending tasks.

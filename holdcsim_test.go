@@ -79,7 +79,6 @@ func TestPublicPolicies(t *testing.T) {
 		Servers:      6,
 		ServerConfig: holdcsim.DefaultServerConfig(holdcsim.XeonE5_2680()),
 		Placer:       pool,
-		Controller:   pool,
 		Arrivals:     holdcsim.Poisson{Rate: holdcsim.UtilizationRate(0.2, 6, 10, 0.005)},
 		Factory:      holdcsim.SingleTask{Service: holdcsim.WebSearchService()},
 		Duration:     20 * holdcsim.Second,

@@ -93,14 +93,10 @@ type Config struct {
 	NetworkConfig network.Config
 	CommMode      CommMode
 
-	// Scheduling.
+	// Scheduling. Placer is the whole policy; callbacks, a start hook or
+	// the live network it gets by implementing sched.Controller/Starter/Binder.
 	Placer         sched.Placer
-	Controller     sched.Controller
 	UseGlobalQueue bool
-	// PlacerFor, when set, constructs the placer once the network
-	// exists — policies such as Server-Network-Aware (Sec. IV-D) need
-	// the live Network to read switch sleep states. It overrides Placer.
-	PlacerFor func(net *network.Network, hostOf sched.HostMapper) sched.Placer
 
 	// Workload.
 	Arrivals workload.ArrivalProcess
@@ -114,7 +110,8 @@ type Config struct {
 	// statistics (energy accounting always covers the full run).
 	Warmup simtime.Time
 	// SamplePower, when positive, records total server and network power
-	// at this interval (the paper's 1 Hz power logging).
+	// at this interval (the paper's 1 Hz power logging). It needs a
+	// Duration: the sampler would keep a drained queue alive forever.
 	SamplePower simtime.Time
 
 	// Faults, when non-nil, attaches the fault injector
@@ -195,6 +192,9 @@ func Build(cfg Config) (*DataCenter, error) {
 		if _, isTrace := cfg.Arrivals.(*workload.TraceReplay); !isTrace {
 			return nil, fmt.Errorf("core: unbounded run (set Duration or MaxJobs)")
 		}
+	}
+	if cfg.SamplePower > 0 && cfg.Duration == 0 {
+		return nil, fmt.Errorf("core: SamplePower needs a Duration (the sampler never lets the event queue drain)")
 	}
 	eng := engine.New()
 	master := rng.New(cfg.Seed)
@@ -288,16 +288,14 @@ func Build(cfg Config) (*DataCenter, error) {
 	}
 
 	// Scheduler.
-	placer := cfg.Placer
-	if cfg.PlacerFor != nil {
+	if b, ok := cfg.Placer.(sched.Binder); ok {
 		if dc.Net == nil {
-			return nil, fmt.Errorf("core: PlacerFor requires a topology")
+			return nil, fmt.Errorf("core: placer %s requires a topology", cfg.Placer.Name())
 		}
-		placer = cfg.PlacerFor(dc.Net, func(id int) topology.NodeID { return dc.hostOf[id] })
+		b.Bind(dc.Net, dc.hostOf)
 	}
 	scfg := sched.Config{
-		Placer:         placer,
-		Controller:     cfg.Controller,
+		Placer:         cfg.Placer,
 		UseGlobalQueue: cfg.UseGlobalQueue,
 		Transfer:       transfer,
 	}
@@ -389,17 +387,12 @@ func Build(cfg Config) (*DataCenter, error) {
 		if dc.Net != nil {
 			dc.netPower = stats.NewPowerSampler(cfg.SamplePower)
 		}
-		var tick func()
-		tick = func() {
+		eng.Every(0, cfg.SamplePower, cfg.Duration, func() {
 			dc.srvPower.Record(eng.Now(), dc.ServerPowerW())
 			if dc.netPower != nil {
 				dc.netPower.Record(eng.Now(), dc.Net.NetworkPowerW())
 			}
-			if cfg.Duration == 0 || eng.Now()+cfg.SamplePower <= cfg.Duration {
-				eng.After(cfg.SamplePower, tick)
-			}
-		}
-		eng.Schedule(0, tick)
+		})
 	}
 	return dc, nil
 }

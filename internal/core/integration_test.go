@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"holdcsim/internal/job"
@@ -71,13 +72,25 @@ func TestMultiSocketFarmThroughBuild(t *testing.T) {
 	}
 }
 
-func TestPlacerForRequiresTopology(t *testing.T) {
+// A placer that implements sched.Binder reads the live network, so
+// without a topology there is nothing to bind it to.
+func TestBinderPlacerRequiresTopology(t *testing.T) {
 	cfg := baseConfig()
-	cfg.PlacerFor = func(net *network.Network, hostOf sched.HostMapper) sched.Placer {
-		return sched.LeastLoaded{}
+	cfg.Placer = &sched.NetworkAware{}
+	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "requires a topology") {
+		t.Errorf("Build with a network-bound placer and no topology: err = %v", err)
 	}
-	if _, err := Build(cfg); err == nil {
-		t.Error("PlacerFor without topology accepted")
+}
+
+// SamplePower without a Duration used to hang: the sampler re-armed
+// unconditionally, so a MaxJobs-bounded run never drained the queue.
+func TestSamplePowerNeedsDuration(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Duration = 0
+	cfg.MaxJobs = 10
+	cfg.SamplePower = 100 * simtime.Millisecond
+	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "SamplePower") {
+		t.Errorf("Build with SamplePower and no Duration: err = %v", err)
 	}
 }
 

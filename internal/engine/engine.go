@@ -235,6 +235,21 @@ func (e *Engine) After(d simtime.Time, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
 }
 
+// Every runs fn at absolute time first and then every period for as long
+// as the next firing is no later than until (simtime.Forever = no end).
+// It re-arms after fn returns, so events fn schedules are sequenced
+// before the next firing.
+func (e *Engine) Every(first, period, until simtime.Time, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		if e.now+period <= until {
+			e.Schedule(e.now+period, tick)
+		}
+	}
+	e.Schedule(first, tick)
+}
+
 // Cancel tombstones the event named by h if it has not fired. It is O(1);
 // the entry is reclaimed when popped or at the next compaction sweep.
 // Safe to call with the zero Handle or a stale one.

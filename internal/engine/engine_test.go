@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +50,33 @@ func TestAfter(t *testing.T) {
 	e.Run()
 	if at != 75 {
 		t.Errorf("After fired at %v, want 75", at)
+	}
+}
+
+// Every fires at first, first+period, ... while the next firing is no
+// later than until, and re-arms after fn returns: an event fn schedules
+// for the next firing's instant runs before that firing.
+func TestEvery(t *testing.T) {
+	e := New()
+	var log []string
+	e.Every(10, 5, 22, func() {
+		log = append(log, fmt.Sprintf("tick@%d", e.Now()))
+		at := e.Now()
+		e.After(5, func() { log = append(log, fmt.Sprintf("child-of-%d@%d", at, e.Now())) })
+	})
+	e.Run() // drains: the callback stops re-arming at until
+	want := "tick@10 child-of-10@15 tick@15 child-of-15@20 tick@20 child-of-20@25"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("Every sequence:\n got %s\nwant %s", got, want)
+	}
+
+	// until = Forever never stops re-arming.
+	e = New()
+	n := 0
+	e.Every(0, 1, simtime.Forever, func() { n++ })
+	e.RunUntil(99)
+	if n != 100 || e.Len() != 1 {
+		t.Errorf("open-ended Every: %d firings, %d queued; want 100, 1", n, e.Len())
 	}
 }
 

@@ -249,9 +249,7 @@ func fig11Run(p Fig11Params, rho float64, networkAware bool, seed uint64) (Fig11
 	policy := "server-balanced"
 	if networkAware {
 		policy = "server-network-aware"
-		cfg.PlacerFor = func(net *network.Network, hostOf sched.HostMapper) sched.Placer {
-			return sched.NetworkAware{Net: net, HostOf: hostOf, Frontend: 0}
-		}
+		cfg.Placer = &sched.NetworkAware{}
 	} else {
 		cfg.Placer = sched.LeastLoaded{} // strict load balancing (Server-Balanced)
 	}

@@ -113,17 +113,11 @@ func fig12Run(p Fig12Params, seed uint64) (*Fig12Result, error) {
 	srv := dc.Servers[0]
 	var sim []float64
 	prevE := 0.0
-	var tick func()
-	sampleAt := simtime.Second
-	tick = func() {
+	dc.Eng.Every(simtime.Second, simtime.Second, cfg.Duration, func() {
 		e := srv.CPUEnergyTo(dc.Eng.Now())
 		sim = append(sim, e-prevE)
 		prevE = e
-		if dc.Eng.Now()+simtime.Second <= cfg.Duration {
-			dc.Eng.After(simtime.Second, tick)
-		}
-	}
-	dc.Eng.Schedule(sampleAt, tick)
+	})
 	if _, err := dc.Run(); err != nil {
 		return nil, err
 	}

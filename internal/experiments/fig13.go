@@ -137,8 +137,7 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 
 	sw := dc.Net.Switches()[0]
 	var active []int
-	var tick func()
-	tick = func() {
+	dc.Eng.Every(simtime.Second, simtime.Second, cfg.Duration, func() {
 		states := sw.PortStates()[:p.Servers] // server-facing ports only
 		n := 0
 		for _, st := range states {
@@ -147,11 +146,7 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 			}
 		}
 		active = append(active, n)
-		if dc.Eng.Now()+simtime.Second <= cfg.Duration {
-			dc.Eng.After(simtime.Second, tick)
-		}
-	}
-	dc.Eng.Schedule(simtime.Second, tick)
+	})
 
 	if _, err := dc.Run(); err != nil {
 		return nil, err

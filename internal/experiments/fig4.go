@@ -88,7 +88,6 @@ func fig4Run(p Fig4Params, seed uint64) (*Fig4Result, error) {
 		Servers:      p.Servers,
 		ServerConfig: server.DefaultConfig(power.FourCoreServer()),
 		Placer:       prov,
-		Controller:   prov,
 		Arrivals:     workload.NewTraceReplay(tr),
 		Factory:      workload.SingleTask{Service: workload.WikipediaService()},
 		Duration:     simtime.FromSeconds(p.DurationSec),
@@ -102,11 +101,11 @@ func fig4Run(p Fig4Params, seed uint64) (*Fig4Result, error) {
 		Header: []string{"time_s", "jobs_in_system", "active_servers"},
 	}
 	var samples []float64
-	prov.SampleSeries(dc.Sched, p.SampleEvery, cfg.Duration,
-		func(t simtime.Time, active, jobs float64) {
-			series.Addf(t.Seconds(), jobs, active)
-			samples = append(samples, active)
-		})
+	dc.Eng.Every(p.SampleEvery, p.SampleEvery, cfg.Duration, func() {
+		active := float64(prov.ActiveServers())
+		series.Addf(dc.Eng.Now().Seconds(), float64(dc.Sched.JobsInSystem()), active)
+		samples = append(samples, active)
+	})
 	res, err := dc.Run()
 	if err != nil {
 		return nil, err

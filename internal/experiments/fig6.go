@@ -196,35 +196,23 @@ func fig6Run(p Fig6Params, wl Fig6Workload, n int, rho float64, pol fig6Policy, 
 		cfg.ServerConfig.DelayTimerEnabled = true
 		cfg.ServerConfig.DelayTimer = simtime.FromSeconds(p.SingleTauSec)
 	case policyDualTimer:
-		if p.HighFrac > 0 {
-			high := int(float64(n)*p.HighFrac + 0.5)
-			if high < 1 {
-				high = 1
-			}
-			d := sched.NewDualTimer(high,
-				simtime.FromSeconds(p.TauHighSec), simtime.FromSeconds(p.TauLowSec))
-			cfg.Placer = d
-			cfg.Controller = d
-			break
-		}
 		// The paper explored "various settings including high τ and low
 		// τ values, and number of servers associated [with] each" and
-		// reports the best; sweep warm-pool sizes and keep the minimum.
+		// reports the best: unless a warm-pool fraction is given, sweep
+		// three sizes and keep the minimum energy.
+		fracs := []float64{p.HighFrac}
+		if p.HighFrac <= 0 {
+			fracs = []float64{min(rho+0.10, 0.95), min(rho+0.20, 0.95), min(rho+0.35, 0.95)}
+		}
 		bestE, bestP95 := -1.0, 0.0
-		for _, headroom := range []float64{0.10, 0.20, 0.35} {
-			frac := rho + headroom
-			if frac > 0.95 {
-				frac = 0.95
-			}
+		for _, frac := range fracs {
 			high := int(float64(n)*frac + 0.5)
 			if high < 1 {
 				high = 1
 			}
 			sweep := cfg // copy; fresh policy per run
-			d := sched.NewDualTimer(high,
+			sweep.Placer = sched.NewDualTimer(high,
 				simtime.FromSeconds(p.TauHighSec), simtime.FromSeconds(p.TauLowSec))
-			sweep.Placer = d
-			sweep.Controller = d
 			res, err := p.run(seed, sweep)
 			if err != nil {
 				return 0, 0, err

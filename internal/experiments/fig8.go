@@ -136,12 +136,10 @@ func Fig8(p Fig8Params) (*Fig8Result, error) {
 func fig8Point(p Fig8Params, wl Fig6Workload, rho float64, seed uint64) (Fig8Row, error) {
 	prof := power.XeonE5_2680()
 	sc := server.DefaultConfig(prof)
-	pool := sched.NewAdaptivePool(p.TWakeup, p.TSleep, simtime.FromSeconds(p.TauSec))
 	cfg := core.Config{
 		Servers:      p.Servers,
 		ServerConfig: sc,
-		Placer:       pool,
-		Controller:   pool,
+		Placer:       sched.NewAdaptivePool(p.TWakeup, p.TSleep, simtime.FromSeconds(p.TauSec)),
 		Arrivals: workload.Poisson{
 			Rate: workload.UtilizationRate(rho, p.Servers, prof.Cores, wl.Service.Mean())},
 		Factory:  workload.SingleTask{Service: wl.Service},

@@ -146,9 +146,7 @@ func fig9Run(p Fig9Params, adaptive bool, seed uint64) (fig9Sample, error) {
 		Duration: simtime.FromSeconds(p.DurationSec),
 	}
 	if adaptive {
-		pool := sched.NewAdaptivePool(p.TWakeup, p.TSleep, simtime.FromSeconds(p.TauSec))
-		cfg.Placer = pool
-		cfg.Controller = pool
+		cfg.Placer = sched.NewAdaptivePool(p.TWakeup, p.TSleep, simtime.FromSeconds(p.TauSec))
 	} else {
 		// The paper's delay-timer comparator load-balances across
 		// the farm (its per-server energy is "almost uniform",

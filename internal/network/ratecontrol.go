@@ -32,8 +32,7 @@ func (n *Network) EnableRateAdaptation(cfg RateAdaptationConfig) {
 	if cfg.Window <= 0 {
 		cfg = DefaultRateAdaptation()
 	}
-	var tick func()
-	tick = func() {
+	n.eng.Every(n.eng.Now()+cfg.Window, cfg.Window, simtime.Forever, func() {
 		changed := false
 		for _, sw := range n.swList {
 			rates := sw.prof.LinkRatesBps
@@ -64,7 +63,5 @@ func (n *Network) EnableRateAdaptation(cfg RateAdaptationConfig) {
 		if changed && len(n.flows) > 0 {
 			n.recomputeFlowRates()
 		}
-		n.eng.After(cfg.Window, tick)
-	}
-	n.eng.After(cfg.Window, tick)
+	})
 }

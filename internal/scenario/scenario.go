@@ -458,8 +458,7 @@ func (f FactorySpec) meanTasksPerJob() float64 {
 // Placer axis
 // ---------------------------------------------------------------------
 
-// PlacerKind selects a placement policy (and, for the pool policies,
-// its controller) from the registry.
+// PlacerKind selects a placement policy from the registry.
 type PlacerKind int
 
 // Placer kinds.
@@ -515,9 +514,6 @@ func (p PlacerSpec) String() string {
 	return fmt.Sprintf("%s(t%g)", name, p.TauSec)
 }
 
-// needsNetwork reports whether the policy requires a live network.
-func (p PlacerSpec) needsNetwork() bool { return p.Kind == PlNetworkAware }
-
 // apply wires the policy into the config. r must derive only from the
 // scenario seed.
 func (p PlacerSpec) apply(cfg *core.Config, servers int, r *rng.Source) error {
@@ -536,25 +532,17 @@ func (p PlacerSpec) apply(cfg *core.Config, servers int, r *rng.Source) error {
 		src := r.Split("placer/random")
 		cfg.Placer = sched.Random{Next: src.IntN}
 	case PlNetworkAware:
-		cfg.PlacerFor = func(net *network.Network, hostOf sched.HostMapper) sched.Placer {
-			return sched.NetworkAware{Net: net, HostOf: hostOf, Frontend: 0}
-		}
+		cfg.Placer = &sched.NetworkAware{}
 	case PlAdaptivePool:
-		pool := sched.NewAdaptivePool(3, 1, tau)
-		cfg.Placer = pool
-		cfg.Controller = pool
+		cfg.Placer = sched.NewAdaptivePool(3, 1, tau)
 	case PlProvisioner:
-		prov := sched.NewProvisioner(0.5, 3)
-		cfg.Placer = prov
-		cfg.Controller = prov
+		cfg.Placer = sched.NewProvisioner(0.5, 3)
 	case PlDualTimer:
 		high := servers / 2
 		if high < 1 {
 			high = 1
 		}
-		d := sched.NewDualTimer(high, tau, tau*4)
-		cfg.Placer = d
-		cfg.Controller = d
+		cfg.Placer = sched.NewDualTimer(high, tau, tau*4)
 	default:
 		return fmt.Errorf("scenario: unknown placer kind %d", p.Kind)
 	}
@@ -725,7 +713,7 @@ func (s Scenario) Validate() error {
 		if s.Comm != core.CommNone {
 			return fmt.Errorf("scenario: comm mode %v without a topology", s.Comm)
 		}
-		if s.Placer.needsNetwork() {
+		if s.Placer.Kind == PlNetworkAware { // binds to the live network
 			return fmt.Errorf("scenario: placer %v without a topology", s.Placer)
 		}
 	} else if hosts := s.Topology.Hosts(); s.Servers > hosts {

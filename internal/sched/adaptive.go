@@ -29,9 +29,7 @@ type AdaptivePool struct {
 	// pools at event rate and they would live in transition states.
 	Dwell simtime.Time
 
-	active     map[int]bool
-	nActive    int
-	configured bool
+	pool       // the active pool: all servers at Start, then the load estimator sheds
 	lastChange simtime.Time
 	changed    bool
 
@@ -48,50 +46,18 @@ func NewAdaptivePool(tWakeup, tSleep float64, tau simtime.Time) *AdaptivePool {
 		Tau:       tau,
 		MinActive: 1,
 		Dwell:     simtime.Second,
-		active:    make(map[int]bool),
 	}
 }
-
-// ensureConfigured puts every server in the active pool initially with
-// shallow-sleep-only controllers; the load estimator then sheds servers.
-func (a *AdaptivePool) ensureConfigured(s *Scheduler) {
-	if a.configured {
-		return
-	}
-	a.configured = true
-	for _, srv := range s.servers {
-		a.active[srv.ID()] = true
-		srv.SetDelayTimer(false, 0) // active pool: PkgC6 only, no S3
-	}
-	a.nActive = len(s.servers)
-}
-
-// ActiveServers reports the active pool size.
-func (a *AdaptivePool) ActiveServers() int { return a.nActive }
 
 // Place implements Placer: least-loaded within the active pool (the
 // front-end load balancer "dispatches tasks to the servers in active
 // server pool only").
 func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	a.ensureConfigured(s)
-	var best *server.Server
-	for _, srv := range candidates {
-		if !a.active[srv.ID()] {
-			continue
-		}
-		if best == nil || srv.PendingTasks() < best.PendingTasks() {
-			best = srv
-		}
-	}
+	best := a.least(candidates, true)
 	if best == nil {
 		// Active pool empty (transient): wake the least-loaded server.
-		best = candidates[0]
-		for _, srv := range candidates[1:] {
-			if srv.PendingTasks() < best.PendingTasks() {
-				best = srv
-			}
-		}
-		a.promote(s, best)
+		best = leastBy(candidates, (*server.Server).PendingTasks, nil)
+		a.moved(s, a.promote(best))
 	}
 	return best
 }
@@ -100,16 +66,10 @@ func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Ser
 func (a *AdaptivePool) Name() string { return "adaptive-pool" }
 
 // OnJobArrival implements Controller.
-func (a *AdaptivePool) OnJobArrival(s *Scheduler, j *job.Job) {
-	a.ensureConfigured(s)
-	a.evaluate(s)
-}
+func (a *AdaptivePool) OnJobArrival(s *Scheduler, j *job.Job) { a.evaluate(s) }
 
 // OnTaskDone implements Controller.
-func (a *AdaptivePool) OnTaskDone(s *Scheduler, t *job.Task) {
-	a.ensureConfigured(s)
-	a.evaluate(s)
-}
+func (a *AdaptivePool) OnTaskDone(s *Scheduler, t *job.Task) { a.evaluate(s) }
 
 // evaluate applies the threshold policy, at most one migration per
 // Dwell.
@@ -118,63 +78,23 @@ func (a *AdaptivePool) evaluate(s *Scheduler) {
 	if a.changed && now-a.lastChange < a.Dwell {
 		return
 	}
-	load := s.LoadPerServer(a.nActive)
+	load := s.LoadPerServer(a.n)
 	switch {
-	case load > a.TWakeup && a.nActive < len(s.servers):
-		// Promote the sleeping server with the fewest pending tasks.
-		var pick *server.Server
-		for _, srv := range s.servers {
-			if a.active[srv.ID()] {
-				continue
-			}
-			if pick == nil || srv.PendingTasks() < pick.PendingTasks() {
-				pick = srv
-			}
-		}
-		if pick != nil {
-			a.promote(s, pick)
-		}
-	case load < a.TSleep && a.nActive > a.MinActive:
+	case load > a.TWakeup && a.n < len(s.servers):
+		// Promote the sleeping server with the fewest pending tasks: its
+		// controller reverts to shallow-sleep-only and it pre-warms.
+		a.moved(s, a.promote(a.least(s.servers, false)))
+	case load < a.TSleep && a.n > a.MinActive:
 		// Demote the least-loaded active server into the sleep pool.
-		var pick *server.Server
-		for _, srv := range s.servers {
-			if !a.active[srv.ID()] {
-				continue
-			}
-			if pick == nil || srv.PendingTasks() < pick.PendingTasks() {
-				pick = srv
-			}
-		}
-		if pick != nil {
-			a.demote(s, pick)
-		}
+		a.moved(s, a.demote(a.least(s.servers, true), a.Tau))
 	}
 }
 
-// promote moves a server into the active pool: its controller reverts to
-// shallow-sleep-only and it pre-warms with a system wake.
-func (a *AdaptivePool) promote(s *Scheduler, srv *server.Server) {
-	if a.active[srv.ID()] {
-		return
+// moved records a pool migration, if one happened, and restarts the dwell.
+func (a *AdaptivePool) moved(s *Scheduler, did bool) {
+	if did {
+		a.Transitions++
+		a.lastChange = s.eng.Now()
+		a.changed = true
 	}
-	a.active[srv.ID()] = true
-	a.nActive++
-	a.Transitions++
-	a.lastChange = s.eng.Now()
-	a.changed = true
-	srv.SetDelayTimer(false, 0)
-	srv.WakeUp()
-}
-
-// demote moves a server into the sleep pool: after τ idle it suspends.
-func (a *AdaptivePool) demote(s *Scheduler, srv *server.Server) {
-	if !a.active[srv.ID()] {
-		return
-	}
-	a.active[srv.ID()] = false
-	a.nActive--
-	a.Transitions++
-	a.lastChange = s.eng.Now()
-	a.changed = true
-	srv.SetDelayTimer(true, a.Tau)
 }

@@ -16,20 +16,15 @@ type DualTimer struct {
 	// HighCount servers (lowest IDs) get TauHigh; the rest get TauLow.
 	HighCount       int
 	TauHigh, TauLow simtime.Time
-	configured      bool
 }
 
-// NewDualTimer returns the policy; it configures server delay timers on
-// first placement.
+// NewDualTimer returns the policy.
 func NewDualTimer(highCount int, tauHigh, tauLow simtime.Time) *DualTimer {
 	return &DualTimer{HighCount: highCount, TauHigh: tauHigh, TauLow: tauLow}
 }
 
-func (d *DualTimer) ensureConfigured(s *Scheduler) {
-	if d.configured {
-		return
-	}
-	d.configured = true
+// Start implements Starter: it arms the two pools' delay timers.
+func (d *DualTimer) Start(s *Scheduler) {
 	for i, srv := range s.servers {
 		if i < d.HighCount {
 			srv.SetDelayTimer(true, d.TauHigh)
@@ -44,57 +39,19 @@ func (d *DualTimer) ensureConfigured(s *Scheduler) {
 // possible so the rest of the low pool stays asleep — spreading the
 // spill would make the aggressive low-τ timers flap.
 func (d *DualTimer) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	d.ensureConfigured(s)
-	// Pool membership is by server ID (ensureConfigured gave IDs below
-	// HighCount the high τ), not slice position: the candidate list can
-	// be a filtered subset — crashed servers removed, or a kind
-	// restriction — and positional splits would misclassify servers.
-	// Least-loaded high-τ server with a spare slot.
-	var best *server.Server
-	for _, srv := range candidates {
-		if srv.ID() >= d.HighCount || s.Load(srv) >= srv.Cores() {
-			continue
-		}
-		if best == nil || s.Load(srv) < s.Load(best) {
-			best = srv
-		}
-	}
+	// Pool membership is by server ID (Start gave IDs below HighCount the
+	// high τ), not slice position: the candidate list can be a filtered
+	// subset — crashed servers removed, or a kind restriction — and
+	// positional splits would misclassify servers.
+	low := func(srv *server.Server) bool { return srv.ID() >= d.HighCount }
+	best := s.leastLoaded(candidates, func(srv *server.Server) bool {
+		return !low(srv) && s.Load(srv) < srv.Cores()
+	})
 	if best != nil {
 		return best
 	}
-	// Spill: pack into the busiest awake low-τ server with a spare slot.
-	for _, srv := range candidates {
-		if srv.ID() < d.HighCount || srv.Asleep() || s.Load(srv) >= srv.Cores() {
-			continue
-		}
-		if best == nil || s.Load(srv) > s.Load(best) {
-			best = srv
-		}
-	}
-	if best != nil {
-		return best
-	}
-	// Wake the first sleeping low-τ server.
-	for _, srv := range candidates {
-		if srv.ID() >= d.HighCount && srv.Asleep() {
-			return srv
-		}
-	}
-	// Fully saturated: least loaded overall.
-	best = candidates[0]
-	for _, srv := range candidates[1:] {
-		if s.Load(srv) < s.Load(best) {
-			best = srv
-		}
-	}
-	return best
+	return s.pack(candidates, low)
 }
 
 // Name implements Placer.
 func (d *DualTimer) Name() string { return "dual-delay-timer" }
-
-// OnJobArrival implements Controller.
-func (d *DualTimer) OnJobArrival(s *Scheduler, j *job.Job) { d.ensureConfigured(s) }
-
-// OnTaskDone implements Controller.
-func (d *DualTimer) OnTaskDone(s *Scheduler, t *job.Task) {}

@@ -146,6 +146,7 @@ func (s *Scheduler) Select(t *job.Task) (*server.Server, error) {
 		s.cover.Hit(modelcov.PlaceAllDown)
 		return nil, &AllDownError{Kind: t.Kind}
 	}
+	s.startPolicy()
 	srv := s.cfg.Placer.Place(s, t, cands)
 	if srv == nil || srv.Failed() {
 		// A policy that ignores the filtered candidate list (or returns

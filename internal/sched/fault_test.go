@@ -495,7 +495,7 @@ func TestSelectKindRestrictedAllDown(t *testing.T) {
 func TestDualTimerPoolsByIDUnderCrash(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	d := NewDualTimer(2, simtime.Second, simtime.Millisecond)
-	s, err := New(eng, servers, Config{Placer: d, Controller: d})
+	s, err := New(eng, servers, Config{Placer: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,17 +28,35 @@ type LeastLoaded struct{}
 
 // Place implements Placer.
 func (LeastLoaded) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	best := candidates[0]
-	for _, srv := range candidates[1:] {
-		if s.Load(srv) < s.Load(best) {
-			best = srv
+	return s.leastLoaded(candidates, nil)
+}
+
+// Name implements Placer.
+func (LeastLoaded) Name() string { return "least-loaded" }
+
+// leastBy is the one least-loaded scan every policy shares: the server
+// with the smallest load among those ok admits (nil admits all), nil when
+// none qualifies. Only a strictly smaller load displaces the incumbent,
+// so ties go to the earliest entry: the lowest ID, lists being in ID
+// order. It stays inlinable, so a load or ok passed as a function name or
+// literal — not a method value — is inlined into the loop.
+func leastBy(srvs []*server.Server, load func(*server.Server) int, ok func(*server.Server) bool) *server.Server {
+	var best *server.Server
+	bestLoad := 0
+	for _, srv := range srvs {
+		if ok == nil || ok(srv) {
+			if l := load(srv); best == nil || l < bestLoad {
+				best, bestLoad = srv, l
+			}
 		}
 	}
 	return best
 }
 
-// Name implements Placer.
-func (LeastLoaded) Name() string { return "least-loaded" }
+// leastLoaded is leastBy the committed-aware Load.
+func (s *Scheduler) leastLoaded(srvs []*server.Server, ok func(*server.Server) bool) *server.Server {
+	return leastBy(srvs, func(srv *server.Server) int { return s.Load(srv) }, ok)
+}
 
 // PackFirst consolidates load onto as few servers as possible: among
 // awake servers with a spare execution slot it picks the most-loaded
@@ -51,9 +69,19 @@ type PackFirst struct{}
 
 // Place implements Placer.
 func (PackFirst) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+	return s.pack(candidates, nil)
+}
+
+// Name implements Placer.
+func (PackFirst) Name() string { return "pack-first" }
+
+// pack consolidates onto the candidates in admits (nil = all): the
+// tightest awake one with a spare slot, else the first sleeping one,
+// else — everything awake and saturated — the least loaded candidate.
+func (s *Scheduler) pack(candidates []*server.Server, in func(*server.Server) bool) *server.Server {
 	var best *server.Server
 	for _, srv := range candidates {
-		if srv.Asleep() || s.Load(srv) >= srv.Cores() {
+		if (in != nil && !in(srv)) || srv.Asleep() || s.Load(srv) >= srv.Cores() {
 			continue
 		}
 		if best == nil || s.Load(srv) > s.Load(best) {
@@ -63,24 +91,13 @@ func (PackFirst) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *
 	if best != nil {
 		return best
 	}
-	// All awake servers are full: wake the first sleeping server.
 	for _, srv := range candidates {
-		if srv.Asleep() {
+		if (in == nil || in(srv)) && srv.Asleep() {
 			return srv
 		}
 	}
-	// Everything is awake and saturated: least loaded.
-	best = candidates[0]
-	for _, srv := range candidates[1:] {
-		if s.Load(srv) < s.Load(best) {
-			best = srv
-		}
-	}
-	return best
+	return s.leastLoaded(candidates, nil)
 }
-
-// Name implements Placer.
-func (PackFirst) Name() string { return "pack-first" }
 
 // Random places uniformly at random (useful as an experimental control).
 type Random struct {
@@ -117,20 +134,25 @@ func (Pinned) Name() string { return "pinned" }
 // pick the one whose communication paths wake the fewest additional
 // switches.
 type NetworkAware struct {
-	Net *network.Network
-	// HostOf maps a server ID to its topology node.
-	HostOf HostMapper
 	// Frontend is the node job requests enter from (root-task traffic
 	// notionally originates here).
-	Frontend int // index into Net.Graph().Hosts(); -1 = first host
+	Frontend int // index into the graph's hosts; out of range = first host
 	// OverCommit scales per-server slot capacity before the policy
 	// declares "a need for an additional server": transient bursts
 	// queue on awake servers instead of waking sleepers. Zero means 4.
 	OverCommit float64
+
+	net   *network.Network
+	hosts []topology.NodeID // server ID -> topology node
+}
+
+// Bind implements Binder.
+func (p *NetworkAware) Bind(net *network.Network, hosts []topology.NodeID) {
+	p.net, p.hosts = net, hosts
 }
 
 // capacity reports the elastic slot budget for one server.
-func (p NetworkAware) capacity(srv *server.Server) int {
+func (p *NetworkAware) capacity(srv *server.Server) int {
 	oc := p.OverCommit
 	if oc <= 0 {
 		oc = 4
@@ -139,7 +161,7 @@ func (p NetworkAware) capacity(srv *server.Server) int {
 }
 
 // Place implements Placer.
-func (p NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+func (p *NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
 	// Awake servers with a free slot first — packed tightly, so unused
 	// servers and their switches stay asleep ("whenever there is a need
 	// for an additional server to transit to active state...").
@@ -160,16 +182,16 @@ func (p NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Serv
 	// least network cost — the number of additional switches to wake on
 	// the paths from this task's communication peers — breaking ties
 	// toward lower load.
-	endpoints := p.peers(s, t)
+	endpoints := p.peers(t)
 	bestCost := -1
 	for _, srv := range candidates {
 		if !srv.Asleep() {
 			continue
 		}
 		cost := 0
-		h := p.HostOf(srv.ID()) //simlint:allow hookguard HostOf is a mandatory policy input, not an optional hook
+		h := p.hosts[srv.ID()]
 		for _, ep := range endpoints {
-			cost += p.Net.SleepingSwitchesOnPath(ep, h)
+			cost += p.net.SleepingSwitchesOnPath(ep, h)
 		}
 		if best == nil || cost < bestCost ||
 			(cost == bestCost && s.Load(srv) < s.Load(best)) {
@@ -181,26 +203,20 @@ func (p NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Serv
 		return best
 	}
 	// Everything is awake and saturated: least loaded.
-	best = candidates[0]
-	for _, srv := range candidates[1:] {
-		if s.Load(srv) < s.Load(best) {
-			best = srv
-		}
-	}
-	return best
+	return s.leastLoaded(candidates, nil)
 }
 
 // peers lists the topology nodes this task will exchange data with:
 // the servers of placed parents, or the front end for root tasks.
-func (p NetworkAware) peers(s *Scheduler, t *job.Task) []topology.NodeID {
+func (p *NetworkAware) peers(t *job.Task) []topology.NodeID {
 	var out []topology.NodeID
 	for _, e := range t.In {
 		if e.From.ServerID >= 0 {
-			out = append(out, p.HostOf(e.From.ServerID)) //simlint:allow hookguard HostOf is a mandatory policy input, not an optional hook
+			out = append(out, p.hosts[e.From.ServerID])
 		}
 	}
 	if len(out) == 0 {
-		hosts := p.Net.Graph().Hosts()
+		hosts := p.net.Graph().Hosts()
 		idx := p.Frontend
 		if idx < 0 || idx >= len(hosts) {
 			idx = 0
@@ -211,4 +227,4 @@ func (p NetworkAware) peers(s *Scheduler, t *job.Task) []topology.NodeID {
 }
 
 // Name implements Placer.
-func (NetworkAware) Name() string { return "server-network-aware" }
+func (*NetworkAware) Name() string { return "server-network-aware" }

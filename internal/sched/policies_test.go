@@ -145,11 +145,10 @@ func TestNetworkAwarePrefersCheapWake(t *testing.T) {
 		}
 		servers[i] = srv
 	}
-	hosts := []topology.NodeID{h0, h1, h2, h3}
 	// OverCommit 1: the wake-cost branch triggers as soon as the awake
 	// server's cores are committed, making the test deterministic.
-	placer := NetworkAware{Net: net, HostOf: func(id int) topology.NodeID { return hosts[id] },
-		OverCommit: 1}
+	placer := &NetworkAware{OverCommit: 1}
+	placer.Bind(net, []topology.NodeID{h0, h1, h2, h3})
 	s, err := New(eng, servers, Config{Placer: placer})
 	if err != nil {
 		t.Fatal(err)
@@ -194,13 +193,16 @@ func TestNetworkAwarePrefersCheapWake(t *testing.T) {
 func TestProvisionerSeriesTracking(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	p := NewProvisioner(0.5, 3.0)
-	s, err := New(eng, servers, Config{Placer: p, Controller: p})
+	s, err := New(eng, servers, Config{Placer: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows int
-	p.SampleSeries(s, 100*simtime.Millisecond, simtime.Second,
-		func(tm simtime.Time, active, jobs float64) { rows++ })
+	eng.Every(100*simtime.Millisecond, 100*simtime.Millisecond, simtime.Second, func() {
+		if p.ActiveServers() > 0 { // the pool fills at the first arrival, t=0
+			rows++
+		}
+	})
 	for i := 0; i < 10; i++ {
 		j := singleJob(job.ID(i), simtime.Time(i)*100*simtime.Millisecond, simtime.Millisecond)
 		eng.Schedule(j.ArriveAt, func() { s.JobArrived(j) })
@@ -218,7 +220,7 @@ func TestAdaptivePoolDwellLimitsChurn(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	a := NewAdaptivePool(2.0, 1.0, 10*simtime.Millisecond)
 	a.Dwell = simtime.Second
-	s, err := New(eng, servers, Config{Placer: a, Controller: a})
+	s, err := New(eng, servers, Config{Placer: a})
 	if err != nil {
 		t.Fatal(err)
 	}

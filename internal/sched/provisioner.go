@@ -3,7 +3,6 @@ package sched
 import (
 	"holdcsim/internal/job"
 	"holdcsim/internal/server"
-	"holdcsim/internal/simtime"
 	"holdcsim/internal/stats"
 )
 
@@ -20,9 +19,7 @@ type Provisioner struct {
 	// MinActive floors the active set (at least 1).
 	MinActive int
 
-	active   map[int]bool // server ID -> active
-	nActive  int
-	initOnce bool
+	pool // the active set
 
 	// ActiveSeries tracks the active-server count over time (Fig. 4's
 	// lower curve); JobsSeries tracks jobs in system.
@@ -37,118 +34,58 @@ func NewProvisioner(minLoad, maxLoad float64) *Provisioner {
 		MinLoad:      minLoad,
 		MaxLoad:      maxLoad,
 		MinActive:    1,
-		active:       make(map[int]bool),
 		ActiveSeries: stats.NewTimeWeighted("active-servers"),
 		JobsSeries:   stats.NewTimeWeighted("jobs-in-system"),
 	}
 }
 
-func (p *Provisioner) ensureInit(s *Scheduler) {
-	if p.initOnce {
-		return
-	}
-	p.initOnce = true
-	for _, srv := range s.servers {
-		p.active[srv.ID()] = true
-		// Active servers stay powered; the provisioner itself moves
-		// parked servers into low power ("put aside after finishing its
-		// pending tasks", Sec. IV-A).
-		srv.SetDelayTimer(false, 0)
-	}
-	p.nActive = len(s.servers)
+// Start implements Starter: all servers begin active — and stay
+// powered; the provisioner itself moves parked servers into low power
+// ("put aside after finishing its pending tasks", Sec. IV-A).
+func (p *Provisioner) Start(s *Scheduler) {
+	p.pool.Start(s)
 	now := s.eng.Now()
-	p.ActiveSeries.Start(now, float64(p.nActive))
+	p.ActiveSeries.Start(now, float64(p.n))
 	p.JobsSeries.Start(now, 0)
 }
 
-// ActiveServers reports the current active count.
-func (p *Provisioner) ActiveServers() int { return p.nActive }
-
 // Place implements Placer: least-loaded among the active set.
 func (p *Provisioner) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	p.ensureInit(s)
-	var best *server.Server
-	for _, srv := range candidates {
-		if !p.active[srv.ID()] {
-			continue
-		}
-		if best == nil || srv.PendingTasks() < best.PendingTasks() {
-			best = srv
-		}
+	if best := p.least(candidates, true); best != nil {
+		return best
 	}
-	if best == nil {
-		best = candidates[0] // all parked: fall back (and rebalance soon)
-	}
-	return best
+	return candidates[0] // all parked: fall back (and rebalance soon)
 }
 
 // Name implements Placer.
 func (p *Provisioner) Name() string { return "provisioner" }
 
 // OnJobArrival implements Controller.
-func (p *Provisioner) OnJobArrival(s *Scheduler, j *job.Job) {
-	p.ensureInit(s)
-	p.JobsSeries.Set(s.eng.Now(), float64(s.JobsInSystem()))
-	p.rebalance(s)
-}
+func (p *Provisioner) OnJobArrival(s *Scheduler, j *job.Job) { p.observe(s) }
 
 // OnTaskDone implements Controller.
-func (p *Provisioner) OnTaskDone(s *Scheduler, t *job.Task) {
-	p.ensureInit(s)
-	p.JobsSeries.Set(s.eng.Now(), float64(s.JobsInSystem()))
-	p.rebalance(s)
-}
+func (p *Provisioner) OnTaskDone(s *Scheduler, t *job.Task) { p.observe(s) }
 
-// rebalance applies the threshold policy: one transition per event, as
-// in the paper ("one server will be put aside"/"set to active state").
-func (p *Provisioner) rebalance(s *Scheduler) {
-	load := s.LoadPerServer(p.nActive)
+// observe logs the jobs-in-system series and applies the threshold
+// policy: one transition per event, as in the paper ("one server will be
+// put aside"/"set to active state").
+func (p *Provisioner) observe(s *Scheduler) {
+	p.JobsSeries.Set(s.eng.Now(), float64(s.JobsInSystem()))
+	load := s.LoadPerServer(p.n)
 	switch {
-	case load > p.MaxLoad && p.nActive < len(s.servers):
+	case load > p.MaxLoad && p.n < len(s.servers):
 		// Activate the parked server with the lowest ID; pre-warm it
 		// and restore its always-on controller.
 		for _, srv := range s.servers {
-			if !p.active[srv.ID()] {
-				p.active[srv.ID()] = true
-				p.nActive++
-				srv.SetDelayTimer(false, 0)
-				srv.WakeUp()
+			if p.promote(srv) {
 				break
 			}
 		}
-	case load < p.MinLoad && p.nActive > p.MinActive:
+	case load < p.MinLoad && p.n > p.MinActive:
 		// Park the active server with the fewest pending tasks: it
 		// finishes its backlog, then the zero-length delay timer drops
 		// it into system sleep.
-		var victim *server.Server
-		for _, srv := range s.servers {
-			if !p.active[srv.ID()] {
-				continue
-			}
-			if victim == nil || srv.PendingTasks() < victim.PendingTasks() {
-				victim = srv
-			}
-		}
-		if victim != nil {
-			p.active[victim.ID()] = false
-			p.nActive--
-			victim.SetDelayTimer(true, 0)
-		}
+		p.demote(p.least(s.servers, true), 0)
 	}
-	p.ActiveSeries.Set(s.eng.Now(), float64(p.nActive))
-}
-
-// SampleSeries records (time, active, jobs) rows at a fixed interval for
-// plotting Fig. 4. It must be called before the run starts.
-func (p *Provisioner) SampleSeries(s *Scheduler, every simtime.Time, until simtime.Time,
-	record func(t simtime.Time, activeServers float64, jobsInSystem float64)) {
-	var tick func()
-	tick = func() {
-		now := s.eng.Now()
-		record(now, float64(p.nActive), float64(s.JobsInSystem()))
-		if now+every <= until {
-			s.eng.After(every, tick)
-		}
-	}
-	s.eng.After(every, tick)
+	p.ActiveSeries.Set(s.eng.Now(), float64(p.n))
 }

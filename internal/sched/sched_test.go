@@ -6,9 +6,11 @@ import (
 
 	"holdcsim/internal/engine"
 	"holdcsim/internal/job"
+	"holdcsim/internal/network"
 	"holdcsim/internal/power"
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
+	"holdcsim/internal/topology"
 )
 
 func testFarm(t *testing.T, n int, mutate func(i int, c *server.Config)) (*engine.Engine, []*server.Server) {
@@ -217,7 +219,7 @@ func TestProvisionerShedsAndRestores(t *testing.T) {
 	// active ones stay powered.
 	eng, servers := testFarm(t, 8, nil)
 	p := NewProvisioner(0.5, 4.0)
-	s, err := New(eng, servers, Config{Placer: p, Controller: p})
+	s, err := New(eng, servers, Config{Placer: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestProvisionerShedsAndRestores(t *testing.T) {
 func TestDualTimerConfiguresTimers(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	d := NewDualTimer(1, 5*simtime.Second, 100*simtime.Millisecond)
-	s, err := New(eng, servers, Config{Placer: d, Controller: d})
+	s, err := New(eng, servers, Config{Placer: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestDualTimerConfiguresTimers(t *testing.T) {
 func TestDualTimerSpillsUnderLoad(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	d := NewDualTimer(1, 5*simtime.Second, 100*simtime.Millisecond)
-	s, err := New(eng, servers, Config{Placer: d, Controller: d})
+	s, err := New(eng, servers, Config{Placer: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +307,7 @@ func TestDualTimerSpillsUnderLoad(t *testing.T) {
 func TestAdaptivePoolDemotesAndPromotes(t *testing.T) {
 	eng, servers := testFarm(t, 6, nil)
 	a := NewAdaptivePool(2.0, 0.3, 50*simtime.Millisecond)
-	s, err := New(eng, servers, Config{Placer: a, Controller: a})
+	s, err := New(eng, servers, Config{Placer: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,52 +363,149 @@ func TestPlacerNames(t *testing.T) {
 	}
 }
 
-// Property: every admitted job completes under any placer, arrival
-// pattern, and farm size.
+// registryPolicies names a constructor for every policy the scenario
+// registry can build (scenario.PlacerSpec.apply). sched cannot import
+// scenario, so the table is kept by hand.
+var registryPolicies = map[string]func() Placer{
+	"least-loaded": func() Placer { return LeastLoaded{} },
+	"round-robin":  func() Placer { return RoundRobin{} },
+	"pack-first":   func() Placer { return PackFirst{} },
+	"random": func() Placer {
+		x := uint64(1)
+		return Random{Next: func(n int) int { x = x*6364136223846793005 + 1442695040888963407; return int(x>>33) % n }}
+	},
+	"network-aware": func() Placer { return &NetworkAware{} },
+	"adaptive-pool": func() Placer { return NewAdaptivePool(3, 1, 200*simtime.Millisecond) },
+	"provisioner":   func() Placer { return NewProvisioner(0.5, 3) },
+	"dual-timer":    func() Placer { return NewDualTimer(1, simtime.Second, 10*simtime.Millisecond) },
+}
+
+// Property: every admitted job completes under every registry policy,
+// any arrival pattern and farm size. The policy is handed over as one
+// value — New finds the Controller and Starter in it — after the Bind
+// core.Build would give it.
 func TestJobConservationProperty(t *testing.T) {
-	f := func(seed uint64, nSrv uint8, placerPick uint8) bool {
-		n := int(nSrv%5) + 2
-		eng := engine.New()
-		servers := make([]*server.Server, n)
-		for i := 0; i < n; i++ {
-			srv, err := server.New(i, eng, server.DefaultConfig(power.FourCoreServer()))
+	for name, build := range registryPolicies {
+		f := func(seed uint64, nSrv uint8) bool {
+			n := int(nSrv%5) + 2
+			eng, servers := testFarm(t, n, nil)
+			placer := build()
+			if b, ok := placer.(Binder); ok {
+				g, err := topology.Star{Hosts: n}.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := network.New(eng, g, network.DefaultConfig(power.DataCenter10G(n)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Bind(net, g.Hosts()[:n])
+			}
+			s, err := New(eng, servers, Config{Placer: placer})
 			if err != nil {
 				return false
 			}
-			servers[i] = srv
+			count := 0
+			s.OnJobDone(func(*job.Job) { count++ })
+			x := seed
+			at := simtime.Time(0)
+			const jobs = 30
+			for i := 0; i < jobs; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				at += simtime.Time(x%10) * simtime.Millisecond
+				j := singleJob(job.ID(i), at, simtime.Time(1+x%8)*simtime.Millisecond)
+				eng.Schedule(at, func() { s.JobArrived(j) })
+			}
+			eng.Run()
+			return count == jobs && s.JobsInSystem() == 0
 		}
-		var placer Placer
-		switch placerPick % 3 {
-		case 0:
-			placer = LeastLoaded{}
-		case 1:
-			placer = RoundRobin{}
-		default:
-			placer = NewDualTimer(1, simtime.Second, 10*simtime.Millisecond)
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-		cfg := Config{Placer: placer}
-		if ctrl, ok := placer.(Controller); ok {
-			cfg.Controller = ctrl
-		}
-		s, err := New(eng, servers, cfg)
+	}
+}
+
+// startProbe is a policy that records when its hooks run.
+type startProbe struct {
+	LeastLoaded
+	starts     int
+	startAt    simtime.Time
+	hookEarly  string // first hook seen before Start, if any
+	placements int
+}
+
+func (p *startProbe) Start(s *Scheduler) { p.starts++; p.startAt = s.eng.Now() }
+
+func (p *startProbe) early(hook string) {
+	if p.starts == 0 && p.hookEarly == "" {
+		p.hookEarly = hook
+	}
+}
+
+func (p *startProbe) Place(s *Scheduler, t *job.Task, c []*server.Server) *server.Server {
+	p.early("Place")
+	p.placements++
+	return p.LeastLoaded.Place(s, t, c)
+}
+func (p *startProbe) OnJobArrival(*Scheduler, *job.Job) { p.early("OnJobArrival") }
+func (p *startProbe) OnTaskDone(*Scheduler, *job.Task)  { p.early("OnTaskDone") }
+
+// The Starter contract: Start runs exactly once, not at New and not at
+// t=0 but at the first arrival's timestamp, before that arrival's
+// OnJobArrival and before any placement — or at the first Select when a
+// caller places before any job arrives.
+func TestStartRunsOnceBeforeFirstPlacement(t *testing.T) {
+	const first = 7 * simtime.Millisecond
+	t.Run("first arrival", func(t *testing.T) {
+		eng, servers := testFarm(t, 3, nil)
+		p := &startProbe{}
+		s, err := New(eng, servers, Config{Placer: p})
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		count := 0
-		s.OnJobDone(func(*job.Job) { count++ })
-		x := seed
-		at := simtime.Time(0)
-		const jobs = 30
-		for i := 0; i < jobs; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			at += simtime.Time(x%10) * simtime.Millisecond
-			j := singleJob(job.ID(i), at, simtime.Time(1+x%8)*simtime.Millisecond)
-			eng.Schedule(at, func() { s.JobArrived(j) })
+		var startsWhenSubscribersRan int
+		s.OnJobArrived(func(*job.Job) { startsWhenSubscribersRan += p.starts })
+		for i := 0; i < 5; i++ {
+			j := singleJob(job.ID(i), first+simtime.Time(i)*simtime.Millisecond, simtime.Millisecond)
+			eng.Schedule(j.ArriveAt, func() { s.JobArrived(j) })
+		}
+		eng.RunUntil(first - 1)
+		if p.starts != 0 {
+			t.Fatalf("Start ran %d times before the first arrival (at New or t=0?)", p.starts)
 		}
 		eng.Run()
-		return count == jobs && s.JobsInSystem() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+		if p.starts != 1 || p.startAt != first {
+			t.Errorf("Start ran %d times, last at %v; want once at %v", p.starts, p.startAt, first)
+		}
+		if p.hookEarly != "" {
+			t.Errorf("%s ran before Start", p.hookEarly)
+		}
+		if p.placements != 5 {
+			t.Errorf("placements = %d, want 5", p.placements)
+		}
+		// Observation subscribers see the first arrival before the policy
+		// is started (0), the other four after (1 each).
+		if startsWhenSubscribersRan != 4 {
+			t.Errorf("OnJobArrived subscribers saw %d started arrivals, want 4", startsWhenSubscribersRan)
+		}
+	})
+	t.Run("first select", func(t *testing.T) {
+		eng, servers := testFarm(t, 3, nil)
+		p := &startProbe{}
+		s, err := New(eng, servers, Config{Placer: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Schedule(first, func() {
+			if _, err := s.Select(singleJob(0, first, simtime.Millisecond).Tasks[0]); err != nil {
+				t.Error(err)
+			}
+		})
+		j := singleJob(1, 2*first, simtime.Millisecond)
+		eng.Schedule(j.ArriveAt, func() { s.JobArrived(j) })
+		eng.Run()
+		if p.starts != 1 || p.startAt != first || p.hookEarly != "" {
+			t.Errorf("starts=%d at %v early=%q; want once at %v", p.starts, p.startAt, p.hookEarly, first)
+		}
+	})
 }

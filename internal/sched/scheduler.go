@@ -13,6 +13,7 @@ import (
 	"holdcsim/internal/engine"
 	"holdcsim/internal/job"
 	"holdcsim/internal/modelcov"
+	"holdcsim/internal/network"
 	"holdcsim/internal/server"
 	"holdcsim/internal/topology"
 )
@@ -22,22 +23,40 @@ import (
 // TransferFn makes transfers instantaneous).
 type TransferFn func(fromServer, toServer int, bytes int64, done func())
 
-// Placer chooses a server for a ready task.
+// Placer chooses a server for a ready task. A policy is this one value;
+// what else it needs it gets by also implementing Controller, Starter or
+// Binder, which New (core.Build for Binder) finds by type assertion.
 type Placer interface {
 	// Place returns the chosen server among candidates (never empty).
 	Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server
 	Name() string
 }
 
-// Controller is an optional policy hook: controllers observe arrivals
-// and completions to drive pool transitions, provisioning, etc.
+// Controller is implemented by placers that observe arrivals and
+// completions to drive pool transitions, provisioning, etc.
 type Controller interface {
 	OnJobArrival(s *Scheduler, j *job.Job)
 	OnTaskDone(s *Scheduler, t *job.Task)
 }
 
+// Starter is implemented by placers with one-shot set-up against the
+// farm (pool membership, delay timers). Start runs once, at the first
+// arrival's timestamp, before its OnJobArrival and any placement — not
+// at New, where an armed delay timer would expire before the first job.
+type Starter interface {
+	Start(s *Scheduler)
+}
+
+// Binder is implemented by placers that read live network state
+// (Server-Network-Aware, Sec. IV-D). core.Build calls Bind once the
+// network exists; hosts[i] is the topology node of server i.
+type Binder interface {
+	Bind(net *network.Network, hosts []topology.NodeID)
+}
+
 // Config assembles a scheduler.
 type Config struct {
+	// Placer is the policy; nil means LeastLoaded.
 	Placer Placer
 	// UseGlobalQueue parks ready tasks centrally when no eligible server
 	// has a spare execution slot; servers pull work as they drain
@@ -45,8 +64,6 @@ type Config struct {
 	UseGlobalQueue bool
 	// Transfer carries DAG edge data between servers; nil = instant.
 	Transfer TransferFn
-	// Controller optionally receives arrival/completion callbacks.
-	Controller Controller
 	// Orphans selects the fault policy for tasks stranded by server
 	// crashes (fault model). The zero value requeues.
 	Orphans OrphanPolicy
@@ -60,6 +77,10 @@ type Scheduler struct {
 	eng     *engine.Engine
 	servers []*server.Server
 	cfg     Config
+
+	// What the placer implements beyond Place; starter is cleared once run.
+	ctrl    Controller
+	starter Starter
 
 	byKind map[string][]*server.Server
 
@@ -130,6 +151,8 @@ func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, 
 		byKind:    make(map[string][]*server.Server),
 		committed: make([]int, len(servers)),
 	}
+	s.ctrl, _ = cfg.Placer.(Controller)
+	s.starter, _ = cfg.Placer.(Starter)
 	for _, srv := range servers {
 		kinds := srv.Kinds()
 		if len(kinds) == 0 {
@@ -299,6 +322,14 @@ func (s *Scheduler) Eligible(t *job.Task) []*server.Server {
 	return s.servers
 }
 
+// startPolicy runs the placer's Start hook if it has not run yet.
+func (s *Scheduler) startPolicy() {
+	if st := s.starter; st != nil {
+		s.starter = nil
+		st.Start(s)
+	}
+}
+
 // JobArrived admits a job: every task is placed (static DAG placement,
 // Sec. IV-D), root tasks are dispatched, and the controller is notified.
 func (s *Scheduler) JobArrived(j *job.Job) {
@@ -306,8 +337,9 @@ func (s *Scheduler) JobArrived(j *job.Job) {
 	for _, fn := range s.onJobArrived {
 		fn(j)
 	}
-	if s.cfg.Controller != nil {
-		s.cfg.Controller.OnJobArrival(s, j)
+	s.startPolicy()
+	if s.ctrl != nil {
+		s.ctrl.OnJobArrival(s, j)
 	}
 	order, err := j.TopoOrder() // the order Seal kept: nothing is sorted here
 	if err != nil {
@@ -388,18 +420,9 @@ func (s *Scheduler) place(t *job.Task) error {
 // availableServer finds an alive eligible server with a spare execution
 // slot (global-queue mode's "servers available at that time").
 func (s *Scheduler) availableServer(t *job.Task) *server.Server {
-	var best *server.Server
-	for _, srv := range s.Eligible(t) {
-		if s.downCount > 0 && srv.Failed() {
-			continue
-		}
-		if s.Load(srv) < srv.Cores() {
-			if best == nil || s.Load(srv) < s.Load(best) {
-				best = srv
-			}
-		}
-	}
-	return best
+	return s.leastLoaded(s.Eligible(t), func(srv *server.Server) bool {
+		return !(s.downCount > 0 && srv.Failed()) && s.Load(srv) < srv.Cores()
+	})
 }
 
 // submit hands the task to the server's local scheduler.
@@ -459,8 +482,8 @@ func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 			}
 		}
 	}
-	if s.cfg.Controller != nil {
-		s.cfg.Controller.OnTaskDone(s, t)
+	if s.ctrl != nil {
+		s.ctrl.OnTaskDone(s, t)
 	}
 	s.drainGlobalQueue()
 }
@@ -487,7 +510,3 @@ func (s *Scheduler) drainGlobalQueue() {
 	}
 	s.globalQ = remaining
 }
-
-// HostMapper translates a server ID to its topology node (used by
-// network-aware placement and by the data center's transfer function).
-type HostMapper func(serverID int) topology.NodeID

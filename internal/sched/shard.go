@@ -22,26 +22,19 @@ type ShardedLeastLoaded struct{}
 
 // Place implements Placer.
 func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	if s.shardOf == nil || len(candidates) != len(s.servers) {
-		return LeastLoaded{}.Place(s, t, candidates)
-	}
-	best := 0
-	for i := 1; i < len(s.shardLoad); i++ {
-		if s.shardLoad[i] < s.shardLoad[best] {
-			best = i
+	if s.shardOf != nil && len(candidates) == len(s.servers) {
+		best := 0
+		for i := 1; i < len(s.shardLoad); i++ {
+			if s.shardLoad[i] < s.shardLoad[best] {
+				best = i
+			}
+		}
+		if srv := s.leastLoaded(s.shardMembers[best], nil); srv != nil {
+			return srv
 		}
 	}
-	members := s.shardMembers[best]
-	if len(members) == 0 {
-		return LeastLoaded{}.Place(s, t, candidates)
-	}
-	srv := members[0]
-	for _, m := range members[1:] {
-		if s.Load(m) < s.Load(srv) {
-			srv = m
-		}
-	}
-	return srv
+	// No shards, a filtered candidate list, or an empty shard.
+	return s.leastLoaded(candidates, nil)
 }
 
 // Name implements Placer.

@@ -56,7 +56,7 @@ func (g *DVFSGovernor) Start() {
 	}
 	g.busy.Set(g.srv.eng.Now(), float64(g.srv.BusyCores()))
 	g.lastEval = g.srv.eng.Now()
-	g.srv.eng.After(g.Interval, g.tick)
+	g.srv.eng.Every(g.lastEval+g.Interval, g.Interval, simtime.Forever, g.tick)
 }
 
 // PStateIndex reports the governor's current operating point.
@@ -84,5 +84,4 @@ func (g *DVFSGovernor) tick() {
 		g.Steps++
 		_ = g.srv.SetPState(g.pidx)
 	}
-	g.srv.eng.After(g.Interval, g.tick)
 }
