@@ -117,6 +117,23 @@ func TestValidateRejectsBadFile(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsHostileTopology: a shape the builder would refuse,
+// or one sized to exhaust memory, fails validate — and run — with the
+// shape message before anything is built.
+func TestValidateRejectsHostileTopology(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "huge.json")
+	data := `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`
+	if err := os.WriteFile(file, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"validate", "run"} {
+		code, _, errw := cli(t, verb, file)
+		if code == 0 || !strings.Contains(errw, "exceeds the cap") {
+			t.Errorf("%s: exit %d, stderr %q; want a nonzero exit naming the size cap", verb, code, errw)
+		}
+	}
+}
+
 // TestExpandMatrix: expand prints one injective label per generated
 // scenario.
 func TestExpandMatrix(t *testing.T) {

@@ -3,15 +3,12 @@
 // enforce at compile time what the test suite can only sample at run
 // time (DESIGN.md Sec. 14).
 //
-// It runs two ways:
+//	simlint [-json] [-C dir] [packages]     default ./...
 //
-//	simlint [-json] [-C dir] [packages]     standalone, default ./...
-//	go vet -vettool=$(which simlint) ./...  as a vet tool
-//
-// Standalone mode loads packages via `go list -export` and prints one
-// finding per line (or a JSON array with -json). Vet-tool mode speaks
-// the cmd/go unitchecker protocol: -V=full for the build cache, -flags
-// for flag discovery, and a *.cfg compilation-unit config per package.
+// It loads packages via `go list -export` and prints one finding per
+// line (or a JSON array with -json). The whole tree takes seconds, so
+// there is one driver; internal/analysis's own tests run the same suite
+// over ./... as part of `go test ./...`.
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 findings.
 package main
@@ -22,35 +19,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"holdcsim/internal/analysis"
 )
-
-const version = "v1.0.0"
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run dispatches one CLI invocation; factored from main so tests drive
 // the binary in-process.
 func run(args []string, stdout, stderr io.Writer) int {
-	// cmd/go protocol entry points come before normal flag parsing: it
-	// probes `-V=full` to stamp the build cache and `-flags` to discover
-	// tool flags, then invokes `simlint <vetflags> <objdir>/vet.cfg`.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			fmt.Fprintf(stdout, "simlint version %s\n", version)
-			return 0
-		}
-		if a == "-flags" || a == "--flags" {
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return runVet(args[n-1], stderr)
-	}
-
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
@@ -116,47 +93,4 @@ func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// runVet handles one `go vet -vettool` compilation unit.
-func runVet(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "simlint: %v\n", err)
-		return 1
-	}
-	var cfg analysis.VetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "simlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// cmd/go requires the vetx facts file to exist even when empty; the
-	// suite keeps no cross-package facts, so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 1
-		}
-	}
-	// Dependency-only invocations and third-party packages need no
-	// analysis: every simlint contract is scoped to this module.
-	if cfg.VetxOnly || !analysis.FirstParty(cfg.ImportPath) {
-		return 0
-	}
-	pkg, err := analysis.LoadVetPackage(&cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "simlint: %v\n", err)
-		return 1
-	}
-	diags := analysis.RunSuite(pkg)
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

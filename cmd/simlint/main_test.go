@@ -4,35 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestVersionProbe(t *testing.T) {
-	// cmd/go stamps the build cache from `-V=full`: the output must be
-	// "<name> version <non-devel-version>".
-	var out bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &out); code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	fields := strings.Fields(out.String())
-	if len(fields) != 3 || fields[0] != "simlint" || fields[1] != "version" || fields[2] == "devel" {
-		t.Fatalf("-V=full output %q does not satisfy the vettool protocol", out.String())
-	}
-}
-
-func TestFlagsProbe(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-flags"}, &out, &out); code != 0 {
-		t.Fatalf("-flags exited %d", code)
-	}
-	var flags []struct{ Name string }
-	if err := json.Unmarshal(out.Bytes(), &flags); err != nil {
-		t.Fatalf("-flags output %q is not a JSON flag list: %v", out.String(), err)
-	}
-}
 
 func TestStandaloneCleanPackage(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -103,197 +78,6 @@ func TestUsageError(t *testing.T) {
 	}
 }
 
-// TestVetConfigMode drives the unitchecker path directly: a synthesized
-// vet.cfg for the fixture package must yield stderr findings, exit 2,
-// and the (empty) vetx facts file cmd/go requires.
-func TestVetConfigMode(t *testing.T) {
-	dir := fixtureModule(t)
-
-	// Resolve export data for the fixture's deps the same way cmd/go
-	// does, via go list.
-	type listPkg struct {
-		ImportPath string
-		Dir        string
-		Export     string
-		GoFiles    []string
-		DepOnly    bool
-	}
-	cmd := exec.Command("go", "list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,DepOnly", "./internal/sched")
-	cmd.Dir = dir
-	outJSON, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	packageFile := map[string]string{}
-	var target *listPkg
-	dec := json.NewDecoder(bytes.NewReader(outJSON))
-	for dec.More() {
-		var p listPkg
-		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		if p.Export != "" {
-			packageFile[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			q := p
-			target = &q
-		}
-	}
-	if target == nil {
-		t.Fatal("go list returned no target package")
-	}
-
-	vetx := filepath.Join(t.TempDir(), "simlint.vetx")
-	cfg := map[string]any{
-		"ID":          target.ImportPath,
-		"Compiler":    "gc",
-		"Dir":         target.Dir,
-		"ImportPath":  target.ImportPath,
-		"GoFiles":     absFiles(target.Dir, target.GoFiles),
-		"ImportMap":   map[string]string{},
-		"PackageFile": packageFile,
-		"PackageVetx": map[string]string{},
-		"VetxOutput":  vetx,
-		"GoVersion":   "go1.22",
-	}
-	cfgPath := filepath.Join(t.TempDir(), "vet.cfg")
-	data, _ := json.Marshal(cfg)
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errb bytes.Buffer
-	code := run([]string{cfgPath}, &out, &errb)
-	if code != 2 {
-		t.Fatalf("cfg mode exit %d, want 2; stderr %q", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "time.Now in model package") {
-		t.Fatalf("cfg-mode stderr missing finding:\n%s", errb.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("vetx facts file not written: %v", err)
-	}
-
-	// Dependency-only units skip analysis but still write facts.
-	vetx2 := filepath.Join(t.TempDir(), "dep.vetx")
-	cfg["VetxOnly"] = true
-	cfg["VetxOutput"] = vetx2
-	data, _ = json.Marshal(cfg)
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	errb.Reset()
-	if code := run([]string{cfgPath}, &out, &errb); code != 0 {
-		t.Fatalf("VetxOnly unit exit %d, want 0; stderr %q", code, errb.String())
-	}
-	if _, err := os.Stat(vetx2); err != nil {
-		t.Fatalf("VetxOnly vetx file not written: %v", err)
-	}
-}
-
-func TestVetConfigErrors(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"/nonexistent/vet.cfg"}, &out, &errb); code != 1 {
-		t.Fatalf("missing cfg exited %d, want 1", code)
-	}
-
-	bad := filepath.Join(t.TempDir(), "vet.cfg")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	errb.Reset()
-	if code := run([]string{bad}, &out, &errb); code != 1 {
-		t.Fatalf("bad-JSON cfg exited %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "parsing") {
-		t.Fatalf("bad-JSON stderr = %q", errb.String())
-	}
-}
-
-// TestSucceedOnTypecheckFailure mirrors cmd/go's contract: when it sets
-// the flag (it expects the compiler to report the same errors), a
-// broken unit must exit 0; without the flag it is a hard failure.
-func TestSucceedOnTypecheckFailure(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "broken.go")
-	if err := os.WriteFile(src, []byte("package broken\nvar x undefinedType\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	mk := func(succeed bool) string {
-		vetx := filepath.Join(t.TempDir(), "o.vetx")
-		cfg := map[string]any{
-			"ID":                        "holdcsim/internal/broken",
-			"Compiler":                  "gc",
-			"Dir":                       dir,
-			"ImportPath":                "holdcsim/internal/broken",
-			"GoFiles":                   []string{src},
-			"PackageFile":               map[string]string{},
-			"VetxOutput":                vetx,
-			"SucceedOnTypecheckFailure": succeed,
-		}
-		path := filepath.Join(t.TempDir(), "vet.cfg")
-		data, _ := json.Marshal(cfg)
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{mk(true)}, &out, &errb); code != 0 {
-		t.Fatalf("SucceedOnTypecheckFailure unit exited %d, want 0; stderr %q", code, errb.String())
-	}
-	errb.Reset()
-	if code := run([]string{mk(false)}, &out, &errb); code != 1 {
-		t.Fatalf("failing unit exited %d, want 1; stderr %q", code, errb.String())
-	}
-}
-
-// TestVetThirdPartySkipped checks the fast path: a non-first-party unit
-// is not analyzed (no export data is even consulted) but still writes
-// its facts file.
-func TestVetThirdPartySkipped(t *testing.T) {
-	vetx := filepath.Join(t.TempDir(), "fmt.vetx")
-	cfg := map[string]any{
-		"ID":         "fmt",
-		"Compiler":   "gc",
-		"ImportPath": "fmt",
-		"VetxOutput": vetx,
-	}
-	path := filepath.Join(t.TempDir(), "vet.cfg")
-	data, _ := json.Marshal(cfg)
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{path}, &out, &errb); code != 0 {
-		t.Fatalf("third-party unit exited %d; stderr %q", code, errb.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("vetx not written for skipped unit: %v", err)
-	}
-}
-
-// TestGoVetIntegration builds the real binary and runs it under
-// `go vet -vettool` against a clean package — the full protocol round
-// trip, including -V=full build-cache stamping.
-func TestGoVetIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "simlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building simlint: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/simtime", "./internal/modelcov")
-	vet.Dir = "../.."
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
-	}
-}
-
 // fixtureModule copies the determinism fixture into a temp module and
 // returns its root.
 func fixtureModule(t *testing.T) string {
@@ -326,12 +110,4 @@ func fixtureModule(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return dir
-}
-
-func absFiles(dir string, files []string) []string {
-	out := make([]string, len(files))
-	for i, f := range files {
-		out[i] = filepath.Join(dir, f)
-	}
-	return out
 }

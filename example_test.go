@@ -54,6 +54,7 @@ func ExampleNewMMPP2() {
 		return
 	}
 	fmt.Printf("Ra=%.0f burstyFraction=%.2f meanRate=%.0f/s\n",
-		m.RateRatio(), m.BurstyFraction(), m.MeanRate())
+		m.LambdaH/m.LambdaL, m.MeanBurst/(m.MeanBurst+m.MeanQuiet),
+		(m.LambdaH*m.MeanBurst+m.LambdaL*m.MeanQuiet)/(m.MeanBurst+m.MeanQuiet))
 	// Output: Ra=10 burstyFraction=0.10 meanRate=19/s
 }

@@ -7,8 +7,8 @@
 // The package mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
 // Pass, Diagnostic) but is self-contained on the standard library: the
 // loader (load.go) shells out to `go list -export` and typechecks with
-// the gc export-data importer, so the suite runs offline, standalone via
-// cmd/simlint, and under `go vet -vettool`.
+// the gc export-data importer, so the suite runs offline: from
+// cmd/simlint, and over the whole tree from this package's own tests.
 //
 // Findings are suppressed line-by-line with the annotation vocabulary in
 // annotations.go: `//simlint:allow <pass> <reason>` on (or immediately
@@ -62,14 +62,9 @@ func (d Diagnostic) String() string {
 }
 
 // Reportf records a finding at pos unless a matching
-// `//simlint:allow <pass> <reason>` annotation suppresses it. Findings
-// positioned in _test.go files are dropped: the contracts govern model
-// code, and tests are free to use wall clocks and global randomness.
+// `//simlint:allow <pass> <reason>` annotation suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	position := p.Fset.Position(pos)
-	if strings.HasSuffix(position.Filename, "_test.go") {
-		return
-	}
 	if p.ann.allowed(p.Analyzer.Name, position) {
 		return
 	}
@@ -124,7 +119,7 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			ann:       ann,
 			sink:      &diags,
 		}
-		a.Run(pass) //simlint:allow hookguard every Analyzer defines Run; a nil Run is a programming error
+		a.Run(pass)
 	}
 	diags = append(diags, ann.unused()...)
 	sort.Slice(diags, func(i, j int) bool {
@@ -180,30 +175,16 @@ var modelPackages = map[string]bool{
 	"runner":      true,
 }
 
-// canonicalPath strips the test-variant suffix `go vet` appends to a
-// package under test ("p [p.test]" → "p").
-func canonicalPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-// FirstParty reports whether the package is part of this module (the
-// hookguard and handle contracts apply module-wide). cmd/simlint uses it
-// to fast-skip third-party compilation units under `go vet`.
-func FirstParty(path string) bool {
-	path = canonicalPath(path)
+// isFirstParty reports whether the package is part of this module (the
+// hookguard and handle contracts apply module-wide).
+func isFirstParty(path string) bool {
 	return path == strings.TrimSuffix(modulePrefix, "/") || strings.HasPrefix(path, modulePrefix)
 }
-
-func isFirstParty(path string) bool { return FirstParty(path) }
 
 // isModelPackage reports whether the determinism contract governs the
 // package: holdcsim/internal/<name> for a name in modelPackages, plus
 // every cmd/ binary (flagged sites there annotate their wall-clock use).
 func isModelPackage(path string) bool {
-	path = canonicalPath(path)
 	if rest, ok := strings.CutPrefix(path, modulePrefix+"internal/"); ok {
 		base := rest
 		if i := strings.Index(rest, "/"); i >= 0 {

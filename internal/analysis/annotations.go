@@ -101,8 +101,6 @@ func (a *annotations) unused() []Diagnostic {
 }
 
 // parseAnnotations scans every comment in files for simlint directives.
-// Test files are skipped wholesale: passes never report into them, so
-// annotations there could only go stale.
 func parseAnnotations(fset *token.FileSet, files []*ast.File) *annotations {
 	a := &annotations{
 		allows:  map[string]map[int][]*allowAnn{},
@@ -110,10 +108,6 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *annotations {
 	}
 	names := passNames()
 	for _, f := range files {
-		fname := fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(fname, "_test.go") {
-			continue
-		}
 		codeLines := codeLineSet(fset, f)
 		// funcStart maps a starting line to its declaration, to resolve
 		// hotpath annotations.

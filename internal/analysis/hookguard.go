@@ -12,12 +12,16 @@ import (
 // onBusyChange, invariant/sched subscriber fields — and a run without them must not
 // panic. Two rules:
 //
-//   - Rule A: a call through a func-typed struct field (s.onBusyChange(…),
-//     s.hooks.f(…)) must be dominated by a nil check of that same
-//     field — an enclosing `if x.F != nil` (or a guarding early return
-//     `if x.F == nil { return }`). Calls through func-typed locals are
-//     exempt: copying the field to a local before the check is the
-//     callee's own idiom and the copy is what got checked.
+//   - Rule A: a call through an *optional* func-typed struct field
+//     (s.onBusyChange(…), s.hooks.f(…)) must be dominated by a nil check
+//     of that same field — an enclosing `if x.F != nil` (or a guarding
+//     early return `if x.F == nil { return }`). A field is optional when
+//     non-test code of the package compares it with nil anywhere; one
+//     nothing ever compares (runner.Run.Do, Timer.fn) is a mandatory
+//     input, and a nil there is a bug its first call finds. Calls through
+//     func-typed locals are exempt: copying the field to a local before
+//     the check is the callee's own idiom and the copy is what got
+//     checked.
 //
 //   - Rule B: exported pointer-receiver methods on hook-carrying types
 //     (modelcov.Map) that dereference the receiver must open with a
@@ -40,20 +44,59 @@ func runHookguard(p *Pass) {
 	if !isFirstParty(p.Pkg.Path()) {
 		return
 	}
+	optional := optionalHookFields(p)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkHookCalls(p, fd)
+			checkHookCalls(p, fd, optional)
 			checkNilSafeReceiver(p, fd)
 		}
 	}
 }
 
+// optionalHookFields collects the func-typed fields the package's code
+// (non-test: all the loader hands a pass) compares with nil: the hooks a
+// run may leave unset.
+func optionalHookFields(p *Pass) map[*types.Var]bool {
+	optional := map[*types.Var]bool{}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			b, ok := n.(*ast.BinaryExpr)
+			if !ok || (b.Op != token.EQL && b.Op != token.NEQ) {
+				return true
+			}
+			x, y := ast.Unparen(b.X), ast.Unparen(b.Y)
+			if isNilIdent(x) {
+				x, y = y, x
+			}
+			if sel, ok := x.(*ast.SelectorExpr); ok && isNilIdent(y) {
+				if field := hookField(p, sel); field != nil {
+					optional[field] = true
+				}
+			}
+			return true
+		})
+	}
+	return optional
+}
+
+// hookField resolves sel to the func-typed struct field it names, or nil.
+func hookField(p *Pass, sel *ast.SelectorExpr) *types.Var {
+	obj, ok := p.TypesInfo.Uses[sel.Sel].(*types.Var)
+	if !ok || !obj.IsField() {
+		return nil
+	}
+	if _, ok := obj.Type().Underlying().(*types.Signature); !ok {
+		return nil
+	}
+	return obj.Origin()
+}
+
 // checkHookCalls implements rule A inside one function.
-func checkHookCalls(p *Pass, fd *ast.FuncDecl) {
+func checkHookCalls(p *Pass, fd *ast.FuncDecl, optional map[*types.Var]bool) {
 	// guards maps the canonical text of a checked expression ("cfg.Cover")
 	// to the extent within which the check dominates. Built in a first
 	// pass over if statements, consulted in a second over calls.
@@ -112,13 +155,9 @@ func checkHookCalls(p *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		// Only calls through func-typed *fields* — method calls resolve to
-		// *types.Func, field hooks to *types.Var.
-		obj, ok := p.TypesInfo.Uses[sel.Sel].(*types.Var)
-		if !ok || !obj.IsField() {
-			return true
-		}
-		if _, ok := obj.Type().Underlying().(*types.Signature); !ok {
+		// Only calls through optional func-typed *fields* — method calls
+		// resolve to *types.Func, field hooks to *types.Var.
+		if field := hookField(p, sel); field == nil || !optional[field] {
 			return true
 		}
 		expr := types.ExprString(sel)
@@ -307,5 +346,5 @@ func opensWithNilGuard(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
 // per-package rule tables ("holdcsim/internal/modelcov" →
 // "internal/modelcov").
 func packageSuffix(path string) string {
-	return strings.TrimPrefix(canonicalPath(path), modulePrefix)
+	return strings.TrimPrefix(path, modulePrefix)
 }

@@ -19,9 +19,10 @@ import (
 //   - implicit interface-boxing conversions of non-pointer-shaped
 //     values (assignments, call arguments, sends, returns), which
 //     heap-allocate the boxed copy;
-//   - growable appends — any append not annotated
-//     //simlint:allow hotpath <reason>. Free-list pushes are amortized
-//     O(1) and carry the annotation; anything else must pre-size.
+//   - growable appends, except the one-element push onto a list the
+//     receiver owns (`x.f = append(x.f, v)`, x the method's receiver):
+//     the free-list and bucket idiom, amortized O(1) once capacity
+//     reaches steady state. Anything else must pre-size.
 var HotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
 	Doc: "bans per-call allocation inside //simlint:hotpath functions: " +
@@ -70,6 +71,7 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 		return false
 	}
 
+	pushes := map[*ast.CallExpr]bool{}
 	var sig *types.Signature
 	if obj, ok := p.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 		sig = obj.Type().(*types.Signature)
@@ -80,8 +82,13 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 		case *ast.FuncLit:
 			checkLoopCapture(p, n, loops)
 		case *ast.CallExpr:
-			checkHotCall(p, n, insidePanic)
+			if !pushes[n] {
+				checkHotCall(p, n, insidePanic)
+			}
 		case *ast.AssignStmt:
+			if call := receiverPush(p, fd, n); call != nil {
+				pushes[call] = true // visited after its statement
+			}
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Lhs {
 					checkBoxing(p, n.Rhs[i], p.TypesInfo.TypeOf(n.Lhs[i]))
@@ -100,6 +107,43 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// receiverPush recognizes `x.f = append(x.f, v)` — one element pushed
+// onto a list reached from fd's receiver, assigned back to itself — and
+// returns the append call, or nil.
+func receiverPush(p *Pass, fd *ast.FuncDecl, as *ast.AssignStmt) *ast.CallExpr {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 ||
+		as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 || call.Ellipsis != token.NoPos {
+		return nil
+	}
+	if b, ok := p.TypesInfo.Uses[calleeIdent(call)].(*types.Builtin); !ok || b.Name() != "append" {
+		return nil
+	}
+	if types.ExprString(as.Lhs[0]) != types.ExprString(call.Args[0]) {
+		return nil
+	}
+	// The list must hang off the receiver: x.f, x.f[i], x.a.f ...
+	root := as.Lhs[0]
+	for depth := 0; ; depth++ {
+		switch e := root.(type) {
+		case *ast.SelectorExpr:
+			root = e.X
+			continue
+		case *ast.IndexExpr:
+			root = e.X
+			continue
+		case *ast.Ident:
+			if depth > 0 && p.TypesInfo.Uses[e] == p.TypesInfo.Defs[fd.Recv.List[0].Names[0]] {
+				return call
+			}
+		}
+		return nil
+	}
 }
 
 // collectLoops records every for/range loop in body with the objects its
@@ -178,7 +222,7 @@ func checkHotCall(p *Pass, call *ast.CallExpr, insidePanic func(token.Pos) bool)
 	// Growable appends.
 	if b, ok := p.TypesInfo.Uses[calleeIdent(call)].(*types.Builtin); ok && b.Name() == "append" {
 		p.Reportf(call.Pos(),
-			"append in a hot path may grow and allocate: pre-size the slice or annotate //simlint:allow hotpath <reason>")
+			"append in a hot path may grow and allocate: pre-size the slice, or push one element onto a list the receiver owns")
 		return
 	}
 	// Interface-boxing at call arguments.

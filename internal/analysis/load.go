@@ -38,8 +38,10 @@ type listPkg struct {
 // packages. It shells out to `go list -export -deps -json`, which both
 // names the target packages and — via the build cache — supplies gc
 // export data for every dependency, so typechecking needs only the
-// targets' own sources. This works fully offline: no module downloads,
-// no golang.org/x/tools dependency.
+// targets' own sources — their non-test files only: the contracts govern
+// model code, and tests are free to use wall clocks and global
+// randomness. This works fully offline: no module downloads, no
+// golang.org/x/tools dependency.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-export", "-deps",
 		"-json=ImportPath,Dir,Export,GoFiles,DepOnly"}, patterns...)
@@ -70,14 +72,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	lookup := exportLookup(exports, nil)
+	lookup := exportLookup(exports)
 	var pkgs []*Package
 	for _, t := range targets {
-		files := make([]string, len(t.GoFiles))
-		for i, f := range t.GoFiles {
-			files[i] = filepath.Join(t.Dir, f)
-		}
-		pkg, err := typecheck(fset, t.ImportPath, t.Dir, files, lookup)
+		pkg, err := typecheck(fset, t.ImportPath, t.Dir, t.GoFiles, lookup)
 		if err != nil {
 			return nil, err
 		}
@@ -86,44 +84,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// VetConfig mirrors the JSON configuration `go vet -vettool` hands the
-// tool for one compilation unit (cmd/go/internal/work.vetConfig).
-type VetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-	GoVersion   string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// LoadVetPackage typechecks the single compilation unit described by a
-// vet config, resolving imports through the config's ImportMap and
-// PackageFile export-data table.
-func LoadVetPackage(cfg *VetConfig) (*Package, error) {
-	fset := token.NewFileSet()
-	return typecheck(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles,
-		exportLookup(cfg.PackageFile, cfg.ImportMap))
-}
-
-// exportLookup adapts an import-path→export-file table (after optional
-// source-path→canonical-path translation) into a gc importer lookup.
-func exportLookup(exports, importMap map[string]string) func(string) (io.ReadCloser, error) {
+// exportLookup adapts an import-path→export-file table into a gc
+// importer lookup.
+func exportLookup(exports map[string]string) func(string) (io.ReadCloser, error) {
 	return func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("simlint: no export data for %q", path)
@@ -132,15 +96,12 @@ func exportLookup(exports, importMap map[string]string) func(string) (io.ReadClo
 	}
 }
 
-// typecheck parses files and typechecks them as package path.
+// typecheck parses dir's files and typechecks them as package path.
 func typecheck(fset *token.FileSet, path, dir string, fileNames []string,
 	lookup func(string) (io.ReadCloser, error)) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
-		af, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		af, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +121,7 @@ func typecheck(fset *token.FileSet, path, dir string, fileNames []string,
 		// other finding; the first error still fails the load below.
 		Error: func(error) {},
 	}
-	pkg, err := conf.Check(canonicalPath(path), fset, files, info)
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("simlint: typecheck %s: %v", path, err)
 	}

@@ -1,81 +1,19 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/token"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
-
-// stdlibExports shells out once for the export-data locations of the
-// packages a fixture unit imports, the same table cmd/go would hand a
-// vettool via PackageFile.
-func stdlibExports(t *testing.T, pkgs ...string) map[string]string {
-	t.Helper()
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, pkgs...)
-	out, err := exec.Command("go", args...).Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports
-}
-
-func TestLoadVetPackage(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "u.go")
-	code := "package unit\n\nimport \"time\"\n\nvar T = time.Now()\n"
-	if err := os.WriteFile(src, []byte(code), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfg := &VetConfig{
-		ID:          "holdcsim/internal/core",
-		Compiler:    "gc",
-		Dir:         dir,
-		ImportPath:  "holdcsim/internal/core",
-		GoFiles:     []string{"u.go"}, // relative: typecheck must join with Dir
-		PackageFile: stdlibExports(t, "time"),
-	}
-	pkg, err := LoadVetPackage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkg.Types.Name() != "unit" || len(pkg.Files) != 1 {
-		t.Fatalf("loaded %q with %d files", pkg.Types.Name(), len(pkg.Files))
-	}
-	diags := RunSuite(pkg)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "time.Now") {
-		t.Fatalf("suite on vet-loaded unit: %v", diags)
-	}
-}
 
 func TestExportLookup(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "x.a")
 	if err := os.WriteFile(f, []byte("export"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	lookup := exportLookup(
-		map[string]string{"vendored/time": f},
-		map[string]string{"time": "vendored/time"},
-	)
-	rc, err := lookup("time") // translated through the import map
+	lookup := exportLookup(map[string]string{"time": f})
+	rc, err := lookup("time")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ func TestIsModelPackage(t *testing.T) {
 		want bool
 	}{
 		{"holdcsim/internal/engine", true},
-		{"holdcsim/internal/engine [holdcsim/internal/engine.test]", true},
 		{"holdcsim/internal/scenario", true},
 		{"holdcsim/internal/scenario/sub", true}, // scoped by top-level name
 		{"holdcsim/internal/analysis", false},    // the suite itself is not a model
@@ -25,15 +24,20 @@ func TestIsModelPackage(t *testing.T) {
 	}
 }
 
-func TestCanonicalPath(t *testing.T) {
-	cases := [][2]string{
-		{"p", "p"},
-		{"p [p.test]", "p"},
-		{"holdcsim/internal/engine [holdcsim/internal/engine.test]", "holdcsim/internal/engine"},
+func TestFirstParty(t *testing.T) {
+	cases := []struct {
+		path string
+		want bool
+	}{
+		{"holdcsim/internal/engine", true},
+		{"holdcsim/cmd/simlint", true},
+		{"holdcsim", true},
+		{"fmt", false},
+		{"holdcsimx/internal/engine", false},
 	}
 	for _, c := range cases {
-		if got := canonicalPath(c[0]); got != c[1] {
-			t.Errorf("canonicalPath(%q) = %q, want %q", c[0], got, c[1])
+		if got := isFirstParty(c.path); got != c.want {
+			t.Errorf("isFirstParty(%q) = %v, want %v", c.path, got, c.want)
 		}
 	}
 }

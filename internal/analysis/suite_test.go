@@ -54,25 +54,6 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 }
 
-func TestFirstParty(t *testing.T) {
-	cases := []struct {
-		path string
-		want bool
-	}{
-		{"holdcsim/internal/engine", true},
-		{"holdcsim/internal/engine [holdcsim/internal/engine.test]", true},
-		{"holdcsim/cmd/simlint", true},
-		{"holdcsim", true},
-		{"fmt", false},
-		{"holdcsimx/internal/engine", false},
-	}
-	for _, c := range cases {
-		if got := analysis.FirstParty(c.path); got != c.want {
-			t.Errorf("FirstParty(%q) = %v, want %v", c.path, got, c.want)
-		}
-	}
-}
-
 // TestDiagnosticString locks the human-readable finding format the CLI
 // prints.
 func TestDiagnosticString(t *testing.T) {

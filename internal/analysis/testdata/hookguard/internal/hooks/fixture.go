@@ -53,3 +53,24 @@ func localCopy(cfg *Config) {
 		done()
 	}
 }
+
+// Runner's Do is a mandatory input: nothing in the package ever compares
+// it with nil, so rule A has nothing to police — a nil Do is a bug the
+// first call finds.
+type Runner struct {
+	Do func() int
+}
+
+func (r *Runner) run() int { return r.Do() }
+
+// Probe's OnTick is optional because enabled compares it with nil — in
+// another function, which guards nothing here.
+type Probe struct {
+	OnTick func()
+}
+
+func (p *Probe) enabled() bool { return p.OnTick != nil }
+
+func (p *Probe) tick() {
+	p.OnTick() // want "call through optional hook field p.OnTick is not dominated by a nil check"
+}

@@ -61,3 +61,29 @@ func boxingForms(items []item, ch chan interface{}, pre []interface{}) interface
 	_ = variadic(nil, 3)   // untyped nil and constants: no box
 	return items[2] // want "value of type item boxed into interface\{\} in a hot path"
 }
+
+type pool struct {
+	free    []*item
+	buckets [4][]*item
+	stats   struct{ seen []int }
+}
+
+// Pushing one element onto a list the receiver owns is the free-list and
+// bucket idiom: accepted without annotation.
+//
+//simlint:hotpath
+func (p *pool) put(it *item, slot int) {
+	p.free = append(p.free, it)
+	p.buckets[slot] = append(p.buckets[slot], it)
+	p.stats.seen = append(p.stats.seen, slot)
+}
+
+// Anything else that can grow is still flagged: two elements at once, a
+// list that is not the one assigned to, a list the receiver does not own.
+//
+//simlint:hotpath
+func (p *pool) grow(other *pool, it *item) {
+	p.free = append(p.free, it, it)     // want "append in a hot path may grow"
+	p.free = append(other.free, it)     // want "append in a hot path may grow"
+	other.free = append(other.free, it) // want "append in a hot path may grow"
+}

@@ -168,7 +168,6 @@ type DataCenter struct {
 	Gen     *workload.Generator
 
 	cfg      Config
-	rng      *rng.Source
 	hostOf   []topology.NodeID
 	checker  *invariant.Checker // nil unless cfg.Check
 	injector *fault.Injector    // nil unless cfg.Faults
@@ -208,7 +207,6 @@ func Build(cfg Config) (*DataCenter, error) {
 	dc := &DataCenter{
 		Eng:     eng,
 		cfg:     cfg,
-		rng:     master,
 		compact: compact,
 	}
 	if compact {
@@ -397,9 +395,6 @@ func Build(cfg Config) (*DataCenter, error) {
 	return dc, nil
 }
 
-// RNG exposes the master random source (for callers extending a run).
-func (dc *DataCenter) RNG() *rng.Source { return dc.rng }
-
 // HostOf reports the topology node bound to a server (only with a
 // topology).
 func (dc *DataCenter) HostOf(serverID int) topology.NodeID { return dc.hostOf[serverID] }
@@ -450,10 +445,6 @@ func (dc *DataCenter) Run() (*Results, error) {
 // Checker exposes the attached invariant checker (nil unless the
 // config enabled Check).
 func (dc *DataCenter) Checker() *invariant.Checker { return dc.checker }
-
-// Injector exposes the attached fault injector (nil unless the config
-// set Faults).
-func (dc *DataCenter) Injector() *fault.Injector { return dc.injector }
 
 // Collect snapshots results at the current virtual time. It may be
 // called repeatedly (e.g. per sweep point when reusing a data center).
@@ -521,9 +512,6 @@ func (dc *DataCenter) Collect() *Results {
 type ServerEnergy struct {
 	CPU, DRAM, Platform float64 // joules
 }
-
-// Total reports the server's total energy.
-func (e ServerEnergy) Total() float64 { return e.CPU + e.DRAM + e.Platform }
 
 // Results aggregates a run's outputs.
 type Results struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"holdcsim/internal/job"
 	"holdcsim/internal/network"
 	"holdcsim/internal/power"
 	"holdcsim/internal/sched"
@@ -96,7 +97,7 @@ func TestEndToEndSingleTask(t *testing.T) {
 	}
 	var perSum float64
 	for _, e := range r.PerServer {
-		perSum += e.Total()
+		perSum += e.CPU + e.DRAM + e.Platform
 	}
 	if math.Abs(perSum-r.ServerEnergyJ) > 1e-6 {
 		t.Errorf("per-server sum %v != total %v", perSum, r.ServerEnergyJ)
@@ -152,7 +153,7 @@ func TestDurationBoundedRun(t *testing.T) {
 	if r.JobsCompleted < 500 {
 		t.Errorf("completed = %d, want ~800", r.JobsCompleted)
 	}
-	if r.ServerPowerSeries == nil || r.ServerPowerSeries.Len() < 15 {
+	if r.ServerPowerSeries == nil || len(r.ServerPowerSeries.Values) < 15 {
 		t.Error("power series missing or too short")
 	}
 }
@@ -288,8 +289,13 @@ func TestHeterogeneousConfigureServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dc.Servers[0].Core(0).Speed() != 2 || dc.Servers[1].Core(0).Speed() != 1 {
-		t.Error("ConfigureServer not applied")
+	fast, slow := job.Single(1, 0, 10*simtime.Millisecond).Tasks[0], job.Single(2, 0, 10*simtime.Millisecond).Tasks[0]
+	dc.Servers[0].Submit(fast)
+	dc.Servers[1].Submit(slow)
+	dc.Eng.Run()
+	if fast.FinishAt-fast.StartAt != 5*simtime.Millisecond || slow.FinishAt-slow.StartAt != 10*simtime.Millisecond {
+		t.Errorf("ConfigureServer not applied: 10ms of work took %v on the 2x server, %v on the 1x",
+			fast.FinishAt-fast.StartAt, slow.FinishAt-slow.StartAt)
 	}
 }
 

@@ -65,10 +65,11 @@ func TestMultiSocketFarmThroughBuild(t *testing.T) {
 	// At this trickle the second socket of each server should have
 	// parked for most of the run: per-server CPU energy must be well
 	// under the both-sockets-idle bound.
-	bothIdle := power.DualSocketXeon().IdleWatts() * res.End.Seconds()
-	if res.PerServer[0].Total() >= bothIdle {
+	prof := power.DualSocketXeon()
+	bothIdle := (float64(prof.Cores)*prof.CoreIdle + 2*prof.PkgPC0 + prof.DRAMIdle + prof.PlatformS0) * res.End.Seconds()
+	if e := res.PerServer[0]; e.CPU+e.DRAM+e.Platform >= bothIdle {
 		t.Errorf("per-server energy %v >= Active-Idle bound %v (no socket parking?)",
-			res.PerServer[0].Total(), bothIdle)
+			e.CPU+e.DRAM+e.Platform, bothIdle)
 	}
 }
 
@@ -108,8 +109,8 @@ func TestPowerSamplerCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Samples at 0, 100ms, ..., 1000ms inclusive = 11.
-	if res.ServerPowerSeries.Len() != 11 {
-		t.Errorf("samples = %d, want 11", res.ServerPowerSeries.Len())
+	if len(res.ServerPowerSeries.Values) != 11 {
+		t.Errorf("samples = %d, want 11", len(res.ServerPowerSeries.Values))
 	}
 	for i, at := range res.ServerPowerSeries.Times {
 		want := simtime.Time(i) * 100 * simtime.Millisecond

@@ -156,18 +156,6 @@ func NewMMPP2(lambdaH, lambdaL, meanBurst, meanQuiet float64) (*MMPP2, error) {
 	return &MMPP2{LambdaH: lambdaH, LambdaL: lambdaL, MeanBurst: meanBurst, MeanQuiet: meanQuiet}, nil
 }
 
-// RateRatio reports the burstiness ratio Ra = λH/λL.
-func (m *MMPP2) RateRatio() float64 { return m.LambdaH / m.LambdaL }
-
-// BurstyFraction reports the fraction of time spent in the burst state.
-func (m *MMPP2) BurstyFraction() float64 { return m.MeanBurst / (m.MeanBurst + m.MeanQuiet) }
-
-// MeanRate reports the long-run average arrival rate.
-func (m *MMPP2) MeanRate() float64 {
-	total := m.MeanBurst + m.MeanQuiet
-	return (m.LambdaH*m.MeanBurst + m.LambdaL*m.MeanQuiet) / total
-}
-
 // Next returns the interval in seconds until the next arrival, advancing
 // the modulating chain through any state flips that occur in between.
 func (m *MMPP2) Next(r *rng.Source) float64 {

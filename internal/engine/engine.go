@@ -75,30 +75,18 @@ type event struct {
 type Handle struct {
 	ev  *event
 	gen uint32
-	at  simtime.Time
 }
-
-// At reports the virtual time the event was scheduled to fire at. It is
-// valid even after the event fires or is canceled.
-func (h Handle) At() simtime.Time { return h.at }
 
 // Pending reports whether the event is still queued and not canceled.
 func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateQueued
 }
 
-// Canceled reports whether the event was canceled and has not yet been
-// swept or recycled. A fired or recycled event reports false.
-func (h Handle) Canceled() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateCanceled
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable;
 // call New.
 type Engine struct {
-	now     simtime.Time
-	seq     uint64
-	stopped bool
+	now simtime.Time
+	seq uint64
 
 	// bottom is the earliest tier: a small binary heap ordered by
 	// (at, seq) holding every queued event with at < base.
@@ -151,9 +139,6 @@ func saturatingWindowEnd(base, width simtime.Time) simtime.Time {
 // Now reports the current virtual time.
 func (e *Engine) Now() simtime.Time { return e.now }
 
-// Len reports the number of queued, non-canceled events.
-func (e *Engine) Len() int { return e.live }
-
 // alloc takes an event from the pool, growing it block-wise so steady
 // state never allocates.
 //
@@ -180,7 +165,7 @@ func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.state = stateFree
 	ev.gen++
-	e.free = append(e.free, ev) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+	e.free = append(e.free, ev)
 }
 
 // Schedule queues fn to run at absolute virtual time at.
@@ -202,7 +187,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	e.seq++
 	e.live++
 	e.place(ev)
-	return Handle{ev: ev, gen: ev.gen, at: at}
+	return Handle{ev: ev, gen: ev.gen}
 }
 
 // place routes an event to the tier covering its timestamp. Branches are
@@ -217,15 +202,15 @@ func (e *Engine) place(ev *event) {
 	if ev.at < e.spillStart {
 		j := int((ev.at - e.base) / e.width)
 		slot := (e.cur + j) % numBuckets
-		e.buckets[slot] = append(e.buckets[slot], ev) //simlint:allow hotpath bucket push: amortized O(1), capacity reaches steady state
+		e.buckets[slot] = append(e.buckets[slot], ev)
 		e.nearCount++
 		return
 	}
 	if ev.at == simtime.Forever {
-		e.forever = append(e.forever, ev) //simlint:allow hotpath forever list push: amortized O(1), capacity reaches steady state
+		e.forever = append(e.forever, ev)
 		return
 	}
-	e.spill = append(e.spill, ev) //simlint:allow hotpath spill push: amortized O(1), capacity reaches steady state
+	e.spill = append(e.spill, ev)
 }
 
 // After queues fn to run d from now. Negative d panics.
@@ -448,14 +433,10 @@ func (e *Engine) rebucket() {
 }
 
 // Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports false when the queue is empty or the engine
-// has been stopped.
+// its timestamp. It reports false when the queue is empty.
 //
 //simlint:hotpath
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	var ev *event
 	if len(e.bottom) > 0 && e.bottom[0].state == stateQueued {
 		// Fast path: a live event is already at the heap top.
@@ -486,17 +467,16 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= end, then advances the clock
-// to end (even if the queue still holds later events). It stops early if
-// Stop is called or the queue drains.
+// to end (even if the queue still holds later events).
 func (e *Engine) RunUntil(end simtime.Time) {
-	for !e.stopped {
+	for {
 		next := e.nextLive()
 		if next == nil || next.at > end {
 			break
@@ -506,23 +486,6 @@ func (e *Engine) RunUntil(end simtime.Time) {
 	if e.now < end {
 		e.now = end
 	}
-}
-
-// Stop halts Run/RunUntil after the current event returns. Pending events
-// stay queued; a subsequent Run resumes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a previous Stop.
-func (e *Engine) Resume() { e.stopped = false }
-
-// NextEventTime reports the timestamp of the earliest pending event and
-// whether one exists.
-func (e *Engine) NextEventTime() (simtime.Time, bool) {
-	ev := e.nextLive()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
 }
 
 // ---------------------------------------------------------------------
@@ -538,7 +501,7 @@ func lessEv(a, b *event) bool {
 
 //simlint:hotpath
 func (e *Engine) bottomPush(ev *event) {
-	e.bottom = append(e.bottom, ev) //simlint:allow hotpath bottom-heap push: amortized O(1), capacity reaches steady state
+	e.bottom = append(e.bottom, ev)
 	h := e.bottom
 	i := len(h) - 1
 	for i > 0 {

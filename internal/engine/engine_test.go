@@ -75,8 +75,8 @@ func TestEvery(t *testing.T) {
 	n := 0
 	e.Every(0, 1, simtime.Forever, func() { n++ })
 	e.RunUntil(99)
-	if n != 100 || e.Len() != 1 {
-		t.Errorf("open-ended Every: %d firings, %d queued; want 100, 1", n, e.Len())
+	if n != 100 || e.live != 1 {
+		t.Errorf("open-ended Every: %d firings, %d queued; want 100, 1", n, e.live)
 	}
 }
 
@@ -167,22 +167,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStopResume(t *testing.T) {
-	e := New()
-	count := 0
-	e.Schedule(10, func() { count++; e.Stop() })
-	e.Schedule(20, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("count after Stop = %d, want 1", count)
-	}
-	e.Resume()
-	e.Run()
-	if count != 2 {
-		t.Errorf("count after Resume = %d, want 2", count)
-	}
-}
-
 func TestNextEventTime(t *testing.T) {
 	e := New()
 	if _, ok := e.NextEventTime(); ok {
@@ -264,11 +248,11 @@ func TestTimerResetStop(t *testing.T) {
 	count := 0
 	tm := NewTimer(e, func() { count++ })
 	tm.Reset(10)
-	if !tm.Armed() {
+	if !tm.h.Pending() {
 		t.Error("timer not armed after Reset")
 	}
-	if tm.Deadline() != 10 {
-		t.Errorf("Deadline = %v, want 10", tm.Deadline())
+	if at, ok := e.NextEventTime(); !ok || at != 10 {
+		t.Errorf("deadline = %v, %v; want 10", at, ok)
 	}
 	tm.Reset(20) // re-arm before expiry
 	e.Run()

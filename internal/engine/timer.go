@@ -25,7 +25,7 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 	t := &Timer{eng: eng, fn: fn}
 	t.fire = func() {
 		t.h = Handle{}
-		t.fn() //simlint:allow hookguard fn is mandatory: NewTimer panics on nil
+		t.fn()
 	}
 	return t
 }
@@ -44,15 +44,4 @@ func (t *Timer) Stop() bool {
 	t.eng.Cancel(t.h)
 	t.h = Handle{}
 	return armed
-}
-
-// Armed reports whether the timer has a pending expiry.
-func (t *Timer) Armed() bool { return t.h.Pending() }
-
-// Deadline reports the pending expiry time; valid only when Armed.
-func (t *Timer) Deadline() simtime.Time {
-	if !t.Armed() {
-		return 0
-	}
-	return t.h.At()
 }

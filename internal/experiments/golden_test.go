@@ -123,3 +123,17 @@ func TestGoldenQuickPresets(t *testing.T) {
 		})
 	}
 }
+
+// Golden renders the pinned parts: the bytes of
+// testdata/golden/<name>.golden.tsv.
+func (r *Report) Golden() string {
+	var b strings.Builder
+	for _, p := range r.Pinned {
+		if p.Table != nil {
+			b.WriteString(p.Table.String())
+		} else {
+			b.WriteString(p.Line + "\n")
+		}
+	}
+	return b.String()
+}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"holdcsim/internal/fault"
 	"holdcsim/internal/runner"
@@ -111,17 +110,3 @@ type Part struct {
 }
 
 func linef(format string, a ...any) Part { return Part{Line: fmt.Sprintf(format, a...)} }
-
-// Golden renders the pinned parts: the bytes of
-// testdata/golden/<name>.golden.tsv.
-func (r *Report) Golden() string {
-	var b strings.Builder
-	for _, p := range r.Pinned {
-		if p.Table != nil {
-			b.WriteString(p.Table.String())
-		} else {
-			b.WriteString(p.Line + "\n")
-		}
-	}
-	return b.String()
-}

@@ -145,21 +145,25 @@ func FallbackTopo(servers int) *Topo {
 // timeline.
 const maxRenewalEvents = 100_000
 
-// TimelineFor draws the full correlated fault schedule: the frozen
-// point-class draws first (byte-identical to Timeline for a
-// pre-correlation spec), then blast-radius draws per scope class, then
-// renewal processes on dedicated split streams (gated on configuration
-// so unconfigured specs consume nothing), then outage-log replay.
-// Events sort stably by instant, so the relative order of equal-time
-// draws is the draw order.
+// TimelineFor draws the fault schedule, a pure function of the rng
+// stream (derive it from the experiment seed with a dedicated label),
+// the horizon and the farm shape: the three point classes first, in a
+// frozen draw order, then blast-radius draws per scope class on the same
+// stream, then renewal processes on dedicated split streams (gated on
+// configuration so unconfigured specs consume nothing), then outage-log
+// replay. A class whose target population is zero (link flaps on a
+// server-only farm) is skipped. Outage instants are uniform over the
+// first 90% of the horizon so a recovery usually lands inside the run;
+// durations are uniform in [0.5, 1.5]× the class mean. Events sort
+// stably by instant, so the relative order of equal-time draws is the
+// draw order.
 func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timeline, error) {
 	if topo == nil {
 		topo = PointTopo(0, 0, 0)
 	}
 	var tl Timeline
 	pair := 0
-	sp.drawPoint(r, horizonSec, topo.Servers, topo.Links, topo.Switches, &tl, &pair)
-	drawScope := func(n, count int, downSec float64, scope ScopeKind) {
+	draw := func(n, count int, downSec float64, down, up Kind, scope ScopeKind) {
 		if n <= 0 {
 			return
 		}
@@ -167,14 +171,17 @@ func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timel
 			at := simtime.FromSeconds(r.Float64() * horizonSec * 0.9)
 			dur := simtime.FromSeconds(downSec * (0.5 + r.Float64()))
 			target := r.IntN(n)
-			tl.Events = append(tl.Events, Event{At: at, Kind: ScopeDown, Scope: scope, Target: target, Pair: pair})
-			tl.Events = append(tl.Events, Event{At: at + dur, Kind: ScopeUp, Scope: scope, Target: target, Pair: pair})
+			tl.Events = append(tl.Events, Event{At: at, Kind: down, Scope: scope, Target: target, Pair: pair})
+			tl.Events = append(tl.Events, Event{At: at + dur, Kind: up, Scope: scope, Target: target, Pair: pair})
 			pair++
 		}
 	}
-	drawScope(len(topo.Racks), sp.RackKills, sp.RackDownSec, ScopeRack)
-	drawScope(len(topo.Pods), sp.PodKills, sp.PodDownSec, ScopePod)
-	drawScope(topo.Switches, sp.SubtreeKills, sp.SubtreeDownSec, ScopeSwitch)
+	draw(topo.Servers, sp.ServerCrashes, sp.ServerDownSec, ServerCrash, ServerRecover, ScopeServer)
+	draw(topo.Links, sp.LinkFlaps, sp.LinkDownSec, LinkCut, LinkRestore, ScopeServer)
+	draw(topo.Switches, sp.SwitchKills, sp.SwitchDownSec, SwitchFail, SwitchRestore, ScopeServer)
+	draw(len(topo.Racks), sp.RackKills, sp.RackDownSec, ScopeDown, ScopeUp, ScopeRack)
+	draw(len(topo.Pods), sp.PodKills, sp.PodDownSec, ScopeDown, ScopeUp, ScopePod)
+	draw(topo.Switches, sp.SubtreeKills, sp.SubtreeDownSec, ScopeDown, ScopeUp, ScopeSwitch)
 	if sp.ServerMTTFSec > 0 && topo.Servers > 0 {
 		renew(r.Split("renewal-server"), horizonSec, topo.Servers,
 			sp.ServerMTTFSec, sp.ServerMTTRSec, sp.WeibullShape, sp.RepairCrews,

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,9 +167,10 @@ func scopeTopo(t *testing.T, s scenario.Scenario) *fault.Topo {
 }
 
 // TestTimelineForFrozenPointPrefix: for a point-only spec, TimelineFor
-// is byte-identical to the frozen PR-era Timeline; with correlated
-// classes added, the point draws keep their exact values and the scope
-// draws append after them on the same stream.
+// draws the pinned schedule (the point classes' draw order is frozen:
+// goldens and bench pins ride on it); with correlated classes added,
+// the point draws keep their exact values and the scope draws append
+// after them on the same stream.
 func TestTimelineForFrozenPointPrefix(t *testing.T) {
 	sp := fault.Spec{
 		ServerCrashes: 3, ServerDownSec: 0.3,
@@ -176,13 +178,16 @@ func TestTimelineForFrozenPointPrefix(t *testing.T) {
 		SwitchKills: 1, SwitchDownSec: 0.2,
 	}
 	topo := fault.PointTopo(8, 12, 3)
-	old := sp.Timeline(rng.New(7).Split("faults"), 10, 8, 12, 3)
-	got, err := sp.TimelineFor(rng.New(7).Split("faults"), 10, topo)
+	old, err := sp.TimelineFor(rng.New(7).Split("faults"), 10, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(old, got) {
-		t.Fatalf("point-only TimelineFor diverged from frozen Timeline:\n%v\n%v", old, got)
+	const frozen = "{[{651ms link-cut 8 4 server} {737ms link-cut 11 3 server} {793ms link-restore 8 4 server} " +
+		"{866ms link-restore 11 3 server} {1.032s server-crash 3 1 server} {1.331s server-recover 3 1 server} " +
+		"{1.375s switch-fail 0 5 server} {1.482s switch-restore 0 5 server} {5.347s server-crash 0 0 server} " +
+		"{5.728s server-recover 0 0 server} {6.623s server-crash 1 2 server} {7.032s server-recover 1 2 server}]}"
+	if got := fmt.Sprint(old); got != frozen {
+		t.Fatalf("point-only schedule moved:\n got %s\nwant %s", got, frozen)
 	}
 
 	// Adding scope classes must not disturb the point draws: events
@@ -281,7 +286,10 @@ func TestRenewalTimeline(t *testing.T) {
 	sp2.ServerCrashes = 2
 	sp2.ServerDownSec = 0.2
 	point := fault.Spec{ServerCrashes: 2, ServerDownSec: 0.2}
-	tlPoint := point.Timeline(rng.New(11).Split("faults"), 20, 4, 0, 0)
+	tlPoint, err := point.TimelineFor(rng.New(11).Split("faults"), 20, fault.PointTopo(4, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tlBoth, err := sp2.TimelineFor(rng.New(11).Split("faults"), 20, topo)
 	if err != nil {
 		t.Fatal(err)

@@ -114,9 +114,6 @@ type Timeline struct {
 	Events []Event
 }
 
-// Empty reports whether the timeline schedules nothing.
-func (tl Timeline) Empty() bool { return len(tl.Events) == 0 }
-
 // Spec declares a fault workload as plain, comparable data — a scenario
 // axis. Counts say how many outages of each class to draw; durations
 // are mean outage lengths (each outage draws uniformly in [0.5, 1.5]×
@@ -284,45 +281,6 @@ func (sp Spec) ext() string {
 	return s
 }
 
-// Timeline draws the *point-fault* schedule: a pure function of the
-// rng stream (derive it from the experiment seed with a dedicated
-// label), the horizon, and the farm shape. Classes whose target
-// population is zero (link flaps on a server-only farm) are skipped.
-// Outage instants are uniform over the first 90% of the horizon so a
-// recovery usually lands inside the run; durations are uniform in
-// [0.5, 1.5]× the class mean. The correlated classes (blast radius,
-// renewal, replay) need topology scope data and file access — use
-// TimelineFor for the full schedule.
-func (sp Spec) Timeline(r *rng.Source, horizonSec float64, servers, links, switches int) Timeline {
-	var tl Timeline
-	pair := 0
-	sp.drawPoint(r, horizonSec, servers, links, switches, &tl, &pair)
-	sortTimeline(&tl)
-	return tl
-}
-
-// drawPoint appends the three point-fault classes in their fixed draw
-// order. This draw sequence is frozen: TimelineFor consumes it first so
-// a pre-correlation spec yields a byte-identical schedule.
-func (sp Spec) drawPoint(r *rng.Source, horizonSec float64, servers, links, switches int, tl *Timeline, pair *int) {
-	draw := func(n int, count int, downSec float64, down, up Kind) {
-		if n <= 0 {
-			return
-		}
-		for i := 0; i < count; i++ {
-			at := simtime.FromSeconds(r.Float64() * horizonSec * 0.9)
-			dur := simtime.FromSeconds(downSec * (0.5 + r.Float64()))
-			target := r.IntN(n)
-			tl.Events = append(tl.Events, Event{At: at, Kind: down, Target: target, Pair: *pair})
-			tl.Events = append(tl.Events, Event{At: at + dur, Kind: up, Target: target, Pair: *pair})
-			*pair++
-		}
-	}
-	draw(servers, sp.ServerCrashes, sp.ServerDownSec, ServerCrash, ServerRecover)
-	draw(links, sp.LinkFlaps, sp.LinkDownSec, LinkCut, LinkRestore)
-	draw(switches, sp.SwitchKills, sp.SwitchDownSec, SwitchFail, SwitchRestore)
-}
-
 func sortTimeline(tl *Timeline) {
 	sort.SliceStable(tl.Events, func(i, j int) bool {
 		return tl.Events[i].At < tl.Events[j].At
@@ -371,7 +329,6 @@ type Injector struct {
 	sch     *sched.Scheduler
 	servers []*server.Server
 	net     *network.Network // nil on server-only farms
-	tl      Timeline
 	ledger  Ledger
 
 	// Correlated-model state: scope resolution, the cascade rng (nil
@@ -420,7 +377,7 @@ type AttachOpts struct {
 func Attach(eng *engine.Engine, tl Timeline, sch *sched.Scheduler,
 	servers []*server.Server, net *network.Network, o AttachOpts) *Injector {
 	inj := &Injector{
-		eng: eng, sch: sch, servers: servers, net: net, tl: tl,
+		eng: eng, sch: sch, servers: servers, net: net,
 		topo: o.Topo, cascade: o.Cascade, spec: o.Spec, cover: o.Cover,
 		srvDownBy:  make(map[int]int),
 		linkDownBy: make(map[int]int),
@@ -442,9 +399,6 @@ func Attach(eng *engine.Engine, tl Timeline, sch *sched.Scheduler,
 	}
 	return inj
 }
-
-// Timeline reports the schedule the injector was attached with.
-func (inj *Injector) Timeline() Timeline { return inj.tl }
 
 // Ledger snapshots the fault account.
 func (inj *Injector) Ledger() Ledger { return inj.ledger }

@@ -285,9 +285,6 @@ func (c *Checker) onDispatch(srv *server.Server, t *job.Task) {
 // end-of-run laws).
 func (c *Checker) Violations() []Violation { return c.violations }
 
-// Suppressed reports violations dropped beyond MaxViolations.
-func (c *Checker) Suppressed() int { return c.suppressed }
-
 // Err folds the violations into a single error, nil when clean.
 func (c *Checker) Err() error {
 	if len(c.violations) == 0 {

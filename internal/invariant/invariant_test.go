@@ -17,10 +17,11 @@ import (
 // rig is a minimal data center: engine, a small farm, a scheduler and a
 // Poisson generator, with a checker attached.
 type rig struct {
-	eng *engine.Engine
-	s   *sched.Scheduler
-	gen *workload.Generator
-	c   *Checker
+	eng  *engine.Engine
+	farm []*server.Server
+	s    *sched.Scheduler
+	gen  *workload.Generator
+	c    *Checker
 }
 
 func newRig(t *testing.T, servers int, jobs int64, opts Options) *rig {
@@ -47,7 +48,7 @@ func newRigPolicy(t *testing.T, servers int, jobs int64, opts Options, policy sc
 		s.JobArrived)
 	gen.MaxJobs = jobs
 	c := Attach(eng, gen, s, farm, nil, opts)
-	return &rig{eng: eng, s: s, gen: gen, c: c}
+	return &rig{eng: eng, farm: farm, s: s, gen: gen, c: c}
 }
 
 func (r *rig) run() {
@@ -121,10 +122,10 @@ func TestLossSplitsHold(t *testing.T) {
 			r.c.opts.LostJobsLedger = func() int64 { return ledger }
 			r.s.OnJobLost(func(_ *job.Job, _ sched.LostReason) { ledger++ })
 			r.eng.Schedule(100*simtime.Millisecond, func() {
-				r.s.ServerCrashed(r.s.Servers()[0])
+				r.s.ServerCrashed(r.farm[0])
 			})
 			r.eng.Schedule(300*simtime.Millisecond, func() {
-				r.s.ServerRecovered(r.s.Servers()[0])
+				r.s.ServerRecovered(r.farm[0])
 			})
 			r.run()
 			if v := r.c.Finalize(r.eng.Now()); len(v) != 0 {
@@ -206,8 +207,8 @@ func TestViolationCapSuppresses(t *testing.T) {
 	if len(r.c.Violations()) != 3 {
 		t.Fatalf("recorded %d violations, want cap 3", len(r.c.Violations()))
 	}
-	if r.c.Suppressed() != 7 {
-		t.Fatalf("suppressed %d, want 7", r.c.Suppressed())
+	if r.c.suppressed != 7 {
+		t.Fatalf("suppressed %d, want 7", r.c.suppressed)
 	}
 	if err := r.c.Err(); err == nil || !strings.Contains(err.Error(), "+7 suppressed") {
 		t.Errorf("Err() = %v, want suppressed note", err)

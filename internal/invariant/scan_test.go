@@ -25,7 +25,7 @@ func TestScanBudgetResolution(t *testing.T) {
 
 func TestDirtySetFirstTouchOrder(t *testing.T) {
 	r := newRig(t, 8, 1, Options{ScanBudget: 4})
-	srvs := r.s.Servers()
+	srvs := r.farm
 	r.c.markDirty(srvs[5])
 	r.c.markDirty(srvs[2])
 	r.c.markDirty(srvs[5]) // duplicate: already marked
@@ -52,7 +52,7 @@ func TestBoundedScanRotatesCursor(t *testing.T) {
 	if r.c.cursor != 1 {
 		t.Fatalf("cursor = %d after three budget-3 scans of 8 servers, want 1", r.c.cursor)
 	}
-	srvs := r.s.Servers()
+	srvs := r.farm
 	r.c.markDirty(srvs[1]) // sits at the cursor: must be skipped there
 	r.c.markDirty(srvs[0])
 	r.c.deepScan() // 2 dirty + 1 from cursor (skipping dirty server 1)

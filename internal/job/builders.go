@@ -7,26 +7,14 @@ import (
 
 // The builders below create the DAG shapes used across the paper's case
 // studies: single-task jobs (Secs. IV-A/B/C), two-tier app+db requests
-// (Sec. III-C's web example), fan-out/fan-in scatter-gather, chains, and
+// (Sec. III-C's web example), fan-out/fan-in scatter-gather, and
 // random DAGs for the network case study (Sec. IV-D). Each is a method
 // of *Pool that builds into a recycled job when the pool holds one; the
-// functions of the same names build on the nil pool, which allocates.
+// nil pool allocates.
 
+// Single builds a one-task job of any kind on the nil pool.
 func Single(id ID, arrive simtime.Time, size simtime.Time) *Job {
 	return (*Pool)(nil).Single(id, arrive, size, "")
-}
-func TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time, bytes int64) *Job {
-	return (*Pool)(nil).TwoTier(id, arrive, appSize, dbSize, bytes)
-}
-func Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes int64) *Job {
-	return (*Pool)(nil).Chain(id, arrive, n, size, bytes)
-}
-func ScatterGather(id ID, arrive simtime.Time, width int, rootSize, workerSize, gatherSize simtime.Time, bytes int64) *Job {
-	return (*Pool)(nil).ScatterGather(id, arrive, width, rootSize, workerSize, gatherSize, bytes)
-}
-func RandomDAG(id ID, arrive simtime.Time, r *rng.Source, layers, maxWidth, maxDeps int,
-	minSize, maxSize simtime.Time, bytes int64) *Job {
-	return (*Pool)(nil).RandomDAG(id, arrive, r, layers, maxWidth, maxDeps, minSize, maxSize, bytes)
 }
 
 // Single builds a one-task job of the given kind.
@@ -44,23 +32,6 @@ func (p *Pool) TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time,
 	app := j.AddTask(appSize, "app")
 	db := j.AddTask(dbSize, "db")
 	j.Link(app, db, bytes)
-	mustSeal(j)
-	return j
-}
-
-// Chain builds a linear pipeline of n tasks of the given size, each edge
-// carrying bytes.
-func (p *Pool) Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes int64) *Job {
-	if n < 1 {
-		panic("job: Chain needs n >= 1")
-	}
-	j := p.Get(id, arrive)
-	prev := j.AddTask(size, "")
-	for i := 1; i < n; i++ {
-		t := j.AddTask(size, "")
-		j.Link(prev, t, bytes)
-		prev = t
-	}
 	mustSeal(j)
 	return j
 }

@@ -91,12 +91,6 @@ func (t *Task) Name() string { return fmt.Sprintf("j%d/t%d", t.Job.ID, t.Index) 
 // IsRoot reports whether the task has no parents.
 func (t *Task) IsRoot() bool { return len(t.In) == 0 }
 
-// IsSink reports whether the task has no children.
-func (t *Task) IsSink() bool { return len(t.Out) == 0 }
-
-// PendingDeps reports the number of unsatisfied inputs.
-func (t *Task) PendingDeps() int { return t.pendingDeps }
-
 // SatisfyDep marks one input as satisfied (parent finished and its data
 // arrived) and reports whether the task became ready.
 func (t *Task) SatisfyDep() bool {
@@ -170,7 +164,7 @@ func (p *Pool) Put(j *Job) {
 		return
 	}
 	j.pooled = true
-	p.free = append(p.free, j) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+	p.free = append(p.free, j)
 }
 
 // AddTask appends a task with the given nominal size and kind, returning
@@ -275,17 +269,6 @@ func (j *Job) TopoOrder() ([]*Task, error) {
 	return j.order, nil
 }
 
-// ReadyTasks returns the tasks currently in the Ready state.
-func (j *Job) ReadyTasks() []*Task {
-	var out []*Task
-	for _, t := range j.Tasks {
-		if t.State == TaskReady {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // TaskFinished records that t completed at time now and reports whether
 // the whole job is now done. The caller is responsible for propagating
 // output edges (data transfers) and calling SatisfyDep on children.
@@ -320,12 +303,3 @@ func (j *Job) Lost() bool { return j.lost }
 // Sojourn reports the job's total time in system (finish - arrive).
 // Valid only after Done.
 func (j *Job) Sojourn() simtime.Time { return j.FinishAt - j.ArriveAt }
-
-// TotalWork reports the sum of task sizes.
-func (j *Job) TotalWork() simtime.Time {
-	var w simtime.Time
-	for _, t := range j.Tasks {
-		w += t.Size
-	}
-	return w
-}

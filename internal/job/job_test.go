@@ -15,7 +15,7 @@ func TestSingle(t *testing.T) {
 		t.Fatalf("tasks = %d", len(j.Tasks))
 	}
 	tk := j.Tasks[0]
-	if tk.State != TaskReady || !tk.IsRoot() || !tk.IsSink() {
+	if tk.State != TaskReady || !tk.IsRoot() || len(tk.Out) != 0 {
 		t.Errorf("root task state = %v", tk.State)
 	}
 	if tk.ReadyAt != 100 {
@@ -30,7 +30,7 @@ func TestSingle(t *testing.T) {
 }
 
 func TestTwoTierDependency(t *testing.T) {
-	j := TwoTier(2, 0, 3*simtime.Millisecond, 7*simtime.Millisecond, 4096)
+	j := nilPool.TwoTier(2, 0, 3*simtime.Millisecond, 7*simtime.Millisecond, 4096)
 	app, db := j.Tasks[0], j.Tasks[1]
 	if app.Kind != "app" || db.Kind != "db" {
 		t.Errorf("kinds = %q, %q", app.Kind, db.Kind)
@@ -38,8 +38,8 @@ func TestTwoTierDependency(t *testing.T) {
 	if app.State != TaskReady {
 		t.Errorf("app state = %v", app.State)
 	}
-	if db.State != TaskBlocked || db.PendingDeps() != 1 {
-		t.Errorf("db state = %v deps = %d", db.State, db.PendingDeps())
+	if db.State != TaskBlocked || db.pendingDeps != 1 {
+		t.Errorf("db state = %v deps = %d", db.State, db.pendingDeps)
 	}
 	if done := j.TaskFinished(app, 50); done {
 		t.Error("job done before db ran")
@@ -50,19 +50,17 @@ func TestTwoTierDependency(t *testing.T) {
 	if done := j.TaskFinished(db, 80); !done {
 		t.Error("job should be done")
 	}
-	if j.TotalWork() != 10*simtime.Millisecond {
-		t.Errorf("TotalWork = %v", j.TotalWork())
-	}
 }
 
 func TestChainStructure(t *testing.T) {
-	j := Chain(3, 0, 5, simtime.Millisecond, 100)
+	j := nilPool.Chain(3, 0, 5, simtime.Millisecond, 100)
 	if len(j.Tasks) != 5 {
 		t.Fatalf("tasks = %d", len(j.Tasks))
 	}
-	ready := j.ReadyTasks()
-	if len(ready) != 1 || ready[0] != j.Tasks[0] {
-		t.Errorf("ready = %v", ready)
+	for i, tk := range j.Tasks {
+		if (tk.State == TaskReady) != (i == 0) {
+			t.Errorf("task %d starts %v; only the head of a chain is ready", i, tk.State)
+		}
 	}
 	for i, tk := range j.Tasks {
 		wantIn := 1
@@ -80,7 +78,7 @@ func TestChainStructure(t *testing.T) {
 }
 
 func TestScatterGather(t *testing.T) {
-	j := ScatterGather(4, 0, 8, simtime.Millisecond, 2*simtime.Millisecond, simtime.Millisecond, 1024)
+	j := nilPool.ScatterGather(4, 0, 8, simtime.Millisecond, 2*simtime.Millisecond, simtime.Millisecond, 1024)
 	if len(j.Tasks) != 10 {
 		t.Fatalf("tasks = %d", len(j.Tasks))
 	}
@@ -88,8 +86,8 @@ func TestScatterGather(t *testing.T) {
 	if len(root.Out) != 8 {
 		t.Errorf("root fan-out = %d", len(root.Out))
 	}
-	if len(gather.In) != 8 || gather.PendingDeps() != 8 {
-		t.Errorf("gather fan-in = %d deps = %d", len(gather.In), gather.PendingDeps())
+	if len(gather.In) != 8 || gather.pendingDeps != 8 {
+		t.Errorf("gather fan-in = %d deps = %d", len(gather.In), gather.pendingDeps)
 	}
 	order, err := j.TopoOrder()
 	if err != nil {
@@ -105,7 +103,7 @@ func TestScatterGather(t *testing.T) {
 // attributes, every In/Out list in order, sealed state and TopoOrder.
 func TestScatterGatherMatchesLinkBuild(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 9} {
-		got := ScatterGather(7, 3*simtime.Second, width, simtime.Millisecond, 2*simtime.Millisecond, 3*simtime.Millisecond, 4096)
+		got := nilPool.ScatterGather(7, 3*simtime.Second, width, simtime.Millisecond, 2*simtime.Millisecond, 3*simtime.Millisecond, 4096)
 		want := New(7, 3*simtime.Second)
 		root := want.AddTask(simtime.Millisecond, "frontend")
 		gather := want.AddTask(3*simtime.Millisecond, "frontend")
@@ -128,7 +126,7 @@ func TestScatterGatherMatchesLinkBuild(t *testing.T) {
 			}
 			for _, tk := range j.Tasks {
 				s += fmt.Sprintf("\n%s own=%v size=%v kind=%s int=%v state=%v deps=%d ready=%v in[%s] out[%s]",
-					tk.Name(), tk.Job == j, tk.Size, tk.Kind, tk.Intensity, tk.State, tk.PendingDeps(), tk.ReadyAt,
+					tk.Name(), tk.Job == j, tk.Size, tk.Kind, tk.Intensity, tk.State, tk.pendingDeps, tk.ReadyAt,
 					edges(tk.In), edges(tk.Out))
 			}
 			order, err := j.TopoOrder()
@@ -248,7 +246,7 @@ func TestServiceTimeZeroSpeedPanics(t *testing.T) {
 func TestRandomDAGProperties(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 50; trial++ {
-		j := RandomDAG(ID(trial), 0, r, 4, 5, 3, simtime.Millisecond, 10*simtime.Millisecond, 1000)
+		j := nilPool.RandomDAG(ID(trial), 0, r, 4, 5, 3, simtime.Millisecond, 10*simtime.Millisecond, 1000)
 		order, err := j.TopoOrder()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -279,7 +277,7 @@ func TestRandomDAGProperties(t *testing.T) {
 func TestJobCompletionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		j := RandomDAG(1, 0, r, 3, 4, 2, simtime.Millisecond, 5*simtime.Millisecond, 10)
+		j := nilPool.RandomDAG(1, 0, r, 3, 4, 2, simtime.Millisecond, 5*simtime.Millisecond, 10)
 		order, err := j.TopoOrder()
 		if err != nil {
 			return false

@@ -140,7 +140,7 @@ func TestRecycledJobEqualsFresh(t *testing.T) {
 // handed out once.
 func TestPoolKeepsOnlyFinishedJobs(t *testing.T) {
 	pool := new(Pool)
-	lost := TwoTier(1, 0, simtime.Millisecond, simtime.Millisecond, 10)
+	lost := nilPool.TwoTier(1, 0, simtime.Millisecond, simtime.Millisecond, 10)
 	lost.TaskFinished(lost.Tasks[0], simtime.Millisecond)
 	lost.MarkLost()
 	running := Single(2, 0, simtime.Millisecond)
@@ -206,8 +206,8 @@ func TestTopoOrderBeforeSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealed, _ := j.TopoOrder()
-	if len(sealed) != 3 || sealed[0] != c || sealed[1] != a || sealed[2] != b || b.PendingDeps() != 1 {
-		t.Fatalf("sealed order %v, b deps %d", sealed, b.PendingDeps())
+	if len(sealed) != 3 || sealed[0] != c || sealed[1] != a || sealed[2] != b || b.pendingDeps != 1 {
+		t.Fatalf("sealed order %v, b deps %d", sealed, b.pendingDeps)
 	}
 	j.Link(b, c, 0) // closes the cycle
 	j.AddTask(1, "")

@@ -25,7 +25,7 @@ import (
 type Feature int
 
 // NumSrvStates is the number of server residency states
-// (internal/server State* labels; see SrvStateIndex).
+// (internal/server State* labels; see srvStateNames).
 const NumSrvStates = 7
 
 // Block layout. Each base is the first Feature of its block.
@@ -129,19 +129,8 @@ var srvStateNames = [NumSrvStates]string{
 	"Active", "Wake-up", "Idle", "PkgC6", "SysSleep", "Off", "Down",
 }
 
-// SrvStateIndex maps a server residency label to its state index, or -1
-// if the label is unknown (unknown labels are simply not recorded).
-func SrvStateIndex(label string) int {
-	for i, n := range srvStateNames {
-		if n == label {
-			return i
-		}
-	}
-	return -1
-}
-
 // SrvTransition is the feature for a residency transition from state
-// index `from` to `to` (SrvStateIndex order). Out-of-range indices
+// index `from` to `to` (srvStateNames order). Out-of-range indices
 // yield an invalid feature, which Hit ignores.
 func SrvTransition(from, to int) Feature {
 	if from < 0 || from >= NumSrvStates || to < 0 || to >= NumSrvStates {

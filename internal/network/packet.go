@@ -85,7 +85,7 @@ func (n *Network) releasePacket(p *packet) {
 	p.bytes, p.hop = 0, 0
 	p.nodes, p.links = nil, nil
 	p.xfer, p.xferGen = nil, 0
-	n.pktFree = append(n.pktFree, p) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+	n.pktFree = append(n.pktFree, p)
 }
 
 // allocTransfer pops a pooled transfer (or mints one with its cached
@@ -114,7 +114,7 @@ func (n *Network) releaseTransfer(x *pktTransfer) {
 	x.bytes, x.src, x.loop = 0, 0, false
 	x.nodes, x.links = nil, nil
 	x.done = nil
-	n.xferFree = append(n.xferFree, x) //simlint:allow hotpath free-list push: amortized O(1), capacity reaches steady state
+	n.xferFree = append(n.xferFree, x)
 }
 
 // finishOne accounts packet p reaching its terminal state — delivered or

@@ -248,7 +248,7 @@ func TestStateVecTracksTransitions(t *testing.T) {
 	step("transfer (LPI exit/enter)")
 	eng.After(n.cfg.SwitchSleepIdle+simtime.Millisecond, func() {})
 	step("switch sleep")
-	if !sw.Sleeping() {
+	if !sw.sleeping {
 		t.Fatal("switch did not sleep; sleep transition untested")
 	}
 	if err := n.TransferPackets(hosts[0], hosts[1], 1500, nil); err != nil {

@@ -33,8 +33,8 @@ func TestRateAdaptationStepsUpUnderLoad(t *testing.T) {
 	// Phase 1: idle. All connected ports step down to 100 Mb/s.
 	eng.RunUntil(50 * simtime.Millisecond)
 	for _, p := range sw.ports {
-		if p.link != nil && p.RateIdx() != 0 {
-			t.Fatalf("idle port did not step down: rateIdx=%d", p.RateIdx())
+		if p.link != nil && p.rateIdx != 0 {
+			t.Fatalf("idle port did not step down: rateIdx=%d", p.rateIdx)
 		}
 	}
 
@@ -54,7 +54,7 @@ func TestRateAdaptationStepsUpUnderLoad(t *testing.T) {
 	stop = true
 	stepped := false
 	for _, p := range sw.ports {
-		if p.link != nil && p.RateIdx() == len(power.Cisco2960_24().LinkRatesBps)-1 {
+		if p.link != nil && p.rateIdx == len(power.Cisco2960_24().LinkRatesBps)-1 {
 			stepped = true
 		}
 	}

@@ -103,26 +103,11 @@ func (s *Switch) allocPort(l *linkState) *Port {
 // Node reports the topology node this switch occupies.
 func (s *Switch) Node() topology.NodeID { return s.node }
 
-// Profile reports the switch's power profile.
-func (s *Switch) Profile() *power.SwitchProfile { return s.prof }
-
-// Sleeping reports whether the line cards are asleep.
-func (s *Switch) Sleeping() bool { return s.sleeping }
-
 // Failed reports whether the switch is dead (fault model).
 func (s *Switch) Failed() bool { return s.failed }
 
 // WakeCount reports how many sleep->active transitions occurred.
 func (s *Switch) WakeCount() int64 { return s.wakeCount }
-
-// PowerW reports the switch's instantaneous draw.
-func (s *Switch) PowerW() float64 { return s.meter.Power() }
-
-// EnergyTo reports the switch's energy in joules up to t.
-func (s *Switch) EnergyTo(t simtime.Time) float64 { return s.meter.EnergyTo(t) }
-
-// Residency exposes the Active/Wake-up/Sleep tracker.
-func (s *Switch) Residency() *stats.Residency { return s.residency }
 
 // PortStates snapshots all port states (validation logging, Sec. V-B).
 func (s *Switch) PortStates() []power.PortState {
@@ -131,17 +116,6 @@ func (s *Switch) PortStates() []power.PortState {
 		out[i] = p.state
 	}
 	return out
-}
-
-// ActivePorts counts ports currently in the Active state.
-func (s *Switch) ActivePorts() int {
-	n := 0
-	for _, p := range s.ports {
-		if p.state == power.PortActive {
-			n++
-		}
-	}
-	return n
 }
 
 // wake begins (or continues) waking a sleeping switch, returning the
@@ -342,9 +316,6 @@ type LineCard struct {
 	ports []*Port
 }
 
-// State reports the line card's power state.
-func (lc *LineCard) State() power.LineCardState { return lc.state }
-
 // Port is one switch port: its state machine is Active <-> LPI (idle
 // threshold / traffic) and Off while the line card sleeps. Adaptive link
 // rate selects among the profile's rate points.
@@ -361,15 +332,6 @@ type Port struct {
 	bytesSent  int64 // accumulator for the ALR controller window
 	lpiEntries int64
 }
-
-// State reports the port's power state.
-func (p *Port) State() power.PortState { return p.state }
-
-// RateIdx reports the current adaptive-link-rate index.
-func (p *Port) RateIdx() int { return p.rateIdx }
-
-// LPIEntries reports how many times the port entered LPI.
-func (p *Port) LPIEntries() int64 { return p.lpiEntries }
 
 // currentRateBps reports the port's ALR-selected rate.
 func (p *Port) currentRateBps() float64 {

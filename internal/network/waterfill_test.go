@@ -123,7 +123,7 @@ func TestWaterFillMatchesReference(t *testing.T) {
 				for i, f := range n.flows {
 					if math.Float64bits(got[i]) != math.Float64bits(f.rate) {
 						t.Fatalf("ecmp=%v seed=%d t=%v: flow %d rate %v, reference %v (%d flows active)",
-							ecmp, seed, eng.Now(), f.id, got[i], f.rate, len(n.flows))
+							ecmp, seed, eng.Now(), i, got[i], f.rate, len(n.flows))
 					}
 					f.rate = got[i]
 					checks++

@@ -52,9 +52,12 @@ func TestFourCoreProfileValid(t *testing.T) {
 	if p.Cores != 4 {
 		t.Errorf("Cores = %d", p.Cores)
 	}
-	if p.SleepWatts() >= p.IdleWatts() || p.IdleWatts() >= p.MaxWatts() {
-		t.Errorf("power ordering broken: sleep=%v idle=%v max=%v",
-			p.SleepWatts(), p.IdleWatts(), p.MaxWatts())
+	// One socket: S3 draw < every core idle in C0 < every core busy.
+	sleep := p.DRAMSelfRefresh + p.PlatformS3
+	idle := float64(p.Cores)*p.CoreIdle + p.PkgPC0 + p.DRAMIdle + p.PlatformS0
+	peak := float64(p.Cores)*p.CoreActive + p.PkgPC0 + p.DRAMActive + p.PlatformS0
+	if sleep >= idle || idle >= peak {
+		t.Errorf("power ordering broken: sleep=%v idle=%v max=%v", sleep, idle, peak)
 	}
 }
 
@@ -153,8 +156,9 @@ func TestCisco2960Profile(t *testing.T) {
 		t.Errorf("per-port = %v, want 0.23", p.PortActiveW)
 	}
 	// All 24 ports active: 14.7 + 24*0.23 = 20.22 W.
-	if math.Abs(p.MaxWatts()-20.22) > 1e-9 {
-		t.Errorf("MaxWatts = %v, want 20.22", p.MaxWatts())
+	peak := p.ChassisWatts + float64(p.LineCards)*p.LineCardActiveW + float64(p.Ports())*p.PortActiveW
+	if math.Abs(peak-20.22) > 1e-9 {
+		t.Errorf("peak draw = %v, want 20.22", peak)
 	}
 }
 

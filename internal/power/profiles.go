@@ -139,24 +139,6 @@ func (p *ServerProfile) SocketCount() int {
 // CoresPerSocket reports the per-package core count.
 func (p *ServerProfile) CoresPerSocket() int { return p.Cores / p.SocketCount() }
 
-// MaxWatts reports the server's peak draw (all cores busy at nominal).
-func (p *ServerProfile) MaxWatts() float64 {
-	return float64(p.Cores)*p.CoreActive + float64(p.SocketCount())*p.PkgPC0 +
-		p.DRAMActive + p.PlatformS0
-}
-
-// IdleWatts reports the "Active-Idle" baseline draw: S0, all cores idle
-// in C0, no sleep states engaged (Sec. IV-B's baseline policy).
-func (p *ServerProfile) IdleWatts() float64 {
-	return float64(p.Cores)*p.CoreIdle + float64(p.SocketCount())*p.PkgPC0 +
-		p.DRAMIdle + p.PlatformS0
-}
-
-// SleepWatts reports the draw in S3 (system sleep).
-func (p *ServerProfile) SleepWatts() float64 {
-	return p.DRAMSelfRefresh + p.PlatformS3
-}
-
 // XeonE5_2680 returns the 10-core Xeon E5-2680-class profile used in the
 // paper's validation (Sec. V-A) and case studies (Sec. IV-C). CPU package
 // figures are calibrated so RAPL-style package power spans roughly
@@ -288,13 +270,6 @@ func (p *SwitchProfile) Validate() error {
 
 // Ports reports the total port count.
 func (p *SwitchProfile) Ports() int { return p.LineCards * p.PortsPerLineCard }
-
-// MaxWatts reports the switch's peak draw (everything active, full rate).
-func (p *SwitchProfile) MaxWatts() float64 {
-	return p.ChassisWatts +
-		float64(p.LineCards)*p.LineCardActiveW +
-		float64(p.Ports())*p.PortActiveW
-}
 
 // Cisco2960_24 returns the Cisco WS-C2960-24-S profile from the paper's
 // switch validation (Sec. V-B): 24 ports on one line card, measured base

@@ -64,47 +64,6 @@ func (p PkgCState) String() string {
 	return fmt.Sprintf("PC(%d)", int(p))
 }
 
-// GState is an ACPI global system state (paper Sec. III-A: "ACPI uses
-// global states, Gx, to represent states of the entire system. For each
-// Gx state, there is one or more system sleep states").
-type GState int
-
-// Global states.
-const (
-	G0 GState = iota // working (S0)
-	G1               // sleeping (S1-S4; S3 here)
-	G2               // soft off (S5)
-	G3               // mechanical off
-)
-
-// String implements fmt.Stringer.
-func (g GState) String() string {
-	switch g {
-	case G0:
-		return "G0"
-	case G1:
-		return "G1"
-	case G2:
-		return "G2"
-	case G3:
-		return "G3"
-	}
-	return fmt.Sprintf("G(%d)", int(g))
-}
-
-// GlobalState maps a system sleep state to its ACPI global state.
-func GlobalState(s SState) GState {
-	switch s {
-	case S0:
-		return G0
-	case S3:
-		return G1
-	case S5:
-		return G2
-	}
-	return G0
-}
-
 // SState is an ACPI system sleep state.
 type SState int
 

@@ -133,7 +133,7 @@ func MapReps[T any](o Options, seed uint64, runs []Run[T]) ([][]T, error) {
 		// Serial fast path: no goroutines, same submission order.
 		for i, r := range runs {
 			for j := 0; j < nrep; j++ {
-				out[i][j], errs[i][j] = r.Do(RepSeed(seed, r.Key, j)) //simlint:allow hookguard every Run carries a Do by contract
+				out[i][j], errs[i][j] = r.Do(RepSeed(seed, r.Key, j))
 			}
 		}
 	} else {
@@ -146,7 +146,7 @@ func MapReps[T any](o Options, seed uint64, runs []Run[T]) ([][]T, error) {
 				for t := range tasks {
 					r := runs[t.run]
 					out[t.run][t.rep], errs[t.run][t.rep] =
-						r.Do(RepSeed(seed, r.Key, t.rep)) //simlint:allow hookguard every Run carries a Do by contract
+						r.Do(RepSeed(seed, r.Key, t.rep))
 				}
 			}()
 		}

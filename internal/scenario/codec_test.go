@@ -205,9 +205,20 @@ func TestMatrixFixture(t *testing.T) {
 	}
 }
 
+// hostileTopologies are scenario files whose topology shape used to pass
+// Validate and fail later: the 2,642,246-ary fat-tree died in run with a
+// 2.1 TB allocation, the odd arity failed only at build, and BCube(3, 40)
+// wrapped its host count to a negative number.
+var hostileTopologies = []struct{ name, data string }{
+	{"fattree-2.1TB", `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
+	{"fattree-odd-arity", `{"topology": {"kind": "fattree", "a": 3}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
+	{"bcube-wraps-int", `{"topology": {"kind": "bcube", "a": 3, "b": 40}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
+}
+
 // TestDecodeRejects pins the strictness contract: unknown fields, bad
-// enum names, trailing garbage, illegal compositions, unterminated
-// comments and non-JSON all error, never panic, never pass.
+// enum names, trailing garbage, illegal compositions, topology shapes
+// the builder would refuse or could not afford, unterminated comments
+// and non-JSON all error, never panic, never pass.
 func TestDecodeRejects(t *testing.T) {
 	valid, err := Encode(Presets()["fig5-delaytimer"])
 	if err != nil {
@@ -234,6 +245,17 @@ func TestDecodeRejects(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := Decode([]byte(tc.data)); err == nil {
 			t.Errorf("%s: Decode accepted %q", tc.name, tc.data)
+		}
+	}
+	for _, tc := range hostileTopologies {
+		if _, err := Decode([]byte(tc.data)); err == nil {
+			t.Errorf("%s: Decode accepted %q", tc.name, tc.data)
+		} else if !strings.Contains(err.Error(), "topology:") {
+			t.Errorf("%s: rejected, but not for its shape: %v", tc.name, err)
+		}
+		matrix := `{"base": ` + tc.data + `, "axes": {"seeds": [1, 2]}}`
+		if _, err := DecodeMatrix([]byte(matrix)); err == nil {
+			t.Errorf("%s: DecodeMatrix accepted it as a base", tc.name)
 		}
 	}
 	if _, err := DecodeMatrix([]byte(`{"base": {}, "axes": {}}`)); err == nil {
@@ -345,6 +367,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`[1, 2, 3]`)
 	f.Add(`"just a string"`)
 	f.Add(`{"faults": {"serverCrashes": 9999999}}`)
+	for _, tc := range hostileTopologies {
+		f.Add(tc.data)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		data := []byte(input)
 		s, err := Decode(data)

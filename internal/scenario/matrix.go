@@ -43,121 +43,61 @@ type Horizon struct {
 // host count are clamped to the host count rather than dropped, so
 // topology and farm-size axes compose without manual pairing.
 func (a Axes) Expand(base Scenario) []Scenario {
-	seeds := a.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{base.Seed}
+	// An odometer over the axes, outermost first: seeds turn slowest and
+	// net models fastest. The order is the order campaigns run in. A
+	// wheel is an axis's length and the setter for its i-th value; an
+	// empty axis has the one position of the base's own value.
+	type wheel struct {
+		n   int
+		set func(s *Scenario, i int)
 	}
-	topos := a.Topologies
-	if len(topos) == 0 {
-		topos = []TopologySpec{base.Topology}
+	wheels := []wheel{
+		{len(a.Seeds), func(s *Scenario, i int) { s.Seed = a.Seeds[i] }},
+		{len(a.Topologies), func(s *Scenario, i int) { s.Topology = a.Topologies[i] }},
+		{len(a.Comms), func(s *Scenario, i int) { s.Comm = a.Comms[i] }},
+		{len(a.Servers), func(s *Scenario, i int) { s.Servers = a.Servers[i] }},
+		{len(a.Profiles), func(s *Scenario, i int) { s.Profile = a.Profiles[i] }},
+		{len(a.Queues), func(s *Scenario, i int) { s.Queue = a.Queues[i] }},
+		{len(a.DelayTaus), func(s *Scenario, i int) { s.DelayTimerSec = a.DelayTaus[i] }},
+		{len(a.Hetero), func(s *Scenario, i int) { s.Heterogeneous = a.Hetero[i] }},
+		{len(a.Placers), func(s *Scenario, i int) { s.Placer = a.Placers[i] }},
+		{len(a.Arrivals), func(s *Scenario, i int) { s.Arrival = a.Arrivals[i] }},
+		{len(a.Factories), func(s *Scenario, i int) { s.Factory = a.Factories[i] }},
+		{len(a.Horizons), func(s *Scenario, i int) { s.MaxJobs, s.DurationSec = a.Horizons[i].MaxJobs, a.Horizons[i].DurationSec }},
+		{len(a.Faults), func(s *Scenario, i int) { s.Faults = a.Faults[i] }},
+		{len(a.NetModels), func(s *Scenario, i int) { s.NetModel = a.NetModels[i] }},
 	}
-	comms := a.Comms
-	if len(comms) == 0 {
-		comms = []core.CommMode{base.Comm}
-	}
-	netModels := a.NetModels
-	if len(netModels) == 0 {
-		netModels = []network.NetModel{base.NetModel}
-	}
-	servers := a.Servers
-	if len(servers) == 0 {
-		servers = []int{base.Servers}
-	}
-	profiles := a.Profiles
-	if len(profiles) == 0 {
-		profiles = []ProfileKind{base.Profile}
-	}
-	queues := a.Queues
-	if len(queues) == 0 {
-		queues = []server.QueueMode{base.Queue}
-	}
-	taus := a.DelayTaus
-	if len(taus) == 0 {
-		taus = []float64{base.DelayTimerSec}
-	}
-	hetero := a.Hetero
-	if len(hetero) == 0 {
-		hetero = []bool{base.Heterogeneous}
-	}
-	placers := a.Placers
-	if len(placers) == 0 {
-		placers = []PlacerSpec{base.Placer}
-	}
-	arrivals := a.Arrivals
-	if len(arrivals) == 0 {
-		arrivals = []ArrivalSpec{base.Arrival}
-	}
-	factories := a.Factories
-	if len(factories) == 0 {
-		factories = []FactorySpec{base.Factory}
-	}
-	horizons := a.Horizons
-	if len(horizons) == 0 {
-		horizons = []Horizon{{MaxJobs: base.MaxJobs, DurationSec: base.DurationSec}}
-	}
-	faults := a.Faults
-	if len(faults) == 0 {
-		faults = []fault.Spec{base.Faults}
-	}
-
 	var out []Scenario
 	seen := make(map[Scenario]bool)
-	for _, seed := range seeds {
-		for _, topo := range topos {
-			for _, comm := range comms {
-				for _, n := range servers {
-					for _, prof := range profiles {
-						for _, q := range queues {
-							for _, tau := range taus {
-								for _, het := range hetero {
-									for _, pl := range placers {
-										for _, arr := range arrivals {
-											for _, fac := range factories {
-												for _, h := range horizons {
-													for _, fs := range faults {
-														for _, nm := range netModels {
-															s := base
-															s.Seed = seed
-															s.Topology = topo
-															s.Comm = comm
-															s.NetModel = nm
-															s.Servers = n
-															s.Profile = prof
-															s.Queue = q
-															s.DelayTimerSec = tau
-															s.Heterogeneous = het
-															s.Placer = pl
-															s.Arrival = arr
-															s.Factory = fac
-															s.MaxJobs = h.MaxJobs
-															s.DurationSec = h.DurationSec
-															s.Faults = fs
-															if hosts := topo.Hosts(); topo.Kind != TopoNone && s.Servers > hosts {
-																s.Servers = hosts
-															}
-															// Clamping can collapse two farm
-															// sizes onto the same scenario; run
-															// each distinct scenario once.
-															if seen[s] || s.Validate() != nil {
-																continue
-															}
-															seen[s] = true
-															out = append(out, s)
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	pos := make([]int, len(wheels))
+	var s Scenario // one copy of base, re-made per combination: the setters take its address
+	for {
+		s = base
+		for w, i := range pos {
+			if wheels[w].n > 0 {
+				wheels[w].set(&s, i)
 			}
 		}
+		if hosts := s.Topology.Hosts(); s.Topology.Kind != TopoNone && s.Servers > hosts {
+			s.Servers = hosts
+		}
+		// Clamping can collapse two farm sizes onto the same scenario;
+		// run each distinct scenario once.
+		if !seen[s] && s.Validate() == nil {
+			seen[s] = true
+			out = append(out, s)
+		}
+		w := len(pos) - 1
+		for ; w >= 0; w-- {
+			if pos[w]++; pos[w] < wheels[w].n {
+				break
+			}
+			pos[w] = 0
+		}
+		if w < 0 {
+			return out
+		}
 	}
-	return out
 }
 
 // Random draws one valid scenario from the full registry of builders —

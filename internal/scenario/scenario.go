@@ -84,23 +84,11 @@ func (t TopologySpec) Builder() topology.Topology {
 	return nil
 }
 
-// Hosts reports the host count the spec will build (0 for TopoNone).
+// Hosts reports the host count a spec whose shape passes the builder's
+// Check will build (0 for TopoNone).
 func (t TopologySpec) Hosts() int {
-	switch t.Kind {
-	case TopoStar:
-		return t.A
-	case TopoFatTree:
-		return t.A * t.A * t.A / 4
-	case TopoBCube:
-		n := 1
-		for i := 0; i <= t.B; i++ {
-			n *= t.A
-		}
-		return n
-	case TopoCamCube:
-		return t.A * t.B * t.C
-	case TopoFlatButterfly:
-		return t.A * t.B * t.C
+	if b := t.Builder(); b != nil {
+		return b.NumHosts()
 	}
 	return 0
 }
@@ -716,7 +704,11 @@ func (s Scenario) Validate() error {
 		if s.Placer.Kind == PlNetworkAware { // binds to the live network
 			return fmt.Errorf("scenario: placer %v without a topology", s.Placer)
 		}
-	} else if hosts := s.Topology.Hosts(); s.Servers > hosts {
+	} else if b := s.Topology.Builder(); b == nil {
+		return fmt.Errorf("scenario: unknown topology %s", s.Topology)
+	} else if err := b.Check(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	} else if hosts := b.NumHosts(); s.Servers > hosts {
 		return fmt.Errorf("scenario: %d servers exceed %s's %d hosts", s.Servers, s.Topology, hosts)
 	}
 	if s.NetModel == network.ModelFluid && s.Comm != core.CommPacket {

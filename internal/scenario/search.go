@@ -669,16 +669,16 @@ func GuidedSearch(o SearchOptions) (SearchResult, error) {
 				continue
 			}
 			for _, rec := range covRecipes {
-				if !rec.match(f) { //simlint:allow hookguard covRecipes entries always set match/word/base
+				if !rec.match(f) {
 					continue
 				}
-				mut := rec.word(r) //simlint:allow hookguard covRecipes entries always set match/word/base
+				mut := rec.word(r)
 				for try := 0; try < 48; try++ {
 					seed := r.Uint64()
 					s := Random(seed)
-					if rec.base(&s) { //simlint:allow hookguard covRecipes entries always set match/word/base
+					if rec.base(&s) {
 						for _, g := range unhit {
-							if rec.match(g) { //simlint:allow hookguard covRecipes entries always set match/word/base
+							if rec.match(g) {
 								directedTries[g]++
 							}
 						}

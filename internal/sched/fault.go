@@ -104,12 +104,6 @@ func (s *Scheduler) JobsLost() int64 { return s.jobsLost }
 // aborted.
 func (s *Scheduler) TasksAborted() int64 { return s.tasksAborted }
 
-// ParkedTasks reports ready tasks waiting for a server to recover.
-func (s *Scheduler) ParkedTasks() int { return len(s.parked) }
-
-// DownServers reports how many managed servers are currently crashed.
-func (s *Scheduler) DownServers() int { return s.downCount }
-
 // OnJobLost subscribes a job-loss callback (invariant probes, fault
 // ledgers). Subscribers run in registration order, after the scheduler's
 // own counters are updated.

@@ -44,7 +44,7 @@ func TestOrphanPolicies(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s, done := crashFarm(t, 2, tc.policy)
-			eng := s.Engine()
+			eng := s.eng
 			// Pin every job to server 0 so the crash orphans all of them.
 			s.cfg.Placer = Pinned{ServerOf: func(*job.Task) int { return 0 }}
 			for i := 0; i < jobs; i++ {
@@ -55,7 +55,7 @@ func TestOrphanPolicies(t *testing.T) {
 			eng.Schedule(50*simtime.Millisecond, func() {
 				// Un-pin so requeued orphans can go to server 1.
 				s.cfg.Placer = LeastLoaded{}
-				_, orphans := s.ServerCrashed(s.Servers()[0])
+				_, orphans := s.ServerCrashed(s.servers[0])
 				crashed = orphans
 			})
 			eng.Run()
@@ -88,10 +88,10 @@ func TestOrphanPolicies(t *testing.T) {
 					t.Errorf("JobsLost = %d, want 0", s.JobsLost())
 				}
 				// All completions happened on the surviving server.
-				if got := s.Servers()[1].CompletedTasks(); got != int64(jobs) {
+				if got := s.servers[1].CompletedTasks(); got != int64(jobs) {
 					t.Errorf("server 1 completed %d tasks, want %d", got, jobs)
 				}
-				if got := s.Servers()[0].CompletedTasks(); got != 0 {
+				if got := s.servers[0].CompletedTasks(); got != 0 {
 					t.Errorf("crashed server completed %d tasks, want 0", got)
 				}
 			case OrphanDrop:
@@ -108,7 +108,7 @@ func TestOrphanPolicies(t *testing.T) {
 			// Conservation in both policies: dispatched incarnations are
 			// finished, pending, or aborted.
 			var finished, pending int64
-			for _, srv := range s.Servers() {
+			for _, srv := range s.servers {
 				finished += srv.CompletedTasks()
 				pending += int64(srv.PendingTasks())
 			}
@@ -125,13 +125,13 @@ func TestOrphanPolicies(t *testing.T) {
 // server sees none of them.
 func TestDroppedTasksNowhereElse(t *testing.T) {
 	s, done := crashFarm(t, 2, OrphanDrop)
-	eng := s.Engine()
+	eng := s.eng
 	s.cfg.Placer = Pinned{ServerOf: func(*job.Task) int { return 0 }}
-	j := job.Chain(1, 0, 3, 50*simtime.Millisecond, 0) // 3-task chain
+	j := chainJob(1, 0, 3, 50*simtime.Millisecond, 0) // 3-task chain
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.Schedule(20*simtime.Millisecond, func() {
 		s.cfg.Placer = LeastLoaded{}
-		s.ServerCrashed(s.Servers()[0])
+		s.ServerCrashed(s.servers[0])
 	})
 	eng.Run()
 	if len(*done) != 0 || s.JobsLost() != 1 {
@@ -142,7 +142,7 @@ func TestDroppedTasksNowhereElse(t *testing.T) {
 			t.Errorf("task %s state %v, want lost", task.Name(), task.State)
 		}
 	}
-	if got := s.Servers()[1].CompletedTasks() + int64(s.Servers()[1].PendingTasks()); got != 0 {
+	if got := s.servers[1].CompletedTasks() + int64(s.servers[1].PendingTasks()); got != 0 {
 		t.Errorf("surviving server saw %d tasks of a dropped job", got)
 	}
 	if !j.Lost() {
@@ -155,8 +155,8 @@ func TestDroppedTasksNowhereElse(t *testing.T) {
 // exactly once, with downstream tasks running after it.
 func TestRequeueMidDAG(t *testing.T) {
 	s, done := crashFarm(t, 2, OrphanRequeue)
-	eng := s.Engine()
-	j := job.Chain(1, 0, 3, 40*simtime.Millisecond, 0)
+	eng := s.eng
+	j := chainJob(1, 0, 3, 40*simtime.Millisecond, 0)
 	// Pin the whole chain to server 0.
 	s.cfg.Placer = Pinned{ServerOf: func(*job.Task) int { return 0 }}
 	eng.Schedule(0, func() { s.JobArrived(j) })
@@ -164,7 +164,7 @@ func TestRequeueMidDAG(t *testing.T) {
 	// is done and task 1 started at 40 ms.
 	eng.Schedule(60*simtime.Millisecond, func() {
 		s.cfg.Placer = LeastLoaded{}
-		s.ServerCrashed(s.Servers()[0])
+		s.ServerCrashed(s.servers[0])
 	})
 	eng.Run()
 	if len(*done) != 1 || (*done)[0] != 1 {
@@ -192,9 +192,9 @@ func TestRequeueMidDAG(t *testing.T) {
 // not a panic — when every eligible server is down.
 func TestSelectAllDownTypedError(t *testing.T) {
 	s, _ := crashFarm(t, 3, OrphanRequeue)
-	eng := s.Engine()
+	eng := s.eng
 	eng.Schedule(0, func() {
-		for _, srv := range s.Servers() {
+		for _, srv := range s.servers {
 			s.ServerCrashed(srv)
 		}
 		j := job.Single(9, 0, simtime.Millisecond)
@@ -219,9 +219,9 @@ func TestSelectAllDownTypedError(t *testing.T) {
 func TestFullFarmCrashAtT0(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		s, done := crashFarm(t, 2, OrphanDrop)
-		eng := s.Engine()
+		eng := s.eng
 		eng.Schedule(0, func() {
-			for _, srv := range s.Servers() {
+			for _, srv := range s.servers {
 				s.ServerCrashed(srv)
 			}
 		})
@@ -236,9 +236,9 @@ func TestFullFarmCrashAtT0(t *testing.T) {
 	})
 	t.Run("requeue", func(t *testing.T) {
 		s, done := crashFarm(t, 2, OrphanRequeue)
-		eng := s.Engine()
+		eng := s.eng
 		eng.Schedule(0, func() {
-			for _, srv := range s.Servers() {
+			for _, srv := range s.servers {
 				s.ServerCrashed(srv)
 			}
 		})
@@ -247,8 +247,8 @@ func TestFullFarmCrashAtT0(t *testing.T) {
 			eng.Schedule(simtime.Millisecond, func() { s.JobArrived(j) })
 		}
 		parkedAt := -1
-		eng.Schedule(2*simtime.Millisecond, func() { parkedAt = s.ParkedTasks() })
-		eng.Schedule(50*simtime.Millisecond, func() { s.ServerRecovered(s.Servers()[1]) })
+		eng.Schedule(2*simtime.Millisecond, func() { parkedAt = len(s.parked) })
+		eng.Schedule(50*simtime.Millisecond, func() { s.ServerRecovered(s.servers[1]) })
 		eng.Run()
 		if parkedAt != 5 {
 			t.Errorf("parked = %d during the outage, want 5", parkedAt)
@@ -256,8 +256,8 @@ func TestFullFarmCrashAtT0(t *testing.T) {
 		if len(*done) != 5 || s.JobsLost() != 0 {
 			t.Fatalf("done=%d lost=%d, want 5/0", len(*done), s.JobsLost())
 		}
-		if s.ParkedTasks() != 0 {
-			t.Errorf("parked = %d at end, want 0", s.ParkedTasks())
+		if len(s.parked) != 0 {
+			t.Errorf("parked = %d at end, want 0", len(s.parked))
 		}
 	})
 }
@@ -270,19 +270,19 @@ func TestFullFarmCrashMidRun(t *testing.T) {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
 			s, done := crashFarm(t, 2, policy)
-			eng := s.Engine()
+			eng := s.eng
 			const jobs = 6
 			for i := 0; i < jobs; i++ {
 				j := job.Single(job.ID(i), 0, 100*simtime.Millisecond)
 				eng.Schedule(0, func() { s.JobArrived(j) })
 			}
 			eng.Schedule(30*simtime.Millisecond, func() {
-				for _, srv := range s.Servers() {
+				for _, srv := range s.servers {
 					s.ServerCrashed(srv)
 				}
 			})
 			eng.Schedule(200*simtime.Millisecond, func() {
-				s.ServerRecovered(s.Servers()[0])
+				s.ServerRecovered(s.servers[0])
 			})
 			eng.Run()
 			total := int64(len(*done)) + s.JobsLost()
@@ -374,29 +374,29 @@ func TestFaultStringsAndAccessors(t *testing.T) {
 		t.Errorf("AllDownError with kind = %q", got)
 	}
 	s, _ := crashFarm(t, 2, OrphanRequeue)
-	if s.DownServers() != 0 {
+	if s.downCount != 0 {
 		t.Error("fresh farm reports down servers")
 	}
-	s.Engine().Schedule(0, func() {
-		s.ServerCrashed(s.Servers()[0])
-		if s.DownServers() != 1 {
-			t.Errorf("DownServers = %d after one crash", s.DownServers())
+	s.eng.Schedule(0, func() {
+		s.ServerCrashed(s.servers[0])
+		if s.downCount != 1 {
+			t.Errorf("DownServers = %d after one crash", s.downCount)
 		}
-		s.ServerRecovered(s.Servers()[0])
-		if s.DownServers() != 0 {
-			t.Errorf("DownServers = %d after recovery", s.DownServers())
+		s.ServerRecovered(s.servers[0])
+		if s.downCount != 0 {
+			t.Errorf("DownServers = %d after recovery", s.downCount)
 		}
 		// Idempotence of both transitions.
-		s.ServerRecovered(s.Servers()[0])
-		if lost, orphans := s.ServerCrashed(s.Servers()[0]); lost != 0 && orphans != 0 {
+		s.ServerRecovered(s.servers[0])
+		if lost, orphans := s.ServerCrashed(s.servers[0]); lost != 0 && orphans != 0 {
 			t.Error("first crash reported losses on an idle server")
 		}
-		if lost, orphans := s.ServerCrashed(s.Servers()[0]); lost != 0 || orphans != 0 {
+		if lost, orphans := s.ServerCrashed(s.servers[0]); lost != 0 || orphans != 0 {
 			t.Error("double crash not a no-op")
 		}
-		s.ServerRecovered(s.Servers()[0])
+		s.ServerRecovered(s.servers[0])
 	})
-	s.Engine().Run()
+	s.eng.Run()
 }
 
 // TestKillJobScrubsParkedAndGlobalQueue: killing a job whose sibling
@@ -406,22 +406,22 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 	// Parked list: requeue policy parks two single-task jobs during a
 	// full outage; killing one directly must scrub only its task.
 	s, done := crashFarm(t, 1, OrphanRequeue)
-	eng := s.Engine()
+	eng := s.eng
 	j1 := job.Single(1, 0, simtime.Millisecond)
 	j2 := job.Single(2, 0, simtime.Millisecond)
 	eng.Schedule(0, func() {
-		s.ServerCrashed(s.Servers()[0])
+		s.ServerCrashed(s.servers[0])
 		s.JobArrived(j1)
 		s.JobArrived(j2)
-		if s.ParkedTasks() != 2 {
-			t.Fatalf("parked = %d, want 2", s.ParkedTasks())
+		if len(s.parked) != 2 {
+			t.Fatalf("parked = %d, want 2", len(s.parked))
 		}
 		s.killJob(j1, LostNoAliveServer)
-		if s.ParkedTasks() != 1 {
-			t.Fatalf("parked = %d after kill, want 1", s.ParkedTasks())
+		if len(s.parked) != 1 {
+			t.Fatalf("parked = %d after kill, want 1", len(s.parked))
 		}
 	})
-	eng.Schedule(simtime.Millisecond, func() { s.ServerRecovered(s.Servers()[0]) })
+	eng.Schedule(simtime.Millisecond, func() { s.ServerRecovered(s.servers[0]) })
 	eng.Run()
 	if len(*done) != 1 || (*done)[0] != 2 {
 		t.Fatalf("done = %v, want just job 2", *done)
@@ -441,7 +441,7 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 	k1 := job.Single(1, 0, simtime.Millisecond)
 	k2 := job.Single(2, 0, simtime.Millisecond)
 	eng2.Schedule(0, func() {
-		g.ServerCrashed(g.Servers()[0])
+		g.ServerCrashed(g.servers[0])
 		g.JobArrived(k1)
 		g.JobArrived(k2)
 		if g.GlobalQueueLen() != 2 {
@@ -452,7 +452,7 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 			t.Fatalf("globalQ = %d after kill, want 1", g.GlobalQueueLen())
 		}
 	})
-	eng2.Schedule(simtime.Millisecond, func() { g.ServerRecovered(g.Servers()[0]) })
+	eng2.Schedule(simtime.Millisecond, func() { g.ServerRecovered(g.servers[0]) })
 	eng2.Run()
 	if gDone != 1 {
 		t.Fatalf("global-queue done = %d, want 1", gDone)

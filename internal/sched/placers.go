@@ -108,7 +108,7 @@ type Random struct {
 
 // Place implements Placer.
 func (r Random) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return candidates[r.Next(len(candidates))] //simlint:allow hookguard Next is a mandatory policy input, not an optional hook
+	return candidates[r.Next(len(candidates))]
 }
 
 // Name implements Placer.
@@ -122,7 +122,7 @@ type Pinned struct {
 
 // Place implements Placer.
 func (p Pinned) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return s.servers[p.ServerOf(t)] //simlint:allow hookguard ServerOf is a mandatory policy input, not an optional hook
+	return s.servers[p.ServerOf(t)]
 }
 
 // Name implements Placer.

@@ -48,7 +48,7 @@ func TestPackFirstAvoidsSleepingServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Server 0 is asleep; a new job must go to server 1 (first awake).
-	eng.Schedule(simtime.Millisecond, func() { servers[0].ForceSleep() })
+	eng.Schedule(simtime.Millisecond, func() { servers[0].SetDelayTimer(true, 0) })
 	j := singleJob(1, simtime.Second, 10*simtime.Millisecond)
 	eng.Schedule(simtime.Second, func() { s.JobArrived(j) })
 	eng.RunUntil(1100 * simtime.Millisecond)
@@ -69,7 +69,7 @@ func TestCommittedLoadCoversUnsubmittedDAGTasks(t *testing.T) {
 	}
 	// A chain of 5 tasks: only the root is submitted immediately, but
 	// all 5 must count against the placement load signal.
-	j := job.Chain(1, 0, 5, 10*simtime.Millisecond, 1<<20)
+	j := chainJob(1, 0, 5, 10*simtime.Millisecond, 1<<20)
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.RunUntil(simtime.Millisecond)
 	total := 0
@@ -158,21 +158,21 @@ func TestNetworkAwarePrefersCheapWake(t *testing.T) {
 	// wakes via traffic that we emulate by waking it directly), put
 	// servers 1..3 to sleep, and place a new task.
 	eng.RunUntil(100 * simtime.Millisecond)
-	if !net.SwitchAt(s0).Sleeping() || !net.SwitchAt(s1).Sleeping() {
+	if net.SleepingSwitchesOnPath(h0, h1) != 1 || net.SleepingSwitchesOnPath(h2, h3) != 1 {
 		t.Fatal("switches did not sleep")
 	}
 	// A long-lived flow between h0 and h1 wakes s0 only and keeps it
 	// awake through the placement probe below (100 MB at 1 Gb/s ≈ 0.8 s).
 	net.TransferFlow(h0, h1, 100_000_000, nil)
 	eng.RunUntil(120 * simtime.Millisecond)
-	if net.SwitchAt(s0).Sleeping() {
+	if net.SleepingSwitchesOnPath(h0, h1) != 0 {
 		t.Fatal("s0 still sleeping after flow")
 	}
-	if !net.SwitchAt(s1).Sleeping() {
+	if net.SleepingSwitchesOnPath(h2, h3) != 1 {
 		t.Fatal("s1 unexpectedly awake")
 	}
 	for _, srv := range servers[1:] {
-		srv.ForceSleep()
+		srv.SetDelayTimer(true, 0)
 	}
 	// Saturate server 0.
 	for i := 0; i < 4; i++ {

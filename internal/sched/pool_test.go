@@ -80,14 +80,14 @@ func TestPoolMatchesMapReference(t *testing.T) {
 				if got, want := p.promote(srv), ref.promote(srv.ID()); got != want {
 					t.Fatalf("seed %d step %d: promote(%d) = %v, reference %v", seed, step, srv.ID(), got, want)
 				}
-				if on, _ := srv.DelayTimerConfig(); on {
+				if on, _ := delayTimerOf(srv); on {
 					t.Fatalf("seed %d step %d: member %d has its delay timer on", seed, step, srv.ID())
 				}
 			case 2, 3:
 				if got, want := p.demote(srv, tau), ref.demote(srv.ID()); got != want {
 					t.Fatalf("seed %d step %d: demote(%d) = %v, reference %v", seed, step, srv.ID(), got, want)
 				}
-				if on, d := srv.DelayTimerConfig(); !srv.Failed() && (!on || d != tau) {
+				if on, d := delayTimerOf(srv); !srv.Failed() && (!on || d != tau) {
 					t.Fatalf("seed %d step %d: demoted %d has delay timer (%v, %v)", seed, step, srv.ID(), on, d)
 				}
 			case 4:

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,13 @@ import (
 	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
 )
+
+// delayTimerOf reads a server's delay-timer setting, which policies
+// write and nothing outside the server reads, out of its unexported config.
+func delayTimerOf(s *server.Server) (enabled bool, d simtime.Time) {
+	cfg := reflect.ValueOf(s).Elem().FieldByName("cfg")
+	return cfg.FieldByName("DelayTimerEnabled").Bool(), simtime.Time(cfg.FieldByName("DelayTimer").Int())
+}
 
 func testFarm(t *testing.T, n int, mutate func(i int, c *server.Config)) (*engine.Engine, []*server.Server) {
 	t.Helper()
@@ -33,6 +41,22 @@ func testFarm(t *testing.T, n int, mutate func(i int, c *server.Config)) (*engin
 
 func singleJob(id job.ID, at, size simtime.Time) *job.Job {
 	return job.Single(id, at, size)
+}
+
+// chainJob builds a linear pipeline of n tasks of the given size, each
+// edge carrying bytes.
+func chainJob(id job.ID, at simtime.Time, n int, size simtime.Time, bytes int64) *job.Job {
+	j := job.New(id, at)
+	prev := j.AddTask(size, "")
+	for i := 1; i < n; i++ {
+		t := j.AddTask(size, "")
+		j.Link(prev, t, bytes)
+		prev = t
+	}
+	if err := j.Seal(); err != nil {
+		panic(err)
+	}
+	return j
 }
 
 func TestSchedulerBasicCompletion(t *testing.T) {
@@ -115,7 +139,7 @@ func TestKindEligibility(t *testing.T) {
 	}
 	var finished []*job.Job
 	s.OnJobDone(func(j *job.Job) { finished = append(finished, j) })
-	j := job.TwoTier(1, 0, 3*simtime.Millisecond, 7*simtime.Millisecond, 0)
+	j := (*job.Pool)(nil).TwoTier(1, 0, 3*simtime.Millisecond, 7*simtime.Millisecond, 0)
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.Run()
 	if len(finished) != 1 {
@@ -145,7 +169,7 @@ func TestDAGOrderingWithTransfer(t *testing.T) {
 	}
 	var doneAt simtime.Time
 	s.OnJobDone(func(j *job.Job) { doneAt = eng.Now() })
-	j := job.Chain(1, 0, 2, 5*simtime.Millisecond, 4096) // t0 -> t1, different servers
+	j := chainJob(1, 0, 2, 5*simtime.Millisecond, 4096) // t0 -> t1, different servers
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.Run()
 	if len(transfers) != 1 || transfers[0] != 4096 {
@@ -174,7 +198,7 @@ func TestSameServerSkipsTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := job.Chain(1, 0, 3, simtime.Millisecond, 1<<20)
+	j := chainJob(1, 0, 3, simtime.Millisecond, 1<<20)
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.Run()
 	if calls != 0 {
@@ -255,10 +279,10 @@ func TestDualTimerConfiguresTimers(t *testing.T) {
 	j := singleJob(0, 0, simtime.Millisecond)
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.RunUntil(simtime.Millisecond)
-	if on, tau := servers[0].DelayTimerConfig(); !on || tau != 5*simtime.Second {
+	if on, tau := delayTimerOf(servers[0]); !on || tau != 5*simtime.Second {
 		t.Errorf("high server timer = %v, %v", on, tau)
 	}
-	if on, tau := servers[3].DelayTimerConfig(); !on || tau != 100*simtime.Millisecond {
+	if on, tau := delayTimerOf(servers[3]); !on || tau != 100*simtime.Millisecond {
 		t.Errorf("low server timer = %v, %v", on, tau)
 	}
 	// Light load goes to the high-τ server.
@@ -268,10 +292,10 @@ func TestDualTimerConfiguresTimers(t *testing.T) {
 	// Low-τ servers suspend quickly (0.1s timer + 2.5s entry); the
 	// high-τ server stays up until its 5s timer.
 	eng.RunUntil(4 * simtime.Second)
-	if servers[3].SystemState() != power.S3 {
+	if !servers[3].Asleep() {
 		t.Error("low-τ server did not sleep")
 	}
-	if servers[0].SystemState() != power.S0 || servers[0].EnteringSleep() {
+	if servers[0].Asleep() {
 		t.Error("high-τ server slept too early")
 	}
 	eng.Run()
@@ -324,7 +348,7 @@ func TestAdaptivePoolDemotesAndPromotes(t *testing.T) {
 	// Demoted servers are asleep (τ = 50ms elapsed long ago).
 	asleep := 0
 	for _, srv := range servers {
-		if srv.SystemState() == power.S3 {
+		if srv.Asleep() {
 			asleep++
 		}
 	}

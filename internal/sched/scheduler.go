@@ -169,12 +169,6 @@ func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, 
 	return s, nil
 }
 
-// Engine exposes the virtual clock.
-func (s *Scheduler) Engine() *engine.Engine { return s.eng }
-
-// Servers lists the managed servers.
-func (s *Scheduler) Servers() []*server.Server { return s.servers }
-
 // OnJobDone subscribes a job-completion callback (metrics collection,
 // invariant probes). Subscribers run in registration order. The
 // *job.Job and its tasks are valid until the event that finished the
@@ -267,13 +261,6 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 	s.shardOf, s.shardLoad, s.shardMembers = shardOf, load, members
 	return nil
 }
-
-// Sharded reports whether candidate-set sharding is active.
-func (s *Scheduler) Sharded() bool { return s.shardOf != nil }
-
-// ShardLoad reports the committed-task sum of one shard (diagnostics and
-// invariant checks).
-func (s *Scheduler) ShardLoad(shard int) int64 { return s.shardLoad[shard] }
 
 // BlockShards builds a synthetic contiguous-block shard map: servers
 // [0,size) form shard 0, [size,2*size) shard 1, and so on — the fallback

@@ -42,10 +42,10 @@ func TestSetShardsValidation(t *testing.T) {
 	if err := s.SetShards([]int32{0, 0, 1, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Sharded() {
-		t.Fatalf("Sharded() false after SetShards")
+	if s.shardOf == nil {
+		t.Fatalf("not sharded after SetShards")
 	}
-	if err := s.SetShards(nil, 0); err != nil || s.Sharded() {
+	if err := s.SetShards(nil, 0); err != nil || s.shardOf != nil {
 		t.Fatalf("nil shardOf should disable sharding (err=%v)", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestShardLoadMirrorsCommitted(t *testing.T) {
 			sums[shardOf[id]] += int64(s.Committed(id))
 		}
 		for sh, want := range sums {
-			if got := s.ShardLoad(sh); got != want {
+			if got := s.shardLoad[sh]; got != want {
 				t.Fatalf("%s: shard %d load %d, want %d", where, sh, got, want)
 			}
 		}

@@ -46,21 +46,6 @@ type Core struct {
 	completed int64
 }
 
-// ID reports the core's index within its server.
-func (c *Core) ID() int { return c.id }
-
-// Speed reports the core's heterogeneous speed ratio.
-func (c *Core) Speed() float64 { return c.speed }
-
-// CState reports the core's current C-state.
-func (c *Core) CState() power.CState { return c.cstate }
-
-// Busy reports whether a task is executing.
-func (c *Core) Busy() bool { return c.busy }
-
-// Completed reports the number of tasks this core has finished.
-func (c *Core) Completed() int64 { return c.completed }
-
 // PState reports the core's active P-state.
 func (c *Core) PState() power.PState { return c.srv.prof.PStates[c.pstateIdx] }
 

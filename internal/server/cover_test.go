@@ -20,8 +20,8 @@ func TestModelcovKnowsEveryResidencyLabel(t *testing.T) {
 	// The server records transitions by state index, so its table must be
 	// modelcov's, position by position, and hold every exported label.
 	for i, l := range stateLabels {
-		if got := modelcov.SrvStateIndex(l); got != i {
-			t.Errorf("state %d is %q here, index %d in modelcov", i, l, got)
+		if got, want := modelcov.Name(modelcov.SrvTransition(i, i)), "srv/"+l+"->"+l; got != want {
+			t.Errorf("state %d is %q here, modelcov names its self-transition %q", i, l, got)
 		}
 		if l != want[i] {
 			t.Errorf("stateLabels[%d] = %q, want %q", i, l, want[i])

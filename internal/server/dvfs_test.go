@@ -18,7 +18,7 @@ func TestDVFSPowerScaling(t *testing.T) {
 	submitSingle(eng, s, 1, simtime.Millisecond, 70*simtime.Millisecond)
 	eng.RunUntil(20 * simtime.Millisecond)
 	// One busy core at P2 scale; remaining cores in C-states.
-	cpu := s.CPUPower()
+	cpu := s.cpuMeter.Power()
 	wantBusyCore := prof.CoreActive * 0.7 * 0.7 * 0.7
 	// CPU power = busy core + 9 parked cores + package; parked cores are
 	// in C6 by 20ms (governor), package PC0 while any core busy.
@@ -92,11 +92,11 @@ func TestIdleGovernorSkipsDisabledStates(t *testing.T) {
 		c.IdleToC6 = 200 * simtime.Microsecond
 	})
 	eng.RunUntil(100 * simtime.Microsecond)
-	if got := s.Core(0).CState(); got != power.C0 {
+	if got := s.cores[0].cstate; got != power.C0 {
 		t.Errorf("at 100us: %v, want C0 (C1/C3 disabled)", got)
 	}
 	eng.RunUntil(300 * simtime.Microsecond)
-	if got := s.Core(0).CState(); got != power.C6 {
+	if got := s.cores[0].cstate; got != power.C6 {
 		t.Errorf("at 300us: %v, want C6", got)
 	}
 }
@@ -110,7 +110,7 @@ func TestGovernorFullyDisabled(t *testing.T) {
 	})
 	eng.RunUntil(simtime.Second)
 	for i := 0; i < s.Cores(); i++ {
-		if got := s.Core(i).CState(); got != power.C0 {
+		if got := s.cores[i].cstate; got != power.C0 {
 			t.Errorf("core %d = %v, want C0 forever", i, got)
 		}
 	}
@@ -119,7 +119,7 @@ func TestGovernorFullyDisabled(t *testing.T) {
 	}
 	// Idle draw must equal the Active-Idle profile figure.
 	prof := power.XeonE5_2680()
-	if got := s.Power(); math.Abs(got-prof.IdleWatts()) > 1e-9 {
-		t.Errorf("power = %v, want IdleWatts %v", got, prof.IdleWatts())
+	if got := s.Power(); math.Abs(got-idleWatts(prof)) > 1e-9 {
+		t.Errorf("power = %v, want IdleWatts %v", got, idleWatts(prof))
 	}
 }

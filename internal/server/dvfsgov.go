@@ -59,9 +59,6 @@ func (g *DVFSGovernor) Start() {
 	g.srv.eng.Every(g.lastEval+g.Interval, g.Interval, simtime.Forever, g.tick)
 }
 
-// PStateIndex reports the governor's current operating point.
-func (g *DVFSGovernor) PStateIndex() int { return g.pidx }
-
 func (g *DVFSGovernor) tick() {
 	now := g.srv.eng.Now()
 	integral := g.busy.IntegralTo(now)

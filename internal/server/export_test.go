@@ -1,5 +1,7 @@
 package server
 
+import "holdcsim/internal/power"
+
 // CorruptQueueCounterForTest skews the incremental queue counter
 // without touching the underlying queue structures, seeding exactly the
 // desync the invariant checker's queue-counter law exists to catch.
@@ -11,3 +13,31 @@ func (s *Server) CorruptQueueCounterForTest(d int) { s.queueLen += d }
 // touching its state — the stale cache the checker's power-cache law
 // exists to catch.
 func (s *Server) CorruptCoreDrawForTest(w float64) { s.cores[0].draw += w }
+
+// PkgState reports the shallowest package C-state across sockets (PC6
+// only when every socket is parked).
+func (s *Server) PkgState() power.PkgCState {
+	min := s.sockets[0]
+	for _, st := range s.sockets[1:] {
+		if st < min {
+			min = st
+		}
+	}
+	return min
+}
+
+// ForceSleep immediately starts the suspend transition if the server is
+// idle — the state a delay timer reaches on expiry, at an instant the test
+// chooses. It reports whether the transition was initiated.
+func (s *Server) ForceSleep() bool {
+	if s.failed || s.sstate != power.S0 || s.waking || s.entering ||
+		s.busyCores > 0 || s.queueLen > 0 {
+		return false
+	}
+	s.disarmSleep()
+	s.enterSleep()
+	return true
+}
+
+// CoreCompleted reports how many tasks core i has finished.
+func (s *Server) CoreCompleted(i int) int64 { return s.cores[i].completed }

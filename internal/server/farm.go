@@ -61,9 +61,6 @@ func NewFarm(eng *engine.Engine) *Farm {
 	return f
 }
 
-// Len reports the number of servers in the farm.
-func (f *Farm) Len() int { return len(f.servers) }
-
 // Server returns server i in add order.
 func (f *Farm) Server(i int) *Server { return f.servers[i] }
 
@@ -75,20 +72,6 @@ func (f *Farm) TotalPending() int64 { return f.totalPending }
 // TotalCompleted reports the farm-wide completed-task count, maintained
 // incrementally.
 func (f *Farm) TotalCompleted() int64 { return f.totalCompleted }
-
-// PendingOf reports server i's pending-task count from the dense array
-// (no pointer chase; equals Server(i).PendingTasks()).
-func (f *Farm) PendingOf(i int) int { return int(f.pending[i]) }
-
-// SleepHeapLen reports the number of heap entries (live + stale) in the
-// sleep planner — diagnostics for the O(1)-idle claim: it is bounded by
-// arm churn, not by farm size, and an all-asleep farm holds zero queued
-// engine events regardless of N.
-func (f *Farm) SleepHeapLen() int { return len(f.planner.heap) }
-
-// SleepTimerArmed reports whether the planner's single shared engine
-// timer currently has a pending event.
-func (f *Farm) SleepTimerArmed() bool { return f.planner.timer.Armed() }
 
 // sleepEntry is one armed suspend deadline. seq is the global arm order:
 // the heap pops in (at, seq) order, so servers whose deadlines coincide

@@ -91,9 +91,9 @@ func TestFarmMatchesStandaloneSleepTransitions(t *testing.T) {
 	}
 }
 
-// Once every farm server is asleep, the engine must hold zero queued
-// events — the per-idle-server O(1) claim. The planner heap may keep
-// stale entries but no event.
+// Once every farm server is asleep the queue has drained (Run returns)
+// and the planner's one timer is unarmed — the per-idle-server O(1)
+// claim. The planner heap may keep stale entries but no event.
 func TestFarmAsleepZeroQueuedEvents(t *testing.T) {
 	eng := engine.New()
 	farm := NewFarm(eng)
@@ -112,10 +112,7 @@ func TestFarmAsleepZeroQueuedEvents(t *testing.T) {
 			t.Fatalf("server %d not asleep after drain", i)
 		}
 	}
-	if got := eng.Len(); got != 0 {
-		t.Fatalf("engine holds %d live events with the whole farm asleep, want 0", got)
-	}
-	if farm.SleepTimerArmed() {
+	if farm.planner.timerSet {
 		t.Fatalf("planner timer still armed with empty schedule")
 	}
 }
@@ -135,7 +132,7 @@ func TestSleepPlannerCompaction(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		farm.planner.arm(s, simtime.Time(i))
 	}
-	if got := farm.SleepHeapLen(); got > 256 {
+	if got := len(farm.planner.heap); got > 256 {
 		t.Fatalf("planner heap grew to %d entries after re-arm churn, want bounded", got)
 	}
 	farm.planner.disarm(s)
@@ -170,7 +167,7 @@ func TestFarmAggregatesMatchRecount(t *testing.T) {
 			if got, want := s.QueueLen(), s.RecountQueueLen(); got != want {
 				t.Fatalf("%s: server %d QueueLen %d != recount %d", where, i, got, want)
 			}
-			if got, want := farm.PendingOf(i), s.PendingTasks(); got != want {
+			if got, want := int(farm.pending[i]), s.PendingTasks(); got != want {
 				t.Fatalf("%s: server %d farm pending %d != PendingTasks %d", where, i, got, want)
 			}
 			pending += int64(s.PendingTasks())
@@ -195,7 +192,7 @@ func TestFarmAggregatesMatchRecount(t *testing.T) {
 		}
 		check("after submit burst")
 		for eng.Step() {
-			if eng.Len()%7 == 0 {
+			if eng.Dispatched%7 == 0 {
 				check("mid-drain")
 			}
 		}
@@ -236,7 +233,7 @@ func TestNoDelayTimerWhenDisabled(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
-	if _, armed := s.SleepDeadline(); armed {
+	if s.sleepArmed {
 		t.Fatalf("sleep armed despite DelayTimerEnabled=false")
 	}
 	allocs := testing.AllocsPerRun(100, cycle)
@@ -253,15 +250,15 @@ func TestSetDelayTimerLazyArm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, armed := s.SleepDeadline(); armed {
+	if s.sleepArmed {
 		t.Fatalf("armed with delay timer disabled")
 	}
 	s.SetDelayTimer(true, 5*simtime.Millisecond)
-	if at, armed := s.SleepDeadline(); !armed || at != eng.Now()+5*simtime.Millisecond {
-		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, armed)
+	if !s.sleepArmed || s.sleepAt != eng.Now()+5*simtime.Millisecond {
+		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", s.sleepAt, s.sleepArmed)
 	}
 	s.SetDelayTimer(false, 0)
-	if _, armed := s.SleepDeadline(); armed {
+	if s.sleepArmed {
 		t.Fatalf("still armed after disable")
 	}
 	s.SetDelayTimer(true, simtime.Millisecond)

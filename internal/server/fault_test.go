@@ -117,8 +117,8 @@ func TestRecoverRestoresService(t *testing.T) {
 	if finished != 1 {
 		t.Fatalf("finished = %d, want 1", finished)
 	}
-	if srv.SystemState() != power.S0 {
-		t.Errorf("system state %v after recovery, want S0", srv.SystemState())
+	if srv.sstate != power.S0 {
+		t.Errorf("system state %v after recovery, want S0", srv.sstate)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestCrashVoidsInFlightTransitions(t *testing.T) {
 	// at 1 ms. SleepEntry latency is long enough that a crash at 1.5 ms
 	// lands mid-entry.
 	eng.Schedule(simtime.Millisecond+500*simtime.Microsecond, func() {
-		if !srv.EnteringSleep() {
+		if !srv.entering {
 			t.Fatal("server not mid-suspend; adjust timing")
 		}
 		srv.Crash()
@@ -147,9 +147,9 @@ func TestCrashVoidsInFlightTransitions(t *testing.T) {
 	// Probe just after recovery, before the re-armed delay timer can
 	// start a fresh (legitimate) suspend.
 	eng.Schedule(5*simtime.Second+100*simtime.Microsecond, func() {
-		if srv.Failed() || srv.SystemState() != power.S0 || srv.EnteringSleep() || srv.Waking() {
+		if srv.Failed() || srv.sstate != power.S0 || srv.entering || srv.waking {
 			t.Errorf("stale transition state after crash+recover: failed=%v sstate=%v entering=%v waking=%v",
-				srv.Failed(), srv.SystemState(), srv.EnteringSleep(), srv.Waking())
+				srv.Failed(), srv.sstate, srv.entering, srv.waking)
 		}
 	})
 	eng.Run()

@@ -18,7 +18,7 @@ func TestPerCoreDVFS(t *testing.T) {
 		c.PkgC6Enabled = false
 	})
 	eng.RunUntil(simtimeMillisecond)
-	base := s.CPUPower()
+	base := s.cpuMeter.Power()
 	wantBase := 10*prof.CoreIdle + prof.PkgPC0
 	if math.Abs(base-wantBase) > 1e-9 {
 		t.Fatalf("base CPU power = %v, want %v", base, wantBase)
@@ -28,10 +28,10 @@ func TestPerCoreDVFS(t *testing.T) {
 	if err := s.SetCorePState(3, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Core(3).PState().Name; got != "P3" {
+	if got := s.cores[3].PState().Name; got != "P3" {
 		t.Errorf("core 3 P-state = %s, want P3", got)
 	}
-	if got := s.Core(0).PState().Name; got != "P0" {
+	if got := s.cores[0].PState().Name; got != "P0" {
 		t.Errorf("core 0 P-state = %s, want P0", got)
 	}
 	// Errors.
@@ -40,19 +40,6 @@ func TestPerCoreDVFS(t *testing.T) {
 	}
 	if err := s.SetCorePState(0, 99); err == nil {
 		t.Error("out-of-range P-state accepted")
-	}
-}
-
-func TestGlobalStateReporting(t *testing.T) {
-	eng, s := newTestServer(t, nil)
-	if s.GlobalState() != power.G0 {
-		t.Errorf("working global state = %v, want G0", s.GlobalState())
-	}
-	eng.RunUntil(simtimeMillisecond)
-	s.ForceSleep()
-	eng.RunUntil(5 * simtimeSecond)
-	if s.GlobalState() != power.G1 {
-		t.Errorf("sleeping global state = %v, want G1", s.GlobalState())
 	}
 }
 

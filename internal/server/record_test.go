@@ -83,7 +83,7 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 	var live []*job.Task
 	for step := 0; step < 4000; step++ {
 		at := simtime.Time(step) * 300 * simtime.Microsecond
-		s := farm.Server(r.IntN(farm.Len()))
+		s := farm.Server(r.IntN(len(farm.servers)))
 		switch k := r.IntN(20); {
 		case k < 14:
 			tk := job.Single(job.ID(step), at, simtime.Time(1+r.IntN(3000))*simtime.Microsecond).Tasks[0]
@@ -116,7 +116,7 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 	events := 0
 	for eng.Step() {
 		events++
-		for i := 0; i < farm.Len(); i++ {
+		for i := 0; i < len(farm.servers); i++ {
 			s := farm.Server(i)
 			if s.PowerCacheStale() {
 				t.Fatalf("event %d at %v: server %d power cache is stale", events, eng.Now(), i)
@@ -131,7 +131,7 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 			for _, st := range s.sockets {
 				want += prof.PkgWatts(st)
 			}
-			if got := s.CPUPower(); got != want {
+			if got := s.cpuMeter.Power(); got != want {
 				t.Fatalf("event %d at %v: server %d meters %v W of CPU, core states give %v", events, eng.Now(), i, got, want)
 			}
 		}
@@ -160,18 +160,18 @@ func TestFarmBlocksKeepAddresses(t *testing.T) {
 			t.Fatal(err)
 		}
 		servers = append(servers, s)
-		cores = append(cores, s.Core(0), s.Core(s.Cores()-1))
+		cores = append(cores, &s.cores[0], &s.cores[s.Cores()-1])
 	}
 	seenCore := map[*Core]bool{}
 	for i, s := range servers {
 		if farm.Server(i) != s || s.ID() != i {
 			t.Fatalf("server %d moved or was overwritten", i)
 		}
-		if s.Core(0) != cores[2*i] || s.Core(s.Cores()-1) != cores[2*i+1] {
+		if &s.cores[0] != cores[2*i] || &s.cores[s.Cores()-1] != cores[2*i+1] {
 			t.Fatalf("server %d: cores moved", i)
 		}
 		for c := 0; c < s.Cores(); c++ {
-			core := s.Core(c)
+			core := &s.cores[c]
 			if core.srv != s || core.id != c || seenCore[core] {
 				t.Fatalf("server %d core %d is shared or mislabeled", i, c)
 			}
@@ -184,8 +184,8 @@ func TestFarmBlocksKeepAddresses(t *testing.T) {
 	// A state change on one server shows on no other.
 	servers[1].Submit(job.Single(1, 0, simtime.Millisecond).Tasks[0])
 	for i, s := range servers {
-		if want := i == 1; (s.BusyCores() > 0) != want || (s.Residency().State() == StateActive) != want {
-			t.Fatalf("server %d: busy %d queued %d state %s after a submit to server 1", i, s.BusyCores(), s.QueueLen(), s.Residency().State())
+		if want := i == 1; (s.BusyCores() > 0) != want || (stateLabels[s.state] == StateActive) != want {
+			t.Fatalf("server %d: busy %d queued %d state %s after a submit to server 1", i, s.BusyCores(), s.QueueLen(), stateLabels[s.state])
 		}
 	}
 }

@@ -26,7 +26,7 @@ const (
 )
 
 // The server knows its residency state as an index into stateLabels —
-// modelcov's SrvStateIndex order, so a coverage transition needs no
+// modelcov's state order, so a coverage transition needs no
 // lookup — and labels exist only where results are reported.
 const (
 	stActive = iota
@@ -204,9 +204,6 @@ func (s *Server) ID() int { return s.id }
 // Cores reports the number of cores.
 func (s *Server) Cores() int { return len(s.cores) }
 
-// Core returns core i (read-only inspection).
-func (s *Server) Core(i int) *Core { return &s.cores[i] }
-
 // Kinds reports the task kinds this server is configured to perform
 // (empty = any).
 func (s *Server) Kinds() []string { return s.cfg.Kinds }
@@ -225,39 +222,10 @@ func (s *Server) OnTaskDone(fn func(*Server, *job.Task)) {
 	s.onTaskDone = append(s.onTaskDone, fn)
 }
 
-// SystemState reports the ACPI system state.
-func (s *Server) SystemState() power.SState { return s.sstate }
-
-// PkgState reports the shallowest package C-state across sockets (PC6
-// only when every socket is parked).
-func (s *Server) PkgState() power.PkgCState {
-	min := s.sockets[0]
-	for _, st := range s.sockets[1:] {
-		if st < min {
-			min = st
-		}
-	}
-	return min
-}
-
-// SocketStates reports each socket's package C-state.
-func (s *Server) SocketStates() []power.PkgCState {
-	out := make([]power.PkgCState, len(s.sockets))
-	copy(out, s.sockets)
-	return out
-}
-
 // socketOf reports which socket a core belongs to.
 func (s *Server) socketOf(coreID int) int {
 	return coreID / s.prof.CoresPerSocket()
 }
-
-// Waking reports whether a system-level wake transition is in flight.
-func (s *Server) Waking() bool { return s.waking }
-
-// EnteringSleep reports whether a system suspend transition is in
-// flight.
-func (s *Server) EnteringSleep() bool { return s.entering }
 
 // Asleep reports whether the server is in (or suspending into) a system
 // sleep state and not already waking.
@@ -647,19 +615,6 @@ func (s *Server) sleepEntryDone() {
 	}
 }
 
-// ForceSleep immediately starts the suspend transition if the server is
-// idle, bypassing the delay timer (used by pool-based policies,
-// Sec. IV-C). It reports whether the transition was initiated.
-func (s *Server) ForceSleep() bool {
-	if s.failed || s.sstate != power.S0 || s.waking || s.entering ||
-		s.busyCores > 0 || s.queueLen > 0 {
-		return false
-	}
-	s.disarmSleep()
-	s.enterSleep()
-	return true
-}
-
 // WakeUp proactively starts the system wake transition (used by adaptive
 // policies to pre-warm a server before dispatching to it). It reports
 // whether a wake was initiated, already in flight, or scheduled to
@@ -751,18 +706,6 @@ func (s *Server) SetDelayTimer(enabled bool, d simtime.Time) {
 	s.checkServerIdle()
 }
 
-// SleepDeadline reports the instant the server will begin suspending and
-// whether a suspend is pending (the planner deadline field; no queued
-// event is consulted).
-func (s *Server) SleepDeadline() (simtime.Time, bool) {
-	return s.sleepAt, s.sleepArmed
-}
-
-// DelayTimerConfig reports the current delay-timer setting.
-func (s *Server) DelayTimerConfig() (enabled bool, d simtime.Time) {
-	return s.cfg.DelayTimerEnabled, s.cfg.DelayTimer
-}
-
 // SetPState switches every core to P-state index i (DVFS). Tasks already
 // running keep their start-time service estimate (the paper models DVFS
 // per dispatch decision, not mid-task re-rating).
@@ -791,10 +734,6 @@ func (s *Server) SetCorePState(core, i int) error {
 	s.recompute()
 	return nil
 }
-
-// GlobalState reports the server's ACPI global state (G0 working, G1
-// sleeping, G2 soft-off).
-func (s *Server) GlobalState() power.GState { return power.GlobalState(s.sstate) }
 
 // recompute re-derives component power draws and the residency state
 // after any state change. The S0 processor draw is the sum of the
@@ -875,9 +814,6 @@ func (s *Server) recompute() {
 func (s *Server) Power() float64 {
 	return s.cpuMeter.Power() + s.dramMeter.Power() + s.platMeter.Power()
 }
-
-// CPUPower reports the current processor (cores + package) draw.
-func (s *Server) CPUPower() float64 { return s.cpuMeter.Power() }
 
 // CPUEnergyTo reports processor energy in joules up to t.
 func (s *Server) CPUEnergyTo(t simtime.Time) float64 { return s.cpuMeter.EnergyTo(t) }

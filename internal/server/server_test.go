@@ -25,6 +25,15 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*engine.Engine, *Server)
 	return eng, s
 }
 
+// idleWatts is the closed-form "Active-Idle" draw (S0, every core idle in
+// C0, no package parked) and sleepWatts the S3 draw the tests hold the
+// model's recompute to.
+func idleWatts(p *power.ServerProfile) float64 {
+	return float64(p.Cores)*p.CoreIdle + float64(p.SocketCount())*p.PkgPC0 + p.DRAMIdle + p.PlatformS0
+}
+
+func sleepWatts(p *power.ServerProfile) float64 { return p.DRAMSelfRefresh + p.PlatformS3 }
+
 func submitSingle(eng *engine.Engine, s *Server, id job.ID, at, size simtime.Time) *job.Job {
 	j := job.Single(id, at, size)
 	eng.Schedule(at, func() { s.Submit(j.Tasks[0]) })
@@ -101,15 +110,15 @@ func TestIdleGovernorPromotion(t *testing.T) {
 	// Fresh server: cores idle at t=0. Default thresholds: C1 at 0,
 	// C3 at 100us, C6 at 1ms.
 	eng.RunUntil(50 * simtime.Microsecond)
-	if got := s.Core(0).CState(); got != power.C1 {
+	if got := s.cores[0].cstate; got != power.C1 {
 		t.Errorf("at 50us: %v, want C1", got)
 	}
 	eng.RunUntil(500 * simtime.Microsecond)
-	if got := s.Core(0).CState(); got != power.C3 {
+	if got := s.cores[0].cstate; got != power.C3 {
 		t.Errorf("at 500us: %v, want C3", got)
 	}
 	eng.RunUntil(2 * simtime.Millisecond)
-	if got := s.Core(0).CState(); got != power.C6 {
+	if got := s.cores[0].cstate; got != power.C6 {
 		t.Errorf("at 2ms: %v, want C6", got)
 	}
 	if s.PkgState() != power.PC6 {
@@ -138,20 +147,20 @@ func TestDelayTimerEntersSleep(t *testing.T) {
 		c.DelayTimer = 100 * simtime.Millisecond
 	})
 	eng.RunUntil(99 * simtime.Millisecond)
-	if s.SystemState() != power.S0 || s.EnteringSleep() {
-		t.Errorf("slept before timer expiry: %v", s.SystemState())
+	if s.sstate != power.S0 || s.entering {
+		t.Errorf("slept before timer expiry: %v", s.sstate)
 	}
 	// Timer expiry starts the suspend transition (3 s on this profile).
 	eng.RunUntil(101 * simtime.Millisecond)
-	if !s.EnteringSleep() {
+	if !s.entering {
 		t.Error("suspend not started after timer expiry")
 	}
 	if !s.Asleep() {
 		t.Error("Asleep() = false during suspend")
 	}
 	eng.RunUntil(3200 * simtime.Millisecond)
-	if s.SystemState() != power.S3 {
-		t.Errorf("state = %v, want S3 after suspend completes", s.SystemState())
+	if s.sstate != power.S3 {
+		t.Errorf("state = %v, want S3 after suspend completes", s.sstate)
 	}
 	if !s.Asleep() {
 		t.Error("Asleep() = false")
@@ -166,17 +175,17 @@ func TestDelayTimerCanceledByArrival(t *testing.T) {
 	// Arrival at 50ms restarts the cycle: busy 10ms, then idle again.
 	submitSingle(eng, s, 1, 50*simtime.Millisecond, 10*simtime.Millisecond)
 	eng.RunUntil(140 * simtime.Millisecond)
-	if s.SystemState() != power.S0 || s.EnteringSleep() {
+	if s.sstate != power.S0 || s.entering {
 		t.Error("slept too early; timer should restart after the task")
 	}
 	// Idle from ~60ms; suspend starts at ~160ms, S3 after the 3s entry.
 	eng.RunUntil(170 * simtime.Millisecond)
-	if !s.EnteringSleep() {
+	if !s.entering {
 		t.Error("suspend not started after restarted timer")
 	}
 	eng.RunUntil(4 * simtime.Second)
-	if s.SystemState() != power.S3 {
-		t.Errorf("state = %v, want S3", s.SystemState())
+	if s.sstate != power.S3 {
+		t.Errorf("state = %v, want S3", s.sstate)
 	}
 }
 
@@ -192,8 +201,8 @@ func TestSleepWakeRoundTrip(t *testing.T) {
 	// it must wait for entry to finish, then the full resume.
 	submitSingle(eng, s, 1, simtime.Second, 5*simtime.Millisecond)
 	eng.RunUntil(500 * simtime.Millisecond)
-	if !s.EnteringSleep() {
-		t.Fatalf("not suspending before arrival: %v", s.SystemState())
+	if !s.entering {
+		t.Fatalf("not suspending before arrival: %v", s.sstate)
 	}
 	eng.Run()
 	// entry completes at 10ms+3s, resume 1.5s, core C6 exit, 5ms task.
@@ -206,8 +215,8 @@ func TestSleepWakeRoundTrip(t *testing.T) {
 		t.Errorf("WakeCount = %d", s.WakeCount())
 	}
 	// With the delay timer still armed, the drained server re-suspends.
-	if s.SystemState() != power.S3 {
-		t.Errorf("state after drain = %v, want re-slept S3", s.SystemState())
+	if s.sstate != power.S3 {
+		t.Errorf("state after drain = %v, want re-slept S3", s.sstate)
 	}
 }
 
@@ -260,8 +269,8 @@ func TestPowerLevels(t *testing.T) {
 	// t=0: all cores idle in C0 (becomeIdle promotes to C1 at once
 	// because IdleToC1 = 0, via a queued zero-delay event).
 	idle0 := s.Power()
-	if idle0 != prof.IdleWatts() {
-		t.Errorf("initial power = %v, want IdleWatts %v", idle0, prof.IdleWatts())
+	if idle0 != idleWatts(prof) {
+		t.Errorf("initial power = %v, want IdleWatts %v", idle0, idleWatts(prof))
 	}
 	// While running one task, power must exceed deep idle.
 	submitSingle(eng, s, 1, simtime.Millisecond, 20*simtime.Millisecond)
@@ -278,8 +287,8 @@ func TestPowerLevels(t *testing.T) {
 	}
 	// Once in S3: sleep draw.
 	eng.RunUntil(5 * simtime.Second)
-	if got := s.Power(); math.Abs(got-prof.SleepWatts()) > 1e-9 {
-		t.Errorf("sleep power = %v, want %v", got, prof.SleepWatts())
+	if got := s.Power(); math.Abs(got-sleepWatts(prof)) > 1e-9 {
+		t.Errorf("sleep power = %v, want %v", got, sleepWatts(prof))
 	}
 }
 
@@ -295,8 +304,8 @@ func TestEnergyAccounting(t *testing.T) {
 		t.Errorf("component sum %v != total %v", parts, total)
 	}
 	prof := power.XeonE5_2680()
-	min := (prof.SleepWatts()) * 1
-	max := prof.IdleWatts() * 1
+	min := sleepWatts(prof)
+	max := idleWatts(prof)
 	if total < min || total > max {
 		t.Errorf("idle energy %v J outside [%v, %v]", total, min, max)
 	}
@@ -340,7 +349,7 @@ func TestHeterogeneousCores(t *testing.T) {
 	if doneAt != want {
 		t.Errorf("finished at %v, want %v on the 2x core", doneAt, want)
 	}
-	if s.Core(0).Completed() != 1 {
+	if s.cores[0].completed != 1 {
 		t.Error("fast core did not serve the task")
 	}
 }
@@ -369,25 +378,25 @@ func TestForceSleepAndWakeUp(t *testing.T) {
 	if !s.ForceSleep() {
 		t.Fatal("ForceSleep on idle server failed")
 	}
-	if !s.EnteringSleep() || !s.Asleep() {
+	if !s.entering || !s.Asleep() {
 		t.Fatal("suspend not started")
 	}
 	if s.ForceSleep() {
 		t.Error("double ForceSleep succeeded")
 	}
 	eng.RunUntil(4 * simtime.Second)
-	if s.SystemState() != power.S3 {
-		t.Fatalf("state = %v, want S3", s.SystemState())
+	if s.sstate != power.S3 {
+		t.Fatalf("state = %v, want S3", s.sstate)
 	}
 	if !s.WakeUp() {
 		t.Fatal("WakeUp failed")
 	}
-	if !s.Waking() {
+	if !s.waking {
 		t.Error("not waking after WakeUp")
 	}
 	eng.Run()
-	if s.SystemState() != power.S0 {
-		t.Errorf("state after wake = %v", s.SystemState())
+	if s.sstate != power.S0 {
+		t.Errorf("state after wake = %v", s.sstate)
 	}
 	if s.WakeUp() {
 		t.Error("WakeUp on awake server succeeded")
@@ -405,8 +414,8 @@ func TestWakeUpDuringSuspendEntry(t *testing.T) {
 		t.Error("WakeUp during suspend entry rejected")
 	}
 	eng.Run()
-	if s.SystemState() != power.S0 {
-		t.Errorf("state = %v, want S0 after entry+wake", s.SystemState())
+	if s.sstate != power.S0 {
+		t.Errorf("state = %v, want S0 after entry+wake", s.sstate)
 	}
 	if s.WakeCount() != 1 {
 		t.Errorf("WakeCount = %d", s.WakeCount())
@@ -428,20 +437,20 @@ func TestSetDelayTimerRuntime(t *testing.T) {
 	// Enable at runtime on an already-idle server: must arm immediately.
 	s.SetDelayTimer(true, 10*simtime.Millisecond)
 	eng.RunUntil(20 * simtime.Millisecond)
-	if !s.EnteringSleep() {
+	if !s.entering {
 		t.Error("suspend not started after runtime-enabled timer")
 	}
 	eng.RunUntil(5 * simtime.Second)
-	if s.SystemState() != power.S3 {
-		t.Errorf("state = %v, want S3", s.SystemState())
+	if s.sstate != power.S3 {
+		t.Errorf("state = %v, want S3", s.sstate)
 	}
 	// Wake it and disable before the wake completes: it must stay awake.
 	s.WakeUp()
 	s.SetDelayTimer(false, 0)
 	eng.Run()
 	eng.RunUntil(simtime.Minute)
-	if s.SystemState() != power.S0 {
-		t.Errorf("state = %v, want S0 with timer disabled", s.SystemState())
+	if s.sstate != power.S0 {
+		t.Errorf("state = %v, want S0 with timer disabled", s.sstate)
 	}
 }
 

@@ -31,12 +31,12 @@ func TestDualSocketProfile(t *testing.T) {
 	}
 	// Idle/max include both packages.
 	single := power.XeonE5_2680()
-	if p.IdleWatts() <= single.IdleWatts() {
+	if idleWatts(p) <= idleWatts(single) {
 		t.Error("dual socket idle should exceed single socket idle")
 	}
-	wantIdle := single.IdleWatts() + 10*single.CoreIdle + single.PkgPC0
-	if math.Abs(p.IdleWatts()-wantIdle) > 1e-9 {
-		t.Errorf("IdleWatts = %v, want %v", p.IdleWatts(), wantIdle)
+	wantIdle := idleWatts(single) + 10*single.CoreIdle + single.PkgPC0
+	if math.Abs(idleWatts(p)-wantIdle) > 1e-9 {
+		t.Errorf("IdleWatts = %v, want %v", idleWatts(p), wantIdle)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestSocketsParkIndependently(t *testing.T) {
 	}
 	eng.Schedule(0, park)
 	eng.RunUntil(95 * simtime.Millisecond)
-	states := s.SocketStates()
+	states := s.sockets
 	if states[1] != power.PC6 {
 		t.Errorf("idle socket 1 = %v, want PC6", states[1])
 	}
@@ -78,7 +78,7 @@ func TestSocketsParkIndependently(t *testing.T) {
 	if s2.PkgState() != power.PC6 {
 		t.Errorf("fully idle dual socket PkgState = %v, want PC6", s2.PkgState())
 	}
-	if got := s2.Residency().State(); got != StatePkgC6 {
+	if got := stateLabels[s2.state]; got != StatePkgC6 {
 		t.Errorf("residency label = %q, want PkgC6", got)
 	}
 }
@@ -106,13 +106,13 @@ func TestDVFSGovernorScalesWithLoad(t *testing.T) {
 		eng.Schedule(0, func() { s.Submit(j.Tasks[0]) })
 	}
 	eng.RunUntil(200 * simtime.Millisecond)
-	if g.PStateIndex() != 0 {
-		t.Errorf("under saturation P-state index = %d, want 0", g.PStateIndex())
+	if g.pidx != 0 {
+		t.Errorf("under saturation P-state index = %d, want 0", g.pidx)
 	}
 	// Phase 2: idle for 500ms — governor steps down to the deepest point.
 	eng.RunUntil(700 * simtime.Millisecond)
-	if g.PStateIndex() != len(power.XeonE5_2680().PStates)-1 {
-		t.Errorf("idle P-state index = %d, want deepest", g.PStateIndex())
+	if g.pidx != len(power.XeonE5_2680().PStates)-1 {
+		t.Errorf("idle P-state index = %d, want deepest", g.pidx)
 	}
 	if g.Steps == 0 {
 		t.Error("no P-state steps recorded")
@@ -124,8 +124,8 @@ func TestDVFSGovernorScalesWithLoad(t *testing.T) {
 		eng.Schedule(base, func() { s.Submit(j.Tasks[0]) })
 	}
 	eng.RunUntil(base + 250*simtime.Millisecond)
-	if g.PStateIndex() != 0 {
-		t.Errorf("re-saturated P-state index = %d, want 0", g.PStateIndex())
+	if g.pidx != 0 {
+		t.Errorf("re-saturated P-state index = %d, want 0", g.pidx)
 	}
 	eng.RunUntil(base + 10*simtime.Second)
 }
@@ -139,7 +139,7 @@ func TestDVFSGovernorDoubleStartSafe(t *testing.T) {
 	// One governor tick chain: at 10ms intervals over 100ms, ~10 ticks;
 	// a double chain would step twice as often. Steps bounded by the
 	// ladder depth regardless; just ensure no panic and sane state.
-	if g.PStateIndex() < 0 || g.PStateIndex() >= len(power.XeonE5_2680().PStates) {
-		t.Errorf("P-state index out of range: %d", g.PStateIndex())
+	if g.pidx < 0 || g.pidx >= len(power.XeonE5_2680().PStates) {
+		t.Errorf("P-state index out of range: %d", g.pidx)
 	}
 }

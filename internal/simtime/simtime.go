@@ -9,7 +9,6 @@ package simtime
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -35,17 +34,8 @@ func FromSeconds(s float64) Time {
 	return Time(math.Round(s * float64(Second)))
 }
 
-// FromDuration converts a standard library time.Duration.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Seconds reports t as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Milliseconds reports t as a float64 number of milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
-
-// Duration converts t to a standard library time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats the time with an adaptive unit, e.g. "1.5ms" or "2.25s".
 func (t Time) String() string {
@@ -63,14 +53,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%.4gs", float64(t)/float64(Second))
 	}
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Max returns the larger of a and b.

@@ -21,31 +21,16 @@ func NewEnergyMeter(name string) *EnergyMeter {
 }
 
 // SetPower records the instantaneous draw w (watts) starting at time t.
-// This is the hot path of every port/line-card power transition: it
-// maintains only what the meter exposes (current value and integral),
-// skipping TimeWeighted's min/max bookkeeping so the accumulate
-// inlines. The integral arithmetic is identical to TimeWeighted.Set.
+// This is the hot path of every port/line-card power transition.
 //
 //simlint:hotpath
-func (m *EnergyMeter) SetPower(t simtime.Time, w float64) {
-	tw := &m.tw
-	if !tw.started || t < tw.lastT {
-		tw.setSlow(t, w)
-		return
-	}
-	tw.integral += tw.value * (t - tw.lastT).Seconds()
-	tw.lastT = t
-	tw.value = w
-}
+func (m *EnergyMeter) SetPower(t simtime.Time, w float64) { m.tw.Set(t, w) }
 
 // Power reports the current draw in watts.
 func (m *EnergyMeter) Power() float64 { return m.tw.Value() }
 
 // EnergyTo reports accumulated joules up to time t.
 func (m *EnergyMeter) EnergyTo(t simtime.Time) float64 { return m.tw.IntegralTo(t) }
-
-// MeanPowerTo reports the time-averaged draw in watts up to time t.
-func (m *EnergyMeter) MeanPowerTo(t simtime.Time) float64 { return m.tw.MeanTo(t) }
 
 // PowerSampler records a power (or any scalar) time series at a fixed
 // virtual-time interval — the simulator-side analogue of the 1 Hz power
@@ -65,21 +50,6 @@ func NewPowerSampler(interval simtime.Time) *PowerSampler {
 func (p *PowerSampler) Record(t simtime.Time, v float64) {
 	p.Times = append(p.Times, t)
 	p.Values = append(p.Values, v)
-}
-
-// Len reports the number of samples.
-func (p *PowerSampler) Len() int { return len(p.Values) }
-
-// Mean reports the arithmetic mean of the sampled values.
-func (p *PowerSampler) Mean() float64 {
-	if len(p.Values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range p.Values {
-		sum += v
-	}
-	return sum / float64(len(p.Values))
 }
 
 // CompareSeries reports the mean absolute difference and the standard

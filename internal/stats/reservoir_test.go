@@ -20,20 +20,11 @@ func TestTallyUnboundedRetention(t *testing.T) {
 		unbounded.Add(x)
 		bounded.Add(x)
 	}
-	if got := unbounded.Retained(); got != n {
+	if got := len(unbounded.samples); got != n {
 		t.Fatalf("NewTally retained %d samples, want %d (unbounded retention)", got, n)
 	}
-	if unbounded.Bounded() {
-		t.Fatalf("NewTally reports Bounded() = true")
-	}
-	if got := bounded.Retained(); got != 1024 {
+	if got := len(bounded.samples); got != 1024 {
 		t.Fatalf("reservoir retained %d samples, want cap 1024", got)
-	}
-	if !bounded.Bounded() {
-		t.Fatalf("reservoir tally reports Bounded() = false")
-	}
-	if !NewMomentTally("m").Bounded() {
-		t.Fatalf("moment tally reports Bounded() = false")
 	}
 }
 
@@ -126,8 +117,8 @@ func TestReservoirQueryDuringStream(t *testing.T) {
 			}
 		}
 	}
-	if res.Retained() != 32 {
-		t.Fatalf("retained %d want 32", res.Retained())
+	if len(res.samples) != 32 {
+		t.Fatalf("retained %d want 32", len(res.samples))
 	}
 	if res.Min() != 0 || res.Max() != 999 {
 		t.Fatalf("min/max drifted: %v/%v", res.Min(), res.Max())
@@ -139,8 +130,8 @@ func TestReservoirDegenerateCapacity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		res.Add(float64(i))
 	}
-	if res.Retained() != 1 {
-		t.Fatalf("retained %d want 1", res.Retained())
+	if len(res.samples) != 1 {
+		t.Fatalf("retained %d want 1", len(res.samples))
 	}
 	if res.Count() != 100 {
 		t.Fatalf("count %d want 100", res.Count())

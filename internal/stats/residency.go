@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"sort"
-
-	"holdcsim/internal/simtime"
-)
+import "holdcsim/internal/simtime"
 
 // Residency tracks how long an entity spends in each named state — the
 // basis of the paper's Fig. 8 (Active / Wake-up / Idle / PkgC6 / SysSleep
@@ -112,14 +108,6 @@ func (r *Residency) observed(id int) bool {
 	return r.dur[id] >= 0 || (r.started && id == r.state)
 }
 
-// State reports the current state ("" before the first SetState).
-func (r *Residency) State() string {
-	if !r.started {
-		return ""
-	}
-	return r.labels[r.state]
-}
-
 // DurationTo reports total time spent in state up to t (including the
 // currently open interval).
 func (r *Residency) DurationTo(state string, t simtime.Time) simtime.Time {
@@ -161,16 +149,4 @@ func (r *Residency) AddFractionsTo(t simtime.Time, into map[string]float64) {
 			into[label] += r.DurationTo(label, t).Seconds() / total
 		}
 	}
-}
-
-// States reports all observed state names, sorted.
-func (r *Residency) States() []string {
-	out := make([]string, 0, len(r.labels))
-	for id, label := range r.labels {
-		if r.observed(id) {
-			out = append(out, label)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

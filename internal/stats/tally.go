@@ -12,9 +12,9 @@ import (
 )
 
 // Tally accumulates scalar samples. It keeps running moments (Welford) for
-// mean/variance plus, by default, the raw samples so exact percentiles and
-// CDFs can be produced — job populations in the paper's experiments are at
-// most a few hundred thousand, so retention is cheap.
+// mean/variance plus the raw samples (all of them, or a bounded reservoir)
+// so percentiles and CDFs can be produced — job populations in the paper's
+// experiments are at most a few hundred thousand, so retention is cheap.
 type Tally struct {
 	name    string
 	n       int64
@@ -23,7 +23,6 @@ type Tally struct {
 	min     float64
 	max     float64
 	samples []float64
-	keep    bool
 	dirty   bool   // samples appended since the last sort
 	resCap  int    // >0: bound retention to resCap samples (Algorithm R)
 	rngSt   uint64 // xorshift64 state for reservoir replacement draws
@@ -31,13 +30,7 @@ type Tally struct {
 
 // NewTally returns an empty tally that retains samples for percentiles.
 func NewTally(name string) *Tally {
-	return &Tally{name: name, keep: true, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// NewMomentTally returns a tally that keeps only moments (no percentiles),
-// for memory-sensitive large-scale runs.
-func NewMomentTally(name string) *Tally {
-	return &Tally{name: name, keep: false, min: math.Inf(1), max: math.Inf(-1)}
+	return &Tally{name: name, min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // NewReservoirTally returns a tally whose retained-sample buffer is bounded
@@ -53,7 +46,7 @@ func NewReservoirTally(name string, capacity int, seed uint64) *Tally {
 		capacity = 1
 	}
 	return &Tally{
-		name: name, keep: true, min: math.Inf(1), max: math.Inf(-1),
+		name: name, min: math.Inf(1), max: math.Inf(-1),
 		resCap: capacity,
 		rngSt:  splitmix64(seed),
 	}
@@ -84,18 +77,6 @@ func (t *Tally) randN(n int64) int64 {
 	return int64(x % uint64(n))
 }
 
-// Retained reports how many raw samples the tally currently holds
-// (0 for moment-only tallies; at most the reservoir capacity for
-// reservoir tallies).
-func (t *Tally) Retained() int { return len(t.samples) }
-
-// Bounded reports whether the tally's memory is bounded regardless of
-// sample count (moment-only or reservoir mode).
-func (t *Tally) Bounded() bool { return !t.keep || t.resCap > 0 }
-
-// Name reports the tally's label.
-func (t *Tally) Name() string { return t.name }
-
 // Add records one sample.
 func (t *Tally) Add(x float64) {
 	t.n++
@@ -108,21 +89,19 @@ func (t *Tally) Add(x float64) {
 	if x > t.max {
 		t.max = x
 	}
-	if t.keep {
-		if t.resCap > 0 && len(t.samples) >= t.resCap {
-			// Algorithm R: sample x survives with probability cap/n, replacing
-			// a uniformly chosen reservoir slot. (The reservoir is a uniform
-			// subset under any permutation, so the lazy in-place sort that
-			// Percentile performs between Adds does not bias replacement.)
-			if j := t.randN(t.n); j < int64(t.resCap) {
-				t.samples[j] = x
-				t.dirty = true
-			}
-			return
+	if t.resCap > 0 && len(t.samples) >= t.resCap {
+		// Algorithm R: sample x survives with probability cap/n, replacing
+		// a uniformly chosen reservoir slot. (The reservoir is a uniform
+		// subset under any permutation, so the lazy in-place sort that
+		// Percentile performs between Adds does not bias replacement.)
+		if j := t.randN(t.n); j < int64(t.resCap) {
+			t.samples[j] = x
+			t.dirty = true
 		}
-		t.samples = append(t.samples, x)
-		t.dirty = true
+		return
 	}
+	t.samples = append(t.samples, x)
+	t.dirty = true
 }
 
 // Reserve sizes the sample buffer for n samples in all (at most the
@@ -131,7 +110,7 @@ func (t *Tally) Reserve(n int) {
 	if t.resCap > 0 {
 		n = min(n, t.resCap)
 	}
-	if t.keep && n > cap(t.samples) {
+	if n > cap(t.samples) {
 		t.samples = append(make([]float64, 0, n), t.samples...)
 	}
 }
@@ -175,16 +154,9 @@ func (t *Tally) Max() float64 {
 	return t.max
 }
 
-// Sum reports the total of all samples.
-func (t *Tally) Sum() float64 { return t.mean * float64(t.n) }
-
 // Percentile reports the p-th percentile (p in [0,100]) using linear
-// interpolation between order statistics. It requires sample retention
-// and returns 0 when empty.
+// interpolation between order statistics. It returns 0 when empty.
 func (t *Tally) Percentile(p float64) float64 {
-	if !t.keep {
-		panic("stats: Percentile on moment-only tally " + t.name)
-	}
 	if len(t.samples) == 0 {
 		return 0
 	}
@@ -208,9 +180,6 @@ func (t *Tally) Percentile(p float64) float64 {
 // CDF returns (x, F(x)) pairs over at most points steps, suitable for
 // plotting job-latency CDFs (Fig. 11b).
 func (t *Tally) CDF(points int) []CDFPoint {
-	if !t.keep {
-		panic("stats: CDF on moment-only tally " + t.name)
-	}
 	s := t.sorted()
 	if len(s) == 0 {
 		return nil

@@ -10,11 +10,9 @@ import (
 type TimeWeighted struct {
 	name     string
 	value    float64
-	t0       simtime.Time // time of Start
 	lastT    simtime.Time // time of last observation
 	integral float64      // ∫ value dt in value·seconds, up to lastT
 	started  bool
-	min, max float64
 }
 
 // NewTimeWeighted returns an idle tracker; tracking begins at the first
@@ -26,11 +24,9 @@ func NewTimeWeighted(name string) *TimeWeighted {
 // Start begins tracking at time t with the given initial value.
 func (w *TimeWeighted) Start(t simtime.Time, initial float64) {
 	w.started = true
-	w.t0 = t
 	w.lastT = t
 	w.value = initial
 	w.integral = 0
-	w.min, w.max = initial, initial
 }
 
 // Set updates the signal to v at time t, accumulating the integral for the
@@ -45,11 +41,6 @@ func (w *TimeWeighted) Set(t simtime.Time, v float64) {
 	w.integral += w.value * (t - w.lastT).Seconds()
 	w.lastT = t
 	w.value = v
-	if v < w.min {
-		w.min = v
-	} else if v > w.max {
-		w.max = v
-	}
 }
 
 // setSlow handles Set's cold cases: the first observation (acts as
@@ -60,12 +51,6 @@ func (w *TimeWeighted) setSlow(t simtime.Time, v float64) {
 		return
 	}
 	panic("stats: TimeWeighted.Set time went backwards in " + w.name)
-}
-
-// Adjust adds delta to the current value at time t (convenience for
-// counters such as "jobs in system").
-func (w *TimeWeighted) Adjust(t simtime.Time, delta float64) {
-	w.Set(t, w.value+delta)
 }
 
 // Value reports the current signal value.
@@ -82,21 +67,3 @@ func (w *TimeWeighted) IntegralTo(t simtime.Time) float64 {
 	}
 	return w.integral + w.value*(t-w.lastT).Seconds()
 }
-
-// MeanTo reports the time-averaged value from Start to t.
-func (w *TimeWeighted) MeanTo(t simtime.Time) float64 {
-	if !w.started {
-		return 0
-	}
-	dur := (t - w.t0).Seconds()
-	if dur <= 0 {
-		return w.value
-	}
-	return w.IntegralTo(t) / dur
-}
-
-// Min reports the smallest observed value.
-func (w *TimeWeighted) Min() float64 { return w.min }
-
-// Max reports the largest observed value.
-func (w *TimeWeighted) Max() float64 { return w.max }

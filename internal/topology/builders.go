@@ -7,11 +7,48 @@ import (
 // Topology builds a concrete graph. Implementations correspond to the
 // architectures named in paper Sec. III-B.
 type Topology interface {
+	// Check reports whether the shape parameters describe a topology
+	// Build can construct: legal for the family and within MaxNodes. It
+	// allocates nothing, so a caller holding shape parameters from
+	// outside the program asks it first; Build opens with it.
+	Check() error
 	// Build constructs the graph. Host nodes are created in a stable
 	// order so host index i across runs refers to the same position.
 	Build() (*Graph, error)
 	// Name identifies the topology family.
 	Name() string
+	// NumHosts reports the host count of a shape that passed Check.
+	NumHosts() int
+}
+
+// MaxNodes caps the hosts, and the switches, one topology may declare:
+// four times the 1,024,000-host hyperscale row, far below where a
+// mistyped shape parameter asks for terabytes.
+const MaxNodes = 1 << 22
+
+// product multiplies shape factors, saturating at MaxNodes+1 so no
+// shape parameter can wrap an int on the way to the cap. A factor below
+// one (a shape Check rejects) makes it zero.
+func product(factors ...int) int {
+	p := 1
+	for _, f := range factors {
+		if f < 1 {
+			return 0
+		}
+		if f > MaxNodes/p {
+			return MaxNodes + 1
+		}
+		p *= f
+	}
+	return p
+}
+
+// checkSize is the cap every Check ends with.
+func checkSize(t Topology, hosts, switches int) error {
+	if hosts > MaxNodes || switches > MaxNodes {
+		return fmt.Errorf("topology: %s exceeds the cap of %d hosts and %d switches", t.Name(), MaxNodes, MaxNodes)
+	}
+	return nil
 }
 
 // Star is N hosts attached to a single switch — the paper's switch
@@ -27,13 +64,18 @@ func (s Star) Name() string { return fmt.Sprintf("star-%d", s.Hosts) }
 // NumHosts reports the declared host count.
 func (s Star) NumHosts() int { return s.Hosts }
 
-// NumSwitches reports the single central switch.
-func (s Star) NumSwitches() int { return 1 }
+// Check implements Topology.
+func (s Star) Check() error {
+	if s.Hosts < 1 {
+		return fmt.Errorf("topology: star needs at least 1 host")
+	}
+	return checkSize(s, s.Hosts, 1)
+}
 
 // Build implements Topology.
 func (s Star) Build() (*Graph, error) {
-	if s.Hosts < 1 {
-		return nil, fmt.Errorf("topology: star needs at least 1 host")
+	if err := s.Check(); err != nil {
+		return nil, err
 	}
 	rate := s.RateBps
 	if rate <= 0 {
@@ -62,18 +104,30 @@ type FatTree struct {
 // Name implements Topology.
 func (f FatTree) Name() string { return fmt.Sprintf("fattree-k%d", f.K) }
 
-// NumHosts reports k^3/4.
-func (f FatTree) NumHosts() int { return f.K * f.K * f.K / 4 }
+// size reports k^3/4 hosts and 5k^2/4 switches (core + agg + edge).
+func (f FatTree) size() (hosts, switches int) {
+	half := f.K / 2
+	return product(half, half, f.K), product(5, half, half)
+}
 
-// NumSwitches reports 5k^2/4 (core + agg + edge).
-func (f FatTree) NumSwitches() int { return 5 * f.K * f.K / 4 }
+// NumHosts reports k^3/4.
+func (f FatTree) NumHosts() int { hosts, _ := f.size(); return hosts }
+
+// Check implements Topology.
+func (f FatTree) Check() error {
+	if f.K < 2 || f.K%2 != 0 {
+		return fmt.Errorf("topology: fat-tree k must be even and >= 2 (got %d)", f.K)
+	}
+	hosts, switches := f.size()
+	return checkSize(f, hosts, switches)
+}
 
 // Build implements Topology.
 func (f FatTree) Build() (*Graph, error) {
-	k := f.K
-	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("topology: fat-tree k must be even and >= 2 (got %d)", k)
+	if err := f.Check(); err != nil {
+		return nil, err
 	}
+	k := f.K
 	rate := f.RateBps
 	if rate <= 0 {
 		rate = 10e9
@@ -146,22 +200,32 @@ type BCube struct {
 // Name implements Topology.
 func (b BCube) Name() string { return fmt.Sprintf("bcube-n%d-k%d", b.N, b.K) }
 
-// NumHosts reports n^(k+1).
-func (b BCube) NumHosts() int {
-	n := 1
-	for i := 0; i <= b.K; i++ {
-		n *= b.N
+// size reports n^(k+1) hosts and (k+1)·n^k switches: k+1 levels of n^k
+// switches each. The power stops at the cap, so a huge k costs nothing.
+func (b BCube) size() (hosts, switches int) {
+	perLevel := 1
+	for i := 0; i < b.K && perLevel <= MaxNodes; i++ {
+		perLevel = product(perLevel, b.N)
 	}
-	return n
+	return product(perLevel, b.N), product(perLevel, min(b.K, MaxNodes)+1)
 }
 
-// NumSwitches reports (k+1)·n^k: k+1 levels of n^k switches each.
-func (b BCube) NumSwitches() int { return (b.K + 1) * b.NumHosts() / b.N }
+// NumHosts reports n^(k+1).
+func (b BCube) NumHosts() int { hosts, _ := b.size(); return hosts }
+
+// Check implements Topology.
+func (b BCube) Check() error {
+	if b.N < 2 || b.K < 0 {
+		return fmt.Errorf("topology: BCube needs n >= 2, k >= 0 (got n=%d k=%d)", b.N, b.K)
+	}
+	hosts, switches := b.size()
+	return checkSize(b, hosts, switches)
+}
 
 // Build implements Topology.
 func (b BCube) Build() (*Graph, error) {
-	if b.N < 2 || b.K < 0 {
-		return nil, fmt.Errorf("topology: BCube needs n >= 2, k >= 0 (got n=%d k=%d)", b.N, b.K)
+	if err := b.Check(); err != nil {
+		return nil, err
 	}
 	rate := b.RateBps
 	if rate <= 0 {
@@ -214,15 +278,20 @@ type CamCube struct {
 func (c CamCube) Name() string { return fmt.Sprintf("camcube-%dx%dx%d", c.X, c.Y, c.Z) }
 
 // NumHosts reports X·Y·Z.
-func (c CamCube) NumHosts() int { return c.X * c.Y * c.Z }
+func (c CamCube) NumHosts() int { return product(c.X, c.Y, c.Z) }
 
-// NumSwitches reports zero: CamCube is server-only.
-func (c CamCube) NumSwitches() int { return 0 }
+// Check implements Topology. CamCube is server-only: no switches.
+func (c CamCube) Check() error {
+	if c.X < 2 || c.Y < 2 || c.Z < 2 {
+		return fmt.Errorf("topology: CamCube dims must be >= 2 (got %dx%dx%d)", c.X, c.Y, c.Z)
+	}
+	return checkSize(c, c.NumHosts(), 0)
+}
 
 // Build implements Topology.
 func (c CamCube) Build() (*Graph, error) {
-	if c.X < 2 || c.Y < 2 || c.Z < 2 {
-		return nil, fmt.Errorf("topology: CamCube dims must be >= 2 (got %dx%dx%d)", c.X, c.Y, c.Z)
+	if err := c.Check(); err != nil {
+		return nil, err
 	}
 	rate := c.RateBps
 	if rate <= 0 {
@@ -280,15 +349,20 @@ func (f FlattenedButterfly) Name() string {
 }
 
 // NumHosts reports Rows·Cols·Concentration.
-func (f FlattenedButterfly) NumHosts() int { return f.Rows * f.Cols * f.Concentration }
+func (f FlattenedButterfly) NumHosts() int { return product(f.Rows, f.Cols, f.Concentration) }
 
-// NumSwitches reports the Rows·Cols router grid.
-func (f FlattenedButterfly) NumSwitches() int { return f.Rows * f.Cols }
+// Check implements Topology. The routers are the Rows·Cols grid.
+func (f FlattenedButterfly) Check() error {
+	if f.Rows < 1 || f.Cols < 1 || f.Concentration < 1 {
+		return fmt.Errorf("topology: flattened butterfly needs positive dims")
+	}
+	return checkSize(f, f.NumHosts(), product(f.Rows, f.Cols))
+}
 
 // Build implements Topology.
 func (f FlattenedButterfly) Build() (*Graph, error) {
-	if f.Rows < 1 || f.Cols < 1 || f.Concentration < 1 {
-		return nil, fmt.Errorf("topology: flattened butterfly needs positive dims")
+	if err := f.Check(); err != nil {
+		return nil, err
 	}
 	rate := f.RateBps
 	if rate <= 0 {

@@ -2,15 +2,26 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// Counter is the declared-size contract every builder satisfies: the
-// counts promised before Build must match the graph actually built.
-type counter interface {
-	Topology
-	NumHosts() int
-	NumSwitches() int
+// numSwitches is the tests' own closed form of each family's switch
+// count; with NumHosts it is the declared size the built graph must match.
+func numSwitches(b Topology) int {
+	switch b := b.(type) {
+	case Star:
+		return 1
+	case FatTree:
+		return 5 * b.K * b.K / 4 // core + agg + edge
+	case BCube:
+		return (b.K + 1) * b.NumHosts() / b.N // k+1 levels of n^k
+	case CamCube:
+		return 0 // server-only
+	case FlattenedButterfly:
+		return b.Rows * b.Cols
+	}
+	panic("unknown topology " + b.Name())
 }
 
 // degreeSpec gives the expected degree of every node in a regular
@@ -24,7 +35,7 @@ type degreeSpec struct {
 // instance: declared counts, full connectivity (every node reachable
 // from the first host under the family's transit rules), and degree
 // regularity.
-func checkTopology(t *testing.T, b counter, deg degreeSpec) {
+func checkTopology(t *testing.T, b Topology, deg degreeSpec) {
 	t.Helper()
 	g, err := b.Build()
 	if err != nil {
@@ -34,8 +45,8 @@ func checkTopology(t *testing.T, b counter, deg degreeSpec) {
 	if len(hosts) != b.NumHosts() {
 		t.Errorf("%s: built %d hosts, declared %d", b.Name(), len(hosts), b.NumHosts())
 	}
-	if len(switches) != b.NumSwitches() {
-		t.Errorf("%s: built %d switches, declared %d", b.Name(), len(switches), b.NumSwitches())
+	if len(switches) != numSwitches(b) {
+		t.Errorf("%s: built %d switches, want %d", b.Name(), len(switches), numSwitches(b))
 	}
 	if err := g.Validate(); err != nil {
 		t.Errorf("%s: %v", b.Name(), err)
@@ -81,9 +92,6 @@ func TestFatTreeProperties(t *testing.T) {
 			checkTopology(t, f, degreeSpec{hostDeg: 1, switchDeg: k})
 			if want := k * k * k / 4; f.NumHosts() != want {
 				t.Errorf("NumHosts() = %d, want k^3/4 = %d", f.NumHosts(), want)
-			}
-			if want := 5 * k * k / 4; f.NumSwitches() != want {
-				t.Errorf("NumSwitches() = %d, want 5k^2/4 = %d", f.NumSwitches(), want)
 			}
 		})
 	}
@@ -158,5 +166,36 @@ func TestBuilderParameterValidation(t *testing.T) {
 		if g, err := b.Build(); err == nil {
 			t.Errorf("%s: Build accepted invalid parameters (graph: %d nodes)", b.Name(), g.NumNodes())
 		}
+	}
+}
+
+// TestCheckRejectsWithoutBuilding: Check is the whole of what Build
+// refuses, decided from the shape parameters alone — an illegal shape,
+// and a size beyond MaxNodes however the product would wrap an int. The
+// 2,642,246-ary fat-tree is the scenario file that asked for 2.1 TB.
+func TestCheckRejectsWithoutBuilding(t *testing.T) {
+	const huge = math.MaxInt/2 + 12345
+	for _, b := range []Topology{
+		Star{Hosts: 0}, Star{Hosts: MaxNodes + 1},
+		FatTree{K: 3}, FatTree{K: 0}, FatTree{K: 2642246}, FatTree{K: huge},
+		BCube{N: 1, K: 1}, BCube{N: 3, K: 40}, BCube{N: 2, K: huge}, BCube{N: huge, K: 2},
+		CamCube{X: 1, Y: 2, Z: 2}, CamCube{X: huge, Y: huge, Z: huge}, CamCube{X: 2048, Y: 2048, Z: 2},
+		FlattenedButterfly{Rows: 0, Cols: 1, Concentration: 1}, FlattenedButterfly{Rows: huge, Cols: 4, Concentration: huge},
+		FlattenedButterfly{Rows: 4096, Cols: 4096, Concentration: 1},
+	} {
+		if err := b.Check(); err == nil {
+			t.Errorf("%s: Check accepted the shape", b.Name())
+		} else if _, berr := b.Build(); berr == nil || berr.Error() != err.Error() {
+			t.Errorf("%s: Build said %v, Check said %v", b.Name(), berr, err)
+		}
+	}
+	// The largest shapes in use pass: the hyperscale row and the cap itself.
+	for _, b := range []Topology{FatTree{K: 160}, Star{Hosts: MaxNodes}, CamCube{X: 256, Y: 128, Z: 128}} {
+		if err := b.Check(); err != nil {
+			t.Errorf("%s: %v", b.Name(), err)
+		}
+	}
+	if got := (FatTree{K: 160}).NumHosts(); got != 1_024_000 {
+		t.Errorf("FatTree{160}.NumHosts() = %d", got)
 	}
 }

@@ -191,9 +191,6 @@ func NewScopeMap(g *Graph) *ScopeMap {
 // NumRacks reports the rack count.
 func (sm *ScopeMap) NumRacks() int { return len(sm.RackHosts) }
 
-// NumPods reports the pod count.
-func (sm *ScopeMap) NumPods() int { return len(sm.PodHosts) }
-
 func sortInts(a []int) {
 	// Insertion sort: scope slices are small and this avoids an import.
 	for i := 1; i < len(a); i++ {

@@ -46,8 +46,8 @@ func TestScopeMapFatTree(t *testing.T) {
 	if sm.NumRacks() != 8 {
 		t.Errorf("racks = %d, want 8", sm.NumRacks())
 	}
-	if sm.NumPods() != 4 {
-		t.Errorf("pods = %d, want 4", sm.NumPods())
+	if len(sm.PodHosts) != 4 {
+		t.Errorf("pods = %d, want 4", len(sm.PodHosts))
 	}
 	for r, hs := range sm.RackHosts {
 		if len(hs) != 2 {
@@ -72,7 +72,7 @@ func TestScopeMapFatTree(t *testing.T) {
 		if sm.RackOf[h] < 0 || sm.RackOf[h] >= sm.NumRacks() {
 			t.Errorf("RackOf[%d] = %d out of range", h, sm.RackOf[h])
 		}
-		if sm.PodOf[h] < 0 || sm.PodOf[h] >= sm.NumPods() {
+		if sm.PodOf[h] < 0 || sm.PodOf[h] >= len(sm.PodHosts) {
 			t.Errorf("PodOf[%d] = %d out of range", h, sm.PodOf[h])
 		}
 	}
@@ -84,7 +84,7 @@ func TestScopeMapStar(t *testing.T) {
 	if sm.NumRacks() != 1 || len(sm.RackHosts[0]) != 6 {
 		t.Errorf("racks = %v", sm.RackHosts)
 	}
-	if sm.NumPods() != 1 || len(sm.PodHosts[0]) != 6 {
+	if len(sm.PodHosts) != 1 || len(sm.PodHosts[0]) != 6 {
 		t.Errorf("pods = %v", sm.PodHosts)
 	}
 	if sm.Level[0] != 1 {
@@ -110,7 +110,7 @@ func TestScopeMapCamCubeFallback(t *testing.T) {
 			t.Errorf("fallback rack %d has %d hosts, want %d", r, len(hs), FallbackRackSize)
 		}
 	}
-	if sm.NumPods() != 1 || len(sm.PodHosts[0]) != 18 {
+	if len(sm.PodHosts) != 1 || len(sm.PodHosts[0]) != 18 {
 		t.Errorf("pods = %v, want one pod of 18", sm.PodHosts)
 	}
 	checkPartition(t, "RackHosts", sm.RackHosts, 18)

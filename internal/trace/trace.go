@@ -105,42 +105,6 @@ func (t *Trace) Clip(from, to float64) (*Trace, error) {
 	return &Trace{Times: out}, nil
 }
 
-// MaxRateBins caps the histogram RatePerSecond will allocate (2^22
-// one-second bins ≈ 48 simulated days — far beyond any replayed
-// campaign). The cap exists because traces now arrive from user files:
-// a single far-future timestamp (1e12) would otherwise demand a
-// terabyte-scale allocation, and int(x) on a value beyond the int range
-// is undefined-width overflow.
-const MaxRateBins = 1 << 22
-
-// RatePerSecond buckets arrivals into 1-second bins and returns the
-// per-bin counts — the load signal the provisioning case study monitors.
-// The trace is validated first (finite, nonnegative, nondecreasing) and
-// the bin count is capped at MaxRateBins; longer traces should be
-// Clipped to the window of interest.
-func (t *Trace) RatePerSecond() ([]int, error) {
-	if len(t.Times) == 0 {
-		return nil, nil
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	d := t.Duration()
-	if d >= MaxRateBins {
-		return nil, fmt.Errorf("trace: duration %gs exceeds the %d-bin histogram cap; Clip the window first", d, MaxRateBins)
-	}
-	n := int(d) + 1
-	bins := make([]int, n)
-	for _, x := range t.Times {
-		idx := int(x)
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx]++
-	}
-	return bins, nil
-}
-
 // Write emits the trace as one timestamp per line with 6-digit precision.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)

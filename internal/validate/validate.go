@@ -103,40 +103,6 @@ func ReferenceServerPower(tr *trace.Trace, cfg ReferenceServerConfig, r *rng.Sou
 	return out
 }
 
-// SimulatedServerPower produces the simulator-side CPU-package power for
-// the same trace using the same utilization→power mapping as the
-// simulator's event-driven model (busy cores at active draw, idle cores
-// in C6, package in PC0 while any core is busy), sampled per window with
-// no measurement noise. The event-driven experiment in
-// internal/experiments drives the full server module; this helper exists
-// for unit tests of the comparison metrics.
-func SimulatedServerPower(tr *trace.Trace, cfg ReferenceServerConfig) []float64 {
-	prof := cfg.Profile
-	nSamples := int(tr.Duration()/cfg.SampleSec) + 1
-	offered := make([]float64, nSamples)
-	for _, at := range tr.Times {
-		idx := int(at / cfg.SampleSec)
-		if idx < nSamples {
-			offered[idx] += cfg.ServiceSec
-		}
-	}
-	out := make([]float64, nSamples)
-	cores := float64(prof.Cores)
-	for i, o := range offered {
-		util := o / cfg.SampleSec
-		if util > cores {
-			util = cores
-		}
-		pkgActiveFrac := 1.0
-		if util == 0 {
-			pkgActiveFrac = 0.05
-		}
-		out[i] = util*prof.CoreActive + (cores-util)*prof.CoreC6 +
-			pkgActiveFrac*prof.PkgPC0 + (1-pkgActiveFrac)*prof.PkgPC6
-	}
-	return out
-}
-
 // ReferenceSwitchConfig tunes the "physical switch" power signal.
 type ReferenceSwitchConfig struct {
 	Profile *power.SwitchProfile

@@ -42,7 +42,7 @@ func TestReferenceVsSimulatedClose(t *testing.T) {
 	r := rng.New(2)
 	tr := trace.SyntheticNLANR(trace.DefaultNLANRConfig(1000), r.Split("trace"))
 	ref := ReferenceServerPower(tr, cfg, r.Split("ref"))
-	sim := SimulatedServerPower(tr, cfg)
+	sim := simulatedServerPower(tr, cfg)
 	mad, sd := stats.CompareSeries(sim, ref)
 	if mad > 1.5 {
 		t.Errorf("mean abs diff = %v W, want < 1.5", mad)
@@ -131,4 +131,36 @@ func mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
+}
+
+// simulatedServerPower is the noise-free analytic oracle the reference
+// model is held to: the simulator's utilization→power mapping (busy
+// cores at active draw, idle cores in C6, package in PC0 while any core
+// is busy), sampled per window. The event-driven comparison is
+// internal/experiments' Fig. 12.
+func simulatedServerPower(tr *trace.Trace, cfg ReferenceServerConfig) []float64 {
+	prof := cfg.Profile
+	nSamples := int(tr.Duration()/cfg.SampleSec) + 1
+	offered := make([]float64, nSamples)
+	for _, at := range tr.Times {
+		idx := int(at / cfg.SampleSec)
+		if idx < nSamples {
+			offered[idx] += cfg.ServiceSec
+		}
+	}
+	out := make([]float64, nSamples)
+	cores := float64(prof.Cores)
+	for i, o := range offered {
+		util := o / cfg.SampleSec
+		if util > cores {
+			util = cores
+		}
+		pkgActiveFrac := 1.0
+		if util == 0 {
+			pkgActiveFrac = 0.05
+		}
+		out[i] = util*prof.CoreActive + (cores-util)*prof.CoreC6 +
+			pkgActiveFrac*prof.PkgPC0 + (1-pkgActiveFrac)*prof.PkgPC6
+	}
+	return out
 }

@@ -95,6 +95,6 @@ func (g *Generator) arrive() {
 	j := g.factory.newJob(g.pool, g.nextID, g.nextAt, g.service)
 	g.nextID++
 	g.generated++
-	g.sink(j) //simlint:allow hookguard sink is a mandatory constructor argument
+	g.sink(j)
 	g.scheduleNext()
 }
