@@ -118,18 +118,25 @@ func TestValidateRejectsBadFile(t *testing.T) {
 }
 
 // TestValidateRejectsHostileTopology: a shape the builder would refuse,
-// or one sized to exhaust memory, fails validate — and run — with the
-// shape message before anything is built.
+// or a shape or count sized to exhaust memory, fails validate — and run —
+// with the bound's message before anything is built.
 func TestValidateRejectsHostileTopology(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "huge.json")
-	data := `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`
-	if err := os.WriteFile(file, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, verb := range []string{"validate", "run"} {
-		code, _, errw := cli(t, verb, file)
-		if code == 0 || !strings.Contains(errw, "exceeds the cap") {
-			t.Errorf("%s: exit %d, stderr %q; want a nonzero exit naming the size cap", verb, code, errw)
+	const tail = `, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`
+	for name, tc := range map[string]struct{ head, want string }{
+		"fattree": {`{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1`, "exceeds the cap"},
+		"farm":    {`{"topology": {"kind": "none"}, "servers": 2000000000`, "servers exceed the bound"},
+		"faults":  {`{"servers": 4, "faults": {"serverCrashes": 2000000000, "serverDownSec": 0.1}`, "exceeds the bound"},
+		"dag":     {`{"servers": 4, "factory": {"kind": "dag", "width": 2000000000, "layers": 2000000000}`, "the bound of"},
+	} {
+		file := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(file, []byte(tc.head+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, verb := range []string{"validate", "run"} {
+			code, _, errw := cli(t, verb, file)
+			if code != 1 || !strings.Contains(errw, tc.want) {
+				t.Errorf("%s %s: exit %d, stderr %q; want exit 1 naming the bound (%q)", verb, name, code, errw, tc.want)
+			}
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command simlint runs the internal/analysis static-contract suite: the
-// determinism, hotpath, hookguard, handle and annotation passes that
+// determinism, hotpath and annotation passes that
 // enforce at compile time what the test suite can only sample at run
 // time (DESIGN.md Sec. 14).
 //

@@ -189,7 +189,7 @@ func TestPublicStandaloneServer(t *testing.T) {
 		t.Errorf("cores = %d", srv.Cores())
 	}
 	eng.RunUntil(holdcsim.Second)
-	if srv.Power() <= 0 {
-		t.Error("no idle power")
+	if srv.EnergyTo(eng.Now()) <= 0 {
+		t.Error("no idle energy")
 	}
 }

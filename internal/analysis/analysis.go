@@ -1,8 +1,7 @@
 // Package analysis is simlint: a suite of static-analysis passes that
 // enforce the contracts the test suite can only sample dynamically —
-// byte-identical replay (the DESIGN.md determinism contract), zero-alloc
-// hot paths (the PR 7/PR 9 CI gates), nil-guarded observation hooks, and
-// pooled generation-counted handle discipline.
+// byte-identical replay (the DESIGN.md determinism contract) and
+// zero-alloc hot paths (the PR 7/PR 9 CI gates).
 //
 // The package mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
 // Pass, Diagnostic) but is self-contained on the standard library: the
@@ -83,8 +82,6 @@ func Suite() []*Analyzer {
 		AnnotationAnalyzer,
 		DeterminismAnalyzer,
 		HotpathAnalyzer,
-		HookguardAnalyzer,
-		HandleAnalyzer,
 	}
 }
 
@@ -176,7 +173,7 @@ var modelPackages = map[string]bool{
 }
 
 // isFirstParty reports whether the package is part of this module (the
-// hookguard and handle contracts apply module-wide).
+// hotpath contract applies wherever a function opts in).
 func isFirstParty(path string) bool {
 	return path == strings.TrimSuffix(modulePrefix, "/") || strings.HasPrefix(path, modulePrefix)
 }

@@ -30,11 +30,9 @@ const directivePrefix = "//simlint:"
 
 // allowAnn is one parsed //simlint:allow annotation.
 type allowAnn struct {
-	pass   string
-	reason string
-	pos    token.Position // of the annotation comment itself
-	target int            // line whose findings it suppresses
-	used   bool
+	pass string
+	pos  token.Position // of the annotation comment itself
+	used bool
 }
 
 // annotations is the per-package annotation table shared by every pass.
@@ -150,8 +148,7 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *annotations {
 						byLine = map[int][]*allowAnn{}
 						a.allows[pos.Filename] = byLine
 					}
-					byLine[target] = append(byLine[target],
-						&allowAnn{pass: pass, reason: reason, pos: pos, target: target})
+					byLine[target] = append(byLine[target], &allowAnn{pass: pass, pos: pos})
 				case "hotpath":
 					if strings.TrimSpace(rest) != "" {
 						a.malformed = append(a.malformed, Diagnostic{Pos: pos,

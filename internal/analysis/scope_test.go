@@ -42,12 +42,6 @@ func TestFirstParty(t *testing.T) {
 	}
 }
 
-func TestPackageSuffix(t *testing.T) {
-	if got := packageSuffix("holdcsim/internal/modelcov"); got != "internal/modelcov" {
-		t.Errorf("packageSuffix = %q", got)
-	}
-}
-
 func TestPassNamesMatchSuite(t *testing.T) {
 	names := passNames()
 	for _, a := range Suite() {

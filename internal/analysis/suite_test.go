@@ -10,14 +10,12 @@ import (
 
 func TestDeterminismFixture(t *testing.T) { atest.Run(t, "determinism") }
 func TestHotpathFixture(t *testing.T)     { atest.Run(t, "hotpath") }
-func TestHookguardFixture(t *testing.T)   { atest.Run(t, "hookguard") }
-func TestHandleFixture(t *testing.T)      { atest.Run(t, "handle") }
 func TestAnnotationFixture(t *testing.T)  { atest.Run(t, "annotation") }
 
 // TestSuiteShape locks the analyzer inventory: names are the annotation
 // vocabulary, so adding or renaming a pass is an API change.
 func TestSuiteShape(t *testing.T) {
-	want := []string{"annotation", "determinism", "hotpath", "hookguard", "handle"}
+	want := []string{"annotation", "determinism", "hotpath"}
 	suite := analysis.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))

@@ -172,6 +172,153 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 	}
 }
 
+// unread is the whole allowlist of TestNoFieldWithoutReader: unexported
+// struct fields under internal/ that the model writes and nothing reads.
+var unread = map[string]string{
+	"holdcsim/internal/server.Core.completed": "the tests' only view of which core served a task (the Table I alloc gate's warm-up check, the fast-core test); one increment per task",
+	"holdcsim/internal/network.linkState.id":  "a link's index in Network.links: what the tests' reference water-filler keys its resources by and SetLinkAdmin takes",
+}
+
+// TestNoFieldWithoutReader extends "nothing without a caller" from
+// functions to state: every unexported field of a struct type declared
+// in non-test code under internal/ is read by some non-test code. An
+// assignment to the field (or to an element of it), `++`, `op=`, a
+// composite-literal key and the field's own appearance on the right of
+// an assignment to itself (`x.f = append(x.f, v)`) are writes, not
+// reads; anything else — a method call on it, an argument, an operand,
+// its address — is a read, and a struct used as a map key has all its
+// fields read by the map. A field that is only written costs its writes
+// and tells nobody anything: delete it, or keep what a test needs to
+// observe in a _test.go file.
+func TestNoFieldWithoutReader(t *testing.T) {
+	type decl struct {
+		pos  token.Position
+		name string
+	}
+	fields := map[*types.Var]decl{}
+	read := map[*types.Var]bool{}
+	for _, pkg := range loadTree(t) {
+		if !strings.HasPrefix(pkg.Path, "holdcsim/internal/") {
+			continue
+		}
+		info := pkg.TypesInfo
+		fieldOf := func(id *ast.Ident) *types.Var {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+			return nil
+		}
+		// written resolves an assignment target to the field it stores
+		// into: x.f, x.f[i], (x.f)[i][j].
+		written := func(e ast.Expr) *ast.Ident {
+			for {
+				switch x := ast.Unparen(e).(type) {
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					return x.Sel
+				default:
+					return nil
+				}
+			}
+		}
+		for _, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				if st, ok := m.Key().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						read[st.Field(i).Origin()] = true
+					}
+				}
+			}
+		}
+		writes := map[*ast.Ident]bool{}
+		store := func(lhs, rhs ast.Expr) {
+			id := written(lhs)
+			if id == nil {
+				return
+			}
+			field := fieldOf(id)
+			if field == nil {
+				return
+			}
+			writes[id] = true
+			if rhs != nil {
+				ast.Inspect(rhs, func(n ast.Node) bool {
+					if r, ok := n.(*ast.Ident); ok && fieldOf(r) == field {
+						writes[r] = true
+					}
+					return true
+				})
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					ast.Inspect(n.Type, func(m ast.Node) bool {
+						if st, ok := m.(*ast.StructType); ok {
+							for _, f := range st.Fields.List {
+								for _, id := range f.Names {
+									if v, ok := info.Defs[id].(*types.Var); ok && !id.IsExported() && id.Name != "_" {
+										fields[v] = decl{pkg.Fset.Position(id.Pos()), pkg.Path + "." + n.Name.Name + "." + id.Name}
+									}
+								}
+							}
+						}
+						return true
+					})
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						var rhs ast.Expr
+						if len(n.Rhs) == len(n.Lhs) {
+							rhs = n.Rhs[i]
+						}
+						store(lhs, rhs)
+					}
+				case *ast.IncDecStmt:
+					store(n.X, nil)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && fieldOf(id) != nil {
+						writes[id] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !writes[id] {
+					if v := fieldOf(id); v != nil {
+						read[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var dead []string
+	declared := map[string]bool{}
+	for v, d := range fields {
+		declared[d.name] = true
+		if !read[v] && unread[d.name] == "" {
+			dead = append(dead, d.pos.String()+": "+d.name)
+		} else if read[v] && unread[d.name] != "" {
+			t.Errorf("allowlist entry %s now has a reader: drop the entry", d.name)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is written and never read by non-test code: delete it", d)
+	}
+	for k := range unread {
+		if !declared[k] {
+			t.Errorf("allowlist entry %s names no declared field", k)
+		}
+	}
+	if len(unread) > 3 {
+		t.Errorf("allowlist has %d entries; the bar is 3", len(unread))
+	}
+}
+
 // markInterfaceMethods marks, for every interface visible from pkg (its
 // own, those of the packages it imports, and stdInterfaces) and every
 // named type visible from pkg, the methods the interface asks for when

@@ -16,9 +16,6 @@ func TestCompactStatsAboveThreshold(t *testing.T) {
 	full.Servers = 8
 	full.MaxJobs = 300
 
-	compact := full
-	compact.CompactStatsAbove = 4 // 8 servers > 4 → hyperscale mode
-
 	dcF, err := Build(full)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +24,7 @@ func TestCompactStatsAboveThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcC, err := Build(compact)
+	dcC, err := build(full, 4) // 8 servers > 4 → hyperscale mode
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +68,5 @@ func TestCompactStatsAboveThreshold(t *testing.T) {
 		if rC.Residency[state] != f {
 			t.Fatalf("residency[%s] = %g vs %g", state, rC.Residency[state], f)
 		}
-	}
-
-	// Negative disables the degradation no matter the farm size.
-	off := full
-	off.CompactStatsAbove = -1
-	dcO, err := Build(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dcO.compact {
-		t.Fatalf("CompactStatsAbove=-1 still engaged compact mode")
 	}
 }

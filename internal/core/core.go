@@ -109,10 +109,6 @@ type Config struct {
 	// Warmup excludes jobs arriving before this time from latency
 	// statistics (energy accounting always covers the full run).
 	Warmup simtime.Time
-	// SamplePower, when positive, records total server and network power
-	// at this interval (the paper's 1 Hz power logging). It needs a
-	// Duration: the sampler would keep a drained queue alive forever.
-	SamplePower simtime.Time
 
 	// Faults, when non-nil, attaches the fault injector
 	// (internal/fault): a deterministic, seed-derived timeline of server
@@ -142,20 +138,15 @@ type Config struct {
 	// instrumented run produces byte-identical results — and costs
 	// nothing when nil (each hook is a single nil check).
 	Cover *modelcov.Map
-
-	// CompactStatsAbove switches result collection to hyperscale mode
-	// when the farm exceeds this many servers (default 65536; negative
-	// disables): the job-latency tally degrades to a bounded reservoir
-	// (exact moments, approximate percentiles) instead of retaining
-	// every sample, and Results.PerServer is omitted. Farms at or below
-	// the threshold — including every paper-scale preset — collect
-	// exactly as before.
-	CompactStatsAbove int
 }
 
-// DefaultCompactStatsAbove is the farm size beyond which Build degrades
-// to bounded statistics, and the reservoir capacity it degrades to.
-const DefaultCompactStatsAbove = 65536
+// CompactStatsAbove is the farm size beyond which result collection
+// switches to hyperscale mode, and the reservoir capacity it degrades
+// to: the job-latency tally becomes a bounded reservoir (exact moments,
+// approximate percentiles) instead of retaining every sample, and
+// Results.PerServer is omitted. Farms at or below it — including every
+// paper-scale preset — collect everything.
+const CompactStatsAbove = 65536
 
 // DataCenter is a built simulation ready to run.
 type DataCenter struct {
@@ -173,13 +164,15 @@ type DataCenter struct {
 	injector *fault.Injector    // nil unless cfg.Faults
 	compact  bool               // hyperscale collection mode
 
-	latency  *stats.Tally
-	srvPower *stats.PowerSampler
-	netPower *stats.PowerSampler
+	latency *stats.Tally
 }
 
 // Build validates the config and constructs the data center.
-func Build(cfg Config) (*DataCenter, error) {
+func Build(cfg Config) (*DataCenter, error) { return build(cfg, CompactStatsAbove) }
+
+// build is Build with the compact-collection threshold as a parameter,
+// so a test can cross it with eight servers.
+func build(cfg Config, compactAbove int) (*DataCenter, error) {
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("core: need at least one server")
 	}
@@ -192,29 +185,20 @@ func Build(cfg Config) (*DataCenter, error) {
 			return nil, fmt.Errorf("core: unbounded run (set Duration or MaxJobs)")
 		}
 	}
-	if cfg.SamplePower > 0 && cfg.Duration == 0 {
-		return nil, fmt.Errorf("core: SamplePower needs a Duration (the sampler never lets the event queue drain)")
-	}
 	eng := engine.New()
 	master := rng.New(cfg.Seed)
-
-	compactAbove := cfg.CompactStatsAbove
-	if compactAbove == 0 {
-		compactAbove = DefaultCompactStatsAbove
-	}
-	compact := compactAbove > 0 && cfg.Servers > compactAbove
 
 	dc := &DataCenter{
 		Eng:     eng,
 		cfg:     cfg,
-		compact: compact,
+		compact: cfg.Servers > compactAbove,
 	}
-	if compact {
+	if dc.compact {
 		// Hyperscale: retaining one float64 per job would dominate
 		// memory, so keep exact moments plus a bounded reservoir for
 		// percentiles.
 		dc.latency = stats.NewReservoirTally("job-latency-seconds",
-			DefaultCompactStatsAbove, cfg.Seed)
+			CompactStatsAbove, cfg.Seed)
 	} else {
 		dc.latency = stats.NewTally("job-latency-seconds")
 	}
@@ -378,35 +362,12 @@ func Build(cfg Config) (*DataCenter, error) {
 		}
 		dc.checker = invariant.Attach(eng, dc.Gen, s, dc.Servers, dc.Net, opts)
 	}
-
-	// Power sampling.
-	if cfg.SamplePower > 0 {
-		dc.srvPower = stats.NewPowerSampler(cfg.SamplePower)
-		if dc.Net != nil {
-			dc.netPower = stats.NewPowerSampler(cfg.SamplePower)
-		}
-		eng.Every(0, cfg.SamplePower, cfg.Duration, func() {
-			dc.srvPower.Record(eng.Now(), dc.ServerPowerW())
-			if dc.netPower != nil {
-				dc.netPower.Record(eng.Now(), dc.Net.NetworkPowerW())
-			}
-		})
-	}
 	return dc, nil
 }
 
 // HostOf reports the topology node bound to a server (only with a
 // topology).
 func (dc *DataCenter) HostOf(serverID int) topology.NodeID { return dc.hostOf[serverID] }
-
-// ServerPowerW reports the farm's instantaneous draw.
-func (dc *DataCenter) ServerPowerW() float64 {
-	sum := 0.0
-	for _, s := range dc.Servers {
-		sum += s.Power()
-	}
-	return sum
-}
 
 // Run executes the simulation and collects results. With Check enabled
 // it finalizes the invariant checker; a violated law returns the
@@ -499,12 +460,6 @@ func (dc *DataCenter) Collect() *Results {
 			r.SwitchWakeups += sw.WakeCount()
 		}
 	}
-	if dc.srvPower != nil {
-		r.ServerPowerSeries = dc.srvPower
-	}
-	if dc.netPower != nil {
-		r.NetworkPowerSeries = dc.netPower
-	}
 	return r
 }
 
@@ -547,9 +502,6 @@ type Results struct {
 	SwitchWakeups int64
 
 	NetStats network.Stats
-
-	ServerPowerSeries  *stats.PowerSampler
-	NetworkPowerSeries *stats.PowerSampler
 }
 
 // String renders a one-line summary. The lost-jobs figure appears only

@@ -83,48 +83,6 @@ func TestBinderPlacerRequiresTopology(t *testing.T) {
 	}
 }
 
-// SamplePower without a Duration used to hang: the sampler re-armed
-// unconditionally, so a MaxJobs-bounded run never drained the queue.
-func TestSamplePowerNeedsDuration(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Duration = 0
-	cfg.MaxJobs = 10
-	cfg.SamplePower = 100 * simtime.Millisecond
-	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "SamplePower") {
-		t.Errorf("Build with SamplePower and no Duration: err = %v", err)
-	}
-}
-
-func TestPowerSamplerCadence(t *testing.T) {
-	cfg := baseConfig()
-	cfg.MaxJobs = 0
-	cfg.Duration = simtime.Second
-	cfg.SamplePower = 100 * simtime.Millisecond
-	dc, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Samples at 0, 100ms, ..., 1000ms inclusive = 11.
-	if len(res.ServerPowerSeries.Values) != 11 {
-		t.Errorf("samples = %d, want 11", len(res.ServerPowerSeries.Values))
-	}
-	for i, at := range res.ServerPowerSeries.Times {
-		want := simtime.Time(i) * 100 * simtime.Millisecond
-		if at != want {
-			t.Errorf("sample %d at %v, want %v", i, at, want)
-		}
-	}
-	for _, w := range res.ServerPowerSeries.Values {
-		if w <= 0 {
-			t.Error("non-positive power sample")
-		}
-	}
-}
-
 func TestOnDispatchThroughBuild(t *testing.T) {
 	count := 0
 	cfg := baseConfig()

@@ -61,7 +61,6 @@ func zeroJobConfig() Config {
 		Arrivals:     workload.Poisson{Rate: 0},
 		Factory:      workload.SingleTask{Service: workload.WebSearchService()},
 		Duration:     simtime.FromSeconds(1),
-		SamplePower:  100 * simtime.Millisecond,
 		Check:        true,
 	}
 }
@@ -133,7 +132,6 @@ func TestZeroJobNetworkRun(t *testing.T) {
 func TestEmptyTraceRun(t *testing.T) {
 	cfg := zeroJobConfig()
 	cfg.Duration = 0
-	cfg.SamplePower = 0
 	cfg.Arrivals = workload.NewTraceReplay(&traceEmpty)
 	dc, err := Build(cfg)
 	if err != nil {

@@ -140,10 +140,11 @@ func FallbackTopo(servers int) *Topo {
 	return t
 }
 
-// maxRenewalEvents caps each renewal class's generated down/up event
-// count so a tiny MTTF against a long horizon cannot explode the
-// timeline.
-const maxRenewalEvents = 100_000
+// maxClassEvents caps what one fault class may put on the timeline — a
+// count the spec states, the down/up events a renewal process generates
+// — and the repair crews it may ask for, so neither a hostile file nor a
+// tiny MTTF against a long horizon can explode the timeline.
+const maxClassEvents = 100_000
 
 // TimelineFor draws the fault schedule, a pure function of the rng
 // stream (derive it from the experiment seed with a dedicated label),
@@ -236,7 +237,7 @@ func renew(r *rng.Source, horizonSec float64, n int, mttf, mttr, shape float64, 
 	if crews > 0 {
 		crewFree = make([]float64, crews)
 	}
-	for emitted := 0; emitted < maxRenewalEvents; emitted += 2 {
+	for emitted := 0; emitted < maxClassEvents; emitted += 2 {
 		c := -1
 		for i, t := range nextFail {
 			if t < horizonSec && (c < 0 || t < nextFail[c]) {
@@ -352,10 +353,13 @@ func (inj *Injector) applyScopeDown(ev Event, depth int) {
 			inj.ledger.Skipped++
 			continue
 		}
+		// Ownership first, as in apply's single-component cases: killing a
+		// switch fails its in-flight transfers, whose callbacks can reach
+		// the invariant deep scan while the switch is already down.
+		inj.swDownBy[si] = ev.Pair
 		if err := inj.net.SetSwitchAdmin(sw.Node(), false); err != nil {
 			panic(err) // range-checked in resolveScope
 		}
-		inj.swDownBy[si] = ev.Pair
 		inj.ledger.SwitchFails++
 	}
 	if first >= 0 {
@@ -379,10 +383,10 @@ func (inj *Injector) applyScopeUp(ev Event) {
 			inj.ledger.Skipped++
 			continue
 		}
+		delete(inj.swDownBy, si)
 		if err := inj.net.SetSwitchAdmin(sw.Node(), true); err != nil {
 			panic(err)
 		}
-		delete(inj.swDownBy, si)
 		inj.ledger.SwitchRestores++
 	}
 	var batch []*server.Server

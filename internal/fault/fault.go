@@ -202,6 +202,12 @@ func (sp Spec) Validate() error {
 	if sp.RepairCrews < 0 || sp.CascadeDepth < 0 {
 		return fmt.Errorf("fault: negative capacity in %+v", sp)
 	}
+	for _, n := range [...]int{sp.ServerCrashes, sp.LinkFlaps, sp.SwitchKills,
+		sp.RackKills, sp.PodKills, sp.SubtreeKills, sp.RepairCrews} {
+		if n > maxClassEvents {
+			return fmt.Errorf("fault: count %d exceeds the bound of %d a class", n, maxClassEvents)
+		}
+	}
 	for _, d := range [...]float64{sp.ServerDownSec, sp.LinkDownSec, sp.SwitchDownSec, sp.HorizonSec,
 		sp.RackDownSec, sp.PodDownSec, sp.SubtreeDownSec,
 		sp.ServerMTTFSec, sp.ServerMTTRSec, sp.SwitchMTTFSec, sp.SwitchMTTRSec,

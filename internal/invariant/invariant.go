@@ -96,7 +96,6 @@ type Checker struct {
 	opts    Options
 
 	lastNow simtime.Time
-	obs     int64
 	scanIn  int // observations until the next deep scan
 
 	// Bounded-scan state: scanBudget is the resolved per-scan cap (-1
@@ -190,7 +189,6 @@ func (c *Checker) observe() simtime.Time {
 		c.report("monotonic-time", "clock went backwards: %v after %v", now, c.lastNow)
 	}
 	c.lastNow = now
-	c.obs++
 	if c.scanIn--; c.scanIn <= 0 {
 		c.scanIn = c.opts.SampleEvery
 		c.deepScan()

@@ -1,13 +1,37 @@
 package modelcov
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// TestNilMapIsInert holds the promise every model package leans on: a
+// disabled hook is a nil *Map, and any exported method on it — today's
+// and any added later — is callable without the caller re-checking.
 func TestNilMapIsInert(t *testing.T) {
 	var m *Map
-	m.Hit(SrvTransition(0, 1)) // must not panic
+	v := reflect.ValueOf(m)
+	for i := 0; i < v.NumMethod(); i++ {
+		method := v.Type().Method(i)
+		args := make([]reflect.Value, 0, method.Type.NumIn()-1)
+		for j := 1; j < method.Type.NumIn(); j++ {
+			args = append(args, reflect.Zero(method.Type.In(j)))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Map)(nil).%s panicked: %v", method.Name, r)
+				}
+			}()
+			v.Method(i).Call(args)
+		}()
+	}
+	if v.NumMethod() < 8 {
+		t.Fatalf("reflection saw %d exported methods on *Map, want at least 8", v.NumMethod())
+	}
+
+	m.Hit(SrvTransition(0, 1))
 	if m.Covered() != 0 || m.Count(NetPktDelivered) != 0 {
 		t.Fatalf("nil map reported coverage")
 	}

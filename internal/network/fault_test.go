@@ -11,8 +11,8 @@ import (
 func linkBetween(t *testing.T, n *Network, a, b topology.NodeID) int {
 	t.Helper()
 	for i := 0; i < n.NumLinks(); i++ {
-		l := n.links[i]
-		if (l.a == a && l.b == b) || (l.a == b && l.b == a) {
+		l := n.g.Link(i)
+		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
 			return i
 		}
 	}
@@ -186,7 +186,7 @@ func TestSwitchDeath(t *testing.T) {
 	eng, n, hosts := starNet(t, 4, nil)
 	hub := n.g.Switches()[0]
 	sw := n.switches[hub]
-	if sw.meter.Power() <= 0 {
+	if watts(sw.meter) <= 0 {
 		t.Fatal("healthy switch draws nothing")
 	}
 	var flowDone, pktDone bool
@@ -200,7 +200,7 @@ func TestSwitchDeath(t *testing.T) {
 		if err := n.SetSwitchAdmin(hub, false); err != nil {
 			t.Fatal(err)
 		}
-		if got := sw.meter.Power(); got != 0 {
+		if got := watts(sw.meter); got != 0 {
 			t.Errorf("dead switch draws %g W", got)
 		}
 		for i := 0; i < n.NumLinks(); i++ {
@@ -228,8 +228,8 @@ func TestSwitchDeath(t *testing.T) {
 	if err := n.SetSwitchAdmin(hub, true); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Failed() || sw.meter.Power() <= 0 {
-		t.Fatalf("revived switch: failed=%v power=%g", sw.Failed(), sw.meter.Power())
+	if sw.Failed() || watts(sw.meter) <= 0 {
+		t.Fatalf("revived switch: failed=%v power=%g", sw.Failed(), watts(sw.meter))
 	}
 	for i := 0; i < n.NumLinks(); i++ {
 		if n.links[i].isDown() {

@@ -18,10 +18,8 @@ import (
 
 // Config parameterizes the network simulation layered on a topology.
 type Config struct {
-	// SwitchProfile supplies power figures for every switch; ProfileFor,
-	// when set, overrides it per switch node.
+	// SwitchProfile supplies power figures for every switch.
 	SwitchProfile *power.SwitchProfile
-	ProfileFor    func(topology.NodeID) *power.SwitchProfile
 
 	// MTUBytes is the packet size for packet-level transfers.
 	MTUBytes int64
@@ -156,12 +154,8 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 		switches: make(map[topology.NodeID]*Switch),
 		routes:   make(map[routeKey]*route),
 	}
-	profileFor := cfg.ProfileFor
-	if profileFor == nil {
-		profileFor = func(topology.NodeID) *power.SwitchProfile { return cfg.SwitchProfile }
-	}
+	prof := cfg.SwitchProfile
 	for _, id := range g.Switches() {
-		prof := profileFor(id)
 		if prof == nil {
 			return nil, fmt.Errorf("network: no switch profile for node %d", id)
 		}
@@ -180,7 +174,7 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 	n.links = make([]*linkState, g.NumLinks())
 	for i := 0; i < g.NumLinks(); i++ {
 		lk := g.Link(i)
-		ls := &linkState{id: i, a: lk.A, b: lk.B, rateBps: lk.RateBps, net: n}
+		ls := &linkState{id: i, a: lk.A, rateBps: lk.RateBps, net: n}
 		ls.lpiTimer = engine.NewTimer(eng, ls.enterLPI)
 		if sw, ok := n.switches[lk.A]; ok {
 			ls.portA = sw.allocPort(ls)
@@ -188,8 +182,8 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 		if sw, ok := n.switches[lk.B]; ok {
 			ls.portB = sw.allocPort(ls)
 		}
-		ls.egressAB = newEgressQueue(ls, true)
-		ls.egressBA = newEgressQueue(ls, false)
+		ls.egressAB = newEgressQueue(ls)
+		ls.egressBA = newEgressQueue(ls)
 		ls.refreshRate()
 		// Connected ports start idle: begin the LPI countdown (a no-op
 		// for host-host links, which have no ports).
@@ -220,15 +214,6 @@ func (n *Network) Switches() []*Switch { return n.swList }
 
 // OpenPacketTransfers reports packet-mode transfers still in flight.
 func (n *Network) OpenPacketTransfers() int { return n.openPktTransfers }
-
-// NetworkPowerW reports the instantaneous draw of all switches.
-func (n *Network) NetworkPowerW() float64 {
-	sum := 0.0
-	for _, sw := range n.swList {
-		sum += sw.meter.Power()
-	}
-	return sum
-}
 
 // NetworkEnergyTo reports total switch energy in joules up to t.
 func (n *Network) NetworkEnergyTo(t simtime.Time) float64 {
@@ -308,8 +293,8 @@ func (n *Network) wakeRoute(r *route) simtime.Time {
 // switch ports at its ends (nil at host ends), per-direction
 // water-filling records and per-direction packet egress queues.
 type linkState struct {
-	id      int
-	a, b    topology.NodeID
+	id      int             // index in Network.links
+	a       topology.NodeID // the end direction A->B leaves from
 	rateBps float64
 	net     *Network
 

@@ -217,9 +217,6 @@ func TestLPITransitions(t *testing.T) {
 	if sw.ActivePorts() != 0 {
 		t.Errorf("active ports after idle = %d", sw.ActivePorts())
 	}
-	if p := sw.ports[0]; p.lpiEntries < 2 {
-		t.Errorf("LPIEntries = %d, want >= 2", p.lpiEntries)
-	}
 }
 
 func TestAllPortsActivePower(t *testing.T) {
@@ -245,7 +242,7 @@ func TestSwitchSleepAndWake(t *testing.T) {
 	}
 	// Sleep draw: chassis + line card sleep.
 	want := 12.7 + 0.4
-	if got := sw.meter.Power(); math.Abs(got-want) > 1e-9 {
+	if got := watts(sw.meter); math.Abs(got-want) > 1e-9 {
 		t.Errorf("sleep power = %v, want %v", got, want)
 	}
 	if n.SleepingSwitchesOnPath(hosts[0], hosts[1]) != 1 {

@@ -253,7 +253,6 @@ func (n *Network) startPktTransfer(x *pktTransfer) {
 // for the rest of the run. busy() feeds the switch idle check.
 type egressQueue struct {
 	link *linkState
-	ab   bool // direction A->B
 
 	sending     bool
 	cur         *packet // packet being serialized
@@ -269,8 +268,8 @@ const minRingCap = 8
 
 // newEgressQueue builds one directional queue with its cached
 // serialization callback.
-func newEgressQueue(l *linkState, ab bool) *egressQueue {
-	q := &egressQueue{link: l, ab: ab}
+func newEgressQueue(l *linkState) *egressQueue {
+	q := &egressQueue{link: l}
 	q.onWire = func() { q.serialized(l.net) }
 	return q
 }

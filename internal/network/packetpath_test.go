@@ -28,8 +28,8 @@ func reconcile(t *testing.T, n *Network) {
 // linkOf returns the link attached to the given host.
 func linkOf(t *testing.T, n *Network, host topology.NodeID) *linkState {
 	t.Helper()
-	for _, l := range n.links {
-		if l.a == host || l.b == host {
+	for i, l := range n.links {
+		if lk := n.g.Link(i); lk.A == host || lk.B == host {
 			return l
 		}
 	}

@@ -74,14 +74,11 @@ func newSwitch(n *Network, node topology.NodeID, prof *power.SwitchProfile) *Swi
 		residency: stats.NewResidency(fmt.Sprintf("switch%d", node)),
 	}
 	for lc := 0; lc < prof.LineCards; lc++ {
-		card := &LineCard{sw: sw, idx: lc, state: power.LineCardActive}
 		for p := 0; p < prof.PortsPerLineCard; p++ {
-			port := &Port{sw: sw, lc: card, idx: lc*prof.PortsPerLineCard + p,
-				state: power.PortActive, rateIdx: len(prof.LinkRatesBps) - 1}
-			card.ports = append(card.ports, port)
-			sw.ports = append(sw.ports, port)
+			sw.ports = append(sw.ports, &Port{sw: sw, idx: lc*prof.PortsPerLineCard + p,
+				state: power.PortActive, rateIdx: len(prof.LinkRatesBps) - 1})
 		}
-		sw.lineCards = append(sw.lineCards, card)
+		sw.lineCards = append(sw.lineCards, &LineCard{sw: sw, idx: lc, state: power.LineCardActive})
 	}
 	sw.sleepTmr = engine.NewTimer(n.eng, sw.enterSleep)
 	// 11 ports x 5 bits (2 state + 3 rateIdx+1) + 4 line cards x 2 bits
@@ -313,7 +310,6 @@ type LineCard struct {
 	sw    *Switch
 	idx   int
 	state power.LineCardState
-	ports []*Port
 }
 
 // Port is one switch port: its state machine is Active <-> LPI (idle
@@ -321,7 +317,6 @@ type LineCard struct {
 // rate selects among the profile's rate points.
 type Port struct {
 	sw   *Switch
-	lc   *LineCard
 	idx  int
 	link *linkState
 
@@ -329,8 +324,7 @@ type Port struct {
 	users   int
 	rateIdx int
 
-	bytesSent  int64 // accumulator for the ALR controller window
-	lpiEntries int64
+	bytesSent int64 // accumulator for the ALR controller window
 }
 
 // currentRateBps reports the port's ALR-selected rate.
@@ -377,7 +371,6 @@ func (p *Port) enterLPI() {
 		return
 	}
 	p.setPortState(power.PortLPI)
-	p.lpiEntries++
 	p.sw.net.cover.Hit(modelcov.PortLPIEnter)
 	p.sw.recompute()
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -28,38 +29,35 @@ import (
 // Enum text forms
 // ---------------------------------------------------------------------
 
-// enumText binds one enum's value/name table for the codec. Every
-// scenario enum marshals as a short lowercase name (the same vocabulary
-// the labels use), so files stay diff-able and hand-writable.
-func marshalEnum[E comparable](v E, names map[E]string, what string) ([]byte, error) {
-	if s, ok := names[v]; ok {
+// Every scenario enum has one name table, a slice indexed by the enum's
+// value: the codec marshals through it (short lowercase names, so files
+// stay diff-able and hand-writable) and the labels that spell a kind out
+// read the same table.
+func enumName[E ~int](v E, names []string) (string, bool) {
+	if v < 0 || int(v) >= len(names) {
+		return "", false
+	}
+	return names[v], true
+}
+
+func marshalEnum[E ~int](v E, names []string, what string) ([]byte, error) {
+	if s, ok := enumName(v, names); ok {
 		return []byte(s), nil
 	}
 	return nil, fmt.Errorf("scenario: unknown %s %v", what, v)
 }
 
-func unmarshalEnum[E comparable](b []byte, v *E, names map[E]string, what string) error {
-	//simlint:allow determinism enum name tables are bijective, so at most one key can match
-	for k, s := range names {
-		if s == string(b) {
-			*v = k
-			return nil
-		}
+func unmarshalEnum[E ~int](b []byte, v *E, names []string, what string) error {
+	if k := slices.Index(names, string(b)); k >= 0 {
+		*v = E(k)
+		return nil
 	}
-	return fmt.Errorf("scenario: unknown %s %q (want one of %s)", what, b, enumList(names))
+	sorted := slices.Clone(names)
+	sort.Strings(sorted)
+	return fmt.Errorf("scenario: unknown %s %q (want one of %v)", what, b, sorted)
 }
 
-func enumList[E comparable](names map[E]string) string {
-	// Deterministic listing for error messages: collect and sort.
-	out := make([]string, 0, len(names))
-	for _, s := range names {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return fmt.Sprintf("%v", out)
-}
-
-var topoKindNames = map[TopoKind]string{
+var topoKindNames = []string{
 	TopoNone:          "none",
 	TopoStar:          "star",
 	TopoFatTree:       "fattree",
@@ -78,7 +76,7 @@ func (k *TopoKind) UnmarshalText(b []byte) error {
 	return unmarshalEnum(b, k, topoKindNames, "topology kind")
 }
 
-var arrivalKindNames = map[ArrivalKind]string{
+var arrivalKindNames = []string{
 	ArrPoisson:    "poisson",
 	ArrMMPP:       "mmpp",
 	ArrTraceWiki:  "wiki",
@@ -96,7 +94,7 @@ func (k *ArrivalKind) UnmarshalText(b []byte) error {
 	return unmarshalEnum(b, k, arrivalKindNames, "arrival kind")
 }
 
-var factoryKindNames = map[FactoryKind]string{
+var factoryKindNames = []string{
 	FacSingle:        "single",
 	FacTwoTier:       "twotier",
 	FacScatterGather: "scatter",
@@ -113,7 +111,7 @@ func (k *FactoryKind) UnmarshalText(b []byte) error {
 	return unmarshalEnum(b, k, factoryKindNames, "factory kind")
 }
 
-var serviceKindNames = map[ServiceKind]string{
+var serviceKindNames = []string{
 	SvcWebSearch:  "websearch",
 	SvcWebServing: "webserving",
 	SvcWikipedia:  "wikipedia",
@@ -129,7 +127,7 @@ func (s *ServiceKind) UnmarshalText(b []byte) error {
 	return unmarshalEnum(b, s, serviceKindNames, "service kind")
 }
 
-var placerKindNames = map[PlacerKind]string{
+var placerKindNames = []string{
 	PlLeastLoaded:  "leastloaded",
 	PlRoundRobin:   "roundrobin",
 	PlPackFirst:    "packfirst",
@@ -150,7 +148,7 @@ func (k *PlacerKind) UnmarshalText(b []byte) error {
 	return unmarshalEnum(b, k, placerKindNames, "placer kind")
 }
 
-var profileKindNames = map[ProfileKind]string{
+var profileKindNames = []string{
 	ProfFourCore:   "4core",
 	ProfXeon10:     "xeon10",
 	ProfDualSocket: "dual20",

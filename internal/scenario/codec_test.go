@@ -205,20 +205,30 @@ func TestMatrixFixture(t *testing.T) {
 	}
 }
 
-// hostileTopologies are scenario files whose topology shape used to pass
-// Validate and fail later: the 2,642,246-ary fat-tree died in run with a
-// 2.1 TB allocation, the odd arity failed only at build, and BCube(3, 40)
-// wrapped its host count to a negative number.
-var hostileTopologies = []struct{ name, data string }{
-	{"fattree-2.1TB", `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
-	{"fattree-odd-arity", `{"topology": {"kind": "fattree", "a": 3}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
-	{"bcube-wraps-int", `{"topology": {"kind": "bcube", "a": 3, "b": 40}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
+// hostileFiles are scenario files that used to pass Validate and fail
+// later, each with the word its rejection must carry. Shapes: the
+// 2,642,246-ary fat-tree died in run with a 2.1 TB allocation, the odd
+// arity failed only at build, and BCube(3, 40) wrapped its host count to
+// a negative number. Counts: the two-billion-server farm asked run for
+// 1.4 TB of server records, the fault count for as many timeline events,
+// the DAG for 4e18 tasks a job; and a scatter of width 0 or a 0x0 DAG
+// was refused only when Config built the factory.
+var hostileFiles = []struct{ name, data, want string }{
+	{"fattree-2.1TB", `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
+	{"fattree-odd-arity", `{"topology": {"kind": "fattree", "a": 3}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
+	{"bcube-wraps-int", `{"topology": {"kind": "bcube", "a": 3, "b": 40}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
+	{"farm-1.4TB", `{"topology": {"kind": "none"}, "servers": 2000000000, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "servers exceed the bound"},
+	{"fault-count", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"serverCrashes": 2000000000, "serverDownSec": 0.1}}`, "exceeds the bound"},
+	{"repair-crews", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"serverMTTFSec": 1, "serverMTTRSec": 0.1, "repairCrews": 2000000000}}`, "exceeds the bound"},
+	{"dag-4e18-tasks", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "dag", "width": 2000000000, "layers": 2000000000}}`, "the bound of"},
+	{"scatter-width-0", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "scatter", "width": 0}}`, "width 0"},
+	{"dag-0x0", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "dag"}}`, "shape 0x0"},
 }
 
 // TestDecodeRejects pins the strictness contract: unknown fields, bad
-// enum names, trailing garbage, illegal compositions, topology shapes
-// the builder would refuse or could not afford, unterminated comments
-// and non-JSON all error, never panic, never pass.
+// enum names, trailing garbage, illegal compositions, shapes and counts
+// a build would refuse or could not afford, unterminated comments and
+// non-JSON all error, never panic, never pass.
 func TestDecodeRejects(t *testing.T) {
 	valid, err := Encode(Presets()["fig5-delaytimer"])
 	if err != nil {
@@ -247,11 +257,11 @@ func TestDecodeRejects(t *testing.T) {
 			t.Errorf("%s: Decode accepted %q", tc.name, tc.data)
 		}
 	}
-	for _, tc := range hostileTopologies {
+	for _, tc := range hostileFiles {
 		if _, err := Decode([]byte(tc.data)); err == nil {
 			t.Errorf("%s: Decode accepted %q", tc.name, tc.data)
-		} else if !strings.Contains(err.Error(), "topology:") {
-			t.Errorf("%s: rejected, but not for its shape: %v", tc.name, err)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected, but not with %q: %v", tc.name, tc.want, err)
 		}
 		matrix := `{"base": ` + tc.data + `, "axes": {"seeds": [1, 2]}}`
 		if _, err := DecodeMatrix([]byte(matrix)); err == nil {
@@ -367,7 +377,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`[1, 2, 3]`)
 	f.Add(`"just a string"`)
 	f.Add(`{"faults": {"serverCrashes": 9999999}}`)
-	for _, tc := range hostileTopologies {
+	for _, tc := range hostileFiles {
 		f.Add(tc.data)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

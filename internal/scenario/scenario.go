@@ -338,13 +338,8 @@ const (
 
 // String implements fmt.Stringer.
 func (s ServiceKind) String() string {
-	switch s {
-	case SvcWebServing:
-		return "webserving"
-	case SvcWikipedia:
-		return "wikipedia"
-	case SvcWebSearch:
-		return "websearch"
+	if name, ok := enumName(s, serviceKindNames); ok {
+		return name
 	}
 	return fmt.Sprintf("svc(%d)", int(s))
 }
@@ -409,17 +404,11 @@ func (f FactorySpec) factory() (workload.JobFactory, error) {
 	case FacTwoTier:
 		return workload.TwoTier{AppService: svc, DBService: svc, Bytes: f.EdgeBytes}, nil
 	case FacScatterGather:
-		if f.Width < 1 {
-			return nil, fmt.Errorf("scenario: scatter-gather width %d < 1", f.Width)
-		}
 		return workload.ScatterGather{
 			Width: f.Width, RootSize: svc, WorkerSize: svc, AggSize: svc,
 			Bytes: f.EdgeBytes,
 		}, nil
 	case FacRandomDAG:
-		if f.Width < 1 || f.Layers < 1 {
-			return nil, fmt.Errorf("scenario: random DAG shape %dx%d invalid", f.Layers, f.Width)
-		}
 		mean := simtime.FromSeconds(svc.Mean())
 		return workload.RandomDAG{
 			Layers: f.Layers, MaxWidth: f.Width, MaxDeps: 2,
@@ -427,6 +416,28 @@ func (f FactorySpec) factory() (workload.JobFactory, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown factory kind %d", f.Kind)
+}
+
+// maxTasksPerJob bounds the tasks one job of a scatter or DAG factory
+// may have: every job allocates that many task records.
+const maxTasksPerJob = 1 << 16
+
+// validate checks the shape the factory kind reads: at least one task
+// wide and deep, at most maxTasksPerJob tasks (the comparison divides,
+// so no product overflows).
+func (f FactorySpec) validate() error {
+	switch f.Kind {
+	case FacScatterGather:
+		if f.Width < 1 || f.Width > maxTasksPerJob-2 {
+			return fmt.Errorf("scenario: scatter-gather width %d outside [1, %d]", f.Width, maxTasksPerJob-2)
+		}
+	case FacRandomDAG:
+		if f.Width < 1 || f.Layers < 1 || f.Width > maxTasksPerJob/f.Layers {
+			return fmt.Errorf("scenario: random DAG shape %dx%d outside 1x1 to the bound of %d tasks a job",
+				f.Layers, f.Width, maxTasksPerJob)
+		}
+	}
+	return nil
 }
 
 // meanTasksPerJob estimates E[tasks] for utilization-rate derivation.
@@ -472,25 +483,8 @@ type PlacerSpec struct {
 // policies that consume it, and appended parenthesized when set on one
 // that does not.
 func (p PlacerSpec) String() string {
-	var name string
-	switch p.Kind {
-	case PlLeastLoaded:
-		name = "leastloaded"
-	case PlRoundRobin:
-		name = "roundrobin"
-	case PlPackFirst:
-		name = "packfirst"
-	case PlRandom:
-		name = "random"
-	case PlNetworkAware:
-		name = "netaware"
-	case PlAdaptivePool:
-		name = "adaptive"
-	case PlProvisioner:
-		name = "provisioner"
-	case PlDualTimer:
-		name = "dualtimer"
-	default:
+	name, ok := enumName(p.Kind, placerKindNames)
+	if !ok {
 		return fmt.Sprintf("placer(%d)-t%g", int(p.Kind), p.TauSec)
 	}
 	if p.TauSec == 0 {
@@ -563,13 +557,10 @@ func (p ProfileKind) profile() *power.ServerProfile {
 
 // String implements fmt.Stringer.
 func (p ProfileKind) String() string {
-	switch p {
-	case ProfXeon10:
-		return "xeon10"
-	case ProfDualSocket:
-		return "dual20"
+	if name, ok := enumName(p, profileKindNames); ok {
+		return name
 	}
-	return "4core"
+	return profileKindNames[ProfFourCore]
 }
 
 // ---------------------------------------------------------------------
@@ -697,6 +688,9 @@ func (s Scenario) Validate() error {
 	if s.Servers < 1 {
 		return fmt.Errorf("scenario: %d servers", s.Servers)
 	}
+	if s.Servers > topology.MaxNodes { // a server-only farm never meets a topology's Check
+		return fmt.Errorf("scenario: %d servers exceed the bound of %d", s.Servers, topology.MaxNodes)
+	}
 	if s.Topology.Kind == TopoNone {
 		if s.Comm != core.CommNone {
 			return fmt.Errorf("scenario: comm mode %v without a topology", s.Comm)
@@ -749,10 +743,10 @@ func (s Scenario) Validate() error {
 				s.Arrival.ClipFromSec, s.Arrival.ClipToSec)
 		}
 	}
-	if err := s.Faults.Validate(); err != nil {
+	if err := s.Factory.validate(); err != nil {
 		return err
 	}
-	return nil
+	return s.Faults.Validate()
 }
 
 // Config assembles the core configuration. The result is a pure

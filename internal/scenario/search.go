@@ -20,10 +20,10 @@ import (
 // fuzzing mutates (seed, mut) words with no signal about *model* state
 // — it can run thousands of execs that never park a server in a deep
 // sleep state, fill an egress ring, or trip a cascade. GuidedSearch
-// closes the loop using internal/modelcov: an input whose run lights a
-// coverage feature no prior input reached earns a corpus slot, and
-// later candidates mutate corpus parents, biasing the search toward
-// the rare corners where bugs live. The same (seed, mut) encoding is
+// closes the loop using internal/modelcov: after each batch the
+// features no run has reached yet are turned, through a table of
+// recipes, into candidates aimed at them, and an input whose run sets a
+// coverage record earns a corpus slot. The same (seed, mut) encoding is
 // shared with FuzzScenario, so a corpus found here seeds the native
 // fuzzer directly.
 
@@ -48,10 +48,10 @@ func BoundWork(s *Scenario, maxJobs int64) {
 // The mutation word is 16 independent 4-bit fields, one per
 // perturbation axis; nibble value 0 always means "leave the axis
 // alone". Independence is what makes the encoding mutable: rewriting
-// one nibble perturbs exactly one axis, so GuidedSearch can hold a
-// corpus parent fixed and step through its neighbors, and go-fuzz's
-// byte-level mutations of the word translate to small scenario edits
-// instead of whole-scenario rerolls. Nibble positions are load-bearing
+// one nibble perturbs exactly one axis, so a recipe composes a word
+// from {axis, value} pairs and go-fuzz's byte-level mutations of the
+// word translate to small scenario edits instead of whole-scenario
+// rerolls. Nibble positions are load-bearing
 // for recorded (seed, mut) corpus pairs: never renumber an axis; new
 // axes must subdivide an existing nibble's value space or widen the
 // word.
@@ -288,146 +288,6 @@ func execBatch(o SearchOptions, cands []searchCandidate, global *modelcov.Map,
 	return nil
 }
 
-// genes describes a candidate's scenario as categorical traits: the
-// base axes drawn from the seed (topology family, comm mode, network
-// model, arrival/service family, placer, ...) and the value of each
-// perturbation axis. Guided search keeps per-gene productivity
-// statistics — how often candidates carrying a trait produced a
-// coverage gain — which is the credit assignment a flat (seed, mut)
-// corpus cannot do: a record run doesn't say whether the base or the
-// perturbation earned it, but across many runs the gene stats average
-// that out.
-func genes(s *Scenario, mut uint64) [33]uint16 {
-	var g [33]uint16
-	pack := func(i int, kind, val int) { g[i] = uint16(kind)<<8 | uint16(val)&0xff }
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	// Durations and rates fold into coarse classes chosen to mirror
-	// feature preconditions: a "delay timer immediate" candidate is
-	// exactly the kind that exercises sleep-transition features, a
-	// "rho overload" one the queue-depth tail, and so on — the closer
-	// a gene tracks a feature's precondition, the more a sweep of
-	// untried gene values behaves like directly hunting unhit features.
-	durClass := func(d float64) int {
-		switch {
-		case d < 0:
-			return 0 // disabled
-		case d == 0:
-			return 1 // immediate
-		case d < 0.1:
-			return 2 // short
-		default:
-			return 3
-		}
-	}
-	sizeClass := func(n int) int {
-		switch {
-		case n <= 1:
-			return 0
-		case n <= 4:
-			return 1
-		case n <= 8:
-			return 2
-		default:
-			return 3
-		}
-	}
-	pack(0, 0, int(s.Topology.Kind))
-	pack(1, 1, int(s.Comm))
-	pack(2, 2, int(s.NetModel))
-	pack(3, 3, int(s.Arrival.Kind))
-	pack(4, 4, int(s.Profile))
-	pack(5, 5, int(s.Queue))
-	pack(6, 6, int(s.Placer.Kind))
-	pack(7, 7, b2i(s.GlobalQueue))
-	pack(8, 8, b2i(s.Heterogeneous))
-	// Fault family bitmask: point / correlated / renewal / cascade.
-	fam := 0
-	if s.Faults.ServerCrashes > 0 || s.Faults.LinkFlaps > 0 || s.Faults.SwitchKills > 0 {
-		fam |= 1
-	}
-	if s.Faults.RackKills > 0 || s.Faults.PodKills > 0 || s.Faults.SubtreeKills > 0 {
-		fam |= 2
-	}
-	if s.Faults.ServerMTTFSec > 0 || s.Faults.SwitchMTTFSec > 0 {
-		fam |= 4
-	}
-	if s.Faults.CascadeP > 0 {
-		fam |= 8
-	}
-	pack(9, 9, fam)
-	pack(10, 10, b2i(s.DVFS))
-	pack(11, 11, durClass(s.DelayTimerSec))
-	pack(12, 12, durClass(s.SwitchSleepSec))
-	rho := 0
-	switch {
-	case s.Arrival.Rho >= 1:
-		rho = 3
-	case s.Arrival.Rho >= 0.6:
-		rho = 2
-	case s.Arrival.Rho >= 0.3:
-		rho = 1
-	}
-	pack(13, 13, rho)
-	pack(14, 14, sizeClass(s.Servers))
-	pack(15, 15, sizeClass(int(s.Factory.EdgeBytes>>10)))
-	pack(16, 16, sizeClass(s.Factory.Width*s.Factory.Layers))
-	for axis := 0; axis < 16; axis++ {
-		pack(17+axis, 17+axis, int(mut>>(4*axis)&0xf))
-	}
-	return g
-}
-
-// geneStats tracks, per gene, how many candidates carried it and how
-// many of those produced a coverage gain.
-type geneStats map[uint16]*struct{ tries, gains int }
-
-// appeal scores a candidate for tournament selection. The dominant
-// term is the number of genes never tried in this campaign: a
-// candidate carrying an untried axis value or base family sweeps the
-// gene space systematically where uniform sampling waits on the coupon
-// collector. Observed gain rates enter only as a tiebreak, three
-// orders of magnitude down — rate estimates from a few dozen runs are
-// noisy enough to herd the tournament onto whatever ran first if they
-// are allowed to dominate, and a selection rule that mostly preserves
-// the proposal distribution can never do much worse than it.
-func (st geneStats) appeal(c searchCandidate, maxJobs int64) float64 {
-	s := Random(c.seed)
-	mutate(&s, c.mut)
-	BoundWork(&s, maxJobs)
-	unseen, rates := 0.0, 0.0
-	for _, gene := range genes(&s, c.mut) {
-		if e := st[gene]; e != nil {
-			rates += (float64(e.gains) + 0.5) / (float64(e.tries) + 1)
-		} else {
-			unseen++
-		}
-	}
-	return unseen + rates/1000
-}
-
-// record folds a candidate's outcome into the gene table.
-func (st geneStats) record(c searchCandidate, maxJobs int64, gained bool) {
-	s := Random(c.seed)
-	mutate(&s, c.mut)
-	BoundWork(&s, maxJobs)
-	for _, gene := range genes(&s, c.mut) {
-		e := st[gene]
-		if e == nil {
-			e = &struct{ tries, gains int }{}
-			st[gene] = e
-		}
-		e.tries++
-		if gained {
-			e.gains++
-		}
-	}
-}
-
 // A covRecipe composes candidates aimed at a group of coverage
 // features: match selects the features the recipe hunts, base is the
 // predicate a fresh base draw must satisfy (feature preconditions the
@@ -588,29 +448,79 @@ var covRecipes = []covRecipe{
 	},
 }
 
+// directed proposes a candidate hunting a still-unhit feature through
+// the recipe table. Each recipe's target set is charged collectively
+// and capped, so structurally unreachable features (the canary
+// transitions modelcov keeps on purpose) cannot absorb the budget:
+// after a few fruitless attempts a recipe retires for the campaign.
+func directed(r *rng.Source, global *modelcov.Map, tries map[modelcov.Feature]int) (searchCandidate, bool) {
+	unhit := global.NeverHit()
+	if len(unhit) == 0 {
+		return searchCandidate{}, false
+	}
+	start := r.IntN(len(unhit))
+	for k := 0; k < len(unhit); k++ {
+		f := unhit[(start+k)%len(unhit)]
+		if tries[f] >= 3 {
+			continue
+		}
+		for _, rec := range covRecipes {
+			if !rec.match(f) {
+				continue
+			}
+			mut := rec.word(r)
+			for try := 0; try < 48; try++ {
+				seed := r.Uint64()
+				s := Random(seed)
+				if rec.base(&s) {
+					for _, g := range unhit {
+						if rec.match(g) {
+							tries[g]++
+						}
+					}
+					return searchCandidate{seed: seed, mut: mut}, true
+				}
+			}
+			break // matched, but no base draw qualified: next feature
+		}
+	}
+	return searchCandidate{}, false
+}
+
 // GuidedSearch runs a coverage-guided scenario search campaign: batches
 // of (seed, mut) candidates execute under a model-state coverage map,
 // and any candidate whose run sets a coverage record — a new feature,
 // or a known feature driven into a higher count class — is admitted to
-// the corpus. Guidance acts at three levels. Exploration words follow a
-// Latin-hypercube schedule over the 16 mutation axes: within every
-// block of 16 exploration slots each axis takes each of its 16 values
-// exactly once, where uniform sampling coupon-collects (16 uniform
-// draws are expected to miss ~5 of 16 values per axis — and the missed
-// values gate exactly the rare features the search exists to reach).
-// Each scheduled word is paired with a fresh base seed picked by a
-// small tournament scored by per-gene productivity statistics, biasing
-// toward base families not yet tried. Finally, a share of slots
-// exploits the corpus (transplant an admitted perturbation onto a
-// fresh base, recombine two admitted perturbations, rewrite one axis
-// of a parent on its own base) to push past an admitted record. The
-// result is deterministic in SearchOptions at any worker count.
-func GuidedSearch(o SearchOptions) (SearchResult, error) {
+// the corpus. Candidates come from two sources: a blind (seed, mut)
+// draw, and, once the first batch has landed, with probability one half
+// a recipe proposal aimed at a feature no run has reached yet
+// (directed). A third source has to earn its place the way these did:
+// by a paired measurement over campaign seeds (DESIGN.md Sec. 12.3
+// records one that a word schedule, a novelty tournament and corpus
+// mutation did not pass). The result is deterministic in SearchOptions
+// at any worker count.
+func GuidedSearch(o SearchOptions) (SearchResult, error) { return search(o, true) }
+
+// BlindSearch is the uniform-random baseline: the same executor and
+// budget as GuidedSearch, but every candidate is a fresh (seed, mut)
+// draw — no corpus, no feedback. cmd/covsearch and the pinned-seed
+// regression test compare the two at equal exec counts.
+func BlindSearch(o SearchOptions) (SearchResult, error) { return search(o, false) }
+
+// search is the campaign loop both searches share; guided adds the seed
+// corpus replay, corpus admission and the directed proposals.
+func search(o SearchOptions, guided bool) (SearchResult, error) {
 	o.defaults()
 	r := rng.New(o.Seed).Split("covsearch")
 	global := &modelcov.Map{}
-	res := SearchResult{Cover: global, Corpus: append([]CorpusEntry(nil), o.Corpus...)}
-	stats := geneStats{}
+	res := SearchResult{Cover: global}
+	var admit func(c searchCandidate, gain int)
+	if guided {
+		res.Corpus = append([]CorpusEntry(nil), o.Corpus...)
+		admit = func(c searchCandidate, gain int) {
+			res.Corpus = append(res.Corpus, CorpusEntry{Seed: c.seed, Mut: c.mut, Gain: gain})
+		}
+	}
 
 	// Replay the seed corpus first (it defines the starting bitmap but
 	// is never re-admitted).
@@ -626,165 +536,27 @@ func GuidedSearch(o SearchOptions) (SearchResult, error) {
 		res.Ran = 0
 	}
 
-	// lhsWord deals the next word from the Latin-hypercube schedule:
-	// per axis an rng-shuffled permutation of 0..15, reshuffled every 16
-	// slots so successive blocks pair axis values in new combinations.
-	var perm [16][16]byte
-	explored := 0
-	lhsWord := func() uint64 {
-		if explored%16 == 0 {
-			for axis := range perm {
-				for i := range perm[axis] {
-					perm[axis][i] = byte(i)
-				}
-				for i := 15; i > 0; i-- {
-					j := r.IntN(i + 1)
-					perm[axis][i], perm[axis][j] = perm[axis][j], perm[axis][i]
-				}
-			}
+	tries := map[modelcov.Feature]int{}
+	for res.Execs < o.Execs {
+		n := o.BatchSize
+		if rem := o.Execs - res.Execs; n > rem {
+			n = rem
 		}
-		var mut uint64
-		for axis := 0; axis < 16; axis++ {
-			mut |= uint64(perm[axis][explored%16]) << (4 * axis)
-		}
-		explored++
-		return mut
-	}
-
-	// directed proposes a candidate hunting a still-unhit feature through
-	// the recipe table. Each recipe's target set is charged collectively
-	// and capped, so structurally unreachable features (the canary
-	// transitions modelcov keeps on purpose) cannot absorb the budget:
-	// after a few fruitless attempts a recipe retires for the campaign.
-	directedTries := map[modelcov.Feature]int{}
-	directed := func() (searchCandidate, bool) {
-		unhit := global.NeverHit()
-		if len(unhit) == 0 {
-			return searchCandidate{}, false
-		}
-		start := r.IntN(len(unhit))
-		for k := 0; k < len(unhit); k++ {
-			f := unhit[(start+k)%len(unhit)]
-			if directedTries[f] >= 3 {
-				continue
-			}
-			for _, rec := range covRecipes {
-				if !rec.match(f) {
+		cands := make([]searchCandidate, n)
+		for i := range cands {
+			// Directed proposals wait for the first batch to land: before any
+			// coverage has been observed the never-hit list is vacuous, and a
+			// campaign that starts hunting "missing" features it has not even
+			// tried to reach by sampling wastes its cheapest discoveries.
+			if guided && res.Execs > 0 && r.Bernoulli(0.5) {
+				if c, ok := directed(r, global, tries); ok {
+					cands[i] = c
 					continue
 				}
-				mut := rec.word(r)
-				for try := 0; try < 48; try++ {
-					seed := r.Uint64()
-					s := Random(seed)
-					if rec.base(&s) {
-						for _, g := range unhit {
-							if rec.match(g) {
-								directedTries[g]++
-							}
-						}
-						return searchCandidate{seed: seed, mut: mut}, true
-					}
-				}
-				break // matched, but no base draw qualified: next feature
 			}
-		}
-		return searchCandidate{}, false
-	}
-
-	propose := func() searchCandidate {
-		// Directed proposals wait for the first batch to land: before any
-		// coverage has been observed the never-hit list is vacuous, and a
-		// campaign that starts hunting "missing" features it has not even
-		// tried to reach by sampling wastes its cheapest discoveries.
-		if res.Execs > 0 && r.Bernoulli(0.5) {
-			if c, ok := directed(); ok {
-				return c
-			}
-		}
-		if len(res.Corpus) > 0 && r.Bernoulli(0.25) {
-			parent := res.Corpus[r.IntN(len(res.Corpus))]
-			switch op := r.IntN(3); {
-			case op == 0: // transplant: admitted word, fresh base
-				return searchCandidate{seed: r.Uint64(), mut: parent.Mut}
-			case op == 1 && len(res.Corpus) > 1: // crossover, fresh base
-				other := res.Corpus[r.IntN(len(res.Corpus))]
-				donors := r.Uint64() // bit per axis: which parent donates
-				var mut uint64
-				for axis := uint(0); axis < 16; axis++ {
-					field := uint64(0xf) << (4 * axis)
-					if donors>>axis&1 == 0 {
-						mut |= parent.Mut & field
-					} else {
-						mut |= other.Mut & field
-					}
-				}
-				return searchCandidate{seed: r.Uint64(), mut: mut}
-			default: // step: rewrite one axis on the parent's own base
-				axis := uint(r.IntN(16))
-				val := uint64(r.IntN(16))
-				mut := parent.Mut&^(0xf<<(4*axis)) | val<<(4*axis)
-				return searchCandidate{seed: parent.Seed, mut: mut}
-			}
-		}
-		// Exploration slot: the next scheduled word, on a base seed
-		// picked by tournament. Composing a candidate costs a config
-		// draw (microseconds), executing it costs a simulation run
-		// (milliseconds), so a few extra proposals per slot are free.
-		mut := lhsWord()
-		best := searchCandidate{seed: r.Uint64(), mut: mut}
-		bestAppeal := stats.appeal(best, o.MaxJobs)
-		for t := 0; t < 3; t++ {
-			c := searchCandidate{seed: r.Uint64(), mut: mut}
-			if a := stats.appeal(c, o.MaxJobs); a > bestAppeal {
-				best, bestAppeal = c, a
-			}
-		}
-		return best
-	}
-
-	for res.Execs < o.Execs {
-		n := o.BatchSize
-		if rem := o.Execs - res.Execs; n > rem {
-			n = rem
-		}
-		cands := make([]searchCandidate, n)
-		for i := range cands {
-			cands[i] = propose()
-		}
-		gained := make(map[searchCandidate]bool, n)
-		err := execBatch(o, cands, global, &res, func(c searchCandidate, gain int) {
-			res.Corpus = append(res.Corpus, CorpusEntry{Seed: c.seed, Mut: c.mut, Gain: gain})
-			gained[c] = true
-		})
-		if err != nil {
-			return res, err
-		}
-		for _, c := range cands {
-			stats.record(c, o.MaxJobs, gained[c])
-		}
-	}
-	return res, nil
-}
-
-// BlindSearch is the uniform-random baseline: the same executor and
-// budget as GuidedSearch, but every candidate is a fresh (seed, mut)
-// draw — no corpus, no feedback. cmd/covsearch and the pinned-seed
-// regression test compare the two at equal exec counts.
-func BlindSearch(o SearchOptions) (SearchResult, error) {
-	o.defaults()
-	r := rng.New(o.Seed).Split("covsearch")
-	global := &modelcov.Map{}
-	res := SearchResult{Cover: global}
-	for res.Execs < o.Execs {
-		n := o.BatchSize
-		if rem := o.Execs - res.Execs; n > rem {
-			n = rem
-		}
-		cands := make([]searchCandidate, n)
-		for i := range cands {
 			cands[i] = searchCandidate{seed: r.Uint64(), mut: r.Uint64()}
 		}
-		if err := execBatch(o, cands, global, &res, nil); err != nil {
+		if err := execBatch(o, cands, global, &res, admit); err != nil {
 			return res, err
 		}
 	}

@@ -3,7 +3,6 @@ package sched
 import (
 	"holdcsim/internal/job"
 	"holdcsim/internal/server"
-	"holdcsim/internal/stats"
 )
 
 // Provisioner implements the Sec. IV-A dynamic resource provisioning
@@ -19,34 +18,16 @@ type Provisioner struct {
 	// MinActive floors the active set (at least 1).
 	MinActive int
 
-	pool // the active set
-
-	// ActiveSeries tracks the active-server count over time (Fig. 4's
-	// lower curve); JobsSeries tracks jobs in system.
-	ActiveSeries *stats.TimeWeighted
-	JobsSeries   *stats.TimeWeighted
+	// The active set. All servers start in it — and stay powered; the
+	// provisioner itself moves parked servers into low power ("put aside
+	// after finishing its pending tasks", Sec. IV-A).
+	pool
 }
 
 // NewProvisioner returns a provisioner with the given thresholds. All
 // servers start active, matching the paper's initial condition.
 func NewProvisioner(minLoad, maxLoad float64) *Provisioner {
-	return &Provisioner{
-		MinLoad:      minLoad,
-		MaxLoad:      maxLoad,
-		MinActive:    1,
-		ActiveSeries: stats.NewTimeWeighted("active-servers"),
-		JobsSeries:   stats.NewTimeWeighted("jobs-in-system"),
-	}
-}
-
-// Start implements Starter: all servers begin active — and stay
-// powered; the provisioner itself moves parked servers into low power
-// ("put aside after finishing its pending tasks", Sec. IV-A).
-func (p *Provisioner) Start(s *Scheduler) {
-	p.pool.Start(s)
-	now := s.eng.Now()
-	p.ActiveSeries.Start(now, float64(p.n))
-	p.JobsSeries.Start(now, 0)
+	return &Provisioner{MinLoad: minLoad, MaxLoad: maxLoad, MinActive: 1}
 }
 
 // Place implements Placer: least-loaded among the active set.
@@ -66,11 +47,9 @@ func (p *Provisioner) OnJobArrival(s *Scheduler, j *job.Job) { p.observe(s) }
 // OnTaskDone implements Controller.
 func (p *Provisioner) OnTaskDone(s *Scheduler, t *job.Task) { p.observe(s) }
 
-// observe logs the jobs-in-system series and applies the threshold
-// policy: one transition per event, as in the paper ("one server will be
-// put aside"/"set to active state").
+// observe applies the threshold policy: one transition per event, as in
+// the paper ("one server will be put aside"/"set to active state").
 func (p *Provisioner) observe(s *Scheduler) {
-	p.JobsSeries.Set(s.eng.Now(), float64(s.JobsInSystem()))
 	load := s.LoadPerServer(p.n)
 	switch {
 	case load > p.MaxLoad && p.n < len(s.servers):
@@ -87,5 +66,4 @@ func (p *Provisioner) observe(s *Scheduler) {
 		// it into system sleep.
 		p.demote(p.least(s.servers, true), 0)
 	}
-	p.ActiveSeries.Set(s.eng.Now(), float64(p.n))
 }

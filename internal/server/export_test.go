@@ -1,6 +1,11 @@
 package server
 
-import "holdcsim/internal/power"
+import (
+	"reflect"
+
+	"holdcsim/internal/power"
+	"holdcsim/internal/stats"
+)
 
 // CorruptQueueCounterForTest skews the incremental queue counter
 // without touching the underlying queue structures, seeding exactly the
@@ -41,3 +46,14 @@ func (s *Server) ForceSleep() bool {
 
 // CoreCompleted reports how many tasks core i has finished.
 func (s *Server) CoreCompleted(i int) int64 { return s.cores[i].completed }
+
+// Power reports the server's current total draw in watts.
+func (s *Server) Power() float64 {
+	return watts(&s.cpuMeter) + watts(&s.dramMeter) + watts(&s.platMeter)
+}
+
+// watts reads a meter's present draw. Nothing but a test asks for it, so
+// the meter has no accessor and the test reads the unexported signal.
+func watts(m *stats.EnergyMeter) float64 {
+	return reflect.ValueOf(m).Elem().FieldByName("tw").FieldByName("value").Float()
+}

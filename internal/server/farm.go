@@ -6,13 +6,12 @@ import (
 	"holdcsim/internal/simtime"
 )
 
-// Farm groups the servers of one simulation and keeps their hot state in
-// struct-of-arrays form so farm-wide questions never chase a pointer per
-// server: a dense per-server pending-task array, running totals for
-// pending and completed tasks (so Finalize and invariant scans read two
-// int64s instead of walking N servers), and a shared sleep planner that
-// replaces the one-engine-Timer-per-idle-server delay-timer scheme with a
-// single timer over a deadline heap.
+// Farm groups the servers of one simulation so farm-wide questions never
+// chase a pointer per server: running totals for pending and completed
+// tasks (so Finalize and invariant scans read two int64s instead of
+// walking N servers), and a shared sleep planner that replaces the
+// one-engine-Timer-per-idle-server delay-timer scheme with a single
+// timer over a deadline heap.
 //
 // A farm server in steady-state idle/sleep therefore costs O(1): no queued
 // engine event (its suspend instant is a (deadline, seq) pair in the
@@ -20,7 +19,6 @@ import (
 type Farm struct {
 	eng     *engine.Engine
 	servers []*Server
-	pending []int32 // per-server pending tasks (queued + reserved + running)
 
 	totalPending   int64
 	totalCompleted int64
@@ -112,7 +110,7 @@ func (p *sleepPlanner) arm(s *Server, at simtime.Time) {
 		p.stale++ // the previous entry's seq no longer matches: stale
 	}
 	p.seq++
-	s.sleepArmed, s.sleepAt, s.sleepSeq = true, at, p.seq
+	s.sleepArmed, s.sleepSeq = true, p.seq
 	p.push(sleepEntry{at: at, seq: p.seq, srv: s})
 	p.maybeCompact()
 	if !p.timerSet || at < p.armedAt {

@@ -167,9 +167,6 @@ func TestFarmAggregatesMatchRecount(t *testing.T) {
 			if got, want := s.QueueLen(), s.RecountQueueLen(); got != want {
 				t.Fatalf("%s: server %d QueueLen %d != recount %d", where, i, got, want)
 			}
-			if got, want := int(farm.pending[i]), s.PendingTasks(); got != want {
-				t.Fatalf("%s: server %d farm pending %d != PendingTasks %d", where, i, got, want)
-			}
 			pending += int64(s.PendingTasks())
 			completed += s.CompletedTasks()
 		}
@@ -254,8 +251,8 @@ func TestSetDelayTimerLazyArm(t *testing.T) {
 		t.Fatalf("armed with delay timer disabled")
 	}
 	s.SetDelayTimer(true, 5*simtime.Millisecond)
-	if !s.sleepArmed || s.sleepAt != eng.Now()+5*simtime.Millisecond {
-		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", s.sleepAt, s.sleepArmed)
+	if at := s.farm.planner.armedAt; !s.sleepArmed || at != eng.Now()+5*simtime.Millisecond {
+		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, s.sleepArmed)
 	}
 	s.SetDelayTimer(false, 0)
 	if s.sleepArmed {

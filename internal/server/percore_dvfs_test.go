@@ -18,7 +18,7 @@ func TestPerCoreDVFS(t *testing.T) {
 		c.PkgC6Enabled = false
 	})
 	eng.RunUntil(simtimeMillisecond)
-	base := s.cpuMeter.Power()
+	base := watts(&s.cpuMeter)
 	wantBase := 10*prof.CoreIdle + prof.PkgPC0
 	if math.Abs(base-wantBase) > 1e-9 {
 		t.Fatalf("base CPU power = %v, want %v", base, wantBase)

@@ -131,7 +131,7 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 			for _, st := range s.sockets {
 				want += prof.PkgWatts(st)
 			}
-			if got := s.cpuMeter.Power(); got != want {
+			if got := watts(&s.cpuMeter); got != want {
 				t.Fatalf("event %d at %v: server %d meters %v W of CPU, core states give %v", events, eng.Now(), i, got, want)
 			}
 		}

@@ -80,9 +80,7 @@ type Server struct {
 	// registers a (deadline, seq) pair with the farm's shared sleep
 	// planner, so an idle server holds no queued engine event of its own.
 	farm       *Farm
-	fidx       int32
 	sleepArmed bool
-	sleepAt    simtime.Time
 	sleepSeq   uint64
 
 	// queueLen mirrors the queued + reserved task count (the sum QueueLen
@@ -129,9 +127,9 @@ func New(id int, eng *engine.Engine, cfg Config) (*Server, error) {
 }
 
 // Add constructs a server attached to this farm: its sleep-state delay
-// timer runs through the shared planner and its pending-task count is
-// mirrored into the farm's dense arrays. The server starts in S0 with
-// all cores idle (governor engaged).
+// timer runs through the shared planner and its pending-task count feeds
+// the farm's running total. The server starts in S0 with all cores idle
+// (governor engaged).
 func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -146,7 +144,7 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	batch := min(max(len(f.servers), 1), maxBatch)
 	s := &carve(&f.srvBlock, 1, batch)[0]
 	s.id, s.eng, s.cfg, s.prof = id, f.eng, cfg, cfg.Profile
-	s.farm, s.fidx = f, int32(len(f.servers))
+	s.farm = f
 	s.sstate, s.state = power.S0, -1
 	s.sockets = carve(&f.socketBlock, s.prof.SocketCount(), batch)
 	s.residency.Init(stateLabels, carve(&f.durBlock, len(stateLabels), batch))
@@ -166,7 +164,6 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	}
 	s.checkServerIdle()
 	f.servers = append(f.servers, s)
-	f.pending = append(f.pending, int32(s.PendingTasks()))
 	return s, nil
 }
 
@@ -186,7 +183,6 @@ func (s *Server) disarmSleep() {
 // pending aggregates.
 func (s *Server) queueDelta(d int) {
 	s.queueLen += d
-	s.farm.pending[s.fidx] += int32(d)
 	s.farm.totalPending += int64(d)
 }
 
@@ -194,7 +190,6 @@ func (s *Server) queueDelta(d int) {
 // (pending = queued + reserved + running).
 func (s *Server) busyDelta(d int) {
 	s.busyCores += d
-	s.farm.pending[s.fidx] += int32(d)
 	s.farm.totalPending += int64(d)
 }
 
@@ -808,11 +803,6 @@ func (s *Server) recompute() {
 	if s.onBusyChange != nil {
 		s.onBusyChange(now, s.busyCores)
 	}
-}
-
-// Power reports the server's current total draw in watts.
-func (s *Server) Power() float64 {
-	return s.cpuMeter.Power() + s.dramMeter.Power() + s.platMeter.Power()
 }
 
 // CPUEnergyTo reports processor energy in joules up to t.

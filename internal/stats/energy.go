@@ -26,31 +26,8 @@ func NewEnergyMeter(name string) *EnergyMeter {
 //simlint:hotpath
 func (m *EnergyMeter) SetPower(t simtime.Time, w float64) { m.tw.Set(t, w) }
 
-// Power reports the current draw in watts.
-func (m *EnergyMeter) Power() float64 { return m.tw.Value() }
-
 // EnergyTo reports accumulated joules up to time t.
 func (m *EnergyMeter) EnergyTo(t simtime.Time) float64 { return m.tw.IntegralTo(t) }
-
-// PowerSampler records a power (or any scalar) time series at a fixed
-// virtual-time interval — the simulator-side analogue of the 1 Hz power
-// logger and RAPL sampling used in the paper's validation (Figs. 12–14).
-type PowerSampler struct {
-	Interval simtime.Time
-	Times    []simtime.Time
-	Values   []float64
-}
-
-// NewPowerSampler returns a sampler with the given interval.
-func NewPowerSampler(interval simtime.Time) *PowerSampler {
-	return &PowerSampler{Interval: interval}
-}
-
-// Record appends a sample taken at time t.
-func (p *PowerSampler) Record(t simtime.Time, v float64) {
-	p.Times = append(p.Times, t)
-	p.Values = append(p.Values, v)
-}
 
 // CompareSeries reports the mean absolute difference and the standard
 // deviation of differences between two equally-sampled series, truncated

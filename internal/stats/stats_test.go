@@ -132,8 +132,8 @@ func TestTimeWeightedAdjustAndFirstSet(t *testing.T) {
 	w.Set(5*simtime.Second, 1) // first Set acts as Start
 	w.Set(10*simtime.Second, 3)
 	w.Set(15*simtime.Second, 0)
-	if w.Value() != 0 {
-		t.Errorf("value = %v, want 0", w.Value())
+	if w.value != 0 {
+		t.Errorf("value = %v, want 0", w.value)
 	}
 	// 1*5 + 3*5 + 0*5 = 20 over [5s, 25s]
 	if got := w.IntegralTo(25 * simtime.Second); math.Abs(got-20) > 1e-9 {
@@ -253,18 +253,8 @@ func TestEnergyMeter(t *testing.T) {
 	if got := m.EnergyTo(20 * simtime.Second); math.Abs(got-1500) > 1e-9 {
 		t.Errorf("energy = %v J, want 1500", got)
 	}
-	if m.Power() != 50 {
-		t.Errorf("current power = %v", m.Power())
-	}
-}
-
-func TestPowerSampler(t *testing.T) {
-	p := NewPowerSampler(simtime.Second)
-	p.Record(0, 10)
-	p.Record(simtime.Second, 20)
-	p.Record(2*simtime.Second, 30)
-	if len(p.Values) != 3 || len(p.Times) != 3 || p.Values[2] != 30 || p.Times[2] != 2*simtime.Second {
-		t.Errorf("recorded %v at %v", p.Values, p.Times)
+	if m.tw.value != 50 {
+		t.Errorf("current power = %v", m.tw.value)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 )
 
 // TimeWeighted tracks a piecewise-constant signal over virtual time and
-// integrates it. It backs time-averaged queue lengths, active-server
-// counts (Fig. 4), and — via EnergyMeter — power-to-energy integration.
+// integrates it. It backs the DVFS governor's busy-core average and —
+// via EnergyMeter — power-to-energy integration.
 type TimeWeighted struct {
 	name     string
 	value    float64
@@ -52,9 +52,6 @@ func (w *TimeWeighted) setSlow(t simtime.Time, v float64) {
 	}
 	panic("stats: TimeWeighted.Set time went backwards in " + w.name)
 }
-
-// Value reports the current signal value.
-func (w *TimeWeighted) Value() float64 { return w.value }
 
 // IntegralTo reports ∫ value dt from Start to t, in value·seconds.
 // t must not precede the last observation.
