@@ -1,9 +1,9 @@
-// Package atest is the fixture harness for the simlint suite — the
+// Package atest is the fixture harness for the determinism check — the
 // analysistest role, self-contained on the standard library like the
-// suite itself. A fixture is a directory tree under
+// check itself. A fixture is a directory tree under
 // internal/analysis/testdata/<name>/ shaped like a miniature module:
 // packages under internal/... get the real module's import paths, so
-// package-scoped rules (model packages, the engine exemption) apply in
+// package-scoped rules (model packages, the runner exemption) apply in
 // fixtures exactly as in the tree.
 //
 // Expected findings are `// want "regexp"` comments on the offending
@@ -23,12 +23,8 @@ import (
 )
 
 // wantRe extracts the expectation from a `// want "..."` comment. The
-// payload is a regexp matched against `[analyzer] message`. The
-// `// want-prev "..."` form expects the finding on the line above: a
-// diagnostic positioned at a //simlint: comment cannot carry a trailing
-// want on its own line, because the trailing text would parse as part
-// of the directive.
-var wantRe = regexp.MustCompile(`// want(-prev)? "((?:[^"\\]|\\.)*)"`)
+// payload is a regexp matched against the finding's message.
+var wantRe = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
 // expectation is one `// want` comment.
 type expectation struct {
@@ -39,8 +35,8 @@ type expectation struct {
 }
 
 // Run copies fixture directory testdata/<name> into a fresh module,
-// runs the full simlint suite over it, and compares findings against
-// the fixture's want comments.
+// runs the determinism check over it, and compares findings against the
+// fixture's want comments.
 func Run(t *testing.T, name string) {
 	t.Helper()
 	src, err := filepath.Abs(filepath.Join("testdata", name))
@@ -62,7 +58,7 @@ func Run(t *testing.T, name string) {
 	}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, analysis.RunSuite(pkg)...)
+		diags = append(diags, analysis.Check(pkg)...)
 	}
 
 	wants, err := collectWants(dir)
@@ -71,17 +67,16 @@ func Run(t *testing.T, name string) {
 	}
 	for _, d := range diags {
 		rel, _ := filepath.Rel(dir, d.Pos.Filename)
-		got := "[" + d.Analyzer + "] " + d.Message
 		matched := false
 		for _, w := range wants {
-			if w.file == rel && w.line == d.Pos.Line && w.re.MatchString(got) {
+			if w.file == rel && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.hits++
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s:%d: unexpected finding: %s", rel, d.Pos.Line, got)
+			t.Errorf("%s:%d: unexpected finding: %s", rel, d.Pos.Line, d.Message)
 		}
 	}
 	for _, w := range wants {
@@ -108,15 +103,11 @@ func collectWants(dir string) ([]*expectation, error) {
 		sc := bufio.NewScanner(f)
 		for line := 1; sc.Scan(); line++ {
 			for _, m := range wantRe.FindAllStringSubmatch(sc.Text(), -1) {
-				re, err := regexp.Compile(m[2])
+				re, err := regexp.Compile(m[1])
 				if err != nil {
 					return err
 				}
-				at := line
-				if m[1] == "-prev" {
-					at = line - 1
-				}
-				wants = append(wants, &expectation{file: rel, line: at, re: re})
+				wants = append(wants, &expectation{file: rel, line: line, re: re})
 			}
 		}
 		return sc.Err()

@@ -7,21 +7,20 @@ import (
 )
 
 // TestSmokeFixture runs the harness end to end on its own minimal
-// fixture: the want comment must match the one finding, and the allow
-// annotation must suppress the other.
+// fixture: the want comment must match the one finding.
 func TestSmokeFixture(t *testing.T) {
 	Run(t, "smoke")
 }
 
-// TestCollectWants checks want parsing: plain, -prev, and regex
-// payloads with escapes.
+// TestCollectWants checks want parsing: line binding and regex payloads
+// with escapes.
 func TestCollectWants(t *testing.T) {
 	dir := t.TempDir()
 	src := `package p
 var a = 1 // want "first \{finding\}"
 // a comment
-// want-prev "second"
-var b = 2 // no expectation here
+var b = 2 // want "second"
+var c = 3 // no expectation here
 `
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o666); err != nil {
 		t.Fatal(err)
@@ -36,8 +35,8 @@ var b = 2 // no expectation here
 	if wants[0].line != 2 || !wants[0].re.MatchString("first {finding}") {
 		t.Errorf("want[0] = line %d re %v", wants[0].line, wants[0].re)
 	}
-	if wants[1].line != 3 {
-		t.Errorf("want-prev bound to line %d, want 3", wants[1].line)
+	if wants[1].line != 4 || !wants[1].re.MatchString("second") {
+		t.Errorf("want[1] = line %d re %v", wants[1].line, wants[1].re)
 	}
 }
 

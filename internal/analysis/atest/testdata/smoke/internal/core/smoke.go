@@ -1,9 +1,7 @@
 // Package core is the harness's own smoke fixture: one finding, one
-// want, one allowed annotation.
+// want.
 package core
 
 import "time"
 
 var when = time.Now() // want "time.Now in model package"
-
-var allowed = time.Now() //simlint:allow determinism harness smoke fixture

@@ -1,14 +1,15 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// DeterminismAnalyzer enforces the byte-identical-replay contract
-// (DESIGN.md Sec. 3) in the model packages: between Build and Collect,
-// the only admissible inputs are the seed and the scenario. It flags
+// Check enforces the byte-identical-replay contract (DESIGN.md Sec. 3)
+// on pkg if it is a model package: between Build and Collect, the only
+// admissible inputs are the seed and the scenario. It flags
 //
 //   - wall-clock reads: time.Now, time.Since, time.Until;
 //   - the global math/rand and math/rand/v2 streams (top-level package
@@ -19,15 +20,75 @@ import (
 //     commutative accumulation (x += e, x++, x |= e, …), writes to
 //     another map keyed by the loop key, delete by loop key, max/min
 //     updates — pass. The collect-keys-then-sort idiom passes when the
-//     collected slice is demonstrably sorted later in the same function.
+//     same function body later sorts the collected slice.
 //
-// Intentional sites (wall-clock phase timing in reports, CLI banners)
-// carry //simlint:allow determinism <reason>.
-var DeterminismAnalyzer = &Analyzer{
-	Name: "determinism",
-	Doc: "bans wall clocks, global randomness, environment reads, and " +
-		"order-dependent map iteration in deterministic model packages",
-	Run: runDeterminism,
+// The banned functions are flagged at every use, so `f := time.Now`
+// counts as a read. Findings inside the exempt function are dropped; an
+// exemption that drops nothing is itself a finding, so it cannot outlive
+// what it excuses.
+func Check(pkg *Package) []Diagnostic {
+	if !isModelPackage(pkg.Path) {
+		return nil
+	}
+	c := &checker{pkg: pkg}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			c.exempt = nil
+			if fd, ok := d.(*ast.FuncDecl); ok && pkg.Path == exemptPkg && fd.Recv == nil && fd.Name.Name == exemptFunc {
+				c.exempt = fd
+			}
+			c.walk(d, nil)
+		}
+	}
+	if pkg.Path == exemptPkg && c.exempted == 0 {
+		c.report(pkg.Files[0].Name.Pos(), "determinism exemption %s.%s suppresses nothing: "+
+			"the function is gone or reads no clock — update exemptFunc", exemptPkg, exemptFunc)
+	}
+	return c.diags
+}
+
+// exemptPkg.exemptFunc is the check's one named exemption: the function
+// that reads the wall clock for report timing (runner.StartStopwatch).
+// Every CLI banner and events/s row goes through it, so a clock read
+// anywhere else is a finding.
+const exemptPkg, exemptFunc = modulePrefix + "internal/runner", "StartStopwatch"
+
+// checker is one Check run over one package.
+type checker struct {
+	pkg      *Package
+	exempt   *ast.FuncDecl // the declaration being walked, if it is the exemption
+	exempted int           // findings the exemption dropped
+	diags    []Diagnostic
+}
+
+func (c *checker) report(pos token.Pos, format string, args ...interface{}) {
+	if c.exempt != nil && c.exempt.Pos() <= pos && pos < c.exempt.End() {
+		c.exempted++
+		return
+	}
+	c.diags = append(c.diags, Diagnostic{Pos: c.pkg.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+}
+
+// walk checks n, whose innermost enclosing function body is body (nil at
+// package level). Function literals are walked as bodies of their own.
+func (c *checker) walk(n ast.Node, body *ast.BlockStmt) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				c.walk(n.Body, n.Body)
+			}
+			return false
+		case *ast.FuncLit:
+			c.walk(n.Body, n.Body)
+			return false
+		case *ast.Ident:
+			c.checkUse(n)
+		case *ast.RangeStmt:
+			c.checkMapRange(n, body)
+		}
+		return true
+	})
 }
 
 // bannedFuncs maps package path → function name → short finding text.
@@ -51,103 +112,64 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func runDeterminism(p *Pass) {
-	if !isModelPackage(p.Pkg.Path()) {
-		return
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkBannedCall(p, n)
-			case *ast.RangeStmt:
-				checkMapRange(p, f, n)
-			}
-			return true
-		})
-	}
-}
-
-// calleeFunc resolves a call to the package-level function it invokes,
-// or nil for methods, locals, builtins and conversions.
-func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return nil
-	}
-	fn, ok := p.TypesInfo.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+// pkgFunc resolves id to the package-level function it names, or nil
+// for methods, locals, builtins and everything that is not a function.
+func (c *checker) pkgFunc(id *ast.Ident) *types.Func {
+	fn, ok := c.pkg.TypesInfo.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return nil
 	}
 	return fn
 }
 
-func checkBannedCall(p *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(p, call)
+// checkUse flags a use of a banned function: a call, or a function value
+// taken for calling later.
+func (c *checker) checkUse(id *ast.Ident) {
+	fn := c.pkgFunc(id)
 	if fn == nil {
 		return
 	}
 	pkgPath, name := fn.Pkg().Path(), fn.Name()
 	if what, ok := bannedFuncs[pkgPath][name]; ok {
-		p.Reportf(call.Pos(), "%s.%s in model package: %s breaks byte-identical replay", pkgPath, name, what)
-		return
-	}
-	if (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randConstructors[name] {
-		p.Reportf(call.Pos(), "global %s.%s in model package: draw from the run's seeded rng.Source instead", pkgPath, name)
+		c.report(id.Pos(), "%s.%s in model package: %s breaks byte-identical replay", pkgPath, name, what)
+	} else if (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randConstructors[name] {
+		c.report(id.Pos(), "global %s.%s in model package: draw from the run's seeded rng.Source instead", pkgPath, name)
 	}
 }
 
 // checkMapRange flags order-dependent map iteration.
-func checkMapRange(p *Pass, file *ast.File, rs *ast.RangeStmt) {
-	if _, ok := p.TypesInfo.TypeOf(rs.X).Underlying().(*types.Map); !ok {
+func (c *checker) checkMapRange(rs *ast.RangeStmt, body *ast.BlockStmt) {
+	info := c.pkg.TypesInfo
+	if _, ok := info.TypeOf(rs.X).Underlying().(*types.Map); !ok {
 		return
 	}
-	locals := map[types.Object]bool{}
-	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok && id != nil {
-			if obj := p.TypesInfo.Defs[id]; obj != nil {
-				locals[obj] = true
-			}
-		}
-	}
-	var keyObj types.Object
+	ins := &insensitivity{info: info, locals: map[types.Object]bool{}}
+	ins.addDef(rs.Key)
+	ins.addDef(rs.Value)
 	if id, ok := rs.Key.(*ast.Ident); ok {
-		keyObj = p.TypesInfo.Defs[id]
+		ins.keyObj = info.Defs[id]
 	}
-	ins := &insensitivity{pass: p, locals: locals, keyObj: keyObj}
-	if ins.blockOK(rs.Body, nil) {
+	if ins.blockOK(rs.Body, nil) || c.collectForSort(rs, body) {
 		return
 	}
-	if collectForSort(p, file, rs) {
-		return
-	}
-	p.Reportf(rs.Pos(),
-		"map iteration with order-dependent effects (%s): iterate sorted keys, make the body commutative, or annotate //simlint:allow determinism <reason>",
+	c.report(rs.Pos(),
+		"map iteration with order-dependent effects (%s): iterate sorted keys or make the body commutative",
 		ins.why)
 }
 
 // insensitivity decides whether a loop body's effects commute across
 // iteration orders.
 type insensitivity struct {
-	pass   *Pass
+	info   *types.Info
 	locals map[types.Object]bool // objects scoped to one iteration
 	keyObj types.Object          // the range key variable, if named
 	why    string                // first order-dependent construct found
 }
 
-func (c *insensitivity) fail(n ast.Node, why string) bool {
+func (c *insensitivity) fail(why string) bool {
 	if c.why == "" {
 		c.why = why
 	}
-	_ = n
 	return false
 }
 
@@ -172,20 +194,20 @@ func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
 	case *ast.ExprStmt:
 		// delete(m, k) by the loop key commutes; nothing else may call.
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if b, ok := c.pass.TypesInfo.Uses[calleeIdent(call)].(*types.Builtin); ok && b.Name() == "delete" {
+			if b, ok := c.info.Uses[calleeIdent(call)].(*types.Builtin); ok && b.Name() == "delete" {
 				if len(call.Args) == 2 && c.isKey(call.Args[1]) {
 					return true
 				}
-				return c.fail(s, "delete not keyed by the loop variable")
+				return c.fail("delete not keyed by the loop variable")
 			}
 		}
-		return c.fail(s, "expression statement with effects")
+		return c.fail("expression statement with effects")
 	case *ast.IfStmt:
 		if s.Init != nil && !c.stmtOK(s.Init, guard) {
 			return false
 		}
 		if !c.pure(s.Cond) {
-			return c.fail(s, "impure if condition")
+			return c.fail("impure if condition")
 		}
 		if !c.blockOK(s.Body, s.Cond) {
 			return false
@@ -198,26 +220,26 @@ func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
 		case *ast.IfStmt:
 			return c.stmtOK(e, guard)
 		}
-		return c.fail(s, "unsupported else form")
+		return c.fail("unsupported else form")
 	case *ast.BlockStmt:
 		return c.blockOK(s, guard)
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
-			return c.fail(s, "non-var declaration")
+			return c.fail("non-var declaration")
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
 			if !ok {
-				return c.fail(s, "non-value var spec")
+				return c.fail("non-value var spec")
 			}
 			for _, v := range vs.Values {
 				if !c.pure(v) {
-					return c.fail(s, "impure var initializer")
+					return c.fail("impure var initializer")
 				}
 			}
 			for _, name := range vs.Names {
-				if obj := c.pass.TypesInfo.Defs[name]; obj != nil {
+				if obj := c.info.Defs[name]; obj != nil {
 					c.locals[obj] = true
 				}
 			}
@@ -229,12 +251,12 @@ func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
 		if s.Tok == token.CONTINUE && s.Label == nil {
 			return true
 		}
-		return c.fail(s, s.Tok.String()+" exits the loop order-dependently")
+		return c.fail(s.Tok.String() + " exits the loop order-dependently")
 	case *ast.RangeStmt:
 		// A nested range over a map is checked on its own; for the outer
 		// loop's insensitivity only the nested body's effects matter.
 		if s.X != nil && !c.pure(s.X) {
-			return c.fail(s, "impure nested range expression")
+			return c.fail("impure nested range expression")
 		}
 		c.addDef(s.Key)
 		c.addDef(s.Value)
@@ -244,7 +266,7 @@ func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
 			return false
 		}
 		if s.Cond != nil && !c.pure(s.Cond) {
-			return c.fail(s, "impure nested for condition")
+			return c.fail("impure nested for condition")
 		}
 		if s.Post != nil && !c.stmtOK(s.Post, nil) {
 			return false
@@ -255,13 +277,13 @@ func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
 			return false
 		}
 		if s.Tag != nil && !c.pure(s.Tag) {
-			return c.fail(s, "impure switch tag")
+			return c.fail("impure switch tag")
 		}
 		for _, cc := range s.Body.List {
 			clause := cc.(*ast.CaseClause)
 			for _, e := range clause.List {
 				if !c.pure(e) {
-					return c.fail(s, "impure case expression")
+					return c.fail("impure case expression")
 				}
 			}
 			for _, st := range clause.Body {
@@ -274,12 +296,12 @@ func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
 	case *ast.EmptyStmt:
 		return true
 	}
-	return c.fail(s, "order-dependent statement")
+	return c.fail("order-dependent statement")
 }
 
 func (c *insensitivity) addDef(e ast.Expr) {
 	if id, ok := e.(*ast.Ident); ok && id != nil {
-		if obj := c.pass.TypesInfo.Defs[id]; obj != nil {
+		if obj := c.info.Defs[id]; obj != nil {
 			c.locals[obj] = true
 		}
 	}
@@ -288,7 +310,7 @@ func (c *insensitivity) addDef(e ast.Expr) {
 func (c *insensitivity) assignOK(s *ast.AssignStmt, guard ast.Expr) bool {
 	for _, rhs := range s.Rhs {
 		if !c.pure(rhs) {
-			return c.fail(s, "impure assignment right-hand side")
+			return c.fail("impure assignment right-hand side")
 		}
 	}
 	switch s.Tok {
@@ -303,7 +325,7 @@ func (c *insensitivity) assignOK(s *ast.AssignStmt, guard ast.Expr) bool {
 		return true
 	case token.ASSIGN:
 		if len(s.Lhs) != len(s.Rhs) {
-			return c.fail(s, "tuple assignment")
+			return c.fail("tuple assignment")
 		}
 		for i, lhs := range s.Lhs {
 			if c.rootedInLocal(lhs) {
@@ -311,20 +333,20 @@ func (c *insensitivity) assignOK(s *ast.AssignStmt, guard ast.Expr) bool {
 			}
 			if ix, ok := lhs.(*ast.IndexExpr); ok {
 				// m2[k] = v: per-key slots commute across orders.
-				if _, isMap := c.pass.TypesInfo.TypeOf(ix.X).Underlying().(*types.Map); isMap && c.isKey(ix.Index) {
+				if _, isMap := c.info.TypeOf(ix.X).Underlying().(*types.Map); isMap && c.isKey(ix.Index) {
 					continue
 				}
-				return c.fail(s, "indexed write not keyed by the loop variable")
+				return c.fail("indexed write not keyed by the loop variable")
 			}
 			// Max/min update: `if v > best { best = v }` commutes.
 			if guard != nil && isExtremumUpdate(guard, lhs, s.Rhs[i]) {
 				continue
 			}
-			return c.fail(s, "plain assignment to shared state")
+			return c.fail("plain assignment to shared state")
 		}
 		return true
 	}
-	return c.fail(s, "unsupported assignment operator")
+	return c.fail("unsupported assignment operator")
 }
 
 // rootedInLocal reports whether an lvalue is (a component of) a
@@ -337,9 +359,9 @@ func (c *insensitivity) rootedInLocal(e ast.Expr) bool {
 			if x.Name == "_" {
 				return true
 			}
-			obj := c.pass.TypesInfo.Uses[x]
+			obj := c.info.Uses[x]
 			if obj == nil {
-				obj = c.pass.TypesInfo.Defs[x]
+				obj = c.info.Defs[x]
 			}
 			return c.locals[obj]
 		case *ast.SelectorExpr:
@@ -363,7 +385,7 @@ func (c *insensitivity) isKey(e ast.Expr) bool {
 		return false
 	}
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && c.pass.TypesInfo.Uses[id] == c.keyObj
+	return ok && c.info.Uses[id] == c.keyObj
 }
 
 // pure reports whether evaluating e has no side effects: no calls (bar
@@ -376,10 +398,10 @@ func (c *insensitivity) pure(e ast.Expr) bool {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if c.pass.TypesInfo.Types[n.Fun].IsType() {
+			if c.info.Types[n.Fun].IsType() {
 				return true // conversion
 			}
-			if b, ok := c.pass.TypesInfo.Uses[calleeIdent(n)].(*types.Builtin); ok {
+			if b, ok := c.info.Uses[calleeIdent(n)].(*types.Builtin); ok {
 				switch b.Name() {
 				case "len", "cap", "min", "max", "real", "imag", "complex":
 					return true
@@ -400,11 +422,16 @@ func (c *insensitivity) pure(e ast.Expr) bool {
 	return pure
 }
 
-// calleeIdent extracts the identifier a call invokes, if it is a plain
-// identifier (builtins always are).
+// calleeIdent extracts the identifier a call invokes: f in f(…), Sel in
+// x.Sel(…). Builtins are always the former.
 func calleeIdent(call *ast.CallExpr) *ast.Ident {
-	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
-	return id
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun
+	case *ast.SelectorExpr:
+		return fun.Sel
+	}
+	return nil
 }
 
 // isExtremumUpdate recognizes `if y OP x { x = y }` for a comparison OP,
@@ -424,80 +451,64 @@ func isExtremumUpdate(cond, lhs, rhs ast.Expr) bool {
 	return (cx == lt && cy == rt) || (cx == rt && cy == lt)
 }
 
+// sortFuncs are the functions that put a slice, their first argument,
+// in a deterministic order.
+var sortFuncs = map[string]map[string]bool{
+	"sort": {"Strings": true, "Ints": true, "Float64s": true,
+		"Slice": true, "SliceStable": true, "Sort": true, "Stable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
 // collectForSort recognizes the canonical deterministic-iteration idiom:
 //
 //	keys := make([]K, 0, len(m))
 //	for k := range m { keys = append(keys, k) }
-//	sort.Slice(keys, …)   // or slices.Sort*(keys)
+//	sort.Strings(keys)   // or any sortFuncs entry
 //
 // The append-only loop is order-sensitive in isolation; it is admitted
-// when every appended-to slice is passed to a sort.* / slices.* call
-// later in the same function.
-func collectForSort(p *Pass, file *ast.File, rs *ast.RangeStmt) bool {
-	var slices []string
+// when every appended-to slice — the variable itself, not one that shares
+// its name — is the first argument of a sortFuncs call after the loop in
+// body, the loop's own function body (a nested closure does not count).
+func (c *checker) collectForSort(rs *ast.RangeStmt, body *ast.BlockStmt) bool {
+	info := c.pkg.TypesInfo
+	collected := map[types.Object]bool{}
 	for _, s := range rs.Body.List {
 		as, ok := s.(*ast.AssignStmt)
 		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 			return false
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
+		if !ok || len(call.Args) < 1 {
 			return false
 		}
-		if b, ok := p.TypesInfo.Uses[calleeIdent(call)].(*types.Builtin); !ok || b.Name() != "append" {
+		if b, ok := info.Uses[calleeIdent(call)].(*types.Builtin); !ok || b.Name() != "append" {
 			return false
 		}
 		lhs, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || len(call.Args) < 1 || types.ExprString(call.Args[0]) != lhs.Name {
+		arg, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
+		if !ok || arg == nil || info.Uses[lhs] == nil || info.Uses[arg] != info.Uses[lhs] {
 			return false
 		}
-		slices = append(slices, lhs.Name)
+		collected[info.Uses[lhs]] = true
 	}
-	if len(slices) == 0 {
+	if len(collected) == 0 || body == nil {
 		return false
 	}
-	// Find a later sort call covering every collected slice.
-	sorted := map[string]bool{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() <= rs.End() {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := p.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		if pkg := fn.Pkg().Path(); pkg != "sort" && pkg != "slices" {
-			return true
-		}
-		for _, arg := range call.Args {
-			for _, name := range slices {
-				if exprMentions(arg, name) {
-					sorted[name] = true
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if n.Pos() <= rs.End() || len(n.Args) == 0 {
+				return true
+			}
+			if fn := c.pkgFunc(calleeIdent(n)); fn != nil && sortFuncs[fn.Pkg().Path()][fn.Name()] {
+				if id, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
+					delete(collected, info.Uses[id])
 				}
 			}
 		}
 		return true
 	})
-	for _, name := range slices {
-		if !sorted[name] {
-			return false
-		}
-	}
-	return true
-}
-
-func exprMentions(e ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
+	return len(collected) == 0
 }

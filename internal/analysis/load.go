@@ -15,10 +15,9 @@ import (
 	"path/filepath"
 )
 
-// Package is one typechecked package ready for the suite.
+// Package is one typechecked package ready for Check.
 type Package struct {
 	Path      string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -127,7 +126,6 @@ func typecheck(fset *token.FileSet, path, dir string, fileNames []string,
 	}
 	return &Package{
 		Path:      path,
-		Dir:       dir,
 		Fset:      fset,
 		Files:     files,
 		Types:     pkg,

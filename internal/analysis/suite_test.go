@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"strings"
 	"testing"
 
 	"holdcsim/internal/analysis"
@@ -9,26 +8,10 @@ import (
 )
 
 func TestDeterminismFixture(t *testing.T) { atest.Run(t, "determinism") }
-func TestHotpathFixture(t *testing.T)     { atest.Run(t, "hotpath") }
-func TestAnnotationFixture(t *testing.T)  { atest.Run(t, "annotation") }
 
-// TestSuiteShape locks the analyzer inventory: names are the annotation
-// vocabulary, so adding or renaming a pass is an API change.
-func TestSuiteShape(t *testing.T) {
-	want := []string{"annotation", "determinism", "hotpath"}
-	suite := analysis.Suite()
-	if len(suite) != len(want) {
-		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
-	}
-	for i, a := range suite {
-		if a.Name != want[i] {
-			t.Errorf("suite[%d] = %q, want %q", i, a.Name, want[i])
-		}
-		if a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %q missing Doc or Run", a.Name)
-		}
-	}
-}
+// TestStaleExemptionFixture: a runner package whose StartStopwatch reads
+// no clock makes the exemption suppress nothing, which is a finding.
+func TestStaleExemptionFixture(t *testing.T) { atest.Run(t, "stale-exemption") }
 
 // TestLoadRealPackage exercises the go-list-export loader against a real
 // module package end to end.
@@ -47,24 +30,16 @@ func TestLoadRealPackage(t *testing.T) {
 	if pkg.Types.Scope().Lookup("Time") == nil {
 		t.Error("typechecked package is missing the Time type")
 	}
-	if diags := analysis.RunSuite(pkg); len(diags) != 0 {
+	if diags := analysis.Check(pkg); len(diags) != 0 {
 		t.Errorf("simtime should be clean, got %v", diags)
 	}
 }
 
-// TestDiagnosticString locks the human-readable finding format the CLI
-// prints.
+// TestDiagnosticString locks the finding format the tree test prints.
 func TestDiagnosticString(t *testing.T) {
-	pkgs, err := analysis.Load("../..", []string{"./internal/analysis/atest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	d := analysis.Diagnostic{Analyzer: "determinism", Message: "m"}
+	d := analysis.Diagnostic{Message: "m"}
 	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "f.go", 3, 7
-	if got, want := d.String(), "f.go:3:7: [determinism] m"; !strings.HasPrefix(got, want) {
-		t.Errorf("Diagnostic.String() = %q, want prefix %q", got, want)
+	if got, want := d.String(), "f.go:3:7: m"; got != want {
+		t.Errorf("Diagnostic.String() = %q, want %q", got, want)
 	}
 }

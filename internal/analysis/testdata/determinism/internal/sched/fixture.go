@@ -5,6 +5,7 @@ package sched
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"time"
 )
@@ -15,10 +16,10 @@ func wallClock() {
 	t := time.Now()             // want "time.Now in model package"
 	sink = time.Since(t)        // want "time.Since in model package"
 	sink = time.Until(t)        // want "time.Until in model package"
-	allowed := time.Now()       //simlint:allow determinism fixture demonstrates an allowed wall-clock read
-	sink = allowed
 	sink = time.Unix(0, 0) // only clock reads are banned, not construction
 }
+
+var clock = time.Now // want "time.Now in model package"
 
 func globalRand() {
 	sink = rand.Intn(4)       // want "global math/rand.Intn in model package"
@@ -40,11 +41,28 @@ func mapOrderDependent(m map[string]int) {
 	for _, v := range m { // want "map iteration with order-dependent effects"
 		shared = append(shared, v)
 	}
-	//simlint:allow determinism fixture demonstrates an allowed order-dependent iteration
-	for _, v := range m {
-		shared = append(shared, v)
-	}
 }
+
+// A slices/sort call that does not sort is not the idiom.
+func collectThenContains(m map[int]bool) bool {
+	var keys []int
+	for k := range m { // want "map iteration with order-dependent effects"
+		keys = append(keys, k)
+	}
+	return slices.Contains(keys, 1)
+}
+
+// Sorting another variable named keys, in another function, does not
+// admit this loop.
+func collectUnsorted(m map[int]bool) []int {
+	var keys []int
+	for k := range m { // want "map iteration with order-dependent effects"
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func sortOtherKeys(keys []int) { sort.Ints(keys) }
 
 func mapOrderInsensitive(m map[string]int) int {
 	total := 0

@@ -1,6 +1,6 @@
 // Package tools is outside the model-package set: the determinism
 // contract does not govern it, so wall clocks and global randomness are
-// legal here (hotpath still applies module-wide).
+// legal here.
 package tools
 
 import (

@@ -64,7 +64,7 @@ func namedOf(t types.Type) *types.Named {
 	return n
 }
 
-// The two tests below hold the whole tree, not a fixture, to a property
+// The three tests below hold the whole tree, not a fixture, to a property
 // on every `go test ./...`: they load every non-test package of the
 // module once, from the module root.
 var tree struct {
@@ -86,11 +86,11 @@ func loadTree(t *testing.T) []*analysis.Package {
 }
 
 // TestTreeHasNoFindings is the "zero findings tree-wide" bar as a tier-1
-// test: the suite cmd/simlint runs, over ./..., failing on any finding
-// (an unused //simlint:allow included).
+// test: the determinism check over ./..., failing on any finding (an
+// exemption that suppresses nothing included).
 func TestTreeHasNoFindings(t *testing.T) {
 	for _, pkg := range loadTree(t) {
-		for _, d := range analysis.RunSuite(pkg) {
+		for _, d := range analysis.Check(pkg) {
 			t.Error(d)
 		}
 	}

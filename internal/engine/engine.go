@@ -141,8 +141,6 @@ func (e *Engine) Now() simtime.Time { return e.now }
 
 // alloc takes an event from the pool, growing it block-wise so steady
 // state never allocates.
-//
-//simlint:hotpath
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -159,8 +157,6 @@ func (e *Engine) alloc() *event {
 
 // release recycles an event into the pool. Bumping the generation makes
 // every outstanding Handle to it inert.
-//
-//simlint:hotpath
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.state = stateFree
@@ -170,8 +166,6 @@ func (e *Engine) release(ev *event) {
 
 // Schedule queues fn to run at absolute virtual time at.
 // Scheduling in the past panics: it always indicates a model bug.
-//
-//simlint:hotpath
 func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("engine: schedule at %v before now %v", at, e.now))
@@ -192,8 +186,6 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 
 // place routes an event to the tier covering its timestamp. Branches are
 // ordered hottest-first: near-term events dominate every workload.
-//
-//simlint:hotpath
 func (e *Engine) place(ev *event) {
 	if ev.at < e.base {
 		e.bottomPush(ev)
@@ -214,8 +206,6 @@ func (e *Engine) place(ev *event) {
 }
 
 // After queues fn to run d from now. Negative d panics.
-//
-//simlint:hotpath
 func (e *Engine) After(d simtime.Time, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
 }
@@ -238,8 +228,6 @@ func (e *Engine) Every(first, period, until simtime.Time, fn func()) {
 // Cancel tombstones the event named by h if it has not fired. It is O(1);
 // the entry is reclaimed when popped or at the next compaction sweep.
 // Safe to call with the zero Handle or a stale one.
-//
-//simlint:hotpath
 func (e *Engine) Cancel(h Handle) {
 	if !h.Pending() {
 		return
@@ -434,8 +422,6 @@ func (e *Engine) rebucket() {
 
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports false when the queue is empty.
-//
-//simlint:hotpath
 func (e *Engine) Step() bool {
 	var ev *event
 	if len(e.bottom) > 0 && e.bottom[0].state == stateQueued {
@@ -499,7 +485,6 @@ func lessEv(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-//simlint:hotpath
 func (e *Engine) bottomPush(ev *event) {
 	e.bottom = append(e.bottom, ev)
 	h := e.bottom
@@ -514,7 +499,6 @@ func (e *Engine) bottomPush(ev *event) {
 	}
 }
 
-//simlint:hotpath
 func (e *Engine) bottomPop() *event {
 	h := e.bottom
 	n := len(h) - 1
@@ -526,7 +510,6 @@ func (e *Engine) bottomPop() *event {
 	return top
 }
 
-//simlint:hotpath
 func siftDown(h []*event, i int) {
 	n := len(h)
 	for {

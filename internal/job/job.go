@@ -138,8 +138,6 @@ type Pool struct{ free []*Job }
 
 // Get returns an empty job arriving at the given time: a recycled one
 // if the pool holds any, else a new one.
-//
-//simlint:hotpath
 func (p *Pool) Get(id ID, arriveAt simtime.Time) *Job {
 	if p == nil || len(p.free) == 0 {
 		return New(id, arriveAt)
@@ -157,8 +155,6 @@ func (p *Pool) Get(id ID, arriveAt simtime.Time) *Job {
 // readable until Get hands it out, so the event that finished a job can
 // go on reading it. Only finished jobs are kept — a lost or unfinished
 // one may still be named by a transfer in flight or a parked task.
-//
-//simlint:hotpath
 func (p *Pool) Put(j *Job) {
 	if p == nil || j.lost || j.pooled || !j.Done() {
 		return

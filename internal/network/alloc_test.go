@@ -12,11 +12,10 @@ import (
 
 // TestPacketForwardingZeroAlloc is the alloc-regression gate for the
 // packet fast path: after warmup (pools filled, routes cached, engine
-// heap at capacity), forwarding an MTU across the fat-tree must not
-// allocate at all. Excluded from -race builds, whose instrumentation
-// allocates on its own. BenchmarkPacketForwarding reports the same
-// number; this test makes CI fail on regression instead of just
-// recording it.
+// heap at capacity), sending dag-packet's 64 KiB edge — a 44-packet
+// burst into one egress ring — across the fat-tree must not allocate at
+// all. Excluded from -race builds, whose instrumentation allocates on
+// its own.
 func TestPacketForwardingZeroAlloc(t *testing.T) {
 	g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
 	if err != nil {
@@ -31,7 +30,7 @@ func TestPacketForwardingZeroAlloc(t *testing.T) {
 	}
 	hosts := g.Hosts()
 	op := func() {
-		if err := n.TransferPackets(hosts[0], hosts[15], 1500, nil); err != nil {
+		if err := n.TransferPackets(hosts[0], hosts[15], 64<<10, nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()

@@ -75,8 +75,6 @@ func (n *Network) TransferFlow(src, dst topology.NodeID, bytes int64, done func(
 }
 
 // allocFlow pops a pooled flow (or mints one with its cached closures).
-//
-//simlint:hotpath
 func (n *Network) allocFlow() *Flow {
 	if k := len(n.flowFree); k > 0 {
 		f := n.flowFree[k-1]
@@ -91,8 +89,6 @@ func (n *Network) allocFlow() *Flow {
 
 // freeFlow bumps the generation (so a stale reference can tell this
 // incarnation is over), clears references, and pools the flow.
-//
-//simlint:hotpath
 func (n *Network) freeFlow(f *Flow) {
 	f.gen++
 	f.links, f.dirAB, f.done = nil, nil, nil

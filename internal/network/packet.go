@@ -63,8 +63,6 @@ type pktTransfer struct {
 
 // allocPacket pops a pooled packet (or mints one with its dispatch
 // closures) ready for reuse.
-//
-//simlint:hotpath
 func (n *Network) allocPacket() *packet {
 	if k := len(n.pktFree); k > 0 {
 		p := n.pktFree[k-1]
@@ -79,8 +77,6 @@ func (n *Network) allocPacket() *packet {
 
 // releasePacket clears the packet's references and returns it to the
 // pool. The dispatch closures are kept — they are the point of pooling.
-//
-//simlint:hotpath
 func (n *Network) releasePacket(p *packet) {
 	p.bytes, p.hop = 0, 0
 	p.nodes, p.links = nil, nil
@@ -90,8 +86,6 @@ func (n *Network) releasePacket(p *packet) {
 
 // allocTransfer pops a pooled transfer (or mints one with its cached
 // start closure). Counters are zeroed at release.
-//
-//simlint:hotpath
 func (n *Network) allocTransfer() *pktTransfer {
 	if k := len(n.xferFree); k > 0 {
 		x := n.xferFree[k-1]
@@ -106,8 +100,6 @@ func (n *Network) allocTransfer() *pktTransfer {
 // releaseTransfer bumps the generation (invalidating any packet that
 // still references this incarnation), clears references, and pools the
 // transfer.
-//
-//simlint:hotpath
 func (n *Network) releaseTransfer(x *pktTransfer) {
 	x.gen++
 	x.total, x.delivered, x.dropped = 0, 0, 0
@@ -123,8 +115,6 @@ func (n *Network) releaseTransfer(x *pktTransfer) {
 // packets are not retransmitted (drops are a congestion signal counted in
 // Stats); completion fires regardless so DAG progress cannot deadlock on
 // a full buffer.
-//
-//simlint:hotpath
 func (x *pktTransfer) finishOne(n *Network, p *packet, delivered bool) {
 	if p.xferGen != x.gen {
 		panic("network: packet finished against a recycled transfer")
@@ -147,8 +137,6 @@ func (x *pktTransfer) finishOne(n *Network, p *packet, delivered bool) {
 // and the transfer returns to the pool *before* the owner's callback
 // runs, so a callback that starts new transfers observes consistent
 // conservation state and may even reuse this very object.
-//
-//simlint:hotpath
 func (n *Network) finishTransfer(x *pktTransfer) {
 	n.openPktTransfers--
 	done := x.done
@@ -214,8 +202,6 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 // (or completes a loopback transfer). Locals are copied out first: if
 // every packet finishes synchronously (the route is already down), the
 // last finishOne releases x back to the pool mid-loop.
-//
-//simlint:hotpath
 func (n *Network) startPktTransfer(x *pktTransfer) {
 	if x.loop {
 		n.cover.Hit(modelcov.NetPktLoopback)
@@ -248,9 +234,12 @@ func (n *Network) startPktTransfer(x *pktTransfer) {
 }
 
 // egressQueue is the FIFO at one directional link end, backed by a
-// power-of-two ring buffer that shrinks back to minRingCap when it
-// drains — one congestion burst no longer pins its high-water capacity
-// for the rest of the run. busy() feeds the switch idle check.
+// power-of-two ring buffer that keeps its high-water capacity when it
+// drains, so a repeated burst (every scatter edge injects its packets at
+// once) allocates only the first time. The port buffer bounds that
+// capacity: enqueue admits at most about PortBufferBytes/MTU packets, a
+// 512-slot (4 KiB) ring at the 512 KiB default (no bound when
+// PortBufferBytes is 0). busy() feeds the switch idle check.
 type egressQueue struct {
 	link *linkState
 
@@ -263,7 +252,7 @@ type egressQueue struct {
 	drops       int64
 }
 
-// minRingCap is the steady-state ring capacity (power of two).
+// minRingCap is the ring's first capacity (power of two).
 const minRingCap = 8
 
 // newEgressQueue builds one directional queue with its cached
@@ -277,8 +266,6 @@ func newEgressQueue(l *linkState) *egressQueue {
 func (q *egressQueue) busy() bool { return q.sending || q.count > 0 }
 
 // push appends a packet to the ring, doubling capacity when full.
-//
-//simlint:hotpath
 func (q *egressQueue) push(p *packet) {
 	if q.count == len(q.buf) {
 		newCap := len(q.buf) * 2
@@ -295,28 +282,17 @@ func (q *egressQueue) push(p *packet) {
 	q.count++
 }
 
-// pop removes and returns the head packet; when the queue drains, any
-// burst-grown backing array is released.
-//
-//simlint:hotpath
+// pop removes and returns the head packet.
 func (q *egressQueue) pop() *packet {
 	p := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.count--
-	if q.count == 0 {
-		q.head = 0
-		if len(q.buf) > minRingCap {
-			q.buf = make([]*packet, minRingCap)
-		}
-	}
 	return p
 }
 
 // enqueue adds a packet, dropping it if the link is down or the buffer
 // would overflow.
-//
-//simlint:hotpath
 func (q *egressQueue) enqueue(n *Network, p *packet) {
 	if q.link.isDown() {
 		q.drops++
@@ -337,8 +313,6 @@ func (q *egressQueue) enqueue(n *Network, p *packet) {
 }
 
 // maybeSend starts serializing the head packet if the line is free.
-//
-//simlint:hotpath
 func (q *egressQueue) maybeSend(n *Network) {
 	if q.sending || q.count == 0 {
 		return
@@ -373,8 +347,6 @@ func (q *egressQueue) maybeSend(n *Network) {
 // serialized fires when the head packet's last bit is on the wire: the
 // line frees up for the next queued packet while the current one
 // propagates to the far end.
-//
-//simlint:hotpath
 func (q *egressQueue) serialized(n *Network) {
 	p := q.cur
 	q.cur = nil
@@ -410,16 +382,12 @@ func (q *egressQueue) dropAll(n *Network) {
 
 // packetForward queues the packet at its current hop's egress — the
 // body of the cached forward closure.
-//
-//simlint:hotpath
 func (n *Network) packetForward(p *packet) {
 	l := p.links[p.hop]
 	l.egress(l.a == p.nodes[p.hop]).enqueue(n, p)
 }
 
 // packetArrived lands a packet at the far end of its current link.
-//
-//simlint:hotpath
 func (n *Network) packetArrived(p *packet) {
 	l := p.links[p.hop]
 	l.markIdle()

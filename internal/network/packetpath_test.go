@@ -102,34 +102,36 @@ func TestTransferPacketCountCap(t *testing.T) {
 	}
 }
 
-// TestEgressRingShrinksAfterDrain pins the ring-buffer replacement for
-// the old `queue = queue[1:]` slice, which never released its high-water
-// backing array: after a congestion burst drains, the queue must be back
-// at the steady-state capacity.
-func TestEgressRingShrinksAfterDrain(t *testing.T) {
+// TestEgressRingKeepsCapacityAfterDrain pins the ring's high-water
+// policy: a drained queue keeps the capacity its burst grew, so the next
+// identical burst reuses the same backing array instead of regrowing it
+// from minRingCap (which cost dag-packet four allocations per 64 KiB
+// edge).
+func TestEgressRingKeepsCapacityAfterDrain(t *testing.T) {
 	eng, n, hosts := starNet(t, 4, func(c *Config) {
 		c.PortBufferBytes = 1 << 30
 	})
-	// 40 packets burst into one 12 us/packet link: ~39 queue behind the
-	// first, growing the ring well past its steady-state capacity.
-	if err := n.TransferPackets(hosts[0], hosts[1], 60_000, nil); err != nil {
-		t.Fatal(err)
-	}
 	l := linkOf(t, n, hosts[0])
 	q := l.egress(l.a == hosts[0])
-	grew := 0
-	eng.After(simtime.Microsecond, func() {
-		grew = len(q.buf)
-	})
-	eng.Run()
-	if grew <= minRingCap {
-		t.Fatalf("ring never grew under burst (cap %d mid-run); test is vacuous", grew)
+	// 40 packets burst into one 12 us/packet link: ~39 queue behind the
+	// first, growing the ring well past minRingCap.
+	burst := func() {
+		if err := n.TransferPackets(hosts[0], hosts[1], 60_000, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if q.count != 0 || q.queuedBytes != 0 {
+			t.Fatalf("queue not drained: count %d, bytes %d", q.count, q.queuedBytes)
+		}
 	}
-	if q.count != 0 || q.queuedBytes != 0 {
-		t.Fatalf("queue not drained: count %d, bytes %d", q.count, q.queuedBytes)
+	burst()
+	grown := q.buf
+	if len(grown) <= minRingCap {
+		t.Fatalf("ring never grew under burst (cap %d); test is vacuous", len(grown))
 	}
-	if len(q.buf) != minRingCap {
-		t.Errorf("steady-state ring capacity = %d after drain, want %d", len(q.buf), minRingCap)
+	burst()
+	if len(q.buf) != len(grown) || &q.buf[0] != &grown[0] {
+		t.Errorf("second burst reallocated the ring: cap %d -> %d", len(grown), len(q.buf))
 	}
 	reconcile(t, n)
 }

@@ -8,9 +8,11 @@ import "time"
 // in a result's timing fields, never fed back into a simulation.
 type Stopwatch struct{ start time.Time }
 
-// StartStopwatch starts timing now.
+// StartStopwatch starts timing now. It is the determinism check's one
+// named exemption (internal/analysis): its clock read is allowed, and
+// the check fails if it is renamed or stops reading the clock.
 func StartStopwatch() Stopwatch {
-	return Stopwatch{time.Now()} //simlint:allow determinism report timing only, never model state
+	return Stopwatch{time.Now()}
 }
 
 // Elapsed reports the host time since the stopwatch started.

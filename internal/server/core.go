@@ -69,8 +69,6 @@ func (c *Core) available() bool { return !c.busy && !c.waking && c.reserved == n
 // assign hands the core a task. The core must be available. If the core
 // (or its package) is in a sleep state, the task is reserved while the
 // wake transition runs.
-//
-//simlint:hotpath
 func (c *Core) assign(t *job.Task) {
 	if !c.available() {
 		panic("server: assign to unavailable core")
@@ -102,8 +100,6 @@ func (c *Core) assign(t *job.Task) {
 // wakeDone completes a core wake transition: the reserved task runs, or
 // (if its reservation was aborted while the wake was committed) the core
 // simply goes idle.
-//
-//simlint:hotpath
 func (c *Core) wakeDone() {
 	if c.srv.epoch != c.wakeEpoch {
 		return // the server crashed mid-wake; the transition is void
@@ -148,8 +144,6 @@ func (c *Core) wakeTransition() power.Transition {
 }
 
 // run starts executing t; the core must be in C0.
-//
-//simlint:hotpath
 func (c *Core) run(t *job.Task) {
 	now := c.srv.eng.Now()
 	c.busy = true
@@ -164,8 +158,6 @@ func (c *Core) run(t *job.Task) {
 }
 
 // finish completes the running task and asks the server for more work.
-//
-//simlint:hotpath
 func (c *Core) finish() {
 	t := c.task
 	c.busy = false
@@ -180,8 +172,6 @@ func (c *Core) finish() {
 // abortRun cancels the running task's completion (fault retraction): the
 // core pulls its next queued task or goes idle. The aborted task is not
 // counted as completed.
-//
-//simlint:hotpath
 func (c *Core) abortRun() {
 	c.srv.eng.Cancel(c.finishEv)
 	c.finishEv = engine.Handle{}
@@ -199,8 +189,6 @@ func (c *Core) abortRun() {
 
 // becomeIdle engages the C-state governor after the core runs out of
 // work.
-//
-//simlint:hotpath
 func (c *Core) becomeIdle() {
 	c.cstate = power.C0
 	c.refresh()

@@ -735,8 +735,6 @@ func (s *Server) SetCorePState(core, i int) error {
 // per-core cached draws in core-index order, then the sockets in order:
 // the additions a walk over the core states would make, so every total
 // keeps its bits.
-//
-//simlint:hotpath
 func (s *Server) recompute() {
 	now := s.eng.Now()
 	var cpu, dram, plat float64

@@ -22,8 +22,6 @@ func NewEnergyMeter(name string) *EnergyMeter {
 
 // SetPower records the instantaneous draw w (watts) starting at time t.
 // This is the hot path of every port/line-card power transition.
-//
-//simlint:hotpath
 func (m *EnergyMeter) SetPower(t simtime.Time, w float64) { m.tw.Set(t, w) }
 
 // EnergyTo reports accumulated joules up to time t.

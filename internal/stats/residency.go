@@ -45,8 +45,6 @@ func (r *Residency) Init(labels []string, dur []simtime.Time) {
 
 // SetState records a transition to state at time t. Re-entering the
 // current state is a no-op for accounting but allowed.
-//
-//simlint:hotpath
 func (r *Residency) SetState(t simtime.Time, state string) {
 	id := r.lookup(state)
 	if id < 0 {
@@ -64,8 +62,6 @@ func (r *Residency) intern(label string) int {
 }
 
 // SetStateID is SetState by label-table index.
-//
-//simlint:hotpath
 func (r *Residency) SetStateID(t simtime.Time, id int) {
 	if !r.started {
 		r.started = true

@@ -61,8 +61,6 @@ func NewGenerator(eng *engine.Engine, r *rng.Source, proc ArrivalProcess,
 // storage: the simulation's job free list. The job stays readable until
 // the event that finished it returns — it is handed out again only from
 // an arrival, an event of its own. Lost and unfinished jobs are dropped.
-//
-//simlint:hotpath
 func (g *Generator) Recycle(j *job.Job) { g.pool.Put(j) }
 
 // Start schedules the first arrival.
@@ -89,8 +87,6 @@ func (g *Generator) scheduleNext() {
 
 // arrive is the arrival event: it expands one job and hands it to the
 // sink, then schedules the next arrival.
-//
-//simlint:hotpath
 func (g *Generator) arrive() {
 	j := g.factory.newJob(g.pool, g.nextID, g.nextAt, g.service)
 	g.nextID++
