@@ -1,10 +1,10 @@
-// Command covsearch runs a model-state coverage campaign: N scenario
-// executions steered by internal/modelcov feedback
-// (scenario.GuidedSearch), reporting which semantic model features the
-// campaign reached, which it never reached, and the minimized corpus of
-// (seed, mut) inputs that earned the coverage. The corpus file it
-// writes is the same format FuzzScenario seeds from, so a campaign's
-// findings feed the native fuzzer directly.
+// Command covsearch runs a model-state coverage campaign
+// (scenario.Search): a seed corpus replay, then N fresh scenario
+// executions under internal/modelcov, reporting which semantic model
+// features the campaign reached, which it never reached, and the
+// minimized corpus of (seed, mut) inputs that earned the coverage. The
+// corpus file it writes is the same format FuzzScenario seeds from, so
+// a campaign's findings feed the native fuzzer directly.
 //
 // Usage:
 //
@@ -16,7 +16,6 @@
 //	  -corpus DIR   seed corpus directory to replay first
 //	  -out FILE     write the minimized corpus here
 //	  -top N        never-hit features to list (default 15, 0 = all)
-//	  -blind        also run the uniform-random baseline and compare
 package main
 
 import (
@@ -42,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	corpusDir := fs.String("corpus", "", "seed corpus directory to replay first")
 	out := fs.String("out", "", "write the minimized corpus to this file")
 	top := fs.Int("top", 15, "never-hit features to list (0 = all)")
-	blind := fs.Bool("blind", false, "also run the uniform-random baseline")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -50,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "covsearch: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if err := campaign(stdout, *execs, *seed, *workers, *maxJobs, *corpusDir, *out, *top, *blind); err != nil {
+	if err := campaign(stdout, *execs, *seed, *workers, *maxJobs, *corpusDir, *out, *top); err != nil {
 		fmt.Fprintln(stderr, "covsearch:", err)
 		return 1
 	}
@@ -58,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func campaign(w io.Writer, execs int, seed uint64, workers int, maxJobs int64,
-	corpusDir, out string, top int, blind bool) error {
+	corpusDir, out string, top int) error {
 	o := scenario.SearchOptions{
 		Seed:    seed,
 		Execs:   execs,
@@ -74,26 +72,15 @@ func campaign(w io.Writer, execs int, seed uint64, workers int, maxJobs int64,
 		fmt.Fprintf(w, "seed corpus: %d entries from %s\n", len(entries), corpusDir)
 	}
 
-	res, err := scenario.GuidedSearch(o)
+	res, err := scenario.Search(o)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "guided: %d execs (%d ran), coverage %d/%d, score %d, corpus %d\n",
+	fmt.Fprintf(w, "search: %d execs (%d ran), coverage %d/%d, score %d, corpus %d\n",
 		res.Execs, res.Ran, res.Cover.Covered(), res.Cover.Total(),
 		res.Cover.Score(), len(res.Corpus))
 	for _, f := range res.Failures {
 		fmt.Fprintf(w, "FAILURE seed=%d mut=%d: %s\n", f.Seed, f.Mut, f.Err)
-	}
-
-	if blind {
-		b, err := scenario.BlindSearch(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "blind:  %d execs (%d ran), coverage %d/%d, score %d\n",
-			b.Execs, b.Ran, b.Cover.Covered(), b.Cover.Total(), b.Cover.Score())
-		fmt.Fprintf(w, "guided advantage: %+d features, %+d score\n",
-			res.Cover.Covered()-b.Cover.Covered(), res.Cover.Score()-b.Cover.Score())
 	}
 
 	fmt.Fprint(w, res.Cover.Report(top))

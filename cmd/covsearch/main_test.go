@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,13 +13,12 @@ func TestRunCampaignWritesCorpus(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "corpus.txt")
 	var stdout, stderr strings.Builder
 	code := run([]string{"-execs", "24", "-seed", "3", "-maxjobs", "60",
-		"-blind", "-top", "5", "-out", out}, &stdout, &stderr)
+		"-top", "5", "-out", out}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	got := stdout.String()
-	for _, want := range []string{"guided:", "blind:", "guided advantage:",
-		"never hit", "minimized corpus:"} {
+	for _, want := range []string{"search:", "never hit", "minimized corpus:"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -34,6 +34,29 @@ func TestRunCampaignWritesCorpus(t *testing.T) {
 		if e.Gain <= 0 {
 			t.Fatalf("minimized entry %+v has non-positive gain", e)
 		}
+	}
+}
+
+// TestMaxJobsZeroMeansDefault: -maxjobs 0 is the default bound for the
+// campaign and its minimization alike, so the written corpus is the one
+// -maxjobs 800 writes.
+func TestMaxJobsZeroMeansDefault(t *testing.T) {
+	var files [2][]byte
+	for i, maxJobs := range []string{"0", "800"} {
+		out := filepath.Join(t.TempDir(), "corpus.txt")
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-execs", "16", "-seed", "3", "-maxjobs", maxJobs,
+			"-out", out}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-maxjobs %s: exit %d, stderr: %s", maxJobs, code, stderr.String())
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b
+	}
+	if string(files[0]) != string(files[1]) {
+		t.Fatalf("-maxjobs 0 and -maxjobs 800 wrote different corpora:\n%s\nvs\n%s", files[0], files[1])
 	}
 }
 

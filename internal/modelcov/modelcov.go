@@ -2,9 +2,9 @@
 // table over semantic features of a simulation run (sleep-state
 // transitions, queue-depth buckets, drop sites, fault kinds by scope,
 // cascade depths, orphan-policy branches, network terminal paths,
-// placer paths). It is the signal behind coverage-guided scenario
-// search (internal/scenario.GuidedSearch, cmd/covsearch): a mutation
-// that lights a feature no prior input reached earns a corpus slot.
+// placer paths). It is the signal behind scenario coverage search
+// (internal/scenario.Search, cmd/covsearch): an input that lights a
+// feature no prior input reached earns a corpus slot.
 //
 // The package is dependency-free and every recording method is safe on
 // a nil *Map, so instrumented packages call m.Hit(...) unconditionally
@@ -335,7 +335,7 @@ func (m *Map) Score() int {
 // compare runs by class, not raw count, so "hit this feature an order
 // of magnitude harder than ever before" registers as progress long
 // after the first hit — binary coverage alone saturates in a few dozen
-// executions and leaves a guided search nothing to climb.
+// executions and leaves a search nothing left to admit.
 func Bucket(c uint32) int {
 	b := 0
 	for c > 0 {

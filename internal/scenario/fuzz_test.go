@@ -9,7 +9,7 @@ import (
 // passes Validate must build, run to completion without panicking, and
 // hold every conservation law. The mutation word perturbs the drawn
 // scenario inside its legal ranges (mutate in search.go — the encoding
-// is shared with GuidedSearch) so the fuzzer explores corners the
+// is shared with Search) so the fuzzer explores corners the
 // uniform generator visits rarely (rho near saturation, zero-job
 // horizons, minimum farms, huge burst ratios, fault storms). Besides
 // the pinned seeds, the corpus minimized by cmd/covsearch seeds the
@@ -33,7 +33,7 @@ func FuzzScenario(f *testing.F) {
 		// mutation composed, cap generation so a single exec can never
 		// trip the fuzzer's hang detector (trace- or duration-only
 		// horizons on big farms otherwise derive 10^5+ jobs).
-		BoundWork(&s, 800)
+		BoundWork(&s, searchMaxJobs)
 		if err := s.Validate(); err != nil {
 			// An invalid mutation is fine — rejecting it cleanly is the
 			// contract. Running it is not.

@@ -3,12 +3,13 @@ package scenario
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
-	"holdcsim/internal/core"
 	"holdcsim/internal/modelcov"
 	"holdcsim/internal/network"
 	"holdcsim/internal/rng"
@@ -16,16 +17,16 @@ import (
 	"holdcsim/internal/sched"
 )
 
-// This file is the coverage-guided scenario search harness: blind
-// fuzzing mutates (seed, mut) words with no signal about *model* state
-// — it can run thousands of execs that never park a server in a deep
-// sleep state, fill an egress ring, or trip a cascade. GuidedSearch
-// closes the loop using internal/modelcov: after each batch the
-// features no run has reached yet are turned, through a table of
-// recipes, into candidates aimed at them, and an input whose run sets a
-// coverage record earns a corpus slot. The same (seed, mut) encoding is
-// shared with FuzzScenario, so a corpus found here seeds the native
-// fuzzer directly.
+// This file is the model-state coverage search harness: Search replays a
+// corpus of (seed, mut) inputs, runs fresh draws under internal/modelcov,
+// and keeps every input whose run reaches a model state — a deep sleep
+// state, a full egress ring, a cascade — no earlier input reached as
+// hard. The same (seed, mut) encoding is shared with FuzzScenario, so a
+// corpus found here seeds the native fuzzer directly.
+
+// searchMaxJobs is the per-execution work bound (BoundWork) of a search,
+// a corpus minimization and a FuzzScenario exec when none is given.
+const searchMaxJobs = 800
 
 // BoundWork clamps a scenario's work bound for a search or fuzz
 // executor: whatever horizon the generator or a mutation composed,
@@ -48,13 +49,11 @@ func BoundWork(s *Scenario, maxJobs int64) {
 // The mutation word is 16 independent 4-bit fields, one per
 // perturbation axis; nibble value 0 always means "leave the axis
 // alone". Independence is what makes the encoding mutable: rewriting
-// one nibble perturbs exactly one axis, so a recipe composes a word
-// from {axis, value} pairs and go-fuzz's byte-level mutations of the
-// word translate to small scenario edits instead of whole-scenario
-// rerolls. Nibble positions are load-bearing
-// for recorded (seed, mut) corpus pairs: never renumber an axis; new
-// axes must subdivide an existing nibble's value space or widen the
-// word.
+// one nibble perturbs exactly one axis, so go-fuzz's byte-level
+// mutations of the word translate to small scenario edits instead of
+// whole-scenario rerolls. Nibble positions are load-bearing for recorded
+// (seed, mut) corpus pairs: never renumber an axis; new axes must
+// subdivide an existing nibble's value space or widen the word.
 func mutate(s *Scenario, mut uint64) {
 	nib := func(i uint) uint64 { return (mut >> (4 * i)) & 0xf }
 
@@ -179,34 +178,26 @@ type SearchFailure struct {
 	Err  string
 }
 
-// SearchOptions configures GuidedSearch / BlindSearch.
+// SearchOptions configures Search.
 type SearchOptions struct {
-	// Seed drives candidate generation. The same (Seed, Execs,
-	// BatchSize, Corpus) always explores the same candidates, at any
-	// worker count.
+	// Seed drives candidate generation. The same (Seed, Execs, Corpus)
+	// always explores the same candidates, at any worker count.
 	Seed uint64
-	// Execs is the total number of candidate executions.
+	// Execs is the number of fresh candidate executions; the corpus
+	// replay does not count against it.
 	Execs int
 	// Workers is the execution pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// BatchSize is how many candidates are decided ahead of execution.
-	// Corpus feedback applies between batches, so a smaller batch
-	// follows the coverage signal more closely at the cost of less
-	// parallelism. <= 0 means 16.
-	BatchSize int
 	// MaxJobs is the per-execution work bound (BoundWork); <= 0 means
-	// 800, the FuzzScenario clamp.
+	// searchMaxJobs, the FuzzScenario clamp.
 	MaxJobs int64
 	// Corpus optionally seeds the search with prior findings.
 	Corpus []CorpusEntry
 }
 
 func (o *SearchOptions) defaults() {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
 	if o.MaxJobs <= 0 {
-		o.MaxJobs = 800
+		o.MaxJobs = searchMaxJobs
 	}
 }
 
@@ -226,16 +217,17 @@ type SearchResult struct {
 	Failures []SearchFailure
 }
 
-// candidate is one planned execution.
+// searchCandidate is one planned execution.
 type searchCandidate struct {
 	seed, mut uint64
 }
 
-// execBatch runs one batch of candidates through the campaign runner
-// and folds their coverage into the result in submission order, so the
-// outcome is independent of the worker count.
+// execBatch runs candidates through the campaign runner and folds their
+// coverage into the result in submission order, so the outcome is
+// independent of the worker count. With admit set, a candidate whose
+// merge gains a bucket class joins the corpus.
 func execBatch(o SearchOptions, cands []searchCandidate, global *modelcov.Map,
-	res *SearchResult, admit func(c searchCandidate, gain int)) error {
+	res *SearchResult, admit bool) error {
 	type outcome struct {
 		cover *modelcov.Map
 		fail  string
@@ -281,294 +273,53 @@ func execBatch(o SearchOptions, cands []searchCandidate, global *modelcov.Map,
 			continue // rejected by Validate
 		}
 		res.Ran++
-		if gain := global.Merge(out.cover); gain > 0 && admit != nil {
-			admit(cands[i], gain)
+		if gain := global.Merge(out.cover); gain > 0 && admit {
+			res.Corpus = append(res.Corpus, CorpusEntry{Seed: cands[i].seed, Mut: cands[i].mut, Gain: gain})
 		}
 	}
 	return nil
 }
 
-// A covRecipe composes candidates aimed at a group of coverage
-// features: match selects the features the recipe hunts, base is the
-// predicate a fresh base draw must satisfy (feature preconditions the
-// mutation word cannot set, e.g. a comm mode), and word builds the
-// mutation word. Recipes encode the same precondition knowledge the
-// feature table itself does — a fluid-flow terminal needs the fluid
-// model on packet comm, a deep cascade needs the renewal family with
-// high cascade probability — and turning the never-hit list into
-// candidates through them is what lets a search assemble multi-axis
-// conjunctions that uniform sampling has no realistic chance of
-// drawing at small budgets.
-type covRecipe struct {
-	match func(f modelcov.Feature) bool
-	base  func(s *Scenario) bool
-	word  func(r *rng.Source) uint64
-}
-
-// wordOf assembles a mutation word from {axis, value} nibble pairs.
-func wordOf(nibs ...[2]uint64) uint64 {
-	var mut uint64
-	for _, nv := range nibs {
-		mut |= (nv[1] & 0xf) << (4 * nv[0])
-	}
-	return mut
-}
-
-func anyBase(*Scenario) bool { return true }
-
-func between(f, lo, hi modelcov.Feature) bool { return f >= lo && f <= hi }
-
-// covRecipes is consulted in order; the first recipe matching an unhit
-// feature proposes for it. Nibble values reference the mutate axis
-// table above.
-var covRecipes = []covRecipe{
-	{ // Deep queue buckets: overload a one-server farm for a long horizon.
-		match: func(f modelcov.Feature) bool {
-			return between(f, modelcov.QueueDepth(5), modelcov.QueueDepth(1000))
-		},
-		base: anyBase,
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{0, 14}, [2]uint64{1, 15}, [2]uint64{2, 15}, [2]uint64{3, 1})
-		},
-	},
-	{ // Deep global-queue buckets: same, on a global-queue base.
-		match: func(f modelcov.Feature) bool {
-			return between(f, modelcov.GlobalQueueDepth(5), modelcov.GlobalQueueDepth(1000))
-		},
-		base: func(s *Scenario) bool { return s.GlobalQueue },
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{0, 14}, [2]uint64{1, 15}, [2]uint64{2, 15}, [2]uint64{3, 1})
-		},
-	},
-	{ // Cascades: renewal faults, fast MTTF, P=0.75 at depth 3, long horizon.
-		match: func(f modelcov.Feature) bool {
-			return f == modelcov.CascadeDepth1 || f == modelcov.CascadeDepth2 ||
-				f == modelcov.CascadeDepth3Plus
-		},
-		base: anyBase,
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{7, 15}, [2]uint64{8, 1}, [2]uint64{10, 3},
-				[2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-	{ // Fluid terminals: fluid model on packet comm, heavy edges, repeated
-		// link flaps and a switch kill so flows die mid-drain.
-		match: func(f modelcov.Feature) bool {
-			return f == modelcov.NetFluidComplete || f == modelcov.NetFluidFailed ||
-				f == modelcov.DropFluidKill
-		},
-		base: func(s *Scenario) bool {
-			return s.Comm == core.CommPacket && s.Topology.Kind != TopoNone
-		},
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{6, 15}, [2]uint64{4, 15}, [2]uint64{11, 2},
-				[2]uint64{7, 1}, [2]uint64{9, 5}, [2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-	{ // Flow terminals: flow comm, heavy edges, link flaps + switch kill.
-		match: func(f modelcov.Feature) bool {
-			return f == modelcov.NetFlowComplete || f == modelcov.NetFlowFailed ||
-				f == modelcov.NetFlowDeadStart
-		},
-		base: func(s *Scenario) bool {
-			return s.Comm == core.CommFlow && s.Topology.Kind != TopoNone
-		},
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{4, 15}, [2]uint64{11, 2}, [2]uint64{7, 1},
-				[2]uint64{9, 5}, [2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-	{ // Switch power paths: short switch sleep timer, light load, traffic.
-		match: func(f modelcov.Feature) bool {
-			return f == modelcov.SwitchSleep || f == modelcov.SwitchWake ||
-				f == modelcov.PortLPIEnter || f == modelcov.PortLPIWake
-		},
-		base: func(s *Scenario) bool {
-			return s.Topology.Kind != TopoNone && s.Comm != core.CommNone
-		},
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{12, 2}, [2]uint64{0, 3}, [2]uint64{2, 15})
-		},
-	},
-	{ // Drop sites and in-flight fault kinds: heavy bursty traffic over
-		// slow links while faults flap links and kill switches. The same
-		// storm is what strands a pre-placed child task on a server that
-		// dies mid-transfer (static-replace).
-		match: func(f modelcov.Feature) bool {
-			return between(f, modelcov.DropEnqueueLinkDown, modelcov.DropSweep) ||
-				between(f, modelcov.FaultKind(2), modelcov.FaultKind(5)) ||
-				f == modelcov.SchedStaticReplace
-		},
-		base: func(s *Scenario) bool {
-			return s.Comm != core.CommNone && s.Topology.Kind != TopoNone
-		},
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{4, 15}, [2]uint64{11, 2}, [2]uint64{1, 15},
-				[2]uint64{7, 1}, [2]uint64{9, 5}, [2]uint64{0, 14},
-				[2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-	{ // Correlated scope faults: rack/pod/subtree kills on a real topology.
-		match: func(f modelcov.Feature) bool {
-			return between(f, modelcov.ScopeDown(0), modelcov.ScopeDown(3)) ||
-				f == modelcov.FaultKind(6) || f == modelcov.FaultKind(7)
-		},
-		base: func(s *Scenario) bool { return s.Topology.Kind != TopoNone },
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{7, 6}, [2]uint64{8, 1}, [2]uint64{9, 1},
-				[2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-	{ // Crash-path branches: repeated long crashes on a tiny farm; p3 draws
-		// both orphan policies across attempts.
-		match: func(f modelcov.Feature) bool {
-			return between(f, modelcov.SchedOrphanRequeue, modelcov.SchedDeferredPlace) &&
-				f != modelcov.SchedStaticReplace ||
-				f == modelcov.PlaceAllDown ||
-				between(f, modelcov.FaultKind(0), modelcov.FaultKind(1))
-		},
-		base: anyBase,
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{7, 1}, [2]uint64{8, 15}, [2]uint64{10, uint64(r.IntN(16))},
-				[2]uint64{3, 1}, [2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-	{ // Rare residency transitions: sleep timers + renewal faults so sleep
-		// states and failures interleave.
-		match: func(f modelcov.Feature) bool {
-			return between(f, modelcov.SrvTransition(0, 0),
-				modelcov.SrvTransition(modelcov.NumSrvStates-1, modelcov.NumSrvStates-1))
-		},
-		base: anyBase,
-		word: func(r *rng.Source) uint64 {
-			return wordOf([2]uint64{5, 1 + uint64(r.IntN(4))}, [2]uint64{12, 2},
-				[2]uint64{7, 11}, [2]uint64{8, 1}, [2]uint64{0, 3},
-				[2]uint64{2, 15}, [2]uint64{15, 15})
-		},
-	},
-}
-
-// directed proposes a candidate hunting a still-unhit feature through
-// the recipe table. Each recipe's target set is charged collectively
-// and capped, so structurally unreachable features (the canary
-// transitions modelcov keeps on purpose) cannot absorb the budget:
-// after a few fruitless attempts a recipe retires for the campaign.
-func directed(r *rng.Source, global *modelcov.Map, tries map[modelcov.Feature]int) (searchCandidate, bool) {
-	unhit := global.NeverHit()
-	if len(unhit) == 0 {
-		return searchCandidate{}, false
-	}
-	start := r.IntN(len(unhit))
-	for k := 0; k < len(unhit); k++ {
-		f := unhit[(start+k)%len(unhit)]
-		if tries[f] >= 3 {
-			continue
-		}
-		for _, rec := range covRecipes {
-			if !rec.match(f) {
-				continue
-			}
-			mut := rec.word(r)
-			for try := 0; try < 48; try++ {
-				seed := r.Uint64()
-				s := Random(seed)
-				if rec.base(&s) {
-					for _, g := range unhit {
-						if rec.match(g) {
-							tries[g]++
-						}
-					}
-					return searchCandidate{seed: seed, mut: mut}, true
-				}
-			}
-			break // matched, but no base draw qualified: next feature
-		}
-	}
-	return searchCandidate{}, false
-}
-
-// GuidedSearch runs a coverage-guided scenario search campaign: batches
-// of (seed, mut) candidates execute under a model-state coverage map,
-// and any candidate whose run sets a coverage record — a new feature,
-// or a known feature driven into a higher count class — is admitted to
-// the corpus. Candidates come from two sources: a blind (seed, mut)
-// draw, and, once the first batch has landed, with probability one half
-// a recipe proposal aimed at a feature no run has reached yet
-// (directed). A third source has to earn its place the way these did:
-// by a paired measurement over campaign seeds (DESIGN.md Sec. 12.3
-// records one that a word schedule, a novelty tournament and corpus
-// mutation did not pass). The result is deterministic in SearchOptions
-// at any worker count.
-func GuidedSearch(o SearchOptions) (SearchResult, error) { return search(o, true) }
-
-// BlindSearch is the uniform-random baseline: the same executor and
-// budget as GuidedSearch, but every candidate is a fresh (seed, mut)
-// draw — no corpus, no feedback. cmd/covsearch and the pinned-seed
-// regression test compare the two at equal exec counts.
-func BlindSearch(o SearchOptions) (SearchResult, error) { return search(o, false) }
-
-// search is the campaign loop both searches share; guided adds the seed
-// corpus replay, corpus admission and the directed proposals.
-func search(o SearchOptions, guided bool) (SearchResult, error) {
+// Search runs a coverage search campaign. The seed corpus replays first:
+// it sets the starting bitmap, is never re-admitted and does not count
+// against Execs. Then Execs fresh (seed, mut) pairs, drawn in order from
+// rng.New(Seed).Split("covsearch"), execute under a model-state coverage
+// map, and any draw whose run sets a coverage record — a new feature, or
+// a known feature driven into a higher count class — is admitted to the
+// corpus. Draws take no feedback from coverage (DESIGN.md Sec. 12.3 says
+// why). The result is deterministic in SearchOptions at any worker count.
+func Search(o SearchOptions) (SearchResult, error) {
 	o.defaults()
-	r := rng.New(o.Seed).Split("covsearch")
 	global := &modelcov.Map{}
-	res := SearchResult{Cover: global}
-	var admit func(c searchCandidate, gain int)
-	if guided {
-		res.Corpus = append([]CorpusEntry(nil), o.Corpus...)
-		admit = func(c searchCandidate, gain int) {
-			res.Corpus = append(res.Corpus, CorpusEntry{Seed: c.seed, Mut: c.mut, Gain: gain})
-		}
+	res := SearchResult{Cover: global, Corpus: append([]CorpusEntry(nil), o.Corpus...)}
+	replay := make([]searchCandidate, len(o.Corpus))
+	for i, e := range o.Corpus {
+		replay[i] = searchCandidate{seed: e.Seed, mut: e.Mut}
 	}
+	if err := execBatch(o, replay, global, &res, false); err != nil {
+		return res, err
+	}
+	res.Execs, res.Ran = 0, 0
 
-	// Replay the seed corpus first (it defines the starting bitmap but
-	// is never re-admitted).
-	if len(res.Corpus) > 0 {
-		cands := make([]searchCandidate, len(res.Corpus))
-		for i, e := range res.Corpus {
-			cands[i] = searchCandidate{seed: e.Seed, mut: e.Mut}
-		}
-		if err := execBatch(o, cands, global, &res, nil); err != nil {
-			return res, err
-		}
-		res.Execs = 0 // corpus replay doesn't count against the budget
-		res.Ran = 0
+	r := rng.New(o.Seed).Split("covsearch")
+	draws := make([]searchCandidate, max(o.Execs, 0))
+	for i := range draws {
+		draws[i] = searchCandidate{seed: r.Uint64(), mut: r.Uint64()}
 	}
-
-	tries := map[modelcov.Feature]int{}
-	for res.Execs < o.Execs {
-		n := o.BatchSize
-		if rem := o.Execs - res.Execs; n > rem {
-			n = rem
-		}
-		cands := make([]searchCandidate, n)
-		for i := range cands {
-			// Directed proposals wait for the first batch to land: before any
-			// coverage has been observed the never-hit list is vacuous, and a
-			// campaign that starts hunting "missing" features it has not even
-			// tried to reach by sampling wastes its cheapest discoveries.
-			if guided && res.Execs > 0 && r.Bernoulli(0.5) {
-				if c, ok := directed(r, global, tries); ok {
-					cands[i] = c
-					continue
-				}
-			}
-			cands[i] = searchCandidate{seed: r.Uint64(), mut: r.Uint64()}
-		}
-		if err := execBatch(o, cands, global, &res, admit); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	err := execBatch(o, draws, global, &res, true)
+	return res, err
 }
 
 // MinimizeCorpus replays entries in order against a fresh coverage map
 // and keeps only those that still contribute a new feature, re-deriving
 // each survivor's Gain. Entries that fail to validate or run drop out.
 // Use it to compact a corpus after merging campaigns or after the
-// feature table grows.
+// feature table grows. maxJobs is the work bound as in SearchOptions, so
+// a campaign and its minimization run the same executions.
 func MinimizeCorpus(entries []CorpusEntry, maxJobs int64) []CorpusEntry {
+	if maxJobs <= 0 {
+		maxJobs = searchMaxJobs
+	}
 	global := &modelcov.Map{}
 	var out []CorpusEntry
 	for _, e := range entries {
@@ -595,7 +346,7 @@ func MinimizeCorpus(entries []CorpusEntry, maxJobs int64) []CorpusEntry {
 func WriteCorpus(path string, entries []CorpusEntry) error {
 	var b strings.Builder
 	b.WriteString("# covsearch corpus: one \"seed mut gain\" per line.\n")
-	b.WriteString("# Replayed by FuzzScenario and seedable into GuidedSearch.\n")
+	b.WriteString("# Replayed by FuzzScenario and seedable into Search.\n")
 	for _, e := range entries {
 		fmt.Fprintf(&b, "%d %d %d\n", e.Seed, e.Mut, e.Gain)
 	}
@@ -603,7 +354,8 @@ func WriteCorpus(path string, entries []CorpusEntry) error {
 }
 
 // ReadCorpus parses one corpus file written by WriteCorpus. The gain
-// column is optional (hand-written files may omit it).
+// column is optional (hand-written files may omit it); a line is two or
+// three unsigned decimal fields and nothing else.
 func ReadCorpus(path string) ([]CorpusEntry, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -619,12 +371,21 @@ func ReadCorpus(path string) ([]CorpusEntry, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		var e CorpusEntry
-		n, err := fmt.Sscanf(text, "%d %d %d", &e.Seed, &e.Mut, &e.Gain)
-		if err != nil && n < 2 {
+		f := strings.Fields(text)
+		if len(f) == 2 {
+			f = append(f, "0") // the gain column is optional
+		}
+		ok := len(f) == 3
+		var v [3]uint64
+		for i := 0; ok && i < len(v); i++ {
+			var err error
+			v[i], err = strconv.ParseUint(f[i], 10, 64)
+			ok = err == nil
+		}
+		if !ok || v[2] > math.MaxInt {
 			return nil, fmt.Errorf("%s:%d: want \"seed mut [gain]\", got %q", path, line, text)
 		}
-		out = append(out, e)
+		out = append(out, CorpusEntry{Seed: v[0], Mut: v[1], Gain: int(v[2])})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
