@@ -4,6 +4,12 @@ import (
 	"testing"
 
 	"holdcsim"
+	"holdcsim/internal/core"
+	"holdcsim/internal/power"
+	"holdcsim/internal/sched"
+	"holdcsim/internal/server"
+	"holdcsim/internal/topology"
+	"holdcsim/internal/workload"
 )
 
 // ablation is one side of a design choice: a configuration and what to
@@ -83,20 +89,20 @@ func TestAblationDirections(t *testing.T) {
 		}
 		return holdcsim.MMPP{Proc: m}
 	}
-	twoTier := func(seed uint64, comm holdcsim.CommMode, servers int, rate float64, bytes, jobs int64) holdcsim.Config {
+	twoTier := func(seed uint64, comm core.CommMode, servers int, rate float64, bytes, jobs int64) holdcsim.Config {
 		return holdcsim.Config{
 			Seed: seed, Servers: servers, ServerConfig: fourCore, CommMode: comm,
-			Placer:   holdcsim.RoundRobin{},
+			Placer:   sched.RoundRobin{},
 			Arrivals: holdcsim.Poisson{Rate: rate},
-			Factory: holdcsim.TwoTier{AppService: holdcsim.WebSearchService(),
+			Factory: workload.TwoTier{AppService: holdcsim.WebSearchService(),
 				DBService: holdcsim.WebSearchService(), Bytes: bytes},
 			MaxJobs: jobs,
 		}
 	}
-	star := func(comm holdcsim.CommMode) holdcsim.Config {
+	star := func(comm core.CommMode) holdcsim.Config {
 		cfg := twoTier(3, comm, 8, 200, 100_000, 1000)
-		cfg.Topology = holdcsim.Star{Hosts: 8, RateBps: 1e9}
-		cfg.NetworkConfig = holdcsim.DefaultNetworkConfig(holdcsim.Cisco2960_24())
+		cfg.Topology = topology.Star{Hosts: 8, RateBps: 1e9}
+		cfg.NetworkConfig = holdcsim.DefaultNetworkConfig(power.Cisco2960_24())
 		return cfg
 	}
 	atPState := func(i int) func(*holdcsim.DataCenter) error {
@@ -119,12 +125,12 @@ func TestAblationDirections(t *testing.T) {
 		sides     []ablation
 	}{
 		{"local-queue", "a unified local queue cuts tail latency against per-core queues (Sec. II, Li et al.)", p99, []ablation{
-			{name: "unified", cfg: farmConfig(1, 4, xeon(func(sc *holdcsim.ServerConfig) { sc.QueueMode = holdcsim.QueueUnified }), poisson(0.7, 4, 10), 8000)},
-			{name: "per-core", cfg: farmConfig(1, 4, xeon(func(sc *holdcsim.ServerConfig) { sc.QueueMode = holdcsim.QueuePerCore }), poisson(0.7, 4, 10), 8000)},
+			{name: "unified", cfg: farmConfig(1, 4, xeon(func(sc *holdcsim.ServerConfig) { sc.QueueMode = server.QueueUnified }), poisson(0.7, 4, 10), 8000)},
+			{name: "per-core", cfg: farmConfig(1, 4, xeon(func(sc *holdcsim.ServerConfig) { sc.QueueMode = server.QueuePerCore }), poisson(0.7, 4, 10), 8000)},
 		}},
 		{"flow-vs-packet", "the flow model carries the same traffic in far fewer events than per-packet forwarding (Sec. III-B)", events, []ablation{
 			{name: "flow", cfg: star(holdcsim.CommFlow)},
-			{name: "packet", cfg: star(holdcsim.CommPacket)},
+			{name: "packet", cfg: star(core.CommPacket)},
 		}},
 		{"global-queue", "a central queue is work-conserving where push dispatch commits a job to one server's backlog (Sec. III-E)", p99, []ablation{
 			{name: "global-queue", cfg: globalQueue},

@@ -8,7 +8,9 @@
 //
 //	scenario validate <file>...            parse + Validate, print the canonical label
 //	scenario expand <file>...              print every label a matrix file generates
-//	scenario run [flags] <file>...         execute files, TSV results to stdout
+//	scenario run [flags] <file>...         execute files, TSV results to stdout (one
+//	                                       row per run: latency, energy, wakeups,
+//	                                       network and fault counts, residency)
 //	  -workers N   worker pool size (default GOMAXPROCS)
 //	  -reps N      replications per scenario (default 1)
 //	  -check       fail on any invariant violation (default true)
@@ -31,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"holdcsim/internal/runner"
@@ -235,7 +238,8 @@ func runScenarios(scenarios []loaded, opts runner.Options) (string, int, error) 
 	}
 
 	var b strings.Builder
-	b.WriteString("label\trep\tseed\tend_s\tgenerated\tcompleted\tlost\tmean_ms\tp50_ms\tp95_ms\tp99_ms\tserver_J\tnetwork_J\tjobs_lost_drop\tjobs_lost_outage\ttasks_aborted\tfaults_applied\tviolations\n")
+	b.WriteString("label\trep\tseed\tend_s\tgenerated\tcompleted\tlost\tmean_ms\tp50_ms\tp95_ms\tp99_ms\tserver_J\tnetwork_J\tjobs_lost_drop\tjobs_lost_outage\ttasks_aborted\tfaults_applied\tviolations" +
+		"\tp90_ms\tmax_ms\tcpu_J\tdram_J\tplatform_J\tserver_wakeups\tswitch_wakeups\tflows_completed\tpkts_delivered\tpkts_dropped\tresidency\n")
 	violations := 0
 	for i, l := range scenarios {
 		for rep := 0; rep < reps; rep++ {
@@ -249,15 +253,18 @@ func runScenarios(scenarios []loaded, opts runner.Options) (string, int, error) 
 
 // writeRow renders one (scenario, replication) result. Floats use %g —
 // shortest round-trip form — so output is deterministic across
-// platforms and worker counts.
+// platforms and worker counts. The residency column is the sorted
+// state=fraction pairs joined by ";".
 func writeRow(b *strings.Builder, label string, rep int, seed uint64, res scenario.Result) {
 	r := res.Results
-	var mean, p50, p95, p99 float64
+	var mean, p50, p90, p95, p99, maxLat float64
 	if r.Latency != nil && r.Latency.Count() > 0 {
 		mean = r.Latency.Mean() * 1e3
 		p50 = r.Latency.Percentile(50) * 1e3
+		p90 = r.Latency.Percentile(90) * 1e3
 		p95 = r.Latency.Percentile(95) * 1e3
 		p99 = r.Latency.Percentile(99) * 1e3
+		maxLat = r.Latency.Max() * 1e3
 	}
 	// Fault-ledger columns render zero on fault-free runs (no ledger is
 	// attached at all), so fault-free TSV stays column-compatible.
@@ -267,12 +274,25 @@ func writeRow(b *strings.Builder, label string, rep int, seed uint64, res scenar
 		lostOutage = r.Faults.JobsLostNoAlive
 		applied = int64(r.Faults.Applied())
 	}
-	fmt.Fprintf(b, "%s\t%d\t%d\t%g\t%d\t%d\t%d\t%g\t%g\t%g\t%g\t%g\t%g\t%d\t%d\t%d\t%d\t%d\n",
+	states := make([]string, 0, len(r.Residency))
+	for s := range r.Residency {
+		states = append(states, s)
+	}
+	sort.Strings(states)
+	for i, s := range states {
+		states[i] = fmt.Sprintf("%s=%g", s, r.Residency[s])
+	}
+	fmt.Fprintf(b, "%s\t%d\t%d\t%g\t%d\t%d\t%d\t%g\t%g\t%g\t%g\t%g\t%g\t%d\t%d\t%d\t%d\t%d"+
+		"\t%g\t%g\t%g\t%g\t%g\t%d\t%d\t%d\t%d\t%d\t%s\n",
 		label, rep, seed, r.End.Seconds(),
 		r.JobsGenerated, r.JobsCompleted, r.JobsLost,
 		mean, p50, p95, p99,
 		r.ServerEnergyJ, r.NetworkEnergyJ,
-		lostDrop, lostOutage, r.TasksAborted, applied, len(res.Violations))
+		lostDrop, lostOutage, r.TasksAborted, applied, len(res.Violations),
+		p90, maxLat, r.CPUEnergyJ, r.DRAMEnergyJ, r.PlatformEnergyJ,
+		r.ServerWakeups, r.SwitchWakeups,
+		r.NetStats.FlowsCompleted, r.NetStats.PacketsDelivered, r.NetStats.PacketsDropped,
+		strings.Join(states, ";"))
 }
 
 // exportHeader prefixes exported files so the format documents itself.

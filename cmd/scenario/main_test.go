@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +21,21 @@ func cli(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	var out, errw bytes.Buffer
 	code = run(args, &out, &errw)
 	return code, out.String(), errw.String()
+}
+
+// column returns the named column of a run's TSV, one value per row.
+func column(t *testing.T, tsv, name string) []string {
+	t.Helper()
+	rows := strings.Split(strings.TrimSpace(tsv), "\n")
+	i := slices.Index(strings.Split(rows[0], "\t"), name)
+	if i < 0 {
+		t.Fatalf("column %q missing from header %q", name, rows[0])
+	}
+	var vals []string
+	for _, row := range rows[1:] {
+		vals = append(vals, strings.Split(row, "\t")[i])
+	}
+	return vals
 }
 
 // TestExportReimportByteIdentical is the acceptance check: an exported
@@ -51,14 +68,97 @@ func TestExportReimportByteIdentical(t *testing.T) {
 	if got != want {
 		t.Fatalf("file-driven TSV diverged from the in-memory run:\nfile:\n%s\nmemory:\n%s", got, want)
 	}
-	if !strings.Contains(got, "\t0\t0\n") && !strings.HasSuffix(strings.TrimSpace(got), "\t0") {
-		// Every row's last column is the violation count; the -check exit
-		// code already guarantees zero, this pins the column rendering.
-		t.Fatalf("unexpected TSV tail:\n%s", got)
+	// The -check exit code already guarantees zero violations; this pins
+	// the column rendering.
+	if v := column(t, got, "violations"); !slices.Equal(v, []string{"0", "0"}) { // 2 replications
+		t.Fatalf("violations column %v, want two zeros:\n%s", v, got)
 	}
-	rows := strings.Split(strings.TrimSpace(got), "\n")
-	if len(rows) != 3 { // header + 2 replications
-		t.Fatalf("got %d TSV rows, want 3:\n%s", len(rows), got)
+}
+
+// TestRunChecksEveryScenarioFixture: every checked-in scenario and
+// matrix file (comments, recorded traces, correlated faults) runs
+// invariant-checked, one TSV row per scenario it holds.
+func TestRunChecksEveryScenarioFixture(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(testdata, "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fixtures under %s (err %v)", testdata, err)
+	}
+	singles, matrices := 0, 0
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, isMatrix, err := scenario.DecodeAny(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if isMatrix {
+			matrices++
+		} else {
+			singles++
+		}
+		code, out, errw := cli(t, "run", "-check", path)
+		if code != 0 {
+			t.Errorf("%s: exit %d, stderr: %s", path, code, errw)
+			continue
+		}
+		if n := len(column(t, out, "label")); n != len(ss) {
+			t.Errorf("%s: %d TSV rows for %d scenarios", path, n, len(ss))
+		}
+	}
+	if singles == 0 || matrices == 0 {
+		t.Fatalf("fixtures cover %d scenario and %d matrix files, want both", singles, matrices)
+	}
+}
+
+// TestRunColumnsCarryResults: the columns after violations render the
+// run's core.Results — the figures a single run is reported by — for a
+// networked preset, where the network columns are nonzero.
+func TestRunColumnsCarryResults(t *testing.T) {
+	s, err := scenario.Preset("fig13-switch-validation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsv, _, err := runScenarios(asLoaded([]scenario.Scenario{s}), runner.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Results
+	var residency []string
+	for state := range r.Residency {
+		residency = append(residency, state)
+	}
+	slices.Sort(residency)
+	for i, state := range residency {
+		residency[i] = fmt.Sprintf("%s=%g", state, r.Residency[state])
+	}
+	for _, c := range []struct {
+		name string
+		want any
+	}{
+		{"p90_ms", r.Latency.Percentile(90) * 1e3},
+		{"max_ms", r.Latency.Max() * 1e3},
+		{"cpu_J", r.CPUEnergyJ},
+		{"dram_J", r.DRAMEnergyJ},
+		{"platform_J", r.PlatformEnergyJ},
+		{"server_wakeups", r.ServerWakeups},
+		{"switch_wakeups", r.SwitchWakeups},
+		{"flows_completed", r.NetStats.FlowsCompleted},
+		{"pkts_delivered", r.NetStats.PacketsDelivered},
+		{"pkts_dropped", r.NetStats.PacketsDropped},
+		{"residency", strings.Join(residency, ";")},
+	} {
+		if got, want := column(t, tsv, c.name)[0], fmt.Sprint(c.want); got != want {
+			t.Errorf("%s = %s, want %s", c.name, got, want)
+		}
+	}
+	if r.NetStats.PacketsDelivered == 0 {
+		t.Errorf("preset moved no packets: %+v", r.NetStats)
 	}
 }
 
@@ -174,11 +274,10 @@ func TestRunTraceFileScenario(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want header + 1:\n%s", len(rows), out)
 	}
-	cols := strings.Split(rows[1], "\t")
-	if cols[4] == "0" {
+	if column(t, out, "generated")[0] == "0" {
 		t.Fatalf("trace replay generated zero jobs:\n%s", out)
 	}
-	if cols[len(cols)-1] != "0" {
+	if column(t, out, "violations")[0] != "0" {
 		t.Fatalf("violations in trace replay:\n%s", out)
 	}
 }
@@ -197,22 +296,10 @@ func TestRunCorrelatedFaultScenario(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want header + 1:\n%s", len(rows), out)
 	}
-	head := strings.Split(rows[0], "\t")
-	cols := strings.Split(rows[1], "\t")
-	idx := func(name string) string {
-		t.Helper()
-		for i, h := range head {
-			if h == name {
-				return cols[i]
-			}
-		}
-		t.Fatalf("column %q missing from header: %v", name, head)
-		return ""
-	}
-	if idx("faults_applied") == "0" {
+	if column(t, out, "faults_applied")[0] == "0" {
 		t.Fatalf("correlated fixture applied zero faults:\n%s", out)
 	}
-	if idx("violations") != "0" {
+	if column(t, out, "violations")[0] != "0" {
 		t.Fatalf("violations in correlated run:\n%s", out)
 	}
 	// Byte-determinism through the CLI: a second run is identical.

@@ -1,0 +1,61 @@
+package holdcsim_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// secRef is a reference to a DESIGN.md section: the paper's sections are
+// roman (Sec. IV-D), so a section with an arabic number is DESIGN.md's.
+var secRef = regexp.MustCompile(`Secs?\.\s+(\d+(?:\.\d+)?)`)
+
+// TestSectionReferencesResolve: every DESIGN.md section reference in the
+// Go sources (tests included), CI, the verify skill, ROADMAP.md and
+// DESIGN.md itself names a heading DESIGN.md has — "## N." or
+// "### N.M". CHANGES.md is history and may cite sections that are gone.
+func TestSectionReferencesResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(?:## (\d+)\.|### (\d+\.\d+)) `).FindAllStringSubmatch(string(design), -1) {
+		headings[m[1]+m[2]] = true
+	}
+	files := []string{"DESIGN.md", "ROADMAP.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, and build caches such as .bench_build
+		}
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := 0
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range secRef.FindAllStringSubmatch(string(data), -1) {
+			refs++
+			if !headings[m[1]] {
+				t.Errorf("%s: %q names no DESIGN.md heading", path, m[0])
+			}
+		}
+	}
+	if len(headings) < 14 || refs < 20 {
+		t.Fatalf("found %d headings and %d references; the scan is broken", len(headings), refs)
+	}
+}

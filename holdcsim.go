@@ -28,15 +28,14 @@
 //	res, _ := dc.Run()
 //	fmt.Println(res) // latency percentiles, energy, residency, ...
 //
-// The facade is the part of the internal packages that examples/ and
-// the doc tests use, exported through aliases, so every method
-// documented there is available on the types below.
+// The facade is what examples/ use of the internal packages, exported
+// through aliases, so every method documented there is available on the
+// types below.
 package holdcsim
 
 import (
 	"holdcsim/internal/core"
 	"holdcsim/internal/dist"
-	"holdcsim/internal/engine"
 	"holdcsim/internal/network"
 	"holdcsim/internal/power"
 	"holdcsim/internal/rng"
@@ -57,15 +56,11 @@ type (
 	DataCenter = core.DataCenter
 	// Results aggregates latency, energy, residency and network stats.
 	Results = core.Results
-	// CommMode selects flow- or packet-level communication for DAG edges.
-	CommMode = core.CommMode
 )
 
-// Communication modes (the zero CommMode is server-only: no network).
-const (
-	CommFlow   = core.CommFlow
-	CommPacket = core.CommPacket
-)
+// CommFlow carries DAG edges as flows (the zero Config.CommMode is
+// server-only: no network).
+const CommFlow = core.CommFlow
 
 // Build validates a Config and constructs the data center.
 func Build(cfg Config) (*DataCenter, error) { return core.Build(cfg) }
@@ -83,21 +78,6 @@ const (
 // Seconds converts float64 seconds to Time.
 func Seconds(s float64) Time { return simtime.FromSeconds(s) }
 
-// Event engine (internal/engine).
-type (
-	// Engine is the discrete-event core: virtual clock + pooled ladder
-	// queue of events.
-	Engine = engine.Engine
-	// Timer is a restartable one-shot timer on the virtual clock.
-	Timer = engine.Timer
-)
-
-// NewEngine returns an empty engine at the simulation epoch.
-func NewEngine() *Engine { return engine.New() }
-
-// NewTimer returns an unarmed timer invoking fn on expiry.
-func NewTimer(eng *Engine, fn func()) *Timer { return engine.NewTimer(eng, fn) }
-
 // RNG is a deterministic random stream, splittable by label
 // (internal/rng).
 type RNG = rng.Source
@@ -111,20 +91,12 @@ type (
 	Server = server.Server
 	// ServerConfig parameterizes one server instance.
 	ServerConfig = server.Config
-	// QueueMode selects unified vs per-core local queues.
-	QueueMode = server.QueueMode
 	// DVFSGovernor is an ondemand-style runtime frequency controller.
 	DVFSGovernor = server.DVFSGovernor
 	// ServerProfile carries per-state power figures for a server model.
 	ServerProfile = power.ServerProfile
 	// SwitchProfile carries per-state power figures for a switch model.
 	SwitchProfile = power.SwitchProfile
-)
-
-// Local queue modes.
-const (
-	QueueUnified = server.QueueUnified
-	QueuePerCore = server.QueuePerCore
 )
 
 // Residency labels used by Results.Residency (the paper's Fig. 8 legend).
@@ -134,12 +106,6 @@ const (
 	StatePkgC6    = server.StatePkgC6
 	StateSysSleep = server.StateSysSleep
 )
-
-// NewServer constructs a standalone server bound to an engine (the
-// Config/Build path does this for whole farms).
-func NewServer(id int, eng *Engine, cfg ServerConfig) (*Server, error) {
-	return server.New(id, eng, cfg)
-}
 
 // NewDVFSGovernor attaches an ondemand-style frequency governor to a
 // server; call Start on it to begin.
@@ -157,25 +123,14 @@ func XeonE5_2680() *ServerProfile { return power.XeonE5_2680() }
 // FourCoreServer is the generic 4-core farm profile of Secs. IV-A/B.
 func FourCoreServer() *ServerProfile { return power.FourCoreServer() }
 
-// Cisco2960_24 is the validated 24-port switch profile (Sec. V-B).
-func Cisco2960_24() *SwitchProfile { return power.Cisco2960_24() }
-
 // DataCenter10G is a generic 10 GbE switch profile with the given ports.
 func DataCenter10G(ports int) *SwitchProfile { return power.DataCenter10G(ports) }
 
-// Topologies (internal/topology).
-type (
-	// FatTree is the k-ary fat-tree of Fig. 10.
-	FatTree = topology.FatTree
-	// Star is N hosts on one switch (the Sec. V-B validation shape).
-	Star = topology.Star
-)
+// FatTree is the k-ary fat-tree of Fig. 10 (internal/topology).
+type FatTree = topology.FatTree
 
-// Network (internal/network).
-type (
-	// NetworkConfig parameterizes the network layer.
-	NetworkConfig = network.Config
-)
+// NetworkConfig parameterizes the network layer (internal/network).
+type NetworkConfig = network.Config
 
 // DefaultNetworkConfig returns sensible network defaults for a profile.
 func DefaultNetworkConfig(profile *SwitchProfile) NetworkConfig {
@@ -184,10 +139,6 @@ func DefaultNetworkConfig(profile *SwitchProfile) NetworkConfig {
 
 // Scheduling (internal/sched).
 type (
-	// Placer chooses a server for each ready task: the whole policy.
-	Placer = sched.Placer
-	// RoundRobin cycles placements.
-	RoundRobin = sched.RoundRobin
 	// LeastLoaded balances by pending tasks.
 	LeastLoaded = sched.LeastLoaded
 	// PackFirst consolidates load onto as few servers as possible.
@@ -222,8 +173,6 @@ type (
 	TraceReplay = workload.TraceReplay
 	// SingleTask builds one-task jobs.
 	SingleTask = workload.SingleTask
-	// TwoTier builds app->db request DAGs.
-	TwoTier = workload.TwoTier
 	// RandomDAG builds layered random DAGs (the Sec. IV-D traffic).
 	RandomDAG = workload.RandomDAG
 	// Sampler draws service times or sizes.
@@ -247,9 +196,6 @@ func NewTraceReplay(tr *Trace) *TraceReplay { return workload.NewTraceReplay(tr)
 // WebSearchService is the 5 ms latency-critical profile (Sec. IV-B).
 func WebSearchService() Sampler { return workload.WebSearchService() }
 
-// WebServingService is the 120 ms profile (Sec. IV-B).
-func WebServingService() Sampler { return workload.WebServingService() }
-
 // WikipediaService is the 3-10 ms uniform profile (Sec. IV-A).
 func WikipediaService() Sampler { return workload.WikipediaService() }
 
@@ -262,10 +208,4 @@ func UtilizationRate(rho float64, nServers, nCores int, meanServiceSec float64) 
 // (stand-in for the paper's trace [59]; see DESIGN.md).
 func SyntheticWikipedia(durationSec, meanRate float64, r *RNG) *Trace {
 	return trace.SyntheticWikipedia(trace.DefaultWikipediaConfig(durationSec, meanRate), r)
-}
-
-// SyntheticNLANR generates an NLANR-like bursty HTTP arrival trace
-// (stand-in for the paper's trace [2]; see DESIGN.md).
-func SyntheticNLANR(durationSec float64, r *RNG) *Trace {
-	return trace.SyntheticNLANR(trace.DefaultNLANRConfig(durationSec), r)
 }

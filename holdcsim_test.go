@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"holdcsim"
+	"holdcsim/internal/trace"
+	"holdcsim/internal/workload"
 )
 
-// The facade tests exercise the public API exactly as a downstream user
-// would: no internal imports.
+// The facade tests exercise the public API as examples/ use it; what the
+// facade does not export they take from the internal packages.
 
 func TestPublicQuickstart(t *testing.T) {
 	cfg := holdcsim.Config{
@@ -49,9 +51,9 @@ func TestPublicNetworkedRun(t *testing.T) {
 		CommMode:      holdcsim.CommFlow,
 		Placer:        holdcsim.PackFirst{},
 		Arrivals:      holdcsim.Poisson{Rate: 50},
-		Factory: holdcsim.TwoTier{
+		Factory: workload.TwoTier{
 			AppService: holdcsim.WebSearchService(),
-			DBService:  holdcsim.WebServingService(),
+			DBService:  workload.WebServingService(),
 			Bytes:      5 << 20,
 		},
 		MaxJobs: 300,
@@ -109,7 +111,7 @@ func TestPublicTraces(t *testing.T) {
 	if wiki.Len() == 0 {
 		t.Fatal("empty wikipedia trace")
 	}
-	nlanr := holdcsim.SyntheticNLANR(300, r.Split("n"))
+	nlanr := trace.SyntheticNLANR(trace.DefaultNLANRConfig(300), r.Split("n"))
 	if nlanr.Len() == 0 {
 		t.Fatal("empty nlanr trace")
 	}
@@ -159,37 +161,5 @@ func TestPublicMMPP(t *testing.T) {
 	}
 	if res.JobsCompleted != 1000 {
 		t.Errorf("jobs = %d", res.JobsCompleted)
-	}
-}
-
-func TestPublicEngineAndTimer(t *testing.T) {
-	eng := holdcsim.NewEngine()
-	fired := 0
-	tm := holdcsim.NewTimer(eng, func() { fired++ })
-	tm.Reset(5 * holdcsim.Millisecond)
-	eng.Run()
-	if fired != 1 {
-		t.Errorf("timer fired %d times", fired)
-	}
-	if eng.Now() != 5*holdcsim.Millisecond {
-		t.Errorf("clock = %v", eng.Now())
-	}
-	if holdcsim.Seconds(1.5) != 1500*holdcsim.Millisecond {
-		t.Error("Seconds conversion broken")
-	}
-}
-
-func TestPublicStandaloneServer(t *testing.T) {
-	eng := holdcsim.NewEngine()
-	srv, err := holdcsim.NewServer(0, eng, holdcsim.DefaultServerConfig(holdcsim.XeonE5_2680()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Cores() != 10 {
-		t.Errorf("cores = %d", srv.Cores())
-	}
-	eng.RunUntil(holdcsim.Second)
-	if srv.EnergyTo(eng.Now()) <= 0 {
-		t.Error("no idle energy")
 	}
 }

@@ -11,7 +11,7 @@ func TestIsModelPackage(t *testing.T) {
 		{"holdcsim/internal/scenario", true},
 		{"holdcsim/internal/scenario/sub", true}, // scoped by top-level name
 		{"holdcsim/internal/analysis", false},    // the check itself is not a model
-		{"holdcsim/cmd/holdcsim", true},          // every cmd/ is in scope
+		{"holdcsim/cmd/scenario", true},          // every cmd/ is in scope
 		{"holdcsim", false},
 		{"holdcsim/examples/basic", false},
 		{"fmt", false},

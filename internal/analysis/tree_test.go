@@ -43,6 +43,34 @@ func funcKey(f *types.Func) string {
 	return f.Pkg().Path() + "." + f.Name()
 }
 
+// declaredNames is what one declaration unit (a function, or one spec of
+// a const/var/type group) declares.
+func declaredNames(u ast.Node) []*ast.Ident {
+	switch u := u.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{u.Name}
+	case *ast.TypeSpec:
+		return []*ast.Ident{u.Name}
+	case *ast.ValueSpec:
+		return u.Names
+	}
+	return nil
+}
+
+// tracked reports whether TestNoFuncWithoutCaller demands a user for obj,
+// declared in package path: functions under internal/, and functions,
+// types and constants of the root facade.
+func tracked(path string, obj types.Object) bool {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return (strings.HasPrefix(path, "holdcsim/internal/") || path == "holdcsim") &&
+			obj.Name() != "init" && obj.Name() != "_" && !takesTesting(obj)
+	case *types.TypeName, *types.Const:
+		return path == "holdcsim"
+	}
+	return false
+}
+
 // takesTesting reports whether fn has a parameter from package testing
 // (*testing.T, testing.TB, ...): such a function is test support by
 // signature — only a test can call it — however its file is named.
@@ -64,10 +92,22 @@ func namedOf(t types.Type) *types.Named {
 	return n
 }
 
+// objKey is funcKey for any package-level object: a type or constant is
+// named by its package path and name.
+func objKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		return funcKey(fn)
+	}
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
 // The three tests below hold the whole tree, not a fixture, to a property
 // on every `go test ./...`: they load every non-test package of the
 // module once, from the module root.
-var tree struct {
+var tree, bench struct {
 	once sync.Once
 	pkgs []*analysis.Package
 	err  error
@@ -85,6 +125,18 @@ func loadTree(t *testing.T) []*analysis.Package {
 	return tree.pkgs
 }
 
+// loadTreeAndBench adds the frozen bench/ module to the tree: it counts
+// as a user because it cannot change.
+func loadTreeAndBench(t *testing.T) []*analysis.Package {
+	t.Helper()
+	pkgs := loadTree(t)
+	bench.once.Do(func() { bench.pkgs, bench.err = analysis.Load("../../bench", []string{"./..."}) })
+	if bench.err != nil {
+		t.Fatal(bench.err)
+	}
+	return slices.Concat(pkgs, bench.pkgs)
+}
+
 // TestTreeHasNoFindings is the "zero findings tree-wide" bar as a tier-1
 // test: the determinism check over ./..., failing on any finding (an
 // exemption that suppresses nothing included).
@@ -97,68 +149,68 @@ func TestTreeHasNoFindings(t *testing.T) {
 }
 
 // TestNoFuncWithoutCaller holds the tree to "nothing without a caller":
-// every function and method declared in non-test code under internal/
-// is referenced by non-test code in internal/, cmd/, examples/, the root
-// facade or bench/ (outside its own body), or is a method some interface
-// in the program or in stdInterfaces asks of its receiver type. What a
-// test alone needs lives in a _test.go file; a feature nothing can reach
-// is deleted. The scan is typed (types.Info.Uses), so a comment, a
-// same-named method on another type or a test does not keep code alive.
+// every function and method declared in non-test code under internal/,
+// and every function, type alias and constant of the root facade, is
+// named by non-test code in internal/, cmd/, examples/, the facade or
+// bench/ (outside its own declaration; a facade function's signature
+// counts), or is a method some interface in the program or in
+// stdInterfaces asks of its receiver type. What a test alone needs lives
+// in a _test.go file; a feature nothing can reach is deleted. The scan is
+// typed (types.Info.Uses), so a comment, a same-named method on another
+// type or a test does not keep code alive.
 func TestNoFuncWithoutCaller(t *testing.T) {
-	// The frozen bench/ module counts as a caller because it cannot change.
-	bench, err := analysis.Load("../../bench", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs := slices.Concat(loadTree(t), bench)
-
-	type decl struct {
-		pos  token.Position
-		body *ast.FuncDecl
-	}
-	decls := map[string]decl{}
+	decls := map[string]token.Position{}
 	used := map[string]bool{}
-	for _, pkg := range pkgs {
+	for _, pkg := range loadTreeAndBench(t) {
 		for _, file := range pkg.Files {
-			// Uses, attributed to the enclosing declaration so recursion
-			// does not count as a caller.
+			// Uses, attributed to the enclosing declaration (one function,
+			// or one spec of a const/type group) so recursion and a
+			// declaration's own body do not count as a use.
 			for _, d := range file.Decls {
-				self := ""
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-						self = funcKey(fn)
-						if strings.HasPrefix(pkg.Path, "holdcsim/internal/") &&
-							fn.Name() != "init" && fn.Name() != "_" && !takesTesting(fn) {
-							decls[self] = decl{pkg.Fset.Position(fd.Pos()), fd}
-						}
+				var units []ast.Node
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, s := range gd.Specs {
+						units = append(units, s)
 					}
+				} else {
+					units = append(units, d)
 				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if fn, ok := pkg.TypesInfo.Uses[id].(*types.Func); ok {
-						if k := funcKey(fn); k != self {
-							used[k] = true
+				for _, u := range units {
+					self := map[string]bool{}
+					for _, id := range declaredNames(u) {
+						if obj := pkg.TypesInfo.Defs[id]; obj != nil {
+							self[objKey(obj)] = true
+							if tracked(pkg.Path, obj) {
+								decls[objKey(obj)] = pkg.Fset.Position(id.Pos())
+							}
 						}
 					}
-					return true
-				})
+					ast.Inspect(u, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							switch obj := pkg.TypesInfo.Uses[id].(type) {
+							case *types.Func, *types.TypeName, *types.Const:
+								if k := objKey(obj); !self[k] {
+									used[k] = true
+								}
+							}
+						}
+						return true
+					})
+				}
 			}
 		}
 		markInterfaceMethods(t, pkg, used)
 	}
 
 	var dead []string
-	for k, d := range decls {
+	for k, pos := range decls {
 		if !used[k] && uncalled[k] == "" {
-			dead = append(dead, d.pos.String()+": "+k)
+			dead = append(dead, pos.String()+": "+k)
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s has no non-test caller: delete it, move it to a _test.go file, or give it one", d)
+		t.Errorf("%s has no non-test user: delete it, move it to a _test.go file, or give it one", d)
 	}
 	for k := range uncalled {
 		if _, ok := decls[k]; !ok {
@@ -189,7 +241,8 @@ var unread = map[string]string{
 // its address — is a read, and a struct used as a map key has all its
 // fields read by the map. A field that is only written costs its writes
 // and tells nobody anything: delete it, or keep what a test needs to
-// observe in a _test.go file.
+// observe in a _test.go file. The write half, unwrittenFields, asks the
+// converse of every field.
 func TestNoFieldWithoutReader(t *testing.T) {
 	type decl struct {
 		pos  token.Position
@@ -317,6 +370,212 @@ func TestNoFieldWithoutReader(t *testing.T) {
 	if len(unread) > 3 {
 		t.Errorf("allowlist has %d entries; the bar is 3", len(unread))
 	}
+
+	for _, d := range unwrittenFields(loadTreeAndBench(t)) {
+		t.Errorf("%s is never written by non-test code, so it is a constant: delete it or make it one", d)
+	}
+}
+
+// unwrittenFields is the write half of TestNoFieldWithoutReader: every
+// field of a struct type declared in non-test code under internal/ must
+// be written by non-test code in pkgs. A write is an assignment, `++` or
+// `op=` to the field or to a path through it (`x.f.g = v` and
+// `x.f[i] = v` write f), its address (`&x.f`), a keyed or positional
+// composite-literal element, or a pointer-receiver method called on it
+// (`x.mu.Lock()`). An embedded field is written when a promoted field is
+// written, or a pointer method called, through it. A field with a struct
+// tag, or an exported field of an unexported type, is exempt: those are
+// what encoding/json writes by reflection.
+func unwrittenFields(pkgs []*analysis.Package) []string {
+	type decl struct {
+		pos    token.Position
+		exempt bool
+	}
+	decls := map[string]decl{}
+	written := map[string]bool{}
+	for _, pkg := range pkgs {
+		info := pkg.TypesInfo
+		keys := fieldKeys(pkg)
+		mark := func(f *types.Var) { written[keys[f.Origin()]] = true }
+		// markPath marks the fields a selection passes through: the
+		// embedded ones, and the selected field itself.
+		markPath := func(sel *types.Selection) {
+			t := sel.Recv()
+			for i, idx := range sel.Index() {
+				if sel.Kind() != types.FieldVal && i == len(sel.Index())-1 {
+					return
+				}
+				st, ok := deref(t).Underlying().(*types.Struct)
+				if !ok {
+					return
+				}
+				mark(st.Field(idx))
+				t = st.Field(idx).Type()
+			}
+		}
+		store := func(e ast.Expr) {
+			for {
+				switch x := ast.Unparen(e).(type) {
+				case *ast.SelectorExpr:
+					if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						markPath(sel)
+					}
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					tn, ok := info.Defs[n.Name].(*types.TypeName)
+					if !ok || !strings.HasPrefix(pkg.Path, "holdcsim/internal/") {
+						break
+					}
+					walkFields(pkg.Path+"."+tn.Name(), tn.Type().Underlying(), func(key string, st *types.Struct, i int) {
+						f := st.Field(i)
+						decls[key] = decl{pkg.Fset.Position(f.Pos()),
+							st.Tag(i) != "" || f.Exported() && !tn.Exported()}
+					})
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						store(lhs)
+					}
+				case *ast.IncDecStmt:
+					store(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						store(n.X)
+					}
+				case *ast.SelectorExpr:
+					sel := info.Selections[n]
+					if sel == nil || sel.Kind() == types.FieldVal {
+						break
+					}
+					if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+						markPath(sel)
+						if _, isPtr := info.TypeOf(n.X).Underlying().(*types.Pointer); !isPtr {
+							store(n.X)
+						}
+					}
+				case *ast.CompositeLit:
+					st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								mark(f)
+							}
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var dead []string
+	for k, d := range decls {
+		if !d.exempt && !written[k] {
+			dead = append(dead, d.pos.String()+": "+k)
+		}
+	}
+	sort.Strings(dead)
+	return dead
+}
+
+// fieldKeys names every struct field visible from pkg — declared in it,
+// including function-local types, or in a package it imports — the same
+// way in every typechecker universe: package path, type name, field name,
+// one more segment per nested anonymous struct.
+func fieldKeys(pkg *analysis.Package) map[*types.Var]string {
+	keys := map[*types.Var]string{}
+	add := func(tn *types.TypeName) {
+		if !tn.IsAlias() {
+			walkFields(tn.Pkg().Path()+"."+tn.Name(), tn.Type().Underlying(), func(key string, st *types.Struct, i int) {
+				keys[st.Field(i)] = key
+			})
+		}
+	}
+	for _, p := range visiblePackages(pkg) {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn)
+			}
+		}
+	}
+	for _, obj := range pkg.TypesInfo.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && tn.Parent() != tn.Pkg().Scope() {
+			add(tn)
+		}
+	}
+	return keys
+}
+
+// walkFields calls fn with the key of every field of t, a struct type
+// named by prefix, descending into anonymous struct-typed fields.
+func walkFields(prefix string, t types.Type, fn func(key string, st *types.Struct, i int)) {
+	st, ok := t.(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		key := prefix + "." + st.Field(i).Name()
+		fn(key, st, i)
+		ft := st.Field(i).Type()
+		for {
+			switch u := ft.(type) {
+			case *types.Pointer:
+				ft = u.Elem()
+				continue
+			case *types.Slice:
+				ft = u.Elem()
+				continue
+			case *types.Array:
+				ft = u.Elem()
+				continue
+			case *types.Map:
+				ft = u.Elem()
+				continue
+			}
+			break
+		}
+		walkFields(key, ft, fn)
+	}
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// visiblePackages is pkg and every package it imports, transitively.
+func visiblePackages(pkg *analysis.Package) []*types.Package {
+	pkgs := []*types.Package{pkg.Types}
+	seen := map[*types.Package]bool{pkg.Types: true}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if !seen[imp] {
+				seen[imp] = true
+				pkgs = append(pkgs, imp)
+				walk(imp)
+			}
+		}
+	}
+	walk(pkg.Types)
+	return pkgs
 }
 
 // markInterfaceMethods marks, for every interface visible from pkg (its
@@ -325,19 +584,10 @@ func TestNoFieldWithoutReader(t *testing.T) {
 // the type (or its pointer) implements it. Both sides come from pkg's
 // own typechecker universe, so types.Implements compares like with like.
 func markInterfaceMethods(t *testing.T, pkg *analysis.Package, used map[string]bool) {
-	scopes := []*types.Scope{pkg.Types.Scope()}
-	seen := map[*types.Package]bool{pkg.Types: true}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		for _, imp := range p.Imports() {
-			if !seen[imp] {
-				seen[imp] = true
-				scopes = append(scopes, imp.Scope())
-				walk(imp)
-			}
-		}
+	var scopes []*types.Scope
+	for _, p := range visiblePackages(pkg) {
+		scopes = append(scopes, p.Scope())
 	}
-	walk(pkg.Types)
 	for _, path := range stdInterfaces {
 		std, err := stdImporter.Import(path)
 		if err != nil {

@@ -352,7 +352,7 @@ func build(cfg Config, compactAbove int) (*DataCenter, error) {
 	}
 
 	// Invariant checking. The farm's incremental aggregates keep the
-	// checker's Finalize sums O(1), and the default ScanBudget bounds
+	// checker's Finalize sums O(1), and the checker's scan budget bounds
 	// every deep scan, so checking stays affordable at any farm size.
 	if cfg.Check {
 		opts := invariant.Options{Stationary: cfg.CheckStationary, Farm: dc.Farm}

@@ -1,8 +1,7 @@
 // Package dist provides the service-time and arrival-size distributions
 // used by workload factories (paper Sec. III-D): memoryless exponential
-// service, uniform and deterministic profiles, heavy-tailed log-normal
-// and Pareto sizes, and the 2-state Markov-Modulated Poisson Process
-// behind the burstiness sweeps.
+// service, uniform and deterministic profiles, and the 2-state
+// Markov-Modulated Poisson Process behind the burstiness sweeps.
 //
 // Every distribution draws from an explicit *rng.Source so experiments
 // stay deterministic and label-splittable.
@@ -63,38 +62,6 @@ func (d Deterministic) Sample(r *rng.Source) float64 { return d.Value }
 func (d Deterministic) Mean() float64 { return d.Value }
 
 func (d Deterministic) String() string { return fmt.Sprintf("det(%g)", d.Value) }
-
-// LogNormal is parameterized by the mean Mu and deviation Sigma of the
-// underlying normal.
-type LogNormal struct {
-	Mu, Sigma float64
-}
-
-// Sample implements Sampler.
-func (l LogNormal) Sample(r *rng.Source) float64 { return r.LogNormal(l.Mu, l.Sigma) }
-
-// Mean implements Sampler.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-func (l LogNormal) String() string { return fmt.Sprintf("lognormal(μ=%g,σ=%g)", l.Mu, l.Sigma) }
-
-// Pareto is heavy-tailed with minimum Xm and shape Alpha.
-type Pareto struct {
-	Xm, Alpha float64
-}
-
-// Sample implements Sampler.
-func (p Pareto) Sample(r *rng.Source) float64 { return r.Pareto(p.Xm, p.Alpha) }
-
-// Mean implements Sampler.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-func (p Pareto) String() string { return fmt.Sprintf("pareto(xm=%g,α=%g)", p.Xm, p.Alpha) }
 
 // Weibull has scale λ (Scale) and shape k (Shape). Shape < 1 models
 // infant-mortality lifetimes, shape 1 reduces to the exponential, and

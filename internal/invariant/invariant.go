@@ -48,14 +48,6 @@ type Options struct {
 	// SampleEvery runs the deep scan once per this many observations
 	// (default 64). The scan always also runs at Finalize.
 	SampleEvery int
-	// ScanBudget caps how many servers one deep scan (and one Finalize
-	// energy pass) visits — default 256, negative means unbounded. A
-	// bounded scan drains the dirty set first (servers dispatched to
-	// since the last scan, in first-touch order), then spends the rest
-	// of the budget round-robin from a rotating cursor, so quiet
-	// servers are still revisited eventually. This is what keeps the
-	// checker O(1) per boundary on million-server farms.
-	ScanBudget int
 	// Farm, when set, supplies the whole-farm incremental aggregates so
 	// Finalize's task-conservation sums are O(1) instead of a walk over
 	// every server. The farm must hold exactly the checked servers.
@@ -83,6 +75,14 @@ type Options struct {
 // RelTol is the relative tolerance for floating-point closure laws.
 const RelTol = 1e-9
 
+// scanBudget caps how many servers one deep scan (and one Finalize
+// energy pass) visits. A bounded scan drains the dirty set first
+// (servers dispatched to since the last scan, in first-touch order),
+// then spends the rest of the budget round-robin from a rotating
+// cursor, so quiet servers are still revisited eventually. This is what
+// keeps the checker O(1) per boundary on million-server farms.
+const scanBudget = 256
+
 // Checker observes one data center and accumulates violations. Attach
 // wires it; Finalize runs the end-of-run laws. All methods run
 // single-threaded on the engine's event loop, like the simulation
@@ -98,9 +98,9 @@ type Checker struct {
 	lastNow simtime.Time
 	scanIn  int // observations until the next deep scan
 
-	// Bounded-scan state: scanBudget is the resolved per-scan cap (-1
-	// unbounded); dirty lists server positions dispatched to since the
-	// last scan in first-touch order, dirtyBits is its membership
+	// Bounded-scan state: scanBudget is the per-scan cap (the constant;
+	// tests lower it); dirty lists server positions dispatched to since
+	// the last scan in first-touch order, dirtyBits is its membership
 	// bitset, and cursor rotates background coverage across scans.
 	scanBudget int
 	dirty      []int32
@@ -143,16 +143,10 @@ func Attach(eng *engine.Engine, gen *workload.Generator, s *sched.Scheduler,
 	if opts.MaxViolations <= 0 {
 		opts.MaxViolations = 32
 	}
-	budget := opts.ScanBudget
-	if budget == 0 {
-		budget = 256
-	} else if budget < 0 {
-		budget = -1
-	}
 	c := &Checker{
 		eng: eng, gen: gen, sched: s, servers: servers, net: net, opts: opts,
 		scanIn:     opts.SampleEvery,
-		scanBudget: budget,
+		scanBudget: scanBudget,
 		dirtyBits:  make([]uint64, (len(servers)+63)/64),
 	}
 	for i, srv := range servers {
@@ -352,12 +346,12 @@ func (c *Checker) scanServer(srv *server.Server) {
 	}
 }
 
-// deepScan runs the per-server laws over at most ScanBudget servers —
+// deepScan runs the per-server laws over at most scanBudget servers —
 // the dirty set first, then round-robin from the rotating cursor — plus
 // the global-queue, scope, and network laws.
 func (c *Checker) deepScan() {
 	n := len(c.servers)
-	if c.scanBudget < 0 || c.scanBudget >= n {
+	if c.scanBudget >= n {
 		for _, srv := range c.servers {
 			c.scanServer(srv)
 		}
@@ -499,11 +493,11 @@ func (c *Checker) Finalize(end simtime.Time) []Violation {
 // physical power envelope — an envelope that excludes down-time
 // residency, since a crashed server draws nothing. Billing any power
 // during an outage therefore breaks the law. On farms larger than
-// ScanBudget the pass samples budget-many servers from the rotating
+// scanBudget the pass samples budget-many servers from the rotating
 // cursor rather than walking all of them.
 func (c *Checker) checkEnergy(end simtime.Time) {
 	n := len(c.servers)
-	if c.scanBudget < 0 || c.scanBudget >= n {
+	if c.scanBudget >= n {
 		for _, srv := range c.servers {
 			c.checkServerEnergy(srv, end)
 		}

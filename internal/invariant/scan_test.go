@@ -11,20 +11,23 @@ import (
 	"holdcsim/internal/workload"
 )
 
+// A checker starts with the constant budget; the tests below lower it
+// to reach the bounded path on small farms.
 func TestScanBudgetResolution(t *testing.T) {
 	if got := newRig(t, 2, 1, Options{}).c.scanBudget; got != 256 {
-		t.Errorf("default scan budget %d, want 256", got)
-	}
-	if got := newRig(t, 2, 1, Options{ScanBudget: -3}).c.scanBudget; got != -1 {
-		t.Errorf("negative scan budget resolved to %d, want -1 (unbounded)", got)
-	}
-	if got := newRig(t, 2, 1, Options{ScanBudget: 7}).c.scanBudget; got != 7 {
-		t.Errorf("explicit scan budget resolved to %d, want 7", got)
+		t.Errorf("scan budget %d, want 256", got)
 	}
 }
 
+// budgetRig is newRig with the checker's scan budget lowered to budget.
+func budgetRig(t *testing.T, servers int, jobs int64, budget int, opts Options) *rig {
+	r := newRig(t, servers, jobs, opts)
+	r.c.scanBudget = budget
+	return r
+}
+
 func TestDirtySetFirstTouchOrder(t *testing.T) {
-	r := newRig(t, 8, 1, Options{ScanBudget: 4})
+	r := budgetRig(t, 8, 1, 4, Options{})
 	srvs := r.farm
 	r.c.markDirty(srvs[5])
 	r.c.markDirty(srvs[2])
@@ -45,7 +48,7 @@ func TestDirtySetFirstTouchOrder(t *testing.T) {
 // rotating cursor; dirty servers scanned this round are not re-scanned
 // off the cursor.
 func TestBoundedScanRotatesCursor(t *testing.T) {
-	r := newRig(t, 8, 1, Options{ScanBudget: 3})
+	r := budgetRig(t, 8, 1, 3, Options{})
 	r.c.deepScan()
 	r.c.deepScan()
 	r.c.deepScan() // 9 cursor steps wrap the 8-server farm
@@ -77,7 +80,7 @@ func TestBoundedScanRotatesCursor(t *testing.T) {
 }
 
 func TestCleanRunBoundedScanNoViolations(t *testing.T) {
-	r := newRig(t, 16, 300, Options{ScanBudget: 2, SampleEvery: 1})
+	r := budgetRig(t, 16, 300, 2, Options{SampleEvery: 1})
 	r.run()
 	if v := r.c.Finalize(r.eng.Now()); len(v) != 0 {
 		t.Fatalf("bounded-scan run reported violations: %v", v)
@@ -107,7 +110,8 @@ func TestFarmAggregateFinalize(t *testing.T) {
 		workload.SingleTask{Service: workload.WebSearchService()},
 		s.JobArrived)
 	gen.MaxJobs = 150
-	c := Attach(eng, gen, s, srvs, nil, Options{Farm: farm, ScanBudget: 2, SampleEvery: 1})
+	c := Attach(eng, gen, s, srvs, nil, Options{Farm: farm, SampleEvery: 1})
+	c.scanBudget = 2
 	gen.Start()
 	eng.Run()
 	if v := c.Finalize(eng.Now()); len(v) != 0 {

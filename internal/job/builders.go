@@ -12,15 +12,15 @@ import (
 // of *Pool that builds into a recycled job when the pool holds one; the
 // nil pool allocates.
 
-// Single builds a one-task job of any kind on the nil pool.
+// Single builds a one-task job on the nil pool.
 func Single(id ID, arrive simtime.Time, size simtime.Time) *Job {
-	return (*Pool)(nil).Single(id, arrive, size, "")
+	return (*Pool)(nil).Single(id, arrive, size)
 }
 
-// Single builds a one-task job of the given kind.
-func (p *Pool) Single(id ID, arrive simtime.Time, size simtime.Time, kind string) *Job {
+// Single builds a one-task job.
+func (p *Pool) Single(id ID, arrive simtime.Time, size simtime.Time) *Job {
 	j := p.Get(id, arrive)
-	j.AddTask(size, kind)
+	j.AddTask(size)
 	mustSeal(j)
 	return j
 }
@@ -29,8 +29,8 @@ func (p *Pool) Single(id ID, arrive simtime.Time, size simtime.Time, kind string
 // task followed by a database task, linked by bytes of intermediate data.
 func (p *Pool) TwoTier(id ID, arrive simtime.Time, appSize, dbSize simtime.Time, bytes int64) *Job {
 	j := p.Get(id, arrive)
-	app := j.AddTask(appSize, "app")
-	db := j.AddTask(dbSize, "db")
+	app := j.AddTask(appSize)
+	db := j.AddTask(dbSize)
 	j.Link(app, db, bytes)
 	mustSeal(j)
 	return j
@@ -47,10 +47,10 @@ func (p *Pool) ScatterGather(id ID, arrive simtime.Time, width int, rootSize, wo
 	if cap(j.Tasks) == 0 {
 		j.reserveScatterGather(width)
 	}
-	root := j.AddTask(rootSize, "frontend")
-	gather := j.AddTask(gatherSize, "frontend")
+	root := j.AddTask(rootSize)
+	gather := j.AddTask(gatherSize)
 	for i := 0; i < width; i++ {
-		w := j.AddTask(workerSize, "worker")
+		w := j.AddTask(workerSize)
 		j.Link(root, w, bytes)
 		j.Link(w, gather, bytes)
 	}
@@ -106,7 +106,7 @@ func (p *Pool) RandomDAG(id ID, arrive simtime.Time, r *rng.Source, layers, maxW
 		width := 1 + r.IntN(maxWidth)
 		cur := make([]*Task, 0, width)
 		for w := 0; w < width; w++ {
-			t := j.AddTask(size(), "")
+			t := j.AddTask(size())
 			if l > 0 {
 				deps := 1 + r.IntN(maxDeps)
 				if deps > len(prev) {

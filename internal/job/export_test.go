@@ -12,9 +12,9 @@ func (p *Pool) Chain(id ID, arrive simtime.Time, n int, size simtime.Time, bytes
 		panic("job: Chain needs n >= 1")
 	}
 	j := p.Get(id, arrive)
-	prev := j.AddTask(size, "")
+	prev := j.AddTask(size)
 	for i := 1; i < n; i++ {
-		t := j.AddTask(size, "")
+		t := j.AddTask(size)
 		j.Link(prev, t, bytes)
 		prev = t
 	}

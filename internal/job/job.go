@@ -63,10 +63,6 @@ type Task struct {
 	Index int          // position within Job.Tasks
 	Size  simtime.Time // service-time requirement w_v at nominal speed
 
-	// Kind tags the task for server specialization (e.g. "app", "db").
-	// Empty means any server may run it.
-	Kind string
-
 	// Intensity models computation intensiveness (Sec. III-A): the
 	// fraction of the task that scales with core frequency. 1 = fully
 	// compute-bound; 0 = fully memory/IO-bound (frequency-insensitive).
@@ -163,19 +159,19 @@ func (p *Pool) Put(j *Job) {
 	p.free = append(p.free, j)
 }
 
-// AddTask appends a task with the given nominal size and kind, returning
-// it. Intensity defaults to 1 (fully compute-bound).
-func (j *Job) AddTask(size simtime.Time, kind string) *Task {
+// AddTask appends a task with the given nominal size, returning it.
+// Intensity defaults to 1 (fully compute-bound).
+func (j *Job) AddTask(size simtime.Time) *Task {
 	n := len(j.Tasks)
 	if n < cap(j.Tasks) && j.Tasks[:n+1][n] != nil {
 		// A recycled job's storage: the task keeps its edge lists'
 		// capacity, whose spare slots hold the edges Link reuses.
 		j.Tasks = j.Tasks[:n+1]
 		t := j.Tasks[n]
-		*t = Task{Job: j, Index: n, Size: size, Kind: kind, Intensity: 1, In: t.In[:0], Out: t.Out[:0]}
+		*t = Task{Job: j, Index: n, Size: size, Intensity: 1, In: t.In[:0], Out: t.Out[:0]}
 		return t
 	}
-	t := &Task{Job: j, Index: n, Size: size, Kind: kind, Intensity: 1}
+	t := &Task{Job: j, Index: n, Size: size, Intensity: 1}
 	j.Tasks = append(j.Tasks, t)
 	return t
 }

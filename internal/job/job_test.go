@@ -32,9 +32,6 @@ func TestSingle(t *testing.T) {
 func TestTwoTierDependency(t *testing.T) {
 	j := nilPool.TwoTier(2, 0, 3*simtime.Millisecond, 7*simtime.Millisecond, 4096)
 	app, db := j.Tasks[0], j.Tasks[1]
-	if app.Kind != "app" || db.Kind != "db" {
-		t.Errorf("kinds = %q, %q", app.Kind, db.Kind)
-	}
 	if app.State != TaskReady {
 		t.Errorf("app state = %v", app.State)
 	}
@@ -105,10 +102,10 @@ func TestScatterGatherMatchesLinkBuild(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 9} {
 		got := nilPool.ScatterGather(7, 3*simtime.Second, width, simtime.Millisecond, 2*simtime.Millisecond, 3*simtime.Millisecond, 4096)
 		want := New(7, 3*simtime.Second)
-		root := want.AddTask(simtime.Millisecond, "frontend")
-		gather := want.AddTask(3*simtime.Millisecond, "frontend")
+		root := want.AddTask(simtime.Millisecond)
+		gather := want.AddTask(3 * simtime.Millisecond)
 		for i := 0; i < width; i++ {
-			w := want.AddTask(2*simtime.Millisecond, "worker")
+			w := want.AddTask(2 * simtime.Millisecond)
 			want.Link(root, w, 4096)
 			want.Link(w, gather, 4096)
 		}
@@ -125,8 +122,8 @@ func TestScatterGatherMatchesLinkBuild(t *testing.T) {
 				return out
 			}
 			for _, tk := range j.Tasks {
-				s += fmt.Sprintf("\n%s own=%v size=%v kind=%s int=%v state=%v deps=%d ready=%v in[%s] out[%s]",
-					tk.Name(), tk.Job == j, tk.Size, tk.Kind, tk.Intensity, tk.State, tk.pendingDeps, tk.ReadyAt,
+				s += fmt.Sprintf("\n%s own=%v size=%v int=%v state=%v deps=%d ready=%v in[%s] out[%s]",
+					tk.Name(), tk.Job == j, tk.Size, tk.Intensity, tk.State, tk.pendingDeps, tk.ReadyAt,
 					edges(tk.In), edges(tk.Out))
 			}
 			order, err := j.TopoOrder()
@@ -153,8 +150,8 @@ func TestScatterGatherMatchesLinkBuild(t *testing.T) {
 
 func TestCycleDetection(t *testing.T) {
 	j := New(5, 0)
-	a := j.AddTask(simtime.Millisecond, "")
-	b := j.AddTask(simtime.Millisecond, "")
+	a := j.AddTask(simtime.Millisecond)
+	b := j.AddTask(simtime.Millisecond)
 	j.Link(a, b, 0)
 	j.Link(b, a, 0)
 	if err := j.Seal(); err == nil {
@@ -171,7 +168,7 @@ func TestEmptyJobSealFails(t *testing.T) {
 
 func TestSelfLinkPanics(t *testing.T) {
 	j := New(7, 0)
-	a := j.AddTask(simtime.Millisecond, "")
+	a := j.AddTask(simtime.Millisecond)
 	defer func() {
 		if recover() == nil {
 			t.Error("self link did not panic")
@@ -182,8 +179,8 @@ func TestSelfLinkPanics(t *testing.T) {
 
 func TestCrossJobLinkPanics(t *testing.T) {
 	j1, j2 := New(8, 0), New(9, 0)
-	a := j1.AddTask(simtime.Millisecond, "")
-	b := j2.AddTask(simtime.Millisecond, "")
+	a := j1.AddTask(simtime.Millisecond)
+	b := j2.AddTask(simtime.Millisecond)
 	defer func() {
 		if recover() == nil {
 			t.Error("cross-job link did not panic")
@@ -215,7 +212,7 @@ func TestSatisfyDepUnderflowPanics(t *testing.T) {
 
 func TestServiceTimeScaling(t *testing.T) {
 	j := New(12, 0)
-	tk := j.AddTask(10*simtime.Millisecond, "")
+	tk := j.AddTask(10 * simtime.Millisecond)
 	// Fully compute-bound: halving speed doubles time.
 	if got := tk.ServiceTime(0.5); got != 20*simtime.Millisecond {
 		t.Errorf("ServiceTime(0.5) = %v", got)

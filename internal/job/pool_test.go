@@ -33,8 +33,8 @@ func describe(t *testing.T, j *Job) string {
 		return out
 	}
 	for i, tk := range j.Tasks {
-		s += fmt.Sprintf("\n t%d own=%v idx=%d size=%v kind=%q int=%v state=%v srv=%d ready=%v start=%v finish=%v deps=%d in[%s] out[%s]",
-			i, tk.Job == j, tk.Index, tk.Size, tk.Kind, tk.Intensity, tk.State, tk.ServerID,
+		s += fmt.Sprintf("\n t%d own=%v idx=%d size=%v int=%v state=%v srv=%d ready=%v start=%v finish=%v deps=%d in[%s] out[%s]",
+			i, tk.Job == j, tk.Index, tk.Size, tk.Intensity, tk.State, tk.ServerID,
 			tk.ReadyAt, tk.StartAt, tk.FinishAt, tk.pendingDeps, edges(tk.In), edges(tk.Out))
 	}
 	s += "\n order:"
@@ -76,8 +76,8 @@ func builders() map[string][2]func(p *Pool, id ID, r *rng.Source) *Job {
 	type build = func(p *Pool, id ID, r *rng.Source) *Job
 	return map[string][2]build{
 		"Single": {
-			func(p *Pool, id ID, _ *rng.Source) *Job { return p.Single(id, 5*ms, ms, "") },
-			func(p *Pool, id ID, _ *rng.Source) *Job { return p.Single(id, 9*ms, 3*ms, "db") },
+			func(p *Pool, id ID, _ *rng.Source) *Job { return p.Single(id, 5*ms, ms) },
+			func(p *Pool, id ID, _ *rng.Source) *Job { return p.Single(id, 9*ms, 3*ms) },
 		},
 		"TwoTier": {
 			func(p *Pool, id ID, _ *rng.Source) *Job { return p.TwoTier(id, 5*ms, ms, 2*ms, 100) },
@@ -195,7 +195,7 @@ func TestPooledBuildersSteadyStateZeroAlloc(t *testing.T) {
 // the same error for a cycle.
 func TestTopoOrderBeforeSeal(t *testing.T) {
 	j := New(1, 0)
-	a, b, c := j.AddTask(1, ""), j.AddTask(1, ""), j.AddTask(1, "")
+	a, b, c := j.AddTask(1), j.AddTask(1), j.AddTask(1)
 	j.Link(c, a, 0)
 	j.Link(a, b, 0)
 	unsealed, err := j.TopoOrder()
@@ -210,7 +210,7 @@ func TestTopoOrderBeforeSeal(t *testing.T) {
 		t.Fatalf("sealed order %v, b deps %d", sealed, b.pendingDeps)
 	}
 	j.Link(b, c, 0) // closes the cycle
-	j.AddTask(1, "")
+	j.AddTask(1)
 	if _, err := j.TopoOrder(); err == nil {
 		t.Fatal("cycle not reported")
 	}

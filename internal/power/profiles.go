@@ -237,7 +237,6 @@ type SwitchProfile struct {
 	// Wake transitions.
 	PortWake     Transition // LPI -> Active (IEEE 802.3az order of µs)
 	LineCardWake Transition // Sleep -> Active
-	SwitchWake   Transition // Off -> Active (whole switch)
 
 	// LinkRatesBps lists the rates available for adaptive link rate
 	// (Sec. III-B), ascending. PortRateScale maps a rate index to the
@@ -286,7 +285,6 @@ func Cisco2960_24() *SwitchProfile {
 		PortLPIW:         0.03,
 		PortWake:         Transition{Latency: 5 * simtime.Microsecond, Watts: 0.23},
 		LineCardWake:     Transition{Latency: 2 * simtime.Millisecond, Watts: 2.0},
-		SwitchWake:       Transition{Latency: 45 * simtime.Second, Watts: 14.0},
 		LinkRatesBps:     []float64{100e6, 1e9},
 		PortRateScale:    []float64{0.45, 1.0},
 	}
@@ -310,7 +308,6 @@ func DataCenter10G(ports int) *SwitchProfile {
 		PortLPIW:         0.12,
 		PortWake:         Transition{Latency: 5 * simtime.Microsecond, Watts: 1.2},
 		LineCardWake:     Transition{Latency: 2 * simtime.Millisecond, Watts: 30.0},
-		SwitchWake:       Transition{Latency: 60 * simtime.Second, Watts: 80.0},
 		LinkRatesBps:     []float64{1e9, 10e9},
 		PortRateScale:    []float64{0.35, 1.0},
 	}

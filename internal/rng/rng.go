@@ -63,12 +63,6 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.r.NormFloat64()
 }
 
-// LogNormal returns a log-normally distributed value where mu and sigma
-// are the parameters of the underlying normal.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // Pareto returns a Pareto-distributed value with minimum xm and shape
 // alpha (> 0). Heavy-tailed for alpha <= 2; used for bursty on/off trace
 // synthesis.

@@ -185,17 +185,3 @@ func TestIntNPerm(t *testing.T) {
 		}
 	}
 }
-
-func TestLogNormalMean(t *testing.T) {
-	s := New(47)
-	const n = 400000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.LogNormal(0, 0.5)
-	}
-	want := math.Exp(0.125) // e^(sigma^2/2)
-	mean := sum / n
-	if math.Abs(mean-want)/want > 0.02 {
-		t.Errorf("LogNormal(0,0.5) sample mean = %v, want ~%v", mean, want)
-	}
-}

@@ -237,24 +237,30 @@ func TestDecodeRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		data string
+		want string // in the error, when set
 	}{
-		{"unknown-top-field", `{"seed": 1, "sevrers": 4}`},
-		{"unknown-nested-field", `{"seed": 1, "arrival": {"kind": "poisson", "rh": 0.3}}`},
-		{"bad-enum", `{"servers": 4, "arrival": {"kind": "possion", "rho": 0.3}, "maxJobs": 10}`},
-		{"bad-queue", `{"servers": 4, "queue": "per-cores", "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
-		{"trailing-garbage", strings.TrimRight(string(valid), "\n") + " {}"},
-		{"invalid-composition", `{"servers": 0, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`},
-		{"unbounded-horizon", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}}`},
-		{"tracefile-without-path", `{"servers": 4, "arrival": {"kind": "trace-file", "rho": 0.3}}`},
-		{"path-without-tracefile-kind", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3, "traceFile": "x"}, "maxJobs": 10}`},
-		{"unterminated-comment", `/* {"servers": 4}`},
-		{"not-json", `servers: 4`},
-		{"empty", ``},
-		{"negative-fault-count", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"serverCrashes": -1}}`},
+		{"unknown-top-field", `{"seed": 1, "sevrers": 4}`, ""},
+		// A file in a retired schema fails loudly, naming the field,
+		// rather than running with its settings ignored.
+		{"old-schema", `{"workload": {"arrivals": "poisson", "rho": 0.3, "serviceSec": 0.005}, "delayTimerSec": 1}`, `unknown field "workload"`},
+		{"unknown-nested-field", `{"seed": 1, "arrival": {"kind": "poisson", "rh": 0.3}}`, ""},
+		{"bad-enum", `{"servers": 4, "arrival": {"kind": "possion", "rho": 0.3}, "maxJobs": 10}`, ""},
+		{"bad-queue", `{"servers": 4, "queue": "per-cores", "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, ""},
+		{"trailing-garbage", strings.TrimRight(string(valid), "\n") + " {}", ""},
+		{"invalid-composition", `{"servers": 0, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, ""},
+		{"unbounded-horizon", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}}`, ""},
+		{"tracefile-without-path", `{"servers": 4, "arrival": {"kind": "trace-file", "rho": 0.3}}`, ""},
+		{"path-without-tracefile-kind", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3, "traceFile": "x"}, "maxJobs": 10}`, ""},
+		{"unterminated-comment", `/* {"servers": 4}`, ""},
+		{"not-json", `servers: 4`, ""},
+		{"empty", ``, ""},
+		{"negative-fault-count", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"serverCrashes": -1}}`, ""},
 	}
 	for _, tc := range cases {
 		if _, err := Decode([]byte(tc.data)); err == nil {
 			t.Errorf("%s: Decode accepted %q", tc.name, tc.data)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected, but not with %q: %v", tc.name, tc.want, err)
 		}
 	}
 	for _, tc := range hostileFiles {

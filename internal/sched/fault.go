@@ -9,7 +9,7 @@ import (
 )
 
 // OrphanPolicy selects what happens to tasks stranded by a server crash
-// (and to jobs that arrive while no eligible server is alive).
+// (and to jobs that arrive while no server is alive).
 type OrphanPolicy int
 
 // Orphan policies. The zero value requeues: orphaned tasks restart from
@@ -62,7 +62,7 @@ const (
 	// LostServerCrash: a task of the job was orphaned by a crash under
 	// OrphanDrop.
 	LostServerCrash LostReason = iota
-	// LostNoAliveServer: the job needed placement while every eligible
+	// LostNoAliveServer: the job needed placement while every
 	// server was down, under OrphanDrop.
 	LostNoAliveServer
 )
@@ -78,21 +78,13 @@ func (r LostReason) String() string {
 	return fmt.Sprintf("LostReason(%d)", int(r))
 }
 
-// AllDownError is the typed error Select returns when every server
-// eligible for a task is down. Placement never panics on a dead farm:
-// callers park or drop the task per the orphan policy.
-type AllDownError struct {
-	// Kind is the task kind that had no alive candidate ("" = any).
-	Kind string
-}
+// AllDownError is the typed error Select returns when every server is
+// down. Placement never panics on a dead farm: callers park or drop the
+// task per the orphan policy.
+type AllDownError struct{}
 
 // Error implements error.
-func (e *AllDownError) Error() string {
-	if e.Kind == "" {
-		return "sched: all servers down"
-	}
-	return fmt.Sprintf("sched: all servers eligible for kind %q down", e.Kind)
-}
+func (e *AllDownError) Error() string { return "sched: all servers down" }
 
 // JobsLost reports jobs retracted by failures.
 func (s *Scheduler) JobsLost() int64 { return s.jobsLost }
@@ -111,19 +103,18 @@ func (s *Scheduler) OnJobLost(fn func(*job.Job, LostReason)) {
 	s.onJobLost = append(s.onJobLost, fn)
 }
 
-// aliveEligible returns the eligible servers that are up. With no
-// crashed server in the farm it is exactly Eligible — no filtering, no
-// allocation — so the fault machinery costs nothing on healthy runs.
-// The returned slice is valid until the next call.
-func (s *Scheduler) aliveEligible(t *job.Task) []*server.Server {
-	cands := s.Eligible(t)
+// aliveServers returns the servers that are up. With no crashed server
+// in the farm it is exactly the farm — no filtering, no allocation — so
+// the fault machinery costs nothing on healthy runs. The returned slice
+// is valid until the next call.
+func (s *Scheduler) aliveServers() []*server.Server {
 	if s.downCount == 0 {
 		s.cover.Hit(modelcov.PlaceFastPath)
-		return cands
+		return s.servers
 	}
 	s.cover.Hit(modelcov.PlaceFiltered)
 	s.aliveScratch = s.aliveScratch[:0]
-	for _, srv := range cands {
+	for _, srv := range s.servers {
 		if !srv.Failed() {
 			s.aliveScratch = append(s.aliveScratch, srv)
 		}
@@ -131,14 +122,13 @@ func (s *Scheduler) aliveEligible(t *job.Task) []*server.Server {
 	return s.aliveScratch
 }
 
-// Select runs the placement policy over the task's alive eligible
-// servers. It returns an *AllDownError — never panics — when no
-// eligible server is up.
+// Select runs the placement policy over the alive servers. It returns an
+// *AllDownError — never panics — when no server is up.
 func (s *Scheduler) Select(t *job.Task) (*server.Server, error) {
-	cands := s.aliveEligible(t)
+	cands := s.aliveServers()
 	if len(cands) == 0 {
 		s.cover.Hit(modelcov.PlaceAllDown)
-		return nil, &AllDownError{Kind: t.Kind}
+		return nil, &AllDownError{}
 	}
 	s.startPolicy()
 	srv := s.cfg.Placer.Place(s, t, cands)

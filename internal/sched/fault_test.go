@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"holdcsim/internal/job"
-	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 )
 
@@ -189,7 +188,7 @@ func TestRequeueMidDAG(t *testing.T) {
 }
 
 // TestSelectAllDownTypedError: placer selection returns *AllDownError —
-// not a panic — when every eligible server is down.
+// not a panic — when every server is down.
 func TestSelectAllDownTypedError(t *testing.T) {
 	s, _ := crashFarm(t, 3, OrphanRequeue)
 	eng := s.eng
@@ -205,9 +204,6 @@ func TestSelectAllDownTypedError(t *testing.T) {
 		var down *AllDownError
 		if !errors.As(err, &down) {
 			t.Fatalf("error %T is not *AllDownError", err)
-		}
-		if down.Kind != "" {
-			t.Errorf("Kind = %q, want empty", down.Kind)
 		}
 	})
 	eng.Run()
@@ -370,9 +366,6 @@ func TestFaultStringsAndAccessors(t *testing.T) {
 	if got := (&AllDownError{}).Error(); got != "sched: all servers down" {
 		t.Errorf("AllDownError = %q", got)
 	}
-	if got := (&AllDownError{Kind: "db"}).Error(); got != `sched: all servers eligible for kind "db" down` {
-		t.Errorf("AllDownError with kind = %q", got)
-	}
 	s, _ := crashFarm(t, 2, OrphanRequeue)
 	if s.downCount != 0 {
 		t.Error("fresh farm reports down servers")
@@ -457,35 +450,6 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 	if gDone != 1 {
 		t.Fatalf("global-queue done = %d, want 1", gDone)
 	}
-}
-
-// TestSelectKindRestrictedAllDown: a task whose kind-eligible pool is
-// entirely down yields an AllDownError naming the kind, even while
-// unrestricted servers remain alive.
-func TestSelectKindRestrictedAllDown(t *testing.T) {
-	eng, servers := testFarm(t, 2, func(i int, c *server.Config) {
-		if i == 0 {
-			c.Kinds = []string{"db"}
-		}
-	})
-	s, err := New(eng, servers, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(0, func() {
-		s.ServerCrashed(servers[0])
-		j := job.New(1, 0)
-		task := j.AddTask(simtime.Millisecond, "db")
-		if err := j.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		_, err := s.Select(task)
-		var down *AllDownError
-		if !errors.As(err, &down) || down.Kind != "db" {
-			t.Fatalf("Select = %v, want AllDownError{Kind: db}", err)
-		}
-	})
-	eng.Run()
 }
 
 // TestDualTimerPoolsByIDUnderCrash: DualTimer pool membership follows

@@ -114,34 +114,13 @@ func (r Random) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *s
 // Name implements Placer.
 func (Random) Name() string { return "random" }
 
-// Pinned places by a fixed task-index-to-server mapping; tests use it to
-// force placements.
-type Pinned struct {
-	ServerOf func(t *job.Task) int
-}
-
-// Place implements Placer.
-func (p Pinned) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return s.servers[p.ServerOf(t)]
-}
-
-// Name implements Placer.
-func (Pinned) Name() string { return "pinned" }
-
 // NetworkAware implements the Server-Network-Aware policy of Sec. IV-D:
 // prefer servers that are already awake and have a spare execution slot
 // (least loaded among them); when a sleeping server must be activated,
 // pick the one whose communication paths wake the fewest additional
-// switches.
+// switches. Job requests enter at the graph's first host: root tasks'
+// traffic notionally originates there.
 type NetworkAware struct {
-	// Frontend is the node job requests enter from (root-task traffic
-	// notionally originates here).
-	Frontend int // index into the graph's hosts; out of range = first host
-	// OverCommit scales per-server slot capacity before the policy
-	// declares "a need for an additional server": transient bursts
-	// queue on awake servers instead of waking sleepers. Zero means 4.
-	OverCommit float64
-
 	net   *network.Network
 	hosts []topology.NodeID // server ID -> topology node
 }
@@ -151,13 +130,14 @@ func (p *NetworkAware) Bind(net *network.Network, hosts []topology.NodeID) {
 	p.net, p.hosts = net, hosts
 }
 
+// overCommit scales per-server slot capacity before the policy declares
+// "a need for an additional server": transient bursts queue on awake
+// servers instead of waking sleepers.
+const overCommit = 4
+
 // capacity reports the elastic slot budget for one server.
 func (p *NetworkAware) capacity(srv *server.Server) int {
-	oc := p.OverCommit
-	if oc <= 0 {
-		oc = 4
-	}
-	return int(float64(srv.Cores())*oc + 0.5)
+	return srv.Cores() * overCommit
 }
 
 // Place implements Placer.
@@ -216,12 +196,7 @@ func (p *NetworkAware) peers(t *job.Task) []topology.NodeID {
 		}
 	}
 	if len(out) == 0 {
-		hosts := p.net.Graph().Hosts()
-		idx := p.Frontend
-		if idx < 0 || idx >= len(hosts) {
-			idx = 0
-		}
-		out = append(out, hosts[idx])
+		out = append(out, p.net.Graph().Hosts()[0])
 	}
 	return out
 }

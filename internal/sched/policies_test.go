@@ -145,9 +145,7 @@ func TestNetworkAwarePrefersCheapWake(t *testing.T) {
 		}
 		servers[i] = srv
 	}
-	// OverCommit 1: the wake-cost branch triggers as soon as the awake
-	// server's cores are committed, making the test deterministic.
-	placer := &NetworkAware{OverCommit: 1}
+	placer := &NetworkAware{}
 	placer.Bind(net, []topology.NodeID{h0, h1, h2, h3})
 	s, err := New(eng, servers, Config{Placer: placer})
 	if err != nil {
@@ -174,8 +172,9 @@ func TestNetworkAwarePrefersCheapWake(t *testing.T) {
 	for _, srv := range servers[1:] {
 		srv.SetDelayTimer(true, 0)
 	}
-	// Saturate server 0.
-	for i := 0; i < 4; i++ {
+	// Saturate server 0: the wake-cost branch triggers once the awake
+	// server holds overCommit times its cores.
+	for i := 0; i < 4*overCommit; i++ {
 		j := singleJob(job.ID(100+i), 200*simtime.Millisecond, simtime.Second)
 		eng.Schedule(200*simtime.Millisecond, func() { s.JobArrived(j) })
 	}

@@ -43,13 +43,26 @@ func singleJob(id job.ID, at, size simtime.Time) *job.Job {
 	return job.Single(id, at, size)
 }
 
+// Pinned places by a fixed task-to-server mapping, to force placements.
+type Pinned struct {
+	ServerOf func(t *job.Task) int
+}
+
+// Place implements Placer.
+func (p Pinned) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+	return s.servers[p.ServerOf(t)]
+}
+
+// Name implements Placer.
+func (Pinned) Name() string { return "pinned" }
+
 // chainJob builds a linear pipeline of n tasks of the given size, each
 // edge carrying bytes.
 func chainJob(id job.ID, at simtime.Time, n int, size simtime.Time, bytes int64) *job.Job {
 	j := job.New(id, at)
-	prev := j.AddTask(size, "")
+	prev := j.AddTask(size)
 	for i := 1; i < n; i++ {
-		t := j.AddTask(size, "")
+		t := j.AddTask(size)
 		j.Link(prev, t, bytes)
 		prev = t
 	}
@@ -123,34 +136,6 @@ func TestLeastLoadedPicksIdle(t *testing.T) {
 		t.Error("least-loaded placed on the busy server")
 	}
 	eng.Run()
-}
-
-func TestKindEligibility(t *testing.T) {
-	eng, servers := testFarm(t, 4, func(i int, c *server.Config) {
-		if i < 2 {
-			c.Kinds = []string{"app"}
-		} else {
-			c.Kinds = []string{"db"}
-		}
-	})
-	s, err := New(eng, servers, Config{Placer: LeastLoaded{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var finished []*job.Job
-	s.OnJobDone(func(j *job.Job) { finished = append(finished, j) })
-	j := (*job.Pool)(nil).TwoTier(1, 0, 3*simtime.Millisecond, 7*simtime.Millisecond, 0)
-	eng.Schedule(0, func() { s.JobArrived(j) })
-	eng.Run()
-	if len(finished) != 1 {
-		t.Fatal("two-tier job did not finish")
-	}
-	if app := j.Tasks[0]; app.ServerID > 1 {
-		t.Errorf("app task on server %d, want 0/1", app.ServerID)
-	}
-	if db := j.Tasks[1]; db.ServerID < 2 {
-		t.Errorf("db task on server %d, want 2/3", db.ServerID)
-	}
 }
 
 func TestDAGOrderingWithTransfer(t *testing.T) {

@@ -58,7 +58,7 @@ type Binder interface {
 type Config struct {
 	// Placer is the policy; nil means LeastLoaded.
 	Placer Placer
-	// UseGlobalQueue parks ready tasks centrally when no eligible server
+	// UseGlobalQueue parks ready tasks centrally when no alive server
 	// has a spare execution slot; servers pull work as they drain
 	// (Sec. III-E's "global task queue" mode).
 	UseGlobalQueue bool
@@ -81,8 +81,6 @@ type Scheduler struct {
 	// What the placer implements beyond Place; starter is cleared once run.
 	ctrl    Controller
 	starter Starter
-
-	byKind map[string][]*server.Server
 
 	// committed counts tasks placed on each server that have not yet
 	// finished — including DAG tasks still waiting on parents or data
@@ -148,21 +146,10 @@ func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, 
 		eng:       eng,
 		servers:   servers,
 		cfg:       cfg,
-		byKind:    make(map[string][]*server.Server),
 		committed: make([]int, len(servers)),
 	}
 	s.ctrl, _ = cfg.Placer.(Controller)
 	s.starter, _ = cfg.Placer.(Starter)
-	for _, srv := range servers {
-		kinds := srv.Kinds()
-		if len(kinds) == 0 {
-			s.byKind[""] = append(s.byKind[""], srv)
-			continue
-		}
-		for _, k := range kinds {
-			s.byKind[k] = append(s.byKind[k], srv)
-		}
-	}
 	for _, srv := range servers {
 		srv.OnTaskDone(s.taskDone)
 	}
@@ -297,18 +284,6 @@ func (s *Scheduler) Load(srv *server.Server) int {
 	return c
 }
 
-// Eligible reports the servers configured for the task's kind.
-func (s *Scheduler) Eligible(t *job.Task) []*server.Server {
-	if list, ok := s.byKind[t.Kind]; ok && len(list) > 0 {
-		return list
-	}
-	// Fall back to unrestricted servers.
-	if list, ok := s.byKind[""]; ok && len(list) > 0 {
-		return list
-	}
-	return s.servers
-}
-
 // startPolicy runs the placer's Start hook if it has not run yet.
 func (s *Scheduler) startPolicy() {
 	if st := s.starter; st != nil {
@@ -363,7 +338,7 @@ func (s *Scheduler) admitReady(t *job.Task) {
 		return // a late transfer resolved a dependency of a retracted job
 	}
 	if s.cfg.UseGlobalQueue {
-		if srv := s.availableServer(t); srv != nil {
+		if srv := s.availableServer(); srv != nil {
 			t.ServerID = srv.ID()
 			s.commit(srv.ID(), 1)
 			s.cover.Hit(modelcov.PlaceGlobalQDirect)
@@ -393,7 +368,7 @@ func (s *Scheduler) admitReady(t *job.Task) {
 }
 
 // place records the placer's static decision on the task. It returns an
-// *AllDownError when no eligible server is alive.
+// *AllDownError when no server is alive.
 func (s *Scheduler) place(t *job.Task) error {
 	srv, err := s.Select(t)
 	if err != nil {
@@ -404,10 +379,10 @@ func (s *Scheduler) place(t *job.Task) error {
 	return nil
 }
 
-// availableServer finds an alive eligible server with a spare execution
-// slot (global-queue mode's "servers available at that time").
-func (s *Scheduler) availableServer(t *job.Task) *server.Server {
-	return s.leastLoaded(s.Eligible(t), func(srv *server.Server) bool {
+// availableServer finds an alive server with a spare execution slot
+// (global-queue mode's "servers available at that time").
+func (s *Scheduler) availableServer() *server.Server {
+	return s.leastLoaded(s.servers, func(srv *server.Server) bool {
 		return !(s.downCount > 0 && srv.Failed()) && s.Load(srv) < srv.Cores()
 	})
 }
@@ -482,7 +457,7 @@ func (s *Scheduler) drainGlobalQueue() {
 	}
 	remaining := s.globalQ[:0]
 	for _, t := range s.globalQ {
-		if srv := s.availableServer(t); srv != nil {
+		if srv := s.availableServer(); srv != nil {
 			t.ServerID = srv.ID()
 			s.cover.Hit(modelcov.PlaceGlobalQDrain)
 			// Symmetric with admitReady's global-queue path: every

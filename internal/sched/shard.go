@@ -13,11 +13,11 @@ import (
 // placeable. Ties break to the lower shard index, then the lower server
 // ID, mirroring LeastLoaded's determinism contract.
 //
-// The shard fast path requires the full healthy farm as the candidate
-// set — the same condition as PR 4's alive-filter fast path. Kind-
-// restricted tasks or any crashed server (candidates came alive-filtered)
-// fall back to plain LeastLoaded over the given candidates, so behavior
-// under faults is exactly the unsharded policy's.
+// The shard fast path requires the full farm as the candidate set, so
+// `len(candidates) == len(s.servers)` means exactly "no server down".
+// With any server crashed (candidates came alive-filtered) it falls back
+// to plain LeastLoaded over the given candidates, so behavior under
+// faults is exactly the unsharded policy's.
 type ShardedLeastLoaded struct{}
 
 // Place implements Placer.

@@ -132,7 +132,7 @@ func TestShardedLeastLoadedPicksEmptiestShard(t *testing.T) {
 }
 
 // Sharded placement must agree with plain LeastLoaded semantics when
-// sharding is off or the candidate set is restricted (kinds, faults).
+// sharding is off or the candidate set is restricted by faults.
 func TestShardedFallsBackWithoutShards(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	s, err := New(eng, servers, Config{Placer: ShardedLeastLoaded{}})

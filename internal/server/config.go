@@ -93,12 +93,6 @@ type Config struct {
 	// SleepState is the target of the delay timer: S3 (suspend-to-RAM,
 	// the paper's "system sleep") or S5 (off). Defaults to S3.
 	SleepState power.SState
-
-	// Kinds optionally restricts which task kinds this server is
-	// configured to perform (Sec. III-C: "servers ... can be configured
-	// to perform different tasks"). Empty means any. Enforced by the
-	// global scheduler, carried here as the server's declared capability.
-	Kinds []string
 }
 
 // DefaultConfig returns a config with the common idle governor (C1

@@ -40,12 +40,12 @@ func TestIntensityWithDVFS(t *testing.T) {
 	s.OnTaskDone(func(_ *Server, tk *job.Task) { done = append(done, eng.Now()) })
 
 	jc := job.New(1, 0)
-	compute := jc.AddTask(11*simtime.Millisecond, "")
+	compute := jc.AddTask(11 * simtime.Millisecond)
 	if err := jc.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	jm := job.New(2, 0)
-	memory := jm.AddTask(11*simtime.Millisecond, "")
+	memory := jm.AddTask(11 * simtime.Millisecond)
 	memory.Intensity = 0.25
 	if err := jm.Seal(); err != nil {
 		t.Fatal(err)

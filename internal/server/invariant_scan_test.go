@@ -13,12 +13,12 @@ import (
 	"holdcsim/internal/workload"
 )
 
-// buildScanRig wires a small data center with a bounded-scan checker:
-// deep scans visit at most 4 servers per observation boundary instead
-// of all 64.
+// buildScanRig wires a data center larger than the checker's scan
+// budget: deep scans visit at most 256 servers per observation boundary
+// instead of all 320.
 func buildScanRig(t *testing.T) (*engine.Engine, []*server.Server, *workload.Generator, *invariant.Checker) {
 	t.Helper()
-	const n = 64
+	const n = 320
 	eng := engine.New()
 	farm := make([]*server.Server, n)
 	for i := range farm {
@@ -35,9 +35,7 @@ func buildScanRig(t *testing.T) (*engine.Engine, []*server.Server, *workload.Gen
 	gen := workload.NewGenerator(eng, rng.New(11), workload.Poisson{Rate: 2000},
 		workload.SingleTask{Service: workload.WebSearchService()}, s.JobArrived)
 	gen.MaxJobs = 400
-	c := invariant.Attach(eng, gen, s, farm, nil, invariant.Options{
-		SampleEvery: 1, ScanBudget: 4,
-	})
+	c := invariant.Attach(eng, gen, s, farm, nil, invariant.Options{SampleEvery: 1})
 	return eng, farm, gen, c
 }
 

@@ -199,10 +199,6 @@ func (s *Server) ID() int { return s.id }
 // Cores reports the number of cores.
 func (s *Server) Cores() int { return len(s.cores) }
 
-// Kinds reports the task kinds this server is configured to perform
-// (empty = any).
-func (s *Server) Kinds() []string { return s.cfg.Kinds }
-
 // Profile exposes the server's power profile (read-only; used for
 // physics-bound checks and reporting).
 func (s *Server) Profile() *power.ServerProfile { return s.prof }

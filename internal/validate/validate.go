@@ -103,11 +103,10 @@ func ReferenceServerPower(tr *trace.Trace, cfg ReferenceServerConfig, r *rng.Sou
 	return out
 }
 
-// ReferenceSwitchConfig tunes the "physical switch" power signal.
+// ReferenceSwitchConfig tunes the "physical switch" power signal. The
+// logger takes one sample per second, as in the paper.
 type ReferenceSwitchConfig struct {
 	Profile *power.SwitchProfile
-	// SampleSec is the logger period (1 s in the paper).
-	SampleSec float64
 	// NoiseW is the per-sample measurement noise stddev (the paper's
 	// standard deviation of differences is 0.04 W).
 	NoiseW float64
@@ -124,7 +123,6 @@ type ReferenceSwitchConfig struct {
 func DefaultReferenceSwitch() ReferenceSwitchConfig {
 	return ReferenceSwitchConfig{
 		Profile:     power.Cisco2960_24(),
-		SampleSec:   1.0,
 		NoiseW:      0.035,
 		DriftProb:   0.002,
 		DriftW:      0.35,
@@ -132,9 +130,10 @@ func DefaultReferenceSwitch() ReferenceSwitchConfig {
 	}
 }
 
-// ReferenceSwitchPower converts a per-sample active-port-count series
+// ReferenceSwitchPower converts a per-second active-port-count series
 // (the simulator's port-state log, as the paper replays it onto the
-// physical switch) into the "measured" power series.
+// physical switch) into the "measured" power series, one sample per
+// second.
 func ReferenceSwitchPower(activePorts []int, cfg ReferenceSwitchConfig, r *rng.Source) []float64 {
 	prof := cfg.Profile
 	base := prof.ChassisWatts + float64(prof.LineCards)*prof.LineCardActiveW

@@ -122,7 +122,6 @@ func (f unpooled) newJob(_ *job.Pool, id job.ID, now simtime.Time, r *rng.Source
 // used by case studies IV-A/B/C.
 type SingleTask struct {
 	Service dist.Sampler
-	Kind    string
 }
 
 // NewJob implements JobFactory.
@@ -135,7 +134,7 @@ func (f SingleTask) newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Sour
 	if size <= 0 {
 		size = simtime.Microsecond
 	}
-	return p.Single(id, now, size, f.Kind)
+	return p.Single(id, now, size)
 }
 
 func (f SingleTask) String() string { return fmt.Sprintf("single(%v)", f.Service) }

@@ -68,13 +68,13 @@ func TestServiceProfiles(t *testing.T) {
 }
 
 func TestSingleTaskFactory(t *testing.T) {
-	f := SingleTask{Service: dist.Deterministic{Value: 0.005}, Kind: "web"}
+	f := SingleTask{Service: dist.Deterministic{Value: 0.005}}
 	r := rng.New(3)
 	j := f.NewJob(7, 100*simtime.Second, r)
 	if j.ID != 7 || len(j.Tasks) != 1 {
 		t.Fatalf("job = %+v", j)
 	}
-	if j.Tasks[0].Size != 5*simtime.Millisecond || j.Tasks[0].Kind != "web" {
+	if j.Tasks[0].Size != 5*simtime.Millisecond {
 		t.Errorf("task = %+v", j.Tasks[0])
 	}
 	if j.Tasks[0].State != job.TaskReady {
@@ -100,8 +100,8 @@ func TestTwoTierFactory(t *testing.T) {
 	if len(j.Tasks) != 2 {
 		t.Fatalf("tasks = %d", len(j.Tasks))
 	}
-	if j.Tasks[0].Kind != "app" || j.Tasks[1].Kind != "db" {
-		t.Error("kinds wrong")
+	if j.Tasks[0].Size != 3*simtime.Millisecond || j.Tasks[1].Size != 7*simtime.Millisecond {
+		t.Error("app/db sizes wrong")
 	}
 	if len(j.Tasks[0].Out) != 1 || j.Tasks[0].Out[0].Bytes != 4096 {
 		t.Error("edge wrong")
