@@ -217,6 +217,30 @@ func TestValidateRejectsBadFile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOldSchema: a file in a retired schema fails run and
+// validate loudly, naming the field, rather than running with its
+// settings ignored; a missing file fails too.
+func TestRunRejectsOldSchema(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "old.json")
+	data := `{"workload": {"arrivals": "poisson", "rho": 0.3, "serviceSec": 0.005}, "delayTimerSec": 1}`
+	if err := os.WriteFile(old, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"run", "validate"} {
+		code, out, errw := cli(t, verb, old)
+		if code == 0 {
+			t.Fatalf("%s accepted an old-schema file:\n%s", verb, out)
+		}
+		if !strings.Contains(errw, `unknown field "workload"`) {
+			t.Errorf("%s: diagnostic does not name the unknown field: %s", verb, errw)
+		}
+	}
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	if code, _, errw := cli(t, "run", missing); code == 0 || errw == "" {
+		t.Errorf("run of a missing file: exit %d, stderr %q; want a diagnosed failure", code, errw)
+	}
+}
+
 // TestValidateRejectsHostileTopology: a shape the builder would refuse,
 // or a shape or count sized to exhaust memory, fails validate — and run —
 // with the bound's message before anything is built.
