@@ -40,11 +40,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tr *trace.Trace
 	switch *kind {
 	case "wikipedia":
-		tr = trace.SyntheticWikipedia(trace.DefaultWikipediaConfig(*duration, *rate), r)
+		tr = trace.SyntheticWikipedia(*duration, *rate, r)
 	case "nlanr":
-		cfg := trace.DefaultNLANRConfig(*duration)
-		cfg.OnRate = *onRate
-		tr = trace.SyntheticNLANR(cfg, r)
+		tr = trace.SyntheticNLANR(*duration, *onRate, 2, r)
 	default:
 		fmt.Fprintf(stderr, "tracegen: unknown kind %q\n", *kind)
 		return 2

@@ -3,10 +3,13 @@ package holdcsim_test
 import (
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"holdcsim/internal/modelcov"
 )
 
 // secRef is a reference to a DESIGN.md section: the paper's sections are
@@ -57,5 +60,42 @@ func TestSectionReferencesResolve(t *testing.T) {
 	}
 	if len(headings) < 14 || refs < 20 {
 		t.Fatalf("found %d headings and %d references; the scan is broken", len(headings), refs)
+	}
+}
+
+// TestFeatureTableMatchesNames: the group patterns in the first column of
+// DESIGN.md Sec. 12.1's table, matched against modelcov.Name over every
+// feature, cover each feature exactly once.
+func TestFeatureTableMatchesNames(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := string(design)
+	start, end := strings.Index(sec, "### 12.1 "), strings.Index(sec, "### 12.2 ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no Sec. 12.1 followed by Sec. 12.2")
+	}
+	var patterns []string
+	for _, line := range strings.Split(sec[start:end], "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(line, "| `") {
+			for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cells[1], -1) {
+				patterns = append(patterns, m[1])
+			}
+		}
+	}
+	for f := 0; f < modelcov.NumFeatures; f++ {
+		name := modelcov.Name(modelcov.Feature(f))
+		var hits []string
+		for _, p := range patterns {
+			if ok, err := path.Match(p, name); err != nil {
+				t.Fatalf("pattern %q: %v", p, err)
+			} else if ok {
+				hits = append(hits, p)
+			}
+		}
+		if len(hits) != 1 {
+			t.Errorf("feature %s matches %d table patterns %v, want exactly 1", name, len(hits), hits)
+		}
 	}
 }

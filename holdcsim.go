@@ -207,5 +207,5 @@ func UtilizationRate(rho float64, nServers, nCores int, meanServiceSec float64) 
 // SyntheticWikipedia generates a Wikipedia-like diurnal arrival trace
 // (stand-in for the paper's trace [59]; see DESIGN.md).
 func SyntheticWikipedia(durationSec, meanRate float64, r *RNG) *Trace {
-	return trace.SyntheticWikipedia(trace.DefaultWikipediaConfig(durationSec, meanRate), r)
+	return trace.SyntheticWikipedia(durationSec, meanRate, r)
 }

@@ -111,7 +111,7 @@ func TestPublicTraces(t *testing.T) {
 	if wiki.Len() == 0 {
 		t.Fatal("empty wikipedia trace")
 	}
-	nlanr := trace.SyntheticNLANR(trace.DefaultNLANRConfig(300), r.Split("n"))
+	nlanr := trace.SyntheticNLANR(300, 40, 2, r.Split("n"))
 	if nlanr.Len() == 0 {
 		t.Fatal("empty nlanr trace")
 	}

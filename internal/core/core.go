@@ -133,7 +133,7 @@ type Config struct {
 
 	// Cover, when non-nil, collects model-state coverage into the given
 	// map: residency transitions, queue-depth buckets, drop sites,
-	// placement and orphan branches, applied fault kinds and cascade
+	// placement and orphan branches, fault events by domain and cascade
 	// depths (internal/modelcov). Collection is observation-only — an
 	// instrumented run produces byte-identical results — and costs
 	// nothing when nil (each hook is a single nil check).

@@ -79,11 +79,7 @@ func fig12Run(p Fig12Params, seed uint64) (*Fig12Result, error) {
 	// The paper drives the server with httperf at web-service rates; the
 	// NLANR-like generator is scaled up so the 10-core box sees a few
 	// busy cores on average, matching Fig. 12's 5-30 W power range.
-	ncfg := trace.DefaultNLANRConfig(p.DurationSec)
-	ncfg.OnRate = 800
-	ncfg.MeanOn = 2.0
-	ncfg.Background = 60
-	tr := trace.SyntheticNLANR(ncfg, master.Split("nlanr"))
+	tr := trace.SyntheticNLANR(p.DurationSec, 800, 60, master.Split("nlanr"))
 
 	// Event-driven simulation of one 10-core server. The paper enables
 	// only C0 and C6 for the validation runs; mirror that by promoting

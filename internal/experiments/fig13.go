@@ -91,8 +91,7 @@ func Fig13(p Fig13Params) (*Fig13Result, error) {
 
 func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 	master := rng.New(seed)
-	tr := trace.SyntheticWikipedia(
-		trace.DefaultWikipediaConfig(p.DurationSec, p.MeanRate), master.Split("wikipedia"))
+	tr := trace.SyntheticWikipedia(p.DurationSec, p.MeanRate, master.Split("wikipedia"))
 
 	// Star of Servers hosts plus one front-end host that originates
 	// requests; the switch profile gets one extra port for the uplink,

@@ -79,9 +79,7 @@ func Fig4(p Fig4Params) (*Fig4Result, error) {
 }
 
 func fig4Run(p Fig4Params, seed uint64) (*Fig4Result, error) {
-	tr := trace.SyntheticWikipedia(
-		trace.DefaultWikipediaConfig(p.DurationSec, p.MeanRate),
-		rng.New(seed).Split("wikipedia"))
+	tr := trace.SyntheticWikipedia(p.DurationSec, p.MeanRate, rng.New(seed).Split("wikipedia"))
 	prov := sched.NewProvisioner(p.MinLoad, p.MaxLoad)
 
 	cfg := core.Config{

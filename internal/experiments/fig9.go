@@ -131,9 +131,7 @@ func fig9Aggregate(rep []fig9Sample) fig9Sample {
 }
 
 func fig9Run(p Fig9Params, adaptive bool, seed uint64) (fig9Sample, error) {
-	tr := trace.SyntheticWikipedia(
-		trace.DefaultWikipediaConfig(p.DurationSec, p.MeanRate),
-		rng.New(seed).Split("wikipedia"))
+	tr := trace.SyntheticWikipedia(p.DurationSec, p.MeanRate, rng.New(seed).Split("wikipedia"))
 
 	prof := power.XeonE5_2680()
 	sc := server.DefaultConfig(prof)

@@ -5,30 +5,34 @@ import (
 	"os"
 
 	"holdcsim/internal/dist"
-	"holdcsim/internal/modelcov"
 	"holdcsim/internal/rng"
-	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
 	"holdcsim/internal/trace"
 )
 
-// ScopeKind names the failure domain a blast-radius event targets.
+// ScopeKind names the failure domain a fault event targets.
 type ScopeKind uint8
 
-// Failure-domain kinds. The order matches trace.OutageScopes so outage
-// logs map positionally.
+// Failure-domain kinds. The first four match trace.OutageScopes so
+// outage logs map positionally; links and bare switches follow, reached
+// only by the Spec's linkFlaps and switchKills classes.
 const (
-	// ScopeServer is a single server — the point-fault blast radius.
+	// ScopeServer is a single server.
 	ScopeServer ScopeKind = iota
 	// ScopeRack is a rack's servers plus its ToR switch.
 	ScopeRack
 	// ScopePod is a pod's servers plus its edge/aggregation switches.
 	ScopePod
-	// ScopeSwitch is a switch plus its directly attached servers.
+	// ScopeSubtree is a switch plus its directly attached servers (the
+	// outage log's "switch").
+	ScopeSubtree
+	// ScopeLink is a single link.
+	ScopeLink
+	// ScopeSwitch is a single switch, its attached servers untouched.
 	ScopeSwitch
-	// NumScopes sizes per-scope arrays.
-	NumScopes = 4
+	// NumScopes sizes per-domain arrays.
+	NumScopes = 6
 )
 
 // String implements fmt.Stringer.
@@ -49,11 +53,11 @@ func ParseScope(s string) (ScopeKind, bool) {
 	return 0, false
 }
 
-// Topo is the scope-resolution table the correlated engine draws and
-// applies blast-radius events against: failure-domain memberships in
-// server and switch index space, derived from the topology's ScopeMap.
+// Topo is the domain-resolution table the injector draws and applies
+// fault events against: failure-domain memberships in server and switch
+// index space, derived from the topology's ScopeMap.
 type Topo struct {
-	// Servers, Links, Switches are the point-class populations.
+	// Servers, Links, Switches are the single-component populations.
 	Servers  int
 	Links    int
 	Switches int
@@ -70,12 +74,6 @@ type Topo struct {
 	AttachedServers [][]int
 	// PodOf[i] is server i's pod — the cascade rehoming domain.
 	PodOf []int
-}
-
-// PointTopo is a scope table with populations only: scoped events
-// beyond ScopeServer resolve to nothing and renewal classes still run.
-func PointTopo(servers, links, switches int) *Topo {
-	return &Topo{Servers: servers, Links: links, Switches: switches}
 }
 
 // NewTopo projects a topology ScopeMap into server/switch index space.
@@ -148,8 +146,8 @@ const maxClassEvents = 100_000
 
 // TimelineFor draws the fault schedule, a pure function of the rng
 // stream (derive it from the experiment seed with a dedicated label),
-// the horizon and the farm shape: the three point classes first, in a
-// frozen draw order, then blast-radius draws per scope class on the same
+// the horizon and the farm shape: the server, link and switch classes
+// first, in a frozen draw order, then blast-radius draws on the same
 // stream, then renewal processes on dedicated split streams (gated on
 // configuration so unconfigured specs consume nothing), then outage-log
 // replay. A class whose target population is zero (link flaps on a
@@ -159,12 +157,9 @@ const maxClassEvents = 100_000
 // stably by instant, so the relative order of equal-time draws is the
 // draw order.
 func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timeline, error) {
-	if topo == nil {
-		topo = PointTopo(0, 0, 0)
-	}
 	var tl Timeline
 	pair := 0
-	draw := func(n, count int, downSec float64, down, up Kind, scope ScopeKind) {
+	draw := func(n, count int, downSec float64, scope ScopeKind) {
 		if n <= 0 {
 			return
 		}
@@ -172,26 +167,26 @@ func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timel
 			at := simtime.FromSeconds(r.Float64() * horizonSec * 0.9)
 			dur := simtime.FromSeconds(downSec * (0.5 + r.Float64()))
 			target := r.IntN(n)
-			tl.Events = append(tl.Events, Event{At: at, Kind: down, Scope: scope, Target: target, Pair: pair})
-			tl.Events = append(tl.Events, Event{At: at + dur, Kind: up, Scope: scope, Target: target, Pair: pair})
+			tl.Events = append(tl.Events, Event{At: at, Scope: scope, Target: target, Pair: pair},
+				Event{At: at + dur, Scope: scope, Up: true, Target: target, Pair: pair})
 			pair++
 		}
 	}
-	draw(topo.Servers, sp.ServerCrashes, sp.ServerDownSec, ServerCrash, ServerRecover, ScopeServer)
-	draw(topo.Links, sp.LinkFlaps, sp.LinkDownSec, LinkCut, LinkRestore, ScopeServer)
-	draw(topo.Switches, sp.SwitchKills, sp.SwitchDownSec, SwitchFail, SwitchRestore, ScopeServer)
-	draw(len(topo.Racks), sp.RackKills, sp.RackDownSec, ScopeDown, ScopeUp, ScopeRack)
-	draw(len(topo.Pods), sp.PodKills, sp.PodDownSec, ScopeDown, ScopeUp, ScopePod)
-	draw(topo.Switches, sp.SubtreeKills, sp.SubtreeDownSec, ScopeDown, ScopeUp, ScopeSwitch)
+	draw(topo.Servers, sp.ServerCrashes, sp.ServerDownSec, ScopeServer)
+	draw(topo.Links, sp.LinkFlaps, sp.LinkDownSec, ScopeLink)
+	draw(topo.Switches, sp.SwitchKills, sp.SwitchDownSec, ScopeSwitch)
+	draw(len(topo.Racks), sp.RackKills, sp.RackDownSec, ScopeRack)
+	draw(len(topo.Pods), sp.PodKills, sp.PodDownSec, ScopePod)
+	draw(topo.Switches, sp.SubtreeKills, sp.SubtreeDownSec, ScopeSubtree)
 	if sp.ServerMTTFSec > 0 && topo.Servers > 0 {
 		renew(r.Split("renewal-server"), horizonSec, topo.Servers,
 			sp.ServerMTTFSec, sp.ServerMTTRSec, sp.WeibullShape, sp.RepairCrews,
-			ServerCrash, ServerRecover, &tl, &pair)
+			ScopeServer, &tl, &pair)
 	}
 	if sp.SwitchMTTFSec > 0 && topo.Switches > 0 {
 		renew(r.Split("renewal-switch"), horizonSec, topo.Switches,
 			sp.SwitchMTTFSec, sp.SwitchMTTRSec, sp.WeibullShape, sp.RepairCrews,
-			SwitchFail, SwitchRestore, &tl, &pair)
+			ScopeSwitch, &tl, &pair)
 	}
 	if sp.TraceFile != "" {
 		f, err := os.Open(sp.TraceFile)
@@ -210,8 +205,8 @@ func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timel
 			}
 			at := simtime.FromSeconds(o.Start)
 			tl.Events = append(tl.Events,
-				Event{At: at, Kind: ScopeDown, Scope: scope, Target: o.Target, Pair: pair},
-				Event{At: at + simtime.FromSeconds(o.Dur), Kind: ScopeUp, Scope: scope, Target: o.Target, Pair: pair})
+				Event{At: at, Scope: scope, Target: o.Target, Pair: pair},
+				Event{At: at + simtime.FromSeconds(o.Dur), Scope: scope, Up: true, Target: o.Target, Pair: pair})
 			pair++
 		}
 	}
@@ -227,7 +222,7 @@ func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timel
 // (lowest component index on ties) so the draw sequence is a pure
 // function of the stream.
 func renew(r *rng.Source, horizonSec float64, n int, mttf, mttr, shape float64, crews int,
-	down, up Kind, tl *Timeline, pair *int) {
+	scope ScopeKind, tl *Timeline, pair *int) {
 	life := dist.WeibullFromMean(mttf, shape)
 	nextFail := make([]float64, n)
 	for i := range nextFail {
@@ -264,144 +259,44 @@ func renew(r *rng.Source, horizonSec float64, n int, mttf, mttr, shape float64, 
 		}
 		end := start + rep
 		tl.Events = append(tl.Events,
-			Event{At: simtime.FromSeconds(ft), Kind: down, Target: c, Pair: *pair},
-			Event{At: simtime.FromSeconds(end), Kind: up, Target: c, Pair: *pair})
+			Event{At: simtime.FromSeconds(ft), Scope: scope, Target: c, Pair: *pair},
+			Event{At: simtime.FromSeconds(end), Scope: scope, Up: true, Target: c, Pair: *pair})
 		*pair++
 		nextFail[c] = end + life.Sample(r)
 	}
 }
 
-// resolveScope expands a scope instance into server and switch index
-// sets (both ascending). ok is false when the target cannot be
-// resolved on this farm — the whole event then skips, mirroring the
-// point classes' out-of-range handling.
-func (inj *Injector) resolveScope(scope ScopeKind, target int) (srvs, sws []int, ok bool) {
-	if target < 0 {
-		return nil, nil, false
+// resolveScope expands a domain instance into server, link and switch
+// index sets (each ascending). ok is false when the target cannot be
+// resolved on this farm; the whole event then skips.
+func (inj *Injector) resolveScope(scope ScopeKind, target int) (srvs, links, sws []int, ok bool) {
+	t := inj.topo
+	switches, numLinks := 0, 0
+	if inj.net != nil {
+		switches, numLinks = len(inj.net.Switches()), inj.net.NumLinks()
 	}
-	switch scope {
-	case ScopeServer:
-		if target >= len(inj.servers) {
-			return nil, nil, false
-		}
-		return []int{target}, nil, true
-	case ScopeRack:
-		if inj.topo == nil || target >= len(inj.topo.Racks) {
-			return nil, nil, false
-		}
-		if sw := inj.topo.RackSwitch[target]; sw >= 0 {
+	switch {
+	case target < 0:
+	case scope == ScopeServer && target < len(inj.servers):
+		return []int{target}, nil, nil, true
+	case scope == ScopeRack && target < len(t.Racks):
+		if sw := t.RackSwitch[target]; sw >= 0 {
 			sws = []int{sw}
 		}
-		return inj.topo.Racks[target], sws, true
-	case ScopePod:
-		if inj.topo == nil || target >= len(inj.topo.Pods) {
-			return nil, nil, false
+		return t.Racks[target], nil, sws, true
+	case scope == ScopePod && target < len(t.Pods):
+		return t.Pods[target], nil, t.PodSwitches[target], true
+	case scope == ScopeSubtree && target < switches:
+		if target < len(t.AttachedServers) {
+			srvs = t.AttachedServers[target]
 		}
-		return inj.topo.Pods[target], inj.topo.PodSwitches[target], true
-	case ScopeSwitch:
-		if inj.net == nil || target >= len(inj.net.Switches()) {
-			return nil, nil, false
-		}
-		if inj.topo != nil && target < len(inj.topo.AttachedServers) {
-			srvs = inj.topo.AttachedServers[target]
-		}
-		return srvs, []int{target}, true
+		return srvs, nil, []int{target}, true
+	case scope == ScopeLink && target < numLinks:
+		return nil, []int{target}, nil, true
+	case scope == ScopeSwitch && target < switches:
+		return nil, nil, []int{target}, true
 	}
-	return nil, nil, false
-}
-
-// applyScopeDown crashes every in-scope component atomically: servers
-// first as one scheduler batch (orphan handling runs only after the
-// whole blast is down, so no orphan requeues onto a dying sibling),
-// then switches, both in ascending index order. Members already down
-// skip individually, exactly like overlapping point draws.
-func (inj *Injector) applyScopeDown(ev Event, depth int) {
-	srvs, sws, ok := inj.resolveScope(ev.Scope, ev.Target)
-	if !ok {
-		inj.ledger.Skipped++
-		return
-	}
-	inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	inj.cover.Hit(modelcov.ScopeDown(int(ev.Scope)))
-	var batch []*server.Server
-	first := -1
-	for _, s := range srvs {
-		if s >= len(inj.servers) || inj.servers[s].Failed() {
-			inj.ledger.Skipped++
-			continue
-		}
-		if first < 0 {
-			first = s
-		}
-		batch = append(batch, inj.servers[s])
-		inj.srvDownBy[s] = ev.Pair
-	}
-	if len(batch) > 0 {
-		lost, orphans := inj.sch.ServersCrashed(batch)
-		inj.ledger.ServerCrashes += int64(len(batch))
-		inj.ledger.JobsLostCrash += int64(lost)
-		inj.ledger.JobsLostByScope[ev.Scope] += int64(lost)
-		inj.ledger.TasksOrphaned += int64(orphans)
-		if depth > 0 {
-			inj.ledger.CascadeCrashes += int64(len(batch))
-			inj.cover.Hit(modelcov.CascadeDepth(depth))
-		}
-	}
-	for _, si := range sws {
-		sw := inj.switchAt(si)
-		if sw == nil || sw.Failed() {
-			inj.ledger.Skipped++
-			continue
-		}
-		// Ownership first, as in apply's single-component cases: killing a
-		// switch fails its in-flight transfers, whose callbacks can reach
-		// the invariant deep scan while the switch is already down.
-		inj.swDownBy[si] = ev.Pair
-		if err := inj.net.SetSwitchAdmin(sw.Node(), false); err != nil {
-			panic(err) // range-checked in resolveScope
-		}
-		inj.ledger.SwitchFails++
-	}
-	if first >= 0 {
-		inj.maybeCascade(first, depth)
-	}
-}
-
-// applyScopeUp restores the scope: switches first so recovered servers
-// rejoin a live fabric, then servers as one batch. Pair ownership is
-// per member — a member taken down by a different outage stays down.
-func (inj *Injector) applyScopeUp(ev Event) {
-	srvs, sws, ok := inj.resolveScope(ev.Scope, ev.Target)
-	if !ok {
-		inj.ledger.Skipped++
-		return
-	}
-	inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	for _, si := range sws {
-		sw := inj.switchAt(si)
-		if sw == nil || !sw.Failed() || inj.swDownBy[si] != ev.Pair {
-			inj.ledger.Skipped++
-			continue
-		}
-		delete(inj.swDownBy, si)
-		if err := inj.net.SetSwitchAdmin(sw.Node(), true); err != nil {
-			panic(err)
-		}
-		inj.ledger.SwitchRestores++
-	}
-	var batch []*server.Server
-	for _, s := range srvs {
-		if s >= len(inj.servers) || !inj.servers[s].Failed() || inj.srvDownBy[s] != ev.Pair {
-			inj.ledger.Skipped++
-			continue
-		}
-		batch = append(batch, inj.servers[s])
-		delete(inj.srvDownBy, s)
-	}
-	if len(batch) > 0 {
-		inj.sch.ServersRecovered(batch)
-		inj.ledger.ServerRecovers += int64(len(batch))
-	}
+	return nil, nil, nil, false
 }
 
 // maybeCascade applies the cascade rule after a crash: each still-alive
@@ -412,7 +307,7 @@ func (inj *Injector) applyScopeUp(ev Event) {
 // and stop at CascadeDepth. Draws consume the dedicated cascade stream
 // in ascending candidate order, so replay is deterministic.
 func (inj *Injector) maybeCascade(crashed, depth int) {
-	if inj.cascade == nil || inj.topo == nil || depth >= inj.spec.CascadeDepth ||
+	if inj.cascade == nil || depth >= inj.spec.CascadeDepth ||
 		inj.spec.CascadeP <= 0 || crashed >= len(inj.topo.PodOf) {
 		return
 	}
@@ -436,8 +331,8 @@ func (inj *Injector) maybeCascade(crashed, depth int) {
 		dur := simtime.FromSeconds(mean * (0.5 + inj.cascade.Float64()))
 		pair := inj.nextPair
 		inj.nextPair++
-		downEv := Event{At: now + delay, Kind: ServerCrash, Target: s, Pair: pair}
-		upEv := Event{At: now + delay + dur, Kind: ServerRecover, Target: s, Pair: pair}
+		downEv := Event{At: now + delay, Scope: ScopeServer, Target: s, Pair: pair}
+		upEv := Event{At: now + delay + dur, Scope: ScopeServer, Up: true, Target: s, Pair: pair}
 		d := depth + 1
 		inj.eng.Schedule(downEv.At, func() { inj.apply(downEv, d) })
 		inj.eng.Schedule(upEv.At, func() { inj.apply(upEv, d) })

@@ -5,10 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"holdcsim/internal/core"
 	"holdcsim/internal/fault"
+	"holdcsim/internal/modelcov"
 	"holdcsim/internal/rng"
 	"holdcsim/internal/scenario"
 	"holdcsim/internal/sched"
@@ -30,73 +31,6 @@ func starScenario(seed uint64, servers int) scenario.Scenario {
 	}
 }
 
-// TestDifferentialScopeServer pins the compatibility contract of the
-// correlated engine: a PR-era point-fault timeline re-expressed as
-// scope-resolved ScopeServer events produces byte-identical results and
-// an identical ledger. Both runs share one scenario seed, so every
-// non-fault draw matches; only the event encoding differs.
-func TestDifferentialScopeServer(t *testing.T) {
-	for _, policy := range []sched.OrphanPolicy{sched.OrphanRequeue, sched.OrphanDrop} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			ms := simtime.Millisecond
-			point := fault.Timeline{Events: []fault.Event{
-				{At: 20 * ms, Kind: fault.ServerCrash, Target: 1, Pair: 0},
-				{At: 90 * ms, Kind: fault.ServerRecover, Target: 1, Pair: 0},
-				{At: 40 * ms, Kind: fault.ServerCrash, Target: 3, Pair: 1},
-				{At: 60 * ms, Kind: fault.ServerCrash, Target: 3, Pair: 2}, // overlap -> skip
-				{At: 70 * ms, Kind: fault.ServerRecover, Target: 3, Pair: 2},
-				{At: 120 * ms, Kind: fault.ServerRecover, Target: 3, Pair: 1},
-			}}
-			scoped := fault.Timeline{Events: make([]fault.Event, len(point.Events))}
-			for i, ev := range point.Events {
-				kind := fault.ScopeDown
-				if ev.Kind == fault.ServerRecover {
-					kind = fault.ScopeUp
-				}
-				scoped.Events[i] = fault.Event{At: ev.At, Kind: kind, Scope: fault.ScopeServer,
-					Target: ev.Target, Pair: ev.Pair}
-			}
-			run := func(tl fault.Timeline) (*fault.Ledger, int64, int64, simtime.Time) {
-				s := starScenario(21, 6)
-				cfg, err := s.Config()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Hand-built timelines attach outside the scenario fault
-				// path: the orphan policy rides an otherwise-empty spec and
-				// the checker (wired to the scenario injector, not ours) is
-				// off for this build.
-				cfg.Faults = &fault.Spec{Orphans: policy}
-				cfg.Check = false
-				dc, err := core.Build(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
-				res, err := dc.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ld := inj.Ledger()
-				return &ld, res.JobsCompleted, res.JobsLost, res.End
-			}
-			la, ca, lla, ea := run(point)
-			lb, cb, llb, eb := run(scoped)
-			if *la != *lb {
-				t.Errorf("ledgers differ:\npoint  %+v\nscoped %+v", *la, *lb)
-			}
-			if ca != cb || lla != llb || ea != eb {
-				t.Errorf("results differ: completed %d/%d lost %d/%d end %v/%v",
-					ca, cb, lla, llb, ea, eb)
-			}
-			if la.ServerCrashes != 2 || la.Skipped != 2 {
-				t.Errorf("point ledger %+v, want 2 crashes 2 skips", *la)
-			}
-		})
-	}
-}
-
 // TestRackBlast takes a whole star rack (every server plus the hub
 // switch) down and back up, checking atomic membership, mid-outage
 // state, and ledger arithmetic.
@@ -108,10 +42,10 @@ func TestRackBlast(t *testing.T) {
 	}
 	ms := simtime.Millisecond
 	tl := fault.Timeline{Events: []fault.Event{
-		{At: 50 * ms, Kind: fault.ScopeDown, Scope: fault.ScopeRack, Target: 0, Pair: 0},
-		{At: 150 * ms, Kind: fault.ScopeUp, Scope: fault.ScopeRack, Target: 0, Pair: 0},
-		{At: 200 * ms, Kind: fault.ScopeDown, Scope: fault.ScopeRack, Target: 9, Pair: 1}, // no rack 9 -> skip
-		{At: 210 * ms, Kind: fault.ScopeUp, Scope: fault.ScopeRack, Target: 9, Pair: 1},   // skip
+		{At: 50 * ms, Scope: fault.ScopeRack, Target: 0, Pair: 0},
+		{At: 150 * ms, Scope: fault.ScopeRack, Up: true, Target: 0, Pair: 0},
+		{At: 200 * ms, Scope: fault.ScopeRack, Target: 9, Pair: 1},           // no rack 9 -> skip
+		{At: 210 * ms, Scope: fault.ScopeRack, Up: true, Target: 9, Pair: 1}, // skip
 	}}
 	topo := scopeTopo(t, s)
 	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: topo})
@@ -166,37 +100,51 @@ func scopeTopo(t *testing.T, s scenario.Scenario) *fault.Topo {
 	return fault.NewTopo(topology.NewScopeMap(g), s.Servers, 0, len(g.Switches()))
 }
 
-// TestTimelineForFrozenPointPrefix: for a point-only spec, TimelineFor
-// draws the pinned schedule (the point classes' draw order is frozen:
-// goldens and bench pins ride on it); with correlated classes added,
-// the point draws keep their exact values and the scope draws append
-// after them on the same stream.
+// render spells a timeline one "{at domain-down|up target pair}" entry
+// per event, the domain words being the coverage feature names.
+func render(tl fault.Timeline) string {
+	var b strings.Builder
+	for i, ev := range tl.Events {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		kind := strings.TrimPrefix(modelcov.Name(modelcov.Fault(int(ev.Scope), ev.Up)), "fault/")
+		fmt.Fprintf(&b, "{%v %s %d %d}", ev.At, kind, ev.Target, ev.Pair)
+	}
+	return b.String()
+}
+
+// TestTimelineForFrozenPointPrefix: for a spec of the server, link and
+// switch classes only, TimelineFor draws the pinned schedule (those
+// classes' draw order is frozen: goldens and bench pins ride on it);
+// with blast-radius classes added, those draws keep their exact values
+// and the blast draws append after them on the same stream.
 func TestTimelineForFrozenPointPrefix(t *testing.T) {
 	sp := fault.Spec{
 		ServerCrashes: 3, ServerDownSec: 0.3,
 		LinkFlaps: 2, LinkDownSec: 0.1,
 		SwitchKills: 1, SwitchDownSec: 0.2,
 	}
-	topo := fault.PointTopo(8, 12, 3)
+	topo := pointTopo(8, 12, 3)
 	old, err := sp.TimelineFor(rng.New(7).Split("faults"), 10, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const frozen = "{[{651ms link-cut 8 4 server} {737ms link-cut 11 3 server} {793ms link-restore 8 4 server} " +
-		"{866ms link-restore 11 3 server} {1.032s server-crash 3 1 server} {1.331s server-recover 3 1 server} " +
-		"{1.375s switch-fail 0 5 server} {1.482s switch-restore 0 5 server} {5.347s server-crash 0 0 server} " +
-		"{5.728s server-recover 0 0 server} {6.623s server-crash 1 2 server} {7.032s server-recover 1 2 server}]}"
-	if got := fmt.Sprint(old); got != frozen {
+	const frozen = "{651ms link-down 8 4} {737ms link-down 11 3} {793ms link-up 8 4} " +
+		"{866ms link-up 11 3} {1.032s server-down 3 1} {1.331s server-up 3 1} " +
+		"{1.375s switch-down 0 5} {1.482s switch-up 0 5} {5.347s server-down 0 0} " +
+		"{5.728s server-up 0 0} {6.623s server-down 1 2} {7.032s server-up 1 2}"
+	if got := render(old); got != frozen {
 		t.Fatalf("point-only schedule moved:\n got %s\nwant %s", got, frozen)
 	}
 
-	// Adding scope classes must not disturb the point draws: events
+	// Adding blast classes must not disturb the first six pairs: events
 	// pair-for-pair identical on the first 6 pairs.
 	sp2 := sp
 	sp2.RackKills = 2
 	sp2.RackDownSec = 0.2
 	topo2 := fault.FallbackTopo(8)
-	topo2.Links, topo2.Switches = 12, 3 // same point populations as old
+	topo2.Links, topo2.Switches = 12, 3 // same link and switch populations as old
 	got2, err := sp2.TimelineFor(rng.New(7).Split("faults"), 10, topo2)
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +160,12 @@ func TestTimelineForFrozenPointPrefix(t *testing.T) {
 	}
 	for pair := 0; pair < 6; pair++ {
 		if !reflect.DeepEqual(byPair(old, pair), byPair(got2, pair)) {
-			t.Errorf("pair %d moved when scope classes were added", pair)
+			t.Errorf("pair %d moved when blast classes were added", pair)
 		}
 	}
 	racks := 0
 	for _, ev := range got2.Events {
-		if ev.Kind == fault.ScopeDown && ev.Scope == fault.ScopeRack {
+		if !ev.Up && ev.Scope == fault.ScopeRack {
 			racks++
 		}
 	}
@@ -232,7 +180,7 @@ func TestTimelineForFrozenPointPrefix(t *testing.T) {
 // a property unlimited crews do not have).
 func TestRenewalTimeline(t *testing.T) {
 	sp := fault.Spec{ServerMTTFSec: 1, ServerMTTRSec: 0.3, WeibullShape: 1.5, RepairCrews: 1}
-	topo := fault.PointTopo(4, 0, 0)
+	topo := pointTopo(4, 0, 0)
 	a, err := sp.TimelineFor(rng.New(11).Split("faults"), 20, topo)
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +198,13 @@ func TestRenewalTimeline(t *testing.T) {
 	down := map[int]fault.Event{}
 	ups := map[int]fault.Event{}
 	for _, ev := range a.Events {
-		switch ev.Kind {
-		case fault.ServerCrash:
-			down[ev.Pair] = ev
-		case fault.ServerRecover:
+		switch {
+		case ev.Scope != fault.ScopeServer:
+			t.Fatalf("unexpected domain %v in a server renewal timeline", ev.Scope)
+		case ev.Up:
 			ups[ev.Pair] = ev
 		default:
-			t.Fatalf("unexpected kind %v in a server renewal timeline", ev.Kind)
+			down[ev.Pair] = ev
 		}
 	}
 	if len(down) != len(ups) {
@@ -281,12 +229,12 @@ func TestRenewalTimeline(t *testing.T) {
 	}
 
 	// Renewal draws ride dedicated splits: adding a renewal class must
-	// not move the point-class draws on the parent stream.
+	// not move the server-class draws on the parent stream.
 	sp2 := sp
 	sp2.ServerCrashes = 2
 	sp2.ServerDownSec = 0.2
 	point := fault.Spec{ServerCrashes: 2, ServerDownSec: 0.2}
-	tlPoint, err := point.TimelineFor(rng.New(11).Split("faults"), 20, fault.PointTopo(4, 0, 0))
+	tlPoint, err := point.TimelineFor(rng.New(11).Split("faults"), 20, pointTopo(4, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,10 +416,10 @@ func TestScopeSpecLabels(t *testing.T) {
 // TestScopeKindStrings pins the scope vocabulary shared with outage logs.
 func TestScopeKindStrings(t *testing.T) {
 	want := map[fault.ScopeKind]string{
-		fault.ScopeServer: "server",
-		fault.ScopeRack:   "rack",
-		fault.ScopePod:    "pod",
-		fault.ScopeSwitch: "switch",
+		fault.ScopeServer:  "server",
+		fault.ScopeRack:    "rack",
+		fault.ScopePod:     "pod",
+		fault.ScopeSubtree: "switch",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -9,13 +9,13 @@
 // requeued, a dead switch silently blackholes the flows crossing it,
 // and the energy books must exclude down time.
 //
-// Beyond independent point faults, the engine models *correlated*
-// failure: blast-radius events whose target is a whole rack, pod, or
-// switch subtree (every component in scope crashes atomically, in
-// deterministic ascending order); MTTF/MTTR renewal processes drawing
-// open-ended per-component failure/repair timelines from Weibull or
-// exponential lifetime distributions, with a repair-crew capacity limit
-// serializing recoveries; cascade rules where an applied crash
+// Every fault is a failure domain going down and coming back: a server,
+// a link, a bare switch, or a blast radius — a rack, a pod, a switch
+// subtree — whose components crash atomically, in deterministic
+// ascending order. The engine also models *correlated* failure: MTTF/MTTR
+// renewal processes drawing open-ended per-component failure/repair
+// timelines from Weibull or exponential lifetime distributions, with a
+// repair-crew capacity limit serializing recoveries; cascade rules where an applied crash
 // overload-crashes pod siblings with per-edge probability, delay, and a
 // depth cap; and outage-log replay from recorded `start dur scope
 // target` trace files (see internal/trace.ReadOutages).
@@ -50,63 +50,19 @@ import (
 	"holdcsim/internal/simtime"
 )
 
-// Kind is a fault event type.
-type Kind uint8
-
-// Fault event kinds. Down/up events come in pairs; the Injector skips
-// an event whose target is already in the requested state (two crash
-// draws overlapping on one server), counting it in the ledger.
-const (
-	ServerCrash Kind = iota
-	ServerRecover
-	LinkCut
-	LinkRestore
-	SwitchFail
-	SwitchRestore
-	// ScopeDown and ScopeUp are blast-radius events: Target names a
-	// scope instance (rack index, pod index, switch index, or server
-	// index per Event.Scope) and the whole membership goes down or
-	// comes back atomically.
-	ScopeDown
-	ScopeUp
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case ServerCrash:
-		return "server-crash"
-	case ServerRecover:
-		return "server-recover"
-	case LinkCut:
-		return "link-cut"
-	case LinkRestore:
-		return "link-restore"
-	case SwitchFail:
-		return "switch-fail"
-	case SwitchRestore:
-		return "switch-restore"
-	case ScopeDown:
-		return "scope-down"
-	case ScopeUp:
-		return "scope-up"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Event is one scheduled fault. Target indexes servers, links, or
-// switches (network.Switches() order) per the kind. Pair ties a
-// down/up couple together: a restore applies only if its own outage's
-// down event was the one that took the target down, so overlapping
-// draws on one target cannot truncate an earlier outage's duration.
+// Event is one scheduled fault: failure domain Scope, instance Target,
+// goes down (Up false) or comes back (Up true). Target indexes the
+// domain's population — servers, racks, pods, switches (subtree and bare
+// switch, in network.Switches() order) or links. Pair ties a down/up
+// couple together: a restore applies only to the members its own
+// outage's down event took down, so overlapping draws on one target
+// cannot truncate an earlier outage's duration.
 type Event struct {
 	At     simtime.Time
-	Kind   Kind
+	Scope  ScopeKind
+	Up     bool
 	Target int
 	Pair   int
-	// Scope qualifies ScopeDown/ScopeUp events: the failure domain
-	// Target indexes into. Zero (ScopeServer) for point events.
-	Scope ScopeKind
 }
 
 // Timeline is a time-ordered fault schedule.
@@ -138,8 +94,8 @@ type Spec struct {
 	// (default) or drop the whole job.
 	Orphans sched.OrphanPolicy `json:"orphans,omitempty"`
 
-	// Blast-radius classes: each draws count scope-down/up pairs whose
-	// target is a whole failure domain, resolved against the topology's
+	// Blast-radius classes: each draws count down/up pairs whose domain
+	// holds several components, resolved against the topology's
 	// ScopeMap. RackKills takes out a rack's servers plus its ToR;
 	// PodKills a pod's servers plus its switches; SubtreeKills a switch
 	// plus its directly attached servers.
@@ -309,10 +265,10 @@ type Ledger struct {
 	JobsLostNoAlive int64 // jobs retracted for lack of any alive server (OrphanDrop)
 	TasksOrphaned   int64 // task incarnations stranded on crashed servers
 
-	// JobsLostByScope attributes JobsLostCrash to the scope of the
-	// causing down event (indexed by ScopeKind; point server crashes
-	// land on ScopeServer). The scope-consistency invariant law checks
-	// the attribution sums back to JobsLostCrash.
+	// JobsLostByScope attributes JobsLostCrash to the failure domain of
+	// the causing down event (indexed by ScopeKind). The
+	// scope-consistency invariant law checks the attribution sums back
+	// to JobsLostCrash.
 	JobsLostByScope [NumScopes]int64
 	// CascadeCrashes counts server crashes applied at cascade depth
 	// >= 1 — a subset of ServerCrashes.
@@ -337,32 +293,32 @@ type Injector struct {
 	net     *network.Network // nil on server-only farms
 	ledger  Ledger
 
-	// Correlated-model state: scope resolution, the cascade rng (nil
-	// disables cascades), the spec's cascade parameters, and the next
-	// pair id for cascade-scheduled outages (above the timeline's).
+	// Domain resolution, the cascade rng (nil disables cascades), the
+	// spec's cascade parameters, and the next pair id for
+	// cascade-scheduled outages (above the timeline's).
 	topo     *Topo
 	cascade  *rng.Source
 	spec     Spec
 	nextPair int
 
-	// downBy records, per target class, which outage pair took a target
-	// down. A restore whose pair does not match is skipped: its own down
-	// event overlapped an earlier outage and was itself skipped, so
-	// applying its restore would truncate the earlier outage's duration.
+	// downBy records, per component class, which outage pair took a
+	// component down. A restore whose pair does not match is skipped:
+	// its own down event overlapped an earlier outage and was itself
+	// skipped, so applying its restore would truncate the earlier
+	// outage's duration.
 	srvDownBy  map[int]int
 	linkDownBy map[int]int
 	swDownBy   map[int]int
 
-	// cover, when non-nil, receives applied-fault-kind, scope, and
+	// cover, when non-nil, receives applied-fault-domain and
 	// cascade-depth coverage features (modelcov; recording only).
 	cover *modelcov.Map
 }
 
-// AttachOpts carries the correlated-model wiring for Attach. The zero
-// value is plain point-fault attachment.
+// AttachOpts carries the domain table and the cascade and coverage
+// wiring for Attach.
 type AttachOpts struct {
-	// Topo resolves rack/pod/subtree scopes; nil restricts scoped
-	// events to ScopeServer.
+	// Topo resolves failure domains to their members; required.
 	Topo *Topo
 	// Cascade is the rng stream cascade draws consume; nil disables
 	// cascades regardless of Spec.
@@ -371,8 +327,8 @@ type AttachOpts struct {
 	// CascadeDepth) and the fallback outage duration for cascade
 	// crashes (ServerDownSec).
 	Spec Spec
-	// Cover, when non-nil, records applied fault kinds, blast-radius
-	// scopes, and cascade depths into the model-state coverage map.
+	// Cover, when non-nil, records applied fault events by domain and
+	// direction, and cascade depths, into the model-state coverage map.
 	Cover *modelcov.Map
 }
 
@@ -413,96 +369,128 @@ func (inj *Injector) Ledger() Ledger { return inj.ledger }
 // invariant checker's cross-check hook).
 func (inj *Injector) JobsLost() int64 { return inj.ledger.JobsLost() }
 
-// apply delivers one fault event. Events whose target is already in the
-// requested state (or out of range for this farm) are skipped and
-// counted; a restore whose matching down event was skipped is skipped
-// too, so every applied outage runs its full drawn duration. depth is
-// the cascade depth of the event (0 for timeline events); an applied
-// crash may trigger dependent failures via the cascade rules.
+// apply delivers one fault event: resolve the domain, then fail or
+// restore its members. An unresolvable domain (out of range for this
+// farm) skips the whole event; a member already in the requested state
+// skips alone, and a restore skips every member its own outage did not
+// take down, so every applied outage runs its full drawn duration.
+// Each count lands in the ledger. depth is the cascade depth of the
+// event (0 for timeline events).
 func (inj *Injector) apply(ev Event, depth int) {
-	switch ev.Kind {
-	case ServerCrash:
-		if ev.Target >= len(inj.servers) || inj.servers[ev.Target].Failed() {
+	srvs, links, sws, ok := inj.resolveScope(ev.Scope, ev.Target)
+	if !ok {
+		inj.ledger.Skipped++
+		return
+	}
+	inj.cover.Hit(modelcov.Fault(int(ev.Scope), ev.Up))
+	if ev.Up {
+		inj.restore(ev.Pair, srvs, links, sws)
+	} else {
+		inj.fail(ev, depth, srvs, links, sws)
+	}
+}
+
+// fail takes a domain down at one instant: servers first as one
+// scheduler batch (orphan handling runs only after the whole blast is
+// down, so no orphan requeues onto a dying sibling), then switches, then
+// links, each in ascending index order. Every member is owned by the
+// outage before its crash or kill call: orphan handling and the
+// transfers a kill aborts re-enter the invariant deep scan while the
+// member is already down, and the scope-consistency law requires every
+// down component to have an owner at all times. A server crash may
+// trigger dependent failures via the cascade rules.
+func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
+	var batch []*server.Server
+	first := -1
+	for _, s := range srvs {
+		if s >= len(inj.servers) || inj.servers[s].Failed() {
 			inj.ledger.Skipped++
-			return
+			continue
 		}
-		// Ownership is recorded before the crash call: orphan handling can
-		// re-enter the scheduler (and the invariant deep scan) while the
-		// server is already down, and the scope-consistency law requires
-		// every down component to have an owning outage at all times.
-		inj.srvDownBy[ev.Target] = ev.Pair
-		lost, orphans := inj.sch.ServerCrashed(inj.servers[ev.Target])
-		inj.ledger.ServerCrashes++
+		if first < 0 {
+			first = s
+		}
+		inj.srvDownBy[s] = ev.Pair
+		batch = append(batch, inj.servers[s])
+	}
+	if len(batch) > 0 {
+		lost, orphans := inj.sch.ServersCrashed(batch)
+		inj.ledger.ServerCrashes += int64(len(batch))
 		inj.ledger.JobsLostCrash += int64(lost)
-		inj.ledger.JobsLostByScope[ScopeServer] += int64(lost)
+		inj.ledger.JobsLostByScope[ev.Scope] += int64(lost)
 		inj.ledger.TasksOrphaned += int64(orphans)
-		inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
 		if depth > 0 {
-			inj.ledger.CascadeCrashes++
+			inj.ledger.CascadeCrashes += int64(len(batch))
 			inj.cover.Hit(modelcov.CascadeDepth(depth))
 		}
-		inj.maybeCascade(ev.Target, depth)
-	case ServerRecover:
-		if ev.Target >= len(inj.servers) || !inj.servers[ev.Target].Failed() ||
-			inj.srvDownBy[ev.Target] != ev.Pair {
-			inj.ledger.Skipped++
-			return
-		}
-		delete(inj.srvDownBy, ev.Target)
-		inj.sch.ServerRecovered(inj.servers[ev.Target])
-		inj.ledger.ServerRecovers++
-		inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	case LinkCut:
-		if inj.net == nil || ev.Target >= inj.net.NumLinks() || inj.net.LinkAdminDown(ev.Target) {
-			inj.ledger.Skipped++
-			return
-		}
-		inj.linkDownBy[ev.Target] = ev.Pair
-		if err := inj.net.SetLinkAdmin(ev.Target, false); err != nil {
-			panic(err) // range-checked above
-		}
-		inj.ledger.LinkCuts++
-		inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	case LinkRestore:
-		if inj.net == nil || ev.Target >= inj.net.NumLinks() || !inj.net.LinkAdminDown(ev.Target) ||
-			inj.linkDownBy[ev.Target] != ev.Pair {
-			inj.ledger.Skipped++
-			return
-		}
-		delete(inj.linkDownBy, ev.Target)
-		if err := inj.net.SetLinkAdmin(ev.Target, true); err != nil {
-			panic(err)
-		}
-		inj.ledger.LinkRestores++
-		inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	case SwitchFail:
-		sw := inj.switchAt(ev.Target)
+	}
+	for _, si := range sws {
+		sw := inj.switchAt(si)
 		if sw == nil || sw.Failed() {
 			inj.ledger.Skipped++
-			return
+			continue
 		}
-		inj.swDownBy[ev.Target] = ev.Pair
+		inj.swDownBy[si] = ev.Pair
 		if err := inj.net.SetSwitchAdmin(sw.Node(), false); err != nil {
-			panic(err)
+			panic(err) // range-checked in resolveScope
 		}
 		inj.ledger.SwitchFails++
-		inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	case SwitchRestore:
-		sw := inj.switchAt(ev.Target)
-		if sw == nil || !sw.Failed() || inj.swDownBy[ev.Target] != ev.Pair {
+	}
+	for _, l := range links {
+		if inj.net.LinkAdminDown(l) {
 			inj.ledger.Skipped++
-			return
+			continue
 		}
-		delete(inj.swDownBy, ev.Target)
+		inj.linkDownBy[l] = ev.Pair
+		if err := inj.net.SetLinkAdmin(l, false); err != nil {
+			panic(err) // range-checked in resolveScope
+		}
+		inj.ledger.LinkCuts++
+	}
+	if first >= 0 {
+		inj.maybeCascade(first, depth)
+	}
+}
+
+// restore brings back the members outage pair took down: switches and
+// links first so recovered servers rejoin a live fabric, then servers as
+// one batch. A member taken down by a different outage stays down.
+func (inj *Injector) restore(pair int, srvs, links, sws []int) {
+	for _, si := range sws {
+		sw := inj.switchAt(si)
+		if sw == nil || !sw.Failed() || inj.swDownBy[si] != pair {
+			inj.ledger.Skipped++
+			continue
+		}
+		delete(inj.swDownBy, si)
 		if err := inj.net.SetSwitchAdmin(sw.Node(), true); err != nil {
-			panic(err)
+			panic(err) // range-checked in resolveScope
 		}
 		inj.ledger.SwitchRestores++
-		inj.cover.Hit(modelcov.FaultKind(int(ev.Kind)))
-	case ScopeDown:
-		inj.applyScopeDown(ev, depth)
-	case ScopeUp:
-		inj.applyScopeUp(ev)
+	}
+	for _, l := range links {
+		if !inj.net.LinkAdminDown(l) || inj.linkDownBy[l] != pair {
+			inj.ledger.Skipped++
+			continue
+		}
+		delete(inj.linkDownBy, l)
+		if err := inj.net.SetLinkAdmin(l, true); err != nil {
+			panic(err) // range-checked in resolveScope
+		}
+		inj.ledger.LinkRestores++
+	}
+	var batch []*server.Server
+	for _, s := range srvs {
+		if s >= len(inj.servers) || !inj.servers[s].Failed() || inj.srvDownBy[s] != pair {
+			inj.ledger.Skipped++
+			continue
+		}
+		delete(inj.srvDownBy, s)
+		batch = append(batch, inj.servers[s])
+	}
+	if len(batch) > 0 {
+		inj.sch.ServersRecovered(batch)
+		inj.ledger.ServerRecovers += int64(len(batch))
 	}
 }
 

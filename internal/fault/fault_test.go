@@ -11,12 +11,18 @@ import (
 	"holdcsim/internal/simtime"
 )
 
+// pointTopo is a domain table with populations only: no racks, pods or
+// subtrees, and no pod to cascade through.
+func pointTopo(servers, links, switches int) *fault.Topo {
+	return &fault.Topo{Servers: servers, Links: links, Switches: switches}
+}
+
 // TestTimelineDeterministic: the timeline is a pure function of (seed,
 // spec, farm shape) — identical across calls, time-ordered, and with
 // every down event paired with a later up event on the same target.
 func TestTimelineDeterministic(t *testing.T) {
 	timeline := func(spec fault.Spec, seed uint64, servers, links, switches int) fault.Timeline {
-		tl, err := spec.TimelineFor(rng.New(seed).Split("faults"), 10, fault.PointTopo(servers, links, switches))
+		tl, err := spec.TimelineFor(rng.New(seed).Split("faults"), 10, pointTopo(servers, links, switches))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,14 +46,14 @@ func TestTimelineDeterministic(t *testing.T) {
 			t.Fatalf("timeline out of order at %d: %v after %v", i, a.Events[i].At, a.Events[i-1].At)
 		}
 	}
-	downs := map[fault.Kind]int{}
+	mix := map[fault.Event]int{} // keyed by domain and direction only
 	for _, ev := range a.Events {
-		downs[ev.Kind]++
+		mix[fault.Event{Scope: ev.Scope, Up: ev.Up}]++
 	}
-	if downs[fault.ServerCrash] != 4 || downs[fault.ServerRecover] != 4 ||
-		downs[fault.LinkCut] != 3 || downs[fault.LinkRestore] != 3 ||
-		downs[fault.SwitchFail] != 2 || downs[fault.SwitchRestore] != 2 {
-		t.Fatalf("event mix %v", downs)
+	for scope, n := range map[fault.ScopeKind]int{fault.ScopeServer: 4, fault.ScopeLink: 3, fault.ScopeSwitch: 2} {
+		if mix[fault.Event{Scope: scope}] != n || mix[fault.Event{Scope: scope, Up: true}] != n {
+			t.Fatalf("event mix %v", mix)
+		}
 	}
 	// A different seed moves the schedule.
 	c := timeline(spec, 8, 8, 12, 3)
@@ -57,8 +63,8 @@ func TestTimelineDeterministic(t *testing.T) {
 	// Zero target populations skip their classes.
 	d := timeline(spec, 7, 8, 0, 0)
 	for _, ev := range d.Events {
-		if ev.Kind != fault.ServerCrash && ev.Kind != fault.ServerRecover {
-			t.Fatalf("network event %v drawn with no network", ev.Kind)
+		if ev.Scope != fault.ScopeServer {
+			t.Fatalf("network event %+v drawn with no network", ev)
 		}
 	}
 }
@@ -186,24 +192,14 @@ func TestGoldenFaultRun(t *testing.T) {
 	}
 }
 
-// TestKindAndSpecStrings pins the enum renderings used in scenario
-// names and logs.
+// TestKindAndSpecStrings pins the renderings used in scenario names and
+// logs: the spec labels, and the two failure domains the outage-log
+// vocabulary has no word for.
 func TestKindAndSpecStrings(t *testing.T) {
-	want := map[fault.Kind]string{
-		fault.ServerCrash:   "server-crash",
-		fault.ServerRecover: "server-recover",
-		fault.LinkCut:       "link-cut",
-		fault.LinkRestore:   "link-restore",
-		fault.SwitchFail:    "switch-fail",
-		fault.SwitchRestore: "switch-restore",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
+	for k, want := range map[fault.ScopeKind]string{fault.ScopeLink: "ScopeKind(4)", fault.ScopeSwitch: "ScopeKind(5)"} {
+		if got := k.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
-	}
-	if got := fault.Kind(99).String(); got != "Kind(99)" {
-		t.Errorf("unknown kind renders %q", got)
 	}
 	if got := (fault.Spec{}).String(); got != "nofault" {
 		t.Errorf("zero spec renders %q", got)
@@ -260,17 +256,17 @@ func TestInjectorSkipsAndAccessors(t *testing.T) {
 	}
 	ms := simtime.Millisecond
 	tl := fault.Timeline{Events: []fault.Event{
-		{At: 1 * ms, Kind: fault.ServerCrash, Target: 0},
-		{At: 2 * ms, Kind: fault.ServerCrash, Target: 0},   // already down -> skip
-		{At: 3 * ms, Kind: fault.ServerCrash, Target: 99},  // out of range -> skip
-		{At: 4 * ms, Kind: fault.ServerRecover, Target: 1}, // up -> skip
-		{At: 5 * ms, Kind: fault.ServerRecover, Target: 0},
-		{At: 6 * ms, Kind: fault.LinkCut, Target: 0},       // no network -> skip
-		{At: 7 * ms, Kind: fault.LinkRestore, Target: 0},   // no network -> skip
-		{At: 8 * ms, Kind: fault.SwitchFail, Target: 0},    // no network -> skip
-		{At: 9 * ms, Kind: fault.SwitchRestore, Target: 0}, // no network -> skip
+		{At: 1 * ms, Scope: fault.ScopeServer, Target: 0},
+		{At: 2 * ms, Scope: fault.ScopeServer, Target: 0},           // already down -> skip
+		{At: 3 * ms, Scope: fault.ScopeServer, Target: 99},          // out of range -> skip
+		{At: 4 * ms, Scope: fault.ScopeServer, Up: true, Target: 1}, // up -> skip
+		{At: 5 * ms, Scope: fault.ScopeServer, Up: true, Target: 0},
+		{At: 6 * ms, Scope: fault.ScopeLink, Target: 0},             // no network -> skip
+		{At: 7 * ms, Scope: fault.ScopeLink, Up: true, Target: 0},   // no network -> skip
+		{At: 8 * ms, Scope: fault.ScopeSwitch, Target: 0},           // no network -> skip
+		{At: 9 * ms, Scope: fault.ScopeSwitch, Up: true, Target: 0}, // no network -> skip
 	}}
-	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: fault.FallbackTopo(2)})
 	if _, err := dc.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,17 +301,17 @@ func TestInjectorNetworkSkips(t *testing.T) {
 	}
 	ms := simtime.Millisecond
 	tl := fault.Timeline{Events: []fault.Event{
-		{At: 1 * ms, Kind: fault.LinkCut, Target: 0},
-		{At: 2 * ms, Kind: fault.LinkCut, Target: 0}, // already down -> skip
-		{At: 3 * ms, Kind: fault.LinkRestore, Target: 0},
-		{At: 4 * ms, Kind: fault.LinkRestore, Target: 0}, // already up -> skip
-		{At: 5 * ms, Kind: fault.LinkCut, Target: 999},   // out of range -> skip
-		{At: 6 * ms, Kind: fault.SwitchFail, Target: 0},
-		{At: 7 * ms, Kind: fault.SwitchFail, Target: 0}, // already dead -> skip
-		{At: 8 * ms, Kind: fault.SwitchRestore, Target: 0},
-		{At: 9 * ms, Kind: fault.SwitchRestore, Target: 99}, // out of range -> skip
+		{At: 1 * ms, Scope: fault.ScopeLink, Target: 0},
+		{At: 2 * ms, Scope: fault.ScopeLink, Target: 0}, // already down -> skip
+		{At: 3 * ms, Scope: fault.ScopeLink, Up: true, Target: 0},
+		{At: 4 * ms, Scope: fault.ScopeLink, Up: true, Target: 0}, // already up -> skip
+		{At: 5 * ms, Scope: fault.ScopeLink, Target: 999},         // out of range -> skip
+		{At: 6 * ms, Scope: fault.ScopeSwitch, Target: 0},
+		{At: 7 * ms, Scope: fault.ScopeSwitch, Target: 0}, // already dead -> skip
+		{At: 8 * ms, Scope: fault.ScopeSwitch, Up: true, Target: 0},
+		{At: 9 * ms, Scope: fault.ScopeSwitch, Up: true, Target: 99}, // out of range -> skip
 	}}
-	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: scopeTopo(t, s)})
 	if _, err := dc.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +344,12 @@ func TestOverlappingOutagesKeepFullDuration(t *testing.T) {
 	}
 	ms := simtime.Millisecond
 	tl := fault.Timeline{Events: []fault.Event{
-		{At: 1 * ms, Kind: fault.ServerCrash, Target: 0, Pair: 0},   // applies; down until 11 ms
-		{At: 5 * ms, Kind: fault.ServerCrash, Target: 0, Pair: 1},   // overlaps -> skip
-		{At: 6 * ms, Kind: fault.ServerRecover, Target: 0, Pair: 1}, // its crash was skipped -> skip
-		{At: 11 * ms, Kind: fault.ServerRecover, Target: 0, Pair: 0},
+		{At: 1 * ms, Scope: fault.ScopeServer, Target: 0, Pair: 0},           // applies; down until 11 ms
+		{At: 5 * ms, Scope: fault.ScopeServer, Target: 0, Pair: 1},           // overlaps -> skip
+		{At: 6 * ms, Scope: fault.ScopeServer, Up: true, Target: 0, Pair: 1}, // its crash was skipped -> skip
+		{At: 11 * ms, Scope: fault.ScopeServer, Up: true, Target: 0, Pair: 0},
 	}}
-	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{})
+	inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: fault.FallbackTopo(2)})
 	stillDown := false
 	dc.Eng.Schedule(8*ms, func() { stillDown = dc.Servers[0].Failed() })
 	recovered := false

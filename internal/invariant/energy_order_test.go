@@ -38,7 +38,7 @@ func TestServerEnergyViolationsDeterministic(t *testing.T) {
 	}
 
 	check := func(srv *server.Server) string {
-		c := &Checker{opts: Options{MaxViolations: 32}}
+		c := &Checker{}
 		// An end time before the last transition makes the closed
 		// intervals overshoot the [t0, end] window, so the fractions sum
 		// far past 1 and the closure law must fire — deterministically.

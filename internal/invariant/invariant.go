@@ -4,7 +4,7 @@
 // Checker subscribes to the scheduler's observation hooks and, at every
 // dispatch boundary, verifies the cheap O(1) laws (monotonic virtual
 // time, job-count conservation, non-negative load counters); every
-// SampleEvery-th observation and at Finalize it runs the O(servers)
+// sampleEvery-th observation and at Finalize it runs the O(servers)
 // deep scan and the end-of-run laws — task conservation, energy
 // accounting closure, per-flow packet conservation, and the exact
 // integral form of Little's law. The checker is observation-only: it
@@ -45,9 +45,6 @@ func (v Violation) String() string { return v.Law + ": " + v.Detail }
 
 // Options tunes a Checker.
 type Options struct {
-	// SampleEvery runs the deep scan once per this many observations
-	// (default 64). The scan always also runs at Finalize.
-	SampleEvery int
 	// Farm, when set, supplies the whole-farm incremental aggregates so
 	// Finalize's task-conservation sums are O(1) instead of a walk over
 	// every server. The farm must hold exactly the checked servers.
@@ -56,9 +53,6 @@ type Options struct {
 	// law at Finalize: |L − λW| within the 95% CI of the mean sojourn.
 	// Only meaningful for runs long enough to be near steady state.
 	Stationary bool
-	// MaxViolations caps recorded violations (default 32); further
-	// violations increment the suppressed counter.
-	MaxViolations int
 	// LostJobsLedger, when set, supplies an independent count of jobs
 	// lost to failures (the fault injector's ledger). Finalize
 	// cross-checks it against both the checker's own loss observations
@@ -74,6 +68,14 @@ type Options struct {
 
 // RelTol is the relative tolerance for floating-point closure laws.
 const RelTol = 1e-9
+
+// sampleEvery runs the deep scan once per this many observations; the
+// scan always also runs at Finalize.
+const sampleEvery = 64
+
+// maxViolations caps recorded violations; further violations increment
+// the suppressed counter.
+const maxViolations = 32
 
 // scanBudget caps how many servers one deep scan (and one Finalize
 // energy pass) visits. A bounded scan drains the dirty set first
@@ -137,15 +139,9 @@ type Checker struct {
 // network); eng, s and servers are required.
 func Attach(eng *engine.Engine, gen *workload.Generator, s *sched.Scheduler,
 	servers []*server.Server, net *network.Network, opts Options) *Checker {
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 64
-	}
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 32
-	}
 	c := &Checker{
 		eng: eng, gen: gen, sched: s, servers: servers, net: net, opts: opts,
-		scanIn:     opts.SampleEvery,
+		scanIn:     sampleEvery,
 		scanBudget: scanBudget,
 		dirtyBits:  make([]uint64, (len(servers)+63)/64),
 	}
@@ -167,7 +163,7 @@ func Attach(eng *engine.Engine, gen *workload.Generator, s *sched.Scheduler,
 
 // report records one violation, respecting the cap.
 func (c *Checker) report(law, format string, args ...any) {
-	if len(c.violations) >= c.opts.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		c.suppressed++
 		return
 	}
@@ -184,7 +180,7 @@ func (c *Checker) observe() simtime.Time {
 	}
 	c.lastNow = now
 	if c.scanIn--; c.scanIn <= 0 {
-		c.scanIn = c.opts.SampleEvery
+		c.scanIn = sampleEvery
 		c.deepScan()
 	}
 	return now
@@ -394,7 +390,7 @@ func (c *Checker) deepScan() {
 // all violations found over the run's lifetime. It is idempotent: the
 // laws run once, and repeated calls return the recorded violations
 // without re-reporting them (a persistent defect would otherwise
-// duplicate itself and burn the MaxViolations cap).
+// duplicate itself and burn the maxViolations cap).
 func (c *Checker) Finalize(end simtime.Time) []Violation {
 	if c.finalized {
 		return c.violations

@@ -122,10 +122,10 @@ func TestLossSplitsHold(t *testing.T) {
 			r.c.opts.LostJobsLedger = func() int64 { return ledger }
 			r.s.OnJobLost(func(_ *job.Job, _ sched.LostReason) { ledger++ })
 			r.eng.Schedule(100*simtime.Millisecond, func() {
-				r.s.ServerCrashed(r.farm[0])
+				r.s.ServersCrashed(r.farm[:1])
 			})
 			r.eng.Schedule(300*simtime.Millisecond, func() {
-				r.s.ServerRecovered(r.farm[0])
+				r.s.ServersRecovered(r.farm[:1])
 			})
 			r.run()
 			if v := r.c.Finalize(r.eng.Now()); len(v) != 0 {
@@ -200,12 +200,12 @@ func TestVerifyTotalsDetectsMismatch(t *testing.T) {
 }
 
 func TestViolationCapSuppresses(t *testing.T) {
-	r := newRig(t, 1, 1, Options{MaxViolations: 3})
-	for i := 0; i < 10; i++ {
+	r := newRig(t, 1, 1, Options{})
+	for i := 0; i < maxViolations+7; i++ {
 		r.c.report("test-law", "synthetic %d", i)
 	}
-	if len(r.c.Violations()) != 3 {
-		t.Fatalf("recorded %d violations, want cap 3", len(r.c.Violations()))
+	if len(r.c.Violations()) != maxViolations {
+		t.Fatalf("recorded %d violations, want cap %d", len(r.c.Violations()), maxViolations)
 	}
 	if r.c.suppressed != 7 {
 		t.Fatalf("suppressed %d, want 7", r.c.suppressed)

@@ -80,7 +80,7 @@ func TestBoundedScanRotatesCursor(t *testing.T) {
 }
 
 func TestCleanRunBoundedScanNoViolations(t *testing.T) {
-	r := budgetRig(t, 16, 300, 2, Options{SampleEvery: 1})
+	r := budgetRig(t, 16, 300, 2, Options{})
 	r.run()
 	if v := r.c.Finalize(r.eng.Now()); len(v) != 0 {
 		t.Fatalf("bounded-scan run reported violations: %v", v)
@@ -110,7 +110,7 @@ func TestFarmAggregateFinalize(t *testing.T) {
 		workload.SingleTask{Service: workload.WebSearchService()},
 		s.JobArrived)
 	gen.MaxJobs = 150
-	c := Attach(eng, gen, s, srvs, nil, Options{Farm: farm, SampleEvery: 1})
+	c := Attach(eng, gen, s, srvs, nil, Options{Farm: farm})
 	c.scanBudget = 2
 	gen.Start()
 	eng.Run()

@@ -1,7 +1,7 @@
 // Package modelcov is a fixed-size model-state coverage map: a counter
 // table over semantic features of a simulation run (sleep-state
-// transitions, queue-depth buckets, drop sites, fault kinds by scope,
-// cascade depths, orphan-policy branches, network terminal paths,
+// transitions, queue-depth buckets, drop sites, fault events by failure
+// domain, cascade depths, orphan-policy branches, network terminal paths,
 // placer paths). It is the signal behind scenario coverage search
 // (internal/scenario.Search, cmd/covsearch): an input that lights a
 // feature no prior input reached earns a corpus slot.
@@ -54,19 +54,16 @@ const (
 	numDropSites        = 6
 )
 
-// Fault kinds applied by the injector, by fault.Kind order
-// (ServerCrash..ScopeUp), plus scope-down events by topology scope
-// (fault.ScopeKind order: Server, Rack, Pod, Switch).
+// Fault events the injector resolved, by failure domain (fault.ScopeKind
+// order) and direction: down, then up, per domain.
 const (
-	featFaultKind Feature = featDrop + numDropSites
-	numFaultKinds         = 8
-	featScopeDown         = featFaultKind + numFaultKinds
-	numScopeKinds         = 4
+	featFault       Feature = featDrop + numDropSites
+	numFaultDomains         = 6
 )
 
 // Scheduler / orphan-policy branches.
 const (
-	SchedOrphanRequeue Feature = featScopeDown + numScopeKinds + iota // crash orphans re-admitted
+	SchedOrphanRequeue Feature = featFault + 2*numFaultDomains + iota // crash orphans re-admitted
 	SchedOrphanPark                                                   // unplaceable task parked awaiting recovery
 	SchedDropCrash                                                    // job killed: orphaned by server crash, policy Drop
 	SchedDropNoAlive                                                  // job killed: no alive server, policy Drop
@@ -173,22 +170,18 @@ func QueueDepth(n int) Feature { return featQueueDepth + depthBucket(n) }
 // when a job parks.
 func GlobalQueueDepth(n int) Feature { return featGlobalQDepth + depthBucket(n) }
 
-// FaultKind is the feature for an applied fault event of the given
-// fault.Kind ordinal. Out-of-range ordinals yield an invalid feature.
-func FaultKind(kind int) Feature {
-	if kind < 0 || kind >= numFaultKinds {
+// Fault is the feature for a resolved fault event on the failure domain
+// of the given fault.ScopeKind ordinal, going down or coming up.
+// Out-of-range domains yield an invalid feature.
+func Fault(domain int, up bool) Feature {
+	if domain < 0 || domain >= numFaultDomains {
 		return Feature(-1)
 	}
-	return featFaultKind + Feature(kind)
-}
-
-// ScopeDown is the feature for a correlated scope-down event of the
-// given fault.ScopeKind ordinal.
-func ScopeDown(scope int) Feature {
-	if scope < 0 || scope >= numScopeKinds {
-		return Feature(-1)
+	f := featFault + Feature(2*domain)
+	if up {
+		f++
 	}
-	return featScopeDown + Feature(scope)
+	return f
 }
 
 // CascadeDepth is the feature for a cascade-triggered fault at the
@@ -206,12 +199,8 @@ func CascadeDepth(depth int) Feature {
 	}
 }
 
-var faultKindNames = [numFaultKinds]string{
-	"server-crash", "server-recover", "link-down", "link-up",
-	"switch-down", "switch-up", "scope-down", "scope-up",
-}
-
-var scopeKindNames = [numScopeKinds]string{"server", "rack", "pod", "switch"}
+// faultDomainNames are the fault.Spec class names of the domains.
+var faultDomainNames = [numFaultDomains]string{"server", "rack", "pod", "subtree", "link", "switch"}
 
 var singleNames = map[Feature]string{
 	DropEnqueueLinkDown: "drop/enqueue-link-down",
@@ -262,10 +251,9 @@ func Name(f Feature) string {
 		return "queue/depth-" + depthBucketNames[f-featQueueDepth]
 	case f >= featGlobalQDepth && f < featDrop:
 		return "queue/global-depth-" + depthBucketNames[f-featGlobalQDepth]
-	case f >= featFaultKind && f < featScopeDown:
-		return "fault/" + faultKindNames[f-featFaultKind]
-	case f >= featScopeDown && f < SchedOrphanRequeue:
-		return "fault/scope-down-" + scopeKindNames[f-featScopeDown]
+	case f >= featFault && f < SchedOrphanRequeue:
+		i := f - featFault
+		return "fault/" + faultDomainNames[i/2] + [2]string{"-down", "-up"}[i%2]
 	default:
 		return singleNames[f]
 	}

@@ -58,8 +58,8 @@ func TestHitCountAndBounds(t *testing.T) {
 	m.Hit(Feature(NumFeatures))
 	m.Hit(SrvTransition(-1, 3))
 	m.Hit(SrvTransition(2, NumSrvStates))
-	m.Hit(FaultKind(99))
-	m.Hit(ScopeDown(-2))
+	m.Hit(Fault(6, false))
+	m.Hit(Fault(-2, true))
 	m.Hit(CascadeDepth(0))
 	if m.Covered() != 1 {
 		t.Fatalf("invalid hits changed coverage: %d", m.Covered())
@@ -181,6 +181,21 @@ func TestSrvStateIndexAndTransition(t *testing.T) {
 	}
 	if got := Name(SrvTransition(2, 3)); got != "srv/Idle->PkgC6" {
 		t.Fatalf("transition name = %q", got)
+	}
+}
+
+// Fault features are named by the fault.Spec class of their domain, in
+// fault.ScopeKind order, down before up.
+func TestFaultNames(t *testing.T) {
+	for f, want := range map[Feature]string{
+		Fault(0, false): "fault/server-down",
+		Fault(3, true):  "fault/subtree-up",
+		Fault(4, false): "fault/link-down",
+		Fault(5, true):  "fault/switch-up",
+	} {
+		if got := Name(f); got != want {
+			t.Errorf("Name(%d) = %q, want %q", f, got, want)
+		}
 	}
 }
 

@@ -251,14 +251,14 @@ func (a ArrivalSpec) process(rate float64, r *rng.Source) (workload.ArrivalProce
 		if dur <= 0 {
 			dur = 10
 		}
-		tr := trace.SyntheticWikipedia(trace.DefaultWikipediaConfig(dur, rate), r.Split("trace/wiki"))
+		tr := trace.SyntheticWikipedia(dur, rate, r.Split("trace/wiki"))
 		return workload.NewTraceReplay(tr), nil
 	case ArrTraceNLANR:
 		dur := a.TraceSec
 		if dur <= 0 {
 			dur = 10
 		}
-		tr := trace.SyntheticNLANR(trace.DefaultNLANRConfig(dur), r.Split("trace/nlanr"))
+		tr := trace.SyntheticNLANR(dur, 40, 2, r.Split("trace/nlanr"))
 		// NLANR synthesis fixes its own burst rates; rescale to the
 		// requested mean rate so utilization stays in range.
 		return replayScaled(tr, rate), nil

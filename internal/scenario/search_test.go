@@ -129,6 +129,55 @@ func TestSearchFindingsStayFixed(t *testing.T) {
 	}
 }
 
+// canaries is DESIGN.md Sec. 12.2's set of features no scenario reaches,
+// by name.
+func canaries() map[string]bool {
+	set := map[string]bool{"net/packet-loopback": true, "place/placer-fallback": true}
+	states := []string{"Active", "Wake-up", "Idle", "PkgC6", "SysSleep", "Off", "Down"}
+	for _, a := range states {
+		for _, b := range states {
+			if a == b || a == "Off" || b == "Off" || (a == "Down" && b != "Idle") {
+				set["srv/"+a+"->"+b] = true
+			}
+		}
+	}
+	for _, tr := range []string{"Active->PkgC6", "Wake-up->PkgC6", "Idle->SysSleep", "PkgC6->Active",
+		"PkgC6->Idle", "SysSleep->Active", "SysSleep->Idle", "SysSleep->PkgC6"} {
+		set["srv/"+tr] = true
+	}
+	return set
+}
+
+// TestCanariesStayDark replays the committed corpus and holds Sec. 12.2's
+// contract in both directions: every feature the corpus never reaches is
+// a canary, and no canary is reached.
+func TestCanariesStayDark(t *testing.T) {
+	corpus, err := ReadCorpusDir("testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Search(SearchOptions{Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Failures {
+		t.Errorf("corpus entry seed=%d mut=%d failed: %s", f.Seed, f.Mut, f.Err)
+	}
+	dark := canaries()
+	for _, f := range res.Cover.NeverHit() {
+		if !dark[modelcov.Name(f)] {
+			t.Errorf("%s is never hit but is not a canary", modelcov.Name(f))
+		}
+		delete(dark, modelcov.Name(f))
+	}
+	for name := range dark {
+		t.Errorf("canary %s was hit", name)
+	}
+	if got := res.Cover.Covered(); got != 78 {
+		t.Errorf("corpus replay covers %d/%d features, want 78", got, modelcov.NumFeatures)
+	}
+}
+
 // TestSearchWorkerIndependent pins the determinism contract: the same
 // options, seed corpus included, explore the same candidates and produce
 // the same coverage and corpus at any worker count. The corpus replay is

@@ -223,25 +223,15 @@ func (s *Scheduler) dropTracked(j *job.Job) {
 	}
 }
 
-// ServerCrashed applies a crash to one managed server: the server's
-// local state is discarded and every orphaned task is handled per the
-// orphan policy — requeued onto an alive server (restarting from
-// scratch; parked if none is up) or dropped with its whole job. It
+// ServersCrashed applies a crash to a batch of managed servers — one
+// failure domain going down. Each server's local state is discarded;
+// the whole batch goes down first and only then is every orphaned task
+// handled per the orphan policy — requeued onto an alive server
+// (restarting from scratch; parked if none is up) or dropped with its
+// whole job — so a requeued task can never land on a sibling that the
+// same blast is about to kill. Already-failed members are skipped. It
 // returns the jobs newly lost and the orphan count for the caller's
-// fault ledger. Crashing an already-failed server is a no-op.
-func (s *Scheduler) ServerCrashed(srv *server.Server) (jobsLost, orphans int) {
-	if srv.Failed() {
-		return 0, 0
-	}
-	return s.ServersCrashed([]*server.Server{srv})
-}
-
-// ServersCrashed applies a correlated crash to a batch of servers —
-// one blast-radius event. The whole batch goes down first and only
-// then is the orphan policy applied, so a requeued task can never land
-// on a sibling that the same blast is about to kill. Already-failed
-// members are skipped. For a single server the behavior is exactly
-// ServerCrashed's.
+// fault ledger.
 func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost, orphans int) {
 	lostBefore := s.jobsLost
 	type orphanSet struct {
@@ -281,18 +271,10 @@ func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost, orphans int
 	return int(s.jobsLost - lostBefore), orphans
 }
 
-// ServerRecovered boots a crashed server back into the farm and drains
-// work that waited for it: parked tasks are re-admitted and the global
-// queue is re-scanned. Recovering a healthy server is a no-op.
-func (s *Scheduler) ServerRecovered(srv *server.Server) {
-	s.ServersRecovered([]*server.Server{srv})
-}
-
 // ServersRecovered boots a batch of crashed servers back into the farm
-// atomically, then drains parked tasks and the global queue once —
-// recovering a rack re-scans waiting work against the whole restored
-// capacity rather than per member. Healthy members are skipped; for a
-// single server the behavior is exactly ServerRecovered's.
+// atomically, then drains work that waited for them once — parked tasks
+// are re-admitted and the global queue is re-scanned against the whole
+// restored capacity rather than per member. Healthy members are skipped.
 func (s *Scheduler) ServersRecovered(srvs []*server.Server) {
 	recovered := false
 	for _, srv := range srvs {

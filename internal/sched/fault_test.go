@@ -5,8 +5,17 @@ import (
 	"testing"
 
 	"holdcsim/internal/job"
+	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 )
+
+// crashOne and recoverOne are the one-server forms of ServersCrashed and
+// ServersRecovered the tests below drive.
+func (s *Scheduler) crashOne(srv *server.Server) (jobsLost, orphans int) {
+	return s.ServersCrashed([]*server.Server{srv})
+}
+
+func (s *Scheduler) recoverOne(srv *server.Server) { s.ServersRecovered([]*server.Server{srv}) }
 
 // crashFarm builds a farm with a scheduler under the given orphan
 // policy and a completion recorder.
@@ -54,7 +63,7 @@ func TestOrphanPolicies(t *testing.T) {
 			eng.Schedule(50*simtime.Millisecond, func() {
 				// Un-pin so requeued orphans can go to server 1.
 				s.cfg.Placer = LeastLoaded{}
-				_, orphans := s.ServerCrashed(s.servers[0])
+				_, orphans := s.crashOne(s.servers[0])
 				crashed = orphans
 			})
 			eng.Run()
@@ -130,7 +139,7 @@ func TestDroppedTasksNowhereElse(t *testing.T) {
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.Schedule(20*simtime.Millisecond, func() {
 		s.cfg.Placer = LeastLoaded{}
-		s.ServerCrashed(s.servers[0])
+		s.crashOne(s.servers[0])
 	})
 	eng.Run()
 	if len(*done) != 0 || s.JobsLost() != 1 {
@@ -163,7 +172,7 @@ func TestRequeueMidDAG(t *testing.T) {
 	// is done and task 1 started at 40 ms.
 	eng.Schedule(60*simtime.Millisecond, func() {
 		s.cfg.Placer = LeastLoaded{}
-		s.ServerCrashed(s.servers[0])
+		s.crashOne(s.servers[0])
 	})
 	eng.Run()
 	if len(*done) != 1 || (*done)[0] != 1 {
@@ -194,7 +203,7 @@ func TestSelectAllDownTypedError(t *testing.T) {
 	eng := s.eng
 	eng.Schedule(0, func() {
 		for _, srv := range s.servers {
-			s.ServerCrashed(srv)
+			s.crashOne(srv)
 		}
 		j := job.Single(9, 0, simtime.Millisecond)
 		srv, err := s.Select(j.Tasks[0])
@@ -218,7 +227,7 @@ func TestFullFarmCrashAtT0(t *testing.T) {
 		eng := s.eng
 		eng.Schedule(0, func() {
 			for _, srv := range s.servers {
-				s.ServerCrashed(srv)
+				s.crashOne(srv)
 			}
 		})
 		for i := 0; i < 5; i++ {
@@ -235,7 +244,7 @@ func TestFullFarmCrashAtT0(t *testing.T) {
 		eng := s.eng
 		eng.Schedule(0, func() {
 			for _, srv := range s.servers {
-				s.ServerCrashed(srv)
+				s.crashOne(srv)
 			}
 		})
 		for i := 0; i < 5; i++ {
@@ -244,7 +253,7 @@ func TestFullFarmCrashAtT0(t *testing.T) {
 		}
 		parkedAt := -1
 		eng.Schedule(2*simtime.Millisecond, func() { parkedAt = len(s.parked) })
-		eng.Schedule(50*simtime.Millisecond, func() { s.ServerRecovered(s.servers[1]) })
+		eng.Schedule(50*simtime.Millisecond, func() { s.recoverOne(s.servers[1]) })
 		eng.Run()
 		if parkedAt != 5 {
 			t.Errorf("parked = %d during the outage, want 5", parkedAt)
@@ -274,11 +283,11 @@ func TestFullFarmCrashMidRun(t *testing.T) {
 			}
 			eng.Schedule(30*simtime.Millisecond, func() {
 				for _, srv := range s.servers {
-					s.ServerCrashed(srv)
+					s.crashOne(srv)
 				}
 			})
 			eng.Schedule(200*simtime.Millisecond, func() {
-				s.ServerRecovered(s.servers[0])
+				s.recoverOne(s.servers[0])
 			})
 			eng.Run()
 			total := int64(len(*done)) + s.JobsLost()
@@ -315,7 +324,7 @@ func TestGlobalQueueParksThroughOutage(t *testing.T) {
 	s.OnJobDone(func(*job.Job) { done++ })
 	eng.Schedule(0, func() {
 		for _, srv := range servers {
-			s.ServerCrashed(srv)
+			s.crashOne(srv)
 		}
 	})
 	for i := 0; i < 4; i++ {
@@ -324,7 +333,7 @@ func TestGlobalQueueParksThroughOutage(t *testing.T) {
 	}
 	queued := -1
 	eng.Schedule(2*simtime.Millisecond, func() { queued = s.GlobalQueueLen() })
-	eng.Schedule(10*simtime.Millisecond, func() { s.ServerRecovered(servers[0]) })
+	eng.Schedule(10*simtime.Millisecond, func() { s.recoverOne(servers[0]) })
 	eng.Run()
 	if queued != 4 {
 		t.Errorf("global queue held %d during the outage, want 4", queued)
@@ -371,23 +380,23 @@ func TestFaultStringsAndAccessors(t *testing.T) {
 		t.Error("fresh farm reports down servers")
 	}
 	s.eng.Schedule(0, func() {
-		s.ServerCrashed(s.servers[0])
+		s.crashOne(s.servers[0])
 		if s.downCount != 1 {
 			t.Errorf("DownServers = %d after one crash", s.downCount)
 		}
-		s.ServerRecovered(s.servers[0])
+		s.recoverOne(s.servers[0])
 		if s.downCount != 0 {
 			t.Errorf("DownServers = %d after recovery", s.downCount)
 		}
 		// Idempotence of both transitions.
-		s.ServerRecovered(s.servers[0])
-		if lost, orphans := s.ServerCrashed(s.servers[0]); lost != 0 && orphans != 0 {
+		s.recoverOne(s.servers[0])
+		if lost, orphans := s.crashOne(s.servers[0]); lost != 0 && orphans != 0 {
 			t.Error("first crash reported losses on an idle server")
 		}
-		if lost, orphans := s.ServerCrashed(s.servers[0]); lost != 0 || orphans != 0 {
+		if lost, orphans := s.crashOne(s.servers[0]); lost != 0 || orphans != 0 {
 			t.Error("double crash not a no-op")
 		}
-		s.ServerRecovered(s.servers[0])
+		s.recoverOne(s.servers[0])
 	})
 	s.eng.Run()
 }
@@ -403,7 +412,7 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 	j1 := job.Single(1, 0, simtime.Millisecond)
 	j2 := job.Single(2, 0, simtime.Millisecond)
 	eng.Schedule(0, func() {
-		s.ServerCrashed(s.servers[0])
+		s.crashOne(s.servers[0])
 		s.JobArrived(j1)
 		s.JobArrived(j2)
 		if len(s.parked) != 2 {
@@ -414,7 +423,7 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 			t.Fatalf("parked = %d after kill, want 1", len(s.parked))
 		}
 	})
-	eng.Schedule(simtime.Millisecond, func() { s.ServerRecovered(s.servers[0]) })
+	eng.Schedule(simtime.Millisecond, func() { s.recoverOne(s.servers[0]) })
 	eng.Run()
 	if len(*done) != 1 || (*done)[0] != 2 {
 		t.Fatalf("done = %v, want just job 2", *done)
@@ -434,7 +443,7 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 	k1 := job.Single(1, 0, simtime.Millisecond)
 	k2 := job.Single(2, 0, simtime.Millisecond)
 	eng2.Schedule(0, func() {
-		g.ServerCrashed(g.servers[0])
+		g.crashOne(g.servers[0])
 		g.JobArrived(k1)
 		g.JobArrived(k2)
 		if g.GlobalQueueLen() != 2 {
@@ -445,7 +454,7 @@ func TestKillJobScrubsParkedAndGlobalQueue(t *testing.T) {
 			t.Fatalf("globalQ = %d after kill, want 1", g.GlobalQueueLen())
 		}
 	})
-	eng2.Schedule(simtime.Millisecond, func() { g.ServerRecovered(g.servers[0]) })
+	eng2.Schedule(simtime.Millisecond, func() { g.recoverOne(g.servers[0]) })
 	eng2.Run()
 	if gDone != 1 {
 		t.Fatalf("global-queue done = %d, want 1", gDone)
@@ -464,7 +473,7 @@ func TestDualTimerPoolsByIDUnderCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Schedule(0, func() {
-		s.ServerCrashed(servers[0])
+		s.crashOne(servers[0])
 		j := job.Single(1, 0, simtime.Millisecond)
 		srv, err := s.Select(j.Tasks[0])
 		if err != nil {

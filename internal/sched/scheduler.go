@@ -109,8 +109,8 @@ type Scheduler struct {
 	// rrNext is shared iteration state for the round-robin placer.
 	rrNext int
 
-	// Fault state (internal/fault drives it via ServerCrashed and
-	// ServerRecovered). downCount gates every fault-aware branch: while
+	// Fault state (internal/fault drives it via ServersCrashed and
+	// ServersRecovered). downCount gates every fault-aware branch: while
 	// it is zero — every healthy run — placement takes exactly the
 	// pre-fault path with no filtering and no allocation.
 	downCount    int

@@ -35,7 +35,7 @@ func buildScanRig(t *testing.T) (*engine.Engine, []*server.Server, *workload.Gen
 	gen := workload.NewGenerator(eng, rng.New(11), workload.Poisson{Rate: 2000},
 		workload.SingleTask{Service: workload.WebSearchService()}, s.JobArrived)
 	gen.MaxJobs = 400
-	c := invariant.Attach(eng, gen, s, farm, nil, invariant.Options{SampleEvery: 1})
+	c := invariant.Attach(eng, gen, s, farm, nil, invariant.Options{})
 	return eng, farm, gen, c
 }
 

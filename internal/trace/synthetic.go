@@ -7,29 +7,27 @@ import (
 	"holdcsim/internal/rng"
 )
 
-// WikipediaConfig parameterizes the synthetic Wikipedia-like trace.
-// Defaults (via DefaultWikipediaConfig) follow the published analyses of
+// The synthetic Wikipedia-like trace follows the published analyses of
 // the Wikipedia workload [59]: a strong diurnal cycle with roughly 2:1
 // peak-to-trough swing, ~10% short-term jitter, and occasional flash
 // crowds.
-type WikipediaConfig struct {
-	Duration   float64 // trace length in seconds
-	MeanRate   float64 // average arrivals/second over the whole trace
-	DiurnalAmp float64 // fractional amplitude of the 24h sinusoid, [0,1)
-	WeeklyAmp  float64 // fractional amplitude of the 7-day modulation
-	NoiseAmp   float64 // fractional stddev of per-bucket Gaussian jitter
-	DayPeriod  float64 // seconds per "day" (compress for short sims)
-	FlashProb  float64 // probability per bucket of starting a flash crowd
-	FlashBoost float64 // rate multiplier during a flash crowd
-	FlashLen   float64 // flash crowd length in seconds
-	BucketSec  float64 // rate-modulation bucket size in seconds
-}
+const (
+	wikiDiurnalAmp = 0.35   // fractional amplitude of the 24h sinusoid, [0,1)
+	wikiWeeklyAmp  = 0.08   // fractional amplitude of the 7-day modulation
+	wikiNoiseAmp   = 0.10   // fractional stddev of per-second Gaussian jitter
+	wikiFlashProb  = 0.0005 // probability per second of starting a flash crowd
+	wikiFlashBoost = 2.5    // rate multiplier during a flash crowd
+)
 
-// DefaultWikipediaConfig returns the standard parameterization for the
-// given duration and mean rate, with the diurnal period compressed so
-// that at least two full "days" fit in the trace (the Fig. 4 provisioning
-// study needs visible load swings within the simulated window).
-func DefaultWikipediaConfig(duration, meanRate float64) WikipediaConfig {
+// SyntheticWikipedia generates a Wikipedia-like arrival trace of the
+// given length (seconds) and mean rate (arrivals/second over the whole
+// trace). The "day" is compressed so that at least two fit in the trace
+// (the Fig. 4 provisioning study needs visible load swings within the
+// simulated window). The rate function is evaluated per one-second
+// bucket; within a bucket, arrivals are a Poisson process at the bucket
+// rate (uniform placement), which matches how per-second trace replays
+// treat the original trace.
+func SyntheticWikipedia(duration, meanRate float64, r *rng.Source) *Trace {
 	day := 86400.0
 	if duration < 2*day {
 		day = duration / 2
@@ -37,101 +35,62 @@ func DefaultWikipediaConfig(duration, meanRate float64) WikipediaConfig {
 	if day <= 0 {
 		day = 1
 	}
-	return WikipediaConfig{
-		Duration:   duration,
-		MeanRate:   meanRate,
-		DiurnalAmp: 0.35,
-		WeeklyAmp:  0.08,
-		NoiseAmp:   0.10,
-		DayPeriod:  day,
-		FlashProb:  0.0005,
-		FlashBoost: 2.5,
-		FlashLen:   day / 48,
-		BucketSec:  1,
-	}
-}
-
-// SyntheticWikipedia generates a Wikipedia-like arrival trace. The rate
-// function is evaluated per bucket; within a bucket, arrivals are a
-// Poisson process at the bucket rate (uniform placement), which matches
-// how per-second trace replays treat the original trace.
-func SyntheticWikipedia(cfg WikipediaConfig, r *rng.Source) *Trace {
-	if cfg.BucketSec <= 0 {
-		cfg.BucketSec = 1
-	}
-	nBuckets := int(math.Ceil(cfg.Duration / cfg.BucketSec))
-	times := make([]float64, 0, int(cfg.Duration*cfg.MeanRate)+16)
+	nBuckets := int(math.Ceil(duration))
+	times := make([]float64, 0, int(duration*meanRate)+16)
 	flashUntil := -1.0
 	for b := 0; b < nBuckets; b++ {
-		t0 := float64(b) * cfg.BucketSec
-		rate := cfg.MeanRate
+		t0 := float64(b)
+		rate := meanRate
 		// Diurnal + weekly modulation.
-		rate *= 1 + cfg.DiurnalAmp*math.Sin(2*math.Pi*t0/cfg.DayPeriod)
-		rate *= 1 + cfg.WeeklyAmp*math.Sin(2*math.Pi*t0/(7*cfg.DayPeriod))
+		rate *= 1 + wikiDiurnalAmp*math.Sin(2*math.Pi*t0/day)
+		rate *= 1 + wikiWeeklyAmp*math.Sin(2*math.Pi*t0/(7*day))
 		// Short-term jitter.
-		if cfg.NoiseAmp > 0 {
-			rate *= math.Max(0.05, 1+r.Normal(0, cfg.NoiseAmp))
-		}
-		// Flash crowds.
+		rate *= math.Max(0.05, 1+r.Normal(0, wikiNoiseAmp))
+		// Flash crowds, each day/48 long.
 		if t0 < flashUntil {
-			rate *= cfg.FlashBoost
-		} else if cfg.FlashProb > 0 && r.Bernoulli(cfg.FlashProb) {
-			flashUntil = t0 + cfg.FlashLen
-			rate *= cfg.FlashBoost
+			rate *= wikiFlashBoost
+		} else if r.Bernoulli(wikiFlashProb) {
+			flashUntil = t0 + day/48
+			rate *= wikiFlashBoost
 		}
-		n := r.Poisson(rate * cfg.BucketSec)
+		n := r.Poisson(rate)
 		for i := 0; i < n; i++ {
-			times = append(times, t0+r.Float64()*cfg.BucketSec)
+			times = append(times, t0+r.Float64())
 		}
 	}
-	sortFloats(times)
+	sort.Float64s(times)
 	return &Trace{Times: times}
 }
 
-// NLANRConfig parameterizes the synthetic NLANR-like HTTP trace: a
-// heavy-tailed ON/OFF process. During ON periods requests arrive as a
-// Poisson burst; OFF periods are Pareto-distributed, producing the
-// self-similar burstiness observed in NLANR web traces.
-type NLANRConfig struct {
-	Duration   float64 // seconds
-	OnRate     float64 // arrivals/second during ON periods
-	MeanOn     float64 // mean ON period, seconds (exponential)
-	OffXm      float64 // Pareto minimum OFF period, seconds
-	OffAlpha   float64 // Pareto shape for OFF periods (1 < α ≤ 2 heavy)
-	Background float64 // constant background arrivals/second
-}
+// The synthetic NLANR-like HTTP trace is a heavy-tailed ON/OFF process:
+// during ON periods requests arrive as a Poisson burst; OFF periods are
+// Pareto-distributed, producing the self-similar burstiness observed in
+// NLANR web traces.
+const (
+	nlanrMeanOn   = 2.0 // mean ON period, seconds (exponential)
+	nlanrOffXm    = 0.5 // Pareto minimum OFF period, seconds
+	nlanrOffAlpha = 1.5 // Pareto shape for OFF periods (1 < α ≤ 2 heavy)
+)
 
-// DefaultNLANRConfig returns the standard parameterization.
-func DefaultNLANRConfig(duration float64) NLANRConfig {
-	return NLANRConfig{
-		Duration:   duration,
-		OnRate:     40,
-		MeanOn:     2.0,
-		OffXm:      0.5,
-		OffAlpha:   1.5,
-		Background: 2,
-	}
-}
-
-// SyntheticNLANR generates an NLANR-like bursty arrival trace.
-func SyntheticNLANR(cfg NLANRConfig, r *rng.Source) *Trace {
+// SyntheticNLANR generates an NLANR-like bursty arrival trace of the
+// given length (seconds): onRate arrivals/second during ON periods over
+// a constant background of background arrivals/second.
+func SyntheticNLANR(duration, onRate, background float64, r *rng.Source) *Trace {
 	var times []float64
 	// Background Poisson stream.
-	for t := r.Exp(1 / cfg.Background); t < cfg.Duration; t += r.Exp(1 / cfg.Background) {
+	for t := r.Exp(1 / background); t < duration; t += r.Exp(1 / background) {
 		times = append(times, t)
 	}
 	// ON/OFF foreground.
 	t := 0.0
-	for t < cfg.Duration {
-		on := r.Exp(cfg.MeanOn)
-		end := math.Min(t+on, cfg.Duration)
-		for a := t + r.Exp(1/cfg.OnRate); a < end; a += r.Exp(1 / cfg.OnRate) {
+	for t < duration {
+		on := r.Exp(nlanrMeanOn)
+		end := math.Min(t+on, duration)
+		for a := t + r.Exp(1/onRate); a < end; a += r.Exp(1 / onRate) {
 			times = append(times, a)
 		}
-		t = end + r.Pareto(cfg.OffXm, cfg.OffAlpha)
+		t = end + r.Pareto(nlanrOffXm, nlanrOffAlpha)
 	}
-	sortFloats(times)
+	sort.Float64s(times)
 	return &Trace{Times: times}
 }
-
-func sortFloats(x []float64) { sort.Float64s(x) }

@@ -141,9 +141,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 }
 
 func TestSyntheticWikipediaShape(t *testing.T) {
-	cfg := DefaultWikipediaConfig(2000, 50)
-	r := rng.New(42)
-	tr := SyntheticWikipedia(cfg, r)
+	tr := SyntheticWikipedia(2000, 50, rng.New(42))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +171,8 @@ func TestSyntheticWikipediaShape(t *testing.T) {
 }
 
 func TestSyntheticWikipediaDeterministic(t *testing.T) {
-	cfg := DefaultWikipediaConfig(500, 20)
-	a := SyntheticWikipedia(cfg, rng.New(7))
-	b := SyntheticWikipedia(cfg, rng.New(7))
+	a := SyntheticWikipedia(500, 20, rng.New(7))
+	b := SyntheticWikipedia(500, 20, rng.New(7))
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -187,8 +184,7 @@ func TestSyntheticWikipediaDeterministic(t *testing.T) {
 }
 
 func TestSyntheticNLANRBursty(t *testing.T) {
-	cfg := DefaultNLANRConfig(2000)
-	tr := SyntheticNLANR(cfg, rng.New(11))
+	tr := SyntheticNLANR(2000, 40, 2, rng.New(11))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +211,8 @@ func TestSyntheticNLANRBursty(t *testing.T) {
 func TestSyntheticSortedProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		wiki := SyntheticWikipedia(DefaultWikipediaConfig(100, 10), r.Split("w"))
-		nlanr := SyntheticNLANR(DefaultNLANRConfig(100), r.Split("n"))
+		wiki := SyntheticWikipedia(100, 10, r.Split("w"))
+		nlanr := SyntheticNLANR(100, 40, 2, r.Split("n"))
 		for _, tr := range []*Trace{wiki, nlanr} {
 			if !sort.Float64sAreSorted(tr.Times) {
 				return false
@@ -236,7 +232,7 @@ func TestSyntheticSortedProperty(t *testing.T) {
 func TestClipProperty(t *testing.T) {
 	f := func(seed uint64, a, b uint8) bool {
 		r := rng.New(seed)
-		tr := SyntheticWikipedia(DefaultWikipediaConfig(60, 5), r)
+		tr := SyntheticWikipedia(60, 5, r)
 		from, to := float64(a%60), float64(b%60)
 		if from > to {
 			from, to = to, from

@@ -40,7 +40,7 @@ func TestReferenceVsSimulatedClose(t *testing.T) {
 	// must sit within a ~1 W band — the validation claim of Fig. 12.
 	cfg := DefaultReferenceServer()
 	r := rng.New(2)
-	tr := trace.SyntheticNLANR(trace.DefaultNLANRConfig(1000), r.Split("trace"))
+	tr := trace.SyntheticNLANR(1000, 40, 2, r.Split("trace"))
 	ref := ReferenceServerPower(tr, cfg, r.Split("ref"))
 	sim := simulatedServerPower(tr, cfg)
 	mad, sd := stats.CompareSeries(sim, ref)
@@ -115,7 +115,7 @@ func TestReferenceSwitchDriftSegments(t *testing.T) {
 
 func TestReferenceDeterminism(t *testing.T) {
 	cfg := DefaultReferenceServer()
-	tr := trace.SyntheticNLANR(trace.DefaultNLANRConfig(200), rng.New(6))
+	tr := trace.SyntheticNLANR(200, 40, 2, rng.New(6))
 	a := ReferenceServerPower(tr, cfg, rng.New(7))
 	b := ReferenceServerPower(tr, cfg, rng.New(7))
 	for i := range a {
