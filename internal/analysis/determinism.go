@@ -27,20 +27,21 @@ import (
 // exemption that drops nothing is itself a finding, so it cannot outlive
 // what it excuses.
 func Check(pkg *Package) []Diagnostic {
-	if !isModelPackage(pkg.Path) {
+	path := pkg.Types.Path()
+	if !isModelPackage(path) {
 		return nil
 	}
 	c := &checker{pkg: pkg}
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			c.exempt = nil
-			if fd, ok := d.(*ast.FuncDecl); ok && pkg.Path == exemptPkg && fd.Recv == nil && fd.Name.Name == exemptFunc {
+			if fd, ok := d.(*ast.FuncDecl); ok && path == exemptPkg && fd.Recv == nil && fd.Name.Name == exemptFunc {
 				c.exempt = fd
 			}
 			c.walk(d, nil)
 		}
 	}
-	if pkg.Path == exemptPkg && c.exempted == 0 {
+	if path == exemptPkg && c.exempted == 0 {
 		c.report(pkg.Files[0].Name.Pos(), "determinism exemption %s.%s suppresses nothing: "+
 			"the function is gone or reads no clock — update exemptFunc", exemptPkg, exemptFunc)
 	}

@@ -17,7 +17,6 @@ import (
 
 // Package is one typechecked package ready for Check.
 type Package struct {
-	Path      string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -125,7 +124,6 @@ func typecheck(fset *token.FileSet, path, dir string, fileNames []string,
 		return nil, fmt.Errorf("simlint: typecheck %s: %v", path, err)
 	}
 	return &Package{
-		Path:      path,
 		Fset:      fset,
 		Files:     files,
 		Types:     pkg,

@@ -24,8 +24,8 @@ func TestLoadRealPackage(t *testing.T) {
 		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
 	pkg := pkgs[0]
-	if pkg.Path != "holdcsim/internal/simtime" {
-		t.Fatalf("loaded %q, want holdcsim/internal/simtime", pkg.Path)
+	if pkg.Types.Path() != "holdcsim/internal/simtime" {
+		t.Fatalf("loaded %q, want holdcsim/internal/simtime", pkg.Types.Path())
 	}
 	if pkg.Types.Scope().Lookup("Time") == nil {
 		t.Error("typechecked package is missing the Time type")

@@ -180,7 +180,7 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 					for _, id := range declaredNames(u) {
 						if obj := pkg.TypesInfo.Defs[id]; obj != nil {
 							self[objKey(obj)] = true
-							if tracked(pkg.Path, obj) {
+							if tracked(pkg.Types.Path(), obj) {
 								decls[objKey(obj)] = pkg.Fset.Position(id.Pos())
 							}
 						}
@@ -224,201 +224,124 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 	}
 }
 
-// unread is the whole allowlist of TestNoFieldWithoutReader: unexported
-// struct fields under internal/ that the model writes and nothing reads.
+// unread is the whole allowlist of the read half of
+// TestNoFieldWithoutReader: struct fields under internal/ that the model
+// writes and no non-test code reads.
 var unread = map[string]string{
-	"holdcsim/internal/server.Core.completed": "the tests' only view of which core served a task (the Table I alloc gate's warm-up check, the fast-core test); one increment per task",
-	"holdcsim/internal/network.linkState.id":  "a link's index in Network.links: what the tests' reference water-filler keys its resources by and SetLinkAdmin takes",
+	"holdcsim/internal/server.Core.completed":     "the tests' only view of which core served a task (the Table I alloc gate's warm-up check, the fast-core test); one increment per task",
+	"holdcsim/internal/network.linkState.id":      "a link's index in Network.links: what the tests' reference water-filler keys its resources by and SetLinkAdmin takes",
+	"holdcsim/internal/experiments.Report.Pinned": "the golden suite's view of an experiment: the deterministic rendering testdata/golden pins, which cmd/experiments does not print",
 }
 
 // TestNoFieldWithoutReader extends "nothing without a caller" from
-// functions to state: every unexported field of a struct type declared
-// in non-test code under internal/ is read by some non-test code. An
-// assignment to the field (or to an element of it), `++`, `op=`, a
-// composite-literal key and the field's own appearance on the right of
-// an assignment to itself (`x.f = append(x.f, v)`) are writes, not
-// reads; anything else — a method call on it, an argument, an operand,
-// its address — is a read, and a struct used as a map key has all its
-// fields read by the map. A field that is only written costs its writes
-// and tells nobody anything: delete it, or keep what a test needs to
-// observe in a _test.go file. The write half, unwrittenFields, asks the
-// converse of every field.
+// functions to state: every field, exported or not, of a struct type
+// declared in non-test code under internal/ is read and written by
+// non-test code in the tree or bench/ (scanFields says what counts as
+// either). A field only written costs its writes and tells nobody
+// anything: delete it, keep what a test observes in a _test.go file, or
+// give it its reader. A field only a test sets is a constant.
 func TestNoFieldWithoutReader(t *testing.T) {
-	type decl struct {
-		pos  token.Position
-		name string
-	}
-	fields := map[*types.Var]decl{}
-	read := map[*types.Var]bool{}
-	for _, pkg := range loadTree(t) {
-		if !strings.HasPrefix(pkg.Path, "holdcsim/internal/") {
+	decls, read, written := scanFields(loadTreeAndBench(t))
+	var dead []string
+	for k, d := range decls {
+		if d.exempt {
 			continue
 		}
-		info := pkg.TypesInfo
-		fieldOf := func(id *ast.Ident) *types.Var {
-			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
-				return v.Origin()
-			}
-			return nil
+		if !read[k] && unread[k] == "" {
+			dead = append(dead, d.pos.String()+": "+k+" is never read by non-test code: delete it, move it to a _test.go file, or give it a reader")
+		} else if read[k] && unread[k] != "" {
+			t.Errorf("allowlist entry %s now has a reader: drop the entry", k)
 		}
-		// written resolves an assignment target to the field it stores
-		// into: x.f, x.f[i], (x.f)[i][j].
-		written := func(e ast.Expr) *ast.Ident {
-			for {
-				switch x := ast.Unparen(e).(type) {
-				case *ast.IndexExpr:
-					e = x.X
-				case *ast.SelectorExpr:
-					return x.Sel
-				default:
-					return nil
-				}
-			}
-		}
-		for _, tv := range info.Types {
-			if m, ok := tv.Type.Underlying().(*types.Map); ok {
-				if st, ok := m.Key().Underlying().(*types.Struct); ok {
-					for i := 0; i < st.NumFields(); i++ {
-						read[st.Field(i).Origin()] = true
-					}
-				}
-			}
-		}
-		writes := map[*ast.Ident]bool{}
-		store := func(lhs, rhs ast.Expr) {
-			id := written(lhs)
-			if id == nil {
-				return
-			}
-			field := fieldOf(id)
-			if field == nil {
-				return
-			}
-			writes[id] = true
-			if rhs != nil {
-				ast.Inspect(rhs, func(n ast.Node) bool {
-					if r, ok := n.(*ast.Ident); ok && fieldOf(r) == field {
-						writes[r] = true
-					}
-					return true
-				})
-			}
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					ast.Inspect(n.Type, func(m ast.Node) bool {
-						if st, ok := m.(*ast.StructType); ok {
-							for _, f := range st.Fields.List {
-								for _, id := range f.Names {
-									if v, ok := info.Defs[id].(*types.Var); ok && !id.IsExported() && id.Name != "_" {
-										fields[v] = decl{pkg.Fset.Position(id.Pos()), pkg.Path + "." + n.Name.Name + "." + id.Name}
-									}
-								}
-							}
-						}
-						return true
-					})
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						var rhs ast.Expr
-						if len(n.Rhs) == len(n.Lhs) {
-							rhs = n.Rhs[i]
-						}
-						store(lhs, rhs)
-					}
-				case *ast.IncDecStmt:
-					store(n.X, nil)
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok && fieldOf(id) != nil {
-						writes[id] = true
-					}
-				}
-				return true
-			})
-			ast.Inspect(file, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !writes[id] {
-					if v := fieldOf(id); v != nil {
-						read[v] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	var dead []string
-	declared := map[string]bool{}
-	for v, d := range fields {
-		declared[d.name] = true
-		if !read[v] && unread[d.name] == "" {
-			dead = append(dead, d.pos.String()+": "+d.name)
-		} else if read[v] && unread[d.name] != "" {
-			t.Errorf("allowlist entry %s now has a reader: drop the entry", d.name)
+		if !written[k] {
+			dead = append(dead, d.pos.String()+": "+k+" is never written by non-test code, so it is a constant: delete it or make it one")
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is written and never read by non-test code: delete it", d)
+		t.Error(d)
 	}
 	for k := range unread {
-		if !declared[k] {
+		if _, ok := decls[k]; !ok {
 			t.Errorf("allowlist entry %s names no declared field", k)
 		}
 	}
-	if len(unread) > 3 {
-		t.Errorf("allowlist has %d entries; the bar is 3", len(unread))
-	}
-
-	for _, d := range unwrittenFields(loadTreeAndBench(t)) {
-		t.Errorf("%s is never written by non-test code, so it is a constant: delete it or make it one", d)
+	if len(unread) > 4 {
+		t.Errorf("allowlist has %d entries; the bar is 4", len(unread))
 	}
 }
 
-// unwrittenFields is the write half of TestNoFieldWithoutReader: every
-// field of a struct type declared in non-test code under internal/ must
-// be written by non-test code in pkgs. A write is an assignment, `++` or
-// `op=` to the field or to a path through it (`x.f.g = v` and
-// `x.f[i] = v` write f), its address (`&x.f`), a keyed or positional
-// composite-literal element, or a pointer-receiver method called on it
-// (`x.mu.Lock()`). An embedded field is written when a promoted field is
-// written, or a pointer method called, through it. A field with a struct
-// tag, or an exported field of an unexported type, is exempt: those are
-// what encoding/json writes by reflection.
-func unwrittenFields(pkgs []*analysis.Package) []string {
-	type decl struct {
-		pos    token.Position
-		exempt bool
-	}
-	decls := map[string]decl{}
-	written := map[string]bool{}
+type fieldDecl struct {
+	pos    token.Position
+	exempt bool
+}
+
+// scanFields declares every field of a struct type declared in non-test
+// code under internal/, keyed by fieldKeys, and reports which of them the
+// non-test code in pkgs reads and writes. A field with a struct tag, or an
+// exported field of an unexported type, is exempt: those are what
+// encoding/json reads and writes by reflection.
+//
+// A write is an assignment, `++` or `op=` to the field or to a path
+// through it (`x.f.g = v` and `x.f[i] = v` write f), its address (`&x.f`),
+// a keyed or positional composite-literal element, or a pointer-receiver
+// method called on it (`x.mu.Lock()`); an embedded field is written when
+// a promoted field is written, or a pointer method called, through it.
+//
+// A read is any selection of the field but a store: the target of an
+// assignment, `++` or `op=` (`x.f[i] = v` stores into f, `x.f.g = v`
+// reads f), and the field's own appearance on the right of an assignment
+// to itself (`x.f = append(x.f, v)`). A selection through an embedded
+// field reads it, and a struct used as a map key or compared with `==` or
+// `!=` has all its fields read.
+func scanFields(pkgs []*analysis.Package) (decls map[string]fieldDecl, read, written map[string]bool) {
+	decls = map[string]fieldDecl{}
+	read, written = map[string]bool{}, map[string]bool{}
 	for _, pkg := range pkgs {
 		info := pkg.TypesInfo
 		keys := fieldKeys(pkg)
-		mark := func(f *types.Var) { written[keys[f.Origin()]] = true }
-		// markPath marks the fields a selection passes through: the
-		// embedded ones, and the selected field itself.
-		markPath := func(sel *types.Selection) {
+		key := func(f *types.Var) string { return keys[f.Origin()] }
+		// readAll reads every field of a struct compared as a whole.
+		var readAll func(t types.Type)
+		readAll = func(t types.Type) {
+			switch u := t.Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					read[key(u.Field(i))] = true
+					readAll(u.Field(i).Type())
+				}
+			case *types.Array:
+				readAll(u.Elem())
+			}
+		}
+		for _, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(m.Key())
+			}
+		}
+		// walkPath calls fn with the fields a selection passes through:
+		// the embedded ones, and the selected field itself.
+		walkPath := func(sel *types.Selection, fn func(f *types.Var, embedded bool)) {
 			t := sel.Recv()
 			for i, idx := range sel.Index() {
-				if sel.Kind() != types.FieldVal && i == len(sel.Index())-1 {
+				last := i == len(sel.Index())-1
+				if sel.Kind() != types.FieldVal && last {
 					return
 				}
 				st, ok := deref(t).Underlying().(*types.Struct)
 				if !ok {
 					return
 				}
-				mark(st.Field(idx))
+				fn(st.Field(idx), !last)
 				t = st.Field(idx).Type()
 			}
 		}
-		store := func(e ast.Expr) {
+		mark := func(f *types.Var, _ bool) { written[key(f)] = true }
+		writePath := func(e ast.Expr) {
 			for {
 				switch x := ast.Unparen(e).(type) {
 				case *ast.SelectorExpr:
 					if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-						markPath(sel)
+						walkPath(sel, mark)
 					}
 					e = x.X
 				case *ast.IndexExpr:
@@ -430,28 +353,61 @@ func unwrittenFields(pkgs []*analysis.Package) []string {
 				}
 			}
 		}
+		// stores are the selections that store into their field and read
+		// nothing of it: an assignment target (x.f, x.f[i]) and, on the
+		// assignment's right, the target field itself.
+		stores := map[*ast.SelectorExpr]bool{}
+		store := func(lhs, rhs ast.Expr) {
+			lhs = ast.Unparen(lhs)
+			for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
+				lhs = ast.Unparen(ix.X)
+			}
+			x, ok := lhs.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			stores[x] = true
+			if f := info.Uses[x.Sel]; f != nil && rhs != nil {
+				ast.Inspect(rhs, func(n ast.Node) bool {
+					if r, ok := n.(*ast.SelectorExpr); ok && info.Uses[r.Sel] == f {
+						stores[r] = true
+					}
+					return true
+				})
+			}
+		}
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.TypeSpec:
 					tn, ok := info.Defs[n.Name].(*types.TypeName)
-					if !ok || !strings.HasPrefix(pkg.Path, "holdcsim/internal/") {
+					if !ok || !strings.HasPrefix(pkg.Types.Path(), "holdcsim/internal/") {
 						break
 					}
-					walkFields(pkg.Path+"."+tn.Name(), tn.Type().Underlying(), func(key string, st *types.Struct, i int) {
+					walkFields(pkg.Types.Path()+"."+tn.Name(), tn.Type().Underlying(), func(key string, st *types.Struct, i int) {
 						f := st.Field(i)
-						decls[key] = decl{pkg.Fset.Position(f.Pos()),
+						decls[key] = fieldDecl{pkg.Fset.Position(f.Pos()),
 							st.Tag(i) != "" || f.Exported() && !tn.Exported()}
 					})
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						store(lhs)
+					for i, lhs := range n.Lhs {
+						writePath(lhs)
+						var rhs ast.Expr
+						if len(n.Rhs) == len(n.Lhs) {
+							rhs = n.Rhs[i]
+						}
+						store(lhs, rhs)
 					}
 				case *ast.IncDecStmt:
-					store(n.X)
+					writePath(n.X)
+					store(n.X, nil)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						store(n.X)
+						writePath(n.X)
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(info.TypeOf(n.X))
 					}
 				case *ast.SelectorExpr:
 					sel := info.Selections[n]
@@ -459,9 +415,9 @@ func unwrittenFields(pkgs []*analysis.Package) []string {
 						break
 					}
 					if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
-						markPath(sel)
+						walkPath(sel, mark)
 						if _, isPtr := info.TypeOf(n.X).Underlying().(*types.Pointer); !isPtr {
-							store(n.X)
+							writePath(n.X)
 						}
 					}
 				case *ast.CompositeLit:
@@ -472,25 +428,30 @@ func unwrittenFields(pkgs []*analysis.Package) []string {
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								mark(f)
+								mark(f, false)
 							}
 						} else {
-							mark(st.Field(i))
+							mark(st.Field(i), false)
 						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(file, func(n ast.Node) bool {
+				if x, ok := n.(*ast.SelectorExpr); ok {
+					if sel := info.Selections[x]; sel != nil {
+						walkPath(sel, func(f *types.Var, embedded bool) {
+							if embedded || !stores[x] {
+								read[key(f)] = true
+							}
+						})
 					}
 				}
 				return true
 			})
 		}
 	}
-	var dead []string
-	for k, d := range decls {
-		if !d.exempt && !written[k] {
-			dead = append(dead, d.pos.String()+": "+k)
-		}
-	}
-	sort.Strings(dead)
-	return dead
+	return decls, read, written
 }
 
 // fieldKeys names every struct field visible from pkg — declared in it,

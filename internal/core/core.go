@@ -2,8 +2,7 @@
 // (paper Fig. 1): it builds the server farm, lays the network over a
 // topology, wires the global scheduler and workload generator, runs the
 // event loop, and collects the runtime statistics the paper reports —
-// job latency distributions, per-component energy, state residency, and
-// power-over-time samples.
+// job latency distributions, per-component energy and state residency.
 package core
 
 import (
@@ -81,7 +80,7 @@ type Config struct {
 
 	// Servers is the farm size; ServerConfig is the per-server template.
 	// ConfigureServer optionally specializes individual servers
-	// (heterogeneous farms, kind restrictions, per-pool timers).
+	// (heterogeneous farms, per-pool timers).
 	Servers         int
 	ServerConfig    server.Config
 	ConfigureServer func(i int, c *server.Config)

@@ -285,13 +285,16 @@ func TestHeterogeneousConfigureServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, slow := job.Single(1, 0, 10*simtime.Millisecond).Tasks[0], job.Single(2, 0, 10*simtime.Millisecond).Tasks[0]
-	dc.Servers[0].Submit(fast)
-	dc.Servers[1].Submit(slow)
+	// Both servers start alike, so the work's finish times differ by
+	// exactly the service times' difference.
+	var done [2]simtime.Time
+	for i, srv := range dc.Servers[:2] {
+		srv.OnTaskDone(func(*server.Server, *job.Task) { done[i] = dc.Eng.Now() })
+		srv.Submit(job.Single(job.ID(i), 0, 10*simtime.Millisecond).Tasks[0])
+	}
 	dc.Eng.Run()
-	if fast.FinishAt-fast.StartAt != 5*simtime.Millisecond || slow.FinishAt-slow.StartAt != 10*simtime.Millisecond {
-		t.Errorf("ConfigureServer not applied: 10ms of work took %v on the 2x server, %v on the 1x",
-			fast.FinishAt-fast.StartAt, slow.FinishAt-slow.StartAt)
+	if done[1]-done[0] != 5*simtime.Millisecond {
+		t.Errorf("ConfigureServer not applied: 10ms of work finished at %v on the 2x server, %v on the 1x", done[0], done[1])
 	}
 }
 

@@ -73,8 +73,8 @@ func TestFig5Replications(t *testing.T) {
 			t.Fatalf("header %q missing %q", h, col)
 		}
 	}
-	if len(r.Points) != len(base.Points) {
-		t.Fatalf("points = %d, want %d", len(r.Points), len(base.Points))
+	if len(r.Series.Rows) != len(base.Series.Rows) {
+		t.Fatalf("points = %d, want %d", len(r.Series.Rows), len(base.Series.Rows))
 	}
 	stdCol := len(r.Series.Header) - 3
 	for i, row := range r.Series.Rows {
@@ -96,10 +96,10 @@ func TestFig5Replications(t *testing.T) {
 	// value: same model, three seeds. 25% tolerates seed-to-seed noise
 	// at quick scale while catching aggregation mistakes (sums instead
 	// of means, dropped replications).
-	for i, pt := range r.Points {
-		b := base.Points[i].EnergyJ
-		if pt.EnergyJ < 0.75*b || pt.EnergyJ > 1.25*b {
-			t.Errorf("point %d: mean energy %v strayed from base %v", i, pt.EnergyJ, b)
+	baseEnergy := numbers(t, base.Series, "energy_J")
+	for i, e := range numbers(t, r.Series, "energy_J") {
+		if b := baseEnergy[i]; e < 0.75*b || e > 1.25*b {
+			t.Errorf("point %d: mean energy %v strayed from base %v", i, e, b)
 		}
 	}
 }

@@ -79,7 +79,6 @@ func QuickFig11() Fig11Params {
 // Fig11Point is one (policy, utilization) cell of Fig. 11a.
 type Fig11Point struct {
 	Policy       string
-	Rho          float64
 	ServerPowerW float64
 	SwitchPowerW float64
 	MeanLatS     float64
@@ -90,7 +89,6 @@ type Fig11Point struct {
 
 // Fig11Result carries the power comparison (11a) and latency CDFs (11b).
 type Fig11Result struct {
-	Points []Fig11Point
 	Series *Table
 	// CDFs maps "policy/rho" to the latency CDF.
 	CDFs map[string][]stats.CDFPoint
@@ -162,11 +160,10 @@ func Fig11(p Fig11Params) (*Fig11Result, error) {
 				pt.MeanLatS = runner.MeanBy(rep, func(s fig11Sample) float64 { return s.Point.MeanLatS })
 				pt.P95LatS = runner.MeanBy(rep, func(s fig11Sample) float64 { return s.Point.P95LatS })
 			}
-			out.Points = append(out.Points, pt)
 			row := []any{pt.Policy, rho, pt.ServerPowerW, pt.SwitchPowerW,
 				pt.MeanLatS, pt.P95LatS, pt.SwitchWakes, pt.ServerWakes}
 			if nrep > 1 {
-				row = append(row, srvPow.Std, srvPow.CI95, nrep)
+				row = append(row, srvPow.Std, srvPow.CI95, srvPow.N)
 			}
 			out.Series.Addf(row...)
 			out.CDFs[pt.Policy+"/"+formatRho(rho)] = rep[0].CDF
@@ -259,7 +256,6 @@ func fig11Run(p Fig11Params, rho float64, networkAware bool, seed uint64) (Fig11
 	}
 	pt := Fig11Point{
 		Policy:       policy,
-		Rho:          rho,
 		ServerPowerW: res.MeanServerPowerW,
 		SwitchPowerW: res.MeanNetworkPowerW,
 		MeanLatS:     res.Latency.Mean(),

@@ -43,10 +43,8 @@ func QuickFig12() Fig12Params {
 	return p
 }
 
-// Fig12Result carries both power series and the error metrics.
+// Fig12Result carries the power series table and the error metrics.
 type Fig12Result struct {
-	SimulatedW   []float64
-	ReferenceW   []float64
 	MeanAbsDiffW float64
 	StdDiffW     float64
 	MeanRefW     float64
@@ -137,8 +135,6 @@ func fig12Run(p Fig12Params, seed uint64) (*Fig12Result, error) {
 		meanRef /= float64(n)
 	}
 	out := &Fig12Result{
-		SimulatedW:   sim,
-		ReferenceW:   ref,
 		MeanAbsDiffW: mad,
 		StdDiffW:     sd,
 		MeanRefW:     meanRef,

@@ -65,7 +65,6 @@ func QuickFig13() Fig13Params {
 type Fig13Result struct {
 	SimulatedW   []float64
 	ReferenceW   []float64
-	ActivePorts  []int
 	MeanAbsDiffW float64
 	StdDiffW     float64
 	Series       *Table
@@ -165,7 +164,6 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 	out := &Fig13Result{
 		SimulatedW:   sim,
 		ReferenceW:   ref,
-		ActivePorts:  active,
 		MeanAbsDiffW: mad,
 		StdDiffW:     sd,
 		Series: &Table{

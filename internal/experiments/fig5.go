@@ -73,9 +73,6 @@ func QuickFig5() Fig5Params {
 
 // Fig5Point is one sweep sample.
 type Fig5Point struct {
-	Workload string
-	Rho      float64
-	TauSec   float64
 	EnergyJ  float64
 	MeanLatS float64
 	P95LatS  float64
@@ -88,7 +85,6 @@ type Fig5Point struct {
 
 // Fig5Result carries the full sweep plus per-(workload, rho) optima.
 type Fig5Result struct {
-	Points []Fig5Point
 	Series *Table
 	// OptimalTau maps "workload/rho" to the τ minimizing energy.
 	OptimalTau map[string]float64
@@ -152,11 +148,10 @@ func Fig5(p Fig5Params) (*Fig5Result, error) {
 					pt.P95LatS = runner.MeanBy(rep, func(q Fig5Point) float64 { return q.P95LatS })
 					pt.Completion = runner.MeanBy(rep, func(q Fig5Point) float64 { return q.Completion })
 				}
-				out.Points = append(out.Points, pt)
 				row := []any{wl.Name, rho, tau, pt.EnergyJ, pt.MeanLatS,
 					pt.P95LatS, pt.Completion}
 				if nrep > 1 {
-					row = append(row, energy.Std, energy.CI95, nrep)
+					row = append(row, energy.Std, energy.CI95, energy.N)
 				}
 				out.Series.Addf(row...)
 				if pt.Completion >= 0.99 && (bestE < 0 || pt.EnergyJ < bestE) {
@@ -192,7 +187,6 @@ func fig5Point(p Fig5Params, wl Fig5Workload, rho, tau float64, seed uint64) (Fi
 		completion = float64(res.JobsCompleted) / float64(res.JobsGenerated)
 	}
 	return Fig5Point{
-		Workload: wl.Name, Rho: rho, TauSec: tau,
 		EnergyJ: res.ServerEnergyJ, MeanLatS: res.Latency.Mean(),
 		P95LatS: res.Latency.Percentile(95), Completion: completion,
 	}, nil

@@ -74,9 +74,6 @@ type Fig6Point struct {
 	Workload      string
 	Servers       int
 	Rho           float64
-	BaselineJ     float64 // Active-Idle
-	SingleTimerJ  float64
-	DualTimerJ    float64
 	ReductionPct  float64 // dual vs Active-Idle
 	VsSinglePct   float64 // dual vs single timer
 	DualP95LatS   float64
@@ -151,7 +148,6 @@ func Fig6(p Fig6Params) (*Fig6Result, error) {
 				dual := runner.SummarizeBy(dualRep, energy)
 				pt := Fig6Point{
 					Workload: wl.Name, Servers: n, Rho: rho,
-					BaselineJ: base, SingleTimerJ: single, DualTimerJ: dual.Mean,
 					ReductionPct:  100 * (base - dual.Mean) / base,
 					VsSinglePct:   100 * (single - dual.Mean) / single,
 					DualP95LatS:   runner.MeanBy(dualRep, p95),
@@ -161,7 +157,7 @@ func Fig6(p Fig6Params) (*Fig6Result, error) {
 				row := []any{wl.Name, n, rho, base, single, dual.Mean,
 					pt.ReductionPct, pt.VsSinglePct, pt.DualP95LatS, pt.SingleP95LatS}
 				if nrep > 1 {
-					row = append(row, dual.Std, dual.CI95, nrep)
+					row = append(row, dual.Std, dual.CI95, dual.N)
 				}
 				out.Series.Addf(row...)
 			}

@@ -61,20 +61,18 @@ func QuickFig8() Fig8Params {
 
 // Fig8Row is one stacked bar: residency fractions at one utilization.
 type Fig8Row struct {
-	Workload  string
-	Rho       float64
-	Active    float64
-	WakeUp    float64
-	Idle      float64
-	PkgC6     float64
-	SysSleep  float64
-	P90LatS   float64
-	QoSTarget float64 // 2x mean service time (the paper's QoS setting)
+	Workload string
+	Rho      float64
+	Active   float64
+	WakeUp   float64
+	Idle     float64
+	PkgC6    float64
+	SysSleep float64
+	P90LatS  float64
 }
 
 // Fig8Result carries all rows.
 type Fig8Result struct {
-	Rows   []Fig8Row
 	Series *Table
 }
 
@@ -122,11 +120,10 @@ func Fig8(p Fig8Params) (*Fig8Result, error) {
 			row.SysSleep = runner.MeanBy(rep, func(r Fig8Row) float64 { return r.SysSleep })
 			row.P90LatS = runner.MeanBy(rep, func(r Fig8Row) float64 { return r.P90LatS })
 		}
-		out.Rows = append(out.Rows, row)
 		cells := []any{row.Workload, row.Rho, row.Active, row.WakeUp, row.Idle,
 			row.PkgC6, row.SysSleep, row.P90LatS}
 		if nrep > 1 {
-			cells = append(cells, active.Std, active.CI95, nrep)
+			cells = append(cells, active.Std, active.CI95, active.N)
 		}
 		out.Series.Addf(cells...)
 	}
@@ -150,15 +147,14 @@ func fig8Point(p Fig8Params, wl Fig6Workload, rho float64, seed uint64) (Fig8Row
 		return Fig8Row{}, err
 	}
 	return Fig8Row{
-		Workload:  wl.Name,
-		Rho:       rho,
-		Active:    res.Residency[server.StateActive],
-		WakeUp:    res.Residency[server.StateWakeUp],
-		Idle:      res.Residency[server.StateIdle],
-		PkgC6:     res.Residency[server.StatePkgC6],
-		SysSleep:  res.Residency[server.StateSysSleep],
-		P90LatS:   res.Latency.Percentile(90),
-		QoSTarget: 2 * wl.Service.Mean(),
+		Workload: wl.Name,
+		Rho:      rho,
+		Active:   res.Residency[server.StateActive],
+		WakeUp:   res.Residency[server.StateWakeUp],
+		Idle:     res.Residency[server.StateIdle],
+		PkgC6:    res.Residency[server.StatePkgC6],
+		SysSleep: res.Residency[server.StateSysSleep],
+		P90LatS:  res.Latency.Percentile(90),
 	}, nil
 }
 

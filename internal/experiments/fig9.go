@@ -50,12 +50,10 @@ func QuickFig9() Fig9Params {
 
 // Fig9Result carries per-server energy for both policies.
 type Fig9Result struct {
-	TimerPerServer    []core.ServerEnergy
-	AdaptivePerServer []core.ServerEnergy
-	TimerTotalJ       float64
-	AdaptiveTotalJ    float64
-	SavingPct         float64
-	Series            *Table
+	TimerTotalJ    float64
+	AdaptiveTotalJ float64
+	SavingPct      float64
+	Series         *Table
 }
 
 // fig9Sample is one policy run's outcome.
@@ -87,11 +85,9 @@ func Fig9(p Fig9Params) (*Fig9Result, error) {
 	adaptive := fig9Aggregate(reps[1])
 
 	out := &Fig9Result{
-		TimerPerServer:    timer.PerServer,
-		AdaptivePerServer: adaptive.PerServer,
-		TimerTotalJ:       timer.TotalJ,
-		AdaptiveTotalJ:    adaptive.TotalJ,
-		SavingPct:         100 * (timer.TotalJ - adaptive.TotalJ) / timer.TotalJ,
+		TimerTotalJ:    timer.TotalJ,
+		AdaptiveTotalJ: adaptive.TotalJ,
+		SavingPct:      100 * (timer.TotalJ - adaptive.TotalJ) / timer.TotalJ,
 		Series: &Table{
 			Title: "Fig. 9: per-server energy (kJ) under delay-timer vs workload-adaptive policies",
 			Header: []string{"server", "timer_cpu_kJ", "timer_dram_kJ", "timer_platform_kJ",

@@ -67,14 +67,6 @@ func TestRegistryMatchesGoldens(t *testing.T) {
 	}
 }
 
-// An entry declared without a runner is an error at run time, not a
-// nil-call panic in the CLI loop.
-func TestExperimentWithoutRunner(t *testing.T) {
-	if _, err := (Experiment{Name: "empty"}).Run(true, runner.Options{}, false, nil); err == nil {
-		t.Fatal("zero Experiment ran")
-	}
-}
-
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".golden.tsv")
 }

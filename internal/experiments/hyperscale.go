@@ -64,7 +64,6 @@ type HyperscaleResult struct {
 	EventsPerSec  float64
 	BuildSeconds  float64
 	RunSeconds    float64
-	SimSeconds    float64
 	PeakRSSBytes  int64
 }
 
@@ -118,7 +117,6 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 		JobsCompleted: res.JobsCompleted,
 		BuildSeconds:  buildSecs,
 		RunSeconds:    runSecs,
-		SimSeconds:    res.End.Seconds(),
 		PeakRSSBytes:  peakRSSBytes(),
 	}
 	if runSecs > 0 {

@@ -16,16 +16,9 @@ type Experiment struct {
 	// them and testdata/golden pins their Quick output. Anything else
 	// runs by name only.
 	Paper bool
-	run   func(quick bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error)
-}
-
-// Run executes the Default (or Quick) preset under the given
-// run-control settings.
-func (e Experiment) Run(quick bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error) {
-	if e.run == nil {
-		return nil, fmt.Errorf("experiments: %s is declared without a runner", e.Name)
-	}
-	return e.run(quick, exec, check, faults)
+	// Run executes the Default (or Quick) preset under the given
+	// run-control settings.
+	Run func(quick bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error)
 }
 
 // Registry declares every experiment, once. It is sorted by name — the
@@ -43,7 +36,7 @@ var Registry = []Experiment{
 	// Beyond the paper: the 1M-server row (DESIGN.md Sec. 13) costs
 	// minutes and several GB at full size. It takes no replications
 	// and no faults.
-	{Name: "hyperscale", run: func(quick bool, _ runner.Options, check bool, _ *fault.Spec) (*Report, error) {
+	{Name: "hyperscale", Run: func(quick bool, _ runner.Options, check bool, _ *fault.Spec) (*Report, error) {
 		p := DefaultHyperscale()
 		if quick {
 			p = QuickHyperscale()
@@ -69,7 +62,7 @@ type params[P any] interface {
 func paper[P any, PP params[P], R any](name string, def, quick func() P,
 	run func(P) (R, error), report func(R) *Report) Experiment {
 	return Experiment{Name: name, Paper: true,
-		run: func(q bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error) {
+		Run: func(q bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error) {
 			p := def()
 			if q {
 				p = quick()

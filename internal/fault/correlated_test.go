@@ -81,9 +81,6 @@ func TestRackBlast(t *testing.T) {
 	if ld.ServerCrashes != 6 || ld.ServerRecovers != 6 || ld.SwitchFails != 1 || ld.SwitchRestores != 1 {
 		t.Errorf("ledger %+v, want 6+6 server and 1+1 switch events", ld)
 	}
-	if ld.Skipped != 2 {
-		t.Errorf("skipped = %d, want 2 (unresolvable rack 9 pair)", ld.Skipped)
-	}
 	if err := inj.CheckScopes(); err != nil {
 		t.Errorf("CheckScopes after full restore: %v", err)
 	}

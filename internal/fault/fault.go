@@ -21,7 +21,7 @@
 // target` trace files (see internal/trace.ReadOutages).
 //
 // Determinism contract: a fault timeline is a pure function of (seed,
-// spec, farm shape) — Spec.Timeline draws every fault instant and
+// spec, farm shape) — Spec.TimelineFor draws every fault instant and
 // duration from one labeled rng stream — and the Injector delivers each
 // event through the engine's ordinary event queue, so a faulted run
 // replays byte-identically and an empty timeline leaves the simulation
@@ -260,10 +260,8 @@ type Ledger struct {
 	LinkRestores    int64
 	SwitchFails     int64
 	SwitchRestores  int64
-	Skipped         int64 // events whose target was already in the requested state
 	JobsLostCrash   int64 // jobs retracted by a crash (OrphanDrop)
 	JobsLostNoAlive int64 // jobs retracted for lack of any alive server (OrphanDrop)
-	TasksOrphaned   int64 // task incarnations stranded on crashed servers
 
 	// JobsLostByScope attributes JobsLostCrash to the failure domain of
 	// the causing down event (indexed by ScopeKind). The
@@ -278,7 +276,7 @@ type Ledger struct {
 // JobsLost reports total jobs the ledger saw lost.
 func (ld Ledger) JobsLost() int64 { return ld.JobsLostCrash + ld.JobsLostNoAlive }
 
-// Applied reports total fault events applied (skips excluded).
+// Applied reports total fault events applied.
 func (ld Ledger) Applied() int64 {
 	return ld.ServerCrashes + ld.ServerRecovers + ld.LinkCuts +
 		ld.LinkRestores + ld.SwitchFails + ld.SwitchRestores
@@ -374,12 +372,11 @@ func (inj *Injector) JobsLost() int64 { return inj.ledger.JobsLost() }
 // farm) skips the whole event; a member already in the requested state
 // skips alone, and a restore skips every member its own outage did not
 // take down, so every applied outage runs its full drawn duration.
-// Each count lands in the ledger. depth is the cascade depth of the
-// event (0 for timeline events).
+// Each applied member lands in the ledger. depth is the cascade depth
+// of the event (0 for timeline events).
 func (inj *Injector) apply(ev Event, depth int) {
 	srvs, links, sws, ok := inj.resolveScope(ev.Scope, ev.Target)
 	if !ok {
-		inj.ledger.Skipped++
 		return
 	}
 	inj.cover.Hit(modelcov.Fault(int(ev.Scope), ev.Up))
@@ -404,7 +401,6 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 	first := -1
 	for _, s := range srvs {
 		if s >= len(inj.servers) || inj.servers[s].Failed() {
-			inj.ledger.Skipped++
 			continue
 		}
 		if first < 0 {
@@ -414,11 +410,10 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 		batch = append(batch, inj.servers[s])
 	}
 	if len(batch) > 0 {
-		lost, orphans := inj.sch.ServersCrashed(batch)
+		lost := inj.sch.ServersCrashed(batch)
 		inj.ledger.ServerCrashes += int64(len(batch))
 		inj.ledger.JobsLostCrash += int64(lost)
 		inj.ledger.JobsLostByScope[ev.Scope] += int64(lost)
-		inj.ledger.TasksOrphaned += int64(orphans)
 		if depth > 0 {
 			inj.ledger.CascadeCrashes += int64(len(batch))
 			inj.cover.Hit(modelcov.CascadeDepth(depth))
@@ -427,7 +422,6 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 	for _, si := range sws {
 		sw := inj.switchAt(si)
 		if sw == nil || sw.Failed() {
-			inj.ledger.Skipped++
 			continue
 		}
 		inj.swDownBy[si] = ev.Pair
@@ -438,7 +432,6 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 	}
 	for _, l := range links {
 		if inj.net.LinkAdminDown(l) {
-			inj.ledger.Skipped++
 			continue
 		}
 		inj.linkDownBy[l] = ev.Pair
@@ -459,7 +452,6 @@ func (inj *Injector) restore(pair int, srvs, links, sws []int) {
 	for _, si := range sws {
 		sw := inj.switchAt(si)
 		if sw == nil || !sw.Failed() || inj.swDownBy[si] != pair {
-			inj.ledger.Skipped++
 			continue
 		}
 		delete(inj.swDownBy, si)
@@ -470,7 +462,6 @@ func (inj *Injector) restore(pair int, srvs, links, sws []int) {
 	}
 	for _, l := range links {
 		if !inj.net.LinkAdminDown(l) || inj.linkDownBy[l] != pair {
-			inj.ledger.Skipped++
 			continue
 		}
 		delete(inj.linkDownBy, l)
@@ -482,7 +473,6 @@ func (inj *Injector) restore(pair int, srvs, links, sws []int) {
 	var batch []*server.Server
 	for _, s := range srvs {
 		if s >= len(inj.servers) || !inj.servers[s].Failed() || inj.srvDownBy[s] != pair {
-			inj.ledger.Skipped++
 			continue
 		}
 		delete(inj.srvDownBy, s)

@@ -73,11 +73,7 @@ type Task struct {
 
 	State TaskState
 
-	// Placement and timing, filled in during simulation.
-	ServerID    int
-	ReadyAt     simtime.Time
-	StartAt     simtime.Time
-	FinishAt    simtime.Time
+	ServerID    int // placement, filled in during simulation
 	pendingDeps int // parents (or their transfers) not yet satisfied
 }
 
@@ -212,7 +208,6 @@ func (j *Job) Seal() error {
 		t.pendingDeps = len(t.In)
 		if t.pendingDeps == 0 {
 			t.State = TaskReady
-			t.ReadyAt = j.ArriveAt
 		} else {
 			t.State = TaskBlocked
 		}
@@ -272,7 +267,6 @@ func (j *Job) TaskFinished(t *Task, now simtime.Time) (jobDone bool) {
 		panic("job: double finish of " + t.Name())
 	}
 	t.State = TaskFinished
-	t.FinishAt = now
 	j.finished++
 	if j.finished == len(j.Tasks) {
 		j.FinishAt = now

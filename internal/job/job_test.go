@@ -18,9 +18,6 @@ func TestSingle(t *testing.T) {
 	if tk.State != TaskReady || !tk.IsRoot() || len(tk.Out) != 0 {
 		t.Errorf("root task state = %v", tk.State)
 	}
-	if tk.ReadyAt != 100 {
-		t.Errorf("ReadyAt = %v", tk.ReadyAt)
-	}
 	if done := j.TaskFinished(tk, 200); !done {
 		t.Error("single-task job not done after task finish")
 	}
@@ -122,8 +119,8 @@ func TestScatterGatherMatchesLinkBuild(t *testing.T) {
 				return out
 			}
 			for _, tk := range j.Tasks {
-				s += fmt.Sprintf("\n%s own=%v size=%v int=%v state=%v deps=%d ready=%v in[%s] out[%s]",
-					tk.Name(), tk.Job == j, tk.Size, tk.Intensity, tk.State, tk.pendingDeps, tk.ReadyAt,
+				s += fmt.Sprintf("\n%s own=%v size=%v int=%v state=%v deps=%d in[%s] out[%s]",
+					tk.Name(), tk.Job == j, tk.Size, tk.Intensity, tk.State, tk.pendingDeps,
 					edges(tk.In), edges(tk.Out))
 			}
 			order, err := j.TopoOrder()

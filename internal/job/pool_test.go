@@ -33,9 +33,9 @@ func describe(t *testing.T, j *Job) string {
 		return out
 	}
 	for i, tk := range j.Tasks {
-		s += fmt.Sprintf("\n t%d own=%v idx=%d size=%v int=%v state=%v srv=%d ready=%v start=%v finish=%v deps=%d in[%s] out[%s]",
+		s += fmt.Sprintf("\n t%d own=%v idx=%d size=%v int=%v state=%v srv=%d deps=%d in[%s] out[%s]",
 			i, tk.Job == j, tk.Index, tk.Size, tk.Intensity, tk.State, tk.ServerID,
-			tk.ReadyAt, tk.StartAt, tk.FinishAt, tk.pendingDeps, edges(tk.In), edges(tk.Out))
+			tk.pendingDeps, edges(tk.In), edges(tk.Out))
 	}
 	s += "\n order:"
 	for _, tk := range j.order {
@@ -45,8 +45,8 @@ func describe(t *testing.T, j *Job) string {
 }
 
 // runToCompletion finishes every task as a scheduler would, leaving the
-// dirt a recycled job must not show: placements, timestamps, states,
-// consumed dependency counts.
+// dirt a recycled job must not show: placements, the finish time,
+// states, consumed dependency counts.
 func runToCompletion(t *testing.T, j *Job) {
 	t.Helper()
 	order, err := j.TopoOrder()
@@ -56,11 +56,11 @@ func runToCompletion(t *testing.T, j *Job) {
 	now := j.ArriveAt
 	for i, tk := range order {
 		now += simtime.Millisecond
-		tk.ServerID, tk.StartAt = 7+i, now
+		tk.ServerID = 7 + i
 		j.TaskFinished(tk, now)
 		for _, e := range tk.Out {
 			if e.To.SatisfyDep() {
-				e.To.State, e.To.ReadyAt = TaskReady, now
+				e.To.State = TaskReady
 			}
 		}
 	}

@@ -96,8 +96,13 @@ func (n *Network) freeFlow(f *Flow) {
 }
 
 // startFlow resolves the route and launches one flow (waking sleeping
-// switches first). pktN > 0 marks a fluid-model packet transfer, which
-// additionally bills the packet counters (see startFluidTransfer).
+// switches first). pktN > 0 marks a packet-granularity transfer under
+// the fluid model: one max-min fair flow carries the bytes (one arrival
+// and one departure event instead of per-packet chains), while the
+// packet counters are billed as if pktN packets had crossed — all
+// delivered on completion; on a failure, full MTUs of settled progress
+// count delivered and the remainder dropped, so delivered + dropped ==
+// sent holds for every terminal path in both models.
 func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func(), pktN int64) error {
 	r, err := n.path(src, dst, id)
 	if err != nil {
@@ -157,17 +162,6 @@ func (n *Network) launchFlow(f *Flow) {
 	}
 	n.flows = append(n.flows, f)
 	n.recomputeFlowRates()
-}
-
-// startFluidTransfer runs a packet-granularity transfer under the fluid
-// model: one max-min fair flow carries the bytes (one arrival and one
-// departure event instead of per-packet chains), while the packet
-// counters are billed as if nPkts packets had crossed — all delivered on
-// completion; on a failure, full MTUs of settled progress count
-// delivered and the remainder dropped, so delivered + dropped == sent
-// holds for every terminal path in both models.
-func (n *Network) startFluidTransfer(src, dst topology.NodeID, bytes, id int64, done func(), nPkts int64) error {
-	return n.startFlow(src, dst, bytes, id, done, nPkts)
 }
 
 // ActiveFlows reports the number of in-flight flows.

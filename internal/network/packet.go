@@ -179,7 +179,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 			bytes, nPkts, n.cfg.MTUBytes, MaxPacketsPerTransfer)
 	}
 	if n.cfg.Model == ModelFluid {
-		return n.startFluidTransfer(src, dst, bytes, id, done, nPkts)
+		return n.startFlow(src, dst, bytes, id, done, nPkts)
 	}
 	r, err := n.path(src, dst, id)
 	if err != nil {

@@ -211,8 +211,10 @@ func TestMatrixFixture(t *testing.T) {
 // arity failed only at build, and BCube(3, 40) wrapped its host count to
 // a negative number. Counts: the two-billion-server farm asked run for
 // 1.4 TB of server records, the fault count for as many timeline events,
-// the DAG for 4e18 tasks a job; and a scatter of width 0 or a 0x0 DAG
-// was refused only when Config built the factory.
+// the DAG for 4e18 tasks a job; a scatter of width 0 or a 0x0 DAG was
+// refused only when Config built the factory. Arrivals and horizons: an
+// MMPP burst ratio below 1 failed only at run, and a negative maxJobs,
+// durationSec or traceSec ran as if unset.
 var hostileFiles = []struct{ name, data, want string }{
 	{"fattree-2.1TB", `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
 	{"fattree-odd-arity", `{"topology": {"kind": "fattree", "a": 3}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
@@ -223,6 +225,10 @@ var hostileFiles = []struct{ name, data, want string }{
 	{"dag-4e18-tasks", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "dag", "width": 2000000000, "layers": 2000000000}}`, "the bound of"},
 	{"scatter-width-0", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "scatter", "width": 0}}`, "width 0"},
 	{"dag-0x0", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "dag"}}`, "shape 0x0"},
+	{"mmpp-burst-0.5", `{"servers": 4, "arrival": {"kind": "mmpp", "rho": 0.3, "burstRatio": 0.5}, "maxJobs": 10}`, "burst ratio 0.5 < 1"},
+	{"maxjobs-negative", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": -3, "durationSec": 0.5}`, "negative horizon"},
+	{"duration-negative", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "durationSec": -2}`, "negative horizon"},
+	{"tracesec-negative", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 0.3, "traceSec": -4}, "maxJobs": 10}`, "negative trace length"},
 }
 
 // TestDecodeRejects pins the strictness contract: unknown fields, bad

@@ -82,7 +82,7 @@ func TestScenarioMatrixWithFaults(t *testing.T) {
 		}
 		crashes += res.Faults.ServerCrashes
 		lost += res.JobsLost
-		orphaned += res.Faults.TasksOrphaned
+		orphaned += res.TasksAborted
 		linkCuts += res.Faults.LinkCuts
 		switchFails += res.Faults.SwitchFails
 		if res.JobsCompleted+res.JobsLost != res.JobsGenerated {

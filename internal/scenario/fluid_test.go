@@ -58,10 +58,10 @@ func TestFluidPresetDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fluid run %s: %v", fluid.Name(), err)
 		}
-		for _, res := range []Result{pr, fr} {
+		for i, res := range []Result{pr, fr} {
 			if len(res.Violations) != 0 {
 				t.Fatalf("%s: %d invariant violations: %v",
-					res.Scenario.Name(), len(res.Violations), res.Violations[0])
+					[]Scenario{packet, fluid}[i].Name(), len(res.Violations), res.Violations[0])
 			}
 		}
 		if pr.Results.JobsGenerated != fr.Results.JobsGenerated ||

@@ -119,7 +119,7 @@ func TestRandomScenarios(t *testing.T) {
 	}
 	for i, r := range results {
 		if len(r.Violations) != 0 {
-			t.Errorf("seed %d (%s): %v", 1000+i, r.Scenario.Name(), r.Violations)
+			t.Errorf("seed %d (%s): %v", 1000+i, Random(uint64(1000+i)).Name(), r.Violations)
 		}
 	}
 }

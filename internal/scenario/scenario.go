@@ -234,10 +234,7 @@ func (a ArrivalSpec) process(rate float64, r *rng.Source) (workload.ArrivalProce
 	case ArrPoisson:
 		return workload.Poisson{Rate: rate}, nil
 	case ArrMMPP:
-		ratio := a.BurstRatio
-		if ratio < 1 {
-			return nil, fmt.Errorf("scenario: MMPP burst ratio %g < 1", ratio)
-		}
+		ratio := a.BurstRatio // >= 1: Validate ran first
 		// Burst duty cycle 1/3 (0.5 s bursts, 1 s quiet), mean rate
 		// preserved: rate = λH/3 + 2λL/3 with λH = ratio·λL.
 		lambdaL := 3 * rate / (ratio + 2)
@@ -712,6 +709,9 @@ func (s Scenario) Validate() error {
 	}
 	isTrace := s.Arrival.Kind == ArrTraceWiki || s.Arrival.Kind == ArrTraceNLANR ||
 		s.Arrival.Kind == ArrTraceFile
+	if s.MaxJobs < 0 || s.DurationSec < 0 {
+		return fmt.Errorf("scenario: negative horizon (maxJobs %d, durationSec %g)", s.MaxJobs, s.DurationSec)
+	}
 	if s.MaxJobs <= 0 && s.DurationSec <= 0 && !isTrace {
 		return fmt.Errorf("scenario: unbounded horizon")
 	}
@@ -722,6 +722,12 @@ func (s Scenario) Validate() error {
 	}
 	if !(s.Arrival.Rho > 0 && s.Arrival.Rho < 1.5) {
 		return fmt.Errorf("scenario: utilization %g out of range", s.Arrival.Rho)
+	}
+	if s.Arrival.Kind == ArrMMPP && s.Arrival.BurstRatio < 1 {
+		return fmt.Errorf("scenario: MMPP burst ratio %g < 1", s.Arrival.BurstRatio)
+	}
+	if s.Arrival.TraceSec < 0 {
+		return fmt.Errorf("scenario: negative trace length %g s", s.Arrival.TraceSec)
 	}
 	if s.Arrival.Kind == ArrTraceFile && s.Arrival.TraceFile == "" {
 		return fmt.Errorf("scenario: trace-file arrival without a trace file")
@@ -872,7 +878,6 @@ func (s Scenario) buildCover(m *modelcov.Map) (*core.DataCenter, error) {
 
 // Result is one scenario run's outcome.
 type Result struct {
-	Scenario   Scenario
 	Results    *core.Results
 	Violations []invariant.Violation
 }
@@ -892,10 +897,10 @@ func (s Scenario) Run() (Result, error) {
 func (s Scenario) RunCover(m *modelcov.Map) (Result, error) {
 	dc, err := s.buildCover(m)
 	if err != nil {
-		return Result{Scenario: s}, err
+		return Result{}, err
 	}
 	res, err := dc.Run()
-	out := Result{Scenario: s, Results: res}
+	out := Result{Results: res}
 	if c := dc.Checker(); c != nil {
 		out.Violations = c.Violations()
 	}

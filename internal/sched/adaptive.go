@@ -32,9 +32,6 @@ type AdaptivePool struct {
 	pool       // the active pool: all servers at Start, then the load estimator sheds
 	lastChange simtime.Time
 	changed    bool
-
-	// Transitions counts pool migrations for diagnostics.
-	Transitions int64
 }
 
 // NewAdaptivePool returns the policy with the given thresholds and a
@@ -93,7 +90,6 @@ func (a *AdaptivePool) evaluate(s *Scheduler) {
 // moved records a pool migration, if one happened, and restarts the dwell.
 func (a *AdaptivePool) moved(s *Scheduler, did bool) {
 	if did {
-		a.Transitions++
 		a.lastChange = s.eng.Now()
 		a.changed = true
 	}

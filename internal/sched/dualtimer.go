@@ -41,8 +41,8 @@ func (d *DualTimer) Start(s *Scheduler) {
 func (d *DualTimer) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
 	// Pool membership is by server ID (Start gave IDs below HighCount the
 	// high τ), not slice position: the candidate list can be a filtered
-	// subset — crashed servers removed, or a kind restriction — and
-	// positional splits would misclassify servers.
+	// subset — crashed servers removed — and positional splits would
+	// misclassify servers.
 	low := func(srv *server.Server) bool { return srv.ID() >= d.HighCount }
 	best := s.leastLoaded(candidates, func(srv *server.Server) bool {
 		return !low(srv) && s.Load(srv) < srv.Cores()

@@ -230,9 +230,8 @@ func (s *Scheduler) dropTracked(j *job.Job) {
 // (restarting from scratch; parked if none is up) or dropped with its
 // whole job — so a requeued task can never land on a sibling that the
 // same blast is about to kill. Already-failed members are skipped. It
-// returns the jobs newly lost and the orphan count for the caller's
-// fault ledger.
-func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost, orphans int) {
+// returns the jobs newly lost for the caller's fault ledger.
+func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost int) {
 	lostBefore := s.jobsLost
 	type orphanSet struct {
 		id    int
@@ -246,7 +245,6 @@ func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost, orphans int
 		tasks := srv.Crash()
 		s.downCount++
 		s.tasksAborted += int64(len(tasks))
-		orphans += len(tasks)
 		sets = append(sets, orphanSet{id: srv.ID(), tasks: tasks})
 	}
 	for _, set := range sets {
@@ -262,13 +260,12 @@ func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost, orphans int
 			// the task as if it had just become ready.
 			s.commit(set.id, -1)
 			t.State = job.TaskReady
-			t.ReadyAt = s.eng.Now()
 			t.ServerID = -1
 			s.cover.Hit(modelcov.SchedOrphanRequeue)
 			s.admitReady(t)
 		}
 	}
-	return int(s.jobsLost - lostBefore), orphans
+	return int(s.jobsLost - lostBefore)
 }
 
 // ServersRecovered boots a batch of crashed servers back into the farm

@@ -11,7 +11,7 @@ import (
 
 // crashOne and recoverOne are the one-server forms of ServersCrashed and
 // ServersRecovered the tests below drive.
-func (s *Scheduler) crashOne(srv *server.Server) (jobsLost, orphans int) {
+func (s *Scheduler) crashOne(srv *server.Server) (jobsLost int) {
 	return s.ServersCrashed([]*server.Server{srv})
 }
 
@@ -59,22 +59,17 @@ func TestOrphanPolicies(t *testing.T) {
 				j := job.Single(job.ID(i), 0, 100*simtime.Millisecond)
 				eng.Schedule(0, func() { s.JobArrived(j) })
 			}
-			crashed := 0
 			eng.Schedule(50*simtime.Millisecond, func() {
 				// Un-pin so requeued orphans can go to server 1.
 				s.cfg.Placer = LeastLoaded{}
-				_, orphans := s.crashOne(s.servers[0])
-				crashed = orphans
+				s.crashOne(s.servers[0])
 			})
 			eng.Run()
 
 			// All 8 were on server 0: 4 cores ran 100 ms tasks, so at
 			// crash time (50 ms) 4 are running and 4 queued; none done.
-			if crashed != jobs {
-				t.Fatalf("orphans = %d, want %d", crashed, jobs)
-			}
 			if got := s.TasksAborted(); got != int64(jobs) {
-				t.Errorf("TasksAborted = %d, want %d", got, jobs)
+				t.Fatalf("TasksAborted = %d, want %d", got, jobs)
 			}
 
 			switch tc.policy {
@@ -390,10 +385,10 @@ func TestFaultStringsAndAccessors(t *testing.T) {
 		}
 		// Idempotence of both transitions.
 		s.recoverOne(s.servers[0])
-		if lost, orphans := s.crashOne(s.servers[0]); lost != 0 && orphans != 0 {
+		if lost := s.crashOne(s.servers[0]); lost != 0 || s.TasksAborted() != 0 {
 			t.Error("first crash reported losses on an idle server")
 		}
-		if lost, orphans := s.crashOne(s.servers[0]); lost != 0 || orphans != 0 {
+		if lost := s.crashOne(s.servers[0]); lost != 0 || s.TasksAborted() != 0 || s.downCount != 1 {
 			t.Error("double crash not a no-op")
 		}
 		s.recoverOne(s.servers[0])

@@ -221,13 +221,23 @@ func TestAdaptivePoolDwellLimitsChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A 100ms burst of arrivals triggers at most burst/dwell + 1
-	// migrations despite hundreds of evaluation events.
+	// migrations despite hundreds of evaluation events: the active pool's
+	// size, seen after every arrival and every completion, changes at
+	// most that often.
+	active, changes := a.ActiveServers(), 0
+	observe := func() {
+		if n := a.ActiveServers(); n != active {
+			active, changes = n, changes+1
+		}
+	}
+	s.OnJobArrived(func(*job.Job) { observe() })
+	s.OnJobDone(func(*job.Job) { observe() })
 	for i := 0; i < 200; i++ {
 		j := singleJob(job.ID(i), simtime.Time(i)*500*simtime.Microsecond, 2*simtime.Millisecond)
 		eng.Schedule(j.ArriveAt, func() { s.JobArrived(j) })
 	}
 	eng.Run()
-	if a.Transitions > 3 {
-		t.Errorf("transitions = %d, want <= 3 with 1s dwell", a.Transitions)
+	if changes > 3 {
+		t.Errorf("active pool changed size %d times, want <= 3 with 1s dwell", changes)
 	}
 }

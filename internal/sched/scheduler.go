@@ -421,7 +421,6 @@ func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 			}
 			if edge.To.SatisfyDep() {
 				edge.To.State = job.TaskReady
-				edge.To.ReadyAt = s.eng.Now()
 				s.admitReady(edge.To)
 			}
 		}

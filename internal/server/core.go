@@ -145,12 +145,10 @@ func (c *Core) wakeTransition() power.Transition {
 
 // run starts executing t; the core must be in C0.
 func (c *Core) run(t *job.Task) {
-	now := c.srv.eng.Now()
 	c.busy = true
 	c.refresh()
 	c.task = t
 	t.State = job.TaskRunning
-	t.StartAt = now
 	c.srv.busyDelta(1)
 	c.srv.recompute()
 	dur := t.ServiceTime(c.effectiveSpeed())

@@ -25,9 +25,6 @@ type DVFSGovernor struct {
 	lastEval simtime.Time
 	pidx     int
 	running  bool
-
-	// Steps counts P-state changes, for diagnostics.
-	Steps int64
 }
 
 // NewDVFSGovernor attaches an ondemand-style governor to a server with a
@@ -74,11 +71,9 @@ func (g *DVFSGovernor) tick() {
 	switch {
 	case util > g.UpThreshold && g.pidx > 0:
 		g.pidx--
-		g.Steps++
 		_ = g.srv.SetPState(g.pidx)
 	case util < g.DownThreshold && g.pidx < nStates-1:
 		g.pidx++
-		g.Steps++
 		_ = g.srv.SetPState(g.pidx)
 	}
 }

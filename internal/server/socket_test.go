@@ -114,9 +114,6 @@ func TestDVFSGovernorScalesWithLoad(t *testing.T) {
 	if g.pidx != len(power.XeonE5_2680().PStates)-1 {
 		t.Errorf("idle P-state index = %d, want deepest", g.pidx)
 	}
-	if g.Steps == 0 {
-		t.Error("no P-state steps recorded")
-	}
 	// Phase 3: saturate again — governor climbs back to P0.
 	base := eng.Now()
 	for i := 0; i < 10; i++ {

@@ -39,9 +39,9 @@ type Node struct {
 	Name string
 }
 
-// Link is one bidirectional edge with a symmetric rate.
+// Link is one bidirectional edge with a symmetric rate. Its ID, which
+// AddLink returns and Graph.Link takes, is its index in the graph.
 type Link struct {
-	ID      int
 	A, B    NodeID
 	RateBps float64
 }
@@ -91,7 +91,7 @@ func (g *Graph) AddLink(a, b NodeID, rateBps float64) (int, error) {
 		return 0, fmt.Errorf("topology: non-positive link rate %g", rateBps)
 	}
 	id := len(g.links)
-	g.links = append(g.links, Link{ID: id, A: a, B: b, RateBps: rateBps})
+	g.links = append(g.links, Link{A: a, B: b, RateBps: rateBps})
 	g.adj[a] = append(g.adj[a], adjacency{link: id, peer: b})
 	g.adj[b] = append(g.adj[b], adjacency{link: id, peer: a})
 	g.dist = make(map[NodeID][]int32) // invalidate route cache
