@@ -33,11 +33,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"holdcsim/internal/runner"
 	"holdcsim/internal/scenario"
+	"holdcsim/internal/stats"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -274,11 +274,7 @@ func writeRow(b *strings.Builder, label string, rep int, seed uint64, res scenar
 		lostOutage = r.Faults.JobsLostNoAlive
 		applied = int64(r.Faults.Applied())
 	}
-	states := make([]string, 0, len(r.Residency))
-	for s := range r.Residency {
-		states = append(states, s)
-	}
-	sort.Strings(states)
+	states := stats.SortedStates(r.Residency)
 	for i, s := range states {
 		states[i] = fmt.Sprintf("%s=%g", s, r.Residency[s])
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"holdcsim/internal/topology"
 )
@@ -80,10 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		degCount[g.Degree(topology.NodeID(i))]++
 	}
 	fmt.Fprintf(stdout, "  degrees:  ")
-	for d := 0; d <= maxKey(degCount); d++ {
-		if c := degCount[d]; c > 0 {
-			fmt.Fprintf(stdout, "%dx deg%d  ", c, d)
-		}
+	for _, d := range sortedKeys(degCount) {
+		fmt.Fprintf(stdout, "%dx deg%d  ", degCount[d], d)
 	}
 	fmt.Fprintln(stdout)
 
@@ -93,10 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hops[g.HopCount(hostsList[0], h)]++
 	}
 	fmt.Fprintf(stdout, "  hops from host 0: ")
-	for d := 0; d <= maxKey(hops); d++ {
-		if c := hops[d]; c > 0 {
-			fmt.Fprintf(stdout, "%d hosts @ %d hops  ", c, d)
-		}
+	for _, d := range sortedKeys(hops) {
+		fmt.Fprintf(stdout, "%d hosts @ %d hops  ", hops[d], d)
 	}
 	fmt.Fprintln(stdout)
 
@@ -113,12 +110,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func maxKey(m map[int]int) int {
-	max := 0
+func sortedKeys(m map[int]int) []int {
+	keys := make([]int, 0, len(m))
 	for k := range m {
-		if k > max {
-			max = k
-		}
+		keys = append(keys, k)
 	}
-	return max
+	sort.Ints(keys)
+	return keys
 }

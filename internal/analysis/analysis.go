@@ -1,7 +1,7 @@
-// Package analysis is simlint: the determinism check, a static pass that
+// Package analysis is the determinism check: a static pass that
 // enforces the one contract the test suite can only sample —
 // byte-identical replay (DESIGN.md Sec. 3). A wall-clock read or an
-// order-dependent map range is wrong on every input, but a test sees it
+// unsorted map range is wrong on every input, but a test sees it
 // only on an input that reaches the line; the check sees every line of
 // the tree on every `go test ./...` (TestTreeHasNoFindings). Allocation
 // discipline is the runtime zero-alloc gates' to measure, not this
@@ -34,7 +34,7 @@ const modulePrefix = "holdcsim/"
 // modelPackages are the deterministic-model packages: everything that
 // executes between Build and Collect must replay byte-identically, so
 // the check bans wall clocks, global randomness, environment reads, and
-// order-sensitive map iteration there. The experiments package is
+// unsorted map iteration there. The experiments package is
 // included — it renders the reported artifacts — and so is runner, home
 // of the one exempt clock read.
 var modelPackages = map[string]bool{

@@ -15,12 +15,8 @@ import (
 //   - the global math/rand and math/rand/v2 streams (top-level package
 //     functions — explicit *rand.Rand/rng.Source constructors are fine);
 //   - environment-derived behavior: os.Getenv, os.LookupEnv, os.Environ;
-//   - `range` over a map whose body has observable, order-dependent
-//     effects. Bodies made of provably order-insensitive statements —
-//     commutative accumulation (x += e, x++, x |= e, …), writes to
-//     another map keyed by the loop key, delete by loop key, max/min
-//     updates — pass. The collect-keys-then-sort idiom passes when the
-//     same function body later sorts the collected slice.
+//   - every `range` over a map, except the collect-keys loop whose
+//     slice the same function body sorts afterwards (collectForSort).
 //
 // The banned functions are flagged at every use, so `f := time.Now`
 // counts as a read. Findings inside the exempt function are dropped; an
@@ -138,289 +134,15 @@ func (c *checker) checkUse(id *ast.Ident) {
 	}
 }
 
-// checkMapRange flags order-dependent map iteration.
+// checkMapRange flags a range over a map. Go randomizes map order, and
+// no body is safe to run in it by inspection alone: float += is not
+// associative, so even a sum depends on the order. The one admitted
+// loop is the collect-keys loop whose slice is sorted afterwards.
 func (c *checker) checkMapRange(rs *ast.RangeStmt, body *ast.BlockStmt) {
-	info := c.pkg.TypesInfo
-	if _, ok := info.TypeOf(rs.X).Underlying().(*types.Map); !ok {
+	if _, ok := c.pkg.TypesInfo.TypeOf(rs.X).Underlying().(*types.Map); !ok || c.collectForSort(rs, body) {
 		return
 	}
-	ins := &insensitivity{info: info, locals: map[types.Object]bool{}}
-	ins.addDef(rs.Key)
-	ins.addDef(rs.Value)
-	if id, ok := rs.Key.(*ast.Ident); ok {
-		ins.keyObj = info.Defs[id]
-	}
-	if ins.blockOK(rs.Body, nil) || c.collectForSort(rs, body) {
-		return
-	}
-	c.report(rs.Pos(),
-		"map iteration with order-dependent effects (%s): iterate sorted keys or make the body commutative",
-		ins.why)
-}
-
-// insensitivity decides whether a loop body's effects commute across
-// iteration orders.
-type insensitivity struct {
-	info   *types.Info
-	locals map[types.Object]bool // objects scoped to one iteration
-	keyObj types.Object          // the range key variable, if named
-	why    string                // first order-dependent construct found
-}
-
-func (c *insensitivity) fail(why string) bool {
-	if c.why == "" {
-		c.why = why
-	}
-	return false
-}
-
-func (c *insensitivity) blockOK(b *ast.BlockStmt, guard ast.Expr) bool {
-	for _, s := range b.List {
-		if !c.stmtOK(s, guard) {
-			return false
-		}
-	}
-	return true
-}
-
-// stmtOK reports whether one statement is order-insensitive. guard is
-// the innermost enclosing if condition, consulted for the max/min
-// update idiom.
-func (c *insensitivity) stmtOK(s ast.Stmt, guard ast.Expr) bool {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return c.assignOK(s, guard)
-	case *ast.IncDecStmt:
-		return true // x++ / x-- commute
-	case *ast.ExprStmt:
-		// delete(m, k) by the loop key commutes; nothing else may call.
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if b, ok := c.info.Uses[calleeIdent(call)].(*types.Builtin); ok && b.Name() == "delete" {
-				if len(call.Args) == 2 && c.isKey(call.Args[1]) {
-					return true
-				}
-				return c.fail("delete not keyed by the loop variable")
-			}
-		}
-		return c.fail("expression statement with effects")
-	case *ast.IfStmt:
-		if s.Init != nil && !c.stmtOK(s.Init, guard) {
-			return false
-		}
-		if !c.pure(s.Cond) {
-			return c.fail("impure if condition")
-		}
-		if !c.blockOK(s.Body, s.Cond) {
-			return false
-		}
-		switch e := s.Else.(type) {
-		case nil:
-			return true
-		case *ast.BlockStmt:
-			return c.blockOK(e, nil)
-		case *ast.IfStmt:
-			return c.stmtOK(e, guard)
-		}
-		return c.fail("unsupported else form")
-	case *ast.BlockStmt:
-		return c.blockOK(s, guard)
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			return c.fail("non-var declaration")
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				return c.fail("non-value var spec")
-			}
-			for _, v := range vs.Values {
-				if !c.pure(v) {
-					return c.fail("impure var initializer")
-				}
-			}
-			for _, name := range vs.Names {
-				if obj := c.info.Defs[name]; obj != nil {
-					c.locals[obj] = true
-				}
-			}
-		}
-		return true
-	case *ast.BranchStmt:
-		// A bare continue commutes; break/goto make the set of executed
-		// iterations order-dependent.
-		if s.Tok == token.CONTINUE && s.Label == nil {
-			return true
-		}
-		return c.fail(s.Tok.String() + " exits the loop order-dependently")
-	case *ast.RangeStmt:
-		// A nested range over a map is checked on its own; for the outer
-		// loop's insensitivity only the nested body's effects matter.
-		if s.X != nil && !c.pure(s.X) {
-			return c.fail("impure nested range expression")
-		}
-		c.addDef(s.Key)
-		c.addDef(s.Value)
-		return c.blockOK(s.Body, nil)
-	case *ast.ForStmt:
-		if s.Init != nil && !c.stmtOK(s.Init, nil) {
-			return false
-		}
-		if s.Cond != nil && !c.pure(s.Cond) {
-			return c.fail("impure nested for condition")
-		}
-		if s.Post != nil && !c.stmtOK(s.Post, nil) {
-			return false
-		}
-		return c.blockOK(s.Body, nil)
-	case *ast.SwitchStmt:
-		if s.Init != nil && !c.stmtOK(s.Init, nil) {
-			return false
-		}
-		if s.Tag != nil && !c.pure(s.Tag) {
-			return c.fail("impure switch tag")
-		}
-		for _, cc := range s.Body.List {
-			clause := cc.(*ast.CaseClause)
-			for _, e := range clause.List {
-				if !c.pure(e) {
-					return c.fail("impure case expression")
-				}
-			}
-			for _, st := range clause.Body {
-				if !c.stmtOK(st, nil) {
-					return false
-				}
-			}
-		}
-		return true
-	case *ast.EmptyStmt:
-		return true
-	}
-	return c.fail("order-dependent statement")
-}
-
-func (c *insensitivity) addDef(e ast.Expr) {
-	if id, ok := e.(*ast.Ident); ok && id != nil {
-		if obj := c.info.Defs[id]; obj != nil {
-			c.locals[obj] = true
-		}
-	}
-}
-
-func (c *insensitivity) assignOK(s *ast.AssignStmt, guard ast.Expr) bool {
-	for _, rhs := range s.Rhs {
-		if !c.pure(rhs) {
-			return c.fail("impure assignment right-hand side")
-		}
-	}
-	switch s.Tok {
-	case token.DEFINE:
-		for _, lhs := range s.Lhs {
-			c.addDef(lhs)
-		}
-		return true
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-		// Commutative accumulation: final value independent of order.
-		return true
-	case token.ASSIGN:
-		if len(s.Lhs) != len(s.Rhs) {
-			return c.fail("tuple assignment")
-		}
-		for i, lhs := range s.Lhs {
-			if c.rootedInLocal(lhs) {
-				continue // per-iteration state
-			}
-			if ix, ok := lhs.(*ast.IndexExpr); ok {
-				// m2[k] = v: per-key slots commute across orders.
-				if _, isMap := c.info.TypeOf(ix.X).Underlying().(*types.Map); isMap && c.isKey(ix.Index) {
-					continue
-				}
-				return c.fail("indexed write not keyed by the loop variable")
-			}
-			// Max/min update: `if v > best { best = v }` commutes.
-			if guard != nil && isExtremumUpdate(guard, lhs, s.Rhs[i]) {
-				continue
-			}
-			return c.fail("plain assignment to shared state")
-		}
-		return true
-	}
-	return c.fail("unsupported assignment operator")
-}
-
-// rootedInLocal reports whether an lvalue is (a component of) a
-// per-iteration local: the blank identifier, a loop-scoped variable, or
-// a selector/index/deref chain rooted at one.
-func (c *insensitivity) rootedInLocal(e ast.Expr) bool {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if x.Name == "_" {
-				return true
-			}
-			obj := c.info.Uses[x]
-			if obj == nil {
-				obj = c.info.Defs[x]
-			}
-			return c.locals[obj]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-// isKey reports whether e is exactly the loop's key variable. Exact
-// identity is required — a derived expression like m2[k+1] or
-// delete(m2, f(k)) is not injective in general, so a per-key-slot
-// argument cannot be made for it.
-func (c *insensitivity) isKey(e ast.Expr) bool {
-	if c.keyObj == nil {
-		return false
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && c.info.Uses[id] == c.keyObj
-}
-
-// pure reports whether evaluating e has no side effects: no calls (bar
-// len/cap/min/max and type conversions), no channel receives.
-func (c *insensitivity) pure(e ast.Expr) bool {
-	if e == nil {
-		return true
-	}
-	pure := true
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if c.info.Types[n.Fun].IsType() {
-				return true // conversion
-			}
-			if b, ok := c.info.Uses[calleeIdent(n)].(*types.Builtin); ok {
-				switch b.Name() {
-				case "len", "cap", "min", "max", "real", "imag", "complex":
-					return true
-				}
-			}
-			pure = false
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				pure = false
-				return false
-			}
-		case *ast.FuncLit:
-			return false // a literal is inert until called
-		}
-		return pure
-	})
-	return pure
+	c.report(rs.Pos(), "range over map in model package: collect the keys, sort them, and iterate the slice")
 }
 
 // calleeIdent extracts the identifier a call invokes: f in f(…), Sel in
@@ -433,23 +155,6 @@ func calleeIdent(call *ast.CallExpr) *ast.Ident {
 		return fun.Sel
 	}
 	return nil
-}
-
-// isExtremumUpdate recognizes `if y OP x { x = y }` for a comparison OP,
-// the commutative max/min-update idiom, by textual operand match.
-func isExtremumUpdate(cond, lhs, rhs ast.Expr) bool {
-	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok {
-		return false
-	}
-	switch b.Op {
-	case token.LSS, token.GTR, token.LEQ, token.GEQ:
-	default:
-		return false
-	}
-	lt, rt := types.ExprString(lhs), types.ExprString(rhs)
-	cx, cy := types.ExprString(b.X), types.ExprString(b.Y)
-	return (cx == lt && cy == rt) || (cx == rt && cy == lt)
 }
 
 // sortFuncs are the functions that put a slice, their first argument,

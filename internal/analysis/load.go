@@ -88,7 +88,7 @@ func exportLookup(exports map[string]string) func(string) (io.ReadCloser, error)
 	return func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("simlint: no export data for %q", path)
+			return nil, fmt.Errorf("determinism check: no export data for %q", path)
 		}
 		return os.Open(f)
 	}
@@ -121,7 +121,7 @@ func typecheck(fset *token.FileSet, path, dir string, fileNames []string,
 	}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("simlint: typecheck %s: %v", path, err)
+		return nil, fmt.Errorf("determinism check: typecheck %s: %v", path, err)
 	}
 	return &Package{
 		Fset:      fset,

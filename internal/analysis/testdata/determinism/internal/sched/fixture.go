@@ -38,7 +38,7 @@ var shared []int
 var counts = map[string]int{}
 
 func mapOrderDependent(m map[string]int) {
-	for _, v := range m { // want "map iteration with order-dependent effects"
+	for _, v := range m { // want "range over map in model package"
 		shared = append(shared, v)
 	}
 }
@@ -46,7 +46,7 @@ func mapOrderDependent(m map[string]int) {
 // A slices/sort call that does not sort is not the idiom.
 func collectThenContains(m map[int]bool) bool {
 	var keys []int
-	for k := range m { // want "map iteration with order-dependent effects"
+	for k := range m { // want "range over map in model package"
 		keys = append(keys, k)
 	}
 	return slices.Contains(keys, 1)
@@ -56,7 +56,7 @@ func collectThenContains(m map[int]bool) bool {
 // admit this loop.
 func collectUnsorted(m map[int]bool) []int {
 	var keys []int
-	for k := range m { // want "map iteration with order-dependent effects"
+	for k := range m { // want "range over map in model package"
 		keys = append(keys, k)
 	}
 	return keys
@@ -64,86 +64,56 @@ func collectUnsorted(m map[int]bool) []int {
 
 func sortOtherKeys(keys []int) { sort.Ints(keys) }
 
-func mapOrderInsensitive(m map[string]int) int {
+// Only collect-then-sort is admitted. A body that looks order-free is
+// still a finding: the float sum below is not, since float addition is
+// not associative.
+func mapOrderFreeLooking(m map[string]int, fm map[string]float64) int {
 	total := 0
-	for _, v := range m { // commutative accumulation: order-insensitive
+	for _, v := range m { // want "range over map in model package"
 		total += v
 	}
-	for k, v := range m { // per-key writes into another map: order-insensitive
+	for k, v := range m { // want "range over map in model package"
 		counts[k] = v
 	}
 	keys := make([]string, 0, len(m))
-	for k := range m { // collect-then-sort idiom: order-insensitive
+	for k := range m { // collect-then-sort idiom: admitted
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	best := 0
-	for _, v := range m { // max-update idiom: order-insensitive
+	for _, v := range m { // want "range over map in model package"
 		if v > best {
 			best = v
 		}
 	}
+	var sum float64
+	for _, f := range fm { sum += f } // want "range over map in model package"
+	sink = sum
 	return total + best + len(keys)
 }
 
 type cell struct{ n int }
 
-func mapStatementLattice(m map[string]int, grid map[string][]cell) (int, int, int) {
-	prod, bits, least := 1, 0, 1<<30
-	for k, v := range m { // every statement form below commutes
-		var scaled, masked int
-		scaled = v * 2
-		prod *= scaled
-		bits |= v
-		bits &= ^scaled
-		bits ^= masked
-		prod++
-		if v < least { // min-update (reversed comparison operands)
-			least = v
-		}
-		if v == 0 {
-			delete(counts, k)
-			continue
-		} else if v < 0 {
-			local := cell{n: v}
-			local.n = -local.n
-			prod *= local.n
-		}
-		switch v % 3 {
-		case 0:
-			bits++
-		default:
-			bits--
-		}
-		for i := 0; i < 2; i++ {
-			prod += i
-		}
-		for _, c := range grid[k] { // nested range: only its effects matter
-			bits += c.n
-		}
-	}
-	return prod, bits, least
-}
-
+// Whatever the body does, a map range outside the idiom is a finding.
 func mapOrderDependentForms(m map[string]int, cells []cell) {
-	for _, v := range m { // want "map iteration with order-dependent effects"
+	for _, v := range m { // want "range over map in model package"
 		if v > 0 {
-			break // exits the loop order-dependently
+			break
 		}
 	}
-	for k := range m { // want "map iteration with order-dependent effects"
-		delete(counts, "not-"+k+"-the-key") // delete not keyed by the loop variable
+	for k := range m { // want "range over map in model package"
+		delete(counts, "not-"+k+"-the-key")
 	}
-	for _, v := range m { // want "map iteration with order-dependent effects"
-		cells[0].n = v // indexed write not keyed by the loop variable
+	for _, v := range m { // want "range over map in model package"
+		cells[0].n = v
 	}
 	x, y := 0, 1
-	for _, v := range m { // want "map iteration with order-dependent effects"
-		x, y = y, v // tuple assignment
+	for _, v := range m { // want "range over map in model package"
+		x, y = y, v
 	}
 	sink = x + y
-	for _, v := range m { // want "map iteration with order-dependent effects"
-		if len(shared) < cap(shared) { // pure condition, impure body
+	for _, v := range m { // want "range over map in model package"
+		if len(shared) < cap(shared) {
 			shared = append(shared, v)
 		}
 	}

@@ -443,8 +443,8 @@ func (dc *DataCenter) Collect() *Results {
 		s.Residency().AddFractionsTo(end, resTotals)
 		r.ServerWakeups += s.WakeCount()
 	}
-	for state, total := range resTotals {
-		r.Residency[state] = total / float64(len(dc.Servers))
+	for _, state := range stats.SortedStates(resTotals) {
+		r.Residency[state] = resTotals[state] / float64(len(dc.Servers))
 	}
 	if sec := end.Seconds(); sec > 0 {
 		r.MeanServerPowerW = r.ServerEnergyJ / sec

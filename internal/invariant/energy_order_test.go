@@ -11,7 +11,7 @@ import (
 )
 
 // TestServerEnergyViolationsDeterministic pins the fix for the map-order
-// dependence simlint:determinism found in checkServerEnergy: the
+// dependence the determinism check found in checkServerEnergy: the
 // residency-fraction loop iterated a map, so the violation list (and the
 // float accumulation into the closure sum) depended on Go's randomized
 // map iteration order. The loop now walks states sorted. This test
@@ -67,6 +67,24 @@ func TestServerEnergyViolationsDeterministic(t *testing.T) {
 			if got := check(build(p)); got != want {
 				t.Fatalf("violation output depends on construction/iteration order:\nwant %q\ngot  %q", want, got)
 			}
+		}
+	}
+}
+
+// TestResidencyTotalVerdictDeterministic pins the sorted-order sum in
+// VerifyTotals: summed in map order, 1e16 + 1 - 1e16 is 0 or 1 depending
+// on which state comes first, so the "sum to 1" verdict flipped from
+// run to run. Fresh checkers each range anew, and all must agree.
+func TestResidencyTotalVerdictDeterministic(t *testing.T) {
+	verdict := func() string {
+		c := &Checker{}
+		c.VerifyTotals(ReportedTotals{Residency: map[string]float64{"a": 1e16, "b": 1, "c": -1e16}})
+		return fmt.Sprint(c.Violations())
+	}
+	want := verdict()
+	for i := 0; i < 64; i++ {
+		if got := verdict(); got != want {
+			t.Fatalf("residency verdict depends on map order:\nfirst %s\nnow   %s", want, got)
 		}
 	}
 }

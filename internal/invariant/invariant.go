@@ -18,7 +18,6 @@ package invariant
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"holdcsim/internal/engine"
 	"holdcsim/internal/job"
@@ -26,6 +25,7 @@ import (
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
+	"holdcsim/internal/stats"
 	"holdcsim/internal/workload"
 )
 
@@ -515,15 +515,10 @@ func (c *Checker) checkServerEnergy(srv *server.Server, end simtime.Time) {
 	if len(fr) > 0 {
 		// Iterate states sorted, not in map order: the violation list and
 		// the float accumulation into sum must replay byte-identically
-		// (simlint:determinism caught this as the report order depending
+		// (the determinism check caught this as the report order depending
 		// on map iteration when more than one fraction is negative).
-		states := make([]string, 0, len(fr))
-		for s := range fr {
-			states = append(states, s)
-		}
-		sort.Strings(states)
 		sum := 0.0
-		for _, s := range states {
+		for _, s := range stats.SortedStates(fr) {
 			f := fr[s]
 			if f < -RelTol {
 				c.report("energy-closure", "server %d negative residency fraction %g", srv.ID(), f)
@@ -717,9 +712,11 @@ func (c *Checker) VerifyTotals(rt ReportedTotals) {
 		}
 	}
 	if len(rt.Residency) > 0 {
+		// Sum in sorted-state order: float addition is not associative, so
+		// a map-order sum could flip the verdict from run to run.
 		sum := 0.0
-		for _, f := range rt.Residency {
-			sum += f
+		for _, s := range stats.SortedStates(rt.Residency) {
+			sum += rt.Residency[s]
 		}
 		if math.Abs(sum-1) > 1e3*RelTol {
 			c.report("reported-totals", "mean residency fractions sum to %.12g", sum)

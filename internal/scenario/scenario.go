@@ -419,10 +419,13 @@ func (f FactorySpec) factory() (workload.JobFactory, error) {
 // may have: every job allocates that many task records.
 const maxTasksPerJob = 1 << 16
 
-// validate checks the shape the factory kind reads: at least one task
-// wide and deep, at most maxTasksPerJob tasks (the comparison divides,
-// so no product overflows).
+// validate checks the shape the factory kind reads: a non-negative edge
+// payload, at least one task wide and deep, at most maxTasksPerJob tasks
+// (the comparison divides, so no product overflows).
 func (f FactorySpec) validate() error {
+	if f.EdgeBytes < 0 {
+		return fmt.Errorf("scenario: negative edge payload %d bytes", f.EdgeBytes)
+	}
 	switch f.Kind {
 	case FacScatterGather:
 		if f.Width < 1 || f.Width > maxTasksPerJob-2 {
@@ -687,6 +690,12 @@ func (s Scenario) Validate() error {
 	}
 	if s.Servers > topology.MaxNodes { // a server-only farm never meets a topology's Check
 		return fmt.Errorf("scenario: %d servers exceed the bound of %d", s.Servers, topology.MaxNodes)
+	}
+	if s.Topology.RateBps < 0 { // the builders read any rate <= 0 as the family default
+		return fmt.Errorf("scenario: negative link rate %g b/s", s.Topology.RateBps)
+	}
+	if s.Placer.TauSec < 0 { // apply reads any tau <= 0 as the 200 ms default
+		return fmt.Errorf("scenario: negative placer timer %g s", s.Placer.TauSec)
 	}
 	if s.Topology.Kind == TopoNone {
 		if s.Comm != core.CommNone {

@@ -1,6 +1,10 @@
 package stats
 
-import "holdcsim/internal/simtime"
+import (
+	"sort"
+
+	"holdcsim/internal/simtime"
+)
 
 // Residency tracks how long an entity spends in each named state — the
 // basis of the paper's Fig. 8 (Active / Wake-up / Idle / PkgC6 / SysSleep
@@ -127,6 +131,18 @@ func (r *Residency) FractionsTo(t simtime.Time) map[string]float64 {
 	out := make(map[string]float64)
 	r.AddFractionsTo(t, out) // 0 + x is exact
 	return out
+}
+
+// SortedStates lists the states of a per-state map such as FractionsTo's
+// in sorted order, the order to iterate it in: map order is randomized,
+// and a float sum over the states depends on the order it takes.
+func SortedStates(m map[string]float64) []string {
+	states := make([]string, 0, len(m))
+	for s := range m {
+		states = append(states, s)
+	}
+	sort.Strings(states)
+	return states
 }
 
 // AddFractionsTo accumulates the per-state fractions FractionsTo
