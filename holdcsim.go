@@ -101,10 +101,10 @@ type (
 
 // Residency labels used by Results.Residency (the paper's Fig. 8 legend).
 const (
-	StateActive   = server.StateActive
-	StateIdle     = server.StateIdle
-	StatePkgC6    = server.StatePkgC6
-	StateSysSleep = server.StateSysSleep
+	StateActive   = power.StateActive
+	StateIdle     = power.StateIdle
+	StatePkgC6    = power.StatePkgC6
+	StateSysSleep = power.StateSysSleep
 )
 
 // NewDVFSGovernor attaches an ondemand-style frequency governor to a

@@ -14,7 +14,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 	"strings"
 )
@@ -24,8 +23,6 @@ type Diagnostic struct {
 	Pos     token.Position
 	Message string
 }
-
-func (d Diagnostic) String() string { return fmt.Sprintf("%s: %s", d.Pos, d.Message) }
 
 // modulePrefix is the first-party import-path prefix the contract
 // governs.
@@ -58,6 +55,7 @@ var modelPackages = map[string]bool{
 	"dist":        true,
 	"rng":         true,
 	"runner":      true,
+	"enum":        true,
 }
 
 // isModelPackage reports whether the determinism contract governs the

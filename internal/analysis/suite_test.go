@@ -34,12 +34,3 @@ func TestLoadRealPackage(t *testing.T) {
 		t.Errorf("simtime should be clean, got %v", diags)
 	}
 }
-
-// TestDiagnosticString locks the finding format the tree test prints.
-func TestDiagnosticString(t *testing.T) {
-	d := analysis.Diagnostic{Message: "m"}
-	d.Pos.Filename, d.Pos.Line, d.Pos.Column = "f.go", 3, 7
-	if got, want := d.String(), "f.go:3:7: m"; got != want {
-		t.Errorf("Diagnostic.String() = %q, want %q", got, want)
-	}
-}

@@ -58,17 +58,27 @@ func declaredNames(u ast.Node) []*ast.Ident {
 }
 
 // tracked reports whether TestNoFuncWithoutCaller demands a user for obj,
-// declared in package path: functions under internal/, and functions,
-// types and constants of the root facade.
+// declared in package path: every package-level name — function, type,
+// constant or variable — under internal/ and of the root facade.
 func tracked(path string, obj types.Object) bool {
+	if !strings.HasPrefix(path, "holdcsim/internal/") && path != "holdcsim" || obj.Name() == "_" {
+		return false
+	}
 	switch obj := obj.(type) {
 	case *types.Func:
-		return (strings.HasPrefix(path, "holdcsim/internal/") || path == "holdcsim") &&
-			obj.Name() != "init" && obj.Name() != "_" && !takesTesting(obj)
+		return obj.Name() != "init" && !takesTesting(obj)
 	case *types.TypeName, *types.Const:
-		return path == "holdcsim"
+		return true
+	case *types.Var:
+		return packageLevel(obj)
 	}
 	return false
+}
+
+// packageLevel reports whether v is a package-level variable, not a
+// local, a parameter or a field.
+func packageLevel(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // takesTesting reports whether fn has a parameter from package testing
@@ -143,21 +153,23 @@ func loadTreeAndBench(t *testing.T) []*analysis.Package {
 func TestTreeHasNoFindings(t *testing.T) {
 	for _, pkg := range loadTree(t) {
 		for _, d := range analysis.Check(pkg) {
-			t.Error(d)
+			t.Errorf("%s: %s", d.Pos, d.Message)
 		}
 	}
 }
 
 // TestNoFuncWithoutCaller holds the tree to "nothing without a caller":
-// every function and method declared in non-test code under internal/,
-// and every function, type alias and constant of the root facade, is
+// every package-level name declared in non-test code under internal/ or
+// in the root facade — function, method, type, constant, variable — is
 // named by non-test code in internal/, cmd/, examples/, the facade or
 // bench/ (outside its own declaration; a facade function's signature
 // counts), or is a method some interface in the program or in
-// stdInterfaces asks of its receiver type. What a test alone needs lives
-// in a _test.go file; a feature nothing can reach is deleted. The scan is
-// typed (types.Info.Uses), so a comment, a same-named method on another
-// type or a test does not keep code alive.
+// stdInterfaces asks of its receiver type. String is the exception: it
+// names a value, so it needs a value of its type formatted
+// (markFormatted). What a test alone needs lives in a _test.go file; a
+// feature nothing can reach is deleted. The scan is typed
+// (types.Info.Uses), so a comment, a same-named method on another type or
+// a test does not keep code alive.
 func TestNoFuncWithoutCaller(t *testing.T) {
 	decls := map[string]token.Position{}
 	used := map[string]bool{}
@@ -187,8 +199,12 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 					}
 					ast.Inspect(u, func(n ast.Node) bool {
 						if id, ok := n.(*ast.Ident); ok {
-							switch obj := pkg.TypesInfo.Uses[id].(type) {
-							case *types.Func, *types.TypeName, *types.Const:
+							obj := pkg.TypesInfo.Uses[id]
+							if v, ok := obj.(*types.Var); ok && !packageLevel(v) {
+								return true
+							}
+							switch obj.(type) {
+							case *types.Func, *types.TypeName, *types.Const, *types.Var:
 								if k := objKey(obj); !self[k] {
 									used[k] = true
 								}
@@ -200,6 +216,7 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 			}
 		}
 		markInterfaceMethods(t, pkg, used)
+		markFormatted(pkg, used)
 	}
 
 	var dead []string
@@ -601,6 +618,9 @@ func markInterfaceMethods(t *testing.T, pkg *analysis.Package, used map[string]b
 				continue
 			}
 			for i := 0; i < iface.NumMethods(); i++ {
+				if iface.Method(i).Name() == "String" {
+					continue // a name: markFormatted decides
+				}
 				obj, _, _ := types.LookupFieldOrMethod(n, true, iface.Method(i).Pkg(), iface.Method(i).Name())
 				if fn, ok := obj.(*types.Func); ok {
 					used[funcKey(fn)] = true
@@ -611,3 +631,154 @@ func markInterfaceMethods(t *testing.T, pkg *analysis.Package, used map[string]b
 }
 
 var stdImporter = importer.Default()
+
+// markFormatted marks the String method of every type whose values
+// non-test code in pkg converts to an interface — a fmt argument, an
+// error or `any` returned, stored or passed — and of every type such a
+// value holds in an element or an exported field, since fmt prints those
+// with their own String methods. A String method is a name: implementing
+// fmt.Stringer does not keep it alive, something must format the value.
+func markFormatted(pkg *analysis.Package, used map[string]bool) {
+	info := pkg.TypesInfo
+	seen := map[types.Type]bool{}
+	var mark func(t types.Type)
+	mark = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "String")
+		if fn, ok := obj.(*types.Func); ok {
+			used[funcKey(fn)] = true
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			mark(u.Elem())
+		case *types.Slice:
+			mark(u.Elem())
+		case *types.Array:
+			mark(u.Elem())
+		case *types.Map:
+			mark(u.Key())
+			mark(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if u.Field(i).Exported() { // fmt cannot call methods through unexported fields
+					mark(u.Field(i).Type())
+				}
+			}
+		}
+	}
+	into := func(dst types.Type, e ast.Expr) {
+		if dst != nil && types.IsInterface(dst) {
+			mark(info.TypeOf(e))
+		}
+	}
+	for _, file := range pkg.Files {
+		var stack []ast.Node
+		var sigs []*types.Signature // enclosing functions, innermost last
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				switch stack[len(stack)-1].(type) {
+				case *ast.FuncDecl, *ast.FuncLit:
+					sigs = sigs[:len(sigs)-1]
+				}
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				sigs = append(sigs, info.Defs[n.Name].Type().(*types.Signature))
+			case *ast.FuncLit:
+				sigs = append(sigs, info.TypeOf(n).(*types.Signature))
+			case *ast.CallExpr:
+				if tv := info.Types[n.Fun]; tv.IsType() {
+					if len(n.Args) == 1 {
+						into(tv.Type, n.Args[0])
+					}
+					break
+				}
+				sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature)
+				if !ok || calleePkg(info, n.Fun) == "sort" { // sort.Slice takes `any` to swap it
+					break
+				}
+				params := sig.Params()
+				for i, arg := range n.Args {
+					if params.Len() == 0 {
+						break
+					}
+					var pt types.Type
+					switch {
+					case sig.Variadic() && i >= params.Len()-1 && !n.Ellipsis.IsValid():
+						pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+					case i < params.Len():
+						pt = params.At(i).Type()
+					}
+					into(pt, arg)
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						into(info.TypeOf(lhs), n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, v := range n.Values {
+						into(info.TypeOf(n.Type), v)
+					}
+				}
+			case *ast.ReturnStmt:
+				if len(sigs) > 0 {
+					if res := sigs[len(sigs)-1].Results(); res.Len() == len(n.Results) {
+						for i, r := range n.Results {
+							into(res.At(i).Type(), r)
+						}
+					}
+				}
+			case *ast.SendStmt:
+				if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+					into(ch.Elem(), n.Value)
+				}
+			case *ast.CompositeLit:
+				t := deref(info.TypeOf(n)).Underlying()
+				for i, e := range n.Elts {
+					var key ast.Expr
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						key, e = kv.Key, kv.Value
+					}
+					switch u := t.(type) {
+					case *types.Slice:
+						into(u.Elem(), e)
+					case *types.Array:
+						into(u.Elem(), e)
+					case *types.Map:
+						into(u.Key(), key)
+						into(u.Elem(), e)
+					case *types.Struct:
+						if key == nil {
+							into(u.Field(i).Type(), e)
+						} else if f, ok := info.Uses[key.(*ast.Ident)].(*types.Var); ok {
+							into(f.Type(), e)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// calleePkg is the package path of the function fun names, or "".
+func calleePkg(info *types.Info, fun ast.Expr) string {
+	if sel, ok := ast.Unparen(fun).(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	if id, ok := fun.(*ast.Ident); ok {
+		if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+			return fn.Pkg().Path()
+		}
+	}
+	return ""
+}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"holdcsim/internal/engine"
+	"holdcsim/internal/enum"
 	"holdcsim/internal/fault"
 	"holdcsim/internal/invariant"
 	"holdcsim/internal/job"
@@ -36,41 +37,20 @@ const (
 	CommPacket
 )
 
+var commModeNames = []string{CommNone: "none", CommFlow: "flow", CommPacket: "packet"}
+
 // String implements fmt.Stringer.
-func (m CommMode) String() string {
-	switch m {
-	case CommNone:
-		return "none"
-	case CommFlow:
-		return "flow"
-	case CommPacket:
-		return "packet"
-	}
-	return fmt.Sprintf("CommMode(%d)", int(m))
-}
+func (m CommMode) String() string { return enum.String(m, commModeNames, "CommMode") }
+
+// Valid reports whether m is a named mode.
+func (m CommMode) Valid() bool { return enum.Valid(m, commModeNames) }
 
 // MarshalText implements encoding.TextMarshaler (scenario-file codec).
-func (m CommMode) MarshalText() ([]byte, error) {
-	switch m {
-	case CommNone, CommFlow, CommPacket:
-		return []byte(m.String()), nil
-	}
-	return nil, fmt.Errorf("core: unknown comm mode %d", int(m))
-}
+func (m CommMode) MarshalText() ([]byte, error) { return enum.Marshal(m, commModeNames, "comm mode") }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (m *CommMode) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "none":
-		*m = CommNone
-	case "flow":
-		*m = CommFlow
-	case "packet":
-		*m = CommPacket
-	default:
-		return fmt.Errorf("core: unknown comm mode %q (want none, flow or packet)", b)
-	}
-	return nil
+	return enum.Unmarshal(b, m, commModeNames, "comm mode")
 }
 
 // Config describes one simulation experiment.
@@ -196,8 +176,7 @@ func build(cfg Config, compactAbove int) (*DataCenter, error) {
 		// Hyperscale: retaining one float64 per job would dominate
 		// memory, so keep exact moments plus a bounded reservoir for
 		// percentiles.
-		dc.latency = stats.NewReservoirTally("job-latency-seconds",
-			CompactStatsAbove, cfg.Seed)
+		dc.latency = stats.NewReservoirTally(CompactStatsAbove, cfg.Seed)
 	} else {
 		dc.latency = stats.NewTally("job-latency-seconds")
 	}
@@ -501,18 +480,4 @@ type Results struct {
 	SwitchWakeups int64
 
 	NetStats network.Stats
-}
-
-// String renders a one-line summary. The lost-jobs figure appears only
-// when failures actually retracted work, so fault-free summaries render
-// exactly as before.
-func (r *Results) String() string {
-	lost := ""
-	if r.JobsLost > 0 {
-		lost = fmt.Sprintf(" lost=%d", r.JobsLost)
-	}
-	return fmt.Sprintf("jobs=%d/%d%s mean=%.4gms p95=%.4gms p99=%.4gms energy=%.4gkJ meanPower=%.4gW",
-		r.JobsCompleted, r.JobsGenerated, lost,
-		r.Latency.Mean()*1e3, r.Latency.Percentile(95)*1e3, r.Latency.Percentile(99)*1e3,
-		r.ServerEnergyJ/1e3, r.MeanServerPowerW)
 }

@@ -70,8 +70,10 @@ func doneSequence(t *testing.T, cfg Config) (digest string, results string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lat := r.Latency
+	r.Latency = nil // a pointer: compare what it holds
 	return fmt.Sprintf("%016x", h.Sum64()),
-		fmt.Sprintf("%v energy=%v residency=%v", r, r.ServerEnergyJ, r.Residency)
+		fmt.Sprintf("%v latency=%v/%v/%v", *r, lat.Count(), lat.Mean(), lat.CDF(64))
 }
 
 // TestJobDoneSequencePinned pins the (ID, sojourn) sequence to the

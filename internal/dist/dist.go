@@ -82,16 +82,11 @@ func WeibullFromMean(mean, shape float64) Weibull {
 	return Weibull{Scale: mean / math.Gamma(1+1/shape), Shape: shape}
 }
 
-// Sample implements Sampler.
+// Sample draws one lifetime.
 func (w Weibull) Sample(r *rng.Source) float64 {
 	// Inverse CDF: λ·(-ln(1-U))^(1/k). 1-U ∈ (0,1] keeps the log finite.
 	return w.Scale * math.Pow(-math.Log(1-r.Float64()), 1/w.Shape)
 }
-
-// Mean implements Sampler.
-func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
-
-func (w Weibull) String() string { return fmt.Sprintf("weibull(λ=%g,k=%g)", w.Scale, w.Shape) }
 
 // MMPP2 is a 2-state Markov-Modulated Poisson Process (paper Sec. III-D):
 // arrivals are Poisson with rate LambdaH during exponentially distributed

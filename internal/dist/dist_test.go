@@ -7,6 +7,10 @@ import (
 	"holdcsim/internal/rng"
 )
 
+// Mean is the distribution's expected value, λ·Γ(1+1/k): what
+// WeibullFromMean inverts.
+func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
+
 func TestWeibullFromMean(t *testing.T) {
 	// Shape 1 is the exponential: scale == mean.
 	w := WeibullFromMean(2, 1)
@@ -58,12 +62,5 @@ func TestWeibullDeterministic(t *testing.T) {
 		if x, y := w.Sample(a), w.Sample(b); x != y {
 			t.Fatalf("draw %d: %g != %g from identical streams", i, x, y)
 		}
-	}
-}
-
-func TestWeibullString(t *testing.T) {
-	w := Weibull{Scale: 2, Shape: 1.5}
-	if got := w.String(); got != "weibull(λ=2,k=1.5)" {
-		t.Errorf("String = %q", got)
 	}
 }

@@ -50,7 +50,7 @@ func decodeScript(data []byte) []fuzzOp {
 		case 4:
 			d = simtime.Time(scale) * simtime.Second
 		case 5:
-			d = simtime.Time(scale) * simtime.Hour
+			d = simtime.Time(scale) * 3600 * simtime.Second
 		}
 		op.delay = d
 		ops = append(ops, op)

@@ -116,7 +116,7 @@ func genScript(r *rand.Rand, n int) []scriptOp {
 			case 2:
 				op.delay = simtime.Time(r.Int63n(int64(10 * simtime.Second)))
 			default:
-				op.delay = simtime.Time(r.Int63n(int64(simtime.Hour)))
+				op.delay = simtime.Time(r.Int63n(int64(3600 * simtime.Second)))
 			}
 		case k < 7:
 			op.kind = 1
@@ -326,7 +326,7 @@ func TestRandomizedScheduleCancelInterleaving(t *testing.T) {
 				case 2:
 					d = simtime.Time(r.Int63n(int64(simtime.Second)))
 				case 3:
-					d = simtime.Time(r.Int63n(int64(24 * simtime.Hour)))
+					d = simtime.Time(r.Int63n(int64(24 * 3600 * simtime.Second)))
 				default:
 					d = simtime.Forever - e.Now() // forever tier
 				}
@@ -402,7 +402,7 @@ func TestForeverTierOrdering(t *testing.T) {
 	e.Schedule(5, func() { got = append(got, 1) })
 	h := e.Schedule(simtime.Forever, func() { got = append(got, 101) })
 	e.Schedule(simtime.Forever, func() { got = append(got, 102) })
-	e.Schedule(10*simtime.Hour, func() { got = append(got, 2) })
+	e.Schedule(36000*simtime.Second, func() { got = append(got, 2) })
 	e.Cancel(h)
 	e.Run()
 	want := []int{1, 2, 100, 102}

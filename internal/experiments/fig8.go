@@ -149,11 +149,11 @@ func fig8Point(p Fig8Params, wl Fig6Workload, rho float64, seed uint64) (Fig8Row
 	return Fig8Row{
 		Workload: wl.Name,
 		Rho:      rho,
-		Active:   res.Residency[server.StateActive],
-		WakeUp:   res.Residency[server.StateWakeUp],
-		Idle:     res.Residency[server.StateIdle],
-		PkgC6:    res.Residency[server.StatePkgC6],
-		SysSleep: res.Residency[server.StateSysSleep],
+		Active:   res.Residency[power.StateActive],
+		WakeUp:   res.Residency[power.StateWakeUp],
+		Idle:     res.Residency[power.StateIdle],
+		PkgC6:    res.Residency[power.StatePkgC6],
+		SysSleep: res.Residency[power.StateSysSleep],
 		P90LatS:  res.Latency.Percentile(90),
 	}, nil
 }

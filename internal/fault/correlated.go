@@ -35,14 +35,6 @@ const (
 	NumScopes = 6
 )
 
-// String implements fmt.Stringer.
-func (s ScopeKind) String() string {
-	if int(s) < len(trace.OutageScopes) {
-		return trace.OutageScopes[s]
-	}
-	return fmt.Sprintf("ScopeKind(%d)", int(s))
-}
-
 // ParseScope maps an outage-log scope word onto its ScopeKind.
 func ParseScope(s string) (ScopeKind, bool) {
 	for i, k := range trace.OutageScopes {

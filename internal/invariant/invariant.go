@@ -22,6 +22,7 @@ import (
 	"holdcsim/internal/engine"
 	"holdcsim/internal/job"
 	"holdcsim/internal/network"
+	"holdcsim/internal/power"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
@@ -528,7 +529,7 @@ func (c *Checker) checkServerEnergy(srv *server.Server, end simtime.Time) {
 		if math.Abs(sum-1) > 1e3*RelTol {
 			c.report("energy-closure", "server %d residency fractions sum to %.12g", srv.ID(), sum)
 		}
-		downFrac = fr[server.StateDown]
+		downFrac = fr[power.StateDown]
 		if downFrac < 0 {
 			downFrac = 0
 		} else if downFrac > 1 {

@@ -29,25 +29,6 @@ const (
 	TaskLost                      // retracted by a failure; will never finish
 )
 
-// String implements fmt.Stringer.
-func (s TaskState) String() string {
-	switch s {
-	case TaskBlocked:
-		return "blocked"
-	case TaskReady:
-		return "ready"
-	case TaskQueued:
-		return "queued"
-	case TaskRunning:
-		return "running"
-	case TaskFinished:
-		return "finished"
-	case TaskLost:
-		return "lost"
-	}
-	return fmt.Sprintf("TaskState(%d)", int(s))
-}
-
 // Edge is a dependency link: the parent's output of Bytes must reach the
 // child's server before the child becomes ready.
 type Edge struct {

@@ -296,16 +296,3 @@ func TestJobCompletionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTaskStateString(t *testing.T) {
-	states := []TaskState{TaskBlocked, TaskReady, TaskQueued, TaskRunning, TaskFinished}
-	want := []string{"blocked", "ready", "queued", "running", "finished"}
-	for i, s := range states {
-		if s.String() != want[i] {
-			t.Errorf("state %d = %q", i, s.String())
-		}
-	}
-	if TaskState(99).String() != "TaskState(99)" {
-		t.Error("unknown state formatting")
-	}
-}

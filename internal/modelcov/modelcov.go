@@ -6,16 +6,18 @@
 // (internal/scenario.Search, cmd/covsearch): an input that lights a
 // feature no prior input reached earns a corpus slot.
 //
-// The package is dependency-free and every recording method is safe on
-// a nil *Map, so instrumented packages call m.Hit(...) unconditionally
-// and a disabled run (core.Config.Cover == nil) costs one nil check per
-// event at most. Counters saturate instead of wrapping so "hit count"
-// comparisons stay monotone on arbitrarily long runs.
+// The package imports only power's state names, and every recording
+// method is safe on a nil *Map, so instrumented packages call m.Hit(...)
+// unconditionally and a disabled run (core.Config.Cover == nil) costs
+// one nil check per event at most. Counters saturate instead of wrapping
+// so "hit count" comparisons stay monotone on arbitrarily long runs.
 package modelcov
 
 import (
 	"fmt"
 	"strings"
+
+	"holdcsim/internal/power"
 )
 
 // Feature indexes one slot of the coverage table. Features are grouped
@@ -25,8 +27,8 @@ import (
 type Feature int
 
 // NumSrvStates is the number of server residency states
-// (internal/server State* labels; see srvStateNames).
-const NumSrvStates = 7
+// (power.ServerStates).
+const NumSrvStates = len(power.ServerStates)
 
 // Block layout. Each base is the first Feature of its block.
 const (
@@ -34,7 +36,7 @@ const (
 	featSrvTrans Feature = 0
 
 	// Dispatch-time pending-queue depth buckets (see DepthBucket).
-	featQueueDepth = featSrvTrans + NumSrvStates*NumSrvStates
+	featQueueDepth = featSrvTrans + Feature(NumSrvStates*NumSrvStates)
 
 	// Global-queue length buckets at park time.
 	featGlobalQDepth = featQueueDepth + numDepthBuckets
@@ -119,15 +121,8 @@ const (
 // NumFeatures is the size of the coverage table.
 const NumFeatures = int(SwitchSleep) + numSwitchPaths
 
-// srvStateNames mirrors internal/server's State* residency labels.
-// modelcov cannot import server (server imports modelcov), so the
-// mapping is duplicated here and pinned by a test in internal/server.
-var srvStateNames = [NumSrvStates]string{
-	"Active", "Wake-up", "Idle", "PkgC6", "SysSleep", "Off", "Down",
-}
-
 // SrvTransition is the feature for a residency transition from state
-// index `from` to `to` (srvStateNames order). Out-of-range indices
+// index `from` to `to` (power.ServerStates order). Out-of-range indices
 // yield an invalid feature, which Hit ignores.
 func SrvTransition(from, to int) Feature {
 	if from < 0 || from >= NumSrvStates || to < 0 || to >= NumSrvStates {
@@ -246,7 +241,7 @@ func Name(f Feature) string {
 		return fmt.Sprintf("invalid(%d)", int(f))
 	case f >= featSrvTrans && f < featQueueDepth:
 		i := int(f - featSrvTrans)
-		return "srv/" + srvStateNames[i/NumSrvStates] + "->" + srvStateNames[i%NumSrvStates]
+		return "srv/" + power.ServerStates[i/NumSrvStates] + "->" + power.ServerStates[i%NumSrvStates]
 	case f >= featQueueDepth && f < featGlobalQDepth:
 		return "queue/depth-" + depthBucketNames[f-featQueueDepth]
 	case f >= featGlobalQDepth && f < featDrop:

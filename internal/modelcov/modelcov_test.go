@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"holdcsim/internal/power"
 )
 
 // TestNilMapIsInert holds the promise every model package leans on: a
@@ -176,7 +178,7 @@ func TestNamesDistinctAndComplete(t *testing.T) {
 }
 
 func TestSrvStateIndexAndTransition(t *testing.T) {
-	if srvStateNames[0] != "Active" || srvStateNames[NumSrvStates-1] != "Down" {
+	if power.ServerStates[0] != "Active" || power.ServerStates[NumSrvStates-1] != "Down" {
 		t.Fatalf("state index mapping moved")
 	}
 	if got := Name(SrvTransition(2, 3)); got != "srv/Idle->PkgC6" {

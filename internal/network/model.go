@@ -1,6 +1,6 @@
 package network
 
-import "fmt"
+import "holdcsim/internal/enum"
 
 // NetModel selects how packet-granularity transfers are simulated.
 //
@@ -22,35 +22,18 @@ const (
 	ModelFluid
 )
 
+var netModelNames = []string{ModelPacket: "packet", ModelFluid: "fluid"}
+
 // String implements fmt.Stringer.
-func (m NetModel) String() string {
-	switch m {
-	case ModelPacket:
-		return "packet"
-	case ModelFluid:
-		return "fluid"
-	}
-	return fmt.Sprintf("NetModel(%d)", int(m))
-}
+func (m NetModel) String() string { return enum.String(m, netModelNames, "NetModel") }
+
+// Valid reports whether m is a named model.
+func (m NetModel) Valid() bool { return enum.Valid(m, netModelNames) }
 
 // MarshalText implements encoding.TextMarshaler (scenario-file codec).
-func (m NetModel) MarshalText() ([]byte, error) {
-	switch m {
-	case ModelPacket, ModelFluid:
-		return []byte(m.String()), nil
-	}
-	return nil, fmt.Errorf("network: unknown net model %d", int(m))
-}
+func (m NetModel) MarshalText() ([]byte, error) { return enum.Marshal(m, netModelNames, "net model") }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (m *NetModel) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "packet":
-		*m = ModelPacket
-	case "fluid":
-		*m = ModelFluid
-	default:
-		return fmt.Errorf("network: unknown net model %q (want packet or fluid)", b)
-	}
-	return nil
+	return enum.Unmarshal(b, m, netModelNames, "net model")
 }

@@ -7,23 +7,8 @@ import (
 )
 
 func TestStateStrings(t *testing.T) {
-	if C0.String() != "C0" || C6.String() != "C6" || CState(9).String() != "C(9)" {
-		t.Error("CState.String broken")
-	}
-	if PC0.String() != "PC0" || PC6.String() != "PC6" || PkgCState(9).String() != "PC(9)" {
-		t.Error("PkgCState.String broken")
-	}
 	if S0.String() != "S0" || S3.String() != "S3" || S5.String() != "S5" || SState(9).String() != "S(9)" {
 		t.Error("SState.String broken")
-	}
-	if PortActive.String() != "Active" || PortLPI.String() != "LPI" || PortOff.String() != "Off" {
-		t.Error("PortState.String broken")
-	}
-	if LineCardActive.String() != "Active" || LineCardSleep.String() != "Sleep" || LineCardOff.String() != "Off" {
-		t.Error("LineCardState.String broken")
-	}
-	if PortState(9).String() != "Port(9)" || LineCardState(9).String() != "LineCard(9)" {
-		t.Error("unknown state formatting broken")
 	}
 }
 

@@ -25,21 +25,6 @@ const (
 	C6               // power gated
 )
 
-// String implements fmt.Stringer.
-func (c CState) String() string {
-	switch c {
-	case C0:
-		return "C0"
-	case C1:
-		return "C1"
-	case C3:
-		return "C3"
-	case C6:
-		return "C6"
-	}
-	return fmt.Sprintf("C(%d)", int(c))
-}
-
 // PkgCState is a package (uncore) low-power state.
 type PkgCState int
 
@@ -50,19 +35,6 @@ const (
 	PC2                  // clocks gated
 	PC6                  // package power gated
 )
-
-// String implements fmt.Stringer.
-func (p PkgCState) String() string {
-	switch p {
-	case PC0:
-		return "PC0"
-	case PC2:
-		return "PC2"
-	case PC6:
-		return "PC6"
-	}
-	return fmt.Sprintf("PC(%d)", int(p))
-}
 
 // SState is an ACPI system sleep state.
 type SState int
@@ -87,6 +59,25 @@ func (s SState) String() string {
 	}
 	return fmt.Sprintf("S(%d)", int(s))
 }
+
+// Server residency states, the paper's Fig. 8 legend, plus StateDown,
+// the fault model's addition: a crashed server draws nothing and is
+// billed to "Down" until it recovers.
+const (
+	StateActive   = "Active"
+	StateWakeUp   = "Wake-up"
+	StateIdle     = "Idle"
+	StatePkgC6    = "PkgC6"
+	StateSysSleep = "SysSleep"
+	StateOff      = "Off"
+	StateDown     = "Down"
+)
+
+// ServerStates is the residency states' one name table, in the index
+// order a server tracks its state by and internal/modelcov numbers
+// residency transitions in.
+var ServerStates = [...]string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
+	StateSysSleep, StateOff, StateDown}
 
 // PState is a DVFS performance state: a frequency/voltage operating
 // point. Speed is the performance ratio relative to nominal (1.0);
@@ -123,19 +114,6 @@ const (
 	PortOff
 )
 
-// String implements fmt.Stringer.
-func (p PortState) String() string {
-	switch p {
-	case PortActive:
-		return "Active"
-	case PortLPI:
-		return "LPI"
-	case PortOff:
-		return "Off"
-	}
-	return fmt.Sprintf("Port(%d)", int(p))
-}
-
 // LineCardState is a switch line-card power state.
 type LineCardState int
 
@@ -145,19 +123,6 @@ const (
 	LineCardSleep
 	LineCardOff
 )
-
-// String implements fmt.Stringer.
-func (l LineCardState) String() string {
-	switch l {
-	case LineCardActive:
-		return "Active"
-	case LineCardSleep:
-		return "Sleep"
-	case LineCardOff:
-		return "Off"
-	}
-	return fmt.Sprintf("LineCard(%d)", int(l))
-}
 
 // Transition describes one power-state move: how long it takes and the
 // draw while in flight. Wake transitions typically burn near-active

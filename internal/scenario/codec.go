@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"slices"
-	"sort"
+
+	"holdcsim/internal/enum"
 )
 
 // ---------------------------------------------------------------------
@@ -30,32 +30,9 @@ import (
 // ---------------------------------------------------------------------
 
 // Every scenario enum has one name table, a slice indexed by the enum's
-// value: the codec marshals through it (short lowercase names, so files
-// stay diff-able and hand-writable) and the labels that spell a kind out
-// read the same table.
-func enumName[E ~int](v E, names []string) (string, bool) {
-	if v < 0 || int(v) >= len(names) {
-		return "", false
-	}
-	return names[v], true
-}
-
-func marshalEnum[E ~int](v E, names []string, what string) ([]byte, error) {
-	if s, ok := enumName(v, names); ok {
-		return []byte(s), nil
-	}
-	return nil, fmt.Errorf("scenario: unknown %s %v", what, v)
-}
-
-func unmarshalEnum[E ~int](b []byte, v *E, names []string, what string) error {
-	if k := slices.Index(names, string(b)); k >= 0 {
-		*v = E(k)
-		return nil
-	}
-	sorted := slices.Clone(names)
-	sort.Strings(sorted)
-	return fmt.Errorf("scenario: unknown %s %q (want one of %v)", what, b, sorted)
-}
+// value (package enum): the codec marshals through it (short lowercase
+// names, so files stay diff-able and hand-writable) and the labels that
+// spell a kind out read the same table.
 
 var topoKindNames = []string{
 	TopoNone:          "none",
@@ -68,12 +45,12 @@ var topoKindNames = []string{
 
 // MarshalText implements encoding.TextMarshaler.
 func (k TopoKind) MarshalText() ([]byte, error) {
-	return marshalEnum(k, topoKindNames, "topology kind")
+	return enum.Marshal(k, topoKindNames, "topology kind")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (k *TopoKind) UnmarshalText(b []byte) error {
-	return unmarshalEnum(b, k, topoKindNames, "topology kind")
+	return enum.Unmarshal(b, k, topoKindNames, "topology kind")
 }
 
 var arrivalKindNames = []string{
@@ -86,12 +63,12 @@ var arrivalKindNames = []string{
 
 // MarshalText implements encoding.TextMarshaler.
 func (k ArrivalKind) MarshalText() ([]byte, error) {
-	return marshalEnum(k, arrivalKindNames, "arrival kind")
+	return enum.Marshal(k, arrivalKindNames, "arrival kind")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (k *ArrivalKind) UnmarshalText(b []byte) error {
-	return unmarshalEnum(b, k, arrivalKindNames, "arrival kind")
+	return enum.Unmarshal(b, k, arrivalKindNames, "arrival kind")
 }
 
 var factoryKindNames = []string{
@@ -103,12 +80,12 @@ var factoryKindNames = []string{
 
 // MarshalText implements encoding.TextMarshaler.
 func (k FactoryKind) MarshalText() ([]byte, error) {
-	return marshalEnum(k, factoryKindNames, "factory kind")
+	return enum.Marshal(k, factoryKindNames, "factory kind")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (k *FactoryKind) UnmarshalText(b []byte) error {
-	return unmarshalEnum(b, k, factoryKindNames, "factory kind")
+	return enum.Unmarshal(b, k, factoryKindNames, "factory kind")
 }
 
 var serviceKindNames = []string{
@@ -119,12 +96,12 @@ var serviceKindNames = []string{
 
 // MarshalText implements encoding.TextMarshaler.
 func (s ServiceKind) MarshalText() ([]byte, error) {
-	return marshalEnum(s, serviceKindNames, "service kind")
+	return enum.Marshal(s, serviceKindNames, "service kind")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (s *ServiceKind) UnmarshalText(b []byte) error {
-	return unmarshalEnum(b, s, serviceKindNames, "service kind")
+	return enum.Unmarshal(b, s, serviceKindNames, "service kind")
 }
 
 var placerKindNames = []string{
@@ -140,12 +117,12 @@ var placerKindNames = []string{
 
 // MarshalText implements encoding.TextMarshaler.
 func (k PlacerKind) MarshalText() ([]byte, error) {
-	return marshalEnum(k, placerKindNames, "placer kind")
+	return enum.Marshal(k, placerKindNames, "placer kind")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (k *PlacerKind) UnmarshalText(b []byte) error {
-	return unmarshalEnum(b, k, placerKindNames, "placer kind")
+	return enum.Unmarshal(b, k, placerKindNames, "placer kind")
 }
 
 var profileKindNames = []string{
@@ -156,12 +133,12 @@ var profileKindNames = []string{
 
 // MarshalText implements encoding.TextMarshaler.
 func (p ProfileKind) MarshalText() ([]byte, error) {
-	return marshalEnum(p, profileKindNames, "server profile")
+	return enum.Marshal(p, profileKindNames, "server profile")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (p *ProfileKind) UnmarshalText(b []byte) error {
-	return unmarshalEnum(b, p, profileKindNames, "server profile")
+	return enum.Unmarshal(b, p, profileKindNames, "server profile")
 }
 
 // ---------------------------------------------------------------------

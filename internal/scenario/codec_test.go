@@ -255,8 +255,11 @@ func TestDecodeRejects(t *testing.T) {
 		// rather than running with its settings ignored.
 		{"old-schema", `{"workload": {"arrivals": "poisson", "rho": 0.3, "serviceSec": 0.005}, "delayTimerSec": 1}`, `unknown field "workload"`},
 		{"unknown-nested-field", `{"seed": 1, "arrival": {"kind": "poisson", "rh": 0.3}}`, ""},
-		{"bad-enum", `{"servers": 4, "arrival": {"kind": "possion", "rho": 0.3}, "maxJobs": 10}`, ""},
-		{"bad-queue", `{"servers": 4, "queue": "per-cores", "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, ""},
+		{"bad-enum", `{"servers": 4, "arrival": {"kind": "possion", "rho": 0.3}, "maxJobs": 10}`, "want one of [mmpp nlanr poisson trace-file wiki]"},
+		{"bad-queue", `{"servers": 4, "queue": "per-cores", "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "want one of [per-core unified]"},
+		{"bad-comm", `{"servers": 4, "comm": "fluid", "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "want one of [flow none packet]"},
+		{"bad-net-model", `{"servers": 4, "netModel": "flow", "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "want one of [fluid packet]"},
+		{"bad-orphans", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"orphans": "discard"}}`, "want one of [drop requeue]"},
 		{"trailing-garbage", strings.TrimRight(string(valid), "\n") + " {}", ""},
 		{"invalid-composition", `{"servers": 0, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, ""},
 		{"unbounded-horizon", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}}`, ""},

@@ -235,6 +235,9 @@ func TestEncodeRejects(t *testing.T) {
 	if _, err := ProfileKind(99).MarshalText(); err == nil {
 		t.Error("unknown profile marshaled")
 	}
+	if s := ProfileKind(99).String(); s == ProfFourCore.String() {
+		t.Errorf("unknown profile labeled %q, 4core's label", s)
+	}
 	var tk TopoKind
 	if err := tk.UnmarshalText([]byte("torus")); err == nil {
 		t.Error("unknown topo name unmarshaled")

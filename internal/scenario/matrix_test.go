@@ -164,7 +164,9 @@ func TestExpandClampsServers(t *testing.T) {
 }
 
 // TestValidateRejectsIllegalCompositions pins the validity rules the
-// expander and fuzzer rely on.
+// expander and fuzzer rely on. An enum value outside its name table is
+// one: it has no file form, and a service or profile off the table used
+// to run as websearch or 4core.
 func TestValidateRejectsIllegalCompositions(t *testing.T) {
 	ok := Scenario{Seed: 1, Servers: 2, MaxJobs: 10, Arrival: ArrivalSpec{Kind: ArrPoisson, Rho: 0.3}}
 	if err := ok.Validate(); err != nil {
@@ -184,6 +186,17 @@ func TestValidateRejectsIllegalCompositions(t *testing.T) {
 			s.Topology = TopologySpec{Kind: TopoStar, A: 2}
 			s.Servers = 5
 		}},
+		{"topology-kind", func(s *Scenario) { s.Topology.Kind = 9 }},
+		{"comm", func(s *Scenario) { s.Comm = 9 }},
+		{"net-model", func(s *Scenario) { s.NetModel = 9 }},
+		{"profile", func(s *Scenario) { s.Profile = 9 }},
+		{"queue", func(s *Scenario) { s.Queue = 9 }},
+		{"placer-kind", func(s *Scenario) { s.Placer.Kind = 9 }},
+		{"arrival-kind", func(s *Scenario) { s.Arrival.Kind = 9 }},
+		{"factory-kind", func(s *Scenario) { s.Factory.Kind = 9 }},
+		{"service", func(s *Scenario) { s.Factory.Service = 9 }},
+		{"orphans", func(s *Scenario) { s.Faults.Orphans = 9 }},
+		{"negative-profile", func(s *Scenario) { s.Profile = -1 }},
 	}
 	for _, tc := range cases {
 		s := ok

@@ -20,6 +20,7 @@ import (
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/dist"
+	"holdcsim/internal/enum"
 	"holdcsim/internal/fault"
 	"holdcsim/internal/invariant"
 	"holdcsim/internal/modelcov"
@@ -334,12 +335,7 @@ const (
 )
 
 // String implements fmt.Stringer.
-func (s ServiceKind) String() string {
-	if name, ok := enumName(s, serviceKindNames); ok {
-		return name
-	}
-	return fmt.Sprintf("svc(%d)", int(s))
-}
+func (s ServiceKind) String() string { return enum.String(s, serviceKindNames, "svc") }
 
 func (s ServiceKind) sampler() dist.Sampler {
 	switch s {
@@ -483,7 +479,7 @@ type PlacerSpec struct {
 // policies that consume it, and appended parenthesized when set on one
 // that does not.
 func (p PlacerSpec) String() string {
-	name, ok := enumName(p.Kind, placerKindNames)
+	name, ok := enum.Name(p.Kind, placerKindNames)
 	if !ok {
 		return fmt.Sprintf("placer(%d)-t%g", int(p.Kind), p.TauSec)
 	}
@@ -556,12 +552,7 @@ func (p ProfileKind) profile() *power.ServerProfile {
 }
 
 // String implements fmt.Stringer.
-func (p ProfileKind) String() string {
-	if name, ok := enumName(p, profileKindNames); ok {
-		return name
-	}
-	return profileKindNames[ProfFourCore]
-}
+func (p ProfileKind) String() string { return enum.String(p, profileKindNames, "profile") }
 
 // ---------------------------------------------------------------------
 // Scenario
@@ -685,6 +676,29 @@ func (s Scenario) Validate() error {
 	if name, v, bad := s.nonFiniteField(); bad {
 		return fmt.Errorf("scenario: non-finite %s %g", name, v)
 	}
+	// Every enum field names an entry of its table: a value outside it
+	// has no file form and would run as some default under a label of
+	// its own.
+	for _, e := range [...]struct {
+		what string
+		v    int
+		ok   bool
+	}{
+		{"topology kind", int(s.Topology.Kind), enum.Valid(s.Topology.Kind, topoKindNames)},
+		{"comm mode", int(s.Comm), s.Comm.Valid()},
+		{"net model", int(s.NetModel), s.NetModel.Valid()},
+		{"server profile", int(s.Profile), enum.Valid(s.Profile, profileKindNames)},
+		{"queue mode", int(s.Queue), s.Queue.Valid()},
+		{"placer kind", int(s.Placer.Kind), enum.Valid(s.Placer.Kind, placerKindNames)},
+		{"arrival kind", int(s.Arrival.Kind), enum.Valid(s.Arrival.Kind, arrivalKindNames)},
+		{"factory kind", int(s.Factory.Kind), enum.Valid(s.Factory.Kind, factoryKindNames)},
+		{"service kind", int(s.Factory.Service), enum.Valid(s.Factory.Service, serviceKindNames)},
+		{"orphan policy", int(s.Faults.Orphans), s.Faults.Orphans.Valid()},
+	} {
+		if !e.ok {
+			return fmt.Errorf("scenario: unknown %s %d", e.what, e.v)
+		}
+	}
 	if s.Servers < 1 {
 		return fmt.Errorf("scenario: %d servers", s.Servers)
 	}
@@ -704,11 +718,9 @@ func (s Scenario) Validate() error {
 		if s.Placer.Kind == PlNetworkAware { // binds to the live network
 			return fmt.Errorf("scenario: placer %v without a topology", s.Placer)
 		}
-	} else if b := s.Topology.Builder(); b == nil {
-		return fmt.Errorf("scenario: unknown topology %s", s.Topology)
-	} else if err := b.Check(); err != nil {
+	} else if err := s.Topology.Builder().Check(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
-	} else if hosts := b.NumHosts(); s.Servers > hosts {
+	} else if hosts := s.Topology.Hosts(); s.Servers > hosts {
 		return fmt.Errorf("scenario: %d servers exceed %s's %d hosts", s.Servers, s.Topology, hosts)
 	}
 	if s.NetModel == network.ModelFluid && s.Comm != core.CommPacket {

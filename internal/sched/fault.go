@@ -1,8 +1,7 @@
 package sched
 
 import (
-	"fmt"
-
+	"holdcsim/internal/enum"
 	"holdcsim/internal/job"
 	"holdcsim/internal/modelcov"
 	"holdcsim/internal/server"
@@ -21,37 +20,22 @@ const (
 	OrphanDrop
 )
 
+var orphanPolicyNames = []string{OrphanRequeue: "requeue", OrphanDrop: "drop"}
+
 // String implements fmt.Stringer.
-func (p OrphanPolicy) String() string {
-	switch p {
-	case OrphanRequeue:
-		return "requeue"
-	case OrphanDrop:
-		return "drop"
-	}
-	return fmt.Sprintf("OrphanPolicy(%d)", int(p))
-}
+func (p OrphanPolicy) String() string { return enum.String(p, orphanPolicyNames, "OrphanPolicy") }
+
+// Valid reports whether p is a named policy.
+func (p OrphanPolicy) Valid() bool { return enum.Valid(p, orphanPolicyNames) }
 
 // MarshalText implements encoding.TextMarshaler (scenario-file codec).
 func (p OrphanPolicy) MarshalText() ([]byte, error) {
-	switch p {
-	case OrphanRequeue, OrphanDrop:
-		return []byte(p.String()), nil
-	}
-	return nil, fmt.Errorf("sched: unknown orphan policy %d", int(p))
+	return enum.Marshal(p, orphanPolicyNames, "orphan policy")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (p *OrphanPolicy) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "requeue":
-		*p = OrphanRequeue
-	case "drop":
-		*p = OrphanDrop
-	default:
-		return fmt.Errorf("sched: unknown orphan policy %q (want requeue or drop)", b)
-	}
-	return nil
+	return enum.Unmarshal(b, p, orphanPolicyNames, "orphan policy")
 }
 
 // LostReason says why a job was lost.
@@ -66,17 +50,6 @@ const (
 	// server was down, under OrphanDrop.
 	LostNoAliveServer
 )
-
-// String implements fmt.Stringer.
-func (r LostReason) String() string {
-	switch r {
-	case LostServerCrash:
-		return "server-crash"
-	case LostNoAliveServer:
-		return "no-alive-server"
-	}
-	return fmt.Sprintf("LostReason(%d)", int(r))
-}
 
 // AllDownError is the typed error Select returns when every server is
 // down. Placement never panics on a dead farm: callers park or drop the

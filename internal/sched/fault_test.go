@@ -363,10 +363,6 @@ func TestFaultStringsAndAccessors(t *testing.T) {
 	if err := p.UnmarshalText([]byte("discard")); err == nil {
 		t.Error("unknown name unmarshaled")
 	}
-	if LostServerCrash.String() != "server-crash" || LostNoAliveServer.String() != "no-alive-server" ||
-		LostReason(9).String() != "LostReason(9)" {
-		t.Error("LostReason.String broken")
-	}
 	if got := (&AllDownError{}).Error(); got != "sched: all servers down" {
 		t.Errorf("AllDownError = %q", got)
 	}

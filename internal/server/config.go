@@ -8,6 +8,7 @@ package server
 import (
 	"fmt"
 
+	"holdcsim/internal/enum"
 	"holdcsim/internal/power"
 	"holdcsim/internal/simtime"
 )
@@ -26,37 +27,22 @@ const (
 	QueuePerCore
 )
 
+var queueModeNames = []string{QueueUnified: "unified", QueuePerCore: "per-core"}
+
 // String implements fmt.Stringer.
-func (m QueueMode) String() string {
-	switch m {
-	case QueueUnified:
-		return "unified"
-	case QueuePerCore:
-		return "per-core"
-	}
-	return fmt.Sprintf("QueueMode(%d)", int(m))
-}
+func (m QueueMode) String() string { return enum.String(m, queueModeNames, "QueueMode") }
+
+// Valid reports whether m is a named mode.
+func (m QueueMode) Valid() bool { return enum.Valid(m, queueModeNames) }
 
 // MarshalText implements encoding.TextMarshaler (scenario-file codec).
 func (m QueueMode) MarshalText() ([]byte, error) {
-	switch m {
-	case QueueUnified, QueuePerCore:
-		return []byte(m.String()), nil
-	}
-	return nil, fmt.Errorf("server: unknown queue mode %d", int(m))
+	return enum.Marshal(m, queueModeNames, "queue mode")
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (m *QueueMode) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "unified":
-		*m = QueueUnified
-	case "per-core":
-		*m = QueuePerCore
-	default:
-		return fmt.Errorf("server: unknown queue mode %q (want unified or per-core)", b)
-	}
-	return nil
+	return enum.Unmarshal(b, m, queueModeNames, "queue mode")
 }
 
 // Config parameterizes one server instance.

@@ -4,30 +4,25 @@ import (
 	"testing"
 
 	"holdcsim/internal/modelcov"
+	"holdcsim/internal/power"
 )
 
-// modelcov cannot import this package (we import it), so its residency
-// state table is a duplicate of the State* labels above. Pin the two
-// tables together: a new or renamed residency label must be mirrored in
-// modelcov or its transitions silently vanish from the coverage map.
+// The server records its residency state by index into
+// power.ServerStates, the table modelcov names transitions from: each
+// state id must be its label's position there.
 func TestModelcovKnowsEveryResidencyLabel(t *testing.T) {
-	want := []string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
-		StateSysSleep, StateOff, StateDown}
-	if len(stateLabels) != modelcov.NumSrvStates || len(want) != modelcov.NumSrvStates {
-		t.Fatalf("server has %d residency labels, modelcov expects %d",
-			len(stateLabels), modelcov.NumSrvStates)
+	ids := map[int]string{stActive: power.StateActive, stWakeUp: power.StateWakeUp,
+		stIdle: power.StateIdle, stPkgC6: power.StatePkgC6, stSysSleep: power.StateSysSleep,
+		stOff: power.StateOff, stDown: power.StateDown}
+	if len(ids) != modelcov.NumSrvStates {
+		t.Fatalf("server has %d state ids, modelcov expects %d", len(ids), modelcov.NumSrvStates)
 	}
-	// The server records transitions by state index, so its table must be
-	// modelcov's, position by position, and hold every exported label.
-	for i, l := range stateLabels {
-		if got, want := modelcov.Name(modelcov.SrvTransition(i, i)), "srv/"+l+"->"+l; got != want {
-			t.Errorf("state %d is %q here, modelcov names its self-transition %q", i, l, got)
+	for id, l := range ids {
+		if power.ServerStates[id] != l {
+			t.Errorf("state id %d is %q in the table, want %q", id, power.ServerStates[id], l)
 		}
-		if l != want[i] {
-			t.Errorf("stateLabels[%d] = %q, want %q", i, l, want[i])
+		if got, want := modelcov.Name(modelcov.SrvTransition(id, id)), "srv/"+l+"->"+l; got != want {
+			t.Errorf("modelcov names state %d's self-transition %q, want %q", id, got, want)
 		}
-	}
-	if stateLabels[stDown] != StateDown || stateLabels[stActive] != StateActive {
-		t.Error("state ids and labels are out of step")
 	}
 }

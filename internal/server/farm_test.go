@@ -71,7 +71,7 @@ func TestFarmMatchesStandaloneSleepTransitions(t *testing.T) {
 		t.Fatalf("end times differ: farm %v standalone %v", engA.Now(), engB.Now())
 	}
 	end := engA.Now()
-	states := []string{StateActive, StateWakeUp, StateIdle, StatePkgC6, StateSysSleep}
+	states := []string{StateActive, power.StateWakeUp, power.StateIdle, power.StatePkgC6, power.StateSysSleep}
 	for i := range farmSrvs {
 		f, s := farmSrvs[i], soloSrvs[i]
 		if f.WakeCount() != s.WakeCount() {

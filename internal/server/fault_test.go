@@ -75,7 +75,7 @@ func TestDownResidencyAndEnergyExclusion(t *testing.T) {
 	eng.Run()
 	end := eng.Now()
 	fr := srv.Residency().FractionsTo(end)
-	if down := fr[StateDown]; down < 0.49 || down > 0.51 {
+	if down := fr[power.StateDown]; down < 0.49 || down > 0.51 {
 		t.Errorf("Down fraction = %g, want ~0.5", down)
 	}
 	sum := 0.0

@@ -184,8 +184,8 @@ func TestFarmBlocksKeepAddresses(t *testing.T) {
 	// A state change on one server shows on no other.
 	servers[1].Submit(job.Single(1, 0, simtime.Millisecond).Tasks[0])
 	for i, s := range servers {
-		if want := i == 1; (s.BusyCores() > 0) != want || (stateLabels[s.state] == StateActive) != want {
-			t.Fatalf("server %d: busy %d queued %d state %s after a submit to server 1", i, s.BusyCores(), s.QueueLen(), stateLabels[s.state])
+		if want := i == 1; (s.BusyCores() > 0) != want || (power.ServerStates[s.state] == StateActive) != want {
+			t.Fatalf("server %d: busy %d queued %d state %s after a submit to server 1", i, s.BusyCores(), s.QueueLen(), power.ServerStates[s.state])
 		}
 	}
 }

@@ -12,22 +12,13 @@ import (
 	"holdcsim/internal/stats"
 )
 
-// Residency state labels, matching the paper's Fig. 8 legend. StateDown
-// is the fault model's addition: a crashed server draws nothing and is
-// billed to "Down" until it recovers.
-const (
-	StateActive   = "Active"
-	StateWakeUp   = "Wake-up"
-	StateIdle     = "Idle"
-	StatePkgC6    = "PkgC6"
-	StateSysSleep = "SysSleep"
-	StateOff      = "Off"
-	StateDown     = "Down"
-)
+// StateActive is power.StateActive under the name bench/ reads; the
+// residency labels are power's.
+const StateActive = power.StateActive
 
-// The server knows its residency state as an index into stateLabels —
-// modelcov's state order, so a coverage transition needs no
-// lookup — and labels exist only where results are reported.
+// The server knows its residency state as an index into
+// power.ServerStates — modelcov's state order, so a coverage transition
+// needs no lookup — and labels exist only where results are reported.
 const (
 	stActive = iota
 	stWakeUp
@@ -37,9 +28,6 @@ const (
 	stOff
 	stDown
 )
-
-var stateLabels = []string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
-	StateSysSleep, StateOff, StateDown}
 
 // Server models one machine: a multi-core processor package, DRAM and
 // platform components, a local task queue, a local scheduler, and a
@@ -147,7 +135,7 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	s.farm = f
 	s.sstate, s.state = power.S0, -1
 	s.sockets = carve(&f.socketBlock, s.prof.SocketCount(), batch)
-	s.residency.Init(stateLabels, carve(&f.durBlock, len(stateLabels), batch))
+	s.residency.Init(power.ServerStates[:], carve(&f.durBlock, len(power.ServerStates), batch))
 	s.cores = carve(&f.coreBlock, s.prof.Cores, batch)
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -280,7 +268,7 @@ func (s *Server) Failed() bool { return s.failed }
 
 // Crash fails the server (fault model): every running task's completion
 // is canceled, all local state is discarded, the power draw drops to
-// zero, and residency is billed to StateDown until Recover. It returns
+// zero, and residency is billed to power.StateDown until Recover. It returns
 // the orphaned tasks — running, reserved, and queued — in deterministic
 // order (per-core running, then reserved, then per-core queues, then the
 // unified queue) so the global scheduler can apply its drop/requeue

@@ -242,11 +242,11 @@ func TestResidencyLabels(t *testing.T) {
 	}
 	// Task until ~20ms, idle 50ms, suspend entry 3s (counted as
 	// Wake-up), then S3 until 10s ≈ 6.93s.
-	wake := res.DurationTo(StateWakeUp, end)
+	wake := res.DurationTo(power.StateWakeUp, end)
 	if !approx(wake, 3*simtime.Second) {
 		t.Errorf("Wake-up = %v, want ~3s (suspend entry)", wake)
 	}
-	sleep := res.DurationTo(StateSysSleep, end)
+	sleep := res.DurationTo(power.StateSysSleep, end)
 	if !approx(sleep, end-3070*simtime.Millisecond) {
 		t.Errorf("SysSleep = %v, want ~%v", sleep, end-3070*simtime.Millisecond)
 	}
@@ -448,7 +448,7 @@ func TestSetDelayTimerRuntime(t *testing.T) {
 	s.WakeUp()
 	s.SetDelayTimer(false, 0)
 	eng.Run()
-	eng.RunUntil(simtime.Minute)
+	eng.RunUntil(60 * simtime.Second)
 	if s.sstate != power.S0 {
 		t.Errorf("state = %v, want S0 with timer disabled", s.sstate)
 	}

@@ -78,7 +78,7 @@ func TestSocketsParkIndependently(t *testing.T) {
 	if s2.PkgState() != power.PC6 {
 		t.Errorf("fully idle dual socket PkgState = %v, want PC6", s2.PkgState())
 	}
-	if got := stateLabels[s2.state]; got != StatePkgC6 {
+	if got := power.ServerStates[s2.state]; got != power.StatePkgC6 {
 		t.Errorf("residency label = %q, want PkgC6", got)
 	}
 }

@@ -63,7 +63,7 @@ func TestTableISteadyStateZeroAlloc(t *testing.T) {
 				t.Fatalf("warm-up left server %d core %d unused", srv.ID(), i)
 			}
 		}
-		if fr := srv.Residency().FractionsTo(dc.Eng.Now()); fr[server.StatePkgC6] == 0 || fr[server.StateWakeUp] == 0 {
+		if fr := srv.Residency().FractionsTo(dc.Eng.Now()); fr[power.StatePkgC6] == 0 || fr[power.StateWakeUp] == 0 {
 			t.Fatalf("warm-up never took server %d through PkgC6 and a core wake: %v", srv.ID(), fr)
 		}
 	}

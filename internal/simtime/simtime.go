@@ -21,8 +21,6 @@ const (
 	Microsecond      = 1000 * Nanosecond
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
-	Minute           = 60 * Second
-	Hour             = 60 * Minute
 )
 
 // Forever is a time later than any event a simulation will schedule.

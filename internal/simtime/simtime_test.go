@@ -52,7 +52,7 @@ func TestMinMaxClamp(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	// FromSeconds(t.Seconds()) must be the identity for non-extreme times.
 	f := func(ns int64) bool {
-		tt := Time(ns % (1000 * int64(Hour)))
+		tt := Time(ns % (1000 * int64(3600*Second)))
 		if tt < 0 {
 			tt = -tt
 		}

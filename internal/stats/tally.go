@@ -6,21 +6,17 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Tally accumulates scalar samples. It keeps running moments (Welford) for
-// mean/variance plus the raw samples (all of them, or a bounded reservoir)
-// so percentiles and CDFs can be produced — job populations in the paper's
+// Tally accumulates scalar samples. It keeps a running mean (Welford's
+// update) and maximum plus the raw samples (all of them, or a bounded
+// reservoir) so percentiles and CDFs can be produced — job populations in the paper's
 // experiments are at most a few hundred thousand, so retention is cheap.
 type Tally struct {
-	name    string
 	n       int64
 	mean    float64
-	m2      float64
-	min     float64
 	max     float64
 	samples []float64
 	dirty   bool   // samples appended since the last sort
@@ -29,24 +25,25 @@ type Tally struct {
 }
 
 // NewTally returns an empty tally that retains samples for percentiles.
-func NewTally(name string) *Tally {
-	return &Tally{name: name, min: math.Inf(1), max: math.Inf(-1)}
+// The argument labels the tally at its call site; nothing reads it.
+func NewTally(string) *Tally {
+	return &Tally{max: math.Inf(-1)}
 }
 
 // NewReservoirTally returns a tally whose retained-sample buffer is bounded
 // at capacity via Vitter's Algorithm R, so memory stays O(capacity) no
-// matter how many samples arrive. Moments, min, and max remain exact;
+// matter how many samples arrive. The mean and max remain exact;
 // Percentile and CDF become approximations computed over the reservoir
 // (a uniform random subset of the stream). Replacement draws come from an
 // internal deterministic xorshift64 generator seeded with seed, so the
 // tally consumes nothing from the simulation's rng streams and identical
 // (seed, sample sequence) pairs yield identical reservoirs.
-func NewReservoirTally(name string, capacity int, seed uint64) *Tally {
+func NewReservoirTally(capacity int, seed uint64) *Tally {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Tally{
-		name: name, min: math.Inf(1), max: math.Inf(-1),
+		max:    math.Inf(-1),
 		resCap: capacity,
 		rngSt:  splitmix64(seed),
 	}
@@ -80,12 +77,7 @@ func (t *Tally) randN(n int64) int64 {
 // Add records one sample.
 func (t *Tally) Add(x float64) {
 	t.n++
-	d := x - t.mean
-	t.mean += d / float64(t.n)
-	t.m2 += d * (x - t.mean)
-	if x < t.min {
-		t.min = x
-	}
+	t.mean += (x - t.mean) / float64(t.n)
 	if x > t.max {
 		t.max = x
 	}
@@ -126,27 +118,8 @@ func (t *Tally) Mean() float64 {
 	return t.mean
 }
 
-// Variance reports the unbiased sample variance.
-func (t *Tally) Variance() float64 {
-	if t.n < 2 {
-		return 0
-	}
-	return t.m2 / float64(t.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (t *Tally) StdDev() float64 { return math.Sqrt(t.Variance()) }
-
-// Min reports the smallest sample (0 when empty, like Mean — empty
-// tallies render as zeros, never as ±Inf/NaN, in summary tables).
-func (t *Tally) Min() float64 {
-	if t.n == 0 {
-		return 0
-	}
-	return t.min
-}
-
-// Max reports the largest sample (0 when empty).
+// Max reports the largest sample (0 when empty, like Mean: empty tallies
+// render as zeros, never as ±Inf/NaN, in summary tables).
 func (t *Tally) Max() float64 {
 	if t.n == 0 {
 		return 0
@@ -193,12 +166,6 @@ func (t *Tally) CDF(points int) []CDFPoint {
 		out = append(out, CDFPoint{X: s[idx], F: float64(idx+1) / float64(len(s))})
 	}
 	return out
-}
-
-// String summarizes the tally.
-func (t *Tally) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g",
-		t.name, t.n, t.Mean(), t.StdDev(), t.Min(), t.Max())
 }
 
 // sorted returns the retained samples in ascending order. Percentile and

@@ -21,17 +21,6 @@ const (
 	Switch
 )
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case Host:
-		return "host"
-	case Switch:
-		return "switch"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Node is one vertex of the topology.
 type Node struct {
 	ID   NodeID
