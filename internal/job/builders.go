@@ -44,9 +44,6 @@ func (p *Pool) ScatterGather(id ID, arrive simtime.Time, width int, rootSize, wo
 		panic("job: ScatterGather needs width >= 1")
 	}
 	j := p.Get(id, arrive)
-	if cap(j.Tasks) == 0 {
-		j.reserveScatterGather(width)
-	}
 	root := j.AddTask(rootSize)
 	gather := j.AddTask(gatherSize)
 	for i := 0; i < width; i++ {
@@ -56,34 +53,6 @@ func (p *Pool) ScatterGather(id ID, arrive simtime.Time, width int, rootSize, wo
 	}
 	mustSeal(j)
 	return j
-}
-
-// reserveScatterGather gives a new job the storage a recycled
-// scatter-gather job of this width would bring: the shape is known up
-// front, so it is one block per element type instead of an allocation
-// per task, edge and list growth — width+2 tasks, 2*width edges (each
-// parked in the Out slot that owns it) and the 4*width edge pointers of
-// every In/Out list.
-func (j *Job) reserveScatterGather(width int) {
-	tasks := make([]Task, width+2)
-	edges := make([]Edge, 2*width)
-	lists := make([]*Edge, 4*width)
-	take := func(n int) []*Edge { // an empty list over the next n slots
-		l := lists[:0:n]
-		lists = lists[n:]
-		return l
-	}
-	j.Tasks = make([]*Task, 0, width+2)
-	for i := range tasks {
-		j.Tasks[:i+1][i] = &tasks[i]
-	}
-	root, gather := &tasks[0], &tasks[1]
-	root.Out, gather.In = take(width), take(width)
-	for i := 0; i < width; i++ {
-		w := &tasks[2+i]
-		w.In, w.Out = take(1), take(1)
-		root.Out[:width][i], w.Out[:1][0] = &edges[2*i], &edges[2*i+1]
-	}
 }
 
 // RandomDAG builds a layered random DAG: layers of random width, each

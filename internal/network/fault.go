@@ -74,19 +74,7 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 			return nil
 		}
 		sw.failed = false
-		for _, lc := range sw.lineCards {
-			lc.setLCState(power.LineCardActive)
-		}
-		for _, p := range sw.ports {
-			if p.link != nil {
-				p.setPortState(power.PortActive)
-				p.link.armLPI()
-			} else {
-				p.setPortState(power.PortOff)
-			}
-		}
-		sw.recompute()
-		sw.maybeSleepArm()
+		sw.powerUp()
 		for _, p := range sw.ports {
 			if p.link != nil {
 				p.link.deadEnds--
@@ -103,15 +91,7 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 	n.eng.Cancel(sw.wakeEv)
 	sw.wakeEv = engine.Handle{}
 	sw.sleepTmr.Stop()
-	for _, lc := range sw.lineCards {
-		lc.setLCState(power.LineCardOff)
-	}
-	for _, p := range sw.ports {
-		// The shared link LPI timer is left running for the partner
-		// port; a fire against this port is a no-op once it is Off.
-		p.setPortState(power.PortOff)
-	}
-	sw.recompute()
+	sw.powerDown(power.LineCardOff)
 	for _, p := range sw.ports {
 		if p.link == nil {
 			continue

@@ -195,7 +195,7 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 		// nothing (matches the paper's base-power measurements, which
 		// exclude unconnected ports).
 		for _, p := range sw.ports[sw.allocated:] {
-			p.setPortState(power.PortOff)
+			p.state = power.PortOff
 		}
 		sw.recompute()
 		sw.maybeSleepArm()

@@ -212,61 +212,6 @@ func TestPacketTerminalPaths(t *testing.T) {
 	}
 }
 
-// checkStateVecs asserts every switch's incrementally-maintained packed
-// state vector matches a fresh rebuild — the oracle for the wattage
-// memo's cache key. A drift here means some state write bypassed the
-// set* helpers and the memo could serve stale power values.
-func checkStateVecs(t *testing.T, n *Network) {
-	t.Helper()
-	for node, sw := range n.switches {
-		if !sw.memoOK {
-			continue
-		}
-		if got := sw.buildStateVec(); got != sw.stateVec {
-			t.Errorf("switch %d: stateVec %#x, rebuild %#x", node, sw.stateVec, got)
-		}
-	}
-}
-
-// TestStateVecTracksTransitions drives ports and switches through every
-// transition class — LPI entry/exit, switch sleep and wake, failure and
-// revival — verifying the packed state vector after each settles.
-func TestStateVecTracksTransitions(t *testing.T) {
-	eng, n, hosts := starNet(t, 4, func(c *Config) {
-		c.SwitchSleepIdle = 200 * simtime.Microsecond
-	})
-	sw := n.swList[0] // the star's central switch
-	step := func(name string) {
-		t.Helper()
-		eng.Run()
-		checkStateVecs(t, n)
-		if t.Failed() {
-			t.Fatalf("state vector drift after %s", name)
-		}
-	}
-	if err := n.TransferPackets(hosts[0], hosts[1], 3000, nil); err != nil {
-		t.Fatal(err)
-	}
-	step("transfer (LPI exit/enter)")
-	eng.After(n.cfg.SwitchSleepIdle+simtime.Millisecond, func() {})
-	step("switch sleep")
-	if !sw.sleeping {
-		t.Fatal("switch did not sleep; sleep transition untested")
-	}
-	if err := n.TransferPackets(hosts[0], hosts[1], 1500, nil); err != nil {
-		t.Fatal(err)
-	}
-	step("switch wake")
-	if err := n.SetSwitchAdmin(sw.Node(), false); err != nil {
-		t.Fatal(err)
-	}
-	step("switch kill")
-	if err := n.SetSwitchAdmin(sw.Node(), true); err != nil {
-		t.Fatal(err)
-	}
-	step("switch revive")
-}
-
 // TestFluidPacketDifferential runs the same overlapping transfer set
 // under the packet and fluid models. Byte and packet counters must be
 // identical (the fluid model bills the same ledger); completion time

@@ -28,7 +28,7 @@ type Switch struct {
 	node topology.NodeID
 	prof *power.SwitchProfile
 
-	lineCards []*LineCard
+	lineCards []power.LineCardState // each sleeps as a unit (paper Fig. 3)
 	ports     []*Port
 	allocated int // ports handed out to links
 
@@ -43,27 +43,7 @@ type Switch struct {
 	residency *stats.Residency
 
 	wakeCount int64
-
-	// Memo for the active-state wattage sum, keyed by the packed
-	// line-card/port state vector. stateVec is maintained incrementally
-	// by the setPortState/setRateIdx/setLCState helpers — every state
-	// write goes through them — so a memo probe is one field read. The
-	// cached entries hold results this switch's own summation loop
-	// produced for identical inputs, so hits are bit-identical to
-	// recomputation (the profile is immutable after construction).
-	// memoOK is false when the vector doesn't fit the 64-bit key; the
-	// loop then runs every time.
-	memoOK   bool
-	stateVec uint64
-	memoN    int
-	memoNext int
-	memoKey  [wattsMemoSlots]uint64
-	memoW    [wattsMemoSlots]float64
 }
-
-// wattsMemoSlots bounds the per-switch memo: LPI churn cycles through a
-// handful of vectors, so a tiny ring with linear scan is enough.
-const wattsMemoSlots = 8
 
 func newSwitch(n *Network, node topology.NodeID, prof *power.SwitchProfile) *Switch {
 	sw := &Switch{
@@ -75,17 +55,12 @@ func newSwitch(n *Network, node topology.NodeID, prof *power.SwitchProfile) *Swi
 	}
 	for lc := 0; lc < prof.LineCards; lc++ {
 		for p := 0; p < prof.PortsPerLineCard; p++ {
-			sw.ports = append(sw.ports, &Port{sw: sw, idx: lc*prof.PortsPerLineCard + p,
-				state: power.PortActive, rateIdx: len(prof.LinkRatesBps) - 1})
+			sw.ports = append(sw.ports, &Port{sw: sw, state: power.PortActive,
+				rateIdx: len(prof.LinkRatesBps) - 1})
 		}
-		sw.lineCards = append(sw.lineCards, &LineCard{sw: sw, idx: lc, state: power.LineCardActive})
+		sw.lineCards = append(sw.lineCards, power.LineCardActive)
 	}
 	sw.sleepTmr = engine.NewTimer(n.eng, sw.enterSleep)
-	// 11 ports x 5 bits (2 state + 3 rateIdx+1) + 4 line cards x 2 bits
-	// fills 63 of the key's 64 bits. Larger switches skip the memo.
-	sw.memoOK = len(sw.lineCards) <= 4 && len(sw.ports) <= 11 &&
-		len(prof.LinkRatesBps) <= 7
-	sw.stateVec = sw.buildStateVec()
 	return sw
 }
 
@@ -137,19 +112,40 @@ func (s *Switch) wake() simtime.Time {
 	s.recompute()
 	s.wakeEv = s.net.eng.After(lat, func() {
 		s.waking = false
-		for _, lc := range s.lineCards {
-			lc.setLCState(power.LineCardActive)
-		}
-		for _, p := range s.ports {
-			if p.link != nil {
-				p.setPortState(power.PortActive)
-				p.link.armLPI()
-			}
-		}
-		s.recompute()
-		s.maybeSleepArm()
+		s.powerUp()
 	})
 	return lat
+}
+
+// powerUp returns line cards and connected ports to Active and rearms
+// the idle timers: the end of a wake-up, or a revival. Unconnected
+// ports stay Off.
+func (s *Switch) powerUp() {
+	for i := range s.lineCards {
+		s.lineCards[i] = power.LineCardActive
+	}
+	for _, p := range s.ports {
+		if p.link != nil {
+			p.state = power.PortActive
+			p.link.armLPI()
+		}
+	}
+	s.recompute()
+	s.maybeSleepArm()
+}
+
+// powerDown puts every line card in st and every port Off: sleep, or
+// death. A link's shared LPI timer is left running for the partner
+// port; a fire against an Off port is a no-op (enterLPI skips
+// non-Active ports).
+func (s *Switch) powerDown(st power.LineCardState) {
+	for i := range s.lineCards {
+		s.lineCards[i] = st
+	}
+	for _, p := range s.ports {
+		p.state = power.PortOff
+	}
+	s.recompute()
 }
 
 // enterSleep puts line cards to sleep and ports off, if still idle.
@@ -159,16 +155,7 @@ func (s *Switch) enterSleep() {
 	}
 	s.sleeping = true
 	s.net.cover.Hit(modelcov.SwitchSleep)
-	for _, lc := range s.lineCards {
-		lc.setLCState(power.LineCardSleep)
-	}
-	for _, p := range s.ports {
-		// The shared link timer is left alone: the partner port may
-		// still need its countdown, and a fire against this port is a
-		// no-op (enterLPI skips non-Active ports).
-		p.setPortState(power.PortOff)
-	}
-	s.recompute()
+	s.powerDown(power.LineCardSleep)
 }
 
 // idle reports whether no port has users or queued packets.
@@ -220,65 +207,21 @@ func (s *Switch) recompute() {
 	s.residency.SetState(now, label)
 }
 
-// buildStateVec packs the full line-card and port state vector into one
-// uint64: port i occupies bits [5i, 5i+5) as state<<3 | rateIdx+1, line
-// card j occupies bits [55+2j, 55+2j+2). Meaningful only when memoOK;
-// after construction the vector is maintained incrementally by the
-// set* helpers, and this builder serves as the test oracle for them.
-func (s *Switch) buildStateVec() uint64 {
-	var key uint64
-	for _, p := range s.ports {
-		key |= (uint64(p.state)<<3 | uint64(p.rateIdx+1)) << (5 * uint(p.idx))
-	}
-	for _, lc := range s.lineCards {
-		key |= uint64(lc.state) << (55 + 2*uint(lc.idx))
-	}
-	return key
-}
-
-// setPortState writes a port power state, keeping the packed vector in
-// sync. All p.state writes after construction must go through here.
-func (p *Port) setPortState(st power.PortState) {
-	p.sw.stateVec ^= (uint64(p.state) ^ uint64(st)) << (5*uint(p.idx) + 3)
-	p.state = st
-}
-
-// setRateIdx writes a port ALR rate index, keeping the packed vector
-// and the link's cached capacity in sync. All p.rateIdx writes after
-// construction must go through here.
+// setRateIdx writes a port ALR rate index, keeping the link's cached
+// capacity in sync. All p.rateIdx writes after construction must go
+// through here.
 func (p *Port) setRateIdx(idx int) {
-	p.sw.stateVec ^= (uint64(p.rateIdx+1) ^ uint64(idx+1)) << (5 * uint(p.idx))
 	p.rateIdx = idx
 	if p.link != nil {
 		p.link.refreshRate()
 	}
 }
 
-// setLCState writes a line-card power state, keeping the packed vector
-// in sync. All lc.state writes after construction must go through here.
-func (lc *LineCard) setLCState(st power.LineCardState) {
-	lc.sw.stateVec ^= (uint64(lc.state) ^ uint64(st)) << (55 + 2*uint(lc.idx))
-	lc.state = st
-}
-
-// activeWatts sums the non-sleeping draw over line cards and ports,
-// memoized on the exact state vector. Port LPI churn revisits the same
-// few vectors constantly; a memo hit returns the number this very loop
-// computed for those inputs before (the profile is immutable after
-// construction), so metering stays bit-identical while skipping the
-// per-port float walk on the hot path.
+// activeWatts sums the non-sleeping draw over line cards and ports.
 func (s *Switch) activeWatts() float64 {
-	key := s.stateVec
-	if s.memoOK {
-		for i := 0; i < s.memoN; i++ {
-			if s.memoKey[i] == key {
-				return s.memoW[i]
-			}
-		}
-	}
 	w := s.prof.ChassisWatts
-	for _, lc := range s.lineCards {
-		switch lc.state {
+	for _, st := range s.lineCards {
+		switch st {
 		case power.LineCardActive:
 			w += s.prof.LineCardActiveW
 		case power.LineCardSleep:
@@ -293,23 +236,7 @@ func (s *Switch) activeWatts() float64 {
 			w += s.prof.PortLPIW
 		}
 	}
-	if s.memoOK {
-		if s.memoN < wattsMemoSlots {
-			s.memoKey[s.memoN], s.memoW[s.memoN] = key, w
-			s.memoN++
-		} else {
-			s.memoKey[s.memoNext], s.memoW[s.memoNext] = key, w
-			s.memoNext = (s.memoNext + 1) % wattsMemoSlots
-		}
-	}
 	return w
-}
-
-// LineCard groups ports; it sleeps as a unit (paper Fig. 3).
-type LineCard struct {
-	sw    *Switch
-	idx   int
-	state power.LineCardState
 }
 
 // Port is one switch port: its state machine is Active <-> LPI (idle
@@ -317,7 +244,6 @@ type LineCard struct {
 // rate selects among the profile's rate points.
 type Port struct {
 	sw   *Switch
-	idx  int
 	link *linkState
 
 	state   power.PortState
@@ -347,7 +273,7 @@ func (p *Port) addUser() simtime.Time {
 		p.sw.net.cover.Hit(modelcov.PortLPIWake)
 	}
 	if p.state != power.PortActive {
-		p.setPortState(power.PortActive)
+		p.state = power.PortActive
 		p.sw.recompute()
 	}
 	return penalty
@@ -370,7 +296,7 @@ func (p *Port) enterLPI() {
 	if p.users > 0 || p.state != power.PortActive {
 		return
 	}
-	p.setPortState(power.PortLPI)
+	p.state = power.PortLPI
 	p.sw.net.cover.Hit(modelcov.PortLPIEnter)
 	p.sw.recompute()
 }

@@ -129,35 +129,26 @@ func MapReps[T any](o Options, seed uint64, runs []Run[T]) ([][]T, error) {
 	if workers > total {
 		workers = total
 	}
-	if workers <= 1 {
-		// Serial fast path: no goroutines, same submission order.
-		for i, r := range runs {
-			for j := 0; j < nrep; j++ {
-				out[i][j], errs[i][j] = r.Do(RepSeed(seed, r.Key, j))
+	tasks := make(chan task)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				r := runs[t.run]
+				out[t.run][t.rep], errs[t.run][t.rep] =
+					r.Do(RepSeed(seed, r.Key, t.rep))
 			}
-		}
-	} else {
-		tasks := make(chan task)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for t := range tasks {
-					r := runs[t.run]
-					out[t.run][t.rep], errs[t.run][t.rep] =
-						r.Do(RepSeed(seed, r.Key, t.rep))
-				}
-			}()
-		}
-		for i := range runs {
-			for j := 0; j < nrep; j++ {
-				tasks <- task{i, j}
-			}
-		}
-		close(tasks)
-		wg.Wait()
+		}()
 	}
+	for i := range runs {
+		for j := 0; j < nrep; j++ {
+			tasks <- task{i, j}
+		}
+	}
+	close(tasks)
+	wg.Wait()
 
 	for i, r := range runs {
 		for j, err := range errs[i] {

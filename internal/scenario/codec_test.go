@@ -213,10 +213,14 @@ func TestMatrixFixture(t *testing.T) {
 // 1.4 TB of server records, the fault count for as many timeline events,
 // the DAG for 4e18 tasks a job; a scatter of width 0 or a 0x0 DAG was
 // refused only when Config built the factory. Arrivals and horizons: an
-// MMPP burst ratio below 1 failed only at run, and a negative maxJobs,
-// durationSec or traceSec ran as if unset. Payloads and rates: a
-// negative edgeBytes panicked in the network at run, and a negative
-// rateBps or placer tauSec ran as the default under its own label.
+// MMPP burst ratio below 1 failed only at run, a negative maxJobs,
+// durationSec or traceSec ran as if unset, a synthetic trace of 1e12 s
+// (wiki) or 1e9 s (nlanr) crashed run sizing its arrivals, and a sparse
+// 1e12 s wiki trace (3.2e6 arrivals) spun run through 1e12 one-second
+// buckets.
+// Payloads and rates: a negative edgeBytes panicked in the network at
+// run, and a negative rateBps or placer tauSec ran as the default under
+// its own label.
 var hostileFiles = []struct{ name, data, want string }{
 	{"fattree-2.1TB", `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
 	{"fattree-odd-arity", `{"topology": {"kind": "fattree", "a": 3}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
@@ -231,6 +235,9 @@ var hostileFiles = []struct{ name, data, want string }{
 	{"maxjobs-negative", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": -3, "durationSec": 0.5}`, "negative horizon"},
 	{"duration-negative", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "durationSec": -2}`, "negative horizon"},
 	{"tracesec-negative", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 0.3, "traceSec": -4}, "maxJobs": 10}`, "negative trace length"},
+	{"tracesec-wiki-1e12", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 0.3, "traceSec": 1e12}, "maxJobs": 10}`, "synthesizes"},
+	{"tracesec-nlanr-1e9", `{"servers": 4, "arrival": {"kind": "nlanr", "rho": 0.3, "traceSec": 1e9}, "maxJobs": 10}`, "synthesizes"},
+	{"tracesec-wiki-sparse", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 1e-9, "traceSec": 1e12}, "maxJobs": 10}`, "synthesizes"},
 	{"edgebytes-negative", `{"topology": {"kind": "fattree", "a": 4}, "comm": "flow", "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "twotier", "edgeBytes": -1000}}`, "negative edge payload"},
 	{"ratebps-negative", `{"topology": {"kind": "fattree", "a": 4, "rateBps": -1e9}, "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative link rate"},
 	{"tausec-negative", `{"servers": 4, "placer": {"kind": "adaptive", "tauSec": -0.5}, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative placer timer"},

@@ -227,6 +227,30 @@ func (a ArrivalSpec) String() string {
 	return s
 }
 
+// traceLen is the synthetic trace length: TraceSec, or 10 s if unset.
+func (a ArrivalSpec) traceLen() float64 {
+	if a.TraceSec <= 0 {
+		return 10
+	}
+	return a.TraceSec
+}
+
+// The synthetic NLANR trace's ON-period and background rates (1/s).
+const nlanrOnRate, nlanrBackground = 40, 2
+
+// synthArrivals is the expected arrival count of a synthetic trace at
+// mean rate rate, 0 for the other kinds. The Wikipedia synthesizer
+// walks one-second buckets, so it counts at least one a second.
+func (a ArrivalSpec) synthArrivals(rate float64) float64 {
+	switch a.Kind {
+	case ArrTraceWiki:
+		return a.traceLen() * math.Max(rate, 1)
+	case ArrTraceNLANR:
+		return a.traceLen() * trace.NLANRMeanRate(nlanrOnRate, nlanrBackground)
+	}
+	return 0
+}
+
 // process constructs the arrival process for a farm with the given
 // aggregate service capacity. r must be a stream derived only from the
 // scenario seed (the process is part of the run's pure function).
@@ -245,18 +269,10 @@ func (a ArrivalSpec) process(rate float64, r *rng.Source) (workload.ArrivalProce
 		}
 		return workload.MMPP{Proc: proc}, nil
 	case ArrTraceWiki:
-		dur := a.TraceSec
-		if dur <= 0 {
-			dur = 10
-		}
-		tr := trace.SyntheticWikipedia(dur, rate, r.Split("trace/wiki"))
+		tr := trace.SyntheticWikipedia(a.traceLen(), rate, r.Split("trace/wiki"))
 		return workload.NewTraceReplay(tr), nil
 	case ArrTraceNLANR:
-		dur := a.TraceSec
-		if dur <= 0 {
-			dur = 10
-		}
-		tr := trace.SyntheticNLANR(dur, 40, 2, r.Split("trace/nlanr"))
+		tr := trace.SyntheticNLANR(a.traceLen(), nlanrOnRate, nlanrBackground, r.Split("trace/nlanr"))
 		// NLANR synthesis fixes its own burst rates; rescale to the
 		// requested mean rate so utilization stays in range.
 		return replayScaled(tr, rate), nil
@@ -337,15 +353,15 @@ const (
 // String implements fmt.Stringer.
 func (s ServiceKind) String() string { return enum.String(s, serviceKindNames, "svc") }
 
-func (s ServiceKind) sampler() dist.Sampler {
-	switch s {
-	case SvcWebServing:
-		return workload.WebServingService()
-	case SvcWikipedia:
-		return workload.WikipediaService()
-	}
-	return workload.WebSearchService()
+// serviceSamplers is indexed by ServiceKind. The samplers are immutable
+// values, built once, so Validate reads a mean without allocating.
+var serviceSamplers = []dist.Sampler{
+	SvcWebSearch:  workload.WebSearchService(),
+	SvcWebServing: workload.WebServingService(),
+	SvcWikipedia:  workload.WikipediaService(),
 }
+
+func (s ServiceKind) sampler() dist.Sampler { return serviceSamplers[s] }
 
 // FactorySpec declares the job DAG shape.
 type FactorySpec struct {
@@ -541,15 +557,24 @@ const (
 	ProfDualSocket
 )
 
-func (p ProfileKind) profile() *power.ServerProfile {
-	switch p {
-	case ProfXeon10:
-		return power.XeonE5_2680()
-	case ProfDualSocket:
-		return power.DualSocketXeon()
-	}
-	return power.FourCoreServer()
+// profiles is indexed by ProfileKind.
+var profiles = []func() *power.ServerProfile{
+	ProfFourCore:   power.FourCoreServer,
+	ProfXeon10:     power.XeonE5_2680,
+	ProfDualSocket: power.DualSocketXeon,
 }
+
+func (p ProfileKind) profile() *power.ServerProfile { return profiles[p]() }
+
+// profileCores is each profile's core count, read once, so Validate
+// can size a synthetic trace without building a profile.
+var profileCores = func() []int {
+	c := make([]int, len(profileKindNames))
+	for k := range c {
+		c[k] = ProfileKind(k).profile().Cores
+	}
+	return c
+}()
 
 // String implements fmt.Stringer.
 func (p ProfileKind) String() string { return enum.String(p, profileKindNames, "profile") }
@@ -750,6 +775,12 @@ func (s Scenario) Validate() error {
 	if s.Arrival.TraceSec < 0 {
 		return fmt.Errorf("scenario: negative trace length %g s", s.Arrival.TraceSec)
 	}
+	// The cap trace.Read puts on a recorded trace, checked before the
+	// run synthesizes one.
+	if n := s.Arrival.synthArrivals(s.arrivalRate()); n > trace.DefaultMaxArrivals {
+		return fmt.Errorf("scenario: %s synthesizes %.3g arrivals (or one-second buckets), over the bound of %d",
+			s.Arrival, n, trace.DefaultMaxArrivals)
+	}
 	if s.Arrival.Kind == ArrTraceFile && s.Arrival.TraceFile == "" {
 		return fmt.Errorf("scenario: trace-file arrival without a trace file")
 	}
@@ -774,6 +805,13 @@ func (s Scenario) Validate() error {
 		return err
 	}
 	return s.Faults.Validate()
+}
+
+// arrivalRate is the job arrival rate (1/s) that puts the farm at
+// utilization Arrival.Rho.
+func (s Scenario) arrivalRate() float64 {
+	return workload.UtilizationRate(s.Arrival.Rho, s.Servers, profileCores[s.Profile],
+		s.Factory.Service.sampler().Mean()*s.Factory.meanTasksPerJob())
 }
 
 // Config assembles the core configuration. The result is a pure
@@ -839,9 +877,7 @@ func (s Scenario) Config() (core.Config, error) {
 	if err := s.Placer.apply(&cfg, s.Servers, master); err != nil {
 		return core.Config{}, err
 	}
-	cores := prof.Cores
-	rate := workload.UtilizationRate(s.Arrival.Rho, s.Servers, cores,
-		s.Factory.Service.sampler().Mean()*s.Factory.meanTasksPerJob())
+	rate := s.arrivalRate()
 	proc, err := s.Arrival.process(rate, master)
 	if err != nil {
 		return core.Config{}, err

@@ -62,15 +62,9 @@ func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Ser
 // Name implements Placer.
 func (a *AdaptivePool) Name() string { return "adaptive-pool" }
 
-// OnJobArrival implements Controller.
-func (a *AdaptivePool) OnJobArrival(s *Scheduler, j *job.Job) { a.evaluate(s) }
-
-// OnTaskDone implements Controller.
-func (a *AdaptivePool) OnTaskDone(s *Scheduler, t *job.Task) { a.evaluate(s) }
-
-// evaluate applies the threshold policy, at most one migration per
-// Dwell.
-func (a *AdaptivePool) evaluate(s *Scheduler) {
+// Evaluate implements Controller: it applies the threshold policy, at
+// most one migration per Dwell.
+func (a *AdaptivePool) Evaluate(s *Scheduler) {
 	now := s.eng.Now()
 	if a.changed && now-a.lastChange < a.Dwell {
 		return

@@ -41,15 +41,10 @@ func (p *Provisioner) Place(s *Scheduler, t *job.Task, candidates []*server.Serv
 // Name implements Placer.
 func (p *Provisioner) Name() string { return "provisioner" }
 
-// OnJobArrival implements Controller.
-func (p *Provisioner) OnJobArrival(s *Scheduler, j *job.Job) { p.observe(s) }
-
-// OnTaskDone implements Controller.
-func (p *Provisioner) OnTaskDone(s *Scheduler, t *job.Task) { p.observe(s) }
-
-// observe applies the threshold policy: one transition per event, as in
-// the paper ("one server will be put aside"/"set to active state").
-func (p *Provisioner) observe(s *Scheduler) {
+// Evaluate implements Controller: it applies the threshold policy, one
+// transition per event, as in the paper ("one server will be put
+// aside"/"set to active state").
+func (p *Provisioner) Evaluate(s *Scheduler) {
 	load := s.LoadPerServer(p.n)
 	switch {
 	case load > p.MaxLoad && p.n < len(s.servers):

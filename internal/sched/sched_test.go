@@ -454,12 +454,11 @@ func (p *startProbe) Place(s *Scheduler, t *job.Task, c []*server.Server) *serve
 	p.placements++
 	return p.LeastLoaded.Place(s, t, c)
 }
-func (p *startProbe) OnJobArrival(*Scheduler, *job.Job) { p.early("OnJobArrival") }
-func (p *startProbe) OnTaskDone(*Scheduler, *job.Task)  { p.early("OnTaskDone") }
+func (p *startProbe) Evaluate(*Scheduler) { p.early("Evaluate") }
 
 // The Starter contract: Start runs exactly once, not at New and not at
 // t=0 but at the first arrival's timestamp, before that arrival's
-// OnJobArrival and before any placement — or at the first Select when a
+// Evaluate and before any placement — or at the first Select when a
 // caller places before any job arrives.
 func TestStartRunsOnceBeforeFirstPlacement(t *testing.T) {
 	const first = 7 * simtime.Millisecond

@@ -32,16 +32,16 @@ type Placer interface {
 	Name() string
 }
 
-// Controller is implemented by placers that observe arrivals and
-// completions to drive pool transitions, provisioning, etc.
+// Controller is implemented by placers that drive pool transitions,
+// provisioning, etc. Evaluate runs at every job arrival, before the
+// job's tasks are placed, and after every task completion.
 type Controller interface {
-	OnJobArrival(s *Scheduler, j *job.Job)
-	OnTaskDone(s *Scheduler, t *job.Task)
+	Evaluate(s *Scheduler)
 }
 
 // Starter is implemented by placers with one-shot set-up against the
 // farm (pool membership, delay timers). Start runs once, at the first
-// arrival's timestamp, before its OnJobArrival and any placement — not
+// arrival's timestamp, before its Evaluate and any placement — not
 // at New, where an armed delay timer would expire before the first job.
 type Starter interface {
 	Start(s *Scheduler)
@@ -301,7 +301,7 @@ func (s *Scheduler) JobArrived(j *job.Job) {
 	}
 	s.startPolicy()
 	if s.ctrl != nil {
-		s.ctrl.OnJobArrival(s, j)
+		s.ctrl.Evaluate(s)
 	}
 	order, err := j.TopoOrder() // the order Seal kept: nothing is sorted here
 	if err != nil {
@@ -444,7 +444,7 @@ func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 		}
 	}
 	if s.ctrl != nil {
-		s.ctrl.OnTaskDone(s, t)
+		s.ctrl.Evaluate(s)
 	}
 	s.drainGlobalQueue()
 }

@@ -1,8 +1,8 @@
 // Package stats implements the runtime-statistics substrate of HolDCSim:
 // sample tallies with percentiles and CDFs, time-weighted integrals,
-// per-state residency trackers, piecewise-constant energy meters, and
-// fixed-interval power samplers (the simulator-side equivalent of RAPL /
-// power-logger readings used in the paper's validation).
+// per-state residency trackers and piecewise-constant energy meters.
+// The paper's validation readings (RAPL, power logger) are an energy
+// meter read at fixed intervals from an Engine.Every tick.
 package stats
 
 import (

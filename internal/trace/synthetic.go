@@ -72,6 +72,14 @@ const (
 	nlanrOffAlpha = 1.5 // Pareto shape for OFF periods (1 < α ≤ 2 heavy)
 )
 
+// NLANRMeanRate is SyntheticNLANR's long-run arrival rate: the
+// background plus onRate over the ON share of a cycle (mean OFF period
+// xm·α/(α−1)).
+func NLANRMeanRate(onRate, background float64) float64 {
+	off := nlanrOffXm * nlanrOffAlpha / (nlanrOffAlpha - 1)
+	return background + onRate*nlanrMeanOn/(nlanrMeanOn+off)
+}
+
 // SyntheticNLANR generates an NLANR-like bursty arrival trace of the
 // given length (seconds): onRate arrivals/second during ON periods over
 // a constant background of background arrivals/second.

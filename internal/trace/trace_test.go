@@ -207,6 +207,19 @@ func TestSyntheticNLANRBursty(t *testing.T) {
 	}
 }
 
+// NLANRMeanRate is the long-run rate SyntheticNLANR draws at: scenario
+// validation caps a synthetic trace's arrival count with it.
+func TestNLANRMeanRate(t *testing.T) {
+	const dur = 20000.0
+	want := NLANRMeanRate(40, 2)
+	for seed := uint64(1); seed <= 4; seed++ {
+		got := float64(SyntheticNLANR(dur, 40, 2, rng.New(seed)).Len()) / dur
+		if math.Abs(got-want) > 0.1*want {
+			t.Errorf("seed %d: mean rate %.2f/s, NLANRMeanRate %.2f/s", seed, got, want)
+		}
+	}
+}
+
 // Property: synthetic traces are always sorted and nonnegative.
 func TestSyntheticSortedProperty(t *testing.T) {
 	f := func(seed uint64) bool {
