@@ -90,11 +90,16 @@ type Scheduler struct {
 
 	// Candidate-set sharding (SetShards): shardOf maps each server to its
 	// shard (rack/pod/block); shardLoad mirrors the per-shard sum of
-	// committed; shardMembers lists each shard's servers in ID order. Nil
-	// shardOf = sharding off, zero cost.
+	// committed; shardMembers lists each shard's servers in ID order.
+	// shardTree is a winner tree over shardLoad: leaves at [size, 2·size)
+	// hold shard indices (−1 for padding past the shard count), and each
+	// internal node i holds the least-loaded shard of children 2i and
+	// 2i+1, so shardTree[1] is the argmin. Nil shardOf = sharding off,
+	// zero cost.
 	shardOf      []int32
 	shardLoad    []int64
 	shardMembers [][]*server.Server
+	shardTree    []int32
 
 	globalQ []*job.Task
 
@@ -198,29 +203,47 @@ func (s *Scheduler) TasksDispatched() int64 { return s.jobsDispatched }
 func (s *Scheduler) Committed(serverID int) int { return s.committed[serverID] }
 
 // commit is the single mutation point for the committed counters: it
-// applies delta to server id and keeps the per-shard load sums in sync.
-// Decrements clamp at zero (fault paths can release a commitment that a
-// crash already zeroed), in which case the shard sum is untouched too.
+// applies delta to server id and keeps the per-shard load sums and their
+// winner tree in sync — O(log shards) when sharding is on. Decrements
+// clamp at zero (fault paths can release a commitment that a crash
+// already zeroed), in which case the shard sum is untouched too.
 func (s *Scheduler) commit(id, delta int) {
 	if delta < 0 && s.committed[id] <= 0 {
 		return
 	}
 	s.committed[id] += delta
 	if s.shardOf != nil {
-		s.shardLoad[s.shardOf[id]] += int64(delta)
+		sh := s.shardOf[id]
+		s.shardLoad[sh] += int64(delta)
+		for i := (len(s.shardTree)/2 + int(sh)) / 2; i >= 1; i /= 2 {
+			s.shardTree[i] = s.shardWinner(s.shardTree[2*i], s.shardTree[2*i+1])
+		}
 	}
+}
+
+// shardWinner is one winner-tree match: the right shard wins only when
+// strictly less loaded, so ties go to the left — the lower shard index,
+// as a linear argmin would pick. Padding (−1) only ever sits to the right
+// of real shards and never wins.
+func (s *Scheduler) shardWinner(left, right int32) int32 {
+	if right < 0 || s.shardLoad[right] >= s.shardLoad[left] {
+		return left
+	}
+	return right
 }
 
 // SetShards partitions the farm into placement shards — rack- or
 // pod-sized candidate subsets. shardOf maps each server ID to its shard
-// in [0, n). The ShardedLeastLoaded placer then picks the least-committed
-// shard and scans only its members instead of the whole farm, turning
-// O(N) placement into O(shards + N/shards). Sharding is bookkeeping only:
-// placers that ignore it behave exactly as before. Passing nil shardOf
-// disables sharding.
+// in [0, n), and every shard needs at least one server. The
+// ShardedLeastLoaded placer then reads the least-committed shard off a
+// winner tree in O(1) and scans only its members instead of the whole
+// farm, turning O(N) placement into O(N/shards), with O(log shards)
+// bookkeeping per commitment. Sharding is bookkeeping only: placers that
+// ignore it behave exactly as before. Passing nil shardOf disables
+// sharding.
 func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 	if shardOf == nil {
-		s.shardOf, s.shardLoad, s.shardMembers = nil, nil, nil
+		s.shardOf, s.shardLoad, s.shardMembers, s.shardTree = nil, nil, nil, nil
 		return nil
 	}
 	if len(shardOf) != len(s.servers) {
@@ -240,12 +263,29 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 		load[sh] += int64(s.committed[id])
 	}
 	for sh, c := range counts {
+		if c == 0 {
+			return fmt.Errorf("sched: shard %d of %d has no servers", sh, n)
+		}
 		members[sh] = make([]*server.Server, 0, c)
 	}
 	for id, sh := range shardOf {
 		members[sh] = append(members[sh], s.servers[id])
 	}
-	s.shardOf, s.shardLoad, s.shardMembers = shardOf, load, members
+	size := 1
+	for size < n {
+		size *= 2
+	}
+	tree := make([]int32, 2*size)
+	for i := range size {
+		tree[size+i] = -1
+		if i < n {
+			tree[size+i] = int32(i)
+		}
+	}
+	s.shardOf, s.shardLoad, s.shardMembers, s.shardTree = shardOf, load, members, tree
+	for i := size - 1; i >= 1; i-- {
+		tree[i] = s.shardWinner(tree[2*i], tree[2*i+1])
+	}
 	return nil
 }
 

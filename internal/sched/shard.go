@@ -6,12 +6,13 @@ import (
 )
 
 // ShardedLeastLoaded approximates LeastLoaded at a fraction of the cost:
-// it picks the shard with the smallest committed-task sum (argmin over
-// the shardLoad aggregates the commit helper maintains), then the
-// least-loaded server within that shard — O(shards + N/shards) per
-// placement instead of O(N), which is what makes million-server farms
-// placeable. Ties break to the lower shard index, then the lower server
-// ID, mirroring LeastLoaded's determinism contract.
+// it picks the shard with the smallest committed-task sum (the root of
+// the winner tree the commit helper maintains over the shardLoad
+// aggregates), then the least-loaded server within that shard — O(1) for
+// the shard and O(N/shards) for the server per placement instead of
+// O(N), which is what makes million-server farms placeable. Ties break
+// to the lower shard index, then the lower server ID, mirroring
+// LeastLoaded's determinism contract.
 //
 // The shard fast path requires the full farm as the candidate set, so
 // `len(candidates) == len(s.servers)` means exactly "no server down".
@@ -23,17 +24,9 @@ type ShardedLeastLoaded struct{}
 // Place implements Placer.
 func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
 	if s.shardOf != nil && len(candidates) == len(s.servers) {
-		best := 0
-		for i := 1; i < len(s.shardLoad); i++ {
-			if s.shardLoad[i] < s.shardLoad[best] {
-				best = i
-			}
-		}
-		if srv := s.leastLoaded(s.shardMembers[best], nil); srv != nil {
-			return srv
-		}
+		return s.leastLoaded(s.shardMembers[s.shardTree[1]], nil)
 	}
-	// No shards, a filtered candidate list, or an empty shard.
+	// No shards, or a filtered candidate list.
 	return s.leastLoaded(candidates, nil)
 }
 

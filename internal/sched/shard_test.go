@@ -39,6 +39,9 @@ func TestSetShardsValidation(t *testing.T) {
 	if err := s.SetShards([]int32{0, 0, 1, 1}, 0); err == nil {
 		t.Errorf("zero shard count accepted")
 	}
+	if err := s.SetShards([]int32{0, 0, 2, 2}, 3); err == nil {
+		t.Errorf("empty shard 1 accepted")
+	}
 	if err := s.SetShards([]int32{0, 0, 1, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +75,9 @@ func TestShardLoadMirrorsCommitted(t *testing.T) {
 				t.Fatalf("%s: shard %d load %d, want %d", where, sh, got, want)
 			}
 		}
+		if got, want := int(s.shardTree[1]), scanShards(sums); got != want {
+			t.Fatalf("%s: winner tree root is shard %d, scan picks %d", where, got, want)
+		}
 	}
 	for i := 0; i < 40; i++ {
 		j := singleJob(job.ID(i), 0, 5*simtime.Millisecond)
@@ -93,6 +99,120 @@ func TestShardLoadMirrorsCommitted(t *testing.T) {
 	check("after recover")
 	eng.Run()
 	check("final")
+}
+
+// scanShards is the linear argmin the winner tree replaced, kept as its
+// oracle: the least-loaded shard, ties to the lowest index.
+func scanShards(load []int64) int {
+	best := 0
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// The winner tree's root must be the scan's argmin after every commit —
+// increments, decrements, decrements clamped at zero, and a rebuild over
+// live commitments — at shard counts that do and do not fill a power of
+// two, and Select must return the least-committed member of that shard.
+func TestShardTreeMatchesScan(t *testing.T) {
+	const per, steps = 2, 2000
+	for _, shards := range []int{1, 2, 3, 5, 64, 3200} {
+		n := shards * per
+		eng, servers := testFarm(t, n, nil)
+		s, err := New(eng, servers, Config{Placer: ShardedLeastLoaded{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := uint64(shards)
+		next := func(m int) int {
+			x = x*6364136223846793005 + 1442695040888963407
+			return int(x>>33) % m
+		}
+		ref := make([]int, n)
+		commit := func(id, delta int) {
+			s.commit(id, delta)
+			if ref[id]+delta >= 0 {
+				ref[id] += delta
+			}
+		}
+		// Strided shards, so members are not contiguous in ID order, and
+		// commitments that predate SetShards.
+		shardOf := make([]int32, n)
+		for id := range shardOf {
+			shardOf[id] = int32(id % shards)
+		}
+		for i := 0; i < n; i++ {
+			commit(next(n), 1)
+		}
+		tk := job.Single(0, 0, simtime.Millisecond).Tasks[0]
+		for step := 0; step <= steps; step++ {
+			if step == 0 || step == steps/2 {
+				if err := s.SetShards(shardOf, shards); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if next(2) == 0 {
+				commit(next(n), 1)
+			} else {
+				commit(next(n), -1)
+			}
+			sums := make([]int64, shards)
+			for id, c := range ref {
+				sums[shardOf[id]] += int64(c)
+			}
+			want := scanShards(sums)
+			if got := int(s.shardTree[1]); got != want {
+				t.Fatalf("%d shards, step %d: winner tree root is shard %d, scan picks %d", shards, step, got, want)
+			}
+			wantSrv := -1
+			for id := want; id < n; id += shards {
+				if wantSrv < 0 || ref[id] < ref[wantSrv] {
+					wantSrv = id
+				}
+			}
+			srv, err := s.Select(tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if srv.ID() != wantSrv {
+				t.Fatalf("%d shards, step %d: Select picked server %d, scan picks %d", shards, step, srv.ID(), wantSrv)
+			}
+		}
+	}
+}
+
+// Placing on a warmed sharded farm allocates nothing: the shard pick, the
+// member scan and the winner-tree replay are all in place.
+func TestShardedPlaceZeroAlloc(t *testing.T) {
+	const n = 1024
+	eng, servers := testFarm(t, n, nil)
+	s, err := New(eng, servers, Config{Placer: ShardedLeastLoaded{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardOf, shards := BlockShards(n, 40)
+	if err := s.SetShards(shardOf, shards); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < n; id += 3 {
+		s.commit(id, 1+id%4)
+	}
+	tk := job.Single(0, 0, simtime.Millisecond).Tasks[0]
+	cycle := func() {
+		srv, err := s.Select(tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.commit(srv.ID(), 1)
+		s.commit(srv.ID(), -1)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("sharded place/commit/decommit allocates %v per cycle, want 0", allocs)
+	}
 }
 
 // With a healthy full-farm candidate set the sharded placer must pick the
