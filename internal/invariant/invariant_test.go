@@ -167,6 +167,20 @@ func TestDetectsLedgerMismatch(t *testing.T) {
 	}
 }
 
+// TestDetectsBareSubmit: a task handed straight to a server, past the
+// scheduler's commitment, leaves the server holding more pending tasks
+// than were committed to it, so placement's load signal undercounts it.
+func TestDetectsBareSubmit(t *testing.T) {
+	r := newRig(t, 4, 200, Options{})
+	r.eng.Schedule(10*simtime.Millisecond, func() {
+		r.farm[0].Submit(job.Single(9999, r.eng.Now(), simtime.Second).Tasks[0])
+	})
+	r.run()
+	if v := r.c.Finalize(r.eng.Now()); !hasLaw(v, "pending-within-commitment") {
+		t.Errorf("bare submit not caught: %v", v)
+	}
+}
+
 func TestDetectsBackwardFinalize(t *testing.T) {
 	r := newRig(t, 1, 20, Options{})
 	r.run()

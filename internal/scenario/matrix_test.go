@@ -87,6 +87,37 @@ func TestScenarioMatrix(t *testing.T) {
 	t.Logf("matrix: %d scenarios, %d jobs, zero violations", len(scenarios), completed)
 }
 
+// TestLeastLoadedAcrossFarmSizes sweeps node count through the servers
+// axis under exact least-loaded placement, checked: every law holds at
+// each size, and every job drains.
+func TestLeastLoadedAcrossFarmSizes(t *testing.T) {
+	base := Scenario{
+		Seed:           41,
+		DelayTimerSec:  0.001,
+		Placer:         PlacerSpec{Kind: PlLeastLoaded},
+		Arrival:        ArrivalSpec{Kind: ArrPoisson, Rho: 0.2},
+		Factory:        FactorySpec{Kind: FacSingle, Service: SvcWebSearch},
+		MaxJobs:        3000,
+		SwitchSleepSec: -1,
+	}
+	scenarios := Axes{Servers: []int{1024, 16384}}.Expand(base)
+	if len(scenarios) != 2 {
+		t.Fatalf("servers axis expanded to %d scenarios, want 2", len(scenarios))
+	}
+	for _, s := range scenarios {
+		r, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Violations) != 0 {
+			t.Errorf("%s: %v", s.Name(), r.Violations)
+		}
+		if r.Results.JobsCompleted != s.MaxJobs {
+			t.Errorf("%s: completed %d of %d jobs", s.Name(), r.Results.JobsCompleted, s.MaxJobs)
+		}
+	}
+}
+
 // TestRandomScenarios draws seeded scenarios from the full registry and
 // runs each with checking on. Short mode draws 40 (the matrix suite
 // already covers >100); full mode draws 150.

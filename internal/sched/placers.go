@@ -21,9 +21,11 @@ func (RoundRobin) Place(s *Scheduler, t *job.Task, candidates []*server.Server) 
 // Name implements Placer.
 func (RoundRobin) Name() string { return "round-robin" }
 
-// LeastLoaded picks the candidate with the fewest pending tasks — the
+// LeastLoaded picks the candidate with the fewest committed tasks — the
 // paper's load-balancing policy and the Server-Balanced baseline of
-// Sec. IV-D. Ties break on the lower server ID.
+// Sec. IV-D. Ties break on the lower server ID. On a healthy farm it
+// reads the scheduler's load tree: exact, and O(log N) per commitment
+// instead of O(N) per placement.
 type LeastLoaded struct{}
 
 // Place implements Placer.
@@ -53,9 +55,67 @@ func leastBy(srvs []*server.Server, load func(*server.Server) int, ok func(*serv
 	return best
 }
 
-// leastLoaded is leastBy the committed-aware Load.
+// leastLoaded is leastBy the committed Load. When srvs is the whole farm
+// (Select's candidates with no server down) and ok admits all, the
+// answer is the load tree's root — the same server, since the tree
+// breaks ties to the lower index as the scan does. The tree is built on
+// that first ask and kept current by commit from then on.
 func (s *Scheduler) leastLoaded(srvs []*server.Server, ok func(*server.Server) bool) *server.Server {
+	if ok == nil && len(srvs) == len(s.servers) {
+		if s.loads.node == nil {
+			s.loads = newWinnerTree(s.committed)
+		}
+		return s.servers[s.loads.node[1]]
+	}
 	return leastBy(srvs, func(srv *server.Server) int { return s.Load(srv) }, ok)
+}
+
+// winnerTree is a tournament over key: leaves at [size, 2·size), size
+// the next power of two ≥ len(key), hold key indices (−1 for padding),
+// and each internal node i holds the winner of children 2i and 2i+1, so
+// node[1] is the argmin. The right child wins only when strictly less,
+// so ties go to the lower index, as leastBy's scan picks. Padding only
+// ever sits to the right of real leaves and never wins.
+type winnerTree struct {
+	key  []int
+	node []int32
+}
+
+// newWinnerTree builds the tree over key bottom-up. key is shared, not
+// copied: whoever changes key[i] calls fix(i).
+func newWinnerTree(key []int) winnerTree {
+	size := 1
+	for size < len(key) {
+		size *= 2
+	}
+	t := winnerTree{key: key, node: make([]int32, 2*size)}
+	for i := range size {
+		t.node[size+i] = -1
+		if i < len(key) {
+			t.node[size+i] = int32(i)
+		}
+	}
+	for i := size - 1; i >= 1; i-- {
+		t.node[i] = t.match(i)
+	}
+	return t
+}
+
+// match replays node i's game from its two children.
+func (t *winnerTree) match(i int) int32 {
+	l, r := t.node[2*i], t.node[2*i+1]
+	if r < 0 || t.key[r] >= t.key[l] {
+		return l
+	}
+	return r
+}
+
+// fix replays the games on leaf i's path to the root after key[i]
+// changed — O(log len(key)).
+func (t *winnerTree) fix(i int) {
+	for n := (len(t.node)/2 + i) / 2; n >= 1; n /= 2 {
+		t.node[n] = t.match(n)
+	}
 }
 
 // PackFirst consolidates load onto as few servers as possible: among

@@ -123,15 +123,16 @@ func TestLeastLoadedPicksIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Preload server 0 heavily via pinned placement.
+	// Preload server 0 with a long job: on an idle farm least-loaded
+	// places it on the lowest ID.
 	busy := singleJob(100, 0, simtime.Second)
-	eng.Schedule(0, func() {
-		busy.Tasks[0].ServerID = 0
-		servers[0].Submit(busy.Tasks[0])
-	})
+	eng.Schedule(0, func() { s.JobArrived(busy) })
 	j := singleJob(1, simtime.Millisecond, 5*simtime.Millisecond)
 	eng.Schedule(simtime.Millisecond, func() { s.JobArrived(j) })
 	eng.RunUntil(2 * simtime.Millisecond)
+	if busy.Tasks[0].ServerID != 0 {
+		t.Fatalf("preload landed on server %d, want 0", busy.Tasks[0].ServerID)
+	}
 	if j.Tasks[0].ServerID == 0 {
 		t.Error("least-loaded placed on the busy server")
 	}

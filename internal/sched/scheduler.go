@@ -85,21 +85,22 @@ type Scheduler struct {
 	// committed counts tasks placed on each server that have not yet
 	// finished — including DAG tasks still waiting on parents or data
 	// transfers, which the server's own PendingTasks cannot see. All
-	// mutations go through commit so the shard aggregates stay in sync.
+	// mutations go through commit so the trees below stay in sync.
 	committed []int
 
+	// loads is a winner tree over committed, so loads.node[1] is the
+	// least-loaded server of the whole farm. Its nodes stay nil until a
+	// placer first asks for that argmin (leastLoaded): round-robin and
+	// sharded runs never pay for it.
+	loads winnerTree
+
 	// Candidate-set sharding (SetShards): shardOf maps each server to its
-	// shard (rack/pod/block); shardLoad mirrors the per-shard sum of
-	// committed; shardMembers lists each shard's servers in ID order.
-	// shardTree is a winner tree over shardLoad: leaves at [size, 2·size)
-	// hold shard indices (−1 for padding past the shard count), and each
-	// internal node i holds the least-loaded shard of children 2i and
-	// 2i+1, so shardTree[1] is the argmin. Nil shardOf = sharding off,
-	// zero cost.
+	// shard (rack/pod/block); shards is a winner tree whose keys are the
+	// per-shard sums of committed; shardMembers lists each shard's
+	// servers in ID order. Nil shardOf = sharding off, zero cost.
 	shardOf      []int32
-	shardLoad    []int64
+	shards       winnerTree
 	shardMembers [][]*server.Server
-	shardTree    []int32
 
 	globalQ []*job.Task
 
@@ -197,53 +198,42 @@ func (s *Scheduler) GlobalQueueLen() int { return len(s.globalQ) }
 // TasksDispatched reports tasks submitted to servers so far.
 func (s *Scheduler) TasksDispatched() int64 { return s.jobsDispatched }
 
-// Committed reports the raw committed-task counter for one server —
-// placed but not yet finished. Exposed for invariant checking: unlike
-// Load, it is not clamped against the server's own pending count.
+// Committed reports the committed-task counter for one server — placed
+// but not yet finished. It is the Load signal; the invariant checker
+// reads it to hold the server's own pending count beneath it.
 func (s *Scheduler) Committed(serverID int) int { return s.committed[serverID] }
 
 // commit is the single mutation point for the committed counters: it
-// applies delta to server id and keeps the per-shard load sums and their
-// winner tree in sync — O(log shards) when sharding is on. Decrements
+// applies delta to server id and replays the load tree (once built) and
+// the shard sums' tree (when sharding is on), O(log N) each. Decrements
 // clamp at zero (fault paths can release a commitment that a crash
-// already zeroed), in which case the shard sum is untouched too.
+// already zeroed), in which case nothing else moves either.
 func (s *Scheduler) commit(id, delta int) {
 	if delta < 0 && s.committed[id] <= 0 {
 		return
 	}
 	s.committed[id] += delta
+	if s.loads.node != nil {
+		s.loads.fix(id)
+	}
 	if s.shardOf != nil {
-		sh := s.shardOf[id]
-		s.shardLoad[sh] += int64(delta)
-		for i := (len(s.shardTree)/2 + int(sh)) / 2; i >= 1; i /= 2 {
-			s.shardTree[i] = s.shardWinner(s.shardTree[2*i], s.shardTree[2*i+1])
-		}
+		sh := int(s.shardOf[id])
+		s.shards.key[sh] += delta
+		s.shards.fix(sh)
 	}
-}
-
-// shardWinner is one winner-tree match: the right shard wins only when
-// strictly less loaded, so ties go to the left — the lower shard index,
-// as a linear argmin would pick. Padding (−1) only ever sits to the right
-// of real shards and never wins.
-func (s *Scheduler) shardWinner(left, right int32) int32 {
-	if right < 0 || s.shardLoad[right] >= s.shardLoad[left] {
-		return left
-	}
-	return right
 }
 
 // SetShards partitions the farm into placement shards — rack- or
 // pod-sized candidate subsets. shardOf maps each server ID to its shard
 // in [0, n), and every shard needs at least one server. The
 // ShardedLeastLoaded placer then reads the least-committed shard off a
-// winner tree in O(1) and scans only its members instead of the whole
-// farm, turning O(N) placement into O(N/shards), with O(log shards)
+// winner tree in O(1) and scans only its members, with O(log shards)
 // bookkeeping per commitment. Sharding is bookkeeping only: placers that
 // ignore it behave exactly as before. Passing nil shardOf disables
 // sharding.
 func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 	if shardOf == nil {
-		s.shardOf, s.shardLoad, s.shardMembers, s.shardTree = nil, nil, nil, nil
+		s.shardOf, s.shards, s.shardMembers = nil, winnerTree{}, nil
 		return nil
 	}
 	if len(shardOf) != len(s.servers) {
@@ -252,7 +242,7 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sched: shard count %d", n)
 	}
-	load := make([]int64, n)
+	load := make([]int, n)
 	members := make([][]*server.Server, n)
 	counts := make([]int, n)
 	for id, sh := range shardOf {
@@ -260,7 +250,7 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 			return fmt.Errorf("sched: server %d assigned to shard %d of %d", id, sh, n)
 		}
 		counts[sh]++
-		load[sh] += int64(s.committed[id])
+		load[sh] += s.committed[id]
 	}
 	for sh, c := range counts {
 		if c == 0 {
@@ -271,21 +261,7 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 	for id, sh := range shardOf {
 		members[sh] = append(members[sh], s.servers[id])
 	}
-	size := 1
-	for size < n {
-		size *= 2
-	}
-	tree := make([]int32, 2*size)
-	for i := range size {
-		tree[size+i] = -1
-		if i < n {
-			tree[size+i] = int32(i)
-		}
-	}
-	s.shardOf, s.shardLoad, s.shardMembers, s.shardTree = shardOf, load, members, tree
-	for i := size - 1; i >= 1; i-- {
-		tree[i] = s.shardWinner(tree[2*i], tree[2*i+1])
-	}
+	s.shardOf, s.shards, s.shardMembers = shardOf, newWinnerTree(load), members
 	return nil
 }
 
@@ -312,17 +288,12 @@ func (s *Scheduler) LoadPerServer(poolSize int) float64 {
 	return float64(s.jobsInSystem) / float64(poolSize)
 }
 
-// Load reports the placement-time load signal for a server: committed
-// tasks (placed, not yet finished) or the server's own pending count,
-// whichever is larger. Placers use this so statically-placed DAG tasks
-// that have not been submitted yet still count against capacity.
-func (s *Scheduler) Load(srv *server.Server) int {
-	c := s.committed[srv.ID()]
-	if p := srv.PendingTasks(); p > c {
-		return p
-	}
-	return c
-}
+// Load reports the placement-time load signal for a server: its
+// committed tasks, placed and not yet finished. Every task a server
+// holds was committed first (the checker's pending-within-commitment
+// law), so this counts the server's own pending tasks plus statically
+// placed DAG tasks that have not been submitted yet.
+func (s *Scheduler) Load(srv *server.Server) int { return s.committed[srv.ID()] }
 
 // startPolicy runs the placer's Start hook if it has not run yet.
 func (s *Scheduler) startPolicy() {

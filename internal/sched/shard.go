@@ -5,14 +5,13 @@ import (
 	"holdcsim/internal/server"
 )
 
-// ShardedLeastLoaded approximates LeastLoaded at a fraction of the cost:
-// it picks the shard with the smallest committed-task sum (the root of
-// the winner tree the commit helper maintains over the shardLoad
-// aggregates), then the least-loaded server within that shard — O(1) for
-// the shard and O(N/shards) for the server per placement instead of
-// O(N), which is what makes million-server farms placeable. Ties break
-// to the lower shard index, then the lower server ID, mirroring
-// LeastLoaded's determinism contract.
+// ShardedLeastLoaded approximates LeastLoaded: it picks the shard with
+// the smallest committed-task sum (the root of the shard winner tree
+// commit maintains), then the least-loaded server within that shard.
+// Ties break to the lower shard index, then the lower server ID. Exact
+// LeastLoaded is as cheap at any farm size since it reads the per-server
+// load tree, so this placer is kept only for the benchmark workload that
+// pins its decisions.
 //
 // The shard fast path requires the full farm as the candidate set, so
 // `len(candidates) == len(s.servers)` means exactly "no server down".
@@ -24,7 +23,7 @@ type ShardedLeastLoaded struct{}
 // Place implements Placer.
 func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
 	if s.shardOf != nil && len(candidates) == len(s.servers) {
-		return s.leastLoaded(s.shardMembers[s.shardTree[1]], nil)
+		return s.leastLoaded(s.shardMembers[s.shards.node[1]], nil)
 	}
 	// No shards, or a filtered candidate list.
 	return s.leastLoaded(candidates, nil)

@@ -66,16 +66,16 @@ func TestShardLoadMirrorsCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(where string) {
-		sums := make([]int64, n)
+		sums := make([]int, n)
 		for id := range servers {
-			sums[shardOf[id]] += int64(s.Committed(id))
+			sums[shardOf[id]] += s.Committed(id)
 		}
 		for sh, want := range sums {
-			if got := s.shardLoad[sh]; got != want {
+			if got := s.shards.key[sh]; got != want {
 				t.Fatalf("%s: shard %d load %d, want %d", where, sh, got, want)
 			}
 		}
-		if got, want := int(s.shardTree[1]), scanShards(sums); got != want {
+		if got, want := int(s.shards.node[1]), scanShards(sums); got != want {
 			t.Fatalf("%s: winner tree root is shard %d, scan picks %d", where, got, want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestShardLoadMirrorsCommitted(t *testing.T) {
 
 // scanShards is the linear argmin the winner tree replaced, kept as its
 // oracle: the least-loaded shard, ties to the lowest index.
-func scanShards(load []int64) int {
+func scanShards(load []int) int {
 	best := 0
 	for i := 1; i < len(load); i++ {
 		if load[i] < load[best] {
@@ -159,12 +159,12 @@ func TestShardTreeMatchesScan(t *testing.T) {
 			} else {
 				commit(next(n), -1)
 			}
-			sums := make([]int64, shards)
+			sums := make([]int, shards)
 			for id, c := range ref {
-				sums[shardOf[id]] += int64(c)
+				sums[shardOf[id]] += c
 			}
 			want := scanShards(sums)
-			if got := int(s.shardTree[1]); got != want {
+			if got := int(s.shards.node[1]); got != want {
 				t.Fatalf("%d shards, step %d: winner tree root is shard %d, scan picks %d", shards, step, got, want)
 			}
 			wantSrv := -1

@@ -105,17 +105,6 @@ func (t *Trace) Clip(from, to float64) (*Trace, error) {
 	return &Trace{Times: out}, nil
 }
 
-// Write emits the trace as one timestamp per line with 6-digit precision.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, x := range t.Times {
-		if _, err := fmt.Fprintf(bw, "%.6f\n", x); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // DefaultMaxArrivals bounds how many arrivals Read accepts (40 MB of
 // timestamps — generously above the paper's replayed traces) so a
 // pathological or hostile input file cannot exhaust memory.
