@@ -1,28 +1,34 @@
 // Package engine implements the discrete-event simulation core of HolDCSim.
 //
-// The engine maintains a virtual clock and a two-tier ladder (calendar)
-// queue of pending events. Events are plain closures scheduled for a point
-// in virtual time; ties are broken by scheduling order (a monotonically
+// The engine maintains a virtual clock and a ladder (calendar) queue of
+// pending events. Events are plain closures scheduled for a point in
+// virtual time; ties are broken by scheduling order (a monotonically
 // increasing sequence number), which makes every run deterministic for a
 // fixed seed.
 //
-// Three mechanisms keep the hot path allocation-free and sub-logarithmic
+// Four mechanisms keep the hot path allocation-free and sub-logarithmic
 // (see DESIGN.md, "Engine internals"):
 //
-//   - Ladder queue: near-future events land in fixed-width time buckets
-//     (O(1) enqueue for the dominant timer-churn workload); far-future
-//     events overflow into an unsorted spill tier that is re-bucketed
-//     lazily — with an adaptively chosen bucket width — once the clock
-//     reaches it. The earliest bucket is kept as a small binary heap, so
-//     the worst case (every event in one bucket) degenerates to the old
-//     global heap rather than anything slower.
+//   - Ladder queue: near-future events land in a ring of fixed-width time
+//     buckets (O(1) enqueue); far-future events overflow into an unsorted
+//     spill tier that is re-bucketed lazily — with an adaptively chosen
+//     bucket width — once the clock reaches it. Every bucket is an
+//     intrusive FIFO list, so no bucket grows or keeps capacity.
+//   - Rungs, a sorted run and a small bottom heap: a bucket the clock
+//     reaches is handed down once. If it is already in (at, seq) order it
+//     becomes the sorted run, popped in O(1); if it is crowded over a wide
+//     span it spawns a finer rung of buckets over that span (Tang, Goh and
+//     Thng's Ladder Queue); otherwise it is heapified. A heap that direct
+//     pushes grow past splitAt is itself moved into a new rung. Step pops
+//     the smaller of the run head and the heap top.
 //   - Event pool: fired and swept events return to a free list and are
 //     recycled, so steady-state scheduling performs zero allocations.
 //     Handles carry a generation counter; a stale Handle to a recycled
 //     event is inert and can neither cancel nor observe the new occupant.
 //   - Lazy cancellation: Cancel is an O(1) tombstone. Tombstones are
-//     swept when popped, and a background compaction runs when they
-//     outnumber live events, bounding memory under arm/cancel churn.
+//     swept when popped or handed down, and a background compaction runs
+//     when they outnumber live events, bounding memory under arm/cancel
+//     churn.
 //
 // The engine is single-threaded by design: data center simulations at this
 // abstraction level are dominated by event ordering, and a lock-free
@@ -38,8 +44,8 @@ import (
 )
 
 const (
-	// numBuckets is the ladder width: the near window spans
-	// numBuckets*width of virtual time.
+	// numBuckets is the bucket count of the ring and of every rung: the
+	// near window spans numBuckets*width of virtual time.
 	numBuckets = 256
 	// poolBlock is how many events one pool growth allocates.
 	poolBlock = 256
@@ -49,6 +55,12 @@ const (
 	// initialWidth is the bucket width before the first spill re-bucket
 	// adapts it to the workload's real event horizon.
 	initialWidth = simtime.Millisecond
+	// splitAt is the most events the bottom heap holds before a crowded
+	// bucket spawns a rung instead, or a direct push splits the heap.
+	splitAt = 32
+	// minSpan is the narrowest time span worth a rung of numBuckets
+	// buckets: below it the events are near-ties and stay in the heap.
+	minSpan = numBuckets * simtime.Nanosecond
 )
 
 // event states. An event is free (in the pool), queued, or tombstoned.
@@ -59,13 +71,75 @@ const (
 )
 
 // event is one pooled queue entry. Callers never see it directly; they
-// hold Handles, which remain valid across the event's recycling.
+// hold Handles, which remain valid across the event's recycling. The
+// fields a hand-down walk reads come first, so the walk touches one
+// cache line per event more often than not.
 type event struct {
 	at    simtime.Time
 	seq   uint64
-	fn    func()
+	next  *event // successor in the bucket, run, forever or free list
 	gen   uint32
 	state uint8
+	fn    func()
+}
+
+// list is an intrusive FIFO of events linked through event.next.
+// Appends happen in scheduling order, so a list filled only by Schedule
+// is in seq order.
+type list struct {
+	head, tail *event
+	n          int
+}
+
+func (l *list) push(ev *event) {
+	ev.next = nil
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
+	l.n++
+}
+
+func (l *list) pop() *event {
+	ev := l.head
+	l.head = ev.next
+	if l.head == nil {
+		l.tail = nil
+	}
+	ev.next = nil
+	l.n--
+	return ev
+}
+
+// rung is one finer ladder level below the ring: numBuckets lists over
+// [start, end). Bucket j covers [edge(j), edge(j+1)); the last bucket
+// also takes everything up to end.
+type rung struct {
+	buckets [numBuckets]list
+	start   simtime.Time
+	end     simtime.Time
+	width   simtime.Time
+	cur     int // next bucket to hand down; earlier ones are empty
+	n       int // events (incl. tombstones) in buckets
+}
+
+func (r *rung) add(ev *event) {
+	j := (ev.at - r.start) / r.width
+	if j > numBuckets-1 {
+		j = numBuckets - 1
+	}
+	r.buckets[j].push(ev)
+	r.n++
+}
+
+// edge is the start of bucket j, capped at end without overflowing.
+func (r *rung) edge(j int) simtime.Time {
+	if j >= numBuckets || simtime.Time(j) > (r.end-r.start)/r.width {
+		return r.end
+	}
+	return r.start + simtime.Time(j)*r.width
 }
 
 // Handle identifies one scheduled event. It is a small value type: copy
@@ -82,21 +156,42 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateQueued
 }
 
+// Counters are the engine's self-statistics: plain counts, one increment
+// each, that say how events travel through the tiers.
+type Counters struct {
+	BottomPops   uint64 // pops from the bottom heap, tombstones and split drains included
+	BottomLen    uint64 // heap length summed over those pops
+	Tombstones   uint64 // canceled events popped from the heap, run or forever list
+	DirectPushes uint64 // events scheduled below lim, into the heap or onto the run
+	Rungs        uint64 // rungs spawned by a hand-down
+	Splits       uint64 // bottom heaps moved into a new rung
+	Runs         uint64 // hand-downs already in (at, seq) order
+	Rebuckets    uint64 // spill re-buckets
+}
+
 // Engine is a discrete-event simulator. The zero value is not usable;
 // call New.
 type Engine struct {
 	now simtime.Time
 	seq uint64
 
-	// bottom is the earliest tier: a small binary heap ordered by
-	// (at, seq) holding every queued event with at < base.
+	// bottom is the earliest tier, together with run: a binary heap
+	// ordered by (at, seq). bottom and run hold every queued event with
+	// at < lim, and nothing else does.
 	bottom []*event
+	// run is a handed-down bucket that was already in (at, seq) order.
+	run list
+	lim simtime.Time
 
-	// buckets is the near tier: a ring of unsorted fixed-width buckets.
+	// rungs are finer ladder levels over [lim, base), the deepest (and
+	// earliest) last. Entries past len are retired rungs kept for reuse.
+	rungs []*rung
+
+	// buckets is the near tier: a ring of fixed-width buckets.
 	// Slot (cur+j)%numBuckets covers [base+j*width, base+(j+1)*width).
-	buckets    [numBuckets][]*event
+	buckets    [numBuckets]list
 	cur        int
-	base       simtime.Time // exclusive upper bound of bottom's span
+	base       simtime.Time // exclusive upper bound of the rungs' span
 	width      simtime.Time
 	nearCount  int          // events (incl. tombstones) in buckets
 	spillStart simtime.Time // events at or beyond this go to spill
@@ -107,16 +202,18 @@ type Engine struct {
 	// forever holds at==simtime.Forever sentinels (e.g. "never" timers).
 	// They sort after every real timestamp, FIFO among themselves, and
 	// would otherwise break the adaptive width computation.
-	forever []*event
+	forever list
 
-	live      int // queued, not canceled, across all tiers
-	canceled  int // tombstones across all tiers
-	free      []*event
+	live      int     // queued, not canceled, across all tiers
+	canceled  int     // tombstones across all tiers
+	free      *event  // pool free list, linked through next
 	freeBlock []event // current pool block being handed out
 
 	// Dispatched counts events executed since New; exposed for the
 	// scalability benchmarks (Table I).
 	Dispatched uint64
+	// Count holds the tier statistics.
+	Count Counters
 }
 
 // New returns an empty engine with the clock at the simulation epoch.
@@ -142,9 +239,8 @@ func (e *Engine) Now() simtime.Time { return e.now }
 // alloc takes an event from the pool, growing it block-wise so steady
 // state never allocates.
 func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free = e.free[:n-1]
+	if ev := e.free; ev != nil {
+		e.free = ev.next
 		return ev
 	}
 	if len(e.freeBlock) == 0 {
@@ -161,7 +257,8 @@ func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.state = stateFree
 	ev.gen++
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // Schedule queues fn to run at absolute virtual time at.
@@ -187,22 +284,36 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 // place routes an event to the tier covering its timestamp. Branches are
 // ordered hottest-first: near-term events dominate every workload.
 func (e *Engine) place(ev *event) {
-	if ev.at < e.base {
+	switch {
+	case ev.at < e.lim:
+		e.Count.DirectPushes++
+		if ev.at == e.now && (e.run.n == 0 || e.run.tail.at == e.now) {
+			// It sorts after every queued event at now, so the run
+			// doubles as the same-time FIFO.
+			e.run.push(ev)
+			return
+		}
 		e.bottomPush(ev)
-		return
-	}
-	if ev.at < e.spillStart {
+		if len(e.bottom) > splitAt {
+			e.splitBottom()
+		}
+	case ev.at < e.base:
+		// The rungs tile [lim, base), the deepest first.
+		for i := len(e.rungs) - 1; ; i-- {
+			if r := e.rungs[i]; ev.at < r.end {
+				r.add(ev)
+				return
+			}
+		}
+	case ev.at < e.spillStart:
 		j := int((ev.at - e.base) / e.width)
-		slot := (e.cur + j) % numBuckets
-		e.buckets[slot] = append(e.buckets[slot], ev)
+		e.buckets[(e.cur+j)%numBuckets].push(ev)
 		e.nearCount++
-		return
+	case ev.at == simtime.Forever:
+		e.forever.push(ev)
+	default:
+		e.spill = append(e.spill, ev)
 	}
-	if ev.at == simtime.Forever {
-		e.forever = append(e.forever, ev)
-		return
-	}
-	e.spill = append(e.spill, ev)
 }
 
 // After queues fn to run d from now. Negative d panics.
@@ -244,23 +355,47 @@ func (e *Engine) maybeSweep() {
 	if e.canceled < sweepMinTombstones || e.canceled < e.live {
 		return
 	}
-	e.bottom = sweepSlice(e, e.bottom)
+	e.bottom = e.sweepSlice(e.bottom)
 	heapify(e.bottom)
-	for i := range e.buckets {
-		if len(e.buckets[i]) == 0 {
-			continue
+	e.sweepList(&e.run)
+	for _, r := range e.rungs {
+		for j := r.cur; j < numBuckets && r.n > 0; j++ {
+			if r.buckets[j].n > 0 {
+				r.n -= e.sweepList(&r.buckets[j])
+			}
 		}
-		before := len(e.buckets[i])
-		e.buckets[i] = sweepSlice(e, e.buckets[i])
-		e.nearCount -= before - len(e.buckets[i])
 	}
-	e.spill = sweepSlice(e, e.spill)
-	e.forever = sweepSlice(e, e.forever)
+	for i := range e.buckets {
+		if e.buckets[i].n > 0 {
+			e.nearCount -= e.sweepList(&e.buckets[i])
+		}
+	}
+	e.spill = e.sweepSlice(e.spill)
+	e.sweepList(&e.forever)
 	e.canceled = 0
 }
 
-// sweepSlice filters tombstoned events out of s in place, releasing them.
-func sweepSlice(e *Engine, s []*event) []*event {
+// sweepList releases the tombstones in l, keeping the rest in order, and
+// reports how many it removed.
+func (e *Engine) sweepList(l *list) int {
+	ev := l.head
+	n := l.n
+	*l = list{}
+	for ev != nil {
+		next := ev.next
+		if ev.state == stateCanceled {
+			e.release(ev)
+		} else {
+			l.push(ev)
+		}
+		ev = next
+	}
+	return n - l.n
+}
+
+// sweepSlice filters tombstoned events out of s in place, releasing
+// them.
+func (e *Engine) sweepSlice(s []*event) []*event {
 	kept := s[:0]
 	for _, ev := range s {
 		if ev.state == stateCanceled {
@@ -269,115 +404,214 @@ func sweepSlice(e *Engine, s []*event) []*event {
 		}
 		kept = append(kept, ev)
 	}
-	for i := len(kept); i < len(s); i++ {
-		s[i] = nil
-	}
+	clear(s[len(kept):])
 	return kept
 }
 
-// nextLive exposes the earliest pending event at the top of the bottom
-// heap, advancing the ladder and sweeping tombstones as needed. Returns
-// nil when the queue is empty.
+// discard releases a tombstone popped from the bottom, the run or the
+// forever list.
+func (e *Engine) discard(ev *event) {
+	e.canceled--
+	e.Count.Tombstones++
+	e.release(ev)
+}
+
+// nextLive exposes the earliest pending event — the smaller of the run
+// head and the heap top — handing buckets down and sweeping tombstones
+// as needed. Returns nil when the queue is empty.
 func (e *Engine) nextLive() *event {
 	for {
-		for len(e.bottom) > 0 {
-			top := e.bottom[0]
-			if top.state == stateCanceled {
-				e.bottomPop()
-				e.canceled--
-				e.release(top)
-				continue
-			}
-			return top
+		for e.run.n > 0 && e.run.head.state == stateCanceled {
+			e.discard(e.run.pop())
 		}
-		if e.nearCount > 0 {
+		for len(e.bottom) > 0 && e.bottom[0].state == stateCanceled {
+			e.discard(e.bottomPop())
+		}
+		if len(e.bottom) > splitAt {
+			// The heap grew while a live run refused the split, or a
+			// hand-down heapified near-ties below a wider lim.
+			e.splitBottom()
+		}
+		if e.run.n > 0 {
+			if len(e.bottom) > 0 && lessEv(e.bottom[0], e.run.head) {
+				return e.bottom[0]
+			}
+			return e.run.head
+		}
+		if len(e.bottom) > 0 {
+			return e.bottom[0]
+		}
+		switch {
+		case len(e.rungs) > 0:
+			e.advanceRung()
+		case e.nearCount > 0:
 			e.advance()
-			continue
-		}
-		if len(e.spill) > 0 {
+		case len(e.spill) > 0:
 			e.rebucket()
-			continue
-		}
-		// Only the forever tier can be left; FIFO (== seq) order.
-		for len(e.forever) > 0 {
-			ev := e.forever[0]
-			if ev.state == stateCanceled {
-				e.forever[0] = nil
-				e.forever = e.forever[1:]
-				e.canceled--
-				e.release(ev)
-				continue
+		default:
+			// Only the forever tier can be left; FIFO (== seq) order.
+			for e.forever.n > 0 && e.forever.head.state == stateCanceled {
+				e.discard(e.forever.pop())
 			}
-			return ev
+			return e.forever.head
 		}
-		return nil
 	}
 }
 
-// advance moves the next non-empty near bucket into the bottom heap,
-// stepping base forward one width per bucket.
+// advanceRung hands the deepest rung's next non-empty bucket down, or
+// retires the rung once it is drained.
+func (e *Engine) advanceRung() {
+	r := e.rungs[len(e.rungs)-1]
+	for r.n > 0 {
+		b := r.buckets[r.cur]
+		r.buckets[r.cur] = list{}
+		r.cur++
+		if b.n == 0 {
+			continue
+		}
+		r.n -= b.n
+		e.handDown(b, r.edge(r.cur))
+		return
+	}
+	e.rungs = e.rungs[:len(e.rungs)-1]
+	e.lim = r.end
+}
+
+// advance hands the next non-empty ring bucket down, stepping base
+// forward one width per bucket.
 func (e *Engine) advance() {
-	for e.nearCount > 0 {
+	for {
+		slot := e.cur
+		e.cur = (e.cur + 1) % numBuckets
 		if e.width > simtime.Forever-e.base {
 			// The window cannot step forward without wrapping the time
 			// axis (events near simtime.Forever with a huge adapted
-			// width). Collapse to pure-heap mode instead.
-			e.degenerate()
-			return
+			// width), so this bucket reaches to Forever and holds every
+			// near event. Hand it down and retire the ring: from here
+			// on every finite event goes to the rungs or the heap.
+			e.base = simtime.Forever
+		} else {
+			e.base += e.width
 		}
-		slot := e.cur
 		b := e.buckets[slot]
-		e.base += e.width
-		e.cur = (e.cur + 1) % numBuckets
-		if len(b) == 0 {
+		if b.n == 0 {
 			continue
 		}
-		e.nearCount -= len(b)
-		e.bottom = append(e.bottom, b...)
-		for i := range b {
-			b[i] = nil
-		}
-		e.buckets[slot] = b[:0]
-		heapify(e.bottom)
+		e.buckets[slot] = list{}
+		e.nearCount -= b.n
+		e.handDown(b, e.base)
 		return
 	}
 }
 
-// degenerate collapses the bucket and spill tiers into the bottom heap
-// and freezes base at Forever, turning the engine into a plain binary
-// heap. Only reachable when event timestamps approach simtime.Forever,
-// where a ladder window can no longer be represented; ordering stays
-// exact because the heap orders globally by (at, seq).
-func (e *Engine) degenerate() {
-	for i := range e.buckets {
-		b := e.buckets[i]
-		if len(b) == 0 {
-			continue
+// handDown moves a bucket whose events all lie below hi into the bottom,
+// which must be empty. One walk releases its tombstones and finds its
+// order and span. Already in (at, seq) order, it becomes the run; more
+// than splitAt events over at least minSpan spawn a finer rung from
+// their earliest; anything else is heapified.
+func (e *Engine) handDown(b list, hi simtime.Time) {
+	e.lim = hi
+	sorted := true
+	var lo, top simtime.Time
+	var prev *event
+	for ev := b.head; ev != nil; {
+		next := ev.next
+		switch {
+		case ev.state == stateCanceled:
+			if prev == nil {
+				b.head = next
+			} else {
+				prev.next = next
+			}
+			if next == nil {
+				b.tail = prev
+			}
+			b.n--
+			e.canceled--
+			e.release(ev)
+		case prev == nil:
+			lo, top = ev.at, ev.at
+			prev = ev
+		default:
+			if lessEv(ev, prev) {
+				sorted = false
+			}
+			lo, top = min(lo, ev.at), max(top, ev.at)
+			prev = ev
 		}
-		e.bottom = append(e.bottom, b...)
-		for j := range b {
-			b[j] = nil
+		ev = next
+	}
+	switch {
+	case b.n == 0:
+	case sorted:
+		e.run = b
+		e.Count.Runs++
+	case b.n > splitAt && top-lo >= minSpan:
+		// About one event per bucket: the first min(n, 256) buckets
+		// span the events, and the rest reach on toward hi for later
+		// pushes.
+		r := e.spawn(lo, hi, (top-lo)/simtime.Time(min(b.n, numBuckets))+1)
+		for ev := b.head; ev != nil; {
+			next := ev.next
+			r.add(ev)
+			ev = next
 		}
-		e.buckets[i] = b[:0]
+		e.Count.Rungs++
+	default:
+		for ev := b.head; ev != nil; ev = ev.next {
+			e.bottom = append(e.bottom, ev)
+		}
+		heapify(e.bottom)
 	}
-	e.nearCount = 0
-	e.bottom = append(e.bottom, e.spill...)
-	for i := range e.spill {
-		e.spill[i] = nil
+}
+
+// spawn pushes an empty rung over [start, end) as the deepest, reusing a
+// retired one when there is one.
+func (e *Engine) spawn(start, end, width simtime.Time) *rung {
+	n := len(e.rungs)
+	if n < cap(e.rungs) {
+		e.rungs = e.rungs[:n+1]
+	} else {
+		e.rungs = append(e.rungs, nil)
 	}
-	e.spill = e.spill[:0]
-	e.base = simtime.Forever
-	e.spillStart = simtime.Forever
-	heapify(e.bottom)
+	if e.rungs[n] == nil {
+		e.rungs[n] = new(rung)
+	}
+	r := e.rungs[n]
+	r.start, r.end, r.width, r.cur, r.n = start, end, width, 0, 0
+	e.lim = start
+	return r
+}
+
+// splitBottom moves a crowded heap into a new rung over [heap min, lim),
+// unless a live run reaches the heap's minimum (lim cannot drop below
+// the run's last event) or the span is too narrow for a rung.
+func (e *Engine) splitBottom() {
+	lo := e.bottom[0].at
+	if e.run.n > 0 && e.run.tail.at >= lo || e.lim-lo < minSpan {
+		return
+	}
+	r := e.spawn(lo, e.lim, (e.lim-lo)/numBuckets+1)
+	// Drain the heap in order, so each bucket starts sorted and a
+	// same-time burst pushed after the split still forms a run.
+	for len(e.bottom) > 0 {
+		if ev := e.bottomPop(); ev.state == stateCanceled {
+			e.discard(ev)
+		} else {
+			r.add(ev)
+		}
+	}
+	e.Count.Splits++
 }
 
 // rebucket rebuilds the ladder from the spill tier: the bucket width is
 // re-derived from the spill's actual time span (the calendar-queue
 // adaptation), then every spill event is redistributed. Called only when
-// the bottom and near tiers are empty, so ordering is preserved.
+// the bottom, rung and near tiers are empty, so ordering is preserved.
 func (e *Engine) rebucket() {
-	// Sweep tombstones and find the live span in one pass.
-	spill := sweepSlice(e, e.spill)
+	e.Count.Rebuckets++
+	// Sweep tombstones, then find the live span.
+	spill := e.sweepSlice(e.spill)
 	e.canceled -= len(e.spill) - len(spill)
 	e.spill = spill
 	if len(spill) == 0 {
@@ -385,38 +619,28 @@ func (e *Engine) rebucket() {
 	}
 	lo, hi := spill[0].at, spill[0].at
 	for _, ev := range spill[1:] {
-		if ev.at < lo {
-			lo = ev.at
-		}
-		if ev.at > hi {
-			hi = ev.at
-		}
+		lo, hi = min(lo, ev.at), max(hi, ev.at)
 	}
-	// Width such that [lo, hi] fits in the near window with the first
-	// width-span going to the bottom heap. A small spill (e.g. a single
-	// event trickling past the window as the clock marches forward) is
-	// not a density sample worth shrinking the horizon for: collapsing
-	// the window would make every subsequent far-future event trigger
-	// another re-bucket.
+	// Width such that [lo, hi] fits in the ring, which restarts at lo:
+	// 256 buckets of (hi-lo)/255+1 reach past hi, so every spill event
+	// lands in a bucket and is handed down from there. A small spill
+	// (e.g. a single event trickling past the window as the clock
+	// marches forward) is not a density sample worth shrinking the
+	// horizon for: collapsing the window would make every subsequent
+	// far-future event trigger another re-bucket.
 	w := (hi-lo)/(numBuckets-1) + 1
 	if len(spill) < numBuckets && w < e.width {
 		w = e.width
 	}
 	e.width = w
-	if w > simtime.Forever-lo {
-		e.base = simtime.Forever
-	} else {
-		e.base = lo + w
-	}
+	e.base = lo
+	e.lim = lo
 	e.cur = 0
-	e.spillStart = saturatingWindowEnd(e.base, e.width)
+	e.spillStart = saturatingWindowEnd(lo, w)
 	for _, ev := range spill {
 		e.place(ev)
 	}
-	heapify(e.bottom)
-	for i := range spill {
-		spill[i] = nil
-	}
+	clear(spill)
 	e.spill = spill[:0]
 }
 
@@ -424,22 +648,24 @@ func (e *Engine) rebucket() {
 // its timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	var ev *event
-	if len(e.bottom) > 0 && e.bottom[0].state == stateQueued {
-		// Fast path: a live event is already at the heap top.
-		ev = e.bottom[0]
-		e.bottomPop()
+	if n := len(e.bottom); e.run.n == 0 && n > 0 && n <= splitAt && e.bottom[0].state == stateQueued {
+		// Fast path: no run, a heap with nothing to split, and a live
+		// event at its top.
+		ev = e.bottomPop()
 	} else {
 		ev = e.nextLive()
 		if ev == nil {
 			return false
 		}
-		if len(e.bottom) > 0 && e.bottom[0] == ev {
+		switch {
+		case ev == e.run.head:
+			e.run.pop()
+		case len(e.bottom) > 0 && ev == e.bottom[0]:
 			e.bottomPop()
-		} else {
+		default:
 			// nextLive only surfaces a forever-tier event once every
 			// other tier is empty.
-			e.forever[0] = nil
-			e.forever = e.forever[1:]
+			e.forever.pop()
 		}
 	}
 	e.now = ev.at
@@ -501,6 +727,8 @@ func (e *Engine) bottomPush(ev *event) {
 
 func (e *Engine) bottomPop() *event {
 	h := e.bottom
+	e.Count.BottomPops++
+	e.Count.BottomLen += uint64(len(h))
 	n := len(h) - 1
 	top := h[0]
 	h[0] = h[n]

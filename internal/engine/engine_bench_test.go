@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"holdcsim/internal/simtime"
@@ -44,5 +45,68 @@ func BenchmarkTimerReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.Reset(simtime.Second)
+	}
+}
+
+// benchDelays is a fixed table of n delays spread uniformly over
+// [lo, hi), drawn from a seeded generator so every run and every
+// commit sees the same sequence.
+func benchDelays(n int, lo, hi simtime.Time) []simtime.Time {
+	r := rand.New(rand.NewSource(1))
+	d := make([]simtime.Time, n)
+	for i := range d {
+		d[i] = lo + simtime.Time(r.Int63n(int64(hi-lo)))
+	}
+	return d
+}
+
+// BenchmarkBurstDrain schedules one event per core of a 20,480-server,
+// four-core farm at the same instant and drains them: farm-rr's start-up
+// burst. One op is the whole burst.
+func BenchmarkBurstDrain(b *testing.B) {
+	const burst = 81920
+	e := New()
+	noop := func() {}
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			e.Schedule(e.Now(), noop)
+		}
+		e.Run()
+	}
+}
+
+// BenchmarkDenseStream holds 100,000 pending events with delays of
+// 1 µs to 10 ms, about 20 events per simulated µs: farm-rr's steady
+// state. One op is one dispatch that schedules its successor.
+func BenchmarkDenseStream(b *testing.B) {
+	benchStream(b, 100000, benchDelays(4096, simtime.Microsecond, 10*simtime.Millisecond))
+}
+
+// BenchmarkPacketHorizon holds about 113 pending events 0.5 to 12 µs
+// apart: dag-packet's per-hop packet events. One op is one dispatch
+// that schedules its successor.
+func BenchmarkPacketHorizon(b *testing.B) {
+	benchStream(b, 113, benchDelays(4096, simtime.Microsecond/2, 12*simtime.Microsecond))
+}
+
+// benchStream keeps pending events queued: every dispatch schedules
+// one more, its delay read round-robin from delays.
+func benchStream(b *testing.B, pending int, delays []simtime.Time) {
+	e := New()
+	k := 0
+	var next func()
+	next = func() {
+		e.After(delays[k%len(delays)], next)
+		k++
+	}
+	for i := 0; i < pending; i++ {
+		next()
+	}
+	for i := 0; i < 10*pending; i++ {
+		e.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

@@ -288,3 +288,49 @@ func TestTimerZeroDelay(t *testing.T) {
 		t.Error("zero-delay timer did not fire")
 	}
 }
+
+// TestEngineSteadyStateZeroAlloc is the engine's allocation gate: once
+// the pool, the rungs and the heap have grown to the workload, churn
+// through ring buckets, a sorted run, a spawned rung, a heap split,
+// cancels and a sweep allocates nothing.
+func TestEngineSteadyStateZeroAlloc(t *testing.T) {
+	e := New()
+	noop := func() {}
+	var hs [200]Handle
+	// burst pushes 40 events below lim from inside a dispatch, out of
+	// order and over 4 µs: more than splitAt, so the heap splits.
+	burst := func() {
+		for i := 40; i > 0; i-- {
+			e.After(simtime.Time(i)*100, noop)
+		}
+	}
+	cycle := func() {
+		t0 := e.Now()
+		for i := 0; i < 40; i++ { // in order: a run
+			e.Schedule(t0+2*simtime.Millisecond+simtime.Time(i), noop)
+		}
+		for i := 64; i > 0; i-- { // reversed, over 640 ns: a rung
+			e.Schedule(t0+5*simtime.Millisecond+simtime.Time(i)*10, noop)
+		}
+		e.Schedule(t0+7*simtime.Millisecond, burst)
+		for i := range hs { // armed and canceled: a sweep
+			hs[i] = e.Schedule(t0+simtime.Time(i+1)*simtime.Millisecond, noop)
+		}
+		for _, h := range hs {
+			e.Cancel(h)
+		}
+		e.Run()
+	}
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	before := e.Count
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("engine churn allocates %.1f times per cycle, want 0", allocs)
+	}
+	c := e.Count
+	if c.Runs == before.Runs || c.Rungs == before.Rungs || c.Splits == before.Splits {
+		t.Errorf("a path was not exercised: runs %d->%d, rungs %d->%d, splits %d->%d",
+			before.Runs, c.Runs, before.Rungs, c.Rungs, before.Splits, c.Splits)
+	}
+}

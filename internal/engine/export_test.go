@@ -19,3 +19,27 @@ func (e *Engine) NextEventTime() (simtime.Time, bool) {
 func (h Handle) Canceled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateCanceled
 }
+
+// depth is the number of live rungs.
+func (e *Engine) depth() int { return len(e.rungs) }
+
+// collapsed reports whether the ring has handed its last bucket down to
+// simtime.Forever.
+func (e *Engine) collapsed() bool { return e.base == simtime.Forever }
+
+// heapLen is the bottom heap's length, tombstones included.
+func (e *Engine) heapLen() int { return len(e.bottom) }
+
+// splitRefused reports whether a heap past splitAt would be left as it
+// is: a live run reaches the heap's minimum, or [heap min, lim) is
+// narrower than a rung.
+func (e *Engine) splitRefused() bool {
+	if len(e.bottom) == 0 {
+		return true
+	}
+	lo := e.bottom[0].at
+	return e.run.n > 0 && e.run.tail.at >= lo || e.lim-lo < minSpan
+}
+
+// tombstones is the number of canceled events still queued.
+func (e *Engine) tombstones() int { return e.canceled }

@@ -165,6 +165,17 @@ func diffScripts(t *testing.T, ops []fuzzOp) {
 	}
 }
 
+// crowdedBucket is a seed script: the lead ops, then 42 schedules from
+// 248 µs down to 2 µs ahead (one ring bucket, out of order, more than
+// splitAt), then a step.
+func crowdedBucket(lead ...byte) []byte {
+	data := append([]byte(nil), lead...)
+	for m := 41; m >= 0; m-- {
+		data = append(data, 0, byte(6*m+2), 0)
+	}
+	return append(data, 2, 0, 0)
+}
+
 // FuzzEngineScript: any byte string decodes to a valid op script; the
 // ladder queue and the reference heap must dispatch identically.
 func FuzzEngineScript(f *testing.F) {
@@ -174,6 +185,8 @@ func FuzzEngineScript(f *testing.F) {
 	// A churn-heavy corpus entry: interleaved schedules, timer re-arms
 	// and cancels across tiers.
 	f.Add([]byte{0, 5, 0, 3, 200, 1, 1, 0, 0, 3, 200, 1, 2, 0, 0, 0, 130, 7, 4, 0, 1, 2, 0, 0})
+	f.Add(crowdedBucket())                 // a hand-down spawns a rung
+	f.Add(crowdedBucket(0, 0, 0, 2, 0, 0)) // direct pushes split the heap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*5000 {
 			data = data[:3*5000] // bound script length, not coverage

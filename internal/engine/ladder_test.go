@@ -130,13 +130,16 @@ func genScript(r *rand.Rand, n int) []scriptOp {
 }
 
 // runLadderScript replays a script on the real engine, returning the
-// dispatch sequence.
-func runLadderScript(ops []scriptOp) []dispatchRecord {
+// dispatch sequence. A non-nil watch sees the engine before every op.
+func runLadderScript(ops []scriptOp, watch func(*Engine, scriptOp)) []dispatchRecord {
 	e := New()
 	var fired []dispatchRecord
 	handles := map[int]Handle{}
 	nextID := 0
 	for _, op := range ops {
+		if watch != nil {
+			watch(e, op)
+		}
 		switch op.kind {
 		case 0:
 			id := nextID
@@ -192,7 +195,7 @@ func runRefScript(ops []scriptOp) []dispatchRecord {
 func TestLadderMatchesHeapDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), 2000)
-		got := runLadderScript(ops)
+		got := runLadderScript(ops, nil)
 		want := runRefScript(ops)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: ladder fired %d events, heap fired %d", seed, len(got), len(want))
@@ -209,8 +212,8 @@ func TestLadderMatchesHeapDeterminism(t *testing.T) {
 // identical Dispatched trajectory.
 func TestLadderSelfDeterminism(t *testing.T) {
 	ops := genScript(rand.New(rand.NewSource(42)), 5000)
-	a := runLadderScript(ops)
-	b := runLadderScript(ops)
+	a := runLadderScript(ops, nil)
+	b := runLadderScript(ops, nil)
 	if len(a) != len(b) {
 		t.Fatalf("replay fired %d vs %d events", len(a), len(b))
 	}
@@ -447,5 +450,210 @@ func TestNearForeverTimestampsNoOverflow(t *testing.T) {
 	e.Run()
 	if got[len(got)-1] != 4 {
 		t.Fatalf("post-collapse schedule did not fire: %v", got)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Rungs, splits, runs and the collapse, against the reference heap.
+// ---------------------------------------------------------------------
+
+// shape is a named script aimed at one path below the ring.
+type shape struct {
+	name string
+	ops  []scriptOp
+}
+
+// scriptBuilder appends ops and tracks how many events were scheduled,
+// so a cancel can name a recent one.
+type scriptBuilder struct {
+	ops []scriptOp
+	n   int
+}
+
+func (b *scriptBuilder) schedule(d simtime.Time) {
+	b.ops = append(b.ops, scriptOp{kind: 0, delay: d})
+	b.n++
+}
+
+func (b *scriptBuilder) cancel(back int) {
+	b.ops = append(b.ops, scriptOp{kind: 1, target: b.n - 1 - back})
+}
+
+func (b *scriptBuilder) step() { b.ops = append(b.ops, scriptOp{kind: 2}) }
+
+func uniform(r *rand.Rand, lo, hi simtime.Time) simtime.Time {
+	return lo + simtime.Time(r.Int63n(int64(hi-lo)))
+}
+
+// rungShapes are the five workloads the rungs were built for: a
+// start-up burst, a dense farm stream, packet hops, cancel churn and
+// timestamps at the end of the time axis.
+func rungShapes() []shape {
+	r := rand.New(rand.NewSource(1))
+	var shapes []shape
+
+	// One event per core of a 20,480-server, four-core farm at one
+	// instant 100 µs ahead, scheduled below lim while a run at t=0 is
+	// live (so the first 33 split the heap and the rest follow them
+	// into the rung's first bucket), then a stream that pushes below
+	// lim while the burst drains.
+	b := &scriptBuilder{}
+	b.schedule(0)
+	b.schedule(0)
+	b.step()
+	for i := 0; i < 81920; i++ {
+		b.schedule(100 * simtime.Microsecond)
+	}
+	for i := 0; i < 4000; i++ {
+		b.step()
+		b.schedule(uniform(r, simtime.Microsecond, simtime.Millisecond))
+	}
+	shapes = append(shapes, shape{"burst", b.ops})
+
+	// farm-rr's steady state: 20,000 pending, delays 1 µs to 10 ms.
+	b = &scriptBuilder{}
+	for i := 0; i < 20000; i++ {
+		b.schedule(uniform(r, simtime.Microsecond, 10*simtime.Millisecond))
+	}
+	for i := 0; i < 60000; i++ {
+		b.step()
+		b.schedule(uniform(r, simtime.Microsecond, 10*simtime.Millisecond))
+	}
+	shapes = append(shapes, shape{"farm-stream", b.ops})
+
+	// dag-packet's hops: about 113 pending, 0.5 to 12 µs apart.
+	b = &scriptBuilder{}
+	for i := 0; i < 113; i++ {
+		b.schedule(uniform(r, simtime.Microsecond/2, 12*simtime.Microsecond))
+	}
+	for i := 0; i < 60000; i++ {
+		b.step()
+		b.schedule(uniform(r, simtime.Microsecond/2, 12*simtime.Microsecond))
+	}
+	shapes = append(shapes, shape{"packet", b.ops})
+
+	// Cancel churn: every round arms two events and cancels the newer,
+	// so tombstones pile up under live rungs until a sweep runs.
+	b = &scriptBuilder{}
+	for i := 0; i < 2000; i++ {
+		b.schedule(uniform(r, simtime.Microsecond, 2*simtime.Millisecond))
+	}
+	for i := 0; i < 30000; i++ {
+		b.schedule(uniform(r, simtime.Microsecond, 2*simtime.Millisecond))
+		b.schedule(uniform(r, simtime.Microsecond, 2*simtime.Millisecond))
+		b.cancel(0)
+		if i%5 == 0 {
+			b.cancel(1 + r.Intn(50))
+		}
+		b.step()
+	}
+	shapes = append(shapes, shape{"cancel-churn", b.ops})
+
+	// The end of the time axis: a spill re-bucket spanning 1 s to
+	// Forever-1 adapts a width so large that the ring cannot step past
+	// its last bucket. That bucket holds 100 shuffled events 10 ns
+	// apart, so the collapse hands it down as a rung; the steps that
+	// follow schedule short delays under it.
+	b = &scriptBuilder{}
+	for i := 1; i <= 10; i++ {
+		b.schedule(simtime.Time(i) * simtime.Second)
+	}
+	for _, k := range r.Perm(100) {
+		b.schedule(simtime.Forever - 2000 - simtime.Time(k)*10)
+	}
+	b.schedule(simtime.Forever - 1)
+	b.schedule(simtime.Forever)
+	for i := 0; i < 20; i++ {
+		b.step()
+	}
+	for i := 0; i < 200; i++ {
+		b.schedule(uniform(r, 0, 1000))
+		b.step()
+	}
+	shapes = append(shapes, shape{"near-forever", b.ops})
+	return shapes
+}
+
+// TestRungsMatchReference: on every shape the ladder dispatches the
+// sequence the reference heap does, and between them the shapes spawn a
+// rung, split a heap, form a run, sweep with rungs live and collapse the
+// ring with a rung live.
+func TestRungsMatchReference(t *testing.T) {
+	var sweptUnderRungs, collapsedWithRung bool
+	var total Counters
+	for _, sh := range rungShapes() {
+		var eng *Engine
+		prevTombs := 0
+		watch := func(e *Engine, op scriptOp) {
+			eng = e
+			if e.tombstones() < prevTombs && prevTombs+1 >= sweepMinTombstones && e.depth() > 0 {
+				sweptUnderRungs = true
+			}
+			prevTombs = e.tombstones()
+			if e.collapsed() && e.depth() > 0 {
+				collapsedWithRung = true
+			}
+		}
+		got := runLadderScript(sh.ops, watch)
+		want := runRefScript(sh.ops)
+		if len(got) != len(want) {
+			t.Fatalf("%s: ladder fired %d events, heap fired %d", sh.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: dispatch %d diverged: ladder %+v, heap %+v", sh.name, i, got[i], want[i])
+			}
+		}
+		c := eng.Count
+		total.Rungs += c.Rungs
+		total.Splits += c.Splits
+		total.Runs += c.Runs
+		t.Logf("%s: %+v", sh.name, c)
+	}
+	if total.Rungs == 0 || total.Splits == 0 || total.Runs == 0 {
+		t.Errorf("paths not taken: %d rungs, %d splits, %d runs", total.Rungs, total.Splits, total.Runs)
+	}
+	if !sweptUnderRungs {
+		t.Error("no sweep ran while a rung was live")
+	}
+	if !collapsedWithRung {
+		t.Error("the ring never collapsed with a rung live")
+	}
+}
+
+// TestBottomStaysSmall is ROADMAP item 1's bar: on every shape the heap
+// holds at most 256 events on average at a pop, and more than splitAt+1
+// only while a split is refused.
+func TestBottomStaysSmall(t *testing.T) {
+	for _, sh := range rungShapes() {
+		var eng *Engine
+		maxLen, refusedMax := 0, 0
+		watch := func(e *Engine, op scriptOp) {
+			eng = e
+			if op.kind != 2 {
+				return
+			}
+			e.nextLive() // what Step does before it pops
+			n := e.heapLen()
+			switch {
+			case n <= splitAt+1:
+				maxLen = max(maxLen, n)
+			case e.splitRefused():
+				refusedMax = max(refusedMax, n)
+			default:
+				t.Fatalf("%s: heap of %d at a pop with a split allowed", sh.name, n)
+			}
+		}
+		runLadderScript(sh.ops, watch)
+		c := eng.Count
+		mean := 0.0
+		if c.BottomPops > 0 {
+			mean = float64(c.BottomLen) / float64(c.BottomPops)
+		}
+		t.Logf("%s: mean heap at pop %.1f over %d pops, max %d (%d while a split was refused)",
+			sh.name, mean, c.BottomPops, maxLen, refusedMax)
+		if mean > numBuckets {
+			t.Errorf("%s: mean heap at pop %.1f > %d", sh.name, mean, numBuckets)
+		}
 	}
 }

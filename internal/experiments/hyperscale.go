@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"holdcsim/internal/core"
+	"holdcsim/internal/engine"
 	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
@@ -52,7 +53,8 @@ func QuickHyperscale() HyperscaleParams {
 }
 
 // HyperscaleResult carries the scale figures: throughput over the run
-// phase, build cost, and the process's peak resident set.
+// phase, build cost, the process's peak resident set and the engine's
+// tier counters.
 type HyperscaleResult struct {
 	Servers       int
 	JobsCompleted int64
@@ -60,6 +62,7 @@ type HyperscaleResult struct {
 	BuildSeconds  float64
 	RunSeconds    float64
 	PeakRSSBytes  int64
+	Engine        engine.Counters
 }
 
 // Hyperscale builds and runs the million-server farm.
@@ -99,6 +102,7 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 		BuildSeconds:  buildSecs,
 		RunSeconds:    runSecs,
 		PeakRSSBytes:  peakRSSBytes(),
+		Engine:        dc.Eng.Count,
 	}
 	if runSecs > 0 {
 		out.EventsPerSec = float64(dc.Eng.Dispatched) / runSecs
@@ -106,11 +110,19 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 	return out, nil
 }
 
-// Summary renders the scale verdict.
+// Summary renders the scale verdict and, on a second line, the engine
+// counters.
 func (r *HyperscaleResult) Summary() string {
-	return fmt.Sprintf("hyperscale: %d servers, %d jobs, %.0f events/s over %.3fs run (%.3fs build), peak RSS %.0f MiB",
+	c := r.Engine
+	meanLen := 0.0
+	if c.BottomPops > 0 {
+		meanLen = float64(c.BottomLen) / float64(c.BottomPops)
+	}
+	return fmt.Sprintf("hyperscale: %d servers, %d jobs, %.0f events/s over %.3fs run (%.3fs build), peak RSS %.0f MiB\n"+
+		"engine: %d bottom pops (mean heap %.1f), %d tombstones, %d direct pushes, %d rungs, %d splits, %d runs, %d re-buckets",
 		r.Servers, r.JobsCompleted, r.EventsPerSec, r.RunSeconds,
-		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<20))
+		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<20),
+		c.BottomPops, meanLen, c.Tombstones, c.DirectPushes, c.Rungs, c.Splits, c.Runs, c.Rebuckets)
 }
 
 // peakRSSBytes reports the process's high-water resident set from
