@@ -9,18 +9,19 @@
 // Four mechanisms keep the hot path allocation-free and sub-logarithmic
 // (see DESIGN.md, "Engine internals"):
 //
-//   - Ladder queue: near-future events land in a ring of fixed-width time
+//   - Ladder queue: near-future events land in rungs of fixed-width time
 //     buckets (O(1) enqueue); far-future events overflow into an unsorted
-//     spill tier that is re-bucketed lazily — with an adaptively chosen
-//     bucket width — once the clock reaches it. Every bucket is an
-//     intrusive FIFO list, so no bucket grows or keeps capacity.
-//   - Rungs, a sorted run and a small bottom heap: a bucket the clock
-//     reaches is handed down once. If it is already in (at, seq) order it
-//     becomes the sorted run, popped in O(1); if it is crowded over a wide
-//     span it spawns a finer rung of buckets over that span (Tang, Goh and
-//     Thng's Ladder Queue); otherwise it is heapified. A heap that direct
-//     pushes grow past splitAt is itself moved into a new rung. Step pops
-//     the smaller of the run head and the heap top.
+//     spill tier that is re-bucketed lazily — laying out a new top rung
+//     with an adaptively chosen bucket width — once the clock reaches it.
+//     Every bucket is an intrusive FIFO list, so no bucket grows or keeps
+//     capacity.
+//   - Finer rungs, a sorted run and a small bottom heap: a bucket the
+//     clock reaches is handed down once. If it is already in (at, seq)
+//     order it becomes the sorted run, popped in O(1); if it is crowded
+//     over a wide span it spawns a finer rung of buckets over that span
+//     (Tang, Goh and Thng's Ladder Queue); otherwise it is heapified. A
+//     heap that direct pushes grow past splitAt is itself moved into a
+//     new rung. Step pops the smaller of the run head and the heap top.
 //   - Event pool: fired and swept events return to a free list and are
 //     recycled, so steady-state scheduling performs zero allocations.
 //     Handles carry a generation counter; a stale Handle to a recycled
@@ -44,8 +45,8 @@ import (
 )
 
 const (
-	// numBuckets is the bucket count of the ring and of every rung: the
-	// near window spans numBuckets*width of virtual time.
+	// numBuckets is the bucket count of every rung: the top rung spans
+	// numBuckets*width of virtual time.
 	numBuckets = 256
 	// poolBlock is how many events one pool growth allocates.
 	poolBlock = 256
@@ -113,16 +114,17 @@ func (l *list) pop() *event {
 	return ev
 }
 
-// rung is one finer ladder level below the ring: numBuckets lists over
-// [start, end). Bucket j covers [edge(j), edge(j+1)); the last bucket
-// also takes everything up to end.
+// rung is one ladder level: numBuckets lists over [start, end). Bucket j
+// covers [edge(j), edge(j+1)); the last bucket also takes everything up
+// to end. The header comes first, so place reads end from the first
+// cache line.
 type rung struct {
-	buckets [numBuckets]list
 	start   simtime.Time
 	end     simtime.Time
 	width   simtime.Time
 	cur     int // next bucket to hand down; earlier ones are empty
 	n       int // events (incl. tombstones) in buckets
+	buckets [numBuckets]list
 }
 
 func (r *rung) add(ev *event) {
@@ -183,20 +185,14 @@ type Engine struct {
 	run list
 	lim simtime.Time
 
-	// rungs are finer ladder levels over [lim, base), the deepest (and
-	// earliest) last. Entries past len are retired rungs kept for reuse.
+	// rungs tile [lim, rungs[0].end), the deepest (and earliest) last.
+	// rungs[0], the top rung, is laid out by New and every re-bucket and
+	// is never retired. Entries past len are retired rungs kept for
+	// reuse.
 	rungs []*rung
 
-	// buckets is the near tier: a ring of fixed-width buckets.
-	// Slot (cur+j)%numBuckets covers [base+j*width, base+(j+1)*width).
-	buckets    [numBuckets]list
-	cur        int
-	base       simtime.Time // exclusive upper bound of the rungs' span
-	width      simtime.Time
-	nearCount  int          // events (incl. tombstones) in buckets
-	spillStart simtime.Time // events at or beyond this go to spill
-
 	// spill is the far tier: unsorted, append-only between re-buckets.
+	// It holds the events at or beyond the top rung's end.
 	spill []*event
 
 	// forever holds at==simtime.Forever sentinels (e.g. "never" timers).
@@ -218,9 +214,8 @@ type Engine struct {
 
 // New returns an empty engine with the clock at the simulation epoch.
 func New() *Engine {
-	e := &Engine{width: initialWidth}
-	e.spillStart = saturatingWindowEnd(0, initialWidth)
-	e.bottom = make([]*event, 0, 64)
+	e := &Engine{bottom: make([]*event, 0, 64)}
+	e.spawn(0, saturatingWindowEnd(0, initialWidth), initialWidth)
 	return e
 }
 
@@ -281,8 +276,10 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// place routes an event to the tier covering its timestamp. Branches are
-// ordered hottest-first: near-term events dominate every workload.
+// place routes an event to the tier covering its timestamp: below lim
+// to the heap or the run, a Forever sentinel to its list, anything else
+// to the deepest rung that ends past it, and what no rung takes to the
+// spill.
 func (e *Engine) place(ev *event) {
 	switch {
 	case ev.at < e.lim:
@@ -297,21 +294,16 @@ func (e *Engine) place(ev *event) {
 		if len(e.bottom) > splitAt {
 			e.splitBottom()
 		}
-	case ev.at < e.base:
-		// The rungs tile [lim, base), the deepest first.
-		for i := len(e.rungs) - 1; ; i-- {
+	case ev.at == simtime.Forever:
+		e.forever.push(ev)
+	default:
+		// The rungs tile [lim, rungs[0].end), the deepest first.
+		for i := len(e.rungs) - 1; i >= 0; i-- {
 			if r := e.rungs[i]; ev.at < r.end {
 				r.add(ev)
 				return
 			}
 		}
-	case ev.at < e.spillStart:
-		j := int((ev.at - e.base) / e.width)
-		e.buckets[(e.cur+j)%numBuckets].push(ev)
-		e.nearCount++
-	case ev.at == simtime.Forever:
-		e.forever.push(ev)
-	default:
 		e.spill = append(e.spill, ev)
 	}
 }
@@ -363,11 +355,6 @@ func (e *Engine) maybeSweep() {
 			if r.buckets[j].n > 0 {
 				r.n -= e.sweepList(&r.buckets[j])
 			}
-		}
-	}
-	for i := range e.buckets {
-		if e.buckets[i].n > 0 {
-			e.nearCount -= e.sweepList(&e.buckets[i])
 		}
 	}
 	e.spill = e.sweepSlice(e.spill)
@@ -442,10 +429,7 @@ func (e *Engine) nextLive() *event {
 			return e.bottom[0]
 		}
 		switch {
-		case len(e.rungs) > 0:
-			e.advanceRung()
-		case e.nearCount > 0:
-			e.advance()
+		case e.advanceRung():
 		case len(e.spill) > 0:
 			e.rebucket()
 		default:
@@ -459,8 +443,10 @@ func (e *Engine) nextLive() *event {
 }
 
 // advanceRung hands the deepest rung's next non-empty bucket down, or
-// retires the rung once it is drained.
-func (e *Engine) advanceRung() {
+// retires the rung once it is drained. It reports false, and retires
+// nothing, when the top rung is the only one left and it is empty: the
+// top rung keeps taking pushes until the next re-bucket replaces it.
+func (e *Engine) advanceRung() bool {
 	r := e.rungs[len(e.rungs)-1]
 	for r.n > 0 {
 		b := r.buckets[r.cur]
@@ -471,37 +457,14 @@ func (e *Engine) advanceRung() {
 		}
 		r.n -= b.n
 		e.handDown(b, r.edge(r.cur))
-		return
+		return true
+	}
+	if len(e.rungs) == 1 {
+		return false
 	}
 	e.rungs = e.rungs[:len(e.rungs)-1]
 	e.lim = r.end
-}
-
-// advance hands the next non-empty ring bucket down, stepping base
-// forward one width per bucket.
-func (e *Engine) advance() {
-	for {
-		slot := e.cur
-		e.cur = (e.cur + 1) % numBuckets
-		if e.width > simtime.Forever-e.base {
-			// The window cannot step forward without wrapping the time
-			// axis (events near simtime.Forever with a huge adapted
-			// width), so this bucket reaches to Forever and holds every
-			// near event. Hand it down and retire the ring: from here
-			// on every finite event goes to the rungs or the heap.
-			e.base = simtime.Forever
-		} else {
-			e.base += e.width
-		}
-		b := e.buckets[slot]
-		if b.n == 0 {
-			continue
-		}
-		e.buckets[slot] = list{}
-		e.nearCount -= b.n
-		e.handDown(b, e.base)
-		return
-	}
+	return true
 }
 
 // handDown moves a bucket whose events all lie below hi into the bottom,
@@ -604,10 +567,11 @@ func (e *Engine) splitBottom() {
 	e.Count.Splits++
 }
 
-// rebucket rebuilds the ladder from the spill tier: the bucket width is
-// re-derived from the spill's actual time span (the calendar-queue
-// adaptation), then every spill event is redistributed. Called only when
-// the bottom, rung and near tiers are empty, so ordering is preserved.
+// rebucket rebuilds the ladder from the spill tier: the top rung's
+// bucket width is re-derived from the spill's actual time span (the
+// calendar-queue adaptation), then every spill event is redistributed.
+// Called only when the bottom and the rungs are empty, so ordering is
+// preserved.
 func (e *Engine) rebucket() {
 	e.Count.Rebuckets++
 	// Sweep tombstones, then find the live span.
@@ -621,7 +585,7 @@ func (e *Engine) rebucket() {
 	for _, ev := range spill[1:] {
 		lo, hi = min(lo, ev.at), max(hi, ev.at)
 	}
-	// Width such that [lo, hi] fits in the ring, which restarts at lo:
+	// Width such that [lo, hi] fits in a new top rung from lo:
 	// 256 buckets of (hi-lo)/255+1 reach past hi, so every spill event
 	// lands in a bucket and is handed down from there. A small spill
 	// (e.g. a single event trickling past the window as the clock
@@ -629,14 +593,11 @@ func (e *Engine) rebucket() {
 	// horizon for: collapsing the window would make every subsequent
 	// far-future event trigger another re-bucket.
 	w := (hi-lo)/(numBuckets-1) + 1
-	if len(spill) < numBuckets && w < e.width {
-		w = e.width
+	if len(spill) < numBuckets && w < e.rungs[0].width {
+		w = e.rungs[0].width
 	}
-	e.width = w
-	e.base = lo
-	e.lim = lo
-	e.cur = 0
-	e.spillStart = saturatingWindowEnd(lo, w)
+	e.rungs = e.rungs[:0]
+	e.spawn(lo, saturatingWindowEnd(lo, w), w)
 	for _, ev := range spill {
 		e.place(ev)
 	}

@@ -291,7 +291,7 @@ func TestTimerZeroDelay(t *testing.T) {
 
 // TestEngineSteadyStateZeroAlloc is the engine's allocation gate: once
 // the pool, the rungs and the heap have grown to the workload, churn
-// through ring buckets, a sorted run, a spawned rung, a heap split,
+// through top-rung buckets, a sorted run, a spawned rung, a heap split,
 // cancels and a sweep allocates nothing.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := New()

@@ -20,12 +20,19 @@ func (h Handle) Canceled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateCanceled
 }
 
-// depth is the number of live rungs.
-func (e *Engine) depth() int { return len(e.rungs) }
+// depth is the number of live rungs below the top one.
+func (e *Engine) depth() int { return len(e.rungs) - 1 }
 
-// collapsed reports whether the ring has handed its last bucket down to
-// simtime.Forever.
-func (e *Engine) collapsed() bool { return e.base == simtime.Forever }
+// collapsed reports whether a spawned rung ends at simtime.Forever: a
+// hand-down reaching the end of the time axis spawned it.
+func (e *Engine) collapsed() bool {
+	for _, r := range e.rungs[1:] {
+		if r.end == simtime.Forever {
+			return true
+		}
+	}
+	return false
+}
 
 // heapLen is the bottom heap's length, tombstones included.
 func (e *Engine) heapLen() int { return len(e.bottom) }

@@ -166,8 +166,8 @@ func diffScripts(t *testing.T, ops []fuzzOp) {
 }
 
 // crowdedBucket is a seed script: the lead ops, then 42 schedules from
-// 248 µs down to 2 µs ahead (one ring bucket, out of order, more than
-// splitAt), then a step.
+// 248 µs down to 2 µs ahead (one top-rung bucket, out of order, more
+// than splitAt), then a step.
 func crowdedBucket(lead ...byte) []byte {
 	data := append([]byte(nil), lead...)
 	for m := 41; m >= 0; m-- {

@@ -419,11 +419,11 @@ func TestForeverTierOrdering(t *testing.T) {
 	}
 }
 
-// TestNearForeverTimestampsNoOverflow reproduces the window-advance
-// overflow: finite events spanning up to just below simtime.Forever force
-// a huge adapted bucket width, and advancing the window across it must
-// collapse to heap mode instead of wrapping base negative (which would
-// corrupt bucket routing and could panic on a negative slot index).
+// TestNearForeverTimestampsNoOverflow: finite events spanning up to just
+// below simtime.Forever force a huge adapted bucket width, and handing
+// the top rung's buckets down across it must cap their edges at
+// Forever instead of wrapping negative (which would corrupt bucket
+// routing and could panic on a negative bucket index).
 func TestNearForeverTimestampsNoOverflow(t *testing.T) {
 	e := New()
 	var got []int
@@ -431,8 +431,8 @@ func TestNearForeverTimestampsNoOverflow(t *testing.T) {
 	e.Schedule(simtime.Forever-5, func() { got = append(got, 3) })
 	e.Schedule(2*simtime.Second, func() { got = append(got, 2) })
 	// Fire the first event, then keep scheduling while the engine works
-	// through the enormous span: placements after the window collapses
-	// must still dispatch in global (at, seq) order.
+	// through the enormous span: placements after the last bucket is
+	// handed down must still dispatch in global (at, seq) order.
 	e.Step()
 	e.Schedule(3*simtime.Second, func() { got = append(got, 20) })
 	e.Run()
@@ -454,13 +454,16 @@ func TestNearForeverTimestampsNoOverflow(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Rungs, splits, runs and the collapse, against the reference heap.
+// Rungs, splits, runs and the Forever edge cap, against the reference heap.
 // ---------------------------------------------------------------------
 
-// shape is a named script aimed at one path below the ring.
+// shape is a named script aimed at one path below the top rung, with
+// the tier counters its run must end on: they pin how events travel
+// through the tiers, not just the order they fire in.
 type shape struct {
 	name string
 	ops  []scriptOp
+	want Counters
 }
 
 // scriptBuilder appends ops and tracks how many events were scheduled,
@@ -508,7 +511,8 @@ func rungShapes() []shape {
 		b.step()
 		b.schedule(uniform(r, simtime.Microsecond, simtime.Millisecond))
 	}
-	shapes = append(shapes, shape{"burst", b.ops})
+	shapes = append(shapes, shape{"burst", b.ops, Counters{
+		BottomPops: 3866, BottomLen: 30317, DirectPushes: 46, Rungs: 1, Splits: 1, Runs: 128}})
 
 	// farm-rr's steady state: 20,000 pending, delays 1 µs to 10 ms.
 	b = &scriptBuilder{}
@@ -519,7 +523,8 @@ func rungShapes() []shape {
 		b.step()
 		b.schedule(uniform(r, simtime.Microsecond, 10*simtime.Millisecond))
 	}
-	shapes = append(shapes, shape{"farm-stream", b.ops})
+	shapes = append(shapes, shape{"farm-stream", b.ops, Counters{
+		BottomPops: 79475, BottomLen: 624767, DirectPushes: 8, Rungs: 30, Runs: 327}})
 
 	// dag-packet's hops: about 113 pending, 0.5 to 12 µs apart.
 	b = &scriptBuilder{}
@@ -530,7 +535,8 @@ func rungShapes() []shape {
 		b.step()
 		b.schedule(uniform(r, simtime.Microsecond/2, 12*simtime.Microsecond))
 	}
-	shapes = append(shapes, shape{"packet", b.ops})
+	shapes = append(shapes, shape{"packet", b.ops, Counters{
+		BottomPops: 37327, BottomLen: 82501, Rungs: 134, Runs: 15814}})
 
 	// Cancel churn: every round arms two events and cancels the newer,
 	// so tombstones pile up under live rungs until a sweep runs.
@@ -547,13 +553,15 @@ func rungShapes() []shape {
 		}
 		b.step()
 	}
-	shapes = append(shapes, shape{"cancel-churn", b.ops})
+	shapes = append(shapes, shape{"cancel-churn", b.ops, Counters{
+		BottomPops: 22183, BottomLen: 71285, Tombstones: 2476, DirectPushes: 4950,
+		Rungs: 40, Runs: 9056, Rebuckets: 35}})
 
 	// The end of the time axis: a spill re-bucket spanning 1 s to
-	// Forever-1 adapts a width so large that the ring cannot step past
-	// its last bucket. That bucket holds 100 shuffled events 10 ns
-	// apart, so the collapse hands it down as a rung; the steps that
-	// follow schedule short delays under it.
+	// Forever-1 adapts a width so large that the top rung's last bucket
+	// reaches simtime.Forever. That bucket holds 100 shuffled events
+	// 10 ns apart, so its hand-down spawns a rung ending at Forever; the
+	// steps that follow schedule short delays under it.
 	b = &scriptBuilder{}
 	for i := 1; i <= 10; i++ {
 		b.schedule(simtime.Time(i) * simtime.Second)
@@ -570,16 +578,18 @@ func rungShapes() []shape {
 		b.schedule(uniform(r, 0, 1000))
 		b.step()
 	}
-	shapes = append(shapes, shape{"near-forever", b.ops})
+	shapes = append(shapes, shape{"near-forever", b.ops, Counters{
+		BottomPops: 277, BottomLen: 967, DirectPushes: 2, Rungs: 1, Runs: 15, Rebuckets: 1}})
 	return shapes
 }
 
 // TestRungsMatchReference: on every shape the ladder dispatches the
-// sequence the reference heap does, and between them the shapes spawn a
-// rung, split a heap, form a run, sweep with rungs live and collapse the
-// ring with a rung live.
+// sequence the reference heap does and ends on the shape's tier
+// counters, and between them the shapes spawn a rung, split a heap, form
+// a run, sweep with a spawned rung live and spawn a rung from a
+// hand-down that reaches simtime.Forever.
 func TestRungsMatchReference(t *testing.T) {
-	var sweptUnderRungs, collapsedWithRung bool
+	var sweptUnderRungs, spawnedAtForever bool
 	var total Counters
 	for _, sh := range rungShapes() {
 		var eng *Engine
@@ -590,8 +600,8 @@ func TestRungsMatchReference(t *testing.T) {
 				sweptUnderRungs = true
 			}
 			prevTombs = e.tombstones()
-			if e.collapsed() && e.depth() > 0 {
-				collapsedWithRung = true
+			if e.collapsed() {
+				spawnedAtForever = true
 			}
 		}
 		got := runLadderScript(sh.ops, watch)
@@ -608,16 +618,18 @@ func TestRungsMatchReference(t *testing.T) {
 		total.Rungs += c.Rungs
 		total.Splits += c.Splits
 		total.Runs += c.Runs
-		t.Logf("%s: %+v", sh.name, c)
+		if c != sh.want {
+			t.Errorf("%s: counters %+v, want %+v", sh.name, c, sh.want)
+		}
 	}
 	if total.Rungs == 0 || total.Splits == 0 || total.Runs == 0 {
 		t.Errorf("paths not taken: %d rungs, %d splits, %d runs", total.Rungs, total.Splits, total.Runs)
 	}
 	if !sweptUnderRungs {
-		t.Error("no sweep ran while a rung was live")
+		t.Error("no sweep ran while a spawned rung was live")
 	}
-	if !collapsedWithRung {
-		t.Error("the ring never collapsed with a rung live")
+	if !spawnedAtForever {
+		t.Error("no hand-down reaching simtime.Forever spawned a rung")
 	}
 }
 

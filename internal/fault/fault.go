@@ -148,8 +148,8 @@ func (sp Spec) Empty() bool {
 // still distinguishes two scenario values.
 func (sp Spec) Zero() bool { return sp == Spec{} }
 
-// Validate rejects malformed specs (negative counts, non-finite or
-// negative durations).
+// Validate rejects malformed specs (negative counts, non-finite,
+// negative or clock-overflowing durations).
 func (sp Spec) Validate() error {
 	if sp.ServerCrashes < 0 || sp.LinkFlaps < 0 || sp.SwitchKills < 0 ||
 		sp.RackKills < 0 || sp.PodKills < 0 || sp.SubtreeKills < 0 {
@@ -164,13 +164,17 @@ func (sp Spec) Validate() error {
 			return fmt.Errorf("fault: count %d exceeds the bound of %d a class", n, maxClassEvents)
 		}
 	}
+	// A duration whose nanosecond count does not fit the clock would
+	// reach simtime.FromSeconds as a negative time.
 	for _, d := range [...]float64{sp.ServerDownSec, sp.LinkDownSec, sp.SwitchDownSec, sp.HorizonSec,
 		sp.RackDownSec, sp.PodDownSec, sp.SubtreeDownSec,
-		sp.ServerMTTFSec, sp.ServerMTTRSec, sp.SwitchMTTFSec, sp.SwitchMTTRSec,
-		sp.WeibullShape, sp.CascadeDelaySec} {
-		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-			return fmt.Errorf("fault: invalid duration %g", d)
+		sp.ServerMTTFSec, sp.ServerMTTRSec, sp.SwitchMTTFSec, sp.SwitchMTTRSec, sp.CascadeDelaySec} {
+		if math.IsNaN(d) || d < 0 || d >= simtime.Forever.Seconds() {
+			return fmt.Errorf("fault: invalid duration %g s", d)
 		}
+	}
+	if math.IsNaN(sp.WeibullShape) || math.IsInf(sp.WeibullShape, 0) || sp.WeibullShape < 0 {
+		return fmt.Errorf("fault: invalid Weibull shape %g", sp.WeibullShape)
 	}
 	if math.IsNaN(sp.CascadeP) || sp.CascadeP < 0 || sp.CascadeP > 1 {
 		return fmt.Errorf("fault: cascade probability %g outside [0, 1]", sp.CascadeP)

@@ -81,6 +81,7 @@ func TestSpecValidate(t *testing.T) {
 		{ServerDownSec: -0.5},
 		{LinkDownSec: nan()},
 		{HorizonSec: inf()},
+		{ServerDownSec: 1e10}, // past the clock's range
 	}
 	for i, sp := range bad {
 		if err := sp.Validate(); err == nil {

@@ -220,7 +220,11 @@ func TestMatrixFixture(t *testing.T) {
 // buckets.
 // Payloads and rates: a negative edgeBytes panicked in the network at
 // run, and a negative rateBps or placer tauSec ran as the default under
-// its own label.
+// its own label. Seconds past the clock's range (about 9.22e9 s) became
+// negative times: a 1e10 s delay timer overflowed the stack formatting
+// the engine's schedule-in-the-past panic, a 1e10 s crash downtime hit
+// that panic, a 1e12 s duration hung run, and a 1e10 s placer timer or
+// server MTTF ran with a negative time in its place.
 var hostileFiles = []struct{ name, data, want string }{
 	{"fattree-2.1TB", `{"topology": {"kind": "fattree", "a": 2642246}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
 	{"fattree-odd-arity", `{"topology": {"kind": "fattree", "a": 3}, "servers": 1, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "topology:"},
@@ -241,6 +245,11 @@ var hostileFiles = []struct{ name, data, want string }{
 	{"edgebytes-negative", `{"topology": {"kind": "fattree", "a": 4}, "comm": "flow", "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "twotier", "edgeBytes": -1000}}`, "negative edge payload"},
 	{"ratebps-negative", `{"topology": {"kind": "fattree", "a": 4, "rateBps": -1e9}, "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative link rate"},
 	{"tausec-negative", `{"servers": 4, "placer": {"kind": "adaptive", "tauSec": -0.5}, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative placer timer"},
+	{"delaytimer-1e10", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "delayTimerSec": 1e10}`, "beyond the clock's range"},
+	{"downsec-1e10", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"serverCrashes": 2, "serverDownSec": 1e10}}`, "invalid duration"},
+	{"duration-1e12", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 0, "durationSec": 1e12}`, "beyond the clock's range"},
+	{"tausec-1e10", `{"servers": 4, "placer": {"kind": "adaptive", "tauSec": 1e10}, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "beyond the clock's range"},
+	{"mttf-1e10", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "faults": {"serverMTTFSec": 1e10, "serverMTTRSec": 0.1}}`, "invalid duration"},
 }
 
 // TestDecodeRejects pins the strictness contract: unknown fields, bad

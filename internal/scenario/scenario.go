@@ -668,38 +668,45 @@ func (s Scenario) String() string {
 // kept for call sites that read better as Name().
 func (s Scenario) Name() string { return s.String() }
 
-// finiteScenarioFloats lists every float field with its label for
-// Validate's non-finite sweep. NaN slips through ordinary range
-// comparisons (every comparison is false), so scenarios decoded or
-// assembled from external input are checked explicitly.
-func (s Scenario) nonFiniteField() (string, float64, bool) {
+// badFloatField rejects the float values Validate's range checks cannot
+// judge. NaN slips through ordinary comparisons (every comparison is
+// false), so scenarios decoded or assembled from external input are
+// checked for finiteness explicitly. A field the run turns into a clock
+// time must also have a nanosecond count that fits the clock, or
+// simtime.FromSeconds wraps it negative; the trace fields stay float
+// seconds, bounded by the synthesis cap and the trace itself.
+func (s Scenario) badFloatField() error {
 	fields := []struct {
-		name string
-		v    float64
+		name  string
+		v     float64
+		clock bool
 	}{
-		{"topology.rateBps", s.Topology.RateBps},
-		{"delayTimerSec", s.DelayTimerSec},
-		{"placer.tauSec", s.Placer.TauSec},
-		{"arrival.rho", s.Arrival.Rho},
-		{"arrival.burstRatio", s.Arrival.BurstRatio},
-		{"arrival.traceSec", s.Arrival.TraceSec},
-		{"arrival.clipFromSec", s.Arrival.ClipFromSec},
-		{"arrival.clipToSec", s.Arrival.ClipToSec},
-		{"durationSec", s.DurationSec},
-		{"switchSleepSec", s.SwitchSleepSec},
+		{"topology.rateBps", s.Topology.RateBps, false},
+		{"delayTimerSec", s.DelayTimerSec, true},
+		{"placer.tauSec", s.Placer.TauSec, true},
+		{"arrival.rho", s.Arrival.Rho, false},
+		{"arrival.burstRatio", s.Arrival.BurstRatio, false},
+		{"arrival.traceSec", s.Arrival.TraceSec, false},
+		{"arrival.clipFromSec", s.Arrival.ClipFromSec, false},
+		{"arrival.clipToSec", s.Arrival.ClipToSec, false},
+		{"durationSec", s.DurationSec, true},
+		{"switchSleepSec", s.SwitchSleepSec, true},
 	}
 	for _, f := range fields {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return f.name, f.v, true
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return fmt.Errorf("scenario: non-finite %s %g", f.name, f.v)
+		case f.clock && math.Abs(f.v) >= simtime.Forever.Seconds():
+			return fmt.Errorf("scenario: %s %g s is beyond the clock's range", f.name, f.v)
 		}
 	}
-	return "", 0, false
+	return nil
 }
 
 // Validate reports whether the scenario composes a legal configuration.
 func (s Scenario) Validate() error {
-	if name, v, bad := s.nonFiniteField(); bad {
-		return fmt.Errorf("scenario: non-finite %s %g", name, v)
+	if err := s.badFloatField(); err != nil {
+		return err
 	}
 	// Every enum field names an entry of its table: a value outside it
 	// has no file form and would run as some default under a label of

@@ -40,7 +40,7 @@ func (t Time) String() string {
 	switch {
 	case t == Forever:
 		return "forever"
-	case t < 0:
+	case t < 0 && t != math.MinInt64: // -MinInt64 wraps to itself
 		return "-" + (-t).String()
 	case t < Microsecond:
 		return fmt.Sprintf("%dns", int64(t))

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,7 @@ func TestString(t *testing.T) {
 		{1500 * Millisecond, "1.5s"},
 		{Forever, "forever"},
 		{-2 * Millisecond, "-2ms"},
+		{math.MinInt64, "-9223372036854775808ns"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
