@@ -6,7 +6,7 @@
 // increasing sequence number), which makes every run deterministic for a
 // fixed seed.
 //
-// Four mechanisms keep the hot path allocation-free and sub-logarithmic
+// Five mechanisms keep the hot path allocation-free and sub-logarithmic
 // (see DESIGN.md, "Engine internals"):
 //
 //   - Ladder queue: near-future events land in rungs of fixed-width time
@@ -21,7 +21,16 @@
 //     over a wide span it spawns a finer rung of buckets over that span
 //     (Tang, Goh and Thng's Ladder Queue); otherwise it is heapified. A
 //     heap that direct pushes grow past splitAt is itself moved into a
-//     new rung. Step pops the smaller of the run head and the heap top.
+//     new rung.
+//   - Delay lanes: an event scheduled d > 0 after now, where d is one of
+//     up to numLanes recurring delays, skips the ladder and is appended
+//     to that delay's lane, a FIFO list that is in (at, seq) order by
+//     construction. A delay claims a free lane the second time in a row
+//     a schedule finds none for it; a lane that empties stays its
+//     delay's, and hot for a while, so one-off delays cannot take it.
+//     A winner tree over the lane heads names the earliest, and the
+//     ladder never hands a bucket down past it. Step pops the smallest
+//     of the run head, the heap top and the earliest lane head.
 //   - Event pool: fired and swept events return to a free list and are
 //     recycled, so steady-state scheduling performs zero allocations.
 //     Handles carry a generation counter; a stale Handle to a recycled
@@ -40,6 +49,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"holdcsim/internal/simtime"
 )
@@ -62,6 +72,15 @@ const (
 	// minSpan is the narrowest time span worth a rung of numBuckets
 	// buckets: below it the events are near-ties and stay in the heap.
 	minSpan = numBuckets * simtime.Nanosecond
+	// numLanes is how many recurring delays can hold a delay lane at
+	// once; laneWin is a winner tree over exactly this many leaves.
+	numLanes = 8
+	// laneBits is the bit width of laneHash: laneMask has one bit per
+	// hash value.
+	laneBits = 6
+	// laneCold is how many schedules a lane stays hot after it empties:
+	// no other delay may claim it until then.
+	laneCold = 4096
 )
 
 // event states. An event is free (in the pool), queued, or tombstoned.
@@ -169,27 +188,63 @@ type Counters struct {
 	Splits       uint64 // bottom heaps moved into a new rung
 	Runs         uint64 // hand-downs already in (at, seq) order
 	Rebuckets    uint64 // spill re-buckets
+	LanePushes   uint64 // events scheduled into a delay lane
+	LaneClaims   uint64 // delay lanes claimed by a new recurring delay
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
-// call New.
+// call New. The fields that Schedule, Cancel and a heap pop touch come
+// first and fill five cache lines; spread further apart they cost the
+// cancel-and-re-arm microbenchmarks up to 8% (DESIGN.md Sec. 2).
 type Engine struct {
-	now simtime.Time
-	seq uint64
+	now      simtime.Time
+	seq      uint64
+	live     int    // queued, not canceled, across all tiers
+	canceled int    // tombstones across all tiers
+	free     *event // pool free list, linked through next
+	lim      simtime.Time
 
 	// bottom is the earliest tier, together with run: a binary heap
 	// ordered by (at, seq). bottom and run hold every queued event with
-	// at < lim, and nothing else does.
+	// at < lim, and nothing else but the lanes does.
 	bottom []*event
 	// run is a handed-down bucket that was already in (at, seq) order.
 	run list
-	lim simtime.Time
+
+	// lanes bypass the ladder: lanes[i] holds, in (at, seq) order, the
+	// events scheduled laneDelay[i] after their scheduling time. A lane
+	// is free while it is empty (its bit in laneBusy is clear); it keeps
+	// its delay until another delay claims it. laneWin is a winner tree:
+	// node k's children are 2k and 2k+1, leaf numLanes+i is lane i, and
+	// the root laneWin[1] names the lane with the earliest head. Matches
+	// compare the (at, seq) keys of the lane heads, Forever for an empty
+	// lane. Lane i is hot until seq reaches laneHot[i], laneMask has
+	// bit laneHash(d) set for every lane delay d, missed is the delay of
+	// the last schedule that found no lane, and no claim is tried before
+	// seq reaches claimAt.
+	laneMask uint64
+	missed   simtime.Time
+	laneWin  [2 * numLanes]uint8
+	laneBusy uint8
+	claimAt  uint64
+	laneAt   [numLanes]simtime.Time
 
 	// rungs tile [lim, rungs[0].end), the deepest (and earliest) last.
 	// rungs[0], the top rung, is laid out by New and every re-bucket and
 	// is never retired. Entries past len are retired rungs kept for
 	// reuse.
 	rungs []*rung
+
+	// Dispatched counts events executed since New; exposed for the
+	// scalability benchmarks (Table I).
+	Dispatched uint64
+	// Count holds the tier statistics.
+	Count Counters
+
+	laneSeq   [numLanes]uint64
+	lanes     [numLanes]list
+	laneDelay [numLanes]simtime.Time
+	laneHot   [numLanes]uint64
 
 	// spill is the far tier: unsorted, append-only between re-buckets.
 	// It holds the events at or beyond the top rung's end.
@@ -200,22 +255,14 @@ type Engine struct {
 	// would otherwise break the adaptive width computation.
 	forever list
 
-	live      int     // queued, not canceled, across all tiers
-	canceled  int     // tombstones across all tiers
-	free      *event  // pool free list, linked through next
 	freeBlock []event // current pool block being handed out
-
-	// Dispatched counts events executed since New; exposed for the
-	// scalability benchmarks (Table I).
-	Dispatched uint64
-	// Count holds the tier statistics.
-	Count Counters
 }
 
 // New returns an empty engine with the clock at the simulation epoch.
 func New() *Engine {
 	e := &Engine{bottom: make([]*event, 0, 64)}
 	e.spawn(0, saturatingWindowEnd(0, initialWidth), initialWidth)
+	e.replayLanes()
 	return e
 }
 
@@ -272,8 +319,176 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	ev.state = stateQueued
 	e.seq++
 	e.live++
+	if d := at - e.now; d > 0 && at != simtime.Forever {
+		// A lone event has nothing to be ordered against, so the heap
+		// costs it nothing: it skips the lanes, and a chain of them
+		// never claims one.
+		if e.live > 1 {
+			h := laneHash(d)
+			i := e.laneFor(d, h)
+			if i < 0 && d == e.missed && e.seq >= e.claimAt {
+				i = e.claimLane(d)
+			}
+			if i >= 0 {
+				// Append to the lane. Every event in it was scheduled d
+				// ahead, so appends arrive in (at, seq) order.
+				e.Count.LanePushes++
+				l := &e.lanes[i]
+				l.push(ev)
+				if l.n == 1 {
+					e.laneFilled(i, ev)
+				}
+				return Handle{ev: ev, gen: ev.gen}
+			}
+		}
+		e.missed = d
+	}
 	e.place(ev)
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// laneHash is delay d's bit in laneMask: its low laneBits bits folded
+// with the next ones, so whole microseconds and milliseconds spread too.
+// It costs no multiply, on a path every Schedule takes.
+func laneHash(d simtime.Time) uint {
+	return uint(d^d>>laneBits) & (1<<laneBits - 1)
+}
+
+// laneFor returns the lane that delay d, of hash h, holds, or -1. Most
+// misses stop at laneMask, without comparing d with a lane delay.
+func (e *Engine) laneFor(d simtime.Time, h uint) int {
+	if e.laneMask&(1<<h) != 0 {
+		for i, ld := range &e.laneDelay {
+			if ld == d {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// claimLane gives delay d the free lane that went cold first and returns
+// it, or returns -1 when every free lane is still hot; then no claim is
+// tried again before claimAt, when the first of them turns cold. A delay
+// claims a lane the second time in a row a schedule finds none for it,
+// and the hot rule keeps one-off delays from taking the lane of a delay
+// that recurs, which refills its lane soon after it empties.
+func (e *Engine) claimLane(d simtime.Time) int {
+	i := -1
+	for free := ^e.laneBusy; free != 0; free &= free - 1 {
+		if j := bits.TrailingZeros8(free); i < 0 || e.laneHot[j] < e.laneHot[i] {
+			i = j
+		}
+	}
+	if i < 0 {
+		return -1
+	}
+	if e.laneHot[i] > e.seq {
+		e.claimAt = e.laneHot[i]
+		return -1
+	}
+	e.laneDelay[i] = d
+	e.laneMask = 0
+	for _, ld := range e.laneDelay {
+		if ld != 0 {
+			e.laneMask |= 1 << laneHash(ld)
+		}
+	}
+	e.Count.LaneClaims++
+	return i
+}
+
+// laneFilled keys lane i, which was empty, at its new head ev and
+// replays the matches ev wins.
+func (e *Engine) laneFilled(i int, ev *event) {
+	e.laneAt[i], e.laneSeq[i] = ev.at, ev.seq
+	if e.laneBusy == 0 {
+		// Every other lane is empty, so lane i wins its whole path.
+		e.laneBusy = 1 << i
+		k := numLanes + i
+		e.laneWin[k/2], e.laneWin[k/4], e.laneWin[1] = uint8(i), uint8(i), uint8(i)
+		return
+	}
+	// The lane's key falls from Forever to ev's. ev has the largest seq
+	// yet, so it loses every tie, and once it loses a match it loses
+	// every match above.
+	e.laneBusy |= 1 << i
+	for k := (numLanes + i) / 2; k > 0; k /= 2 {
+		if w := e.laneWin[k]; int(w) != i && e.laneAt[w&(numLanes-1)] <= ev.at {
+			return
+		}
+		e.laneWin[k] = uint8(i)
+	}
+}
+
+// laneHead is the earliest lane head, nil when every lane is empty.
+func (e *Engine) laneHead() *event { return e.lanes[e.laneWin[1]&(numLanes-1)].head }
+
+// lanePop pops the earliest lane head and the tombstones behind it, so
+// the lane's new head is live or the lane is free.
+func (e *Engine) lanePop() *event {
+	i := int(e.laneWin[1] & (numLanes - 1))
+	ev := e.lanes[i].pop()
+	e.trimLane(i)
+	return ev
+}
+
+// trimLane releases the tombstones at lane i's head, frees the lane if
+// it empties, and replays the lane's path up the winner tree.
+func (e *Engine) trimLane(i int) {
+	l := &e.lanes[i]
+	for l.n > 0 && l.head.state == stateCanceled {
+		e.discard(l.pop())
+	}
+	if e.setLaneKey(i); e.laneBusy == 0 {
+		// As in Step's lane fast path, every node names a winner.
+		return
+	}
+	for k := (numLanes + i) / 2; k > 0; k /= 2 {
+		e.laneWin[k] = e.laneMatch(k)
+	}
+}
+
+// setLaneKey copies lane i's head into the tree's keys. An empty lane is
+// free and keyed at Forever, which no lane event reaches.
+func (e *Engine) setLaneKey(i int) {
+	if h := e.lanes[i].head; h != nil {
+		e.laneAt[i], e.laneSeq[i] = h.at, h.seq
+		return
+	}
+	e.laneFreed(i)
+}
+
+// laneFreed marks lane i empty and keys it at Forever, which no lane
+// event reaches. A lane that was busy stays hot, and no other delay may
+// claim it, for laneCold schedules.
+func (e *Engine) laneFreed(i int) {
+	if e.laneBusy&(1<<i) != 0 {
+		e.laneBusy &^= 1 << i
+		e.laneHot[i] = e.seq + laneCold
+	}
+	e.laneAt[i] = simtime.Forever
+}
+
+// replayLanes re-keys every lane and replays every match, bottom up.
+func (e *Engine) replayLanes() {
+	for i := range e.lanes {
+		e.laneWin[numLanes+i] = uint8(i)
+		e.setLaneKey(i)
+	}
+	for k := numLanes - 1; k > 0; k-- {
+		e.laneWin[k] = e.laneMatch(k)
+	}
+}
+
+// laneMatch plays node k's children, 2k and 2k+1, off against each
+// other by their lanes' keys.
+func (e *Engine) laneMatch(k int) uint8 {
+	a, b := e.laneWin[2*k], e.laneWin[2*k+1]
+	if e.laneAt[b] < e.laneAt[a] || e.laneAt[b] == e.laneAt[a] && e.laneSeq[b] < e.laneSeq[a] {
+		return b
+	}
+	return a
 }
 
 // place routes an event to the tier covering its timestamp: below lim
@@ -359,6 +574,10 @@ func (e *Engine) maybeSweep() {
 	}
 	e.spill = e.sweepSlice(e.spill)
 	e.sweepList(&e.forever)
+	for i := range e.lanes {
+		e.sweepList(&e.lanes[i])
+	}
+	e.replayLanes()
 	e.canceled = 0
 }
 
@@ -395,17 +614,18 @@ func (e *Engine) sweepSlice(s []*event) []*event {
 	return kept
 }
 
-// discard releases a tombstone popped from the bottom, the run or the
-// forever list.
+// discard releases a tombstone popped from the bottom, the run, a lane
+// or the forever list.
 func (e *Engine) discard(ev *event) {
 	e.canceled--
 	e.Count.Tombstones++
 	e.release(ev)
 }
 
-// nextLive exposes the earliest pending event — the smaller of the run
-// head and the heap top — handing buckets down and sweeping tombstones
-// as needed. Returns nil when the queue is empty.
+// nextLive exposes the earliest pending event — the smallest of the run
+// head, the heap top and the earliest lane head — handing buckets down
+// and sweeping tombstones as needed. Returns nil when the queue is
+// empty.
 func (e *Engine) nextLive() *event {
 	for {
 		for e.run.n > 0 && e.run.head.state == stateCanceled {
@@ -414,24 +634,38 @@ func (e *Engine) nextLive() *event {
 		for len(e.bottom) > 0 && e.bottom[0].state == stateCanceled {
 			e.discard(e.bottomPop())
 		}
+		var lh *event
+		if e.laneBusy != 0 {
+			for lh = e.laneHead(); lh != nil && lh.state == stateCanceled; lh = e.laneHead() {
+				e.trimLane(int(e.laneWin[1]))
+			}
+		}
 		if len(e.bottom) > splitAt {
 			// The heap grew while a live run refused the split, or a
 			// hand-down heapified near-ties below a wider lim.
 			e.splitBottom()
 		}
-		if e.run.n > 0 {
-			if len(e.bottom) > 0 && lessEv(e.bottom[0], e.run.head) {
-				return e.bottom[0]
+		switch ev := e.bottomHead(); {
+		case ev == nil:
+			if lh != nil && lh.at < e.lim {
+				// Every event left in the ladder is at or after lim, so
+				// the ladder must not advance past this lane head.
+				return lh
 			}
-			return e.run.head
-		}
-		if len(e.bottom) > 0 {
-			return e.bottom[0]
+		case lh != nil && lessEv(lh, ev):
+			return lh
+		default:
+			return ev
 		}
 		switch {
 		case e.advanceRung():
 		case len(e.spill) > 0:
 			e.rebucket()
+		case lh != nil:
+			// The ladder is empty, and a lane head is earlier than any
+			// Forever sentinel.
+			e.skipTo(lh.at)
+			return lh
 		default:
 			// Only the forever tier can be left; FIFO (== seq) order.
 			for e.forever.n > 0 && e.forever.head.state == stateCanceled {
@@ -609,13 +843,38 @@ func (e *Engine) rebucket() {
 // its timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	var ev *event
-	if n := len(e.bottom); e.run.n == 0 && n > 0 && n <= splitAt && e.bottom[0].state == stateQueued {
-		// Fast path: no run, a heap with nothing to split, and a live
-		// event at its top.
-		ev = e.bottomPop()
-	} else {
-		ev = e.nextLive()
-		if ev == nil {
+	if n := len(e.bottom); e.run.n == 0 && n <= splitAt {
+		// Fast paths, with no run and a heap that has nothing to split:
+		// the heap top, if it is live and strictly ahead of every lane
+		// head; or the earliest lane head, if it is live and strictly
+		// ahead of the heap top, or of lim when the heap is empty. The
+		// lanes' keys stand in for the lane heads, so a heap pop reads
+		// no lane event.
+		w := int(e.laneWin[1] & (numLanes - 1))
+		switch {
+		case n > 0 && (e.laneBusy == 0 || e.bottom[0].at < e.laneAt[w]):
+			if e.bottom[0].state == stateQueued {
+				ev = e.bottomPop()
+			}
+		case e.laneBusy != 0 && e.laneAt[w] < e.lim && (n == 0 || e.laneAt[w] < e.bottom[0].at):
+			// lanePop, inline.
+			l := &e.lanes[w]
+			if l.head.state != stateQueued {
+				break
+			}
+			ev = l.pop()
+			if l.n > 0 || e.laneBusy != 1<<w {
+				e.trimLane(w)
+			} else {
+				// The last busy lane empties: every key is Forever
+				// now, and every node still names a lane of its own
+				// subtree.
+				e.laneBusy, e.laneAt[w], e.laneHot[w] = 0, simtime.Forever, e.seq+laneCold
+			}
+		}
+	}
+	if ev == nil {
+		if ev = e.nextLive(); ev == nil {
 			return false
 		}
 		switch {
@@ -623,6 +882,8 @@ func (e *Engine) Step() bool {
 			e.run.pop()
 		case len(e.bottom) > 0 && ev == e.bottom[0]:
 			e.bottomPop()
+		case ev == e.laneHead():
+			e.lanePop()
 		default:
 			// nextLive only surfaces a forever-tier event once every
 			// other tier is empty.
@@ -638,6 +899,30 @@ func (e *Engine) Step() bool {
 	e.release(ev)
 	fn()
 	return true
+}
+
+// bottomHead is the earlier of the run head and the heap top, nil when
+// both are empty.
+func (e *Engine) bottomHead() *event {
+	ev := e.run.head
+	if len(e.bottom) > 0 && (ev == nil || lessEv(e.bottom[0], ev)) {
+		ev = e.bottom[0]
+	}
+	return ev
+}
+
+// skipTo moves lim past t over an empty ladder, so the lane events that
+// follow take Step's fast path: it hands down the top rung's empty
+// buckets through t's, or, with t past the top rung's end, lays out a
+// top rung of the same width from t and hands down its first bucket.
+func (e *Engine) skipTo(t simtime.Time) {
+	r := e.rungs[0]
+	if t >= r.end {
+		e.rungs = e.rungs[:0]
+		r = e.spawn(t, saturatingWindowEnd(t, r.width), r.width)
+	}
+	r.cur = int(min((t-r.start)/r.width, numBuckets-1)) + 1
+	e.lim = r.edge(r.cur)
 }
 
 // Run executes events until the queue drains.

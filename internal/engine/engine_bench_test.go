@@ -89,6 +89,28 @@ func BenchmarkPacketHorizon(b *testing.B) {
 	benchStream(b, 113, benchDelays(4096, simtime.Microsecond/2, 12*simtime.Microsecond))
 }
 
+// BenchmarkFixedDelays holds about 113 pending events whose delays are
+// dag-packet's four recurring ones, 0.5, 1.2, 1 and 50 µs, in its
+// proportions (35/34/28/3): the packet hops that ride the delay lanes.
+// One op is one dispatch that schedules its successor.
+func BenchmarkFixedDelays(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	delays := make([]simtime.Time, 4096)
+	for i := range delays {
+		switch k := r.Intn(100); {
+		case k < 35:
+			delays[i] = simtime.Microsecond / 2
+		case k < 69:
+			delays[i] = 1200 * simtime.Nanosecond
+		case k < 97:
+			delays[i] = simtime.Microsecond
+		default:
+			delays[i] = 50 * simtime.Microsecond
+		}
+	}
+	benchStream(b, 113, delays)
+}
+
 // benchStream keeps pending events queued: every dispatch schedules
 // one more, its delay read round-robin from delays.
 func benchStream(b *testing.B, pending int, delays []simtime.Time) {

@@ -292,7 +292,8 @@ func TestTimerZeroDelay(t *testing.T) {
 // TestEngineSteadyStateZeroAlloc is the engine's allocation gate: once
 // the pool, the rungs and the heap have grown to the workload, churn
 // through top-rung buckets, a sorted run, a spawned rung, a heap split,
-// cancels and a sweep allocates nothing.
+// cancels, a sweep, and delay lanes claimed, freed, tombstoned and run
+// over an empty ladder allocates nothing.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
 	noop := func() {}
@@ -302,6 +303,40 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	burst := func() {
 		for i := 40; i > 0; i-- {
 			e.After(simtime.Time(i)*100, noop)
+		}
+	}
+	// link and link2 are chains through two delay lanes, d and d+1 µs
+	// apart: each schedules its next link, twice in a row the first time
+	// so the delay claims a lane, and one link in three also arms and
+	// cancels a lane event, which leaves a tombstone in the lane. Each
+	// cycle's chains take the next of 24 delays, 10 to 125 µs: more than
+	// numLanes, so lanes are freed, and claimed again once they turn
+	// cold, in every cycle.
+	var d simtime.Time
+	links, k := 0, 0
+	var link, link2 func()
+	link = func() {
+		if links++; links > 200 {
+			return
+		}
+		if links%3 == 0 {
+			e.Cancel(e.After(d, noop))
+		}
+		e.After(d, link)
+	}
+	link2 = func() {
+		if links < 200 {
+			e.After(d+simtime.Microsecond, link2)
+		}
+	}
+	// tail is two more chains through d's lane once everything else has
+	// run: with the ladder empty, a link past lim moves lim past the lane
+	// head without a hand-down.
+	tails := 0
+	var tail func()
+	tail = func() {
+		if tails++; tails < 1000 {
+			e.After(d, tail)
 		}
 	}
 	cycle := func() {
@@ -319,6 +354,16 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		for _, h := range hs {
 			e.Cancel(h)
 		}
+		k++
+		d, links = simtime.Time(k%24+2)*5*simtime.Microsecond, 0
+		e.After(d, link)
+		e.After(d, link)
+		e.After(d+simtime.Microsecond, link2)
+		e.After(d+simtime.Microsecond, link2)
+		e.Run()
+		tails = 0
+		e.After(d, tail)
+		e.After(d, tail)
 		e.Run()
 	}
 	for i := 0; i < 50; i++ {
@@ -329,8 +374,10 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("engine churn allocates %.1f times per cycle, want 0", allocs)
 	}
 	c := e.Count
-	if c.Runs == before.Runs || c.Rungs == before.Rungs || c.Splits == before.Splits {
-		t.Errorf("a path was not exercised: runs %d->%d, rungs %d->%d, splits %d->%d",
-			before.Runs, c.Runs, before.Rungs, c.Rungs, before.Splits, c.Splits)
+	if c.Runs == before.Runs || c.Rungs == before.Rungs || c.Splits == before.Splits ||
+		c.LanePushes == before.LanePushes || c.LaneClaims == before.LaneClaims || c.Tombstones == before.Tombstones {
+		t.Errorf("a path was not exercised: runs %d->%d, rungs %d->%d, splits %d->%d, lane pushes %d->%d, lane claims %d->%d, tombstones %d->%d",
+			before.Runs, c.Runs, before.Rungs, c.Rungs, before.Splits, c.Splits,
+			before.LanePushes, c.LanePushes, before.LaneClaims, c.LaneClaims, before.Tombstones, c.Tombstones)
 	}
 }

@@ -50,3 +50,13 @@ func (e *Engine) splitRefused() bool {
 
 // tombstones is the number of canceled events still queued.
 func (e *Engine) tombstones() int { return e.canceled }
+
+// laneHeadCanceled reports whether some lane's head is a tombstone.
+func (e *Engine) laneHeadCanceled() bool {
+	for i := range e.lanes {
+		if h := e.lanes[i].head; h != nil && h.state == stateCanceled {
+			return true
+		}
+	}
+	return false
+}

@@ -26,12 +26,16 @@ const timerIDBase = 1 << 20
 type fuzzOp struct {
 	kind  byte // 0 schedule, 1 cancel, 2 step, 3 timer-reset, 4 timer-stop
 	delay simtime.Time
-	arg   int // cancel target / timer index
+	arg   int // cancel target / timer index; a step with arg%8 == 7 is RunUntil(now+delay)
 }
+
+// runsUntil reports whether op is a step that runs until delay past now.
+func (op fuzzOp) runsUntil() bool { return op.kind == 2 && op.arg%8 == 7 }
 
 // decodeScript turns raw fuzz bytes into an op script, three bytes per
 // op. The delay byte selects among horizons that land events in every
-// ladder tier (bottom, near buckets, spill) plus zero-delay ties.
+// ladder tier (bottom, near buckets, spill) plus zero-delay ties; a
+// delay byte repeated schedules a recurring delay, which takes a lane.
 func decodeScript(data []byte) []fuzzOp {
 	ops := make([]fuzzOp, 0, len(data)/3)
 	for i := 0; i+2 < len(data); i += 3 {
@@ -85,7 +89,11 @@ func runLadderFuzzScript(ops []fuzzOp) []dispatchRecord {
 				e.Cancel(handles[op.arg%nextID])
 			}
 		case 2:
-			e.Step()
+			if op.runsUntil() {
+				e.RunUntil(e.Now() + op.delay)
+			} else {
+				e.Step()
+			}
 		case 3:
 			timers[op.arg%numFuzzTimers].Reset(op.delay)
 		case 4:
@@ -132,7 +140,15 @@ func runRefFuzzScript(ops []fuzzOp) []dispatchRecord {
 				r.cancel(op.arg % nextID)
 			}
 		case 2:
-			drainOne()
+			if !op.runsUntil() {
+				drainOne()
+				break
+			}
+			end := r.now + op.delay
+			for len(r.q) > 0 && r.q[0].at <= end {
+				drainOne()
+			}
+			r.now = max(r.now, end)
 		case 3:
 			ti := op.arg % numFuzzTimers
 			cancelEv(timers[ti].ev)
@@ -176,6 +192,38 @@ func crowdedBucket(lead ...byte) []byte {
 	return append(data, 2, 0, 0)
 }
 
+// manyDelays is a seed script for ten recurring delays, 2 to 56 µs,
+// against eight lanes: each is scheduled twice in a row to claim a lane,
+// then rounds of one schedule per delay and steps free and refill them,
+// and hot lanes refuse the claims of the delays left over.
+func manyDelays() []byte {
+	var data []byte
+	for round := 0; round < 4; round++ {
+		for k := 0; k < 10; k++ {
+			us := byte(6*k + 2) // k*6+2 µs
+			data = append(data, 0, us, 0, 0, us, 0)
+		}
+		for i := 0; i < 12; i++ {
+			data = append(data, 2, 0, 0)
+		}
+	}
+	return data
+}
+
+// laneSweep is a seed script that fills one lane with 80 events 8 µs
+// out, cancels 70 of them, so tombstones outnumber live events and a
+// sweep runs while the lane is live, then drains.
+func laneSweep() []byte {
+	var data []byte
+	for i := 0; i < 80; i++ {
+		data = append(data, 0, 8, 0)
+	}
+	for i := 1; i <= 70; i++ {
+		data = append(data, 1, 0, byte(i))
+	}
+	return append(data, 2, 0, 0, 0, 8, 0, 2, 0, 0)
+}
+
 // FuzzEngineScript: any byte string decodes to a valid op script; the
 // ladder queue and the reference heap must dispatch identically.
 func FuzzEngineScript(f *testing.F) {
@@ -187,6 +235,14 @@ func FuzzEngineScript(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 3, 200, 1, 1, 0, 0, 3, 200, 1, 2, 0, 0, 0, 130, 7, 4, 0, 1, 2, 0, 0})
 	f.Add(crowdedBucket())                 // a hand-down spawns a rung
 	f.Add(crowdedBucket(0, 0, 0, 2, 0, 0)) // direct pushes split the heap
+	f.Add(manyDelays())                    // more recurring delays than lanes
+	// Three schedules 8 µs out (the second claims a lane), a cancel of
+	// the lane head, steps: a tombstoned lane head.
+	f.Add([]byte{0, 8, 0, 0, 8, 0, 0, 8, 0, 1, 0, 1, 2, 0, 0, 2, 0, 0, 2, 0, 0})
+	f.Add(laneSweep()) // a sweep while lanes are live
+	// Lanes of 2 and 8 µs, then RunUntil 2 µs on: it stops between the
+	// two lane heads. More lane events, a step, RunUntil 8 µs on.
+	f.Add([]byte{0, 2, 0, 0, 2, 0, 0, 8, 0, 0, 8, 0, 2, 2, 7, 0, 2, 0, 2, 0, 0, 2, 8, 7, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*5000 {
 			data = data[:3*5000] // bound script length, not coverage

@@ -484,6 +484,16 @@ func (b *scriptBuilder) cancel(back int) {
 
 func (b *scriptBuilder) step() { b.ops = append(b.ops, scriptOp{kind: 2}) }
 
+// fillLanes claims every lane with a delay of its own, an hour and more
+// out, so the lanes stay busy and the events after it take the ladder.
+func (b *scriptBuilder) fillLanes() {
+	for i := 0; i < numLanes; i++ {
+		d := 3600*simtime.Second + simtime.Time(i)*simtime.Second
+		b.schedule(d)
+		b.schedule(d)
+	}
+}
+
 func uniform(r *rand.Rand, lo, hi simtime.Time) simtime.Time {
 	return lo + simtime.Time(r.Int63n(int64(hi-lo)))
 }
@@ -499,8 +509,10 @@ func rungShapes() []shape {
 	// instant 100 µs ahead, scheduled below lim while a run at t=0 is
 	// live (so the first 33 split the heap and the rest follow them
 	// into the rung's first bucket), then a stream that pushes below
-	// lim while the burst drains.
+	// lim while the burst drains. Every lane is busy first, so the
+	// burst's one delay takes the ladder.
 	b := &scriptBuilder{}
+	b.fillLanes()
 	b.schedule(0)
 	b.schedule(0)
 	b.step()
@@ -512,7 +524,8 @@ func rungShapes() []shape {
 		b.schedule(uniform(r, simtime.Microsecond, simtime.Millisecond))
 	}
 	shapes = append(shapes, shape{"burst", b.ops, Counters{
-		BottomPops: 3866, BottomLen: 30317, DirectPushes: 46, Rungs: 1, Splits: 1, Runs: 128}})
+		BottomPops: 3866, BottomLen: 30317, DirectPushes: 46, Rungs: 1,
+		Splits: 1, Runs: 136, Rebuckets: 1, LanePushes: 8, LaneClaims: 8}})
 
 	// farm-rr's steady state: 20,000 pending, delays 1 µs to 10 ms.
 	b = &scriptBuilder{}
@@ -536,7 +549,8 @@ func rungShapes() []shape {
 		b.schedule(uniform(r, simtime.Microsecond/2, 12*simtime.Microsecond))
 	}
 	shapes = append(shapes, shape{"packet", b.ops, Counters{
-		BottomPops: 37327, BottomLen: 82501, Rungs: 134, Runs: 15814}})
+		BottomPops: 37190, BottomLen: 81872, Rungs: 135, Runs: 15937,
+		LanePushes: 28, LaneClaims: 6}})
 
 	// Cancel churn: every round arms two events and cancels the newer,
 	// so tombstones pile up under live rungs until a sweep runs.
@@ -554,8 +568,9 @@ func rungShapes() []shape {
 		b.step()
 	}
 	shapes = append(shapes, shape{"cancel-churn", b.ops, Counters{
-		BottomPops: 22183, BottomLen: 71285, Tombstones: 2476, DirectPushes: 4950,
-		Rungs: 40, Runs: 9056, Rebuckets: 35}})
+		BottomPops: 22182, BottomLen: 71281, Tombstones: 2476,
+		DirectPushes: 4949, Rungs: 40, Runs: 9056, Rebuckets: 35,
+		LanePushes: 1, LaneClaims: 1}})
 
 	// The end of the time axis: a spill re-bucket spanning 1 s to
 	// Forever-1 adapts a width so large that the top rung's last bucket
@@ -579,17 +594,83 @@ func rungShapes() []shape {
 		b.step()
 	}
 	shapes = append(shapes, shape{"near-forever", b.ops, Counters{
-		BottomPops: 277, BottomLen: 967, DirectPushes: 2, Rungs: 1, Runs: 15, Rebuckets: 1}})
+		BottomPops: 276, BottomLen: 955, DirectPushes: 2, Rungs: 1,
+		Runs: 15, Rebuckets: 1, LanePushes: 1, LaneClaims: 1}})
+
+	// dag-packet through the delay lanes: about 113 pending, every step
+	// schedules one of its four recurring delays in its proportions
+	// (0.5 µs 35%, 1.2 µs 34%, 1 µs 28%, 50 µs 3%), and one schedule in
+	// twenty adds a random background delay. Cancels of recent events
+	// land on lane heads among others.
+	b = &scriptBuilder{}
+	packetDelay := func() simtime.Time {
+		switch k := r.Intn(100); {
+		case k < 35:
+			return simtime.Microsecond / 2
+		case k < 69:
+			return 1200 * simtime.Nanosecond
+		case k < 97:
+			return simtime.Microsecond
+		default:
+			return 50 * simtime.Microsecond
+		}
+	}
+	for i := 0; i < 113; i++ {
+		b.schedule(packetDelay())
+	}
+	for i := 0; i < 60000; i++ {
+		b.step()
+		b.schedule(packetDelay())
+		if i%20 == 0 {
+			b.schedule(uniform(r, simtime.Microsecond/2, 100*simtime.Microsecond))
+		}
+		if i%7 == 0 {
+			b.cancel(r.Intn(8))
+		}
+	}
+	shapes = append(shapes, shape{"lanes", b.ops, Counters{
+		BottomPops: 2900, BottomLen: 13823, Tombstones: 3083,
+		DirectPushes: 2763, Splits: 1, Runs: 94, LanePushes: 60093,
+		LaneClaims: 4}})
+
+	// Lane events before a handed-down run. Bucket [0, 1 ms) holds ten
+	// events at 10-19 µs; bucket [1, 2 ms) holds 200 in order from
+	// 1.5 ms, a run once handed down. Two schedules 1 µs out claim a
+	// lane, and every step adds one more to it: once the first bucket
+	// drains, the lane heads lie below lim (1 ms) with the heap and the
+	// run empty. Then every step also adds a background event 1 to
+	// 500 µs out. A ladder that handed the run down before those lane
+	// heads would raise lim to 2 ms, and the live run would refuse every
+	// split of the heap that the background fills.
+	b = &scriptBuilder{}
+	for i := 0; i < 10; i++ {
+		b.schedule(10*simtime.Microsecond + simtime.Time(i)*simtime.Microsecond)
+	}
+	for i := 0; i < 200; i++ {
+		b.schedule(1500*simtime.Microsecond + simtime.Time(i)*simtime.Microsecond)
+	}
+	b.schedule(simtime.Microsecond)
+	b.schedule(simtime.Microsecond)
+	for i := 0; i < 3100; i++ {
+		b.step()
+		b.schedule(simtime.Microsecond)
+		if i >= 100 {
+			b.schedule(uniform(r, simtime.Microsecond, 500*simtime.Microsecond))
+		}
+	}
+	shapes = append(shapes, shape{"lane-before-run", b.ops, Counters{
+		BottomPops: 3002, BottomLen: 34975, DirectPushes: 43, Rungs: 2,
+		Splits: 1, Runs: 33, LanePushes: 3101, LaneClaims: 1}})
 	return shapes
 }
 
 // TestRungsMatchReference: on every shape the ladder dispatches the
 // sequence the reference heap does and ends on the shape's tier
 // counters, and between them the shapes spawn a rung, split a heap, form
-// a run, sweep with a spawned rung live and spawn a rung from a
-// hand-down that reaches simtime.Forever.
+// a run, sweep with a spawned rung live, spawn a rung from a hand-down
+// that reaches simtime.Forever, claim lanes and cancel a lane head.
 func TestRungsMatchReference(t *testing.T) {
-	var sweptUnderRungs, spawnedAtForever bool
+	var sweptUnderRungs, spawnedAtForever, canceledLaneHead bool
 	var total Counters
 	for _, sh := range rungShapes() {
 		var eng *Engine
@@ -602,6 +683,9 @@ func TestRungsMatchReference(t *testing.T) {
 			prevTombs = e.tombstones()
 			if e.collapsed() {
 				spawnedAtForever = true
+			}
+			if e.laneHeadCanceled() {
+				canceledLaneHead = true
 			}
 		}
 		got := runLadderScript(sh.ops, watch)
@@ -618,12 +702,15 @@ func TestRungsMatchReference(t *testing.T) {
 		total.Rungs += c.Rungs
 		total.Splits += c.Splits
 		total.Runs += c.Runs
+		total.LanePushes += c.LanePushes
+		total.LaneClaims += c.LaneClaims
 		if c != sh.want {
 			t.Errorf("%s: counters %+v, want %+v", sh.name, c, sh.want)
 		}
 	}
-	if total.Rungs == 0 || total.Splits == 0 || total.Runs == 0 {
-		t.Errorf("paths not taken: %d rungs, %d splits, %d runs", total.Rungs, total.Splits, total.Runs)
+	if total.Rungs == 0 || total.Splits == 0 || total.Runs == 0 || total.LanePushes == 0 || total.LaneClaims == 0 {
+		t.Errorf("paths not taken: %d rungs, %d splits, %d runs, %d lane pushes, %d lane claims",
+			total.Rungs, total.Splits, total.Runs, total.LanePushes, total.LaneClaims)
 	}
 	if !sweptUnderRungs {
 		t.Error("no sweep ran while a spawned rung was live")
@@ -631,11 +718,15 @@ func TestRungsMatchReference(t *testing.T) {
 	if !spawnedAtForever {
 		t.Error("no hand-down reaching simtime.Forever spawned a rung")
 	}
+	if !canceledLaneHead {
+		t.Error("no cancel landed on a lane head")
+	}
 }
 
 // TestBottomStaysSmall is ROADMAP item 1's bar: on every shape the heap
 // holds at most 256 events on average at a pop, and more than splitAt+1
-// only while a split is refused.
+// only while a split is refused. The lane-before-run shape holds the
+// ladder to never advancing past an earlier lane head.
 func TestBottomStaysSmall(t *testing.T) {
 	for _, sh := range rungShapes() {
 		var eng *Engine
@@ -667,5 +758,40 @@ func TestBottomStaysSmall(t *testing.T) {
 		if mean > numBuckets {
 			t.Errorf("%s: mean heap at pop %.1f > %d", sh.name, mean, numBuckets)
 		}
+	}
+}
+
+// TestLaneChainPastTopRung: two interleaved chains through one lane,
+// with nothing in the ladder, move lim past each lane head without
+// handing anything down, and past the top rung's end lay out a new top
+// rung; the chains and the events scheduled among their links still
+// dispatch as the reference heap does.
+func TestLaneChainPastTopRung(t *testing.T) {
+	b := &scriptBuilder{}
+	b.schedule(simtime.Millisecond)
+	b.schedule(simtime.Millisecond)
+	for i := 0; i < 1200; i++ {
+		b.step()
+		b.schedule(simtime.Millisecond)
+		if i%300 == 0 {
+			b.schedule(simtime.Time(i) * simtime.Microsecond)
+		}
+	}
+	var eng *Engine
+	got := runLadderScript(b.ops, func(e *Engine, _ scriptOp) { eng = e })
+	want := runRefScript(b.ops)
+	if len(got) != len(want) {
+		t.Fatalf("ladder fired %d events, heap fired %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d diverged: ladder %+v, heap %+v", i, got[i], want[i])
+		}
+	}
+	if c := eng.Count; c.LanePushes < 1200 || c.Rebuckets != 0 {
+		t.Errorf("counters %+v: want the chain in a lane and no re-bucket", c)
+	}
+	if end := eng.rungs[0].start; end < 256*simtime.Millisecond {
+		t.Errorf("top rung still starts at %v: no new one was laid out past the first", end)
 	}
 }
