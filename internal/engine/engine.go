@@ -324,8 +324,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 		// costs it nothing: it skips the lanes, and a chain of them
 		// never claims one.
 		if e.live > 1 {
-			h := laneHash(d)
-			i := e.laneFor(d, h)
+			i := e.laneFor(d)
 			if i < 0 && d == e.missed && e.seq >= e.claimAt {
 				i = e.claimLane(d)
 			}
@@ -354,10 +353,10 @@ func laneHash(d simtime.Time) uint {
 	return uint(d^d>>laneBits) & (1<<laneBits - 1)
 }
 
-// laneFor returns the lane that delay d, of hash h, holds, or -1. Most
-// misses stop at laneMask, without comparing d with a lane delay.
-func (e *Engine) laneFor(d simtime.Time, h uint) int {
-	if e.laneMask&(1<<h) != 0 {
+// laneFor returns the lane that delay d holds, or -1. Most misses stop
+// at laneMask, without comparing d with a lane delay.
+func (e *Engine) laneFor(d simtime.Time) int {
+	if e.laneMask&(1<<laneHash(d)) != 0 {
 		for i, ld := range &e.laneDelay {
 			if ld == d {
 				return i
@@ -402,17 +401,10 @@ func (e *Engine) claimLane(d simtime.Time) int {
 // replays the matches ev wins.
 func (e *Engine) laneFilled(i int, ev *event) {
 	e.laneAt[i], e.laneSeq[i] = ev.at, ev.seq
-	if e.laneBusy == 0 {
-		// Every other lane is empty, so lane i wins its whole path.
-		e.laneBusy = 1 << i
-		k := numLanes + i
-		e.laneWin[k/2], e.laneWin[k/4], e.laneWin[1] = uint8(i), uint8(i), uint8(i)
-		return
-	}
+	e.laneBusy |= 1 << i
 	// The lane's key falls from Forever to ev's. ev has the largest seq
 	// yet, so it loses every tie, and once it loses a match it loses
 	// every match above.
-	e.laneBusy |= 1 << i
 	for k := (numLanes + i) / 2; k > 0; k /= 2 {
 		if w := e.laneWin[k]; int(w) != i && e.laneAt[w&(numLanes-1)] <= ev.at {
 			return
@@ -441,7 +433,8 @@ func (e *Engine) trimLane(i int) {
 		e.discard(l.pop())
 	}
 	if e.setLaneKey(i); e.laneBusy == 0 {
-		// As in Step's lane fast path, every node names a winner.
+		// Every key is Forever, and every node still names a lane of
+		// its own subtree.
 		return
 	}
 	for k := (numLanes + i) / 2; k > 0; k /= 2 {
@@ -450,19 +443,14 @@ func (e *Engine) trimLane(i int) {
 }
 
 // setLaneKey copies lane i's head into the tree's keys. An empty lane is
-// free and keyed at Forever, which no lane event reaches.
+// free and keyed at Forever, which no lane event reaches; one that has
+// just emptied stays hot, and no other delay may claim it, for laneCold
+// schedules.
 func (e *Engine) setLaneKey(i int) {
 	if h := e.lanes[i].head; h != nil {
 		e.laneAt[i], e.laneSeq[i] = h.at, h.seq
 		return
 	}
-	e.laneFreed(i)
-}
-
-// laneFreed marks lane i empty and keys it at Forever, which no lane
-// event reaches. A lane that was busy stays hot, and no other delay may
-// claim it, for laneCold schedules.
-func (e *Engine) laneFreed(i int) {
 	if e.laneBusy&(1<<i) != 0 {
 		e.laneBusy &^= 1 << i
 		e.laneHot[i] = e.seq + laneCold
@@ -645,7 +633,11 @@ func (e *Engine) nextLive() *event {
 			// hand-down heapified near-ties below a wider lim.
 			e.splitBottom()
 		}
-		switch ev := e.bottomHead(); {
+		ev := e.run.head
+		if len(e.bottom) > 0 && (ev == nil || lessEv(e.bottom[0], ev)) {
+			ev = e.bottom[0]
+		}
+		switch {
 		case ev == nil:
 			if lh != nil && lh.at < e.lim {
 				// Every event left in the ladder is at or after lim, so
@@ -850,26 +842,14 @@ func (e *Engine) Step() bool {
 		// ahead of the heap top, or of lim when the heap is empty. The
 		// lanes' keys stand in for the lane heads, so a heap pop reads
 		// no lane event.
-		w := int(e.laneWin[1] & (numLanes - 1))
-		switch {
+		switch w := e.laneWin[1] & (numLanes - 1); {
 		case n > 0 && (e.laneBusy == 0 || e.bottom[0].at < e.laneAt[w]):
 			if e.bottom[0].state == stateQueued {
 				ev = e.bottomPop()
 			}
 		case e.laneBusy != 0 && e.laneAt[w] < e.lim && (n == 0 || e.laneAt[w] < e.bottom[0].at):
-			// lanePop, inline.
-			l := &e.lanes[w]
-			if l.head.state != stateQueued {
-				break
-			}
-			ev = l.pop()
-			if l.n > 0 || e.laneBusy != 1<<w {
-				e.trimLane(w)
-			} else {
-				// The last busy lane empties: every key is Forever
-				// now, and every node still names a lane of its own
-				// subtree.
-				e.laneBusy, e.laneAt[w], e.laneHot[w] = 0, simtime.Forever, e.seq+laneCold
+			if e.lanes[w].head.state == stateQueued {
+				ev = e.lanePop()
 			}
 		}
 	}
@@ -899,16 +879,6 @@ func (e *Engine) Step() bool {
 	e.release(ev)
 	fn()
 	return true
-}
-
-// bottomHead is the earlier of the run head and the heap top, nil when
-// both are empty.
-func (e *Engine) bottomHead() *event {
-	ev := e.run.head
-	if len(e.bottom) > 0 && (ev == nil || lessEv(e.bottom[0], ev)) {
-		ev = e.bottom[0]
-	}
-	return ev
 }
 
 // skipTo moves lim past t over an empty ladder, so the lane events that
