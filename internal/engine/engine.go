@@ -15,22 +15,22 @@
 //     with an adaptively chosen bucket width — once the clock reaches it.
 //     Every bucket is an intrusive FIFO list, so no bucket grows or keeps
 //     capacity.
-//   - Finer rungs, a sorted run and a small bottom heap: a bucket the
-//     clock reaches is handed down once. If it is already in (at, seq)
-//     order it becomes the sorted run, popped in O(1); if it is crowded
-//     over a wide span it spawns a finer rung of buckets over that span
-//     (Tang, Goh and Thng's Ladder Queue); otherwise it is heapified. A
-//     heap that direct pushes grow past splitAt is itself moved into a
-//     new rung.
-//   - Delay lanes: an event scheduled d > 0 after now, where d is one of
-//     up to numLanes recurring delays, skips the ladder and is appended
-//     to that delay's lane, a FIFO list that is in (at, seq) order by
-//     construction. A delay claims a free lane the second time in a row
-//     a schedule finds none for it; a lane that empties stays its
-//     delay's, and hot for a while, so one-off delays cannot take it.
-//     A winner tree over the lane heads names the earliest, and the
-//     ladder never hands a bucket down past it. Step pops the smallest
-//     of the run head, the heap top and the earliest lane head.
+//   - Finer rungs and a small bottom heap: a bucket the clock reaches is
+//     handed down once. If it is already in (at, seq) order it becomes
+//     the run, a lane of its own (below); if it is crowded over a wide
+//     span it spawns a finer rung of buckets over that span (Tang, Goh
+//     and Thng's Ladder Queue); otherwise it is heapified. A heap that
+//     direct pushes grow past splitAt is itself moved into a new rung.
+//   - Delay lanes: an event scheduled d >= 0 after now, where d is one
+//     of up to numLanes-1 recurring delays, skips the ladder and is
+//     appended to that delay's lane, a FIFO list that is in (at, seq)
+//     order by construction. A delay claims a free lane the second time
+//     in a row a schedule finds none for it; a lane that empties stays
+//     its delay's, and hot for a while, so one-off delays cannot take
+//     it. The remaining lane, runLane, holds the run. A winner tree over
+//     the lane heads names the earliest, and the ladder never hands a
+//     bucket down past it. Step pops the smaller of the heap top and the
+//     earliest lane head.
 //   - Event pool: fired and swept events return to a free list and are
 //     recycled, so steady-state scheduling performs zero allocations.
 //     Handles carry a generation counter; a stale Handle to a recycled
@@ -72,9 +72,12 @@ const (
 	// minSpan is the narrowest time span worth a rung of numBuckets
 	// buckets: below it the events are near-ties and stay in the heap.
 	minSpan = numBuckets * simtime.Nanosecond
-	// numLanes is how many recurring delays can hold a delay lane at
-	// once; laneWin is a winner tree over exactly this many leaves.
+	// numLanes is how many lanes there are: the run and numLanes-1
+	// recurring delays; laneWin is a winner tree over exactly this many
+	// leaves.
 	numLanes = 8
+	// runLane is the run's lane, which no delay may claim.
+	runLane = 0
 	// laneBits is the bit width of laneHash: laneMask has one bit per
 	// hash value.
 	laneBits = 6
@@ -97,7 +100,7 @@ const (
 type event struct {
 	at    simtime.Time
 	seq   uint64
-	next  *event // successor in the bucket, run, forever or free list
+	next  *event // successor in the bucket, lane, forever or free list
 	gen   uint32
 	state uint8
 	fn    func()
@@ -182,8 +185,8 @@ func (h Handle) Pending() bool {
 type Counters struct {
 	BottomPops   uint64 // pops from the bottom heap, tombstones and split drains included
 	BottomLen    uint64 // heap length summed over those pops
-	Tombstones   uint64 // canceled events popped from the heap, run or forever list
-	DirectPushes uint64 // events scheduled below lim, into the heap or onto the run
+	Tombstones   uint64 // canceled events popped from the heap, a lane or the forever list
+	DirectPushes uint64 // events scheduled below lim into the heap
 	Rungs        uint64 // rungs spawned by a hand-down
 	Splits       uint64 // bottom heaps moved into a new rung
 	Runs         uint64 // hand-downs already in (at, seq) order
@@ -204,21 +207,21 @@ type Engine struct {
 	free     *event // pool free list, linked through next
 	lim      simtime.Time
 
-	// bottom is the earliest tier, together with run: a binary heap
-	// ordered by (at, seq). bottom and run hold every queued event with
-	// at < lim, and nothing else but the lanes does.
+	// bottom is the earliest tier: a binary heap ordered by (at, seq).
+	// It holds every queued event with at < lim that is not in a lane,
+	// and no other tier but the lanes holds one.
 	bottom []*event
-	// run is a handed-down bucket that was already in (at, seq) order.
-	run list
 
 	// lanes bypass the ladder: lanes[i] holds, in (at, seq) order, the
-	// events scheduled laneDelay[i] after their scheduling time. A lane
-	// is free while it is empty (its bit in laneBusy is clear); it keeps
-	// its delay until another delay claims it. laneWin is a winner tree:
-	// node k's children are 2k and 2k+1, leaf numLanes+i is lane i, and
-	// the root laneWin[1] names the lane with the earliest head. Matches
-	// compare the (at, seq) keys of the lane heads, Forever for an empty
-	// lane. Lane i is hot until seq reaches laneHot[i], laneMask has
+	// events scheduled laneDelay[i] after their scheduling time, and
+	// lanes[runLane] the run, a handed-down bucket that was already in
+	// (at, seq) order; its laneDelay is -1, like a lane never claimed. A
+	// lane is free while it is empty (its bit in laneBusy is clear); it
+	// keeps its delay until another delay claims it. laneWin is a winner
+	// tree: node k's children are 2k and 2k+1, leaf numLanes+i is lane
+	// i, and the root laneWin[1] names the lane with the earliest head.
+	// Matches compare the (at, seq) keys of the lane heads, Forever for
+	// an empty lane. Lane i is hot until seq reaches laneHot[i], laneMask has
 	// bit laneHash(d) set for every lane delay d, missed is the delay of
 	// the last schedule that found no lane, and no claim is tried before
 	// seq reaches claimAt.
@@ -260,9 +263,18 @@ type Engine struct {
 
 // New returns an empty engine with the clock at the simulation epoch.
 func New() *Engine {
-	e := &Engine{bottom: make([]*event, 0, 64)}
+	e := &Engine{bottom: make([]*event, 0, 64), missed: -1}
 	e.spawn(0, saturatingWindowEnd(0, initialWidth), initialWidth)
-	e.replayLanes()
+	for i := range e.lanes {
+		e.laneDelay[i] = -1
+		e.laneAt[i] = simtime.Forever
+		e.laneWin[numLanes+i] = uint8(i)
+	}
+	// Every node names a lane of its own subtree, so a match never
+	// reads a key from outside it.
+	for k := numLanes - 1; k > 0; k-- {
+		e.laneWin[k] = e.laneWin[2*k]
+	}
 	return e
 }
 
@@ -319,7 +331,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	ev.state = stateQueued
 	e.seq++
 	e.live++
-	if d := at - e.now; d > 0 && at != simtime.Forever {
+	if d := at - e.now; at != simtime.Forever {
 		// A lone event has nothing to be ordered against, so the heap
 		// costs it nothing: it skips the lanes, and a chain of them
 		// never claims one.
@@ -335,7 +347,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 				l := &e.lanes[i]
 				l.push(ev)
 				if l.n == 1 {
-					e.laneFilled(i, ev)
+					e.relane(i)
 				}
 				return Handle{ev: ev, gen: ev.gen}
 			}
@@ -374,7 +386,7 @@ func (e *Engine) laneFor(d simtime.Time) int {
 // that recurs, which refills its lane soon after it empties.
 func (e *Engine) claimLane(d simtime.Time) int {
 	i := -1
-	for free := ^e.laneBusy; free != 0; free &= free - 1 {
+	for free := ^e.laneBusy &^ (1 << runLane); free != 0; free &= free - 1 {
 		if j := bits.TrailingZeros8(free); i < 0 || e.laneHot[j] < e.laneHot[i] {
 			i = j
 		}
@@ -389,28 +401,12 @@ func (e *Engine) claimLane(d simtime.Time) int {
 	e.laneDelay[i] = d
 	e.laneMask = 0
 	for _, ld := range e.laneDelay {
-		if ld != 0 {
+		if ld >= 0 {
 			e.laneMask |= 1 << laneHash(ld)
 		}
 	}
 	e.Count.LaneClaims++
 	return i
-}
-
-// laneFilled keys lane i, which was empty, at its new head ev and
-// replays the matches ev wins.
-func (e *Engine) laneFilled(i int, ev *event) {
-	e.laneAt[i], e.laneSeq[i] = ev.at, ev.seq
-	e.laneBusy |= 1 << i
-	// The lane's key falls from Forever to ev's. ev has the largest seq
-	// yet, so it loses every tie, and once it loses a match it loses
-	// every match above.
-	for k := (numLanes + i) / 2; k > 0; k /= 2 {
-		if w := e.laneWin[k]; int(w) != i && e.laneAt[w&(numLanes-1)] <= ev.at {
-			return
-		}
-		e.laneWin[k] = uint8(i)
-	}
 }
 
 // laneHead is the earliest lane head, nil when every lane is empty.
@@ -425,46 +421,38 @@ func (e *Engine) lanePop() *event {
 	return ev
 }
 
-// trimLane releases the tombstones at lane i's head, frees the lane if
-// it empties, and replays the lane's path up the winner tree.
+// trimLane releases the tombstones at lane i's head and re-keys it.
 func (e *Engine) trimLane(i int) {
 	l := &e.lanes[i]
 	for l.n > 0 && l.head.state == stateCanceled {
 		e.discard(l.pop())
 	}
-	if e.setLaneKey(i); e.laneBusy == 0 {
-		// Every key is Forever, and every node still names a lane of
-		// its own subtree.
+	e.relane(i)
+}
+
+// relane copies lane i's head into the tree's keys and replays the
+// lane's path up the winner tree. An empty lane is free and keyed at
+// Forever, which no lane event reaches; one that has just emptied stays
+// hot, and no other delay may claim it, for laneCold schedules.
+func (e *Engine) relane(i int) {
+	alone := e.laneBusy == 1<<i
+	if h := e.lanes[i].head; h != nil {
+		e.laneAt[i], e.laneSeq[i] = h.at, h.seq
+		e.laneBusy |= 1 << i
+	} else {
+		if e.laneBusy&(1<<i) != 0 {
+			e.laneBusy &^= 1 << i
+			e.laneHot[i] = e.seq + laneCold
+		}
+		e.laneAt[i] = simtime.Forever
+	}
+	if alone || e.laneBusy == 0 {
+		// Lane i was the only busy lane, so every node on its path
+		// names it, and still does; or every key is Forever, and every
+		// node still names a lane of its own subtree.
 		return
 	}
 	for k := (numLanes + i) / 2; k > 0; k /= 2 {
-		e.laneWin[k] = e.laneMatch(k)
-	}
-}
-
-// setLaneKey copies lane i's head into the tree's keys. An empty lane is
-// free and keyed at Forever, which no lane event reaches; one that has
-// just emptied stays hot, and no other delay may claim it, for laneCold
-// schedules.
-func (e *Engine) setLaneKey(i int) {
-	if h := e.lanes[i].head; h != nil {
-		e.laneAt[i], e.laneSeq[i] = h.at, h.seq
-		return
-	}
-	if e.laneBusy&(1<<i) != 0 {
-		e.laneBusy &^= 1 << i
-		e.laneHot[i] = e.seq + laneCold
-	}
-	e.laneAt[i] = simtime.Forever
-}
-
-// replayLanes re-keys every lane and replays every match, bottom up.
-func (e *Engine) replayLanes() {
-	for i := range e.lanes {
-		e.laneWin[numLanes+i] = uint8(i)
-		e.setLaneKey(i)
-	}
-	for k := numLanes - 1; k > 0; k-- {
 		e.laneWin[k] = e.laneMatch(k)
 	}
 }
@@ -480,19 +468,12 @@ func (e *Engine) laneMatch(k int) uint8 {
 }
 
 // place routes an event to the tier covering its timestamp: below lim
-// to the heap or the run, a Forever sentinel to its list, anything else
-// to the deepest rung that ends past it, and what no rung takes to the
-// spill.
+// to the heap, a Forever sentinel to its list, anything else to the
+// deepest rung that ends past it, and what no rung takes to the spill.
 func (e *Engine) place(ev *event) {
 	switch {
 	case ev.at < e.lim:
 		e.Count.DirectPushes++
-		if ev.at == e.now && (e.run.n == 0 || e.run.tail.at == e.now) {
-			// It sorts after every queued event at now, so the run
-			// doubles as the same-time FIFO.
-			e.run.push(ev)
-			return
-		}
 		e.bottomPush(ev)
 		if len(e.bottom) > splitAt {
 			e.splitBottom()
@@ -552,7 +533,6 @@ func (e *Engine) maybeSweep() {
 	}
 	e.bottom = e.sweepSlice(e.bottom)
 	heapify(e.bottom)
-	e.sweepList(&e.run)
 	for _, r := range e.rungs {
 		for j := r.cur; j < numBuckets && r.n > 0; j++ {
 			if r.buckets[j].n > 0 {
@@ -564,8 +544,8 @@ func (e *Engine) maybeSweep() {
 	e.sweepList(&e.forever)
 	for i := range e.lanes {
 		e.sweepList(&e.lanes[i])
+		e.relane(i)
 	}
-	e.replayLanes()
 	e.canceled = 0
 }
 
@@ -602,23 +582,19 @@ func (e *Engine) sweepSlice(s []*event) []*event {
 	return kept
 }
 
-// discard releases a tombstone popped from the bottom, the run, a lane
-// or the forever list.
+// discard releases a tombstone popped from the bottom, a lane or the
+// forever list.
 func (e *Engine) discard(ev *event) {
 	e.canceled--
 	e.Count.Tombstones++
 	e.release(ev)
 }
 
-// nextLive exposes the earliest pending event — the smallest of the run
-// head, the heap top and the earliest lane head — handing buckets down
-// and sweeping tombstones as needed. Returns nil when the queue is
-// empty.
+// nextLive exposes the earliest pending event — the smaller of the heap
+// top and the earliest lane head — handing buckets down and sweeping
+// tombstones as needed. Returns nil when the queue is empty.
 func (e *Engine) nextLive() *event {
 	for {
-		for e.run.n > 0 && e.run.head.state == stateCanceled {
-			e.discard(e.run.pop())
-		}
 		for len(e.bottom) > 0 && e.bottom[0].state == stateCanceled {
 			e.discard(e.bottomPop())
 		}
@@ -633,8 +609,8 @@ func (e *Engine) nextLive() *event {
 			// hand-down heapified near-ties below a wider lim.
 			e.splitBottom()
 		}
-		ev := e.run.head
-		if len(e.bottom) > 0 && (ev == nil || lessEv(e.bottom[0], ev)) {
+		var ev *event
+		if len(e.bottom) > 0 {
 			ev = e.bottom[0]
 		}
 		switch {
@@ -694,10 +670,10 @@ func (e *Engine) advanceRung() bool {
 }
 
 // handDown moves a bucket whose events all lie below hi into the bottom,
-// which must be empty. One walk releases its tombstones and finds its
-// order and span. Already in (at, seq) order, it becomes the run; more
-// than splitAt events over at least minSpan spawn a finer rung from
-// their earliest; anything else is heapified.
+// which must be empty, run lane included. One walk releases its
+// tombstones and finds its order and span. Already in (at, seq) order,
+// it becomes the run; more than splitAt events over at least minSpan
+// spawn a finer rung from their earliest; anything else is heapified.
 func (e *Engine) handDown(b list, hi simtime.Time) {
 	e.lim = hi
 	sorted := true
@@ -733,7 +709,8 @@ func (e *Engine) handDown(b list, hi simtime.Time) {
 	switch {
 	case b.n == 0:
 	case sorted:
-		e.run = b
+		e.lanes[runLane] = b
+		e.relane(runLane)
 		e.Count.Runs++
 	case b.n > splitAt && top-lo >= minSpan:
 		// About one event per bucket: the first min(n, 256) buckets
@@ -774,10 +751,11 @@ func (e *Engine) spawn(start, end, width simtime.Time) *rung {
 
 // splitBottom moves a crowded heap into a new rung over [heap min, lim),
 // unless a live run reaches the heap's minimum (lim cannot drop below
-// the run's last event) or the span is too narrow for a rung.
+// the run's last event, or a hand-down would replace the live run) or
+// the span is too narrow for a rung.
 func (e *Engine) splitBottom() {
 	lo := e.bottom[0].at
-	if e.run.n > 0 && e.run.tail.at >= lo || e.lim-lo < minSpan {
+	if run := &e.lanes[runLane]; run.n > 0 && run.tail.at >= lo || e.lim-lo < minSpan {
 		return
 	}
 	r := e.spawn(lo, e.lim, (e.lim-lo)/numBuckets+1)
@@ -835,13 +813,13 @@ func (e *Engine) rebucket() {
 // its timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	var ev *event
-	if n := len(e.bottom); e.run.n == 0 && n <= splitAt {
-		// Fast paths, with no run and a heap that has nothing to split:
-		// the heap top, if it is live and strictly ahead of every lane
-		// head; or the earliest lane head, if it is live and strictly
-		// ahead of the heap top, or of lim when the heap is empty. The
-		// lanes' keys stand in for the lane heads, so a heap pop reads
-		// no lane event.
+	if n := len(e.bottom); n <= splitAt {
+		// Fast paths, with a heap that has nothing to split: the heap
+		// top, if it is live and strictly ahead of every lane head; or
+		// the earliest lane head, if it is live and strictly ahead of
+		// the heap top, or of lim when the heap is empty. The lanes'
+		// keys stand in for the lane heads, so a heap pop reads no lane
+		// event.
 		switch w := e.laneWin[1] & (numLanes - 1); {
 		case n > 0 && (e.laneBusy == 0 || e.bottom[0].at < e.laneAt[w]):
 			if e.bottom[0].state == stateQueued {
@@ -858,8 +836,6 @@ func (e *Engine) Step() bool {
 			return false
 		}
 		switch {
-		case ev == e.run.head:
-			e.run.pop()
 		case len(e.bottom) > 0 && ev == e.bottom[0]:
 			e.bottomPop()
 		case ev == e.laneHead():

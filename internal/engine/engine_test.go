@@ -292,8 +292,9 @@ func TestTimerZeroDelay(t *testing.T) {
 // TestEngineSteadyStateZeroAlloc is the engine's allocation gate: once
 // the pool, the rungs and the heap have grown to the workload, churn
 // through top-rung buckets, a sorted run, a spawned rung, a heap split,
-// cancels, a sweep, and delay lanes claimed, freed, tombstoned and run
-// over an empty ladder allocates nothing.
+// cancels, a sweep, delay lanes claimed, freed, tombstoned and run over
+// an empty ladder, and a same-time burst drained through the delay-0
+// lane allocates nothing.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
 	noop := func() {}
@@ -304,6 +305,16 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		for i := 40; i > 0; i-- {
 			e.After(simtime.Time(i)*100, noop)
 		}
+	}
+	// same schedules 40 events at now from inside a dispatch: delay 0
+	// claims a lane once and keeps it, since every cycle refills it.
+	zeroLaned := false
+	same := func() {
+		for i := 0; i < 40; i++ {
+			e.After(0, noop)
+		}
+		z := e.laneFor(0)
+		zeroLaned = z >= 0 && e.lanes[z].n > 0
 	}
 	// link and link2 are chains through two delay lanes, d and d+1 µs
 	// apart: each schedules its next link, twice in a row the first time
@@ -348,6 +359,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 			e.Schedule(t0+5*simtime.Millisecond+simtime.Time(i)*10, noop)
 		}
 		e.Schedule(t0+7*simtime.Millisecond, burst)
+		e.Schedule(t0+8*simtime.Millisecond, same)
 		for i := range hs { // armed and canceled: a sweep
 			hs[i] = e.Schedule(t0+simtime.Time(i+1)*simtime.Millisecond, noop)
 		}
@@ -370,6 +382,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		cycle()
 	}
 	before := e.Count
+	zeroLaned = false
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("engine churn allocates %.1f times per cycle, want 0", allocs)
 	}
@@ -379,5 +392,8 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("a path was not exercised: runs %d->%d, rungs %d->%d, splits %d->%d, lane pushes %d->%d, lane claims %d->%d, tombstones %d->%d",
 			before.Runs, c.Runs, before.Rungs, c.Rungs, before.Splits, c.Splits,
 			before.LanePushes, c.LanePushes, before.LaneClaims, c.LaneClaims, before.Tombstones, c.Tombstones)
+	}
+	if !zeroLaned {
+		t.Error("the same-time burst did not ride a delay-0 lane")
 	}
 }

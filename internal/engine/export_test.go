@@ -45,7 +45,7 @@ func (e *Engine) splitRefused() bool {
 		return true
 	}
 	lo := e.bottom[0].at
-	return e.run.n > 0 && e.run.tail.at >= lo || e.lim-lo < minSpan
+	return e.lanes[runLane].n > 0 && e.lanes[runLane].tail.at >= lo || e.lim-lo < minSpan
 }
 
 // tombstones is the number of canceled events still queued.
@@ -55,6 +55,21 @@ func (e *Engine) tombstones() int { return e.canceled }
 func (e *Engine) laneHeadCanceled() bool {
 	for i := range e.lanes {
 		if h := e.lanes[i].head; h != nil && h.state == stateCanceled {
+			return true
+		}
+	}
+	return false
+}
+
+// nowInThreeTiers reports whether the heap, the run lane and a lane
+// claimed by delay 0 each hold an event at now.
+func (e *Engine) nowInThreeTiers() bool {
+	z := e.laneFor(0)
+	if z < 0 || e.lanes[z].n == 0 || e.lanes[runLane].n == 0 || e.lanes[runLane].head.at != e.now {
+		return false
+	}
+	for _, ev := range e.bottom {
+		if ev.at == e.now {
 			return true
 		}
 	}

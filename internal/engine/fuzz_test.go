@@ -224,6 +224,25 @@ func laneSweep() []byte {
 	return append(data, 2, 0, 0, 0, 8, 0, 2, 0, 0)
 }
 
+// zeroLane is a seed script in which delay 0 claims a lane among two
+// recurring delays and empties and refills it round after round: each
+// round schedules 2 and 8 µs out twice, then four zero-delay events, a
+// cancel of the first of them, and steps past them all.
+func zeroLane() []byte {
+	var data []byte
+	for round := 0; round < 6; round++ {
+		data = append(data, 0, 2, 0, 0, 2, 0, 0, 8, 0, 0, 8, 0)
+		for k := 0; k < 4; k++ {
+			data = append(data, 0, byte(6*k), 0)
+		}
+		data = append(data, 1, 0, byte(8*round+4))
+		for i := 0; i < 9; i++ {
+			data = append(data, 2, 0, 0)
+		}
+	}
+	return data
+}
+
 // FuzzEngineScript: any byte string decodes to a valid op script; the
 // ladder queue and the reference heap must dispatch identically.
 func FuzzEngineScript(f *testing.F) {
@@ -243,6 +262,12 @@ func FuzzEngineScript(f *testing.F) {
 	// Lanes of 2 and 8 µs, then RunUntil 2 µs on: it stops between the
 	// two lane heads. More lane events, a step, RunUntil 8 µs on.
 	f.Add([]byte{0, 2, 0, 0, 2, 0, 0, 8, 0, 0, 8, 0, 2, 2, 7, 0, 2, 0, 2, 0, 0, 2, 8, 7, 2, 0, 0})
+	// Delay 0 in a lane: three zero-delay schedules (the second claims
+	// a lane), steps that empty it, three more (the first alone in the
+	// queue, the rest refill the lane), a cancel of its head, steps.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0,
+		0, 6, 0, 0, 12, 0, 0, 18, 0, 1, 0, 4, 2, 0, 0, 2, 0, 0})
+	f.Add(zeroLane()) // delay 0 among other lanes, emptied and refilled
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*5000 {
 			data = data[:3*5000] // bound script length, not coverage

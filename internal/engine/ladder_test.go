@@ -484,10 +484,11 @@ func (b *scriptBuilder) cancel(back int) {
 
 func (b *scriptBuilder) step() { b.ops = append(b.ops, scriptOp{kind: 2}) }
 
-// fillLanes claims every lane with a delay of its own, an hour and more
-// out, so the lanes stay busy and the events after it take the ladder.
+// fillLanes claims every lane but the run's with a delay of its own, an
+// hour and more out, so the lanes stay busy and the events after it take
+// the ladder.
 func (b *scriptBuilder) fillLanes() {
-	for i := 0; i < numLanes; i++ {
+	for i := 0; i < numLanes-1; i++ {
 		d := 3600*simtime.Second + simtime.Time(i)*simtime.Second
 		b.schedule(d)
 		b.schedule(d)
@@ -498,19 +499,23 @@ func uniform(r *rand.Rand, lo, hi simtime.Time) simtime.Time {
 	return lo + simtime.Time(r.Int63n(int64(hi-lo)))
 }
 
-// rungShapes are the five workloads the rungs were built for: a
+// rungShapes are the five workloads the rungs were built for, a
 // start-up burst, a dense farm stream, packet hops, cancel churn and
-// timestamps at the end of the time axis.
+// timestamps at the end of the time axis, and the lane paths after them.
 func rungShapes() []shape {
 	r := rand.New(rand.NewSource(1))
 	var shapes []shape
 
 	// One event per core of a 20,480-server, four-core farm at one
-	// instant 100 µs ahead, scheduled below lim while a run at t=0 is
-	// live (so the first 33 split the heap and the rest follow them
-	// into the rung's first bucket), then a stream that pushes below
-	// lim while the burst drains. Every lane is busy first, so the
-	// burst's one delay takes the ladder.
+	// instant 100 µs ahead, scheduled below lim while a run of t=0
+	// events is live. That run ends before the burst, so it does not
+	// refuse the split: the first 33 split the heap and the rest follow
+	// them into the rung's first bucket, a run once handed down. Then a
+	// stream pushes below lim while the burst drains, and halfway
+	// through 40 zero-delay schedules land in the heap at the burst's
+	// own instant: the live run reaches the heap's minimum and refuses
+	// every split until it drains. Every claimable lane is busy first,
+	// so the burst's one delay and delay 0 take the ladder.
 	b := &scriptBuilder{}
 	b.fillLanes()
 	b.schedule(0)
@@ -522,10 +527,15 @@ func rungShapes() []shape {
 	for i := 0; i < 4000; i++ {
 		b.step()
 		b.schedule(uniform(r, simtime.Microsecond, simtime.Millisecond))
+		if i == 2000 {
+			for j := 0; j < 40; j++ {
+				b.schedule(0)
+			}
+		}
 	}
 	shapes = append(shapes, shape{"burst", b.ops, Counters{
-		BottomPops: 3866, BottomLen: 30317, DirectPushes: 46, Rungs: 1,
-		Splits: 1, Runs: 136, Rebuckets: 1, LanePushes: 8, LaneClaims: 8}})
+		BottomPops: 3906, BottomLen: 31657, DirectPushes: 86, Rungs: 1,
+		Splits: 2, Runs: 149, Rebuckets: 1, LanePushes: 7, LaneClaims: 7}})
 
 	// farm-rr's steady state: 20,000 pending, delays 1 µs to 10 ms.
 	b = &scriptBuilder{}
@@ -568,7 +578,7 @@ func rungShapes() []shape {
 		b.step()
 	}
 	shapes = append(shapes, shape{"cancel-churn", b.ops, Counters{
-		BottomPops: 22182, BottomLen: 71281, Tombstones: 2476,
+		BottomPops: 22182, BottomLen: 71290, Tombstones: 2476,
 		DirectPushes: 4949, Rungs: 40, Runs: 9056, Rebuckets: 35,
 		LanePushes: 1, LaneClaims: 1}})
 
@@ -594,7 +604,7 @@ func rungShapes() []shape {
 		b.step()
 	}
 	shapes = append(shapes, shape{"near-forever", b.ops, Counters{
-		BottomPops: 276, BottomLen: 955, DirectPushes: 2, Rungs: 1,
+		BottomPops: 277, BottomLen: 956, DirectPushes: 2, Rungs: 1,
 		Runs: 15, Rebuckets: 1, LanePushes: 1, LaneClaims: 1}})
 
 	// dag-packet through the delay lanes: about 113 pending, every step
@@ -629,7 +639,7 @@ func rungShapes() []shape {
 		}
 	}
 	shapes = append(shapes, shape{"lanes", b.ops, Counters{
-		BottomPops: 2900, BottomLen: 13823, Tombstones: 3083,
+		BottomPops: 2900, BottomLen: 13836, Tombstones: 3083,
 		DirectPushes: 2763, Splits: 1, Runs: 94, LanePushes: 60093,
 		LaneClaims: 4}})
 
@@ -661,6 +671,41 @@ func rungShapes() []shape {
 	shapes = append(shapes, shape{"lane-before-run", b.ops, Counters{
 		BottomPops: 3002, BottomLen: 34975, DirectPushes: 43, Rungs: 2,
 		Splits: 1, Runs: 33, LanePushes: 3101, LaneClaims: 1}})
+
+	// One instant in three places: the heap, the run lane and the
+	// delay-0 lane. Each round starts from an empty queue at t0 and
+	// schedules P at t0+2ms-10µs and R1 at T = t0+2ms; a helper 50 µs
+	// out fires, and R2 is scheduled at T too, with a delay of its own,
+	// so no delay repeats and no lane is claimed. P, R1 and R2 share a
+	// top-rung bucket, in order, and are handed down as a run. P fires,
+	// a 10 µs delay puts an event at T in the heap, R1 fires, and three
+	// zero-delay schedules follow: the first round's first goes to the
+	// heap and the second claims a lane for delay 0, and in every later
+	// round all three ride that lane. The cancel of the first of them
+	// lands on the delay-0 lane's head from the second round on, and a
+	// random background event comes and goes between rounds.
+	b = &scriptBuilder{}
+	for i := 0; i < 200; i++ {
+		b.schedule(50 * simtime.Microsecond)
+		b.schedule(2*simtime.Millisecond - 10*simtime.Microsecond)
+		b.schedule(2 * simtime.Millisecond)
+		b.step()
+		b.schedule(2*simtime.Millisecond - 50*simtime.Microsecond)
+		b.step()
+		b.schedule(10 * simtime.Microsecond)
+		b.step()
+		b.schedule(0)
+		b.schedule(0)
+		b.schedule(0)
+		b.cancel(2)
+		b.schedule(uniform(r, simtime.Microsecond, 5*simtime.Millisecond))
+		for j := 0; j < 8; j++ {
+			b.step()
+		}
+	}
+	shapes = append(shapes, shape{"same-instant", b.ops, Counters{
+		BottomPops: 409, BottomLen: 431, Tombstones: 200, DirectPushes: 409,
+		Runs: 392, Rebuckets: 3, LanePushes: 599, LaneClaims: 1}})
 	return shapes
 }
 
@@ -668,9 +713,12 @@ func rungShapes() []shape {
 // sequence the reference heap does and ends on the shape's tier
 // counters, and between them the shapes spawn a rung, split a heap, form
 // a run, sweep with a spawned rung live, spawn a rung from a hand-down
-// that reaches simtime.Forever, claim lanes and cancel a lane head.
+// that reaches simtime.Forever, claim lanes, cancel a lane head and the
+// delay-0 lane's head, and hold one instant in the heap, the run lane
+// and the delay-0 lane at once.
 func TestRungsMatchReference(t *testing.T) {
 	var sweptUnderRungs, spawnedAtForever, canceledLaneHead bool
+	var threeTiers, canceledZeroHead bool
 	var total Counters
 	for _, sh := range rungShapes() {
 		var eng *Engine
@@ -686,6 +734,12 @@ func TestRungsMatchReference(t *testing.T) {
 			}
 			if e.laneHeadCanceled() {
 				canceledLaneHead = true
+			}
+			if e.nowInThreeTiers() {
+				threeTiers = true
+			}
+			if z := e.laneFor(0); z >= 0 && e.lanes[z].n > 0 && e.lanes[z].head.state == stateCanceled {
+				canceledZeroHead = true
 			}
 		}
 		got := runLadderScript(sh.ops, watch)
@@ -720,6 +774,12 @@ func TestRungsMatchReference(t *testing.T) {
 	}
 	if !canceledLaneHead {
 		t.Error("no cancel landed on a lane head")
+	}
+	if !threeTiers {
+		t.Error("no instant sat in the heap, the run lane and the delay-0 lane at once")
+	}
+	if !canceledZeroHead {
+		t.Error("no cancel landed on the delay-0 lane's head")
 	}
 }
 
