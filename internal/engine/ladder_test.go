@@ -673,10 +673,10 @@ func rungShapes() []shape {
 		Splits: 1, Runs: 33, LanePushes: 3101, LaneClaims: 1}})
 
 	// One instant in three places: the heap, the run lane and the
-	// delay-0 lane. Each round starts from an empty queue at t0 and
-	// schedules P at t0+2ms-10µs and R1 at T = t0+2ms; a helper 50 µs
-	// out fires, and R2 is scheduled at T too, with a delay of its own,
-	// so no delay repeats and no lane is claimed. P, R1 and R2 share a
+	// delay-0 lane. Each round, from the clock's reading t0, schedules
+	// a helper 50 µs out, P at t0+2ms-10µs and R1 at T = t0+2ms; the
+	// helper fires, and R2 is scheduled at T too, with a delay of its
+	// own, so no delay repeats and no lane is claimed. P, R1 and R2 share a
 	// top-rung bucket, in order, and are handed down as a run. P fires,
 	// a 10 µs delay puts an event at T in the heap, R1 fires, and three
 	// zero-delay schedules follow: the first round's first goes to the
