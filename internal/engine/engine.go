@@ -31,14 +31,14 @@
 //     the lane heads names the earliest, and the ladder never hands a
 //     bucket down past it. Step pops the smaller of the heap top and the
 //     earliest lane head.
-//   - Event pool: fired and swept events return to a free list and are
-//     recycled, so steady-state scheduling performs zero allocations.
+//   - Event pool: fired and canceled events return to a free list and
+//     are recycled, so steady-state scheduling performs zero allocations.
 //     Handles carry a generation counter; a stale Handle to a recycled
 //     event is inert and can neither cancel nor observe the new occupant.
-//   - Lazy cancellation: Cancel is an O(1) tombstone. Tombstones are
-//     swept when popped or handed down, and a background compaction runs
-//     when they outnumber live events, bounding memory under arm/cancel
-//     churn.
+//   - Eager cancellation: every event records where it is queued, so
+//     Cancel takes it out of its tier and recycles it at once: O(1) from
+//     a lane, a bucket, the spill or the forever list, O(log n) from the
+//     heap. No tier ever holds a canceled event.
 //
 // The engine is single-threaded by design: data center simulations at this
 // abstraction level are dominated by event ordering, and a lock-free
@@ -60,9 +60,6 @@ const (
 	numBuckets = 256
 	// poolBlock is how many events one pool growth allocates.
 	poolBlock = 256
-	// sweepMinTombstones gates compaction so small queues never pay for
-	// a sweep.
-	sweepMinTombstones = 64
 	// initialWidth is the bucket width before the first spill re-bucket
 	// adapts it to the workload's real event horizon.
 	initialWidth = simtime.Millisecond
@@ -86,11 +83,15 @@ const (
 	laneCold = 4096
 )
 
-// event states. An event is free (in the pool), queued, or tombstoned.
+// Where a queued event is, other than in the heap (event.pos >= 0, its
+// index there): the forever list, lane i at posLane-i, bucket j of the
+// rung that spans its time at posBucket-j, or the spill's entry k at
+// posSpill-k.
 const (
-	stateFree = iota
-	stateQueued
-	stateCanceled
+	posForever = -1
+	posLane    = -2
+	posBucket  = posLane - numLanes
+	posSpill   = posBucket - numBuckets
 )
 
 // event is one pooled queue entry. Callers never see it directly; they
@@ -98,24 +99,24 @@ const (
 // fields a hand-down walk reads come first, so the walk touches one
 // cache line per event more often than not.
 type event struct {
-	at    simtime.Time
-	seq   uint64
-	next  *event // successor in the bucket, lane, forever or free list
-	gen   uint32
-	state uint8
-	fn    func()
+	at   simtime.Time
+	seq  uint64
+	next *event // successor in the bucket, lane, forever or free list
+	prev *event // predecessor in its list; stale at the head
+	gen  uint32
+	pos  int32 // where it is queued: a heap index, or a pos* tag
+	fn   func()
 }
 
-// list is an intrusive FIFO of events linked through event.next.
-// Appends happen in scheduling order, so a list filled only by Schedule
-// is in seq order.
+// list is an intrusive, doubly linked FIFO of events. Appends happen in
+// scheduling order, so a list filled only by Schedule is in seq order.
 type list struct {
 	head, tail *event
 	n          int
 }
 
 func (l *list) push(ev *event) {
-	ev.next = nil
+	ev.next, ev.prev = nil, l.tail
 	if l.tail == nil {
 		l.head = ev
 	} else {
@@ -131,9 +132,23 @@ func (l *list) pop() *event {
 	if l.head == nil {
 		l.tail = nil
 	}
-	ev.next = nil
 	l.n--
 	return ev
+}
+
+// unlink takes ev out of the list, wherever it is.
+func (l *list) unlink(ev *event) {
+	if l.head == ev {
+		l.head, ev.prev = ev.next, nil
+	} else {
+		ev.prev.next = ev.next
+	}
+	if l.tail == ev {
+		l.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	l.n--
 }
 
 // rung is one ladder level: numBuckets lists over [start, end). Bucket j
@@ -145,7 +160,7 @@ type rung struct {
 	end     simtime.Time
 	width   simtime.Time
 	cur     int // next bucket to hand down; earlier ones are empty
-	n       int // events (incl. tombstones) in buckets
+	n       int // events in buckets
 	buckets [numBuckets]list
 }
 
@@ -154,6 +169,7 @@ func (r *rung) add(ev *event) {
 	if j > numBuckets-1 {
 		j = numBuckets - 1
 	}
+	ev.pos = posBucket - int32(j)
 	r.buckets[j].push(ev)
 	r.n++
 }
@@ -168,24 +184,24 @@ func (r *rung) edge(j int) simtime.Time {
 
 // Handle identifies one scheduled event. It is a small value type: copy
 // it freely. The zero Handle is inert. A Handle outlives its event safely:
-// once the event fires, is canceled and swept, or is recycled for a new
-// scheduling, the generation check makes every method a no-op.
+// once the event fires or is canceled, it is recycled, and the generation
+// check makes every method a no-op.
 type Handle struct {
 	ev  *event
 	gen uint32
 }
 
-// Pending reports whether the event is still queued and not canceled.
+// Pending reports whether the event is still queued: it has neither
+// fired nor been canceled.
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateQueued
+	return h.ev != nil && h.ev.gen == h.gen
 }
 
 // Counters are the engine's self-statistics: plain counts, one increment
 // each, that say how events travel through the tiers.
 type Counters struct {
-	BottomPops   uint64 // pops from the bottom heap, tombstones and split drains included
+	BottomPops   uint64 // pops from the bottom heap, split drains included
 	BottomLen    uint64 // heap length summed over those pops
-	Tombstones   uint64 // canceled events popped from the heap, a lane or the forever list
 	DirectPushes uint64 // events scheduled below lim into the heap
 	Rungs        uint64 // rungs spawned by a hand-down
 	Splits       uint64 // bottom heaps moved into a new rung
@@ -200,12 +216,11 @@ type Counters struct {
 // first and fill five cache lines; spread further apart they cost the
 // cancel-and-re-arm microbenchmarks up to 8% (DESIGN.md Sec. 2).
 type Engine struct {
-	now      simtime.Time
-	seq      uint64
-	live     int    // queued, not canceled, across all tiers
-	canceled int    // tombstones across all tiers
-	free     *event // pool free list, linked through next
-	lim      simtime.Time
+	now  simtime.Time
+	seq  uint64
+	live int    // queued across all tiers
+	free *event // pool free list, linked through next
+	lim  simtime.Time
 
 	// bottom is the earliest tier: a binary heap ordered by (at, seq).
 	// It holds every queued event with at < lim that is not in a lane,
@@ -249,7 +264,7 @@ type Engine struct {
 	laneDelay [numLanes]simtime.Time
 	laneHot   [numLanes]uint64
 
-	// spill is the far tier: unsorted, append-only between re-buckets.
+	// spill is the far tier: unsorted, appended to between re-buckets.
 	// It holds the events at or beyond the top rung's end.
 	spill []*event
 
@@ -309,7 +324,6 @@ func (e *Engine) alloc() *event {
 // every outstanding Handle to it inert.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.state = stateFree
 	ev.gen++
 	ev.next = e.free
 	e.free = ev
@@ -328,7 +342,6 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.state = stateQueued
 	e.seq++
 	e.live++
 	if d := at - e.now; at != simtime.Forever {
@@ -344,6 +357,7 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 				// Append to the lane. Every event in it was scheduled d
 				// ahead, so appends arrive in (at, seq) order.
 				e.Count.LanePushes++
+				ev.pos = posLane - int32(i)
 				l := &e.lanes[i]
 				l.push(ev)
 				if l.n == 1 {
@@ -412,22 +426,12 @@ func (e *Engine) claimLane(d simtime.Time) int {
 // laneHead is the earliest lane head, nil when every lane is empty.
 func (e *Engine) laneHead() *event { return e.lanes[e.laneWin[1]&(numLanes-1)].head }
 
-// lanePop pops the earliest lane head and the tombstones behind it, so
-// the lane's new head is live or the lane is free.
+// lanePop pops the earliest lane head and re-keys its lane.
 func (e *Engine) lanePop() *event {
 	i := int(e.laneWin[1] & (numLanes - 1))
 	ev := e.lanes[i].pop()
-	e.trimLane(i)
-	return ev
-}
-
-// trimLane releases the tombstones at lane i's head and re-keys it.
-func (e *Engine) trimLane(i int) {
-	l := &e.lanes[i]
-	for l.n > 0 && l.head.state == stateCanceled {
-		e.discard(l.pop())
-	}
 	e.relane(i)
+	return ev
 }
 
 // relane copies lane i's head into the tree's keys and replays the
@@ -479,17 +483,25 @@ func (e *Engine) place(ev *event) {
 			e.splitBottom()
 		}
 	case ev.at == simtime.Forever:
+		ev.pos = posForever
 		e.forever.push(ev)
+	case ev.at < e.rungs[0].end:
+		e.rungFor(ev.at).add(ev)
 	default:
-		// The rungs tile [lim, rungs[0].end), the deepest first.
-		for i := len(e.rungs) - 1; i >= 0; i-- {
-			if r := e.rungs[i]; ev.at < r.end {
-				r.add(ev)
-				return
-			}
-		}
+		ev.pos = posSpill - int32(len(e.spill))
 		e.spill = append(e.spill, ev)
 	}
+}
+
+// rungFor is the rung that spans t, which must lie in [lim,
+// rungs[0].end): the deepest rung that ends past t, since the rungs
+// tile that span, the deepest (and earliest) last.
+func (e *Engine) rungFor(t simtime.Time) *rung {
+	i := len(e.rungs) - 1
+	for t >= e.rungs[i].end {
+		i--
+	}
+	return e.rungs[i]
 }
 
 // After queues fn to run d from now. Negative d panics.
@@ -512,102 +524,58 @@ func (e *Engine) Every(first, period, until simtime.Time, fn func()) {
 	e.Schedule(first, tick)
 }
 
-// Cancel tombstones the event named by h if it has not fired. It is O(1);
-// the entry is reclaimed when popped or at the next compaction sweep.
-// Safe to call with the zero Handle or a stale one.
+// Cancel takes the event named by h out of its tier and recycles it, if
+// it has not fired: O(1) from a lane, a bucket, the spill or the forever
+// list, O(log n) from the heap. Safe to call with the zero Handle or a
+// stale one.
 func (e *Engine) Cancel(h Handle) {
 	if !h.Pending() {
 		return
 	}
-	h.ev.state = stateCanceled
+	ev := h.ev
+	switch p := ev.pos; {
+	case p >= 0:
+		e.bottomRemove(int(p))
+	case p <= posSpill:
+		// The spill is unsorted: its last entry fills the gap.
+		n := len(e.spill) - 1
+		last := e.spill[n]
+		last.pos = p
+		e.spill[posSpill-p] = last
+		e.spill[n] = nil
+		e.spill = e.spill[:n]
+	case p <= posBucket:
+		r := e.rungFor(ev.at)
+		r.buckets[posBucket-p].unlink(ev)
+		r.n--
+	case p == posForever:
+		e.forever.unlink(ev)
+	default:
+		i := int(posLane - p)
+		l := &e.lanes[i]
+		head := l.head == ev
+		l.unlink(ev)
+		if head {
+			e.relane(i)
+		}
+	}
 	e.live--
-	e.canceled++
-	e.maybeSweep()
-}
-
-// maybeSweep compacts tombstones once they outnumber live events, so
-// arm/cancel churn cannot grow memory without bound.
-func (e *Engine) maybeSweep() {
-	if e.canceled < sweepMinTombstones || e.canceled < e.live {
-		return
-	}
-	e.bottom = e.sweepSlice(e.bottom)
-	heapify(e.bottom)
-	for _, r := range e.rungs {
-		for j := r.cur; j < numBuckets && r.n > 0; j++ {
-			if r.buckets[j].n > 0 {
-				r.n -= e.sweepList(&r.buckets[j])
-			}
-		}
-	}
-	e.spill = e.sweepSlice(e.spill)
-	e.sweepList(&e.forever)
-	for i := range e.lanes {
-		e.sweepList(&e.lanes[i])
-		e.relane(i)
-	}
-	e.canceled = 0
-}
-
-// sweepList releases the tombstones in l, keeping the rest in order, and
-// reports how many it removed.
-func (e *Engine) sweepList(l *list) int {
-	ev := l.head
-	n := l.n
-	*l = list{}
-	for ev != nil {
-		next := ev.next
-		if ev.state == stateCanceled {
-			e.release(ev)
-		} else {
-			l.push(ev)
-		}
-		ev = next
-	}
-	return n - l.n
-}
-
-// sweepSlice filters tombstoned events out of s in place, releasing
-// them.
-func (e *Engine) sweepSlice(s []*event) []*event {
-	kept := s[:0]
-	for _, ev := range s {
-		if ev.state == stateCanceled {
-			e.release(ev)
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	clear(s[len(kept):])
-	return kept
-}
-
-// discard releases a tombstone popped from the bottom, a lane or the
-// forever list.
-func (e *Engine) discard(ev *event) {
-	e.canceled--
-	e.Count.Tombstones++
 	e.release(ev)
 }
 
 // nextLive exposes the earliest pending event — the smaller of the heap
-// top and the earliest lane head — handing buckets down and sweeping
-// tombstones as needed. Returns nil when the queue is empty.
+// top and the earliest lane head — handing buckets down as needed.
+// Returns nil when the queue is empty.
 func (e *Engine) nextLive() *event {
 	for {
-		for len(e.bottom) > 0 && e.bottom[0].state == stateCanceled {
-			e.discard(e.bottomPop())
-		}
-		var lh *event
-		if e.laneBusy != 0 {
-			for lh = e.laneHead(); lh != nil && lh.state == stateCanceled; lh = e.laneHead() {
-				e.trimLane(int(e.laneWin[1]))
-			}
-		}
 		if len(e.bottom) > splitAt {
 			// The heap grew while a live run refused the split, or a
 			// hand-down heapified near-ties below a wider lim.
 			e.splitBottom()
+		}
+		var lh *event
+		if e.laneBusy != 0 {
+			lh = e.laneHead()
 		}
 		var ev *event
 		if len(e.bottom) > 0 {
@@ -636,9 +604,6 @@ func (e *Engine) nextLive() *event {
 			return lh
 		default:
 			// Only the forever tier can be left; FIFO (== seq) order.
-			for e.forever.n > 0 && e.forever.head.state == stateCanceled {
-				e.discard(e.forever.pop())
-			}
 			return e.forever.head
 		}
 	}
@@ -670,44 +635,22 @@ func (e *Engine) advanceRung() bool {
 }
 
 // handDown moves a bucket whose events all lie below hi into the bottom,
-// which must be empty, run lane included. One walk releases its
-// tombstones and finds its order and span. Already in (at, seq) order,
-// it becomes the run; more than splitAt events over at least minSpan
-// spawn a finer rung from their earliest; anything else is heapified.
+// which must be empty, run lane included. One walk finds its order and
+// span and tags its events as the run's. Already in (at, seq) order, it
+// becomes the run; more than splitAt events over at least minSpan spawn
+// a finer rung from their earliest; anything else is heapified.
 func (e *Engine) handDown(b list, hi simtime.Time) {
 	e.lim = hi
 	sorted := true
-	var lo, top simtime.Time
-	var prev *event
-	for ev := b.head; ev != nil; {
-		next := ev.next
-		switch {
-		case ev.state == stateCanceled:
-			if prev == nil {
-				b.head = next
-			} else {
-				prev.next = next
-			}
-			if next == nil {
-				b.tail = prev
-			}
-			b.n--
-			e.canceled--
-			e.release(ev)
-		case prev == nil:
-			lo, top = ev.at, ev.at
-			prev = ev
-		default:
-			if lessEv(ev, prev) {
-				sorted = false
-			}
-			lo, top = min(lo, ev.at), max(top, ev.at)
-			prev = ev
+	lo, top := b.head.at, b.head.at
+	for prev, ev := b.head, b.head; ev != nil; prev, ev = ev, ev.next {
+		ev.pos = posLane - runLane
+		if lessEv(ev, prev) {
+			sorted = false
 		}
-		ev = next
+		lo, top = min(lo, ev.at), max(top, ev.at)
 	}
 	switch {
-	case b.n == 0:
 	case sorted:
 		e.lanes[runLane] = b
 		e.relane(runLane)
@@ -725,6 +668,7 @@ func (e *Engine) handDown(b list, hi simtime.Time) {
 		e.Count.Rungs++
 	default:
 		for ev := b.head; ev != nil; ev = ev.next {
+			ev.pos = int32(len(e.bottom))
 			e.bottom = append(e.bottom, ev)
 		}
 		heapify(e.bottom)
@@ -762,29 +706,19 @@ func (e *Engine) splitBottom() {
 	// Drain the heap in order, so each bucket starts sorted and a
 	// same-time burst pushed after the split still forms a run.
 	for len(e.bottom) > 0 {
-		if ev := e.bottomPop(); ev.state == stateCanceled {
-			e.discard(ev)
-		} else {
-			r.add(ev)
-		}
+		r.add(e.bottomPop())
 	}
 	e.Count.Splits++
 }
 
 // rebucket rebuilds the ladder from the spill tier: the top rung's
-// bucket width is re-derived from the spill's actual time span (the
+// bucket width is re-derived from the spill's time span (the
 // calendar-queue adaptation), then every spill event is redistributed.
-// Called only when the bottom and the rungs are empty, so ordering is
-// preserved.
+// Called only when the bottom and the rungs are empty and the spill is
+// not, so ordering is preserved.
 func (e *Engine) rebucket() {
 	e.Count.Rebuckets++
-	// Sweep tombstones, then find the live span.
-	spill := e.sweepSlice(e.spill)
-	e.canceled -= len(e.spill) - len(spill)
-	e.spill = spill
-	if len(spill) == 0 {
-		return
-	}
+	spill := e.spill
 	lo, hi := spill[0].at, spill[0].at
 	for _, ev := range spill[1:] {
 		lo, hi = min(lo, ev.at), max(hi, ev.at)
@@ -822,13 +756,9 @@ func (e *Engine) Step() bool {
 		// event.
 		switch w := e.laneWin[1] & (numLanes - 1); {
 		case n > 0 && (e.laneBusy == 0 || e.bottom[0].at < e.laneAt[w]):
-			if e.bottom[0].state == stateQueued {
-				ev = e.bottomPop()
-			}
+			ev = e.bottomPop()
 		case e.laneBusy != 0 && e.laneAt[w] < e.lim && (n == 0 || e.laneAt[w] < e.bottom[0].at):
-			if e.lanes[w].head.state == stateQueued {
-				ev = e.lanePop()
-			}
+			ev = e.lanePop()
 		}
 	}
 	if ev == nil {
@@ -904,17 +834,9 @@ func lessEv(a, b *event) bool {
 }
 
 func (e *Engine) bottomPush(ev *event) {
+	ev.pos = int32(len(e.bottom))
 	e.bottom = append(e.bottom, ev)
-	h := e.bottom
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !lessEv(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
+	siftUp(e.bottom, len(e.bottom)-1)
 }
 
 func (e *Engine) bottomPop() *event {
@@ -926,8 +848,38 @@ func (e *Engine) bottomPop() *event {
 	h[0] = h[n]
 	h[n] = nil
 	e.bottom = h[:n]
-	siftDown(e.bottom, 0)
+	if n > 0 {
+		h[0].pos = 0
+		siftDown(e.bottom, 0)
+	}
 	return top
+}
+
+// bottomRemove takes the heap's entry i out: the last entry takes its
+// place and sifts whichever way it must.
+func (e *Engine) bottomRemove(i int) {
+	h := e.bottom
+	n := len(h) - 1
+	h[i] = h[n]
+	h[n] = nil
+	e.bottom = h[:n]
+	if i < n {
+		h[i].pos = int32(i)
+		siftDown(e.bottom, i)
+		siftUp(e.bottom, i)
+	}
+}
+
+func siftUp(h []*event, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !lessEv(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		h[i].pos, h[parent].pos = int32(i), int32(parent)
+		i = parent
+	}
 }
 
 func siftDown(h []*event, i int) {
@@ -945,6 +897,7 @@ func siftDown(h []*event, i int) {
 			return
 		}
 		h[i], h[least] = h[least], h[i]
+		h[i].pos, h[least].pos = int32(i), int32(least)
 		i = least
 	}
 }

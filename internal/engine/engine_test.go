@@ -292,18 +292,29 @@ func TestTimerZeroDelay(t *testing.T) {
 // TestEngineSteadyStateZeroAlloc is the engine's allocation gate: once
 // the pool, the rungs and the heap have grown to the workload, churn
 // through top-rung buckets, a sorted run, a spawned rung, a heap split,
-// cancels, a sweep, delay lanes claimed, freed, tombstoned and run over
-// an empty ladder, and a same-time burst drained through the delay-0
-// lane allocates nothing.
+// cancels from the heap, a lane head, buckets and the spill, delay lanes
+// claimed, freed and run over an empty ladder, and a same-time burst
+// drained through the delay-0 lane allocates nothing.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
 	noop := func() {}
 	var hs [200]Handle
+	// cancel records where each canceled event was queued.
+	var reached [numTiers]bool
+	cancel := func(h Handle) {
+		reached[e.tierOf(h)] = true
+		e.Cancel(h)
+	}
 	// burst pushes 40 events below lim from inside a dispatch, out of
-	// order and over 4 µs: more than splitAt, so the heap splits.
+	// order and over 4 µs: more than splitAt, so the heap splits. Before
+	// the split it arms four more among them and cancels each from the
+	// heap at once.
 	burst := func() {
 		for i := 40; i > 0; i-- {
 			e.After(simtime.Time(i)*100, noop)
+			if i%8 == 0 && i > 8 {
+				cancel(e.After(simtime.Time(i)*100+50, noop))
+			}
 		}
 	}
 	// same schedules 40 events at now from inside a dispatch: delay 0
@@ -318,20 +329,24 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 	// link and link2 are chains through two delay lanes, d and d+1 µs
 	// apart: each schedules its next link, twice in a row the first time
-	// so the delay claims a lane, and one link in three also arms and
-	// cancels a lane event, which leaves a tombstone in the lane. Each
-	// cycle's chains take the next of 24 delays, 10 to 125 µs: more than
-	// numLanes, so lanes are freed, and claimed again once they turn
-	// cold, in every cycle.
+	// so the delay claims a lane. One link in three also arms a lane
+	// event behind its own next link's twin, and the next link cancels
+	// it from the lane's head. Each cycle's chains take the next of 24
+	// delays, 10 to 125 µs: more than numLanes, so lanes are freed, and
+	// claimed again once they turn cold, in every cycle.
 	var d simtime.Time
+	var armed Handle
 	links, k := 0, 0
 	var link, link2 func()
 	link = func() {
 		if links++; links > 200 {
 			return
 		}
-		if links%3 == 0 {
-			e.Cancel(e.After(d, noop))
+		switch links % 3 {
+		case 0:
+			armed = e.After(d, noop)
+		case 1:
+			cancel(armed)
 		}
 		e.After(d, link)
 	}
@@ -358,14 +373,19 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		for i := 64; i > 0; i-- { // reversed, over 640 ns: a rung
 			e.Schedule(t0+5*simtime.Millisecond+simtime.Time(i)*10, noop)
 		}
+		// Two bursts: a cycle whose lim lies just past one burst's
+		// instant, or whose run reaches past it, still splits at the
+		// other, so every cycle splits a heap.
+		e.Schedule(t0+3*simtime.Millisecond, burst)
 		e.Schedule(t0+7*simtime.Millisecond, burst)
 		e.Schedule(t0+8*simtime.Millisecond, same)
-		for i := range hs { // armed and canceled: a sweep
+		for i := range hs { // armed and canceled: buckets
 			hs[i] = e.Schedule(t0+simtime.Time(i+1)*simtime.Millisecond, noop)
 		}
 		for _, h := range hs {
-			e.Cancel(h)
+			cancel(h)
 		}
+		cancel(e.Schedule(t0+3600*simtime.Second, noop)) // the spill
 		k++
 		d, links = simtime.Time(k%24+2)*5*simtime.Microsecond, 0
 		e.After(d, link)
@@ -383,15 +403,20 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 	before := e.Count
 	zeroLaned = false
+	reached = [numTiers]bool{}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("engine churn allocates %.1f times per cycle, want 0", allocs)
 	}
 	c := e.Count
 	if c.Runs == before.Runs || c.Rungs == before.Rungs || c.Splits == before.Splits ||
-		c.LanePushes == before.LanePushes || c.LaneClaims == before.LaneClaims || c.Tombstones == before.Tombstones {
-		t.Errorf("a path was not exercised: runs %d->%d, rungs %d->%d, splits %d->%d, lane pushes %d->%d, lane claims %d->%d, tombstones %d->%d",
+		c.LanePushes == before.LanePushes || c.LaneClaims == before.LaneClaims {
+		t.Errorf("a path was not exercised: runs %d->%d, rungs %d->%d, splits %d->%d, lane pushes %d->%d, lane claims %d->%d",
 			before.Runs, c.Runs, before.Rungs, c.Rungs, before.Splits, c.Splits,
-			before.LanePushes, c.LanePushes, before.LaneClaims, c.LaneClaims, before.Tombstones, c.Tombstones)
+			before.LanePushes, c.LanePushes, before.LaneClaims, c.LaneClaims)
+	}
+	if !reached[inHeap] || !reached[inLaneHead] || !reached[inBucket] || !reached[inSpill] {
+		t.Errorf("cancels did not reach every tier: heap %v, lane head %v, bucket %v, spill %v",
+			reached[inHeap], reached[inLaneHead], reached[inBucket], reached[inSpill])
 	}
 	if !zeroLaned {
 		t.Error("the same-time burst did not ride a delay-0 lane")

@@ -14,15 +14,6 @@ func (e *Engine) NextEventTime() (simtime.Time, bool) {
 	return ev.at, true
 }
 
-// Canceled reports whether the event was canceled and has not yet been
-// swept or recycled. A fired or recycled event reports false.
-func (h Handle) Canceled() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.state == stateCanceled
-}
-
-// depth is the number of live rungs below the top one.
-func (e *Engine) depth() int { return len(e.rungs) - 1 }
-
 // collapsed reports whether a spawned rung ends at simtime.Forever: a
 // hand-down reaching the end of the time axis spawned it.
 func (e *Engine) collapsed() bool {
@@ -34,7 +25,7 @@ func (e *Engine) collapsed() bool {
 	return false
 }
 
-// heapLen is the bottom heap's length, tombstones included.
+// heapLen is the bottom heap's length.
 func (e *Engine) heapLen() int { return len(e.bottom) }
 
 // splitRefused reports whether a heap past splitAt would be left as it
@@ -48,17 +39,69 @@ func (e *Engine) splitRefused() bool {
 	return e.lanes[runLane].n > 0 && e.lanes[runLane].tail.at >= lo || e.lim-lo < minSpan
 }
 
-// tombstones is the number of canceled events still queued.
-func (e *Engine) tombstones() int { return e.canceled }
-
-// laneHeadCanceled reports whether some lane's head is a tombstone.
-func (e *Engine) laneHeadCanceled() bool {
+// queued counts the events in the tiers: the heap, the lanes, every
+// rung's buckets, the spill and the forever list. It walks the lists
+// rather than trusting their counts.
+func (e *Engine) queued() int {
+	n := len(e.bottom) + len(e.spill) + walk(&e.forever)
 	for i := range e.lanes {
-		if h := e.lanes[i].head; h != nil && h.state == stateCanceled {
-			return true
+		n += walk(&e.lanes[i])
+	}
+	for _, r := range e.rungs {
+		for j := range r.buckets {
+			n += walk(&r.buckets[j])
 		}
 	}
-	return false
+	return n
+}
+
+func walk(l *list) int {
+	n := 0
+	for ev := l.head; ev != nil; ev = ev.next {
+		n++
+	}
+	return n
+}
+
+// Where a pending event sits, as tierOf reports it.
+const (
+	inHeap = iota
+	inBucket
+	inSpill
+	inForever
+	inLaneHead // the head of a delay lane or of the run
+	inLane     // behind a lane's head
+	notPending
+	numTiers
+)
+
+// tierOf reports where the event h names is queued.
+func (e *Engine) tierOf(h Handle) int {
+	if !h.Pending() {
+		return notPending
+	}
+	switch p := h.ev.pos; {
+	case p >= 0:
+		return inHeap
+	case p <= posSpill:
+		return inSpill
+	case p <= posBucket:
+		return inBucket
+	case p == posForever:
+		return inForever
+	case e.lanes[posLane-p].head == h.ev:
+		return inLaneHead
+	default:
+		return inLane
+	}
+}
+
+// headOf returns the lane whose head is the event h names, or -1.
+func (e *Engine) headOf(h Handle) int {
+	if e.tierOf(h) != inLaneHead {
+		return -1
+	}
+	return int(posLane - h.ev.pos)
 }
 
 // nowInThreeTiers reports whether the heap, the run lane and a lane

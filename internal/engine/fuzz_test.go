@@ -63,8 +63,9 @@ func decodeScript(data []byte) []fuzzOp {
 }
 
 // runLadderFuzzScript replays ops on the real engine with a pool of
-// engine.Timers, returning the dispatch sequence.
-func runLadderFuzzScript(ops []fuzzOp) []dispatchRecord {
+// engine.Timers, returning the dispatch sequence. A non-nil watch sees
+// the engine after every op.
+func runLadderFuzzScript(ops []fuzzOp, watch func(*Engine)) []dispatchRecord {
 	e := New()
 	var fired []dispatchRecord
 	timers := make([]*Timer, numFuzzTimers)
@@ -98,6 +99,9 @@ func runLadderFuzzScript(ops []fuzzOp) []dispatchRecord {
 			timers[op.arg%numFuzzTimers].Reset(op.delay)
 		case 4:
 			timers[op.arg%numFuzzTimers].Stop()
+		}
+		if watch != nil {
+			watch(e)
 		}
 	}
 	e.Run()
@@ -169,7 +173,7 @@ func runRefFuzzScript(ops []fuzzOp) []dispatchRecord {
 // first divergence.
 func diffScripts(t *testing.T, ops []fuzzOp) {
 	t.Helper()
-	got := runLadderFuzzScript(ops)
+	got := runLadderFuzzScript(ops, nil)
 	want := runRefFuzzScript(ops)
 	if len(got) != len(want) {
 		t.Fatalf("ladder fired %d events, reference heap fired %d", len(got), len(want))
@@ -210,10 +214,9 @@ func manyDelays() []byte {
 	return data
 }
 
-// laneSweep is a seed script that fills one lane with 80 events 8 µs
-// out, cancels 70 of them, so tombstones outnumber live events and a
-// sweep runs while the lane is live, then drains.
-func laneSweep() []byte {
+// laneCancels is a seed script that fills one lane with 80 events 8 µs
+// out, cancels 70 of them, each from the lane's head, then drains.
+func laneCancels() []byte {
 	var data []byte
 	for i := 0; i < 80; i++ {
 		data = append(data, 0, 8, 0)
@@ -256,9 +259,9 @@ func FuzzEngineScript(f *testing.F) {
 	f.Add(crowdedBucket(0, 0, 0, 2, 0, 0)) // direct pushes split the heap
 	f.Add(manyDelays())                    // more recurring delays than lanes
 	// Three schedules 8 µs out (the second claims a lane), a cancel of
-	// the lane head, steps: a tombstoned lane head.
+	// the lane head, steps: a lane re-keyed by a cancel.
 	f.Add([]byte{0, 8, 0, 0, 8, 0, 0, 8, 0, 1, 0, 1, 2, 0, 0, 2, 0, 0, 2, 0, 0})
-	f.Add(laneSweep()) // a sweep while lanes are live
+	f.Add(laneCancels()) // most of a live lane canceled
 	// Lanes of 2 and 8 µs, then RunUntil 2 µs on: it stops between the
 	// two lane heads. More lane events, a step, RunUntil 8 µs on.
 	f.Add([]byte{0, 2, 0, 0, 2, 0, 0, 8, 0, 0, 8, 0, 2, 2, 7, 0, 2, 0, 2, 0, 0, 2, 8, 7, 2, 0, 0})
@@ -285,5 +288,23 @@ func TestLadderTimerDifferential(t *testing.T) {
 		data := make([]byte, 3*1500)
 		r.Read(data)
 		diffScripts(t, decodeScript(data))
+	}
+}
+
+// TestCancelLeavesNoEvent: a canceled event leaves its tier at once.
+// After every op of randomized schedule/cancel/step/RunUntil scripts,
+// Timer churn included, the events linked into the heap, the lanes, the
+// rung buckets, the spill and the forever list are exactly the live ones.
+func TestCancelLeavesNoEvent(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3*1500)
+		r.Read(data)
+		ops := decodeScript(data)
+		runLadderFuzzScript(ops, func(e *Engine) {
+			if q := e.queued(); q != e.live {
+				t.Fatalf("seed %d: %d events queued, %d live", seed, q, e.live)
+			}
+		})
 	}
 }

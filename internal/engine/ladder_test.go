@@ -130,15 +130,20 @@ func genScript(r *rand.Rand, n int) []scriptOp {
 }
 
 // runLadderScript replays a script on the real engine, returning the
-// dispatch sequence. A non-nil watch sees the engine before every op.
-func runLadderScript(ops []scriptOp, watch func(*Engine, scriptOp)) []dispatchRecord {
+// dispatch sequence. A non-nil watch sees the engine before every op,
+// and for a cancel the Handle it names (the zero Handle otherwise).
+func runLadderScript(ops []scriptOp, watch func(*Engine, scriptOp, Handle)) []dispatchRecord {
 	e := New()
 	var fired []dispatchRecord
 	handles := map[int]Handle{}
 	nextID := 0
 	for _, op := range ops {
 		if watch != nil {
-			watch(e, op)
+			var target Handle
+			if op.kind == 1 && nextID > 0 {
+				target = handles[op.target%nextID]
+			}
+			watch(e, op, target)
 		}
 		switch op.kind {
 		case 0:
@@ -224,8 +229,8 @@ func TestLadderSelfDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoolHandleSafety: Handles to fired, canceled, and swept events must
-// be inert — unable to cancel or observe the pool slot's new occupant.
+// TestPoolHandleSafety: Handles to fired and canceled events must be
+// inert — unable to cancel or observe the pool slot's new occupant.
 func TestPoolHandleSafety(t *testing.T) {
 	e := New()
 	fired := 0
@@ -234,8 +239,8 @@ func TestPoolHandleSafety(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("event fired %d times", fired)
 	}
-	if h1.Pending() || h1.Canceled() {
-		t.Error("handle to fired event reports pending/canceled")
+	if h1.Pending() {
+		t.Error("handle to fired event reports pending")
 	}
 	// The pool recycles the slot for the next event; the stale handle
 	// must not be able to cancel the new occupant.
@@ -248,17 +253,26 @@ func TestPoolHandleSafety(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("recycled event did not fire; fired = %d", fired)
 	}
-	// Canceled handles stay observably canceled until swept, then go
-	// inert; double-cancel is always safe.
+	// A canceled event is recycled at once: its handle goes inert, and
+	// neither a double cancel nor a cancel after the slot is reused
+	// touches the new occupant.
 	h3 := e.Schedule(30, func() { fired++ })
 	e.Cancel(h3)
-	if !h3.Canceled() || h3.Pending() {
-		t.Error("canceled handle state wrong before sweep")
+	if h3.Pending() {
+		t.Error("canceled handle still pending")
 	}
 	e.Cancel(h3)
+	h4 := e.Schedule(40, func() { fired++ })
+	if h4.ev != h3.ev {
+		t.Fatal("the canceled event was not recycled first")
+	}
+	e.Cancel(h3)
+	if !h4.Pending() {
+		t.Fatal("stale-handle Cancel hit the recycled event")
+	}
 	e.Run()
-	if fired != 2 {
-		t.Error("canceled event fired")
+	if fired != 3 {
+		t.Errorf("fired = %d, want 3: the canceled event fired or the recycled one did not", fired)
 	}
 }
 
@@ -563,7 +577,7 @@ func rungShapes() []shape {
 		LanePushes: 28, LaneClaims: 6}})
 
 	// Cancel churn: every round arms two events and cancels the newer,
-	// so tombstones pile up under live rungs until a sweep runs.
+	// and one round in five also cancels an older one, under live rungs.
 	b = &scriptBuilder{}
 	for i := 0; i < 2000; i++ {
 		b.schedule(uniform(r, simtime.Microsecond, 2*simtime.Millisecond))
@@ -578,8 +592,8 @@ func rungShapes() []shape {
 		b.step()
 	}
 	shapes = append(shapes, shape{"cancel-churn", b.ops, Counters{
-		BottomPops: 22182, BottomLen: 71290, Tombstones: 2476,
-		DirectPushes: 4949, Rungs: 40, Runs: 9056, Rebuckets: 35,
+		BottomPops: 19679, BottomLen: 64901,
+		DirectPushes: 4899, Rungs: 40, Runs: 9085, Rebuckets: 35,
 		LanePushes: 1, LaneClaims: 1}})
 
 	// The end of the time axis: a spill re-bucket spanning 1 s to
@@ -639,8 +653,8 @@ func rungShapes() []shape {
 		}
 	}
 	shapes = append(shapes, shape{"lanes", b.ops, Counters{
-		BottomPops: 2900, BottomLen: 13836, Tombstones: 3083,
-		DirectPushes: 2763, Splits: 1, Runs: 94, LanePushes: 60093,
+		BottomPops: 2582, BottomLen: 11795,
+		DirectPushes: 2869, Runs: 7, LanePushes: 60093,
 		LaneClaims: 4}})
 
 	// Lane events before a handed-down run. Bucket [0, 1 ms) holds ten
@@ -704,7 +718,7 @@ func rungShapes() []shape {
 		}
 	}
 	shapes = append(shapes, shape{"same-instant", b.ops, Counters{
-		BottomPops: 409, BottomLen: 431, Tombstones: 200, DirectPushes: 409,
+		BottomPops: 408, BottomLen: 429, DirectPushes: 409,
 		Runs: 392, Rebuckets: 3, LanePushes: 599, LaneClaims: 1}})
 	return shapes
 }
@@ -712,34 +726,28 @@ func rungShapes() []shape {
 // TestRungsMatchReference: on every shape the ladder dispatches the
 // sequence the reference heap does and ends on the shape's tier
 // counters, and between them the shapes spawn a rung, split a heap, form
-// a run, sweep with a spawned rung live, spawn a rung from a hand-down
-// that reaches simtime.Forever, claim lanes, cancel a lane head and the
-// delay-0 lane's head, and hold one instant in the heap, the run lane
-// and the delay-0 lane at once.
+// a run, spawn a rung from a hand-down that reaches simtime.Forever,
+// claim lanes, cancel a lane head and the delay-0 lane's head, and hold
+// one instant in the heap, the run lane and the delay-0 lane at once.
 func TestRungsMatchReference(t *testing.T) {
-	var sweptUnderRungs, spawnedAtForever, canceledLaneHead bool
+	var spawnedAtForever, canceledLaneHead bool
 	var threeTiers, canceledZeroHead bool
 	var total Counters
 	for _, sh := range rungShapes() {
 		var eng *Engine
-		prevTombs := 0
-		watch := func(e *Engine, op scriptOp) {
+		watch := func(e *Engine, op scriptOp, target Handle) {
 			eng = e
-			if e.tombstones() < prevTombs && prevTombs+1 >= sweepMinTombstones && e.depth() > 0 {
-				sweptUnderRungs = true
-			}
-			prevTombs = e.tombstones()
 			if e.collapsed() {
 				spawnedAtForever = true
 			}
-			if e.laneHeadCanceled() {
+			if i := e.headOf(target); i >= 0 {
 				canceledLaneHead = true
+				if e.laneDelay[i] == 0 {
+					canceledZeroHead = true
+				}
 			}
 			if e.nowInThreeTiers() {
 				threeTiers = true
-			}
-			if z := e.laneFor(0); z >= 0 && e.lanes[z].n > 0 && e.lanes[z].head.state == stateCanceled {
-				canceledZeroHead = true
 			}
 		}
 		got := runLadderScript(sh.ops, watch)
@@ -766,9 +774,6 @@ func TestRungsMatchReference(t *testing.T) {
 		t.Errorf("paths not taken: %d rungs, %d splits, %d runs, %d lane pushes, %d lane claims",
 			total.Rungs, total.Splits, total.Runs, total.LanePushes, total.LaneClaims)
 	}
-	if !sweptUnderRungs {
-		t.Error("no sweep ran while a spawned rung was live")
-	}
 	if !spawnedAtForever {
 		t.Error("no hand-down reaching simtime.Forever spawned a rung")
 	}
@@ -791,7 +796,7 @@ func TestBottomStaysSmall(t *testing.T) {
 	for _, sh := range rungShapes() {
 		var eng *Engine
 		maxLen, refusedMax := 0, 0
-		watch := func(e *Engine, op scriptOp) {
+		watch := func(e *Engine, op scriptOp, _ Handle) {
 			eng = e
 			if op.kind != 2 {
 				return
@@ -838,7 +843,7 @@ func TestLaneChainPastTopRung(t *testing.T) {
 		}
 	}
 	var eng *Engine
-	got := runLadderScript(b.ops, func(e *Engine, _ scriptOp) { eng = e })
+	got := runLadderScript(b.ops, func(e *Engine, _ scriptOp, _ Handle) { eng = e })
 	want := runRefScript(b.ops)
 	if len(got) != len(want) {
 		t.Fatalf("ladder fired %d events, heap fired %d", len(got), len(want))

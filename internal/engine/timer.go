@@ -7,14 +7,15 @@ import "holdcsim/internal/simtime"
 // "fire unless something happens first" policies.
 //
 // A Timer is bound to one Engine and one callback; Reset re-arms it,
-// canceling any pending expiry. The expiry closure is created once at
-// construction and the queue entry comes from the engine's event pool, so
-// the arm/cancel/re-arm churn these policies generate allocates nothing.
+// canceling any pending expiry. Every Reset schedules the same callback
+// and the queue entry comes from the engine's event pool, so the
+// arm/cancel/re-arm churn these policies generate allocates nothing. Step
+// recycles an event before running it, so a fired Timer's handle is
+// already stale: it is not Pending, and Stop and Reset cancel nothing.
 type Timer struct {
-	eng  *Engine
-	fn   func()
-	fire func() // cached wrapper scheduled on every Reset
-	h    Handle
+	eng *Engine
+	fn  func()
+	h   Handle
 }
 
 // NewTimer returns an unarmed timer that will invoke fn on expiry.
@@ -22,12 +23,7 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 	if fn == nil {
 		panic("engine: NewTimer with nil func")
 	}
-	t := &Timer{eng: eng, fn: fn}
-	t.fire = func() {
-		t.h = Handle{}
-		t.fn()
-	}
-	return t
+	return &Timer{eng: eng, fn: fn}
 }
 
 // Reset arms the timer to fire d from now, canceling any pending expiry.
@@ -35,7 +31,7 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 // deterministic ordering).
 func (t *Timer) Reset(d simtime.Time) {
 	t.eng.Cancel(t.h)
-	t.h = t.eng.After(d, t.fire)
+	t.h = t.eng.After(d, t.fn)
 }
 
 // Stop disarms the timer. It reports whether a pending expiry was canceled.

@@ -119,10 +119,10 @@ func (r *HyperscaleResult) Summary() string {
 		meanLen = float64(c.BottomLen) / float64(c.BottomPops)
 	}
 	return fmt.Sprintf("hyperscale: %d servers, %d jobs, %.0f events/s over %.3fs run (%.3fs build), peak RSS %.0f MiB\n"+
-		"engine: %d bottom pops (mean heap %.1f), %d tombstones, %d direct pushes, %d rungs, %d splits, %d runs, %d re-buckets, %d lane pushes, %d lane claims",
+		"engine: %d bottom pops (mean heap %.1f), %d direct pushes, %d rungs, %d splits, %d runs, %d re-buckets, %d lane pushes, %d lane claims",
 		r.Servers, r.JobsCompleted, r.EventsPerSec, r.RunSeconds,
 		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<20),
-		c.BottomPops, meanLen, c.Tombstones, c.DirectPushes, c.Rungs, c.Splits, c.Runs, c.Rebuckets,
+		c.BottomPops, meanLen, c.DirectPushes, c.Rungs, c.Splits, c.Runs, c.Rebuckets,
 		c.LanePushes, c.LaneClaims)
 }
 

@@ -109,7 +109,6 @@ type Checker struct {
 	dirty      []int32
 	dirtyBits  []uint64
 	cursor     int
-	idxOf      map[int]int32 // server ID → position; nil when IDs are dense
 
 	// Little's-law bookkeeping in exact integer nanoseconds: the area
 	// under N(t) must equal the summed time-in-system of every job,
@@ -137,7 +136,9 @@ type Checker struct {
 
 // Attach builds a checker and subscribes it to the scheduler's
 // observation hooks. gen and net may be nil (no generator probe / no
-// network); eng, s and servers are required.
+// network); eng, s and servers are required. servers are the
+// scheduler's, so servers[i] has ID i (sched.New refuses any other
+// order), and a server's ID is its position in the dirty set.
 func Attach(eng *engine.Engine, gen *workload.Generator, s *sched.Scheduler,
 	servers []*server.Server, net *network.Network, opts Options) *Checker {
 	c := &Checker{
@@ -145,15 +146,6 @@ func Attach(eng *engine.Engine, gen *workload.Generator, s *sched.Scheduler,
 		scanIn:     sampleEvery,
 		scanBudget: scanBudget,
 		dirtyBits:  make([]uint64, (len(servers)+63)/64),
-	}
-	for i, srv := range servers {
-		if srv.ID() != i {
-			c.idxOf = make(map[int]int32, len(servers))
-			for j, sv := range servers {
-				c.idxOf[sv.ID()] = int32(j)
-			}
-			break
-		}
 	}
 	s.OnJobArrived(c.onArrive)
 	s.OnJobDone(c.onDone)
@@ -301,12 +293,6 @@ func (c *Checker) Err() error {
 // scan, in first-touch order, so bounded scans look there first.
 func (c *Checker) markDirty(srv *server.Server) {
 	i := int32(srv.ID())
-	if c.idxOf != nil {
-		var ok bool
-		if i, ok = c.idxOf[srv.ID()]; !ok {
-			return
-		}
-	}
 	if c.dirtyBits[i>>6]&(1<<(uint(i)&63)) != 0 {
 		return
 	}

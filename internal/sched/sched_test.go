@@ -362,6 +362,29 @@ func TestSchedulerRejectsEmptyFarm(t *testing.T) {
 	}
 }
 
+// TestSchedulerRejectsOutOfOrderIDs: the scheduler indexes its
+// per-server state by ID, so New refuses a farm whose servers[i] is not
+// server i instead of panicking at the first placement.
+func TestSchedulerRejectsOutOfOrderIDs(t *testing.T) {
+	eng := engine.New()
+	var servers []*server.Server
+	for _, id := range []int{0, 5} {
+		srv, err := server.New(id, eng, server.DefaultConfig(power.FourCoreServer()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, srv)
+	}
+	if _, err := New(eng, servers, Config{}); err == nil {
+		t.Error("servers with IDs {0, 5} accepted")
+	}
+	_, farm := testFarm(t, 3, nil)
+	farm[0], farm[1] = farm[1], farm[0]
+	if _, err := New(eng, farm, Config{}); err == nil {
+		t.Error("servers with IDs {1, 0, 2} accepted")
+	}
+}
+
 func TestPlacerNames(t *testing.T) {
 	for _, p := range []Placer{RoundRobin{}, LeastLoaded{}, Random{}, Pinned{},
 		NewProvisioner(1, 2), NewDualTimer(1, 0, 0), NewAdaptivePool(1, 0.5, 0)} {

@@ -141,9 +141,16 @@ func (s *Scheduler) SetCover(m *modelcov.Map) { s.cover = m }
 
 // New wires a scheduler to the servers. Server completion callbacks are
 // claimed by the scheduler (OnTaskDone must not be overridden afterward).
+// servers[i] must have ID i: the scheduler's per-server state, its load
+// tree and its shards are indexed by ID.
 func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("sched: no servers")
+	}
+	for i, srv := range servers {
+		if srv.ID() != i {
+			return nil, fmt.Errorf("sched: server %d has ID %d; IDs must run 0..%d in order", i, srv.ID(), len(servers)-1)
+		}
 	}
 	if cfg.Placer == nil {
 		cfg.Placer = LeastLoaded{}
