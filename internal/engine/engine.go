@@ -37,8 +37,11 @@
 //     event is inert and can neither cancel nor observe the new occupant.
 //   - Eager cancellation: every event records where it is queued, so
 //     Cancel takes it out of its tier and recycles it at once: O(1) from
-//     a lane, a bucket, the spill or the forever list, O(log n) from the
-//     heap. No tier ever holds a canceled event.
+//     a lane, a bucket or the spill, O(log n) from the heap. No tier ever
+//     holds a canceled event.
+//
+// Schedule rejects a time in the past and simtime.Forever, the key of an
+// empty lane: no queued event is ever at Forever.
 //
 // The engine is single-threaded by design: data center simulations at this
 // abstraction level are dominated by event ordering, and a lock-free
@@ -84,14 +87,12 @@ const (
 )
 
 // Where a queued event is, other than in the heap (event.pos >= 0, its
-// index there): the forever list, lane i at posLane-i, bucket j of the
-// rung that spans its time at posBucket-j, or the spill's entry k at
-// posSpill-k.
+// index there): lane i at posLane-i, bucket j of the rung that spans its
+// time at posBucket-j, or the spill's entry k at posSpill-k.
 const (
-	posForever = -1
-	posLane    = -2
-	posBucket  = posLane - numLanes
-	posSpill   = posBucket - numBuckets
+	posLane   = -1
+	posBucket = posLane - numLanes
+	posSpill  = posBucket - numBuckets
 )
 
 // event is one pooled queue entry. Callers never see it directly; they
@@ -101,7 +102,7 @@ const (
 type event struct {
 	at   simtime.Time
 	seq  uint64
-	next *event // successor in the bucket, lane, forever or free list
+	next *event // successor in the bucket, lane or free list
 	prev *event // predecessor in its list; stale at the head
 	gen  uint32
 	pos  int32 // where it is queued: a heap index, or a pos* tag
@@ -268,11 +269,6 @@ type Engine struct {
 	// It holds the events at or beyond the top rung's end.
 	spill []*event
 
-	// forever holds at==simtime.Forever sentinels (e.g. "never" timers).
-	// They sort after every real timestamp, FIFO among themselves, and
-	// would otherwise break the adaptive width computation.
-	forever list
-
 	freeBlock []event // current pool block being handed out
 }
 
@@ -329,11 +325,11 @@ func (e *Engine) release(ev *event) {
 	e.free = ev
 }
 
-// Schedule queues fn to run at absolute virtual time at.
-// Scheduling in the past panics: it always indicates a model bug.
+// Schedule queues fn to run at absolute virtual time at. Scheduling in
+// the past or at simtime.Forever panics: it always indicates a model bug.
 func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("engine: schedule at %v before now %v", at, e.now))
+	if at < e.now || at == simtime.Forever {
+		panic(fmt.Sprintf("engine: schedule at %v, now %v: past or Forever", at, e.now))
 	}
 	if fn == nil {
 		panic("engine: schedule with nil func")
@@ -344,30 +340,29 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	ev.fn = fn
 	e.seq++
 	e.live++
-	if d := at - e.now; at != simtime.Forever {
-		// A lone event has nothing to be ordered against, so the heap
-		// costs it nothing: it skips the lanes, and a chain of them
-		// never claims one.
-		if e.live > 1 {
-			i := e.laneFor(d)
-			if i < 0 && d == e.missed && e.seq >= e.claimAt {
-				i = e.claimLane(d)
-			}
-			if i >= 0 {
-				// Append to the lane. Every event in it was scheduled d
-				// ahead, so appends arrive in (at, seq) order.
-				e.Count.LanePushes++
-				ev.pos = posLane - int32(i)
-				l := &e.lanes[i]
-				l.push(ev)
-				if l.n == 1 {
-					e.relane(i)
-				}
-				return Handle{ev: ev, gen: ev.gen}
-			}
+	d := at - e.now
+	// A lone event has nothing to be ordered against, so the heap costs
+	// it nothing: it skips the lanes, and a chain of them never claims
+	// one.
+	if e.live > 1 {
+		i := e.laneFor(d)
+		if i < 0 && d == e.missed && e.seq >= e.claimAt {
+			i = e.claimLane(d)
 		}
-		e.missed = d
+		if i >= 0 {
+			// Append to the lane. Every event in it was scheduled d
+			// ahead, so appends arrive in (at, seq) order.
+			e.Count.LanePushes++
+			ev.pos = posLane - int32(i)
+			l := &e.lanes[i]
+			l.push(ev)
+			if l.n == 1 {
+				e.relane(i)
+			}
+			return Handle{ev: ev, gen: ev.gen}
+		}
 	}
+	e.missed = d
 	e.place(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
@@ -472,8 +467,8 @@ func (e *Engine) laneMatch(k int) uint8 {
 }
 
 // place routes an event to the tier covering its timestamp: below lim
-// to the heap, a Forever sentinel to its list, anything else to the
-// deepest rung that ends past it, and what no rung takes to the spill.
+// to the heap, anything else to the deepest rung that ends past it, and
+// what no rung takes to the spill.
 func (e *Engine) place(ev *event) {
 	switch {
 	case ev.at < e.lim:
@@ -482,9 +477,6 @@ func (e *Engine) place(ev *event) {
 		if len(e.bottom) > splitAt {
 			e.splitBottom()
 		}
-	case ev.at == simtime.Forever:
-		ev.pos = posForever
-		e.forever.push(ev)
 	case ev.at < e.rungs[0].end:
 		e.rungFor(ev.at).add(ev)
 	default:
@@ -512,8 +504,12 @@ func (e *Engine) After(d simtime.Time, fn func()) Handle {
 // Every runs fn at absolute time first and then every period for as long
 // as the next firing is no later than until (simtime.Forever = no end).
 // It re-arms after fn returns, so events fn schedules are sequenced
-// before the next firing.
+// before the next firing. A period that is not positive panics: the
+// clock would never pass first.
 func (e *Engine) Every(first, period, until simtime.Time, fn func()) {
+	if period <= 0 {
+		panic(fmt.Sprintf("engine: every with period %v", period))
+	}
 	var tick func()
 	tick = func() {
 		fn()
@@ -525,9 +521,8 @@ func (e *Engine) Every(first, period, until simtime.Time, fn func()) {
 }
 
 // Cancel takes the event named by h out of its tier and recycles it, if
-// it has not fired: O(1) from a lane, a bucket, the spill or the forever
-// list, O(log n) from the heap. Safe to call with the zero Handle or a
-// stale one.
+// it has not fired: O(1) from a lane, a bucket or the spill, O(log n)
+// from the heap. Safe to call with the zero Handle or a stale one.
 func (e *Engine) Cancel(h Handle) {
 	if !h.Pending() {
 		return
@@ -548,8 +543,6 @@ func (e *Engine) Cancel(h Handle) {
 		r := e.rungFor(ev.at)
 		r.buckets[posBucket-p].unlink(ev)
 		r.n--
-	case p == posForever:
-		e.forever.unlink(ev)
 	default:
 		i := int(posLane - p)
 		l := &e.lanes[i]
@@ -598,13 +591,11 @@ func (e *Engine) nextLive() *event {
 		case len(e.spill) > 0:
 			e.rebucket()
 		case lh != nil:
-			// The ladder is empty, and a lane head is earlier than any
-			// Forever sentinel.
+			// The ladder is empty.
 			e.skipTo(lh.at)
 			return lh
 		default:
-			// Only the forever tier can be left; FIFO (== seq) order.
-			return e.forever.head
+			return nil
 		}
 	}
 }
@@ -765,15 +756,10 @@ func (e *Engine) Step() bool {
 		if ev = e.nextLive(); ev == nil {
 			return false
 		}
-		switch {
-		case len(e.bottom) > 0 && ev == e.bottom[0]:
+		if len(e.bottom) > 0 && ev == e.bottom[0] {
 			e.bottomPop()
-		case ev == e.laneHead():
+		} else {
 			e.lanePop()
-		default:
-			// nextLive only surfaces a forever-tier event once every
-			// other tier is empty.
-			e.forever.pop()
 		}
 	}
 	e.now = ev.at

@@ -80,26 +80,30 @@ func TestEvery(t *testing.T) {
 	}
 }
 
+// A schedule that would be a model bug panics: in the past, at Forever,
+// with no func, or a recurrence that never advances the clock.
 func TestSchedulePastPanics(t *testing.T) {
-	e := New()
-	e.Schedule(10, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(5, func() {})
-}
-
-func TestScheduleNilPanics(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil fn did not panic")
-		}
-	}()
-	e.Schedule(5, nil)
+	for _, tc := range []struct {
+		name string
+		call func(e *Engine)
+	}{
+		{"past", func(e *Engine) { e.Schedule(5, func() {}) }},
+		{"forever", func(e *Engine) { e.Schedule(simtime.Forever, func() {}) }},
+		{"nil fn", func(e *Engine) { e.Schedule(15, nil) }},
+		{"every period 0", func(e *Engine) { e.Every(10, 0, 20, func() {}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.Schedule(10, func() {})
+			e.Run()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.call(e)
+		})
+	}
 }
 
 func TestCancel(t *testing.T) {

@@ -40,10 +40,10 @@ func (e *Engine) splitRefused() bool {
 }
 
 // queued counts the events in the tiers: the heap, the lanes, every
-// rung's buckets, the spill and the forever list. It walks the lists
-// rather than trusting their counts.
+// rung's buckets and the spill. It walks the lists rather than trusting
+// their counts.
 func (e *Engine) queued() int {
-	n := len(e.bottom) + len(e.spill) + walk(&e.forever)
+	n := len(e.bottom) + len(e.spill)
 	for i := range e.lanes {
 		n += walk(&e.lanes[i])
 	}
@@ -68,7 +68,6 @@ const (
 	inHeap = iota
 	inBucket
 	inSpill
-	inForever
 	inLaneHead // the head of a delay lane or of the run
 	inLane     // behind a lane's head
 	notPending
@@ -87,8 +86,6 @@ func (e *Engine) tierOf(h Handle) int {
 		return inSpill
 	case p <= posBucket:
 		return inBucket
-	case p == posForever:
-		return inForever
 	case e.lanes[posLane-p].head == h.ev:
 		return inLaneHead
 	default:

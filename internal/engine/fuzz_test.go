@@ -294,7 +294,7 @@ func TestLadderTimerDifferential(t *testing.T) {
 // TestCancelLeavesNoEvent: a canceled event leaves its tier at once.
 // After every op of randomized schedule/cancel/step/RunUntil scripts,
 // Timer churn included, the events linked into the heap, the lanes, the
-// rung buckets, the spill and the forever list are exactly the live ones.
+// rung buckets and the spill are exactly the live ones.
 func TestCancelLeavesNoEvent(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))

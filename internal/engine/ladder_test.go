@@ -316,8 +316,8 @@ func TestPoolReuseUnderChurn(t *testing.T) {
 
 // TestRandomizedScheduleCancelInterleaving is the fuzz-style stress: a
 // long random interleaving of schedules (across every tier: bottom,
-// bucket, spill, forever), cancels, and steps, checking the global
-// invariants the engine must uphold.
+// bucket, spill), cancels, and steps, checking the global invariants the
+// engine must uphold.
 func TestRandomizedScheduleCancelInterleaving(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -335,17 +335,15 @@ func TestRandomizedScheduleCancelInterleaving(t *testing.T) {
 			switch k := r.Intn(10); {
 			case k < 5:
 				var d simtime.Time
-				switch r.Intn(5) {
+				switch r.Intn(4) {
 				case 0:
 					d = 0
 				case 1:
 					d = simtime.Time(r.Int63n(int64(simtime.Microsecond)))
 				case 2:
 					d = simtime.Time(r.Int63n(int64(simtime.Second)))
-				case 3:
-					d = simtime.Time(r.Int63n(int64(24 * 3600 * simtime.Second)))
 				default:
-					d = simtime.Forever - e.Now() // forever tier
+					d = simtime.Time(r.Int63n(int64(24 * 3600 * simtime.Second)))
 				}
 				fired := false
 				tr := &tracked{at: e.Now() + d, fired: &fired}
@@ -360,12 +358,6 @@ func TestRandomizedScheduleCancelInterleaving(t *testing.T) {
 					e.Cancel(tr.h)
 				}
 			default:
-				// Don't fire forever-tier sentinels mid-script: the
-				// clock would jump to Forever and further scheduling
-				// would (correctly) panic.
-				if at, ok := e.NextEventTime(); !ok || at == simtime.Forever {
-					continue
-				}
 				before := e.Now()
 				if e.Step() {
 					dispatched++
@@ -379,18 +371,8 @@ func TestRandomizedScheduleCancelInterleaving(t *testing.T) {
 				}
 			}
 		}
-		// Drain everything except forever-tier sentinels.
-		for {
-			at, ok := e.NextEventTime()
-			if !ok || at == simtime.Forever {
-				break
-			}
-			e.Step()
-		}
+		e.Run()
 		for i, tr := range all {
-			if tr.at == simtime.Forever {
-				continue
-			}
 			if tr.canceled && *tr.fired {
 				t.Fatalf("seed %d: event %d fired after cancel", seed, i)
 			}
@@ -398,37 +380,8 @@ func TestRandomizedScheduleCancelInterleaving(t *testing.T) {
 				t.Fatalf("seed %d: live event %d (at %v) never fired", seed, i, tr.at)
 			}
 		}
-		wantForever := 0
-		for _, tr := range all {
-			if tr.at == simtime.Forever && !tr.canceled {
-				wantForever++
-			}
-		}
-		if e.live != wantForever {
-			t.Fatalf("seed %d: Len = %d, want %d forever sentinels", seed, e.live, wantForever)
-		}
-	}
-}
-
-// TestForeverTierOrdering: sentinels scheduled at simtime.Forever fire
-// after every finite event, FIFO among themselves, and stay cancelable.
-func TestForeverTierOrdering(t *testing.T) {
-	e := New()
-	var got []int
-	e.Schedule(simtime.Forever, func() { got = append(got, 100) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	h := e.Schedule(simtime.Forever, func() { got = append(got, 101) })
-	e.Schedule(simtime.Forever, func() { got = append(got, 102) })
-	e.Schedule(36000*simtime.Second, func() { got = append(got, 2) })
-	e.Cancel(h)
-	e.Run()
-	want := []int{1, 2, 100, 102}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
+		if e.live != 0 {
+			t.Fatalf("seed %d: Len = %d after drain, want 0", seed, e.live)
 		}
 	}
 }
@@ -609,7 +562,6 @@ func rungShapes() []shape {
 		b.schedule(simtime.Forever - 2000 - simtime.Time(k)*10)
 	}
 	b.schedule(simtime.Forever - 1)
-	b.schedule(simtime.Forever)
 	for i := 0; i < 20; i++ {
 		b.step()
 	}

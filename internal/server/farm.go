@@ -83,15 +83,14 @@ type sleepEntry struct {
 }
 
 // sleepPlanner multiplexes every farm server's sleep-state delay timer
-// onto one engine.Timer armed at the earliest pending deadline. Disarms
-// are lazy: the entry stays in the heap and is recognized as stale when
-// popped (the server's sleepSeq moved on), with periodic compaction so
-// the heap never grows past ~2x the live entry count.
+// onto one engine.Timer armed at the earliest pending deadline. The heap
+// holds exactly the armed servers: each records its entry's index
+// (sleepIdx), so a re-arm moves the entry in place and a disarm takes it
+// out at once.
 type sleepPlanner struct {
 	eng   *engine.Engine
 	timer *engine.Timer
 	heap  []sleepEntry
-	stale int    // entries whose server re-armed or disarmed since push
 	seq   uint64 // arm counter; FIFO tie-break among equal deadlines
 
 	armedAt  simtime.Time // deadline the shared timer is armed for
@@ -106,70 +105,61 @@ func (p *sleepPlanner) init(eng *engine.Engine) {
 // arm registers (or re-registers, moving the deadline like Timer.Reset)
 // server s to suspend at instant at.
 func (p *sleepPlanner) arm(s *Server, at simtime.Time) {
-	if s.sleepArmed {
-		p.stale++ // the previous entry's seq no longer matches: stale
-	}
 	p.seq++
-	s.sleepArmed, s.sleepSeq = true, p.seq
-	p.push(sleepEntry{at: at, seq: p.seq, srv: s})
-	p.maybeCompact()
+	e := sleepEntry{at: at, seq: p.seq, srv: s}
+	if i := int(s.sleepIdx); i >= 0 {
+		p.heap[i] = e
+		p.fix(i)
+	} else {
+		p.heap = append(p.heap, e)
+		s.sleepIdx = int32(len(p.heap) - 1)
+		p.siftUp(len(p.heap) - 1)
+	}
 	if !p.timerSet || at < p.armedAt {
 		p.armedAt, p.timerSet = at, true
 		p.timer.Reset(at - p.eng.Now())
 	}
 }
 
-// disarm cancels server s's pending suspend. The heap entry is left in
-// place and skipped as stale when popped.
+// disarm cancels server s's pending suspend. The shared timer stays
+// armed: when it fires it finds the next deadline, if any, and re-arms.
+// Stopping it here would move the re-arm points, and with them the
+// engine sequence numbers the goldens pin (DESIGN.md Sec. 13.1).
 func (p *sleepPlanner) disarm(s *Server) {
-	if !s.sleepArmed {
-		return
+	if s.sleepIdx >= 0 {
+		p.remove(int(s.sleepIdx))
 	}
-	s.sleepArmed = false
-	p.stale++
-	p.maybeCompact()
 }
 
-// fire pops every due live entry in (deadline, arm-seq) order and starts
-// its server's suspend, then re-arms the shared timer at the next live
-// deadline.
+// fire pops every due entry in (deadline, arm-seq) order and starts its
+// server's suspend, then re-arms the shared timer at the next deadline.
 func (p *sleepPlanner) fire() {
 	now := p.eng.Now()
 	p.timerSet = false
 	for len(p.heap) > 0 {
 		e := p.heap[0]
-		if !e.srv.sleepArmed || e.srv.sleepSeq != e.seq {
-			p.pop()
-			p.stale--
-			continue
-		}
 		if e.at > now {
 			p.armedAt, p.timerSet = e.at, true
 			p.timer.Reset(e.at - now)
 			return
 		}
-		p.pop()
-		e.srv.sleepArmed = false
+		p.remove(0)
 		e.srv.enterSleep()
 	}
 }
 
-// maybeCompact rebuilds the heap without stale entries once they dominate
-// (>64 and more than half), keeping memory proportional to live arms.
-func (p *sleepPlanner) maybeCompact() {
-	if p.stale <= 64 || p.stale*2 <= len(p.heap) {
-		return
-	}
-	live := p.heap[:0]
-	for _, e := range p.heap {
-		if e.srv.sleepArmed && e.srv.sleepSeq == e.seq {
-			live = append(live, e)
-		}
-	}
-	p.heap = live
-	p.stale = 0
-	for i := len(p.heap)/2 - 1; i >= 0; i-- {
-		p.siftDown(i)
+// remove takes entry i out of the heap: the last entry fills the gap and
+// sifts whichever way it must.
+func (p *sleepPlanner) remove(i int) {
+	p.heap[i].srv.sleepIdx = -1
+	n := len(p.heap) - 1
+	last := p.heap[n]
+	p.heap[n] = sleepEntry{} // release the *Server reference
+	p.heap = p.heap[:n]
+	if i < n {
+		p.heap[i] = last
+		last.srv.sleepIdx = int32(i)
+		p.fix(i)
 	}
 }
 
@@ -182,26 +172,26 @@ func (p *sleepPlanner) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (p *sleepPlanner) push(e sleepEntry) {
-	p.heap = append(p.heap, e)
-	i := len(p.heap) - 1
+// swap exchanges entries i and j and keeps their servers' indexes.
+func (p *sleepPlanner) swap(i, j int) {
+	p.heap[i], p.heap[j] = p.heap[j], p.heap[i]
+	p.heap[i].srv.sleepIdx, p.heap[j].srv.sleepIdx = int32(i), int32(j)
+}
+
+// fix restores heap order after entry i changed.
+func (p *sleepPlanner) fix(i int) {
+	p.siftDown(i)
+	p.siftUp(i)
+}
+
+func (p *sleepPlanner) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !p.less(i, parent) {
-			break
+			return
 		}
-		p.heap[i], p.heap[parent] = p.heap[parent], p.heap[i]
+		p.swap(i, parent)
 		i = parent
-	}
-}
-
-func (p *sleepPlanner) pop() {
-	n := len(p.heap) - 1
-	p.heap[0] = p.heap[n]
-	p.heap[n] = sleepEntry{} // release the *Server reference
-	p.heap = p.heap[:n]
-	if n > 0 {
-		p.siftDown(0)
 	}
 }
 
@@ -219,7 +209,7 @@ func (p *sleepPlanner) siftDown(i int) {
 		if min == i {
 			return
 		}
-		p.heap[i], p.heap[min] = p.heap[min], p.heap[i]
+		p.swap(i, min)
 		i = min
 	}
 }

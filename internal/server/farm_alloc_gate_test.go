@@ -13,8 +13,10 @@ import (
 
 // TestIdleFarmSteadyStateZeroAlloc is the CI gate for the hyperscale
 // claim: a farm's idle/asleep population costs O(1) — zero queued engine
-// events and zero allocations — while foreground work proceeds. The race
-// detector inserts allocations, so this runs only in the non-race job.
+// events and zero allocations — while foreground work proceeds, and a
+// server's sleep cycle through the shared planner (wake, run, idle, arm,
+// fire, suspend) allocates nothing either. The race detector inserts
+// allocations, so this runs only in the non-race job.
 func TestIdleFarmSteadyStateZeroAlloc(t *testing.T) {
 	eng := engine.New()
 	farm := NewFarm(eng)
@@ -62,5 +64,25 @@ func TestIdleFarmSteadyStateZeroAlloc(t *testing.T) {
 		if !farm.Server(i).Asleep() {
 			t.Fatalf("idle server %d was disturbed by foreground work", i)
 		}
+	}
+
+	// A sleep cycle through the planner: a task wakes an asleep server,
+	// which runs it, goes idle, arms its delay timer, and suspends when
+	// the shared timer fires.
+	sleeper := farm.Server(1)
+	tk2 := job.Single(2, 0, simtime.Millisecond).Tasks[0]
+	sleepCycle := func() {
+		sleeper.Submit(tk2)
+		eng.Run()
+	}
+	for i := 0; i < 256; i++ {
+		sleepCycle()
+	}
+	wakes := sleeper.WakeCount()
+	if allocs := testing.AllocsPerRun(100, sleepCycle); allocs != 0 {
+		t.Fatalf("sleep cycle through the planner allocates %v per cycle, want 0", allocs)
+	}
+	if d := sleeper.WakeCount() - wakes; d != 101 || !sleeper.Asleep() {
+		t.Fatalf("101 sleep cycles woke the server %d times and left it asleep %v; want 101, true", d, sleeper.Asleep())
 	}
 }

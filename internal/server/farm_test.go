@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/rand"
 	"testing"
 
 	"holdcsim/internal/engine"
@@ -91,9 +92,9 @@ func TestFarmMatchesStandaloneSleepTransitions(t *testing.T) {
 	}
 }
 
-// Once every farm server is asleep the queue has drained (Run returns)
-// and the planner's one timer is unarmed — the per-idle-server O(1)
-// claim. The planner heap may keep stale entries but no event.
+// Once every farm server is asleep the queue has drained (Run returns),
+// the planner's one timer is unarmed and its heap is empty — the
+// per-idle-server O(1) claim.
 func TestFarmAsleepZeroQueuedEvents(t *testing.T) {
 	eng := engine.New()
 	farm := NewFarm(eng)
@@ -115,29 +116,109 @@ func TestFarmAsleepZeroQueuedEvents(t *testing.T) {
 	if farm.planner.timerSet {
 		t.Fatalf("planner timer still armed with empty schedule")
 	}
+	if got := len(farm.planner.heap); got != 0 {
+		t.Fatalf("planner heap holds %d entries with every server asleep", got)
+	}
 }
 
-// Arm/disarm churn must not grow the planner heap unboundedly: lazy
-// deletion is compacted once stale entries dominate.
-func TestSleepPlannerCompaction(t *testing.T) {
-	eng := engine.New()
-	farm := NewFarm(eng)
-	s, err := farm.Add(0, farmConfig(func(c *Config) {
-		c.DelayTimerEnabled = true
-		c.DelayTimer = simtime.Millisecond
-	}))
-	if err != nil {
-		t.Fatal(err)
+// The planner heap holds exactly the armed servers, whatever the order of
+// arms, re-arms, disarms and fires. A reference map of armed servers to
+// (deadline, arm order) is checked after every operation, with deadlines
+// drawn from three values so that ties are common, and every fire must
+// suspend exactly the servers the reference says are due.
+func TestSleepPlannerHoldsOnlyArmed(t *testing.T) {
+	type armed struct {
+		at    simtime.Time
+		order int
 	}
-	for i := 0; i < 10000; i++ {
-		farm.planner.arm(s, simtime.Time(i))
-	}
-	if got := len(farm.planner.heap); got > 256 {
-		t.Fatalf("planner heap grew to %d entries after re-arm churn, want bounded", got)
-	}
-	farm.planner.disarm(s)
-	if s.sleepArmed {
-		t.Fatalf("disarm left server armed")
+	const n = 16
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		eng := engine.New()
+		farm := NewFarm(eng)
+		for i := 0; i < n; i++ {
+			// The delay timer is off, so only the test arms the planner.
+			if _, err := farm.Add(i, farmConfig(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := &farm.planner
+		ref := map[*Server]armed{}
+		order := 0
+		check := func(op int) {
+			t.Helper()
+			if len(p.heap) != len(ref) {
+				t.Fatalf("seed %d op %d: planner heap holds %d entries for %d armed servers", seed, op, len(p.heap), len(ref))
+			}
+			for i := 0; i < n; i++ {
+				s := farm.Server(i)
+				want, ok := ref[s]
+				switch j := int(s.sleepIdx); {
+				case !ok && j != -1:
+					t.Fatalf("seed %d op %d: unarmed server %d has heap index %d", seed, op, i, j)
+				case ok && (j < 0 || j >= len(p.heap) || p.heap[j].srv != s || p.heap[j].at != want.at):
+					t.Fatalf("seed %d op %d: server %d's index %d does not name its entry at %v", seed, op, i, j, want.at)
+				}
+			}
+			// The heap is ordered by the reference's (deadline, arm
+			// order), so ties suspend in the order they armed.
+			for i := 1; i < len(p.heap); i++ {
+				c, pa := ref[p.heap[i].srv], ref[p.heap[(i-1)/2].srv]
+				if c.at < pa.at || c.at == pa.at && c.order < pa.order {
+					t.Fatalf("seed %d op %d: heap entry %d sorts before its parent", seed, op, i)
+				}
+			}
+			for a, ra := range ref {
+				for b, rb := range ref {
+					if (ra.order < rb.order) != (p.heap[a.sleepIdx].seq < p.heap[b.sleepIdx].seq) {
+						t.Fatalf("seed %d op %d: servers %d and %d tie-break out of arm order", seed, op, a.ID(), b.ID())
+					}
+				}
+			}
+		}
+		for op := 0; op < 2000; op++ {
+			s := farm.Server(r.Intn(n))
+			switch k := r.Intn(10); {
+			case k < 5:
+				// Arm or re-arm only a server that is fully awake, so a
+				// due deadline must suspend it.
+				if s.sstate != power.S0 || s.entering || s.waking {
+					continue
+				}
+				at := eng.Now() + simtime.Time(r.Intn(3))*simtime.Millisecond
+				order++
+				p.arm(s, at)
+				ref[s] = armed{at, order}
+			case k < 7:
+				p.disarm(s)
+				delete(ref, s)
+			default:
+				next := eng.Now() + simtime.Millisecond
+				for _, a := range ref {
+					next = min(next, a.at)
+				}
+				var was [n]bool
+				for i := range was {
+					was[i] = farm.Server(i).Asleep()
+				}
+				eng.RunUntil(next)
+				for i := 0; i < n; i++ {
+					s := farm.Server(i)
+					a, ok := ref[s]
+					due := ok && a.at <= next
+					if due {
+						delete(ref, s)
+					}
+					if suspended := s.Asleep() && !was[i]; suspended != due {
+						t.Fatalf("seed %d op %d: at %v server %d suspended %v, due %v", seed, op, next, i, suspended, due)
+					}
+					if s.sstate != power.S0 && !s.entering && !s.waking && r.Intn(2) == 0 {
+						s.WakeUp()
+					}
+				}
+			}
+			check(op)
+		}
 	}
 }
 
@@ -230,7 +311,7 @@ func TestNoDelayTimerWhenDisabled(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
-	if s.sleepArmed {
+	if s.sleepIdx >= 0 {
 		t.Fatalf("sleep armed despite DelayTimerEnabled=false")
 	}
 	allocs := testing.AllocsPerRun(100, cycle)
@@ -247,15 +328,15 @@ func TestSetDelayTimerLazyArm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.sleepArmed {
+	if s.sleepIdx >= 0 {
 		t.Fatalf("armed with delay timer disabled")
 	}
 	s.SetDelayTimer(true, 5*simtime.Millisecond)
-	if at := s.farm.planner.armedAt; !s.sleepArmed || at != eng.Now()+5*simtime.Millisecond {
-		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, s.sleepArmed)
+	if at := s.farm.planner.armedAt; s.sleepIdx < 0 || at != eng.Now()+5*simtime.Millisecond {
+		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, s.sleepIdx >= 0)
 	}
 	s.SetDelayTimer(false, 0)
-	if s.sleepArmed {
+	if s.sleepIdx >= 0 {
 		t.Fatalf("still armed after disable")
 	}
 	s.SetDelayTimer(true, simtime.Millisecond)

@@ -65,11 +65,11 @@ type Server struct {
 	epoch  uint32
 
 	// Sleep-state delay bookkeeping. Every server belongs to a farm and
-	// registers a (deadline, seq) pair with the farm's shared sleep
-	// planner, so an idle server holds no queued engine event of its own.
-	farm       *Farm
-	sleepArmed bool
-	sleepSeq   uint64
+	// arms its suspend deadline in the farm's shared sleep planner, so an
+	// idle server holds no queued engine event of its own. sleepIdx is
+	// the index of its entry in the planner heap, -1 when unarmed.
+	farm     *Farm
+	sleepIdx int32
 
 	// queueLen mirrors the queued + reserved task count (the sum QueueLen
 	// used to recompute by walking every core) and is maintained at each
@@ -132,7 +132,7 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	batch := min(max(len(f.servers), 1), maxBatch)
 	s := &carve(&f.srvBlock, 1, batch)[0]
 	s.id, s.eng, s.cfg, s.prof = id, f.eng, cfg, cfg.Profile
-	s.farm = f
+	s.farm, s.sleepIdx = f, -1
 	s.sstate, s.state = power.S0, -1
 	s.sockets = carve(&f.socketBlock, s.prof.SocketCount(), batch)
 	s.residency.Init(power.ServerStates[:], carve(&f.durBlock, len(power.ServerStates), batch))

@@ -23,7 +23,8 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Forever is a time later than any event a simulation will schedule.
+// Forever is a time later than any event a simulation will schedule:
+// engine.Schedule rejects it, and a time that never comes needs no event.
 const Forever Time = math.MaxInt64
 
 // FromSeconds converts a float64 number of seconds to a Time, rounding to
