@@ -4,9 +4,9 @@
 //
 // HolDCSim jointly models servers and networks: multi-core
 // (optionally heterogeneous) servers with hierarchical ACPI power states
-// (per-core C-states, package C-states, system sleep states, DVFS),
-// switches built from chassis/line cards/ports with Low Power Idle and
-// adaptive link rate, the fat-tree / flattened-butterfly / BCube /
+// (per-core C-states, package C-states, system sleep states, per-server
+// DVFS), switches built from chassis/line cards/ports with Low Power Idle
+// and line-card sleep, the fat-tree / flattened-butterfly / BCube /
 // CamCube / star topologies, packet- and flow-level communication,
 // multi-task job DAGs, stochastic (Poisson, 2-state MMPP) and
 // trace-driven workloads, and pluggable global/local scheduling and

@@ -14,13 +14,6 @@ import (
 	"holdcsim/internal/analysis"
 )
 
-// uncalled is the whole allowlist of TestNoFuncWithoutCaller: functions
-// under internal/ that stay although no non-test code calls them.
-var uncalled = map[string]string{
-	"holdcsim/internal/network.Network.EnableRateAdaptation": "Table I's pinned capability row claims adaptive link rate; ROADMAP item 5's paper table gives it a scenario word or deletes it",
-	"holdcsim/internal/server.Server.SetCorePState":          "Table I's pinned capability row claims per-core DVFS; same decision as EnableRateAdaptation",
-}
-
 // stdInterfaces are the standard-library packages whose interfaces a
 // method may exist to satisfy without any first-party code naming it
 // (encoding/json finds MarshalText by reflection, sort calls Less).
@@ -221,23 +214,13 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 
 	var dead []string
 	for k, pos := range decls {
-		if !used[k] && uncalled[k] == "" {
+		if !used[k] {
 			dead = append(dead, pos.String()+": "+k)
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("%s has no non-test user: delete it, move it to a _test.go file, or give it one", d)
-	}
-	for k := range uncalled {
-		if _, ok := decls[k]; !ok {
-			t.Errorf("allowlist entry %s names no declared function", k)
-		} else if used[k] {
-			t.Errorf("allowlist entry %s now has a caller: drop the entry", k)
-		}
-	}
-	if len(uncalled) > 5 {
-		t.Errorf("allowlist has %d entries; the bar is 5", len(uncalled))
 	}
 }
 

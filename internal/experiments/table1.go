@@ -60,7 +60,7 @@ func TableI(p TableIParams) (*TableIResult, error) {
 		{"Topology", "switch-only (fat tree, flattened butterfly); server-only (CamCube); hybrid (BCube); star"},
 		{"Communication", "packet-level (store-and-forward) and flow-based (max-min fair)"},
 		{"Job/Task", "multi-task jobs with task-dependency DAGs and per-edge transfer sizes"},
-		{"Power", "per-core DVFS (P-states) with ondemand governor; core and per-socket package C-states; ACPI S-states; switch LPI, line-card sleep, adaptive link rate"},
+		{"Power", "DVFS (P-states) with ondemand governor; core and per-socket package C-states; ACPI S-states; switch LPI, line-card sleep"},
 		{"Scheduling", "global round-robin / least-loaded / pack-first / network-aware; optional global task queue; provisioning, dual-timer and adaptive-pool controllers"},
 		{"Workloads", "Poisson, 2-state MMPP, trace replay (Wikipedia-like, NLANR-like synthetic)"},
 		{"Scalability", fmt.Sprintf("verified at %d servers below", p.ScaleServers)},

@@ -145,9 +145,10 @@ const maxClassEvents = 100_000
 // replay. A class whose target population is zero (link flaps on a
 // server-only farm) is skipped. Outage instants are uniform over the
 // first 90% of the horizon so a recovery usually lands inside the run;
-// durations are uniform in [0.5, 1.5]× the class mean. Events sort
-// stably by instant, so the relative order of equal-time draws is the
-// draw order.
+// durations are uniform in [0.5, 1.5]× the class mean. An instant past
+// the clock's end is Forever, which Attach queues no event for. Events
+// sort stably by instant, so the relative order of equal-time draws is
+// the draw order.
 func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timeline, error) {
 	var tl Timeline
 	pair := 0
@@ -157,10 +158,10 @@ func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timel
 		}
 		for i := 0; i < count; i++ {
 			at := simtime.FromSeconds(r.Float64() * horizonSec * 0.9)
-			dur := simtime.FromSeconds(downSec * (0.5 + r.Float64()))
+			up := simtime.AddSeconds(at, downSec*(0.5+r.Float64()))
 			target := r.IntN(n)
 			tl.Events = append(tl.Events, Event{At: at, Scope: scope, Target: target, Pair: pair},
-				Event{At: at + dur, Scope: scope, Up: true, Target: target, Pair: pair})
+				Event{At: up, Scope: scope, Up: true, Target: target, Pair: pair})
 			pair++
 		}
 	}
@@ -195,10 +196,10 @@ func (sp Spec) TimelineFor(r *rng.Source, horizonSec float64, topo *Topo) (Timel
 			if !ok {
 				return Timeline{}, fmt.Errorf("fault: outage log %s: unknown scope %q", sp.TraceFile, o.Scope)
 			}
-			at := simtime.FromSeconds(o.Start)
+			at := simtime.AddSeconds(0, o.Start)
 			tl.Events = append(tl.Events,
 				Event{At: at, Scope: scope, Target: o.Target, Pair: pair},
-				Event{At: at + simtime.FromSeconds(o.Dur), Scope: scope, Up: true, Target: o.Target, Pair: pair})
+				Event{At: simtime.AddSeconds(at, o.Dur), Scope: scope, Up: true, Target: o.Target, Pair: pair})
 			pair++
 		}
 	}
@@ -251,8 +252,8 @@ func renew(r *rng.Source, horizonSec float64, n int, mttf, mttr, shape float64, 
 		}
 		end := start + rep
 		tl.Events = append(tl.Events,
-			Event{At: simtime.FromSeconds(ft), Scope: scope, Target: c, Pair: *pair},
-			Event{At: simtime.FromSeconds(end), Scope: scope, Up: true, Target: c, Pair: *pair})
+			Event{At: simtime.AddSeconds(0, ft), Scope: scope, Target: c, Pair: *pair},
+			Event{At: simtime.AddSeconds(0, end), Scope: scope, Up: true, Target: c, Pair: *pair})
 		*pair++
 		nextFail[c] = end + life.Sample(r)
 	}
@@ -319,15 +320,12 @@ func (inj *Injector) maybeCascade(crashed, depth int) {
 		if !inj.cascade.Bernoulli(inj.spec.CascadeP) {
 			continue
 		}
-		delay := simtime.FromSeconds(inj.spec.CascadeDelaySec * (0.5 + inj.cascade.Float64()))
-		dur := simtime.FromSeconds(mean * (0.5 + inj.cascade.Float64()))
+		down := simtime.AddSeconds(now, inj.spec.CascadeDelaySec*(0.5+inj.cascade.Float64()))
+		up := simtime.AddSeconds(down, mean*(0.5+inj.cascade.Float64()))
 		pair := inj.nextPair
 		inj.nextPair++
-		downEv := Event{At: now + delay, Scope: ScopeServer, Target: s, Pair: pair}
-		upEv := Event{At: now + delay + dur, Scope: ScopeServer, Up: true, Target: s, Pair: pair}
-		d := depth + 1
-		inj.eng.Schedule(downEv.At, func() { inj.apply(downEv, d) })
-		inj.eng.Schedule(upEv.At, func() { inj.apply(upEv, d) })
+		inj.schedule(Event{At: down, Scope: ScopeServer, Target: s, Pair: pair}, depth+1)
+		inj.schedule(Event{At: up, Scope: ScopeServer, Up: true, Target: s, Pair: pair}, depth+1)
 	}
 }
 

@@ -358,10 +358,17 @@ func Attach(eng *engine.Engine, tl Timeline, sch *sched.Scheduler,
 		}
 	})
 	for _, ev := range tl.Events {
-		ev := ev
-		eng.Schedule(ev.At, func() { inj.apply(ev, 0) })
+		inj.schedule(ev, 0)
 	}
 	return inj
+}
+
+// schedule queues ev's application at cascade depth depth. An instant
+// past the clock's end (Forever) never comes: no event is queued.
+func (inj *Injector) schedule(ev Event, depth int) {
+	if ev.At != simtime.Forever {
+		inj.eng.Schedule(ev.At, func() { inj.apply(ev, depth) })
+	}
 }
 
 // Ledger snapshots the fault account.

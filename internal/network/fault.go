@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"holdcsim/internal/engine"
-	"holdcsim/internal/power"
 	"holdcsim/internal/topology"
 )
 
@@ -91,7 +90,7 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 	n.eng.Cancel(sw.wakeEv)
 	sw.wakeEv = engine.Handle{}
 	sw.sleepTmr.Stop()
-	sw.powerDown(power.LineCardOff)
+	sw.powerDown()
 	for _, p := range sw.ports {
 		if p.link == nil {
 			continue

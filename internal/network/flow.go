@@ -231,7 +231,7 @@ func (n *Network) waterFill() {
 			r := l.wfSlot(f.dirAB[i])
 			if r.epoch != n.wfEpoch {
 				r.epoch = n.wfEpoch
-				r.cap = l.bytesPerSec()
+				r.cap = l.bytesPerSec
 				r.flows = r.flows[:0]
 				r.unfixed = 0
 				order = append(order, r)

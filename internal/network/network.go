@@ -1,9 +1,9 @@
 // Package network implements HolDCSim's switch and network architecture
 // (paper Sec. III-B): switches composed of a chassis, line cards and
-// ports with hierarchical power states (port Active/LPI/Off, line card
-// Active/Sleep/Off), packet-level store-and-forward communication,
-// flow-based communication with max-min fair bandwidth sharing, adaptive
-// link rate, and automatic line-card sleep with wake penalties.
+// ports with hierarchical power states (port Active/LPI/Off, one rate
+// per profile, no adaptive link rate), packet-level store-and-forward
+// communication, flow-based communication with max-min fair bandwidth
+// sharing, and automatic line-card sleep with wake penalties.
 package network
 
 import (
@@ -174,17 +174,21 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 	n.links = make([]*linkState, g.NumLinks())
 	for i := 0; i < g.NumLinks(); i++ {
 		lk := g.Link(i)
-		ls := &linkState{id: i, a: lk.A, rateBps: lk.RateBps, net: n}
+		ls := &linkState{id: i, a: lk.A, net: n}
 		ls.lpiTimer = engine.NewTimer(eng, ls.enterLPI)
+		// A switch end caps the link at the port rate.
+		rate := lk.RateBps
 		if sw, ok := n.switches[lk.A]; ok {
 			ls.portA = sw.allocPort(ls)
+			rate = min(rate, prof.PortRateBps)
 		}
 		if sw, ok := n.switches[lk.B]; ok {
 			ls.portB = sw.allocPort(ls)
+			rate = min(rate, prof.PortRateBps)
 		}
+		ls.bytesPerSec = rate / 8
 		ls.egressAB = newEgressQueue(ls)
 		ls.egressBA = newEgressQueue(ls)
-		ls.refreshRate()
 		// Connected ports start idle: begin the LPI countdown (a no-op
 		// for host-host links, which have no ports).
 		ls.armLPI()
@@ -293,10 +297,10 @@ func (n *Network) wakeRoute(r *route) simtime.Time {
 // switch ports at its ends (nil at host ends), per-direction
 // water-filling records and per-direction packet egress queues.
 type linkState struct {
-	id      int             // index in Network.links
-	a       topology.NodeID // the end direction A->B leaves from
-	rateBps float64
-	net     *Network
+	id          int             // index in Network.links
+	a           topology.NodeID // the end direction A->B leaves from
+	bytesPerSec float64         // per direction; port rate caps it at a switch end
+	net         *Network
 
 	portA, portB *Port
 
@@ -306,10 +310,6 @@ type linkState struct {
 	// adjacent event seqs — one link-level timer halves the timer events
 	// while preserving the portA-then-portB transition order.
 	lpiTimer *engine.Timer
-
-	// effBytesPerSec caches effectiveRateBps()/8; refreshRate keeps it
-	// current across ALR steps (the only runtime rate changes).
-	effBytesPerSec float64
 
 	egressAB, egressBA *egressQueue
 
@@ -322,35 +322,6 @@ type linkState struct {
 	// grown lazily by the passes that use them (flow.go). Last, so the
 	// fields the packet path reads stay on the same cache lines.
 	wf [2]wfResource
-}
-
-// bytesPerSec reports the link's current per-direction capacity in
-// bytes/second (adaptive link rate lowers it). The value is cached on
-// the link; setRateIdx refreshes it whenever an ALR step changes either
-// port's rate, so the serialization hot path skips the two-port probe.
-func (l *linkState) bytesPerSec() float64 { return l.effBytesPerSec }
-
-// refreshRate recomputes the cached effective capacity from the
-// configured rate and the two port ALR settings.
-func (l *linkState) refreshRate() {
-	l.effBytesPerSec = l.effectiveRateBps() / 8
-}
-
-// effectiveRateBps is the configured rate limited by the slower of the
-// two port ALR settings.
-func (l *linkState) effectiveRateBps() float64 {
-	rate := l.rateBps
-	if l.portA != nil {
-		if r := l.portA.currentRateBps(); r < rate {
-			rate = r
-		}
-	}
-	if l.portB != nil {
-		if r := l.portB.currentRateBps(); r < rate {
-			rate = r
-		}
-	}
-	return rate
 }
 
 // markActive registers traffic on the link's ports (either direction).

@@ -307,36 +307,6 @@ func TestECMPSpreadsFlows(t *testing.T) {
 	}
 }
 
-func TestRateAdaptationStepsDown(t *testing.T) {
-	eng, n, _ := starNet(t, 4, func(c *Config) {
-		c.LPIIdle = -1 // isolate ALR from LPI
-	})
-	n.EnableRateAdaptation(RateAdaptationConfig{
-		Window:   10 * simtime.Millisecond,
-		LowUtil:  0.10,
-		HighUtil: 0.60,
-	})
-	sw := n.Switches()[0]
-	full := 14.7 + 4*0.23 // 4 connected ports; the rest are admin-down
-	if got := n.NetworkPowerW(); math.Abs(got-full) > 1e-9 {
-		t.Fatalf("initial power = %v, want %v", got, full)
-	}
-	eng.RunUntil(50 * simtime.Millisecond)
-	// Idle connected ports should step to the 100 Mb/s point (scale 0.45).
-	for i, p := range sw.ports {
-		if p.link == nil {
-			continue
-		}
-		if p.rateIdx != 0 {
-			t.Errorf("port %d rateIdx = %d, want 0", i, p.rateIdx)
-		}
-	}
-	want := 14.7 + 4*0.23*0.45
-	if got := n.NetworkPowerW(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("stepped-down power = %v, want %v", got, want)
-	}
-}
-
 func TestProfilePortShortageRejected(t *testing.T) {
 	g, err := topology.Star{Hosts: 30, RateBps: 1e9}.Build()
 	if err != nil {

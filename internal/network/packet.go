@@ -332,15 +332,13 @@ func (q *egressQueue) maybeSend(n *Network) {
 		if w := l.portA.addUser(); w > penalty {
 			penalty = w
 		}
-		l.portA.bytesSent += p.bytes
 	}
 	if l.portB != nil {
 		if w := l.portB.addUser(); w > penalty {
 			penalty = w
 		}
-		l.portB.bytesSent += p.bytes
 	}
-	ser := simtime.FromSeconds(float64(p.bytes) / l.bytesPerSec())
+	ser := simtime.FromSeconds(float64(p.bytes) / l.bytesPerSec)
 	n.eng.After(penalty+ser, q.onWire)
 }
 

@@ -28,7 +28,6 @@ type Switch struct {
 	node topology.NodeID
 	prof *power.SwitchProfile
 
-	lineCards []power.LineCardState // each sleeps as a unit (paper Fig. 3)
 	ports     []*Port
 	allocated int // ports handed out to links
 
@@ -53,12 +52,8 @@ func newSwitch(n *Network, node topology.NodeID, prof *power.SwitchProfile) *Swi
 		meter:     stats.NewEnergyMeter(fmt.Sprintf("switch%d", node)),
 		residency: stats.NewResidency(fmt.Sprintf("switch%d", node)),
 	}
-	for lc := 0; lc < prof.LineCards; lc++ {
-		for p := 0; p < prof.PortsPerLineCard; p++ {
-			sw.ports = append(sw.ports, &Port{sw: sw, state: power.PortActive,
-				rateIdx: len(prof.LinkRatesBps) - 1})
-		}
-		sw.lineCards = append(sw.lineCards, power.LineCardActive)
+	for range prof.Ports() {
+		sw.ports = append(sw.ports, &Port{sw: sw, state: power.PortActive})
 	}
 	sw.sleepTmr = engine.NewTimer(n.eng, sw.enterSleep)
 	return sw
@@ -117,13 +112,10 @@ func (s *Switch) wake() simtime.Time {
 	return lat
 }
 
-// powerUp returns line cards and connected ports to Active and rearms
-// the idle timers: the end of a wake-up, or a revival. Unconnected
-// ports stay Off.
+// powerUp returns connected ports to Active and rearms the idle
+// timers: the end of a wake-up, or a revival. Unconnected ports stay
+// Off.
 func (s *Switch) powerUp() {
-	for i := range s.lineCards {
-		s.lineCards[i] = power.LineCardActive
-	}
 	for _, p := range s.ports {
 		if p.link != nil {
 			p.state = power.PortActive
@@ -134,14 +126,10 @@ func (s *Switch) powerUp() {
 	s.maybeSleepArm()
 }
 
-// powerDown puts every line card in st and every port Off: sleep, or
-// death. A link's shared LPI timer is left running for the partner
-// port; a fire against an Off port is a no-op (enterLPI skips
-// non-Active ports).
-func (s *Switch) powerDown(st power.LineCardState) {
-	for i := range s.lineCards {
-		s.lineCards[i] = st
-	}
+// powerDown puts every port Off: sleep, or death. A link's shared LPI
+// timer is left running for the partner port; a fire against an Off
+// port is a no-op (enterLPI skips non-Active ports).
+func (s *Switch) powerDown() {
 	for _, p := range s.ports {
 		p.state = power.PortOff
 	}
@@ -155,7 +143,7 @@ func (s *Switch) enterSleep() {
 	}
 	s.sleeping = true
 	s.net.cover.Hit(modelcov.SwitchSleep)
-	s.powerDown(power.LineCardSleep)
+	s.powerDown()
 }
 
 // idle reports whether no port has users or queued packets.
@@ -207,31 +195,17 @@ func (s *Switch) recompute() {
 	s.residency.SetState(now, label)
 }
 
-// setRateIdx writes a port ALR rate index, keeping the link's cached
-// capacity in sync. All p.rateIdx writes after construction must go
-// through here.
-func (p *Port) setRateIdx(idx int) {
-	p.rateIdx = idx
-	if p.link != nil {
-		p.link.refreshRate()
-	}
-}
-
-// activeWatts sums the non-sleeping draw over line cards and ports.
+// activeWatts sums the draw of an awake switch, whose line cards are
+// all Active (they sleep, wake and die with the switch).
 func (s *Switch) activeWatts() float64 {
 	w := s.prof.ChassisWatts
-	for _, st := range s.lineCards {
-		switch st {
-		case power.LineCardActive:
-			w += s.prof.LineCardActiveW
-		case power.LineCardSleep:
-			w += s.prof.LineCardSleepW
-		}
+	for range s.prof.LineCards {
+		w += s.prof.LineCardActiveW
 	}
 	for _, p := range s.ports {
 		switch p.state {
 		case power.PortActive:
-			w += s.prof.PortActiveW * s.prof.PortRateScale[p.rateIdx]
+			w += s.prof.PortActiveW
 		case power.PortLPI:
 			w += s.prof.PortLPIW
 		}
@@ -240,25 +214,14 @@ func (s *Switch) activeWatts() float64 {
 }
 
 // Port is one switch port: its state machine is Active <-> LPI (idle
-// threshold / traffic) and Off while the line card sleeps. Adaptive link
-// rate selects among the profile's rate points.
+// threshold / traffic) and Off while the line card sleeps. Every port
+// runs at the profile's PortRateBps.
 type Port struct {
 	sw   *Switch
 	link *linkState
 
-	state   power.PortState
-	users   int
-	rateIdx int
-
-	bytesSent int64 // accumulator for the ALR controller window
-}
-
-// currentRateBps reports the port's ALR-selected rate.
-func (p *Port) currentRateBps() float64 {
-	if len(p.sw.prof.LinkRatesBps) == 0 {
-		return 1e18 // unconstrained
-	}
-	return p.sw.prof.LinkRatesBps[p.rateIdx]
+	state power.PortState
+	users int
 }
 
 // addUser registers one traffic unit (flow or in-flight packet),

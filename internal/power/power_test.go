@@ -174,18 +174,12 @@ func TestSwitchValidationRejects(t *testing.T) {
 		t.Error("LPI > active accepted")
 	}
 
-	p = Cisco2960_24()
-	p.LinkRatesBps = []float64{1e9, 1e8} // descending
-	p.PortRateScale = []float64{1, 1}
-	if p.Validate() == nil {
-		t.Error("descending link rates accepted")
-	}
-
-	p = Cisco2960_24()
-	p.LinkRatesBps = []float64{1e9}
-	p.PortRateScale = []float64{1, 1}
-	if p.Validate() == nil {
-		t.Error("mismatched rate tables accepted")
+	for _, r := range []float64{0, -1e9, math.NaN()} {
+		p = Cisco2960_24()
+		p.PortRateBps = r
+		if p.Validate() == nil {
+			t.Errorf("port rate %g accepted", r)
+		}
 	}
 }
 

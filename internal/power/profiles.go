@@ -238,11 +238,9 @@ type SwitchProfile struct {
 	PortWake     Transition // LPI -> Active (IEEE 802.3az order of µs)
 	LineCardWake Transition // Sleep -> Active
 
-	// LinkRatesBps lists the rates available for adaptive link rate
-	// (Sec. III-B), ascending. PortRateScale maps a rate index to the
-	// fraction of PortActiveW drawn at that rate.
-	LinkRatesBps  []float64
-	PortRateScale []float64
+	// PortRateBps is every port's line rate: a link with a switch end
+	// runs no faster.
+	PortRateBps float64
 }
 
 // Validate checks structural sanity.
@@ -256,13 +254,8 @@ func (p *SwitchProfile) Validate() error {
 	if p.PortLPIW > p.PortActiveW {
 		return fmt.Errorf("power: switch profile %q: LPI draws more than active", p.Name)
 	}
-	if len(p.LinkRatesBps) != len(p.PortRateScale) {
-		return fmt.Errorf("power: switch profile %q: rate tables mismatched", p.Name)
-	}
-	for i := 1; i < len(p.LinkRatesBps); i++ {
-		if p.LinkRatesBps[i] <= p.LinkRatesBps[i-1] {
-			return fmt.Errorf("power: switch profile %q: link rates not ascending", p.Name)
-		}
+	if !(p.PortRateBps > 0) {
+		return fmt.Errorf("power: switch profile %q: port rate %g not positive", p.Name, p.PortRateBps)
 	}
 	return nil
 }
@@ -285,8 +278,7 @@ func Cisco2960_24() *SwitchProfile {
 		PortLPIW:         0.03,
 		PortWake:         Transition{Latency: 5 * simtime.Microsecond, Watts: 0.23},
 		LineCardWake:     Transition{Latency: 2 * simtime.Millisecond, Watts: 2.0},
-		LinkRatesBps:     []float64{100e6, 1e9},
-		PortRateScale:    []float64{0.45, 1.0},
+		PortRateBps:      1e9,
 	}
 }
 
@@ -308,7 +300,6 @@ func DataCenter10G(ports int) *SwitchProfile {
 		PortLPIW:         0.12,
 		PortWake:         Transition{Latency: 5 * simtime.Microsecond, Watts: 1.2},
 		LineCardWake:     Transition{Latency: 2 * simtime.Millisecond, Watts: 30.0},
-		LinkRatesBps:     []float64{1e9, 10e9},
-		PortRateScale:    []float64{0.35, 1.0},
+		PortRateBps:      10e9,
 	}
 }

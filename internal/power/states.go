@@ -1,10 +1,11 @@
 // Package power implements HolDCSim's hierarchical ACPI-based power model
 // (paper Secs. III-A, III-F): core C-states, package C-states, system
-// S-states and P-states (DVFS) for servers, and Active/LPI/Off port
-// states, Active/Sleep/Off line-card states and adaptive link rates for
-// switches. Profiles carry per-state power draws and transition
-// latencies; the server and switch modules drive the state machines and
-// integrate energy through stats.EnergyMeter.
+// S-states and P-states (DVFS, one per server) for servers, and
+// Active/LPI/Off port states and line-card active, sleep and wake draws
+// for switches, whose ports run at one rate (no adaptive link rate).
+// Profiles carry per-state power draws and transition latencies; the
+// server and switch modules drive the state machines and integrate
+// energy through stats.EnergyMeter.
 package power
 
 import (
@@ -112,16 +113,6 @@ const (
 	PortActive PortState = iota
 	PortLPI
 	PortOff
-)
-
-// LineCardState is a switch line-card power state.
-type LineCardState int
-
-// Line-card states.
-const (
-	LineCardActive LineCardState = iota
-	LineCardSleep
-	LineCardOff
 )
 
 // Transition describes one power-state move: how long it takes and the

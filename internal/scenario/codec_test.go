@@ -309,6 +309,51 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestClockEndFilesRunClean: files that validate but reach past the
+// clock's end (~9.22e9 s, where the nanosecond count leaves int64) run
+// clean with the checker on. The first three panicked the engine with a
+// wrapped time (an arrival gap, a recovery after a long downtime, an
+// outage-log start); the last failed Build on a fault horizon derived
+// from maxJobs / rate that the file never set.
+func TestClockEndFilesRunClean(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "big.log")
+	if err := os.WriteFile(log, []byte("1e10 1 server 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"arrival-past-end", func(s *Scenario) { s.Arrival.Rho, s.MaxJobs = 1e-13, 5 }},
+		{"recovery-past-end", func(s *Scenario) {
+			s.Faults = fault.Spec{ServerCrashes: 3, ServerDownSec: 9e9, HorizonSec: 9e9}
+		}},
+		{"outage-log-past-end", func(s *Scenario) { s.Faults = fault.Spec{TraceFile: log, HorizonSec: 10} }},
+		{"derived-horizon-past-end", func(s *Scenario) {
+			s.Arrival.Rho, s.MaxJobs = 1e-14, 5
+			s.Faults = fault.Spec{ServerCrashes: 1}
+		}},
+	} {
+		s := Presets()["fig5-delaytimer"]
+		tc.edit(&s)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(res.Violations) != 0 {
+			t.Errorf("%s: %v", tc.name, res.Violations)
+		}
+		r := res.Results
+		if r.JobsGenerated == 0 || r.JobsGenerated != r.JobsCompleted+r.JobsLost {
+			t.Errorf("%s: %d generated, %d completed, %d lost", tc.name, r.JobsGenerated, r.JobsCompleted, r.JobsLost)
+		}
+	}
+}
+
 // TestStripComments pins the comment scanner against the corners that
 // bite: comment markers inside strings, escaped quotes, both comment
 // styles.

@@ -904,7 +904,8 @@ func (s Scenario) Config() (core.Config, error) {
 			// scenario value, so replay stays deterministic.
 			spec.HorizonSec = s.DurationSec
 			if spec.HorizonSec <= 0 && rate > 0 {
-				spec.HorizonSec = float64(s.MaxJobs) / rate
+				// Capped under the clock's end, which no arrival passes.
+				spec.HorizonSec = min(float64(s.MaxJobs)/rate, math.Nextafter(simtime.Forever.Seconds(), 0))
 			}
 			if spec.HorizonSec <= 0 {
 				spec.HorizonSec = 1

@@ -472,20 +472,23 @@ func (s *Scheduler) drainGlobalQueue() {
 	if !s.cfg.UseGlobalQueue || len(s.globalQ) == 0 {
 		return
 	}
-	remaining := s.globalQ[:0]
-	for _, t := range s.globalQ {
-		if srv := s.availableServer(); srv != nil {
-			t.ServerID = srv.ID()
-			s.cover.Hit(modelcov.PlaceGlobalQDrain)
-			// Symmetric with admitReady's global-queue path: every
-			// dispatched task holds one commitment, so taskDone's
-			// decrement — and the crash path's per-orphan decommit —
-			// release exactly what was taken.
-			s.commit(srv.ID(), 1)
-			s.submit(srv, t)
-		} else {
-			remaining = append(remaining, t)
+	// Nothing in the loop frees a slot, so once one task finds no
+	// server, none after it can: stop there and keep the rest in order.
+	n := 0
+	for ; n < len(s.globalQ); n++ {
+		srv := s.availableServer()
+		if srv == nil {
+			break
 		}
+		t := s.globalQ[n]
+		t.ServerID = srv.ID()
+		s.cover.Hit(modelcov.PlaceGlobalQDrain)
+		// Symmetric with admitReady's global-queue path: every
+		// dispatched task holds one commitment, so taskDone's
+		// decrement — and the crash path's per-orphan decommit —
+		// release exactly what was taken.
+		s.commit(srv.ID(), 1)
+		s.submit(srv, t)
 	}
-	s.globalQ = remaining
+	s.globalQ = s.globalQ[:copy(s.globalQ, s.globalQ[n:])]
 }

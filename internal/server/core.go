@@ -16,8 +16,7 @@ type Core struct {
 	id  int
 	srv *Server
 
-	speed     float64
-	pstateIdx int
+	speed float64
 
 	cstate    power.CState
 	busy      bool
@@ -27,7 +26,8 @@ type Core struct {
 	queue     []*job.Task // per-core queue (QueuePerCore mode only)
 
 	// draw caches watts() for the server's recompute to sum; refresh
-	// follows every write to cstate, busy, waking, wakeTrans or pstateIdx.
+	// follows every write to cstate, busy, waking, wakeTrans or the
+	// server's P-state.
 	draw float64
 
 	// The event callbacks are bound once, when the farm builds the core:
@@ -46,22 +46,19 @@ type Core struct {
 	completed int64
 }
 
-// PState reports the core's active P-state.
-func (c *Core) PState() power.PState { return c.srv.prof.PStates[c.pstateIdx] }
-
 // watts derives the core's present draw from its state.
 func (c *Core) watts() float64 {
 	if c.waking {
 		return c.wakeTrans.Watts
 	}
-	return c.srv.prof.CoreWatts(c.cstate, c.busy, c.PState())
+	return c.srv.prof.CoreWatts(c.cstate, c.busy, c.srv.prof.PStates[c.srv.pstateIdx])
 }
 
 // refresh re-caches the draw after a change to what watts reads.
 func (c *Core) refresh() { c.draw = c.watts() }
 
 // effectiveSpeed is the product of the heterogeneous ratio and DVFS.
-func (c *Core) effectiveSpeed() float64 { return c.speed * c.PState().Speed }
+func (c *Core) effectiveSpeed() float64 { return c.speed * c.srv.prof.PStates[c.srv.pstateIdx].Speed }
 
 // available reports whether the core can accept a task right now.
 func (c *Core) available() bool { return !c.busy && !c.waking && c.reserved == nil }

@@ -23,7 +23,6 @@ type DVFSGovernor struct {
 	busy     *stats.TimeWeighted
 	lastInt  float64
 	lastEval simtime.Time
-	pidx     int
 	running  bool
 }
 
@@ -67,13 +66,11 @@ func (g *DVFSGovernor) tick() {
 	g.lastInt = integral
 	g.lastEval = now
 
-	nStates := len(g.srv.prof.PStates)
+	p := int(g.srv.pstateIdx)
 	switch {
-	case util > g.UpThreshold && g.pidx > 0:
-		g.pidx--
-		_ = g.srv.SetPState(g.pidx)
-	case util < g.DownThreshold && g.pidx < nStates-1:
-		g.pidx++
-		_ = g.srv.SetPState(g.pidx)
+	case util > g.UpThreshold && p > 0:
+		_ = g.srv.SetPState(p - 1)
+	case util < g.DownThreshold && p < len(g.srv.prof.PStates)-1:
+		_ = g.srv.SetPState(p + 1)
 	}
 }

@@ -93,12 +93,9 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 					s.Submit(tk)
 				}
 			})
-		case k < 16:
+		case k < 17:
 			p := r.IntN(len(prof.PStates))
 			eng.Schedule(at, func() { s.SetPState(p) })
-		case k < 17:
-			c, p := r.IntN(s.Cores()), r.IntN(len(prof.PStates))
-			eng.Schedule(at, func() { s.SetCorePState(c, p) })
 		case k < 18:
 			eng.Schedule(at, func() { s.Crash() })
 			eng.Schedule(at+2*simtime.Millisecond, func() { s.Recover() })

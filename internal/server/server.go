@@ -68,8 +68,9 @@ type Server struct {
 	// arms its suspend deadline in the farm's shared sleep planner, so an
 	// idle server holds no queued engine event of its own. sleepIdx is
 	// the index of its entry in the planner heap, -1 when unarmed.
-	farm     *Farm
-	sleepIdx int32
+	farm      *Farm
+	sleepIdx  int32
+	pstateIdx int32 // into prof.PStates: DVFS sets all cores alike
 
 	// queueLen mirrors the queued + reserved task count (the sum QueueLen
 	// used to recompute by walking every core) and is maintained at each
@@ -692,24 +693,10 @@ func (s *Server) SetPState(i int) error {
 	if i < 0 || i >= len(s.prof.PStates) {
 		return fmt.Errorf("server %d: P-state %d out of range", s.id, i)
 	}
+	s.pstateIdx = int32(i)
 	for ci := range s.cores {
-		s.cores[ci].pstateIdx = i
 		s.cores[ci].refresh()
 	}
-	s.recompute()
-	return nil
-}
-
-// SetCorePState switches one core's P-state (Table I's per-core DVFS).
-func (s *Server) SetCorePState(core, i int) error {
-	if core < 0 || core >= len(s.cores) {
-		return fmt.Errorf("server %d: core %d out of range", s.id, core)
-	}
-	if i < 0 || i >= len(s.prof.PStates) {
-		return fmt.Errorf("server %d: P-state %d out of range", s.id, i)
-	}
-	s.cores[core].pstateIdx = i
-	s.cores[core].refresh()
 	s.recompute()
 	return nil
 }

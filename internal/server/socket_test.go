@@ -106,13 +106,13 @@ func TestDVFSGovernorScalesWithLoad(t *testing.T) {
 		eng.Schedule(0, func() { s.Submit(j.Tasks[0]) })
 	}
 	eng.RunUntil(200 * simtime.Millisecond)
-	if g.pidx != 0 {
-		t.Errorf("under saturation P-state index = %d, want 0", g.pidx)
+	if g.srv.pstateIdx != 0 {
+		t.Errorf("under saturation P-state index = %d, want 0", g.srv.pstateIdx)
 	}
 	// Phase 2: idle for 500ms — governor steps down to the deepest point.
 	eng.RunUntil(700 * simtime.Millisecond)
-	if g.pidx != len(power.XeonE5_2680().PStates)-1 {
-		t.Errorf("idle P-state index = %d, want deepest", g.pidx)
+	if int(g.srv.pstateIdx) != len(power.XeonE5_2680().PStates)-1 {
+		t.Errorf("idle P-state index = %d, want deepest", g.srv.pstateIdx)
 	}
 	// Phase 3: saturate again — governor climbs back to P0.
 	base := eng.Now()
@@ -121,8 +121,8 @@ func TestDVFSGovernorScalesWithLoad(t *testing.T) {
 		eng.Schedule(base, func() { s.Submit(j.Tasks[0]) })
 	}
 	eng.RunUntil(base + 250*simtime.Millisecond)
-	if g.pidx != 0 {
-		t.Errorf("re-saturated P-state index = %d, want 0", g.pidx)
+	if g.srv.pstateIdx != 0 {
+		t.Errorf("re-saturated P-state index = %d, want 0", g.srv.pstateIdx)
 	}
 	eng.RunUntil(base + 10*simtime.Second)
 }
@@ -136,7 +136,7 @@ func TestDVFSGovernorDoubleStartSafe(t *testing.T) {
 	// One governor tick chain: at 10ms intervals over 100ms, ~10 ticks;
 	// a double chain would step twice as often. Steps bounded by the
 	// ladder depth regardless; just ensure no panic and sane state.
-	if g.pidx < 0 || g.pidx >= len(power.XeonE5_2680().PStates) {
-		t.Errorf("P-state index out of range: %d", g.pidx)
+	if g.srv.pstateIdx < 0 || int(g.srv.pstateIdx) >= len(power.XeonE5_2680().PStates) {
+		t.Errorf("P-state index out of range: %d", g.srv.pstateIdx)
 	}
 }

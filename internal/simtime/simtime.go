@@ -33,6 +33,20 @@ func FromSeconds(s float64) Time {
 	return Time(math.Round(s * float64(Second)))
 }
 
+// AddSeconds returns t + FromSeconds(s) for s ≥ 0, or Forever when that
+// instant is not before Forever, which the clock never reaches. s is
+// checked first: FromSeconds of 2^63 ns or more leaves int64.
+func AddSeconds(t Time, s float64) Time {
+	ns := s * float64(Second)
+	if !(ns < float64(Forever)) {
+		return Forever
+	}
+	if d := Time(math.Round(ns)); d < Forever-t {
+		return t + d
+	}
+	return Forever
+}
+
 // Seconds reports t as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

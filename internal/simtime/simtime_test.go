@@ -64,3 +64,25 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestAddSecondsStopsAtTheClocksEnd(t *testing.T) {
+	for _, tc := range []struct {
+		t    Time
+		s    float64
+		want Time
+	}{
+		{0, 1.5, 1500 * Millisecond},
+		{Second, 2e9, Second + FromSeconds(2e9)},
+		{0, 9.3e9, Forever},                       // FromSeconds would wrap negative
+		{5e18, 5e9, Forever},                      // each fits, the sum does not
+		{Forever - Second, 1, Forever},            // lands on Forever itself
+		{Forever - 2*Second, 1, Forever - Second}, // the last seconds still count
+		{Forever, 0, Forever},
+		{0, math.NaN(), Forever},
+		{0, math.Inf(1), Forever},
+	} {
+		if got := AddSeconds(tc.t, tc.s); got != tc.want {
+			t.Errorf("AddSeconds(%d, %g) = %d, want %d", int64(tc.t), tc.s, int64(got), int64(tc.want))
+		}
+	}
+}

@@ -77,9 +77,9 @@ func (g *Generator) scheduleNext() {
 	if gap < 0 {
 		return // arrival stream ended (trace exhausted)
 	}
-	at := g.eng.Now() + simtime.FromSeconds(gap)
-	if g.Until > 0 && at > g.Until {
-		return
+	at := simtime.AddSeconds(g.eng.Now(), gap)
+	if at == simtime.Forever || g.Until > 0 && at > g.Until {
+		return // past the clock's end, or past the horizon
 	}
 	g.nextAt = at
 	g.eng.Schedule(at, g.arriveCB)
