@@ -99,11 +99,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Example path between the two most distant hosts.
 	far := hostsList[len(hostsList)-1]
-	nodes, _, err := g.Path(hostsList[0], far, 0)
+	nodes, _, err := g.Path(hostsList[0], far, 0, nil, nil)
 	if err == nil {
 		fmt.Fprintf(stdout, "  sample path %d -> %d:", hostsList[0], far)
 		for _, nd := range nodes {
-			fmt.Fprintf(stdout, " %s", g.Node(nd).Name)
+			fmt.Fprintf(stdout, " %s", g.Name(nd))
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -87,3 +87,65 @@ func TestFluidTransferZeroAlloc(t *testing.T) {
 		t.Fatalf("fluid transfer allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestUncachedRouteZeroAlloc is the gate for route resolution: a
+// transfer between hosts the route cache has not seen walks the graph's
+// cached hop vector into the network's buffers and carves its route
+// from the slab, so once every destination's hop vector exists, 200
+// transfers between fresh pairs of a 128-host fat-tree allocate only
+// slab chunks and route-map growth — 0 per transfer after the
+// average's integer division — in both network models. The sleeping-
+// switch count of the network-aware placer walks a route in the same
+// buffers and allocates nothing at all.
+func TestUncachedRouteZeroAlloc(t *testing.T) {
+	for _, model := range []NetModel{ModelPacket, ModelFluid} {
+		g, err := topology.FatTree{K: 8, RateBps: 10e9}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.New()
+		cfg := DefaultConfig(power.DataCenter10G(8))
+		cfg.Model = model
+		cfg.PortBufferBytes = 1 << 30
+		n, err := New(eng, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts := g.Hosts()
+		last := len(hosts) - 1
+		send := func(src, dst topology.NodeID) {
+			if err := n.TransferPackets(src, dst, 64<<10, nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+		}
+		// Every destination's hop vector, the pools and the engine heap,
+		// from the last host (and to it), whose pairs the ops never use.
+		for _, dst := range hosts[:last] {
+			send(hosts[last], dst)
+		}
+		send(hosts[0], hosts[last])
+		next := len(hosts) // pair index: src = next / last, dst skips src
+		op := func() {
+			src, dst := next/last, next%last
+			if dst >= src {
+				dst++
+			}
+			next++
+			send(hosts[src], hosts[dst])
+		}
+		for i := 0; i < 200; i++ {
+			op()
+		}
+		routes := len(n.routes)
+		if avg := testing.AllocsPerRun(200, op); avg != 0 {
+			t.Fatalf("%v: an uncached route allocates %.2f allocs/op, want 0", model, avg)
+		}
+		if len(n.routes) != routes+201 {
+			t.Fatalf("%v: %d routes cached over 201 fresh pairs, want %d", model, len(n.routes)-routes, 201)
+		}
+		if avg := testing.AllocsPerRun(200, func() { n.SleepingSwitchesOnPath(hosts[3], hosts[90]) }); avg != 0 {
+			t.Fatalf("%v: the sleeping-switch count allocates %.2f allocs/op, want 0", model, avg)
+		}
+	}
+}

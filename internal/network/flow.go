@@ -169,7 +169,8 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // recomputeFlowRates settles all flow progress, runs progressive-filling
 // (max-min fairness) over the directed link capacities, and reschedules
-// every completion event.
+// every completion event. A completion at or past the clock's end
+// (simtime.Forever) never comes and gets no event.
 func (n *Network) recomputeFlowRates() {
 	now := n.eng.Now()
 	for _, f := range n.flows {
@@ -179,19 +180,17 @@ func (n *Network) recomputeFlowRates() {
 	for _, f := range n.flows {
 		n.eng.Cancel(f.ev)
 		f.ev = engine.Handle{}
-		var dur simtime.Time
+		at := now
 		switch {
 		case f.remaining <= 1e-9:
-			dur = 0
 		case f.rate <= 0:
 			continue // blocked (should not happen; capacities are positive)
 		default:
-			dur = simtime.FromSeconds(f.remaining / f.rate)
-			if dur < 0 {
-				dur = 0
+			if at = simtime.AddSeconds(now, f.remaining/f.rate); at == simtime.Forever {
+				continue
 			}
 		}
-		f.ev = n.eng.After(dur, f.complete)
+		f.ev = n.eng.Schedule(at, f.complete)
 	}
 }
 

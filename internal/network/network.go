@@ -101,8 +101,13 @@ type Network struct {
 	xferFree []*pktTransfer
 
 	// routes caches the (src, dst) -> path resolution for non-ECMP
-	// configurations, where the route is independent of the flow id.
-	routes map[routeKey]*route
+	// configurations, where the route is independent of the flow id;
+	// the cached routes are carved from slab. hopNodes and hopLinks
+	// are the buffers every resolution walks the graph into.
+	routes   map[routeKey]*route
+	slab     routeSlab
+	hopNodes []topology.NodeID
+	hopLinks []int
 
 	// fluidDrops counts packets charged dropped by the fluid model,
 	// which has no egress queues to bill; Drops() folds it in so the
@@ -140,6 +145,32 @@ type route struct {
 // pairs beyond the cap resolve per call, exactly as before caching.
 const maxCachedRoutes = 1 << 16
 
+// routeSlab carves cached routes and their slices out of shared chunks,
+// so caching a route allocates once per chunk, not five times. Cached
+// routes live as long as the network, so a chunk is never reused.
+type routeSlab struct {
+	routes []route
+	nodes  []topology.NodeID
+	links  []*linkState
+	dirAB  []bool
+	sws    []*Switch
+}
+
+// slabChunk is how many elements one slab chunk holds.
+const slabChunk = 512
+
+// carve returns n elements of *chunk, capacity n, taking a new chunk of
+// max(n, size) elements when the current one is short; size 0 on an
+// empty chunk allocates exactly n.
+func carve[T any](chunk *[]T, n, size int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(n, size))
+	}
+	*chunk = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
+}
+
 // New lays the network over the topology graph: every switch node gets
 // line cards and ports per its profile; every link end attached to a
 // switch consumes one port.
@@ -164,7 +195,7 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 		}
 		if prof.Ports() < g.Degree(id) {
 			return nil, fmt.Errorf("network: switch %d (%s) needs %d ports, profile %q has %d",
-				id, g.Node(id).Name, g.Degree(id), prof.Name, prof.Ports())
+				id, g.Name(id), g.Degree(id), prof.Name, prof.Ports())
 		}
 		sw := newSwitch(n, id, prof)
 		n.switches[id] = sw
@@ -230,12 +261,14 @@ func (n *Network) NetworkEnergyTo(t simtime.Time) float64 {
 
 // SleepingSwitchesOnPath counts switches on the (key-0) route from src
 // to dst that are currently asleep — the "network cost" signal of the
-// Server-Network-Aware policy (Sec. IV-D).
+// Server-Network-Aware policy (Sec. IV-D). It walks the route in the
+// network's buffers, allocating nothing.
 func (n *Network) SleepingSwitchesOnPath(src, dst topology.NodeID) int {
-	nodes, _, err := n.g.Path(src, dst, 0)
+	nodes, links, err := n.g.Path(src, dst, 0, n.hopNodes[:0], n.hopLinks[:0])
 	if err != nil {
 		return 0
 	}
+	n.hopNodes, n.hopLinks = nodes, links
 	count := 0
 	for _, nd := range nodes {
 		if sw := n.switches[nd]; sw != nil && sw.sleeping {
@@ -247,8 +280,10 @@ func (n *Network) SleepingSwitchesOnPath(src, dst topology.NodeID) int {
 
 // path computes the route for a new transfer, honoring ECMP config.
 // Without ECMP the route is a pure function of (src, dst), so it is
-// cached: the hot path resolves in one map probe with no allocation.
-// ECMP routes depend on the per-flow hash key and always resolve fresh.
+// cached, in routes carved from the slab: the hot path resolves in one
+// map probe and a miss allocates only when a chunk runs out. ECMP
+// routes depend on the per-flow hash key and always resolve fresh, as
+// do pairs beyond the cache's cap; those allocate their own route.
 func (n *Network) path(src, dst topology.NodeID, key int64) (*route, error) {
 	ecmpKey := uint64(0)
 	if n.cfg.ECMP {
@@ -256,16 +291,28 @@ func (n *Network) path(src, dst topology.NodeID, key int64) (*route, error) {
 	} else if r, ok := n.routes[routeKey{src, dst}]; ok {
 		return r, nil
 	}
-	nodes, linkIDs, err := n.g.Path(src, dst, ecmpKey)
+	nodes, linkIDs, err := n.g.Path(src, dst, ecmpKey, n.hopNodes[:0], n.hopLinks[:0])
 	if err != nil {
 		return nil, err
 	}
-	r := &route{
-		nodes: nodes,
-		links: make([]*linkState, len(linkIDs)),
-		dirAB: make([]bool, len(linkIDs)),
-		sws:   make([]*Switch, 0, len(nodes)),
+	n.hopNodes, n.hopLinks = nodes, linkIDs
+	cache := !n.cfg.ECMP && len(n.routes) < maxCachedRoutes
+	sl, size := &n.slab, slabChunk
+	if !cache {
+		sl, size = &routeSlab{}, 0
 	}
+	nsw := 0
+	for _, nd := range nodes {
+		if n.switches[nd] != nil {
+			nsw++
+		}
+	}
+	r := &carve(&sl.routes, 1, size)[0]
+	r.nodes = carve(&sl.nodes, len(nodes), size)
+	r.links = carve(&sl.links, len(linkIDs), size)
+	r.dirAB = carve(&sl.dirAB, len(linkIDs), size)
+	r.sws = carve(&sl.sws, nsw, size)[:0]
+	copy(r.nodes, nodes)
 	for i, id := range linkIDs {
 		r.links[i] = n.links[id]
 		r.dirAB[i] = r.links[i].a == nodes[i]
@@ -275,7 +322,7 @@ func (n *Network) path(src, dst topology.NodeID, key int64) (*route, error) {
 			r.sws = append(r.sws, sw)
 		}
 	}
-	if !n.cfg.ECMP && len(n.routes) < maxCachedRoutes {
+	if cache {
 		n.routes[routeKey{src, dst}] = r
 	}
 	return r, nil

@@ -47,6 +47,31 @@ func TestSingleFlowTiming(t *testing.T) {
 	}
 }
 
+// TestFlowPastClockEndNeverCompletes: a flow whose completion lies past
+// the clock's end (2^62 bytes at 125 MB/s is ~3.7e10 s; the clock ends
+// near 9.22e9 s) gets no completion event. It used to wrap to a negative
+// instant and panic the engine on every re-rate. A flow beside it still
+// completes at its own instant, re-rating the first one.
+func TestFlowPastClockEndNeverCompletes(t *testing.T) {
+	eng, n, hosts := starNet(t, 4, nil)
+	err := n.TransferFlow(hosts[0], hosts[1], 1<<62, func() { t.Error("a flow past the clock's end completed") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doneAt simtime.Time
+	// Shares host0's uplink at 62.5 MB/s: 62.5 MB take one second.
+	if err := n.TransferFlow(hosts[0], hosts[2], 62_500_000, func() { doneAt = eng.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if doneAt != simtime.Second {
+		t.Errorf("the in-range flow finished at %v, want 1s", doneAt)
+	}
+	if n.ActiveFlows() != 1 || n.Stats().FlowsCompleted != 1 {
+		t.Errorf("%d flows active, %d completed; want the long one still active", n.ActiveFlows(), n.Stats().FlowsCompleted)
+	}
+}
+
 func TestTwoFlowsShareLink(t *testing.T) {
 	eng, n, hosts := starNet(t, 4, nil)
 	var t1, t2 simtime.Time

@@ -219,7 +219,8 @@ func TestMatrixFixture(t *testing.T) {
 // 1e12 s wiki trace (3.2e6 arrivals) spun run through 1e12 one-second
 // buckets.
 // Payloads and rates: a negative edgeBytes panicked in the network at
-// run, and a negative rateBps or placer tauSec ran as the default under
+// run, as did a packet-mode edge of 1e18 bytes (6.7e14 packets, over
+// the network's per-transfer cap), and a negative rateBps or placer tauSec ran as the default under
 // its own label. Seconds past the clock's range (about 9.22e9 s) became
 // negative times: a 1e10 s delay timer overflowed the stack formatting
 // the engine's schedule-in-the-past panic, a 1e10 s crash downtime hit
@@ -242,6 +243,7 @@ var hostileFiles = []struct{ name, data, want string }{
 	{"tracesec-wiki-1e12", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 0.3, "traceSec": 1e12}, "maxJobs": 10}`, "synthesizes"},
 	{"tracesec-nlanr-1e9", `{"servers": 4, "arrival": {"kind": "nlanr", "rho": 0.3, "traceSec": 1e9}, "maxJobs": 10}`, "synthesizes"},
 	{"tracesec-wiki-sparse", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 1e-9, "traceSec": 1e12}, "maxJobs": 10}`, "synthesizes"},
+	{"edgebytes-packet-cap", `{"topology": {"kind": "fattree", "a": 4}, "comm": "packet", "servers": 8, "arrival": {"kind": "poisson", "rho": 0.5}, "maxJobs": 200, "factory": {"kind": "scatter", "width": 2, "edgeBytes": 1000000000000000000}}`, "over the bound of 1073741824"},
 	{"edgebytes-negative", `{"topology": {"kind": "fattree", "a": 4}, "comm": "flow", "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "twotier", "edgeBytes": -1000}}`, "negative edge payload"},
 	{"ratebps-negative", `{"topology": {"kind": "fattree", "a": 4, "rateBps": -1e9}, "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative link rate"},
 	{"tausec-negative", `{"servers": 4, "placer": {"kind": "adaptive", "tauSec": -0.5}, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative placer timer"},

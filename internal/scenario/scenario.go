@@ -760,6 +760,15 @@ func (s Scenario) Validate() error {
 		// already is fluid, and server-only runs have no network at all.
 		return fmt.Errorf("scenario: fluid network model requires packet comm (have %v)", s.Comm)
 	}
+	if s.Comm == core.CommPacket {
+		// The cap network.TransferPackets puts on one edge's packets,
+		// checked before a run reaches it.
+		mtu := network.DefaultConfig(nil).MTUBytes
+		if pkts := s.Factory.EdgeBytes/mtu + min(s.Factory.EdgeBytes%mtu, 1); pkts > network.MaxPacketsPerTransfer {
+			return fmt.Errorf("scenario: edge payload of %d bytes needs %d packets at MTU %d, over the bound of %d",
+				s.Factory.EdgeBytes, pkts, mtu, network.MaxPacketsPerTransfer)
+		}
+	}
 	isTrace := s.Arrival.Kind == ArrTraceWiki || s.Arrival.Kind == ArrTraceNLANR ||
 		s.Arrival.Kind == ArrTraceFile
 	if s.MaxJobs < 0 || s.DurationSec < 0 {

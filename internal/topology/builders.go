@@ -81,10 +81,10 @@ func (s Star) Build() (*Graph, error) {
 	if rate <= 0 {
 		rate = 1e9
 	}
-	g := NewGraph(false)
+	g := newGraph(false, s.Hosts+1, s.Hosts)
 	sw := g.AddNode(Switch, "sw0")
 	for i := 0; i < s.Hosts; i++ {
-		h := g.AddNode(Host, fmt.Sprintf("h%d", i))
+		h := g.part("h", i).endNode(Host)
 		if _, err := g.AddLink(h, sw, rate); err != nil {
 			return nil, err
 		}
@@ -132,37 +132,36 @@ func (f FatTree) Build() (*Graph, error) {
 	if rate <= 0 {
 		rate = 10e9
 	}
-	g := NewGraph(false)
+	hosts, switches := f.size()
+	g := newGraph(false, hosts+switches, 3*hosts) // host-edge, edge-agg, agg-core
 	half := k / 2
 
-	// Hosts first so host ordering is pod-major.
-	hosts := make([]NodeID, 0, f.NumHosts())
+	// Hosts first so host ordering is pod-major: host i is node i.
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
-				hosts = append(hosts, g.AddNode(Host, fmt.Sprintf("p%d-e%d-h%d", pod, e, h)))
+				g.part("p", pod).part("-e", e).part("-h", h).endNode(Host)
 			}
 		}
 	}
-	core := make([][]NodeID, half) // core[i][j]
+	core := make([]NodeID, half*half) // core[i*half+j]
 	for i := 0; i < half; i++ {
-		core[i] = make([]NodeID, half)
 		for j := 0; j < half; j++ {
-			core[i][j] = g.AddNode(Switch, fmt.Sprintf("core-%d-%d", i, j))
+			core[i*half+j] = g.part("core-", i).part("-", j).endNode(Switch)
 		}
 	}
+	aggs := make([]NodeID, half)
+	edges := make([]NodeID, half)
 	for pod := 0; pod < k; pod++ {
-		aggs := make([]NodeID, half)
-		edges := make([]NodeID, half)
 		for i := 0; i < half; i++ {
-			aggs[i] = g.AddNode(Switch, fmt.Sprintf("p%d-agg%d", pod, i))
-			edges[i] = g.AddNode(Switch, fmt.Sprintf("p%d-edge%d", pod, i))
+			aggs[i] = g.part("p", pod).part("-agg", i).endNode(Switch)
+			edges[i] = g.part("p", pod).part("-edge", i).endNode(Switch)
 		}
 		// Edge <-> hosts.
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
-				hostIdx := pod*half*half + e*half + h
-				if _, err := g.AddLink(hosts[hostIdx], edges[e], rate); err != nil {
+				host := NodeID(pod*half*half + e*half + h)
+				if _, err := g.AddLink(host, edges[e], rate); err != nil {
 					return nil, err
 				}
 			}
@@ -178,7 +177,7 @@ func (f FatTree) Build() (*Graph, error) {
 		// Agg a <-> core[a][*].
 		for a := 0; a < half; a++ {
 			for j := 0; j < half; j++ {
-				if _, err := g.AddLink(aggs[a], core[a][j], rate); err != nil {
+				if _, err := g.AddLink(aggs[a], core[a*half+j], rate); err != nil {
 					return nil, err
 				}
 			}
@@ -231,11 +230,11 @@ func (b BCube) Build() (*Graph, error) {
 	if rate <= 0 {
 		rate = 1e9
 	}
-	g := NewGraph(true) // hybrid: hosts forward
-	nHosts := b.NumHosts()
-	hosts := make([]NodeID, nHosts)
+	nHosts, switches := b.size()
+	g := newGraph(true, nHosts+switches, (b.K+1)*nHosts) // hybrid: hosts forward
+	// Host i is node i.
 	for i := 0; i < nHosts; i++ {
-		hosts[i] = g.AddNode(Host, fmt.Sprintf("h%d", i))
+		g.part("h", i).endNode(Host)
 	}
 	// Level l has n^k switches, each connecting n hosts.
 	nPerLevel := nHosts / b.N
@@ -249,15 +248,15 @@ func (b BCube) Build() (*Graph, error) {
 	for l := 0; l <= b.K; l++ {
 		stride := pow(b.N, l)
 		for s := 0; s < nPerLevel; s++ {
-			sw := g.AddNode(Switch, fmt.Sprintf("l%d-s%d", l, s))
+			sw := g.part("l", l).part("-s", s).endNode(Switch)
 			// The n hosts of switch (l, s) share all digits except
 			// digit l. s enumerates the remaining digit combination.
 			low := s % stride
 			high := s / stride
 			base := high*stride*b.N + low
 			for d := 0; d < b.N; d++ {
-				h := base + d*stride
-				if _, err := g.AddLink(hosts[h], sw, rate); err != nil {
+				h := NodeID(base + d*stride)
+				if _, err := g.AddLink(h, sw, rate); err != nil {
 					return nil, err
 				}
 			}
@@ -297,14 +296,15 @@ func (c CamCube) Build() (*Graph, error) {
 	if rate <= 0 {
 		rate = 1e9
 	}
-	g := NewGraph(true) // server-only: hosts forward
+	hosts := c.NumHosts()
+	g := newGraph(true, hosts, 3*hosts) // server-only: hosts forward
 	id := func(x, y, z int) NodeID {
 		return NodeID(x*c.Y*c.Z + y*c.Z + z)
 	}
 	for x := 0; x < c.X; x++ {
 		for y := 0; y < c.Y; y++ {
 			for z := 0; z < c.Z; z++ {
-				g.AddNode(Host, fmt.Sprintf("h%d-%d-%d", x, y, z))
+				g.part("h", x).part("-", y).part("-", z).endNode(Host)
 			}
 		}
 	}
@@ -368,23 +368,24 @@ func (f FlattenedButterfly) Build() (*Graph, error) {
 	if rate <= 0 {
 		rate = 10e9
 	}
-	g := NewGraph(false)
-	routers := make([][]NodeID, f.Rows)
-	// Hosts first, router-major, for stable host ordering.
-	hostOf := make(map[[3]int]NodeID)
+	hosts, routers := f.NumHosts(), f.Rows*f.Cols
+	g := newGraph(false, hosts+routers, hosts+routers*(f.Rows+f.Cols-2)/2)
+	// Hosts first, router-major, for stable host ordering: the hosts of
+	// router (r, c) are nodes from (r*Cols+c)*Concentration on, and the
+	// router itself is node hosts + r*Cols + c.
 	for r := 0; r < f.Rows; r++ {
 		for c := 0; c < f.Cols; c++ {
 			for h := 0; h < f.Concentration; h++ {
-				hostOf[[3]int{r, c, h}] = g.AddNode(Host, fmt.Sprintf("r%d-c%d-h%d", r, c, h))
+				g.part("r", r).part("-c", c).part("-h", h).endNode(Host)
 			}
 		}
 	}
+	router := func(r, c int) NodeID { return NodeID(hosts + r*f.Cols + c) }
 	for r := 0; r < f.Rows; r++ {
-		routers[r] = make([]NodeID, f.Cols)
 		for c := 0; c < f.Cols; c++ {
-			routers[r][c] = g.AddNode(Switch, fmt.Sprintf("rt-%d-%d", r, c))
+			rt := g.part("rt-", r).part("-", c).endNode(Switch)
 			for h := 0; h < f.Concentration; h++ {
-				if _, err := g.AddLink(hostOf[[3]int{r, c, h}], routers[r][c], rate); err != nil {
+				if _, err := g.AddLink(NodeID((r*f.Cols+c)*f.Concentration+h), rt, rate); err != nil {
 					return nil, err
 				}
 			}
@@ -394,7 +395,7 @@ func (f FlattenedButterfly) Build() (*Graph, error) {
 	for r := 0; r < f.Rows; r++ {
 		for c1 := 0; c1 < f.Cols; c1++ {
 			for c2 := c1 + 1; c2 < f.Cols; c2++ {
-				if _, err := g.AddLink(routers[r][c1], routers[r][c2], rate); err != nil {
+				if _, err := g.AddLink(router(r, c1), router(r, c2), rate); err != nil {
 					return nil, err
 				}
 			}
@@ -404,7 +405,7 @@ func (f FlattenedButterfly) Build() (*Graph, error) {
 	for c := 0; c < f.Cols; c++ {
 		for r1 := 0; r1 < f.Rows; r1++ {
 			for r2 := r1 + 1; r2 < f.Rows; r2++ {
-				if _, err := g.AddLink(routers[r1][c], routers[r2][c], rate); err != nil {
+				if _, err := g.AddLink(router(r1, c), router(r2, c), rate); err != nil {
 					return nil, err
 				}
 			}

@@ -57,19 +57,19 @@ func checkTopology(t *testing.T, b Topology, deg degreeSpec) {
 	for n := 0; n < g.NumNodes(); n++ {
 		if g.HopCount(hosts[0], NodeID(n)) < 0 {
 			t.Errorf("%s: node %d (%s) unreachable from host 0",
-				b.Name(), n, g.Node(NodeID(n)).Name)
+				b.Name(), n, g.Name(NodeID(n)))
 		}
 	}
 	for _, h := range hosts {
 		if deg.hostDeg >= 0 && g.Degree(h) != deg.hostDeg {
 			t.Errorf("%s: host %s degree %d, want %d",
-				b.Name(), g.Node(h).Name, g.Degree(h), deg.hostDeg)
+				b.Name(), g.Name(h), g.Degree(h), deg.hostDeg)
 		}
 	}
 	for _, sw := range switches {
 		if deg.switchDeg >= 0 && g.Degree(sw) != deg.switchDeg {
 			t.Errorf("%s: switch %s degree %d, want %d",
-				b.Name(), g.Node(sw).Name, g.Degree(sw), deg.switchDeg)
+				b.Name(), g.Name(sw), g.Degree(sw), deg.switchDeg)
 		}
 	}
 }

@@ -54,27 +54,38 @@ const FallbackRackSize = 8
 func NewScopeMap(g *Graph) *ScopeMap {
 	hosts := g.Hosts()
 	switches := g.Switches()
-	swIdx := make(map[NodeID]int, len(switches)) // node -> switch index
+	swIdx := make([]int, g.NumNodes()) // node -> switch index, -1 for hosts
+	for i := range swIdx {
+		swIdx[i] = -1
+	}
 	for i, s := range switches {
 		swIdx[s] = i
 	}
 	sm := &ScopeMap{
-		RackOf:        make([]int, len(hosts)),
-		PodOf:         make([]int, len(hosts)),
-		AttachedHosts: make([][]int, len(switches)),
-		Level:         make([]int, len(switches)),
+		RackOf: make([]int, len(hosts)),
+		PodOf:  make([]int, len(hosts)),
+		Level:  make([]int, len(switches)),
 	}
 
-	// Attached hosts per switch, and each host's ToR (first switch
-	// neighbor in adjacency order).
-	tor := make([]int, len(hosts)) // host -> switch index, -1 if none
+	// Each host's ToR (first switch neighbor in adjacency order), and
+	// the number of hosts attached to each switch.
+	tor := make([]int, len(hosts))         // host -> switch index, -1 if none
+	attached := make([]int, len(switches)) // switch -> attached hosts
 	for i, h := range hosts {
 		tor[i] = -1
-		for _, a := range g.Neighbors(h) {
-			if j, ok := swIdx[a.Peer]; ok {
+		for _, a := range g.neighbors(h) {
+			if j := swIdx[a.peer]; j >= 0 {
 				if tor[i] < 0 {
 					tor[i] = j
 				}
+				attached[j]++
+			}
+		}
+	}
+	sm.AttachedHosts = carveRows(attached)
+	for i, h := range hosts {
+		for _, a := range g.neighbors(h) {
+			if j := swIdx[a.peer]; j >= 0 {
 				sm.AttachedHosts[j] = append(sm.AttachedHosts[j], i)
 			}
 		}
@@ -82,22 +93,30 @@ func NewScopeMap(g *Graph) *ScopeMap {
 
 	// Racks: group hosts by ToR in first-seen order, then fallback
 	// blocks for switchless hosts.
-	rackBySwitch := make(map[int]int)
+	rackBySwitch := make([]int, len(switches)) // switch -> rack index + 1, 0 if none yet
+	var rackSize []int
 	var fallback []int
 	for i := range hosts {
 		if tor[i] < 0 {
 			fallback = append(fallback, i)
 			continue
 		}
-		r, ok := rackBySwitch[tor[i]]
-		if !ok {
-			r = len(sm.RackHosts)
-			rackBySwitch[tor[i]] = r
-			sm.RackHosts = append(sm.RackHosts, nil)
+		r := rackBySwitch[tor[i]] - 1
+		if r < 0 {
+			r = len(sm.RackSwitch)
+			rackBySwitch[tor[i]] = r + 1
 			sm.RackSwitch = append(sm.RackSwitch, tor[i])
+			rackSize = append(rackSize, 0)
 		}
-		sm.RackHosts[r] = append(sm.RackHosts[r], i)
+		rackSize[r]++
 		sm.RackOf[i] = r
+	}
+	sm.RackHosts = carveRows(rackSize)
+	for i := range hosts {
+		if tor[i] >= 0 {
+			r := sm.RackOf[i]
+			sm.RackHosts[r] = append(sm.RackHosts[r], i)
+		}
 	}
 	for len(fallback) > 0 {
 		n := FallbackRackSize
@@ -118,18 +137,17 @@ func NewScopeMap(g *Graph) *ScopeMap {
 	for i := range level {
 		level[i] = -1
 	}
-	queue := make([]NodeID, 0, len(hosts))
+	queue := make([]NodeID, 0, g.NumNodes())
 	for _, h := range hosts {
 		level[h] = 0
 		queue = append(queue, h)
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range g.Neighbors(u) {
-			if level[a.Peer] < 0 {
-				level[a.Peer] = level[u] + 1
-				queue = append(queue, a.Peer)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, a := range g.neighbors(u) {
+			if level[a.peer] < 0 {
+				level[a.peer] = level[u] + 1
+				queue = append(queue, NodeID(a.peer))
 			}
 		}
 	}
@@ -156,9 +174,9 @@ func NewScopeMap(g *Graph) *ScopeMap {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			sm.PodSwitches[p] = append(sm.PodSwitches[p], cur)
-			for _, a := range g.Neighbors(switches[cur]) {
-				k, ok := swIdx[a.Peer]
-				if !ok || podOfSwitch[k] >= 0 || !inPodGraph(k) {
+			for _, a := range g.neighbors(switches[cur]) {
+				k := swIdx[a.peer]
+				if k < 0 || podOfSwitch[k] >= 0 || !inPodGraph(k) {
 					continue
 				}
 				podOfSwitch[k] = p
@@ -186,6 +204,26 @@ func NewScopeMap(g *Graph) *ScopeMap {
 		sortInts(sm.PodHosts[p])
 	}
 	return sm
+}
+
+// carveRows returns one row per count, carved from a single backing
+// array: row i is empty with capacity counts[i] (nil when that is 0), so
+// appending each row's members fills it in place.
+func carveRows(counts []int) [][]int {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	backing := make([]int, total)
+	rows := make([][]int, len(counts))
+	off := 0
+	for i, c := range counts {
+		if c > 0 {
+			rows[i] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	return rows
 }
 
 // NumRacks reports the rack count.

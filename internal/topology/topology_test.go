@@ -24,14 +24,14 @@ func TestStar(t *testing.T) {
 	if hc := g.HopCount(hosts[0], hosts[23]); hc != 2 {
 		t.Errorf("hop count = %d, want 2", hc)
 	}
-	nodes, links, err := g.Path(hosts[0], hosts[1], 0)
+	nodes, links, err := g.Path(hosts[0], hosts[1], 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes) != 3 || len(links) != 2 {
 		t.Errorf("path = %v links = %v", nodes, links)
 	}
-	if g.Node(nodes[1]).Kind != Switch {
+	if g.nodes[nodes[1]].kind != Switch {
 		t.Error("middle node is not the switch")
 	}
 }
@@ -94,7 +94,7 @@ func TestFatTreeECMPUsesMultiplePaths(t *testing.T) {
 	src, dst := hosts[0], hosts[15]
 	seen := make(map[NodeID]bool)
 	for key := uint64(1); key <= 64; key++ {
-		nodes, _, err := g.Path(src, dst, key)
+		nodes, _, err := g.Path(src, dst, key, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +109,8 @@ func TestFatTreeECMPUsesMultiplePaths(t *testing.T) {
 		t.Errorf("ECMP explored %d core switches, want >= 2", len(seen))
 	}
 	// Key 0 is deterministic single-path.
-	n1, _, _ := g.Path(src, dst, 0)
-	n2, _, _ := g.Path(src, dst, 0)
+	n1, _, _ := g.Path(src, dst, 0, nil, nil)
+	n2, _, _ := g.Path(src, dst, 0, nil, nil)
 	for i := range n1 {
 		if n1[i] != n2[i] {
 			t.Error("key-0 path not deterministic")
@@ -246,7 +246,7 @@ func TestHostTransitBlocked(t *testing.T) {
 	if _, err := g.AddLink(mid, h2, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Path(h1, h2, 0); err == nil {
+	if _, _, err := g.Path(h1, h2, 0, nil, nil); err == nil {
 		t.Error("path through host allowed without host transit")
 	}
 	// Same shape with transit allowed routes fine.
@@ -256,7 +256,7 @@ func TestHostTransitBlocked(t *testing.T) {
 	b := g2.AddNode(Host, "h2")
 	g2.AddLink(a, m, 1e9)
 	g2.AddLink(m, b, 1e9)
-	if _, _, err := g2.Path(a, b, 0); err != nil {
+	if _, _, err := g2.Path(a, b, 0, nil, nil); err != nil {
 		t.Errorf("hybrid path failed: %v", err)
 	}
 }
@@ -274,10 +274,10 @@ func TestGraphErrors(t *testing.T) {
 	if _, err := g.AddLink(a, b, 0); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, _, err := g.Path(a, NodeID(99), 0); err == nil {
+	if _, _, err := g.Path(a, NodeID(99), 0, nil, nil); err == nil {
 		t.Error("out-of-range path accepted")
 	}
-	if _, _, err := g.Path(a, b, 0); err == nil {
+	if _, _, err := g.Path(a, b, 0, nil, nil); err == nil {
 		t.Error("disconnected path accepted")
 	}
 	if err := g.Validate(); err == nil {
@@ -291,7 +291,7 @@ func TestGraphErrors(t *testing.T) {
 func TestPathSelf(t *testing.T) {
 	g, _ := Star{Hosts: 2}.Build()
 	h := g.Hosts()[0]
-	nodes, links, err := g.Path(h, h, 0)
+	nodes, links, err := g.Path(h, h, 0, nil, nil)
 	if err != nil || len(nodes) != 1 || len(links) != 0 {
 		t.Errorf("self path = %v, %v, %v", nodes, links, err)
 	}
@@ -312,7 +312,7 @@ func TestPathValidityProperty(t *testing.T) {
 	f := func(a, b uint8, key uint64) bool {
 		src := hosts[int(a)%len(hosts)]
 		dst := hosts[int(b)%len(hosts)]
-		nodes, links, err := g.Path(src, dst, key)
+		nodes, links, err := g.Path(src, dst, key, nil, nil)
 		if src == dst {
 			return err == nil && len(nodes) == 1
 		}
@@ -333,7 +333,7 @@ func TestPathValidityProperty(t *testing.T) {
 			}
 		}
 		for _, n := range nodes[1 : len(nodes)-1] {
-			if g.Node(n).Kind != Switch {
+			if g.nodes[n].kind != Switch {
 				return false
 			}
 		}
