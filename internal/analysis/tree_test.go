@@ -228,7 +228,6 @@ func TestNoFuncWithoutCaller(t *testing.T) {
 // TestNoFieldWithoutReader: struct fields under internal/ that the model
 // writes and no non-test code reads.
 var unread = map[string]string{
-	"holdcsim/internal/server.Core.completed":     "the tests' only view of which core served a task (the Table I alloc gate's warm-up check, the fast-core test); one increment per task",
 	"holdcsim/internal/network.linkState.id":      "a link's index in Network.links: what the tests' reference water-filler keys its resources by and SetLinkAdmin takes",
 	"holdcsim/internal/experiments.Report.Pinned": "the golden suite's view of an experiment: the deterministic rendering testdata/golden pins, which cmd/experiments does not print",
 }

@@ -190,21 +190,25 @@ func build(cfg Config, compactAbove int) (*DataCenter, error) {
 	// asleep farm holds zero queued events regardless of size.
 	dc.Farm = server.NewFarm(eng)
 	dc.Servers = make([]*server.Server, cfg.Servers)
+	if cfg.ServerConfig.Profile == nil {
+		return nil, fmt.Errorf("core: server config needs a power profile")
+	}
 	for i := 0; i < cfg.Servers; i++ {
-		sc := cfg.ServerConfig
-		if sc.Profile == nil {
-			return nil, fmt.Errorf("core: server config needs a power profile")
-		}
+		// The farm keeps one copy of each distinct config; a copy to
+		// specialize is made, and escapes, only for ConfigureServer.
+		sc := &cfg.ServerConfig
 		if cfg.ConfigureServer != nil {
-			cfg.ConfigureServer(i, &sc)
+			own := cfg.ServerConfig
+			cfg.ConfigureServer(i, &own)
+			sc = &own
 		}
-		srv, err := dc.Farm.Add(i, sc)
+		srv, err := dc.Farm.Add(i, *sc)
 		if err != nil {
 			return nil, fmt.Errorf("core: server %d: %w", i, err)
 		}
-		srv.SetCover(cfg.Cover)
 		dc.Servers[i] = srv
 	}
+	dc.Farm.SetCover(cfg.Cover)
 
 	// Network.
 	var transfer sched.TransferFn

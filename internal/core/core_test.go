@@ -285,8 +285,12 @@ func TestHeterogeneousConfigureServer(t *testing.T) {
 	// Both servers start alike, so the work's finish times differ by
 	// exactly the service times' difference.
 	var done [2]simtime.Time
+	dc.Farm.OnTaskDone(func(srv *server.Server, _ *job.Task) {
+		if id := srv.ID(); id < len(done) {
+			done[id] = dc.Eng.Now()
+		}
+	})
 	for i, srv := range dc.Servers[:2] {
-		srv.OnTaskDone(func(*server.Server, *job.Task) { done[i] = dc.Eng.Now() })
 		srv.Submit(job.Single(job.ID(i), 0, 10*simtime.Millisecond).Tasks[0])
 	}
 	dc.Eng.Run()

@@ -257,6 +257,8 @@ type Engine struct {
 	// Dispatched counts events executed since New; exposed for the
 	// scalability benchmarks (Table I).
 	Dispatched uint64
+	// firing names the event Step is running (see Firing).
+	firing Handle
 	// Count holds the tier statistics.
 	Count Counters
 
@@ -766,12 +768,20 @@ func (e *Engine) Step() bool {
 	e.Dispatched++
 	e.live--
 	fn := ev.fn
+	e.firing = Handle{ev, ev.gen}
 	// Release before running so fn's own rescheduling can reuse the
 	// slot; the generation bump keeps outstanding Handles inert.
 	e.release(ev)
 	fn()
 	return true
 }
+
+// Firing reports the Handle Schedule returned for the event being run,
+// so a callback shared by several events tells which one fired: one a
+// model has since stopped waiting for compares unequal to the Handle it
+// now keeps. The Handle is no longer Pending, and stays the answer
+// until the next event runs.
+func (e *Engine) Firing() Handle { return e.firing }
 
 // skipTo moves lim past t over an empty ladder, so the lane events that
 // follow take Step's fast path: it hands down the top rung's empty

@@ -126,12 +126,9 @@ func fig13Run(p Fig13Params, seed uint64) (*Fig13Result, error) {
 	dc.Sched.OnDispatch(func(srv *server.Server, _ *job.Task) {
 		_ = dc.Net.TransferPackets(frontend, dc.HostOf(srv.ID()), p.RequestBytes, nil)
 	})
-	for _, srv := range dc.Servers {
-		host := dc.HostOf(srv.ID())
-		srv.OnTaskDone(func(*server.Server, *job.Task) {
-			_ = dc.Net.TransferPackets(host, frontend, p.ResponseBytes, nil)
-		})
-	}
+	dc.Farm.OnTaskDone(func(srv *server.Server, _ *job.Task) {
+		_ = dc.Net.TransferPackets(dc.HostOf(srv.ID()), frontend, p.ResponseBytes, nil)
+	})
 
 	sw := dc.Net.Switches()[0]
 	var active []int

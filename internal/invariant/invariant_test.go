@@ -31,9 +31,10 @@ func newRig(t *testing.T, servers int, jobs int64, opts Options) *rig {
 func newRigPolicy(t *testing.T, servers int, jobs int64, opts Options, policy sched.OrphanPolicy) *rig {
 	t.Helper()
 	eng := engine.New()
+	f := server.NewFarm(eng)
 	farm := make([]*server.Server, servers)
 	for i := range farm {
-		srv, err := server.New(i, eng, server.DefaultConfig(power.FourCoreServer()))
+		srv, err := f.Add(i, server.DefaultConfig(power.FourCoreServer()))
 		if err != nil {
 			t.Fatal(err)
 		}

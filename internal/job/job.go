@@ -107,13 +107,38 @@ func New(id ID, arriveAt simtime.Time) *Job {
 // task and edge objects, every list's capacity — which AddTask and Link
 // reuse, so a stream of same-shaped jobs allocates nothing. A nil *Pool
 // allocates every job and keeps none.
-type Pool struct{ free []*Job }
+//
+// When the free list is empty — a burst, or arrivals that outpace
+// completions for a while, as servers waking from S3 make them — Get
+// carves the new job from a block, with its first task and one-slot
+// task and order lists, so a single-task job costs no allocation of
+// its own.
+type Pool struct {
+	free  []*Job
+	block []jobSlab // what is left of the block new jobs are carved from
+	made  int       // jobs carved so far, which sizes the next block
+}
+
+// jobSlab is a new job's storage: lists[0] backs its task list, whose
+// one slot names task, and lists[1] its topological order.
+type jobSlab struct {
+	job   Job
+	task  Task
+	lists [2]*Task
+}
+
+// maxSlabBlock caps how many jobs one block holds. A block holds as
+// many as the pool has made, up to this, so a short run stays small.
+const maxSlabBlock = 256
 
 // Get returns an empty job arriving at the given time: a recycled one
 // if the pool holds any, else a new one.
 func (p *Pool) Get(id ID, arriveAt simtime.Time) *Job {
-	if p == nil || len(p.free) == 0 {
+	if p == nil {
 		return New(id, arriveAt)
+	}
+	if len(p.free) == 0 {
+		return p.carve(id, arriveAt)
 	}
 	n := len(p.free) - 1
 	j := p.free[n]
@@ -121,6 +146,22 @@ func (p *Pool) Get(id ID, arriveAt simtime.Time) *Job {
 	p.free = p.free[:n]
 	j.ID, j.ArriveAt, j.FinishAt, j.finished, j.pooled = id, arriveAt, 0, 0, false
 	j.Tasks, j.order = j.Tasks[:0], j.order[:0]
+	return j
+}
+
+// carve returns a new job from the current block, its first AddTask
+// already backed by the slab's task.
+func (p *Pool) carve(id ID, arriveAt simtime.Time) *Job {
+	if len(p.block) == 0 {
+		p.block = make([]jobSlab, min(max(p.made, 1), maxSlabBlock))
+	}
+	sl := &p.block[0]
+	p.block = p.block[1:]
+	p.made++
+	sl.lists[0] = &sl.task
+	j := &sl.job
+	j.ID, j.ArriveAt = id, arriveAt
+	j.Tasks, j.order = sl.lists[0:0:1], sl.lists[1:1:2]
 	return j
 }
 

@@ -134,6 +134,30 @@ func TestRecycledJobEqualsFresh(t *testing.T) {
 	}
 }
 
+// TestCarvedJobEqualsFresh: a job an empty pool carves from its block
+// is what New gives, built and run by every builder; and carving a
+// single-task job allocates nothing of its own, block growth aside.
+func TestCarvedJobEqualsFresh(t *testing.T) {
+	for name, b := range builders() {
+		for size := 0; size < 2; size++ {
+			got := b[size](new(Pool), 2, rng.New(11))
+			want := b[size](nil, 2, rng.New(11))
+			if g, w := describe(t, got), describe(t, want); g != w {
+				t.Errorf("%s%d: carved job differs from a fresh one\ncarved:\n%s\nfresh:\n%s", name, size, g, w)
+			}
+			runToCompletion(t, got)
+			runToCompletion(t, want)
+			if g, w := describe(t, got), describe(t, want); g != w {
+				t.Errorf("%s%d: carved job ran differently\ncarved:\n%s\nfresh:\n%s", name, size, g, w)
+			}
+		}
+	}
+	pool := new(Pool)
+	if allocs := testing.AllocsPerRun(1000, func() { pool.Single(1, 0, simtime.Millisecond) }); allocs != 0 {
+		t.Errorf("carving single-task jobs allocates %v per job, want 0", allocs)
+	}
+}
+
 // TestPoolKeepsOnlyFinishedJobs: a lost job may still be named by a
 // transfer in flight or a parked task, an unfinished one is still
 // running — neither is ever handed out again, and a job offered twice is

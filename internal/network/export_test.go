@@ -22,7 +22,7 @@ func (s *Switch) ActivePorts() int {
 func (n *Network) NetworkPowerW() float64 {
 	sum := 0.0
 	for _, sw := range n.swList {
-		sum += watts(sw.meter)
+		sum += watts(&sw.meter)
 	}
 	return sum
 }

@@ -186,7 +186,7 @@ func TestSwitchDeath(t *testing.T) {
 	eng, n, hosts := starNet(t, 4, nil)
 	hub := n.g.Switches()[0]
 	sw := n.switches[hub]
-	if watts(sw.meter) <= 0 {
+	if watts(&sw.meter) <= 0 {
 		t.Fatal("healthy switch draws nothing")
 	}
 	var flowDone, pktDone bool
@@ -200,7 +200,7 @@ func TestSwitchDeath(t *testing.T) {
 		if err := n.SetSwitchAdmin(hub, false); err != nil {
 			t.Fatal(err)
 		}
-		if got := watts(sw.meter); got != 0 {
+		if got := watts(&sw.meter); got != 0 {
 			t.Errorf("dead switch draws %g W", got)
 		}
 		for i := 0; i < n.NumLinks(); i++ {
@@ -228,8 +228,8 @@ func TestSwitchDeath(t *testing.T) {
 	if err := n.SetSwitchAdmin(hub, true); err != nil {
 		t.Fatal(err)
 	}
-	if sw.Failed() || watts(sw.meter) <= 0 {
-		t.Fatalf("revived switch: failed=%v power=%g", sw.Failed(), watts(sw.meter))
+	if sw.Failed() || watts(&sw.meter) <= 0 {
+		t.Fatalf("revived switch: failed=%v power=%g", sw.Failed(), watts(&sw.meter))
 	}
 	for i := 0; i < n.NumLinks(); i++ {
 		if n.links[i].isDown() {

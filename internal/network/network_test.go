@@ -267,7 +267,7 @@ func TestSwitchSleepAndWake(t *testing.T) {
 	}
 	// Sleep draw: chassis + line card sleep.
 	want := 12.7 + 0.4
-	if got := watts(sw.meter); math.Abs(got-want) > 1e-9 {
+	if got := watts(&sw.meter); math.Abs(got-want) > 1e-9 {
 		t.Errorf("sleep power = %v, want %v", got, want)
 	}
 	if n.SleepingSwitchesOnPath(hosts[0], hosts[1]) != 1 {
@@ -297,7 +297,7 @@ func TestSwitchSleepAndWake(t *testing.T) {
 		t.Error("switch did not re-sleep after the flow drained")
 	}
 	// Residency must show all three states.
-	res := sw.residency
+	res := &sw.residency
 	end := eng.Now()
 	for _, state := range []string{SwitchStateActive, SwitchStateWake, SwitchStateSleep} {
 		if res.DurationTo(state, end) <= 0 {

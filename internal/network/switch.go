@@ -1,8 +1,6 @@
 package network
 
 import (
-	"fmt"
-
 	"holdcsim/internal/engine"
 	"holdcsim/internal/modelcov"
 	"holdcsim/internal/power"
@@ -38,19 +36,17 @@ type Switch struct {
 	wakeEv    engine.Handle
 	sleepTmr  *engine.Timer
 
-	meter     *stats.EnergyMeter
-	residency *stats.Residency
+	meter     stats.EnergyMeter
+	residency stats.Residency
 
 	wakeCount int64
 }
 
 func newSwitch(n *Network, node topology.NodeID, prof *power.SwitchProfile) *Switch {
 	sw := &Switch{
-		net:       n,
-		node:      node,
-		prof:      prof,
-		meter:     stats.NewEnergyMeter(fmt.Sprintf("switch%d", node)),
-		residency: stats.NewResidency(fmt.Sprintf("switch%d", node)),
+		net:  n,
+		node: node,
+		prof: prof,
 	}
 	for range prof.Ports() {
 		sw.ports = append(sw.ports, &Port{sw: sw, state: power.PortActive})

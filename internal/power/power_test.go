@@ -82,6 +82,29 @@ func TestProfileValidationRejects(t *testing.T) {
 	if p.Validate() == nil {
 		t.Error("zero-speed P-state accepted")
 	}
+
+	// What a server's compact record can index: one bit per socket, a
+	// 16-bit core id, an 8-bit P-state index.
+	p = XeonE5_2680()
+	p.Cores, p.Sockets = 130, 65
+	if p.Validate() == nil {
+		t.Error("65 sockets accepted")
+	}
+	p.Cores, p.Sockets = 1<<16+2, 2
+	if p.Validate() == nil {
+		t.Error("65,538 cores accepted")
+	}
+	p.Cores, p.Sockets = 128, 64
+	for len(p.PStates) < 257 {
+		p.PStates = append(p.PStates, p.PStates[0])
+	}
+	if p.Validate() == nil {
+		t.Error("257 P-states accepted")
+	}
+	p.PStates = p.PStates[:256]
+	if err := p.Validate(); err != nil {
+		t.Errorf("64 sockets, 128 cores and 256 P-states rejected: %v", err)
+	}
 }
 
 func TestCoreWatts(t *testing.T) {

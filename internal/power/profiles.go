@@ -61,14 +61,22 @@ type ServerProfile struct {
 	PStates []PState
 }
 
+// What a server's compact record can index: one bit per socket for its
+// package state, a 16-bit core id and an 8-bit P-state index.
+const (
+	maxSockets = 64
+	maxCores   = 1 << 16
+	maxPStates = 1 << 8
+)
+
 // Validate checks structural sanity: positive core count, monotone
 // C-state draws, and nonnegative transitions.
 func (p *ServerProfile) Validate() error {
-	if p.Cores <= 0 {
-		return fmt.Errorf("power: profile %q: cores must be positive", p.Name)
+	if p.Cores <= 0 || p.Cores > maxCores {
+		return fmt.Errorf("power: profile %q: %d cores, want 1..%d", p.Name, p.Cores, maxCores)
 	}
-	if p.Sockets < 0 {
-		return fmt.Errorf("power: profile %q: negative socket count", p.Name)
+	if p.Sockets < 0 || p.Sockets > maxSockets {
+		return fmt.Errorf("power: profile %q: %d sockets, want 0..%d", p.Name, p.Sockets, maxSockets)
 	}
 	if s := p.SocketCount(); p.Cores%s != 0 {
 		return fmt.Errorf("power: profile %q: %d cores do not divide into %d sockets",
@@ -85,8 +93,8 @@ func (p *ServerProfile) Validate() error {
 		p.SleepEntry.Latency < 0 {
 		return fmt.Errorf("power: profile %q: negative transition latency", p.Name)
 	}
-	if len(p.PStates) == 0 {
-		return fmt.Errorf("power: profile %q: no P-states", p.Name)
+	if len(p.PStates) == 0 || len(p.PStates) > maxPStates {
+		return fmt.Errorf("power: profile %q: %d P-states, want 1..%d", p.Name, len(p.PStates), maxPStates)
 	}
 	for _, ps := range p.PStates {
 		if ps.Speed <= 0 || ps.PowerScale <= 0 {

@@ -16,7 +16,7 @@ import (
 
 // CState is a core low-power state. Deeper states save more power but
 // cost more wake latency.
-type CState int
+type CState uint8
 
 // Core C-states, shallow to deep.
 const (
@@ -27,7 +27,7 @@ const (
 )
 
 // PkgCState is a package (uncore) low-power state.
-type PkgCState int
+type PkgCState uint8
 
 // Package C-states, shallow to deep. The package may enter PC6 only when
 // every core is in C6.
@@ -38,7 +38,7 @@ const (
 )
 
 // SState is an ACPI system sleep state.
-type SState int
+type SState uint8
 
 // System states used by the simulator. S3 is "system sleep"
 // (suspend-to-RAM) in the paper's case studies; S5 is soft-off.

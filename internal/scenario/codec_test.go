@@ -220,7 +220,9 @@ func TestMatrixFixture(t *testing.T) {
 // buckets.
 // Payloads and rates: a negative edgeBytes panicked in the network at
 // run, as did a packet-mode edge of 1e18 bytes (6.7e14 packets, over
-// the network's per-transfer cap), and a negative rateBps or placer tauSec ran as the default under
+// the network's per-transfer cap); a flow-mode edge of 1e17 bytes
+// wrapped the delivered-bytes counter negative; a 1x200,000 flattened
+// butterfly validated but would build ~2e10 links; and a negative rateBps or placer tauSec ran as the default under
 // its own label. Seconds past the clock's range (about 9.22e9 s) became
 // negative times: a 1e10 s delay timer overflowed the stack formatting
 // the engine's schedule-in-the-past panic, a 1e10 s crash downtime hit
@@ -244,6 +246,8 @@ var hostileFiles = []struct{ name, data, want string }{
 	{"tracesec-nlanr-1e9", `{"servers": 4, "arrival": {"kind": "nlanr", "rho": 0.3, "traceSec": 1e9}, "maxJobs": 10}`, "synthesizes"},
 	{"tracesec-wiki-sparse", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 1e-9, "traceSec": 1e12}, "maxJobs": 10}`, "synthesizes"},
 	{"edgebytes-packet-cap", `{"topology": {"kind": "fattree", "a": 4}, "comm": "packet", "servers": 8, "arrival": {"kind": "poisson", "rho": 0.5}, "maxJobs": 200, "factory": {"kind": "scatter", "width": 2, "edgeBytes": 1000000000000000000}}`, "over the bound of 1073741824"},
+	{"edgebytes-flow-cap", `{"topology": {"kind": "fattree", "a": 4}, "comm": "flow", "servers": 8, "arrival": {"kind": "poisson", "rho": 0.5}, "maxJobs": 200, "factory": {"kind": "scatter", "width": 2, "edgeBytes": 100000000000000000}}`, "over the bound of 1073741824"},
+	{"flatbfly-2e10-links", `{"topology": {"kind": "flatbfly", "a": 1, "b": 200000, "c": 1}, "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "links"},
 	{"edgebytes-negative", `{"topology": {"kind": "fattree", "a": 4}, "comm": "flow", "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "twotier", "edgeBytes": -1000}}`, "negative edge payload"},
 	{"ratebps-negative", `{"topology": {"kind": "fattree", "a": 4, "rateBps": -1e9}, "servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative link rate"},
 	{"tausec-negative", `{"servers": 4, "placer": {"kind": "adaptive", "tauSec": -0.5}, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10}`, "negative placer timer"},

@@ -760,9 +760,11 @@ func (s Scenario) Validate() error {
 		// already is fluid, and server-only runs have no network at all.
 		return fmt.Errorf("scenario: fluid network model requires packet comm (have %v)", s.Comm)
 	}
-	if s.Comm == core.CommPacket {
+	if s.Comm != core.CommNone {
 		// The cap network.TransferPackets puts on one edge's packets,
-		// checked before a run reaches it.
+		// checked before a run reaches it. A flow-mode edge is held to
+		// the same bytes: the network's byte counters sum payloads in
+		// int64, and 1e17-byte flows wrap them.
 		mtu := network.DefaultConfig(nil).MTUBytes
 		if pkts := s.Factory.EdgeBytes/mtu + min(s.Factory.EdgeBytes%mtu, 1); pkts > network.MaxPacketsPerTransfer {
 			return fmt.Errorf("scenario: edge payload of %d bytes needs %d packets at MTU %d, over the bound of %d",

@@ -137,9 +137,10 @@ func TestNetworkAwarePrefersCheapWake(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	farm := server.NewFarm(eng)
 	servers := make([]*server.Server, 4)
 	for i := range servers {
-		srv, err := server.New(i, eng, server.DefaultConfig(power.FourCoreServer()))
+		srv, err := farm.Add(i, server.DefaultConfig(power.FourCoreServer()))
 		if err != nil {
 			t.Fatal(err)
 		}

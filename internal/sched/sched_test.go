@@ -15,22 +15,23 @@ import (
 )
 
 // delayTimerOf reads a server's delay-timer setting, which policies
-// write and nothing outside the server reads, out of its unexported config.
+// write and nothing outside the server reads, out of its unexported fields.
 func delayTimerOf(s *server.Server) (enabled bool, d simtime.Time) {
-	cfg := reflect.ValueOf(s).Elem().FieldByName("cfg")
-	return cfg.FieldByName("DelayTimerEnabled").Bool(), simtime.Time(cfg.FieldByName("DelayTimer").Int())
+	v := reflect.ValueOf(s).Elem()
+	return v.FieldByName("delayOn").Bool(), simtime.Time(v.FieldByName("delayTimer").Int())
 }
 
 func testFarm(t *testing.T, n int, mutate func(i int, c *server.Config)) (*engine.Engine, []*server.Server) {
 	t.Helper()
 	eng := engine.New()
+	farm := server.NewFarm(eng)
 	servers := make([]*server.Server, n)
 	for i := 0; i < n; i++ {
 		cfg := server.DefaultConfig(power.FourCoreServer())
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		srv, err := server.New(i, eng, cfg)
+		srv, err := farm.Add(i, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,11 @@ func TestDAGOrderingWithTransfer(t *testing.T) {
 	}
 	var doneAt, childDoneAt simtime.Time
 	s.OnJobDone(func(j *job.Job) { doneAt = eng.Now() })
-	servers[1].OnTaskDone(func(_ *server.Server, _ *job.Task) { childDoneAt = eng.Now() })
+	servers[1].Farm().OnTaskDone(func(srv *server.Server, _ *job.Task) {
+		if srv == servers[1] {
+			childDoneAt = eng.Now()
+		}
+	})
 	j := chainJob(1, 0, 2, 5*simtime.Millisecond, 4096) // t0 -> t1, different servers
 	eng.Schedule(0, func() { s.JobArrived(j) })
 	eng.Run()
@@ -367,9 +372,10 @@ func TestSchedulerRejectsEmptyFarm(t *testing.T) {
 // server i instead of panicking at the first placement.
 func TestSchedulerRejectsOutOfOrderIDs(t *testing.T) {
 	eng := engine.New()
+	f := server.NewFarm(eng)
 	var servers []*server.Server
 	for _, id := range []int{0, 5} {
-		srv, err := server.New(id, eng, server.DefaultConfig(power.FourCoreServer()))
+		srv, err := f.Add(id, server.DefaultConfig(power.FourCoreServer()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,6 +383,15 @@ func TestSchedulerRejectsOutOfOrderIDs(t *testing.T) {
 	}
 	if _, err := New(eng, servers, Config{}); err == nil {
 		t.Error("servers with IDs {0, 5} accepted")
+	}
+	// Servers of two farms: the scheduler's one completion subscription
+	// would miss the second farm's.
+	other, err := server.New(1, eng, server.DefaultConfig(power.FourCoreServer()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(eng, []*server.Server{servers[0], other}, Config{}); err == nil {
+		t.Error("servers of two farms accepted")
 	}
 	_, farm := testFarm(t, 3, nil)
 	farm[0], farm[1] = farm[1], farm[0]

@@ -139,17 +139,22 @@ type Scheduler struct {
 // detach. Coverage recording never alters scheduling decisions.
 func (s *Scheduler) SetCover(m *modelcov.Map) { s.cover = m }
 
-// New wires a scheduler to the servers. Server completion callbacks are
-// claimed by the scheduler (OnTaskDone must not be overridden afterward).
+// New wires a scheduler to the servers, which must all belong to one
+// farm: the scheduler subscribes to its task completions first, so its
+// DAG and job bookkeeping runs before any other subscriber's.
 // servers[i] must have ID i: the scheduler's per-server state, its load
 // tree and its shards are indexed by ID.
 func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("sched: no servers")
 	}
+	farm := servers[0].Farm()
 	for i, srv := range servers {
 		if srv.ID() != i {
 			return nil, fmt.Errorf("sched: server %d has ID %d; IDs must run 0..%d in order", i, srv.ID(), len(servers)-1)
+		}
+		if srv.Farm() != farm {
+			return nil, fmt.Errorf("sched: server %d is not in server 0's farm", i)
 		}
 	}
 	if cfg.Placer == nil {
@@ -163,9 +168,7 @@ func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, 
 	}
 	s.ctrl, _ = cfg.Placer.(Controller)
 	s.starter, _ = cfg.Placer.(Starter)
-	for _, srv := range servers {
-		srv.OnTaskDone(s.taskDone)
-	}
+	farm.OnTaskDone(s.taskDone)
 	return s, nil
 }
 

@@ -7,61 +7,123 @@ import (
 	"holdcsim/internal/simtime"
 )
 
+// evKind says which of a core's events its one live handle names.
+type evKind uint8
+
+const (
+	evNone     evKind = iota
+	evFinish          // the running task's completion
+	evWake            // the core's C-state exit
+	evIdle            // the governor's next C-state promotion
+	evSysEntry        // core 0 only: the server's suspend completes
+	evSysWake         // core 0 only: the server's wake completes
+)
+
 // Core is one processing unit: it serves one task at a time (Sec. III).
 // Its performance is set by its speed ratio (heterogeneous parts) and the
 // active P-state (DVFS); its idle draw follows the C-state governor.
 // Cores are values in blocks their farm allocates; a *Core points into
 // one and stays valid for the farm's life.
+//
+// A core is one cache line. It has one callback, bound when the farm
+// builds it, and one live event at a time, named by ev and kind: a
+// completion, a wake or an idle promotion never overlap. Core 0 also
+// carries its server's suspend and wake completions, which run only
+// while every core is parked. An event the core stopped waiting for — a
+// wake or a suspend the server's crash voided — still fires, and fire
+// tells it apart by its handle (engine.Firing).
 type Core struct {
-	id  int
-	srv *Server
-
-	speed float64
-
-	cstate    power.CState
-	busy      bool
-	waking    bool
-	wakeTrans power.Transition
-	reserved  *job.Task   // task waiting for this core's wake to finish
-	queue     []*job.Task // per-core queue (QueuePerCore mode only)
+	srv  *Server
+	cb   func() // c.fire, bound once
+	ev   engine.Handle
+	task *job.Task // running, or reserved while the core wakes
 
 	// draw caches watts() for the server's recompute to sum; refresh
-	// follows every write to cstate, busy, waking, wakeTrans or the
+	// follows every write to cstate, busy, waking, wakePkg or the
 	// server's P-state.
-	draw float64
-
-	// The event callbacks are bound once, when the farm builds the core:
-	// at most one completion, one wake and one idle promotion are in
-	// flight per core, so no event allocates.
-	task      *job.Task
-	finishEv  engine.Handle
-	finishCB  func()
-	wakeCB    func()
-	wakeEpoch uint32 // server epoch the in-flight wake was armed under
-	idleEv    engine.Handle
-	idleCB    func()
-	target    power.CState // next C-state the idle timer promotes into
+	draw      float64
 	idleStart simtime.Time // when the current idle period began
 
-	completed int64
+	id      uint16
+	cstate  power.CState
+	target  power.CState // next C-state the idle timer promotes into
+	kind    evKind
+	busy    bool
+	waking  bool
+	wakePkg bool // the wake in flight also exits package C6
+}
+
+// fire runs the event the core's handle names; any other is one the
+// core stopped waiting for, and does nothing.
+func (c *Core) fire() {
+	s := c.srv
+	if s.farm.eng.Firing() != c.ev {
+		return
+	}
+	k := c.kind
+	c.kind = evNone
+	switch k {
+	case evFinish:
+		c.finish()
+	case evWake:
+		c.wakeDone()
+	case evIdle:
+		c.idleStep()
+	case evSysEntry:
+		s.sleepEntryDone()
+	case evSysWake:
+		s.finishWake()
+	}
+}
+
+// after schedules the core's one live event, of kind k, d from now.
+func (c *Core) after(d simtime.Time, k evKind) {
+	c.kind = k
+	c.ev = c.srv.farm.eng.After(d, c.cb)
+}
+
+// forget stops waiting for the core's event without canceling it: the
+// event stays queued and fires as a no-op, so a crash leaves the queue,
+// and every later sequence number, as it finds them.
+func (c *Core) forget() {
+	c.ev, c.kind = engine.Handle{}, evNone
+}
+
+// speed is the core's heterogeneous speed ratio.
+func (c *Core) speed() float64 {
+	if sp := c.srv.cfg.CoreSpeeds; sp != nil {
+		return sp[c.id]
+	}
+	return 1
 }
 
 // watts derives the core's present draw from its state.
 func (c *Core) watts() float64 {
 	if c.waking {
-		return c.wakeTrans.Watts
+		return c.wakeTransition().Watts
 	}
-	return c.srv.prof.CoreWatts(c.cstate, c.busy, c.srv.prof.PStates[c.srv.pstateIdx])
+	prof := c.srv.cfg.Profile
+	return prof.CoreWatts(c.cstate, c.busy, prof.PStates[c.srv.pstateIdx])
 }
 
 // refresh re-caches the draw after a change to what watts reads.
 func (c *Core) refresh() { c.draw = c.watts() }
 
 // effectiveSpeed is the product of the heterogeneous ratio and DVFS.
-func (c *Core) effectiveSpeed() float64 { return c.speed * c.srv.prof.PStates[c.srv.pstateIdx].Speed }
+func (c *Core) effectiveSpeed() float64 {
+	return c.speed() * c.srv.cfg.Profile.PStates[c.srv.pstateIdx].Speed
+}
 
 // available reports whether the core can accept a task right now.
-func (c *Core) available() bool { return !c.busy && !c.waking && c.reserved == nil }
+func (c *Core) available() bool { return !c.busy && !c.waking }
+
+// reserved reports the task waiting for the core's wake, if any.
+func (c *Core) reserved() *job.Task {
+	if c.waking {
+		return c.task
+	}
+	return nil
+}
 
 // assign hands the core a task. The core must be available. If the core
 // (or its package) is in a sleep state, the task is reserved while the
@@ -76,37 +138,33 @@ func (c *Core) assign(t *job.Task) {
 		return
 	}
 	// Wake transition: core (plus its socket, if parked) must power up.
-	trans := c.wakeTransition()
+	s := c.srv
+	sk := s.socketOf(int(c.id))
 	c.waking = true
-	c.wakeTrans = trans
+	c.wakePkg = s.parked(sk)
 	c.refresh()
-	c.srv.wakingCores++
-	c.reserved = t
-	c.srv.queueDelta(1)
-	if sk := c.srv.socketOf(c.id); c.srv.sockets[sk] != power.PC0 {
-		// The package exits PC6/PC2 as soon as any of its cores wakes.
-		c.srv.setSocketState(sk, power.PC0)
+	s.wakingCores++
+	c.task = t
+	s.queueDelta(1)
+	if c.wakePkg {
+		// The package exits PC6 as soon as any of its cores wakes.
+		s.setSocketParked(sk, false)
 	}
-	c.srv.recompute()
-	// One wake is in flight per core at a time (c.waking), so the armed
-	// epoch lives in a field — the idle→C6→wake cycle allocates nothing.
-	c.wakeEpoch = c.srv.epoch
-	c.srv.eng.After(trans.Latency, c.wakeCB)
+	s.recompute()
+	c.after(c.wakeTransition().Latency, evWake)
 }
 
 // wakeDone completes a core wake transition: the reserved task runs, or
 // (if its reservation was aborted while the wake was committed) the core
 // simply goes idle.
 func (c *Core) wakeDone() {
-	if c.srv.epoch != c.wakeEpoch {
-		return // the server crashed mid-wake; the transition is void
-	}
 	c.waking = false
+	c.wakePkg = false
 	c.srv.wakingCores--
 	c.cstate = power.C0
 	c.refresh()
-	task := c.reserved
-	c.reserved = nil
+	task := c.task
+	c.task = nil
 	if task == nil {
 		c.becomeIdle()
 		c.srv.checkServerIdle()
@@ -117,9 +175,9 @@ func (c *Core) wakeDone() {
 }
 
 // wakeTransition reports the cost of leaving the current C-state,
-// including the package exit when the package is parked.
+// including the package exit when the wake also exits package C6.
 func (c *Core) wakeTransition() power.Transition {
-	prof := c.srv.prof
+	prof := c.srv.cfg.Profile
 	var t power.Transition
 	switch c.cstate {
 	case power.C1:
@@ -131,7 +189,7 @@ func (c *Core) wakeTransition() power.Transition {
 	default:
 		return power.Transition{}
 	}
-	if c.srv.sockets[c.srv.socketOf(c.id)] == power.PC6 {
+	if c.wakePkg {
 		t.Latency += prof.WakePC6.Latency
 		if prof.WakePC6.Watts > t.Watts {
 			t.Watts = prof.WakePC6.Watts
@@ -148,8 +206,7 @@ func (c *Core) run(t *job.Task) {
 	t.State = job.TaskRunning
 	c.srv.busyDelta(1)
 	c.srv.recompute()
-	dur := t.ServiceTime(c.effectiveSpeed())
-	c.finishEv = c.srv.eng.After(dur, c.finishCB)
+	c.after(t.ServiceTime(c.effectiveSpeed()), evFinish)
 }
 
 // finish completes the running task and asks the server for more work.
@@ -158,8 +215,6 @@ func (c *Core) finish() {
 	c.busy = false
 	c.refresh()
 	c.task = nil
-	c.finishEv = engine.Handle{}
-	c.completed++
 	c.srv.busyDelta(-1)
 	c.srv.coreFinished(c, t)
 }
@@ -168,8 +223,8 @@ func (c *Core) finish() {
 // core pulls its next queued task or goes idle. The aborted task is not
 // counted as completed.
 func (c *Core) abortRun() {
-	c.srv.eng.Cancel(c.finishEv)
-	c.finishEv = engine.Handle{}
+	c.srv.farm.eng.Cancel(c.ev)
+	c.forget()
 	c.busy = false
 	c.refresh()
 	c.task = nil
@@ -187,7 +242,7 @@ func (c *Core) abortRun() {
 func (c *Core) becomeIdle() {
 	c.cstate = power.C0
 	c.refresh()
-	c.idleStart = c.srv.eng.Now()
+	c.idleStart = c.srv.farm.eng.Now()
 	c.srv.recompute()
 	c.armIdleStep()
 }
@@ -197,8 +252,8 @@ func (c *Core) becomeIdle() {
 // intermediate state (e.g. a C0/C6-only validation run) skips straight
 // to the next enabled one.
 func (c *Core) armIdleStep() {
-	cfg := &c.srv.cfg
-	elapsed := c.srv.eng.Now() - c.idleStart
+	cfg := c.srv.cfg
+	elapsed := c.srv.farm.eng.Now() - c.idleStart
 	steps := []struct {
 		state power.CState
 		at    simtime.Time
@@ -217,16 +272,13 @@ func (c *Core) armIdleStep() {
 		}
 		c.target = s.state
 		c.stopIdleTimer()
-		c.idleEv = c.srv.eng.After(wait, c.idleCB)
+		c.after(wait, evIdle)
 		return
 	}
 }
 
 // idleStep promotes the core into the pending deeper C-state.
 func (c *Core) idleStep() {
-	if c.busy || c.waking {
-		return // stale timer; a task grabbed the core first
-	}
 	c.cstate = c.target
 	c.refresh()
 	c.srv.recompute()
@@ -236,9 +288,13 @@ func (c *Core) idleStep() {
 	c.armIdleStep()
 }
 
-// stopIdleTimer cancels the pending C-state promotion, if any (a fired
-// or canceled handle is inert).
-func (c *Core) stopIdleTimer() { c.srv.eng.Cancel(c.idleEv) }
+// stopIdleTimer cancels the pending C-state promotion, if any.
+func (c *Core) stopIdleTimer() {
+	if c.kind == evIdle {
+		c.srv.farm.eng.Cancel(c.ev)
+		c.forget()
+	}
+}
 
 // park forces the core into C6 without timers (used when the whole
 // server enters a system sleep state).

@@ -37,7 +37,7 @@ func TestIntensityWithDVFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done []simtime.Time
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { done = append(done, eng.Now()) })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { done = append(done, eng.Now()) })
 
 	jc := job.New(1, 0)
 	compute := jc.AddTask(11 * simtime.Millisecond)
@@ -73,8 +73,8 @@ func TestIntensityWithDVFS(t *testing.T) {
 func TestMultipleTaskDoneSubscribers(t *testing.T) {
 	eng, s := newTestServer(t, nil)
 	var order []string
-	s.OnTaskDone(func(*Server, *job.Task) { order = append(order, "first") })
-	s.OnTaskDone(func(*Server, *job.Task) { order = append(order, "second") })
+	s.Farm().OnTaskDone(func(*Server, *job.Task) { order = append(order, "first") })
+	s.Farm().OnTaskDone(func(*Server, *job.Task) { order = append(order, "second") })
 	submitSingle(eng, s, 1, 0, simtime.Millisecond)
 	eng.Run()
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {

@@ -20,7 +20,7 @@ type DVFSGovernor struct {
 	UpThreshold   float64
 	DownThreshold float64
 
-	busy     *stats.TimeWeighted
+	busy     stats.TimeWeighted
 	lastInt  float64
 	lastEval simtime.Time
 	running  bool
@@ -35,7 +35,6 @@ func NewDVFSGovernor(srv *Server) *DVFSGovernor {
 		Interval:      10 * simtime.Millisecond,
 		UpThreshold:   0.80,
 		DownThreshold: 0.40,
-		busy:          stats.NewTimeWeighted("dvfs-busy"),
 	}
 	return g
 }
@@ -50,13 +49,13 @@ func (g *DVFSGovernor) Start() {
 	g.srv.onBusyChange = func(now simtime.Time, busy int) {
 		g.busy.Set(now, float64(busy))
 	}
-	g.busy.Set(g.srv.eng.Now(), float64(g.srv.BusyCores()))
-	g.lastEval = g.srv.eng.Now()
-	g.srv.eng.Every(g.lastEval+g.Interval, g.Interval, simtime.Forever, g.tick)
+	g.busy.Set(g.srv.farm.eng.Now(), float64(g.srv.BusyCores()))
+	g.lastEval = g.srv.farm.eng.Now()
+	g.srv.farm.eng.Every(g.lastEval+g.Interval, g.Interval, simtime.Forever, g.tick)
 }
 
 func (g *DVFSGovernor) tick() {
-	now := g.srv.eng.Now()
+	now := g.srv.farm.eng.Now()
 	integral := g.busy.IntegralTo(now)
 	window := (now - g.lastEval).Seconds()
 	util := 0.0
@@ -70,7 +69,7 @@ func (g *DVFSGovernor) tick() {
 	switch {
 	case util > g.UpThreshold && p > 0:
 		_ = g.srv.SetPState(p - 1)
-	case util < g.DownThreshold && p < len(g.srv.prof.PStates)-1:
+	case util < g.DownThreshold && p < len(g.srv.cfg.Profile.PStates)-1:
 		_ = g.srv.SetPState(p + 1)
 	}
 }

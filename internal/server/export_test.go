@@ -12,7 +12,7 @@ import (
 // desync the invariant checker's queue-counter law exists to catch.
 // Test-only: the production code has no path that moves the counter
 // independently of the queues.
-func (s *Server) CorruptQueueCounterForTest(d int) { s.queueLen += d }
+func (s *Server) CorruptQueueCounterForTest(d int) { s.queueLen += int32(d) }
 
 // CorruptCoreDrawForTest skews core 0's cached power draw without
 // touching its state — the stale cache the checker's power-cache law
@@ -22,13 +22,10 @@ func (s *Server) CorruptCoreDrawForTest(w float64) { s.cores[0].draw += w }
 // PkgState reports the shallowest package C-state across sockets (PC6
 // only when every socket is parked).
 func (s *Server) PkgState() power.PkgCState {
-	min := s.sockets[0]
-	for _, st := range s.sockets[1:] {
-		if st < min {
-			min = st
-		}
+	if s.parkedSockets == 1<<s.cfg.Profile.SocketCount()-1 {
+		return power.PC6
 	}
-	return min
+	return power.PC0
 }
 
 // ForceSleep immediately starts the suspend transition if the server is
@@ -44,8 +41,13 @@ func (s *Server) ForceSleep() bool {
 	return true
 }
 
-// CoreCompleted reports how many tasks core i has finished.
-func (s *Server) CoreCompleted(i int) int64 { return s.cores[i].completed }
+// CoreWorked reports whether core i has run a task: it is running one,
+// or went idle after one (a core that never ran one has been idle since
+// the farm built it, at time 0).
+func (s *Server) CoreWorked(i int) bool {
+	c := &s.cores[i]
+	return c.busy || c.idleStart > 0
+}
 
 // Power reports the server's current total draw in watts.
 func (s *Server) Power() float64 {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"holdcsim/internal/engine"
+	"holdcsim/internal/job"
+	"holdcsim/internal/modelcov"
 	"holdcsim/internal/power"
 	"holdcsim/internal/simtime"
 )
@@ -16,6 +18,9 @@ import (
 // A farm server in steady-state idle/sleep therefore costs O(1): no queued
 // engine event (its suspend instant is a (deadline, seq) pair in the
 // planner heap), no allocation, and no per-server work in deep scans.
+//
+// What every server of a run shares lives here once: the task-completion
+// subscribers, the coverage map, and one Config per distinct value.
 type Farm struct {
 	eng     *engine.Engine
 	servers []*Server
@@ -25,13 +30,68 @@ type Farm struct {
 
 	planner sleepPlanner
 
+	onTaskDone []func(*Server, *job.Task)
+	cover      *modelcov.Map
+	configs    map[configKey]*Config
+
 	// What is left of the blocks Add carves server records and their
 	// parts from (see carve).
-	srvBlock    []Server
-	coreBlock   []Core
-	socketBlock []power.PkgCState
-	durBlock    []simtime.Time
+	srvBlock  []Server
+	coreBlock []Core
+	durBlock  []simtime.Time
 }
+
+// configKey identifies a Config's value apart from its delay timer,
+// which each server keeps for itself. Core speeds are told apart by
+// their backing array: configs that share one are equal, as a copy is.
+type configKey struct {
+	profile      *power.ServerProfile
+	queueMode    QueueMode
+	coreSpeeds   *float64
+	idleToC1     simtime.Time
+	idleToC3     simtime.Time
+	idleToC6     simtime.Time
+	pkgC6Enabled bool
+	sleepState   power.SState
+}
+
+// share returns the farm's one copy of cfg's value, making it on first
+// use. The copy's delay timer is zero: a server's is its own.
+func (f *Farm) share(cfg *Config) *Config {
+	k := configKey{profile: cfg.Profile, queueMode: cfg.QueueMode,
+		idleToC1: cfg.IdleToC1, idleToC3: cfg.IdleToC3, idleToC6: cfg.IdleToC6,
+		pkgC6Enabled: cfg.PkgC6Enabled, sleepState: cfg.SleepState}
+	if len(cfg.CoreSpeeds) > 0 {
+		k.coreSpeeds = &cfg.CoreSpeeds[0]
+	}
+	if c := f.configs[k]; c != nil {
+		return c
+	}
+	c := new(Config)
+	*c = *cfg
+	c.DelayTimerEnabled, c.DelayTimer = false, 0
+	if f.configs == nil {
+		f.configs = make(map[configKey]*Config)
+	}
+	f.configs[k] = c
+	return c
+}
+
+// OnTaskDone subscribes a completion callback invoked when any task
+// finishes on any of the farm's servers. The scheduler registers first
+// (DAG and job bookkeeping); additional subscribers (traffic hooks,
+// probes) run after it in registration order. The *job.Task is valid
+// until the event that finished it returns; once its whole job is done
+// the simulation may recycle both (see sched.Scheduler.OnJobDone).
+func (f *Farm) OnTaskDone(fn func(*Server, *job.Task)) {
+	f.onTaskDone = append(f.onTaskDone, fn)
+}
+
+// SetCover attaches a model-state coverage map: every residency label
+// change of any of the farm's servers from here on records a transition
+// feature. Pass nil to detach. Coverage recording never alters
+// simulation behavior.
+func (f *Farm) SetCover(m *modelcov.Map) { f.cover = m }
 
 // maxBatch caps how many servers' worth of records one block holds. A
 // new block holds as many as the farm already has, up to this, so a farm

@@ -2,6 +2,8 @@ package server
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"holdcsim/internal/engine"
@@ -343,5 +345,42 @@ func TestSetDelayTimerLazyArm(t *testing.T) {
 	eng.Run()
 	if !s.Asleep() {
 		t.Fatalf("server did not suspend")
+	}
+}
+
+// TestFarmSharesConfigByValue: servers added with equal configs share
+// one copy, whatever the delay timer (each server keeps its own), and
+// a difference in any other field — one added to Config later included
+// — gets a copy of its own.
+func TestFarmSharesConfigByValue(t *testing.T) {
+	farm := NewFarm(engine.New())
+	base := DefaultConfig(power.FourCoreServer())
+	shared := farm.share(&base)
+	v := reflect.ValueOf(&base).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		cfg := base
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint8:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("Config.%s: no test value for a %v", v.Type().Field(i).Name, f.Kind())
+		}
+		name := v.Type().Field(i).Name
+		got := farm.share(&cfg)
+		if delay := strings.HasPrefix(name, "DelayTimer"); delay != (got == shared) {
+			t.Errorf("Config.%s differs: shared copy reused %v, want %v", name, got == shared, delay)
+		}
+		if got.DelayTimerEnabled || got.DelayTimer != 0 {
+			t.Errorf("Config.%s differs: the shared copy carries a delay timer", name)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func faultServer(t *testing.T) (*engine.Engine, *Server) {
 func TestCrashOrphansAndZeroPower(t *testing.T) {
 	eng, srv := faultServer(t)
 	var finished int
-	srv.OnTaskDone(func(*Server, *job.Task) { finished++ })
+	srv.Farm().OnTaskDone(func(*Server, *job.Task) { finished++ })
 	const n = 6 // 4 cores busy + 2 queued
 	for i := 0; i < n; i++ {
 		j := job.Single(job.ID(i), 0, 100*simtime.Millisecond)
@@ -104,7 +104,7 @@ func TestDownResidencyAndEnergyExclusion(t *testing.T) {
 func TestRecoverRestoresService(t *testing.T) {
 	eng, srv := faultServer(t)
 	var finished int
-	srv.OnTaskDone(func(*Server, *job.Task) { finished++ })
+	srv.Farm().OnTaskDone(func(*Server, *job.Task) { finished++ })
 	eng.Schedule(0, func() { srv.Crash() })
 	eng.Schedule(10*simtime.Millisecond, func() { srv.Recover() })
 	j := job.Single(1, 0, 5*simtime.Millisecond)
@@ -173,7 +173,7 @@ func TestAbortRunning(t *testing.T) {
 	}
 	var doneTasks []*job.Task
 	var doneAt simtime.Time
-	srv.OnTaskDone(func(_ *Server, task *job.Task) {
+	srv.Farm().OnTaskDone(func(_ *Server, task *job.Task) {
 		doneTasks = append(doneTasks, task)
 		doneAt = eng.Now()
 	})
@@ -230,7 +230,7 @@ func TestAbortQueuedAndReserved(t *testing.T) {
 	// task reserves the core during its wake; abort it mid-wake.
 	reserved := job.Single(4, 0, simtime.Millisecond).Tasks[0]
 	var completions int
-	srv.OnTaskDone(func(*Server, *job.Task) { completions++ })
+	srv.Farm().OnTaskDone(func(*Server, *job.Task) { completions++ })
 	start := eng.Now() + 10*simtime.Millisecond // past IdleToC6
 	eng.Schedule(start, func() {
 		srv.Submit(reserved)

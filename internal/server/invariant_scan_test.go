@@ -20,9 +20,10 @@ func buildScanRig(t *testing.T) (*engine.Engine, []*server.Server, *workload.Gen
 	t.Helper()
 	const n = 320
 	eng := engine.New()
+	f := server.NewFarm(eng)
 	farm := make([]*server.Server, n)
 	for i := range farm {
-		srv, err := server.New(i, eng, server.DefaultConfig(power.FourCoreServer()))
+		srv, err := f.Add(i, server.DefaultConfig(power.FourCoreServer()))
 		if err != nil {
 			t.Fatal(err)
 		}

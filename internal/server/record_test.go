@@ -24,7 +24,7 @@ func TestQueuePopLeavesNoTask(t *testing.T) {
 		})
 		n := 5 * s.Cores()
 		finished := map[*job.Task]bool{}
-		s.OnTaskDone(func(_ *Server, tk *job.Task) { finished[tk] = true })
+		s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { finished[tk] = true })
 		for round := 0; round < 2; round++ {
 			// Round 0 finds the server awake; it then sleeps, so round 1's
 			// burst queues behind the wake and is drained by finishWake.
@@ -42,9 +42,11 @@ func TestQueuePopLeavesNoTask(t *testing.T) {
 		}
 		queues := [][]*job.Task{s.queue}
 		queued := cap(s.queue)
-		for i := range s.cores {
-			queues = append(queues, s.cores[i].queue)
-			queued += cap(s.cores[i].queue)
+		if s.coreQueues != nil {
+			for _, q := range *s.coreQueues {
+				queues = append(queues, q)
+				queued += cap(q)
+			}
 		}
 		if queued == 0 {
 			t.Fatalf("%v: no queue was ever used", mode)
@@ -125,7 +127,11 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 			for c := range s.cores {
 				want += s.cores[c].watts()
 			}
-			for _, st := range s.sockets {
+			for sk := range prof.SocketCount() {
+				st := power.PC0
+				if s.parked(sk) {
+					st = power.PC6
+				}
 				want += prof.PkgWatts(st)
 			}
 			if got := watts(&s.cpuMeter); got != want {
@@ -169,13 +175,13 @@ func TestFarmBlocksKeepAddresses(t *testing.T) {
 		}
 		for c := 0; c < s.Cores(); c++ {
 			core := &s.cores[c]
-			if core.srv != s || core.id != c || seenCore[core] {
+			if core.srv != s || int(core.id) != c || seenCore[core] {
 				t.Fatalf("server %d core %d is shared or mislabeled", i, c)
 			}
 			seenCore[core] = true
 		}
-		if len(s.sockets) != s.prof.SocketCount() {
-			t.Fatalf("server %d has %d socket states", i, len(s.sockets))
+		if s.parkedSockets>>s.Profile().SocketCount() != 0 {
+			t.Fatalf("server %d parks sockets it does not have: %b", i, s.parkedSockets)
 		}
 	}
 	// A state change on one server shows on no other.

@@ -34,79 +34,70 @@ const (
 // hierarchical power controller. All state changes run on the simulation
 // engine's virtual clock.
 //
-// A server is one flat record: its energy meters and residency tracker
-// are embedded, and its cores, socket states and residency durations
-// are runs of blocks its farm allocates for many servers at once, so a
-// state change touches a few adjacent cache lines and building a farm
-// allocates per block, not per part.
+// A server is one flat record of four cache lines: what recompute and an
+// event's bookkeeping read come first (flags, counters, socket states,
+// P-state, then the meters and the residency tracker), and what only
+// queueing, sleep control and reporting read comes last. Its cores and
+// residency durations are runs of blocks its farm allocates for many
+// servers at once, and its Config is one its farm shares among every
+// server added with the same value, so building a farm allocates per
+// block, not per part, and no server holds a copy of what none varies.
 type Server struct {
-	id   int
-	eng  *engine.Engine
-	cfg  Config
-	prof *power.ServerProfile
+	farm  *Farm
+	cfg   *Config // shared: the delay timer is the server's own, below
+	cores []Core
 
-	cores       []Core
-	queue       []*job.Task // unified local queue
-	busyCores   int
-	wakingCores int // cores with a wake transition in flight
-
-	sstate         power.SState
-	sockets        []power.PkgCState // per-socket package C-state
-	waking         bool              // system-level S3/S5 -> S0 transition in flight
-	entering       bool              // system suspend transition in flight
-	wakeAfterEntry bool              // a wake was requested mid-suspend
-
-	// failed marks a crashed server (fault model): it draws nothing,
-	// accepts no work, and ignores every in-flight transition. epoch
-	// increments on each Crash and Recover; transition completions
-	// scheduled before a crash carry the epoch they were armed under and
-	// become inert when it no longer matches.
-	failed bool
-	epoch  uint32
-
-	// Sleep-state delay bookkeeping. Every server belongs to a farm and
-	// arms its suspend deadline in the farm's shared sleep planner, so an
-	// idle server holds no queued engine event of its own. sleepIdx is
-	// the index of its entry in the planner heap, -1 when unarmed.
-	farm      *Farm
-	sleepIdx  int32
-	pstateIdx int32 // into prof.PStates: DVFS sets all cores alike
-
+	id          int32
+	busyCores   int32
+	wakingCores int32 // cores with a wake transition in flight
 	// queueLen mirrors the queued + reserved task count (the sum QueueLen
 	// used to recompute by walking every core) and is maintained at each
 	// mutation; RecountQueueLen is the walking oracle the invariant
 	// checker compares it against.
-	queueLen int
+	queueLen int32
+	// sleepIdx is the index of the server's entry in its farm's sleep
+	// planner heap, -1 when unarmed: every server arms its suspend
+	// deadline there, so an idle server holds no queued engine event of
+	// its own.
+	sleepIdx  int32
+	wakeCount uint32 // system-level wakes, for diagnostics
+	// parkedSockets has bit k set while socket k is in package C6; a
+	// socket is otherwise in PC0.
+	parkedSockets uint64
+	pstateIdx     uint8 // into the profile's PStates: DVFS sets all cores alike
+	sstate        power.SState
+	// state is the residency state recompute last recorded, an index
+	// into power.ServerStates (-1 before the first), so only actual
+	// changes reach the coverage map.
+	state int8
 
-	// Cached system-transition callbacks: suspend entry and wake each have
-	// at most one completion in flight, so the armed epoch lives in a
-	// field and the closures are allocated once — sleep cycles are
-	// alloc-free.
-	entryCB      func()
-	entryEpoch   uint32
-	sysWakeCB    func()
-	sysWakeEpoch uint32
-
-	onTaskDone []func(*Server, *job.Task)
+	// failed marks a crashed server (fault model): it draws nothing,
+	// accepts no work, and ignores every in-flight transition.
+	failed         bool
+	waking         bool // system-level S3/S5 -> S0 transition in flight
+	entering       bool // system suspend transition in flight
+	wakeAfterEntry bool // a wake was requested mid-suspend
+	delayOn        bool // the delay timer is enabled
 
 	cpuMeter  stats.EnergyMeter
 	dramMeter stats.EnergyMeter
 	platMeter stats.EnergyMeter
 	residency stats.Residency
 
-	// cover, when non-nil, receives residency-transition features; state
-	// is the residency state recompute last recorded (-1 before the
-	// first), so only actual changes are counted.
-	cover *modelcov.Map
-	state int
-
-	completedTasks int64
-	wakeCount      int64 // system-level wakes, for diagnostics
-
 	// onBusyChange, when set, observes busy-core count changes (the
 	// DVFS governor's utilization signal).
 	onBusyChange func(now simtime.Time, busy int)
+
+	queue      []*job.Task    // unified local queue
+	coreQueues *[][]*job.Task // per-core queues (QueuePerCore mode only)
+	delayTimer simtime.Time
+
+	completedTasks int64
 }
+
+// serverStates is the residency label table every server's tracker
+// shares.
+var serverStates = power.ServerStates[:]
 
 // New constructs a standalone server bound to the engine: a farm of
 // one. Servers built in bulk should share a Farm, and with it one
@@ -132,19 +123,20 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	// are anonymous, the engine clock they read never runs backwards.
 	batch := min(max(len(f.servers), 1), maxBatch)
 	s := &carve(&f.srvBlock, 1, batch)[0]
-	s.id, s.eng, s.cfg, s.prof = id, f.eng, cfg, cfg.Profile
-	s.farm, s.sleepIdx = f, -1
-	s.sstate, s.state = power.S0, -1
-	s.sockets = carve(&f.socketBlock, s.prof.SocketCount(), batch)
-	s.residency.Init(power.ServerStates[:], carve(&f.durBlock, len(power.ServerStates), batch))
-	s.cores = carve(&f.coreBlock, s.prof.Cores, batch)
+	s.farm, s.cfg, s.id = f, f.share(&cfg), int32(id)
+	s.delayOn, s.delayTimer = cfg.DelayTimerEnabled, cfg.DelayTimer
+	s.sleepIdx, s.state = -1, -1
+	s.residency.Init(&serverStates, carve(&f.durBlock, len(serverStates), batch))
+	cores := cfg.Profile.Cores
+	s.cores = carve(&f.coreBlock, cores, batch)
+	if cfg.QueueMode == QueuePerCore {
+		q := make([][]*job.Task, cores)
+		s.coreQueues = &q
+	}
 	for i := range s.cores {
 		c := &s.cores[i]
-		c.id, c.srv, c.speed = i, s, 1
-		if cfg.CoreSpeeds != nil {
-			c.speed = cfg.CoreSpeeds[i]
-		}
-		c.finishCB, c.wakeCB, c.idleCB = c.finish, c.wakeDone, c.idleStep
+		c.id, c.srv = uint16(i), s
+		c.cb = c.fire
 		c.refresh()
 	}
 	s.recompute()
@@ -159,7 +151,7 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 // armSleep schedules enterSleep d from now through the farm's shared
 // planner, replacing any pending deadline (Timer.Reset semantics).
 func (s *Server) armSleep(d simtime.Time) {
-	s.farm.planner.arm(s, s.eng.Now()+d)
+	s.farm.planner.arm(s, s.farm.eng.Now()+d)
 }
 
 // disarmSleep cancels any pending suspend. Cheap no-op when nothing is
@@ -171,40 +163,44 @@ func (s *Server) disarmSleep() {
 // queueDelta adjusts the maintained queued+reserved count and the farm's
 // pending aggregates.
 func (s *Server) queueDelta(d int) {
-	s.queueLen += d
+	s.queueLen += int32(d)
 	s.farm.totalPending += int64(d)
 }
 
 // busyDelta adjusts the busy-core count and the farm's pending aggregates
 // (pending = queued + reserved + running).
 func (s *Server) busyDelta(d int) {
-	s.busyCores += d
+	s.busyCores += int32(d)
 	s.farm.totalPending += int64(d)
 }
 
 // ID reports the server's identifier.
-func (s *Server) ID() int { return s.id }
+func (s *Server) ID() int { return int(s.id) }
+
+// Farm reports the farm the server belongs to.
+func (s *Server) Farm() *Farm { return s.farm }
 
 // Cores reports the number of cores.
 func (s *Server) Cores() int { return len(s.cores) }
 
 // Profile exposes the server's power profile (read-only; used for
 // physics-bound checks and reporting).
-func (s *Server) Profile() *power.ServerProfile { return s.prof }
-
-// OnTaskDone subscribes a completion callback invoked when any task
-// finishes on this server. The scheduler registers first (DAG and job
-// bookkeeping); additional subscribers (traffic hooks, probes) run after
-// it in registration order. The *job.Task is valid until the event that
-// finished it returns; once its whole job is done the simulation may
-// recycle both (see sched.Scheduler.OnJobDone).
-func (s *Server) OnTaskDone(fn func(*Server, *job.Task)) {
-	s.onTaskDone = append(s.onTaskDone, fn)
-}
+func (s *Server) Profile() *power.ServerProfile { return s.cfg.Profile }
 
 // socketOf reports which socket a core belongs to.
 func (s *Server) socketOf(coreID int) int {
-	return coreID / s.prof.CoresPerSocket()
+	return coreID / s.cfg.Profile.CoresPerSocket()
+}
+
+// parked reports whether socket sk is in package C6.
+func (s *Server) parked(sk int) bool { return s.parkedSockets&(1<<sk) != 0 }
+
+// setAllSocketsParked puts every socket in PC6 (parked) or PC0.
+func (s *Server) setAllSocketsParked(parked bool) {
+	s.parkedSockets = 0
+	if parked {
+		s.parkedSockets = 1<<s.cfg.Profile.SocketCount() - 1
+	}
 }
 
 // Asleep reports whether the server is in (or suspending into) a system
@@ -214,12 +210,12 @@ func (s *Server) Asleep() bool {
 }
 
 // BusyCores reports the number of cores currently executing tasks.
-func (s *Server) BusyCores() int { return s.busyCores }
+func (s *Server) BusyCores() int { return int(s.busyCores) }
 
 // QueueLen reports tasks buffered locally (all queues plus wake
 // reservations, excluding running tasks). O(1): the count is maintained
 // at every queue mutation rather than recomputed by walking cores.
-func (s *Server) QueueLen() int { return s.queueLen }
+func (s *Server) QueueLen() int { return int(s.queueLen) }
 
 // RecountQueueLen recomputes the buffered-task count from first
 // principles by walking every queue — the invariant checker's oracle for
@@ -228,8 +224,10 @@ func (s *Server) RecountQueueLen() int {
 	n := len(s.queue)
 	for i := range s.cores {
 		c := &s.cores[i]
-		n += len(c.queue)
-		if c.reserved != nil {
+		if s.coreQueues != nil {
+			n += len((*s.coreQueues)[i])
+		}
+		if c.reserved() != nil {
 			n++
 		}
 	}
@@ -250,19 +248,19 @@ func (s *Server) PowerCacheStale() bool {
 			waking++
 		}
 	}
-	return waking != s.wakingCores
+	return waking != int(s.wakingCores)
 }
 
 // PendingTasks reports the server's total in-flight load: queued,
 // reserved and running tasks. Global schedulers use this as the load
 // signal (Sec. IV-C's "pending jobs per server").
-func (s *Server) PendingTasks() int { return s.QueueLen() + s.busyCores }
+func (s *Server) PendingTasks() int { return s.QueueLen() + int(s.busyCores) }
 
 // CompletedTasks reports the number of tasks finished on this server.
 func (s *Server) CompletedTasks() int64 { return s.completedTasks }
 
 // WakeCount reports how many system-level wake transitions occurred.
-func (s *Server) WakeCount() int64 { return s.wakeCount }
+func (s *Server) WakeCount() int64 { return int64(s.wakeCount) }
 
 // Failed reports whether the server is crashed (fault model).
 func (s *Server) Failed() bool { return s.failed }
@@ -274,48 +272,52 @@ func (s *Server) Failed() bool { return s.failed }
 // order (per-core running, then reserved, then per-core queues, then the
 // unified queue) so the global scheduler can apply its drop/requeue
 // policy. Crashing a failed server is a no-op returning nil.
+//
+// A wake or suspend in flight is not canceled: its event stays queued
+// and fires as a no-op, because its core has stopped waiting for it.
 func (s *Server) Crash() []*job.Task {
 	if s.failed {
 		return nil
 	}
 	s.failed = true
-	s.epoch++
 	s.disarmSleep()
 	var orphans []*job.Task
 	for i := range s.cores {
-		if c := &s.cores[i]; c.task != nil {
-			s.eng.Cancel(c.finishEv)
-			c.finishEv = engine.Handle{}
+		if c := &s.cores[i]; c.busy {
+			s.farm.eng.Cancel(c.ev)
+			c.forget()
 			orphans = append(orphans, c.task)
 			c.task = nil
 			c.busy = false
 		}
 	}
 	for i := range s.cores {
-		if c := &s.cores[i]; c.reserved != nil {
-			orphans = append(orphans, c.reserved)
-			c.reserved = nil
+		if t := s.cores[i].reserved(); t != nil {
+			orphans = append(orphans, t)
+			s.cores[i].task = nil
 		}
 	}
 	for i := range s.cores {
 		c := &s.cores[i]
-		orphans = append(orphans, c.queue...)
-		c.queue = nil
-		c.waking = false
+		if s.coreQueues != nil {
+			q := &(*s.coreQueues)[i]
+			orphans = append(orphans, *q...)
+			*q = nil
+		}
+		c.waking, c.wakePkg = false, false
 		c.stopIdleTimer()
+		c.forget() // a voided wake, or core 0's voided suspend or wake
 		c.cstate = power.C6
 		c.refresh()
 	}
 	s.wakingCores = 0
 	orphans = append(orphans, s.queue...)
 	s.queue = nil
-	s.queueDelta(-s.queueLen)
-	s.busyDelta(-s.busyCores)
+	s.queueDelta(-int(s.queueLen))
+	s.busyDelta(-int(s.busyCores))
 	s.waking, s.entering, s.wakeAfterEntry = false, false, false
 	s.sstate = power.S0 // irrelevant while failed; Recover rebuilds
-	for sk := range s.sockets {
-		s.sockets[sk] = power.PC6
-	}
+	s.setAllSocketsParked(true)
 	s.recompute()
 	return orphans
 }
@@ -328,11 +330,8 @@ func (s *Server) Recover() {
 		return
 	}
 	s.failed = false
-	s.epoch++
 	s.sstate = power.S0
-	for sk := range s.sockets {
-		s.sockets[sk] = power.PC0
-	}
+	s.setAllSocketsParked(false)
 	for i := range s.cores {
 		s.cores[i].becomeIdle()
 	}
@@ -352,22 +351,26 @@ func (s *Server) Abort(t *job.Task) bool {
 	}
 	for ci := range s.cores {
 		c := &s.cores[ci]
-		if i := slices.Index(c.queue, t); i >= 0 {
-			c.queue = slices.Delete(c.queue, i, i+1)
-			s.queueDelta(-1)
-			return true
+		if s.coreQueues != nil {
+			q := &(*s.coreQueues)[ci]
+			if i := slices.Index(*q, t); i >= 0 {
+				*q = slices.Delete(*q, i, i+1)
+				s.queueDelta(-1)
+				return true
+			}
 		}
-		if c.reserved == t {
+		if c.task != t {
+			continue
+		}
+		if c.waking {
 			// The core's wake is committed; it finds no reservation when
 			// the transition completes and simply goes idle.
-			c.reserved = nil
+			c.task = nil
 			s.queueDelta(-1)
 			return true
 		}
-		if c.task == t {
-			c.abortRun()
-			return true
-		}
+		c.abortRun()
+		return true
 	}
 	return false
 }
@@ -380,7 +383,7 @@ func (s *Server) Submit(t *job.Task) {
 		panic("server: Submit to a failed server")
 	}
 	t.State = job.TaskQueued
-	t.ServerID = s.id
+	t.ServerID = int(s.id)
 	s.disarmSleep()
 	if s.entering {
 		// Suspend is committed; the wake starts when it completes.
@@ -407,17 +410,18 @@ func (s *Server) dispatch(t *job.Task) {
 	case QueuePerCore:
 		// Shortest-queue assignment at arrival; capability-aware
 		// tie-break prefers faster cores.
+		queues := *s.coreQueues
 		best := -1
 		bestLoad := 0
 		for i := range s.cores {
 			c := &s.cores[i]
-			load := len(c.queue)
-			if c.busy || c.waking || c.reserved != nil {
+			load := len(queues[i])
+			if c.busy || c.waking {
 				load++
 			}
 			if best == -1 || load < bestLoad ||
-				(load == bestLoad && c.speed > s.cores[best].speed) {
-				best = c.id
+				(load == bestLoad && c.speed() > s.cores[best].speed()) {
+				best = i
 				bestLoad = load
 			}
 		}
@@ -425,15 +429,14 @@ func (s *Server) dispatch(t *job.Task) {
 		if c.available() {
 			c.assign(t)
 		} else {
-			c.queue = append(c.queue, t)
+			queues[best] = append(queues[best], t)
 			s.queueDelta(1)
 		}
 	default: // QueueUnified
 		if c := s.pickIdleCore(); c != nil {
 			c.assign(t)
 		} else {
-			s.queue = append(s.queue, t)
-			s.queueDelta(1)
+			s.enqueue(t)
 		}
 	}
 }
@@ -452,8 +455,8 @@ func (s *Server) pickIdleCore() *Core {
 			best = c
 			continue
 		}
-		if c.speed != best.speed {
-			if c.speed > best.speed {
+		if sp, bsp := c.speed(), best.speed(); sp != bsp {
+			if sp > bsp {
 				best = c
 			}
 			continue
@@ -468,7 +471,9 @@ func (s *Server) pickIdleCore() *Core {
 	return best
 }
 
-// enqueue buffers a task while the server is asleep or waking.
+// enqueue appends a task to the unified queue: every task while the
+// server is asleep or waking, and in unified mode any that finds no
+// free core.
 func (s *Server) enqueue(t *job.Task) {
 	s.queue = append(s.queue, t)
 	s.queueDelta(1)
@@ -486,7 +491,7 @@ func (s *Server) coreFinished(c *Core, t *job.Task) {
 		c.becomeIdle()
 		s.checkServerIdle()
 	}
-	for _, fn := range s.onTaskDone {
+	for _, fn := range s.farm.onTaskDone {
 		fn(s, t)
 	}
 }
@@ -494,8 +499,8 @@ func (s *Server) coreFinished(c *Core, t *job.Task) {
 // nextFor pops the next task for core c per the queue mode.
 func (s *Server) nextFor(c *Core) *job.Task {
 	q := &s.queue
-	if s.cfg.QueueMode == QueuePerCore {
-		q = &c.queue
+	if s.coreQueues != nil {
+		q = &(*s.coreQueues)[c.id]
 	}
 	if len(*q) == 0 {
 		return nil
@@ -513,7 +518,7 @@ func (s *Server) nextFor(c *Core) *job.Task {
 // checkServerIdle arms the delay timer when the server has gone
 // completely idle (Sec. IV-B).
 func (s *Server) checkServerIdle() {
-	if !s.cfg.DelayTimerEnabled || s.failed {
+	if !s.delayOn || s.failed {
 		return
 	}
 	if s.sstate != power.S0 || s.waking || s.entering {
@@ -522,7 +527,7 @@ func (s *Server) checkServerIdle() {
 	if s.busyCores > 0 || s.queueLen > 0 {
 		return
 	}
-	s.armSleep(s.cfg.DelayTimer)
+	s.armSleep(s.delayTimer)
 }
 
 // maybePkgC6 parks any socket whose cores have all reached C6.
@@ -530,9 +535,10 @@ func (s *Server) maybePkgC6() {
 	if !s.cfg.PkgC6Enabled || s.sstate != power.S0 || s.entering || s.failed {
 		return
 	}
-	perSocket := s.prof.CoresPerSocket()
-	for sk := range s.sockets {
-		if s.sockets[sk] == power.PC6 {
+	prof := s.cfg.Profile
+	perSocket := prof.CoresPerSocket()
+	for sk := range prof.SocketCount() {
+		if s.parked(sk) {
 			continue
 		}
 		parked := true
@@ -543,24 +549,25 @@ func (s *Server) maybePkgC6() {
 			}
 		}
 		if parked {
-			s.setSocketState(sk, power.PC6)
+			s.setSocketParked(sk, true)
 		}
 	}
 }
 
-// setSocketState transitions one socket's package C-state.
-func (s *Server) setSocketState(sk int, ps power.PkgCState) {
-	if s.sockets[sk] == ps {
+// setSocketParked moves one socket between PC0 and package C6.
+func (s *Server) setSocketParked(sk int, parked bool) {
+	if s.parked(sk) == parked {
 		return
 	}
-	s.sockets[sk] = ps
+	s.parkedSockets ^= 1 << sk
 	s.recompute()
 }
 
 // enterSleep starts the suspend transition into the configured sleep
 // state. The server must be idle; stale timer fires are ignored
 // otherwise. The suspend is committed: a task arriving mid-entry waits
-// until entry completes and the wake path runs.
+// until entry completes and the wake path runs. Its completion is core
+// 0's event: every core is parked until the wake completes.
 func (s *Server) enterSleep() {
 	if s.failed || s.sstate != power.S0 || s.waking || s.entering ||
 		s.busyCores > 0 || s.queueLen > 0 {
@@ -570,22 +577,13 @@ func (s *Server) enterSleep() {
 	for i := range s.cores {
 		s.cores[i].park()
 	}
-	for sk := range s.sockets {
-		s.sockets[sk] = power.PC6
-	}
+	s.setAllSocketsParked(true)
 	s.recompute()
-	s.entryEpoch = s.epoch
-	if s.entryCB == nil {
-		s.entryCB = s.sleepEntryDone
-	}
-	s.eng.After(s.prof.SleepEntry.Latency, s.entryCB)
+	s.cores[0].after(s.cfg.Profile.SleepEntry.Latency, evSysEntry)
 }
 
 // sleepEntryDone completes the suspend transition.
 func (s *Server) sleepEntryDone() {
-	if s.epoch != s.entryEpoch {
-		return // the server crashed mid-suspend; the transition is void
-	}
 	s.entering = false
 	s.sstate = s.cfg.SleepState
 	s.recompute()
@@ -615,31 +613,19 @@ func (s *Server) WakeUp() bool {
 }
 
 // beginWake starts the S3/S5 -> S0 transition if not already in flight.
+// Its completion is core 0's event, like the suspend's.
 func (s *Server) beginWake() {
 	if s.waking || s.sstate == power.S0 {
 		return
 	}
 	s.waking = true
 	s.wakeCount++
-	trans := s.prof.WakeS3
+	trans := s.cfg.Profile.WakeS3
 	if s.sstate == power.S5 {
-		trans = s.prof.WakeS5
+		trans = s.cfg.Profile.WakeS5
 	}
 	s.recompute()
-	s.sysWakeEpoch = s.epoch
-	if s.sysWakeCB == nil {
-		s.sysWakeCB = s.sysWakeDone
-	}
-	s.eng.After(trans.Latency, s.sysWakeCB)
-}
-
-// sysWakeDone completes the system wake unless the server crashed while
-// the transition was in flight.
-func (s *Server) sysWakeDone() {
-	if s.epoch != s.sysWakeEpoch {
-		return
-	}
-	s.finishWake()
+	s.cores[0].after(trans.Latency, evSysWake)
 }
 
 // finishWake completes the system wake: package powers up, queued work
@@ -647,9 +633,7 @@ func (s *Server) sysWakeDone() {
 func (s *Server) finishWake() {
 	s.waking = false
 	s.sstate = power.S0
-	for sk := range s.sockets {
-		s.sockets[sk] = power.PC0
-	}
+	s.setAllSocketsParked(false)
 	s.recompute()
 	// Drain the backlog onto available cores. Each dispatch re-counts the
 	// task if it lands back in a queue or reservation — in place: task i
@@ -677,8 +661,7 @@ func (s *Server) finishWake() {
 // delay-timer strategy of Sec. IV-B re-partitions τ values across the
 // farm). Passing enabled=false cancels any armed timer.
 func (s *Server) SetDelayTimer(enabled bool, d simtime.Time) {
-	s.cfg.DelayTimerEnabled = enabled
-	s.cfg.DelayTimer = d
+	s.delayOn, s.delayTimer = enabled, d
 	if !enabled {
 		s.disarmSleep()
 		return
@@ -690,10 +673,10 @@ func (s *Server) SetDelayTimer(enabled bool, d simtime.Time) {
 // running keep their start-time service estimate (the paper models DVFS
 // per dispatch decision, not mid-task re-rating).
 func (s *Server) SetPState(i int) error {
-	if i < 0 || i >= len(s.prof.PStates) {
+	if i < 0 || i >= len(s.cfg.Profile.PStates) {
 		return fmt.Errorf("server %d: P-state %d out of range", s.id, i)
 	}
-	s.pstateIdx = int32(i)
+	s.pstateIdx = uint8(i)
 	for ci := range s.cores {
 		s.cores[ci].refresh()
 	}
@@ -707,7 +690,8 @@ func (s *Server) SetPState(i int) error {
 // the additions a walk over the core states would make, so every total
 // keeps its bits.
 func (s *Server) recompute() {
-	now := s.eng.Now()
+	now := s.farm.eng.Now()
+	prof := s.cfg.Profile
 	var cpu, dram, plat float64
 	var state int
 	switch {
@@ -716,46 +700,47 @@ func (s *Server) recompute() {
 		// Down residency state and excluded from the energy envelope.
 		state = stDown
 	case s.waking, s.entering:
-		plat = s.prof.PlatformS0
-		dram = s.prof.DRAMActive
-		trans := s.prof.WakeS3
+		plat = prof.PlatformS0
+		dram = prof.DRAMActive
+		trans := prof.WakeS3
 		if s.entering {
-			trans = s.prof.SleepEntry
+			trans = prof.SleepEntry
 		} else if s.sstate == power.S5 {
-			trans = s.prof.WakeS5
+			trans = prof.WakeS5
 		}
 		cpu = trans.Watts - plat - dram
-		if min := s.prof.PkgPC0; cpu < min {
+		if min := prof.PkgPC0; cpu < min {
 			cpu = min
 		}
 		state = stWakeUp
 	case s.sstate == power.S3:
-		dram = s.prof.DRAMSelfRefresh
-		plat = s.prof.PlatformS3
+		dram = prof.DRAMSelfRefresh
+		plat = prof.PlatformS3
 		state = stSysSleep
 	case s.sstate == power.S5:
-		plat = s.prof.PlatformS5
+		plat = prof.PlatformS5
 		state = stOff
 	default: // S0
 		for i := range s.cores {
 			cpu += s.cores[i].draw
 		}
-		allParked := true
-		for _, st := range s.sockets {
-			cpu += s.prof.PkgWatts(st)
-			if st != power.PC6 {
-				allParked = false
+		sockets := prof.SocketCount()
+		for sk := range sockets {
+			st := power.PC0
+			if s.parked(sk) {
+				st = power.PC6
 			}
+			cpu += prof.PkgWatts(st)
 		}
-		dram = s.prof.DRAMIdle
-		plat = s.prof.PlatformS0
+		dram = prof.DRAMIdle
+		plat = prof.PlatformS0
 		switch {
 		case s.busyCores > 0:
-			dram = s.prof.DRAMActive
+			dram = prof.DRAMActive
 			state = stActive
 		case s.wakingCores > 0:
 			state = stWakeUp
-		case allParked:
+		case s.parkedSockets == 1<<sockets-1:
 			state = stPkgC6
 		default:
 			state = stIdle
@@ -764,13 +749,13 @@ func (s *Server) recompute() {
 	s.cpuMeter.SetPower(now, cpu)
 	s.dramMeter.SetPower(now, dram)
 	s.platMeter.SetPower(now, plat)
-	if s.cover != nil && state != s.state {
-		s.cover.Hit(modelcov.SrvTransition(s.state, state))
+	if cover := s.farm.cover; cover != nil && state != int(s.state) {
+		cover.Hit(modelcov.SrvTransition(int(s.state), state))
 	}
-	s.state = state
+	s.state = int8(state)
 	s.residency.SetStateID(now, state)
 	if s.onBusyChange != nil {
-		s.onBusyChange(now, s.busyCores)
+		s.onBusyChange(now, int(s.busyCores))
 	}
 }
 
@@ -790,8 +775,3 @@ func (s *Server) EnergyTo(t simtime.Time) float64 {
 
 // Residency exposes the state-residency tracker (Fig. 8).
 func (s *Server) Residency() *stats.Residency { return &s.residency }
-
-// SetCover attaches a model-state coverage map: every residency label
-// change from here on records a transition feature. Pass nil to
-// detach. Coverage recording never alters simulation behavior.
-func (s *Server) SetCover(m *modelcov.Map) { s.cover = m }

@@ -44,7 +44,7 @@ func TestSingleTaskExecution(t *testing.T) {
 	eng, s := newTestServer(t, nil)
 	j := submitSingle(eng, s, 1, 0, 5*simtime.Millisecond)
 	var done []simtime.Time
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { done = append(done, eng.Now()) })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { done = append(done, eng.Now()) })
 	eng.Run()
 	if len(done) != 1 {
 		t.Fatalf("completions = %d", len(done))
@@ -69,7 +69,7 @@ func TestQueueingFIFO(t *testing.T) {
 	eng, s := newTestServer(t, nil)
 	// Saturate all 10 cores plus 3 queued tasks.
 	var order []job.ID
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { order = append(order, tk.Job.ID) })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { order = append(order, tk.Job.ID) })
 	for i := 0; i < 13; i++ {
 		submitSingle(eng, s, job.ID(i), 0, 10*simtime.Millisecond)
 	}
@@ -130,7 +130,7 @@ func TestWakeLatencyFromDeepSleep(t *testing.T) {
 	eng, s := newTestServer(t, nil)
 	prof := power.XeonE5_2680()
 	var doneAt simtime.Time
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
 	// Let cores fall to C6 + PkgC6, then submit.
 	submitSingle(eng, s, 1, 10*simtime.Millisecond, 5*simtime.Millisecond)
 	eng.Run()
@@ -196,7 +196,7 @@ func TestSleepWakeRoundTrip(t *testing.T) {
 	})
 	prof := power.XeonE5_2680()
 	var doneAt simtime.Time
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
 	// Suspend starts at 10ms (3s entry). The 1s arrival lands mid-entry:
 	// it must wait for entry to finish, then the full resume.
 	submitSingle(eng, s, 1, simtime.Second, 5*simtime.Millisecond)
@@ -316,7 +316,7 @@ func TestPerCoreQueueMode(t *testing.T) {
 		c.QueueMode = QueuePerCore
 	})
 	count := 0
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { count++ })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { count++ })
 	// 25 tasks over 10 cores: at least one core gets 3.
 	for i := 0; i < 25; i++ {
 		submitSingle(eng, s, job.ID(i), 0, 10*simtime.Millisecond)
@@ -340,7 +340,7 @@ func TestHeterogeneousCores(t *testing.T) {
 		c.CoreSpeeds = speeds
 	})
 	var doneAt simtime.Time
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
 	// Single task must land on the fast core and take size/2 (plus the
 	// C1 exit the zero-delay governor already applied).
 	submitSingle(eng, s, 1, 0, 10*simtime.Millisecond)
@@ -349,7 +349,7 @@ func TestHeterogeneousCores(t *testing.T) {
 	if doneAt != want {
 		t.Errorf("finished at %v, want %v on the 2x core", doneAt, want)
 	}
-	if s.cores[0].completed != 1 {
+	if s.cores[0].idleStart != doneAt {
 		t.Error("fast core did not serve the task")
 	}
 }
@@ -360,7 +360,7 @@ func TestDVFSSlowdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneAt simtime.Time
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { doneAt = eng.Now() })
 	submitSingle(eng, s, 1, 0, 11*simtime.Millisecond)
 	eng.Run()
 	want := simtime.FromSeconds(0.011/0.55) + power.XeonE5_2680().WakeC1.Latency
@@ -460,7 +460,7 @@ func TestSubmitWhileWakingQueues(t *testing.T) {
 		c.DelayTimer = 10 * simtime.Millisecond
 	})
 	count := 0
-	s.OnTaskDone(func(_ *Server, tk *job.Task) { count++ })
+	s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { count++ })
 	// Suspend entry starts at 10ms (3s). Two arrivals 1ms apart land
 	// mid-entry; both ride the single coalesced wake.
 	submitSingle(eng, s, 1, simtime.Second, 5*simtime.Millisecond)
@@ -541,7 +541,7 @@ func TestTaskConservationProperty(t *testing.T) {
 			return false
 		}
 		completions := make(map[job.ID]int)
-		s.OnTaskDone(func(_ *Server, tk *job.Task) { completions[tk.Job.ID]++ })
+		s.Farm().OnTaskDone(func(_ *Server, tk *job.Task) { completions[tk.Job.ID]++ })
 		// Pseudo-random arrivals from the seed.
 		x := seed
 		at := simtime.Time(0)

@@ -56,12 +56,11 @@ func TestSocketsParkIndependently(t *testing.T) {
 	}
 	eng.Schedule(0, park)
 	eng.RunUntil(95 * simtime.Millisecond)
-	states := s.sockets
-	if states[1] != power.PC6 {
-		t.Errorf("idle socket 1 = %v, want PC6", states[1])
+	if !s.parked(1) {
+		t.Error("idle socket 1 is not in PC6")
 	}
-	if states[0] != power.PC0 {
-		t.Errorf("busy socket 0 = %v, want PC0", states[0])
+	if s.parked(0) {
+		t.Error("busy socket 0 is not in PC0")
 	}
 	// Server-level PkgState is the shallowest.
 	if s.PkgState() != power.PC0 {
@@ -138,5 +137,33 @@ func TestDVFSGovernorDoubleStartSafe(t *testing.T) {
 	// ladder depth regardless; just ensure no panic and sane state.
 	if g.srv.pstateIdx < 0 || int(g.srv.pstateIdx) >= len(power.XeonE5_2680().PStates) {
 		t.Errorf("P-state index out of range: %d", g.srv.pstateIdx)
+	}
+}
+
+// TestSixtyFourSocketsPark: a socket's package state is one bit of a
+// word, and the widest profile Validate admits fills it. Idle, every
+// socket parks and the server reads PkgC6; one task wakes exactly its
+// core's socket.
+func TestSixtyFourSocketsPark(t *testing.T) {
+	prof := power.XeonE5_2680()
+	prof.Cores, prof.Sockets = 64, 64
+	eng := engine.New()
+	s, err := New(0, eng, DefaultConfig(prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(10 * simtime.Millisecond)
+	if s.PkgState() != power.PC6 || power.ServerStates[s.state] != power.StatePkgC6 {
+		t.Fatalf("idle 64-socket server: package %v, state %s", s.PkgState(), power.ServerStates[s.state])
+	}
+	s.Submit(job.Single(1, eng.Now(), simtime.Millisecond).Tasks[0])
+	parked := 0
+	for sk := range 64 {
+		if s.parked(sk) {
+			parked++
+		}
+	}
+	if parked != 63 || s.PkgState() != power.PC0 {
+		t.Errorf("after one submit: %d of 64 sockets parked, package %v; want 63 and PC0", parked, s.PkgState())
 	}
 }

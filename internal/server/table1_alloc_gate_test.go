@@ -59,7 +59,7 @@ func TestTableISteadyStateZeroAlloc(t *testing.T) {
 	dc.Eng.RunUntil(800 * simtime.Millisecond)
 	for _, srv := range dc.Servers {
 		for i := 0; i < srv.Cores(); i++ {
-			if srv.CoreCompleted(i) == 0 {
+			if !srv.CoreWorked(i) {
 				t.Fatalf("warm-up left server %d core %d unused", srv.ID(), i)
 			}
 		}

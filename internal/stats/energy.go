@@ -10,14 +10,10 @@ import (
 // energy (joules). Each modeled component — core, package/uncore, DRAM,
 // platform, switch chassis, line card, port — owns one meter; the paper's
 // Figs. 5, 6, 9 and 11a aggregate them. The zero value is an anonymous
-// meter ready to use, so an owner with several meters embeds them.
+// meter drawing 0 W, ready to use, so an owner with several meters
+// embeds them.
 type EnergyMeter struct {
 	tw TimeWeighted
-}
-
-// NewEnergyMeter returns a meter; integration starts at the first SetPower.
-func NewEnergyMeter(name string) *EnergyMeter {
-	return &EnergyMeter{tw: TimeWeighted{name: name}}
 }
 
 // SetPower records the instantaneous draw w (watts) starting at time t.

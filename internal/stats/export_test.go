@@ -12,13 +12,16 @@ func (r *Residency) State() string {
 	if !r.started {
 		return ""
 	}
-	return r.labels[r.state]
+	return (*r.labels)[r.state]
 }
 
 // States reports all observed state names, sorted.
 func (r *Residency) States() []string {
-	out := make([]string, 0, len(r.labels))
-	for id, label := range r.labels {
+	if r.labels == nil {
+		return nil
+	}
+	out := make([]string, 0, len(*r.labels))
+	for id, label := range *r.labels {
 		if r.observed(id) {
 			out = append(out, label)
 		}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 
 	"holdcsim/internal/simtime"
@@ -15,15 +16,18 @@ import (
 // table across many trackers (Init) and drives them by index
 // (SetStateID) — no map, no string compare. The zero value is an idle,
 // anonymous tracker, ready to embed.
+//
+// A tracker keeps no name, no start time and no open-interval sum: every
+// instant from the first SetState to lastT is closed into exactly one
+// state's duration, so the start is lastT less their sum (integer
+// nanoseconds, exact), and a re-entry leaves the open interval running.
 type Residency struct {
-	name    string
-	labels  []string       // id -> label, in interning (or Init table) order
+	labels  *[]string      // id -> label, in interning (or Init table) order
 	dur     []simtime.Time // id -> closed time; unobserved until first left
-	state   int            // current id, once started
-	lastT   simtime.Time
-	t0      simtime.Time
-	cur     simtime.Time // accumulated time in state not yet flushed to dur
+	lastT   simtime.Time   // when state was entered
+	state   int32          // current id, once started
 	started bool
+	shared  bool // labels is an Init table: intern copies it first
 }
 
 // unobserved marks a state never left. Results report a state once it
@@ -32,16 +36,15 @@ type Residency struct {
 const unobserved = simtime.Time(-1)
 
 // NewResidency returns an idle tracker; tracking starts at the first
-// SetState call.
-func NewResidency(name string) *Residency {
-	return &Residency{name: name}
-}
+// SetState call. The name is for the caller's reading only: a tracker
+// does not keep it.
+func NewResidency(string) *Residency { return new(Residency) }
 
-// Init binds an idle tracker to a fixed label table, never written, and
-// to dur, the caller's storage for one duration per label.
-func (r *Residency) Init(labels []string, dur []simtime.Time) {
-	n := len(labels)
-	r.labels, r.dur = labels[:n:n], dur[:n:n]
+// Init binds an idle tracker to a fixed label table, shared and never
+// written, and to dur, the caller's storage for one duration per label.
+func (r *Residency) Init(labels *[]string, dur []simtime.Time) {
+	n := len(*labels)
+	r.labels, r.dur, r.shared = labels, dur[:n:n], true
 	for i := range r.dur {
 		r.dur[i] = unobserved
 	}
@@ -57,44 +60,58 @@ func (r *Residency) SetState(t simtime.Time, state string) {
 	r.SetStateID(t, id)
 }
 
-// intern gives a new label the next id. Init clips its slices, so these
-// appends copy rather than grow a shared table or block in place.
+// intern gives a new label the next id, in a table of the tracker's
+// own: a shared table is copied first, and Init clips dur, so these
+// appends never write a shared table or block.
 func (r *Residency) intern(label string) int {
-	r.labels = append(r.labels, label)
+	if r.labels == nil || r.shared {
+		var own []string
+		if r.labels != nil {
+			own = slices.Clone(*r.labels)
+		}
+		r.labels, r.shared = &own, false
+	}
+	*r.labels = append(*r.labels, label)
 	r.dur = append(r.dur, unobserved)
-	return len(r.labels) - 1
+	return len(*r.labels) - 1
 }
 
 // SetStateID is SetState by label-table index.
 func (r *Residency) SetStateID(t simtime.Time, id int) {
 	if !r.started {
 		r.started = true
-		r.t0 = t
 		r.lastT = t
-		r.state = id
+		r.state = int32(id)
 		return
 	}
 	if t < r.lastT {
-		panic("stats: Residency time went backwards in " + r.name)
+		panic("stats: Residency time went backwards")
 	}
-	if id == r.state {
-		// Re-entering the current state needs no table write: the open
-		// interval accumulates in cur and flushes on the next change.
-		// (Simulated time is integer nanoseconds, so splitting the sum
-		// is exact.)
-		r.cur += t - r.lastT
-		r.lastT = t
+	if id == int(r.state) {
+		// Re-entering the current state writes nothing: the open
+		// interval runs on from lastT.
 		return
 	}
-	r.dur[r.state] = max(r.dur[r.state], 0) + r.cur + (t - r.lastT)
-	r.cur = 0
+	r.dur[r.state] = max(r.dur[r.state], 0) + (t - r.lastT)
 	r.lastT = t
-	r.state = id
+	r.state = int32(id)
+}
+
+// start reports when tracking began: lastT less the closed durations.
+func (r *Residency) start() simtime.Time {
+	t0 := r.lastT
+	for _, d := range r.dur {
+		t0 -= max(d, 0)
+	}
+	return t0
 }
 
 // lookup reports the id of label, or -1 if it was never interned.
 func (r *Residency) lookup(label string) int {
-	for i, l := range r.labels {
+	if r.labels == nil {
+		return -1
+	}
+	for i, l := range *r.labels {
 		if l == label {
 			return i
 		}
@@ -105,7 +122,7 @@ func (r *Residency) lookup(label string) int {
 // observed reports whether id is a key of the results: left at least
 // once, or current.
 func (r *Residency) observed(id int) bool {
-	return r.dur[id] >= 0 || (r.started && id == r.state)
+	return r.dur[id] >= 0 || (r.started && id == int(r.state))
 }
 
 // DurationTo reports total time spent in state up to t (including the
@@ -116,8 +133,7 @@ func (r *Residency) DurationTo(state string, t simtime.Time) simtime.Time {
 		return 0
 	}
 	d := max(r.dur[id], 0)
-	if r.started && r.state == id {
-		d += r.cur
+	if r.started && int(r.state) == id {
 		if t > r.lastT {
 			d += t - r.lastT
 		}
@@ -152,11 +168,11 @@ func (r *Residency) AddFractionsTo(t simtime.Time, into map[string]float64) {
 	if !r.started {
 		return
 	}
-	total := (t - r.t0).Seconds()
+	total := (t - r.start()).Seconds()
 	if total <= 0 {
 		return
 	}
-	for id, label := range r.labels {
+	for id, label := range *r.labels {
 		if r.observed(id) {
 			into[label] += r.DurationTo(label, t).Seconds() / total
 		}

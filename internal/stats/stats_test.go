@@ -114,8 +114,8 @@ func TestPercentileProperty(t *testing.T) {
 }
 
 func TestTimeWeighted(t *testing.T) {
-	w := NewTimeWeighted("load")
-	w.Start(0, 2)
+	var w TimeWeighted
+	w.Set(0, 2)
 	w.Set(10*simtime.Second, 4)
 	w.Set(20*simtime.Second, 0)
 	// integral to 30s: 2*10 + 4*10 + 0*10 = 60
@@ -125,8 +125,8 @@ func TestTimeWeighted(t *testing.T) {
 }
 
 func TestTimeWeightedAdjustAndFirstSet(t *testing.T) {
-	w := NewTimeWeighted("n")
-	w.Set(5*simtime.Second, 1) // first Set acts as Start
+	var w TimeWeighted
+	w.Set(5*simtime.Second, 1) // the signal was 0 until now
 	w.Set(10*simtime.Second, 3)
 	w.Set(15*simtime.Second, 0)
 	if w.value != 0 {
@@ -139,8 +139,8 @@ func TestTimeWeightedAdjustAndFirstSet(t *testing.T) {
 }
 
 func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	w := NewTimeWeighted("bad")
-	w.Start(10, 1)
+	var w TimeWeighted
+	w.Set(10, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("backwards Set did not panic")
@@ -244,7 +244,7 @@ func TestResidencyFractionSumProperty(t *testing.T) {
 }
 
 func TestEnergyMeter(t *testing.T) {
-	m := NewEnergyMeter("cpu")
+	var m EnergyMeter
 	m.SetPower(0, 100)
 	m.SetPower(10*simtime.Second, 50)
 	if got := m.EnergyTo(20 * simtime.Second); math.Abs(got-1500) > 1e-9 {
@@ -283,7 +283,7 @@ func TestCompareSeries(t *testing.T) {
 // Property: EnergyMeter integral of constant power p over t seconds is p*t.
 func TestEnergyMeterLinearityProperty(t *testing.T) {
 	f := func(p uint16, secs uint8) bool {
-		m := NewEnergyMeter("p")
+		var m EnergyMeter
 		m.SetPower(0, float64(p))
 		end := simtime.Time(secs) * simtime.Second
 		got := m.EnergyTo(end)

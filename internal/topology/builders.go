@@ -26,6 +26,12 @@ type Topology interface {
 // mistyped shape parameter asks for terabytes.
 const MaxNodes = 1 << 22
 
+// MaxLinks caps the links one topology may declare. Every family but
+// the flattened butterfly keeps its links within three times its hosts
+// or switches; a flattened butterfly's grow with its routers times its
+// row and column length.
+const MaxLinks = 4 * MaxNodes
+
 // product multiplies shape factors, saturating at MaxNodes+1 so no
 // shape parameter can wrap an int on the way to the cap. A factor below
 // one (a shape Check rejects) makes it zero.
@@ -356,7 +362,21 @@ func (f FlattenedButterfly) Check() error {
 	if f.Rows < 1 || f.Cols < 1 || f.Concentration < 1 {
 		return fmt.Errorf("topology: flattened butterfly needs positive dims")
 	}
-	return checkSize(f, f.NumHosts(), product(f.Rows, f.Cols))
+	routers := product(f.Rows, f.Cols)
+	if err := checkSize(f, f.NumHosts(), routers); err != nil {
+		return err
+	}
+	// Every router links to all others in its row and its column, so
+	// the links grow with routers times the row and column length, which
+	// the node caps do not bound. Rows and Cols are at most MaxNodes
+	// here, so none of these products overflows.
+	degree := f.Concentration + f.Rows + f.Cols - 2
+	links := f.NumHosts() + routers*(f.Rows+f.Cols-2)/2
+	if degree > MaxNodes || links > MaxLinks {
+		return fmt.Errorf("topology: %s needs %d links and %d ports a router, over the caps of %d and %d",
+			f.Name(), links, degree, MaxLinks, MaxNodes)
+	}
+	return nil
 }
 
 // Build implements Topology.
