@@ -11,12 +11,10 @@ import (
 type evKind uint8
 
 const (
-	evNone     evKind = iota
-	evFinish          // the running task's completion
-	evWake            // the core's C-state exit
-	evIdle            // the governor's next C-state promotion
-	evSysEntry        // core 0 only: the server's suspend completes
-	evSysWake         // core 0 only: the server's wake completes
+	evNone   evKind = iota
+	evFinish        // the running task's completion
+	evWake          // the core's C-state exit
+	evIdle          // the governor's next C-state promotion
 )
 
 // Core is one processing unit: it serves one task at a time (Sec. III).
@@ -27,11 +25,12 @@ const (
 //
 // A core is one cache line. It has one callback, bound when the farm
 // builds it, and one live event at a time, named by ev and kind: a
-// completion, a wake or an idle promotion never overlap. Core 0 also
-// carries its server's suspend and wake completions, which run only
-// while every core is parked. An event the core stopped waiting for — a
-// wake or a suspend the server's crash voided — still fires, and fire
-// tells it apart by its handle (engine.Firing).
+// completion, a wake or an idle promotion never overlap. Core 0's
+// callback also runs its server's suspend and wake completions, named by
+// the server's own handle (sysEv): a core can still be waking, or arm
+// an idle promotion, while its server suspends. An event nothing waits
+// for any more — a wake or a suspend the server's crash voided — still
+// fires, and fire tells it apart by its handle (engine.Firing).
 type Core struct {
 	srv  *Server
 	cb   func() // c.fire, bound once
@@ -53,26 +52,26 @@ type Core struct {
 	wakePkg bool // the wake in flight also exits package C6
 }
 
-// fire runs the event the core's handle names; any other is one the
-// core stopped waiting for, and does nothing.
+// fire runs the event the core's handle names, or on core 0 the one
+// its server's handle names; any other is one nothing waits for any
+// more, and does nothing.
 func (c *Core) fire() {
 	s := c.srv
-	if s.farm.eng.Firing() != c.ev {
-		return
-	}
-	k := c.kind
-	c.kind = evNone
-	switch k {
-	case evFinish:
-		c.finish()
-	case evWake:
-		c.wakeDone()
-	case evIdle:
-		c.idleStep()
-	case evSysEntry:
-		s.sleepEntryDone()
-	case evSysWake:
-		s.finishWake()
+	switch f := s.farm.eng.Firing(); {
+	case f == c.ev:
+		k := c.kind
+		c.kind = evNone
+		switch k {
+		case evFinish:
+			c.finish()
+		case evWake:
+			c.wakeDone()
+		case evIdle:
+			c.idleStep()
+		}
+	case c.id == 0 && f == s.sysEv:
+		s.sysEv = engine.Handle{}
+		s.sysDone()
 	}
 }
 

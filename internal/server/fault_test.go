@@ -5,6 +5,7 @@ import (
 
 	"holdcsim/internal/engine"
 	"holdcsim/internal/job"
+	"holdcsim/internal/modelcov"
 	"holdcsim/internal/power"
 	"holdcsim/internal/simtime"
 )
@@ -123,8 +124,9 @@ func TestRecoverRestoresService(t *testing.T) {
 }
 
 // TestCrashVoidsInFlightTransitions: a crash during a suspend (or the
-// subsequent wake) leaves no stale transition behind — the epoch guard
-// makes the pending completion inert, and a recover rebuilds a clean S0.
+// subsequent wake) leaves no stale transition behind — the crash drops
+// the completion's handle, so it fires inert, and a recover rebuilds a
+// clean S0.
 func TestCrashVoidsInFlightTransitions(t *testing.T) {
 	eng := engine.New()
 	cfg := DefaultConfig(power.FourCoreServer())
@@ -249,4 +251,99 @@ func TestAbortQueuedAndReserved(t *testing.T) {
 		t.Errorf("core stuck after aborted reservation: busy=%d pending=%d",
 			srv.BusyCores(), srv.PendingTasks())
 	}
+}
+
+// TestVoidedSuspendStaysVoidAfterRearm: a suspend voided by a crash does
+// nothing when it fires, even after the recovered server has started a
+// new suspend. The server enters S3 once, when the new suspend
+// completes, and never sleeps while it runs a task.
+func TestVoidedSuspendStaysVoidAfterRearm(t *testing.T) {
+	eng, srv := faultServer(t)
+	var cover modelcov.Map
+	srv.Farm().SetCover(&cover)
+	var finished int
+	srv.Farm().OnTaskDone(func(*Server, *job.Task) { finished++ })
+	ms := simtime.Millisecond
+	// Suspends take 2.5 s and wakes 0.4 s: the voided suspend would
+	// complete at 3.5 s, and a wake the task starts then would put it on
+	// a core before the new suspend completes at 4 s.
+	eng.Schedule(1000*ms, func() {
+		if !srv.ForceSleep() {
+			t.Fatal("first suspend not started")
+		}
+	})
+	eng.Schedule(1100*ms, func() { srv.Crash() })
+	eng.Schedule(1200*ms, func() { srv.Recover() })
+	eng.Schedule(1500*ms, func() {
+		if !srv.ForceSleep() {
+			t.Fatal("second suspend not started")
+		}
+	})
+	task := job.Single(1, 0, simtime.Second).Tasks[0]
+	eng.Schedule(3510*ms, func() {
+		if srv.sstate != power.S0 || !srv.entering {
+			t.Errorf("at 3.51 s: sstate %v entering %v, want S0 mid-suspend: the voided suspend completed",
+				srv.sstate, srv.entering)
+		}
+		srv.Submit(task)
+	})
+	for _, at := range []simtime.Time{3950 * ms, 4100 * ms, 4500 * ms, 5000 * ms} {
+		eng.Schedule(at, func() {
+			if srv.sstate != power.S0 && srv.BusyCores() > 0 {
+				t.Errorf("at %v: in %v with %d busy cores", at, srv.sstate, srv.BusyCores())
+			}
+		})
+	}
+	eng.RunUntil(10 * simtime.Second)
+	var entries uint32
+	for from := range modelcov.NumSrvStates {
+		if from != stSysSleep {
+			entries += cover.Count(modelcov.SrvTransition(from, stSysSleep))
+		}
+	}
+	if entries != 1 {
+		t.Errorf("server entered S3 %d times, want 1", entries)
+	}
+	if finished != 1 || srv.WakeCount() != 1 {
+		t.Errorf("finished %d tasks after %d wakes, want 1 and 1", finished, srv.WakeCount())
+	}
+}
+
+// TestWakingCoreOutlivesSuspend: a core whose reservation was aborted
+// mid-wake finishes its wake even if the delay timer suspends the server
+// meanwhile, so after the server wakes again every core serves a task.
+func TestWakingCoreOutlivesSuspend(t *testing.T) {
+	eng, srv := faultServer(t)
+	ms := simtime.Millisecond
+	// By 10 ms every core is in C6 and the package is parked: core 0's
+	// wake takes 700 µs, the 1 µs delay timer expires within it.
+	eng.Schedule(10*ms, func() {
+		task := job.Single(1, 0, ms).Tasks[0]
+		srv.Submit(task)
+		if !srv.cores[0].waking {
+			t.Fatal("core 0 not waking; adjust timing")
+		}
+		srv.Abort(task)
+		srv.SetDelayTimer(true, simtime.Microsecond)
+	})
+	eng.Schedule(11*ms, func() {
+		if !srv.entering {
+			t.Fatal("server not suspending; adjust timing")
+		}
+	})
+	eng.Schedule(3*simtime.Second, func() {
+		if srv.sstate != power.S3 {
+			t.Fatalf("server in %v at 3 s, want S3", srv.sstate)
+		}
+		for i := range 4 {
+			srv.Submit(job.Single(job.ID(10+i), 0, simtime.Second).Tasks[0])
+		}
+	})
+	eng.Schedule(3500*ms, func() {
+		if got := srv.BusyCores(); got != 4 {
+			t.Errorf("%d cores busy with 4 tasks after the wake, want 4 (core 0 waking: %v)",
+				got, srv.cores[0].waking)
+		}
+	})
+	eng.RunUntil(4 * simtime.Second)
 }

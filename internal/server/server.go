@@ -34,8 +34,8 @@ const (
 // hierarchical power controller. All state changes run on the simulation
 // engine's virtual clock.
 //
-// A server is one flat record of four cache lines: what recompute and an
-// event's bookkeeping read come first (flags, counters, socket states,
+// A server is one flat 272-byte record: what recompute and an event's
+// bookkeeping read come first (flags, counters, socket states,
 // P-state, then the meters and the residency tracker), and what only
 // queueing, sleep control and reporting read comes last. Its cores and
 // residency durations are runs of blocks its farm allocates for many
@@ -91,6 +91,9 @@ type Server struct {
 	queue      []*job.Task    // unified local queue
 	coreQueues *[][]*job.Task // per-core queues (QueuePerCore mode only)
 	delayTimer simtime.Time
+	// sysEv names the suspend or wake in flight (entering or waking);
+	// core 0's callback runs it.
+	sysEv engine.Handle
 
 	completedTasks int64
 }
@@ -306,11 +309,12 @@ func (s *Server) Crash() []*job.Task {
 		}
 		c.waking, c.wakePkg = false, false
 		c.stopIdleTimer()
-		c.forget() // a voided wake, or core 0's voided suspend or wake
+		c.forget() // a voided wake
 		c.cstate = power.C6
 		c.refresh()
 	}
 	s.wakingCores = 0
+	s.sysEv = engine.Handle{} // a voided suspend or wake
 	orphans = append(orphans, s.queue...)
 	s.queue = nil
 	s.queueDelta(-int(s.queueLen))
@@ -566,8 +570,7 @@ func (s *Server) setSocketParked(sk int, parked bool) {
 // enterSleep starts the suspend transition into the configured sleep
 // state. The server must be idle; stale timer fires are ignored
 // otherwise. The suspend is committed: a task arriving mid-entry waits
-// until entry completes and the wake path runs. Its completion is core
-// 0's event: every core is parked until the wake completes.
+// until entry completes and the wake path runs.
 func (s *Server) enterSleep() {
 	if s.failed || s.sstate != power.S0 || s.waking || s.entering ||
 		s.busyCores > 0 || s.queueLen > 0 {
@@ -579,7 +582,22 @@ func (s *Server) enterSleep() {
 	}
 	s.setAllSocketsParked(true)
 	s.recompute()
-	s.cores[0].after(s.cfg.Profile.SleepEntry.Latency, evSysEntry)
+	s.sysAfter(s.cfg.Profile.SleepEntry.Latency)
+}
+
+// sysAfter schedules the suspend or wake in flight to complete d from
+// now, on core 0's callback.
+func (s *Server) sysAfter(d simtime.Time) {
+	s.sysEv = s.farm.eng.After(d, s.cores[0].cb)
+}
+
+// sysDone completes the suspend or wake sysEv named.
+func (s *Server) sysDone() {
+	if s.entering {
+		s.sleepEntryDone()
+	} else {
+		s.finishWake()
+	}
 }
 
 // sleepEntryDone completes the suspend transition.
@@ -613,7 +631,6 @@ func (s *Server) WakeUp() bool {
 }
 
 // beginWake starts the S3/S5 -> S0 transition if not already in flight.
-// Its completion is core 0's event, like the suspend's.
 func (s *Server) beginWake() {
 	if s.waking || s.sstate == power.S0 {
 		return
@@ -625,7 +642,7 @@ func (s *Server) beginWake() {
 		trans = s.cfg.Profile.WakeS5
 	}
 	s.recompute()
-	s.cores[0].after(trans.Latency, evSysWake)
+	s.sysAfter(trans.Latency)
 }
 
 // finishWake completes the system wake: package powers up, queued work

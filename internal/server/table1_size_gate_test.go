@@ -15,14 +15,14 @@ import (
 )
 
 // The size contract of a built farm (DESIGN.md Sec. 13.5): a server
-// record is four cache lines, a core one, and a Table I farm leaves at
+// record is 272 bytes, a core one cache line, and a Table I farm leaves at
 // most maxBytesPerServer on the heap per server once built — server and
 // core records, the one callback per core, residency durations, each
 // core's pending idle promotion in the engine and the latency tally's
 // reserve; and building it allocates one object per core, the core's
 // callback, and next to nothing per server.
 const (
-	maxServerSize     = 256
+	maxServerSize     = 272
 	maxCoreSize       = 64
 	maxBytesPerServer = 1100
 )
