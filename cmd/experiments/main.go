@@ -9,14 +9,18 @@
 //
 // Usage:
 //
-//	experiments -exp all              # run everything at paper scale
+//	experiments -exp all              # every table and figure, at paper scale
 //	experiments -exp fig5 -quick      # one experiment, reduced scale
 //	experiments -exp fig11 -out dir   # also write TSV series files
 //	experiments -exp fig5 -workers 1  # serial execution (same bytes)
 //	experiments -exp fig5 -reps 5     # 5 replications with error bars
 //	experiments -exp all -quick -check # verify conservation laws per run
-//	experiments -exp hyperscale       # the 1M-server row (by name only: minutes, several GB)
 //	experiments -exp fig5 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Every experiment is a table or figure of the paper. The million-host
+// row is a scenario file, run by cmd/scenario:
+//
+//	scenario run -workers 1 internal/scenario/testdata/scale/hyperscale-1m.json
 package main
 
 import (
@@ -55,10 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// "all" is the paper's artifacts; anything else runs by name only.
 	var targets []experiments.Experiment
 	for _, e := range experiments.Registry {
-		if e.Name == *exp || (*exp == "all" && e.Paper) {
+		if e.Name == *exp || *exp == "all" {
 			targets = append(targets, e)
 		}
 	}

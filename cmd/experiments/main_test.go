@@ -15,9 +15,6 @@ import (
 // pinned by the golden tests in internal/experiments.
 func TestRunEveryExperimentQuick(t *testing.T) {
 	for _, e := range experiments.Registry {
-		if !e.Paper {
-			continue // hyperscale: TestRunHyperscaleByNameOnly
-		}
 		exp := e.Name
 		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
@@ -42,25 +39,6 @@ func TestRunSingleExperimentQuick(t *testing.T) {
 	got := stdout.String()
 	if !strings.Contains(got, "==== table1 ====") || !strings.Contains(got, "capability") {
 		t.Fatalf("table1 output missing:\n%s", got)
-	}
-}
-
-// The tenth experiment runs by name only: "all" is the nine paper
-// artifacts, so a default invocation never pays for the big farm.
-func TestRunHyperscaleByNameOnly(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-exp", "hyperscale", "-quick", "-check"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	if got := stdout.String(); !strings.Contains(got, "hyperscale: 1024 servers, 5000 jobs") {
-		t.Fatalf("hyperscale summary missing:\n%s", got)
-	}
-	stdout.Reset()
-	if code := run([]string{"-exp", "all", "-quick"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("all: exit %d, stderr: %s", code, stderr.String())
-	}
-	if strings.Contains(stdout.String(), "hyperscale") {
-		t.Fatalf("-exp all ran the hyperscale experiment:\n%s", stdout.String())
 	}
 }
 

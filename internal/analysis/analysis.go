@@ -10,7 +10,7 @@
 // The loader (load.go) is self-contained on the standard library: it
 // shells out to `go list -export` and typechecks with the gc export-data
 // importer, so the check runs offline. There are no suppression
-// comments: the check's one exemption is named in code (exemptFunc).
+// comments and no exemptions.
 package analysis
 
 import (
@@ -24,47 +24,17 @@ type Diagnostic struct {
 	Message string
 }
 
-// modulePrefix is the first-party import-path prefix the contract
-// governs.
-const modulePrefix = "holdcsim/"
-
-// modelPackages are the deterministic-model packages: everything that
-// executes between Build and Collect must replay byte-identically, so
-// the check bans wall clocks, global randomness, environment reads, and
-// unsorted map iteration there. The experiments package is
-// included — it renders the reported artifacts — and so is runner, home
-// of the one exempt clock read.
-var modelPackages = map[string]bool{
-	"engine":      true,
-	"core":        true,
-	"server":      true,
-	"network":     true,
-	"sched":       true,
-	"fault":       true,
-	"topology":    true,
-	"scenario":    true,
-	"invariant":   true,
-	"modelcov":    true,
-	"experiments": true,
-	"job":         true,
-	"workload":    true,
-	"power":       true,
-	"simtime":     true,
-	"stats":       true,
-	"trace":       true,
-	"dist":        true,
-	"rng":         true,
-	"runner":      true,
-	"enum":        true,
-}
+// module is the first-party module path the contract governs.
+const module = "holdcsim"
 
 // isModelPackage reports whether the determinism contract governs the
-// package: holdcsim/internal/<name> for a name in modelPackages, plus
-// every cmd/ binary (their report timing goes through the exemption).
+// package: every first-party package — internal/, cmd/, examples/ and
+// the root facade — but the check's own, which shells out to the go
+// tool.
 func isModelPackage(path string) bool {
-	if rest, ok := strings.CutPrefix(path, modulePrefix+"internal/"); ok {
-		base, _, _ := strings.Cut(rest, "/")
-		return modelPackages[base]
+	const self = module + "/internal/analysis"
+	if path == self || strings.HasPrefix(path, self+"/") {
+		return false
 	}
-	return strings.HasPrefix(path, modulePrefix+"cmd/")
+	return path == module || strings.HasPrefix(path, module+"/")
 }

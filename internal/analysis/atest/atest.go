@@ -2,9 +2,9 @@
 // analysistest role, self-contained on the standard library like the
 // check itself. A fixture is a directory tree under
 // internal/analysis/testdata/<name>/ shaped like a miniature module:
-// packages under internal/... get the real module's import paths, so
-// package-scoped rules (model packages, the runner exemption) apply in
-// fixtures exactly as in the tree.
+// its packages get the real module's import paths, so the check's scope
+// (every package but internal/analysis) applies in fixtures exactly as
+// in the tree.
 //
 // Expected findings are `// want "regexp"` comments on the offending
 // line. Run copies the fixture into a temp module, loads and analyzes

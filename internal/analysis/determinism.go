@@ -9,7 +9,8 @@ import (
 
 // Check enforces the byte-identical-replay contract (DESIGN.md Sec. 3)
 // on pkg if it is a model package: between Build and Collect, the only
-// admissible inputs are the seed and the scenario. It flags
+// admissible inputs are the seed and the scenario, and nothing a run
+// reports depends on the host. It flags
 //
 //   - wall-clock reads: time.Now, time.Since, time.Until;
 //   - the global math/rand and math/rand/v2 streams (top-level package
@@ -19,50 +20,26 @@ import (
 //     slice the same function body sorts afterwards (collectForSort).
 //
 // The banned functions are flagged at every use, so `f := time.Now`
-// counts as a read. Findings inside the exempt function are dropped; an
-// exemption that drops nothing is itself a finding, so it cannot outlive
-// what it excuses.
+// counts as a read. There is no exemption: host time is bench/'s to
+// measure, and bench/ is a module of its own.
 func Check(pkg *Package) []Diagnostic {
-	path := pkg.Types.Path()
-	if !isModelPackage(path) {
+	if !isModelPackage(pkg.Types.Path()) {
 		return nil
 	}
 	c := &checker{pkg: pkg}
 	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			c.exempt = nil
-			if fd, ok := d.(*ast.FuncDecl); ok && path == exemptPkg && fd.Recv == nil && fd.Name.Name == exemptFunc {
-				c.exempt = fd
-			}
-			c.walk(d, nil)
-		}
-	}
-	if path == exemptPkg && c.exempted == 0 {
-		c.report(pkg.Files[0].Name.Pos(), "determinism exemption %s.%s suppresses nothing: "+
-			"the function is gone or reads no clock — update exemptFunc", exemptPkg, exemptFunc)
+		c.walk(f, nil)
 	}
 	return c.diags
 }
 
-// exemptPkg.exemptFunc is the check's one named exemption: the function
-// that reads the wall clock for report timing (runner.StartStopwatch).
-// Every CLI banner and events/s row goes through it, so a clock read
-// anywhere else is a finding.
-const exemptPkg, exemptFunc = modulePrefix + "internal/runner", "StartStopwatch"
-
 // checker is one Check run over one package.
 type checker struct {
-	pkg      *Package
-	exempt   *ast.FuncDecl // the declaration being walked, if it is the exemption
-	exempted int           // findings the exemption dropped
-	diags    []Diagnostic
+	pkg   *Package
+	diags []Diagnostic
 }
 
 func (c *checker) report(pos token.Pos, format string, args ...interface{}) {
-	if c.exempt != nil && c.exempt.Pos() <= pos && pos < c.exempt.End() {
-		c.exempted++
-		return
-	}
 	c.diags = append(c.diags, Diagnostic{Pos: c.pkg.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 

@@ -8,12 +8,16 @@ func TestIsModelPackage(t *testing.T) {
 		want bool
 	}{
 		{"holdcsim/internal/engine", true},
-		{"holdcsim/internal/scenario", true},
-		{"holdcsim/internal/scenario/sub", true}, // scoped by top-level name
-		{"holdcsim/internal/analysis", false},    // the check itself is not a model
-		{"holdcsim/cmd/scenario", true},          // every cmd/ is in scope
-		{"holdcsim", false},
-		{"holdcsim/examples/basic", false},
+		{"holdcsim/internal/scenario/sub", true},
+		{"holdcsim/internal/validate", true},
+		{"holdcsim/internal/runner", true},
+		{"holdcsim/cmd/scenario", true},
+		{"holdcsim/examples/quickstart", true},
+		{"holdcsim", true},                          // the root facade
+		{"holdcsim/internal/analysis", false},       // the check itself
+		{"holdcsim/internal/analysis/atest", false}, // and its harness
+		{"holdcsim/internal/analysisx", true},       // a prefix is not the package
+		{"holdcsimx/internal/engine", false},
 		{"fmt", false},
 		{"golang.org/x/tools/go/ast", false},
 	}

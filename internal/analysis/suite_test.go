@@ -9,10 +9,6 @@ import (
 
 func TestDeterminismFixture(t *testing.T) { atest.Run(t, "determinism") }
 
-// TestStaleExemptionFixture: a runner package whose StartStopwatch reads
-// no clock makes the exemption suppress nothing, which is a finding.
-func TestStaleExemptionFixture(t *testing.T) { atest.Run(t, "stale-exemption") }
-
 // TestLoadRealPackage exercises the go-list-export loader against a real
 // module package end to end.
 func TestLoadRealPackage(t *testing.T) {

@@ -141,8 +141,7 @@ func loadTreeAndBench(t *testing.T) []*analysis.Package {
 }
 
 // TestTreeHasNoFindings is the "zero findings tree-wide" bar as a tier-1
-// test: the determinism check over ./..., failing on any finding (an
-// exemption that suppresses nothing included).
+// test: the determinism check over ./..., failing on any finding.
 func TestTreeHasNoFindings(t *testing.T) {
 	for _, pkg := range loadTree(t) {
 		for _, d := range analysis.Check(pkg) {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"holdcsim/internal/runner"
 )
 
 // column is the index of tb's column name.
@@ -331,10 +334,28 @@ func TestTableICapabilitiesAndScale(t *testing.T) {
 	if r.JobsCompleted == 0 {
 		t.Error("scalability run completed no jobs")
 	}
-	if r.EventsPerSec <= 0 {
-		t.Error("no event throughput measured")
+	// A single-task job is at least an arrival and a completion, and
+	// every event left the queue through a tier the counters see.
+	if r.Events < 2*uint64(r.JobsCompleted) {
+		t.Errorf("%d events for %d jobs", r.Events, r.JobsCompleted)
 	}
-	if r.Summary() == "" {
-		t.Error("empty summary")
+	if c := r.Engine; c.BottomPops == 0 || c.BottomLen < c.BottomPops || c.LanePushes == 0 {
+		t.Errorf("engine counters %+v", c)
+	}
+	if got := r.Summary(); !strings.Contains(got, fmt.Sprintf("%d events", r.Events)) ||
+		!strings.Contains(got, fmt.Sprintf("engine: %d bottom pops", r.Engine.BottomPops)) {
+		t.Errorf("summary does not show the events and counters:\n%s", got)
+	}
+	// The row is one run at the base seed: replications and workers
+	// leave every figure as it is.
+	p := QuickTableI()
+	p.Exec = runner.Options{Workers: 2, Reps: 3}
+	again, err := TableI(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.JobsCompleted != r.JobsCompleted || again.SimSeconds != r.SimSeconds ||
+		again.Events != r.Events || again.Engine != r.Engine {
+		t.Errorf("with 3 replications on 2 workers: %+v, alone: %+v", again, r)
 	}
 }

@@ -30,13 +30,10 @@ type goldenCase struct {
 	run  func(exec runner.Options, check bool, faults *fault.Spec) (string, error)
 }
 
-// goldenCases is the registry's paper experiments.
+// goldenCases is the registry's experiments.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, e := range Registry {
-		if !e.Paper {
-			continue
-		}
 		e := e
 		cases = append(cases, goldenCase{e.Name, func(exec runner.Options, check bool, faults *fault.Spec) (string, error) {
 			rep, err := e.Run(true, exec, check, faults)

@@ -12,17 +12,14 @@ import (
 type Experiment struct {
 	// Name is the -exp value and the golden file's stem.
 	Name string
-	// Paper marks the paper's own tables and figures: "-exp all" runs
-	// them and testdata/golden pins their Quick output. Anything else
-	// runs by name only.
-	Paper bool
 	// Run executes the Default (or Quick) preset under the given
 	// run-control settings.
 	Run func(quick bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error)
 }
 
-// Registry declares every experiment, once. It is sorted by name — the
-// order "-exp all" prints — with the by-name-only entries last.
+// Registry declares every experiment, once: each a table or figure of
+// the paper, its Quick output pinned under testdata/golden. It is sorted
+// by name, the order "-exp all" prints.
 var Registry = []Experiment{
 	paper("fig11", DefaultFig11, QuickFig11, Fig11, (*Fig11Result).report),      // joint server/network optimization (Sec. IV-D)
 	paper("fig12", DefaultFig12, QuickFig12, Fig12, (*Fig12Result).report),      // server power validation vs reference model (Sec. V-A)
@@ -33,21 +30,6 @@ var Registry = []Experiment{
 	paper("fig8", DefaultFig8, QuickFig8, Fig8, (*Fig8Result).report),           // adaptive-pool state residency vs utilization (Sec. IV-C)
 	paper("fig9", DefaultFig9, QuickFig9, Fig9, (*Fig9Result).report),           // per-server energy, timer vs adaptive (Sec. IV-C)
 	paper("table1", DefaultTableI, QuickTableI, TableI, (*TableIResult).report), // capability matrix + >20K-server scalability check
-	// Beyond the paper: the 1M-server row (DESIGN.md Sec. 13) costs
-	// minutes and several GB at full size. It takes no replications
-	// and no faults.
-	{Name: "hyperscale", Run: func(quick bool, _ runner.Options, check bool, _ *fault.Spec) (*Report, error) {
-		p := DefaultHyperscale()
-		if quick {
-			p = QuickHyperscale()
-		}
-		p.Check = check
-		r, err := Hyperscale(p)
-		if err != nil {
-			return nil, err
-		}
-		return &Report{Shown: []Part{{Line: r.Summary()}}}, nil
-	}},
 }
 
 // params is a paper experiment's *Params: a pointer whose embedded
@@ -61,7 +43,7 @@ type params[P any] interface {
 // its entry point and its result's report.
 func paper[P any, PP params[P], R any](name string, def, quick func() P,
 	run func(P) (R, error), report func(R) *Report) Experiment {
-	return Experiment{Name: name, Paper: true,
+	return Experiment{Name: name,
 		Run: func(q bool, exec runner.Options, check bool, faults *fault.Spec) (*Report, error) {
 			p := def()
 			if q {
@@ -82,11 +64,12 @@ func paper[P any, PP params[P], R any](name string, def, quick func() P,
 // and the one the CLI shows. A table in both is the same *Table, so a
 // golden file's table section is what -out writes.
 type Report struct {
-	// Pinned is the determinism contract's part of the output: no
-	// wall-clock figure, byte-identical at any worker count.
+	// Pinned is the golden files' part of the output, byte-identical
+	// at any worker count.
 	Pinned []Part
 	// Shown is what cmd/experiments prints (or, for tables under
-	// -out, writes), in order. It may carry wall-clock figures.
+	// -out, writes), in order. It may carry what no golden pins, such
+	// as a summary line or the engine's counters.
 	Shown []Part
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"holdcsim/internal/core"
+	"holdcsim/internal/engine"
 	"holdcsim/internal/power"
-	"holdcsim/internal/runner"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
 	"holdcsim/internal/workload"
@@ -14,11 +14,9 @@ import (
 // TableI reproduces the paper's capability comparison (Table I). The
 // qualitative rows are the implemented feature matrix; the scalability
 // row ("more than 20K servers") is verified empirically by building and
-// running a >20K-server farm and reporting throughput.
+// running a >20K-server farm once, at the base seed. How fast it runs is
+// bench/'s to measure (its farm-rr workload is this shape).
 type TableIParams struct {
-	// Common's Exec.Workers is forced to 1: the run measures
-	// wall-clock, and concurrent replications would contend for cores
-	// and deflate the reported events/s.
 	Common
 	// ScaleServers is the farm size for the scalability check.
 	ScaleServers int
@@ -36,16 +34,16 @@ func QuickTableI() TableIParams {
 	return TableIParams{Common: Common{Seed: 37}, ScaleServers: 2048, ScaleJobs: 10000}
 }
 
-// TableIResult carries the feature matrix plus the measured scalability
-// figures.
+// TableIResult carries the feature matrix plus the scalability run's
+// figures, every one of them deterministic.
 type TableIResult struct {
 	Features *Table
-	// Scalability measurements.
+	// The scalability run.
 	Servers       int
 	JobsCompleted int64
-	EventsPerSec  float64
-	WallSeconds   float64
 	SimSeconds    float64
+	Events        uint64          // events dispatched
+	Engine        engine.Counters // how they travelled through the queue
 }
 
 // TableI renders the capability matrix and runs the scalability check.
@@ -68,40 +66,18 @@ func TableI(p TableIParams) (*TableIResult, error) {
 		features.Add(row[0], row[1])
 	}
 
-	// Scalability: a >20K-server farm under light Poisson load, run
-	// through the campaign runner; replications mean the throughput
-	// figures over seed variants.
-	exec := p.Exec
-	exec.Workers = 1 // timing runs must not contend with each other
-	rep, err := runner.One(exec, p.Seed, "table1/scale", func(seed uint64) (*TableIResult, error) {
-		return tableIScale(p, seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := rep[0]
-	out.Features = features
-	if p.Exec.RepCount() > 1 {
-		out.EventsPerSec = runner.MeanBy(rep, func(r *TableIResult) float64 { return r.EventsPerSec })
-		out.WallSeconds = runner.MeanBy(rep, func(r *TableIResult) float64 { return r.WallSeconds })
-	}
-	return out, nil
-}
-
-func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
+	// Scalability: a >20K-server farm under light Poisson load.
 	prof := power.FourCoreServer()
-	sc := server.DefaultConfig(prof)
 	cfg := core.Config{
 		Servers:      p.ScaleServers,
-		ServerConfig: sc,
+		ServerConfig: server.DefaultConfig(prof),
 		Placer:       sched.RoundRobin{},
 		Arrivals: workload.Poisson{
 			Rate: workload.UtilizationRate(0.2, p.ScaleServers, prof.Cores, 0.005)},
 		Factory: workload.SingleTask{Service: workload.WebSearchService()},
 		MaxJobs: p.ScaleJobs,
 	}
-	sw := runner.StartStopwatch()
-	dc, err := p.build(seed, cfg)
+	dc, err := p.build(p.Seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -109,28 +85,36 @@ func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wall := sw.Elapsed().Seconds()
-	out := &TableIResult{
+	return &TableIResult{
+		Features:      features,
 		Servers:       p.ScaleServers,
 		JobsCompleted: res.JobsCompleted,
-		WallSeconds:   wall,
 		SimSeconds:    res.End.Seconds(),
-	}
-	if wall > 0 {
-		out.EventsPerSec = float64(dc.Eng.Dispatched) / wall
-	}
-	return out, nil
+		Events:        dc.Eng.Dispatched,
+		Engine:        dc.Eng.Count,
+	}, nil
 }
 
-// Summary renders the scalability verdict.
+// Summary renders the scalability verdict and, on a second line, the
+// engine's tier counters (DESIGN.md Sec. 2): heap pops and the mean heap
+// length at a pop, pushes below lim, rungs, splits, runs, re-buckets,
+// lane pushes and lane claims.
 func (r *TableIResult) Summary() string {
-	return fmt.Sprintf("scalability: %d servers, %d jobs, %.0f events/s, %.2fs wall for %.2fs simulated",
-		r.Servers, r.JobsCompleted, r.EventsPerSec, r.WallSeconds, r.SimSeconds)
+	c := r.Engine
+	meanLen := 0.0
+	if c.BottomPops > 0 {
+		meanLen = float64(c.BottomLen) / float64(c.BottomPops)
+	}
+	return fmt.Sprintf("scalability: %d servers, %d jobs, %d events for %.2fs simulated\n"+
+		"engine: %d bottom pops (mean heap %.1f), %d direct pushes, %d rungs, %d splits, %d runs, %d re-buckets, %d lane pushes, %d lane claims",
+		r.Servers, r.JobsCompleted, r.Events, r.SimSeconds,
+		c.BottomPops, meanLen, c.DirectPushes, c.Rungs, c.Splits, c.Runs, c.Rebuckets,
+		c.LanePushes, c.LaneClaims)
 }
 
-// report pins the deterministic half of the scalability row (jobs and
-// virtual end time); wall-clock and events/s are machine-dependent and
-// only shown.
+// report pins the scalability row's jobs and virtual end time; the
+// event count and the engine counters are only shown, so a change to
+// how the engine queues events moves no golden.
 func (r *TableIResult) report() *Report {
 	features := Part{Name: "table1", Table: r.Features}
 	return &Report{

@@ -176,6 +176,31 @@ func TestCommentedFixture(t *testing.T) {
 	}
 }
 
+// TestHyperscaleFiles: the million-host file, which no test runs, is the
+// 1,024-server fixture, which every test run checks, with only the farm
+// size and the job count changed.
+func TestHyperscaleFiles(t *testing.T) {
+	decode := func(path string) Scenario {
+		data, err := os.ReadFile(filepath.Join("testdata", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return s
+	}
+	small, big := decode("hyperscale-1k.json"), decode(filepath.Join("scale", "hyperscale-1m.json"))
+	if small.Servers != 1024 || small.MaxJobs != 5000 || big.Servers != 1_024_000 || big.MaxJobs != 200_000 {
+		t.Errorf("sizes: %d servers / %d jobs and %d / %d", small.Servers, small.MaxJobs, big.Servers, big.MaxJobs)
+	}
+	small.Servers, small.MaxJobs = big.Servers, big.MaxJobs
+	if small != big {
+		t.Errorf("the files differ beyond size:\n%v\n%v", small, big)
+	}
+}
+
 // TestMatrixFixture: the checked-in matrix fixture expands to the
 // pinned campaign.
 func TestMatrixFixture(t *testing.T) {
@@ -217,7 +242,9 @@ func TestMatrixFixture(t *testing.T) {
 // durationSec or traceSec ran as if unset, a synthetic trace of 1e12 s
 // (wiki) or 1e9 s (nlanr) crashed run sizing its arrivals, and a sparse
 // 1e12 s wiki trace (3.2e6 arrivals) spun run through 1e12 one-second
-// buckets.
+// buckets, an MMPP at ρ 1e-13 spun run in its modulating chain (about
+// 2e9 state flips an arrival) and an NLANR trace at ρ 5e-324 panicked
+// run rescaling it by an infinite factor.
 // Payloads and rates: a negative edgeBytes panicked in the network at
 // run, as did a packet-mode edge of 1e18 bytes (6.7e14 packets, over
 // the network's per-transfer cap); a flow-mode edge of 1e17 bytes
@@ -239,6 +266,8 @@ var hostileFiles = []struct{ name, data, want string }{
 	{"scatter-width-0", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "scatter", "width": 0}}`, "width 0"},
 	{"dag-0x0", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "factory": {"kind": "dag"}}`, "shape 0x0"},
 	{"mmpp-burst-0.5", `{"servers": 4, "arrival": {"kind": "mmpp", "rho": 0.3, "burstRatio": 0.5}, "maxJobs": 10}`, "burst ratio 0.5 < 1"},
+	{"mmpp-rho-1e-13", `{"servers": 8, "arrival": {"kind": "mmpp", "rho": 1e-13, "burstRatio": 4}, "maxJobs": 200}`, "modulating cycles"},
+	{"nlanr-rho-5e-324", `{"servers": 8, "arrival": {"kind": "nlanr", "rho": 5e-324}, "maxJobs": 200}`, "overflows"},
 	{"maxjobs-negative", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": -3, "durationSec": 0.5}`, "negative horizon"},
 	{"duration-negative", `{"servers": 4, "arrival": {"kind": "poisson", "rho": 0.3}, "maxJobs": 10, "durationSec": -2}`, "negative horizon"},
 	{"tracesec-negative", `{"servers": 4, "arrival": {"kind": "wiki", "rho": 0.3, "traceSec": -4}, "maxJobs": 10}`, "negative trace length"},

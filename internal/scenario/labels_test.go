@@ -77,6 +77,9 @@ func TestArrivalProcessErrors(t *testing.T) {
 		{"missing-file", ArrivalSpec{Kind: ArrTraceFile, Rho: 0.3, TraceFile: "testdata/absent.trace"}},
 		{"not-a-trace", ArrivalSpec{Kind: ArrTraceFile, Rho: 0.3, TraceFile: "testdata/commented.json"}},
 		{"mmpp-ratio", ArrivalSpec{Kind: ArrMMPP, Rho: 0.3, BurstRatio: 0.5}},
+		// Validate cannot know a recorded trace's rate; rescaling it to
+		// this one overflows, which panicked in trace.Scale.
+		{"rescale-overflow", ArrivalSpec{Kind: ArrTraceFile, Rho: 5e-324, TraceFile: "testdata/arrivals.trace"}},
 	}
 	for _, tc := range cases {
 		s := base

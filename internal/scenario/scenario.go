@@ -259,11 +259,8 @@ func (a ArrivalSpec) process(rate float64, r *rng.Source) (workload.ArrivalProce
 	case ArrPoisson:
 		return workload.Poisson{Rate: rate}, nil
 	case ArrMMPP:
-		ratio := a.BurstRatio // >= 1: Validate ran first
-		// Burst duty cycle 1/3 (0.5 s bursts, 1 s quiet), mean rate
-		// preserved: rate = λH/3 + 2λL/3 with λH = ratio·λL.
-		lambdaL := 3 * rate / (ratio + 2)
-		proc, err := dist.NewMMPP2(ratio*lambdaL, lambdaL, 0.5, 1.0)
+		lambdaH, lambdaL := a.mmppRates(rate)
+		proc, err := dist.NewMMPP2(lambdaH, lambdaL, mmppBurstSec, mmppQuietSec)
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +272,11 @@ func (a ArrivalSpec) process(rate float64, r *rng.Source) (workload.ArrivalProce
 		tr := trace.SyntheticNLANR(a.traceLen(), nlanrOnRate, nlanrBackground, r.Split("trace/nlanr"))
 		// NLANR synthesis fixes its own burst rates; rescale to the
 		// requested mean rate so utilization stays in range.
-		return replayScaled(tr, rate), nil
+		rep, err := replayScaled(tr, rate)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %s: %w", a, err)
+		}
+		return rep, nil
 	case ArrTraceFile:
 		f, err := os.Open(a.TraceFile)
 		if err != nil {
@@ -309,20 +310,59 @@ func (a ArrivalSpec) process(rate float64, r *rng.Source) (workload.ArrivalProce
 					a.TraceFile, a.ClipFromSec, to)
 			}
 		}
-		return replayScaled(tr, rate), nil
+		rep, err := replayScaled(tr, rate)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: arrival trace %s: %w", a.TraceFile, err)
+		}
+		return rep, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown arrival kind %d", a.Kind)
+}
+
+// The MMPP arrival's modulating chain: bursts of 0.5 s and quiet
+// periods of 1 s on average, a duty cycle of 1/3.
+const mmppBurstSec, mmppQuietSec = 0.5, 1.0
+
+// maxMMPPCyclesPerGap bounds the modulating cycles a quiet-state gap
+// spans on average. dist.MMPP2.Next flips the state through every cycle
+// a gap spans before it returns one arrival, so a quiet rate of far
+// less than one arrival a cycle spins in one call: at ρ 1e-13 on eight
+// servers, about 2e9 flips an arrival.
+const maxMMPPCyclesPerGap = 1e6
+
+// mmppRates splits the mean rate into the MMPP's burst and quiet rates,
+// preserving the mean over the duty cycle: rate = λH/3 + 2λL/3 with
+// λH = BurstRatio·λL.
+func (a ArrivalSpec) mmppRates(rate float64) (lambdaH, lambdaL float64) {
+	lambdaL = 3 * rate / (a.BurstRatio + 2)
+	return a.BurstRatio * lambdaL, lambdaL
 }
 
 // replayScaled rescales a trace whose own mean rate is fixed (recorded
 // files, NLANR synthesis) so it hits the utilization-derived target
 // rate, then wraps it for replay. One rule for every external trace:
 // changing the Rho composition here changes it everywhere.
-func replayScaled(tr *trace.Trace, rate float64) *workload.TraceReplay {
-	if mr := tr.MeanRate(); mr > 0 && rate > 0 {
-		tr.Scale(mr / rate)
+func replayScaled(tr *trace.Trace, rate float64) (*workload.TraceReplay, error) {
+	if mr := tr.MeanRate(); mr > 0 {
+		f, err := rescaleFactor(mr, tr.Duration(), rate)
+		if err != nil {
+			return nil, err
+		}
+		tr.Scale(f)
 	}
-	return workload.NewTraceReplay(tr)
+	return workload.NewTraceReplay(tr), nil
+}
+
+// rescaleFactor is the factor that stretches a trace of mean rate mr
+// spanning span seconds to the target rate. A target so far below the
+// trace's own rate that the factor, or the stretched span, is past
+// float64's range is an error.
+func rescaleFactor(mr, span, rate float64) (float64, error) {
+	f := mr / rate
+	if math.IsInf(f, 0) || math.IsInf(f*span, 0) {
+		return 0, fmt.Errorf("rescaling a trace of %g arrivals/s to %g arrivals/s overflows", mr, rate)
+	}
+	return f, nil
 }
 
 // ---------------------------------------------------------------------
@@ -787,11 +827,27 @@ func (s Scenario) Validate() error {
 	if !(s.Arrival.Rho > 0 && s.Arrival.Rho < 1.5) {
 		return fmt.Errorf("scenario: utilization %g out of range", s.Arrival.Rho)
 	}
-	if s.Arrival.Kind == ArrMMPP && s.Arrival.BurstRatio < 1 {
-		return fmt.Errorf("scenario: MMPP burst ratio %g < 1", s.Arrival.BurstRatio)
+	if s.Arrival.Kind == ArrMMPP {
+		if s.Arrival.BurstRatio < 1 {
+			return fmt.Errorf("scenario: MMPP burst ratio %g < 1", s.Arrival.BurstRatio)
+		}
+		_, lambdaL := s.Arrival.mmppRates(s.arrivalRate())
+		const cycle = mmppBurstSec + mmppQuietSec
+		if gap := 1 / lambdaL; !(gap <= maxMMPPCyclesPerGap*cycle) {
+			return fmt.Errorf("scenario: %s's quiet-state mean gap of %.3g s spans %.3g modulating cycles of %g s, over the bound of %g",
+				s.Arrival, gap, gap/cycle, cycle, maxMMPPCyclesPerGap)
+		}
 	}
 	if s.Arrival.TraceSec < 0 {
 		return fmt.Errorf("scenario: negative trace length %g s", s.Arrival.TraceSec)
+	}
+	if s.Arrival.Kind == ArrTraceNLANR {
+		// A recorded trace's own rate is known only once Config reads
+		// the file; replayScaled reports an overflow there.
+		mr := trace.NLANRMeanRate(nlanrOnRate, nlanrBackground)
+		if _, err := rescaleFactor(mr, s.Arrival.traceLen(), s.arrivalRate()); err != nil {
+			return fmt.Errorf("scenario: %s: %w", s.Arrival, err)
+		}
 	}
 	// The cap trace.Read puts on a recorded trace, checked before the
 	// run synthesizes one.
