@@ -69,40 +69,22 @@ type Topo struct {
 }
 
 // NewTopo projects a topology ScopeMap into server/switch index space.
-// Host index i is server i for i < servers; hosts beyond the server
-// population (unused graph capacity) drop out of every scope.
+// Host index i is server i for i < servers; the rows keep hosts beyond
+// the server population (unused graph capacity), and the injector skips
+// them wherever it applies an outage.
 func NewTopo(sm *topology.ScopeMap, servers, links, switches int) *Topo {
-	clamp := func(hosts []int) []int {
-		var out []int
-		for _, h := range hosts {
-			if h < servers {
-				out = append(out, h)
-			}
-		}
-		return out
-	}
 	t := &Topo{
-		Servers:  servers,
-		Links:    links,
-		Switches: switches,
-		PodOf:    make([]int, servers),
+		Servers:         servers,
+		Links:           links,
+		Switches:        switches,
+		Racks:           sm.RackHosts,
+		RackSwitch:      sm.RackSwitch,
+		Pods:            sm.PodHosts,
+		PodSwitches:     sm.PodSwitches,
+		AttachedServers: sm.AttachedHosts,
+		PodOf:           make([]int, servers),
 	}
-	for r, hs := range sm.RackHosts {
-		t.Racks = append(t.Racks, clamp(hs))
-		t.RackSwitch = append(t.RackSwitch, sm.RackSwitch[r])
-	}
-	for p, hs := range sm.PodHosts {
-		t.Pods = append(t.Pods, clamp(hs))
-		t.PodSwitches = append(t.PodSwitches, sm.PodSwitches[p])
-	}
-	for _, hs := range sm.AttachedHosts {
-		t.AttachedServers = append(t.AttachedServers, clamp(hs))
-	}
-	for i := 0; i < servers; i++ {
-		if i < len(sm.PodOf) {
-			t.PodOf[i] = sm.PodOf[i]
-		}
-	}
+	copy(t.PodOf, sm.PodOf)
 	return t
 }
 

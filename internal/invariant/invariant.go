@@ -582,7 +582,7 @@ func powerCap(srv *server.Server) float64 {
 	}
 	cap := float64(p.Cores)*perCore + float64(p.SocketCount())*p.PkgPC0 +
 		p.DRAMActive + p.PlatformS0
-	for _, t := range [...]float64{p.WakeS3.Watts, p.WakeS5.Watts, p.SleepEntry.Watts} {
+	for _, t := range [...]float64{p.WakeS3.Watts, p.SleepEntry.Watts} {
 		if t+p.DRAMActive+p.PlatformS0+p.PkgPC0 > cap {
 			cap = t + p.DRAMActive + p.PlatformS0 + p.PkgPC0
 		}

@@ -312,7 +312,7 @@ func (n *Network) releaseFlow(f *Flow, failed bool) {
 		// progress and drops the rest.
 		del := f.pktN
 		if failed {
-			del = deliveredBytes / n.cfg.MTUBytes
+			del = deliveredBytes / MTUBytes
 			if del > f.pktN {
 				del = f.pktN
 			}

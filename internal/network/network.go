@@ -21,12 +21,6 @@ type Config struct {
 	// SwitchProfile supplies power figures for every switch.
 	SwitchProfile *power.SwitchProfile
 
-	// MTUBytes is the packet size for packet-level transfers.
-	MTUBytes int64
-	// SwitchLatency is the per-hop forwarding latency inside a switch.
-	SwitchLatency simtime.Time
-	// PropDelay is the per-link propagation delay.
-	PropDelay simtime.Time
 	// PortBufferBytes bounds each egress queue; excess packets drop.
 	PortBufferBytes int64
 	// LPIIdle is the idle time before a port enters Low Power Idle;
@@ -43,14 +37,20 @@ type Config struct {
 	Model NetModel
 }
 
-// DefaultConfig returns sensible defaults: 1500 B MTU, 1 µs switching,
-// 500 ns propagation, 512 KiB buffers, LPI after 50 µs, no switch sleep.
+// The packet model's fixed figures: the size a packet-level transfer is
+// cut into, the per-hop forwarding latency inside a switch and the
+// per-link propagation delay.
+const (
+	MTUBytes      int64 = 1500
+	switchLatency       = simtime.Microsecond
+	propDelay           = 500 * simtime.Nanosecond
+)
+
+// DefaultConfig returns sensible defaults: 512 KiB buffers, LPI after
+// 50 µs, no switch sleep.
 func DefaultConfig(profile *power.SwitchProfile) Config {
 	return Config{
 		SwitchProfile:   profile,
-		MTUBytes:        1500,
-		SwitchLatency:   simtime.Microsecond,
-		PropDelay:       500 * simtime.Nanosecond,
 		PortBufferBytes: 512 * 1024,
 		LPIIdle:         50 * simtime.Microsecond,
 		SwitchSleepIdle: -1,
@@ -175,9 +175,6 @@ func carve[T any](chunk *[]T, n, size int) []T {
 // line cards and ports per its profile; every link end attached to a
 // switch consumes one port.
 func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
-	if cfg.MTUBytes <= 0 {
-		return nil, fmt.Errorf("network: MTU must be positive")
-	}
 	n := &Network{
 		eng:      eng,
 		g:        g,

@@ -173,10 +173,10 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 		n.eng.After(0, x.start)
 		return nil
 	}
-	nPkts := (bytes + n.cfg.MTUBytes - 1) / n.cfg.MTUBytes
+	nPkts := (bytes + MTUBytes - 1) / MTUBytes
 	if nPkts > MaxPacketsPerTransfer {
 		return fmt.Errorf("network: transfer of %d bytes needs %d packets at MTU %d (cap %d)",
-			bytes, nPkts, n.cfg.MTUBytes, MaxPacketsPerTransfer)
+			bytes, nPkts, MTUBytes, MaxPacketsPerTransfer)
 	}
 	if n.cfg.Model == ModelFluid {
 		return n.startFlow(src, dst, bytes, id, done, nPkts)
@@ -218,7 +218,7 @@ func (n *Network) startPktTransfer(x *pktTransfer) {
 	q := links[0].egress(links[0].a == x.src)
 	n.stats.PacketsSent += total
 	for i := int64(0); i < total; i++ {
-		sz := n.cfg.MTUBytes
+		sz := MTUBytes
 		if rem < sz {
 			sz = rem
 		}
@@ -360,7 +360,7 @@ func (q *egressQueue) serialized(n *Network) {
 		return
 	}
 	q.maybeSend(n)
-	n.eng.After(n.cfg.PropDelay, p.arrive)
+	n.eng.After(propDelay, p.arrive)
 }
 
 // dropAll retracts every queued packet (the link went down). In-flight
@@ -406,7 +406,7 @@ func (n *Network) packetArrived(p *packet) {
 	}
 	// Forwarding delay inside the switch (or relay host in server-centric
 	// topologies), then queue at the next egress.
-	n.eng.After(n.cfg.SwitchLatency, p.forward)
+	n.eng.After(switchLatency, p.forward)
 }
 
 // Drops reports total packets dropped — buffer overflows plus

@@ -27,9 +27,8 @@ type ServerProfile struct {
 	CoreC3     float64
 	CoreC6     float64
 
-	// Package/uncore draw by package C-state.
+	// Package/uncore draw: PC0 (package active) and PC6 (power gated).
 	PkgPC0 float64
-	PkgPC2 float64
 	PkgPC6 float64
 
 	// DRAM draw: active (any core busy), idle (S0, no core busy),
@@ -41,7 +40,6 @@ type ServerProfile struct {
 	// Platform draw (fans, PSU overhead, disk, NIC) by system state.
 	PlatformS0 float64
 	PlatformS3 float64
-	PlatformS5 float64
 
 	// Wake transitions (deeper C-state entry is effectively immediate at
 	// this abstraction level, matching the paper's treatment).
@@ -50,7 +48,6 @@ type ServerProfile struct {
 	WakeC6  Transition
 	WakePC6 Transition // package C6 exit, < 1 ms in the paper
 	WakeS3  Transition // suspend-to-RAM resume: seconds at high draw
-	WakeS5  Transition // full boot
 
 	// SleepEntry is the system suspend transition (flush, device
 	// quiesce, context save): seconds at near-idle draw. Entry cost is
@@ -86,7 +83,7 @@ func (p *ServerProfile) Validate() error {
 		p.CoreC1 >= p.CoreC3 && p.CoreC3 >= p.CoreC6 && p.CoreC6 >= 0) {
 		return fmt.Errorf("power: profile %q: core C-state draws not monotone", p.Name)
 	}
-	if !(p.PkgPC0 >= p.PkgPC2 && p.PkgPC2 >= p.PkgPC6 && p.PkgPC6 >= 0) {
+	if !(p.PkgPC0 >= p.PkgPC6 && p.PkgPC6 >= 0) {
 		return fmt.Errorf("power: profile %q: package C-state draws not monotone", p.Name)
 	}
 	if p.WakeS3.Latency < 0 || p.WakeC6.Latency < 0 || p.WakePC6.Latency < 0 ||
@@ -123,19 +120,6 @@ func (p *ServerProfile) CoreWatts(c CState, busy bool, ps PState) float64 {
 	return p.CoreIdle
 }
 
-// PkgWatts reports the package draw in the given package C-state.
-func (p *ServerProfile) PkgWatts(s PkgCState) float64 {
-	switch s {
-	case PC0:
-		return p.PkgPC0
-	case PC2:
-		return p.PkgPC2
-	case PC6:
-		return p.PkgPC6
-	}
-	return p.PkgPC0
-}
-
 // SocketCount reports the number of processor packages (at least 1).
 func (p *ServerProfile) SocketCount() int {
 	if p.Sockets <= 0 {
@@ -165,7 +149,6 @@ func XeonE5_2680() *ServerProfile {
 		CoreC6:     0.05,
 
 		PkgPC0: 5.0,
-		PkgPC2: 2.5,
 		PkgPC6: 0.8,
 
 		DRAMActive:      6.0,
@@ -174,14 +157,12 @@ func XeonE5_2680() *ServerProfile {
 
 		PlatformS0: 65.0,
 		PlatformS3: 2.5,
-		PlatformS5: 0.5,
 
 		WakeC1:  Transition{Latency: 1 * simtime.Microsecond, Watts: 0.7},
 		WakeC3:  Transition{Latency: 50 * simtime.Microsecond, Watts: 1.1},
 		WakeC6:  Transition{Latency: 100 * simtime.Microsecond, Watts: 1.5},
 		WakePC6: Transition{Latency: 600 * simtime.Microsecond, Watts: 4.0},
 		WakeS3:  Transition{Latency: 1500 * simtime.Millisecond, Watts: 120.0},
-		WakeS5:  Transition{Latency: 30 * simtime.Second, Watts: 150.0},
 
 		SleepEntry: Transition{Latency: 3 * simtime.Second, Watts: 95.0},
 
@@ -205,7 +186,6 @@ func FourCoreServer() *ServerProfile {
 	p.CoreC3 = 0.9
 	p.CoreC6 = 0.15
 	p.PkgPC0 = 12.0
-	p.PkgPC2 = 6.0
 	p.PkgPC6 = 2.0
 	p.WakeS3 = Transition{Latency: 400 * simtime.Millisecond, Watts: 110.0}
 	p.SleepEntry = Transition{Latency: 2500 * simtime.Millisecond, Watts: 105.0}
@@ -214,7 +194,7 @@ func FourCoreServer() *ServerProfile {
 
 // DualSocketXeon returns a two-socket, 20-core variant of the Xeon
 // profile (Table I's "multiple sockets" capability): each package has
-// its own PC0/PC2/PC6 state and can sleep independently.
+// its own PC0/PC6 state and can sleep independently.
 func DualSocketXeon() *ServerProfile {
 	p := XeonE5_2680()
 	p.Name = "intel-xeon-e5-2680-2s"

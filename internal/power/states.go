@@ -1,18 +1,17 @@
 // Package power implements HolDCSim's hierarchical ACPI-based power model
-// (paper Secs. III-A, III-F): core C-states, package C-states, system
-// S-states and P-states (DVFS, one per server) for servers, and
-// Active/LPI/Off port states and line-card active, sleep and wake draws
-// for switches, whose ports run at one rate (no adaptive link rate).
+// (paper Secs. III-A, III-F). For servers: core C-states; package
+// C-states PC0 and PC6 per socket (a socket parks in PC6 once every one
+// of its cores is in C6); the system states S0 and S3, suspend-to-RAM,
+// the paper's "system sleep" and the one sleep state its case studies
+// drive; and P-states (DVFS, one per server). For switches:
+// Active/LPI/Off port states and line-card active, sleep and wake draws,
+// with ports at one rate (no adaptive link rate).
 // Profiles carry per-state power draws and transition latencies; the
 // server and switch modules drive the state machines and integrate
 // energy through stats.EnergyMeter.
 package power
 
-import (
-	"fmt"
-
-	"holdcsim/internal/simtime"
-)
+import "holdcsim/internal/simtime"
 
 // CState is a core low-power state. Deeper states save more power but
 // cost more wake latency.
@@ -26,41 +25,6 @@ const (
 	C6               // power gated
 )
 
-// PkgCState is a package (uncore) low-power state.
-type PkgCState uint8
-
-// Package C-states, shallow to deep. The package may enter PC6 only when
-// every core is in C6.
-const (
-	PC0 PkgCState = iota // package active
-	PC2                  // clocks gated
-	PC6                  // package power gated
-)
-
-// SState is an ACPI system sleep state.
-type SState uint8
-
-// System states used by the simulator. S3 is "system sleep"
-// (suspend-to-RAM) in the paper's case studies; S5 is soft-off.
-const (
-	S0 SState = iota // working
-	S3               // suspend to RAM
-	S5               // soft off
-)
-
-// String implements fmt.Stringer.
-func (s SState) String() string {
-	switch s {
-	case S0:
-		return "S0"
-	case S3:
-		return "S3"
-	case S5:
-		return "S5"
-	}
-	return fmt.Sprintf("S(%d)", int(s))
-}
-
 // Server residency states, the paper's Fig. 8 legend, plus StateDown,
 // the fault model's addition: a crashed server draws nothing and is
 // billed to "Down" until it recovers.
@@ -70,7 +34,6 @@ const (
 	StateIdle     = "Idle"
 	StatePkgC6    = "PkgC6"
 	StateSysSleep = "SysSleep"
-	StateOff      = "Off"
 	StateDown     = "Down"
 )
 
@@ -78,7 +41,7 @@ const (
 // order a server tracks its state by and internal/modelcov numbers
 // residency transitions in.
 var ServerStates = [...]string{StateActive, StateWakeUp, StateIdle, StatePkgC6,
-	StateSysSleep, StateOff, StateDown}
+	StateSysSleep, StateDown}
 
 // PState is a DVFS performance state: a frequency/voltage operating
 // point. Speed is the performance ratio relative to nominal (1.0);

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"holdcsim/internal/fault"
+	"holdcsim/internal/network"
 	"holdcsim/internal/sched"
 )
 
@@ -341,6 +342,29 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeMatrix([]byte(`{"base": {}, "axes": {}}`)); err == nil {
 		t.Error("DecodeMatrix accepted a zero-expansion matrix")
+	}
+}
+
+// TestEdgePayloadBoundAtMTU holds Validate's edge-payload bound to the
+// MTU network.TransferPackets cuts a transfer into: the largest payload
+// whose packet count meets network.MaxPacketsPerTransfer validates, one
+// byte more is rejected. Neither is run.
+func TestEdgePayloadBoundAtMTU(t *testing.T) {
+	s, err := Decode([]byte(`{"topology": {"kind": "fattree", "a": 4}, "comm": "packet", "servers": 8, "arrival": {"kind": "poisson", "rho": 0.5}, "maxJobs": 200, "factory": {"kind": "scatter", "width": 2, "edgeBytes": 1024}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := network.MaxPacketsPerTransfer * network.MTUBytes
+	if top != 1_610_612_736_000 {
+		t.Fatalf("bound is %d bytes, want 1,610,612,736,000 (2^30 packets of 1,500 bytes)", top)
+	}
+	s.Factory.EdgeBytes = top
+	if err := s.Validate(); err != nil {
+		t.Errorf("edge payload of %d bytes rejected: %v", top, err)
+	}
+	s.Factory.EdgeBytes = top + 1
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "over the bound of 1073741824") {
+		t.Errorf("edge payload of %d bytes: got %v, want the packet bound", top+1, err)
 	}
 }
 

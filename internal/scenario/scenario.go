@@ -805,7 +805,7 @@ func (s Scenario) Validate() error {
 		// checked before a run reaches it. A flow-mode edge is held to
 		// the same bytes: the network's byte counters sum payloads in
 		// int64, and 1e17-byte flows wrap them.
-		mtu := network.DefaultConfig(nil).MTUBytes
+		const mtu = network.MTUBytes
 		if pkts := s.Factory.EdgeBytes/mtu + min(s.Factory.EdgeBytes%mtu, 1); pkts > network.MaxPacketsPerTransfer {
 			return fmt.Errorf("scenario: edge payload of %d bytes needs %d packets at MTU %d, over the bound of %d",
 				s.Factory.EdgeBytes, pkts, mtu, network.MaxPacketsPerTransfer)

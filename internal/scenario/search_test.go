@@ -133,10 +133,10 @@ func TestSearchFindingsStayFixed(t *testing.T) {
 // by name.
 func canaries() map[string]bool {
 	set := map[string]bool{"net/packet-loopback": true, "place/placer-fallback": true}
-	states := []string{"Active", "Wake-up", "Idle", "PkgC6", "SysSleep", "Off", "Down"}
+	states := []string{"Active", "Wake-up", "Idle", "PkgC6", "SysSleep", "Down"}
 	for _, a := range states {
 		for _, b := range states {
-			if a == b || a == "Off" || b == "Off" || (a == "Down" && b != "Idle") {
+			if a == b || (a == "Down" && b != "Idle") {
 				set["srv/"+a+"->"+b] = true
 			}
 		}

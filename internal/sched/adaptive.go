@@ -22,28 +22,20 @@ type AdaptivePool struct {
 	TWakeup, TSleep float64
 	// Tau is the sleep-pool delay timer before suspend-to-RAM.
 	Tau simtime.Time
-	// MinActive floors the active pool.
-	MinActive int
-	// Dwell rate-limits pool migrations: at most one per Dwell. Without
-	// it the instantaneous load estimator would flip servers between
-	// pools at event rate and they would live in transition states.
-	Dwell simtime.Time
 
 	pool       // the active pool: all servers at Start, then the load estimator sheds
 	lastChange simtime.Time
 	changed    bool
 }
 
-// NewAdaptivePool returns the policy with the given thresholds and a
-// one-second migration dwell.
+// poolDwell rate-limits pool migrations: at most one per dwell. Without
+// it the instantaneous load estimator would flip servers between pools
+// at event rate and they would live in transition states.
+const poolDwell = simtime.Second
+
+// NewAdaptivePool returns the policy with the given thresholds.
 func NewAdaptivePool(tWakeup, tSleep float64, tau simtime.Time) *AdaptivePool {
-	return &AdaptivePool{
-		TWakeup:   tWakeup,
-		TSleep:    tSleep,
-		Tau:       tau,
-		MinActive: 1,
-		Dwell:     simtime.Second,
-	}
+	return &AdaptivePool{TWakeup: tWakeup, TSleep: tSleep, Tau: tau}
 }
 
 // Place implements Placer: least-loaded within the active pool (the
@@ -63,10 +55,10 @@ func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Ser
 func (a *AdaptivePool) Name() string { return "adaptive-pool" }
 
 // Evaluate implements Controller: it applies the threshold policy, at
-// most one migration per Dwell.
+// most one migration per poolDwell.
 func (a *AdaptivePool) Evaluate(s *Scheduler) {
 	now := s.eng.Now()
-	if a.changed && now-a.lastChange < a.Dwell {
+	if a.changed && now-a.lastChange < poolDwell {
 		return
 	}
 	load := s.LoadPerServer(a.n)
@@ -75,7 +67,7 @@ func (a *AdaptivePool) Evaluate(s *Scheduler) {
 		// Promote the sleeping server with the fewest pending tasks: its
 		// controller reverts to shallow-sleep-only and it pre-warms.
 		a.moved(s, a.promote(a.least(s.servers, false)))
-	case load < a.TSleep && a.n > a.MinActive:
+	case load < a.TSleep && a.n > minActive:
 		// Demote the least-loaded active server into the sleep pool.
 		a.moved(s, a.demote(a.least(s.servers, true), a.Tau))
 	}

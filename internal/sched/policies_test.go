@@ -216,7 +216,6 @@ func TestProvisionerSeriesTracking(t *testing.T) {
 func TestAdaptivePoolDwellLimitsChurn(t *testing.T) {
 	eng, servers := testFarm(t, 4, nil)
 	a := NewAdaptivePool(2.0, 1.0, 10*simtime.Millisecond)
-	a.Dwell = simtime.Second
 	s, err := New(eng, servers, Config{Placer: a})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,9 @@ type pool struct {
 	n  int
 }
 
+// minActive floors the pool: neither policy demotes its last member.
+const minActive = 1
+
 // Start implements Starter: every server begins in the pool.
 func (p *pool) Start(s *Scheduler) {
 	p.in = make([]bool, len(s.servers))

@@ -15,8 +15,6 @@ import (
 type Provisioner struct {
 	// MinLoad and MaxLoad bound the jobs-per-active-server band.
 	MinLoad, MaxLoad float64
-	// MinActive floors the active set (at least 1).
-	MinActive int
 
 	// The active set. All servers start in it — and stay powered; the
 	// provisioner itself moves parked servers into low power ("put aside
@@ -27,7 +25,7 @@ type Provisioner struct {
 // NewProvisioner returns a provisioner with the given thresholds. All
 // servers start active, matching the paper's initial condition.
 func NewProvisioner(minLoad, maxLoad float64) *Provisioner {
-	return &Provisioner{MinLoad: minLoad, MaxLoad: maxLoad, MinActive: 1}
+	return &Provisioner{MinLoad: minLoad, MaxLoad: maxLoad}
 }
 
 // Place implements Placer: least-loaded among the active set.
@@ -55,7 +53,7 @@ func (p *Provisioner) Evaluate(s *Scheduler) {
 				break
 			}
 		}
-	case load < p.MinLoad && p.n > p.MinActive:
+	case load < p.MinLoad && p.n > minActive:
 		// Park the active server with the fewest pending tasks: it
 		// finishes its backlog, then the zero-length delay timer drops
 		// it into system sleep.

@@ -239,7 +239,7 @@ func TestProvisionerShedsAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Light trickle: load per server stays near zero -> shed to MinActive.
+	// Light trickle: load per server stays near zero -> shed to minActive.
 	for i := 0; i < 40; i++ {
 		j := singleJob(job.ID(i), simtime.Time(i)*50*simtime.Millisecond, simtime.Millisecond)
 		eng.Schedule(j.ArriveAt, func() { s.JobArrived(j) })
@@ -327,7 +327,7 @@ func TestAdaptivePoolDemotesAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Idle trickle: pool shrinks toward MinActive. Arrivals are spaced
+	// Idle trickle: pool shrinks toward minActive. Arrivals are spaced
 	// wider than the migration dwell so one demotion can fire per job.
 	for i := 0; i < 30; i++ {
 		j := singleJob(job.ID(i), simtime.Time(i)*600*simtime.Millisecond, simtime.Millisecond)

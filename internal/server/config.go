@@ -70,15 +70,11 @@ type Config struct {
 	PkgC6Enabled bool
 
 	// DelayTimerEnabled arms a server-level delay timer: after the
-	// server has been completely idle for DelayTimer, it enters
-	// SleepState (Sec. IV-B). Zero DelayTimer sleeps immediately on
-	// idle.
+	// server has been completely idle for DelayTimer, it suspends to RAM
+	// (S3, the paper's "system sleep"; Sec. IV-B). Zero DelayTimer
+	// sleeps immediately on idle.
 	DelayTimerEnabled bool
 	DelayTimer        simtime.Time
-
-	// SleepState is the target of the delay timer: S3 (suspend-to-RAM,
-	// the paper's "system sleep") or S5 (off). Defaults to S3.
-	SleepState power.SState
 }
 
 // DefaultConfig returns a config with the common idle governor (C1
@@ -92,7 +88,6 @@ func DefaultConfig(profile *power.ServerProfile) Config {
 		IdleToC3:     100 * simtime.Microsecond,
 		IdleToC6:     1 * simtime.Millisecond,
 		PkgC6Enabled: true,
-		SleepState:   power.S3,
 	}
 }
 
@@ -115,9 +110,6 @@ func (c *Config) Validate() error {
 	}
 	if c.DelayTimerEnabled && c.DelayTimer < 0 {
 		return fmt.Errorf("server: negative delay timer %v", c.DelayTimer)
-	}
-	if c.SleepState != power.S3 && c.SleepState != power.S5 && c.SleepState != power.S0 {
-		return fmt.Errorf("server: invalid sleep state %v", c.SleepState)
 	}
 	return nil
 }

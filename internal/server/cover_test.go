@@ -13,7 +13,7 @@ import (
 func TestModelcovKnowsEveryResidencyLabel(t *testing.T) {
 	ids := map[int]string{stActive: power.StateActive, stWakeUp: power.StateWakeUp,
 		stIdle: power.StateIdle, stPkgC6: power.StatePkgC6, stSysSleep: power.StateSysSleep,
-		stOff: power.StateOff, stDown: power.StateDown}
+		stDown: power.StateDown}
 	if len(ids) != modelcov.NumSrvStates {
 		t.Fatalf("server has %d state ids, modelcov expects %d", len(ids), modelcov.NumSrvStates)
 	}

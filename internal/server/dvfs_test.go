@@ -114,8 +114,8 @@ func TestGovernorFullyDisabled(t *testing.T) {
 			t.Errorf("core %d = %v, want C0 forever", i, got)
 		}
 	}
-	if s.PkgState() != power.PC0 {
-		t.Errorf("package = %v, want PC0", s.PkgState())
+	if s.PkgC6() {
+		t.Errorf("package C6 = %v, want PC0", s.PkgC6())
 	}
 	// Idle draw must equal the Active-Idle profile figure.
 	prof := power.XeonE5_2680()

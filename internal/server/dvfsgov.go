@@ -8,17 +8,11 @@ import (
 // DVFSGovernor adjusts a server's P-state at runtime from observed core
 // utilization — the "performance states can be configured to determine
 // the speed of instruction execution at runtime (i.e., DVFS)" knob of
-// paper Sec. III-A, packaged as an ondemand-style controller: utilization
-// above UpThreshold steps the frequency up (lower P-state index), below
-// DownThreshold steps it down.
+// paper Sec. III-A, packaged as an ondemand-style controller: every
+// dvfsInterval, utilization above dvfsUp steps the frequency up (lower
+// P-state index), below dvfsDown steps it down.
 type DVFSGovernor struct {
 	srv *Server
-
-	// Interval between evaluations.
-	Interval simtime.Time
-	// UpThreshold and DownThreshold bound the target utilization band.
-	UpThreshold   float64
-	DownThreshold float64
 
 	busy     stats.TimeWeighted
 	lastInt  float64
@@ -26,17 +20,18 @@ type DVFSGovernor struct {
 	running  bool
 }
 
+// The governor's evaluation period and target utilization band.
+const (
+	dvfsInterval = 10 * simtime.Millisecond
+	dvfsUp       = 0.80
+	dvfsDown     = 0.40
+)
+
 // NewDVFSGovernor attaches an ondemand-style governor to a server with a
 // 10 ms evaluation period and a 40–80% utilization band. Call Start to
 // begin.
 func NewDVFSGovernor(srv *Server) *DVFSGovernor {
-	g := &DVFSGovernor{
-		srv:           srv,
-		Interval:      10 * simtime.Millisecond,
-		UpThreshold:   0.80,
-		DownThreshold: 0.40,
-	}
-	return g
+	return &DVFSGovernor{srv: srv}
 }
 
 // Start begins periodic evaluation. The server starts at its current
@@ -51,7 +46,7 @@ func (g *DVFSGovernor) Start() {
 	}
 	g.busy.Set(g.srv.farm.eng.Now(), float64(g.srv.BusyCores()))
 	g.lastEval = g.srv.farm.eng.Now()
-	g.srv.farm.eng.Every(g.lastEval+g.Interval, g.Interval, simtime.Forever, g.tick)
+	g.srv.farm.eng.Every(g.lastEval+dvfsInterval, dvfsInterval, simtime.Forever, g.tick)
 }
 
 func (g *DVFSGovernor) tick() {
@@ -67,9 +62,9 @@ func (g *DVFSGovernor) tick() {
 
 	p := int(g.srv.pstateIdx)
 	switch {
-	case util > g.UpThreshold && p > 0:
+	case util > dvfsUp && p > 0:
 		_ = g.srv.SetPState(p - 1)
-	case util < g.DownThreshold && p < len(g.srv.cfg.Profile.PStates)-1:
+	case util < dvfsDown && p < len(g.srv.cfg.Profile.PStates)-1:
 		_ = g.srv.SetPState(p + 1)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"reflect"
 
-	"holdcsim/internal/power"
 	"holdcsim/internal/stats"
 )
 
@@ -19,20 +18,17 @@ func (s *Server) CorruptQueueCounterForTest(d int) { s.queueLen += int32(d) }
 // exists to catch.
 func (s *Server) CorruptCoreDrawForTest(w float64) { s.cores[0].draw += w }
 
-// PkgState reports the shallowest package C-state across sockets (PC6
-// only when every socket is parked).
-func (s *Server) PkgState() power.PkgCState {
-	if s.parkedSockets == 1<<s.cfg.Profile.SocketCount()-1 {
-		return power.PC6
-	}
-	return power.PC0
+// PkgC6 reports whether the whole package is in C6: every socket
+// parked.
+func (s *Server) PkgC6() bool {
+	return s.parkedSockets == 1<<s.cfg.Profile.SocketCount()-1
 }
 
 // ForceSleep immediately starts the suspend transition if the server is
 // idle — the state a delay timer reaches on expiry, at an instant the test
 // chooses. It reports whether the transition was initiated.
 func (s *Server) ForceSleep() bool {
-	if s.failed || s.sstate != power.S0 || s.waking || s.entering ||
+	if s.failed || s.suspended || s.waking || s.entering ||
 		s.busyCores > 0 || s.queueLen > 0 {
 		return false
 	}

@@ -52,7 +52,6 @@ type configKey struct {
 	idleToC3     simtime.Time
 	idleToC6     simtime.Time
 	pkgC6Enabled bool
-	sleepState   power.SState
 }
 
 // share returns the farm's one copy of cfg's value, making it on first
@@ -60,7 +59,7 @@ type configKey struct {
 func (f *Farm) share(cfg *Config) *Config {
 	k := configKey{profile: cfg.Profile, queueMode: cfg.QueueMode,
 		idleToC1: cfg.IdleToC1, idleToC3: cfg.IdleToC3, idleToC6: cfg.IdleToC6,
-		pkgC6Enabled: cfg.PkgC6Enabled, sleepState: cfg.SleepState}
+		pkgC6Enabled: cfg.PkgC6Enabled}
 	if len(cfg.CoreSpeeds) > 0 {
 		k.coreSpeeds = &cfg.CoreSpeeds[0]
 	}

@@ -184,7 +184,7 @@ func TestSleepPlannerHoldsOnlyArmed(t *testing.T) {
 			case k < 5:
 				// Arm or re-arm only a server that is fully awake, so a
 				// due deadline must suspend it.
-				if s.sstate != power.S0 || s.entering || s.waking {
+				if s.suspended || s.entering || s.waking {
 					continue
 				}
 				at := eng.Now() + simtime.Time(r.Intn(3))*simtime.Millisecond
@@ -214,7 +214,7 @@ func TestSleepPlannerHoldsOnlyArmed(t *testing.T) {
 					if suspended := s.Asleep() && !was[i]; suspended != due {
 						t.Fatalf("seed %d op %d: at %v server %d suspended %v, due %v", seed, op, next, i, suspended, due)
 					}
-					if s.sstate != power.S0 && !s.entering && !s.waking && r.Intn(2) == 0 {
+					if s.suspended && !s.entering && !s.waking && r.Intn(2) == 0 {
 						s.WakeUp()
 					}
 				}

@@ -118,8 +118,8 @@ func TestRecoverRestoresService(t *testing.T) {
 	if finished != 1 {
 		t.Fatalf("finished = %d, want 1", finished)
 	}
-	if srv.sstate != power.S0 {
-		t.Errorf("system state %v after recovery, want S0", srv.sstate)
+	if srv.suspended {
+		t.Errorf("suspended %v after recovery, want S0", srv.suspended)
 	}
 }
 
@@ -149,9 +149,9 @@ func TestCrashVoidsInFlightTransitions(t *testing.T) {
 	// Probe just after recovery, before the re-armed delay timer can
 	// start a fresh (legitimate) suspend.
 	eng.Schedule(5*simtime.Second+100*simtime.Microsecond, func() {
-		if srv.Failed() || srv.sstate != power.S0 || srv.entering || srv.waking {
-			t.Errorf("stale transition state after crash+recover: failed=%v sstate=%v entering=%v waking=%v",
-				srv.Failed(), srv.sstate, srv.entering, srv.waking)
+		if srv.Failed() || srv.suspended || srv.entering || srv.waking {
+			t.Errorf("stale transition state after crash+recover: failed=%v suspended=%v entering=%v waking=%v",
+				srv.Failed(), srv.suspended, srv.entering, srv.waking)
 		}
 	})
 	eng.Run()
@@ -281,16 +281,16 @@ func TestVoidedSuspendStaysVoidAfterRearm(t *testing.T) {
 	})
 	task := job.Single(1, 0, simtime.Second).Tasks[0]
 	eng.Schedule(3510*ms, func() {
-		if srv.sstate != power.S0 || !srv.entering {
-			t.Errorf("at 3.51 s: sstate %v entering %v, want S0 mid-suspend: the voided suspend completed",
-				srv.sstate, srv.entering)
+		if srv.suspended || !srv.entering {
+			t.Errorf("at 3.51 s: suspended %v entering %v, want S0 mid-suspend: the voided suspend completed",
+				srv.suspended, srv.entering)
 		}
 		srv.Submit(task)
 	})
 	for _, at := range []simtime.Time{3950 * ms, 4100 * ms, 4500 * ms, 5000 * ms} {
 		eng.Schedule(at, func() {
-			if srv.sstate != power.S0 && srv.BusyCores() > 0 {
-				t.Errorf("at %v: in %v with %d busy cores", at, srv.sstate, srv.BusyCores())
+			if srv.suspended && srv.BusyCores() > 0 {
+				t.Errorf("at %v: suspended %v with %d busy cores", at, srv.suspended, srv.BusyCores())
 			}
 		})
 	}
@@ -332,8 +332,8 @@ func TestWakingCoreOutlivesSuspend(t *testing.T) {
 		}
 	})
 	eng.Schedule(3*simtime.Second, func() {
-		if srv.sstate != power.S3 {
-			t.Fatalf("server in %v at 3 s, want S3", srv.sstate)
+		if !srv.suspended {
+			t.Fatalf("server suspended %v at 3 s, want S3", srv.suspended)
 		}
 		for i := range 4 {
 			srv.Submit(job.Single(job.ID(10+i), 0, simtime.Second).Tasks[0])

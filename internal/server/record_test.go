@@ -120,7 +120,7 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 			if s.PowerCacheStale() {
 				t.Fatalf("event %d at %v: server %d power cache is stale", events, eng.Now(), i)
 			}
-			if s.failed || s.waking || s.entering || s.sstate != power.S0 {
+			if s.failed || s.waking || s.entering || s.suspended {
 				continue
 			}
 			want := 0.0
@@ -128,11 +128,11 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 				want += s.cores[c].watts()
 			}
 			for sk := range prof.SocketCount() {
-				st := power.PC0
 				if s.parked(sk) {
-					st = power.PC6
+					want += prof.PkgPC6
+				} else {
+					want += prof.PkgPC0
 				}
-				want += prof.PkgWatts(st)
 			}
 			if got := watts(&s.cpuMeter); got != want {
 				t.Fatalf("event %d at %v: server %d meters %v W of CPU, core states give %v", events, eng.Now(), i, got, want)

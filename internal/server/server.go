@@ -25,7 +25,6 @@ const (
 	stIdle
 	stPkgC6
 	stSysSleep
-	stOff
 	stDown
 )
 
@@ -65,7 +64,7 @@ type Server struct {
 	// socket is otherwise in PC0.
 	parkedSockets uint64
 	pstateIdx     uint8 // into the profile's PStates: DVFS sets all cores alike
-	sstate        power.SState
+	suspended     bool  // in S3, suspend-to-RAM; otherwise in S0
 	// state is the residency state recompute last recorded, an index
 	// into power.ServerStates (-1 before the first), so only actual
 	// changes reach the coverage map.
@@ -74,7 +73,7 @@ type Server struct {
 	// failed marks a crashed server (fault model): it draws nothing,
 	// accepts no work, and ignores every in-flight transition.
 	failed         bool
-	waking         bool // system-level S3/S5 -> S0 transition in flight
+	waking         bool // system-level S3 -> S0 transition in flight
 	entering       bool // system suspend transition in flight
 	wakeAfterEntry bool // a wake was requested mid-suspend
 	delayOn        bool // the delay timer is enabled
@@ -116,9 +115,6 @@ func New(id int, eng *engine.Engine, cfg Config) (*Server, error) {
 func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.SleepState == power.S0 {
-		cfg.SleepState = power.S3
 	}
 	// The record and its parts come zeroed out of the farm's blocks and
 	// are filled in place, field by field: no composite literal is copied
@@ -209,7 +205,7 @@ func (s *Server) setAllSocketsParked(parked bool) {
 // Asleep reports whether the server is in (or suspending into) a system
 // sleep state and not already waking.
 func (s *Server) Asleep() bool {
-	return (s.sstate != power.S0 || s.entering) && !s.waking
+	return (s.suspended || s.entering) && !s.waking
 }
 
 // BusyCores reports the number of cores currently executing tasks.
@@ -320,7 +316,7 @@ func (s *Server) Crash() []*job.Task {
 	s.queueDelta(-int(s.queueLen))
 	s.busyDelta(-int(s.busyCores))
 	s.waking, s.entering, s.wakeAfterEntry = false, false, false
-	s.sstate = power.S0 // irrelevant while failed; Recover rebuilds
+	s.suspended = false // irrelevant while failed; Recover rebuilds
 	s.setAllSocketsParked(true)
 	s.recompute()
 	return orphans
@@ -334,7 +330,7 @@ func (s *Server) Recover() {
 		return
 	}
 	s.failed = false
-	s.sstate = power.S0
+	s.suspended = false
 	s.setAllSocketsParked(false)
 	for i := range s.cores {
 		s.cores[i].becomeIdle()
@@ -395,7 +391,7 @@ func (s *Server) Submit(t *job.Task) {
 		s.wakeAfterEntry = true
 		return
 	}
-	if s.sstate != power.S0 {
+	if s.suspended {
 		s.enqueue(t)
 		s.beginWake()
 		return
@@ -525,7 +521,7 @@ func (s *Server) checkServerIdle() {
 	if !s.delayOn || s.failed {
 		return
 	}
-	if s.sstate != power.S0 || s.waking || s.entering {
+	if s.suspended || s.waking || s.entering {
 		return
 	}
 	if s.busyCores > 0 || s.queueLen > 0 {
@@ -536,7 +532,7 @@ func (s *Server) checkServerIdle() {
 
 // maybePkgC6 parks any socket whose cores have all reached C6.
 func (s *Server) maybePkgC6() {
-	if !s.cfg.PkgC6Enabled || s.sstate != power.S0 || s.entering || s.failed {
+	if !s.cfg.PkgC6Enabled || s.suspended || s.entering || s.failed {
 		return
 	}
 	prof := s.cfg.Profile
@@ -567,12 +563,12 @@ func (s *Server) setSocketParked(sk int, parked bool) {
 	s.recompute()
 }
 
-// enterSleep starts the suspend transition into the configured sleep
-// state. The server must be idle; stale timer fires are ignored
-// otherwise. The suspend is committed: a task arriving mid-entry waits
-// until entry completes and the wake path runs.
+// enterSleep starts the suspend transition into S3. The server must be
+// idle; stale timer fires are ignored otherwise. The suspend is
+// committed: a task arriving mid-entry waits until entry completes and
+// the wake path runs.
 func (s *Server) enterSleep() {
-	if s.failed || s.sstate != power.S0 || s.waking || s.entering ||
+	if s.failed || s.suspended || s.waking || s.entering ||
 		s.busyCores > 0 || s.queueLen > 0 {
 		return
 	}
@@ -603,7 +599,7 @@ func (s *Server) sysDone() {
 // sleepEntryDone completes the suspend transition.
 func (s *Server) sleepEntryDone() {
 	s.entering = false
-	s.sstate = s.cfg.SleepState
+	s.suspended = true
 	s.recompute()
 	if s.wakeAfterEntry || s.queueLen > 0 {
 		s.wakeAfterEntry = false
@@ -623,33 +619,29 @@ func (s *Server) WakeUp() bool {
 		s.wakeAfterEntry = true
 		return true
 	}
-	if s.sstate == power.S0 {
+	if !s.suspended {
 		return false
 	}
 	s.beginWake()
 	return true
 }
 
-// beginWake starts the S3/S5 -> S0 transition if not already in flight.
+// beginWake starts the S3 -> S0 transition if not already in flight.
 func (s *Server) beginWake() {
-	if s.waking || s.sstate == power.S0 {
+	if s.waking || !s.suspended {
 		return
 	}
 	s.waking = true
 	s.wakeCount++
-	trans := s.cfg.Profile.WakeS3
-	if s.sstate == power.S5 {
-		trans = s.cfg.Profile.WakeS5
-	}
 	s.recompute()
-	s.sysAfter(trans.Latency)
+	s.sysAfter(s.cfg.Profile.WakeS3.Latency)
 }
 
 // finishWake completes the system wake: package powers up, queued work
 // is drained onto cores (each paying its core-level C6 exit).
 func (s *Server) finishWake() {
 	s.waking = false
-	s.sstate = power.S0
+	s.suspended = false
 	s.setAllSocketsParked(false)
 	s.recompute()
 	// Drain the backlog onto available cores. Each dispatch re-counts the
@@ -722,32 +714,27 @@ func (s *Server) recompute() {
 		trans := prof.WakeS3
 		if s.entering {
 			trans = prof.SleepEntry
-		} else if s.sstate == power.S5 {
-			trans = prof.WakeS5
 		}
 		cpu = trans.Watts - plat - dram
 		if min := prof.PkgPC0; cpu < min {
 			cpu = min
 		}
 		state = stWakeUp
-	case s.sstate == power.S3:
+	case s.suspended:
 		dram = prof.DRAMSelfRefresh
 		plat = prof.PlatformS3
 		state = stSysSleep
-	case s.sstate == power.S5:
-		plat = prof.PlatformS5
-		state = stOff
 	default: // S0
 		for i := range s.cores {
 			cpu += s.cores[i].draw
 		}
 		sockets := prof.SocketCount()
 		for sk := range sockets {
-			st := power.PC0
 			if s.parked(sk) {
-				st = power.PC6
+				cpu += prof.PkgPC6
+			} else {
+				cpu += prof.PkgPC0
 			}
-			cpu += prof.PkgWatts(st)
 		}
 		dram = prof.DRAMIdle
 		plat = prof.PlatformS0

@@ -121,8 +121,8 @@ func TestIdleGovernorPromotion(t *testing.T) {
 	if got := s.cores[0].cstate; got != power.C6 {
 		t.Errorf("at 2ms: %v, want C6", got)
 	}
-	if s.PkgState() != power.PC6 {
-		t.Errorf("package = %v, want PC6 once all cores are C6", s.PkgState())
+	if !s.PkgC6() {
+		t.Errorf("package C6 = %v, want PC6 once all cores are C6", s.PkgC6())
 	}
 }
 
@@ -147,8 +147,8 @@ func TestDelayTimerEntersSleep(t *testing.T) {
 		c.DelayTimer = 100 * simtime.Millisecond
 	})
 	eng.RunUntil(99 * simtime.Millisecond)
-	if s.sstate != power.S0 || s.entering {
-		t.Errorf("slept before timer expiry: %v", s.sstate)
+	if s.suspended || s.entering {
+		t.Errorf("slept before timer expiry: suspended %v", s.suspended)
 	}
 	// Timer expiry starts the suspend transition (3 s on this profile).
 	eng.RunUntil(101 * simtime.Millisecond)
@@ -159,8 +159,8 @@ func TestDelayTimerEntersSleep(t *testing.T) {
 		t.Error("Asleep() = false during suspend")
 	}
 	eng.RunUntil(3200 * simtime.Millisecond)
-	if s.sstate != power.S3 {
-		t.Errorf("state = %v, want S3 after suspend completes", s.sstate)
+	if !s.suspended {
+		t.Errorf("suspended = %v, want S3 after suspend completes", s.suspended)
 	}
 	if !s.Asleep() {
 		t.Error("Asleep() = false")
@@ -175,7 +175,7 @@ func TestDelayTimerCanceledByArrival(t *testing.T) {
 	// Arrival at 50ms restarts the cycle: busy 10ms, then idle again.
 	submitSingle(eng, s, 1, 50*simtime.Millisecond, 10*simtime.Millisecond)
 	eng.RunUntil(140 * simtime.Millisecond)
-	if s.sstate != power.S0 || s.entering {
+	if s.suspended || s.entering {
 		t.Error("slept too early; timer should restart after the task")
 	}
 	// Idle from ~60ms; suspend starts at ~160ms, S3 after the 3s entry.
@@ -184,8 +184,8 @@ func TestDelayTimerCanceledByArrival(t *testing.T) {
 		t.Error("suspend not started after restarted timer")
 	}
 	eng.RunUntil(4 * simtime.Second)
-	if s.sstate != power.S3 {
-		t.Errorf("state = %v, want S3", s.sstate)
+	if !s.suspended {
+		t.Errorf("suspended = %v, want S3", s.suspended)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestSleepWakeRoundTrip(t *testing.T) {
 	submitSingle(eng, s, 1, simtime.Second, 5*simtime.Millisecond)
 	eng.RunUntil(500 * simtime.Millisecond)
 	if !s.entering {
-		t.Fatalf("not suspending before arrival: %v", s.sstate)
+		t.Fatalf("not suspending before arrival: suspended %v", s.suspended)
 	}
 	eng.Run()
 	// entry completes at 10ms+3s, resume 1.5s, core C6 exit, 5ms task.
@@ -215,8 +215,8 @@ func TestSleepWakeRoundTrip(t *testing.T) {
 		t.Errorf("WakeCount = %d", s.WakeCount())
 	}
 	// With the delay timer still armed, the drained server re-suspends.
-	if s.sstate != power.S3 {
-		t.Errorf("state after drain = %v, want re-slept S3", s.sstate)
+	if !s.suspended {
+		t.Errorf("suspended after drain = %v, want re-slept S3", s.suspended)
 	}
 }
 
@@ -385,8 +385,8 @@ func TestForceSleepAndWakeUp(t *testing.T) {
 		t.Error("double ForceSleep succeeded")
 	}
 	eng.RunUntil(4 * simtime.Second)
-	if s.sstate != power.S3 {
-		t.Fatalf("state = %v, want S3", s.sstate)
+	if !s.suspended {
+		t.Fatalf("suspended = %v, want S3", s.suspended)
 	}
 	if !s.WakeUp() {
 		t.Fatal("WakeUp failed")
@@ -395,8 +395,8 @@ func TestForceSleepAndWakeUp(t *testing.T) {
 		t.Error("not waking after WakeUp")
 	}
 	eng.Run()
-	if s.sstate != power.S0 {
-		t.Errorf("state after wake = %v", s.sstate)
+	if s.suspended {
+		t.Errorf("suspended after wake = %v", s.suspended)
 	}
 	if s.WakeUp() {
 		t.Error("WakeUp on awake server succeeded")
@@ -414,8 +414,8 @@ func TestWakeUpDuringSuspendEntry(t *testing.T) {
 		t.Error("WakeUp during suspend entry rejected")
 	}
 	eng.Run()
-	if s.sstate != power.S0 {
-		t.Errorf("state = %v, want S0 after entry+wake", s.sstate)
+	if s.suspended {
+		t.Errorf("suspended = %v, want S0 after entry+wake", s.suspended)
 	}
 	if s.WakeCount() != 1 {
 		t.Errorf("WakeCount = %d", s.WakeCount())
@@ -441,16 +441,16 @@ func TestSetDelayTimerRuntime(t *testing.T) {
 		t.Error("suspend not started after runtime-enabled timer")
 	}
 	eng.RunUntil(5 * simtime.Second)
-	if s.sstate != power.S3 {
-		t.Errorf("state = %v, want S3", s.sstate)
+	if !s.suspended {
+		t.Errorf("suspended = %v, want S3", s.suspended)
 	}
 	// Wake it and disable before the wake completes: it must stay awake.
 	s.WakeUp()
 	s.SetDelayTimer(false, 0)
 	eng.Run()
 	eng.RunUntil(60 * simtime.Second)
-	if s.sstate != power.S0 {
-		t.Errorf("state = %v, want S0 with timer disabled", s.sstate)
+	if s.suspended {
+		t.Errorf("suspended = %v, want S0 with timer disabled", s.suspended)
 	}
 }
 

@@ -62,9 +62,9 @@ func TestSocketsParkIndependently(t *testing.T) {
 	if s.parked(0) {
 		t.Error("busy socket 0 is not in PC0")
 	}
-	// Server-level PkgState is the shallowest.
-	if s.PkgState() != power.PC0 {
-		t.Errorf("PkgState = %v, want PC0", s.PkgState())
+	// The package is in C6 only when every socket is.
+	if s.PkgC6() {
+		t.Errorf("package C6 = %v, want PC0", s.PkgC6())
 	}
 	eng.Run()
 	// Fully idle: both sockets park, label becomes PkgC6.
@@ -74,8 +74,8 @@ func TestSocketsParkIndependently(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng2.RunUntil(simtime.Second)
-	if s2.PkgState() != power.PC6 {
-		t.Errorf("fully idle dual socket PkgState = %v, want PC6", s2.PkgState())
+	if !s2.PkgC6() {
+		t.Errorf("fully idle dual socket package C6 = %v, want PC6", s2.PkgC6())
 	}
 	if got := power.ServerStates[s2.state]; got != power.StatePkgC6 {
 		t.Errorf("residency label = %q, want PkgC6", got)
@@ -153,8 +153,8 @@ func TestSixtyFourSocketsPark(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(10 * simtime.Millisecond)
-	if s.PkgState() != power.PC6 || power.ServerStates[s.state] != power.StatePkgC6 {
-		t.Fatalf("idle 64-socket server: package %v, state %s", s.PkgState(), power.ServerStates[s.state])
+	if !s.PkgC6() || power.ServerStates[s.state] != power.StatePkgC6 {
+		t.Fatalf("idle 64-socket server: package C6 %v, state %s", s.PkgC6(), power.ServerStates[s.state])
 	}
 	s.Submit(job.Single(1, eng.Now(), simtime.Millisecond).Tasks[0])
 	parked := 0
@@ -163,7 +163,7 @@ func TestSixtyFourSocketsPark(t *testing.T) {
 			parked++
 		}
 	}
-	if parked != 63 || s.PkgState() != power.PC0 {
-		t.Errorf("after one submit: %d of 64 sockets parked, package %v; want 63 and PC0", parked, s.PkgState())
+	if parked != 63 || s.PkgC6() {
+		t.Errorf("after one submit: %d of 64 sockets parked, package C6 %v; want 63 and PC0", parked, s.PkgC6())
 	}
 }
