@@ -35,6 +35,11 @@ type Edge struct {
 	From  *Task
 	To    *Task
 	Bytes int64 // data-transfer size D_l over the link
+
+	// Deliver is the scheduler's callback for the edge's data arriving,
+	// bound once per edge object: Link keeps it when a pooled job reuses
+	// the object, so a recycled edge delivers with no new closure.
+	Deliver func()
 }
 
 // Task is one executable unit of a job. Size is the nominal service time
@@ -210,7 +215,7 @@ func (j *Job) Link(parent, child *Task, bytes int64) *Edge {
 	if e == nil {
 		e = new(Edge)
 	}
-	*e = Edge{From: parent, To: child, Bytes: bytes}
+	*e = Edge{From: parent, To: child, Bytes: bytes, Deliver: e.Deliver}
 	parent.Out = append(parent.Out, e)
 	child.In = append(child.In, e)
 	return e

@@ -149,3 +149,43 @@ func TestUncachedRouteZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowLoopbackZeroAlloc gates TransferFlow's routeless path: a
+// same-node transfer and a zero-byte one each ride a pooled flow to the
+// next event-loop tick, deliver their bytes there and never count as
+// started flows, with no closure made per call.
+func TestFlowLoopbackZeroAlloc(t *testing.T) {
+	g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	n, err := New(eng, g, DefaultConfig(power.DataCenter10G(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	calls := 0
+	done := func() { calls++ }
+	op := func() {
+		if err := n.TransferFlow(hosts[0], hosts[0], 4096, done); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.TransferFlow(hosts[1], hosts[2], 0, done); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 200; i++ {
+		op()
+	}
+	if avg := testing.AllocsPerRun(200, op); avg != 0 {
+		t.Fatalf("a routeless TransferFlow allocates %.2f allocs/op, want 0", avg)
+	}
+	// 200 warm-up ops, the average's extra warm-up op and 200 measured.
+	const ops = 401
+	if st := n.Stats(); calls != 2*ops || st.BytesDelivered != ops*4096 || st.FlowsStarted != 0 || len(n.flowFree) != 2 {
+		t.Fatalf("%d callbacks, stats %+v, %d pooled flows; want %d callbacks, %d bytes, no flow started, 2 pooled",
+			calls, st, len(n.flowFree), 2*ops, ops*4096)
+	}
+}

@@ -3,6 +3,7 @@ package network
 import (
 	"reflect"
 
+	"holdcsim/internal/engine"
 	"holdcsim/internal/power"
 	"holdcsim/internal/stats"
 )
@@ -31,4 +32,20 @@ func (n *Network) NetworkPowerW() float64 {
 // the meter has no accessor and the test reads the unexported signal.
 func watts(m *stats.EnergyMeter) float64 {
 	return reflect.ValueOf(m).Elem().FieldByName("tw").FieldByName("value").Float()
+}
+
+// refillAll re-rates every component at once, as no change in a run
+// needs: a test that moves link capacities under live flows calls it.
+func (n *Network) refillAll() {
+	n.wfEpoch++
+	for _, f := range n.flows {
+		f.mark = n.wfEpoch
+	}
+	n.rerate()
+}
+
+// pendingEvents reads how many events the engine holds queued. The
+// engine has no accessor for it, so the test reads the unexported count.
+func pendingEvents(eng *engine.Engine) int {
+	return int(reflect.ValueOf(eng).Elem().FieldByName("live").Int())
 }

@@ -14,21 +14,25 @@ import (
 // packets"). Flows on a shared link split capacity max-min fairly;
 // rates are recomputed on every flow arrival and departure.
 //
-// Flows are pooled on Network.flowFree: the start and complete closures
-// are created once per pooled object and survive reuse, so a recycled
-// flow schedules its events with zero allocation. gen is bumped on
-// release; a holder that may outlive the flow (failLinkTraffic's
-// snapshot) compares it before acting.
+// Flows are pooled on Network.flowFree: the start closure is created
+// once per pooled object and survives reuse, so a recycled flow
+// schedules its launch with zero allocation. gen is bumped on release;
+// a holder that may outlive the flow (failLinkTraffic's snapshot)
+// compares it before acting.
 type Flow struct {
-	links []*linkState // the route's links, shared and never mutated
-	dirAB []bool       // the route's direction of traversal per link, likewise
-
-	total     float64 // bytes requested
+	// What every re-rate reads, together: res is the water-filling
+	// record of each link's traversed direction, in route order, derived
+	// at launch into the flow's own slice, which the pool keeps.
+	res       []*wfResource
 	remaining float64 // bytes
 	rate      float64 // bytes/sec, assigned by water-filling
 	last      simtime.Time
-	done      func()
-	ev        engine.Handle
+	mark      uint64 // Network.wfEpoch of the last re-rate whose component held this flow
+
+	links []*linkState // the route's links, shared and never mutated
+	dirAB []bool       // the route's direction of traversal per link, likewise
+	total float64      // bytes requested
+	done  func()
 
 	// pktN > 0 marks a fluid-model packet transfer riding this flow: the
 	// transfer's packet-count equivalent, billed to the packet counters
@@ -36,9 +40,8 @@ type Flow struct {
 	// conservation laws.
 	pktN int64
 
-	gen      uint64
-	start    func() // cached (possibly wake-deferred) launch callback
-	complete func() // cached completion callback, rescheduled on every re-rate
+	gen   uint64
+	start func() // cached (possibly wake-deferred) launch callback
 }
 
 // settle advances the flow's progress to time now at its current rate.
@@ -63,18 +66,18 @@ func (n *Network) TransferFlow(src, dst topology.NodeID, bytes int64, done func(
 	id := n.nextFlowID
 	n.nextFlowID++
 	if src == dst || bytes == 0 {
-		n.eng.After(0, func() {
-			n.stats.BytesDelivered += bytes
-			if done != nil {
-				done()
-			}
-		})
+		// A pooled flow with no route: its start event delivers the
+		// bytes (launchFlow), so the tick allocates nothing.
+		f := n.allocFlow()
+		f.total = float64(bytes)
+		f.done = done
+		n.eng.After(0, f.start)
 		return nil
 	}
 	return n.startFlow(src, dst, bytes, id, done, 0)
 }
 
-// allocFlow pops a pooled flow (or mints one with its cached closures).
+// allocFlow pops a pooled flow (or mints one with its cached closure).
 func (n *Network) allocFlow() *Flow {
 	if k := len(n.flowFree); k > 0 {
 		f := n.flowFree[k-1]
@@ -83,16 +86,7 @@ func (n *Network) allocFlow() *Flow {
 	}
 	f := &Flow{}
 	f.start = func() { n.launchFlow(f) }
-	f.complete = func() { n.flowComplete(f) }
 	return f
-}
-
-// freeFlow bumps the generation (so a stale reference can tell this
-// incarnation is over), clears references, and pools the flow.
-func (n *Network) freeFlow(f *Flow) {
-	f.gen++
-	f.links, f.dirAB, f.done = nil, nil, nil
-	n.flowFree = append(n.flowFree, f)
 }
 
 // startFlow resolves the route and launches one flow (waking sleeping
@@ -125,8 +119,15 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 }
 
 // launchFlow puts a flow on its links once every switch on the route is
-// awake — the body of the cached start closure.
+// awake — the body of the cached start closure. A flow with no route is
+// TransferFlow's same-node or zero-byte transfer: it delivers at once
+// and never counts as started.
 func (n *Network) launchFlow(f *Flow) {
+	if f.links == nil {
+		n.stats.BytesDelivered += int64(f.total)
+		n.finishFlow(f)
+		return
+	}
 	// The started counter moves here, inside the (possibly deferred)
 	// start event: a duration horizon can end the run while a flow
 	// still waits on a switch wake, and a flow that never started
@@ -148,60 +149,56 @@ func (n *Network) launchFlow(f *Flow) {
 				n.fluidDrops += f.pktN
 				n.openPktTransfers--
 			}
-			done := f.done
-			n.freeFlow(f)
-			if done != nil {
-				done()
-			}
+			n.finishFlow(f)
 			return
 		}
 	}
 	f.last = n.eng.Now()
-	for _, l := range f.links {
+	for i, l := range f.links {
 		l.markActive()
+		r := l.wfSlot(f.dirAB[i])
+		r.flows = append(r.flows, f)
+		f.res = append(f.res, r)
 	}
 	n.flows = append(n.flows, f)
-	n.recomputeFlowRates()
+	n.recomputeFlowRates(f)
+}
+
+// finishFlow pools a flow that has left the network and then fires its
+// owner's callback, so a callback that starts a new flow may reuse this
+// very object (cf. finishTransfer). Pooling bumps the generation, so a
+// stale reference can tell this incarnation is over.
+func (n *Network) finishFlow(f *Flow) {
+	done := f.done
+	f.gen++
+	f.links, f.dirAB, f.done = nil, nil, nil
+	f.res = f.res[:0]
+	n.flowFree = append(n.flowFree, f)
+	if done != nil {
+		done()
+	}
 }
 
 // ActiveFlows reports the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 
-// recomputeFlowRates settles all flow progress, runs progressive-filling
-// (max-min fairness) over the directed link capacities, and reschedules
-// every completion event. A completion at or past the clock's end
-// (simtime.Forever) never comes and gets no event.
-func (n *Network) recomputeFlowRates() {
-	now := n.eng.Now()
-	for _, f := range n.flows {
-		f.settle(now)
-	}
-	n.waterFill()
-	for _, f := range n.flows {
-		n.eng.Cancel(f.ev)
-		f.ev = engine.Handle{}
-		at := now
-		switch {
-		case f.remaining <= 1e-9:
-		case f.rate <= 0:
-			continue // blocked (should not happen; capacities are positive)
-		default:
-			if at = simtime.AddSeconds(now, f.remaining/f.rate); at == simtime.Forever {
-				continue
-			}
-		}
-		f.ev = n.eng.Schedule(at, f.complete)
-	}
+// recomputeFlowRates re-rates the network after flow f joined or left
+// it: only the flows connected to f's links can get new rates.
+func (n *Network) recomputeFlowRates(f *Flow) {
+	n.componentOf(f)
+	n.rerate()
 }
 
 // wfResource is one direction of one link as water-filling sees it. The
-// records live on the link (linkState.wf) and are claimed per pass by
-// stamping the pass's epoch, so a pass builds no map and, once the flow
-// slices have grown to their working size, allocates nothing.
+// records live on the link (linkState.wf): flows lists the direction's
+// active flows in launch order, kept as flows join and leave, and the
+// other fields are one pass's working state, so a re-rate builds no map
+// and, once the lists have grown to their working size, allocates
+// nothing.
 type wfResource struct {
-	epoch   uint64  // Network.wfEpoch of the pass that last claimed this slot
-	cap     float64 // bytes/sec remaining
 	flows   []*Flow
+	epoch   uint64  // Network.wfEpoch of the last component search that reached it
+	cap     float64 // bytes/sec remaining
 	unfixed int
 }
 
@@ -213,34 +210,76 @@ func (l *linkState) wfSlot(ab bool) *wfResource {
 	return &l.wf[1]
 }
 
-// waterFill assigns max-min fair rates: iteratively find the bottleneck
-// resource (smallest fair share), freeze its flows at that rate, remove
-// their demand, and repeat. Resources are visited in first-appearance
-// order over flows in list order and the first strict minimum wins, so
-// rates are a deterministic function of the flow list.
-func (n *Network) waterFill() {
-	if len(n.flows) == 0 {
-		return
-	}
+// componentOf stamps a fresh epoch on every active flow connected to
+// f's links through shared directions of links: the flows whose rates
+// f's arrival or departure can move. Max-min fairness decomposes over
+// these components, so a flow outside this one keeps its rate.
+func (n *Network) componentOf(f *Flow) {
 	n.wfEpoch++
+	e := n.wfEpoch
+	stack := n.wfStack[:0]
+	for g := f; ; {
+		for _, r := range g.res {
+			if r.epoch == e {
+				continue
+			}
+			r.epoch = e
+			for _, h := range r.flows {
+				if h.mark != e {
+					h.mark = e
+					stack = append(stack, h)
+				}
+			}
+		}
+		if len(stack) == 0 {
+			break
+		}
+		g = stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+	}
+	n.wfStack = stack
+}
+
+// rerate settles every flow's progress, water-fills the flows stamped
+// with the current epoch and arms the network's one completion event.
+//
+// Every flow is settled, stamped or not, so each flow's remaining bytes
+// accumulate at the same instants as a global refill would make them.
+// A component's resources are listed in their first appearance over
+// the flow list (launch order, then route order); a resource first
+// appears at the head of its own flow list, which is in launch order
+// too. So the fill visits the component exactly as a global fill over
+// all flows would, and assigns bit-identical rates.
+func (n *Network) rerate() {
+	now := n.eng.Now()
 	order := n.wfOrder[:0]
+	unfixed := 0
 	for _, f := range n.flows {
+		f.settle(now)
+		if f.mark != n.wfEpoch {
+			continue
+		}
 		f.rate = -1 // unfixed marker
-		for i, l := range f.links {
-			r := l.wfSlot(f.dirAB[i])
-			if r.epoch != n.wfEpoch {
-				r.epoch = n.wfEpoch
-				r.cap = l.bytesPerSec
-				r.flows = r.flows[:0]
-				r.unfixed = 0
+		unfixed++
+		for i, r := range f.res {
+			if r.flows[0] == f {
+				r.cap = f.links[i].bytesPerSec
+				r.unfixed = len(r.flows)
 				order = append(order, r)
 			}
-			r.flows = append(r.flows, f)
-			r.unfixed++
 		}
 	}
 	n.wfOrder = order
-	unfixed := len(n.flows)
+	waterFill(order, unfixed)
+	n.armCompletion(now)
+}
+
+// waterFill assigns max-min fair rates to the unfixed flows on order's
+// resources: iteratively find the bottleneck resource (smallest fair
+// share), freeze its flows at that rate, remove their demand, and
+// repeat. The first strict minimum in order wins, so rates are a
+// deterministic function of the flow list.
+func waterFill(order []*wfResource, unfixed int) {
 	for unfixed > 0 {
 		// Find the bottleneck resource.
 		bestShare := -1.0
@@ -265,8 +304,7 @@ func (n *Network) waterFill() {
 			}
 			f.rate = bestShare
 			unfixed--
-			for i, l := range f.links {
-				r := l.wfSlot(f.dirAB[i])
+			for _, r := range f.res {
 				r.cap -= bestShare
 				if r.cap < 0 {
 					r.cap = 0
@@ -277,26 +315,48 @@ func (n *Network) waterFill() {
 	}
 }
 
-// releaseFlow is the single teardown path for a flow leaving the
-// network, completed or killed: it settles progress, leaves the active
-// list, releases links and ports, updates the counters, re-rates the
-// survivors, and fires the owner's callback. failed selects the
-// accounting: a killed flow counts failed and delivers only its
-// progress to date.
-func (n *Network) releaseFlow(f *Flow, failed bool) {
-	f.settle(n.eng.Now())
-	// Remove from the active list (kept in id order).
-	for i, g := range n.flows {
-		if g == f {
-			n.flows = append(n.flows[:i], n.flows[i+1:]...)
-			break
+// armCompletion replaces the network's pending completion event with
+// one for the earliest-finishing flow, ties going to the earlier flow in
+// list order. It stands where one event per flow, armed in list order,
+// would: every completion re-rates, so only the earliest of those would
+// fire, and this one takes the sequence number the first of them would
+// take, so it orders against every other event exactly as the earliest
+// would. A completion at or past the clock's end (simtime.Forever)
+// never comes and gets no event.
+func (n *Network) armCompletion(now simtime.Time) {
+	n.eng.Cancel(n.flowEv)
+	n.flowEv, n.flowNext = engine.Handle{}, nil
+	next := simtime.Forever
+	for _, f := range n.flows {
+		at := now
+		switch {
+		case f.remaining <= 1e-9:
+		case f.rate <= 0:
+			continue // blocked (should not happen; capacities are positive)
+		default:
+			at = simtime.AddSeconds(now, f.remaining/f.rate)
+		}
+		if at < next {
+			next, n.flowNext = at, f
 		}
 	}
-	// Inert for a completed flow (its event already fired); a killed
-	// flow's pending completion must not land later.
-	n.eng.Cancel(f.ev)
-	f.ev = engine.Handle{}
-	for _, l := range f.links {
+	if n.flowNext != nil {
+		n.flowEv = n.eng.Schedule(next, n.complete)
+	}
+}
+
+// releaseFlow is the single teardown path for a flow leaving the
+// network, completed or killed: it settles progress, leaves the active
+// list and its links' records, releases links and ports, updates the
+// counters, re-rates the survivors, and fires the owner's callback.
+// failed selects the accounting: a killed flow counts failed and
+// delivers only its progress to date.
+func (n *Network) releaseFlow(f *Flow, failed bool) {
+	f.settle(n.eng.Now())
+	n.flows = removeFlow(n.flows, f)
+	for i, l := range f.links {
+		r := f.res[i]
+		r.flows = removeFlow(r.flows, f)
 		l.markIdle()
 	}
 	n.stats.FlowsCompleted++
@@ -337,14 +397,21 @@ func (n *Network) releaseFlow(f *Flow, failed bool) {
 			n.cover.Hit(modelcov.NetFlowComplete)
 		}
 	}
-	// Pooled before the owner's callback runs (cf. finishTransfer), so a
-	// callback that starts a new flow may reuse this very object.
-	done := f.done
-	n.freeFlow(f)
-	n.recomputeFlowRates()
-	if done != nil {
-		done()
+	// f's links still name the component it leaves behind.
+	n.recomputeFlowRates(f)
+	n.finishFlow(f)
+}
+
+// removeFlow deletes f from a flow list, keeping the others in order.
+func removeFlow(fs []*Flow, f *Flow) []*Flow {
+	for i, g := range fs {
+		if g == f {
+			copy(fs[i:], fs[i+1:])
+			fs[len(fs)-1] = nil
+			return fs[:len(fs)-1]
+		}
 	}
+	return fs
 }
 
 // failFlow kills a flow whose route lost a link or switch: progress to
@@ -353,6 +420,11 @@ func (n *Network) releaseFlow(f *Flow, failed bool) {
 // packet mode, so DAG progress never deadlocks on a failure.
 func (n *Network) failFlow(f *Flow) { n.releaseFlow(f, true) }
 
-// flowComplete finishes a flow: releases its links and ports, notifies
-// the owner, and re-rates the remaining flows.
-func (n *Network) flowComplete(f *Flow) { n.releaseFlow(f, false) }
+// flowComplete finishes the flow the network's completion event names
+// (the body of the cached Network.complete closure): releases its links
+// and ports, re-rates the remaining flows and notifies the owner.
+func (n *Network) flowComplete() {
+	f := n.flowNext
+	n.flowEv, n.flowNext = engine.Handle{}, nil
+	n.releaseFlow(f, false)
+}

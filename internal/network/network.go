@@ -78,13 +78,14 @@ type Network struct {
 	swList   []*Switch // deterministic iteration order
 	links    []*linkState
 
-	flows      []*Flow // active flows in id order
+	flows      []*Flow // active flows in launch order
 	nextFlowID int64
 
 	// Fluid-model scratch, reused across re-rates so the steady state
-	// allocates nothing: the flow free list, the water-filling pass
-	// counter and pass-order list (the per-direction records are on the
-	// links, linkState.wf), and failLinkTraffic's snapshot buffer.
+	// allocates nothing: the flow free list, the re-rate counter that
+	// stamps a component, the fill's resource order (the per-direction
+	// records are on the links, linkState.wf), and failLinkTraffic's
+	// snapshot buffer; the component search's stack is at the end.
 	flowFree []*Flow
 	wfEpoch  uint64
 	wfOrder  []*wfResource
@@ -119,6 +120,16 @@ type Network struct {
 	cover *modelcov.Map
 
 	stats Stats
+
+	// The fluid model's one engine event: the earliest flow completion,
+	// the flow it completes and the cached callback it runs
+	// (flowComplete), re-armed by every re-rate; then the component
+	// search's stack. Last, so they move none of the fields the packet
+	// path reads.
+	flowEv   engine.Handle
+	flowNext *Flow
+	complete func()
+	wfStack  []*Flow
 }
 
 // SetCover attaches a model-state coverage map recording drop sites,
@@ -182,6 +193,7 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 		switches: make(map[topology.NodeID]*Switch),
 		routes:   make(map[routeKey]*route),
 	}
+	n.complete = n.flowComplete
 	prof := cfg.SwitchProfile
 	for _, id := range g.Switches() {
 		if prof == nil {
@@ -363,7 +375,7 @@ type linkState struct {
 	deadEnds  int
 
 	// wf holds the link's two water-filling records (0: A->B, 1: B->A),
-	// grown lazily by the passes that use them (flow.go). Last, so the
+	// whose flow lists grow as flows join them (flow.go). Last, so the
 	// fields the packet path reads stay on the same cache lines.
 	wf [2]wfResource
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -85,6 +86,26 @@ func (n *Network) refWaterFill() {
 	}
 }
 
+// matchReference demands that every active flow's rate is bit-identical
+// to what refWaterFill assigns on the same state, leaves the rates as
+// they were and returns how many it compared.
+func matchReference(t *testing.T, n *Network, what string) int {
+	t.Helper()
+	got := make([]float64, len(n.flows))
+	for i, f := range n.flows {
+		got[i] = f.rate
+	}
+	n.refWaterFill()
+	for i, f := range n.flows {
+		if math.Float64bits(got[i]) != math.Float64bits(f.rate) {
+			t.Fatalf("%s t=%v: flow %d rate %v, reference %v (%d flows active)",
+				what, n.eng.Now(), i, got[i], f.rate, len(n.flows))
+		}
+		f.rate = got[i]
+	}
+	return len(n.flows)
+}
+
 // TestWaterFillMatchesReference drives random flow sets on a fat-tree
 // through arrivals, completions, an adaptive-link-rate step and a link
 // kill, and after every event (so after every re-rate) demands that each
@@ -115,19 +136,7 @@ func TestWaterFillMatchesReference(t *testing.T) {
 				if len(n.flows) > peak {
 					peak = len(n.flows)
 				}
-				got := make([]float64, len(n.flows))
-				for i, f := range n.flows {
-					got[i] = f.rate
-				}
-				n.refWaterFill()
-				for i, f := range n.flows {
-					if math.Float64bits(got[i]) != math.Float64bits(f.rate) {
-						t.Fatalf("ecmp=%v seed=%d t=%v: flow %d rate %v, reference %v (%d flows active)",
-							ecmp, seed, eng.Now(), i, got[i], f.rate, len(n.flows))
-					}
-					f.rate = got[i]
-					checks++
-				}
+				checks += matchReference(t, n, fmt.Sprintf("ecmp=%v seed=%d", ecmp, seed))
 			}
 			// 60 arrivals spread over 2 ms, 0.1 - 4 MB each: at 10 Gb/s
 			// they overlap heavily and complete throughout the window.
@@ -142,8 +151,8 @@ func TestWaterFillMatchesReference(t *testing.T) {
 				})
 			}
 			// A capacity change at 0.7 ms: the link behind every other
-			// port of every switch drops to 1 Gb/s, and the flows are
-			// re-rated, so the fill sees unequal capacities.
+			// port of every switch drops to 1 Gb/s, and every component
+			// is re-filled, so the fill sees unequal capacities.
 			stepped := false
 			eng.Schedule(700*simtime.Microsecond, func() {
 				for _, sw := range n.swList {
@@ -157,7 +166,7 @@ func TestWaterFillMatchesReference(t *testing.T) {
 				for i, f := range n.flows {
 					before[i] = f.rate
 				}
-				n.recomputeFlowRates()
+				n.refillAll()
 				for i, f := range n.flows {
 					stepped = stepped || f.rate != before[i]
 				}
@@ -307,4 +316,113 @@ func TestFlowThroughHostTransit(t *testing.T) {
 	if st.FlowsCompleted != 1 || st.BytesDelivered != 125_000_000 {
 		t.Errorf("stats = %+v", st)
 	}
+}
+
+// TestOneCompletionEventPending holds the fluid model to one engine
+// event, the earliest completion, however many flows are active: twelve
+// flows of different sizes launched together, and every re-rate their
+// completions make, leave exactly one event queued (LPI and switch
+// sleep are off, so no timer shares the queue), and every flow's
+// callback fires.
+func TestOneCompletionEventPending(t *testing.T) {
+	g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	cfg := DefaultConfig(power.DataCenter10G(8))
+	cfg.LPIIdle = -1
+	n, err := New(eng, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	finished := 0
+	for i := 0; i < 12; i++ {
+		src, dst := hosts[i], hosts[(i*5+3)%16]
+		if err := n.TransferFlow(src, dst, int64(1+i)<<20, func() { finished++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n.ActiveFlows() > 0 {
+		if p := pendingEvents(eng); p != 1 {
+			t.Fatalf("%d flows active, %d events pending, want 1", n.ActiveFlows(), p)
+		}
+		eng.Step()
+	}
+	if p := pendingEvents(eng); p != 0 {
+		t.Fatalf("%d events pending after the last flow, want 0", p)
+	}
+	if finished != 12 {
+		t.Fatalf("%d completion callbacks, want 12", finished)
+	}
+}
+
+// FuzzWaterFill is the differential fuzz of the component-local re-rate
+// against refWaterFill's global fill. The script is read three bytes
+// per operation, each at its own instant: an arrival between two hosts
+// (of a size the bytes choose), a link flap down or up, or a switch
+// death or revival, on a K=4 fat-tree or a two-level BCube, with ECMP on
+// or off. After every event, so after every arrival, completion and
+// failure re-rate, each active flow's rate must be bit-identical to the
+// global fill's.
+func FuzzWaterFill(f *testing.F) {
+	f.Add(false, false, []byte{0, 1, 14, 0, 2, 9, 0, 3, 12, 0, 0, 15, 1, 7, 0, 0, 5, 10})
+	f.Add(true, true, []byte{0, 0, 3, 0, 1, 3, 0, 2, 3, 0, 3, 0, 2, 1, 0, 0, 0, 7, 3, 1, 1})
+	f.Add(false, true, []byte{0, 4, 11, 0, 5, 11, 0, 6, 11, 0, 7, 11, 1, 3, 0, 0, 8, 11, 2, 2, 0})
+	f.Add(true, false, []byte{0, 0, 15, 0, 15, 0, 0, 3, 12, 1, 20, 0, 0, 6, 9, 2, 5, 1, 0, 9, 6})
+	fatTree, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	bcube, err := topology.BCube{N: 4, K: 1, RateBps: 10e9}.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, useBCube, ecmp bool, script []byte) {
+		g := fatTree
+		if useBCube {
+			g = bcube
+		}
+		if len(script) > 3*64 {
+			script = script[:3*64]
+		}
+		eng := engine.New()
+		cfg := DefaultConfig(power.DataCenter10G(8))
+		cfg.ECMP = ecmp
+		n, err := New(eng, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts, switches := g.Hosts(), g.Switches()
+		for i := 0; i+2 < len(script); i += 3 {
+			op, a, b := script[i], int(script[i+1]), int(script[i+2])
+			at := simtime.Time(i/3) * 20 * simtime.Microsecond
+			eng.Schedule(at, func() {
+				switch op % 4 {
+				case 0, 1: // arrivals are half the operations
+					src, dst := hosts[a%len(hosts)], hosts[b%len(hosts)]
+					bytes := int64(1+b%16) * 25_000 << (a % 4)
+					if err := n.TransferFlow(src, dst, bytes, nil); err != nil {
+						t.Fatal(err)
+					}
+				case 2:
+					if err := n.SetLinkAdmin(a%len(n.links), b%2 == 1); err != nil {
+						t.Fatal(err)
+					}
+				case 3:
+					if err := n.SetSwitchAdmin(switches[a%len(switches)], b%2 == 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+		what := fmt.Sprintf("bcube=%v ecmp=%v", useBCube, ecmp)
+		for eng.Step() {
+			matchReference(t, n, what)
+		}
+		if st := n.Stats(); st.FlowsCompleted != st.FlowsStarted || len(n.flows) != 0 {
+			t.Fatalf("%s: flows did not drain: %+v, %d active", what, st, len(n.flows))
+		}
+	})
 }

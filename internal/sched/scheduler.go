@@ -433,22 +433,16 @@ func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 			fn(j)
 		}
 	}
-	// Push outputs toward dependent tasks.
-	for _, e := range t.Out {
-		edge := e
-		deliver := func() {
-			if edge.To.State == job.TaskLost {
-				return // the dependent's job was retracted mid-transfer
-			}
-			if edge.To.SatisfyDep() {
-				edge.To.State = job.TaskReady
-				s.admitReady(edge.To)
-			}
+	// Push outputs toward dependent tasks. Each edge object binds its
+	// delivery callback once; a pooled job's edges keep theirs.
+	for _, edge := range t.Out {
+		if edge.Deliver == nil {
+			edge.Deliver = func() { s.deliver(edge) }
 		}
 		if s.cfg.Transfer == nil || edge.Bytes == 0 || edge.To.ServerID == t.ServerID {
 			// Same server or no network: results are local. Deliver via
 			// the event queue to keep ordering deterministic.
-			s.eng.After(0, deliver)
+			s.eng.After(0, edge.Deliver)
 		} else {
 			dst := edge.To.ServerID
 			if dst < 0 {
@@ -458,9 +452,9 @@ func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 				// it by delivering the dependency now (the network
 				// latency and energy of this edge are not charged).
 				s.cover.Hit(modelcov.SchedDeferredPlace)
-				s.eng.After(0, deliver)
+				s.eng.After(0, edge.Deliver)
 			} else {
-				s.cfg.Transfer(t.ServerID, dst, edge.Bytes, deliver)
+				s.cfg.Transfer(t.ServerID, dst, edge.Bytes, edge.Deliver)
 			}
 		}
 	}
@@ -468,6 +462,18 @@ func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 		s.ctrl.Evaluate(s)
 	}
 	s.drainGlobalQueue()
+}
+
+// deliver lands an edge's data at its child task, which becomes ready
+// with its last input: the body of every edge's Deliver callback.
+func (s *Scheduler) deliver(edge *job.Edge) {
+	if edge.To.State == job.TaskLost {
+		return // the dependent's job was retracted mid-transfer
+	}
+	if edge.To.SatisfyDep() {
+		edge.To.State = job.TaskReady
+		s.admitReady(edge.To)
+	}
 }
 
 // drainGlobalQueue dispatches parked tasks to servers that freed up.
