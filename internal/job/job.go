@@ -189,9 +189,13 @@ func (j *Job) AddTask(size simtime.Time) *Task {
 	if n < cap(j.Tasks) && j.Tasks[:n+1][n] != nil {
 		// A recycled job's storage: the task keeps its edge lists'
 		// capacity, whose spare slots hold the edges Link reuses.
+		// Every field is reset one by one: a composite literal stored
+		// through t is a whole-record copy.
 		j.Tasks = j.Tasks[:n+1]
 		t := j.Tasks[n]
-		*t = Task{Job: j, Index: n, Size: size, Intensity: 1, In: t.In[:0], Out: t.Out[:0]}
+		t.Job, t.Index, t.Size, t.Intensity = j, n, size, 1
+		t.In, t.Out = t.In[:0], t.Out[:0]
+		t.State, t.ServerID, t.pendingDeps = TaskBlocked, 0, 0
 		return t
 	}
 	t := &Task{Job: j, Index: n, Size: size, Intensity: 1}

@@ -2,7 +2,9 @@ package job
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"holdcsim/internal/rng"
 	"holdcsim/internal/simtime"
@@ -237,5 +239,61 @@ func TestTopoOrderBeforeSeal(t *testing.T) {
 	j.AddTask(1)
 	if _, err := j.TopoOrder(); err == nil {
 		t.Fatal("cycle not reported")
+	}
+}
+
+// TestAddTaskResetsEveryField: AddTask resets a recycled task one field
+// at a time, so a field it missed would carry the last job's value
+// over. Every field of a task is made non-zero first, the unexported
+// ones too; the recycled task must then equal a fresh one field for
+// field, its Job being its own job and its edge lists empty.
+func TestAddTaskResetsEveryField(t *testing.T) {
+	j := New(1, 0)
+	old := j.AddTask(5)
+	other := New(9, 0)
+	v := reflect.ValueOf(old).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint8:
+			if f.CanInt() {
+				f.SetInt(7)
+			} else {
+				f.SetUint(7)
+			}
+		case reflect.Float64:
+			f.SetFloat(0.25)
+		case reflect.Pointer:
+			f.Set(reflect.ValueOf(other))
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]*Edge{{}}))
+		default:
+			t.Fatalf("Task.%s: kind %v has no dirty value here; give it one", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	j.Tasks = j.Tasks[:0]
+	got := j.AddTask(3)
+	if got != old {
+		t.Fatal("AddTask did not reuse the task")
+	}
+	fresh := New(1, 0).AddTask(3)
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(fresh).Elem()
+	for i := range g.NumField() {
+		name := g.Type().Field(i).Name
+		switch name {
+		case "Job":
+			if got.Job != j {
+				t.Errorf("Job is not the recycling job")
+			}
+		case "In", "Out":
+			if g.Field(i).Len() != 0 {
+				t.Errorf("%s has %d entries", name, g.Field(i).Len())
+			}
+		default:
+			if a, b := fmt.Sprint(g.Field(i)), fmt.Sprint(w.Field(i)); a != b {
+				t.Errorf("%s = %s, fresh %s", name, a, b)
+			}
+		}
 	}
 }

@@ -42,10 +42,11 @@ func NewAdaptivePool(tWakeup, tSleep float64, tau simtime.Time) *AdaptivePool {
 // front-end load balancer "dispatches tasks to the servers in active
 // server pool only").
 func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	best := a.least(candidates, true)
+	best := a.least(true)
 	if best == nil {
-		// Active pool empty (transient): wake the least-loaded server.
-		best = leastBy(candidates, (*server.Server).PendingTasks, nil)
+		// No alive member (transient): wake the least-loaded alive
+		// server, which is then the least-loaded non-member.
+		best = a.least(false)
 		a.moved(s, a.promote(best))
 	}
 	return best
@@ -55,7 +56,8 @@ func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Ser
 func (a *AdaptivePool) Name() string { return "adaptive-pool" }
 
 // Evaluate implements Controller: it applies the threshold policy, at
-// most one migration per poolDwell.
+// most one migration per poolDwell. It migrates alive servers only, as
+// Place picks them.
 func (a *AdaptivePool) Evaluate(s *Scheduler) {
 	now := s.eng.Now()
 	if a.changed && now-a.lastChange < poolDwell {
@@ -66,10 +68,10 @@ func (a *AdaptivePool) Evaluate(s *Scheduler) {
 	case load > a.TWakeup && a.n < len(s.servers):
 		// Promote the sleeping server with the fewest pending tasks: its
 		// controller reverts to shallow-sleep-only and it pre-warms.
-		a.moved(s, a.promote(a.least(s.servers, false)))
+		a.moved(s, a.promote(a.least(false)))
 	case load < a.TSleep && a.n > minActive:
 		// Demote the least-loaded active server into the sleep pool.
-		a.moved(s, a.demote(a.least(s.servers, true), a.Tau))
+		a.moved(s, a.demote(a.least(true), a.Tau))
 	}
 }
 

@@ -37,20 +37,15 @@ func (d *DualTimer) Start(s *Scheduler) {
 // Place implements Placer. The high-τ pool absorbs load first
 // (least-loaded within it); overflow packs into as few low-τ servers as
 // possible so the rest of the low pool stays asleep — spreading the
-// spill would make the aggressive low-τ timers flap.
+// spill would make the aggressive low-τ timers flap. Pool membership is
+// by server ID (Start gave IDs below HighCount the high τ), which the
+// load levels answer directly: the lowest member of the first level
+// whose lowest member is below HighCount, else pack from HighCount up.
 func (d *DualTimer) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	// Pool membership is by server ID (Start gave IDs below HighCount the
-	// high τ), not slice position: the candidate list can be a filtered
-	// subset — crashed servers removed — and positional splits would
-	// misclassify servers.
-	low := func(srv *server.Server) bool { return srv.ID() >= d.HighCount }
-	best := s.leastLoaded(candidates, func(srv *server.Server) bool {
-		return !low(srv) && s.Load(srv) < srv.Cores()
-	})
-	if best != nil {
+	if best := s.leastSpare(d.HighCount); best != nil {
 		return best
 	}
-	return s.pack(candidates, low)
+	return s.pack(candidates, d.HighCount)
 }
 
 // Name implements Placer.

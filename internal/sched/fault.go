@@ -159,6 +159,9 @@ func (s *Scheduler) killJob(j *job.Job, reason LostReason) {
 				srv := s.servers[t.ServerID]
 				if !srv.Failed() && srv.Abort(t) {
 					s.tasksAborted++
+					if s.pool != nil {
+						s.pool.fix(t.ServerID)
+					}
 				}
 				s.commit(t.ServerID, -1)
 			}
@@ -215,8 +218,14 @@ func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost int) {
 		if srv.Failed() {
 			continue
 		}
+		if s.lv.n != nil {
+			s.refile(srv.ID(), s.committed[srv.ID()], -1)
+		}
 		tasks := srv.Crash()
 		s.downCount++
+		if s.pool != nil {
+			s.pool.fix(srv.ID())
+		}
 		s.tasksAborted += int64(len(tasks))
 		sets = append(sets, orphanSet{id: srv.ID(), tasks: tasks})
 	}
@@ -253,6 +262,12 @@ func (s *Scheduler) ServersRecovered(srvs []*server.Server) {
 		}
 		srv.Recover()
 		s.downCount--
+		if s.lv.n != nil {
+			s.refile(srv.ID(), -1, s.committed[srv.ID()])
+		}
+		if s.pool != nil {
+			s.pool.fix(srv.ID())
+		}
 		recovered = true
 	}
 	if !recovered {

@@ -111,10 +111,16 @@ func (t *winnerTree) match(i int) int32 {
 }
 
 // fix replays the games on leaf i's path to the root after key[i]
-// changed — O(log len(key)).
+// changed — O(log len(key)). It stops at the first game whose winner is
+// the same other index as before: that winner's key did not change, so
+// nothing above it can.
 func (t *winnerTree) fix(i int) {
 	for n := (len(t.node)/2 + i) / 2; n >= 1; n /= 2 {
-		t.node[n] = t.match(n)
+		w := t.match(n)
+		if w == t.node[n] && w != int32(i) {
+			return
+		}
+		t.node[n] = w
 	}
 }
 
@@ -124,40 +130,17 @@ func (t *winnerTree) fix(i int) {
 // wakes the lowest-ID sleeping server; with nothing asleep it falls back
 // to least-loaded. Consolidation is what makes server sleep states
 // profitable at mid utilizations — the delay-timer studies (Sec. IV-B)
-// pair it with per-server τ policies.
+// pair it with per-server τ policies. It reads the scheduler's load
+// levels and the farm's asleep set, not the servers.
 type PackFirst struct{}
 
 // Place implements Placer.
 func (PackFirst) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return s.pack(candidates, nil)
+	return s.pack(candidates, 0)
 }
 
 // Name implements Placer.
 func (PackFirst) Name() string { return "pack-first" }
-
-// pack consolidates onto the candidates in admits (nil = all): the
-// tightest awake one with a spare slot, else the first sleeping one,
-// else — everything awake and saturated — the least loaded candidate.
-func (s *Scheduler) pack(candidates []*server.Server, in func(*server.Server) bool) *server.Server {
-	var best *server.Server
-	for _, srv := range candidates {
-		if (in != nil && !in(srv)) || srv.Asleep() || s.Load(srv) >= srv.Cores() {
-			continue
-		}
-		if best == nil || s.Load(srv) > s.Load(best) {
-			best = srv
-		}
-	}
-	if best != nil {
-		return best
-	}
-	for _, srv := range candidates {
-		if (in == nil || in(srv)) && srv.Asleep() {
-			return srv
-		}
-	}
-	return s.leastLoaded(candidates, nil)
-}
 
 // Random places uniformly at random (useful as an experimental control).
 type Random struct {

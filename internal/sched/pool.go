@@ -1,48 +1,183 @@
 package sched
 
 import (
+	"math"
+	"math/bits"
+
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 )
 
-// pool is the active set AdaptivePool and Provisioner dispatch to: dense
-// membership by server ID plus a count. Members keep their delay timer
-// off; a demoted server drains and suspends after the timer it is given.
+// pool is the active set AdaptivePool and Provisioner dispatch to:
+// membership by server ID as a bitset, a count, and one index per side
+// — side[1] over the members, side[0] over the rest — of the alive
+// servers by pending tasks. Members keep their delay timer off; a
+// demoted server drains and suspends after the timer it is given.
+//
+// The scheduler re-keys a server (fix) wherever its pending count or
+// liveness changes: after a submit, at a task's completion, after an
+// abort, a crash and a recovery. Nothing else changes a server's
+// pending count: a task moving from a queue to a core leaves it as is.
 type pool struct {
-	in []bool
-	n  int
+	in   []uint64 // bit i%64 of word i/64: server i is a member
+	n    int
+	srvs []*server.Server
+	side [2]poolSide
 }
+
+// poolSide files the alive servers on one side of the pool by pending
+// tasks: key[id] is server id's pending count while it is alive and on
+// this side, keyedOut otherwise. Counts below the levels' depth
+// (poolDepth) are load levels, moved in O(1) as a count steps; deeper
+// ones are keyed into a winner tree (keyedOut there otherwise), so a
+// deep backlog costs a tree update, not a level's words per count it
+// passes.
+type poolSide struct {
+	key  []int
+	lv   levels
+	deep winnerTree
+}
+
+// poolDepth is how many pending counts a pool side files in levels.
+const poolDepth = 64
+
+// keyedOut is the key of a server a pool side must not pick.
+const keyedOut = math.MaxInt
 
 // minActive floors the pool: neither policy demotes its last member.
 const minActive = 1
 
-// Start implements Starter: every server begins in the pool.
-func (p *pool) Start(s *Scheduler) {
-	p.in = make([]bool, len(s.servers))
-	for _, srv := range s.servers {
-		p.in[srv.ID()] = true
-		srv.SetDelayTimer(false, 0)
+// newPoolSide returns a side over n servers, all keyed out, filing
+// counts below depth in levels.
+func newPoolSide(n, depth int) poolSide {
+	key, deep := make([]int, n), make([]int, n)
+	for i := range key {
+		key[i], deep[i] = keyedOut, keyedOut
 	}
-	p.n = len(s.servers)
+	return poolSide{key: key, lv: newLevels(depth, n), deep: newWinnerTree(deep)}
+}
+
+// set re-keys server id on this side.
+func (ps *poolSide) set(id, k int) {
+	old := ps.key[id]
+	if old == k {
+		return
+	}
+	ps.key[id] = k
+	depth := len(ps.lv.n)
+	if old < depth {
+		ps.lv.remove(id, old)
+	}
+	if k < depth {
+		ps.lv.add(id, k)
+	}
+	if ps.deepKey(old) != ps.deepKey(k) {
+		ps.deep.key[id] = ps.deepKey(k)
+		ps.deep.fix(id)
+	}
+}
+
+// deepKey is a key as the deep tree holds it: keyedOut below the levels'
+// depth.
+func (ps *poolSide) deepKey(k int) int {
+	if k < len(ps.lv.n) {
+		return keyedOut
+	}
+	return k
+}
+
+// least returns the ID with the smallest key on this side, ties to the
+// lower ID, or -1 when every server is keyed out.
+func (ps *poolSide) least() int {
+	if id := ps.lv.first(); id >= 0 {
+		return id
+	}
+	if w := ps.deep.node[1]; ps.deep.key[w] != keyedOut {
+		return int(w)
+	}
+	return -1
+}
+
+// Start implements Starter: every server begins in the pool. The pool
+// registers with the scheduler, which re-keys its servers from here on.
+func (p *pool) Start(s *Scheduler) {
+	n := len(s.servers)
+	p.in = make([]uint64, (n+63)/64)
+	p.srvs = s.servers
+	p.side = [2]poolSide{newPoolSide(n, poolDepth), newPoolSide(n, poolDepth)}
+	for id, srv := range s.servers {
+		p.in[id/64] |= 1 << (id % 64)
+		srv.SetDelayTimer(false, 0)
+		p.fix(id)
+	}
+	p.n = n
+	s.pool = p
 }
 
 // ActiveServers reports the pool size.
 func (p *pool) ActiveServers() int { return p.n }
 
-// least is leastBy pending tasks among the pool's members — or, with
-// member false, among the servers outside it.
-func (p *pool) least(srvs []*server.Server, member bool) *server.Server {
-	return leastBy(srvs, (*server.Server).PendingTasks, func(srv *server.Server) bool { return p.in[srv.ID()] == member })
+// has reports whether server id is a member.
+func (p *pool) has(id int) bool { return p.in[id/64]&(1<<(id%64)) != 0 }
+
+// fix re-keys server id on both sides after its pending count, its
+// liveness or its side changed.
+func (p *pool) fix(id int) {
+	k := keyedOut
+	if srv := p.srvs[id]; !srv.Failed() {
+		k = srv.PendingTasks()
+	}
+	m := 0
+	if p.has(id) {
+		m = 1
+	}
+	p.side[m].set(id, k)
+	if other := &p.side[1-m]; other.key[id] != keyedOut {
+		other.set(id, keyedOut)
+	}
+}
+
+// least returns the alive server with the fewest pending tasks among
+// the members — or, with member false, among the rest — ties to the
+// lower ID; nil when that side has no alive server.
+func (p *pool) least(member bool) *server.Server {
+	m := 0
+	if member {
+		m = 1
+	}
+	if id := p.side[m].least(); id >= 0 {
+		return p.srvs[id]
+	}
+	return nil
+}
+
+// firstParked returns the lowest-ID alive server outside the pool, or
+// nil: the first zero of the membership bits whose server is up.
+func (p *pool) firstParked() *server.Server {
+	for k, w := range p.in {
+		for m := ^w; m != 0; m &= m - 1 {
+			id := k*64 + bits.TrailingZeros64(m)
+			if id >= len(p.srvs) {
+				return nil
+			}
+			if srv := p.srvs[id]; !srv.Failed() {
+				return srv
+			}
+		}
+	}
+	return nil
 }
 
 // promote moves srv into the pool, pre-warming it with a system wake,
 // and reports whether it was outside (nil is no move).
 func (p *pool) promote(srv *server.Server) bool {
-	if srv == nil || p.in[srv.ID()] {
+	if srv == nil || p.has(srv.ID()) {
 		return false
 	}
-	p.in[srv.ID()] = true
+	id := srv.ID()
+	p.in[id/64] |= 1 << (id % 64)
 	p.n++
+	p.fix(id)
 	srv.SetDelayTimer(false, 0)
 	srv.WakeUp()
 	return true
@@ -51,11 +186,13 @@ func (p *pool) promote(srv *server.Server) bool {
 // demote moves srv out of the pool — after tau idle it suspends — and
 // reports whether it was inside (nil is no move).
 func (p *pool) demote(srv *server.Server, tau simtime.Time) bool {
-	if srv == nil || !p.in[srv.ID()] {
+	if srv == nil || !p.has(srv.ID()) {
 		return false
 	}
-	p.in[srv.ID()] = false
+	id := srv.ID()
+	p.in[id/64] &^= 1 << (id % 64)
 	p.n--
+	p.fix(id)
 	srv.SetDelayTimer(true, tau)
 	return true
 }

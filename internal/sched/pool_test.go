@@ -48,11 +48,12 @@ func (m *mapPool) pick(cands []*server.Server, member bool) *server.Server {
 	return best
 }
 
-// TestPoolMatchesMapReference drives the slice-backed pool and the map
+// TestPoolMatchesMapReference drives the bitset pool and the map
 // reference through the same random promote / demote / crash / recover /
 // load sequence and holds membership, count, the servers' delay timers
 // and every least-loaded pick (over the alive candidates, as Select
-// filters them) equal at each step.
+// filters them) equal at each step. Crashes, recoveries and submissions
+// go through the scheduler, which re-keys the pool's trees.
 func TestPoolMatchesMapReference(t *testing.T) {
 	const n = 9
 	const tau = 50 * simtime.Millisecond
@@ -92,13 +93,13 @@ func TestPoolMatchesMapReference(t *testing.T) {
 				}
 			case 4:
 				if srv.Failed() {
-					srv.Recover()
+					s.recoverOne(srv)
 				} else {
-					srv.Crash()
+					s.crashOne(srv)
 				}
 			case 5:
 				if !srv.Failed() {
-					srv.Submit(job.Single(job.ID(step), eng.Now(), simtime.Time(1+next(20))*simtime.Millisecond).Tasks[0])
+					s.submit(srv, job.Single(job.ID(step), eng.Now(), simtime.Time(1+next(20))*simtime.Millisecond).Tasks[0])
 				}
 			}
 			eng.RunUntil(eng.Now() + simtime.Time(next(5))*simtime.Millisecond)
@@ -108,17 +109,17 @@ func TestPoolMatchesMapReference(t *testing.T) {
 			}
 			var alive []*server.Server
 			for _, s := range servers {
-				if p.in[s.ID()] != ref.active[s.ID()] {
+				if p.has(s.ID()) != ref.active[s.ID()] {
 					t.Fatalf("seed %d step %d: membership of %d differs", seed, step, s.ID())
 				}
 				if !s.Failed() {
 					alive = append(alive, s)
 				}
 			}
-			if got, want := p.least(alive, true), ref.pick(alive, true); got != want {
+			if got, want := p.least(true), ref.pick(alive, true); got != want {
 				t.Fatalf("seed %d step %d: member pick differs", seed, step)
 			}
-			if got, want := p.least(alive, false), ref.pick(alive, false); got != want {
+			if got, want := p.least(false), ref.pick(alive, false); got != want {
 				t.Fatalf("seed %d step %d: non-member pick differs", seed, step)
 			}
 		}

@@ -28,9 +28,10 @@ func NewProvisioner(minLoad, maxLoad float64) *Provisioner {
 	return &Provisioner{MinLoad: minLoad, MaxLoad: maxLoad}
 }
 
-// Place implements Placer: least-loaded among the active set.
+// Place implements Placer: least-loaded among the active set's alive
+// servers.
 func (p *Provisioner) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	if best := p.least(candidates, true); best != nil {
+	if best := p.least(true); best != nil {
 		return best
 	}
 	return candidates[0] // all parked: fall back (and rebalance soon)
@@ -41,22 +42,19 @@ func (p *Provisioner) Name() string { return "provisioner" }
 
 // Evaluate implements Controller: it applies the threshold policy, one
 // transition per event, as in the paper ("one server will be put
-// aside"/"set to active state").
+// aside"/"set to active state"). It moves alive servers only, as Place
+// picks them: a crashed one would count in the pool without serving.
 func (p *Provisioner) Evaluate(s *Scheduler) {
 	load := s.LoadPerServer(p.n)
 	switch {
 	case load > p.MaxLoad && p.n < len(s.servers):
 		// Activate the parked server with the lowest ID; pre-warm it
 		// and restore its always-on controller.
-		for _, srv := range s.servers {
-			if p.promote(srv) {
-				break
-			}
-		}
+		p.promote(p.firstParked())
 	case load < p.MinLoad && p.n > minActive:
 		// Park the active server with the fewest pending tasks: it
 		// finishes its backlog, then the zero-length delay timer drops
 		// it into system sleep.
-		p.demote(p.least(s.servers, true), 0)
+		p.demote(p.least(true), 0)
 	}
 }

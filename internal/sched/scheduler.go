@@ -75,6 +75,7 @@ type Config struct {
 // completions.
 type Scheduler struct {
 	eng     *engine.Engine
+	farm    *server.Farm
 	servers []*server.Server
 	cfg     Config
 
@@ -93,6 +94,15 @@ type Scheduler struct {
 	// placer first asks for that argmin (leastLoaded): round-robin and
 	// sharded runs never pay for it.
 	loads winnerTree
+
+	// lv files the alive servers with a spare slot by committed count
+	// (availableServer, DualTimer, pack); empty until one of them asks.
+	lv levels
+
+	// pool is the pool policy's active set, once it has started: its
+	// per-side indexes are keyed by PendingTasks, so every change to a
+	// server's pending count or liveness re-keys the server there.
+	pool *pool
 
 	// Candidate-set sharding (SetShards): shardOf maps each server to its
 	// shard (rack/pod/block); shards is a winner tree whose keys are the
@@ -162,6 +172,7 @@ func New(eng *engine.Engine, servers []*server.Server, cfg Config) (*Scheduler, 
 	}
 	s := &Scheduler{
 		eng:       eng,
+		farm:      farm,
 		servers:   servers,
 		cfg:       cfg,
 		committed: make([]int, len(servers)),
@@ -215,12 +226,16 @@ func (s *Scheduler) Committed(serverID int) int { return s.committed[serverID] }
 
 // commit is the single mutation point for the committed counters: it
 // applies delta to server id and replays the load tree (once built) and
-// the shard sums' tree (when sharding is on), O(log N) each. Decrements
-// clamp at zero (fault paths can release a commitment that a crash
-// already zeroed), in which case nothing else moves either.
+// the shard sums' tree (when sharding is on), O(log N) each, and refiles
+// the server in the load levels (once built), O(1). Decrements clamp at
+// zero (fault paths can release a commitment that a crash already
+// zeroed), in which case nothing else moves either.
 func (s *Scheduler) commit(id, delta int) {
 	if delta < 0 && s.committed[id] <= 0 {
 		return
+	}
+	if s.lv.n != nil {
+		s.refile(id, s.committed[id], s.committed[id]+delta)
 	}
 	s.committed[id] += delta
 	if s.loads.node != nil {
@@ -401,11 +416,10 @@ func (s *Scheduler) place(t *job.Task) error {
 }
 
 // availableServer finds an alive server with a spare execution slot
-// (global-queue mode's "servers available at that time").
+// (global-queue mode's "servers available at that time"): the least
+// committed, ties to the lowest ID.
 func (s *Scheduler) availableServer() *server.Server {
-	return s.leastLoaded(s.servers, func(srv *server.Server) bool {
-		return !(s.downCount > 0 && srv.Failed()) && s.Load(srv) < srv.Cores()
-	})
+	return s.leastSpare(len(s.servers))
 }
 
 // submit hands the task to the server's local scheduler.
@@ -416,12 +430,18 @@ func (s *Scheduler) submit(srv *server.Server, t *job.Task) {
 		fn(srv, t)
 	}
 	srv.Submit(t)
+	if s.pool != nil {
+		s.pool.fix(srv.ID())
+	}
 }
 
 // taskDone is the server completion callback: it resolves DAG edges,
 // launches data transfers, completes jobs, and drains the global queue.
 func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 	now := s.eng.Now()
+	if s.pool != nil {
+		s.pool.fix(srv.ID())
+	}
 	if t.ServerID >= 0 {
 		s.commit(t.ServerID, -1)
 	}

@@ -28,6 +28,12 @@ type Farm struct {
 	totalPending   int64
 	totalCompleted int64
 
+	// asleep has bit i%64 of word i/64 set while server i is Asleep:
+	// placement reads awake and sleeping servers off it without visiting
+	// them. Every write that can flip a server's Asleep is followed by
+	// syncAsleep.
+	asleep []uint64
+
 	planner sleepPlanner
 
 	onTaskDone []func(*Server, *job.Task)
@@ -120,6 +126,11 @@ func NewFarm(eng *engine.Engine) *Farm {
 
 // Server returns server i in add order.
 func (f *Farm) Server(i int) *Server { return f.servers[i] }
+
+// Asleep reports the farm's asleep set by server ID: bit i%64 of word
+// i/64 is set while server i is Asleep. The words are the farm's own and
+// stay current; they cover every added ID.
+func (f *Farm) Asleep() []uint64 { return f.asleep }
 
 // TotalPending reports the farm-wide sum of per-server pending tasks
 // (queued + reserved + running), maintained incrementally — O(1), never a

@@ -384,3 +384,20 @@ func TestFarmSharesConfigByValue(t *testing.T) {
 		}
 	}
 }
+
+// The farm's asleep set is indexed by server ID, so Add refuses an ID
+// the set cannot hold, and covers every ID it accepts.
+func TestFarmAddRejectsOutOfRangeID(t *testing.T) {
+	farm := NewFarm(engine.New())
+	for _, id := range []int{-1, 1 << 31} {
+		if _, err := farm.Add(id, farmConfig(nil)); err == nil {
+			t.Errorf("Add(%d) accepted", id)
+		}
+	}
+	if _, err := farm.Add(130, farmConfig(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(farm.Asleep()); got != 3 {
+		t.Fatalf("asleep set holds %d words for ID 130, want 3", got)
+	}
+}

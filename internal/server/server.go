@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"holdcsim/internal/engine"
@@ -113,6 +114,9 @@ func New(id int, eng *engine.Engine, cfg Config) (*Server, error) {
 // the farm's running total. The server starts in S0 with all cores idle
 // (governor engaged).
 func (f *Farm) Add(id int, cfg Config) (*Server, error) {
+	if id < 0 || id > math.MaxInt32 {
+		return nil, fmt.Errorf("server: ID %d out of range", id)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -144,6 +148,9 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	}
 	s.checkServerIdle()
 	f.servers = append(f.servers, s)
+	if w := id / 64; w >= len(f.asleep) {
+		f.asleep = append(f.asleep, make([]uint64, w+1-len(f.asleep))...)
+	}
 	return s, nil
 }
 
@@ -206,6 +213,18 @@ func (s *Server) setAllSocketsParked(parked bool) {
 // sleep state and not already waking.
 func (s *Server) Asleep() bool {
 	return (s.suspended || s.entering) && !s.waking
+}
+
+// syncAsleep copies Asleep into the farm's asleep set. Only enterSleep,
+// beginWake and Crash can flip Asleep, and each calls this after the
+// flip.
+func (s *Server) syncAsleep() {
+	w, bit := &s.farm.asleep[s.id/64], uint64(1)<<(s.id%64)
+	if s.Asleep() {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
 }
 
 // BusyCores reports the number of cores currently executing tasks.
@@ -317,6 +336,7 @@ func (s *Server) Crash() []*job.Task {
 	s.busyDelta(-int(s.busyCores))
 	s.waking, s.entering, s.wakeAfterEntry = false, false, false
 	s.suspended = false // irrelevant while failed; Recover rebuilds
+	s.syncAsleep()
 	s.setAllSocketsParked(true)
 	s.recompute()
 	return orphans
@@ -573,6 +593,7 @@ func (s *Server) enterSleep() {
 		return
 	}
 	s.entering = true
+	s.syncAsleep()
 	for i := range s.cores {
 		s.cores[i].park()
 	}
@@ -632,6 +653,7 @@ func (s *Server) beginWake() {
 		return
 	}
 	s.waking = true
+	s.syncAsleep()
 	s.wakeCount++
 	s.recompute()
 	s.sysAfter(s.cfg.Profile.WakeS3.Latency)

@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -19,7 +20,7 @@ type Tally struct {
 	mean    float64
 	max     float64
 	samples []float64
-	dirty   bool   // samples appended since the last sort
+	dirty   bool   // samples not known sorted: appended since the last sort
 	resCap  int    // >0: bound retention to resCap samples (Algorithm R)
 	rngSt   uint64 // xorshift64 state for reservoir replacement draws
 }
@@ -84,8 +85,9 @@ func (t *Tally) Add(x float64) {
 	if t.resCap > 0 && len(t.samples) >= t.resCap {
 		// Algorithm R: sample x survives with probability cap/n, replacing
 		// a uniformly chosen reservoir slot. (The reservoir is a uniform
-		// subset under any permutation, so the lazy in-place sort that
-		// Percentile performs between Adds does not bias replacement.)
+		// subset under any permutation, so the in-place reordering that
+		// Percentile and CDF perform between Adds does not bias
+		// replacement.)
 		if j := t.randN(t.n); j < int64(t.resCap) {
 			t.samples[j] = x
 			t.dirty = true
@@ -129,25 +131,81 @@ func (t *Tally) Max() float64 {
 
 // Percentile reports the p-th percentile (p in [0,100]) using linear
 // interpolation between order statistics. It returns 0 when empty.
+// Samples left sorted by a CDF are read in place; otherwise it selects
+// the one or two order statistics it reads, O(n), and leaves the samples
+// partly ordered. Either way the value is the one a full sort gives.
 func (t *Tally) Percentile(p float64) float64 {
-	if len(t.samples) == 0 {
+	s := t.samples
+	if len(s) == 0 {
 		return 0
 	}
-	s := t.sorted()
-	if !(p > 0) { // includes NaN: degenerate p never indexes out of range
-		return s[0]
+	lo, frac := len(s)-1, 0.0
+	switch {
+	case !(p > 0): // includes NaN: degenerate p never indexes out of range
+		lo = 0
+	case p < 100:
+		rank := p / 100 * float64(len(s)-1)
+		lo = int(math.Floor(rank))
+		frac = rank - float64(lo)
 	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
+	if frac == 0 {
+		if t.dirty {
+			selectK(s, lo)
+		}
 		return s[lo]
 	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	if t.dirty {
+		// s[lo+1] is then the least of what follows s[lo].
+		selectK(s, lo)
+		m := lo + 1
+		for i := m + 1; i < len(s); i++ {
+			if less(s[i], s[m]) {
+				m = i
+			}
+		}
+		s[lo+1], s[m] = s[m], s[lo+1]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// less is the order sort.Float64s sorts by: NaN first, then ascending.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectK reorders s so that s[k] holds the value sorting s would put
+// there, nothing before it greater and nothing after it less (Hoare's
+// FIND, pivoting on the middle of the range). The range shrinks every
+// round; should it shrink slowly for 2·log2(n) rounds, what is left is
+// sorted instead, so the worst case stays O(n log n).
+func selectK(s []float64, k int) {
+	l, r := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); l < r; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[l : r+1])
+			return
+		}
+		x := s[l+(r-l)/2]
+		i, j := l, r
+		for i <= j {
+			for less(s[i], x) {
+				i++
+			}
+			for less(x, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[l..j] ≤ x ≤ s[i..r], and anything between equals x.
+		if j < k {
+			l = i
+		}
+		if k < i {
+			r = j
+		}
+	}
 }
 
 // CDF returns (x, F(x)) pairs over at most points steps, suitable for
