@@ -33,22 +33,8 @@ func (b *idset) remove(i int) {
 	}
 }
 
-// nextWord returns the index of the first non-zero word at or after k,
-// or -1.
-func (b *idset) nextWord(k int) int {
-	j := k / 64
-	if j >= len(b.sum) {
-		return -1
-	}
-	m := b.sum[j] & (^uint64(0) << (k % 64))
-	for m == 0 {
-		if j++; j == len(b.sum) {
-			return -1
-		}
-		m = b.sum[j]
-	}
-	return j*64 + bits.TrailingZeros64(m)
-}
+// has reports whether i is a member.
+func (b *idset) has(i int) bool { return b.w[i/64]&(1<<(i%64)) != 0 }
 
 // next returns the lowest member ≥ i, or -1.
 func (b *idset) next(i int) int {
@@ -70,14 +56,16 @@ func (b *idset) nextNot(i int, not []uint64) int {
 		if m != 0 {
 			return k*64 + bits.TrailingZeros64(m)
 		}
-		if k = b.nextWord(k + 1); k < 0 {
+		if k = nextSet(b.sum, k+1); k < 0 {
 			return -1
 		}
 		m = b.w[k]
 	}
 }
 
-// nextSet returns the lowest ID ≥ i whose bit is set in w, or -1.
+// nextSet returns the lowest i' ≥ i whose bit (i'%64 of w[i'/64]) is
+// set, or -1: an idset's next non-zero word over its summary, or the
+// next ID in a bare bitset such as the farm's asleep set.
 func nextSet(w []uint64, i int) int {
 	k := i / 64
 	if k >= len(w) {
@@ -118,16 +106,6 @@ func (l *levels) add(id, c int) {
 func (l *levels) remove(id, c int) {
 	l.set[c].remove(id)
 	l.n[c]--
-}
-
-// first returns the lowest ID in the first non-empty level, or -1.
-func (l *levels) first() int {
-	for c, n := range l.n {
-		if n > 0 {
-			return l.set[c].next(0)
-		}
-	}
-	return -1
 }
 
 // levelIndex returns the scheduler's load levels — the alive servers

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"testing"
 
 	"holdcsim/internal/job"
@@ -84,10 +83,9 @@ func mixedFarm(t *testing.T, n int, orphans OrphanPolicy) (*Scheduler, []*server
 // scan: availableServer and the DualTimer high-pool pick (leastSpare),
 // pack and DualTimer.Place from random bounds, both pool sides and the
 // Provisioner's parked pick. It also holds the load levels, the farm's
-// asleep set and the pool sides' keys, levels and deep trees to their
-// definitions; two farms file pending counts from 2 up in the deep
-// trees. The load levels are built lazily over commitments that predate
-// them.
+// asleep set and the pool sides' keys and tree roots to their
+// definitions. The load levels are built lazily over commitments that
+// predate them.
 func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 	const steps = 1500
 	for i, n := range []int{1, 63, 65, 130} {
@@ -106,14 +104,6 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 		}
 		var p pool
 		p.Start(s)
-		if i >= 2 {
-			// Shallow sides: pending counts from 2 up go to the deep
-			// trees, which a random load would otherwise seldom reach.
-			p.side = [2]poolSide{newPoolSide(n, 2), newPoolSide(n, 2)}
-			for id := range servers {
-				p.fix(id)
-			}
-		}
 		d := NewDualTimer(0, simtime.Second, simtime.Millisecond)
 		tk := 0
 		for step := 0; step < steps; step++ {
@@ -201,8 +191,8 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 	}
 }
 
-// checkIndexes holds every level, the asleep set and the pool's keys to
-// their definitions.
+// checkIndexes holds every level, the asleep set and the pool's keys and
+// tree roots to their definitions.
 func checkIndexes(t *testing.T, s *Scheduler, p *pool, servers []*server.Server) {
 	t.Helper()
 	asleep := s.farm.Asleep()
@@ -219,24 +209,20 @@ func checkIndexes(t *testing.T, s *Scheduler, p *pool, servers []*server.Server)
 			if ps.key[id] != want {
 				t.Fatalf("server %d: pool side %d key %d, want %d", id, side, ps.key[id], want)
 			}
-			if got := ps.deep.key[id]; got != ps.deepKey(want) {
-				t.Fatalf("server %d: pool side %d deep key %d for key %d", id, side, got, want)
-			}
 		}
 	}
 	for side, ps := range p.side {
-		checkLevels(t, fmt.Sprintf("pool side %d", side), &ps.lv, servers, func(srv *server.Server) int { return ps.key[srv.ID()] })
 		root := 0
-		for id, k := range ps.deep.key {
-			if k < ps.deep.key[root] {
+		for id, k := range ps.key {
+			if k < ps.key[root] {
 				root = id
 			}
 		}
-		if got := int(ps.deep.node[1]); got != root {
-			t.Fatalf("pool side %d: deep tree root %d, scan %d", side, got, root)
+		if got := int(ps.node[1]); got != root {
+			t.Fatalf("pool side %d: tree root %d, scan %d", side, got, root)
 		}
 	}
-	checkLevels(t, "load", &s.lv, servers, func(srv *server.Server) int {
+	checkLevels(t, &s.lv, servers, func(srv *server.Server) int {
 		if c := s.committed[srv.ID()]; !srv.Failed() && c < srv.Cores() {
 			return c
 		}
@@ -247,14 +233,14 @@ func checkIndexes(t *testing.T, s *Scheduler, p *pool, servers []*server.Server)
 // checkLevels holds levels to the filing rule at: a server is in level c
 // exactly when at(server) is c, each count matches, and each summary bit
 // says whether its word is non-zero.
-func checkLevels(t *testing.T, name string, l *levels, servers []*server.Server, at func(*server.Server) int) {
+func checkLevels(t *testing.T, l *levels, servers []*server.Server, at func(*server.Server) int) {
 	t.Helper()
 	count := make([]int, len(l.n))
 	for _, srv := range servers {
 		id, c := srv.ID(), at(srv)
 		for lc, set := range l.set {
 			if got := set.w != nil && set.w[id/64]&(1<<(id%64)) != 0; got != (lc == c) {
-				t.Fatalf("%s levels: server %d (filed at %d) in level %d = %v", name, id, c, lc, got)
+				t.Fatalf("load levels: server %d (filed at %d) in level %d = %v", id, c, lc, got)
 			}
 		}
 		if c >= 0 && c < len(count) {
@@ -263,11 +249,11 @@ func checkLevels(t *testing.T, name string, l *levels, servers []*server.Server,
 	}
 	for c, set := range l.set {
 		if l.n[c] != count[c] {
-			t.Fatalf("%s levels: level %d counts %d, holds %d", name, c, l.n[c], count[c])
+			t.Fatalf("load levels: level %d counts %d, holds %d", c, l.n[c], count[c])
 		}
 		for k, w := range set.w {
 			if got := set.sum[k/64]&(1<<(k%64)) != 0; got != (w != 0) {
-				t.Fatalf("%s levels: level %d summary bit of word %d is %v over %#x", name, c, k, got, w)
+				t.Fatalf("load levels: level %d summary bit of word %d is %v over %#x", c, k, got, w)
 			}
 		}
 	}
@@ -304,7 +290,7 @@ func TestPoolControllersSkipCrashedServers(t *testing.T) {
 				s.JobArrived(singleJob(job.ID(i), 0, simtime.Second))
 			}
 			if !p.has(1) {
-				t.Fatalf("server 1 not promoted: members %b, %d", p.in[0], p.n)
+				t.Fatalf("server 1 not promoted (%d members)", p.n)
 			}
 			if p.has(0) {
 				t.Fatalf("crashed server 0 promoted into the pool (%d members)", p.n)

@@ -111,16 +111,10 @@ func (t *winnerTree) match(i int) int32 {
 }
 
 // fix replays the games on leaf i's path to the root after key[i]
-// changed — O(log len(key)). It stops at the first game whose winner is
-// the same other index as before: that winner's key did not change, so
-// nothing above it can.
+// changed — O(log len(key)).
 func (t *winnerTree) fix(i int) {
 	for n := (len(t.node)/2 + i) / 2; n >= 1; n /= 2 {
-		w := t.match(n)
-		if w == t.node[n] && w != int32(i) {
-			return
-		}
-		t.node[n] = w
+		t.node[n] = t.match(n)
 	}
 }
 

@@ -2,44 +2,28 @@ package sched
 
 import (
 	"math"
-	"math/bits"
 
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 )
 
-// pool is the active set AdaptivePool and Provisioner dispatch to:
-// membership by server ID as a bitset, a count, and one index per side
-// — side[1] over the members, side[0] over the rest — of the alive
-// servers by pending tasks. Members keep their delay timer off; a
-// demoted server drains and suspends after the timer it is given.
+// pool is the active set AdaptivePool and Provisioner dispatch to: the
+// servers outside it as an ID set, a member count, and one winner tree
+// per side — side[1] over the members, side[0] over the rest — keyed by
+// an alive server's pending tasks on its own side and keyedOut on the
+// other. Members keep their delay timer off; a demoted server drains and
+// suspends after the timer it is given.
 //
 // The scheduler re-keys a server (fix) wherever its pending count or
 // liveness changes: after a submit, at a task's completion, after an
 // abort, a crash and a recovery. Nothing else changes a server's
 // pending count: a task moving from a queue to a core leaves it as is.
 type pool struct {
-	in   []uint64 // bit i%64 of word i/64: server i is a member
+	out  idset
 	n    int
 	srvs []*server.Server
-	side [2]poolSide
+	side [2]winnerTree
 }
-
-// poolSide files the alive servers on one side of the pool by pending
-// tasks: key[id] is server id's pending count while it is alive and on
-// this side, keyedOut otherwise. Counts below the levels' depth
-// (poolDepth) are load levels, moved in O(1) as a count steps; deeper
-// ones are keyed into a winner tree (keyedOut there otherwise), so a
-// deep backlog costs a tree update, not a level's words per count it
-// passes.
-type poolSide struct {
-	key  []int
-	lv   levels
-	deep winnerTree
-}
-
-// poolDepth is how many pending counts a pool side files in levels.
-const poolDepth = 64
 
 // keyedOut is the key of a server a pool side must not pick.
 const keyedOut = math.MaxInt
@@ -47,66 +31,20 @@ const keyedOut = math.MaxInt
 // minActive floors the pool: neither policy demotes its last member.
 const minActive = 1
 
-// newPoolSide returns a side over n servers, all keyed out, filing
-// counts below depth in levels.
-func newPoolSide(n, depth int) poolSide {
-	key, deep := make([]int, n), make([]int, n)
-	for i := range key {
-		key[i], deep[i] = keyedOut, keyedOut
-	}
-	return poolSide{key: key, lv: newLevels(depth, n), deep: newWinnerTree(deep)}
-}
-
-// set re-keys server id on this side.
-func (ps *poolSide) set(id, k int) {
-	old := ps.key[id]
-	if old == k {
-		return
-	}
-	ps.key[id] = k
-	depth := len(ps.lv.n)
-	if old < depth {
-		ps.lv.remove(id, old)
-	}
-	if k < depth {
-		ps.lv.add(id, k)
-	}
-	if ps.deepKey(old) != ps.deepKey(k) {
-		ps.deep.key[id] = ps.deepKey(k)
-		ps.deep.fix(id)
-	}
-}
-
-// deepKey is a key as the deep tree holds it: keyedOut below the levels'
-// depth.
-func (ps *poolSide) deepKey(k int) int {
-	if k < len(ps.lv.n) {
-		return keyedOut
-	}
-	return k
-}
-
-// least returns the ID with the smallest key on this side, ties to the
-// lower ID, or -1 when every server is keyed out.
-func (ps *poolSide) least() int {
-	if id := ps.lv.first(); id >= 0 {
-		return id
-	}
-	if w := ps.deep.node[1]; ps.deep.key[w] != keyedOut {
-		return int(w)
-	}
-	return -1
-}
-
 // Start implements Starter: every server begins in the pool. The pool
 // registers with the scheduler, which re-keys its servers from here on.
 func (p *pool) Start(s *Scheduler) {
 	n := len(s.servers)
-	p.in = make([]uint64, (n+63)/64)
+	p.out = newIDSet(n)
 	p.srvs = s.servers
-	p.side = [2]poolSide{newPoolSide(n, poolDepth), newPoolSide(n, poolDepth)}
+	for m := range p.side {
+		key := make([]int, n)
+		for id := range key {
+			key[id] = keyedOut
+		}
+		p.side[m] = newWinnerTree(key)
+	}
 	for id, srv := range s.servers {
-		p.in[id/64] |= 1 << (id % 64)
 		srv.SetDelayTimer(false, 0)
 		p.fix(id)
 	}
@@ -118,7 +56,7 @@ func (p *pool) Start(s *Scheduler) {
 func (p *pool) ActiveServers() int { return p.n }
 
 // has reports whether server id is a member.
-func (p *pool) has(id int) bool { return p.in[id/64]&(1<<(id%64)) != 0 }
+func (p *pool) has(id int) bool { return !p.out.has(id) }
 
 // fix re-keys server id on both sides after its pending count, its
 // liveness or its side changed.
@@ -131,9 +69,15 @@ func (p *pool) fix(id int) {
 	if p.has(id) {
 		m = 1
 	}
-	p.side[m].set(id, k)
-	if other := &p.side[1-m]; other.key[id] != keyedOut {
-		other.set(id, keyedOut)
+	p.set(m, id, k)
+	p.set(1-m, id, keyedOut)
+}
+
+// set keys server id at k on side m.
+func (p *pool) set(m, id, k int) {
+	if t := &p.side[m]; t.key[id] != k {
+		t.key[id] = k
+		t.fix(id)
 	}
 }
 
@@ -141,28 +85,22 @@ func (p *pool) fix(id int) {
 // the members — or, with member false, among the rest — ties to the
 // lower ID; nil when that side has no alive server.
 func (p *pool) least(member bool) *server.Server {
-	m := 0
+	t := &p.side[0]
 	if member {
-		m = 1
+		t = &p.side[1]
 	}
-	if id := p.side[m].least(); id >= 0 {
-		return p.srvs[id]
+	if w := t.node[1]; t.key[w] != keyedOut {
+		return p.srvs[w]
 	}
 	return nil
 }
 
 // firstParked returns the lowest-ID alive server outside the pool, or
-// nil: the first zero of the membership bits whose server is up.
+// nil.
 func (p *pool) firstParked() *server.Server {
-	for k, w := range p.in {
-		for m := ^w; m != 0; m &= m - 1 {
-			id := k*64 + bits.TrailingZeros64(m)
-			if id >= len(p.srvs) {
-				return nil
-			}
-			if srv := p.srvs[id]; !srv.Failed() {
-				return srv
-			}
+	for id := p.out.next(0); id >= 0; id = p.out.next(id + 1) {
+		if srv := p.srvs[id]; !srv.Failed() {
+			return srv
 		}
 	}
 	return nil
@@ -174,10 +112,9 @@ func (p *pool) promote(srv *server.Server) bool {
 	if srv == nil || p.has(srv.ID()) {
 		return false
 	}
-	id := srv.ID()
-	p.in[id/64] |= 1 << (id % 64)
+	p.out.remove(srv.ID())
 	p.n++
-	p.fix(id)
+	p.fix(srv.ID())
 	srv.SetDelayTimer(false, 0)
 	srv.WakeUp()
 	return true
@@ -189,10 +126,9 @@ func (p *pool) demote(srv *server.Server, tau simtime.Time) bool {
 	if srv == nil || !p.has(srv.ID()) {
 		return false
 	}
-	id := srv.ID()
-	p.in[id/64] &^= 1 << (id % 64)
+	p.out.add(srv.ID())
 	p.n--
-	p.fix(id)
+	p.fix(srv.ID())
 	srv.SetDelayTimer(true, tau)
 	return true
 }
