@@ -1,10 +1,12 @@
 // Package engine implements the discrete-event simulation core of HolDCSim.
 //
 // The engine maintains a virtual clock and a ladder (calendar) queue of
-// pending events. Events are plain closures scheduled for a point in
-// virtual time; ties are broken by scheduling order (a monotonically
-// increasing sequence number), which makes every run deterministic for a
-// fixed seed.
+// pending events. An event names a Handler, whose Fire runs at a point in
+// virtual time: a model object that owns its events (a core, a packet, a
+// flow, an arrival process) implements Fire itself, and anything else
+// schedules a plain func through Schedule. Ties are broken by scheduling
+// order (a monotonically increasing sequence number), which makes every
+// run deterministic for a fixed seed.
 //
 // Five mechanisms keep the hot path allocation-free and sub-logarithmic
 // (see DESIGN.md, "Engine internals"):
@@ -106,8 +108,19 @@ type event struct {
 	prev *event // predecessor in its list; stale at the head
 	gen  uint32
 	pos  int32 // where it is queued: a heap index, or a pos* tag
-	fn   func()
+	h    Handler
 }
+
+// Handler is what an event runs: Fire is called once, at the event's
+// time. A model object that owns its events implements it, so the event
+// names the object itself and a dispatch reads no callback of its own.
+type Handler interface{ Fire() }
+
+// funcHandler runs a plain func as a Handler. A func value is one
+// pointer, so wrapping it allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // list is an intrusive, doubly linked FIFO of events. Appends happen in
 // scheduling order, so a list filled only by Schedule is in seq order.
@@ -321,25 +334,35 @@ func (e *Engine) alloc() *event {
 // release recycles an event into the pool. Bumping the generation makes
 // every outstanding Handle to it inert.
 func (e *Engine) release(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.gen++
 	ev.next = e.free
 	e.free = ev
 }
 
-// Schedule queues fn to run at absolute virtual time at. Scheduling in
-// the past or at simtime.Forever panics: it always indicates a model bug.
+// Schedule queues fn to run at absolute virtual time at, as
+// ScheduleHandler does.
 func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
+	if fn == nil {
+		panic("engine: schedule with nil func")
+	}
+	return e.ScheduleHandler(at, funcHandler(fn))
+}
+
+// ScheduleHandler queues h's Fire to run at absolute virtual time at.
+// Scheduling in the past or at simtime.Forever panics: it always
+// indicates a model bug.
+func (e *Engine) ScheduleHandler(at simtime.Time, h Handler) Handle {
 	if at < e.now || at == simtime.Forever {
 		panic(fmt.Sprintf("engine: schedule at %v, now %v: past or Forever", at, e.now))
 	}
-	if fn == nil {
-		panic("engine: schedule with nil func")
+	if h == nil {
+		panic("engine: schedule with nil handler")
 	}
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = e.seq
-	ev.fn = fn
+	ev.h = h
 	e.seq++
 	e.live++
 	d := at - e.now
@@ -501,6 +524,11 @@ func (e *Engine) rungFor(t simtime.Time) *rung {
 // After queues fn to run d from now. Negative d panics.
 func (e *Engine) After(d simtime.Time, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
+}
+
+// AfterHandler queues h's Fire to run d from now. Negative d panics.
+func (e *Engine) AfterHandler(d simtime.Time, h Handler) Handle {
+	return e.ScheduleHandler(e.now+d, h)
 }
 
 // Every runs fn at absolute time first and then every period for as long
@@ -767,17 +795,18 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.Dispatched++
 	e.live--
-	fn := ev.fn
+	h := ev.h
 	e.firing = Handle{ev, ev.gen}
-	// Release before running so fn's own rescheduling can reuse the
-	// slot; the generation bump keeps outstanding Handles inert.
+	// Release before running so the handler's own rescheduling can
+	// reuse the slot; the generation bump keeps outstanding Handles
+	// inert.
 	e.release(ev)
-	fn()
+	h.Fire()
 	return true
 }
 
 // Firing reports the Handle Schedule returned for the event being run,
-// so a callback shared by several events tells which one fired: one a
+// so a handler shared by several events tells which one fired: one a
 // model has since stopped waiting for compares unequal to the Handle it
 // now keeps. The Handle is no longer Pending, and stays the answer
 // until the next event runs.

@@ -11,10 +11,10 @@ import (
 // This file extends the ladder-vs-reference-heap differential testing
 // of ladder_test.go with byte-decoded op scripts that interleave
 // Timer.Reset / Timer.Stop with Cancel and re-arm — the exact churn the
-// delay-timer and LPI policies generate — and exposes the decoder to a
-// native fuzz target. The law is unchanged: for any script, the ladder
-// engine must dispatch the bit-identical (id, time) sequence the
-// reference binary heap does.
+// delay-timer and LPI policies generate — and plain func events with
+// Handler events, and exposes the decoder to a native fuzz target. The
+// law is unchanged: for any script, the ladder engine must dispatch the
+// bit-identical (id, time) sequence the reference binary heap does.
 
 // numFuzzTimers is the fixed pool of restartable timers a script drives.
 const numFuzzTimers = 8
@@ -26,7 +26,7 @@ const timerIDBase = 1 << 20
 type fuzzOp struct {
 	kind  byte // 0 schedule, 1 cancel, 2 step, 3 timer-reset, 4 timer-stop
 	delay simtime.Time
-	arg   int // cancel target / timer index; a step with arg%8 == 7 is RunUntil(now+delay)
+	arg   int // cancel target / timer index; a step with arg%8 == 7 is RunUntil(now+delay), a schedule with an odd arg schedules a Handler
 }
 
 // runsUntil reports whether op is a step that runs until delay past now.
@@ -62,6 +62,15 @@ func decodeScript(data []byte) []fuzzOp {
 	return ops
 }
 
+// fuzzEvent is a script's Handler event: it logs its id as it fires.
+type fuzzEvent struct {
+	id    int
+	e     *Engine
+	fired *[]dispatchRecord
+}
+
+func (f *fuzzEvent) Fire() { *f.fired = append(*f.fired, dispatchRecord{id: f.id, at: f.e.Now()}) }
+
 // runLadderFuzzScript replays ops on the real engine with a pool of
 // engine.Timers, returning the dispatch sequence. A non-nil watch sees
 // the engine after every op.
@@ -82,6 +91,10 @@ func runLadderFuzzScript(ops []fuzzOp, watch func(*Engine)) []dispatchRecord {
 		case 0:
 			id := nextID
 			nextID++
+			if op.arg&1 == 1 {
+				handles[id] = e.ScheduleHandler(e.Now()+op.delay, &fuzzEvent{id: id, e: e, fired: &fired})
+				break
+			}
 			handles[id] = e.Schedule(e.Now()+op.delay, func() {
 				fired = append(fired, dispatchRecord{id: id, at: e.Now()})
 			})

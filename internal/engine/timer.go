@@ -14,7 +14,7 @@ import "holdcsim/internal/simtime"
 // already stale: it is not Pending, and Stop and Reset cancel nothing.
 type Timer struct {
 	eng *Engine
-	fn  func()
+	fn  funcHandler
 	h   Handle
 }
 
@@ -31,7 +31,7 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 // deterministic ordering).
 func (t *Timer) Reset(d simtime.Time) {
 	t.eng.Cancel(t.h)
-	t.h = t.eng.After(d, t.fn)
+	t.h = t.eng.AfterHandler(d, t.fn)
 }
 
 // Stop disarms the timer. It reports whether a pending expiry was canceled.

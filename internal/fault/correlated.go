@@ -311,39 +311,55 @@ func (inj *Injector) maybeCascade(crashed, depth int) {
 	}
 }
 
+// Component classes, as the touched lists index them.
+const (
+	classServer = iota
+	classLink
+	classSwitch
+	numClasses
+)
+
+// touch records that fail or restore took or released component i of
+// class c, once a check has begun.
+func (inj *Injector) touch(c, i int) {
+	if inj.checked {
+		inj.touched[c] = append(inj.touched[c], i)
+	}
+}
+
 // CheckScopes is the scope-consistency invariant hook: ownership and
 // component state must agree in both directions (a dead rack implies
 // every owned member is still down; nothing is down without an owner),
 // and the ledger's per-scope loss attribution must sum back to its
-// crash-loss total. Iteration is index-ordered so a violation message
-// is deterministic.
-func (inj *Injector) CheckScopes() error {
-	for s := range inj.servers {
-		_, owned := inj.srvDownBy[s]
-		if owned && !inj.servers[s].Failed() {
-			return fmt.Errorf("server %d owned-down by pair %d but alive", s, inj.srvDownBy[s])
-		}
-		if !owned && inj.servers[s].Failed() {
-			return fmt.Errorf("server %d down without an owning outage", s)
-		}
+// crash-loss total. With full set, and on the first call, it walks
+// every server, link and switch; otherwise only those fault events took
+// or released since the last check, so a scan costs what the faults
+// since the last one did, not the farm's size. Iteration is
+// index-ordered (touch-ordered when not full) so a violation message is
+// deterministic.
+func (inj *Injector) CheckScopes(full bool) error {
+	full = full || !inj.checked
+	inj.checked = true
+	touched := inj.touched
+	for c := range inj.touched {
+		inj.touched[c] = inj.touched[c][:0]
 	}
+	var nLinks, nSws int
 	if inj.net != nil {
-		for l := 0; l < inj.net.NumLinks(); l++ {
-			_, owned := inj.linkDownBy[l]
-			if owned && !inj.net.LinkAdminDown(l) {
-				return fmt.Errorf("link %d owned-down but admin-up", l)
+		nLinks, nSws = inj.net.NumLinks(), len(inj.net.Switches())
+	}
+	for c, n := range [numClasses]int{len(inj.servers), nLinks, nSws} {
+		if !full {
+			for _, i := range touched[c] {
+				if err := inj.checkOwner(c, i); err != nil {
+					return err
+				}
 			}
-			if !owned && inj.net.LinkAdminDown(l) {
-				return fmt.Errorf("link %d admin-down without an owning outage", l)
-			}
+			continue
 		}
-		for i, sw := range inj.net.Switches() {
-			_, owned := inj.swDownBy[i]
-			if owned && !sw.Failed() {
-				return fmt.Errorf("switch %d owned-down but alive", i)
-			}
-			if !owned && sw.Failed() {
-				return fmt.Errorf("switch %d down without an owning outage", i)
+		for i := range n {
+			if err := inj.checkOwner(c, i); err != nil {
+				return err
 			}
 		}
 	}
@@ -360,3 +376,31 @@ func (inj *Injector) CheckScopes() error {
 	}
 	return nil
 }
+
+// checkOwner holds component i of class c to the scope law: it is down
+// exactly while an outage owns it.
+func (inj *Injector) checkOwner(c, i int) error {
+	var pair int
+	var owned, down bool
+	switch c {
+	case classServer:
+		pair, owned = inj.srvDownBy[i]
+		down = inj.servers[i].Failed()
+	case classLink:
+		pair, owned = inj.linkDownBy[i]
+		down = inj.net.LinkAdminDown(i)
+	default:
+		pair, owned = inj.swDownBy[i]
+		down = inj.net.Switches()[i].Failed()
+	}
+	switch {
+	case owned && !down:
+		return fmt.Errorf("%s %d owned-down by pair %d but up", classNames[c], i, pair)
+	case !owned && down:
+		return fmt.Errorf("%s %d down without an owning outage", classNames[c], i)
+	}
+	return nil
+}
+
+// classNames name the classes in violation messages.
+var classNames = [numClasses]string{"server", "link", "switch"}

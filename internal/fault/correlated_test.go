@@ -8,11 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"holdcsim/internal/core"
 	"holdcsim/internal/fault"
 	"holdcsim/internal/modelcov"
 	"holdcsim/internal/rng"
 	"holdcsim/internal/scenario"
 	"holdcsim/internal/sched"
+	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
 )
@@ -81,8 +83,50 @@ func TestRackBlast(t *testing.T) {
 	if ld.ServerCrashes != 6 || ld.ServerRecovers != 6 || ld.SwitchFails != 1 || ld.SwitchRestores != 1 {
 		t.Errorf("ledger %+v, want 6+6 server and 1+1 switch events", ld)
 	}
-	if err := inj.CheckScopes(); err != nil {
+	if err := inj.CheckScopes(true); err != nil {
 		t.Errorf("CheckScopes after full restore: %v", err)
+	}
+}
+
+// TestCheckScopesReportsPlants plants the two scope-law violations a
+// model bug could leave and holds CheckScopes to report each: a server
+// an outage owns brought back behind the injector's back, which a scan
+// sees because a fault event touched that server since the last one,
+// and a server crashed with no owning outage, which no fault event
+// touched and the full walk at the end of a run sees.
+func TestCheckScopesReportsPlants(t *testing.T) {
+	ms := simtime.Millisecond
+	setup := func() (*core.DataCenter, *fault.Injector) {
+		s := starScenario(31, 6)
+		dc, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := fault.Timeline{Events: []fault.Event{
+			{At: 10 * ms, Scope: fault.ScopeServer, Target: 1, Pair: 0},
+			{At: 100 * ms, Scope: fault.ScopeServer, Up: true, Target: 1, Pair: 0},
+		}}
+		inj := fault.Attach(dc.Eng, tl, dc.Sched, dc.Servers, dc.Net, fault.AttachOpts{Topo: scopeTopo(t, s)})
+		if err := inj.CheckScopes(false); err != nil {
+			t.Fatalf("CheckScopes before any fault: %v", err)
+		}
+		return dc, inj
+	}
+
+	dc, inj := setup()
+	dc.Eng.RunUntil(20 * ms)
+	dc.Sched.ServersRecovered([]*server.Server{dc.Servers[1]})
+	err := inj.CheckScopes(false)
+	if want := "server 1 owned-down by pair 0 but up"; err == nil || err.Error() != want {
+		t.Errorf("scan after a touched server revived: %v, want %q", err, want)
+	}
+
+	dc, inj = setup()
+	dc.Eng.RunUntil(20 * ms)
+	dc.Sched.ServersCrashed([]*server.Server{dc.Servers[3]})
+	err = inj.CheckScopes(true)
+	if want := "server 3 down without an owning outage"; err == nil || err.Error() != want {
+		t.Errorf("full walk after an unowned crash: %v, want %q", err, want)
 	}
 }
 

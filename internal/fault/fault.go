@@ -312,6 +312,14 @@ type Injector struct {
 	linkDownBy map[int]int
 	swDownBy   map[int]int
 
+	// touched lists, per class, the servers, links and switches fail
+	// and restore took or released since the last CheckScopes: the
+	// only components a scan between two full walks need look at.
+	// Nothing is listed before the first CheckScopes (checked), which
+	// walks everything, so a run nobody checks keeps no list.
+	touched [numClasses][]int
+	checked bool
+
 	// cover, when non-nil, receives applied-fault-domain and
 	// cascade-depth coverage features (modelcov; recording only).
 	cover *modelcov.Map
@@ -418,6 +426,7 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 			first = s
 		}
 		inj.srvDownBy[s] = ev.Pair
+		inj.touch(classServer, s)
 		batch = append(batch, inj.servers[s])
 	}
 	if len(batch) > 0 {
@@ -436,6 +445,7 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 			continue
 		}
 		inj.swDownBy[si] = ev.Pair
+		inj.touch(classSwitch, si)
 		if err := inj.net.SetSwitchAdmin(sw.Node(), false); err != nil {
 			panic(err) // range-checked in resolveScope
 		}
@@ -446,6 +456,7 @@ func (inj *Injector) fail(ev Event, depth int, srvs, links, sws []int) {
 			continue
 		}
 		inj.linkDownBy[l] = ev.Pair
+		inj.touch(classLink, l)
 		if err := inj.net.SetLinkAdmin(l, false); err != nil {
 			panic(err) // range-checked in resolveScope
 		}
@@ -466,6 +477,7 @@ func (inj *Injector) restore(pair int, srvs, links, sws []int) {
 			continue
 		}
 		delete(inj.swDownBy, si)
+		inj.touch(classSwitch, si)
 		if err := inj.net.SetSwitchAdmin(sw.Node(), true); err != nil {
 			panic(err) // range-checked in resolveScope
 		}
@@ -476,6 +488,7 @@ func (inj *Injector) restore(pair int, srvs, links, sws []int) {
 			continue
 		}
 		delete(inj.linkDownBy, l)
+		inj.touch(classLink, l)
 		if err := inj.net.SetLinkAdmin(l, true); err != nil {
 			panic(err) // range-checked in resolveScope
 		}
@@ -487,6 +500,7 @@ func (inj *Injector) restore(pair int, srvs, links, sws []int) {
 			continue
 		}
 		delete(inj.srvDownBy, s)
+		inj.touch(classServer, s)
 		batch = append(batch, inj.servers[s])
 	}
 	if len(batch) > 0 {

@@ -62,9 +62,9 @@ type Options struct {
 	// ScopeCheck, when set, verifies the fault injector's scope
 	// consistency (a dead rack implies every owned member still down;
 	// per-scope loss attribution sums to the crash-loss total). It runs
-	// with every deep scan and at Finalize, reporting a
+	// with every deep scan, full at Finalize only, reporting a
 	// "scope-consistency" violation on a non-nil error.
-	ScopeCheck func() error
+	ScopeCheck func(full bool) error
 }
 
 // RelTol is the relative tolerance for floating-point closure laws.
@@ -371,7 +371,7 @@ func (c *Checker) deepScan() {
 		c.report("non-negative-queues", "global queue length %d", q)
 	}
 	if c.opts.ScopeCheck != nil {
-		if err := c.opts.ScopeCheck(); err != nil {
+		if err := c.opts.ScopeCheck(c.finalized); err != nil {
 			c.report("scope-consistency", "%v", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"holdcsim/internal/engine"
 	"holdcsim/internal/power"
+	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
 )
 
@@ -40,6 +41,50 @@ func TestPacketForwardingZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, op); avg != 0 {
 		t.Fatalf("packet forwarding allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestSwitchSleepWakeZeroAlloc gates the switch power path under packet
+// traffic: with a 1 ms sleep threshold every switch on the route sleeps
+// between transfers, so each transfer wakes them (the switch is its
+// wake-up event's handler), crosses the fabric once they are up, and
+// lets them idle back to sleep — and allocates nothing.
+func TestSwitchSleepWakeZeroAlloc(t *testing.T) {
+	g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	cfg := DefaultConfig(power.DataCenter10G(8))
+	cfg.PortBufferBytes = 1 << 30
+	cfg.SwitchSleepIdle = simtime.Millisecond
+	n, err := New(eng, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	op := func() {
+		if err := n.TransferPackets(hosts[0], hosts[15], 64<<10, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 200; i++ {
+		op()
+	}
+	wakes := func() (w int64) {
+		for _, sw := range n.Switches() {
+			w += sw.WakeCount()
+		}
+		return w
+	}
+	before := wakes()
+	if avg := testing.AllocsPerRun(200, op); avg != 0 {
+		t.Fatalf("a switch sleep and wake cycle allocates %.2f allocs/op, want 0", avg)
+	}
+	// Five switches on the route, woken by each of the 201 ops.
+	if got := wakes() - before; got != 5*201 {
+		t.Fatalf("%d switch wakes over 201 transfers, want %d", got, 5*201)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // packets"). Flows on a shared link split capacity max-min fairly;
 // rates are recomputed on every flow arrival and departure.
 //
-// Flows are pooled on Network.flowFree: the start closure is created
-// once per pooled object and survives reuse, so a recycled flow
-// schedules its launch with zero allocation. gen is bumped on release;
+// Flows are pooled on Network.flowFree. A flow is its own launch event's
+// handler (Fire), so a recycled flow schedules its launch with zero
+// allocation. gen is bumped on release;
 // a holder that may outlive the flow (failLinkTraffic's snapshot)
 // compares it before acting.
 type Flow struct {
@@ -40,9 +40,13 @@ type Flow struct {
 	// conservation laws.
 	pktN int64
 
-	gen   uint64
-	start func() // cached (possibly wake-deferred) launch callback
+	gen uint64
+	net *Network
 }
+
+// Fire implements engine.Handler: the flow's (possibly wake-deferred)
+// launch.
+func (f *Flow) Fire() { f.net.launchFlow(f) }
 
 // settle advances the flow's progress to time now at its current rate.
 func (f *Flow) settle(now simtime.Time) {
@@ -71,22 +75,20 @@ func (n *Network) TransferFlow(src, dst topology.NodeID, bytes int64, done func(
 		f := n.allocFlow()
 		f.total = float64(bytes)
 		f.done = done
-		n.eng.After(0, f.start)
+		n.eng.AfterHandler(0, f)
 		return nil
 	}
 	return n.startFlow(src, dst, bytes, id, done, 0)
 }
 
-// allocFlow pops a pooled flow (or mints one with its cached closure).
+// allocFlow pops a pooled flow (or mints one).
 func (n *Network) allocFlow() *Flow {
 	if k := len(n.flowFree); k > 0 {
 		f := n.flowFree[k-1]
 		n.flowFree = n.flowFree[:k-1]
 		return f
 	}
-	f := &Flow{}
-	f.start = func() { n.launchFlow(f) }
-	return f
+	return &Flow{net: n}
 }
 
 // startFlow resolves the route and launches one flow (waking sleeping
@@ -111,7 +113,7 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 	f.done = done
 	f.pktN = pktN
 	if wait := n.wakeRoute(r); wait > 0 {
-		n.eng.After(wait, f.start)
+		n.eng.AfterHandler(wait, f)
 	} else {
 		n.launchFlow(f)
 	}
@@ -119,7 +121,7 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 }
 
 // launchFlow puts a flow on its links once every switch on the route is
-// awake — the body of the cached start closure. A flow with no route is
+// awake. A flow with no route is
 // TransferFlow's same-node or zero-byte transfer: it delivers at once
 // and never counts as started.
 func (n *Network) launchFlow(f *Flow) {
@@ -341,7 +343,7 @@ func (n *Network) armCompletion(now simtime.Time) {
 		}
 	}
 	if n.flowNext != nil {
-		n.flowEv = n.eng.Schedule(next, n.complete)
+		n.flowEv = n.eng.ScheduleHandler(next, n)
 	}
 }
 
@@ -420,10 +422,10 @@ func removeFlow(fs []*Flow, f *Flow) []*Flow {
 // packet mode, so DAG progress never deadlocks on a failure.
 func (n *Network) failFlow(f *Flow) { n.releaseFlow(f, true) }
 
-// flowComplete finishes the flow the network's completion event names
-// (the body of the cached Network.complete closure): releases its links
-// and ports, re-rates the remaining flows and notifies the owner.
-func (n *Network) flowComplete() {
+// Fire implements engine.Handler for the network's one completion event:
+// it finishes the flow the event names, releasing its links and ports,
+// re-rating the remaining flows and notifying the owner.
+func (n *Network) Fire() {
 	f := n.flowNext
 	n.flowEv, n.flowNext = engine.Handle{}, nil
 	n.releaseFlow(f, false)

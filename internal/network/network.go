@@ -121,14 +121,12 @@ type Network struct {
 
 	stats Stats
 
-	// The fluid model's one engine event: the earliest flow completion,
-	// the flow it completes and the cached callback it runs
-	// (flowComplete), re-armed by every re-rate; then the component
-	// search's stack. Last, so they move none of the fields the packet
-	// path reads.
+	// The fluid model's one engine event, whose handler is the network
+	// (Fire): the earliest flow completion and the flow it completes,
+	// re-armed by every re-rate; then the component search's stack.
+	// Last, so they move none of the fields the packet path reads.
 	flowEv   engine.Handle
 	flowNext *Flow
-	complete func()
 	wfStack  []*Flow
 }
 
@@ -193,7 +191,6 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 		switches: make(map[topology.NodeID]*Switch),
 		routes:   make(map[routeKey]*route),
 	}
-	n.complete = n.flowComplete
 	prof := cfg.SwitchProfile
 	for _, id := range g.Switches() {
 		if prof == nil {
@@ -227,8 +224,8 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 			rate = min(rate, prof.PortRateBps)
 		}
 		ls.bytesPerSec = rate / 8
-		ls.egressAB = newEgressQueue(ls)
-		ls.egressBA = newEgressQueue(ls)
+		ls.egressAB = &egressQueue{link: ls}
+		ls.egressBA = &egressQueue{link: ls}
 		// Connected ports start idle: begin the LPI countdown (a no-op
 		// for host-host links, which have no ports).
 		ls.armLPI()

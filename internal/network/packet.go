@@ -20,12 +20,12 @@ const MaxPacketsPerTransfer = 1 << 30
 // serialization (bytes/link-rate, plus LPI wake penalty when the port
 // was idle), propagates, and is forwarded after the switch latency.
 //
-// Packets are pooled on Network.pktFree: the two dispatch closures are
-// created once per pooled object and survive reuse, so a recycled
-// packet schedules its per-hop events with zero allocation. xferGen
-// snapshots the owning transfer's generation; a mismatch at finish
-// means the packet outlived its transfer — a pool-lifetime bug surfaced
-// immediately rather than as silent corruption.
+// Packets are pooled on Network.pktFree. A packet is its own event
+// handler (Fire), so a recycled packet schedules its per-hop events with
+// zero allocation; arrived says which hop step its one pending event
+// runs. xferGen snapshots the owning transfer's generation; a mismatch
+// at finish means the packet outlived its transfer — a pool-lifetime
+// bug surfaced immediately rather than as silent corruption.
 type packet struct {
 	bytes   int64
 	nodes   []topology.NodeID
@@ -34,17 +34,25 @@ type packet struct {
 	xfer    *pktTransfer
 	xferGen uint64
 
-	// arrive and forward are created once per pooled packet and
-	// rescheduled at every hop, so the per-hop engine events allocate
-	// nothing.
-	arrive  func() // lands the packet at the far end of the current link
-	forward func() // queues the packet at the next hop's egress
+	// arrived is false while the packet propagates over links[hop]
+	// (Fire lands it at the far end) and true while it waits out the
+	// switch latency there (Fire queues it at the next hop's egress).
+	arrived bool
+}
+
+// Fire implements engine.Handler: the packet's pending hop step.
+func (p *packet) Fire() {
+	n := p.links[p.hop].net
+	if p.arrived {
+		n.packetForward(p)
+	} else {
+		n.packetArrived(p)
+	}
 }
 
 // pktTransfer tracks one packet-mode data transfer. Pooled on
-// Network.xferFree with a generation counter bumped on release; the
-// cached start closure is created once and performs the (possibly
-// wake-deferred) injection.
+// Network.xferFree with a generation counter bumped on release; its
+// Fire performs the (possibly wake-deferred) injection.
 type pktTransfer struct {
 	total     int64
 	delivered int64
@@ -57,26 +65,26 @@ type pktTransfer struct {
 	loop  bool // same-node / zero-byte transfer: no route, one logical packet
 	done  func()
 
-	gen   uint64
-	start func() // cached injection callback, scheduled by TransferPackets
+	gen uint64
+	net *Network
 }
 
-// allocPacket pops a pooled packet (or mints one with its dispatch
-// closures) ready for reuse.
+// Fire implements engine.Handler: the transfer's injection, scheduled
+// by TransferPackets.
+func (x *pktTransfer) Fire() { x.net.startPktTransfer(x) }
+
+// allocPacket pops a pooled packet (or mints one) ready for reuse.
 func (n *Network) allocPacket() *packet {
 	if k := len(n.pktFree); k > 0 {
 		p := n.pktFree[k-1]
 		n.pktFree = n.pktFree[:k-1]
 		return p
 	}
-	p := &packet{}
-	p.arrive = func() { n.packetArrived(p) }
-	p.forward = func() { n.packetForward(p) }
-	return p
+	return &packet{}
 }
 
 // releasePacket clears the packet's references and returns it to the
-// pool. The dispatch closures are kept — they are the point of pooling.
+// pool.
 func (n *Network) releasePacket(p *packet) {
 	p.bytes, p.hop = 0, 0
 	p.nodes, p.links = nil, nil
@@ -84,17 +92,15 @@ func (n *Network) releasePacket(p *packet) {
 	n.pktFree = append(n.pktFree, p)
 }
 
-// allocTransfer pops a pooled transfer (or mints one with its cached
-// start closure). Counters are zeroed at release.
+// allocTransfer pops a pooled transfer (or mints one). Counters are
+// zeroed at release.
 func (n *Network) allocTransfer() *pktTransfer {
 	if k := len(n.xferFree); k > 0 {
 		x := n.xferFree[k-1]
 		n.xferFree = n.xferFree[:k-1]
 		return x
 	}
-	x := &pktTransfer{}
-	x.start = func() { n.startPktTransfer(x) }
-	return x
+	return &pktTransfer{net: n}
 }
 
 // releaseTransfer bumps the generation (invalidating any packet that
@@ -170,7 +176,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 		x.loop = true
 		x.done = done
 		n.openPktTransfers++
-		n.eng.After(0, x.start)
+		n.eng.AfterHandler(0, x)
 		return nil
 	}
 	nPkts := (bytes + MTUBytes - 1) / MTUBytes
@@ -194,7 +200,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 	x.done = done
 	n.openPktTransfers++
 	wait := n.wakeRoute(r)
-	n.eng.After(wait, x.start)
+	n.eng.AfterHandler(wait, x)
 	return nil
 }
 
@@ -245,7 +251,6 @@ type egressQueue struct {
 
 	sending     bool
 	cur         *packet // packet being serialized
-	onWire      func()  // cached serialization-done callback
 	buf         []*packet
 	head, count int
 	queuedBytes int64
@@ -255,13 +260,9 @@ type egressQueue struct {
 // minRingCap is the ring's first capacity (power of two).
 const minRingCap = 8
 
-// newEgressQueue builds one directional queue with its cached
-// serialization callback.
-func newEgressQueue(l *linkState) *egressQueue {
-	q := &egressQueue{link: l}
-	q.onWire = func() { q.serialized(l.net) }
-	return q
-}
+// Fire implements engine.Handler: the head packet's serialization is
+// done.
+func (q *egressQueue) Fire() { q.serialized(q.link.net) }
 
 func (q *egressQueue) busy() bool { return q.sending || q.count > 0 }
 
@@ -339,7 +340,7 @@ func (q *egressQueue) maybeSend(n *Network) {
 		}
 	}
 	ser := simtime.FromSeconds(float64(p.bytes) / l.bytesPerSec)
-	n.eng.After(penalty+ser, q.onWire)
+	n.eng.AfterHandler(penalty+ser, q)
 }
 
 // serialized fires when the head packet's last bit is on the wire: the
@@ -360,7 +361,8 @@ func (q *egressQueue) serialized(n *Network) {
 		return
 	}
 	q.maybeSend(n)
-	n.eng.After(propDelay, p.arrive)
+	p.arrived = false
+	n.eng.AfterHandler(propDelay, p)
 }
 
 // dropAll retracts every queued packet (the link went down). In-flight
@@ -378,8 +380,7 @@ func (q *egressQueue) dropAll(n *Network) {
 	}
 }
 
-// packetForward queues the packet at its current hop's egress — the
-// body of the cached forward closure.
+// packetForward queues the packet at its current hop's egress.
 func (n *Network) packetForward(p *packet) {
 	l := p.links[p.hop]
 	l.egress(l.a == p.nodes[p.hop]).enqueue(n, p)
@@ -406,7 +407,8 @@ func (n *Network) packetArrived(p *packet) {
 	}
 	// Forwarding delay inside the switch (or relay host in server-centric
 	// topologies), then queue at the next egress.
-	n.eng.After(switchLatency, p.forward)
+	p.arrived = true
+	n.eng.AfterHandler(switchLatency, p)
 }
 
 // Drops reports total packets dropped — buffer overflows plus

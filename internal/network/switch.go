@@ -101,11 +101,15 @@ func (s *Switch) wake() simtime.Time {
 	lat := s.prof.LineCardWake.Latency
 	s.wakeUntil = now + lat
 	s.recompute()
-	s.wakeEv = s.net.eng.After(lat, func() {
-		s.waking = false
-		s.powerUp()
-	})
+	s.wakeEv = s.net.eng.AfterHandler(lat, s)
 	return lat
+}
+
+// Fire implements engine.Handler for the switch's one event: the end of
+// its wake-up.
+func (s *Switch) Fire() {
+	s.waking = false
+	s.powerUp()
 }
 
 // powerUp returns connected ports to Active and rearms the idle

@@ -300,6 +300,43 @@ func TestPoolControllersSkipCrashedServers(t *testing.T) {
 	}
 }
 
+// A pool member that crashes leaves the pool's count: the controllers
+// divide the load by alive members only. Four servers start in a
+// Provisioner pool, servers 2 and 3 crash, and one job arrives: two
+// alive members carry it, 0.5 jobs each, on the MinLoad edge, so the
+// controller parks no one. Counting the crashed members, the pool read
+// 0.25, parked a third server and then divided by three members with
+// one alive.
+func TestPoolCountsAliveMembers(t *testing.T) {
+	eng, servers := testFarm(t, 4, nil)
+	prov := NewProvisioner(0.5, 1)
+	s, err := New(eng, servers, Config{Placer: prov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.startPolicy()
+	s.crashOne(servers[2])
+	s.crashOne(servers[3])
+	s.JobArrived(singleJob(0, 0, simtime.Second))
+	alive := 0
+	for id, srv := range servers {
+		if prov.has(id) && !srv.Failed() {
+			alive++
+		}
+	}
+	if got := prov.ActiveServers(); got != alive || got != 2 {
+		t.Errorf("pool counts %d members, %d alive, want 2", got, alive)
+	}
+	if got := s.LoadPerServer(prov.ActiveServers()); got != 0.5 {
+		t.Errorf("LoadPerServer = %g, want 0.5", got)
+	}
+	s.recoverOne(servers[3])
+	if got := prov.ActiveServers(); got != 3 {
+		t.Errorf("after server 3 recovers the pool counts %d members, want 3", got)
+	}
+	eng.Run()
+}
+
 // Steady-state placement under each power policy allocates nothing:
 // the indexes are read and refiled in place.
 func TestPowerPolicyPlaceZeroAlloc(t *testing.T) {

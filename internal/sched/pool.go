@@ -8,11 +8,12 @@ import (
 )
 
 // pool is the active set AdaptivePool and Provisioner dispatch to: the
-// servers outside it as an ID set, a member count, and one winner tree
-// per side — side[1] over the members, side[0] over the rest — keyed by
-// an alive server's pending tasks on its own side and keyedOut on the
-// other. Members keep their delay timer off; a demoted server drains and
-// suspends after the timer it is given.
+// servers outside it as an ID set, the count of alive members, and one
+// winner tree per side — side[1] over the members, side[0] over the
+// rest — keyed by an alive server's pending tasks on its own side and
+// keyedOut on the other. Members keep their delay timer off; a demoted
+// server drains and suspends after the timer it is given. A member that
+// crashes stays a member, uncounted and keyed out, until it recovers.
 //
 // The scheduler re-keys a server (fix) wherever its pending count or
 // liveness changes: after a submit, at a task's completion, after an
@@ -48,18 +49,18 @@ func (p *pool) Start(s *Scheduler) {
 		srv.SetDelayTimer(false, 0)
 		p.fix(id)
 	}
-	p.n = n
 	s.pool = p
 }
 
-// ActiveServers reports the pool size.
+// ActiveServers reports the pool size: its alive members.
 func (p *pool) ActiveServers() int { return p.n }
 
 // has reports whether server id is a member.
 func (p *pool) has(id int) bool { return !p.out.has(id) }
 
-// fix re-keys server id on both sides after its pending count, its
-// liveness or its side changed.
+// fix re-keys server id on both sides, and recounts it, after its
+// pending count, its liveness or its side changed. A server counts as an
+// alive member exactly while its member-side key is not keyedOut.
 func (p *pool) fix(id int) {
 	k := keyedOut
 	if srv := p.srvs[id]; !srv.Failed() {
@@ -69,8 +70,16 @@ func (p *pool) fix(id int) {
 	if p.has(id) {
 		m = 1
 	}
+	was := p.side[1].key[id] != keyedOut
 	p.set(m, id, k)
 	p.set(1-m, id, keyedOut)
+	if now := p.side[1].key[id] != keyedOut; now != was {
+		if now {
+			p.n++
+		} else {
+			p.n--
+		}
+	}
 }
 
 // set keys server id at k on side m.
@@ -113,7 +122,6 @@ func (p *pool) promote(srv *server.Server) bool {
 		return false
 	}
 	p.out.remove(srv.ID())
-	p.n++
 	p.fix(srv.ID())
 	srv.SetDelayTimer(false, 0)
 	srv.WakeUp()
@@ -127,7 +135,6 @@ func (p *pool) demote(srv *server.Server, tau simtime.Time) bool {
 		return false
 	}
 	p.out.add(srv.ID())
-	p.n--
 	p.fix(srv.ID())
 	srv.SetDelayTimer(true, tau)
 	return true

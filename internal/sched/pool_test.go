@@ -12,7 +12,6 @@ import (
 // shared the slice-backed pool; it stays here as the reference.
 type mapPool struct {
 	active map[int]bool
-	n      int
 }
 
 func (m *mapPool) promote(id int) bool {
@@ -20,7 +19,6 @@ func (m *mapPool) promote(id int) bool {
 		return false
 	}
 	m.active[id] = true
-	m.n++
 	return true
 }
 
@@ -29,7 +27,6 @@ func (m *mapPool) demote(id int) bool {
 		return false
 	}
 	m.active[id] = false
-	m.n--
 	return true
 }
 
@@ -52,8 +49,9 @@ func (m *mapPool) pick(cands []*server.Server, member bool) *server.Server {
 // reference through the same random promote / demote / crash / recover /
 // load sequence and holds membership, count, the servers' delay timers
 // and every least-loaded pick (over the alive candidates, as Select
-// filters them) equal at each step. Crashes, recoveries and submissions
-// go through the scheduler, which re-keys the pool's trees.
+// filters them) equal at each step; the count is of alive members.
+// Crashes, recoveries and submissions go through the scheduler, which
+// re-keys the pool's trees.
 func TestPoolMatchesMapReference(t *testing.T) {
 	const n = 9
 	const tau = 50 * simtime.Millisecond
@@ -104,17 +102,21 @@ func TestPoolMatchesMapReference(t *testing.T) {
 			}
 			eng.RunUntil(eng.Now() + simtime.Time(next(5))*simtime.Millisecond)
 
-			if p.n != ref.n {
-				t.Fatalf("seed %d step %d: count %d, reference %d", seed, step, p.n, ref.n)
-			}
 			var alive []*server.Server
+			members := 0
 			for _, s := range servers {
 				if p.has(s.ID()) != ref.active[s.ID()] {
 					t.Fatalf("seed %d step %d: membership of %d differs", seed, step, s.ID())
 				}
 				if !s.Failed() {
 					alive = append(alive, s)
+					if ref.active[s.ID()] {
+						members++
+					}
 				}
+			}
+			if p.n != members {
+				t.Fatalf("seed %d step %d: count %d, reference %d alive members", seed, step, p.n, members)
 			}
 			if got, want := p.least(true), ref.pick(alive, true); got != want {
 				t.Fatalf("seed %d step %d: member pick differs", seed, step)

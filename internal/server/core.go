@@ -23,17 +23,16 @@ const (
 // Cores are values in blocks their farm allocates; a *Core points into
 // one and stays valid for the farm's life.
 //
-// A core is one cache line. It has one callback, bound when the farm
-// builds it, and one live event at a time, named by ev and kind: a
-// completion, a wake or an idle promotion never overlap. Core 0's
-// callback also runs its server's suspend and wake completions, named by
-// the server's own handle (sysEv): a core can still be waking, or arm
-// an idle promotion, while its server suspends. An event nothing waits
-// for any more — a wake or a suspend the server's crash voided — still
-// fires, and fire tells it apart by its handle (engine.Firing).
+// A core fits in one cache line. It is its own event handler (Fire) and
+// has one live event at a time, named by ev and kind: a completion, a
+// wake or an idle promotion never overlap. Core 0 also runs its server's
+// suspend and wake completions, named by the server's own handle
+// (sysEv): a core can still be waking, or arm an idle promotion, while
+// its server suspends. An event nothing waits for any more — a wake or a
+// suspend the server's crash voided — still fires, and Fire tells it
+// apart by its handle (engine.Firing).
 type Core struct {
 	srv  *Server
-	cb   func() // c.fire, bound once
 	ev   engine.Handle
 	task *job.Task // running, or reserved while the core wakes
 
@@ -52,10 +51,10 @@ type Core struct {
 	wakePkg bool // the wake in flight also exits package C6
 }
 
-// fire runs the event the core's handle names, or on core 0 the one
-// its server's handle names; any other is one nothing waits for any
-// more, and does nothing.
-func (c *Core) fire() {
+// Fire implements engine.Handler: it runs the event the core's handle
+// names, or on core 0 the one its server's handle names; any other is
+// one nothing waits for any more, and does nothing.
+func (c *Core) Fire() {
 	s := c.srv
 	switch f := s.farm.eng.Firing(); {
 	case f == c.ev:
@@ -78,7 +77,7 @@ func (c *Core) fire() {
 // after schedules the core's one live event, of kind k, d from now.
 func (c *Core) after(d simtime.Time, k evKind) {
 	c.kind = k
-	c.ev = c.srv.farm.eng.After(d, c.cb)
+	c.ev = c.srv.farm.eng.AfterHandler(d, c)
 }
 
 // forget stops waiting for the core's event without canceling it: the

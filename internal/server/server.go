@@ -139,7 +139,6 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	for i := range s.cores {
 		c := &s.cores[i]
 		c.id, c.srv = uint16(i), s
-		c.cb = c.fire
 		c.refresh()
 	}
 	s.recompute()
@@ -603,9 +602,9 @@ func (s *Server) enterSleep() {
 }
 
 // sysAfter schedules the suspend or wake in flight to complete d from
-// now, on core 0's callback.
+// now, on core 0.
 func (s *Server) sysAfter(d simtime.Time) {
-	s.sysEv = s.farm.eng.After(d, s.cores[0].cb)
+	s.sysEv = s.farm.eng.AfterHandler(d, &s.cores[0])
 }
 
 // sysDone completes the suspend or wake sysEv named.

@@ -27,9 +27,8 @@ type Generator struct {
 	nextID    job.ID
 
 	// One arrival is pending at a time, so its instant lives in a field
-	// and the scheduled callback is created once.
-	nextAt   simtime.Time
-	arriveCB func()
+	// and the generator is the arrival event's handler (Fire).
+	nextAt simtime.Time
 
 	// pool recycles finished jobs into new arrivals (Recycle); nil, so
 	// that nothing is kept, for a factory that could not draw from it.
@@ -48,7 +47,6 @@ func NewGenerator(eng *engine.Engine, r *rng.Source, proc ArrivalProcess,
 		proc:    proc,
 		sink:    sink,
 	}
-	g.arriveCB = g.arrive
 	if pf, ok := factory.(pooledFactory); ok {
 		g.factory, g.pool = pf, new(job.Pool)
 	} else {
@@ -82,12 +80,12 @@ func (g *Generator) scheduleNext() {
 		return // past the clock's end, or past the horizon
 	}
 	g.nextAt = at
-	g.eng.Schedule(at, g.arriveCB)
+	g.eng.ScheduleHandler(at, g)
 }
 
-// arrive is the arrival event: it expands one job and hands it to the
-// sink, then schedules the next arrival.
-func (g *Generator) arrive() {
+// Fire implements engine.Handler for the arrival event: it expands one
+// job and hands it to the sink, then schedules the next arrival.
+func (g *Generator) Fire() {
 	j := g.factory.newJob(g.pool, g.nextID, g.nextAt, g.service)
 	g.nextID++
 	g.generated++
