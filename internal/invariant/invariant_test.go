@@ -57,6 +57,30 @@ func (r *rig) run() {
 	r.eng.Run()
 }
 
+// The scope hook walks everything only at Finalize: every deep scan
+// asks for the changes since the last one, and Finalize for the full
+// walk, exactly once.
+func TestScopeCheckFullOnlyAtFinalize(t *testing.T) {
+	var scans, full int
+	r := newRig(t, 4, 200, Options{ScopeCheck: func(f bool) error {
+		if f {
+			full++
+		} else {
+			scans++
+		}
+		return nil
+	}})
+	r.run()
+	if full != 0 || scans == 0 {
+		t.Fatalf("during the run: %d full walks and %d scans, want none and some", full, scans)
+	}
+	r.c.Finalize(r.eng.Now())
+	r.c.Finalize(r.eng.Now())
+	if full != 1 {
+		t.Errorf("Finalize asked for %d full walks, want 1", full)
+	}
+}
+
 func TestCleanRunHasNoViolations(t *testing.T) {
 	r := newRig(t, 4, 200, Options{Stationary: true})
 	r.run()

@@ -95,9 +95,9 @@ type Network struct {
 	// callback has not fired yet (packet conservation checking).
 	openPktTransfers int
 
-	// Free lists for the zero-alloc packet fast path: released objects
-	// keep their cached dispatch closures, so reuse schedules no new
-	// allocations (the same pattern as the engine's event pool).
+	// Free lists for the zero-alloc packet fast path: a released object
+	// is reused whole, its own event handler included, so reuse
+	// allocates nothing (the same pattern as the engine's event pool).
 	pktFree  []*packet
 	xferFree []*pktTransfer
 

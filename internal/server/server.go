@@ -92,7 +92,7 @@ type Server struct {
 	coreQueues *[][]*job.Task // per-core queues (QueuePerCore mode only)
 	delayTimer simtime.Time
 	// sysEv names the suspend or wake in flight (entering or waking);
-	// core 0's callback runs it.
+	// core 0 runs it.
 	sysEv engine.Handle
 
 	completedTasks int64
