@@ -16,9 +16,8 @@ import (
 //
 // Flows are pooled on Network.flowFree. A flow is its own launch event's
 // handler (Fire), so a recycled flow schedules its launch with zero
-// allocation. gen is bumped on release;
-// a holder that may outlive the flow (failLinkTraffic's snapshot)
-// compares it before acting.
+// allocation. gen is bumped on release; a holder that may outlive the
+// flow (failLinkTraffic's snapshot) compares it before acting.
 type Flow struct {
 	// What every re-rate reads, together: res is the water-filling
 	// record of each link's traversed direction, in route order, derived
@@ -121,9 +120,8 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 }
 
 // launchFlow puts a flow on its links once every switch on the route is
-// awake. A flow with no route is
-// TransferFlow's same-node or zero-byte transfer: it delivers at once
-// and never counts as started.
+// awake. A flow with no route is TransferFlow's same-node or zero-byte
+// transfer: it delivers at once and never counts as started.
 func (n *Network) launchFlow(f *Flow) {
 	if f.links == nil {
 		n.stats.BytesDelivered += int64(f.total)
