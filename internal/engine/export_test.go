@@ -115,3 +115,11 @@ func (e *Engine) nowInThreeTiers() bool {
 	}
 	return false
 }
+
+// Stop disarms the timer. It reports whether a pending expiry was canceled.
+func (t *Timer) Stop() bool {
+	armed := t.h.Pending()
+	t.eng.Cancel(t.h)
+	t.h = Handle{}
+	return armed
+}

@@ -2,16 +2,19 @@ package engine
 
 import "holdcsim/internal/simtime"
 
-// Timer is a restartable one-shot timer on the virtual clock, used for
-// delay timers (Sec. IV-B of the paper), LPI idle thresholds, and similar
-// "fire unless something happens first" policies.
+// Timer is a restartable one-shot timer on the virtual clock bound to a
+// func(). The model's own countdowns — the farm's sleep planner, each
+// link's LPI idle threshold, each switch's sleep timer — keep a Handle
+// and implement Handler instead, which takes this adapter's extra
+// indirect call off every expiry; Timer stays for the frozen bench/
+// module, whose engine.timer_reset_ns row measures it.
 //
 // A Timer is bound to one Engine and one callback; Reset re-arms it,
 // canceling any pending expiry. Every Reset schedules the same callback
 // and the queue entry comes from the engine's event pool, so the
-// arm/cancel/re-arm churn these policies generate allocates nothing. Step
-// recycles an event before running it, so a fired Timer's handle is
-// already stale: it is not Pending, and Stop and Reset cancel nothing.
+// arm/cancel/re-arm churn allocates nothing. Step recycles an event
+// before running it, so a fired Timer's handle is already stale: it is
+// not Pending, and Reset cancels nothing.
 type Timer struct {
 	eng *Engine
 	fn  funcHandler
@@ -32,12 +35,4 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 func (t *Timer) Reset(d simtime.Time) {
 	t.eng.Cancel(t.h)
 	t.h = t.eng.AfterHandler(d, t.fn)
-}
-
-// Stop disarms the timer. It reports whether a pending expiry was canceled.
-func (t *Timer) Stop() bool {
-	armed := t.h.Pending()
-	t.eng.Cancel(t.h)
-	t.h = Handle{}
-	return armed
 }

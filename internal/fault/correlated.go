@@ -334,8 +334,11 @@ func (inj *Injector) touch(c, i int) {
 // crash-loss total. With full set, and on the first call, it walks
 // every server, link and switch; otherwise only those fault events took
 // or released since the last check, so a scan costs what the faults
-// since the last one did, not the farm's size. Iteration is
-// index-ordered (touch-ordered when not full) so a violation message is
+// since the last one did, not the farm's size. A server no fault event
+// touched — crashed or revived behind the injector's back — still shows
+// at every scan, as a difference between the servers the injector owns
+// down and the scheduler's down count. Iteration is index-ordered
+// (touch-ordered when not full) so a violation message is
 // deterministic.
 func (inj *Injector) CheckScopes(full bool) error {
 	full = full || !inj.checked
@@ -362,6 +365,9 @@ func (inj *Injector) CheckScopes(full bool) error {
 				return err
 			}
 		}
+	}
+	if owned, down := len(inj.srvDownBy), inj.sch.ServersDown(); owned != down {
+		return fmt.Errorf("%d servers down, %d owned by an outage", down, owned)
 	}
 	var sum int64
 	for _, v := range inj.ledger.JobsLostByScope {

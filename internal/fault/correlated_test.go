@@ -93,7 +93,8 @@ func TestRackBlast(t *testing.T) {
 // an outage owns brought back behind the injector's back, which a scan
 // sees because a fault event touched that server since the last one,
 // and a server crashed with no owning outage, which no fault event
-// touched and the full walk at the end of a run sees.
+// touched: the next scan sees the down count exceed the owned one, and
+// the full walk at the end of a run names the server.
 func TestCheckScopesReportsPlants(t *testing.T) {
 	ms := simtime.Millisecond
 	setup := func() (*core.DataCenter, *fault.Injector) {
@@ -124,6 +125,10 @@ func TestCheckScopesReportsPlants(t *testing.T) {
 	dc, inj = setup()
 	dc.Eng.RunUntil(20 * ms)
 	dc.Sched.ServersCrashed([]*server.Server{dc.Servers[3]})
+	err = inj.CheckScopes(false)
+	if want := "2 servers down, 1 owned by an outage"; err == nil || err.Error() != want {
+		t.Errorf("scan after an unowned crash: %v, want %q", err, want)
+	}
 	err = inj.CheckScopes(true)
 	if want := "server 3 down without an owning outage"; err == nil || err.Error() != want {
 		t.Errorf("full walk after an unowned crash: %v, want %q", err, want)

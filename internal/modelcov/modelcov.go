@@ -97,11 +97,14 @@ const (
 	numNetTerminals  = 7
 )
 
-// Placer / queue-mode paths.
+// Placer / queue-mode paths. Every placement reads the same indexes;
+// the first two say whether it ran with no server down ("fast-path") or
+// with some server down ("alive-filtered"), names kept from when the
+// second filtered a candidate list.
 const (
-	PlaceFastPath      Feature = NetPktDelivered + numNetTerminals + iota // candidate set taken whole (no servers down)
-	PlaceFiltered                                                         // candidate set filtered for alive servers
-	PlaceAllDown                                                          // every candidate down: AllDownError path
+	PlaceFastPath      Feature = NetPktDelivered + numNetTerminals + iota // placement with no server down
+	PlaceFiltered                                                         // placement with some server down
+	PlaceAllDown                                                          // every server down: AllDownError path
 	PlaceFallback                                                         // placer returned a failed server; fell back
 	PlaceGlobalQDirect                                                    // global queue: dispatched without parking
 	PlaceGlobalQPark                                                      // global queue: job parked

@@ -89,7 +89,8 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 	sw.waking = false
 	n.eng.Cancel(sw.wakeEv)
 	sw.wakeEv = engine.Handle{}
-	sw.sleepTmr.Stop()
+	n.eng.Cancel(sw.sleepEv)
+	sw.sleepEv = engine.Handle{}
 	sw.powerDown()
 	for _, p := range sw.ports {
 		if p.link == nil {

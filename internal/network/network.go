@@ -212,7 +212,6 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 	for i := 0; i < g.NumLinks(); i++ {
 		lk := g.Link(i)
 		ls := &linkState{id: i, a: lk.A, net: n}
-		ls.lpiTimer = engine.NewTimer(eng, ls.enterLPI)
 		// A switch end caps the link at the port rate.
 		rate := lk.RateBps
 		if sw, ok := n.switches[lk.A]; ok {
@@ -357,12 +356,13 @@ type linkState struct {
 
 	portA, portB *Port
 
-	// lpiTimer is shared by both end ports: they gain and lose traffic
-	// in lockstep (markActive/maybeSend touch both, markIdle releases
-	// both), so their LPI countdowns always had identical deadlines and
-	// adjacent event seqs — one link-level timer halves the timer events
-	// while preserving the portA-then-portB transition order.
-	lpiTimer *engine.Timer
+	// lpiEv is the LPI idle countdown, shared by both end ports (the
+	// link's Fire is its expiry): they gain and lose traffic in lockstep
+	// (markActive/maybeSend touch both, markIdle releases both), so their
+	// countdowns always had identical deadlines and adjacent event seqs —
+	// one link-level event halves the timer events while preserving the
+	// portA-then-portB transition order.
+	lpiEv engine.Handle
 
 	egressAB, egressBA *egressQueue
 
@@ -379,7 +379,7 @@ type linkState struct {
 
 // markActive registers traffic on the link's ports (either direction).
 func (l *linkState) markActive() {
-	l.lpiTimer.Stop()
+	l.net.eng.Cancel(l.lpiEv)
 	if l.portA != nil {
 		l.portA.addUser()
 	}
@@ -390,7 +390,7 @@ func (l *linkState) markActive() {
 
 // markIdle releases one traffic unit from the link's ports, starting
 // the shared LPI countdown when they drain (both ports drain together;
-// see lpiTimer).
+// see lpiEv).
 func (l *linkState) markIdle() {
 	drained := false
 	if l.portA != nil {
@@ -415,12 +415,14 @@ func (l *linkState) armLPI() {
 	if (l.portA == nil || l.portA.sw.failed) && (l.portB == nil || l.portB.sw.failed) {
 		return
 	}
-	l.lpiTimer.Reset(l.net.cfg.LPIIdle)
+	l.net.eng.Cancel(l.lpiEv)
+	l.lpiEv = l.net.eng.AfterHandler(l.net.cfg.LPIIdle, l)
 }
 
-// enterLPI moves the link's idle ports into Low Power Idle, in the
-// portA-then-portB order the per-port timers used to fire in.
-func (l *linkState) enterLPI() {
+// Fire implements engine.Handler for the link's LPI countdown: it moves
+// the link's idle ports into Low Power Idle, in the portA-then-portB
+// order the per-port timers used to fire in.
+func (l *linkState) Fire() {
 	if l.portA != nil {
 		l.portA.enterLPI()
 	}

@@ -327,7 +327,7 @@ func (q *egressQueue) maybeSend(n *Network) {
 	// Mark both ports busy for the duration of serialization +
 	// propagation; collect the LPI wake penalty. The shared LPI timer is
 	// stopped once for the link rather than per port.
-	l.lpiTimer.Stop()
+	n.eng.Cancel(l.lpiEv)
 	var penalty simtime.Time
 	if l.portA != nil {
 		if w := l.portA.addUser(); w > penalty {

@@ -34,7 +34,7 @@ type Switch struct {
 	failed    bool // dead (fault model): 0 W, no traffic, no transitions
 	wakeUntil simtime.Time
 	wakeEv    engine.Handle
-	sleepTmr  *engine.Timer
+	sleepEv   engine.Handle // the idle countdown
 
 	meter     stats.EnergyMeter
 	residency stats.Residency
@@ -51,7 +51,6 @@ func newSwitch(n *Network, node topology.NodeID, prof *power.SwitchProfile) *Swi
 	for range prof.Ports() {
 		sw.ports = append(sw.ports, &Port{sw: sw, state: power.PortActive})
 	}
-	sw.sleepTmr = engine.NewTimer(n.eng, sw.enterSleep)
 	return sw
 }
 
@@ -105,11 +104,17 @@ func (s *Switch) wake() simtime.Time {
 	return lat
 }
 
-// Fire implements engine.Handler for the switch's one event: the end of
-// its wake-up.
+// Fire implements engine.Handler for the switch's two events, told
+// apart by the handle the engine is firing: the end of its wake-up and
+// the expiry of its idle countdown.
 func (s *Switch) Fire() {
-	s.waking = false
-	s.powerUp()
+	switch s.net.eng.Firing() {
+	case s.wakeEv:
+		s.waking = false
+		s.powerUp()
+	case s.sleepEv:
+		s.enterSleep()
+	}
 }
 
 // powerUp returns connected ports to Active and rearms the idle
@@ -168,7 +173,8 @@ func (s *Switch) maybeSleepArm() {
 		return
 	}
 	if s.idle() {
-		s.sleepTmr.Reset(s.net.cfg.SwitchSleepIdle)
+		s.net.eng.Cancel(s.sleepEv)
+		s.sleepEv = s.net.eng.AfterHandler(s.net.cfg.SwitchSleepIdle, s)
 	}
 }
 

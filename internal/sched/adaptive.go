@@ -41,7 +41,7 @@ func NewAdaptivePool(tWakeup, tSleep float64, tau simtime.Time) *AdaptivePool {
 // Place implements Placer: least-loaded within the active pool (the
 // front-end load balancer "dispatches tasks to the servers in active
 // server pool only").
-func (a *AdaptivePool) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+func (a *AdaptivePool) Place(s *Scheduler, t *job.Task) *server.Server {
 	best := a.least(true)
 	if best == nil {
 		// No alive member (transient): wake the least-loaded alive

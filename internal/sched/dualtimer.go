@@ -41,11 +41,11 @@ func (d *DualTimer) Start(s *Scheduler) {
 // by server ID (Start gave IDs below HighCount the high τ), which the
 // load levels answer directly: the lowest member of the first level
 // whose lowest member is below HighCount, else pack from HighCount up.
-func (d *DualTimer) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+func (d *DualTimer) Place(s *Scheduler, t *job.Task) *server.Server {
 	if best := s.leastSpare(d.HighCount); best != nil {
 		return best
 	}
-	return s.pack(candidates, d.HighCount)
+	return s.pack(d.HighCount)
 }
 
 // Name implements Placer.

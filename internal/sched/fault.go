@@ -76,43 +76,32 @@ func (s *Scheduler) OnJobLost(fn func(*job.Job, LostReason)) {
 	s.onJobLost = append(s.onJobLost, fn)
 }
 
-// aliveServers returns the servers that are up. With no crashed server
-// in the farm it is exactly the farm — no filtering, no allocation — so
-// the fault machinery costs nothing on healthy runs. The returned slice
-// is valid until the next call.
-func (s *Scheduler) aliveServers() []*server.Server {
+// Select runs the placement policy. It returns an *AllDownError — never
+// panics — when no server is up.
+func (s *Scheduler) Select(t *job.Task) (*server.Server, error) {
 	if s.downCount == 0 {
 		s.cover.Hit(modelcov.PlaceFastPath)
-		return s.servers
-	}
-	s.cover.Hit(modelcov.PlaceFiltered)
-	s.aliveScratch = s.aliveScratch[:0]
-	for _, srv := range s.servers {
-		if !srv.Failed() {
-			s.aliveScratch = append(s.aliveScratch, srv)
+	} else {
+		s.cover.Hit(modelcov.PlaceFiltered)
+		if s.downCount == len(s.servers) {
+			s.cover.Hit(modelcov.PlaceAllDown)
+			return nil, &AllDownError{}
 		}
 	}
-	return s.aliveScratch
-}
-
-// Select runs the placement policy over the alive servers. It returns an
-// *AllDownError — never panics — when no server is up.
-func (s *Scheduler) Select(t *job.Task) (*server.Server, error) {
-	cands := s.aliveServers()
-	if len(cands) == 0 {
-		s.cover.Hit(modelcov.PlaceAllDown)
-		return nil, &AllDownError{}
-	}
 	s.startPolicy()
-	srv := s.cfg.Placer.Place(s, t, cands)
+	srv := s.cfg.Placer.Place(s, t)
 	if srv == nil || srv.Failed() {
-		// A policy that ignores the filtered candidate list (or returns
-		// nil) falls back to the first alive candidate.
+		// A policy that picks a crashed server (or none) falls back to
+		// the lowest-ID alive server.
 		s.cover.Hit(modelcov.PlaceFallback)
-		srv = cands[0]
+		srv = s.alive(0)
 	}
 	return srv, nil
 }
+
+// ServersDown reports how many servers are crashed. The fault injector
+// holds it to the outages it owns at every scope check.
+func (s *Scheduler) ServersDown() int { return s.downCount }
 
 // handleUnplaceable applies the orphan policy to a ready task that found
 // no alive server: requeue parks it until a recovery drains the parked
@@ -222,7 +211,14 @@ func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost int) {
 			s.refile(srv.ID(), s.committed[srv.ID()], -1)
 		}
 		tasks := srv.Crash()
+		if s.down.w == nil {
+			s.down = newIDSet(len(s.servers))
+		}
+		s.down.add(srv.ID())
 		s.downCount++
+		if s.loads.node != nil {
+			s.rekey(srv.ID())
+		}
 		if s.pool != nil {
 			s.pool.fix(srv.ID())
 		}
@@ -261,7 +257,11 @@ func (s *Scheduler) ServersRecovered(srvs []*server.Server) {
 			continue
 		}
 		srv.Recover()
+		s.down.remove(srv.ID())
 		s.downCount--
+		if s.loads.node != nil {
+			s.rekey(srv.ID())
+		}
 		if s.lv.n != nil {
 			s.refile(srv.ID(), -1, s.committed[srv.ID()])
 		}

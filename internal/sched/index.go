@@ -161,13 +161,14 @@ func (s *Scheduler) leastSpare(hi int) *server.Server {
 	return nil
 }
 
-// pack consolidates onto the candidates with IDs ≥ lo: the awake one
+// pack consolidates onto the alive servers with IDs ≥ lo: the awake one
 // with a spare slot and the most commitments (ties to the lower ID),
 // else the lowest-ID sleeping one, else — everything awake and
-// saturated — the least loaded candidate. The first is the lowest awake
-// member of the highest level that has one, the second the farm's
-// asleep set's lowest bit (a crashed server is never asleep).
-func (s *Scheduler) pack(candidates []*server.Server, lo int) *server.Server {
+// saturated — the least loaded alive server of the whole farm. The
+// first is the lowest awake member of the highest level that has one,
+// the second the farm's asleep set's lowest bit (a crashed server is
+// never asleep).
+func (s *Scheduler) pack(lo int) *server.Server {
 	lo = max(lo, 0)
 	l := s.levelIndex()
 	asleep := s.farm.Asleep()
@@ -181,5 +182,5 @@ func (s *Scheduler) pack(candidates []*server.Server, lo int) *server.Server {
 	if id := nextSet(asleep, lo); id >= 0 && id < len(s.servers) {
 		return s.servers[id]
 	}
-	return s.leastLoaded(candidates, nil)
+	return s.leastLoaded()
 }

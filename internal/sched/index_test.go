@@ -12,12 +12,34 @@ import (
 // The scans the power policies ran over the farm before the indexes,
 // kept as the indexes' oracles.
 
+// where lists the servers ok admits, in ID order.
+func where(srvs []*server.Server, ok func(*server.Server) bool) []*server.Server {
+	var out []*server.Server
+	for _, srv := range srvs {
+		if ok(srv) {
+			out = append(out, srv)
+		}
+	}
+	return out
+}
+
+// aliveOf lists the servers that are up, in ID order: the candidate list
+// placement once scanned under faults.
+func aliveOf(srvs []*server.Server) []*server.Server {
+	return where(srvs, func(srv *server.Server) bool { return !srv.Failed() })
+}
+
+// loadScan is LeastLoaded's scan over a candidate list.
+func loadScan(s *Scheduler, candidates []*server.Server) *server.Server {
+	return leastBy(candidates, func(srv *server.Server) int { return s.Load(srv) })
+}
+
 // spareScan is availableServer's and DualTimer's high-pool scan: the
 // least committed alive server below hi with a spare slot.
 func spareScan(s *Scheduler, hi int) *server.Server {
-	return leastBy(s.servers, func(srv *server.Server) int { return s.Load(srv) }, func(srv *server.Server) bool {
+	return loadScan(s, where(s.servers, func(srv *server.Server) bool {
 		return !srv.Failed() && srv.ID() < hi && s.Load(srv) < srv.Cores()
-	})
+	}))
 }
 
 // packScan is pack's scan over the candidates with IDs ≥ lo.
@@ -39,13 +61,13 @@ func packScan(s *Scheduler, candidates []*server.Server, lo int) *server.Server 
 			return srv
 		}
 	}
-	return s.leastLoaded(candidates, nil)
+	return loadScan(s, candidates)
 }
 
 // poolScan is pool.least's scan: fewest pending tasks among the alive
 // candidates on one side of the pool.
 func poolScan(p *pool, alive []*server.Server, member bool) *server.Server {
-	return leastBy(alive, (*server.Server).PendingTasks, func(srv *server.Server) bool { return p.has(srv.ID()) == member })
+	return leastBy(where(alive, func(srv *server.Server) bool { return p.has(srv.ID()) == member }), (*server.Server).PendingTasks)
 }
 
 // parkedScan is Provisioner's promotion scan: the lowest-ID alive
@@ -59,8 +81,9 @@ func parkedScan(p *pool, servers []*server.Server) *server.Server {
 	return nil
 }
 
-// mixedFarm builds n servers of 4, 1, 10 and 20 cores in turn.
-func mixedFarm(t *testing.T, n int, orphans OrphanPolicy) (*Scheduler, []*server.Server) {
+// mixedFarm builds a scheduler placing with pl over n servers of 4, 1,
+// 10 and 20 cores in turn.
+func mixedFarm(t *testing.T, n int, orphans OrphanPolicy, pl Placer) (*Scheduler, []*server.Server) {
 	t.Helper()
 	one := power.FourCoreServer()
 	one.Cores = 1
@@ -68,7 +91,7 @@ func mixedFarm(t *testing.T, n int, orphans OrphanPolicy) (*Scheduler, []*server
 	eng, servers := testFarm(t, n, func(i int, c *server.Config) {
 		*c = server.DefaultConfig(profiles[i%len(profiles)])
 	})
-	s, err := New(eng, servers, Config{Placer: PackFirst{}, Orphans: orphans})
+	s, err := New(eng, servers, Config{Placer: pl, Orphans: orphans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +112,7 @@ func mixedFarm(t *testing.T, n int, orphans OrphanPolicy) (*Scheduler, []*server
 func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 	const steps = 1500
 	for i, n := range []int{1, 63, 65, 130} {
-		s, servers := mixedFarm(t, n, OrphanPolicy(i%2))
+		s, servers := mixedFarm(t, n, OrphanPolicy(i%2), PackFirst{})
 		eng := s.eng
 		x := uint64(n) * 7919
 		next := func(m int) int {
@@ -151,12 +174,7 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 				eng.RunUntil(eng.Now() + simtime.Time(next(1500))*simtime.Millisecond)
 			}
 
-			var alive []*server.Server
-			for _, srv := range servers {
-				if !srv.Failed() {
-					alive = append(alive, srv)
-				}
-			}
+			alive := aliveOf(servers)
 			if got, want := s.availableServer(), spareScan(s, n); got != want {
 				t.Fatalf("%d servers, step %d: availableServer %v, scan %v", n, step, got, want)
 			}
@@ -166,7 +184,7 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 			}
 			if len(alive) > 0 {
 				lo := next(n+2) - 1
-				if got, want := s.pack(alive, lo), packScan(s, alive, lo); got != want {
+				if got, want := s.pack(lo), packScan(s, alive, lo); got != want {
 					t.Fatalf("%d servers, step %d: pack(%d) %v, scan %v", n, step, lo, got, want)
 				}
 				d.HighCount = lo
@@ -174,7 +192,7 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 				if want == nil {
 					want = packScan(s, alive, lo)
 				}
-				if got := d.Place(s, nil, alive); got != want {
+				if got := d.Place(s, nil); got != want {
 					t.Fatalf("%d servers, step %d: DualTimer(%d) placed %v, scan %v", n, step, lo, got, want)
 				}
 			}

@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"holdcsim/internal/job"
-	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 )
 
-// The load tree's root must be leastBy's argmin over the whole farm
-// after every step — commits, decommits, decommits clamped at zero, and
-// crashes and recoveries — at farm sizes that do and do not fill a power
-// of two, and Select must return the scan's pick over the alive servers.
-// The tree is built lazily over commitments that predate it.
+// The load tree's root must be the least committed alive server, ties
+// to the lowest ID, after every step — commits, decommits, decommits
+// clamped at zero, commits to crashed servers, and crashes and
+// recoveries — at farm sizes that do and do not fill a power of two, and
+// Select must return that server. Each key must be the server's
+// committed count, or keyedOut while it is down. The tree is built
+// lazily, at the first placement, over commitments that predate it.
 func TestLoadTreeMatchesScan(t *testing.T) {
 	const steps = 600
 	for _, n := range []int{1, 3, 50, 128, 20_480} {
@@ -32,8 +33,6 @@ func TestLoadTreeMatchesScan(t *testing.T) {
 		if s.loads.node != nil {
 			t.Fatalf("%d servers: load tree built before any placement", n)
 		}
-		load := func(srv *server.Server) int { return s.Load(srv) }
-		alive := func(srv *server.Server) bool { return !srv.Failed() }
 		tk := job.Single(0, 0, simtime.Millisecond).Tasks[0]
 		for step := 0; step <= steps; step++ {
 			switch id := next(n); next(8) {
@@ -52,18 +51,22 @@ func TestLoadTreeMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := leastBy(servers, load, alive); srv != want {
+			want := loadScan(s, aliveOf(servers))
+			if srv != want {
 				t.Fatalf("%d servers, step %d: Select picked server %d, scan picks %d", n, step, srv.ID(), want.ID())
 			}
-			if s.loads.node == nil {
-				continue // no healthy placement has asked yet
+			if got := int(s.loads.node[1]); got != want.ID() {
+				t.Fatalf("%d servers, step %d: load tree root is server %d, scan picks %d", n, step, got, want.ID())
 			}
-			if got, want := int(s.loads.node[1]), leastBy(servers, load, nil).ID(); got != want {
-				t.Fatalf("%d servers, step %d: load tree root is server %d, scan picks %d", n, step, got, want)
+			for id, k := range s.loads.key {
+				want := s.committed[id]
+				if servers[id].Failed() {
+					want = keyedOut
+				}
+				if k != want {
+					t.Fatalf("%d servers, step %d: server %d keyed %d, want %d", n, step, id, k, want)
+				}
 			}
-		}
-		if s.loads.node == nil {
-			t.Fatalf("%d servers: no healthy placement built the load tree", n)
 		}
 	}
 }

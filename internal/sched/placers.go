@@ -1,19 +1,21 @@
 package sched
 
 import (
+	"math"
+
 	"holdcsim/internal/job"
 	"holdcsim/internal/network"
 	"holdcsim/internal/server"
 	"holdcsim/internal/topology"
 )
 
-// RoundRobin cycles through candidates in order (paper Sec. III-E's
-// round-robin global policy).
+// RoundRobin cycles through the alive servers in ID order (paper Sec.
+// III-E's round-robin global policy).
 type RoundRobin struct{}
 
 // Place implements Placer.
-func (RoundRobin) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	srv := candidates[s.rrNext%len(candidates)]
+func (RoundRobin) Place(s *Scheduler, t *job.Task) *server.Server {
+	srv := s.alive(s.rrNext % (len(s.servers) - s.downCount))
 	s.rrNext++
 	return srv
 }
@@ -21,54 +23,87 @@ func (RoundRobin) Place(s *Scheduler, t *job.Task, candidates []*server.Server) 
 // Name implements Placer.
 func (RoundRobin) Name() string { return "round-robin" }
 
-// LeastLoaded picks the candidate with the fewest committed tasks — the
-// paper's load-balancing policy and the Server-Balanced baseline of
-// Sec. IV-D. Ties break on the lower server ID. On a healthy farm it
-// reads the scheduler's load tree: exact, and O(log N) per commitment
-// instead of O(N) per placement.
+// LeastLoaded picks the alive server with the fewest committed tasks —
+// the paper's load-balancing policy and the Server-Balanced baseline of
+// Sec. IV-D. Ties break on the lower server ID. It reads the scheduler's
+// load tree: exact, and O(log N) per commitment instead of O(N) per
+// placement.
 type LeastLoaded struct{}
 
 // Place implements Placer.
-func (LeastLoaded) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return s.leastLoaded(candidates, nil)
+func (LeastLoaded) Place(s *Scheduler, t *job.Task) *server.Server {
+	return s.leastLoaded()
 }
 
 // Name implements Placer.
 func (LeastLoaded) Name() string { return "least-loaded" }
 
-// leastBy is the one least-loaded scan every policy shares: the server
-// with the smallest load among those ok admits (nil admits all), nil when
-// none qualifies. Only a strictly smaller load displaces the incumbent,
-// so ties go to the earliest entry: the lowest ID, lists being in ID
-// order. It stays inlinable, so a load or ok passed as a function name or
-// literal — not a method value — is inlined into the loop.
-func leastBy(srvs []*server.Server, load func(*server.Server) int, ok func(*server.Server) bool) *server.Server {
+// leastBy is the least-loaded scan of a server list: the server with the
+// smallest load, nil for an empty list. Only a strictly smaller load
+// displaces the incumbent, so ties go to the earliest entry: the lowest
+// ID, lists being in ID order. It stays inlinable, so a load passed as a
+// function name or literal — not a method value — is inlined into the
+// loop.
+func leastBy(srvs []*server.Server, load func(*server.Server) int) *server.Server {
 	var best *server.Server
 	bestLoad := 0
 	for _, srv := range srvs {
-		if ok == nil || ok(srv) {
-			if l := load(srv); best == nil || l < bestLoad {
-				best, bestLoad = srv, l
-			}
+		if l := load(srv); best == nil || l < bestLoad {
+			best, bestLoad = srv, l
 		}
 	}
 	return best
 }
 
-// leastLoaded is leastBy the committed Load. When srvs is the whole farm
-// (Select's candidates with no server down) and ok admits all, the
-// answer is the load tree's root — the same server, since the tree
-// breaks ties to the lower index as the scan does. The tree is built on
-// that first ask and kept current by commit from then on.
-func (s *Scheduler) leastLoaded(srvs []*server.Server, ok func(*server.Server) bool) *server.Server {
-	if ok == nil && len(srvs) == len(s.servers) {
-		if s.loads.node == nil {
-			s.loads = newWinnerTree(s.committed)
+// leastLoaded returns the alive server with the fewest commitments,
+// ties to the lower ID: the load tree's root, since the tree breaks ties
+// to the lower index and keys a crashed server out. The tree is built on
+// the first ask and kept current by rekey from then on. At least one
+// server must be up.
+func (s *Scheduler) leastLoaded() *server.Server {
+	if s.loads.node == nil {
+		key := make([]int, len(s.servers))
+		for id := range key {
+			key[id] = s.loadKey(id)
 		}
-		return s.servers[s.loads.node[1]]
+		s.loads = newWinnerTree(key)
 	}
-	return leastBy(srvs, func(srv *server.Server) int { return s.Load(srv) }, ok)
+	return s.servers[s.loads.node[1]]
 }
+
+// loadKey is server id's key in the load tree: its committed count, or
+// keyedOut while it is down.
+func (s *Scheduler) loadKey(id int) int {
+	if s.downCount > 0 && s.down.has(id) {
+		return keyedOut
+	}
+	return s.committed[id]
+}
+
+// rekey replays server id's key in the built load tree after its
+// committed count or its liveness changed.
+func (s *Scheduler) rekey(id int) {
+	if k := s.loadKey(id); s.loads.key[id] != k {
+		s.loads.key[id] = k
+		s.loads.fix(id)
+	}
+}
+
+// alive returns the k-th alive server in ID order, k below the alive
+// count. It starts at ID k and shifts one ID up past each crashed ID at
+// or below where it stands, so it costs a step per crashed server below
+// the answer and one empty lookup on a healthy farm.
+func (s *Scheduler) alive(k int) *server.Server {
+	for d := s.down.next(0); d >= 0 && d <= k; d = s.down.next(d + 1) {
+		k++
+	}
+	return s.servers[k]
+}
+
+// keyedOut is the key of a server a winner tree must not pick: a crashed
+// server in the load tree; in a pool side, a crashed server or one on
+// the other side.
+const keyedOut = math.MaxInt
 
 // winnerTree is a tournament over key: leaves at [size, 2·size), size
 // the next power of two ≥ len(key), hold key indices (−1 for padding),
@@ -129,14 +164,15 @@ func (t *winnerTree) fix(i int) {
 type PackFirst struct{}
 
 // Place implements Placer.
-func (PackFirst) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return s.pack(candidates, 0)
+func (PackFirst) Place(s *Scheduler, t *job.Task) *server.Server {
+	return s.pack(0)
 }
 
 // Name implements Placer.
 func (PackFirst) Name() string { return "pack-first" }
 
-// Random places uniformly at random (useful as an experimental control).
+// Random places uniformly at random among the alive servers (useful as
+// an experimental control).
 type Random struct {
 	// Next returns a pseudo-random non-negative int; supplied by the
 	// caller so placement draws share the experiment's seed discipline.
@@ -144,8 +180,8 @@ type Random struct {
 }
 
 // Place implements Placer.
-func (r Random) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	return candidates[r.Next(len(candidates))]
+func (r Random) Place(s *Scheduler, t *job.Task) *server.Server {
+	return s.alive(r.Next(len(s.servers) - s.downCount))
 }
 
 // Name implements Placer.
@@ -178,13 +214,13 @@ func (p *NetworkAware) capacity(srv *server.Server) int {
 }
 
 // Place implements Placer.
-func (p *NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+func (p *NetworkAware) Place(s *Scheduler, t *job.Task) *server.Server {
 	// Awake servers with a free slot first — packed tightly, so unused
 	// servers and their switches stay asleep ("whenever there is a need
 	// for an additional server to transit to active state...").
 	var best *server.Server
-	for _, srv := range candidates {
-		if srv.Asleep() || s.Load(srv) >= p.capacity(srv) {
+	for _, srv := range s.servers {
+		if srv.Failed() || srv.Asleep() || s.Load(srv) >= p.capacity(srv) {
 			continue
 		}
 		if best == nil || s.Load(srv) > s.Load(best) {
@@ -201,9 +237,9 @@ func (p *NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Ser
 	// toward lower load.
 	endpoints := p.peers(t)
 	bestCost := -1
-	for _, srv := range candidates {
+	for _, srv := range s.servers {
 		if !srv.Asleep() {
-			continue
+			continue // a crashed server is never asleep
 		}
 		cost := 0
 		h := p.hosts[srv.ID()]
@@ -220,7 +256,7 @@ func (p *NetworkAware) Place(s *Scheduler, t *job.Task, candidates []*server.Ser
 		return best
 	}
 	// Everything is awake and saturated: least loaded.
-	return s.leastLoaded(candidates, nil)
+	return s.leastLoaded()
 }
 
 // peers lists the topology nodes this task will exchange data with:

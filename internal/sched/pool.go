@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math"
-
 	"holdcsim/internal/server"
 	"holdcsim/internal/simtime"
 )
@@ -25,9 +23,6 @@ type pool struct {
 	srvs []*server.Server
 	side [2]winnerTree
 }
-
-// keyedOut is the key of a server a pool side must not pick.
-const keyedOut = math.MaxInt
 
 // minActive floors the pool: neither policy demotes its last member.
 const minActive = 1

@@ -30,11 +30,11 @@ func NewProvisioner(minLoad, maxLoad float64) *Provisioner {
 
 // Place implements Placer: least-loaded among the active set's alive
 // servers.
-func (p *Provisioner) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+func (p *Provisioner) Place(s *Scheduler, t *job.Task) *server.Server {
 	if best := p.least(true); best != nil {
 		return best
 	}
-	return candidates[0] // all parked: fall back (and rebalance soon)
+	return s.alive(0) // all parked: fall back (and rebalance soon)
 }
 
 // Name implements Placer.

@@ -50,7 +50,7 @@ type Pinned struct {
 }
 
 // Place implements Placer.
-func (p Pinned) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
+func (p Pinned) Place(s *Scheduler, t *job.Task) *server.Server {
 	return s.servers[p.ServerOf(t)]
 }
 
@@ -488,10 +488,10 @@ func (p *startProbe) early(hook string) {
 	}
 }
 
-func (p *startProbe) Place(s *Scheduler, t *job.Task, c []*server.Server) *server.Server {
+func (p *startProbe) Place(s *Scheduler, t *job.Task) *server.Server {
 	p.early("Place")
 	p.placements++
-	return p.LeastLoaded.Place(s, t, c)
+	return p.LeastLoaded.Place(s, t)
 }
 func (p *startProbe) Evaluate(*Scheduler) { p.early("Evaluate") }
 

@@ -27,8 +27,10 @@ type TransferFn func(fromServer, toServer int, bytes int64, done func())
 // what else it needs it gets by also implementing Controller, Starter or
 // Binder, which New (core.Build for Binder) finds by type assertion.
 type Placer interface {
-	// Place returns the chosen server among candidates (never empty).
-	Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server
+	// Place returns the chosen server. Select calls it only while some
+	// server is up; a nil or crashed answer falls back to the lowest-ID
+	// alive server.
+	Place(s *Scheduler, t *job.Task) *server.Server
 	Name() string
 }
 
@@ -89,10 +91,10 @@ type Scheduler struct {
 	// mutations go through commit so the trees below stay in sync.
 	committed []int
 
-	// loads is a winner tree over committed, so loads.node[1] is the
-	// least-loaded server of the whole farm. Its nodes stay nil until a
-	// placer first asks for that argmin (leastLoaded): round-robin and
-	// sharded runs never pay for it.
+	// loads is a winner tree keyed by committed, or by keyedOut for a
+	// crashed server, so loads.node[1] is the least-loaded alive server.
+	// It stays empty until a placer first asks for that argmin
+	// (leastLoaded): round-robin and sharded runs never pay for it.
 	loads winnerTree
 
 	// lv files the alive servers with a spare slot by committed count
@@ -126,12 +128,12 @@ type Scheduler struct {
 	rrNext int
 
 	// Fault state (internal/fault drives it via ServersCrashed and
-	// ServersRecovered). downCount gates every fault-aware branch: while
-	// it is zero — every healthy run — placement takes exactly the
-	// pre-fault path with no filtering and no allocation.
-	downCount    int
-	aliveScratch []*server.Server
-	parked       []*job.Task // ready tasks waiting for a recovery
+	// ServersRecovered): the crashed servers as an ID set, made at the
+	// first crash, and their count. Placement reads the same indexes
+	// whether or not a server is down; alive counts past down's members.
+	down      idset
+	downCount int
+	parked    []*job.Task // ready tasks waiting for a recovery
 
 	jobsInSystem   int
 	jobsDispatched int64
@@ -225,11 +227,11 @@ func (s *Scheduler) TasksDispatched() int64 { return s.jobsDispatched }
 func (s *Scheduler) Committed(serverID int) int { return s.committed[serverID] }
 
 // commit is the single mutation point for the committed counters: it
-// applies delta to server id and replays the load tree (once built) and
-// the shard sums' tree (when sharding is on), O(log N) each, and refiles
-// the server in the load levels (once built), O(1). Decrements clamp at
-// zero (fault paths can release a commitment that a crash already
-// zeroed), in which case nothing else moves either.
+// applies delta to server id and re-keys it in the load tree and the
+// shard sums' tree (each once built), O(log N) each, and refiles it in
+// the load levels (once built), O(1). Decrements clamp at zero (fault
+// paths can release a commitment that a crash already zeroed), in which
+// case nothing else moves either.
 func (s *Scheduler) commit(id, delta int) {
 	if delta < 0 && s.committed[id] <= 0 {
 		return
@@ -239,7 +241,7 @@ func (s *Scheduler) commit(id, delta int) {
 	}
 	s.committed[id] += delta
 	if s.loads.node != nil {
-		s.loads.fix(id)
+		s.rekey(id)
 	}
 	if s.shardOf != nil {
 		sh := int(s.shardOf[id])

@@ -13,20 +13,16 @@ import (
 // load tree, so this placer is kept only for the benchmark workload that
 // pins its decisions.
 //
-// The shard fast path requires the full farm as the candidate set, so
-// `len(candidates) == len(s.servers)` means exactly "no server down".
-// With any server crashed (candidates came alive-filtered) it falls back
-// to plain LeastLoaded over the given candidates, so behavior under
-// faults is exactly the unsharded policy's.
+// A shard's sum counts its crashed members' commitments, so with any
+// server down — or no shards set — it places as LeastLoaded does.
 type ShardedLeastLoaded struct{}
 
 // Place implements Placer.
-func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task, candidates []*server.Server) *server.Server {
-	if s.shardOf != nil && len(candidates) == len(s.servers) {
-		return s.leastLoaded(s.shardMembers[s.shards.node[1]], nil)
+func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task) *server.Server {
+	if s.shardOf != nil && s.downCount == 0 {
+		return leastBy(s.shardMembers[s.shards.node[1]], func(srv *server.Server) int { return s.Load(srv) })
 	}
-	// No shards, or a filtered candidate list.
-	return s.leastLoaded(candidates, nil)
+	return s.leastLoaded()
 }
 
 // Name implements Placer.

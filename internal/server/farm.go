@@ -12,8 +12,8 @@ import (
 // chase a pointer per server: running totals for pending and completed
 // tasks (so Finalize and invariant scans read two int64s instead of
 // walking N servers), and a shared sleep planner that replaces the
-// one-engine-Timer-per-idle-server delay-timer scheme with a single
-// timer over a deadline heap.
+// one-engine-timer-per-idle-server delay-timer scheme with a single
+// event over a deadline heap.
 //
 // A farm server in steady-state idle/sleep therefore costs O(1): no queued
 // engine event (its suspend instant is a (deadline, seq) pair in the
@@ -120,7 +120,7 @@ func carve[T any](block *[]T, n, batch int) []T {
 // shared by all of them.
 func NewFarm(eng *engine.Engine) *Farm {
 	f := &Farm{eng: eng}
-	f.planner.init(eng)
+	f.planner.eng = eng
 	return f
 }
 
@@ -153,23 +153,17 @@ type sleepEntry struct {
 }
 
 // sleepPlanner multiplexes every farm server's sleep-state delay timer
-// onto one engine.Timer armed at the earliest pending deadline. The heap
-// holds exactly the armed servers: each records its entry's index
-// (sleepIdx), so a re-arm moves the entry in place and a disarm takes it
-// out at once.
+// onto one engine event (ev, whose Fire is the planner's) at the
+// earliest pending deadline. The heap holds exactly the armed servers:
+// each records its entry's index (sleepIdx), so a re-arm moves the entry
+// in place and a disarm takes it out at once.
 type sleepPlanner struct {
-	eng   *engine.Engine
-	timer *engine.Timer
-	heap  []sleepEntry
-	seq   uint64 // arm counter; FIFO tie-break among equal deadlines
+	eng  *engine.Engine
+	heap []sleepEntry
+	seq  uint64 // arm counter; FIFO tie-break among equal deadlines
 
-	armedAt  simtime.Time // deadline the shared timer is armed for
-	timerSet bool
-}
-
-func (p *sleepPlanner) init(eng *engine.Engine) {
-	p.eng = eng
-	p.timer = engine.NewTimer(eng, p.fire)
+	ev      engine.Handle
+	armedAt simtime.Time // the deadline ev is scheduled for, while Pending
 }
 
 // arm registers (or re-registers, moving the deadline like Timer.Reset)
@@ -185,32 +179,40 @@ func (p *sleepPlanner) arm(s *Server, at simtime.Time) {
 		s.sleepIdx = int32(len(p.heap) - 1)
 		p.siftUp(len(p.heap) - 1)
 	}
-	if !p.timerSet || at < p.armedAt {
-		p.armedAt, p.timerSet = at, true
-		p.timer.Reset(at - p.eng.Now())
+	if !p.ev.Pending() || at < p.armedAt {
+		p.reset(at)
 	}
 }
 
-// disarm cancels server s's pending suspend. The shared timer stays
-// armed: when it fires it finds the next deadline, if any, and re-arms.
-// Stopping it here would move the re-arm points, and with them the
-// engine sequence numbers the goldens pin (DESIGN.md Sec. 13.1).
+// reset moves the planner's event to instant at: cancel, then schedule,
+// so a re-arm takes the same engine sequence numbers the delay timers
+// always took.
+func (p *sleepPlanner) reset(at simtime.Time) {
+	p.armedAt = at
+	p.eng.Cancel(p.ev)
+	p.ev = p.eng.ScheduleHandler(at, p)
+}
+
+// disarm cancels server s's pending suspend. The shared event stays
+// scheduled: when it fires it finds the next deadline, if any, and
+// re-arms. Stopping it here would move the re-arm points, and with them
+// the engine sequence numbers the goldens pin (DESIGN.md Sec. 13.1).
 func (p *sleepPlanner) disarm(s *Server) {
 	if s.sleepIdx >= 0 {
 		p.remove(int(s.sleepIdx))
 	}
 }
 
-// fire pops every due entry in (deadline, arm-seq) order and starts its
-// server's suspend, then re-arms the shared timer at the next deadline.
-func (p *sleepPlanner) fire() {
+// Fire implements engine.Handler: it pops every due entry in (deadline,
+// arm-seq) order and starts its server's suspend, then re-arms the
+// shared event at the next deadline. The engine retires an event before
+// running it, so ev is not Pending here.
+func (p *sleepPlanner) Fire() {
 	now := p.eng.Now()
-	p.timerSet = false
 	for len(p.heap) > 0 {
 		e := p.heap[0]
 		if e.at > now {
-			p.armedAt, p.timerSet = e.at, true
-			p.timer.Reset(e.at - now)
+			p.reset(e.at)
 			return
 		}
 		p.remove(0)

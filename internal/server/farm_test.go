@@ -115,7 +115,7 @@ func TestFarmAsleepZeroQueuedEvents(t *testing.T) {
 			t.Fatalf("server %d not asleep after drain", i)
 		}
 	}
-	if farm.planner.timerSet {
+	if farm.planner.ev.Pending() {
 		t.Fatalf("planner timer still armed with empty schedule")
 	}
 	if got := len(farm.planner.heap); got != 0 {
