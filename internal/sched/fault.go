@@ -148,10 +148,11 @@ func (s *Scheduler) killJob(j *job.Job, reason LostReason) {
 				srv := s.servers[t.ServerID]
 				if !srv.Failed() && srv.Abort(t) {
 					s.tasksAborted++
-					if s.pool != nil {
-						s.pool.fix(t.ServerID)
-					}
 				}
+				// An aborted task was pending, so by the
+				// pending-within-commitment law it holds a commitment:
+				// this decommit is not clamped, and reindexes the server
+				// after the abort.
 				s.commit(t.ServerID, -1)
 			}
 			t.State = job.TaskLost
@@ -207,21 +208,13 @@ func (s *Scheduler) ServersCrashed(srvs []*server.Server) (jobsLost int) {
 		if srv.Failed() {
 			continue
 		}
-		if s.lv.n != nil {
-			s.refile(srv.ID(), s.committed[srv.ID()], -1)
-		}
 		tasks := srv.Crash()
 		if s.down.w == nil {
 			s.down = newIDSet(len(s.servers))
 		}
 		s.down.add(srv.ID())
 		s.downCount++
-		if s.loads.node != nil {
-			s.rekey(srv.ID())
-		}
-		if s.pool != nil {
-			s.pool.fix(srv.ID())
-		}
+		s.reindex(srv.ID())
 		s.tasksAborted += int64(len(tasks))
 		sets = append(sets, orphanSet{id: srv.ID(), tasks: tasks})
 	}
@@ -259,15 +252,7 @@ func (s *Scheduler) ServersRecovered(srvs []*server.Server) {
 		srv.Recover()
 		s.down.remove(srv.ID())
 		s.downCount--
-		if s.loads.node != nil {
-			s.rekey(srv.ID())
-		}
-		if s.lv.n != nil {
-			s.refile(srv.ID(), -1, s.committed[srv.ID()])
-		}
-		if s.pool != nil {
-			s.pool.fix(srv.ID())
-		}
+		s.reindex(srv.ID())
 		recovered = true
 	}
 	if !recovered {

@@ -82,37 +82,47 @@ func nextSet(w []uint64, i int) int {
 }
 
 // levels files server IDs under small counts: set[c] holds the servers
-// filed at c and n[c] counts them. A set's words are made when its first
-// member arrives, so levels cost what the counts reached, not their
-// depth times the farm.
+// filed at c, n[c] counts them and at[id] is where server id is filed,
+// −1 for nowhere. A set's words are made when its first member arrives,
+// so levels cost what the counts reached, not their depth times the
+// farm.
 type levels struct {
 	set []idset
 	n   []int
-	ids int // the ID range of every set
+	at  []int32
 }
 
 func newLevels(depth, ids int) levels {
-	return levels{set: make([]idset, depth), n: make([]int, depth), ids: ids}
-}
-
-func (l *levels) add(id, c int) {
-	if l.set[c].w == nil {
-		l.set[c] = newIDSet(l.ids)
+	at := make([]int32, ids)
+	for id := range at {
+		at[id] = -1
 	}
-	l.set[c].add(id)
-	l.n[c]++
+	return levels{set: make([]idset, depth), n: make([]int, depth), at: at}
 }
 
-func (l *levels) remove(id, c int) {
-	l.set[c].remove(id)
-	l.n[c]--
+// file moves server id to level c, −1 being no level.
+func (l *levels) file(id, c int) {
+	from := int(l.at[id])
+	if from == c {
+		return
+	}
+	if from >= 0 {
+		l.set[from].remove(id)
+		l.n[from]--
+	}
+	if c >= 0 {
+		if l.set[c].w == nil {
+			l.set[c] = newIDSet(len(l.at))
+		}
+		l.set[c].add(id)
+		l.n[c]++
+	}
+	l.at[id] = int32(c)
 }
 
-// levelIndex returns the scheduler's load levels — the alive servers
-// filed by committed count below their core count — building them on
-// the first ask, as leastLoaded builds the load tree: runs whose placer
-// never asks pay nothing. From then on commit and the crash and recover
-// path keep them current.
+// levelIndex returns the scheduler's load levels, building them on the
+// first ask, as leastLoaded builds the load tree: runs whose placer
+// never asks pay nothing. From then on reindex keeps them current.
 func (s *Scheduler) levelIndex() *levels {
 	if s.lv.n == nil {
 		widest := 0
@@ -120,29 +130,20 @@ func (s *Scheduler) levelIndex() *levels {
 			widest = max(widest, srv.Cores())
 		}
 		s.lv = newLevels(widest, len(s.servers))
-		for id, c := range s.committed {
-			s.refile(id, -1, c)
+		for id := range s.servers {
+			s.lv.file(id, s.level(id))
 		}
 	}
 	return &s.lv
 }
 
-// refile moves server id from load level from to level to, a count
-// outside [0, Cores()) being no level. A crashed server is filed
-// nowhere: the crash path unfiles a server before Crash, and the
-// recover path files it after Recover.
-func (s *Scheduler) refile(id, from, to int) {
-	srv := s.servers[id]
-	if s.downCount > 0 && srv.Failed() {
-		return
+// level is server id's load level: its committed count while it is up
+// and has a spare slot, else −1.
+func (s *Scheduler) level(id int) int {
+	if k := s.loadKey(id); k < s.servers[id].Cores() {
+		return k
 	}
-	cores := srv.Cores()
-	if from >= 0 && from < cores {
-		s.lv.remove(id, from)
-	}
-	if to >= 0 && to < cores {
-		s.lv.add(id, to)
-	}
+	return -1
 }
 
 // leastSpare returns the alive server with an ID below hi and a spare

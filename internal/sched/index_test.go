@@ -249,8 +249,9 @@ func checkIndexes(t *testing.T, s *Scheduler, p *pool, servers []*server.Server)
 }
 
 // checkLevels holds levels to the filing rule at: a server is in level c
-// exactly when at(server) is c, each count matches, and each summary bit
-// says whether its word is non-zero.
+// exactly when at(server) is c, its at slot names that level (−1 for
+// none), each count matches, and each summary bit says whether its word
+// is non-zero.
 func checkLevels(t *testing.T, l *levels, servers []*server.Server, at func(*server.Server) int) {
 	t.Helper()
 	count := make([]int, len(l.n))
@@ -263,6 +264,11 @@ func checkLevels(t *testing.T, l *levels, servers []*server.Server, at func(*ser
 		}
 		if c >= 0 && c < len(count) {
 			count[c]++
+		} else {
+			c = -1
+		}
+		if l.at != nil && int(l.at[id]) != c {
+			t.Fatalf("load levels: server %d (filed at %d) has at slot %d", id, c, l.at[id])
 		}
 	}
 	for c, set := range l.set {
@@ -356,7 +362,7 @@ func TestPoolCountsAliveMembers(t *testing.T) {
 }
 
 // Steady-state placement under each power policy allocates nothing:
-// the indexes are read and refiled in place.
+// the indexes are read and re-keyed in place.
 func TestPowerPolicyPlaceZeroAlloc(t *testing.T) {
 	const n = 1024
 	for _, pl := range []Placer{PackFirst{}, NewDualTimer(n/2, simtime.Second, simtime.Millisecond),

@@ -58,7 +58,7 @@ func leastBy(srvs []*server.Server, load func(*server.Server) int) *server.Serve
 // leastLoaded returns the alive server with the fewest commitments,
 // ties to the lower ID: the load tree's root, since the tree breaks ties
 // to the lower index and keys a crashed server out. The tree is built on
-// the first ask and kept current by rekey from then on. At least one
+// the first ask and kept current by reindex from then on. At least one
 // server must be up.
 func (s *Scheduler) leastLoaded() *server.Server {
 	if s.loads.node == nil {
@@ -78,15 +78,6 @@ func (s *Scheduler) loadKey(id int) int {
 		return keyedOut
 	}
 	return s.committed[id]
-}
-
-// rekey replays server id's key in the built load tree after its
-// committed count or its liveness changed.
-func (s *Scheduler) rekey(id int) {
-	if k := s.loadKey(id); s.loads.key[id] != k {
-		s.loads.key[id] = k
-		s.loads.fix(id)
-	}
 }
 
 // alive returns the k-th alive server in ID order, k below the alive
@@ -117,7 +108,7 @@ type winnerTree struct {
 }
 
 // newWinnerTree builds the tree over key bottom-up. key is shared, not
-// copied: whoever changes key[i] calls fix(i).
+// copied: keys change through set.
 func newWinnerTree(key []int) winnerTree {
 	size := 1
 	for size < len(key) {
@@ -145,9 +136,13 @@ func (t *winnerTree) match(i int) int32 {
 	return r
 }
 
-// fix replays the games on leaf i's path to the root after key[i]
-// changed — O(log len(key)).
-func (t *winnerTree) fix(i int) {
+// set keys leaf i at k and, if that changed its key, replays the games
+// on its path to the root — O(log len(key)).
+func (t *winnerTree) set(i, k int) {
+	if t.key[i] == k {
+		return
+	}
+	t.key[i] = k
 	for n := (len(t.node)/2 + i) / 2; n >= 1; n /= 2 {
 		t.node[n] = t.match(n)
 	}

@@ -12,11 +12,8 @@ import (
 // keyedOut on the other. Members keep their delay timer off; a demoted
 // server drains and suspends after the timer it is given. A member that
 // crashes stays a member, uncounted and keyed out, until it recovers.
-//
-// The scheduler re-keys a server (fix) wherever its pending count or
-// liveness changes: after a submit, at a task's completion, after an
-// abort, a crash and a recovery. Nothing else changes a server's
-// pending count: a task moving from a queue to a core leaves it as is.
+// The scheduler's reindex re-keys a server (fix); promote and demote
+// re-key the server they move.
 type pool struct {
 	out  idset
 	n    int
@@ -28,7 +25,8 @@ type pool struct {
 const minActive = 1
 
 // Start implements Starter: every server begins in the pool. The pool
-// registers with the scheduler, which re-keys its servers from here on.
+// registers with the scheduler, whose reindex re-keys its servers from
+// here on.
 func (p *pool) Start(s *Scheduler) {
 	n := len(s.servers)
 	p.out = newIDSet(n)
@@ -66,22 +64,14 @@ func (p *pool) fix(id int) {
 		m = 1
 	}
 	was := p.side[1].key[id] != keyedOut
-	p.set(m, id, k)
-	p.set(1-m, id, keyedOut)
+	p.side[m].set(id, k)
+	p.side[1-m].set(id, keyedOut)
 	if now := p.side[1].key[id] != keyedOut; now != was {
 		if now {
 			p.n++
 		} else {
 			p.n--
 		}
-	}
-}
-
-// set keys server id at k on side m.
-func (p *pool) set(m, id, k int) {
-	if t := &p.side[m]; t.key[id] != k {
-		t.key[id] = k
-		t.fix(id)
 	}
 }
 

@@ -21,7 +21,7 @@ func delayTimerOf(s *server.Server) (enabled bool, d simtime.Time) {
 	return v.FieldByName("delayOn").Bool(), simtime.Time(v.FieldByName("delayTimer").Int())
 }
 
-func testFarm(t *testing.T, n int, mutate func(i int, c *server.Config)) (*engine.Engine, []*server.Server) {
+func testFarm(t testing.TB, n int, mutate func(i int, c *server.Config)) (*engine.Engine, []*server.Server) {
 	t.Helper()
 	eng := engine.New()
 	farm := server.NewFarm(eng)

@@ -88,8 +88,12 @@ type Scheduler struct {
 	// committed counts tasks placed on each server that have not yet
 	// finished — including DAG tasks still waiting on parents or data
 	// transfers, which the server's own PendingTasks cannot see. All
-	// mutations go through commit so the trees below stay in sync.
+	// mutations go through commit.
 	committed []int
+
+	// The placement indexes below are each a key per server and a
+	// structure over the keys, built on a placer's first ask; reindex
+	// keeps every built one current.
 
 	// loads is a winner tree keyed by committed, or by keyedOut for a
 	// crashed server, so loads.node[1] is the least-loaded alive server.
@@ -102,8 +106,7 @@ type Scheduler struct {
 	lv levels
 
 	// pool is the pool policy's active set, once it has started: its
-	// per-side indexes are keyed by PendingTasks, so every change to a
-	// server's pending count or liveness re-keys the server there.
+	// per-side indexes are keyed by PendingTasks.
 	pool *pool
 
 	// Candidate-set sharding (SetShards): shardOf maps each server to its
@@ -227,26 +230,37 @@ func (s *Scheduler) TasksDispatched() int64 { return s.jobsDispatched }
 func (s *Scheduler) Committed(serverID int) int { return s.committed[serverID] }
 
 // commit is the single mutation point for the committed counters: it
-// applies delta to server id and re-keys it in the load tree and the
-// shard sums' tree (each once built), O(log N) each, and refiles it in
-// the load levels (once built), O(1). Decrements clamp at zero (fault
-// paths can release a commitment that a crash already zeroed), in which
-// case nothing else moves either.
+// applies delta to server id, moves its shard's sum (sharding on), and
+// reindexes it. Decrements clamp at zero (fault paths can release a
+// commitment that a crash already zeroed), in which case nothing else
+// moves either.
 func (s *Scheduler) commit(id, delta int) {
 	if delta < 0 && s.committed[id] <= 0 {
 		return
 	}
-	if s.lv.n != nil {
-		s.refile(id, s.committed[id], s.committed[id]+delta)
-	}
 	s.committed[id] += delta
-	if s.loads.node != nil {
-		s.rekey(id)
-	}
 	if s.shardOf != nil {
 		sh := int(s.shardOf[id])
-		s.shards.key[sh] += delta
-		s.shards.fix(sh)
+		s.shards.set(sh, s.shards.key[sh]+delta)
+	}
+	s.reindex(id)
+}
+
+// reindex files server id afresh in every index built so far — the load
+// levels (level), the load tree (loadKey) and the pool sides (pool.fix)
+// — from its committed count, its liveness and its pending tasks. Each
+// change to one of the three calls it once the change is made: commit,
+// submit, taskDone, and the crash and recover paths after Crash and
+// Recover. killJob's abort is reindexed by the decommit that follows it.
+func (s *Scheduler) reindex(id int) {
+	if s.lv.n != nil {
+		s.lv.file(id, s.level(id))
+	}
+	if s.loads.node != nil {
+		s.loads.set(id, s.loadKey(id))
+	}
+	if s.pool != nil {
+		s.pool.fix(id)
 	}
 }
 
@@ -432,18 +446,14 @@ func (s *Scheduler) submit(srv *server.Server, t *job.Task) {
 		fn(srv, t)
 	}
 	srv.Submit(t)
-	if s.pool != nil {
-		s.pool.fix(srv.ID())
-	}
+	s.reindex(srv.ID())
 }
 
 // taskDone is the server completion callback: it resolves DAG edges,
 // launches data transfers, completes jobs, and drains the global queue.
 func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
 	now := s.eng.Now()
-	if s.pool != nil {
-		s.pool.fix(srv.ID())
-	}
+	s.reindex(srv.ID())
 	if t.ServerID >= 0 {
 		s.commit(t.ServerID, -1)
 	}

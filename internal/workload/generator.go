@@ -15,7 +15,7 @@ type Generator struct {
 	arrival *rng.Source
 	service *rng.Source
 	proc    ArrivalProcess
-	factory pooledFactory
+	factory JobFactory
 	sink    func(*job.Job)
 
 	// MaxJobs stops generation after this many jobs (0 = unlimited).
@@ -30,9 +30,8 @@ type Generator struct {
 	// and the generator is the arrival event's handler (Fire).
 	nextAt simtime.Time
 
-	// pool recycles finished jobs into new arrivals (Recycle); nil, so
-	// that nothing is kept, for a factory that could not draw from it.
-	pool *job.Pool
+	// pool recycles finished jobs into new arrivals (Recycle).
+	pool job.Pool
 }
 
 // NewGenerator builds a generator. The rng source is split into
@@ -40,19 +39,14 @@ type Generator struct {
 // never perturbs the other's draws.
 func NewGenerator(eng *engine.Engine, r *rng.Source, proc ArrivalProcess,
 	factory JobFactory, sink func(*job.Job)) *Generator {
-	g := &Generator{
+	return &Generator{
 		eng:     eng,
 		arrival: r.Split("arrivals"),
 		service: r.Split("service"),
 		proc:    proc,
+		factory: factory,
 		sink:    sink,
 	}
-	if pf, ok := factory.(pooledFactory); ok {
-		g.factory, g.pool = pf, new(job.Pool)
-	} else {
-		g.factory = unpooled{factory}
-	}
-	return g
 }
 
 // Recycle takes back a finished job to build a later arrival in its
@@ -86,7 +80,7 @@ func (g *Generator) scheduleNext() {
 // Fire implements engine.Handler for the arrival event: it expands one
 // job and hands it to the sink, then schedules the next arrival.
 func (g *Generator) Fire() {
-	j := g.factory.newJob(g.pool, g.nextID, g.nextAt, g.service)
+	j := g.factory.newJob(&g.pool, g.nextID, g.nextAt, g.service)
 	g.nextID++
 	g.generated++
 	g.sink(j)

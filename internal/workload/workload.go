@@ -98,24 +98,14 @@ func WebServingService() dist.Sampler { return dist.Exponential{MeanValue: 0.120
 // provisioning study (Sec. IV-A).
 func WikipediaService() dist.Sampler { return dist.Uniform{Lo: 0.003, Hi: 0.010} }
 
-// JobFactory expands one arrival into a task DAG.
+// JobFactory expands one arrival into a task DAG. NewJob allocates the
+// job; newJob, what a Generator calls, builds it from the Generator's
+// free list (a nil pool allocates, so NewJob is newJob with nil). Only
+// this package's factories implement it.
 type JobFactory interface {
 	NewJob(id job.ID, now simtime.Time, r *rng.Source) *job.Job
-	String() string
-}
-
-// pooledFactory is what this package's factories are to a Generator:
-// NewJob building into a job from the generator's free list. NewJob is
-// newJob with the nil pool, which allocates.
-type pooledFactory interface {
 	newJob(p *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job
-}
-
-// unpooled adapts a factory from outside this package.
-type unpooled struct{ JobFactory }
-
-func (f unpooled) newJob(_ *job.Pool, id job.ID, now simtime.Time, r *rng.Source) *job.Job {
-	return f.NewJob(id, now, r)
+	String() string
 }
 
 // SingleTask builds one-task jobs with sampled service times — the shape
