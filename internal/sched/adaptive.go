@@ -66,7 +66,7 @@ func (a *AdaptivePool) Evaluate(s *Scheduler) {
 	load := s.LoadPerServer(a.n)
 	switch {
 	case load > a.TWakeup && a.n < len(s.servers):
-		// Promote the sleeping server with the fewest pending tasks: its
+		// Promote the sleeping server with the fewest committed tasks: its
 		// controller reverts to shallow-sleep-only and it pre-warms.
 		a.moved(s, a.promote(a.least(false)))
 	case load < a.TSleep && a.n > minActive:

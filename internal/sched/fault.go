@@ -151,8 +151,7 @@ func (s *Scheduler) killJob(j *job.Job, reason LostReason) {
 				}
 				// An aborted task was pending, so by the
 				// pending-within-commitment law it holds a commitment:
-				// this decommit is not clamped, and reindexes the server
-				// after the abort.
+				// this decommit is not clamped.
 				s.commit(t.ServerID, -1)
 			}
 			t.State = job.TaskLost

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"holdcsim/internal/job"
@@ -31,14 +32,14 @@ func aliveOf(srvs []*server.Server) []*server.Server {
 
 // loadScan is LeastLoaded's scan over a candidate list.
 func loadScan(s *Scheduler, candidates []*server.Server) *server.Server {
-	return leastBy(candidates, func(srv *server.Server) int { return s.Load(srv) })
+	return leastBy(candidates, func(srv *server.Server) int { return s.Committed(srv.ID()) })
 }
 
 // spareScan is availableServer's and DualTimer's high-pool scan: the
 // least committed alive server below hi with a spare slot.
 func spareScan(s *Scheduler, hi int) *server.Server {
 	return loadScan(s, where(s.servers, func(srv *server.Server) bool {
-		return !srv.Failed() && srv.ID() < hi && s.Load(srv) < srv.Cores()
+		return !srv.Failed() && srv.ID() < hi && s.Committed(srv.ID()) < srv.Cores()
 	}))
 }
 
@@ -46,10 +47,10 @@ func spareScan(s *Scheduler, hi int) *server.Server {
 func packScan(s *Scheduler, candidates []*server.Server, lo int) *server.Server {
 	var best *server.Server
 	for _, srv := range candidates {
-		if srv.ID() < lo || srv.Asleep() || s.Load(srv) >= srv.Cores() {
+		if srv.ID() < lo || srv.Asleep() || s.Committed(srv.ID()) >= srv.Cores() {
 			continue
 		}
-		if best == nil || s.Load(srv) > s.Load(best) {
+		if best == nil || s.Committed(srv.ID()) > s.Committed(best.ID()) {
 			best = srv
 		}
 	}
@@ -64,10 +65,32 @@ func packScan(s *Scheduler, candidates []*server.Server, lo int) *server.Server 
 	return loadScan(s, candidates)
 }
 
-// poolScan is pool.least's scan: fewest pending tasks among the alive
+// poolScan is pool.least's scan: fewest committed tasks among the alive
 // candidates on one side of the pool.
 func poolScan(p *pool, alive []*server.Server, member bool) *server.Server {
-	return leastBy(where(alive, func(srv *server.Server) bool { return p.has(srv.ID()) == member }), (*server.Server).PendingTasks)
+	return loadScan(p.s, where(alive, func(srv *server.Server) bool { return p.has(srv.ID()) == member }))
+}
+
+// lawBreach describes the first server holding more pending tasks than
+// it has commitments, or is empty. The scheduler cannot reach such a
+// state (the pending-within-commitment law), so an oracle whose steps
+// drive one tests a scheduler no run has.
+func lawBreach(s *Scheduler) string {
+	for id, srv := range s.servers {
+		if p, c := srv.PendingTasks(), s.committed[id]; p > c {
+			return fmt.Sprintf("server %d holds %d pending tasks, %d committed", id, p, c)
+		}
+	}
+	return ""
+}
+
+// decommitSpare releases one of server id's commitments if a commitment
+// no pending task holds is left — one a statically placed task that was
+// never submitted would hold — and so keeps the law.
+func decommitSpare(s *Scheduler, id int) {
+	if s.committed[id] > s.servers[id].PendingTasks() {
+		s.commit(id, -1)
+	}
 }
 
 // parkedScan is Provisioner's promotion scan: the lowest-ID alive
@@ -79,6 +102,28 @@ func parkedScan(p *pool, servers []*server.Server) *server.Server {
 		}
 	}
 	return nil
+}
+
+// submitJob gives j one to three independent tasks and hands each to a
+// random server, if it is up, as the scheduler dispatches: committed,
+// then submitted (Submit records the server on the task). A task whose
+// server is down stays unplaced, ServerID −1, so the decommits of a
+// dropped job release no commitment it never took.
+func submitJob(s *Scheduler, j *job.Job, next func(int) int) {
+	for range 1 + next(3) {
+		j.AddTask(simtime.Time(1+next(1000)) * simtime.Millisecond)
+	}
+	if err := j.Seal(); err != nil {
+		panic(err)
+	}
+	s.jobsInSystem++
+	for _, task := range j.Tasks {
+		task.ServerID = -1
+		if on := s.servers[next(len(s.servers))]; !on.Failed() {
+			s.commit(on.ID(), 1)
+			s.submit(on, task)
+		}
+	}
 }
 
 // mixedFarm builds a scheduler placing with pl over n servers of 4, 1,
@@ -136,25 +181,13 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 			case 0:
 				s.commit(id, 1)
 			case 1:
-				s.commit(id, -1)
+				decommitSpare(s, id)
 			case 2, 3:
 				// A job of one to three independent tasks, each on a
-				// random alive server.
+				// random alive server, committed and placed there as
+				// the scheduler places them.
 				tk++
-				j := job.New(job.ID(tk), eng.Now())
-				for range 1 + next(3) {
-					j.AddTask(simtime.Time(1+next(1000)) * simtime.Millisecond)
-				}
-				if err := j.Seal(); err != nil {
-					t.Fatal(err)
-				}
-				s.jobsInSystem++
-				for _, task := range j.Tasks {
-					if on := servers[next(n)]; !on.Failed() {
-						s.commit(on.ID(), 1)
-						s.submit(on, task)
-					}
-				}
+				submitJob(s, job.New(job.ID(tk), eng.Now()), next)
 			case 4:
 				srv.SetDelayTimer(true, simtime.Time(next(3))*100*simtime.Millisecond)
 			case 5:
@@ -205,6 +238,9 @@ func TestPowerPolicyIndexesMatchScan(t *testing.T) {
 				t.Fatalf("%d servers, step %d: firstParked %v, scan %v", n, step, got, want)
 			}
 			checkIndexes(t, s, &p, servers)
+			if b := lawBreach(s); b != "" {
+				t.Fatalf("%d servers, step %d: %s", n, step, b)
+			}
 		}
 	}
 }
@@ -222,7 +258,7 @@ func checkIndexes(t *testing.T, s *Scheduler, p *pool, servers []*server.Server)
 		for side, ps := range p.side {
 			want := keyedOut
 			if !srv.Failed() && p.has(id) == (side == 1) {
-				want = srv.PendingTasks()
+				want = s.committed[id]
 			}
 			if ps.key[id] != want {
 				t.Fatalf("server %d: pool side %d key %d, want %d", id, side, ps.key[id], want)

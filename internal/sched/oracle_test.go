@@ -71,10 +71,10 @@ func refPlace(s *Scheduler, pl Placer, draws *lcg, t *job.Task, cands []*server.
 func netAwareScan(s *Scheduler, p *NetworkAware, t *job.Task, cands []*server.Server) *server.Server {
 	var best *server.Server
 	for _, srv := range cands {
-		if srv.Asleep() || s.Load(srv) >= p.capacity(srv) {
+		if srv.Asleep() || s.Committed(srv.ID()) >= p.capacity(srv) {
 			continue
 		}
-		if best == nil || s.Load(srv) > s.Load(best) {
+		if best == nil || s.Committed(srv.ID()) > s.Committed(best.ID()) {
 			best = srv
 		}
 	}
@@ -91,7 +91,7 @@ func netAwareScan(s *Scheduler, p *NetworkAware, t *job.Task, cands []*server.Se
 		for _, ep := range endpoints {
 			cost += p.net.SleepingSwitchesOnPath(ep, p.hosts[srv.ID()])
 		}
-		if best == nil || cost < bestCost || (cost == bestCost && s.Load(srv) < s.Load(best)) {
+		if best == nil || cost < bestCost || (cost == bestCost && s.Committed(srv.ID()) < s.Committed(best.ID())) {
 			best, bestCost = srv, cost
 		}
 	}
@@ -174,24 +174,11 @@ func TestPlacersMatchAliveListUnderFaults(t *testing.T) {
 				case 0:
 					s.commit(id, 1)
 				case 1:
-					s.commit(id, -1)
+					decommitSpare(s, id)
 				case 2, 3:
 					// A job of one to three independent tasks, each on a
 					// random alive server.
-					j := job.New(job.ID(1_000_000+step), eng.Now())
-					for range 1 + next(3) {
-						j.AddTask(simtime.Time(1+next(1000)) * simtime.Millisecond)
-					}
-					if err := j.Seal(); err != nil {
-						t.Fatal(err)
-					}
-					s.jobsInSystem++
-					for _, task := range j.Tasks {
-						if on := servers[next(n)]; !on.Failed() {
-							s.commit(on.ID(), 1)
-							s.submit(on, task)
-						}
-					}
+					submitJob(s, job.New(job.ID(1_000_000+step), eng.Now()), next)
 				case 4:
 					srv.SetDelayTimer(true, simtime.Time(next(3))*100*simtime.Millisecond)
 				case 5:
@@ -213,6 +200,9 @@ func TestPlacersMatchAliveListUnderFaults(t *testing.T) {
 					s.JobArrived(newJob(1))
 				default:
 					eng.RunUntil(eng.Now() + simtime.Time(next(1500))*simtime.Millisecond)
+				}
+				if b := lawBreach(s); b != "" {
+					t.Fatalf("%s, %d servers, step %d: %s", pc.name, n, step, b)
 				}
 
 				// The task to place: a root, or the child of a parent

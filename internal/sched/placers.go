@@ -215,10 +215,10 @@ func (p *NetworkAware) Place(s *Scheduler, t *job.Task) *server.Server {
 	// for an additional server to transit to active state...").
 	var best *server.Server
 	for _, srv := range s.servers {
-		if srv.Failed() || srv.Asleep() || s.Load(srv) >= p.capacity(srv) {
+		if srv.Failed() || srv.Asleep() || s.committed[srv.ID()] >= p.capacity(srv) {
 			continue
 		}
-		if best == nil || s.Load(srv) > s.Load(best) {
+		if best == nil || s.committed[srv.ID()] > s.committed[best.ID()] {
 			best = srv
 		}
 	}
@@ -242,7 +242,7 @@ func (p *NetworkAware) Place(s *Scheduler, t *job.Task) *server.Server {
 			cost += p.net.SleepingSwitchesOnPath(ep, h)
 		}
 		if best == nil || cost < bestCost ||
-			(cost == bestCost && s.Load(srv) < s.Load(best)) {
+			(cost == bestCost && s.committed[srv.ID()] < s.committed[best.ID()]) {
 			best = srv
 			bestCost = cost
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"holdcsim/internal/engine"
@@ -74,14 +75,41 @@ func TestCommittedLoadCoversUnsubmittedDAGTasks(t *testing.T) {
 	eng.RunUntil(simtime.Millisecond)
 	total := 0
 	for _, srv := range servers {
-		total += s.Load(srv)
+		total += s.Committed(srv.ID())
 	}
 	if total != 5 {
 		t.Errorf("committed load = %d, want 5 (whole DAG)", total)
 	}
 	eng.Run()
-	if s.Load(servers[0])+s.Load(servers[1]) != 0 {
+	if s.Committed(0)+s.Committed(1) != 0 {
 		t.Error("committed load not released after completion")
+	}
+
+	// The pool placers read the same signal: a width-8 scatter-gather
+	// job on eight servers spreads its statically placed workers and
+	// gather as LeastLoaded does, not all onto the one server whose own
+	// queue is empty.
+	placed := func(pl Placer) []int {
+		eng, servers := testFarm(t, 8, nil)
+		s, err := New(eng, servers, Config{Placer: pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs job.Pool
+		j := jobs.ScatterGather(1, 0, 8, simtime.Millisecond, simtime.Millisecond, simtime.Millisecond, 1<<20)
+		s.JobArrived(j)
+		at := make([]int, len(j.Tasks))
+		for i, tk := range j.Tasks {
+			at[i] = tk.ServerID
+		}
+		eng.Run()
+		return at
+	}
+	want := placed(LeastLoaded{})
+	for _, pl := range []Placer{NewProvisioner(0, 100), NewAdaptivePool(100, 0, simtime.Millisecond)} {
+		if got := placed(pl); !slices.Equal(got, want) {
+			t.Errorf("%s placed the scatter-gather tasks on %v, least-loaded on %v", pl.Name(), got, want)
+		}
 	}
 }
 

@@ -8,16 +8,17 @@ import (
 // pool is the active set AdaptivePool and Provisioner dispatch to: the
 // servers outside it as an ID set, the count of alive members, and one
 // winner tree per side — side[1] over the members, side[0] over the
-// rest — keyed by an alive server's pending tasks on its own side and
-// keyedOut on the other. Members keep their delay timer off; a demoted
-// server drains and suspends after the timer it is given. A member that
-// crashes stays a member, uncounted and keyed out, until it recovers.
-// The scheduler's reindex re-keys a server (fix); promote and demote
-// re-key the server they move.
+// rest — keyed by the scheduler's loadKey (committed tasks, keyedOut
+// while down) on a server's own side and keyedOut on the other. Members
+// keep their delay timer off; a demoted server drains and suspends
+// after the timer it is given. A member that crashes stays a member,
+// uncounted and keyed out, until it recovers. The scheduler's reindex
+// re-keys a server (fix); promote and demote re-key the server they
+// move.
 type pool struct {
 	out  idset
 	n    int
-	srvs []*server.Server
+	s    *Scheduler
 	side [2]winnerTree
 }
 
@@ -30,7 +31,7 @@ const minActive = 1
 func (p *pool) Start(s *Scheduler) {
 	n := len(s.servers)
 	p.out = newIDSet(n)
-	p.srvs = s.servers
+	p.s = s
 	for m := range p.side {
 		key := make([]int, n)
 		for id := range key {
@@ -52,19 +53,15 @@ func (p *pool) ActiveServers() int { return p.n }
 func (p *pool) has(id int) bool { return !p.out.has(id) }
 
 // fix re-keys server id on both sides, and recounts it, after its
-// pending count, its liveness or its side changed. A server counts as an
-// alive member exactly while its member-side key is not keyedOut.
+// committed count, its liveness or its side changed. A server counts as
+// an alive member exactly while its member-side key is not keyedOut.
 func (p *pool) fix(id int) {
-	k := keyedOut
-	if srv := p.srvs[id]; !srv.Failed() {
-		k = srv.PendingTasks()
-	}
 	m := 0
 	if p.has(id) {
 		m = 1
 	}
 	was := p.side[1].key[id] != keyedOut
-	p.side[m].set(id, k)
+	p.side[m].set(id, p.s.loadKey(id))
 	p.side[1-m].set(id, keyedOut)
 	if now := p.side[1].key[id] != keyedOut; now != was {
 		if now {
@@ -75,7 +72,7 @@ func (p *pool) fix(id int) {
 	}
 }
 
-// least returns the alive server with the fewest pending tasks among
+// least returns the alive server with the fewest committed tasks among
 // the members — or, with member false, among the rest — ties to the
 // lower ID; nil when that side has no alive server.
 func (p *pool) least(member bool) *server.Server {
@@ -84,7 +81,7 @@ func (p *pool) least(member bool) *server.Server {
 		t = &p.side[1]
 	}
 	if w := t.node[1]; t.key[w] != keyedOut {
-		return p.srvs[w]
+		return p.s.servers[w]
 	}
 	return nil
 }
@@ -93,7 +90,7 @@ func (p *pool) least(member bool) *server.Server {
 // nil.
 func (p *pool) firstParked() *server.Server {
 	for id := p.out.next(0); id >= 0; id = p.out.next(id + 1) {
-		if srv := p.srvs[id]; !srv.Failed() {
+		if srv := p.s.servers[id]; !srv.Failed() {
 			return srv
 		}
 	}

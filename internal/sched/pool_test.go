@@ -30,15 +30,16 @@ func (m *mapPool) demote(id int) bool {
 	return true
 }
 
-// pick is the hand-written scan the policies used: fewest pending tasks
-// among members, first one wins a tie.
-func (m *mapPool) pick(cands []*server.Server, member bool) *server.Server {
+// pick is the hand-written scan the policies used, on the scheduler's
+// load signal: fewest committed tasks among members, first one wins a
+// tie.
+func (m *mapPool) pick(s *Scheduler, cands []*server.Server, member bool) *server.Server {
 	var best *server.Server
 	for _, srv := range cands {
 		if m.active[srv.ID()] != member {
 			continue
 		}
-		if best == nil || srv.PendingTasks() < best.PendingTasks() {
+		if best == nil || s.Committed(srv.ID()) < s.Committed(best.ID()) {
 			best = srv
 		}
 	}
@@ -50,8 +51,9 @@ func (m *mapPool) pick(cands []*server.Server, member bool) *server.Server {
 // load sequence and holds membership, count, the servers' delay timers
 // and every least-loaded pick (over the alive candidates, as Select
 // filters them) equal at each step; the count is of alive members.
-// Crashes, recoveries and submissions go through the scheduler, which
-// re-keys the pool's trees.
+// Crashes, recoveries and commitments go through the scheduler, which
+// re-keys the pool's trees; a submission is committed first, as the
+// scheduler dispatches.
 func TestPoolMatchesMapReference(t *testing.T) {
 	const n = 9
 	const tau = 50 * simtime.Millisecond
@@ -97,10 +99,14 @@ func TestPoolMatchesMapReference(t *testing.T) {
 				}
 			case 5:
 				if !srv.Failed() {
+					s.commit(srv.ID(), 1)
 					s.submit(srv, job.Single(job.ID(step), eng.Now(), simtime.Time(1+next(20))*simtime.Millisecond).Tasks[0])
 				}
 			}
 			eng.RunUntil(eng.Now() + simtime.Time(next(5))*simtime.Millisecond)
+			if b := lawBreach(s); b != "" {
+				t.Fatalf("seed %d step %d: %s", seed, step, b)
+			}
 
 			var alive []*server.Server
 			members := 0
@@ -118,10 +124,10 @@ func TestPoolMatchesMapReference(t *testing.T) {
 			if p.n != members {
 				t.Fatalf("seed %d step %d: count %d, reference %d alive members", seed, step, p.n, members)
 			}
-			if got, want := p.least(true), ref.pick(alive, true); got != want {
+			if got, want := p.least(true), ref.pick(s, alive, true); got != want {
 				t.Fatalf("seed %d step %d: member pick differs", seed, step)
 			}
-			if got, want := p.least(false), ref.pick(alive, false); got != want {
+			if got, want := p.least(false), ref.pick(s, alive, false); got != want {
 				t.Fatalf("seed %d step %d: non-member pick differs", seed, step)
 			}
 		}

@@ -52,7 +52,7 @@ func (p *Provisioner) Evaluate(s *Scheduler) {
 		// and restore its always-on controller.
 		p.promote(p.firstParked())
 	case load < p.MinLoad && p.n > minActive:
-		// Park the active server with the fewest pending tasks: it
+		// Park the active server with the fewest committed tasks: it
 		// finishes its backlog, then the zero-length delay timer drops
 		// it into system sleep.
 		p.demote(p.least(true), 0)

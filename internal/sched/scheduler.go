@@ -106,7 +106,8 @@ type Scheduler struct {
 	lv levels
 
 	// pool is the pool policy's active set, once it has started: its
-	// per-side indexes are keyed by PendingTasks.
+	// per-side trees are keyed by committed, as loads is, on a server's
+	// own side.
 	pool *pool
 
 	// Candidate-set sharding (SetShards): shardOf maps each server to its
@@ -225,8 +226,9 @@ func (s *Scheduler) GlobalQueueLen() int { return len(s.globalQ) }
 func (s *Scheduler) TasksDispatched() int64 { return s.jobsDispatched }
 
 // Committed reports the committed-task counter for one server — placed
-// but not yet finished. It is the Load signal; the invariant checker
-// reads it to hold the server's own pending count beneath it.
+// but not yet finished. It is the load signal every placement index
+// keys by; the invariant checker reads it to hold the server's own
+// pending count beneath it.
 func (s *Scheduler) Committed(serverID int) int { return s.committed[serverID] }
 
 // commit is the single mutation point for the committed counters: it
@@ -248,10 +250,9 @@ func (s *Scheduler) commit(id, delta int) {
 
 // reindex files server id afresh in every index built so far — the load
 // levels (level), the load tree (loadKey) and the pool sides (pool.fix)
-// — from its committed count, its liveness and its pending tasks. Each
-// change to one of the three calls it once the change is made: commit,
-// submit, taskDone, and the crash and recover paths after Crash and
-// Recover. killJob's abort is reindexed by the decommit that follows it.
+// — from its committed count and its liveness. Each change to one of the
+// two calls it once the change is made: commit, and the crash and
+// recover paths after Crash and Recover.
 func (s *Scheduler) reindex(id int) {
 	if s.lv.n != nil {
 		s.lv.file(id, s.level(id))
@@ -328,13 +329,6 @@ func (s *Scheduler) LoadPerServer(poolSize int) float64 {
 	}
 	return float64(s.jobsInSystem) / float64(poolSize)
 }
-
-// Load reports the placement-time load signal for a server: its
-// committed tasks, placed and not yet finished. Every task a server
-// holds was committed first (the checker's pending-within-commitment
-// law), so this counts the server's own pending tasks plus statically
-// placed DAG tasks that have not been submitted yet.
-func (s *Scheduler) Load(srv *server.Server) int { return s.committed[srv.ID()] }
 
 // startPolicy runs the placer's Start hook if it has not run yet.
 func (s *Scheduler) startPolicy() {
@@ -446,14 +440,12 @@ func (s *Scheduler) submit(srv *server.Server, t *job.Task) {
 		fn(srv, t)
 	}
 	srv.Submit(t)
-	s.reindex(srv.ID())
 }
 
 // taskDone is the server completion callback: it resolves DAG edges,
 // launches data transfers, completes jobs, and drains the global queue.
-func (s *Scheduler) taskDone(srv *server.Server, t *job.Task) {
+func (s *Scheduler) taskDone(_ *server.Server, t *job.Task) {
 	now := s.eng.Now()
-	s.reindex(srv.ID())
 	if t.ServerID >= 0 {
 		s.commit(t.ServerID, -1)
 	}

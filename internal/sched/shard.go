@@ -20,7 +20,7 @@ type ShardedLeastLoaded struct{}
 // Place implements Placer.
 func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task) *server.Server {
 	if s.shardOf != nil && s.downCount == 0 {
-		return leastBy(s.shardMembers[s.shards.node[1]], func(srv *server.Server) int { return s.Load(srv) })
+		return leastBy(s.shardMembers[s.shards.node[1]], func(srv *server.Server) int { return s.committed[srv.ID()] })
 	}
 	return s.leastLoaded()
 }
