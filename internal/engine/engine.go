@@ -29,7 +29,7 @@
 //     order by construction. A delay claims a free lane the second time
 //     in a row a schedule finds none for it; a lane that empties stays
 //     its delay's, and hot for a while, so one-off delays cannot take
-//     it. The remaining lane, runLane, holds the run. A winner tree over
+//     it. The remaining lane, runLane, holds the run. A loser tree over
 //     the lane heads names the earliest, and the ladder never hands a
 //     bucket down past it. Step pops the smaller of the heap top and the
 //     earliest lane head.
@@ -54,6 +54,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"holdcsim/internal/simtime"
@@ -75,14 +76,18 @@ const (
 	// buckets: below it the events are near-ties and stay in the heap.
 	minSpan = numBuckets * simtime.Nanosecond
 	// numLanes is how many lanes there are: the run and numLanes-1
-	// recurring delays; laneWin is a winner tree over exactly this many
+	// recurring delays; laneWin is a loser tree over exactly this many
 	// leaves.
 	numLanes = 8
-	// runLane is the run's lane, which no delay may claim.
+	// runLane is the run's lane, which no delay may claim. Its delay is
+	// -1, so a laneTab slot that names it names no lane.
 	runLane = 0
-	// laneBits is the bit width of laneHash: laneMask has one bit per
+	// laneBits is the bit width of laneHash: laneTab has one slot per
 	// hash value.
 	laneBits = 6
+	// laneShared marks a laneTab slot that two lane delays hash to: a
+	// lookup that misses its lane compares every lane delay.
+	laneShared = numLanes
 	// laneCold is how many schedules a lane stays hot after it empties:
 	// no other delay may claim it until then.
 	laneCold = 4096
@@ -246,17 +251,17 @@ type Engine struct {
 	// lanes[runLane] the run, a handed-down bucket that was already in
 	// (at, seq) order; its laneDelay is -1, like a lane never claimed. A
 	// lane is free while it is empty (its bit in laneBusy is clear); it
-	// keeps its delay until another delay claims it. laneWin is a winner
+	// keeps its delay until another delay claims it. laneWin is a loser
 	// tree: node k's children are 2k and 2k+1, leaf numLanes+i is lane
-	// i, and the root laneWin[1] names the lane with the earliest head.
-	// Matches compare the (at, seq) keys of the lane heads, Forever for
-	// an empty lane. Lane i is hot until seq reaches laneHot[i], laneMask has
-	// bit laneHash(d) set for every lane delay d, missed is the delay of
-	// the last schedule that found no lane, and no claim is tried before
-	// seq reaches claimAt.
-	laneMask uint64
+	// i, nodes 1 to numLanes-1 each name the lane that lost their match,
+	// and laneWin[0] names the lane with the earliest head. Matches
+	// compare the (at, seq) keys of the lane heads, kept in laneAt and
+	// laneSeq; an empty lane's key is (Forever, MaxUint64). Lane i is hot
+	// until seq reaches laneHot[i], missed is the delay of the last
+	// schedule that found no lane, and no claim is tried before seq
+	// reaches claimAt.
 	missed   simtime.Time
-	laneWin  [2 * numLanes]uint8
+	laneWin  [numLanes]uint8
 	laneBusy uint8
 	claimAt  uint64
 	laneAt   [numLanes]simtime.Time
@@ -278,7 +283,11 @@ type Engine struct {
 	laneSeq   [numLanes]uint64
 	lanes     [numLanes]list
 	laneDelay [numLanes]simtime.Time
-	laneHot   [numLanes]uint64
+	// laneTab maps laneHash(d) to the lane holding delay d, or to
+	// runLane when no lane delay hashes there, plus laneShared when two
+	// do.
+	laneTab [1 << laneBits]uint8
+	laneHot [numLanes]uint64
 
 	// spill is the far tier: unsorted, appended to between re-buckets.
 	// It holds the events at or beyond the top rung's end.
@@ -293,14 +302,9 @@ func New() *Engine {
 	e.spawn(0, saturatingWindowEnd(0, initialWidth), initialWidth)
 	for i := range e.lanes {
 		e.laneDelay[i] = -1
-		e.laneAt[i] = simtime.Forever
-		e.laneWin[numLanes+i] = uint8(i)
+		e.laneAt[i], e.laneSeq[i] = simtime.Forever, math.MaxUint64
 	}
-	// Every node names a lane of its own subtree, so a match never
-	// reads a key from outside it.
-	for k := numLanes - 1; k > 0; k-- {
-		e.laneWin[k] = e.laneWin[2*k]
-	}
+	e.rebuild()
 	return e
 }
 
@@ -392,17 +396,22 @@ func (e *Engine) ScheduleHandler(at simtime.Time, h Handler) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// laneHash is delay d's bit in laneMask: its low laneBits bits folded
+// laneHash is delay d's slot in laneTab: its low laneBits bits folded
 // with the next ones, so whole microseconds and milliseconds spread too.
 // It costs no multiply, on a path every Schedule takes.
 func laneHash(d simtime.Time) uint {
 	return uint(d^d>>laneBits) & (1<<laneBits - 1)
 }
 
-// laneFor returns the lane that delay d holds, or -1. Most misses stop
-// at laneMask, without comparing d with a lane delay.
+// laneFor returns the lane that delay d holds, or -1: one probe of
+// laneTab and one compare, and a scan of the lane delays only when the
+// slot is shared.
 func (e *Engine) laneFor(d simtime.Time) int {
-	if e.laneMask&(1<<laneHash(d)) != 0 {
+	t := e.laneTab[laneHash(d)]
+	if i := t & (numLanes - 1); e.laneDelay[i] == d {
+		return int(i)
+	}
+	if t&laneShared != 0 {
 		for i, ld := range &e.laneDelay {
 			if ld == d {
 				return i
@@ -433,10 +442,15 @@ func (e *Engine) claimLane(d simtime.Time) int {
 		return -1
 	}
 	e.laneDelay[i] = d
-	e.laneMask = 0
-	for _, ld := range e.laneDelay {
-		if ld >= 0 {
-			e.laneMask |= 1 << laneHash(ld)
+	e.laneTab = [1 << laneBits]uint8{}
+	for j, ld := range &e.laneDelay {
+		if ld < 0 {
+			continue
+		}
+		if t := &e.laneTab[laneHash(ld)]; *t == runLane {
+			*t = uint8(j)
+		} else {
+			*t |= laneShared
 		}
 	}
 	e.Count.LaneClaims++
@@ -444,51 +458,87 @@ func (e *Engine) claimLane(d simtime.Time) int {
 }
 
 // laneHead is the earliest lane head, nil when every lane is empty.
-func (e *Engine) laneHead() *event { return e.lanes[e.laneWin[1]&(numLanes-1)].head }
+func (e *Engine) laneHead() *event { return e.lanes[e.laneWin[0]&(numLanes-1)].head }
 
 // lanePop pops the earliest lane head and re-keys its lane.
 func (e *Engine) lanePop() *event {
-	i := int(e.laneWin[1] & (numLanes - 1))
+	i := int(e.laneWin[0] & (numLanes - 1))
 	ev := e.lanes[i].pop()
 	e.relane(i)
 	return ev
 }
 
-// relane copies lane i's head into the tree's keys and replays the
-// lane's path up the winner tree. An empty lane is free and keyed at
-// Forever, which no lane event reaches; one that has just emptied stays
-// hot, and no other delay may claim it, for laneCold schedules.
+// relane copies lane i's head into the tree's keys and brings the loser
+// tree up to date: a replay of lane i's path when it is the winner,
+// whatever its new key, and a rebuild when it is not. An empty lane is
+// free and keyed (Forever, MaxUint64), which every lane head beats; one
+// that has just emptied stays hot, and no other delay may claim it, for
+// laneCold schedules.
 func (e *Engine) relane(i int) {
-	alone := e.laneBusy == 1<<i
+	at, seq := simtime.Forever, uint64(math.MaxUint64)
 	if h := e.lanes[i].head; h != nil {
-		e.laneAt[i], e.laneSeq[i] = h.at, h.seq
+		at, seq = h.at, h.seq
 		e.laneBusy |= 1 << i
-	} else {
-		if e.laneBusy&(1<<i) != 0 {
-			e.laneBusy &^= 1 << i
-			e.laneHot[i] = e.seq + laneCold
-		}
-		e.laneAt[i] = simtime.Forever
+	} else if e.laneBusy&(1<<i) != 0 {
+		e.laneBusy &^= 1 << i
+		e.laneHot[i] = e.seq + laneCold
 	}
-	if alone || e.laneBusy == 0 {
-		// Lane i was the only busy lane, so every node on its path
-		// names it, and still does; or every key is Forever, and every
-		// node still names a lane of its own subtree.
-		return
+	e.laneAt[i], e.laneSeq[i] = at, seq
+	switch {
+	case int(e.laneWin[0]) != i:
+		e.rebuild()
+	case e.laneBusy&^(1<<i) != 0:
+		e.replay(i, uint64(at), seq)
 	}
-	for k := (numLanes + i) / 2; k > 0; k /= 2 {
-		e.laneWin[k] = e.laneMatch(k)
-	}
+	// Otherwise lane i wins and every other lane is empty: whatever
+	// lane i's key now is, it loses to no stored lane, and the tree
+	// stands.
 }
 
-// laneMatch plays node k's children, 2k and 2k+1, off against each
-// other by their lanes' keys.
-func (e *Engine) laneMatch(k int) uint8 {
-	a, b := e.laneWin[2*k], e.laneWin[2*k+1]
-	if e.laneAt[b] < e.laneAt[a] || e.laneAt[b] == e.laneAt[a] && e.laneSeq[b] < e.laneSeq[a] {
-		return b
+// beats reports, as 1 or 0, whether key (bAt, bSeq) is less than (aAt,
+// aSeq): the borrow out of the 128-bit difference b - a. Times are never
+// negative, so they compare as unsigned.
+func beats(bAt, bSeq, aAt, aSeq uint64) uint64 {
+	_, c := bits.Sub64(bSeq, aSeq, 0)
+	_, c = bits.Sub64(bAt, aAt, c)
+	return c
+}
+
+// replay re-plays the matches on lane i's path after its key changed
+// to (at, seq). Lane i must be the winner, so each node on the path
+// holds the winner of the other subtree below it. The candidate and its
+// key stay in registers, and each match swaps them with the stored
+// loser under a mask instead of a branch.
+func (e *Engine) replay(i int, at, seq uint64) {
+	w := uint8(i & (numLanes - 1))
+	for k := uint(numLanes+w) >> 1; k > 0; k >>= 1 {
+		node := &e.laneWin[k&(numLanes-1)]
+		s := *node
+		sAt, sSeq := uint64(e.laneAt[s&(numLanes-1)]), e.laneSeq[s&(numLanes-1)]
+		m := -beats(sAt, sSeq, at, seq)
+		x := (w ^ s) & uint8(m)
+		*node = s ^ x
+		w ^= x
+		at ^= (at ^ sAt) & m
+		seq ^= (seq ^ sSeq) & m
 	}
-	return a
+	e.laneWin[0] = w
+}
+
+// rebuild plays all numLanes-1 matches afresh, from the leaves up.
+func (e *Engine) rebuild() {
+	var up [2 * numLanes]uint8 // the lane each node sends up
+	for i := range numLanes {
+		up[numLanes+i] = uint8(i)
+	}
+	for k := numLanes - 1; k > 0; k-- {
+		a, b := up[2*k], up[2*k+1]
+		m := uint8(-beats(uint64(e.laneAt[b&(numLanes-1)]), e.laneSeq[b&(numLanes-1)],
+			uint64(e.laneAt[a&(numLanes-1)]), e.laneSeq[a&(numLanes-1)]))
+		x := (a ^ b) & m
+		up[k], e.laneWin[k] = a^x, b^x
+	}
+	e.laneWin[0] = up[1]
 }
 
 // place routes an event to the tier covering its timestamp: below lim
@@ -775,7 +825,7 @@ func (e *Engine) Step() bool {
 		// the heap top, or of lim when the heap is empty. The lanes'
 		// keys stand in for the lane heads, so a heap pop reads no lane
 		// event.
-		switch w := e.laneWin[1] & (numLanes - 1); {
+		switch w := e.laneWin[0] & (numLanes - 1); {
 		case n > 0 && (e.laneBusy == 0 || e.bottom[0].at < e.laneAt[w]):
 			ev = e.bottomPop()
 		case e.laneBusy != 0 && e.laneAt[w] < e.lim && (n == 0 || e.laneAt[w] < e.bottom[0].at):

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"container/heap"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -182,11 +184,83 @@ func runRefFuzzScript(ops []fuzzOp) []dispatchRecord {
 	return fired
 }
 
+// checkLanes is the lane tree's oracle. It reports the first of these
+// that fails: each lane's key is its head's (at, seq), or (Forever,
+// MaxUint64) with its laneBusy bit clear when it is empty; each node of
+// the loser tree holds one of the two lanes its children send up, and
+// that lane does not beat the other, which goes up in turn; laneWin[0]
+// is what node 1 sends up and, when a lane is busy, the busy lane whose
+// head has the least (at, seq); and laneTab names, for every hash, the
+// one lane delay there, runLane for none, or one of two or more with
+// laneShared set.
+func checkLanes(e *Engine) error {
+	type key struct {
+		at  simtime.Time
+		seq uint64
+	}
+	less := func(a, b key) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+	keyOf := func(i uint8) key { return key{e.laneAt[i], e.laneSeq[i]} }
+	best := -1
+	for i := range e.lanes {
+		h, busy := e.lanes[i].head, e.laneBusy&(1<<i) != 0
+		switch {
+		case h == nil && (busy || keyOf(uint8(i)) != key{simtime.Forever, math.MaxUint64}):
+			return fmt.Errorf("empty lane %d: busy %v, key %+v", i, busy, keyOf(uint8(i)))
+		case h == nil:
+		case !busy || keyOf(uint8(i)) != key{h.at, h.seq}:
+			return fmt.Errorf("lane %d: busy %v, key %+v, head (%d, %d)", i, busy, keyOf(uint8(i)), h.at, h.seq)
+		case best < 0 || less(key{h.at, h.seq}, keyOf(uint8(best))):
+			best = i
+		}
+	}
+	var up [2 * numLanes]uint8
+	for i := range numLanes {
+		up[numLanes+i] = uint8(i)
+	}
+	for k := numLanes - 1; k > 0; k-- {
+		a, b, s := up[2*k], up[2*k+1], e.laneWin[k]
+		if s != a && s != b {
+			return fmt.Errorf("node %d holds lane %d, but its match is lane %d against lane %d", k, s, a, b)
+		}
+		up[k] = a ^ b ^ s
+		if less(keyOf(s), keyOf(up[k])) {
+			return fmt.Errorf("node %d holds lane %d %+v, which beats lane %d %+v, the winner of its subtree",
+				k, s, keyOf(s), up[k], keyOf(up[k]))
+		}
+	}
+	if w := e.laneWin[0]; w != up[1] || best >= 0 && int(w) != best {
+		return fmt.Errorf("the root names lane %d; node 1 sends up lane %d, and the earliest busy lane is %d", w, up[1], best)
+	}
+	for hash, t := range &e.laneTab {
+		var held []int
+		for i, d := range &e.laneDelay {
+			if d >= 0 && laneHash(d) == uint(hash) {
+				held = append(held, i)
+			}
+		}
+		lane, shared := int(t&(numLanes-1)), t&laneShared != 0
+		switch {
+		case len(held) == 0 && t == runLane,
+			len(held) == 1 && lane == held[0] && !shared,
+			len(held) > 1 && shared && e.laneDelay[lane] >= 0 && laneHash(e.laneDelay[lane]) == uint(hash):
+		default:
+			return fmt.Errorf("laneTab[%d] is %#x, but lanes %v hold delays that hash there", hash, t, held)
+		}
+	}
+	return nil
+}
+
 // diffScripts replays a script on both implementations and reports the
-// first divergence.
+// first divergence, with checkLanes run after every op.
 func diffScripts(t *testing.T, ops []fuzzOp) {
 	t.Helper()
-	got := runLadderFuzzScript(ops, nil)
+	op := 0
+	got := runLadderFuzzScript(ops, func(e *Engine) {
+		if err := checkLanes(e); err != nil {
+			t.Fatalf("after op %d %+v: %v", op, ops[op], err)
+		}
+		op++
+	})
 	want := runRefFuzzScript(ops)
 	if len(got) != len(want) {
 		t.Fatalf("ladder fired %d events, reference heap fired %d", len(got), len(want))

@@ -3,6 +3,9 @@ package engine
 import (
 	"container/heap"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"holdcsim/internal/simtime"
@@ -810,5 +813,125 @@ func TestLaneChainPastTopRung(t *testing.T) {
 	}
 	if end := eng.rungs[0].start; end < 256*simtime.Millisecond {
 		t.Errorf("top rung still starts at %v: no new one was laid out past the first", end)
+	}
+}
+
+// TestLaneHashCollision: 2 µs and 44 µs share laneHash 15. Both claim
+// lanes, laneTab marks their slot shared, and every push in either
+// delay lands in its own lane and counts once in LanePushes, through
+// lanes that drain and refill; 86 µs, with the same hash and no lane,
+// finds none. The committed FuzzEngineScript seed sevenLanesSharedHash
+// claims all seven delay lanes, these two among them, so the fuzzer
+// starts from the shared slot and the tree's rebuilds.
+func TestLaneHashCollision(t *testing.T) {
+	const a, b, c = 2 * simtime.Microsecond, 44 * simtime.Microsecond, 86 * simtime.Microsecond
+	if laneHash(a) != laneHash(b) || laneHash(a) != laneHash(c) {
+		t.Fatalf("laneHash %d, %d, %d: the delays must collide", laneHash(a), laneHash(b), laneHash(c))
+	}
+	e := New()
+	noop := func() {}
+	for _, d := range []simtime.Time{a, a, b, b} {
+		e.After(d, noop)
+	}
+	la, lb := e.laneFor(a), e.laneFor(b)
+	if la < 0 || lb < 0 || la == lb || e.Count.LaneClaims != 2 {
+		t.Fatalf("lanes %d and %d after %d claims, want two lanes of their own", la, lb, e.Count.LaneClaims)
+	}
+	if e.laneTab[laneHash(a)]&laneShared == 0 {
+		t.Fatalf("laneTab[%d] = %#x: the slot is not marked shared", laneHash(a), e.laneTab[laneHash(a)])
+	}
+	if i := e.laneFor(c); i >= 0 {
+		t.Fatalf("86 µs found lane %d, which holds %v", i, e.laneDelay[i])
+	}
+	// An event a second out keeps every push from being a lone event,
+	// which skips the lanes, while the lanes drain.
+	e.After(simtime.Second, noop)
+	pushes := e.Count.LanePushes
+	for i := 0; i < 400; i++ {
+		d, want := a, la
+		if i%3 != 0 {
+			d, want = b, lb
+		}
+		h := e.After(d, noop)
+		if tier := e.tierOf(h); tier != inLaneHead && tier != inLane || int(posLane-h.ev.pos) != want {
+			t.Fatalf("push %d of %v: tier %d, pos %d, want lane %d", i, d, tier, h.ev.pos, want)
+		}
+		if i%16 == 15 {
+			for e.live > 1 {
+				e.Step()
+			}
+		}
+		if err := checkLanes(e); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if got := e.Count.LanePushes - pushes; got != 400 || e.Count.LaneClaims != 2 {
+		t.Fatalf("%d lane pushes and %d claims over 400 schedules, want 400 and 2", got, e.Count.LaneClaims)
+	}
+
+	raw, err := os.ReadFile("testdata/fuzz/FuzzEngineScript/sevenLanesSharedHash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1]), "[]byte("), ")")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawAll := false
+	runLadderFuzzScript(decodeScript([]byte(data)), func(e *Engine) {
+		claimed := 0
+		for _, d := range e.laneDelay {
+			if d >= 0 {
+				claimed++
+			}
+		}
+		sawAll = sawAll || claimed == numLanes-1 && e.laneTab[laneHash(a)]&laneShared != 0
+	})
+	if !sawAll {
+		t.Error("the seed sevenLanesSharedHash never held seven claimed lanes with a shared laneTab slot")
+	}
+}
+
+// TestClaimRewritesLaneTab: a claim rewrites laneTab whole. Seven
+// delays take the seven delay lanes, 2 µs and 44 µs sharing a slot;
+// every lane drains, 2 µs's first, and once it has turned cold 50 µs
+// claims it. The shared slot then names 44 µs's lane alone, 2 µs finds
+// no lane, and 50 µs and 44 µs pushes land in their own lanes.
+func TestClaimRewritesLaneTab(t *testing.T) {
+	const a, b, c = 2 * simtime.Microsecond, 44 * simtime.Microsecond, 50 * simtime.Microsecond
+	delays := []simtime.Time{a, b, 8 * simtime.Microsecond, 14 * simtime.Microsecond,
+		20 * simtime.Microsecond, 26 * simtime.Microsecond, 32 * simtime.Microsecond}
+	e := New()
+	noop := func() {}
+	e.After(simtime.Second, noop) // no schedule below is a lone event
+	for _, d := range delays {
+		e.After(d, noop)
+		e.After(d, noop)
+	}
+	la, lb := e.laneFor(a), e.laneFor(b)
+	if e.Count.LaneClaims != numLanes-1 || la < 0 || lb < 0 {
+		t.Fatalf("%d claims, lanes %d and %d: want every delay lane claimed", e.Count.LaneClaims, la, lb)
+	}
+	for e.live > 1 {
+		e.Step()
+	}
+	for e.laneFor(c) < 0 {
+		if e.seq > 2*laneCold {
+			t.Fatal("50 µs never claimed a lane")
+		}
+		e.After(c, noop)
+	}
+	if got := e.laneFor(c); got != la || e.laneFor(a) >= 0 || e.laneFor(b) != lb {
+		t.Fatalf("50 µs took lane %d, 2 µs finds %d, 44 µs %d: want %d, -1 and %d",
+			got, e.laneFor(a), e.laneFor(b), la, lb)
+	}
+	if err := checkLanes(e); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []simtime.Time{b, c} {
+		if h := e.After(d, noop); int(posLane-h.ev.pos) != e.laneFor(d) {
+			t.Fatalf("a push of %v went to pos %d, not lane %d", d, h.ev.pos, e.laneFor(d))
+		}
 	}
 }

@@ -195,6 +195,67 @@ func TestUncachedRouteZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestECMPTransferZeroAlloc gates ECMP routes, which depend on each
+// transfer's flow id and so are never cached: a transfer across pods of
+// a K=4 fat-tree takes a route from the network's pool and returns it
+// when it finishes, so once the pool holds one, a packet transfer and a
+// fluid one (among eight background flows) allocate nothing.
+func TestECMPTransferZeroAlloc(t *testing.T) {
+	for _, model := range []NetModel{ModelPacket, ModelFluid} {
+		g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.New()
+		cfg := DefaultConfig(power.DataCenter10G(8))
+		cfg.Model = model
+		cfg.ECMP = true
+		cfg.PortBufferBytes = 1 << 30
+		n, err := New(eng, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts := g.Hosts()
+		if model == ModelFluid {
+			for i := 1; i < 9; i++ {
+				// Far too large to finish during the test.
+				if err := n.TransferPackets(hosts[i], hosts[15-i], 1<<40, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		finished := false
+		done := func() { finished = true }
+		op := func() {
+			finished = false
+			if err := n.TransferPackets(hosts[0], hosts[15], 64<<10, done); err != nil {
+				t.Fatal(err)
+			}
+			for !finished && eng.Step() {
+			}
+		}
+		// The warm-up also checks that the routes are ECMP's: the pool
+		// holds the one route a finished transfer returned, and the
+		// transfers between the one pair crossed more than one core
+		// switch.
+		cores := map[*linkState]bool{}
+		for i := 0; i < 200; i++ {
+			op()
+			if len(n.routeFree) != 1 || len(n.routes) != 0 {
+				t.Fatalf("%v: %d pooled and %d cached routes after a transfer, want 1 and 0",
+					model, len(n.routeFree), len(n.routes))
+			}
+			cores[n.routeFree[0].links[2]] = true
+		}
+		if len(cores) < 2 {
+			t.Fatalf("%v: 200 ECMP transfers took %d agg-to-core links, want more than one", model, len(cores))
+		}
+		if avg := testing.AllocsPerRun(200, op); avg != 0 {
+			t.Fatalf("%v: an ECMP transfer allocates %.2f allocs/op, want 0", model, avg)
+		}
+	}
+}
+
 // TestFlowLoopbackZeroAlloc gates TransferFlow's routeless path: a
 // same-node transfer and a zero-byte one each ride a pooled flow to the
 // next event-loop tick, deliver their bytes there and never count as

@@ -28,8 +28,9 @@ type Flow struct {
 	last      simtime.Time
 	mark      uint64 // Network.wfEpoch of the last re-rate whose component held this flow
 
-	links []*linkState // the route's links, shared and never mutated
+	links []*linkState // the route's links, never mutated while the flow lives
 	dirAB []bool       // the route's direction of traversal per link, likewise
+	route *route       // the route itself, returned by finishFlow if pooled
 	total float64      // bytes requested
 	done  func()
 
@@ -107,7 +108,7 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 		n.openPktTransfers++
 	}
 	f := n.allocFlow()
-	f.links, f.dirAB = r.links, r.dirAB
+	f.links, f.dirAB, f.route = r.links, r.dirAB, r
 	f.total, f.remaining = float64(bytes), float64(bytes)
 	f.done = done
 	f.pktN = pktN
@@ -164,14 +165,16 @@ func (n *Network) launchFlow(f *Flow) {
 	n.recomputeFlowRates(f)
 }
 
-// finishFlow pools a flow that has left the network and then fires its
-// owner's callback, so a callback that starts a new flow may reuse this
-// very object (cf. finishTransfer). Pooling bumps the generation, so a
-// stale reference can tell this incarnation is over.
+// finishFlow pools a flow that has left the network, and a pooled
+// route with it, and then fires its owner's callback, so a callback that
+// starts a new flow may reuse these very objects (cf. finishTransfer).
+// Pooling bumps the generation, so a stale reference can tell this
+// incarnation is over.
 func (n *Network) finishFlow(f *Flow) {
 	done := f.done
 	f.gen++
-	f.links, f.dirAB, f.done = nil, nil, nil
+	n.freeRoute(f.route)
+	f.links, f.dirAB, f.route, f.done = nil, nil, nil, nil
 	f.res = f.res[:0]
 	n.flowFree = append(n.flowFree, f)
 	if done != nil {

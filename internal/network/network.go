@@ -103,12 +103,16 @@ type Network struct {
 
 	// routes caches the (src, dst) -> path resolution for non-ECMP
 	// configurations, where the route is independent of the flow id;
-	// the cached routes are carved from slab. hopNodes and hopLinks
-	// are the buffers every resolution walks the graph into.
-	routes   map[routeKey]*route
-	slab     routeSlab
-	hopNodes []topology.NodeID
-	hopLinks []int
+	// the cached routes are carved from slab. A route that is not
+	// cached (ECMP's, or a pair's past the cache's cap) comes from
+	// routeFree and goes back at its transfer's or flow's end. hopNodes
+	// and hopLinks are the buffers every resolution walks the graph
+	// into.
+	routes    map[routeKey]*route
+	slab      routeSlab
+	routeFree []*route
+	hopNodes  []topology.NodeID
+	hopLinks  []int
 
 	// fluidDrops counts packets charged dropped by the fluid model,
 	// which has no egress queues to bill; Drops() folds it in so the
@@ -138,16 +142,19 @@ func (n *Network) SetCover(m *modelcov.Map) { n.cover = m }
 // routeKey indexes the route cache.
 type routeKey struct{ src, dst topology.NodeID }
 
-// route is one cached path resolution. The slices are shared by every
-// transfer between the pair and are never mutated after insertion; sws
-// holds the switches along the path so the wake check on every transfer
-// skips the node-map lookups, and dirAB the direction each link is
-// traversed in (true: from its a end), which water-filling keys on.
+// route is one path resolution. A cached route's slices are shared by
+// every transfer between the pair and are never mutated after
+// insertion; a pooled one is one transfer's or flow's alone until it
+// ends, and its slices keep their capacity for the next. sws holds the
+// switches along the path so the wake check on every transfer skips the
+// node-map lookups, and dirAB the direction each link is traversed in
+// (true: from its a end), which water-filling keys on.
 type route struct {
-	nodes []topology.NodeID
-	links []*linkState
-	dirAB []bool
-	sws   []*Switch
+	nodes  []topology.NodeID
+	links  []*linkState
+	dirAB  []bool
+	sws    []*Switch
+	pooled bool // from Network.routeFree, and back there at the end
 }
 
 // maxCachedRoutes bounds route-cache memory on very large topologies;
@@ -223,6 +230,7 @@ func New(eng *engine.Engine, g *topology.Graph, cfg Config) (*Network, error) {
 			rate = min(rate, prof.PortRateBps)
 		}
 		ls.bytesPerSec = rate / 8
+		ls.mtuSer = simtime.FromSeconds(float64(MTUBytes) / ls.bytesPerSec)
 		ls.egressAB = &egressQueue{link: ls}
 		ls.egressBA = &egressQueue{link: ls}
 		// Connected ports start idle: begin the LPI countdown (a no-op
@@ -288,7 +296,8 @@ func (n *Network) SleepingSwitchesOnPath(src, dst topology.NodeID) int {
 // cached, in routes carved from the slab: the hot path resolves in one
 // map probe and a miss allocates only when a chunk runs out. ECMP
 // routes depend on the per-flow hash key and always resolve fresh, as
-// do pairs beyond the cache's cap; those allocate their own route.
+// do pairs beyond the cache's cap; those take a pooled route, which the
+// caller returns with freeRoute once nothing can read it.
 func (n *Network) path(src, dst topology.NodeID, key int64) (*route, error) {
 	ecmpKey := uint64(0)
 	if n.cfg.ECMP {
@@ -301,36 +310,50 @@ func (n *Network) path(src, dst topology.NodeID, key int64) (*route, error) {
 		return nil, err
 	}
 	n.hopNodes, n.hopLinks = nodes, linkIDs
-	cache := !n.cfg.ECMP && len(n.routes) < maxCachedRoutes
-	sl, size := &n.slab, slabChunk
-	if !cache {
-		sl, size = &routeSlab{}, 0
-	}
-	nsw := 0
-	for _, nd := range nodes {
-		if n.switches[nd] != nil {
-			nsw++
+	var r *route
+	if !n.cfg.ECMP && len(n.routes) < maxCachedRoutes {
+		// Carved to the exact lengths, so the appends below fill them
+		// in place.
+		nsw := 0
+		for _, nd := range nodes {
+			if n.switches[nd] != nil {
+				nsw++
+			}
 		}
+		sl := &n.slab
+		r = &carve(&sl.routes, 1, slabChunk)[0]
+		r.nodes = carve(&sl.nodes, len(nodes), slabChunk)
+		r.links = carve(&sl.links, len(linkIDs), slabChunk)
+		r.dirAB = carve(&sl.dirAB, len(linkIDs), slabChunk)
+		r.sws = carve(&sl.sws, nsw, slabChunk)
+		n.routes[routeKey{src, dst}] = r
+	} else if k := len(n.routeFree); k > 0 {
+		r = n.routeFree[k-1]
+		n.routeFree = n.routeFree[:k-1]
+	} else {
+		r = &route{pooled: true}
 	}
-	r := &carve(&sl.routes, 1, size)[0]
-	r.nodes = carve(&sl.nodes, len(nodes), size)
-	r.links = carve(&sl.links, len(linkIDs), size)
-	r.dirAB = carve(&sl.dirAB, len(linkIDs), size)
-	r.sws = carve(&sl.sws, nsw, size)[:0]
-	copy(r.nodes, nodes)
+	r.nodes = append(r.nodes[:0], nodes...)
+	r.links, r.dirAB, r.sws = r.links[:0], r.dirAB[:0], r.sws[:0]
 	for i, id := range linkIDs {
-		r.links[i] = n.links[id]
-		r.dirAB[i] = r.links[i].a == nodes[i]
+		l := n.links[id]
+		r.links = append(r.links, l)
+		r.dirAB = append(r.dirAB, l.a == nodes[i])
 	}
 	for _, nd := range nodes {
 		if sw := n.switches[nd]; sw != nil {
 			r.sws = append(r.sws, sw)
 		}
 	}
-	if cache {
-		n.routes[routeKey{src, dst}] = r
-	}
 	return r, nil
+}
+
+// freeRoute returns a pooled route to the pool; a cached one (or none)
+// stays where it is.
+func (n *Network) freeRoute(r *route) {
+	if r != nil && r.pooled {
+		n.routeFree = append(n.routeFree, r)
+	}
 }
 
 // wakeRoute initiates wake on every sleeping switch along the route and
@@ -352,6 +375,7 @@ type linkState struct {
 	id          int             // index in Network.links
 	a           topology.NodeID // the end direction A->B leaves from
 	bytesPerSec float64         // per direction; port rate caps it at a switch end
+	mtuSer      simtime.Time    // serialization time of one MTUBytes packet at bytesPerSec
 	net         *Network
 
 	portA, portB *Port

@@ -60,8 +60,7 @@ type pktTransfer struct {
 
 	bytes int64
 	src   topology.NodeID
-	nodes []topology.NodeID
-	links []*linkState
+	route *route
 	loop  bool // same-node / zero-byte transfer: no route, one logical packet
 	done  func()
 
@@ -110,7 +109,7 @@ func (n *Network) releaseTransfer(x *pktTransfer) {
 	x.gen++
 	x.total, x.delivered, x.dropped = 0, 0, 0
 	x.bytes, x.src, x.loop = 0, 0, false
-	x.nodes, x.links = nil, nil
+	x.route = nil
 	x.done = nil
 	n.xferFree = append(n.xferFree, x)
 }
@@ -140,12 +139,14 @@ func (x *pktTransfer) finishOne(n *Network, p *packet, delivered bool) {
 }
 
 // finishTransfer closes out a completed transfer: the open count drops
-// and the transfer returns to the pool *before* the owner's callback
-// runs, so a callback that starts new transfers observes consistent
-// conservation state and may even reuse this very object.
+// and the transfer, and a pooled route with it (every packet has
+// finished, so none reads it), return to the pools *before* the owner's
+// callback runs, so a callback that starts new transfers observes
+// consistent conservation state and may even reuse these very objects.
 func (n *Network) finishTransfer(x *pktTransfer) {
 	n.openPktTransfers--
 	done := x.done
+	n.freeRoute(x.route)
 	n.releaseTransfer(x)
 	if done != nil {
 		done()
@@ -195,8 +196,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 	x.total = nPkts
 	x.bytes = bytes
 	x.src = src
-	x.nodes = r.nodes
-	x.links = r.links
+	x.route = r
 	x.done = done
 	n.openPktTransfers++
 	wait := n.wakeRoute(r)
@@ -219,7 +219,7 @@ func (n *Network) startPktTransfer(x *pktTransfer) {
 		return
 	}
 	total, rem := x.total, x.bytes
-	nodes, links := x.nodes, x.links
+	nodes, links := x.route.nodes, x.route.links
 	gen := x.gen
 	q := links[0].egress(links[0].a == x.src)
 	n.stats.PacketsSent += total
@@ -339,7 +339,12 @@ func (q *egressQueue) maybeSend(n *Network) {
 			penalty = w
 		}
 	}
-	ser := simtime.FromSeconds(float64(p.bytes) / l.bytesPerSec)
+	// Every packet but a transfer's last is MTUBytes long, and its
+	// serialization time was computed once, with the same expression.
+	ser := l.mtuSer
+	if p.bytes != MTUBytes {
+		ser = simtime.FromSeconds(float64(p.bytes) / l.bytesPerSec)
+	}
 	n.eng.AfterHandler(penalty+ser, q)
 }
 
