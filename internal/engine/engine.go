@@ -2,13 +2,14 @@
 //
 // The engine maintains a virtual clock and a ladder (calendar) queue of
 // pending events. An event names a Handler, whose Fire runs at a point in
-// virtual time: a model object that owns its events (a core, a packet, a
-// flow, an arrival process) implements Fire itself, and anything else
-// schedules a plain func through Schedule. Ties are broken by scheduling
-// order (a monotonically increasing sequence number), which makes every
-// run deterministic for a fixed seed.
+// virtual time: a model object that owns its event (a core, a packet, a
+// flow, an arrival process) implements Fire itself and embeds the
+// event's record (Event), and anything else schedules a plain func
+// through Schedule. Ties are broken by scheduling order (a monotonically
+// increasing sequence number), which makes every run deterministic for
+// a fixed seed.
 //
-// Five mechanisms keep the hot path allocation-free and sub-logarithmic
+// Six mechanisms keep the hot path allocation-free and sub-logarithmic
 // (see DESIGN.md, "Engine internals"):
 //
 //   - Ladder queue: near-future events land in rungs of fixed-width time
@@ -33,10 +34,16 @@
 //     the lane heads names the earliest, and the ladder never hands a
 //     bucket down past it. Step pops the smaller of the heap top and the
 //     earliest lane head.
-//   - Event pool: fired and canceled events return to a free list and
-//     are recycled, so steady-state scheduling performs zero allocations.
-//     Handles carry a generation counter; a stale Handle to a recycled
-//     event is inert and can neither cancel nor observe the new occupant.
+//   - Event pool: fired and canceled func events return to a free list
+//     and are recycled, so steady-state scheduling performs zero
+//     allocations. Handles carry a generation counter; a stale Handle to
+//     a recycled event is inert and can neither cancel nor observe the
+//     new occupant.
+//   - Owned records: a model object's one pending event lives in the
+//     object (Event), so its dispatch loads the object's own cache lines
+//     and no pooled entry. A record is queued, ordered, canceled and
+//     retired exactly as a pooled event; the generation's parity tells
+//     release to leave it with its owner.
 //   - Eager cancellation: every event records where it is queued, so
 //     Cancel takes it out of its tier and recycles it at once: O(1) from
 //     a lane, a bucket or the spill, O(log n) from the heap. No tier ever
@@ -102,10 +109,12 @@ const (
 	posSpill  = posBucket - numBuckets
 )
 
-// event is one pooled queue entry. Callers never see it directly; they
-// hold Handles, which remain valid across the event's recycling. The
-// fields a hand-down walk reads come first, so the walk touches one
-// cache line per event more often than not.
+// event is one queue entry: pooled, or a model object's own record
+// (Event). Callers never see it directly; they hold Handles, which
+// remain valid across the event's recycling. The fields a hand-down walk
+// reads come first, so the walk touches one cache line per event more
+// often than not. gen's parity tells the two kinds apart: a pooled
+// event's is odd, an owned record's even, and release steps it by two.
 type event struct {
 	at   simtime.Time
 	seq  uint64
@@ -115,6 +124,33 @@ type event struct {
 	pos  int32 // where it is queued: a heap index, or a pos* tag
 	h    Handler
 }
+
+// Lock and Unlock make an event vet's noCopy marker: copylocks rejects a
+// by-value copy of an event or of any struct that holds one, an Event
+// embedded in a model object included. A copy would leave the queue
+// linked to the original's address. They do nothing.
+func (*event) Lock()   {}
+func (*event) Unlock() {}
+
+// Event is the queue record of a model object's one pending event. The
+// object embeds it beside the state its Fire reads and queues the Fire
+// in it with ScheduleIn or AfterIn, so dispatching the event loads the
+// object's own cache lines and no pooled entry; the pool serves the
+// func events of Schedule and After. An owned record is ordered, laned,
+// canceled and handled exactly as a pooled event: it takes its (at,
+// seq) when it is queued, and firing or canceling it bumps its
+// generation, so a Handle to an earlier arming is inert. Queuing a
+// record that is still queued moves it: the pending arming is canceled
+// first, which consumes no sequence number. An Event must not be copied
+// (go vet's copylocks enforces it); the zero value is an unqueued
+// record.
+type Event struct {
+	ev event
+}
+
+// Pending reports whether the record is queued: armed, and neither
+// fired nor canceled since.
+func (r *Event) Pending() bool { return r.ev.h != nil }
 
 // Handler is what an event runs: Fire is called once, at the event's
 // time. A model object that owns its events implements it, so the event
@@ -275,8 +311,6 @@ type Engine struct {
 	// Dispatched counts events executed since New; exposed for the
 	// scalability benchmarks (Table I).
 	Dispatched uint64
-	// firing names the event Step is running (see Firing).
-	firing Handle
 	// Count holds the tier statistics.
 	Count Counters
 
@@ -321,7 +355,8 @@ func saturatingWindowEnd(base, width simtime.Time) simtime.Time {
 func (e *Engine) Now() simtime.Time { return e.now }
 
 // alloc takes an event from the pool, growing it block-wise so steady
-// state never allocates.
+// state never allocates. A new block's events get their odd generation
+// as they are first handed out.
 func (e *Engine) alloc() *event {
 	if ev := e.free; ev != nil {
 		e.free = ev.next
@@ -332,38 +367,64 @@ func (e *Engine) alloc() *event {
 	}
 	ev := &e.freeBlock[0]
 	e.freeBlock = e.freeBlock[1:]
+	ev.gen = 1
 	return ev
 }
 
-// release recycles an event into the pool. Bumping the generation makes
-// every outstanding Handle to it inert.
+// release retires an event that fired or was canceled. Bumping the
+// generation makes every outstanding Handle to it inert; a pooled event
+// then goes back on the free list, and an owned record stays with its
+// owner.
 func (e *Engine) release(ev *event) {
 	ev.h = nil
-	ev.gen++
-	ev.next = e.free
-	e.free = ev
+	ev.gen += 2
+	if ev.gen&1 != 0 {
+		ev.next = e.free
+		e.free = ev
+	}
 }
 
-// Schedule queues fn to run at absolute virtual time at, as
-// ScheduleHandler does.
+// Schedule queues fn to run at absolute virtual time at, in a pooled
+// event. Scheduling in the past or at simtime.Forever panics: it always
+// indicates a model bug.
 func (e *Engine) Schedule(at simtime.Time, fn func()) Handle {
 	if fn == nil {
 		panic("engine: schedule with nil func")
 	}
-	return e.ScheduleHandler(at, funcHandler(fn))
+	return e.push(nil, at, funcHandler(fn))
 }
 
-// ScheduleHandler queues h's Fire to run at absolute virtual time at.
-// Scheduling in the past or at simtime.Forever panics: it always
-// indicates a model bug.
-func (e *Engine) ScheduleHandler(at simtime.Time, h Handler) Handle {
+// ScheduleIn queues h's Fire to run at absolute virtual time at, in the
+// owner's record r, first canceling r's pending arming if it has one.
+// The same times panic as in Schedule.
+func (e *Engine) ScheduleIn(r *Event, at simtime.Time, h Handler) Handle {
+	return e.push(&r.ev, at, h)
+}
+
+// CancelIn cancels r's pending arming, if it has one, as Cancel does.
+func (e *Engine) CancelIn(r *Event) {
+	if r.ev.h != nil {
+		e.unqueue(&r.ev)
+	}
+}
+
+// push queues h's Fire at at in ev, an owner's record, or in a pooled
+// event when ev is nil; a record still queued is taken out first. Every
+// entry point is a call of push, so each inlines and an event costs one
+// call. A time in the past or at Forever panics, as Schedule says.
+func (e *Engine) push(ev *event, at simtime.Time, h Handler) Handle {
 	if at < e.now || at == simtime.Forever {
 		panic(fmt.Sprintf("engine: schedule at %v, now %v: past or Forever", at, e.now))
 	}
 	if h == nil {
 		panic("engine: schedule with nil handler")
 	}
-	ev := e.alloc()
+	switch {
+	case ev == nil:
+		ev = e.alloc()
+	case ev.h != nil:
+		e.unqueue(ev)
+	}
 	ev.at = at
 	ev.seq = e.seq
 	ev.h = h
@@ -576,9 +637,10 @@ func (e *Engine) After(d simtime.Time, fn func()) Handle {
 	return e.Schedule(e.now+d, fn)
 }
 
-// AfterHandler queues h's Fire to run d from now. Negative d panics.
-func (e *Engine) AfterHandler(d simtime.Time, h Handler) Handle {
-	return e.ScheduleHandler(e.now+d, h)
+// AfterIn queues h's Fire to run d from now in r, as ScheduleIn does.
+// Negative d panics.
+func (e *Engine) AfterIn(r *Event, d simtime.Time, h Handler) Handle {
+	return e.push(&r.ev, e.now+d, h)
 }
 
 // Every runs fn at absolute time first and then every period for as long
@@ -600,14 +662,17 @@ func (e *Engine) Every(first, period, until simtime.Time, fn func()) {
 	e.Schedule(first, tick)
 }
 
-// Cancel takes the event named by h out of its tier and recycles it, if
+// Cancel takes the event named by h out of its tier and retires it, if
 // it has not fired: O(1) from a lane, a bucket or the spill, O(log n)
 // from the heap. Safe to call with the zero Handle or a stale one.
 func (e *Engine) Cancel(h Handle) {
-	if !h.Pending() {
-		return
+	if h.Pending() {
+		e.unqueue(h.ev)
 	}
-	ev := h.ev
+}
+
+// unqueue takes ev, a queued event, out of its tier and retires it.
+func (e *Engine) unqueue(ev *event) {
 	switch p := ev.pos; {
 	case p >= 0:
 		e.bottomRemove(int(p))
@@ -846,21 +911,13 @@ func (e *Engine) Step() bool {
 	e.Dispatched++
 	e.live--
 	h := ev.h
-	e.firing = Handle{ev, ev.gen}
 	// Release before running so the handler's own rescheduling can
-	// reuse the slot; the generation bump keeps outstanding Handles
-	// inert.
+	// reuse the slot, or re-arm its own record; the generation bump
+	// keeps outstanding Handles inert.
 	e.release(ev)
 	h.Fire()
 	return true
 }
-
-// Firing reports the Handle Schedule returned for the event being run,
-// so a handler shared by several events tells which one fired: one a
-// model has since stopped waiting for compares unequal to the Handle it
-// now keeps. The Handle is no longer Pending, and stays the answer
-// until the next event runs.
-func (e *Engine) Firing() Handle { return e.firing }
 
 // skipTo moves lim past t over an empty ladder, so the lane events that
 // follow take Step's fast path: it hands down the top rung's empty

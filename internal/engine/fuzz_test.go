@@ -13,13 +13,17 @@ import (
 // This file extends the ladder-vs-reference-heap differential testing
 // of ladder_test.go with byte-decoded op scripts that interleave
 // Timer.Reset / Timer.Stop with Cancel and re-arm — the exact churn the
-// delay-timer and LPI policies generate — and plain func events with
-// Handler events, and exposes the decoder to a native fuzz target. The
-// law is unchanged: for any script, the ladder engine must dispatch the
+// delay-timer and LPI policies generate — and pooled func events with
+// owned records (Event) armed, moved, canceled and re-armed from their
+// own Fire, and exposes the decoder to a native fuzz target. The law is
+// unchanged: for any script, the ladder engine must dispatch the
 // bit-identical (id, time) sequence the reference binary heap does.
 
 // numFuzzTimers is the fixed pool of restartable timers a script drives.
 const numFuzzTimers = 8
+
+// numFuzzOwners is the fixed set of owned records a script drives.
+const numFuzzOwners = 8
 
 // timerIDBase offsets timer dispatch ids away from plain event ids.
 const timerIDBase = 1 << 20
@@ -28,11 +32,37 @@ const timerIDBase = 1 << 20
 type fuzzOp struct {
 	kind  byte // 0 schedule, 1 cancel, 2 step, 3 timer-reset, 4 timer-stop
 	delay simtime.Time
-	arg   int // cancel target / timer index; a step with arg%8 == 7 is RunUntil(now+delay), a schedule with an odd arg schedules a Handler
+	// arg is the cancel target or the timer index. A step with arg%8 ==
+	// 7 is RunUntil(now+delay). A schedule with an odd arg arms owner
+	// arg>>1&7's record instead of a pooled event, moving the record if
+	// it is queued, and with bit 4 set the owner re-arms it once from
+	// its Fire, delay later. A timer-stop with bit 3 set cancels owner
+	// arg&7's record instead.
+	arg int
 }
 
 // runsUntil reports whether op is a step that runs until delay past now.
 func (op fuzzOp) runsUntil() bool { return op.kind == 2 && op.arg%8 == 7 }
+
+// ownerOf reports the owner a schedule or a timer-stop names, or -1.
+func (op fuzzOp) ownerOf() int {
+	switch {
+	case op.kind == 0 && op.arg&1 == 1:
+		return op.arg >> 1 & (numFuzzOwners - 1)
+	case op.kind == 4 && op.arg&8 != 0:
+		return op.arg & (numFuzzOwners - 1)
+	}
+	return -1
+}
+
+// again is the delay after which an owner armed by op re-arms from its
+// Fire, or -1.
+func (op fuzzOp) again() simtime.Time {
+	if op.arg&16 != 0 {
+		return op.delay
+	}
+	return -1
+}
 
 // decodeScript turns raw fuzz bytes into an op script, three bytes per
 // op. The delay byte selects among horizons that land events in every
@@ -64,55 +94,82 @@ func decodeScript(data []byte) []fuzzOp {
 	return ops
 }
 
-// fuzzEvent is a script's Handler event: it logs its id as it fires.
-type fuzzEvent struct {
-	id    int
-	e     *Engine
-	fired *[]dispatchRecord
+// fuzzScript is a script's state on the real engine: the dispatch log,
+// the Handle of every id scheduled, and the next id.
+type fuzzScript struct {
+	e       *Engine
+	fired   []dispatchRecord
+	handles map[int]Handle
+	nextID  int
 }
 
-func (f *fuzzEvent) Fire() { *f.fired = append(*f.fired, dispatchRecord{id: f.id, at: f.e.Now()}) }
+// fuzzOwner is a script's model object: it owns one record, logs the id
+// of the arming that fires, and re-arms from its Fire when again is set.
+type fuzzOwner struct {
+	rec   Event
+	s     *fuzzScript
+	id    int
+	again simtime.Time
+}
+
+// arm queues the owner's record d from now under a new id.
+func (o *fuzzOwner) arm(d simtime.Time) {
+	o.id = o.s.nextID
+	o.s.nextID++
+	o.s.handles[o.id] = o.s.e.AfterIn(&o.rec, d, o)
+}
+
+func (o *fuzzOwner) Fire() {
+	o.s.fired = append(o.s.fired, dispatchRecord{id: o.id, at: o.s.e.Now()})
+	if d := o.again; d >= 0 {
+		o.again = -1
+		o.arm(d)
+	}
+}
 
 // runLadderFuzzScript replays ops on the real engine with a pool of
-// engine.Timers, returning the dispatch sequence. A non-nil watch sees
-// the engine after every op.
+// engine.Timers and of owned records, returning the dispatch sequence.
+// A non-nil watch sees the engine after every op.
 func runLadderFuzzScript(ops []fuzzOp, watch func(*Engine)) []dispatchRecord {
 	e := New()
-	var fired []dispatchRecord
+	s := &fuzzScript{e: e, handles: map[int]Handle{}}
 	timers := make([]*Timer, numFuzzTimers)
 	for i := range timers {
 		id := timerIDBase + i
 		timers[i] = NewTimer(e, func() {
-			fired = append(fired, dispatchRecord{id: id, at: e.Now()})
+			s.fired = append(s.fired, dispatchRecord{id: id, at: e.Now()})
 		})
 	}
-	handles := map[int]Handle{}
-	nextID := 0
+	owners := make([]fuzzOwner, numFuzzOwners)
+	for i := range owners {
+		owners[i].s = s
+	}
 	for _, op := range ops {
-		switch op.kind {
-		case 0:
-			id := nextID
-			nextID++
-			if op.arg&1 == 1 {
-				handles[id] = e.ScheduleHandler(e.Now()+op.delay, &fuzzEvent{id: id, e: e, fired: &fired})
-				break
-			}
-			handles[id] = e.Schedule(e.Now()+op.delay, func() {
-				fired = append(fired, dispatchRecord{id: id, at: e.Now()})
+		switch o := op.ownerOf(); {
+		case o >= 0 && op.kind == 0:
+			owners[o].again = op.again()
+			owners[o].arm(op.delay)
+		case o >= 0:
+			e.CancelIn(&owners[o].rec)
+		case op.kind == 0:
+			id := s.nextID
+			s.nextID++
+			s.handles[id] = e.Schedule(e.Now()+op.delay, func() {
+				s.fired = append(s.fired, dispatchRecord{id: id, at: e.Now()})
 			})
-		case 1:
-			if nextID > 0 {
-				e.Cancel(handles[op.arg%nextID])
+		case op.kind == 1:
+			if s.nextID > 0 {
+				e.Cancel(s.handles[op.arg%s.nextID])
 			}
-		case 2:
+		case op.kind == 2:
 			if op.runsUntil() {
 				e.RunUntil(e.Now() + op.delay)
 			} else {
 				e.Step()
 			}
-		case 3:
+		case op.kind == 3:
 			timers[op.arg%numFuzzTimers].Reset(op.delay)
-		case 4:
+		case op.kind == 4:
 			timers[op.arg%numFuzzTimers].Stop()
 		}
 		if watch != nil {
@@ -120,7 +177,7 @@ func runLadderFuzzScript(ops []fuzzOp, watch func(*Engine)) []dispatchRecord {
 		}
 	}
 	e.Run()
-	return fired
+	return s.fired
 }
 
 // refTimer mirrors engine.Timer semantics on the reference heap: Reset
@@ -130,7 +187,16 @@ type refTimer struct {
 	ev *refEvent
 }
 
+// refOwner mirrors a fuzzOwner on the reference heap: the id of its
+// latest arming, and the delay of its re-arm from Fire, or -1.
+type refOwner struct {
+	id    int
+	again simtime.Time
+}
+
 // runRefFuzzScript replays the same ops on the reference binary heap.
+// An owner's record is one event at a time: arming it cancels the
+// arming before, if it is still queued, and schedules afresh.
 func runRefFuzzScript(ops []fuzzOp) []dispatchRecord {
 	r := newRefEngine()
 	var fired []dispatchRecord
@@ -141,15 +207,44 @@ func runRefFuzzScript(ops []fuzzOp) []dispatchRecord {
 			heap.Remove(&r.q, ev.index)
 		}
 	}
+	nextID := 0
+	owners := make([]refOwner, numFuzzOwners)
+	for i := range owners {
+		owners[i].id = -1
+	}
+	ownerOf := map[int]int{}
+	arm := func(o int, d simtime.Time) {
+		if owners[o].id >= 0 {
+			r.cancel(owners[o].id)
+		}
+		owners[o].id = nextID
+		ownerOf[nextID] = o
+		r.schedule(r.now+d, nextID)
+		nextID++
+	}
 	drainOne := func() bool {
 		id, at, ok := r.step()
 		if ok {
 			fired = append(fired, dispatchRecord{id: id, at: at})
+			if o, owned := ownerOf[id]; owned {
+				if d := owners[o].again; d >= 0 {
+					owners[o].again = -1
+					arm(o, d)
+				}
+			}
 		}
 		return ok
 	}
-	nextID := 0
 	for _, op := range ops {
+		if o := op.ownerOf(); o >= 0 {
+			if op.kind == 0 {
+				owners[o].again = op.again()
+				arm(o, op.delay)
+			} else if owners[o].id >= 0 {
+				r.cancel(owners[o].id)
+			}
+			continue
+		}
 		switch op.kind {
 		case 0:
 			r.schedule(r.now+op.delay, nextID)
@@ -333,6 +428,50 @@ func zeroLane() []byte {
 	return data
 }
 
+// reclaimLane is a seed script that hands a drained lane to a new delay:
+// 8 µs and six delays of hours claim all seven delay lanes, two steps
+// drain 8 µs's lane, 4,100 schedules into the 5 h lane run it cold
+// (laneCold), then 14 µs claims it and 8 µs finds no lane.
+func reclaimLane() []byte {
+	data := []byte{0, 8, 0, 0, 8, 0}
+	for _, h := range []byte{5, 11, 17, 23, 29, 35} { // hours
+		data = append(data, 0, h, 0, 0, h, 0)
+	}
+	data = append(data, 2, 0, 0, 2, 0, 0)
+	for i := 0; i < laneCold+4; i++ {
+		data = append(data, 0, 5, 0)
+	}
+	data = append(data, 0, 14, 0, 0, 14, 0, 0, 8, 0)
+	return append(data, 2, 0, 0, 2, 0, 0, 2, 0, 0)
+}
+
+// ownedRecords is a seed script that works owned records over lanes of
+// 8 and 14 µs: each round arms two owners 8 µs out, arms the first again
+// while it is queued (it moves to 14 µs), cancels that first arming's
+// stale Handle, cancels the second by record and re-arms it, arms the
+// first to re-arm itself from its Fire, cancels a stale Handle to an
+// earlier round's arming, and steps among pooled events on the same
+// delays.
+func ownedRecords() []byte {
+	var data []byte
+	for round := 0; round < 8; round++ {
+		first := byte(4 * round) // the id of the round's first arming
+		data = append(data,
+			0, 8, 1, 0, 8, 3, // arm owners 0 and 1
+			0, 14, 1, // arm owner 0 while it is queued
+			1, 0, first, // its first arming's stale Handle
+			4, 0, 9, 0, 8, 3, // cancel owner 1 by record, re-arm it
+			0, 8, 17, // owner 0 re-arms from its Fire, 8 µs on
+			0, 8, 0, 0, 14, 0, // pooled events on the lanes' delays
+		)
+		if round > 0 {
+			data = append(data, 1, 0, first-1) // last round's re-arm from Fire
+		}
+		data = append(data, 2, 0, 0, 2, 0, 0, 2, 8, 7)
+	}
+	return data
+}
+
 // FuzzEngineScript: any byte string decodes to a valid op script; the
 // ladder queue and the reference heap must dispatch identically.
 func FuzzEngineScript(f *testing.F) {
@@ -357,7 +496,9 @@ func FuzzEngineScript(f *testing.F) {
 	// queue, the rest refill the lane), a cancel of its head, steps.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0,
 		0, 6, 0, 0, 12, 0, 0, 18, 0, 1, 0, 4, 2, 0, 0, 2, 0, 0})
-	f.Add(zeroLane()) // delay 0 among other lanes, emptied and refilled
+	f.Add(zeroLane())     // delay 0 among other lanes, emptied and refilled
+	f.Add(reclaimLane())  // a drained lane goes cold and a new delay claims it
+	f.Add(ownedRecords()) // owned records armed, moved, canceled, re-armed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*5000 {
 			data = data[:3*5000] // bound script length, not coverage
@@ -369,6 +510,8 @@ func FuzzEngineScript(f *testing.F) {
 // TestLadderTimerDifferential is the deterministic companion of
 // FuzzEngineScript: randomized scripts heavy on Timer.Reset/Stop churn,
 // replayed on every run of the suite (no -fuzz flag needed).
+// The lane-reclaim and owned-record seed scripts run here too, and the
+// reclaim is checked to happen.
 func TestLadderTimerDifferential(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -376,6 +519,18 @@ func TestLadderTimerDifferential(t *testing.T) {
 		r.Read(data)
 		diffScripts(t, decodeScript(data))
 	}
+
+	reclaim := decodeScript(reclaimLane())
+	diffScripts(t, reclaim)
+	reclaimed := false
+	runLadderFuzzScript(reclaim, func(e *Engine) {
+		reclaimed = reclaimed || e.Count.LaneClaims == numLanes && e.laneDelay[1] == 14*simtime.Microsecond
+	})
+	if !reclaimed {
+		t.Error("the reclaim script never handed lane 1 to 14 µs as its eighth claim")
+	}
+
+	diffScripts(t, decodeScript(ownedRecords()))
 }
 
 // TestCancelLeavesNoEvent: a canceled event leaves its tier at once.

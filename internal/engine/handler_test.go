@@ -6,8 +6,10 @@ import (
 	"holdcsim/internal/simtime"
 )
 
-// logger is a Handler that appends its id to a shared log as it fires.
+// logger is a model object that owns one record and appends its id to a
+// shared log as it fires.
 type logger struct {
+	rec Event
 	id  int
 	log *[]int
 }
@@ -15,14 +17,16 @@ type logger struct {
 func (l *logger) Fire() { *l.log = append(*l.log, l.id) }
 
 // Same-instant events fire in scheduling order whichever kind they are:
-// handlers and funcs alternate at one instant, scheduled from outside
-// the loop and again from inside a dispatch, through the delay-0 lane.
+// owned records and pooled funcs alternate at one instant, scheduled
+// from outside the loop and again from inside a dispatch, through the
+// delay-0 lane.
 func TestHandlerTiesFireInSeqOrder(t *testing.T) {
 	e := New()
 	var log []int
 	schedule := func(id int, at simtime.Time) {
 		if id%2 == 0 {
-			e.ScheduleHandler(at, &logger{id: id, log: &log})
+			l := &logger{id: id, log: &log}
+			e.ScheduleIn(&l.rec, at, l)
 		} else {
 			e.Schedule(at, func() { log = append(log, id) })
 		}
@@ -46,123 +50,164 @@ func TestHandlerTiesFireInSeqOrder(t *testing.T) {
 	}
 }
 
-// Cancel takes a handler event out of a lane, a bucket, the spill and
-// the heap, and it never fires.
+// Cancel takes an owned record out of a lane, a bucket, the spill and
+// the heap, and it never fires; so does CancelIn.
 func TestCancelHandlerFromEveryTier(t *testing.T) {
 	var log []int
-	canceled := &logger{id: -1, log: &log}
-	for _, tc := range []struct {
-		tier  int
-		place func(e *Engine) Handle
-	}{
-		{inBucket, func(e *Engine) Handle {
-			return e.ScheduleHandler(5*simtime.Millisecond, canceled)
-		}},
-		{inSpill, func(e *Engine) Handle {
-			e.Schedule(5*simtime.Millisecond, func() {})
-			return e.ScheduleHandler(3600*simtime.Second, canceled)
-		}},
-		{inLaneHead, func(e *Engine) Handle {
-			// The second schedule 8 µs out claims a lane.
-			e.Schedule(5*simtime.Millisecond, func() {})
-			e.Schedule(8*simtime.Microsecond, func() {})
-			return e.AfterHandler(8*simtime.Microsecond, canceled)
-		}},
-		{inHeap, func(e *Engine) Handle {
-			// Out of order in one bucket, the two are heapified as the
-			// first is handed down; then an event below lim is pushed
-			// into the heap.
-			e.Schedule(300, func() {})
-			e.Schedule(100, func() {})
-			e.Step()
-			return e.AfterHandler(50, canceled)
-		}},
-	} {
-		e := New()
-		h := tc.place(e)
-		if got := e.tierOf(h); got != tc.tier {
-			t.Fatalf("tier %d: the handler event is queued in tier %d", tc.tier, got)
+	for _, byRecord := range []bool{false, true} {
+		for _, tc := range []struct {
+			tier  int
+			place func(e *Engine, l *logger) Handle
+		}{
+			{inBucket, func(e *Engine, l *logger) Handle {
+				return e.ScheduleIn(&l.rec, 5*simtime.Millisecond, l)
+			}},
+			{inSpill, func(e *Engine, l *logger) Handle {
+				e.Schedule(5*simtime.Millisecond, func() {})
+				return e.ScheduleIn(&l.rec, 3600*simtime.Second, l)
+			}},
+			{inLaneHead, func(e *Engine, l *logger) Handle {
+				// The second schedule 8 µs out claims a lane.
+				e.Schedule(5*simtime.Millisecond, func() {})
+				e.Schedule(8*simtime.Microsecond, func() {})
+				return e.AfterIn(&l.rec, 8*simtime.Microsecond, l)
+			}},
+			{inHeap, func(e *Engine, l *logger) Handle {
+				// Out of order in one bucket, the two are heapified as the
+				// first is handed down; then an event below lim is pushed
+				// into the heap.
+				e.Schedule(300, func() {})
+				e.Schedule(100, func() {})
+				e.Step()
+				return e.AfterIn(&l.rec, 50, l)
+			}},
+		} {
+			e := New()
+			l := &logger{id: -1, log: &log}
+			h := tc.place(e, l)
+			if got := e.tierOf(h); got != tc.tier || !l.rec.Pending() {
+				t.Fatalf("tier %d: the record is queued in tier %d, pending %v", tc.tier, got, l.rec.Pending())
+			}
+			if byRecord {
+				e.CancelIn(&l.rec)
+			} else {
+				e.Cancel(h)
+			}
+			if h.Pending() || l.rec.Pending() {
+				t.Errorf("tier %d: canceled record still pending", tc.tier)
+			}
+			if q := e.queued(); q != e.live {
+				t.Errorf("tier %d: %d events queued, %d live", tc.tier, q, e.live)
+			}
+			e.Run()
 		}
-		e.Cancel(h)
-		if h.Pending() {
-			t.Errorf("tier %d: canceled handler event still pending", tc.tier)
-		}
-		if q := e.queued(); q != e.live {
-			t.Errorf("tier %d: %d events queued, %d live", tc.tier, q, e.live)
-		}
-		e.Run()
 	}
 	if len(log) != 0 {
-		t.Errorf("canceled handler events fired: %v", log)
+		t.Errorf("canceled records fired: %v", log)
 	}
 }
 
-// A Handle to a handler event goes inert once the event fires or is
-// canceled: it neither cancels nor observes the event that reuses its
-// slot, of either kind.
+// A Handle to an owned record goes inert once the arming it names fires
+// or is canceled: it neither cancels nor observes the record's next
+// arming. The pool never hands an owned record out, and a record armed
+// while it is still queued moves, leaving one event.
 func TestStaleHandlerHandle(t *testing.T) {
 	e := New()
 	var log []int
-	h1 := e.ScheduleHandler(10, &logger{id: 1, log: &log})
+	l := &logger{id: 1, log: &log}
+	h1 := e.ScheduleIn(&l.rec, 10, l)
 	e.Run()
-	h2 := e.Schedule(20, func() { log = append(log, 2) })
+	if hf := e.Schedule(15, func() { log = append(log, 0) }); hf.ev == h1.ev {
+		t.Fatal("the pool handed out a fired owned record")
+	}
+	l.id = 2
+	h2 := e.ScheduleIn(&l.rec, 20, l)
 	if h2.ev != h1.ev {
-		t.Fatal("the fired event was not recycled first")
+		t.Fatal("the record was not re-armed in place")
 	}
 	e.Cancel(h1)
 	if h1.Pending() || !h2.Pending() {
-		t.Fatal("a stale Handle to a fired handler event reached its slot's new event")
+		t.Fatal("a stale Handle to a fired arming reached the record's new arming")
 	}
-	h3 := e.ScheduleHandler(30, &logger{id: 3, log: &log})
-	e.Cancel(h3)
-	h4 := e.ScheduleHandler(40, &logger{id: 4, log: &log})
-	if h4.ev != h3.ev {
-		t.Fatal("the canceled event was not recycled first")
+	e.Cancel(h2)
+	if hf := e.Schedule(25, func() { log = append(log, 0) }); hf.ev == h2.ev {
+		t.Fatal("the pool handed out a canceled owned record")
 	}
-	e.Cancel(h3)
+	l.id = 4
+	h4 := e.ScheduleIn(&l.rec, 40, l)
+	e.Cancel(h2)
 	if !h4.Pending() {
-		t.Fatal("a stale Handle to a canceled handler event reached its slot's new event")
+		t.Fatal("a stale Handle to a canceled arming reached the record's new arming")
+	}
+	live := e.live
+	l.id = 5
+	h5 := e.ScheduleIn(&l.rec, 30, l)
+	if h4.Pending() || !h5.Pending() || e.live != live {
+		t.Fatalf("arming a queued record: old pending %v, new pending %v, live %d → %d",
+			h4.Pending(), h5.Pending(), live, e.live)
 	}
 	e.Run()
-	if want := []int{1, 2, 4}; len(log) != len(want) || log[0] != 1 || log[1] != 2 || log[2] != 4 {
+	if want := []int{1, 0, 0, 5}; len(log) != len(want) || log[0] != 1 || log[1] != 0 || log[2] != 0 || log[3] != 5 {
 		t.Errorf("fired %v, want %v", log, want)
 	}
 }
 
-// firingProbe checks Engine.Firing from inside its own Fire.
-type firingProbe struct {
-	e      *Engine
-	h      Handle
-	fired  bool
-	firing Handle
+// twoRecords owns two records on one object, as a switch does its wake
+// and its sleep countdown: the second's handler is the same object under
+// another named type, so each Fire knows its record without asking the
+// engine.
+type twoRecords struct {
+	e          *Engine
+	a, b       Event
+	ha, hb     Handle
+	log        []string
+	pendingIn  []bool // each record's Pending and its Handle's, inside Fire
+	rearmFromA bool
 }
 
-func (p *firingProbe) Fire() { p.fired, p.firing = true, p.e.Firing() }
+type twoRecordsB twoRecords
 
-// Inside a handler's Fire, Firing names the Handle that scheduled it,
-// already no longer Pending, and one handler shared by two events tells
-// them apart.
+func (p *twoRecords) Fire() {
+	p.log = append(p.log, "a")
+	p.pendingIn = append(p.pendingIn, p.a.Pending(), p.ha.Pending())
+	if p.rearmFromA {
+		p.rearmFromA = false
+		p.ha = p.e.AfterIn(&p.a, 5, p)
+	}
+}
+
+func (q *twoRecordsB) Fire() {
+	p := (*twoRecords)(q)
+	p.log = append(p.log, "b")
+	p.pendingIn = append(p.pendingIn, p.b.Pending(), p.hb.Pending())
+}
+
+// Inside a handler's Fire, the record that fired and the Handle that
+// armed it are no longer Pending, and the handler can re-arm the record
+// at once; an object with two records tells them apart by handler type.
 func TestFiringInsideHandler(t *testing.T) {
 	e := New()
-	a, b := &firingProbe{e: e}, &firingProbe{e: e}
-	a.h = e.ScheduleHandler(10, a)
-	b.h = e.ScheduleHandler(10, b)
-	stale := e.ScheduleHandler(20, a)
-	e.RunUntil(10)
-	for _, p := range []*firingProbe{a, b} {
-		if !p.fired || p.firing != p.h || p.firing.Pending() {
-			t.Errorf("Firing inside Fire = %+v, want %+v and not pending", p.firing, p.h)
+	p := &twoRecords{e: e, rearmFromA: true}
+	p.ha = e.ScheduleIn(&p.a, 10, p)
+	p.hb = e.ScheduleIn(&p.b, 10, (*twoRecordsB)(p))
+	e.Run()
+	if got := len(p.log); got != 3 || p.log[0] != "a" || p.log[1] != "b" || p.log[2] != "a" {
+		t.Fatalf("fired %v, want [a b a]", p.log)
+	}
+	for i, pending := range p.pendingIn {
+		if pending {
+			t.Errorf("inside Fire %d, check %d read Pending", i/2, i%2)
 		}
 	}
-	e.Run()
-	if a.firing != stale || a.firing == a.h {
-		t.Errorf("a handler shared by two events saw %+v at its second, want %+v", a.firing, stale)
+	if e.Now() != 15 {
+		t.Errorf("the re-armed record fired at %v, want 15", e.Now())
 	}
 }
 
 // hopper reschedules itself from its own Fire, as a packet does: one
 // flag says which of two alternating steps the pending event runs.
 type hopper struct {
+	rec     Event
 	e       *Engine
 	hops    int
 	arrived bool
@@ -179,16 +224,16 @@ func (p *hopper) Fire() {
 	if p.arrived {
 		d = simtime.Microsecond // switch latency
 	}
-	p.e.AfterHandler(d, p)
+	p.e.AfterIn(&p.rec, d, p)
 }
 
-// A handler reschedules itself from its own Fire, the slot it fired from
-// reused, among other traffic on the same delays.
+// A handler re-arms its own record from its own Fire, among other
+// traffic on the same delays.
 func TestHandlerReschedulesItself(t *testing.T) {
 	e := New()
 	ps := []*hopper{{e: e, hops: 50}, {e: e, hops: 50}}
 	for i, p := range ps {
-		e.ScheduleHandler(simtime.Time(i), p)
+		e.ScheduleIn(&p.rec, simtime.Time(i), p)
 	}
 	e.Run()
 	for i, p := range ps {

@@ -4,10 +4,10 @@ import "holdcsim/internal/simtime"
 
 // Timer is a restartable one-shot timer on the virtual clock bound to a
 // func(). The model's own countdowns — the farm's sleep planner, each
-// link's LPI idle threshold, each switch's sleep timer — keep a Handle
+// link's LPI idle threshold, each switch's sleep timer — embed an Event
 // and implement Handler instead, which takes this adapter's extra
-// indirect call off every expiry; Timer stays for the frozen bench/
-// module, whose engine.timer_reset_ns row measures it.
+// indirect call and its pooled event off every expiry; Timer stays for
+// the frozen bench/ module, whose engine.timer_reset_ns row measures it.
 //
 // A Timer is bound to one Engine and one callback; Reset re-arms it,
 // canceling any pending expiry. Every Reset schedules the same callback
@@ -34,5 +34,5 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 // deterministic ordering).
 func (t *Timer) Reset(d simtime.Time) {
 	t.eng.Cancel(t.h)
-	t.h = t.eng.AfterHandler(d, t.fn)
+	t.h = t.eng.push(nil, t.eng.now+d, t.fn)
 }

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"holdcsim/internal/engine"
 	"holdcsim/internal/topology"
 )
 
@@ -87,10 +86,7 @@ func (n *Network) SetSwitchAdmin(node topology.NodeID, up bool) error {
 	sw.failed = true
 	sw.sleeping = false
 	sw.waking = false
-	n.eng.Cancel(sw.wakeEv)
-	sw.wakeEv = engine.Handle{}
-	n.eng.Cancel(sw.sleepEv)
-	sw.sleepEv = engine.Handle{}
+	n.eng.CancelIn(&sw.ev)
 	sw.powerDown()
 	for _, p := range sw.ports {
 		if p.link == nil {

@@ -15,9 +15,10 @@ import (
 // rates are recomputed on every flow arrival and departure.
 //
 // Flows are pooled on Network.flowFree. A flow is its own launch event's
-// handler (Fire), so a recycled flow schedules its launch with zero
-// allocation. gen is bumped on release; a holder that may outlive the
-// flow (failLinkTraffic's snapshot) compares it before acting.
+// handler (Fire) and holds its record (ev), so a recycled flow
+// schedules its launch with zero allocation. gen is bumped on release;
+// a holder that may outlive the flow (failLinkTraffic's snapshot)
+// compares it before acting.
 type Flow struct {
 	// What every re-rate reads, together: res is the water-filling
 	// record of each link's traversed direction, in route order, derived
@@ -42,6 +43,8 @@ type Flow struct {
 
 	gen uint64
 	net *Network
+
+	ev engine.Event
 }
 
 // Fire implements engine.Handler: the flow's (possibly wake-deferred)
@@ -75,7 +78,7 @@ func (n *Network) TransferFlow(src, dst topology.NodeID, bytes int64, done func(
 		f := n.allocFlow()
 		f.total = float64(bytes)
 		f.done = done
-		n.eng.AfterHandler(0, f)
+		n.eng.AfterIn(&f.ev, 0, f)
 		return nil
 	}
 	return n.startFlow(src, dst, bytes, id, done, 0)
@@ -113,7 +116,7 @@ func (n *Network) startFlow(src, dst topology.NodeID, bytes, id int64, done func
 	f.done = done
 	f.pktN = pktN
 	if wait := n.wakeRoute(r); wait > 0 {
-		n.eng.AfterHandler(wait, f)
+		n.eng.AfterIn(&f.ev, wait, f)
 	} else {
 		n.launchFlow(f)
 	}
@@ -327,8 +330,8 @@ func waterFill(order []*wfResource, unfixed int) {
 // would. A completion at or past the clock's end (simtime.Forever)
 // never comes and gets no event.
 func (n *Network) armCompletion(now simtime.Time) {
-	n.eng.Cancel(n.flowEv)
-	n.flowEv, n.flowNext = engine.Handle{}, nil
+	n.eng.CancelIn(&n.flowEv)
+	n.flowNext = nil
 	next := simtime.Forever
 	for _, f := range n.flows {
 		at := now
@@ -344,7 +347,7 @@ func (n *Network) armCompletion(now simtime.Time) {
 		}
 	}
 	if n.flowNext != nil {
-		n.flowEv = n.eng.ScheduleHandler(next, n)
+		n.eng.ScheduleIn(&n.flowEv, next, n)
 	}
 }
 
@@ -428,6 +431,6 @@ func (n *Network) failFlow(f *Flow) { n.releaseFlow(f, true) }
 // re-rating the remaining flows and notifying the owner.
 func (n *Network) Fire() {
 	f := n.flowNext
-	n.flowEv, n.flowNext = engine.Handle{}, nil
+	n.flowNext = nil
 	n.releaseFlow(f, false)
 }

@@ -129,7 +129,7 @@ type Network struct {
 	// (Fire): the earliest flow completion and the flow it completes,
 	// re-armed by every re-rate; then the component search's stack.
 	// Last, so they move none of the fields the packet path reads.
-	flowEv   engine.Handle
+	flowEv   engine.Event
 	flowNext *Flow
 	wfStack  []*Flow
 }
@@ -386,7 +386,7 @@ type linkState struct {
 	// countdowns always had identical deadlines and adjacent event seqs —
 	// one link-level event halves the timer events while preserving the
 	// portA-then-portB transition order.
-	lpiEv engine.Handle
+	lpiEv engine.Event
 
 	egressAB, egressBA *egressQueue
 
@@ -403,7 +403,7 @@ type linkState struct {
 
 // markActive registers traffic on the link's ports (either direction).
 func (l *linkState) markActive() {
-	l.net.eng.Cancel(l.lpiEv)
+	l.net.eng.CancelIn(&l.lpiEv)
 	if l.portA != nil {
 		l.portA.addUser()
 	}
@@ -439,8 +439,7 @@ func (l *linkState) armLPI() {
 	if (l.portA == nil || l.portA.sw.failed) && (l.portB == nil || l.portB.sw.failed) {
 		return
 	}
-	l.net.eng.Cancel(l.lpiEv)
-	l.lpiEv = l.net.eng.AfterHandler(l.net.cfg.LPIIdle, l)
+	l.net.eng.AfterIn(&l.lpiEv, l.net.cfg.LPIIdle, l)
 }
 
 // Fire implements engine.Handler for the link's LPI countdown: it moves

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"holdcsim/internal/engine"
 	"holdcsim/internal/modelcov"
 	"holdcsim/internal/simtime"
 	"holdcsim/internal/topology"
@@ -21,11 +22,13 @@ const MaxPacketsPerTransfer = 1 << 30
 // was idle), propagates, and is forwarded after the switch latency.
 //
 // Packets are pooled on Network.pktFree. A packet is its own event
-// handler (Fire), so a recycled packet schedules its per-hop events with
-// zero allocation; arrived says which hop step its one pending event
-// runs. xferGen snapshots the owning transfer's generation; a mismatch
-// at finish means the packet outlived its transfer — a pool-lifetime
-// bug surfaced immediately rather than as silent corruption.
+// handler (Fire) and holds its one pending event's record (ev), so a
+// recycled packet schedules its per-hop events with zero allocation and
+// a hop's dispatch loads the packet and nothing pooled; arrived says
+// which hop step that event runs. xferGen snapshots the owning
+// transfer's generation; a mismatch at finish means the packet outlived
+// its transfer — a pool-lifetime bug surfaced immediately rather than as
+// silent corruption.
 type packet struct {
 	bytes   int64
 	nodes   []topology.NodeID
@@ -38,6 +41,8 @@ type packet struct {
 	// (Fire lands it at the far end) and true while it waits out the
 	// switch latency there (Fire queues it at the next hop's egress).
 	arrived bool
+
+	ev engine.Event
 }
 
 // Fire implements engine.Handler: the packet's pending hop step.
@@ -52,7 +57,7 @@ func (p *packet) Fire() {
 
 // pktTransfer tracks one packet-mode data transfer. Pooled on
 // Network.xferFree with a generation counter bumped on release; its
-// Fire performs the (possibly wake-deferred) injection.
+// Fire performs the (possibly wake-deferred) injection, queued in ev.
 type pktTransfer struct {
 	total     int64
 	delivered int64
@@ -66,6 +71,8 @@ type pktTransfer struct {
 
 	gen uint64
 	net *Network
+
+	ev engine.Event
 }
 
 // Fire implements engine.Handler: the transfer's injection, scheduled
@@ -177,7 +184,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 		x.loop = true
 		x.done = done
 		n.openPktTransfers++
-		n.eng.AfterHandler(0, x)
+		n.eng.AfterIn(&x.ev, 0, x)
 		return nil
 	}
 	nPkts := (bytes + MTUBytes - 1) / MTUBytes
@@ -200,7 +207,7 @@ func (n *Network) TransferPackets(src, dst topology.NodeID, bytes int64, done fu
 	x.done = done
 	n.openPktTransfers++
 	wait := n.wakeRoute(r)
-	n.eng.AfterHandler(wait, x)
+	n.eng.AfterIn(&x.ev, wait, x)
 	return nil
 }
 
@@ -255,6 +262,8 @@ type egressQueue struct {
 	head, count int
 	queuedBytes int64
 	drops       int64
+
+	ev engine.Event // the head packet's end of serialization
 }
 
 // minRingCap is the ring's first capacity (power of two).
@@ -327,7 +336,7 @@ func (q *egressQueue) maybeSend(n *Network) {
 	// Mark both ports busy for the duration of serialization +
 	// propagation; collect the LPI wake penalty. The shared LPI timer is
 	// stopped once for the link rather than per port.
-	n.eng.Cancel(l.lpiEv)
+	n.eng.CancelIn(&l.lpiEv)
 	var penalty simtime.Time
 	if l.portA != nil {
 		if w := l.portA.addUser(); w > penalty {
@@ -345,7 +354,7 @@ func (q *egressQueue) maybeSend(n *Network) {
 	if p.bytes != MTUBytes {
 		ser = simtime.FromSeconds(float64(p.bytes) / l.bytesPerSec)
 	}
-	n.eng.AfterHandler(penalty+ser, q)
+	n.eng.AfterIn(&q.ev, penalty+ser, q)
 }
 
 // serialized fires when the head packet's last bit is on the wire: the
@@ -367,7 +376,7 @@ func (q *egressQueue) serialized(n *Network) {
 	}
 	q.maybeSend(n)
 	p.arrived = false
-	n.eng.AfterHandler(propDelay, p)
+	n.eng.AfterIn(&p.ev, propDelay, p)
 }
 
 // dropAll retracts every queued packet (the link went down). In-flight
@@ -413,7 +422,7 @@ func (n *Network) packetArrived(p *packet) {
 	// Forwarding delay inside the switch (or relay host in server-centric
 	// topologies), then queue at the next egress.
 	p.arrived = true
-	n.eng.AfterHandler(switchLatency, p)
+	n.eng.AfterIn(&p.ev, switchLatency, p)
 }
 
 // Drops reports total packets dropped — buffer overflows plus

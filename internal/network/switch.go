@@ -33,8 +33,12 @@ type Switch struct {
 	waking    bool
 	failed    bool // dead (fault model): 0 W, no traffic, no transitions
 	wakeUntil simtime.Time
-	wakeEv    engine.Handle
-	sleepEv   engine.Handle // the idle countdown
+	// ev holds the end of a wake-up while waking, and otherwise the idle
+	// countdown, if armed: the two never overlap (a wake starts only
+	// from sleep, which the countdown's expiry entered, and nothing arms
+	// the countdown while the switch sleeps or wakes), so Fire tells
+	// them apart by waking.
+	ev engine.Event
 
 	meter     stats.EnergyMeter
 	residency stats.Residency
@@ -100,21 +104,19 @@ func (s *Switch) wake() simtime.Time {
 	lat := s.prof.LineCardWake.Latency
 	s.wakeUntil = now + lat
 	s.recompute()
-	s.wakeEv = s.net.eng.AfterHandler(lat, s)
+	s.net.eng.AfterIn(&s.ev, lat, s)
 	return lat
 }
 
-// Fire implements engine.Handler for the switch's two events, told
-// apart by the handle the engine is firing: the end of its wake-up and
-// the expiry of its idle countdown.
+// Fire implements engine.Handler for the switch's event: the end of its
+// wake-up, or the expiry of its idle countdown.
 func (s *Switch) Fire() {
-	switch s.net.eng.Firing() {
-	case s.wakeEv:
+	if s.waking {
 		s.waking = false
 		s.powerUp()
-	case s.sleepEv:
-		s.enterSleep()
+		return
 	}
+	s.enterSleep()
 }
 
 // powerUp returns connected ports to Active and rearms the idle
@@ -173,8 +175,7 @@ func (s *Switch) maybeSleepArm() {
 		return
 	}
 	if s.idle() {
-		s.net.eng.Cancel(s.sleepEv)
-		s.sleepEv = s.net.eng.AfterHandler(s.net.cfg.SwitchSleepIdle, s)
+		s.net.eng.AfterIn(&s.ev, s.net.cfg.SwitchSleepIdle, s)
 	}
 }
 

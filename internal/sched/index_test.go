@@ -30,9 +30,18 @@ func aliveOf(srvs []*server.Server) []*server.Server {
 	return where(srvs, func(srv *server.Server) bool { return !srv.Failed() })
 }
 
-// loadScan is LeastLoaded's scan over a candidate list.
+// loadScan is LeastLoaded's scan over a candidate list: the least
+// committed server, ties to the earliest entry (the lowest ID, lists
+// being in ID order), nil for an empty list.
 func loadScan(s *Scheduler, candidates []*server.Server) *server.Server {
-	return leastBy(candidates, func(srv *server.Server) int { return s.Committed(srv.ID()) })
+	var best *server.Server
+	bestLoad := 0
+	for _, srv := range candidates {
+		if l := s.Committed(srv.ID()); best == nil || l < bestLoad {
+			best, bestLoad = srv, l
+		}
+	}
+	return best
 }
 
 // spareScan is availableServer's and DualTimer's high-pool scan: the

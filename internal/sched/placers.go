@@ -38,23 +38,6 @@ func (LeastLoaded) Place(s *Scheduler, t *job.Task) *server.Server {
 // Name implements Placer.
 func (LeastLoaded) Name() string { return "least-loaded" }
 
-// leastBy is the least-loaded scan of a server list: the server with the
-// smallest load, nil for an empty list. Only a strictly smaller load
-// displaces the incumbent, so ties go to the earliest entry: the lowest
-// ID, lists being in ID order. It stays inlinable, so a load passed as a
-// function name or literal — not a method value — is inlined into the
-// loop.
-func leastBy(srvs []*server.Server, load func(*server.Server) int) *server.Server {
-	var best *server.Server
-	bestLoad := 0
-	for _, srv := range srvs {
-		if l := load(srv); best == nil || l < bestLoad {
-			best, bestLoad = srv, l
-		}
-	}
-	return best
-}
-
 // leastLoaded returns the alive server with the fewest commitments,
 // ties to the lower ID: the load tree's root, since the tree breaks ties
 // to the lower index and keys a crashed server out. The tree is built on
@@ -100,7 +83,7 @@ const keyedOut = math.MaxInt
 // the next power of two ≥ len(key), hold key indices (−1 for padding),
 // and each internal node i holds the winner of children 2i and 2i+1, so
 // node[1] is the argmin. The right child wins only when strictly less,
-// so ties go to the lower index, as leastBy's scan picks. Padding only
+// so ties go to the lower index, as a least-load scan in ID order picks. Padding only
 // ever sits to the right of real leaves and never wins.
 type winnerTree struct {
 	key  []int

@@ -113,10 +113,10 @@ type Scheduler struct {
 	// Candidate-set sharding (SetShards): shardOf maps each server to its
 	// shard (rack/pod/block); shards is a winner tree whose keys are the
 	// per-shard sums of committed; shardMembers lists each shard's
-	// servers in ID order. Nil shardOf = sharding off, zero cost.
+	// server IDs in order. Nil shardOf = sharding off, zero cost.
 	shardOf      []int32
 	shards       winnerTree
-	shardMembers [][]*server.Server
+	shardMembers [][]int32
 
 	globalQ []*job.Task
 
@@ -285,7 +285,7 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 		return fmt.Errorf("sched: shard count %d", n)
 	}
 	load := make([]int, n)
-	members := make([][]*server.Server, n)
+	members := make([][]int32, n)
 	counts := make([]int, n)
 	for id, sh := range shardOf {
 		if sh < 0 || int(sh) >= n {
@@ -298,10 +298,10 @@ func (s *Scheduler) SetShards(shardOf []int32, n int) error {
 		if c == 0 {
 			return fmt.Errorf("sched: shard %d of %d has no servers", sh, n)
 		}
-		members[sh] = make([]*server.Server, 0, c)
+		members[sh] = make([]int32, 0, c)
 	}
 	for id, sh := range shardOf {
-		members[sh] = append(members[sh], s.servers[id])
+		members[sh] = append(members[sh], int32(id))
 	}
 	s.shardOf, s.shards, s.shardMembers = shardOf, newWinnerTree(load), members
 	return nil

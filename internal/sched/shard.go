@@ -20,7 +20,18 @@ type ShardedLeastLoaded struct{}
 // Place implements Placer.
 func (ShardedLeastLoaded) Place(s *Scheduler, t *job.Task) *server.Server {
 	if s.shardOf != nil && s.downCount == 0 {
-		return leastBy(s.shardMembers[s.shards.node[1]], func(srv *server.Server) int { return s.committed[srv.ID()] })
+		// The members are in ID order and only a strictly smaller load
+		// displaces the incumbent, so ties go to the lower ID. The scan
+		// reads committed alone, not the members' records.
+		members := s.shardMembers[s.shards.node[1]]
+		best := members[0]
+		bestLoad := s.committed[best]
+		for _, id := range members[1:] {
+			if l := s.committed[id]; l < bestLoad {
+				best, bestLoad = id, l
+			}
+		}
+		return s.servers[best]
 	}
 	return s.leastLoaded()
 }

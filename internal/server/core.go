@@ -7,7 +7,7 @@ import (
 	"holdcsim/internal/simtime"
 )
 
-// evKind says which of a core's events its one live handle names.
+// evKind says which of a core's events its record holds.
 type evKind uint8
 
 const (
@@ -23,17 +23,16 @@ const (
 // Cores are values in blocks their farm allocates; a *Core points into
 // one and stays valid for the farm's life.
 //
-// A core fits in one cache line. It is its own event handler (Fire) and
-// has one live event at a time, named by ev and kind: a completion, a
-// wake or an idle promotion never overlap. Core 0 also runs its server's
-// suspend and wake completions, named by the server's own handle
-// (sysEv): a core can still be waking, or arm an idle promotion, while
-// its server suspends. An event nothing waits for any more — a wake or a
-// suspend the server's crash voided — still fires, and Fire tells it
-// apart by its handle (engine.Firing).
+// A core is 40 bytes of state and its own event record, ev: it is its
+// own event handler (Fire) and has one pending event at a time, of the
+// kind kind names — a completion, a wake or an idle promotion never
+// overlap — queued in ev beside the state that event reads. An event
+// nothing waits for any more (a wake the server's crash voided) is
+// canceled, so every event that fires is the one kind names. A Core
+// must not be copied (go vet's copylocks rejects it: ev is queued by
+// address).
 type Core struct {
 	srv  *Server
-	ev   engine.Handle
 	task *job.Task // running, or reserved while the core wakes
 
 	// draw caches watts() for the server's recompute to sum; refresh
@@ -49,42 +48,34 @@ type Core struct {
 	busy    bool
 	waking  bool
 	wakePkg bool // the wake in flight also exits package C6
+
+	ev engine.Event
 }
 
-// Fire implements engine.Handler: it runs the event the core's handle
-// names, or on core 0 the one its server's handle names; any other is
-// one nothing waits for any more, and does nothing.
+// Fire implements engine.Handler: it runs the core's pending event.
 func (c *Core) Fire() {
-	s := c.srv
-	switch f := s.farm.eng.Firing(); {
-	case f == c.ev:
-		k := c.kind
-		c.kind = evNone
-		switch k {
-		case evFinish:
-			c.finish()
-		case evWake:
-			c.wakeDone()
-		case evIdle:
-			c.idleStep()
-		}
-	case c.id == 0 && f == s.sysEv:
-		s.sysEv = engine.Handle{}
-		s.sysDone()
+	k := c.kind
+	c.kind = evNone
+	switch k {
+	case evFinish:
+		c.finish()
+	case evWake:
+		c.wakeDone()
+	case evIdle:
+		c.idleStep()
 	}
 }
 
-// after schedules the core's one live event, of kind k, d from now.
+// after queues the core's one pending event, of kind k, d from now.
 func (c *Core) after(d simtime.Time, k evKind) {
 	c.kind = k
-	c.ev = c.srv.farm.eng.AfterHandler(d, c)
+	c.srv.farm.eng.AfterIn(&c.ev, d, c)
 }
 
-// forget stops waiting for the core's event without canceling it: the
-// event stays queued and fires as a no-op, so a crash leaves the queue,
-// and every later sequence number, as it finds them.
-func (c *Core) forget() {
-	c.ev, c.kind = engine.Handle{}, evNone
+// cancel takes the core's pending event, if any, off the queue.
+func (c *Core) cancel() {
+	c.srv.farm.eng.CancelIn(&c.ev)
+	c.kind = evNone
 }
 
 // speed is the core's heterogeneous speed ratio.
@@ -221,8 +212,7 @@ func (c *Core) finish() {
 // core pulls its next queued task or goes idle. The aborted task is not
 // counted as completed.
 func (c *Core) abortRun() {
-	c.srv.farm.eng.Cancel(c.ev)
-	c.forget()
+	c.cancel()
 	c.busy = false
 	c.refresh()
 	c.task = nil
@@ -289,8 +279,7 @@ func (c *Core) idleStep() {
 // stopIdleTimer cancels the pending C-state promotion, if any.
 func (c *Core) stopIdleTimer() {
 	if c.kind == evIdle {
-		c.srv.farm.eng.Cancel(c.ev)
-		c.forget()
+		c.cancel()
 	}
 }
 

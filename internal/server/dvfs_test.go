@@ -18,7 +18,7 @@ func TestDVFSPowerScaling(t *testing.T) {
 	submitSingle(eng, s, 1, simtime.Millisecond, 70*simtime.Millisecond)
 	eng.RunUntil(20 * simtime.Millisecond)
 	// One busy core at P2 scale; remaining cores in C-states.
-	cpu := watts(&s.cpuMeter)
+	cpu := s.meters.watts[mCPU]
 	wantBusyCore := prof.CoreActive * 0.7 * 0.7 * 0.7
 	// CPU power = busy core + 9 parked cores + package; parked cores are
 	// in C6 by 20ms (governor), package PC0 while any core busy.

@@ -41,7 +41,10 @@ func (g *DVFSGovernor) Start() {
 		return
 	}
 	g.running = true
-	g.srv.onBusyChange = func(now simtime.Time, busy int) {
+	if g.srv.ext == nil {
+		g.srv.ext = new(serverExt)
+	}
+	g.srv.ext.onBusyChange = func(now simtime.Time, busy int) {
 		g.busy.Set(now, float64(busy))
 	}
 	g.busy.Set(g.srv.farm.eng.Now(), float64(g.srv.BusyCores()))

@@ -1,11 +1,5 @@
 package server
 
-import (
-	"reflect"
-
-	"holdcsim/internal/stats"
-)
-
 // CorruptQueueCounterForTest skews the incremental queue counter
 // without touching the underlying queue structures, seeding exactly the
 // desync the invariant checker's queue-counter law exists to catch.
@@ -47,11 +41,9 @@ func (s *Server) CoreWorked(i int) bool {
 
 // Power reports the server's current total draw in watts.
 func (s *Server) Power() float64 {
-	return watts(&s.cpuMeter) + watts(&s.dramMeter) + watts(&s.platMeter)
+	return s.meters.watts[mCPU] + s.meters.watts[mDRAM] + s.meters.watts[mPlatform]
 }
 
-// watts reads a meter's present draw. Nothing but a test asks for it, so
-// the meter has no accessor and the test reads the unexported signal.
-func watts(m *stats.EnergyMeter) float64 {
-	return reflect.ValueOf(m).Elem().FieldByName("tw").FieldByName("value").Float()
-}
+// plannerIdx is the index of the server's entry in its farm's sleep
+// planner heap, -1 when unarmed.
+func (s *Server) plannerIdx() int32 { return s.farm.planner.idx[s.id] }

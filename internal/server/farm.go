@@ -22,7 +22,9 @@ import (
 // What every server of a run shares lives here once: the task-completion
 // subscribers, the coverage map, and one Config per distinct value.
 type Farm struct {
-	eng     *engine.Engine
+	eng *engine.Engine
+	// servers holds each server at its ID: IDs index every by-server
+	// slice of the farm.
 	servers []*Server
 
 	totalPending   int64
@@ -41,10 +43,9 @@ type Farm struct {
 	configs    map[configKey]*Config
 
 	// What is left of the blocks Add carves server records and their
-	// parts from (see carve).
+	// cores from (see carve).
 	srvBlock  []Server
 	coreBlock []Core
-	durBlock  []simtime.Time
 }
 
 // configKey identifies a Config's value apart from its delay timer,
@@ -120,12 +121,25 @@ func carve[T any](block *[]T, n, batch int) []T {
 // shared by all of them.
 func NewFarm(eng *engine.Engine) *Farm {
 	f := &Farm{eng: eng}
-	f.planner.eng = eng
+	f.planner.farm = f
 	return f
 }
 
-// Server returns server i in add order.
+// Server returns the server added with ID i: nil for an ID below the
+// highest added that no server was added with.
 func (f *Farm) Server(i int) *Server { return f.servers[i] }
+
+// grow extends the farm's by-ID slices — its servers, its asleep set and
+// the planner's index — to cover ID id.
+func (f *Farm) grow(id int) {
+	for len(f.servers) <= id {
+		f.servers = append(f.servers, nil)
+		f.planner.idx = append(f.planner.idx, -1)
+	}
+	if w := id / 64; w >= len(f.asleep) {
+		f.asleep = append(f.asleep, make([]uint64, w+1-len(f.asleep))...)
+	}
+}
 
 // Asleep reports the farm's asleep set by server ID: bit i%64 of word
 // i/64 is set while server i is Asleep. The words are the farm's own and
@@ -141,28 +155,33 @@ func (f *Farm) TotalPending() int64 { return f.totalPending }
 // incrementally.
 func (f *Farm) TotalCompleted() int64 { return f.totalCompleted }
 
-// sleepEntry is one armed suspend deadline. seq is the global arm order:
-// the heap pops in (at, seq) order, so servers whose deadlines coincide
-// suspend in the order they armed — exactly the engine-seq order the old
-// one-timer-per-server scheme produced, which keeps transition timestamps
-// byte-identical (DESIGN.md Sec. 13).
+// sleepEntry is one armed suspend deadline, of the server with ID id.
+// seq is the global arm order: the heap pops in (at, seq) order, so
+// servers whose deadlines coincide suspend in the order they armed —
+// exactly the engine-seq order the old one-timer-per-server scheme
+// produced, which keeps transition timestamps byte-identical (DESIGN.md
+// Sec. 13). An entry holds no pointer, so the heap costs the collector
+// nothing to scan and a sift writes no barrier.
 type sleepEntry struct {
 	at  simtime.Time
 	seq uint64
-	srv *Server
+	id  int32
 }
 
 // sleepPlanner multiplexes every farm server's sleep-state delay timer
 // onto one engine event (ev, whose Fire is the planner's) at the
-// earliest pending deadline. The heap holds exactly the armed servers:
-// each records its entry's index (sleepIdx), so a re-arm moves the entry
-// in place and a disarm takes it out at once.
+// earliest pending deadline. The heap holds exactly the armed servers,
+// and idx[id] is server id's entry index, -1 when unarmed, so a re-arm
+// moves the entry in place and a disarm takes it out at once; a sift
+// writes the index of the entries it moves there, not into their
+// servers' records.
 type sleepPlanner struct {
-	eng  *engine.Engine
+	farm *Farm
 	heap []sleepEntry
+	idx  []int32
 	seq  uint64 // arm counter; FIFO tie-break among equal deadlines
 
-	ev      engine.Handle
+	ev      engine.Event
 	armedAt simtime.Time // the deadline ev is scheduled for, while Pending
 }
 
@@ -170,13 +189,13 @@ type sleepPlanner struct {
 // server s to suspend at instant at.
 func (p *sleepPlanner) arm(s *Server, at simtime.Time) {
 	p.seq++
-	e := sleepEntry{at: at, seq: p.seq, srv: s}
-	if i := int(s.sleepIdx); i >= 0 {
+	e := sleepEntry{at: at, seq: p.seq, id: s.id}
+	if i := int(p.idx[s.id]); i >= 0 {
 		p.heap[i] = e
 		p.fix(i)
 	} else {
 		p.heap = append(p.heap, e)
-		s.sleepIdx = int32(len(p.heap) - 1)
+		p.idx[s.id] = int32(len(p.heap) - 1)
 		p.siftUp(len(p.heap) - 1)
 	}
 	if !p.ev.Pending() || at < p.armedAt {
@@ -184,13 +203,12 @@ func (p *sleepPlanner) arm(s *Server, at simtime.Time) {
 	}
 }
 
-// reset moves the planner's event to instant at: cancel, then schedule,
-// so a re-arm takes the same engine sequence numbers the delay timers
-// always took.
+// reset moves the planner's event to instant at: the record's pending
+// arming is canceled, then it is queued afresh, so a re-arm takes the
+// same engine sequence numbers the delay timers always took.
 func (p *sleepPlanner) reset(at simtime.Time) {
 	p.armedAt = at
-	p.eng.Cancel(p.ev)
-	p.ev = p.eng.ScheduleHandler(at, p)
+	p.farm.eng.ScheduleIn(&p.ev, at, p)
 }
 
 // disarm cancels server s's pending suspend. The shared event stays
@@ -198,8 +216,8 @@ func (p *sleepPlanner) reset(at simtime.Time) {
 // re-arms. Stopping it here would move the re-arm points, and with them
 // the engine sequence numbers the goldens pin (DESIGN.md Sec. 13.1).
 func (p *sleepPlanner) disarm(s *Server) {
-	if s.sleepIdx >= 0 {
-		p.remove(int(s.sleepIdx))
+	if i := p.idx[s.id]; i >= 0 {
+		p.remove(int(i))
 	}
 }
 
@@ -208,7 +226,7 @@ func (p *sleepPlanner) disarm(s *Server) {
 // shared event at the next deadline. The engine retires an event before
 // running it, so ev is not Pending here.
 func (p *sleepPlanner) Fire() {
-	now := p.eng.Now()
+	now := p.farm.eng.Now()
 	for len(p.heap) > 0 {
 		e := p.heap[0]
 		if e.at > now {
@@ -216,38 +234,37 @@ func (p *sleepPlanner) Fire() {
 			return
 		}
 		p.remove(0)
-		e.srv.enterSleep()
+		p.farm.servers[e.id].enterSleep()
 	}
 }
 
 // remove takes entry i out of the heap: the last entry fills the gap and
 // sifts whichever way it must.
 func (p *sleepPlanner) remove(i int) {
-	p.heap[i].srv.sleepIdx = -1
+	p.idx[p.heap[i].id] = -1
 	n := len(p.heap) - 1
 	last := p.heap[n]
-	p.heap[n] = sleepEntry{} // release the *Server reference
 	p.heap = p.heap[:n]
 	if i < n {
 		p.heap[i] = last
-		last.srv.sleepIdx = int32(i)
+		p.idx[last.id] = int32(i)
 		p.fix(i)
 	}
 }
 
 // less orders entries by (deadline, arm seq).
 func (p *sleepPlanner) less(i, j int) bool {
-	a, b := p.heap[i], p.heap[j]
+	a, b := &p.heap[i], &p.heap[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// swap exchanges entries i and j and keeps their servers' indexes.
+// swap exchanges entries i and j and keeps their index entries.
 func (p *sleepPlanner) swap(i, j int) {
 	p.heap[i], p.heap[j] = p.heap[j], p.heap[i]
-	p.heap[i].srv.sleepIdx, p.heap[j].srv.sleepIdx = int32(i), int32(j)
+	p.idx[p.heap[i].id], p.idx[p.heap[j].id] = int32(i), int32(j)
 }
 
 // fix restores heap order after entry i changed.

@@ -155,24 +155,24 @@ func TestSleepPlannerHoldsOnlyArmed(t *testing.T) {
 			for i := 0; i < n; i++ {
 				s := farm.Server(i)
 				want, ok := ref[s]
-				switch j := int(s.sleepIdx); {
+				switch j := int(s.plannerIdx()); {
 				case !ok && j != -1:
 					t.Fatalf("seed %d op %d: unarmed server %d has heap index %d", seed, op, i, j)
-				case ok && (j < 0 || j >= len(p.heap) || p.heap[j].srv != s || p.heap[j].at != want.at):
+				case ok && (j < 0 || j >= len(p.heap) || p.heap[j].id != s.id || p.heap[j].at != want.at):
 					t.Fatalf("seed %d op %d: server %d's index %d does not name its entry at %v", seed, op, i, j, want.at)
 				}
 			}
 			// The heap is ordered by the reference's (deadline, arm
 			// order), so ties suspend in the order they armed.
 			for i := 1; i < len(p.heap); i++ {
-				c, pa := ref[p.heap[i].srv], ref[p.heap[(i-1)/2].srv]
+				c, pa := ref[farm.Server(int(p.heap[i].id))], ref[farm.Server(int(p.heap[(i-1)/2].id))]
 				if c.at < pa.at || c.at == pa.at && c.order < pa.order {
 					t.Fatalf("seed %d op %d: heap entry %d sorts before its parent", seed, op, i)
 				}
 			}
 			for a, ra := range ref {
 				for b, rb := range ref {
-					if (ra.order < rb.order) != (p.heap[a.sleepIdx].seq < p.heap[b.sleepIdx].seq) {
+					if (ra.order < rb.order) != (p.heap[a.plannerIdx()].seq < p.heap[b.plannerIdx()].seq) {
 						t.Fatalf("seed %d op %d: servers %d and %d tie-break out of arm order", seed, op, a.ID(), b.ID())
 					}
 				}
@@ -313,7 +313,7 @@ func TestNoDelayTimerWhenDisabled(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
-	if s.sleepIdx >= 0 {
+	if s.plannerIdx() >= 0 {
 		t.Fatalf("sleep armed despite DelayTimerEnabled=false")
 	}
 	allocs := testing.AllocsPerRun(100, cycle)
@@ -330,15 +330,15 @@ func TestSetDelayTimerLazyArm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.sleepIdx >= 0 {
+	if s.plannerIdx() >= 0 {
 		t.Fatalf("armed with delay timer disabled")
 	}
 	s.SetDelayTimer(true, 5*simtime.Millisecond)
-	if at := s.farm.planner.armedAt; s.sleepIdx < 0 || at != eng.Now()+5*simtime.Millisecond {
-		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, s.sleepIdx >= 0)
+	if at := s.farm.planner.armedAt; s.plannerIdx() < 0 || at != eng.Now()+5*simtime.Millisecond {
+		t.Fatalf("deadline = (%v,%v), want (+5ms,true)", at, s.plannerIdx() >= 0)
 	}
 	s.SetDelayTimer(false, 0)
-	if s.sleepIdx >= 0 {
+	if s.plannerIdx() >= 0 {
 		t.Fatalf("still armed after disable")
 	}
 	s.SetDelayTimer(true, simtime.Millisecond)

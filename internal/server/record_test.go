@@ -42,8 +42,8 @@ func TestQueuePopLeavesNoTask(t *testing.T) {
 		}
 		queues := [][]*job.Task{s.queue}
 		queued := cap(s.queue)
-		if s.coreQueues != nil {
-			for _, q := range *s.coreQueues {
+		if qs := s.coreQueues(); qs != nil {
+			for _, q := range qs {
 				queues = append(queues, q)
 				queued += cap(q)
 			}
@@ -134,7 +134,7 @@ func TestPowerCacheMatchesCoreStates(t *testing.T) {
 					want += prof.PkgPC0
 				}
 			}
-			if got := watts(&s.cpuMeter); got != want {
+			if got := s.meters.watts[mCPU]; got != want {
 				t.Fatalf("event %d at %v: server %d meters %v W of CPU, core states give %v", events, eng.Now(), i, got, want)
 			}
 		}

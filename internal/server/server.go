@@ -34,14 +34,17 @@ const (
 // hierarchical power controller. All state changes run on the simulation
 // engine's virtual clock.
 //
-// A server is one flat 272-byte record: what recompute and an event's
-// bookkeeping read come first (flags, counters, socket states,
-// P-state, then the meters and the residency tracker), and what only
-// queueing, sleep control and reporting read comes last. Its cores and
-// residency durations are runs of blocks its farm allocates for many
-// servers at once, and its Config is one its farm shares among every
-// server added with the same value, so building a farm allocates per
-// block, not per part, and no server holds a copy of what none varies.
+// A server is one flat record (DESIGN.md Sec. 13.5): what recompute and
+// an event's bookkeeping read come first (flags, counters, socket
+// states, P-state, then the meters and the residency tracker with its
+// durations), and what only queueing, sleep control and reporting read
+// comes last, with the record of its own suspend or wake event. Its
+// cores are a run of a block its farm allocates for many servers at
+// once, and its Config is one its farm shares among every server added
+// with the same value, so building a farm allocates per block, not per
+// part, and no server holds a copy of what none varies. A Server must
+// not be copied (go vet's copylocks rejects it: its event record is
+// queued by address).
 type Server struct {
 	farm  *Farm
 	cfg   *Config // shared: the delay timer is the server's own, below
@@ -54,12 +57,7 @@ type Server struct {
 	// used to recompute by walking every core) and is maintained at each
 	// mutation; RecountQueueLen is the walking oracle the invariant
 	// checker compares it against.
-	queueLen int32
-	// sleepIdx is the index of the server's entry in its farm's sleep
-	// planner heap, -1 when unarmed: every server arms its suspend
-	// deadline there, so an idle server holds no queued engine event of
-	// its own.
-	sleepIdx  int32
+	queueLen  int32
 	wakeCount uint32 // system-level wakes, for diagnostics
 	// parkedSockets has bit k set while socket k is in package C6; a
 	// socket is otherwise in PC0.
@@ -79,23 +77,77 @@ type Server struct {
 	wakeAfterEntry bool // a wake was requested mid-suspend
 	delayOn        bool // the delay timer is enabled
 
-	cpuMeter  stats.EnergyMeter
-	dramMeter stats.EnergyMeter
-	platMeter stats.EnergyMeter
+	meters meters
+	// residency holds the durations of every power.ServerStates label
+	// in itself, so a state change writes the server's own lines.
 	residency stats.Residency
 
-	// onBusyChange, when set, observes busy-core count changes (the
-	// DVFS governor's utilization signal).
-	onBusyChange func(now simtime.Time, busy int)
+	ext *serverExt // nil unless the server has per-core queues or a governor
 
-	queue      []*job.Task    // unified local queue
-	coreQueues *[][]*job.Task // per-core queues (QueuePerCore mode only)
+	queue      []*job.Task // unified local queue
 	delayTimer simtime.Time
-	// sysEv names the suspend or wake in flight (entering or waking);
-	// core 0 runs it.
-	sysEv engine.Handle
 
 	completedTasks int64
+
+	// sysEv holds the suspend or wake in flight (entering or waking);
+	// its handler is the server (Fire).
+	sysEv engine.Event
+}
+
+// serverExt holds what only some servers have, behind one pointer in
+// the record: per-core queues (QueuePerCore mode), and a DVFS
+// governor's hook, which observes busy-core count changes (its
+// utilization signal).
+type serverExt struct {
+	coreQueues   [][]*job.Task
+	onBusyChange func(now simtime.Time, busy int)
+}
+
+// coreQueues reports the per-core queues, nil in QueueUnified mode.
+func (s *Server) coreQueues() [][]*job.Task {
+	if s.ext == nil {
+		return nil
+	}
+	return s.ext.coreQueues
+}
+
+// meters integrates the server's three component draws — processor,
+// DRAM and platform — which recompute sets together, so they share one
+// clock. Each integral takes exactly the additions a stats.EnergyMeter
+// would, so every energy keeps its bits.
+type meters struct {
+	lastT  simtime.Time
+	watts  [3]float64 // since lastT
+	joules [3]float64 // up to lastT
+}
+
+// The components, as indexes into meters.
+const (
+	mCPU = iota
+	mDRAM
+	mPlatform
+)
+
+// set records the three draws starting at time t.
+func (m *meters) set(t simtime.Time, cpu, dram, plat float64) {
+	if t < m.lastT {
+		panic("server: meter time went backwards")
+	}
+	dt := (t - m.lastT).Seconds()
+	for k := range m.joules {
+		m.joules[k] += m.watts[k] * dt
+	}
+	m.lastT = t
+	m.watts = [3]float64{cpu, dram, plat}
+}
+
+// energyTo reports component k's joules up to t, which must not
+// precede the last set.
+func (m *meters) energyTo(k int, t simtime.Time) float64 {
+	if t < m.lastT {
+		panic("server: meter read before its last set")
+	}
+	return m.joules[k] + m.watts[k]*(t-m.lastT).Seconds()
 }
 
 // serverStates is the residency label table every server's tracker
@@ -120,21 +172,24 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if id < len(f.servers) && f.servers[id] != nil {
+		return nil, fmt.Errorf("server: ID %d added twice", id)
+	}
 	// The record and its parts come zeroed out of the farm's blocks and
 	// are filled in place, field by field: no composite literal is copied
 	// over them and nothing is formatted — a server's meters and tracker
 	// are anonymous, the engine clock they read never runs backwards.
 	batch := min(max(len(f.servers), 1), maxBatch)
+	f.grow(id)
 	s := &carve(&f.srvBlock, 1, batch)[0]
 	s.farm, s.cfg, s.id = f, f.share(&cfg), int32(id)
 	s.delayOn, s.delayTimer = cfg.DelayTimerEnabled, cfg.DelayTimer
-	s.sleepIdx, s.state = -1, -1
-	s.residency.Init(&serverStates, carve(&f.durBlock, len(serverStates), batch))
+	s.state = -1
+	s.residency.Init(&serverStates)
 	cores := cfg.Profile.Cores
 	s.cores = carve(&f.coreBlock, cores, batch)
 	if cfg.QueueMode == QueuePerCore {
-		q := make([][]*job.Task, cores)
-		s.coreQueues = &q
+		s.ext = &serverExt{coreQueues: make([][]*job.Task, cores)}
 	}
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -146,10 +201,7 @@ func (f *Farm) Add(id int, cfg Config) (*Server, error) {
 		s.cores[i].becomeIdle()
 	}
 	s.checkServerIdle()
-	f.servers = append(f.servers, s)
-	if w := id / 64; w >= len(f.asleep) {
-		f.asleep = append(f.asleep, make([]uint64, w+1-len(f.asleep))...)
-	}
+	f.servers[id] = s
 	return s, nil
 }
 
@@ -239,10 +291,11 @@ func (s *Server) QueueLen() int { return int(s.queueLen) }
 // the maintained QueueLen counter.
 func (s *Server) RecountQueueLen() int {
 	n := len(s.queue)
+	qs := s.coreQueues()
 	for i := range s.cores {
 		c := &s.cores[i]
-		if s.coreQueues != nil {
-			n += len((*s.coreQueues)[i])
+		if qs != nil {
+			n += len(qs[i])
 		}
 		if c.reserved() != nil {
 			n++
@@ -290,8 +343,8 @@ func (s *Server) Failed() bool { return s.failed }
 // unified queue) so the global scheduler can apply its drop/requeue
 // policy. Crashing a failed server is a no-op returning nil.
 //
-// A wake or suspend in flight is not canceled: its event stays queued
-// and fires as a no-op, because its core has stopped waiting for it.
+// A wake or suspend in flight is canceled with every other pending event
+// of the server and its cores: nothing waits for it any more.
 func (s *Server) Crash() []*job.Task {
 	if s.failed {
 		return nil
@@ -301,8 +354,7 @@ func (s *Server) Crash() []*job.Task {
 	var orphans []*job.Task
 	for i := range s.cores {
 		if c := &s.cores[i]; c.busy {
-			s.farm.eng.Cancel(c.ev)
-			c.forget()
+			c.cancel()
 			orphans = append(orphans, c.task)
 			c.task = nil
 			c.busy = false
@@ -314,21 +366,20 @@ func (s *Server) Crash() []*job.Task {
 			s.cores[i].task = nil
 		}
 	}
+	qs := s.coreQueues()
 	for i := range s.cores {
 		c := &s.cores[i]
-		if s.coreQueues != nil {
-			q := &(*s.coreQueues)[i]
-			orphans = append(orphans, *q...)
-			*q = nil
+		if qs != nil {
+			orphans = append(orphans, qs[i]...)
+			qs[i] = nil
 		}
 		c.waking, c.wakePkg = false, false
-		c.stopIdleTimer()
-		c.forget() // a voided wake
+		c.cancel() // an idle promotion, or a voided wake
 		c.cstate = power.C6
 		c.refresh()
 	}
 	s.wakingCores = 0
-	s.sysEv = engine.Handle{} // a voided suspend or wake
+	s.farm.eng.CancelIn(&s.sysEv) // a voided suspend or wake
 	orphans = append(orphans, s.queue...)
 	s.queue = nil
 	s.queueDelta(-int(s.queueLen))
@@ -368,10 +419,11 @@ func (s *Server) Abort(t *job.Task) bool {
 		s.queueDelta(-1)
 		return true
 	}
+	qs := s.coreQueues()
 	for ci := range s.cores {
 		c := &s.cores[ci]
-		if s.coreQueues != nil {
-			q := &(*s.coreQueues)[ci]
+		if qs != nil {
+			q := &qs[ci]
 			if i := slices.Index(*q, t); i >= 0 {
 				*q = slices.Delete(*q, i, i+1)
 				s.queueDelta(-1)
@@ -429,7 +481,7 @@ func (s *Server) dispatch(t *job.Task) {
 	case QueuePerCore:
 		// Shortest-queue assignment at arrival; capability-aware
 		// tie-break prefers faster cores.
-		queues := *s.coreQueues
+		queues := s.ext.coreQueues
 		best := -1
 		bestLoad := 0
 		for i := range s.cores {
@@ -518,8 +570,8 @@ func (s *Server) coreFinished(c *Core, t *job.Task) {
 // nextFor pops the next task for core c per the queue mode.
 func (s *Server) nextFor(c *Core) *job.Task {
 	q := &s.queue
-	if s.coreQueues != nil {
-		q = &(*s.coreQueues)[c.id]
+	if qs := s.coreQueues(); qs != nil {
+		q = &qs[c.id]
 	}
 	if len(*q) == 0 {
 		return nil
@@ -602,13 +654,14 @@ func (s *Server) enterSleep() {
 }
 
 // sysAfter schedules the suspend or wake in flight to complete d from
-// now, on core 0.
+// now.
 func (s *Server) sysAfter(d simtime.Time) {
-	s.sysEv = s.farm.eng.AfterHandler(d, &s.cores[0])
+	s.farm.eng.AfterIn(&s.sysEv, d, s)
 }
 
-// sysDone completes the suspend or wake sysEv named.
-func (s *Server) sysDone() {
+// Fire implements engine.Handler: it completes the suspend or wake in
+// flight.
+func (s *Server) Fire() {
 	if s.entering {
 		s.sleepEntryDone()
 	} else {
@@ -771,27 +824,27 @@ func (s *Server) recompute() {
 			state = stIdle
 		}
 	}
-	s.cpuMeter.SetPower(now, cpu)
-	s.dramMeter.SetPower(now, dram)
-	s.platMeter.SetPower(now, plat)
+	s.meters.set(now, cpu, dram, plat)
 	if cover := s.farm.cover; cover != nil && state != int(s.state) {
 		cover.Hit(modelcov.SrvTransition(int(s.state), state))
 	}
 	s.state = int8(state)
 	s.residency.SetStateID(now, state)
-	if s.onBusyChange != nil {
-		s.onBusyChange(now, int(s.busyCores))
+	if s.ext != nil && s.ext.onBusyChange != nil {
+		s.ext.onBusyChange(now, int(s.busyCores))
 	}
 }
 
 // CPUEnergyTo reports processor energy in joules up to t.
-func (s *Server) CPUEnergyTo(t simtime.Time) float64 { return s.cpuMeter.EnergyTo(t) }
+func (s *Server) CPUEnergyTo(t simtime.Time) float64 { return s.meters.energyTo(mCPU, t) }
 
 // DRAMEnergyTo reports memory energy in joules up to t.
-func (s *Server) DRAMEnergyTo(t simtime.Time) float64 { return s.dramMeter.EnergyTo(t) }
+func (s *Server) DRAMEnergyTo(t simtime.Time) float64 { return s.meters.energyTo(mDRAM, t) }
 
 // PlatformEnergyTo reports platform energy in joules up to t.
-func (s *Server) PlatformEnergyTo(t simtime.Time) float64 { return s.platMeter.EnergyTo(t) }
+func (s *Server) PlatformEnergyTo(t simtime.Time) float64 {
+	return s.meters.energyTo(mPlatform, t)
+}
 
 // EnergyTo reports total server energy in joules up to t.
 func (s *Server) EnergyTo(t simtime.Time) float64 {

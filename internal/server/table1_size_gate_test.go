@@ -8,37 +8,65 @@ import (
 	"testing"
 
 	"holdcsim/internal/core"
+	"holdcsim/internal/engine"
 	"holdcsim/internal/power"
 	"holdcsim/internal/sched"
 	"holdcsim/internal/server"
+	"holdcsim/internal/simtime"
 	"holdcsim/internal/workload"
 )
 
 // The size contract of a built farm (DESIGN.md Sec. 13.5): a server
-// record is 272 bytes, a core 56, and a Table I farm leaves at most
+// record is at most 272 bytes besides its residency durations (kept in
+// its tracker, one per power.ServerStates label), a core
+// at most 56 besides its event record, and a Table I farm leaves at most
 // maxBytesPerServer on the heap per server once built — server and core
-// records, residency durations, each core's pending idle promotion in
-// the engine and the latency tally's reserve; and building it allocates
-// next to nothing per server: records come from blocks, and a core is
-// its own event handler.
+// records, each core's pending idle promotion in its record and the
+// latency tally's reserve; and building it allocates next to nothing per
+// server: records come from blocks, and a core is its own event handler
+// and holds its own event.
 const (
-	maxServerSize     = 272
-	maxCoreSize       = 56
-	maxBytesPerServer = 1000
+	maxServerState    = 272
+	maxCoreState      = 56
+	maxBytesPerServer = 890
 )
+
+// partSize is the size of the field of T at path, a field name and the
+// names of fields within it: a part of a record the size contract
+// counts apart from its state.
+func partSize[T any](t *testing.T, path ...string) uintptr {
+	typ := reflect.TypeFor[T]()
+	for _, name := range path {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Fatalf("%v has no field %s", typ, name)
+		}
+		typ = f.Type
+	}
+	return typ.Size()
+}
 
 // TestTableIServerBytes is the size gate beside the allocation gates: it
 // builds a farm-rr-shaped data center (four-core servers, round-robin,
 // single-task jobs, no delay timer, ~15 jobs a server) through
 // core.Build and fails when the heap it leaves per server, or the
-// Server or Core record, grows past the bars above. The race detector
-// changes what the heap holds, so this runs only in the non-race job.
+// Server or Core record less the parts named above, grows past the bars
+// above. The race detector changes what the heap holds, so this runs
+// only in the non-race job.
 func TestTableIServerBytes(t *testing.T) {
-	if got := reflect.TypeFor[server.Server]().Size(); got > maxServerSize {
-		t.Errorf("server.Server is %d bytes, want at most %d", got, maxServerSize)
+	durs := partSize[server.Server](t, "residency", "dur")
+	if want := reflect.TypeFor[[len(power.ServerStates)]simtime.Time]().Size(); durs != want {
+		t.Errorf("server.Server's durations are %d bytes, want %d", durs, want)
 	}
-	if got := reflect.TypeFor[server.Core]().Size(); got > maxCoreSize {
-		t.Errorf("server.Core is %d bytes, want at most %d", got, maxCoreSize)
+	if got := reflect.TypeFor[server.Server]().Size() - durs; got > maxServerState {
+		t.Errorf("server.Server is %d bytes besides its %d of durations, want at most %d", got, durs, maxServerState)
+	}
+	ev := partSize[server.Core](t, "ev")
+	if want := reflect.TypeFor[engine.Event]().Size(); ev != want {
+		t.Errorf("server.Core's event record is %d bytes, want an engine.Event's %d", ev, want)
+	}
+	if got := reflect.TypeFor[server.Core]().Size() - ev; got > maxCoreState {
+		t.Errorf("server.Core is %d bytes besides its event record, want at most %d", got, maxCoreState)
 	}
 
 	const servers = 4096

@@ -15,20 +15,31 @@ import (
 // label on first use, and an owner with a fixed state set shares one
 // table across many trackers (Init) and drives them by index
 // (SetStateID) — no map, no string compare. The zero value is an idle,
-// anonymous tracker, ready to embed.
+// anonymous tracker, ready to embed. The durations of the first
+// inlineStates ids live in the tracker, so an owner that embeds it —
+// a server, a switch — keeps them in its own record.
 //
 // A tracker keeps no name, no start time and no open-interval sum: every
 // instant from the first SetState to lastT is closed into exactly one
 // state's duration, so the start is lastT less their sum (integer
 // nanoseconds, exact), and a re-entry leaves the open interval running.
 type Residency struct {
-	labels  *[]string      // id -> label, in interning (or Init table) order
-	dur     []simtime.Time // id -> closed time; unobserved until first left
-	lastT   simtime.Time   // when state was entered
-	state   int32          // current id, once started
+	labels *[]string // id -> label, in interning (or Init table) order
+	// dur and more map id -> closed time, unobserved until first left:
+	// dur the ids below inlineStates, more the rest, nil until a tracker
+	// has more.
+	dur     [inlineStates]simtime.Time
+	more    *[]simtime.Time
+	lastT   simtime.Time // when state was entered
+	state   int32        // current id, once started
 	started bool
 	shared  bool // labels is an Init table: intern copies it first
 }
+
+// inlineStates is how many states' durations a tracker holds in itself:
+// a server's six (power.ServerStates), which TestTableIServerBytes
+// checks, and a switch's four.
+const inlineStates = 6
 
 // unobserved marks a state never left. Results report a state once it
 // has been current: one entered and left within an instant is a key
@@ -41,13 +52,33 @@ const unobserved = simtime.Time(-1)
 func NewResidency(string) *Residency { return new(Residency) }
 
 // Init binds an idle tracker to a fixed label table, shared and never
-// written, and to dur, the caller's storage for one duration per label.
-func (r *Residency) Init(labels *[]string, dur []simtime.Time) {
-	n := len(*labels)
-	r.labels, r.dur, r.shared = labels, dur[:n:n], true
-	for i := range r.dur {
-		r.dur[i] = unobserved
+// written.
+func (r *Residency) Init(labels *[]string) {
+	r.labels, r.shared = labels, true
+	r.extend(0, len(*labels))
+}
+
+// extend makes room for the durations of ids from to n, each
+// unobserved.
+func (r *Residency) extend(from, n int) {
+	for id := from; id < n; id++ {
+		if id < inlineStates {
+			r.dur[id] = unobserved
+			continue
+		}
+		if r.more == nil {
+			r.more = new([]simtime.Time)
+		}
+		*r.more = append(*r.more, unobserved)
 	}
+}
+
+// durOf is where id's closed time is kept.
+func (r *Residency) durOf(id int) *simtime.Time {
+	if id < inlineStates {
+		return &r.dur[id]
+	}
+	return &(*r.more)[id-inlineStates]
 }
 
 // SetState records a transition to state at time t. Re-entering the
@@ -61,8 +92,7 @@ func (r *Residency) SetState(t simtime.Time, state string) {
 }
 
 // intern gives a new label the next id, in a table of the tracker's
-// own: a shared table is copied first, and Init clips dur, so these
-// appends never write a shared table or block.
+// own: a shared table is copied first, so this append never writes it.
 func (r *Residency) intern(label string) int {
 	if r.labels == nil || r.shared {
 		var own []string
@@ -72,8 +102,9 @@ func (r *Residency) intern(label string) int {
 		r.labels, r.shared = &own, false
 	}
 	*r.labels = append(*r.labels, label)
-	r.dur = append(r.dur, unobserved)
-	return len(*r.labels) - 1
+	n := len(*r.labels)
+	r.extend(n-1, n)
+	return n - 1
 }
 
 // SetStateID is SetState by label-table index.
@@ -92,7 +123,8 @@ func (r *Residency) SetStateID(t simtime.Time, id int) {
 		// interval runs on from lastT.
 		return
 	}
-	r.dur[r.state] = max(r.dur[r.state], 0) + (t - r.lastT)
+	d := r.durOf(int(r.state))
+	*d = max(*d, 0) + (t - r.lastT)
 	r.lastT = t
 	r.state = int32(id)
 }
@@ -100,8 +132,8 @@ func (r *Residency) SetStateID(t simtime.Time, id int) {
 // start reports when tracking began: lastT less the closed durations.
 func (r *Residency) start() simtime.Time {
 	t0 := r.lastT
-	for _, d := range r.dur {
-		t0 -= max(d, 0)
+	for id := range *r.labels {
+		t0 -= max(*r.durOf(id), 0)
 	}
 	return t0
 }
@@ -122,7 +154,7 @@ func (r *Residency) lookup(label string) int {
 // observed reports whether id is a key of the results: left at least
 // once, or current.
 func (r *Residency) observed(id int) bool {
-	return r.dur[id] >= 0 || (r.started && id == int(r.state))
+	return *r.durOf(id) >= 0 || (r.started && id == int(r.state))
 }
 
 // DurationTo reports total time spent in state up to t (including the
@@ -132,7 +164,7 @@ func (r *Residency) DurationTo(state string, t simtime.Time) simtime.Time {
 	if id < 0 {
 		return 0
 	}
-	d := max(r.dur[id], 0)
+	d := max(*r.durOf(id), 0)
 	if r.started && int(r.state) == id {
 		if t > r.lastT {
 			d += t - r.lastT

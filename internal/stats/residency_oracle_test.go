@@ -86,7 +86,7 @@ func TestResidencyMatchesMapOracle(t *testing.T) {
 		oracle := &mapResidency{dur: map[string]simtime.Time{}}
 		interned := NewResidency("interned")
 		var byID Residency
-		byID.Init(&table, make([]simtime.Time, len(table)))
+		byID.Init(&table)
 		used := 1 + r.IntN(len(table)) // some tables are only partly visited
 		now := simtime.Time(r.IntN(5))
 		for step := 0; step < 60; step++ {
@@ -123,14 +123,13 @@ func TestResidencyMatchesMapOracle(t *testing.T) {
 }
 
 // TestResidencyInitSharesTableSafely pins what a farm relies on: many
-// trackers over one label table and one duration block stay
-// independent, and a label outside the table lands in a private copy.
+// trackers over one label table stay independent, and a label outside
+// the table lands in a private copy.
 func TestResidencyInitSharesTableSafely(t *testing.T) {
 	table := []string{"A", "B"}
-	block := make([]simtime.Time, 4)
 	var r1, r2 Residency
-	r1.Init(&table, block[0:2])
-	r2.Init(&table, block[2:4])
+	r1.Init(&table)
+	r2.Init(&table)
 	r1.SetStateID(0, 0)
 	r2.SetStateID(0, 1)
 	r1.SetState(10, "C") // not in the table: must not write through it

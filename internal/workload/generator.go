@@ -26,9 +26,11 @@ type Generator struct {
 	generated int64
 	nextID    job.ID
 
-	// One arrival is pending at a time, so its instant lives in a field
-	// and the generator is the arrival event's handler (Fire).
+	// One arrival is pending at a time, so its instant lives in a field,
+	// the generator is the arrival event's handler (Fire) and ev is its
+	// record.
 	nextAt simtime.Time
+	ev     engine.Event
 
 	// pool recycles finished jobs into new arrivals (Recycle).
 	pool job.Pool
@@ -74,7 +76,7 @@ func (g *Generator) scheduleNext() {
 		return // past the clock's end, or past the horizon
 	}
 	g.nextAt = at
-	g.eng.ScheduleHandler(at, g)
+	g.eng.ScheduleIn(&g.ev, at, g)
 }
 
 // Fire implements engine.Handler for the arrival event: it expands one
